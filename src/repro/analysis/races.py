@@ -1,9 +1,11 @@
 """Parallel-hook race analysis: shared-state writes reachable from
 worker-executed code must hold a lock at the write site.
 
-The morsel scheduler (``repro/exec/parallel.py``) runs operator *hooks*
-concurrently on worker threads.  The contract (module docstring there)
-is that every such hook is stateless after construction: it writes only
+The placed walk (``PlacedDriver`` in ``repro/exec/pipeline.py``) hands
+operator *hooks* to its placement's ``dispatch``; the morsel scheduler
+(``repro/exec/parallel.py``) runs them concurrently on worker threads.
+The contract (module docstring of ``repro/exec/operators.py``) is that
+every such hook is stateless after construction: it writes only
 morsel-local state (parameters, locals, its private shard clock), never
 ``self``.  Nothing enforced that until this pass.
 
@@ -12,15 +14,20 @@ How the hook set is derived — and why it cannot drift
 The pass does **not** trust a hand-maintained hook list.  It re-derives
 the worker dispatch table from the code that actually dispatches:
 
-* every ``self._map(items, fn)`` call site inside ``MorselScheduler``
+* every ``self.dispatch(units, fn)`` call site inside ``PlacedDriver``
+  and every ``self.map(items, fn)`` inside ``MorselScheduler``
   contributes ``fn`` — a bound hook reference (``op.partial_block``),
   possibly wrapped in the tracing shim ``self._op_task(op, op.<hook>)``
-  (which only pushes the operator's span around the call), or a local
-  closure, whose operator-method calls are extracted;
-* every :class:`~repro.exec.pipeline.PipelineStage` subclass that is
-  ``parallel_safe`` contributes the ``self.op.<hook>`` calls in its
-  ``apply`` (stages run inside morsel tasks); serial stages
-  (``parallel_safe = False``) are excluded.
+  (which only pushes the operator's span around the call), a local
+  closure, whose operator-method calls are extracted, or a pipeline
+  entry point (``block_pass.task``);
+* a pipeline entry point is followed, by method name, through the
+  classes of ``pipeline.py`` — ``BlockPass.task`` -> ``BlockPass.run``
+  -> the ``apply`` of every ``parallel_safe``
+  :class:`~repro.exec.pipeline.PipelineStage`, ``ScanSource.
+  morsel_carrier`` — collecting every ``<x>.op.<hook>(...)`` call.
+  The driver class itself (coordinator code by definition) and serial
+  stages (``parallel_safe = False``) are never entered.
 
 The derived set is then cross-checked against
 :data:`EXPECTED_WORKER_HOOKS`; any mismatch in either direction is a
@@ -30,9 +37,11 @@ file — and therefore a re-audit — to change with it.
 What gets flagged
 -----------------
 For every operator class in ``exec/operators.py`` defining a worker
-hook (plus the ``self._helper()`` methods those hooks call,
-transitively), and for the worker-thread closures inside
-``MorselScheduler._map`` itself (``work``, ``run_task``, and everything
+hook (plus the ``self._helper`` methods those hooks reference,
+transitively), for the worker-executed pipeline surface derived above
+(minus classes the worker code itself instantiates — a carrier built
+inside a task is task-local), and for the worker-thread closures inside
+``MorselScheduler.map`` itself (``work``, ``run_task``, and everything
 they call on ``self``):
 
 ``unlocked-shared-write``
@@ -68,14 +77,15 @@ _PRAGMA = "race-ok"
 
 #: The audited worker-executed hook surface.  Update this *only*
 #: together with a re-audit of the new hook's body: the pass re-derives
-#: the real dispatch table from exec/parallel.py + exec/pipeline.py and
+#: the real dispatch table from exec/pipeline.py + exec/parallel.py and
 #: flags any mismatch with this set.
 EXPECTED_WORKER_HOOKS = frozenset({
-    # scan task chain (MorselScheduler._scan_pipeline / _map_stages)
+    # the scan step of a placed task (ScanSource.morsel_carrier)
     "make_block", "scan_block",
     # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage)
     "filter_mask", "project_block", "probe_block",
-    # breaker partials (MorselScheduler._run_to_sink and friends)
+    # breaker partials (PlacedDriver._run_to_sink / _fold_aggregate) and
+    # the worker pool's partitioned merge (MorselScheduler.repartition)
     "build_block", "partial_block", "split_partial", "merge_partition",
     "sort_block",
 })
@@ -301,56 +311,112 @@ class RaceAnalysisPass(AnalysisPass):
 
     # -- dispatch-table derivation ----------------------------------------
 
+    #: the walk's class: its methods run on the coordinator, and its
+    #: ``dispatch`` call sites are where work is handed to workers
+    DRIVER = "PlacedDriver"
+
     def derived_worker_hooks(self, parallel: ModuleSource,
                              pipeline: ModuleSource) -> set[str]:
         """The worker-executed operator-hook names, re-derived from the
         dispatching code itself."""
         hooks: set[str] = set()
+        entries: set[str] = set()
         operator_methods = self._operator_method_names()
-        # 1) every self._map(items, fn) inside MorselScheduler
-        scheduler = self._class_def(parallel, "MorselScheduler")
-        # distinct methods reuse closure names ("task" in _scan_pipeline
-        # and _map_stages): keep every def per name and union their calls
-        closures: dict[str, list[ast.FunctionDef]] = {}
-        for f in ast.walk(scheduler):
-            if isinstance(f, ast.FunctionDef):
-                closures.setdefault(f.name, []).append(f)
-        for node in ast.walk(scheduler):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("_map", "map")
-                    and len(node.args) >= 2):
-                continue
-            fn = node.args[1]
-            # see through the tracing shim: _op_task(op, op.<hook>)
-            # wraps the hook in a span push/pop without changing it
-            if isinstance(fn, ast.Call) \
-                    and isinstance(fn.func, ast.Attribute) \
-                    and fn.func.attr == "_op_task" \
-                    and len(fn.args) >= 2:
-                fn = fn.args[1]
-            if isinstance(fn, ast.Attribute):
-                hooks.add(fn.attr)
-            elif isinstance(fn, ast.Name):
-                for defn in closures.get(fn.id, []):
-                    hooks.update(self._closure_hook_calls(
-                        defn, operator_methods))
-        # 2) parallel-safe PipelineStage subclasses' self.op calls
-        for cls in ast.walk(pipeline.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
-            if "PipelineStage" not in bases:
-                continue
-            if not self._stage_parallel_safe(cls):
-                continue
-            for node in ast.walk(cls):
+        pipeline_methods = self._pipeline_methods(pipeline)
+        for module, cls_name, dispatchers in (
+                (pipeline, self.DRIVER, ("dispatch",)),
+                (parallel, "MorselScheduler", ("map",))):
+            cls = self._class_def(module, cls_name)
+            # distinct methods may reuse closure names: keep every def
+            # per name and union their calls
+            closures: dict[str, list[ast.FunctionDef]] = {}
+            for f in ast.walk(cls):
+                if isinstance(f, ast.FunctionDef):
+                    closures.setdefault(f.name, []).append(f)
+            for fn in self._dispatched(cls, dispatchers):
+                if isinstance(fn, ast.Attribute):
+                    (entries if fn.attr in pipeline_methods
+                     else hooks).add(fn.attr)
+                elif isinstance(fn, ast.Name):
+                    for defn in closures.get(fn.id, []):
+                        hooks.update(self._closure_hook_calls(
+                            defn, operator_methods))
+        for _, func in self._worker_surface(pipeline, entries):
+            for node in ast.walk(func):
                 if isinstance(node, ast.Call) \
                         and isinstance(node.func, ast.Attribute) \
                         and isinstance(node.func.value, ast.Attribute) \
                         and node.func.value.attr == "op":
                     hooks.add(node.func.attr)
         return hooks
+
+    @staticmethod
+    def _dispatched(cls: ast.ClassDef, dispatchers: tuple[str, ...]):
+        """The ``fn`` argument of every ``<x>.<dispatcher>(units, fn)``
+        call inside ``cls``, seen through the tracing shim
+        ``_op_task(op, fn)`` (which only pushes the operator's span
+        around the call)."""
+        for node in ast.walk(cls):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in dispatchers
+                    and len(node.args) >= 2):
+                continue
+            fn = node.args[1]
+            if isinstance(fn, ast.Call) \
+                    and isinstance(fn.func, ast.Attribute) \
+                    and fn.func.attr == "_op_task" \
+                    and len(fn.args) >= 2:
+                fn = fn.args[1]
+            yield fn
+
+    def _pipeline_methods(self, pipeline: ModuleSource
+                          ) -> dict[str, list[tuple[ast.ClassDef,
+                                                    ast.FunctionDef]]]:
+        """Method name -> definitions across ``pipeline.py``'s classes
+        that worker code may enter: everything but the driver class and
+        the serial (``parallel_safe = False``) stages."""
+        table: dict[str, list[tuple[ast.ClassDef, ast.FunctionDef]]] = {}
+        for cls in ast.walk(pipeline.tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name == self.DRIVER:
+                continue
+            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+            if "PipelineStage" in bases \
+                    and not self._stage_parallel_safe(cls):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    table.setdefault(stmt.name, []).append((cls, stmt))
+        return table
+
+    def _worker_surface(self, pipeline: ModuleSource, entries: set[str]
+                        ) -> list[tuple[ast.ClassDef, ast.FunctionDef]]:
+        """The ``pipeline.py`` methods worker threads execute on shared
+        objects: everything reachable from the dispatched ``entries`` by
+        method name (references count — a method passed to a span shim
+        is still called), minus the classes that worker code itself
+        instantiates (a carrier built inside a task is task-local)."""
+        table = self._pipeline_methods(pipeline)
+        reached: list[tuple[ast.ClassDef, ast.FunctionDef]] = []
+        seen: set[str] = set()
+        queue = sorted(entries)
+        while queue:
+            name = queue.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for cls, func in table.get(name, ()):
+                reached.append((cls, func))
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Attribute) \
+                            and node.attr in table:
+                        queue.append(node.attr)
+        task_local = {node.func.id for _, func in reached
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)}
+        return [(cls, func) for cls, func in reached
+                if cls.name not in task_local]
 
     @staticmethod
     def _stage_parallel_safe(cls: ast.ClassDef) -> bool:
@@ -437,13 +503,14 @@ class RaceAnalysisPass(AnalysisPass):
                 if name in reachable:
                     continue
                 reachable.append(name)
+                # references count, not just calls: partial_block hands
+                # self._log_accs to the state that later calls it
                 for node in ast.walk(methods[name]):
-                    if isinstance(node, ast.Call) \
-                            and isinstance(node.func, ast.Attribute) \
-                            and isinstance(node.func.value, ast.Name) \
-                            and node.func.value.id == "self" \
-                            and node.func.attr in methods:
-                        queue.append(node.func.attr)
+                    if isinstance(node, ast.Attribute) \
+                            and isinstance(node.value, ast.Name) \
+                            and node.value.id == "self" \
+                            and node.attr in methods:
+                        queue.append(node.attr)
             for name in reachable:
                 context = f"worker hook {cls.name}.{name}"
                 findings.extend(_WriteScanner(
@@ -451,39 +518,19 @@ class RaceAnalysisPass(AnalysisPass):
         return findings
 
     def _scan_stages(self, module: ModuleSource) -> list[Finding]:
-        """Parallel-safe pipeline stages run *inside* morsel tasks; their
-        ``apply`` bodies (plus transitive self-helpers) get the same
+        """The worker-executed pipeline surface — the dispatched entry
+        points and everything they reach (the per-block pass, the scan
+        step, the parallel-safe stages' ``apply``) — gets the same
         shared-write scan as the operator hooks."""
+        methods = self._pipeline_methods(module)
+        entries = {fn.attr for fn in self._dispatched(
+                       self._class_def(module, self.DRIVER), ("dispatch",))
+                   if isinstance(fn, ast.Attribute) and fn.attr in methods}
         findings: list[Finding] = []
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
-            if "PipelineStage" not in bases \
-                    or not self._stage_parallel_safe(cls):
-                continue
-            methods = {stmt.name: stmt for stmt in cls.body
-                       if isinstance(stmt, ast.FunctionDef)}
-            if "apply" not in methods:
-                continue
-            reachable: list[str] = []
-            queue = ["apply"]
-            while queue:
-                name = queue.pop()
-                if name in reachable:
-                    continue
-                reachable.append(name)
-                for node in ast.walk(methods[name]):
-                    if isinstance(node, ast.Call) \
-                            and isinstance(node.func, ast.Attribute) \
-                            and isinstance(node.func.value, ast.Name) \
-                            and node.func.value.id == "self" \
-                            and node.func.attr in methods:
-                        queue.append(node.func.attr)
-            for name in reachable:
-                context = f"parallel stage {cls.name}.{name}"
-                findings.extend(_WriteScanner(
-                    self, module, methods[name], context).scan())
+        for cls, func in self._worker_surface(module, entries):
+            context = f"worker-executed {cls.name}.{func.name}"
+            findings.extend(_WriteScanner(self, module, func,
+                                          context).scan())
         return findings
 
     # -- the scheduler's own worker loop ------------------------------------

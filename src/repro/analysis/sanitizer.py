@@ -160,7 +160,7 @@ class LocksetSanitizer:
         self.instrument(operator)
         for attr in child_attrs:
             child = getattr(operator, attr, None)
-            if child is not None and hasattr(child, "batches"):
+            if child is not None and hasattr(child, "rows_out"):
                 self.instrument_tree(child, child_attrs)
 
     def record_write(self, obj: object, attr: str) -> None:

@@ -134,9 +134,9 @@ class SimClock:
         calls: same order, same float accumulation, same per-category
         totals, same budget enforcement points.  That equivalence is what
         keeps fused pipeline execution charge-parity-identical with the
-        unfused engines — a fused pass makes the *same multiset of charges
-        in the same order* as the per-operator pull it replaces, it just
-        makes them from one place.
+        row engine — a fused pass makes the *same multiset of charges in
+        the same order* as the operators it fuses, it just makes them
+        from one place.
         """
         for per_item, count, category in charges:
             self.advance_batch(per_item, count, category)

@@ -1,8 +1,10 @@
 """Query execution: expression compiler, operators, and the executor.
 
-Three engines share one operator tree: the vectorized batch engine
-(default), the morsel-driven parallel engine layered on top of it, and the
-legacy row-at-a-time engine — see docs/execution.md and docs/parallel.md.
+Four engines share one operator tree: the vectorized batch engine
+(default), the morsel-driven parallel and sharded distributed engines that
+place the same compiled pipelines on workers and nodes, and the
+row-at-a-time reference engine — see docs/execution.md, docs/parallel.md
+and docs/distributed.md.
 """
 
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock, rows_to_blocks

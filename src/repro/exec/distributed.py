@@ -1,12 +1,13 @@
 """Sharded distributed execution: exchange pipelines over a modeled network.
 
 The distributed scheduler executes the same compiled pipeline programs
-(:func:`~repro.exec.pipeline.compile_pipelines`) as the batch and
-morsel-parallel engines, but places the work on ``N`` virtual *nodes*:
-each shard of a :class:`~repro.storage.sharded.ShardedTable` is pinned to
-node ``shard % nodes`` and its scan->filter->partial-aggregate fragment
-runs node-local, charging node-local page I/O and per-morsel compute.
-Between fragments, data moves through **exchanges** over the
+(:func:`~repro.exec.pipeline.compile_pipelines`) through the same phased
+walk (:class:`~repro.exec.pipeline.PlacedDriver`) as the morsel-parallel
+engine, but is the placement that puts the work on ``N`` virtual
+*nodes*: each shard of a :class:`~repro.storage.sharded.ShardedTable` is
+pinned to node ``shard % nodes`` and its scan->filter->partial-aggregate
+fragment runs node-local, charging node-local page I/O and per-morsel
+compute.  Between fragments, data moves through **exchanges** over the
 :class:`~repro.common.simtime.NetworkModel`:
 
 * **shuffle** — wide GROUP BY repartitions per-morsel aggregate partials
@@ -46,9 +47,10 @@ shapes in ``tests/test_batch_parity.py``:
   operators) adds its full time.  ``modeled_speedup`` is charged total
   over makespan — the scale-out curve ``benchmarks/
   test_distributed_scaling.py`` sweeps.
-* A plan containing LIMIT runs entirely on the coordinator lane (the
-  same early-termination argument as the parallel engine): eager
-  distributed dispatch would scan rows the serial engines never touch.
+* A plan containing LIMIT runs the streaming driver on the coordinator
+  lane (the same early-termination argument as the parallel engine):
+  eager distributed dispatch would scan rows the serial engines never
+  touch.
 
 **Faults**: the scheduler consults the ``slow_node`` fault kind — a
 per-task latency spike targeted at ``node<i>`` — to model stragglers:
@@ -66,18 +68,14 @@ from typing import Any
 from repro.common import categories as cat
 from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
-from repro.common.simtime import (BudgetExceeded, LaneSchedule, NetworkModel,
-                                  SimClock)
+from repro.common.simtime import LaneSchedule, NetworkModel, SimClock
 from repro.exec import operators as ops
 from repro.exec import pipeline as pl
 from repro.exec.batch import RowBlock
-from repro.exec.parallel import (DEFAULT_MORSEL_ROWS, DEFAULT_WORKERS,
-                                 _CHILD_ATTRS)
+from repro.exec.parallel import DEFAULT_MORSEL_ROWS, DEFAULT_WORKERS
+from repro.exec.pipeline import COORDINATOR
 
 DEFAULT_NODES = 4
-
-#: the coordinator: merges, serial operators, and the query result live here
-COORDINATOR = 0
 
 #: modeled wire size per value by column kind (typed columns ship their
 #: fixed-width representation; dictionary/object columns a pointer-ish 16)
@@ -112,13 +110,13 @@ def payload_bytes(value: Any) -> int:
     return 8 * payload_units(value)
 
 
-class DistributedScheduler:
-    """Places a compiled pipeline program on N virtual nodes.
+class DistributedScheduler(pl.PlacedDriver):
+    """Node and network accounting for a program placed on N virtual
+    nodes.
 
-    ``run(operator)`` returns ``(blocks, stats)`` exactly like
-    :class:`~repro.exec.parallel.MorselScheduler`; the stats dict carries
-    the exchange log and per-node timings.  Single-use, like the operator
-    tree it drives.
+    ``run(operator)`` (the shared walk) returns ``(blocks, stats)``
+    exactly like :class:`~repro.exec.parallel.MorselScheduler`; the stats
+    dict carries the exchange log and per-node timings.
     """
 
     def __init__(self, clock: SimClock, nodes: int = DEFAULT_NODES,
@@ -126,28 +124,17 @@ class DistributedScheduler:
                  morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  faults: FaultPlan | None = None,
                  registry=None):
-        if nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {nodes}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if morsel_rows < 1:
-            raise ValueError(f"morsel_rows must be >= 1, got {morsel_rows}")
+        pl.check_at_least("nodes", nodes)
+        super().__init__(clock, workers, morsel_rows, faults, registry)
         self.nodes = nodes
-        self.workers = workers
-        self.morsel_rows = morsel_rows
-        self._clock = clock
-        self._tracer = clock.tracer
         self._network = NetworkModel(nodes)
-        self.faults = faults
         self._fault_scope = faults.scope("dist") if faults is not None else ""
-        self._registry = registry
         # the coordinator's serial lane; merged into the shared clock last
-        self._lane = clock.shard()
+        self.lane = clock.shard()
         # every page/task shard clock, in canonical creation order — the
         # fold order is a pure function of the plan and the data, never of
         # the node or worker count (the bit-identity invariant)
         self._shard_clocks: list[SimClock] = []
-        self.tasks_dispatched = 0
         self._phase_no = 0
         self._phase_makespan = 0.0
         self._exchange_makespan = 0.0
@@ -160,40 +147,20 @@ class DistributedScheduler:
         self._node_net = [{"rows_sent": 0, "bytes_sent": 0,
                            "rows_received": 0, "bytes_received": 0,
                            "nic_queued": 0} for _ in range(nodes)]
-        # hash-join build payload sizes, recorded at merge time so the
-        # probe pipeline can charge its broadcast
-        self._build_payloads: dict[int, tuple[int, int]] = {}
-
-    # -- public entry ------------------------------------------------------
-
-    def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
-        """Execute the tree; returns (result blocks, stats).  Shard-clock
-        charges are folded into the shared clock even when execution
-        raises, like the other engines."""
-        start = self._clock.now
-        try:
-            program = pl.compile_pipelines(operator)
-            if program.has_limit:
-                blocks = self._serial_tree(operator)
-            else:
-                placed = self._pipeline_placed(program.root)
-                blocks = self._gather_blocks(
-                    placed, self._pipe_op(program.root), "result gather")
-            self._check_budget()
-        finally:
-            stats = self.finish(start)
-        return blocks, stats
+        # page I/O of the scan just split, by node: closes with the scan
+        # phase the next dispatch runs
+        self._scan_io: dict[int, float] | None = None
 
     def finish(self, start: float | None = None) -> dict:
         """Fold all shard-clock charges into the shared clock in canonical
         order and return the scheduler stats."""
         direct = (self._clock.now - start) if start is not None else 0.0
         task_total = sum(shard.now for shard in self._shard_clocks)
-        charged = direct + task_total + self._lane.now
+        charged = direct + task_total + self.lane.now
         # exchanges charged the shared clock serially; the makespan
         # replaces that serial sum with the NIC-placement makespan
         makespan = ((direct - self._network_seconds) + self._phase_makespan
-                    + self._exchange_makespan + self._lane.now)
+                    + self._exchange_makespan + self.lane.now)
         # fold every shard clock (then the lane) into the shared clock in
         # canonical order, accumulating a fresh per-category total on the
         # side: unlike shared-clock deltas, which pick up rounding from
@@ -206,7 +173,7 @@ class DistributedScheduler:
         try:
             for shard in self._shard_clocks:
                 self._fold(shard, by_category)
-            self._fold(self._lane, by_category)
+            self._fold(self.lane, by_category)
         finally:
             self._clock.set_limit(limit)
         per_node = [
@@ -265,16 +232,8 @@ class DistributedScheduler:
             self._clock.absorb(seconds, category)  # repro: charge-category-ok folding shard breakdowns whose categories were validated at charge time
             by_category[category] = by_category.get(category, 0.0) + seconds
 
-    def _check_budget(self) -> None:
-        limit = self._clock.limit
-        if limit is None:
-            return
-        pending = sum(shard.now for shard in self._shard_clocks) \
-            + self._lane.now
-        if self._clock.now + pending > limit:
-            raise BudgetExceeded(
-                f"virtual-time budget {limit} exceeded at a distributed "
-                f"phase boundary")
+    def pending(self) -> float:
+        return sum(shard.now for shard in self._shard_clocks) + self.lane.now
 
     def _close_phase(self, tasks: list[tuple[int, float]],
                      io_by_node: dict[int, float] | None = None) -> None:
@@ -345,15 +304,15 @@ class DistributedScheduler:
                          messages=record["messages"])
         return stats
 
-    def _gather_blocks(self, placed: list[tuple[int, RowBlock]],
-                       op: ops.Operator | None,
-                       label: str) -> list[RowBlock]:
-        """Funnel placed blocks to the coordinator; canonical order is
-        already the serial engines' block order."""
-        transfers = [(node, COORDINATOR, block_bytes(block), len(block))
-                     for node, block in placed if node != COORDINATOR]
+    def gather(self, placed, op, label, rows=len) -> None:
+        """Funnel placed items (blocks, aggregate partials, sort runs,
+        build parts) to the coordinator."""
+        transfers = [(node, COORDINATOR,
+                      block_bytes(item) if isinstance(item, RowBlock)
+                      else payload_bytes(item), n_rows)
+                     for node, item in placed
+                     if node != COORDINATOR and (n_rows := rows(item))]
         self._exchange(cat.GATHER, transfers, op, label)
-        return [block for _, block in placed]
 
     # -- fault injection ---------------------------------------------------
 
@@ -368,306 +327,59 @@ class DistributedScheduler:
         if spec is not None and spec.latency > 0:
             shard.advance(spec.latency, cat.FAULT_SLOW)
 
-    # -- tracing helpers ---------------------------------------------------
+    # -- the placement -----------------------------------------------------
 
-    def _on_lane(self, op: ops.Operator, fn):
-        tracer = self._tracer
-        if tracer is None:
-            return fn()
-        tracer.push(tracer.operator_span(op))
-        try:
-            return fn()
-        finally:
-            tracer.pop()
-
-    @staticmethod
-    def _pipe_op(pipe: pl.Pipeline) -> ops.Operator | None:
-        if pipe.stages:
-            return pipe.stages[-1].op
-        source = pipe.source
-        if isinstance(source, pl.SinkSource):
-            return source.sink.op
-        return getattr(source, "op", None)
-
-    # -- pipeline execution ------------------------------------------------
-
-    def _pipeline_placed(self, pipe: pl.Pipeline
-                         ) -> list[tuple[int, RowBlock]]:
-        """Execute one pipeline; returns ``(node, block)`` placements in
-        canonical (serial-engine) block order."""
-        for dep in pipe.inputs:
-            self._run_to_sink(dep)
-        safe: list[pl.PipelineStage] = []
-        tail: list[pl.PipelineStage] = []
-        for stage in pipe.stages:
-            (tail if tail or not stage.parallel_safe else safe).append(stage)
-        source = pipe.source
-        if isinstance(source, pl.ScanSource):
-            self._broadcast_builds(source.op, safe)
-            placed = self._scan_placed(source.op, safe)
-        else:
-            placed = self._source_placed(source)
-            if safe:
-                placed = self._stage_placed(placed, safe)
-        if tail:
-            blocks = self._gather_blocks(placed, tail[0].op, "serial tail")
-            placed = [(COORDINATOR, block)
-                      for block in self._serial_stages(blocks, tail)]
-        return placed
-
-    def _run_to_sink(self, pipe: pl.Pipeline) -> None:
-        """Run a breaker pipeline; its merged result always lands on the
-        coordinator (every merge runs on the coordinator's serial lane),
-        so downstream SinkSources are node-0 placed."""
-        placed = self._pipeline_placed(pipe)
-        sink = pipe.sink
-        if isinstance(sink, pl.AggregateSink):
-            sink.result_blocks = self._aggregate_placed(sink.op, placed)
-        elif isinstance(sink, pl.SortSink):
-            sink.result_blocks = self._sort_placed(sink.op, placed)
-        elif isinstance(sink, pl.BuildSink):
-            self._build_placed(sink, placed)
-        else:  # CollectSink and friends: gather, no merge charges
-            sink.result_blocks = self._gather_blocks(
-                placed, sink.op or self._pipe_op(pipe), "collect gather")
-
-    def _source_placed(self, source: pl.PipelineSource
-                       ) -> list[tuple[int, RowBlock]]:
-        """Non-scan sources: breaker sinks replay their coordinator-placed
-        result; serial operators (IndexScan, NestedLoopJoin, EmptyRow) run
-        their batch path on the coordinator lane."""
-        if isinstance(source, pl.SinkSource):
-            return [(COORDINATOR, block)
-                    for block in source.sink.result_blocks]
-        source.op._clock = self._lane
-        blocks = self._on_lane(
-            source.op,
-            lambda: [carrier.materialize()
-                     for carrier in source.carriers(self._lane)])
-        return [(COORDINATOR, block) for block in blocks]
-
-    def _scan_placed(self, scan: ops.SeqScanOp,
-                     stages: list[pl.PipelineStage]
-                     ) -> list[tuple[int, RowBlock]]:
-        """Shard-local scan fragments: shard ``i`` scans on node
-        ``i % nodes``, charging page I/O to a per-shard page clock and each
-        morsel's fused stage chain to a per-task clock."""
+    def scan_units(self, scan: ops.SeqScanOp) -> list[tuple[int, tuple]]:
+        """Shard-local scan fragments: shard ``i``'s morsels run on node
+        ``i % nodes`` and its page touches charge a per-shard page clock
+        (an unsharded table is one pseudo-shard on the coordinator)."""
         table = scan._table
-        tracer = self._tracer
-        sharded = getattr(table, "sharded", False)
-        n_shards = table.shard_count if sharded else 1
-        page_clocks = [self._shard_clock() for _ in range(n_shards)]
-        if tracer is None:
-            if sharded:
-                per_shard = table.shard_morsels(self.morsel_rows,
-                                                clock_for=page_clocks)
-            else:
-                per_shard = [table.scan_morsels(self.morsel_rows,
-                                                clock=page_clocks[0])]
+        if getattr(table, "sharded", False):
+            page_clocks = [self._shard_clock()
+                           for _ in range(table.shard_count)]
+            per_shard = table.shard_morsels(self.morsel_rows,
+                                            clock_for=page_clocks)
         else:
-            with tracer.op(scan):
-                if sharded:
-                    per_shard = table.shard_morsels(self.morsel_rows,
-                                                    clock_for=page_clocks)
-                else:
-                    per_shard = [table.scan_morsels(self.morsel_rows,
-                                                    clock=page_clocks[0])]
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-            scan_span = tracer.operator_span(scan)
-
-        def task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            out = scan.scan_block(scan.make_block(columns, n), shard)
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                carrier = stage.apply(carrier, shard)
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        def traced_task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            tracer.push(scan_span)
-            try:
-                out = scan.scan_block(scan.make_block(columns, n), shard)
-            finally:
-                tracer.pop()
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                tracer.push(stage_spans[j])
-                try:
-                    carrier = stage.apply(carrier, shard)
-                finally:
-                    tracer.pop()
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        run = task if tracer is None else traced_task
-        chain = [scan] + [stage.op for stage in stages]
-        placed: list[tuple[int, RowBlock]] = []
-        phase_tasks: list[tuple[int, float]] = []
-        io_by_node: dict[int, float] = {}
-        index = 0
-        for shard_idx in range(n_shards):
+            page_clocks = [self._shard_clock()]
+            per_shard = [table.scan_morsels(self.morsel_rows,
+                                            clock=page_clocks[0])]
+        self._scan_io = {}
+        units = []
+        for shard_idx, morsels in enumerate(per_shard):
             node = shard_idx % self.nodes
-            io_by_node[node] = io_by_node.get(node, 0.0) \
+            self._scan_io[node] = self._scan_io.get(node, 0.0) \
                 + page_clocks[shard_idx].now
-            for morsel in per_shard[shard_idx]:
-                tclock = self._shard_clock()
-                lens, block = run(morsel, tclock)
-                self._maybe_slow_node(node, tclock, index)
-                for op, n_out in zip(chain, lens):
-                    op.rows_out += n_out
-                if block is not None:
-                    placed.append((node, block))
-                phase_tasks.append((node, tclock.now))
-                self._node_tasks[node] += 1
-                index += 1
-        self.tasks_dispatched += index
-        self._close_phase(phase_tasks, io_by_node)
-        self._check_budget()
-        return placed
+            units += [(node, morsel) for morsel in morsels]
+        return units
 
-    def _stage_placed(self, placed: list[tuple[int, RowBlock]],
-                      stages: list[pl.PipelineStage]
-                      ) -> list[tuple[int, RowBlock]]:
-        """Fused stage chain over already-placed blocks (breaker output or
-        a serial operator's blocks), each block a task on its node."""
-        tracer = self._tracer
-        if tracer is not None:
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-        chain = [stage.op for stage in stages]
-        out: list[tuple[int, RowBlock]] = []
-        phase_tasks: list[tuple[int, float]] = []
-        for index, (node, block) in enumerate(placed):
-            tclock = self._shard_clock()
-            lens = [0] * len(stages)
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for j, stage in enumerate(stages):
-                if tracer is None:
-                    carrier = stage.apply(carrier, tclock)
-                else:
-                    tracer.push(stage_spans[j])
-                    try:
-                        carrier = stage.apply(carrier, tclock)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    break
-                lens[j] = carrier.count
-            self._maybe_slow_node(node, tclock, index)
-            for op, n_out in zip(chain, lens):
-                op.rows_out += n_out
-            if carrier is not None:
-                out.append((node, carrier.materialize()))
-            phase_tasks.append((node, tclock.now))
-            self._node_tasks[node] += 1
-        self.tasks_dispatched += len(placed)
-        self._close_phase(phase_tasks)
-        self._check_budget()
-        return out
-
-    def _serial_stages(self, blocks: list[RowBlock],
-                       stages: list[pl.PipelineStage]) -> list[RowBlock]:
-        """Order-sensitive stage tail (Distinct) on the coordinator lane,
-        in canonical order."""
-        lane = self._lane
-        tracer = self._tracer
-        out: list[RowBlock] = []
-        for block in blocks:
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for stage in stages:
-                if tracer is None:
-                    carrier = stage.apply(carrier, lane)
-                else:
-                    tracer.push(tracer.operator_span(stage.op))
-                    try:
-                        carrier = stage.apply(carrier, lane)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    break
-                stage.op.rows_out += carrier.count
-            if carrier is not None:
-                out.append(carrier.materialize())
-        return out
-
-    # -- breaker sinks -----------------------------------------------------
-
-    def _node_task_phase(self, op: ops.Operator,
-                         placed: list[tuple[int, Any]], fn
-                         ) -> list[tuple[int, Any]]:
-        """One task per placed item on its node under ``op``'s span;
-        returns ``(node, result)`` in canonical order and closes the
-        phase."""
-        tracer = self._tracer
-        span = tracer.operator_span(op) if tracer is not None else None
+    def dispatch(self, units, fn):
+        """One task per unit on its node, serially, in canonical order,
+        each on a fresh task clock; closes the phase."""
         out: list[tuple[int, Any]] = []
         phase_tasks: list[tuple[int, float]] = []
-        for index, (node, item) in enumerate(placed):
+        for index, (node, item) in enumerate(units):
             tclock = self._shard_clock()
-            if tracer is None:
-                result = fn(item, tclock)
-            else:
-                tracer.push(span)
-                try:
-                    result = fn(item, tclock)
-                finally:
-                    tracer.pop()
+            result = fn(item, tclock)
             self._maybe_slow_node(node, tclock, index)
             out.append((node, result))
             phase_tasks.append((node, tclock.now))
             self._node_tasks[node] += 1
-        self.tasks_dispatched += len(placed)
-        self._close_phase(phase_tasks)
-        self._check_budget()
+        self.tasks_dispatched += len(units)
+        self._close_phase(phase_tasks, self._scan_io)
+        self._scan_io = None
+        self.check_budget()
         return out
 
-    def _aggregate_placed(self, op: ops.AggregateOp,
-                          placed: list[tuple[int, RowBlock]]
-                          ) -> list[RowBlock]:
-        """Node-local partial aggregation, then either a shuffled
-        partitioned merge (wide GROUP BY across nodes) or a plain gather
-        of the partials to the coordinator.  Both merges replay raw
-        values in global morsel order, so results — and charges, since
-        the merge itself charges nothing — are bit-identical to the
-        serial engines at every node count."""
-        partials = self._node_task_phase(op, placed, op.partial_block)
-        if (self.nodes > 1 and op._node.group_by and partials
-                and max(len(p) for _, p in partials)
-                > op.PARTITION_MIN_KEYS):
-            result = self._shuffle_merge(op, partials)
-        else:
-            transfers = [(node, COORDINATOR, payload_bytes(partial),
-                          len(partial))
-                         for node, partial in partials
-                         if node != COORDINATOR and partial]
-            self._exchange(cat.GATHER, transfers, op, "aggregate partials")
-            result = self._on_lane(op, lambda: op.finish_partials(
-                [partial for _, partial in partials]))
-        return [result] if result is not None else []
-
-    def _shuffle_merge(self, op: ops.AggregateOp,
-                       partials: list[tuple[int, dict]]) -> RowBlock | None:
+    def repartition(self, op: ops.AggregateOp,
+                    partials: list[tuple[int, dict]]) -> list[dict] | None:
         """Hash-repartition per-morsel partials across the nodes: node
         ``q`` owns partition ``q``, producers ship every slice whose owner
         is a different node, each owner folds its partition's slices in
         global morsel order, and the merged partitions gather to the
         coordinator for first-seen-order reassembly."""
         parts = self.nodes
+        if parts <= 1:
+            return None
 
         def hasher(key):
             return stable_hash(key, parts)
@@ -684,47 +396,11 @@ class DistributedScheduler:
         self._exchange(cat.SHUFFLE, transfers, op, "partial repartition")
         merged = [op.merge_partition([split[owner] for split in splits])
                   for owner in range(parts)]
-        gather = [(owner, COORDINATOR, payload_bytes(part), len(part))
-                  for owner, part in enumerate(merged)
-                  if owner != COORDINATOR and part]
-        self._exchange(cat.GATHER, gather, op, "merged partitions")
-        return self._on_lane(op, lambda: op.finish_partitions(merged))
+        self.gather(list(enumerate(merged)), op, "merged partitions")
+        return merged
 
-    def _sort_placed(self, op: ops.SortOp,
-                     placed: list[tuple[int, RowBlock]]) -> list[RowBlock]:
-        """Node-local sorted runs, gathered to the coordinator for the
-        k-way merge on the serial lane (same split as the parallel
-        engine, so charged totals match the serial full sort)."""
-        runs = self._node_task_phase(op, placed, op.sort_block)
-        transfers = [(node, COORDINATOR, payload_bytes(run), len(run))
-                     for node, run in runs
-                     if node != COORDINATOR and run]
-        self._exchange(cat.GATHER, transfers, op, "sorted runs")
-        out = self._on_lane(op, lambda: op.merge_runs(
-            [run for _, run in runs], self._lane))
-        for block in out:
-            op.rows_out += len(block)
-        return out
-
-    def _build_placed(self, sink: pl.BuildSink,
-                      placed: list[tuple[int, RowBlock]]) -> None:
-        """Node-local hash-join build parts, gathered to the coordinator
-        and merged in morsel order; the payload size is remembered for
-        the probe side's broadcast."""
-        op = sink.op
-        parts = self._node_task_phase(op, placed, op.build_block)
-        transfers = [(node, COORDINATOR, payload_bytes(part), part[0])
-                     for node, part in parts
-                     if node != COORDINATOR and part[0]]
-        self._exchange(cat.GATHER, transfers, op, "build parts")
-        buckets, factor = self._on_lane(op, lambda: op.merge_build(
-            [part for _, part in parts], self._lane))
-        sink.set_built(buckets, factor)
-        build_rows = sum(part[0] for _, part in parts)
-        self._build_payloads[id(sink)] = (build_rows, payload_bytes(buckets))
-
-    def _broadcast_builds(self, scan: ops.SeqScanOp,
-                          stages: list[pl.PipelineStage]) -> None:
+    def broadcast_builds(self, scan: ops.SeqScanOp,
+                         stages: list[pl.PipelineStage]) -> None:
         """Ship each probe stage's built table from the coordinator to
         every node that runs this scan's shard fragments."""
         if self.nodes <= 1:
@@ -740,26 +416,9 @@ class DistributedScheduler:
         for stage in stages:
             if not isinstance(stage, pl.ProbeStage):
                 continue
-            rows, nbytes = self._build_payloads.get(
-                id(stage.build), (0, payload_bytes(stage.build.buckets)))
-            transfers = [(COORDINATOR, node, nbytes, rows)
+            build = stage.build
+            nbytes = payload_bytes(build.buckets)
+            transfers = [(COORDINATOR, node, nbytes, build.build_rows)
                          for node in targets]
             self._exchange(cat.BROADCAST, transfers, stage.op,
                            "build broadcast")
-
-    # -- whole-tree serial fallback ----------------------------------------
-
-    def _serial_tree(self, op: ops.Operator) -> list[RowBlock]:
-        """LIMIT plans run entirely on the coordinator lane — streaming
-        early-termination semantics, and therefore charges, stay exactly
-        the batch engine's."""
-        self._rebind(op, self._lane)
-        return list(op.batches())
-
-    @classmethod
-    def _rebind(cls, op: ops.Operator, lane: SimClock) -> None:
-        op._clock = lane
-        for attr in _CHILD_ATTRS:
-            child = getattr(op, attr, None)
-            if isinstance(child, ops.Operator):
-                cls._rebind(child, lane)

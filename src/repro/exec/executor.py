@@ -15,7 +15,8 @@ from repro.exec.parallel import (
     DEFAULT_WORKERS,
     MorselScheduler,
 )
-from repro.exec.pipeline import compile_pipelines, run_program
+from repro.exec.pipeline import (check_at_least, compile_pipelines,
+                                 run_program)
 from repro.plan import logical as plan
 from repro.plan.optimizer import _EmptyRow
 from repro.storage.catalog import Catalog
@@ -58,16 +59,13 @@ class Executor:
 
     ``engine`` selects the execution strategy:
 
-    * ``"batch"`` (default) — vectorized *and fused*: the plan is
+    * ``"batch"`` (default) — vectorized and fused: the plan is
       compiled into pipelines (:func:`~repro.exec.pipeline.compile_pipelines`)
       split at breakers, and each pipeline pushes one
       :class:`~repro.exec.batch.RowBlock` through its whole fused stage
       chain per pass with no intermediate materialization.  Results are
       materialized back to row tuples, so callers see the same
-      :class:`ResultSet` as ever.  ``fused=False`` selects the unfused
-      per-operator pull (each operator's ``batches()`` chained through
-      generators) — same rows, same charges, kept for benchmarking the
-      fusion win and as a bisection aid.
+      :class:`ResultSet` as ever.
     * ``"parallel"`` — morsel-driven parallel execution of the same
       compiled pipelines (:class:`~repro.exec.parallel.MorselScheduler`):
       scans split into morsels fanned out across ``workers`` threads,
@@ -83,32 +81,28 @@ class Executor:
       Results and per-category charged compute totals are identical to
       ``"batch"`` at every node count; ``ResultSet.extra["distributed"]``
       carries the exchange log and per-node timings.
-    * ``"row"`` — the legacy Volcano row-at-a-time path, kept as the
-      semantic reference and for parity testing.
+    * ``"row"`` — the Volcano row-at-a-time path: the semantic
+      reference the other engines are tested against.
 
-    ``workers`` and ``morsel_rows`` tune the parallel and distributed
-    engines, ``nodes`` only the distributed one; the serial engines
-    ignore all three.
+    ``workers`` and ``morsel_rows`` tune the placed engines (parallel
+    and distributed), ``nodes`` only the distributed one and
+    ``retry_limit`` only the parallel one; the serial engines ignore all
+    four.  Every knob is validated here, whichever engine is selected.
     """
 
     ENGINES = ("batch", "row", "parallel", "distributed")
 
     def __init__(self, catalog: Catalog, clock: SimClock | None = None,
                  engine: str = "batch", workers: int | None = None,
-                 morsel_rows: int | None = None, fused: bool = True,
+                 morsel_rows: int | None = None,
                  faults=None, retry_limit: int | None = None,
                  registry=None, nodes: int | None = None):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r}; "
                              f"expected one of {self.ENGINES}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if nodes is not None and nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {nodes}")
         self._catalog = catalog
         self._clock = clock if clock is not None else catalog.clock
         self.engine = engine
-        self.fused = fused
         self.workers = workers if workers is not None else DEFAULT_WORKERS
         self.nodes = nodes if nodes is not None else DEFAULT_NODES
         self.morsel_rows = (morsel_rows if morsel_rows is not None
@@ -119,20 +113,29 @@ class Executor:
         self.faults = faults
         self.retry_limit = (retry_limit if retry_limit is not None
                             else DEFAULT_RETRY_LIMIT)
+        check_at_least("workers", self.workers)
+        check_at_least("nodes", self.nodes)
+        check_at_least("morsel_rows", self.morsel_rows)
+        check_at_least("retry_limit", self.retry_limit, 0)
         self.registry = registry
         #: (plan node, operator root) of the most recent :meth:`run`, kept
         #: for EXPLAIN ANALYZE's per-operator annotation pass
         self.last_run: tuple[plan.PlanNode, ops.Operator] | None = None
 
+    @property
+    def placed(self) -> bool:
+        """True for the engines that dispatch eagerly, phase by phase
+        (see :class:`~repro.exec.pipeline.PlacedDriver`)."""
+        return self.engine in ("parallel", "distributed")
+
     def with_engine(self, engine: str) -> "Executor":
         """A sibling executor over the same catalog and clock, differing
-        only in engine (worker/morsel/fusion knobs carry over).  Used by
-        capped measurement to downgrade ``parallel`` to ``batch``."""
+        only in engine (the other knobs carry over).  Used by capped
+        measurement to downgrade a placed engine to ``batch``."""
         return Executor(self._catalog, self._clock, engine=engine,
                         workers=self.workers, morsel_rows=self.morsel_rows,
-                        fused=self.fused, faults=self.faults,
-                        retry_limit=self.retry_limit, registry=self.registry,
-                        nodes=self.nodes)
+                        faults=self.faults, retry_limit=self.retry_limit,
+                        registry=self.registry, nodes=self.nodes)
 
     def build(self, node: plan.PlanNode) -> ops.Operator:
         """Recursively build the operator tree for a plan."""
@@ -162,45 +165,34 @@ class Executor:
             return ops.EmptyRowOp(self._clock)
         raise ExecutionError(f"no operator for plan node {node.label}")
 
-    def _scheduler(self) -> MorselScheduler:
-        return MorselScheduler(self._clock, workers=self.workers,
-                               morsel_rows=self.morsel_rows,
-                               faults=self.faults,
-                               retry_limit=self.retry_limit,
-                               registry=self.registry)
-
-    def _dist_scheduler(self) -> DistributedScheduler:
+    def _scheduler(self) -> MorselScheduler | DistributedScheduler:
+        """A fresh (single-use) scheduler for the placed engine."""
+        if self.engine == "parallel":
+            return MorselScheduler(self._clock, workers=self.workers,
+                                   morsel_rows=self.morsel_rows,
+                                   faults=self.faults,
+                                   retry_limit=self.retry_limit,
+                                   registry=self.registry)
         return DistributedScheduler(self._clock, nodes=self.nodes,
                                     workers=self.workers,
                                     morsel_rows=self.morsel_rows,
                                     faults=self.faults,
                                     registry=self.registry)
 
-    def _batch_blocks(self, operator: ops.Operator):
-        """The batch engine's block stream: the fused pipeline drive loop
-        by default, the unfused per-operator pull with ``fused=False``.
-        Both are lazy, so budgets and LIMIT stop exactly where they
-        should."""
-        if self.fused:
-            return run_program(compile_pipelines(operator), self._clock)
-        return operator.batches()
-
     def iter_rows(self, operator: ops.Operator):
         """Row-tuple iterator over an operator tree using the configured
-        engine — the facade that keeps batch (and parallel) execution
-        invisible to row-oriented callers (measurement, db facade, tests).
-        The parallel engine executes eagerly; the iterator replays its
-        materialized result."""
-        if self.engine == "parallel":
+        engine — the facade that keeps block execution invisible to
+        row-oriented callers (measurement, db facade, tests).  The batch
+        engine streams (budgets and LIMIT stop exactly where they
+        should); the placed engines execute eagerly and the iterator
+        replays their materialized result."""
+        if self.placed:
             blocks, _ = self._scheduler().run(operator)
-            return (row for block in blocks for row in block.iter_rows())
-        if self.engine == "distributed":
-            blocks, _ = self._dist_scheduler().run(operator)
-            return (row for block in blocks for row in block.iter_rows())
-        if self.engine == "batch":
-            return (row for block in self._batch_blocks(operator)
-                    for row in block.iter_rows())
-        return iter(operator)
+        elif self.engine == "batch":
+            blocks = run_program(compile_pipelines(operator), self._clock)
+        else:
+            return iter(operator)
+        return (row for block in blocks for row in block.iter_rows())
 
     def run(self, node: plan.PlanNode) -> ResultSet:
         """Execute a plan and materialize the result, measuring virtual time."""
@@ -208,21 +200,16 @@ class Executor:
         operator = self.build(node)
         self.last_run = (node, operator)
         extra: dict[str, Any] = {}
-        if self.engine == "parallel":
-            blocks, stats = self._scheduler().run(operator)
-            rows = [row for block in blocks for row in block.iter_rows()]
-            extra["parallel"] = stats
-        elif self.engine == "distributed":
-            blocks, stats = self._dist_scheduler().run(operator)
-            rows = [row for block in blocks for row in block.iter_rows()]
-            extra["distributed"] = stats
-        elif self.engine == "batch" and self.fused:
-            program = compile_pipelines(operator)
-            rows = [row for block in run_program(program, self._clock)
-                    for row in block.iter_rows()]
-            extra["pipeline"] = {"pipelines": program.describe()}
+        if self.engine == "row":
+            rows = list(operator)
         else:
-            rows = list(self.iter_rows(operator))
+            if self.placed:
+                blocks, extra[self.engine] = self._scheduler().run(operator)
+            else:
+                program = compile_pipelines(operator)
+                blocks = run_program(program, self._clock)
+                extra["pipeline"] = {"pipelines": program.describe()}
+            rows = [row for block in blocks for row in block.iter_rows()]
         elapsed = self._clock.now - start
         return ResultSet(columns=operator.layout.column_names(), rows=rows,
                          virtual_seconds=elapsed, plan_text=node.pretty(),

@@ -30,15 +30,16 @@ def measure_plan_latency(executor: Executor, clock: SimClock,
                          cap_virtual: float | None = None) -> MeasuredPlan:
     """Execute a plan under an optional virtual-time budget.
 
-    A capped measurement downgrades a ``parallel`` executor to the serial
-    batch engine: the parallel scheduler enforces budgets only at phase
-    boundaries (coarser than the serial engines' per-charge enforcement),
-    and its modeled makespan is not the per-charge latency the learned
-    optimizer trains on.  Charged totals are engine-identical, so the
-    downgrade measures the same virtual latency an uncapped parallel run
-    would have charged.
+    A capped measurement downgrades a placed executor (parallel or
+    distributed) to the serial batch engine: placed engines dispatch
+    eagerly and enforce budgets only at phase boundaries (coarser than
+    the serial engines' per-charge enforcement), and their modeled
+    makespan is not the per-charge latency the learned optimizer trains
+    on.  Charged compute totals are engine-identical, so the downgrade
+    measures the same virtual latency an uncapped placed run would have
+    charged.
     """
-    if cap_virtual is not None and executor.engine == "parallel":
+    if cap_virtual is not None and executor.placed:
         executor = executor.with_engine("batch")
     start = clock.now
     if cap_virtual is not None:

@@ -1,59 +1,49 @@
-"""Physical operators with row and batch execution paths.
+"""Physical operators: the row path and the block hooks.
 
-Every operator exposes two equivalent interfaces over the same compiled
-state:
+Every operator carries two things over the same compiled state:
 
-* ``__iter__`` — the legacy Volcano path: one tuple at a time, per-row
-  virtual-time charges.  Kept as the semantic reference and for parity
-  testing.
-* ``batches()`` — the vectorized path: :class:`~repro.exec.batch.RowBlock`
-  column batches, predicates lowered to numpy where possible, and virtual
-  time charged once per batch (``clock.advance_batch(cost, n)``).  Charged
-  totals are identical to the row path, with one bounded exception: early
-  termination (LIMIT) stops on batch boundaries, so up to one batch of
+* ``__iter__`` — the Volcano path: one tuple at a time, per-row
+  virtual-time charges.  The semantic reference every other engine is
+  tested against.
+* *block hooks* — what the compiled pipelines of
+  ``repro/exec/pipeline.py`` call, on :class:`~repro.exec.batch.RowBlock`
+  column batches with virtual time charged once per block
+  (``clock.advance_batch(cost, n)``): ``scan_block`` (scan + pushed
+  predicate as a deferred mask), ``filter_mask`` (mask without the
+  select), ``project_block`` (projection straight off a deferred mask),
+  ``probe_block``, ``absorb_carrier``/``finish_state`` (aggregate sink),
+  ``sorted_rows`` (sort sink), ``limit_block`` (early-exit stage),
+  ``distinct_block`` (order-sensitive stage).  Charged totals are
+  identical to the row path, with one bounded exception: early
+  termination (LIMIT) stops on block boundaries, so up to one block of
   upstream cost may be charged beyond where the row engine stops.  LIMIT
   pushes a row budget down to the scan (``max_batch_rows``) to keep that
-  batch small — exact parity for unfiltered chains, and divergence bounded
-  by ``offset + limit + 1`` scanned rows otherwise.
+  block small — exact parity for unfiltered chains, and divergence
+  bounded by ``offset + limit + 1`` scanned rows otherwise.
 
-The executor picks one path per query; an operator instance is never driven
-through both.
+Operators with no block decomposition — IndexScan, NestedLoopJoin,
+EmptyRow — keep a ``batches()`` generator instead; the pipeline compiler
+makes it the *source* of a pipeline.
 
-Since the fused pipeline engine (``repro/exec/pipeline.py``) the batch
-path is normally driven through the *fused hooks* instead of chained
-``batches()`` generators: ``scan_block`` (scan + pushed predicate as a
-deferred mask), ``filter_mask`` (mask without the select),
-``project_block`` (projection straight off a deferred mask),
-``absorb_block``/``finish_state`` (aggregate sink), ``sorted_rows``
-(sort sink), ``limit_block`` (early-exit stage), ``distinct_block``
-(order-sensitive stage).  Every ``batches()`` implementation is built on
-top of the same hooks, so the fused and unfused drives cannot drift:
-identical rows, identical charges, same order.
-
-A third caller exists since the morsel-driven parallel engine
-(``repro/exec/parallel.py``): instead of driving ``batches()``, the
-scheduler calls the *parallel hooks* — ``process_morsel``/``process_block``
-for stateless map-style operators, and ``partial``/``merge`` pairs
+The placed engines (``repro/exec/parallel.py``, ``distributed.py``) run
+the *worker hooks* concurrently on morsel workers: the stateless block
+hooks above plus the ``partial``/``merge`` pairs of the breakers
 (``partial_block``/``merge_partial``/``finish_partials`` on aggregation,
 plus ``split_partial``/``merge_partition``/``finish_partitions`` for the
-hash-partitioned wide-GROUP-BY merge; ``build_block``/``merge_build``/
-``probe_block`` on hash join; ``sort_block``/``merge_runs`` on sort) for
-stateful ones.  Contract for every hook: it charges all of its virtual-time cost to
-the clock it is *passed* (a per-worker shard), never to ``self._clock``; it
-never touches ``self.rows_out`` (the scheduler attributes output counts
-after reassembly, keeping the counters race-free); and it is safe to call
-concurrently from multiple threads because compiled state
-(``compile_expr_cached`` evaluators, predicate batch evaluators) is
-effectively read-only after construction — the one exception is the batch
-predicate wrapper's fallback latch, an idempotent one-way write (see
+hash-partitioned wide-GROUP-BY merge; ``build_block``/``merge_build`` on
+hash join; ``sort_block``/``merge_runs`` on sort).  Contract for every
+worker hook: it charges all of its virtual-time cost to the clock it is
+*passed* (a per-task shard), never to ``self._clock``; it never touches
+``self.rows_out`` (the driver attributes output counts after reassembly,
+keeping the counters race-free); and it is safe to call concurrently
+from multiple threads because compiled state (``compile_expr_cached``
+evaluators, predicate batch evaluators) is effectively read-only after
+construction — the one exception is the batch predicate wrapper's
+fallback latch, an idempotent one-way write (see
 ``compile_predicate_batch``) — and every :class:`RowBlock` is owned by
-exactly one worker at a time.  For SeqScan/Filter/Project/HashJoin,
-``batches()`` is implemented *on top of* the hooks, so the two paths
-cannot drift apart; AggregateOp's ``batches()`` keeps its own accumulation
-strategies (mask partition vs row partition) and is held together with the
-partial/merge path by the three-way parity sweep in
-``tests/test_batch_parity.py`` — change either side only with that suite
-in hand.
+exactly one worker at a time.  ``AggregateOp.partial_block`` is the
+serial ``absorb_carrier`` run into a fresh state that logs instead of
+folding, so one partitioner serves every engine.
 """
 
 from __future__ import annotations
@@ -103,8 +93,6 @@ def _source_values(source, block: RowBlock) -> list:
     return [payload(row) for row in block.iter_rows()]
 
 
-
-
 def _traced_generator(method):
     """Wrap an operator's ``__iter__``/``batches`` so that, when a tracer
     is attached to the operator's clock, every ``next()`` — and every
@@ -126,21 +114,23 @@ def _traced_generator(method):
 
 
 class Operator:
-    """Base operator: a layout plus row and batch iterators."""
+    """Base operator: a layout, the row iterator, and the block hooks the
+    subclass defines."""
 
     def __init__(self, layout: RowLayout, clock: SimClock):
         self.layout = layout
         self._clock = clock
         self.rows_out = 0
-        # the plan node this operator was built from; the fused-pipeline
+        # the plan node this operator was built from; the pipeline
         # compiler reads its STREAMING/BREAKER annotations.  None for
         # synthetic operators (EmptyRow, block replays).
         self.plan_node: plan.PlanNode | None = None
 
     def __init_subclass__(cls, **kwargs):
-        # Per-operator attribution for the interleaved row and unfused
-        # batch engines: subclass iterators are wrapped once, at class
-        # creation, so no operator needs tracing code of its own.
+        # Per-operator attribution for the interleaved row engine and
+        # the ``batches()`` pipeline sources: subclass iterators are
+        # wrapped once, at class creation, so no operator needs tracing
+        # code of its own.
         super().__init_subclass__(**kwargs)
         if "__iter__" in cls.__dict__:
             cls.__iter__ = _traced_generator(cls.__dict__["__iter__"])
@@ -149,11 +139,6 @@ class Operator:
 
     def __iter__(self) -> Iterator[tuple]:
         raise NotImplementedError
-
-    def batches(self) -> Iterator[RowBlock]:
-        """Default adaptor: chunk the row path into blocks.  Operators
-        below all override this with a native vectorized implementation."""
-        yield from rows_to_blocks(self.layout, iter(self))
 
     def _emit(self, row: tuple) -> tuple:
         self.rows_out += 1
@@ -194,13 +179,6 @@ class SeqScanOp(Operator):
                     continue
             yield self._emit(row)
 
-    def batches(self) -> Iterator[RowBlock]:
-        for columns, n in self._table.scan_column_batches(
-                self.max_batch_rows):
-            block = self.process_morsel(columns, n, self._clock)
-            if block is not None:
-                yield self._emit_block(block)
-
     def make_block(self, columns, n: int) -> RowBlock:
         """Materialize one scan morsel/batch as a block (no charges)."""
         return RowBlock(self.layout, columns, n, self._kinds)
@@ -222,17 +200,6 @@ class SeqScanOp(Operator):
         if not mask.any():
             return None
         return block, mask
-
-    def process_morsel(self, columns, n: int,
-                       clock: SimClock) -> RowBlock | None:
-        """Parallel hook: materialize one scan morsel, apply the pushed-down
-        predicate, charge ``clock``.  Returns None when every row is
-        rejected."""
-        out = self.scan_block(self.make_block(columns, n), clock)
-        if out is None:
-            return None
-        block, mask = out
-        return block if mask is None else block.select(mask)
 
 
 class IndexScanOp(Operator):
@@ -325,12 +292,6 @@ class FilterOp(Operator):
             if to_bool(self._predicate(row)):
                 yield self._emit(row)
 
-    def batches(self) -> Iterator[RowBlock]:
-        for block in self._child.batches():
-            out = self.process_block(block, self._clock)
-            if out is not None:
-                yield self._emit_block(out)
-
     def filter_mask(self, block: RowBlock,
                     clock: SimClock) -> np.ndarray | None:
         """Fused hook: evaluate the predicate over one (materialized)
@@ -340,13 +301,6 @@ class FilterOp(Operator):
         clock.advance_batch(CostModel.EVAL_PREDICATE, len(block), cat.FILTER)
         mask = self._predicate_batch(block)
         return mask if mask.any() else None
-
-    def process_block(self, block: RowBlock,
-                      clock: SimClock) -> RowBlock | None:
-        """Parallel hook: filter one block, charging ``clock``; None when
-        every row is rejected."""
-        mask = self.filter_mask(block, clock)
-        return block.select(mask) if mask is not None else None
 
 
 class ProjectOp(Operator):
@@ -377,14 +331,6 @@ class ProjectOp(Operator):
         for row in self._child:
             self._clock.advance(CostModel.TUPLE_CPU, cat.PROJECT)
             yield self._emit(tuple(e(row) for e in self._evaluators))
-
-    def batches(self) -> Iterator[RowBlock]:
-        for block in self._child.batches():
-            yield self._emit_block(self.process_block(block, self._clock))
-
-    def process_block(self, block: RowBlock, clock: SimClock) -> RowBlock:
-        """Parallel hook: project one block, charging ``clock``."""
-        return self.project_block(block, None, len(block), clock)
 
     def project_block(self, block: RowBlock, mask: np.ndarray | None,
                       count: int, clock: SimClock) -> RowBlock:
@@ -534,20 +480,6 @@ class HashJoinOp(Operator):
             clock.advance(build_rows * CostModel.HASH_BUILD_ROW
                           * (CostModel.HASH_SPILL_FACTOR - 1), cat.SPILL)
         return CostModel.HASH_SPILL_FACTOR / 2 if spilled else 1.0
-
-    def batches(self) -> Iterator[RowBlock]:
-        buckets: dict[Any, list[tuple]] = {}
-        build_rows = 0
-        for block in self._left.batches():
-            n, pairs = self.build_block(block, self._clock)
-            build_rows += n
-            for key, row in pairs:
-                buckets.setdefault(key, []).append(row)
-        probe_factor = self._spill(build_rows)
-        for block in self._right.batches():
-            out = self.probe_block(block, buckets, probe_factor, self._clock)
-            if out is not None:
-                yield self._emit_block(out)
 
     def build_block(self, block: RowBlock, clock: SimClock
                     ) -> tuple[int, list[tuple[Any, tuple]]]:
@@ -701,6 +633,38 @@ class _Accumulator:
         raise BindError(f"unknown aggregate {self.name!r}")
 
 
+class _EntryLog:
+    """Stands in for an :class:`_Accumulator` while a morsel partial is
+    built: records the one batch call its group receives per block as a
+    partial entry — ``("count", n)`` or ``("values", values, clean)`` —
+    instead of folding it, so the merge can replay raw values in global
+    morsel order."""
+
+    __slots__ = ("entry",)
+
+    def add_count(self, rows: int) -> None:
+        self.entry = ("count", rows)
+
+    def add_values(self, values: list, clean: bool = False) -> None:
+        self.entry = ("values", values, clean)
+
+
+class _GroupState:
+    """Accumulation state of one aggregation: ``groups`` maps group key
+    -> ``(accumulators, representative row)`` in first-seen order;
+    ``new_accs`` builds a fresh group's accumulators."""
+
+    __slots__ = ("groups", "new_accs")
+
+    def __init__(self, new_accs):
+        self.groups: dict[Any, tuple[list, tuple]] = {}
+        self.new_accs = new_accs
+
+    def open(self, key, representative: tuple) -> None:
+        """Register ``key``, first seen on the row ``representative``."""
+        self.groups[key] = (self.new_accs(), representative)
+
+
 class AggregateOp(Operator):
     """Hash aggregation with optional GROUP BY.
 
@@ -752,73 +716,49 @@ class AggregateOp(Operator):
 
     def __iter__(self) -> Iterator[tuple]:
         groups: dict[tuple, tuple[list[_Accumulator], tuple]] = {}
-        group_order: list[tuple] = []
         for row in self._child:
             self._clock.advance(CostModel.HASH_BUILD_ROW, cat.AGG)
             key = tuple(e(row) for e in self._group_evals)
             if key not in groups:
                 groups[key] = (self._new_accs(), row)
-                group_order.append(key)
             for acc in groups[key][0]:
                 acc.add(row)
-        yield from self._result_rows(groups, group_order)
+        yield from self._result_rows(groups)
 
-    def batches(self) -> Iterator[RowBlock]:
-        state = self.new_state()
-        for block in self._child.batches():
-            self.absorb_block(block, state, self._clock)
-        out = self.finish_state(state)
-        if out is not None:
-            yield out
+    # -- sink hooks --------------------------------------------------------
 
-    # -- fused-pipeline hooks ----------------------------------------------
-
-    def new_state(self) -> tuple[dict, list]:
-        """Fresh serial accumulation state: ``(groups, group_order)``."""
-        return {}, []
-
-    def absorb_block(self, block: RowBlock, state: tuple[dict, list],
-                     clock: SimClock) -> None:
-        """Fused sink hook: fold one block into the accumulation state,
-        charging ``clock``.  Strategy per block: whole-block accumulators
-        for global aggregates, mask partitioning for narrow single-column
-        GROUP BY, per-row partitioning otherwise."""
-        self.absorb_carrier(block, None, len(block), state, clock)
+    def new_state(self) -> _GroupState:
+        """Fresh serial accumulation state."""
+        return _GroupState(self._new_accs)
 
     def absorb_carrier(self, block: RowBlock, mask: np.ndarray | None,
-                       count: int, state: tuple[dict, list],
+                       count: int, state: _GroupState,
                        clock: SimClock) -> None:
-        """Deferred-mask sink hook: fold the ``count`` surviving rows of
-        ``(block, mask)`` into the accumulation state without
-        materializing the selection.  When every key/argument is a column
-        passthrough the mask rides along into the partitioners (group
-        masks are AND-ed with it, value takes fancy-index through it);
-        otherwise the block is selected once so row evaluators only ever
-        see surviving rows — exactly what :meth:`absorb_block` on a
-        pre-selected block would have done."""
-        groups, group_order = state
+        """Sink hook: fold the ``count`` surviving rows of ``(block,
+        mask)`` into the accumulation state, charging ``clock``, without
+        materializing the selection.  Strategy per block: whole-block
+        accumulators for global aggregates, mask partitioning for narrow
+        single-column GROUP BY, per-row partitioning otherwise.  When
+        every key/argument is a column passthrough a deferred mask rides
+        along into the partitioners (group masks are AND-ed with it,
+        value takes fancy-index through it); otherwise the block is
+        selected once so row evaluators only ever see surviving rows."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         if mask is not None and not self._slot_only:
             block = block.select(mask)
             mask = None
         if not self._node.group_by:
-            self._accumulate_all(block, groups, group_order, mask, count)
+            self._accumulate_all(block, state, mask, count)
         elif (len(self._group_sources) == 1
                 and self._group_sources[0][0] == _SLOT):
-            self._accumulate_by_column(block, groups, group_order, mask)
+            self._accumulate_by_column(block, state, mask)
         else:
-            if mask is not None:
-                block = block.select(mask)
-            self._accumulate_by_rows(block, groups, group_order)
+            self._accumulate_by_rows(block, state, mask)
 
-    def finish_state(self, state: tuple[dict, list]) -> RowBlock | None:
-        """Fused sink hook: emit the result block (rows_out attributed),
-        or None when a grouped query saw no rows."""
-        groups, group_order = state
-        rows = list(self._result_rows(groups, group_order, count=False))
-        if rows:
-            return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
+    def finish_state(self, state: _GroupState) -> RowBlock | None:
+        """Sink hook: emit the result block (rows_out attributed), or
+        None when a grouped query saw no rows."""
+        return self._result_block(state.groups)
 
     def _call_arrays(self, block: RowBlock):
         """(values array, clean) per aggregate call; None for COUNT(*)."""
@@ -839,18 +779,13 @@ class AggregateOp(Operator):
                 arrays.append((values, False))
         return arrays
 
-    def _accumulate_all(self, block, groups, group_order,
-                        mask=None, count=None) -> None:
+    def _accumulate_all(self, block, state, mask, count) -> None:
         """No GROUP BY: the whole block (or its masked selection) feeds
         one accumulator set."""
-        if count is None:
-            count = len(block)
-        if () not in groups:
+        if () not in state.groups:
             first = 0 if mask is None else int(mask.argmax())
-            representative = tuple(c[first] for c in block.columns)
-            groups[()] = (self._new_accs(), representative)
-            group_order.append(())
-        for acc, entry in zip(groups[()][0], self._call_arrays(block)):
+            state.open((), tuple(c[first] for c in block.columns))
+        for acc, entry in zip(state.groups[()][0], self._call_arrays(block)):
             if entry is None:
                 acc.add_count(count)
             else:
@@ -863,8 +798,7 @@ class AggregateOp(Operator):
     # past this many keys per block the per-row dict loop is cheaper
     _MASK_PARTITION_MAX_KEYS = 32
 
-    def _accumulate_by_column(self, block, groups, group_order,
-                              mask=None) -> None:
+    def _accumulate_by_column(self, block, state, mask) -> None:
         """Single-column GROUP BY: partition with boolean masks — one C
         comparison per distinct key instead of a per-row dict loop.
 
@@ -887,16 +821,16 @@ class AggregateOp(Operator):
                                  minlength=len(typed.dictionary) + 1)
             distinct_codes = (np.nonzero(counts)[0] - 1).tolist()
             if len(distinct_codes) > self._MASK_PARTITION_MAX_KEYS:
-                self._fallback_by_rows(block, mask, groups, group_order)
+                self._accumulate_by_rows(block, state, mask)
                 return
             if len(distinct_codes) > 1:
                 # bincount yields codes in sorted order; unseen keys must
-                # enter group_order in first-occurrence order to match the
+                # enter the groups in first-occurrence order to match the
                 # row path, so order the fresh ones by first hit (known
                 # groups accumulate independently — their order is free)
                 fresh = [c for c in distinct_codes
                          if (None if c < 0 else typed.dictionary[c])
-                         not in groups]
+                         not in state.groups]
                 if len(fresh) > 1:
                     firsts = {c: int(np.argmax(sel == c)) for c in fresh}
                     distinct_codes.sort(key=lambda c: firsts.get(c, -1))
@@ -906,8 +840,7 @@ class AggregateOp(Operator):
                 gmask = codes == code
                 if mask is not None:
                     gmask &= mask
-                self._absorb_group(block, key, gmask, groups, group_order,
-                                   call_arrays,
+                self._absorb_group(block, key, gmask, state, call_arrays,
                                    rows_in_group=int(counts[code + 1]))
             return
 
@@ -917,7 +850,7 @@ class AggregateOp(Operator):
             keys = typed.values_list(mask)
             distinct = dict.fromkeys(keys)
             if len(distinct) > self._MASK_PARTITION_MAX_KEYS:
-                self._fallback_by_rows(block, mask, groups, group_order)
+                self._accumulate_by_rows(block, state, mask)
                 return
             call_arrays = self._call_arrays(block)
             for key in distinct:
@@ -930,8 +863,7 @@ class AggregateOp(Operator):
                         gmask &= typed.valid
                     if mask is not None:
                         gmask &= mask
-                self._absorb_group(block, key, gmask, groups, group_order,
-                                   call_arrays)
+                self._absorb_group(block, key, gmask, state, call_arrays)
             return
 
         col = block.column(slot)
@@ -944,7 +876,7 @@ class AggregateOp(Operator):
             # shares the row engine's identity semantics for NaN.  Same
             # guard as _sort_key: isinstance-checked NaN, so an exotic
             # __ne__ can never be mistaken for (or hide) a NaN key
-            self._fallback_by_rows(block, mask, groups, group_order)
+            self._accumulate_by_rows(block, state, mask)
             return
         call_arrays = self._call_arrays(block)
         for key in distinct:
@@ -955,37 +887,36 @@ class AggregateOp(Operator):
                 gmask = np.asarray(col == key, dtype=bool)
                 if mask is not None:
                     gmask &= mask
-            self._absorb_group(block, key, gmask, groups, group_order,
-                               call_arrays)
+            self._absorb_group(block, key, gmask, state, call_arrays)
 
-    def _fallback_by_rows(self, block, mask, groups, group_order) -> None:
-        if mask is not None:
-            block = block.select(mask)
-        self._accumulate_by_rows(block, groups, group_order)
-
-    def _absorb_group(self, block, key, gmask, groups, group_order,
-                      call_arrays, rows_in_group: int | None = None) -> None:
+    def _absorb_group(self, block, key, gmask, state, call_arrays,
+                      rows_in_group: int | None = None) -> None:
         """Fold one group's masked rows into its accumulators (shared tail
         of every mask-partition strategy)."""
-        if key not in groups:
+        if key not in state.groups:
             first = int(gmask.argmax())
-            representative = tuple(c[first] for c in block.columns)
-            groups[key] = (self._new_accs(), representative)
-            group_order.append(key)
+            state.open(key, tuple(c[first] for c in block.columns))
         if rows_in_group is None:
             rows_in_group = int(np.count_nonzero(gmask))
-        for acc, entry in zip(groups[key][0], call_arrays):
+        for acc, entry in zip(state.groups[key][0], call_arrays):
             if entry is None:
                 acc.add_count(rows_in_group)
             else:
                 values, clean = entry
                 acc.add_values(values[gmask].tolist(), clean)
 
-    def _accumulate_by_rows(self, block, groups, group_order) -> None:
-        """General GROUP BY (multi-column or computed keys): per-row
-        partition, preserving row order so accumulation matches the row
-        path exactly."""
-        call_arrays = self._call_arrays(block)
+    def _accumulate_by_rows(self, block, state, mask) -> None:
+        """General GROUP BY (multi-column or computed keys, and the
+        fallback of the mask partition): per-row partition of the
+        selected rows, preserving row order so accumulation matches the
+        row path exactly."""
+        if mask is not None:
+            block = block.select(mask)
+        # one C-speed pass per argument column (and one row view, on the
+        # first new group) instead of a typed-column lookup per value
+        call_values = [None if entry is None else (entry[0].tolist(), entry[1])
+                       for entry in self._call_arrays(block)]
+        rows: list[tuple] | None = None
         key_columns = [_source_values(source, block)
                        for source in self._group_sources]
         # single-column keys stay raw so this path and the mask path can
@@ -997,21 +928,21 @@ class AggregateOp(Operator):
             bucket = partition.get(key)
             if bucket is None:
                 partition[key] = [i]
-                if key not in groups:
-                    representative = tuple(c[i] for c in block.columns)
-                    groups[key] = (self._new_accs(), representative)
-                    group_order.append(key)
+                if key not in state.groups:
+                    if rows is None:
+                        rows = block.to_rows()
+                    state.open(key, rows[i])
             else:
                 bucket.append(i)
         for key, indices in partition.items():
-            for acc, entry in zip(groups[key][0], call_arrays):
+            for acc, entry in zip(state.groups[key][0], call_values):
                 if entry is None:
                     acc.add_count(len(indices))
                 else:
                     values, clean = entry
                     acc.add_values([values[i] for i in indices], clean)
 
-    # -- parallel hooks ----------------------------------------------------
+    # -- worker hooks ------------------------------------------------------
     #
     # A morsel partial is an insertion-ordered dict:
     #   group key -> [representative row, entries]
@@ -1025,42 +956,19 @@ class AggregateOp(Operator):
     # engines no matter how morsels were distributed across workers.
 
     def partial_block(self, block: RowBlock, clock: SimClock) -> dict:
-        """Thread-local parallel hook: partial-aggregate one non-empty
-        block, charging ``clock``.  Uses the row-order-preserving partition
-        (the one the serial paths fall back to), so group discovery order
-        within the morsel matches the serial engines."""
-        clock.advance_batch(CostModel.HASH_BUILD_ROW, len(block), cat.AGG)
-        call_arrays = self._call_arrays(block)
-        partial: dict[Any, list] = {}
-        if not self._node.group_by:
-            entries = [("count", len(block)) if entry is None
-                       else ("values", entry[0].tolist(), entry[1])
-                       for entry in call_arrays]
-            partial[()] = [tuple(c[0] for c in block.columns), entries]
-            return partial
-        key_columns = [_source_values(source, block)
-                       for source in self._group_sources]
-        keys = (key_columns[0] if len(key_columns) == 1
-                else list(zip(*key_columns)))
-        partition: dict[Any, list[int]] = {}
-        for i, key in enumerate(keys):
-            bucket = partition.get(key)
-            if bucket is None:
-                partition[key] = [i]
-            else:
-                bucket.append(i)
-        for key, indices in partition.items():
-            entries = []
-            for entry in call_arrays:
-                if entry is None:
-                    entries.append(("count", len(indices)))
-                else:
-                    values, clean = entry
-                    entries.append(("values", [values[i] for i in indices],
-                                    clean))
-            partial[key] = [tuple(c[indices[0]] for c in block.columns),
-                            entries]
-        return partial
+        """Thread-local worker hook: partial-aggregate one non-empty
+        block, charging ``clock`` — the serial :meth:`absorb_carrier`
+        into a fresh state that logs each group's values instead of
+        folding them, so group discovery order within the morsel, the
+        representative rows and the typed fast paths are the serial
+        engines' own."""
+        state = _GroupState(self._log_accs)
+        self.absorb_carrier(block, None, len(block), state, clock)
+        return {key: [representative, [log.entry for log in logs]]
+                for key, (logs, representative) in state.groups.items()}
+
+    def _log_accs(self) -> list[_EntryLog]:
+        return [_EntryLog() for _ in self._agg_calls]
 
     @staticmethod
     def _apply_entries(accs: list[_Accumulator], entries: list) -> None:
@@ -1074,31 +982,21 @@ class AggregateOp(Operator):
             else:
                 acc.add_values(entry[1], entry[2])
 
-    def merge_partial(self, groups, group_order, partial: dict) -> None:
-        """Fold one morsel partial into the global accumulator state.
-        Callers must merge partials in morsel order; the first morsel that
-        discovers a group supplies its representative row, exactly as the
-        serial engines' first matching row would."""
-        for key, (representative, entries) in partial.items():
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = (self._new_accs(), representative)
-                group_order.append(key)
-            self._apply_entries(state[0], entries)
-
     def finish_partials(self, partials: list[dict]) -> RowBlock | None:
         """Merge morsel partials (already in morsel order) and emit the
         result block, or None when there is nothing to emit (grouped query
-        over zero rows).  An empty partial list is valid: a global
+        over zero rows).  The first morsel that discovers a group supplies
+        its representative row, exactly as the serial engines' first
+        matching row would.  An empty partial list is valid: a global
         aggregate over zero rows still yields its default row."""
         groups: dict[Any, tuple[list[_Accumulator], tuple]] = {}
-        group_order: list[Any] = []
         for partial in partials:
-            self.merge_partial(groups, group_order, partial)
-        rows = list(self._result_rows(groups, group_order, count=False))
-        if rows:
-            return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
+            for key, (representative, entries) in partial.items():
+                state = groups.get(key)
+                if state is None:
+                    state = groups[key] = (self._new_accs(), representative)
+                self._apply_entries(state[0], entries)
+        return self._result_block(groups)
 
     # -- partitioned merge (wide GROUP BY) ---------------------------------
     #
@@ -1163,26 +1061,29 @@ class AggregateOp(Operator):
         the serial engines' global first-seen group order by sorting on
         the (morsel, position) stamps — integer pairs, unique per key, so
         group keys themselves are never compared."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple]] = {}
-        stamped: list[tuple[tuple, Any]] = []
-        for partition in partitions:
-            for key, (accs, representative, first_seen) in partition.items():
-                groups[key] = (accs, representative)
-                stamped.append((first_seen, key))
-        stamped.sort(key=lambda pair: pair[0])
-        group_order = [key for _, key in stamped]
-        rows = list(self._result_rows(groups, group_order, count=False))
+        stamped = [(first_seen, key, accs, representative)
+                   for partition in partitions
+                   for key, (accs, representative, first_seen)
+                   in partition.items()]
+        stamped.sort(key=lambda entry: entry[0])
+        return self._result_block({key: (accs, representative)
+                                   for _, key, accs, representative
+                                   in stamped})
+
+    def _result_block(self, groups: dict) -> RowBlock | None:
+        """The result block of finished ``groups`` (rows_out attributed),
+        or None when a grouped query saw no rows."""
+        rows = list(self._result_rows(groups, count=False))
         if rows:
             return self._emit_block(RowBlock.from_rows(self.layout, rows))
         return None
 
-    def _result_rows(self, groups, group_order,
+    def _result_rows(self, groups: dict,
                      count: bool = True) -> Iterator[tuple]:
+        """Result rows in ``groups``' (first-seen) insertion order."""
         if not groups and not self._node.group_by:
             groups[()] = (self._new_accs(), ())
-            group_order.append(())
-        for key in group_order:
-            accs, representative = groups[key]
+        for accs, representative in groups.values():
             results = {id(call): acc.result()
                        for call, acc in zip(self._agg_calls, accs)}
             out = tuple(self._eval_item(item.expr, representative, results)
@@ -1269,18 +1170,9 @@ class SortOp(Operator):
         rows.sort(key=self._composite_key)
         return rows
 
-    def _sorted(self, rows: list[tuple]) -> list[tuple]:
-        return self.sorted_rows(rows, self._clock)
-
     def __iter__(self) -> Iterator[tuple]:
-        for row in self._sorted(list(self._child)):
+        for row in self.sorted_rows(list(self._child), self._clock):
             yield self._emit(row)
-
-    def batches(self) -> Iterator[RowBlock]:
-        rows = [row for block in self._child.batches()
-                for row in block.iter_rows()]
-        for block in rows_to_blocks(self.layout, self._sorted(rows)):
-            yield self._emit_block(block)
 
     # -- parallel hooks ----------------------------------------------------
     #
@@ -1394,15 +1286,6 @@ class LimitOp(Operator):
             produced += 1
             yield self._emit(row)
 
-    def batches(self) -> Iterator[RowBlock]:
-        state = self.limit_state()
-        for block in self._child.batches():
-            out, done = self.limit_block(block, state)
-            if out is not None:
-                yield self._emit_block(out)
-            if done:
-                return
-
     # -- fused-pipeline hooks ----------------------------------------------
 
     def limit_state(self) -> dict:
@@ -1447,13 +1330,6 @@ class DistinctOp(Operator):
                 continue
             seen.add(row)
             yield self._emit(row)
-
-    def batches(self) -> Iterator[RowBlock]:
-        seen: set[tuple] = set()
-        for block in self._child.batches():
-            out = self.distinct_block(block, seen, self._clock)
-            if out is not None:
-                yield self._emit_block(out)
 
     def distinct_block(self, block: RowBlock, seen: set,
                        clock: SimClock) -> RowBlock | None:

@@ -1,23 +1,20 @@
-"""Morsel-driven parallel execution of fused pipelines.
+"""Morsel-driven parallel execution: the worker-pool placement.
 
 A :class:`RowBlock` is a self-contained unit of work, so the batch engine
 parallelizes the way Leis et al.'s morsel-driven scheduler does: the scan
 is split into *morsels* (fixed-size column batches, default
 :data:`DEFAULT_MORSEL_ROWS` rows), workers pull the next morsel index from
 a shared counter — natural load balancing, no static partitioning — and
-push each morsel through a whole compiled **pipeline**
-(:func:`~repro.exec.pipeline.compile_pipelines`, the same program the
-serial batch engine drives): one task runs the scan's fused hook plus
-every parallel-safe fused stage (filter masks, projections off deferred
-masks, hash-join probes) with zero intermediate materialization.
-Breaker sinks contribute per-worker *partial* state that a merge step
-folds together: thread-local hash-aggregate partials merged in morsel
-order (hash-partitioned across workers for wide GROUP BY), per-morsel
-sorted runs k-way merged on the serial lane, and hash-join build parts
-merged in morsel order before a parallel probe.
+push each morsel through a whole compiled **pipeline** pass
+(:class:`~repro.exec.pipeline.BlockPass`).  *What* runs in which phase is
+the shared walk of :class:`~repro.exec.pipeline.PlacedDriver`;
+:class:`MorselScheduler` is the placement that says *how*: every site is
+this process (nothing moves at a breaker), a phase's tasks run on a
+thread pool with retry/crash recovery, and their charges are accounted
+by :class:`~repro.common.simtime.WorkerClocks`.
 
-The module's contract, which `tests/test_parallel.py` and the three-way
-parity sweep in `tests/test_batch_parity.py` enforce:
+The module's contract, which `tests/test_parallel.py` and the parity
+sweep in `tests/test_batch_parity.py` enforce:
 
 * **Ordering / determinism** — results are reassembled by morsel sequence
   number, so the output rows (values, Python types, and order), the
@@ -41,19 +38,15 @@ parity sweep in `tests/test_batch_parity.py` enforce:
   modeled as free: its real cost scales with group counts, not row counts,
   and every per-row cost has already been charged in a worker — charging
   it again would break total parity.
-* **Scope of parallelism** — every pipeline whose stages are all
-  ``parallel_safe`` runs morsel-parallel end to end: scan→filter→project
-  chains, hash-join probes (and any filters/projections above the join)
-  fused into the probe-side scan task, aggregate partials (with a
-  hash-partitioned parallel merge for wide GROUP BY), and sort runs.
-  Order-sensitive stages (Distinct's seen set) split the pipeline: the
-  parallel-safe prefix runs on the workers, the rest on the serial lane.
-  Operators without a parallel decomposition (NestedLoopJoin, IndexScan,
-  EmptyRow) run their serial batch path on the serial lane, with their
-  *inputs* still computed in parallel.  A plan containing LIMIT anywhere
-  runs entirely on the serial lane: LIMIT stops pulling mid-stream, and
-  eager morsel dispatch would scan (and charge) rows the serial engines
-  never touch.
+* **Scope of parallelism** — every pipeline's ``parallel_safe`` stage
+  prefix runs morsel-parallel: scan→filter→project chains, hash-join
+  probes (and any filters/projections above the join) fused into the
+  probe-side scan task, aggregate partials (with a hash-partitioned
+  parallel merge for wide GROUP BY), and sort runs.  Order-sensitive
+  stages (Distinct's seen set) and operators without a block
+  decomposition (NestedLoopJoin, IndexScan, EmptyRow) run on the serial
+  lane, with their *inputs* still computed in parallel.  A plan
+  containing LIMIT anywhere runs the streaming driver on the serial lane.
 * **Single-worker mode** — ``workers=1`` dispatches inline on the calling
   thread with no threads created at all: fully deterministic, used as the
   reference in scheduler tests.
@@ -63,8 +56,8 @@ parity sweep in `tests/test_batch_parity.py` enforce:
   granularity; the final merge itself runs with the limit suspended so a
   failing query still leaves *all* its charges on the shared clock, like
   the serial engines do.  Capped measurement
-  (`src/repro/exec/measure.py`) still downgrades to the batch engine: a
-  phase is coarser than the serial engines' per-charge enforcement.
+  (`src/repro/exec/measure.py`) downgrades placed engines to the batch
+  engine: a phase is coarser than its per-charge enforcement.
 * **Fault tolerance** — with a :class:`~repro.common.faults.FaultPlan`
   armed (``faults=``), morsel tasks can suffer injected transient errors,
   latency spikes, and worker crashes; real retryable errors escaping a
@@ -74,7 +67,7 @@ parity sweep in `tests/test_batch_parity.py` enforce:
   before failing the query; a worker crash *loses the attempt's result
   but keeps its charges* (the work really ran before the worker died),
   removes one virtual worker from the phase's makespan model, and a
-  survivor re-executes the morsel.  Every parallel hook a task runs is
+  survivor re-executes the morsel.  Every worker hook a task runs is
   stateless after construction (the ``parallel_safe`` contract), so
   re-execution is result-identical — under any seeded fault plan,
   recovered results are **bit-identical to the fault-free run**, while
@@ -92,32 +85,24 @@ from repro.analysis.sanitizer import sanitizer as _sanitizer
 from repro.common import categories as cat
 from repro.common.errors import WorkerCrash, is_retryable
 from repro.common.faults import FaultPlan
-from repro.common.simtime import BudgetExceeded, SimClock, WorkerClocks
+from repro.common.simtime import SimClock, WorkerClocks
 from repro.exec import operators as ops
 from repro.exec import pipeline as pl
-from repro.exec.batch import RowBlock
 from repro.obs.trace import to_fix as _trace_to_fix
 
 DEFAULT_MORSEL_ROWS = 4096
 DEFAULT_WORKERS = 4
 DEFAULT_RETRY_LIMIT = 3
 
-# operator attributes that point at child operators
-_CHILD_ATTRS = ("_child", "_left", "_right")
 
-# re-exported for backwards compatibility: the block-replay child now
-# lives in repro.exec.pipeline, shared with the serial fused driver
-_BlockSource = pl.BlockSource
+class MorselScheduler(pl.PlacedDriver):
+    """The worker pool: runs a phase's tasks morsel-driven on ``workers``
+    threads, with retry and crash recovery, and accounts their charges.
 
-
-class MorselScheduler:
-    """Fans a compiled pipeline program's work out across a worker pool,
-    morsel-wise.
-
-    ``run(operator)`` compiles the tree into pipelines, executes them, and
-    returns ``(blocks, stats)``: the result blocks in serial-engine order
-    and a stats dict with the modeled parallel timings.  The scheduler is
-    single-use, like the operator tree it drives.
+    ``run(operator)`` (the shared walk) returns ``(blocks, stats)``: the
+    result blocks in serial-engine order and a stats dict with the
+    modeled parallel timings.  :meth:`map` / :meth:`finish` expose the
+    same pool to non-operator work.
     """
 
     def __init__(self, clock: SimClock, workers: int = DEFAULT_WORKERS,
@@ -125,24 +110,11 @@ class MorselScheduler:
                  faults: FaultPlan | None = None,
                  retry_limit: int = DEFAULT_RETRY_LIMIT,
                  registry=None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if morsel_rows < 1:
-            raise ValueError(f"morsel_rows must be >= 1, got {morsel_rows}")
-        if retry_limit < 0:
-            raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
-        self.workers = workers
-        self.morsel_rows = morsel_rows
-        self._clock = clock
-        # the tracer (if any) rides the shared clock; the serial lane and
-        # every worker shard (clock.shard()) notify it for attribution
-        self._tracer = clock.tracer
+        super().__init__(clock, workers, morsel_rows, faults, registry)
+        pl.check_at_least("retry_limit", retry_limit, 0)
         self._worker_clocks = WorkerClocks(tracer=self._tracer)
         if self._tracer is not None:
             self._worker_clocks.placements = []
-        self._registry = registry
-        self.tasks_dispatched = 0
-        self.faults = faults
         self.retry_limit = retry_limit
         # one scope per scheduler, handed out in program order, so a
         # *retried query* (a fresh scheduler) rolls fresh fault decisions
@@ -160,47 +132,13 @@ class MorselScheduler:
                                                  "_counter_lock")
             _sanitizer.instrument(self)
 
-    # -- public entry ------------------------------------------------------
-
-    def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
-        """Execute the tree; returns (result blocks, stats).
-
-        Worker charges are merged into the shared clock even when execution
-        raises; like the serial engines, a failing query leaves its partial
-        charges behind.  The error surfaced is deterministically the first
-        failing morsel's (in morsel order), but because workers stop
-        pulling only after an error is seen — morsels already in flight
-        and already-completed later morsels still count — a failing
-        parallel query may charge somewhat more virtual time than the
-        serial engines did before their raise.
-        """
-        start = self._clock.now
-        try:
-            program = pl.compile_pipelines(operator)
-            if _sanitizer.enabled():
-                # instrument AFTER compilation: pipeline compilation
-                # dispatches on type(op), which the class swap changes
-                _sanitizer.instrument_tree(operator)
-            if program.has_limit:
-                blocks = self._serial_tree(operator)
-            else:
-                blocks = self._pipeline_blocks(program.root)
-            # serial-lane charges since the last phase close (run merges,
-            # spill surcharges) are budget-checked here, before the merge
-            self._check_budget()
-        finally:
-            stats = self.finish(start)
-        return blocks, stats
-
-    def map(self, items: list, fn: Callable[[Any, SimClock], Any]) -> list:
-        """Public morsel map for non-operator work (the AI loader's
-        morsel-parallel training-data materialization): runs
-        ``fn(item, shard_clock)`` over ``items`` with the same
-        pull-the-next-morsel dispatch, per-task shard clocks, and
-        phase-close accounting as operator execution.  Results come back
-        in item order.  Call :meth:`finish` once all maps are done to fold
-        the worker charges into the shared clock and read the stats."""
-        return self._map(items, fn)
+    def _compile(self, operator: ops.Operator) -> pl.PipelineProgram:
+        program = super()._compile(operator)
+        if _sanitizer.enabled():
+            # instrument AFTER compilation: pipeline compilation
+            # dispatches on type(op), which the class swap changes
+            _sanitizer.instrument_tree(operator)
+        return program
 
     def finish(self, start: float | None = None) -> dict:
         """Fold all accumulated worker charges into the shared clock (in
@@ -247,30 +185,54 @@ class MorselScheduler:
             "crashes_recovered": self.crashes_recovered,
         }
 
-    # -- budget enforcement ------------------------------------------------
+    # -- the placement -----------------------------------------------------
 
-    def _check_budget(self) -> None:
-        """Raise :class:`BudgetExceeded` if the charges accumulated so far
-        (shared-clock direct charges + every worker shard + the serial
-        lane) have crossed the shared clock's armed limit.  Called at each
-        phase close — the finest granularity at which worker charges are
-        observable — so budgets fire mid-flight instead of only at the
-        final merge."""
-        limit = self._clock.limit
-        if limit is None:
-            return
-        if self._clock.now + self._worker_clocks.total() > limit:
-            raise BudgetExceeded(
-                f"virtual-time budget {limit} exceeded at a parallel "
-                f"phase boundary")
+    @property
+    def lane(self) -> SimClock:
+        return self._worker_clocks.serial_lane
+
+    def pending(self) -> float:
+        return self._worker_clocks.total()
+
+    def scan_units(self, scan: ops.SeqScanOp) -> list[tuple[int, tuple]]:
+        """Every morsel is local; page touches charge the shared clock."""
+        return [(pl.COORDINATOR, morsel)
+                for morsel in scan._table.scan_morsels(self.morsel_rows)]
+
+    def dispatch(self, units, fn):
+        results = self.map([item for _, item in units], fn)
+        return [(pl.COORDINATOR, result) for result in results]
+
+    def repartition(self, op: ops.AggregateOp, partials):
+        """Morsel partials are radix-split by group-key hash into
+        ``workers`` disjoint partitions, each partition folds its slices
+        in morsel order on its own worker — no single merge dict funnels
+        every group — and the serial tail only reassembles first-seen
+        group order from integer stamps."""
+        parts = self.workers
+        if parts <= 1:
+            return None
+
+        def split(partial: dict, _shard: SimClock) -> list[dict]:
+            return op.split_partial(partial, parts)
+
+        def merge(slices: list[dict], _shard: SimClock) -> dict:
+            return op.merge_partition(slices)
+
+        splits = self.map([partial for _, partial in partials], split)
+        return self.map([[split[pid] for split in splits]
+                          for pid in range(parts)], merge)
 
     # -- morsel dispatch ---------------------------------------------------
 
-    def _map(self, items: list, fn: Callable[[Any, SimClock], Any]) -> list:
-        """Run ``fn(item, shard_clock)`` over items, morsel-driven: workers
-        pull the next item index from a shared counter, so a slow morsel
-        never stalls the others.  Results come back in item order
-        regardless of which worker ran what.
+    def map(self, items: list, fn: Callable[[Any, SimClock], Any]) -> list:
+        """Run ``fn(item, shard_clock)`` over items as one phase,
+        morsel-driven: workers pull the next item index from a shared
+        counter, so a slow morsel never stalls the others.  Results come
+        back in item order regardless of which worker ran what.  Public
+        for non-operator work too (the AI loader's training-data
+        materialization): call :meth:`finish` once all maps are done to
+        fold the worker charges into the shared clock and read the stats.
 
         Recovery: retryable failures (injected or real — see
         :func:`~repro.common.errors.is_retryable`) re-run the morsel on a
@@ -362,7 +324,7 @@ class MorselScheduler:
                     results[i] = run_task(i)
             finally:
                 close_phase()
-            self._check_budget()
+            self.check_budget()
             return results
         grab = _shared_counter()
         errors: list[tuple[int, BaseException]] = []
@@ -403,8 +365,10 @@ class MorselScheduler:
             # recorded error also ran (and recorded its own error if it had
             # one): the minimum index is THE first failing morsel, making
             # the surfaced error deterministic across thread interleavings
+            # (in-flight and already-completed later morsels still count,
+            # so a failing query may charge more than the serial engines)
             raise min(errors, key=lambda pair: pair[0])[1]
-        self._check_budget()
+        self.check_budget()
         return results
 
     def _attempt(self, fn: Callable[[Any, SimClock], Any], item: Any,
@@ -433,283 +397,3 @@ class MorselScheduler:
         faults.maybe_raise("worker_crash", site, index=index,
                            attempt=attempt)
         return result
-
-    # -- tracing helpers ---------------------------------------------------
-
-    def _op_task(self, op: ops.Operator, fn):
-        """Wrap a parallel-hook task so its charges attribute to ``op``'s
-        span on whichever worker thread runs it; the identity function
-        when no tracer is attached."""
-        tracer = self._tracer
-        if tracer is None:
-            return fn
-        span = tracer.operator_span(op)
-
-        def traced(item, shard):
-            tracer.push(span)
-            try:
-                return fn(item, shard)
-            finally:
-                tracer.pop()
-
-        return traced
-
-    def _on_lane(self, op: ops.Operator, fn):
-        """Run a serial-lane merge step under ``op``'s span."""
-        tracer = self._tracer
-        if tracer is None:
-            return fn()
-        tracer.push(tracer.operator_span(op))
-        try:
-            return fn()
-        finally:
-            tracer.pop()
-
-    # -- pipeline execution ------------------------------------------------
-
-    def _pipeline_blocks(self, pipe: pl.Pipeline) -> list[RowBlock]:
-        """Execute one pipeline (inputs first); returns its output blocks
-        in serial-engine order.  The parallel-safe stage prefix runs fused
-        inside the morsel tasks; an order-sensitive tail (Distinct) runs
-        on the serial lane."""
-        for dep in pipe.inputs:
-            self._run_to_sink(dep)
-        safe: list[pl.PipelineStage] = []
-        tail: list[pl.PipelineStage] = []
-        for stage in pipe.stages:
-            (tail if tail or not stage.parallel_safe else safe).append(stage)
-        source = pipe.source
-        if isinstance(source, pl.ScanSource):
-            blocks = self._scan_pipeline(source.op, safe)
-        else:
-            blocks = self._source_blocks(source)
-            if safe:
-                blocks = self._map_stages(blocks, safe)
-        if tail:
-            blocks = self._serial_stages(blocks, tail)
-        return blocks
-
-    def _run_to_sink(self, pipe: pl.Pipeline) -> None:
-        """Run a breaker pipeline and fold its blocks into its sink via
-        the operator's parallel hooks (partial/merge for aggregation,
-        sorted runs + k-way merge for sort, build parts merged in morsel
-        order for hash join)."""
-        blocks = self._pipeline_blocks(pipe)
-        sink = pipe.sink
-        if isinstance(sink, pl.AggregateSink):
-            sink.result_blocks = self._aggregate_blocks(sink.op, blocks)
-        elif isinstance(sink, pl.SortSink):
-            sink.result_blocks = self._sort_blocks(sink.op, blocks)
-        elif isinstance(sink, pl.BuildSink):
-            parts = self._map(blocks,
-                              self._op_task(sink.op, sink.op.build_block))
-            buckets, factor = self._on_lane(
-                sink.op, lambda: sink.op.merge_build(
-                    parts, self._worker_clocks.serial_lane))
-            sink.set_built(buckets, factor)
-        else:  # CollectSink and friends: plain collection, no charges
-            sink.result_blocks = blocks
-
-    def _source_blocks(self, source: pl.PipelineSource) -> list[RowBlock]:
-        """Blocks for a non-scan source: breaker sinks replay their merged
-        result; serial operators (IndexScan, NestedLoopJoin, EmptyRow) run
-        their unchanged batch path on the serial lane."""
-        if isinstance(source, pl.SinkSource):
-            return source.sink.result_blocks
-        lane = self._worker_clocks.serial_lane
-        source.op._clock = lane
-        return [carrier.materialize() for carrier in source.carriers(lane)]
-
-    def _scan_pipeline(self, scan: ops.SeqScanOp,
-                       stages: list[pl.PipelineStage]) -> list[RowBlock]:
-        """One task per scan morsel pushes the morsel through the
-        pipeline's whole fused stage chain — deferred selection masks and
-        all — without re-materializing between stages."""
-        tracer = self._tracer
-        if tracer is None:
-            morsels = scan._table.scan_morsels(self.morsel_rows)
-        else:
-            # morsel splitting touches the buffer pool on the shared
-            # clock; attribute those page charges to the scan, exactly
-            # where the serial engines' scan pulls put them
-            with tracer.op(scan):
-                morsels = scan._table.scan_morsels(self.morsel_rows)
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-            scan_span = tracer.operator_span(scan)
-
-        def task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            out = scan.scan_block(scan.make_block(columns, n), shard)
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                carrier = stage.apply(carrier, shard)
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        def traced_task(morsel, shard: SimClock):
-            columns, n = morsel
-            lens = [0] * (1 + len(stages))
-            tracer.push(scan_span)
-            try:
-                out = scan.scan_block(scan.make_block(columns, n), shard)
-            finally:
-                tracer.pop()
-            if out is None:
-                return lens, None
-            carrier = pl.BlockCarrier(*out)
-            lens[0] = carrier.count
-            for j, stage in enumerate(stages):
-                tracer.push(stage_spans[j])
-                try:
-                    carrier = stage.apply(carrier, shard)
-                finally:
-                    tracer.pop()
-                if carrier is None:
-                    return lens, None
-                lens[j + 1] = carrier.count
-            return lens, carrier.materialize()
-
-        chain = [scan] + [stage.op for stage in stages]
-        return self._gather(chain, self._map(
-            morsels, task if tracer is None else traced_task))
-
-    def _map_stages(self, blocks: list[RowBlock],
-                    stages: list[pl.PipelineStage]) -> list[RowBlock]:
-        """Fused stage chain over a non-scan source (breaker output or a
-        serial operator's blocks): same per-morsel tasks, with the
-        source's blocks as the morsels."""
-        tracer = self._tracer
-        if tracer is not None:
-            stage_spans = [tracer.operator_span(stage.op)
-                           for stage in stages]
-
-        def task(block: RowBlock, shard: SimClock):
-            lens = [0] * len(stages)
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for j, stage in enumerate(stages):
-                if tracer is None:
-                    carrier = stage.apply(carrier, shard)
-                else:
-                    tracer.push(stage_spans[j])
-                    try:
-                        carrier = stage.apply(carrier, shard)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    return lens, None
-                lens[j] = carrier.count
-            return lens, carrier.materialize()
-
-        chain = [stage.op for stage in stages]
-        return self._gather(chain, self._map(blocks, task))
-
-    def _serial_stages(self, blocks: list[RowBlock],
-                       stages: list[pl.PipelineStage]) -> list[RowBlock]:
-        """Order-sensitive stage tail (Distinct) on the serial lane, in
-        morsel order, attributing counts inline (single-threaded)."""
-        lane = self._worker_clocks.serial_lane
-        tracer = self._tracer
-        out: list[RowBlock] = []
-        for block in blocks:
-            carrier: pl.BlockCarrier | None = pl.BlockCarrier(block)
-            for stage in stages:
-                if tracer is None:
-                    carrier = stage.apply(carrier, lane)
-                else:
-                    tracer.push(tracer.operator_span(stage.op))
-                    try:
-                        carrier = stage.apply(carrier, lane)
-                    finally:
-                        tracer.pop()
-                if carrier is None:
-                    break
-                stage.op.rows_out += carrier.count
-            if carrier is not None:
-                out.append(carrier.materialize())
-        return out
-
-    @staticmethod
-    def _gather(chain: list[ops.Operator], results: list) -> list[RowBlock]:
-        """Reassemble pipeline task results in morsel order and attribute
-        per-operator output counts (rows_out stays race-free: only this
-        thread writes it)."""
-        out: list[RowBlock] = []
-        for lens, block in results:
-            for op, n_out in zip(chain, lens):
-                op.rows_out += n_out
-            if block is not None:
-                out.append(block)
-        return out
-
-    # -- breaker sinks -----------------------------------------------------
-
-    def _aggregate_blocks(self, op: ops.AggregateOp,
-                          blocks: list[RowBlock]) -> list[RowBlock]:
-        """Parallel partial aggregation, then either the plain serial
-        morsel-order merge (narrow GROUP BY, global aggregates) or the
-        hash-partitioned parallel merge (wide GROUP BY): morsel partials
-        are radix-split by group-key hash into ``workers`` disjoint
-        partitions, each partition folds its slices in morsel order on its
-        own worker — no single merge dict funnels every group — and the
-        serial tail only reassembles first-seen group order from integer
-        stamps.  Either way the raw-value replay order is unchanged, so
-        results stay bit-identical; the merge charges nothing on any path
-        (every per-row cost was already charged in a worker)."""
-        partials = self._map(blocks, self._op_task(op, op.partial_block))
-        if (self.workers > 1 and op._node.group_by and partials
-                and max(len(p) for p in partials) > op.PARTITION_MIN_KEYS):
-            parts = self.workers
-
-            def split(partial: dict, _shard: SimClock) -> list[dict]:
-                return op.split_partial(partial, parts)
-
-            def merge(slices: list[dict], _shard: SimClock) -> dict:
-                return op.merge_partition(slices)
-
-            splits = self._map(partials, split)
-            columns = [[split[pid] for split in splits]
-                       for pid in range(parts)]
-            result = op.finish_partitions(self._map(columns, merge))
-        else:
-            result = self._on_lane(op, lambda: op.finish_partials(partials))
-        return [result] if result is not None else []
-
-    def _sort_blocks(self, op: ops.SortOp,
-                     blocks: list[RowBlock]) -> list[RowBlock]:
-        """Parallel sort: per-morsel sorted runs on the workers (each run
-        charging its own n_i*log2(n_i)), then a k-way merge on the serial
-        lane charging the remainder — charged totals stay identical to the
-        serial engines' single full sort, and the merge's key ties break
-        by (run, position), reproducing the serial sort's stability over
-        input order exactly."""
-        runs = self._map(blocks, self._op_task(op, op.sort_block))
-        out = self._on_lane(op, lambda: op.merge_runs(
-            runs, self._worker_clocks.serial_lane))
-        for block in out:
-            op.rows_out += len(block)
-        return out
-
-    # -- whole-tree serial fallback ----------------------------------------
-
-    def _serial_tree(self, op: ops.Operator) -> list[RowBlock]:
-        """Whole-tree serial fallback (LIMIT plans): rebind every
-        operator's clock to the serial lane — streaming early-termination
-        semantics, and therefore charged totals, stay exactly the batch
-        engine's — and the lane counts fully toward the makespan."""
-        self._rebind(op, self._worker_clocks.serial_lane)
-        return list(op.batches())
-
-    @classmethod
-    def _rebind(cls, op: ops.Operator, lane: SimClock) -> None:
-        op._clock = lane
-        for attr in _CHILD_ATTRS:
-            child = getattr(op, attr, None)
-            if isinstance(child, ops.Operator):
-                cls._rebind(child, lane)

@@ -1,12 +1,6 @@
 """Fused pipeline execution: plans compiled into pipelines of streaming
-stages, split at pipeline breakers.
-
-The batch engine's per-operator pull (`operator.batches()` chains) pays a
-block materialization at every stage boundary: Filter copies every column
-through ``RowBlock.select``, Project builds another block on top, and the
-generator nesting re-dispatches per stage per block.  This module makes
-the pipeline — not the operator — the unit of execution, for all three
-engines:
+stages, split at pipeline breakers — and the code that interprets a
+compiled program, written once for every batch-family engine.
 
 * :func:`compile_pipelines` walks an operator tree (consulting the
   ``STREAMING``/``BREAKER`` annotations on the plan nodes the operators
@@ -22,44 +16,51 @@ engines:
   filter (or a scan's pushed-down predicate) evaluates its mask against
   the scan block's columns directly and *defers* the selection on the
   carrier; a downstream projection applies the mask only to the columns
-  it actually projects.  No ``RowBlock.from_*`` / ``select`` copy happens
-  per stage — at most one materialization per pass, and none at all for
-  mask+slot-projection chains.
-* :func:`run_program` is the serial drive loop (the batch engine's
-  default); ``repro/exec/parallel.py`` drives the same compiled pipelines
-  morsel-wise (one task pushes one morsel through the pipeline's whole
-  stage chain on a worker), and the AI loader's PREDICT materialization
-  feeds from :func:`table_blocks`, the same scan-block primitive the
-  pipeline sources use.
+  it actually projects.
+* :class:`BlockPass` is the one per-block pass (source count -> stages
+  -> counts, under the operators' spans when a tracer is attached).
+  The streaming driver runs it per source block; every placed task runs
+  it per morsel.
+* :func:`run_program` is the streaming driver: the batch engine's drive
+  loop, and the serial lane of the placed engines for LIMIT plans.
+* :class:`PlacedDriver` is the phased walk the placed engines share
+  (inputs -> parallel-safe prefix tasks -> serial tail -> sink fold).
+  ``repro/exec/parallel.py`` and ``repro/exec/distributed.py`` subclass
+  it with what genuinely differs between them: how a scan splits into
+  units, how a phase's tasks are dispatched and accounted, and what
+  moves at a breaker.  The AI loader's PREDICT materialization feeds
+  from :func:`table_blocks`, the scan-block primitive.
 
 Charge parity
 -------------
-Every stage charges the clock it is handed exactly what the unfused
-operator charged for the same rows, in the same order (see
+Every stage charges the clock it is handed exactly what the row
+operator charges for the same rows, in the same order (see
 ``SimClock.advance_charges``): scan ``TUPLE_CPU`` + pushed-predicate
 ``EVAL_PREDICATE`` per scanned row, filter ``EVAL_PREDICATE`` per input
 row, project ``TUPLE_CPU`` per *surviving* row, probe per the hash-join
 hooks.  Deferring a selection never changes a charge because charges are
-keyed to row counts, not to copies.  The three-way parity suite
-(`tests/test_batch_parity.py`, `tests/test_pipeline.py`) holds fused,
-unfused, row, and parallel execution to identical rows and charged
+keyed to row counts, not to copies.  The parity suite
+(`tests/test_batch_parity.py`, `tests/test_pipeline.py`) holds the row
+engine and every driver of this module to identical rows and charged
 totals.
 
 LIMIT early exit
 ----------------
-A satisfied :class:`LimitStage` reports ``done`` and the drive loop stops
-pulling the source pipeline — the fused engine's equivalent of the
-generator laziness the unfused chains relied on, and the contract that
-lets a LIMIT above a join probe stop the probe-side scan mid-table.
+A satisfied :class:`LimitStage` reports ``done`` and the streaming
+driver stops pulling the source pipeline — the contract that lets a
+LIMIT above a join probe stop the probe-side scan mid-table.  Placed
+engines run LIMIT plans through the same streaming driver on their
+serial lane: eager morsel dispatch would scan (and charge) rows the
+serial engines never touch.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.common.simtime import SimClock
+from repro.common.simtime import BudgetExceeded, SimClock
 from repro.exec import operators as ops
 from repro.exec.batch import RowBlock, rows_to_blocks
 from repro.exec.expr import RowLayout
@@ -77,22 +78,20 @@ def table_blocks(table, layout: RowLayout, kinds, batch_size: int,
 
 
 class BlockSource(ops.Operator):
-    """Replays blocks as an operator child — a pre-computed list, or a
-    lazy generator that produces them on demand (single use).
-
-    Used to feed a serially-executed operator (NestedLoopJoin, ...) with
-    the output of another pipeline.  Charges nothing and counts nothing
-    itself: the blocks' producers charge their cost and attribute their
-    row counts as the blocks are produced.
+    """Stands in for ``child`` under a serially-executed operator
+    (NestedLoopJoin, ...), replaying the blocks of the pipeline compiled
+    from it — a pre-computed list, or a lazy generator that produces them
+    on demand (single use).  Charges nothing and counts nothing itself:
+    the blocks' producers charge their cost and attribute their row
+    counts as the blocks are produced.  The replaced operator stays
+    reachable as ``_child``, so tree walkers (EXPLAIN ANALYZE's
+    annotation pass, the sanitizer) still find the subtree.
     """
 
-    def __init__(self, layout: RowLayout, blocks, clock: SimClock):
-        super().__init__(layout, clock)
+    def __init__(self, child: ops.Operator, blocks, clock: SimClock):
+        super().__init__(child.layout, clock)
+        self._child = child
         self._blocks = blocks
-
-    def __iter__(self):
-        for block in self._blocks:
-            yield from block.iter_rows()
 
     def batches(self):
         yield from self._blocks
@@ -136,7 +135,7 @@ class PipelineStage:
     """One fused streaming step: carrier in, carrier (or None) out.
 
     ``parallel_safe`` stages are stateless after construction and may run
-    concurrently on morsel workers (the parallel-hook contract in
+    concurrently on morsel workers (the worker-hook contract in
     ``repro/exec/operators.py``); unsafe ones carry order-sensitive state
     (Distinct's seen set, Limit's counters) and run serially.  Stages
     never touch ``rows_out`` — the driver attributes counts.
@@ -260,9 +259,6 @@ class AggregateSink(PipelineSink):
         super().__init__(op)
         self._state = op.new_state()
 
-    def absorb(self, block, clock):
-        self.op.absorb_block(block, self._state, clock)
-
     def absorb_carrier(self, carrier, clock):
         """Consume the carrier's deferred selection directly: group and
         value extraction AND the mask into their own partition masks, so
@@ -293,57 +289,58 @@ class SortSink(PipelineSink):
 
 class BuildSink(PipelineSink):
     """Hash-join build side: buckets in input order, spill surcharge at
-    finish.  The parallel scheduler fills it through the build/merge
-    parallel hooks instead (:meth:`set_built`); either way the probe
-    stage reads the same ``buckets``/``probe_factor``."""
+    finish.  The placed walk fills it from merged per-morsel build parts
+    instead (:meth:`set_built`); either way the probe stage reads the
+    same ``buckets``/``probe_factor``.  ``build_rows`` counts the build
+    input (NULL keys included)."""
 
     def __init__(self, op: ops.HashJoinOp):
         super().__init__(op)
         self.buckets: dict = {}
         self.probe_factor = 1.0
-        self._build_rows = 0
+        self.build_rows = 0
 
     def absorb(self, block, clock):
         n, pairs = self.op.build_block(block, clock)
-        self._build_rows += n
+        self.build_rows += n
         for key, row in pairs:
             self.buckets.setdefault(key, []).append(row)
 
     def finish(self, clock):
-        self.probe_factor = self.op._spill(self._build_rows, clock)
+        self.probe_factor = self.op._spill(self.build_rows, clock)
 
-    def set_built(self, buckets: dict, probe_factor: float) -> None:
+    def set_built(self, buckets: dict, probe_factor: float,
+                  build_rows: int) -> None:
         self.buckets = buckets
         self.probe_factor = probe_factor
+        self.build_rows = build_rows
 
 
 # -- sources ------------------------------------------------------------------
 
 
 class PipelineSource:
-    """Where a pipeline's carriers come from.  ``attributes_rows`` is True
-    when the source's own machinery already counts ``rows_out`` (operators
-    driven through ``batches()``); otherwise the driver attributes the
-    per-carrier counts to ``op``."""
+    """Where a pipeline's carriers come from.  Every source but
+    :class:`ScanSource` counts its own ``rows_out`` (operators driven
+    through ``batches()``, finished sinks); a scan's output is counted by
+    the :class:`BlockPass` that consumes it."""
 
-    attributes_rows = False
     op: ops.Operator
 
     def carriers(self, clock: SimClock) -> Iterator[BlockCarrier]:
         raise NotImplementedError
 
 
-# The fused drive loop touches each block a fixed number of times however
+# The streaming driver touches each block a fixed number of times however
 # large it is, so it runs scans at coarse granularity (16 default batches)
-# to amortize per-block dispatch — one of the fusion wins the unfused
-# per-operator pull cannot take without growing every operator's blocks.
-# Scan blocks are array views sliced out of the table's merged typed
-# columns, never value copies, so coarse blocks cost no extra memory.
-# Plans that can stop early (any LIMIT anywhere, marked at compile time)
-# keep the operator's own ``max_batch_rows`` instead: early exit stops on
-# block boundaries, so a bigger block would scan — and charge — rows the
-# unfused engines never touch.  Full-scan plans are granularity-neutral
-# on charges (every row is scanned and charged per row either way).
+# to amortize per-block dispatch.  Scan blocks are array views sliced out
+# of the table's merged typed columns, never value copies, so coarse
+# blocks cost no extra memory.  Plans that can stop early (any LIMIT
+# anywhere, marked at compile time) keep the operator's own
+# ``max_batch_rows`` instead: early exit stops on block boundaries, so a
+# bigger block would scan — and charge — rows the row engine never
+# touches beyond the pushed-down budget.  Full-scan plans are
+# granularity-neutral on charges (every row is charged per row either way).
 FUSED_SCAN_ROWS = 16384
 
 
@@ -354,7 +351,7 @@ class ScanSource(PipelineSource):
     def __init__(self, op: ops.SeqScanOp):
         self.op = op
         # set by compile_pipelines when the program contains a LIMIT:
-        # early exit must match the unfused engine's block boundaries
+        # early exit must stop on the pushed-down block boundaries
         self.early_exit = False
 
     def scan_rows(self) -> int:
@@ -362,25 +359,29 @@ class ScanSource(PipelineSource):
             return self.op.max_batch_rows
         return max(self.op.max_batch_rows, FUSED_SCAN_ROWS)
 
+    def morsel_carrier(self, morsel, clock: SimClock) -> BlockCarrier | None:
+        """One ``(columns, row_count)`` scan morsel through the scan's
+        fused hook; None when the pushed-down predicate rejects every
+        row.  Runs on worker threads in the placed engines."""
+        out = self.op.scan_block(self.op.make_block(*morsel), clock)
+        return None if out is None else BlockCarrier(*out)
+
     def carriers(self, clock):
-        scan = self.op
-        for block in table_blocks(scan._table, scan.layout, scan._kinds,
-                                  self.scan_rows()):
-            out = scan.scan_block(block, clock)
-            if out is not None:
-                yield BlockCarrier(*out)
+        for morsel in self.op._table.scan_column_batches(self.scan_rows()):
+            carrier = self.morsel_carrier(morsel, clock)
+            if carrier is not None:
+                yield carrier
 
 
 class OperatorSource(PipelineSource):
     """Wraps an operator's own serial ``batches()`` (IndexScan, EmptyRow):
-    it charges its own clock and attributes its own counts."""
-
-    attributes_rows = True
+    it charges the driving clock and attributes its own counts."""
 
     def __init__(self, op: ops.Operator):
         self.op = op
 
     def carriers(self, clock):
+        self.op._clock = clock
         for block in self.op.batches():
             yield BlockCarrier(block)
 
@@ -391,42 +392,38 @@ class SerialOpSource(PipelineSource):
     source swaps the children for block replays and drives the
     operator's unchanged serial path.
 
-    Two replay modes.  :meth:`carriers` (the parallel scheduler) expects
-    the child pipelines already run into their :class:`CollectSink`\\ s.
-    :meth:`lazy_carriers` (the serial fused driver) hands the operator
+    Two replay modes.  :meth:`carriers` (the placed walk) expects the
+    child pipelines already run into their :class:`CollectSink`\\ s.
+    :meth:`lazy_carriers` (the streaming driver) hands the operator
     *generators* that drive the child pipelines on demand — the
     operator's own pull order decides what actually runs, so a LIMIT
-    above a NestedLoopJoin stops the lazily-pulled side mid-scan and
-    charges exactly what the unfused engine charges."""
-
-    attributes_rows = True
+    above a NestedLoopJoin stops the lazily-pulled side mid-scan, like
+    the row engine's generator laziness."""
 
     def __init__(self, op: ops.Operator,
                  children: list[tuple[str, "Pipeline"]]):
         self.op = op
         self.children = children
 
-    def _replay(self, blocks_for) -> Iterator[BlockCarrier]:
+    def _replay(self, clock: SimClock, blocks_for) -> Iterator[BlockCarrier]:
+        self.op._clock = clock
         for attr, child_pipeline in self.children:
             child = getattr(self.op, attr)
             setattr(self.op, attr,
-                    BlockSource(child.layout, blocks_for(child_pipeline),
-                                self.op._clock))
+                    BlockSource(child, blocks_for(child_pipeline), clock))
         for block in self.op.batches():
             yield BlockCarrier(block)
 
     def carriers(self, clock):
-        return self._replay(lambda cp: cp.sink.result_blocks)
+        return self._replay(clock, lambda cp: cp.sink.result_blocks)
 
     def lazy_carriers(self, clock):
-        return self._replay(lambda cp: _drive(cp, clock))
+        return self._replay(clock, lambda cp: _drive(cp, clock))
 
 
 class SinkSource(PipelineSource):
     """Replays a finished breaker sink's result blocks (already charged
     and attributed by the sink)."""
-
-    attributes_rows = True
 
     def __init__(self, sink: PipelineSink):
         self.sink = sink
@@ -494,8 +491,8 @@ def compile_pipelines(op: ops.Operator) -> PipelineProgram:
     program = PipelineProgram(root, pipelines)
     if program.has_limit:
         # LIMIT can stop any pipeline mid-stream; scans must keep the
-        # unfused engines' block boundaries so early exit charges the
-        # same virtual time they would (see ScanSource.scan_rows)
+        # operators' own (pushed-down) block boundaries so early exit
+        # stays within its documented bound (see ScanSource.scan_rows)
         for pipeline in pipelines:
             if isinstance(pipeline.source, ScanSource):
                 pipeline.source.early_exit = True
@@ -603,14 +600,105 @@ def _compile(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
     return p
 
 
-# -- serial drive loop --------------------------------------------------------
+# -- the per-block pass -------------------------------------------------------
+
+
+def _under_span(tracer, op: ops.Operator, fn):
+    """``fn`` wrapped so its charges attribute to ``op``'s span on
+    whichever thread runs it; ``fn`` itself when no tracer is attached."""
+    if tracer is None:
+        return fn
+    span = tracer.operator_span(op)
+
+    def traced(*args):
+        tracer.push(span)
+        try:
+            return fn(*args)
+        finally:
+            tracer.pop()
+
+    return traced
+
+
+class BlockPass:
+    """One pipeline pass over one block: source count -> stages ->
+    counts, each stage under its operator's span when a tracer is
+    attached.  The one place a carrier is pushed through a stage chain —
+    the streaming driver calls :meth:`run` per source carrier, the placed
+    walk dispatches :meth:`task` per unit and runs :meth:`run` on its
+    serial lane.
+
+    ``scan`` is the pipeline's :class:`ScanSource`, if that is where the
+    carriers come from: the pass then counts the scan's output too (every
+    other source attributes its own rows).  The pass never touches
+    ``rows_out``: it returns the per-operator counts and the
+    single-threaded caller hands them to :meth:`credit`, which keeps the
+    counters race-free when passes run on worker threads.
+    """
+
+    def __init__(self, stages: list[PipelineStage], tracer,
+                 scan: "ScanSource | None" = None):
+        self.stages = stages
+        self.scan = scan
+        self.ops = ([scan.op] if scan is not None else []) \
+            + [stage.op for stage in stages]
+        self._tracer = tracer
+        self._spans = (None if tracer is None else
+                       [tracer.operator_span(stage.op) for stage in stages])
+
+    def run(self, carrier: BlockCarrier | None, clock: SimClock
+            ) -> tuple[list[int], BlockCarrier | None]:
+        """Push one carrier through the chain; returns the counts (aligned
+        with ``ops``) and the surviving carrier, its selection still
+        deferred wherever the stages allow — None once a stage (or the
+        source) rejects every row."""
+        lens = [0] * len(self.ops)
+        if carrier is None:
+            return lens, None
+        at = 0 if self.scan is None else 1    # the stages' offset in ops
+        if at:
+            lens[0] = carrier.count
+        tracer, spans = self._tracer, self._spans
+        for j, stage in enumerate(self.stages):
+            if spans is not None:
+                tracer.push(spans[j])
+            try:
+                carrier = stage.apply(carrier, clock)
+            finally:
+                if spans is not None:
+                    tracer.pop()
+            if carrier is None:
+                break
+            lens[at + j] = carrier.count
+        return lens, carrier
+
+    def task(self, unit, clock: SimClock
+             ) -> tuple[list[int], RowBlock | None]:
+        """One placed task: admit the unit — a scan morsel through the
+        scan's fused hook (under the scan's span), or an already
+        produced block — run the chain, and materialize the survivor."""
+        if self.scan is not None:
+            carrier = _under_span(self._tracer, self.scan.op,
+                                  self.scan.morsel_carrier)(unit, clock)
+        else:
+            carrier = BlockCarrier(unit)
+        lens, out = self.run(carrier, clock)
+        return lens, None if out is None else out.materialize()
+
+    def credit(self, lens: list[int]) -> None:
+        for op, n_out in zip(self.ops, lens):
+            op.rows_out += n_out
+
+
+# -- streaming driver ---------------------------------------------------------
 
 
 def run_program(program: PipelineProgram,
                 clock: SimClock) -> Iterator[RowBlock]:
-    """Serially drive a compiled program, yielding the root pipeline's
-    output blocks lazily (so budget enforcement and row-at-a-time
-    consumers see charges as they accrue, like the unfused engines)."""
+    """Drive a compiled program on ``clock``, yielding the root
+    pipeline's output blocks lazily (so budget enforcement and
+    row-at-a-time consumers see charges as they accrue, and a satisfied
+    LIMIT stops the scan)."""
     yield from _drive(program.root, clock)
 
 
@@ -622,11 +710,11 @@ def _drive(pipeline: Pipeline, clock: SimClock) -> Iterator[RowBlock]:
 
 def _drive_carriers(pipeline: Pipeline,
                     clock: SimClock) -> Iterator[BlockCarrier]:
-    """One fused pass per source block: the carrier runs the whole stage
-    chain with its selection deferred wherever stages allow, and the
-    driver (single-threaded) attributes per-operator ``rows_out``.
-    Carriers are yielded with any remaining mask still deferred — sinks
-    that understand masks consume them as-is."""
+    """One :class:`BlockPass` per source block.  The source pull runs
+    under the source operator's span (so a scan's charges — including
+    its deferred-mask predicate and the buffer pool's page charges —
+    land on the scan).  Carriers are yielded with any remaining mask
+    still deferred — sinks that understand masks consume them as-is."""
     source = pipeline.source
     if isinstance(source, SerialOpSource):
         # the operator's child pipelines are driven lazily through its
@@ -641,54 +729,14 @@ def _drive_carriers(pipeline: Pipeline,
         for dep in pipeline.inputs:
             _run_to_sink(dep, clock)
         carriers = source.carriers(clock)
-    attribute_source = not source.attributes_rows
     tracer = clock.tracer
-    if tracer is not None:
-        yield from _drive_carriers_traced(pipeline, clock, tracer,
-                                          carriers, attribute_source)
-        return
+    scan = source if isinstance(source, ScanSource) else None
+    if tracer is not None and scan is not None:
+        carriers = tracer.trace_iter(scan.op, carriers)
+    block_pass = BlockPass(pipeline.stages, tracer, scan)
     for carrier in carriers:
-        if attribute_source:
-            source.op.rows_out += carrier.count
-        out: BlockCarrier | None = carrier
-        for stage in pipeline.stages:
-            out = stage.apply(out, clock)
-            if out is None:
-                break
-            stage.op.rows_out += out.count
-        if out is not None:
-            yield out
-        if pipeline.stopped:
-            break
-
-
-def _drive_carriers_traced(pipeline: Pipeline, clock: SimClock, tracer,
-                           carriers: Iterator[BlockCarrier],
-                           attribute_source: bool
-                           ) -> Iterator[BlockCarrier]:
-    """The same drive loop with per-operator span attribution: the source
-    pull runs under the source operator's span (so a fused scan's charges
-    — including its deferred-mask predicate and the buffer pool's page
-    charges — land on the scan) and each stage application runs under its
-    operator's span.  Charges and row accounting are untouched."""
-    source = pipeline.source
-    if attribute_source:
-        carriers = tracer.trace_iter(source.op, carriers)
-    stage_spans = [tracer.operator_span(stage.op)
-                   for stage in pipeline.stages]
-    for carrier in carriers:
-        if attribute_source:
-            source.op.rows_out += carrier.count
-        out: BlockCarrier | None = carrier
-        for stage, span in zip(pipeline.stages, stage_spans):
-            tracer.push(span)
-            try:
-                out = stage.apply(out, clock)
-            finally:
-                tracer.pop()
-            if out is None:
-                break
-            stage.op.rows_out += out.count
+        lens, out = block_pass.run(carrier, clock)
+        block_pass.credit(lens)
         if out is not None:
             yield out
         if pipeline.stopped:
@@ -697,21 +745,240 @@ def _drive_carriers_traced(pipeline: Pipeline, clock: SimClock, tracer,
 
 def _run_to_sink(pipeline: Pipeline, clock: SimClock) -> None:
     sink = pipeline.sink
-    tracer = clock.tracer
-    if tracer is None:
-        for carrier in _drive_carriers(pipeline, clock):
-            sink.absorb_carrier(carrier, clock)
-        sink.finish(clock)
-        return
-    span = tracer.operator_span(sink.op)
+    absorb = _under_span(clock.tracer, sink.op, sink.absorb_carrier)
     for carrier in _drive_carriers(pipeline, clock):
-        tracer.push(span)
+        absorb(carrier, clock)
+    _under_span(clock.tracer, sink.op, sink.finish)(clock)
+
+
+# -- placed walk --------------------------------------------------------------
+
+#: the site that holds merged breaker state, serial operators and the result
+COORDINATOR = 0
+
+
+def check_at_least(name: str, value: int, minimum: int = 1) -> None:
+    """The one validation rule of the executor's integer knobs."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+class PlacedDriver:
+    """The phased walk of a compiled program that the placed engines
+    share: per pipeline, inputs first, then one task per unit pushing it
+    through the parallel-safe stage prefix, the order-sensitive tail
+    (Distinct) on the serial lane, and the sink fold — per-unit partial
+    state from the operator's worker hooks (aggregate partials, sorted
+    runs, hash-join build parts) merged in unit order on the serial lane.
+
+    Work is tracked as ``(site, item)`` pairs in the serial engines'
+    block order; everything merged lives at :data:`COORDINATOR`.
+    Subclasses are the *placements* and supply only what differs:
+
+    * ``lane`` — the serial lane's clock;
+    * :meth:`scan_units` — how a scan splits into ``(site, morsel)``
+      units, and which clocks the page touches charge;
+    * :meth:`dispatch` — how one phase's tasks run and are accounted;
+    * :meth:`gather` / :meth:`broadcast_builds` / :meth:`repartition` —
+      what moves at a breaker;
+    * :meth:`pending` and :meth:`finish` — budget and stats accounting.
+
+    Single-use, like the operator tree it drives.
+    """
+
+    def __init__(self, clock: SimClock, workers: int, morsel_rows: int,
+                 faults, registry):
+        check_at_least("workers", workers)
+        check_at_least("morsel_rows", morsel_rows)
+        self.workers = workers
+        self.morsel_rows = morsel_rows
+        self._clock = clock
+        # the tracer (if any) rides the shared clock; the serial lane and
+        # every task shard (clock.shard()) notify it for attribution
+        self._tracer = clock.tracer
+        self.faults = faults
+        self._registry = registry
+        self.tasks_dispatched = 0
+
+    # -- what a placement supplies -----------------------------------------
+
+    lane: SimClock
+
+    def scan_units(self, scan: ops.SeqScanOp) -> list[tuple[int, tuple]]:
+        raise NotImplementedError
+
+    def dispatch(self, units: list[tuple[int, Any]],
+                 fn: Callable[[Any, SimClock], Any]) -> list[tuple[int, Any]]:
+        """Run ``fn(item, task_clock)`` once per unit as one accounted
+        phase; ``(site, result)`` pairs come back in unit order."""
+        raise NotImplementedError
+
+    def gather(self, placed: list[tuple[int, Any]], op: ops.Operator,
+               label: str, rows: Callable[[Any], int] = len) -> None:
+        """Move placed items to the coordinator (``rows(item)`` sizes
+        one); nothing moves when every site shares one memory."""
+
+    def broadcast_builds(self, scan: ops.SeqScanOp,
+                         stages: list[PipelineStage]) -> None:
+        """Ship the built tables ``stages`` probe to wherever ``scan``'s
+        units will run."""
+
+    def repartition(self, op: ops.AggregateOp,
+                    partials: list[tuple[int, dict]]) -> list[dict] | None:
+        """Hash-partitioned merge of wide GROUP BY partials: the merged
+        partitions, or None to keep the plain unit-order merge."""
+        raise NotImplementedError
+
+    def pending(self) -> float:
+        """Seconds charged to task and lane clocks, not yet folded into
+        the shared clock."""
+        raise NotImplementedError
+
+    def finish(self, start: float | None = None) -> dict:
+        raise NotImplementedError
+
+    # -- entry -------------------------------------------------------------
+
+    def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
+        """Execute the tree; returns (result blocks, stats).  Task and
+        lane charges are folded into the shared clock even when
+        execution raises: like the serial engines, a failing query leaves
+        its partial charges behind."""
+        start = self._clock.now
         try:
-            sink.absorb_carrier(carrier, clock)
+            program = self._compile(operator)
+            if program.has_limit:
+                # LIMIT stops pulling mid-stream; eager dispatch would
+                # scan (and charge) rows the serial engines never touch
+                blocks = list(run_program(program, self.lane))
+            else:
+                root = program.root
+                placed = self._placed(root)
+                self.gather(placed, root.stages[-1].op if root.stages
+                            else root.source.op, "result gather")
+                blocks = [block for _, block in placed]
+            # serial-lane charges since the last phase close (run merges,
+            # spill surcharges) are budget-checked here, before the fold
+            self.check_budget()
         finally:
-            tracer.pop()
-    tracer.push(span)
-    try:
-        sink.finish(clock)
-    finally:
-        tracer.pop()
+            stats = self.finish(start)
+        return blocks, stats
+
+    def _compile(self, operator: ops.Operator) -> PipelineProgram:
+        return compile_pipelines(operator)
+
+    def check_budget(self) -> None:
+        """Raise :class:`BudgetExceeded` once the charges accumulated so
+        far have crossed the shared clock's armed limit.  Called at each
+        phase close — the finest granularity at which task charges are
+        observable — so budgets fire mid-flight."""
+        limit = self._clock.limit
+        if limit is not None and self._clock.now + self.pending() > limit:
+            raise BudgetExceeded(f"virtual-time budget {limit} exceeded at "
+                                 f"a phase boundary")
+
+    def _op_task(self, op: ops.Operator, fn):
+        """``fn`` under ``op``'s span (a worker hook about to be
+        dispatched, or a serial-lane merge step)."""
+        return _under_span(self._tracer, op, fn)
+
+    # -- the walk ----------------------------------------------------------
+
+    def _placed(self, pipe: Pipeline) -> list[tuple[int, RowBlock]]:
+        """Execute one pipeline (inputs first); returns its output blocks
+        with their sites, in serial-engine block order."""
+        for dep in pipe.inputs:
+            self._run_to_sink(dep)
+        safe: list[PipelineStage] = []
+        tail: list[PipelineStage] = []
+        for stage in pipe.stages:
+            (tail if tail or not stage.parallel_safe else safe).append(stage)
+        source = pipe.source
+        if isinstance(source, ScanSource):
+            self.broadcast_builds(source.op, safe)
+            # splitting touches the buffer pool: attribute the page
+            # charges to the scan, where the serial engines' pulls put them
+            units = self._op_task(source.op, self.scan_units)(source.op)
+            placed = self._tasks(units, BlockPass(safe, self._tracer, source))
+        else:
+            # breaker sinks replay their merged result; serial operators
+            # (IndexScan, NestedLoopJoin, EmptyRow) run on the serial lane
+            placed = [(COORDINATOR, carrier.materialize())
+                      for carrier in source.carriers(self.lane)]
+            if safe:
+                placed = self._tasks(placed, BlockPass(safe, self._tracer))
+        if tail:
+            self.gather(placed, tail[0].op, "serial tail")
+            tail_pass = BlockPass(tail, self._tracer)
+            placed = self._credited(tail_pass, [
+                (COORDINATOR, tail_pass.task(block, self.lane))
+                for _, block in placed])
+        return placed
+
+    def _tasks(self, units: list, block_pass: BlockPass
+               ) -> list[tuple[int, RowBlock]]:
+        return self._credited(block_pass,
+                              self.dispatch(units, block_pass.task))
+
+    @staticmethod
+    def _credited(block_pass: BlockPass, results: list
+                  ) -> list[tuple[int, RowBlock]]:
+        """Attribute the passes' per-operator counts (only this thread
+        writes ``rows_out``) and keep the surviving blocks."""
+        placed = []
+        for site, (lens, block) in results:
+            block_pass.credit(lens)
+            if block is not None:
+                placed.append((site, block))
+        return placed
+
+    def _run_to_sink(self, pipe: Pipeline) -> None:
+        """Run a breaker pipeline and fold its blocks into its sink; the
+        merged result lives on the coordinator."""
+        placed = self._placed(pipe)
+        sink = pipe.sink
+        op = sink.op
+        if isinstance(sink, AggregateSink):
+            result = self._fold_aggregate(op, placed)
+            sink.result_blocks = [] if result is None else [result]
+        elif isinstance(sink, SortSink):
+            # per-unit sorted runs (each charging its own n_i*log2(n_i)),
+            # then a k-way merge on the lane charging the remainder
+            runs = self.dispatch(placed, self._op_task(op, op.sort_block))
+            self.gather(runs, op, "sorted runs")
+            sink.result_blocks = self._op_task(op, op.merge_runs)(
+                [run for _, run in runs], self.lane)
+            for block in sink.result_blocks:
+                op.rows_out += len(block)
+        elif isinstance(sink, BuildSink):
+            parts = self.dispatch(placed, self._op_task(op, op.build_block))
+            self.gather(parts, op, "build parts", rows=lambda part: part[0])
+            buckets, factor = self._op_task(op, op.merge_build)(
+                [part for _, part in parts], self.lane)
+            sink.set_built(buckets, factor,
+                           sum(part[0] for _, part in parts))
+        else:  # CollectSink: plain collection, no merge charges
+            self.gather(placed, op, "collect gather")
+            sink.result_blocks = [block for _, block in placed]
+
+    def _fold_aggregate(self, op: ops.AggregateOp,
+                        placed: list[tuple[int, RowBlock]]
+                        ) -> RowBlock | None:
+        """Per-unit partial aggregation, then either the plain unit-order
+        merge on the lane or, for wide GROUP BY, the placement's
+        hash-partitioned merge.  Both replay raw values in global unit
+        order, so results are bit-identical to the serial engines; the
+        merge charges nothing (every per-row cost was charged in a
+        task)."""
+        partials = self.dispatch(placed,
+                                 self._op_task(op, op.partial_block))
+        merged = None
+        if (op._node.group_by and partials
+                and max(len(partial) for _, partial in partials)
+                > op.PARTITION_MIN_KEYS):
+            merged = self.repartition(op, partials)
+        if merged is None:
+            self.gather(partials, op, "aggregate partials")
+            return self._op_task(op, op.finish_partials)(
+                [partial for _, partial in partials])
+        return self._op_task(op, op.finish_partitions)(merged)

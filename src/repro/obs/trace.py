@@ -258,8 +258,9 @@ class Tracer:
     def trace_iter(self, op, inner: Iterator) -> Iterator:
         """Wrap a generator so each ``next()`` — and every charge made
         during it, including buffer-pool page charges inside a scan pull —
-        attributes to ``op``'s span.  This is how the interleaved row and
-        unfused-batch engines keep per-operator attribution exact."""
+        attributes to ``op``'s span.  This is how the interleaved row
+        engine and the pipelines' generator sources keep per-operator
+        attribution exact."""
         span = self.operator_span(op)
         while True:
             self.push(span)

@@ -298,33 +298,75 @@ class TestRaceAnalysisPass:
         assert any(f.rule == "unlocked-shared-write"
                    and "captured 'errors'" in f.message for f in found)
 
+    SORT_DISPATCH = ("            runs = self.dispatch(placed, "
+                     "self._op_task(op, op.sort_block))\n")
+
     def test_dispatch_drift_detected(self):
-        """A new hook dispatched via self._map without a matching
-        EXPECTED_WORKER_HOOKS entry is a finding."""
-        marker = ("        runs = self._map(blocks, "
-                  "self._op_task(op, op.sort_block))\n")
-        assert marker in PARALLEL_SRC
-        drifted = PARALLEL_SRC.replace(
-            marker, marker
-            + "        self._map(blocks, op.shiny_new_hook)\n")
-        found = race_findings(parallel=drifted)
+        """A new hook dispatched by the walk (or mapped by the worker
+        pool) without a matching EXPECTED_WORKER_HOOKS entry is a
+        finding."""
+        assert self.SORT_DISPATCH in PIPELINE_SRC
+        drifted = PIPELINE_SRC.replace(
+            self.SORT_DISPATCH, self.SORT_DISPATCH
+            + "            self.dispatch(placed, op.shiny_new_hook)\n")
+        found = race_findings(pipeline=drifted)
         assert any(f.rule == "dispatch-drift"
                    and "shiny_new_hook" in f.message for f in found)
+        marker = "        splits = self.map("
+        assert marker in PARALLEL_SRC
+        drifted = PARALLEL_SRC.replace(
+            marker, "        self.map([], op.pool_only_hook)\n" + marker)
+        found = race_findings(parallel=drifted)
+        assert any(f.rule == "dispatch-drift"
+                   and "pool_only_hook" in f.message for f in found)
 
     def test_dispatch_seen_through_tracing_shim(self):
         """The derived hook set must see through the ``_op_task``
         wrapper: dropping a shimmed hook from EXPECTED_WORKER_HOOKS
         would drift, so the shimmed form itself must derive cleanly."""
         assert "sort_block" in EXPECTED_WORKER_HOOKS
-        drifted = PARALLEL_SRC.replace(
-            "        runs = self._map(blocks, "
-            "self._op_task(op, op.sort_block))\n",
-            "        runs = self._map(blocks, "
-            "self._op_task(op, op.shim_only_hook))\n")
-        assert drifted != PARALLEL_SRC
-        found = race_findings(parallel=drifted)
+        drifted = PIPELINE_SRC.replace(
+            self.SORT_DISPATCH,
+            self.SORT_DISPATCH.replace("sort_block", "shim_only_hook"))
+        assert drifted != PIPELINE_SRC
+        found = race_findings(pipeline=drifted)
         assert any(f.rule == "dispatch-drift"
                    and "shim_only_hook" in f.message for f in found)
+
+    def test_hooks_derived_through_the_block_pass(self):
+        """The per-block pass is dispatched as ``block_pass.task``; the
+        hooks it reaches (the scan step, the parallel-safe stages) must
+        be derived by following it, and a shared write inside it is a
+        finding."""
+        drifted = PIPELINE_SRC.replace(
+            "        out = self.op.scan_block(", 
+            "        self.op.unaudited_scan_hook()\n"
+            "        out = self.op.scan_block(")
+        assert drifted != PIPELINE_SRC
+        found = race_findings(pipeline=drifted)
+        assert any(f.rule == "dispatch-drift"
+                   and "unaudited_scan_hook" in f.message for f in found)
+        racy = PIPELINE_SRC.replace(
+            "        lens = [0] * len(self.ops)\n",
+            "        lens = [0] * len(self.ops)\n"
+            "        self.passes_run = 1\n")
+        assert racy != PIPELINE_SRC
+        found = race_findings(pipeline=racy)
+        assert any(f.rule == "unlocked-shared-write"
+                   and "BlockPass.run" in f.message for f in found)
+
+    def test_partial_block_helpers_are_audited(self):
+        """partial_block is the serial partitioner run into a logging
+        state: a shared write in any helper it reaches is a finding."""
+        match = re.search(r"    def _absorb_group\(self.*?:\n",
+                          OPERATORS_SRC, re.S)
+        assert match is not None
+        injected = (OPERATORS_SRC[:match.end()]
+                    + "        self._groups_seen = 1\n"
+                    + OPERATORS_SRC[match.end():])
+        found = race_findings(operators=injected)
+        assert any(f.rule == "unlocked-shared-write"
+                   and "_absorb_group" in f.message for f in found)
 
     def test_expected_hooks_match_scheduler_contract(self):
         # the serial-lane hooks must never appear in the worker set

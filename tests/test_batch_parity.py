@@ -1,9 +1,9 @@
-"""Row vs batch vs parallel engine parity.
+"""Row vs batch vs parallel (vs distributed) engine parity.
 
-Every query runs through all three execution paths against the same
-catalog and must produce *bit-identical* rows (values and Python types) in
-the same order, the same column names, and the same simtime-visible cost
-within float-accumulation tolerance.  The query list covers every operator
+Every query runs through the row reference and the block engines against
+the same catalog and must produce *bit-identical* rows (values and Python
+types) in the same order, the same column names, and the same
+simtime-visible cost within float-accumulation tolerance.  The query list covers every operator
 and every expression family the vectorizer handles, plus the fallback
 cases (non-constant LIKE, scalar functions) and the Table 1 workload
 predicates.  The parallel engine runs with deliberately tiny morsels
@@ -257,9 +257,9 @@ def test_typed_storage_parity_across_workers(workers):
     """Typed columnar storage v2 shapes at workers 1/2/4: predicates over
     dictionary-coded string columns (equality both directions, <>, IN,
     LIKE — the int32 code fast paths), an all-NULL column, and GROUP BY
-    keys mixing NaN and NULL.  Row engine is ground truth; the unfused
-    batch pull, the fused pipeline, and the morsel-parallel engine must
-    return bit-identical rows and charge identical virtual time."""
+    keys mixing NaN and NULL.  Row engine is ground truth; the batch
+    engine and the morsel-parallel engine must return bit-identical rows
+    and charge identical virtual time."""
     db = repro.connect()
     db.execute("CREATE TABLE d (i INT, tag TEXT, hole TEXT, v FLOAT, "
                "w FLOAT)")
@@ -296,8 +296,6 @@ def test_typed_storage_parity_across_workers(workers):
         plan = db.planner.plan_select(parse(sql))
         expected = Executor(db.catalog, db.clock, engine="row").run(plan)
         for engine in (
-                Executor(db.catalog, db.clock, engine="batch",
-                         fused=False),
                 Executor(db.catalog, db.clock, engine="batch"),
                 Executor(db.catalog, db.clock, engine="parallel",
                          workers=workers, morsel_rows=16)):
@@ -310,6 +308,70 @@ def test_typed_storage_parity_across_workers(workers):
                  for row in expected.rows], sql
             assert got.virtual_seconds == pytest.approx(
                 expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+
+
+# LIMIT plans: every block engine runs them through the same streaming
+# driver (the placed engines on their serial lane), so rows, per-operator
+# rows_out and per-category charges must be *identical*, not just close
+LIMIT_QUERIES = [sql for sql in PARITY_QUERIES if " LIMIT " in sql] + [
+    "SELECT id FROM users WHERE age > 30 LIMIT 4 OFFSET 1",
+    "SELECT DISTINCT city FROM users LIMIT 2",
+    # LIMIT over a join probe and over a nested-loop join: early exit
+    # without any push-down
+    "SELECT u.name, o.oid FROM users u JOIN orders o ON u.id = o.user_id "
+    "LIMIT 9",
+    "SELECT u.id, o.oid FROM users u, orders o LIMIT 7",
+]
+
+STREAMING_ENGINES = (
+    [("batch", {})]
+    + [("parallel", {"workers": w, "morsel_rows": 16}) for w in (1, 2, 4)]
+    + [("distributed", {"nodes": n, "workers": 2, "morsel_rows": 16})
+       for n in (1, 2, 4)])
+
+
+def _tree_rows_out(op):
+    out = [] if op.plan_node is None else [(op.plan_node.label, op.rows_out)]
+    for attr in ("_child", "_left", "_right"):
+        child = getattr(op, attr, None)
+        if child is not None:
+            out += _tree_rows_out(child)
+    return out
+
+
+def _run_charged(db, engine, kwargs, plan):
+    """(result, per-operator rows_out, charged seconds by category)."""
+    executor = Executor(db.catalog, db.clock, engine=engine, **kwargs)
+    before = dict(db.clock.breakdown())
+    result = executor.run(plan)
+    charged = {category: seconds - before.get(category, 0.0)
+               for category, seconds in db.clock.breakdown().items()
+               if seconds != before.get(category, 0.0)}
+    return result, _tree_rows_out(executor.last_run[1]), charged
+
+
+@pytest.mark.parametrize("sql", LIMIT_QUERIES)
+def test_limit_plans_identical_on_every_streaming_engine(parity_db, sql):
+    plan = parity_db.planner.plan_select(parse(sql))
+    row = Executor(parity_db.catalog, parity_db.clock, engine="row").run(plan)
+    expected, expected_rows_out, expected_charged = _run_charged(
+        parity_db, "batch", {}, plan)
+    assert _typed(expected.rows) == _typed(row.rows)
+    for engine, kwargs in STREAMING_ENGINES[1:]:
+        got, rows_out, charged = _run_charged(parity_db, engine, kwargs,
+                                              plan)
+        where = f"{sql} on {engine} {kwargs}"
+        assert _typed(got.rows) == _typed(expected.rows), where
+        assert rows_out == expected_rows_out, where
+        assert charged.keys() == expected_charged.keys(), where
+        for category, seconds in charged.items():
+            # the same charge sequence lands on a fresh lane instead of
+            # the long-running shared clock: equal up to the last ulp of
+            # the shared clock's running total
+            assert seconds == pytest.approx(expected_charged[category],
+                                            rel=1e-9, abs=1e-12), where
+        stats = got.extra[engine]
+        assert stats["tasks"] == 0, where     # nothing dispatched eagerly
 
 
 def test_candidate_plans_parity(parity_db):

@@ -9,8 +9,8 @@ Acceptance contract (docs/observability.md):
   the same fixed-point sums — an empty ``other`` means every charged
   unit of the 3-table query was attributed to an operator).
 * The annotated tree has the identical shape (labels, depth, rows out)
-  on every engine; within the batch family (fused, unfused, parallel at
-  any worker count) the charged figures are bit-identical, because
+  on every engine; within the batch family (batch, parallel at any
+  worker count) the charged figures are bit-identical, because
   those engines issue the identical ``advance_batch`` sequence.  The
   row engine charges per row instead of per block, so its float sums
   legitimately differ in the last ulp.
@@ -29,7 +29,6 @@ from repro.exec.executor import Executor
 ENGINE_CONFIGS = [
     ("row", {}),
     ("batch", {}),
-    ("batch", {"fused": False}),
     ("parallel", {"workers": 1}),
     ("parallel", {"workers": 2}),
     ("parallel", {"workers": 4}),

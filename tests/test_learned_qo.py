@@ -151,6 +151,31 @@ class TestLearnedQueryOptimizer:
                 cap_virtual=0.2).latency
             assert chosen_latency <= np.median(latencies) * 1.05
 
+    def test_capped_nlj_candidate_censored_on_distributed_executor(self):
+        """Capped measurement downgrades every placed engine, not just
+        ``parallel``: a pathological nested-loop candidate on a
+        distributed session is censored at the cap with per-charge
+        enforcement — not ground through to a phase boundary."""
+        from repro.exec.measure import measure_plan_latency
+        db = repro.connect(engine="distributed", nodes=2)
+        db.execute("CREATE TABLE a (x INT)")
+        db.execute("CREATE TABLE b (y INT)")
+        for name in ("a", "b"):
+            heap = db.catalog.table(name)
+            for i in range(2000):
+                heap.insert((i,))
+        db.execute("ANALYZE")
+        candidate = db.planner.plan_select(
+            parse("SELECT count(*) FROM a, b"))
+        assert any(isinstance(node, plan.NestedLoopJoin)
+                   for node in candidate.walk())
+        cap = 0.01      # the full 4M-pair cross join charges ~0.8 s
+        before = db.clock.now
+        measured = measure_plan_latency(db.executor, db.clock, candidate,
+                                        cap_virtual=cap)
+        assert measured.censored and measured.latency == cap
+        assert db.clock.now - before < 2 * cap
+
     def test_rejects_non_select(self, users_orders_db):
         qo = LearnedQueryOptimizer()
         with pytest.raises(TypeError):

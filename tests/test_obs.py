@@ -34,7 +34,6 @@ from repro.sql import parse
 ENGINE_CONFIGS = [
     ("row", {}),
     ("batch", {}),
-    ("batch", {"fused": False}),
     ("parallel", {"workers": 1}),
     ("parallel", {"workers": 2}),
     ("parallel", {"workers": 4}),

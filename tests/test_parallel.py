@@ -224,6 +224,22 @@ def test_scheduler_rejects_bad_knobs():
         Executor(repro.connect().catalog, engine="parallel", workers=0)
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("workers", 0), ("nodes", 0), ("morsel_rows", 0), ("retry_limit", -1)])
+@pytest.mark.parametrize("engine", ["batch", "parallel", "distributed"])
+def test_executor_rejects_bad_knob_at_construction(engine, knob, value):
+    """Every integer knob is validated when the executor is built —
+    whichever engine is selected — not at the first query inside a
+    scheduler."""
+    with pytest.raises(ValueError, match=knob):
+        Executor(repro.connect().catalog, engine=engine, **{knob: value})
+
+
+def test_connect_rejects_bad_nodes():
+    with pytest.raises(ValueError, match="nodes"):
+        repro.connect(engine="distributed", nodes=0)
+
+
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         Executor(repro.connect().catalog, engine="morsel")

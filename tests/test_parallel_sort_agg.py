@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.common import categories as cat
 from repro.common.simtime import BudgetExceeded, CostModel, SimClock
 from repro.exec import operators as ops
 from repro.exec.executor import Executor
@@ -357,3 +358,111 @@ def test_measure_downgrades_parallel_under_cap():
     uncapped = measure_plan_latency(parallel, db.clock, plan)
     assert not uncapped.censored
     assert uncapped.rows_produced == 20_000
+
+
+# -- partial_block: one partitioner for every engine --------------------------
+#
+# AggregateOp.partial_block used to carry its own row-order partition; it
+# is now the serial absorb_carrier run into a logging state.  The old
+# implementation is kept here, verbatim, as the reference the new one is
+# differentially tested against over the typed-storage schema generator:
+# partial dicts must be identical — key order, representative rows, entry
+# lists, and the (type, repr) of every value.
+
+
+def _reference_partial(op, block, clock):
+    clock.advance_batch(CostModel.HASH_BUILD_ROW, len(block), cat.AGG)
+    call_arrays = op._call_arrays(block)
+    partial = {}
+    if not op._node.group_by:
+        entries = [("count", len(block)) if entry is None
+                   else ("values", entry[0].tolist(), entry[1])
+                   for entry in call_arrays]
+        partial[()] = [tuple(c[0] for c in block.columns), entries]
+        return partial
+    key_columns = [ops._source_values(source, block)
+                   for source in op._group_sources]
+    keys = (key_columns[0] if len(key_columns) == 1
+            else list(zip(*key_columns)))
+    partition = {}
+    for i, key in enumerate(keys):
+        bucket = partition.get(key)
+        if bucket is None:
+            partition[key] = [i]
+        else:
+            bucket.append(i)
+    for key, indices in partition.items():
+        entries = []
+        for entry in call_arrays:
+            if entry is None:
+                entries.append(("count", len(indices)))
+            else:
+                values, clean = entry
+                entries.append(("values", [values[i] for i in indices],
+                                clean))
+        partial[key] = [tuple(c[indices[0]] for c in block.columns),
+                        entries]
+    return partial
+
+
+def _bits(value):
+    """(type, repr) all the way down: NaN == NaN, 1 != 1.0 != True."""
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_bits(v) for v in value])
+    return (type(value), repr(value))
+
+
+def _partial_bits(partial):
+    return [(_bits(key), _bits(representative), _bits(entries))
+            for key, (representative, entries) in partial.items()]
+
+
+def _aggregate_queries(shape):
+    cols = [f"c{i}" for i in range(len(shape))]
+    aggs = ", ".join(f"count({c}), min({c}), max({c})" for c in cols)
+    queries = [f"SELECT count(*), {aggs} FROM t"]
+    for key in cols:
+        queries.append(f"SELECT {key}, count(*), {aggs} FROM t "
+                       f"GROUP BY {key}")
+        queries.append(f"SELECT {key}, count(DISTINCT {cols[-1]}) FROM t "
+                       f"GROUP BY {key}")
+    if len(cols) > 1:
+        queries.append(f"SELECT {cols[0]}, {cols[1]}, count(*), "
+                       f"count({cols[-1]}) FROM t "
+                       f"GROUP BY {cols[0]}, {cols[1]}")
+    return queries
+
+
+def _find(op, cls):
+    while not isinstance(op, cls):
+        op = op._child
+    return op
+
+
+@pytest.mark.parametrize("shape_idx", range(9))
+@pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+def test_partial_block_matches_row_partition_reference(shape_idx, density):
+    from test_storage_typed import SHAPES, STORAGE_SEED, _build
+    shape = SHAPES[shape_idx]
+    _, data = _build(shape, density, 500,
+                     STORAGE_SEED * 100_000 + 7 * shape_idx)
+    db = repro.connect()
+    heap = db.catalog.create_table(_build(shape, density, 0, 0)[0].schema)
+    for row in data:
+        heap.insert(row)
+    for sql in _aggregate_queries(shape):
+        root = Executor(db.catalog, db.clock).build(
+            db.planner.plan_select(parse(sql)))
+        agg = _find(root, ops.AggregateOp)
+        scan = _find(agg, ops.SeqScanOp)
+        # 24-row morsels stay under the mask-partition cutoff, 400-row
+        # ones cross it (wide keys fall back to the row partition)
+        for morsel_rows in (24, 400):
+            for columns, n in heap.scan_morsels(morsel_rows):
+                block = scan.make_block(columns, n)
+                got_clock, ref_clock = SimClock(), SimClock()
+                got = agg.partial_block(block, got_clock)
+                ref = _reference_partial(agg, block, ref_clock)
+                assert _partial_bits(got) == _partial_bits(ref), \
+                    f"{sql} @ {morsel_rows}"
+                assert got_clock.breakdown() == ref_clock.breakdown()

@@ -1,11 +1,12 @@
-"""Fused pipeline execution: compilation structure, fused/unfused
-charge-exact parity, LIMIT early exit through pipelines, and the
-vectorized non-constant LIKE.
+"""Fused pipeline execution: compilation structure, charge parity with
+the row engine, LIMIT early exit through pipelines, and the vectorized
+non-constant LIKE.
 
-The three-way engine parity lives in test_batch_parity.py; this file
+The engine parity sweep lives in test_batch_parity.py; this file
 exercises the pipeline layer itself: how plans compile into pipelines
-(split at the plan-level BREAKER annotations), that the fused drive loop
-charges exactly what the unfused per-operator pull charges, and that a
+(split at the plan-level BREAKER annotations), that the streaming driver
+charges what the row engine charges (exactly, except where LIMIT stops
+on a block boundary — then within the documented bound), and that a
 satisfied LIMIT stops driving its source pipeline instead of scanning
 the full table.
 """
@@ -19,7 +20,8 @@ import repro
 from repro.exec import pipeline as pl
 from repro.exec.executor import Executor
 from repro.exec.expr import RowLayout, compile_expr, compile_expr_vector
-from repro.exec.batch import RowBlock
+from repro.common.simtime import CostModel
+from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.sql import ast, parse
 
 
@@ -112,7 +114,7 @@ class TestCompile:
         assert not plan.SeqScan.BREAKER and not plan.SeqScan.STREAMING
 
 
-# -- fused vs unfused parity --------------------------------------------------
+# -- streaming driver vs row engine --------------------------------------------
 
 EXACT_QUERIES = [
     "SELECT * FROM t",
@@ -127,46 +129,79 @@ EXACT_QUERIES = [
     "SELECT count(*) FROM t JOIN u ON t.id = u.uid",
     "SELECT grp, count(*) FROM t GROUP BY grp ORDER BY grp LIMIT 2",
     "SELECT 1 + 2",
-    # serial-fallback operators: lazy child pipelines keep the unfused
-    # pull order (and its early-exit) exactly
+    # serial-fallback operators: lazy child pipelines keep the row
+    # engine's pull order (and its early exit)
     "SELECT count(*) FROM t, u",
     "SELECT t.id, u.uid FROM t, u LIMIT 7",
 ]
 
+# Where LIMIT stops on a block boundary the block engines may charge up
+# to one block of upstream cost beyond the row engine (see the module
+# docstring of repro/exec/operators.py): a filtered streaming chain
+# scans at most the pushed-down offset+limit+1 rows more, each charged
+# scan + predicate + projection; no push-down reaches through a join, so
+# there the bound is one default scan block — here the whole 80-row table.
+_PUSHDOWN_ROW = 2 * CostModel.TUPLE_CPU + CostModel.EVAL_PREDICATE
+LIMIT_SLACK = {
+    "SELECT id FROM t WHERE v > 2 LIMIT 4 OFFSET 2":
+        lambda db: (2 + 4 + 1) * _PUSHDOWN_ROW,
+    "SELECT t.id, u.uid FROM t, u LIMIT 7":
+        lambda db: Executor(db.catalog, db.clock, engine="batch").run(
+            db.planner.plan_select(parse("SELECT t.id, u.uid FROM t, u"))
+        ).virtual_seconds,
+}
+
 
 @pytest.mark.parametrize("sql", EXACT_QUERIES)
 def test_fused_matches_unfused_rows_and_charges(db, sql):
-    """The fused drive loop makes the same multiset of charges in the
-    same order as the per-operator pull: rows, types, order, and charged
-    virtual time all agree (joins may reorder child execution, hence the
-    tight approx rather than ==)."""
+    """The streaming driver against the row engine: rows, types and
+    order agree, and so does charged virtual time — up to float
+    accumulation (per-row vs per-block charges), or within the
+    documented LIMIT bound where one applies."""
     plan = db.planner.plan_select(parse(sql))
-    unfused = Executor(db.catalog, db.clock, engine="batch", fused=False)
-    fused = Executor(db.catalog, db.clock, engine="batch")
-    expected = unfused.run(plan)
-    got = fused.run(plan)
+    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
+    got = Executor(db.catalog, db.clock, engine="batch").run(plan)
     assert got.columns == expected.columns
     assert _typed(got.rows) == _typed(expected.rows)
-    assert got.virtual_seconds == pytest.approx(
-        expected.virtual_seconds, rel=1e-9, abs=1e-12)
+    slack = LIMIT_SLACK.get(sql)
+    if slack is None:
+        assert got.virtual_seconds == pytest.approx(
+            expected.virtual_seconds, rel=1e-6, abs=1e-9)
+    else:
+        assert got.virtual_seconds <= \
+            expected.virtual_seconds + slack(db) + 1e-9
+
+
+def _rows_out(op):
+    out = [(type(op).__name__, op.rows_out)]
+    for attr in ("_child", "_left", "_right"):
+        child = getattr(op, attr, None)
+        if child is not None:
+            out += _rows_out(child)
+    return out
 
 
 def test_rows_out_matches_unfused(db):
+    """Per-operator ``rows_out`` of the streaming driver equals the row
+    engine's."""
     sql = "SELECT id, v FROM t WHERE v > 3"
     plan = db.planner.plan_select(parse(sql))
-    unfused = Executor(db.catalog, db.clock, engine="batch", fused=False)
-    fused = Executor(db.catalog, db.clock, engine="batch")
-    op_a = unfused.build(plan)
-    op_b = fused.build(plan)
-    assert len(list(unfused.iter_rows(op_a))) == \
-        len(list(fused.iter_rows(op_b)))
-    assert op_a.rows_out == op_b.rows_out
-    assert op_a._child.rows_out == op_b._child.rows_out
+    row = Executor(db.catalog, db.clock, engine="row")
+    batch = Executor(db.catalog, db.clock, engine="batch")
+    op_a = row.build(plan)
+    op_b = batch.build(plan)
+    assert len(list(row.iter_rows(op_a))) == \
+        len(list(batch.iter_rows(op_b)))
+    assert _rows_out(op_a) == _rows_out(op_b)
 
 
-def test_with_engine_carries_fusion_flag(db):
-    executor = Executor(db.catalog, db.clock, engine="parallel", fused=False)
-    assert executor.with_engine("batch").fused is False
+def test_with_engine_carries_knobs(db):
+    executor = Executor(db.catalog, db.clock, engine="distributed",
+                        workers=3, morsel_rows=7, retry_limit=5, nodes=2)
+    sibling = executor.with_engine("batch")
+    assert sibling.engine == "batch" and not sibling.placed
+    assert (sibling.workers, sibling.morsel_rows, sibling.retry_limit,
+            sibling.nodes) == (3, 7, 5, 2)
 
 
 def test_pipeline_description_in_result_extra(db):
@@ -210,22 +245,18 @@ def test_limit_stops_driving_source_pipeline():
     row_limited = Executor(db.catalog, db.clock, engine="row").run(
         db.planner.plan_select(parse(sql)))
     assert limited.rows == row_limited.rows
-
-    # LIMIT plans keep the unfused engines' scan-block boundaries, so
-    # fused and unfused charge identical virtual time even where no
-    # push-down reaches the scan
-    unfused = Executor(db.catalog, db.clock, engine="batch", fused=False)
-    unfused_limited = unfused.run(db.planner.plan_select(parse(sql)))
-    assert unfused_limited.rows == limited.rows
-    assert limited.virtual_seconds == pytest.approx(
-        unfused_limited.virtual_seconds, rel=1e-9, abs=1e-12)
+    # LIMIT plans keep the operators' own scan-block boundaries, so where
+    # no push-down reaches the scan the overshoot beyond the row engine
+    # is at most one default block's share of the full run
+    assert limited.virtual_seconds <= row_limited.virtual_seconds \
+        + DEFAULT_BATCH_SIZE * full.virtual_seconds / 20_000
 
 
 def test_limit_over_nested_loop_join_stays_lazy():
-    """LIMIT above a serial-fallback operator (NestedLoopJoin): the fused
-    driver hands the operator lazy child pipelines, so a satisfied LIMIT
-    abandons the lazily-pulled side mid-scan and charges exactly what the
-    unfused engine (generator laziness) charges."""
+    """LIMIT above a serial-fallback operator (NestedLoopJoin): the
+    streaming driver hands the operator lazy child pipelines, so a
+    satisfied LIMIT abandons the lazily-pulled side mid-scan like the row
+    engine's generator laziness — at most one scan block later."""
     db = repro.connect()
     db.execute("CREATE TABLE wide1 (x INT)")
     db.execute("CREATE TABLE tiny (y INT)")
@@ -238,24 +269,23 @@ def test_limit_over_nested_loop_join_stays_lazy():
     db.execute("ANALYZE")
     sql = "SELECT x, y FROM wide1, tiny LIMIT 3"
     plan = db.planner.plan_select(parse(sql))
-    unfused = Executor(db.catalog, db.clock, engine="batch", fused=False)
     fused = Executor(db.catalog, db.clock, engine="batch")
-    expected = unfused.run(plan)
+    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
     got = fused.run(plan)
     assert got.rows == expected.rows
-    assert got.virtual_seconds == pytest.approx(
-        expected.virtual_seconds, rel=1e-9, abs=1e-12)
-    # and both stopped early: nowhere near the full 20k-pair cross join
+    # stopped early: nowhere near the full 20k-pair cross join, and no
+    # more than one default scan block's share of it past the row engine
     full = fused.run(db.planner.plan_select(
-        parse("SELECT count(*) FROM wide1, tiny")))
+        parse("SELECT x, y FROM wide1, tiny")))
     assert got.virtual_seconds < 0.5 * full.virtual_seconds
+    assert got.virtual_seconds <= expected.virtual_seconds \
+        + DEFAULT_BATCH_SIZE * full.virtual_seconds / 5000
 
 
 def test_limit_pushdown_charges_match_row_engine():
     """LIMIT over a streaming chain still rides the push-down: the fused
     scan uses the pushed max_batch_rows, so charges stay within the
     documented offset+limit+1 bound of the row engine."""
-    from repro.common.simtime import CostModel
     db = repro.connect()
     db.execute("CREATE TABLE f (id INT, v INT)")
     heap = db.catalog.table("f")
@@ -290,10 +320,8 @@ def test_projection_applies_mask_only_to_projected_columns(db):
     produces the same rows as select-then-project."""
     plan = db.planner.plan_select(parse("SELECT id FROM t WHERE v > 10"))
     fused = Executor(db.catalog, db.clock, engine="batch").run(plan)
-    unfused = Executor(db.catalog, db.clock, engine="batch",
-                       fused=False).run(plan)
     row = Executor(db.catalog, db.clock, engine="row").run(plan)
-    assert _typed(fused.rows) == _typed(unfused.rows) == _typed(row.rows)
+    assert _typed(fused.rows) == _typed(row.rows)
 
 
 # -- vectorized non-constant LIKE --------------------------------------------
