@@ -7,7 +7,7 @@ row-at-a-time reference engine — see docs/execution.md, docs/parallel.md
 and docs/distributed.md.
 """
 
-from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock, rows_to_blocks
+from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.exec.executor import Executor, ResultSet
 from repro.exec.parallel import (
     DEFAULT_MORSEL_ROWS,
@@ -36,6 +36,5 @@ __all__ = [
     "compile_expr_cached",
     "compile_expr_vector",
     "compile_predicate_batch",
-    "rows_to_blocks",
     "to_bool",
 ]

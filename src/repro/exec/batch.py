@@ -37,7 +37,7 @@ scheduler rely on:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,16 @@ NUMERIC, TEXT, UNKNOWN = "num", "text", None
 _MAX_EXACT_FLOAT = 2.0 ** 53
 
 
+def concat_columns(parts: Sequence["TypedColumn | np.ndarray"]
+                   ) -> "TypedColumn | np.ndarray":
+    """Block columns laid end to end: typed when every part is (see
+    :meth:`TypedColumn.concat`), the object view otherwise."""
+    if all(isinstance(part, TypedColumn) for part in parts):
+        return TypedColumn.concat(parts)
+    return np.concatenate([part.objects() if isinstance(part, TypedColumn)
+                           else part for part in parts])
+
+
 class RowBlock:
     """A batch of rows stored column-wise."""
 
@@ -100,6 +110,18 @@ class RowBlock:
                                 for _ in range(width)], 0, kinds)
         return cls(layout, [_object_array(col) for col in zip(*rows)], n,
                    kinds)
+
+    @classmethod
+    def concat(cls, blocks: Sequence["RowBlock"]) -> "RowBlock":
+        """The rows of ``blocks`` (at least one), in order, as one block.
+        Columns concatenate as :func:`concat_columns` does."""
+        first = blocks[0]
+        if len(blocks) == 1:
+            return first
+        columns = [concat_columns([block.columns[i] for block in blocks])
+                   for i in range(len(first.columns))]
+        return cls(first.layout, columns, sum(len(b) for b in blocks),
+                   first.kinds)
 
     @classmethod
     def from_columns(cls, layout,
@@ -282,6 +304,11 @@ class RowBlock:
             block._null[idx] = null[mask]
         return block
 
+    def take(self, indices: np.ndarray) -> "RowBlock":
+        """The rows at ``indices`` (an integer array), in that order."""
+        return RowBlock(self.layout, [c[indices] for c in self.columns],
+                        len(indices), self.kinds)
+
     def slice(self, start: int, stop: int) -> "RowBlock":
         start = max(0, start)
         stop = min(self._length, stop)
@@ -304,17 +331,3 @@ def schema_kinds(schema) -> list:
     from repro.storage.types import DataType
     return [TEXT if c.dtype == DataType.TEXT else NUMERIC
             for c in schema.columns]
-
-
-def rows_to_blocks(layout, rows: Iterable[tuple],
-                   batch_size: int = DEFAULT_BATCH_SIZE
-                   ) -> Iterator[RowBlock]:
-    """Chunk a row iterable into blocks (the row->batch adaptor)."""
-    buffer: list[tuple] = []
-    for row in rows:
-        buffer.append(row)
-        if len(buffer) >= batch_size:
-            yield RowBlock.from_rows(layout, buffer)
-            buffer = []
-    if buffer:
-        yield RowBlock.from_rows(layout, buffer)

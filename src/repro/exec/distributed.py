@@ -304,12 +304,15 @@ class DistributedScheduler(pl.PlacedDriver):
                          messages=record["messages"])
         return stats
 
-    def gather(self, placed, op, label, rows=len) -> None:
+    def gather(self, placed, op, label, rows=len, units=None) -> None:
         """Funnel placed items (blocks, aggregate partials, sort runs,
         build parts) to the coordinator."""
-        transfers = [(node, COORDINATOR,
-                      block_bytes(item) if isinstance(item, RowBlock)
-                      else payload_bytes(item), n_rows)
+        def size(item):
+            if units is not None:
+                return 8 * units(item)
+            return (block_bytes(item) if isinstance(item, RowBlock)
+                    else payload_bytes(item))
+        transfers = [(node, COORDINATOR, size(item), n_rows)
                      for node, item in placed
                      if node != COORDINATOR and (n_rows := rows(item))]
         self._exchange(cat.GATHER, transfers, op, label)
@@ -416,9 +419,9 @@ class DistributedScheduler(pl.PlacedDriver):
         for stage in stages:
             if not isinstance(stage, pl.ProbeStage):
                 continue
-            build = stage.build
-            nbytes = payload_bytes(build.buckets)
-            transfers = [(COORDINATOR, node, nbytes, build.build_rows)
+            table = stage.build.table
+            nbytes = 8 * table.payload_units()
+            transfers = [(COORDINATOR, node, nbytes, table.rows)
                          for node in targets]
             self._exchange(cat.BROADCAST, transfers, stage.op,
                            "build broadcast")

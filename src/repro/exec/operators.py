@@ -12,7 +12,7 @@ Every operator carries two things over the same compiled state:
   predicate as a deferred mask), ``filter_mask`` (mask without the
   select), ``project_block`` (projection straight off a deferred mask),
   ``probe_block``, ``absorb_carrier``/``finish_state`` (aggregate sink),
-  ``sorted_rows`` (sort sink), ``limit_block`` (early-exit stage),
+  ``merge_runs`` (sort sink), ``limit_block`` (early-exit stage),
   ``distinct_block`` (order-sensitive stage).  Charged totals are
   identical to the row path, with one bounded exception: early
   termination (LIMIT) stops on block boundaries, so up to one block of
@@ -38,10 +38,11 @@ worker hook: it charges all of its virtual-time cost to the clock it is
 keeping the counters race-free); and it is safe to call concurrently
 from multiple threads because compiled state (``compile_expr_cached``
 evaluators, predicate batch evaluators) is effectively read-only after
-construction — the one exception is the batch predicate wrapper's
+construction — the exceptions are the batch predicate wrapper's
 fallback latch, an idempotent one-way write (see
-``compile_predicate_batch``) — and every :class:`RowBlock` is owned by
-exactly one worker at a time.  ``AggregateOp.partial_block`` is the
+``compile_predicate_batch``), and ``BuildTable.buckets()``, built once
+under its lock — and every :class:`RowBlock` is owned by one worker at
+a time.  ``AggregateOp.partial_block`` is the
 serial ``absorb_carrier`` run into a fresh state that logs instead of
 folding, so one partitioner serves every engine.
 """
@@ -49,6 +50,10 @@ folding, so one partitioner serves every engine.
 from __future__ import annotations
 
 from typing import Any, Iterator
+
+import itertools
+import operator
+import threading
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import (
     DEFAULT_BATCH_SIZE,
     RowBlock,
-    rows_to_blocks,
+    concat_columns,
     schema_kinds,
 )
 from repro.exec.expr import (
@@ -91,6 +96,29 @@ def _source_values(source, block: RowBlock) -> list:
     if kind == _SLOT:
         return block.values_list(payload)
     return [payload(row) for row in block.iter_rows()]
+
+
+def _key_arrays(column, ordered: bool = False) -> list[np.ndarray] | None:
+    """:meth:`TypedColumn.key_arrays` of a block column; None selects the
+    exact-object path (object arrays and ``"obj"`` columns: mixed types,
+    NaN, out-of-range ints, computed values)."""
+    if isinstance(column, TypedColumn):
+        return column.key_arrays(ordered)
+    return None
+
+
+def _stable_order(arrays: list[np.ndarray]) -> np.ndarray:
+    """Row indices in ascending lexicographic order of ``arrays`` (most
+    significant first), ties in row order."""
+    if len(arrays) > 1:
+        return np.lexsort(arrays[::-1])
+    keys = arrays[0]
+    if keys.dtype.kind == "i" and keys.itemsize > 2 and len(keys):
+        low = int(keys.min())
+        if int(keys.max()) - low < 1 << 16:
+            # 16-bit keys take numpy's radix sort: O(n), and stable
+            keys = (keys - low).astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 def _traced_generator(method):
@@ -320,7 +348,7 @@ class ProjectOp(Operator):
                 continue
             evaluators.append(compile_expr_cached(item.expr, child.layout))
             sources.append(_value_source(item.expr, child.layout))
-            slots.append(("", _output_name(item, i)))
+            slots.append(("", ast.output_name(item, i)))
         super().__init__(RowLayout(slots), clock)
         self.plan_node = node
         self._child = child
@@ -431,10 +459,11 @@ class HashJoinOp(Operator):
         self.plan_node = node
         self._left = left
         self._right = right
-        self._left_key = compile_expr_cached(node.left_key, left.layout)
-        self._right_key = compile_expr_cached(node.right_key, right.layout)
-        self._left_key_source = _value_source(node.left_key, left.layout)
-        self._right_key_source = _value_source(node.right_key, right.layout)
+        # the planner only ever joins on bare column references
+        self._left_slot = left.layout.resolve(node.left_key.name,
+                                              node.left_key.table)
+        self._right_slot = right.layout.resolve(node.right_key.name,
+                                                node.right_key.table)
         if node.residual is not None:
             self._residual = compile_expr_cached(node.residual, layout)
             self._residual_batch = compile_predicate_batch(node.residual,
@@ -449,14 +478,14 @@ class HashJoinOp(Operator):
         for lrow in self._left:
             self._clock.advance(CostModel.HASH_BUILD_ROW, cat.JOIN)
             build_rows += 1
-            key = self._left_key(lrow)
+            key = lrow[self._left_slot]
             if key is not None:
                 buckets.setdefault(key, []).append(lrow)
         probe_factor = self._spill(build_rows)
         for rrow in self._right:
             self._clock.advance(CostModel.HASH_PROBE_ROW * probe_factor,
                                 cat.JOIN)
-            key = self._right_key(rrow)
+            key = rrow[self._right_slot]
             if key is None:
                 continue
             for lrow in buckets.get(key, ()):
@@ -482,71 +511,173 @@ class HashJoinOp(Operator):
         return CostModel.HASH_SPILL_FACTOR / 2 if spilled else 1.0
 
     def build_block(self, block: RowBlock, clock: SimClock
-                    ) -> tuple[int, list[tuple[Any, tuple]]]:
-        """Build-side parallel hook: ``(row_count, [(key, row), ...])`` for
-        one block, NULL keys dropped, charging ``clock``.  ``row_count`` is
-        the *input* count (NULL keys included) so the spill decision sees
+                    ) -> tuple[int, RowBlock, "TypedColumn | np.ndarray"]:
+        """Build-side parallel hook: ``(row_count, rows, keys)`` for one
+        block — its rows with a non-NULL key, still columnar, beside
+        their key column — charging ``clock``.  ``row_count`` is the
+        *input* count (NULL keys included) so the spill decision sees
         the same build size as the serial engines."""
         n = len(block)
         clock.advance_batch(CostModel.HASH_BUILD_ROW, n, cat.JOIN)
-        keys = _source_values(self._left_key_source, block)
-        pairs = [(key, row) for row, key in zip(block.iter_rows(), keys)
-                 if key is not None]
-        return n, pairs
+        keys = block.columns[self._left_slot]
+        null = block.null_mask(self._left_slot)
+        if null.any():
+            block, keys = block.select(~null), keys[~null]
+        return n, block, keys
 
-    def merge_build(self, parts: list[tuple[int, list[tuple[Any, tuple]]]],
-                    clock: SimClock) -> tuple[dict[Any, list[tuple]], float]:
-        """Merge per-morsel build parts — in morsel order, so each bucket
-        lists build rows in exactly the serial engines' insertion order —
-        and charge any spill surcharge to ``clock``.  Returns
-        ``(buckets, probe_factor)``."""
-        buckets: dict[Any, list[tuple]] = {}
-        build_rows = 0
-        for n, pairs in parts:
-            build_rows += n
-            for key, row in pairs:
-                buckets.setdefault(key, []).append(row)
-        return buckets, self._spill(build_rows, clock)
+    def part_units(self, part: tuple) -> int:
+        """Modeled exchange size of one build part: the scalar leaves of
+        the ``(row_count, [(key, row), ...])`` it stands for."""
+        return 1 + (len(part[1]) * (1 + len(self._left.layout)) or 1)
 
-    def probe_block(self, block: RowBlock, buckets: dict[Any, list[tuple]],
-                    probe_factor: float,
+    def merge_build(self, parts: list[tuple], clock: SimClock) -> BuildTable:
+        """Concatenate per-block build parts — in block order, so equal
+        keys list their build rows in exactly the row engine's insertion
+        order — and charge any spill surcharge to ``clock``."""
+        build_rows = sum(part[0] for part in parts)
+        parts = [part for part in parts if len(part[1])]
+        block = keys = None
+        if parts:
+            block = RowBlock.concat([part[1] for part in parts])
+            keys = concat_columns([part[2] for part in parts])
+        return BuildTable(block, keys, build_rows,
+                          self._spill(build_rows, clock))
+
+    def probe_block(self, block: RowBlock, build: BuildTable,
                     clock: SimClock) -> RowBlock | None:
         """Probe-side parallel hook: join one probe block against the
-        (read-only) bucket table, charging ``clock``; None when no row
-        survives."""
-        clock.advance_batch(CostModel.HASH_PROBE_ROW * probe_factor,
+        (read-only) build table, charging ``clock``; None when no row
+        survives.  The output is one ``take`` per column over the
+        matching ``(build row, probe row)`` index pairs."""
+        clock.advance_batch(CostModel.HASH_PROBE_ROW * build.probe_factor,
                             len(block), cat.JOIN)
-        keys = _source_values(self._right_key_source, block)
-        candidates: list[tuple] = []
-        for rrow, key in zip(block.iter_rows(), keys):
-            if key is None:
-                continue
-            for lrow in buckets.get(key, ()):
-                candidates.append(lrow + rrow)
-        if not candidates:
+        pairs = build.match(block.columns[self._right_slot])
+        if pairs is None:
             return None
-        clock.advance_batch(CostModel.TUPLE_CPU, len(candidates), cat.JOIN)
-        out = RowBlock.from_rows(self.layout, candidates)
+        build_idx, probe_idx = pairs
+        candidates = len(build_idx)
+        clock.advance_batch(CostModel.TUPLE_CPU, candidates, cat.JOIN)
+        out = RowBlock(self.layout,
+                       [c[build_idx] for c in build.block.columns]
+                       + [c[probe_idx] for c in block.columns],
+                       candidates, build.block.kinds + block.kinds)
         if self._residual_batch is not None:
-            clock.advance_batch(CostModel.EVAL_PREDICATE, len(candidates),
+            clock.advance_batch(CostModel.EVAL_PREDICATE, candidates,
                                 cat.JOIN)
             out = out.select(self._residual_batch(out))
         return out if out else None
 
 
+class BuildTable:
+    """The finished build side of a hash join: the build rows with a
+    non-NULL key as one columnar ``block`` (``rows`` counts the input,
+    NULL keys included).  A typed key column is kept as a stably sorted
+    array — ``keys[i]`` is the key of block row ``order[i]``, equal keys
+    in insertion order — and probed with ``searchsorted`` by columns of
+    the same representation.  Object keys, and probe columns of another
+    representation (object values, text against numbers, ints against
+    floats), go through ``buckets()``, built on first use."""
+
+    def __init__(self, block: RowBlock | None, key_column, rows: int,
+                 probe_factor: float):
+        self.block = block            # None when no build row has a key
+        self.rows = rows
+        self.probe_factor = probe_factor
+        self._key_column = key_column
+        self._buckets: dict[Any, list[int]] | None = None
+        self._lock = threading.Lock()
+        self.keys = self.order = None
+        arrays = None if block is None else _key_arrays(key_column)
+        if arrays is not None:
+            data = arrays[-1]         # keys are NULL-free: the value array
+            if data.dtype == bool:
+                data = data.astype(np.int64)
+            self.order = np.argsort(data, kind="stable")
+            self.keys = data[self.order]
+
+    def buckets(self) -> dict[Any, list[int]]:
+        """Block row indices per key, in insertion order."""
+        with self._lock:
+            if self._buckets is None:
+                buckets: dict[Any, list[int]] = {}
+                for i, key in enumerate(self._key_column.tolist()):
+                    buckets.setdefault(key, []).append(i)
+                self._buckets = buckets
+        return self._buckets
+
+    def payload_units(self) -> int:
+        """Modeled exchange size: the scalar leaves of the ``{key: [row,
+        ...]}`` table this stands for."""
+        if self.block is None:
+            return 1
+        distinct = (len(self.buckets()) if self.keys is None else
+                    1 + np.count_nonzero(self.keys[1:] != self.keys[:-1]))
+        return distinct + len(self.block) * len(self.block.columns)
+
+    def match(self, probe) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(build rows, probe rows)`` of every key match between the
+        table and one probe key column, probe-row-major and
+        build-insertion-minor — the order the row engine's bucket walk
+        emits — or None when nothing matches."""
+        if self.block is None:
+            return None
+        spans = self._spans(probe)
+        if spans is None:
+            buckets = self.buckets()
+            build_idx: list[int] = []
+            probe_idx: list[int] = []
+            for i, key in enumerate(probe.tolist()):
+                hits = buckets.get(key)
+                if hits:
+                    build_idx += hits
+                    probe_idx += [i] * len(hits)
+            if not build_idx:
+                return None
+            return (np.array(build_idx, dtype=np.intp),
+                    np.array(probe_idx, dtype=np.intp))
+        lo, counts = spans
+        total = int(counts.sum())
+        if not total:
+            return None
+        # match j of probe row i is sorted slot lo[i] + (j - first[i])
+        first = np.cumsum(counts) - counts
+        slots = np.arange(total) - np.repeat(first - lo, counts)
+        return self.order[slots], np.repeat(np.arange(len(counts)), counts)
+
+    def _spans(self, probe) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per probe row, the start and length of its run of equal keys
+        in the sorted key array; None when the comparison needs Python
+        equality."""
+        if self.keys is None or not isinstance(probe, TypedColumn):
+            return None
+        if probe.kind == "dict" and self._key_column.kind == "dict":
+            # probe codes in the build dictionary; a string it lacks and
+            # NULL (code -1: the last slot) match nothing
+            codes = [self._key_column.code_of(s) for s in probe.dictionary]
+            lut = np.array([-1 if code is None else code for code in codes]
+                           + [-1], dtype=np.int32)
+            values = lut[probe.data]
+        else:
+            values = (probe.data.astype(np.int64) if probe.kind == "bool"
+                      else probe.data)
+            if values.dtype != self.keys.dtype:
+                return None       # objects, text vs number, int vs float
+        lo = np.searchsorted(self.keys, values, "left")
+        counts = np.searchsorted(self.keys, values, "right") - lo
+        if probe.valid is not None:
+            counts[~probe.valid] = 0
+        return lo, counts
+
+
 class _Accumulator:
     """One aggregate function instance (per group)."""
 
-    def __init__(self, func: ast.FuncCall, layout: RowLayout):
+    def __init__(self, func: ast.FuncCall, arg):
+        # arg: the compiled argument evaluator, None for COUNT(*)
         self.name = func.name
         self.distinct = func.distinct
         self._seen: set | None = set() if func.distinct else None
-        if func.args and not isinstance(func.args[0], ast.Star):
-            self._arg = compile_expr_cached(func.args[0], layout)
-        else:
-            if self.name != "count":
-                raise BindError(f"{self.name}(*) is not valid")
-            self._arg = None
+        self._arg = arg
         self.count = 0
         self.total: Any = None
         self.minimum: Any = None
@@ -596,20 +727,13 @@ class _Accumulator:
         self.count += len(live)
         name = self.name
         if name in ("sum", "avg"):
-            try:
-                # builtin sum adds strictly left-to-right, so seeding it
-                # with the running total reproduces the row path's
-                # addition order at C speed
-                if self.total is None:
-                    self.total = sum(live[1:], live[0])
-                else:
-                    self.total = sum(live, self.total)
-            except TypeError:
-                # not summable via sum() (e.g. str concatenation)
-                total = self.total
-                for value in live:
-                    total = value if total is None else total + value
-                self.total = total
+            # builtin sum adds strictly left-to-right, so seeding it
+            # with the running total reproduces the row path's
+            # addition order at C speed
+            if self.total is None:
+                self.total = sum(live[1:], live[0])
+            else:
+                self.total = sum(live, self.total)
         elif name == "min":
             low = min(live)
             if self.minimum is None or low < self.minimum:
@@ -675,7 +799,7 @@ class AggregateOp(Operator):
 
     def __init__(self, node: plan.Aggregate, child: Operator,
                  clock: SimClock):
-        slots = [("", _output_name(item, i))
+        slots = [("", ast.output_name(item, i))
                  for i, item in enumerate(node.items)]
         super().__init__(RowLayout(slots), clock)
         self.plan_node = node
@@ -693,6 +817,16 @@ class AggregateOp(Operator):
             None if (not call.args or isinstance(call.args[0], ast.Star))
             else _value_source(call.args[0], child.layout)
             for call in self._agg_calls]
+        # compiled once here, not once per group
+        self._agg_args = []
+        for call, source in zip(self._agg_calls, self._agg_sources):
+            if source is None and call.name != "count":
+                raise BindError(f"{call.name}(*) is not valid")
+            self._agg_args.append(
+                None if source is None
+                else compile_expr_cached(call.args[0], child.layout))
+        self._item_evals = [self._compile_item(item.expr)
+                            for item in node.items]
         # deferred-mask absorption is safe only when every group key and
         # aggregate argument is a plain column passthrough: row evaluators
         # must never see rows the mask already rejected
@@ -711,8 +845,8 @@ class AggregateOp(Operator):
             self._collect_aggs(expr.operand)
 
     def _new_accs(self) -> list[_Accumulator]:
-        return [_Accumulator(call, self._child.layout)
-                for call in self._agg_calls]
+        return [_Accumulator(call, arg)
+                for call, arg in zip(self._agg_calls, self._agg_args)]
 
     def __iter__(self) -> Iterator[tuple]:
         groups: dict[tuple, tuple[list[_Accumulator], tuple]] = {}
@@ -736,24 +870,32 @@ class AggregateOp(Operator):
                        clock: SimClock) -> None:
         """Sink hook: fold the ``count`` surviving rows of ``(block,
         mask)`` into the accumulation state, charging ``clock``, without
-        materializing the selection.  Strategy per block: whole-block
-        accumulators for global aggregates, mask partitioning for narrow
-        single-column GROUP BY, per-row partitioning otherwise.  When
-        every key/argument is a column passthrough a deferred mask rides
-        along into the partitioners (group masks are AND-ed with it,
-        value takes fancy-index through it); otherwise the block is
-        selected once so row evaluators only ever see surviving rows."""
+        materializing the selection.  Rows are grouped by the array
+        partitioner when every group key is a typed column and by the
+        exact-object one otherwise (computed keys, ``"obj"`` columns); a
+        global aggregate is one group.  When every key/argument is a
+        column passthrough a deferred mask rides along; otherwise the
+        block is selected once so row evaluators only ever see
+        surviving rows."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         if mask is not None and not self._slot_only:
             block = block.select(mask)
             mask = None
-        if not self._node.group_by:
-            self._accumulate_all(block, state, mask, count)
-        elif (len(self._group_sources) == 1
-                and self._group_sources[0][0] == _SLOT):
-            self._accumulate_by_column(block, state, mask)
+        key_columns = [block.columns[payload] if kind == _SLOT else None
+                       for kind, payload in self._group_sources]
+        key_arrays = [_key_arrays(column) for column in key_columns]
+        if not key_columns:
+            first = 0 if mask is None else int(mask.argmax())
+            grouped = [()], np.array([first]), mask, [0], [count]
+        elif all(arrays is not None for arrays in key_arrays):
+            grouped = self._group_typed(
+                mask, key_columns, [a for arrays in key_arrays for a in arrays])
         else:
-            self._accumulate_by_rows(block, state, mask)
+            if mask is not None:
+                block = block.select(mask)
+            grouped = self._group_exact(block)
+        if grouped is not None:
+            self._fold_groups(block, state, *grouped)
 
     def finish_state(self, state: _GroupState) -> RowBlock | None:
         """Sink hook: emit the result block (rows_out attributed), or
@@ -779,148 +921,49 @@ class AggregateOp(Operator):
                 arrays.append((values, False))
         return arrays
 
-    def _accumulate_all(self, block, state, mask, count) -> None:
-        """No GROUP BY: the whole block (or its masked selection) feeds
-        one accumulator set."""
-        if () not in state.groups:
-            first = 0 if mask is None else int(mask.argmax())
-            state.open((), tuple(c[first] for c in block.columns))
-        for acc, entry in zip(state.groups[()][0], self._call_arrays(block)):
-            if entry is None:
-                acc.add_count(count)
-            else:
-                values, clean = entry
-                if mask is not None:
-                    values = values[mask]
-                acc.add_values(values.tolist(), clean)
+    # Both partitioners answer with ``(keys, firsts, rows, lows, highs)``:
+    # ``rows`` selects the block's surviving rows (None: all, as they
+    # are), arranged so that group ``g`` — keys in first-seen order, first
+    # seen on row ``firsts[g]`` — owns positions ``lows[g]:highs[g]`` of
+    # the selection, in row order.
 
-    # mask partitioning costs one full-column comparison per distinct key;
-    # past this many keys per block the per-row dict loop is cheaper
-    _MASK_PARTITION_MAX_KEYS = 32
-
-    def _accumulate_by_column(self, block, state, mask) -> None:
-        """Single-column GROUP BY: partition with boolean masks — one C
-        comparison per distinct key instead of a per-row dict loop.
-
-        Typed group columns partition without touching Python values:
-        dictionary strings compare int32 codes (NULL rows carry code -1,
-        so the NULL group falls out of the same comparison), and clean
-        int64/float64/bool columns compare their data arrays directly.
-        A deferred selection ``mask`` is AND-ed into each group's mask —
+    def _group_typed(self, mask, key_columns, arrays):
+        """GROUP BY over typed key columns, without a per-row step: one
+        stable argsort of the key arrays brings each group's rows
+        together in row order, group boundaries fall where any key array
+        changes, and first-seen group order is the order of the groups'
+        first rows.  A deferred ``mask`` only narrows the row set:
         rejected rows are never materialized."""
-        slot = self._group_sources[0][1]
-        raw = block.columns[slot]
-        typed = raw if isinstance(raw, TypedColumn) else None
-
-        if typed is not None and typed.kind == "dict":
-            codes = typed.data
-            sel = codes if mask is None else codes[mask]
-            # one O(n) bincount pass finds the distinct codes AND each
-            # group's row count; +1 shifts the NULL code -1 into range
-            counts = np.bincount(sel + 1,
-                                 minlength=len(typed.dictionary) + 1)
-            distinct_codes = (np.nonzero(counts)[0] - 1).tolist()
-            if len(distinct_codes) > self._MASK_PARTITION_MAX_KEYS:
-                self._accumulate_by_rows(block, state, mask)
-                return
-            if len(distinct_codes) > 1:
-                # bincount yields codes in sorted order; unseen keys must
-                # enter the groups in first-occurrence order to match the
-                # row path, so order the fresh ones by first hit (known
-                # groups accumulate independently — their order is free)
-                fresh = [c for c in distinct_codes
-                         if (None if c < 0 else typed.dictionary[c])
-                         not in state.groups]
-                if len(fresh) > 1:
-                    firsts = {c: int(np.argmax(sel == c)) for c in fresh}
-                    distinct_codes.sort(key=lambda c: firsts.get(c, -1))
-            call_arrays = self._call_arrays(block)
-            for code in distinct_codes:
-                key = None if code < 0 else typed.dictionary[code]
-                gmask = codes == code
-                if mask is not None:
-                    gmask &= mask
-                self._absorb_group(block, key, gmask, state, call_arrays,
-                                   rows_in_group=int(counts[code + 1]))
-            return
-
-        if typed is not None and typed.kind in ("i8", "f8", "bool"):
-            # f8 typed columns are NaN-free by construction (NaN floats
-            # fall back to the object layout), so no NaN-key guard needed
-            keys = typed.values_list(mask)
-            distinct = dict.fromkeys(keys)
-            if len(distinct) > self._MASK_PARTITION_MAX_KEYS:
-                self._accumulate_by_rows(block, state, mask)
-                return
-            call_arrays = self._call_arrays(block)
-            for key in distinct:
-                if key is None:
-                    gmask = typed.null_mask()
-                    gmask = gmask if mask is None else (gmask & mask)
-                else:
-                    gmask = typed.data == key
-                    if typed.valid is not None:
-                        gmask &= typed.valid
-                    if mask is not None:
-                        gmask &= mask
-                self._absorb_group(block, key, gmask, state, call_arrays)
-            return
-
-        col = block.column(slot)
-        sel_col = col if mask is None else col[mask]
-        distinct = dict.fromkeys(sel_col.tolist())
-        if (len(distinct) > self._MASK_PARTITION_MAX_KEYS
-                or any(_is_nan(k) for k in distinct)):
-            # high cardinality would go quadratic; NaN keys defeat equality
-            # masks entirely — both use the per-row dict partition, which
-            # shares the row engine's identity semantics for NaN.  Same
-            # guard as _sort_key: isinstance-checked NaN, so an exotic
-            # __ne__ can never be mistaken for (or hide) a NaN key
-            self._accumulate_by_rows(block, state, mask)
-            return
-        call_arrays = self._call_arrays(block)
-        for key in distinct:
-            if key is None:
-                gmask = block.null_mask(slot)
-                gmask = gmask if mask is None else (gmask & mask)
-            else:
-                gmask = np.asarray(col == key, dtype=bool)
-                if mask is not None:
-                    gmask &= mask
-            self._absorb_group(block, key, gmask, state, call_arrays)
-
-    def _absorb_group(self, block, key, gmask, state, call_arrays,
-                      rows_in_group: int | None = None) -> None:
-        """Fold one group's masked rows into its accumulators (shared tail
-        of every mask-partition strategy)."""
-        if key not in state.groups:
-            first = int(gmask.argmax())
-            state.open(key, tuple(c[first] for c in block.columns))
-        if rows_in_group is None:
-            rows_in_group = int(np.count_nonzero(gmask))
-        for acc, entry in zip(state.groups[key][0], call_arrays):
-            if entry is None:
-                acc.add_count(rows_in_group)
-            else:
-                values, clean = entry
-                acc.add_values(values[gmask].tolist(), clean)
-
-    def _accumulate_by_rows(self, block, state, mask) -> None:
-        """General GROUP BY (multi-column or computed keys, and the
-        fallback of the mask partition): per-row partition of the
-        selected rows, preserving row order so accumulation matches the
-        row path exactly."""
         if mask is not None:
-            block = block.select(mask)
-        # one C-speed pass per argument column (and one row view, on the
-        # first new group) instead of a typed-column lookup per value
-        call_values = [None if entry is None else (entry[0].tolist(), entry[1])
-                       for entry in self._call_arrays(block)]
-        rows: list[tuple] | None = None
+            selected = np.flatnonzero(mask)
+            arrays = [a[selected] for a in arrays]
+        n = len(arrays[0])
+        if not n:
+            return None
+        order = _stable_order(arrays)
+        changed = np.zeros(n - 1, dtype=bool)
+        for a in arrays:
+            ordered = a[order]
+            changed |= ordered[1:] != ordered[:-1]
+        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+        rows = order if mask is None else selected[order]
+        firsts = rows[starts]             # stable: a group's earliest row
+        seen = np.argsort(firsts)         # groups in first-seen order
+        firsts = firsts[seen]
+        key_lists = [column[firsts].tolist() for column in key_columns]
+        # single-column keys stay raw so both partitioners can interleave
+        # across blocks without splitting groups
+        keys = (key_lists[0] if len(key_lists) == 1
+                else list(zip(*key_lists)))
+        return (keys, firsts, rows, starts[seen].tolist(),
+                np.concatenate((starts[1:], [n]))[seen].tolist())
+
+    def _group_exact(self, block):
+        """Exact-object GROUP BY (a computed key, or a key column that is
+        not typed: mixed types, NaN, out-of-range ints): per-row dict
+        partition under Python equality."""
         key_columns = [_source_values(source, block)
                        for source in self._group_sources]
-        # single-column keys stay raw so this path and the mask path can
-        # interleave across blocks without splitting groups
         keys = (key_columns[0] if len(key_columns) == 1
                 else list(zip(*key_columns)))
         partition: dict[Any, list[int]] = {}
@@ -928,19 +971,42 @@ class AggregateOp(Operator):
             bucket = partition.get(key)
             if bucket is None:
                 partition[key] = [i]
-                if key not in state.groups:
-                    if rows is None:
-                        rows = block.to_rows()
-                    state.open(key, rows[i])
             else:
                 bucket.append(i)
-        for key, indices in partition.items():
-            for acc, entry in zip(state.groups[key][0], call_values):
-                if entry is None:
-                    acc.add_count(len(indices))
-                else:
-                    values, clean = entry
-                    acc.add_values([values[i] for i in indices], clean)
+        highs = list(itertools.accumulate(map(len, partition.values())))
+        rows = np.fromiter(itertools.chain.from_iterable(partition.values()),
+                           dtype=np.intp, count=len(keys))
+        firsts = np.array([bucket[0] for bucket in partition.values()],
+                          dtype=np.intp)
+        return list(partition), firsts, rows, [0] + highs[:-1], highs
+
+    def _fold_groups(self, block, state, keys, firsts, rows, lows,
+                     highs) -> None:
+        """Open the groups not seen before (representative: the group's
+        first row) and hand every group its argument values as one
+        row-ordered slice — so accumulation (left-to-right float sums,
+        DISTINCT first-seen order) and partial entries are exactly the
+        row engine's."""
+        fresh = [g for g, key in enumerate(keys) if key not in state.groups]
+        if fresh:
+            representatives = block.take(firsts[fresh]).to_rows()
+            for g, representative in zip(fresh, representatives):
+                state.open(keys[g], representative)
+        group_accs = [state.groups[key][0] for key in keys]
+        for slot, entry in enumerate(self._call_arrays(block)):
+            if entry is None:
+                for accs, low, high in zip(group_accs, lows, highs):
+                    accs[slot].add_count(high - low)
+            else:
+                column, clean = entry
+                if rows is not None:
+                    column = column[rows]
+                if len(keys) == 1:        # one group: the list is its slice
+                    group_accs[0][slot].add_values(column.tolist(), clean)
+                    continue
+                values = column.tolist()
+                for accs, low, high in zip(group_accs, lows, highs):
+                    accs[slot].add_values(values[low:high], clean)
 
     # -- worker hooks ------------------------------------------------------
     #
@@ -1016,10 +1082,9 @@ class AggregateOp(Operator):
     # partitioned merge charges nothing: every per-row cost was already
     # charged in a worker (see docs/parallel.md).
 
-    # partials whose widest morsel stays at or under the mask-partition
-    # cutoff keep the plain serial merge; past it the merge dict is worth
-    # partitioning
-    PARTITION_MIN_KEYS = _MASK_PARTITION_MAX_KEYS
+    # partials whose widest morsel stays at or under this many groups keep
+    # the plain serial merge; past it the merge dict is worth partitioning
+    PARTITION_MIN_KEYS = 32
 
     def split_partial(self, partial: dict, parts: int,
                       hasher=hash) -> list[dict]:
@@ -1084,30 +1149,44 @@ class AggregateOp(Operator):
         if not groups and not self._node.group_by:
             groups[()] = (self._new_accs(), ())
         for accs, representative in groups.values():
-            results = {id(call): acc.result()
-                       for call, acc in zip(self._agg_calls, accs)}
-            out = tuple(self._eval_item(item.expr, representative, results)
-                        for item in self._node.items)
+            results = [acc.result() for acc in accs]
+            out = tuple(item(representative, results)
+                        for item in self._item_evals)
             yield self._emit(out) if count else out
 
-    def _eval_item(self, expr: ast.Expr, row: tuple,
-                   agg_results: dict[int, Any]) -> Any:
+    def _compile_item(self, expr: ast.Expr):
+        """One select item as ``fn(representative row, aggregate
+        results)``: an aggregate call reads its slot of the results,
+        arithmetic over items is NULL-propagating, anything else
+        evaluates against the group's representative row."""
         if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
-            return agg_results[id(expr)]
+            slot = next(i for i, call in enumerate(self._agg_calls)
+                        if call is expr)
+            return lambda row, results: results[slot]
         if isinstance(expr, ast.BinaryOp):
-            left = self._eval_item(expr.left, row, agg_results)
-            right = self._eval_item(expr.right, row, agg_results)
-            if left is None or right is None:
-                return None
-            return {"+": lambda: left + right, "-": lambda: left - right,
-                    "*": lambda: left * right,
-                    "/": lambda: left / right if right else None,
-                    }.get(expr.op, lambda: None)()
+            left = self._compile_item(expr.left)
+            right = self._compile_item(expr.right)
+            op = _ITEM_OPS.get(expr.op)
+
+            def binary(row, results):
+                a, b = left(row, results), right(row, results)
+                if a is None or b is None or op is None:
+                    return None
+                return op(a, b)
+            return binary
         if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-            value = self._eval_item(expr.operand, row, agg_results)
-            return None if value is None else -value
+            operand = self._compile_item(expr.operand)
+
+            def negate(row, results):
+                value = operand(row, results)
+                return None if value is None else -value
+            return negate
         evaluator = compile_expr_cached(expr, self._child.layout)
-        return evaluator(row) if row else None
+        return lambda row, results: evaluator(row) if row else None
+
+
+_ITEM_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": lambda a, b: a / b if b else None}
 
 
 class _Descending:
@@ -1137,9 +1216,12 @@ class SortOp(Operator):
         self._child = child
         self._keys = [(compile_expr_cached(k.expr, child.layout),
                        k.descending) for k in node.keys]
+        self._key_sources = [(_value_source(k.expr, child.layout),
+                              k.descending) for k in node.keys]
 
     def _composite_key(self, row: tuple) -> tuple:
-        """Total-order composite sort key for one row.
+        """Total-order composite sort key for one row — the row engine's
+        sort, and the block engines' exact-object fallback.
 
         A single stable sort on this tuple is equivalent to the classic
         per-key reversed stable-sort cascade *because* ``_sort_key`` is a
@@ -1159,74 +1241,83 @@ class SortOp(Operator):
         import math
         return n * math.log2(n) * CostModel.SORT_ROW_LOG
 
-    def sorted_rows(self, rows: list[tuple],
-                    clock: SimClock) -> list[tuple]:
-        """Fused sink hook: sort collected rows in place, charging
-        ``clock`` the full n·log₂(n) — the one sort charge the serial
-        engines make."""
+    def __iter__(self) -> Iterator[tuple]:
+        rows = list(self._child)
         cost = self._sort_cost(len(rows))
         if cost:
-            clock.advance(cost, cat.SORT)
+            self._clock.advance(cost, cat.SORT)
         rows.sort(key=self._composite_key)
-        return rows
-
-    def __iter__(self) -> Iterator[tuple]:
-        for row in self.sorted_rows(list(self._child), self._clock):
+        for row in rows:
             yield self._emit(row)
 
-    # -- parallel hooks ----------------------------------------------------
+    # -- block hooks -------------------------------------------------------
     #
-    # The morsel scheduler sorts each input block into a *run* of
-    # (composite key, row) pairs on a worker (sort_block), then k-way
-    # merges the runs on the serial lane (merge_runs).  Charge split:
-    # each run pays its own n_i*log2(n_i) on the worker that sorted it,
-    # and the merge pays the remainder n*log2(n) - sum(n_i*log2(n_i)) —
-    # about n*log2(k), the classic k-way merge cost — so the charged
-    # total is exactly what the serial engines' single _sorted charges.
-    # Determinism: runs arrive in morsel order and the merge heap breaks
-    # key ties by (run index, position), which is precisely the serial
-    # sort's stability over input order; rows are never compared.
+    # One stable argsort over key arrays: each key that is a typed column
+    # contributes ``TypedColumn.key_arrays(ordered=True)`` — a NULL flag
+    # (if it has NULLs) ahead of the values or dictionary ranks, i.e.
+    # ``_sort_key``'s buckets restricted to what one typed column holds —
+    # flipped as a whole under DESC, so NULLs lead as ``_Descending``
+    # makes them; stability gives the row engine's tie order.  If any key
+    # is not a typed column the sort compares ``_composite_key`` tuples.
+    #
+    # The placed engines sort each block into a *run* on a worker
+    # (sort_block) and the runs, concatenated in morsel order, on the
+    # serial lane (merge_runs).  Each run pays its own n_i*log2(n_i) and
+    # the merge the remainder n*log2(n) - sum(n_i*log2(n_i)) — about
+    # n*log2(k), the k-way merge cost — so the total is the serial
+    # engines' single charge.
 
-    def sort_block(self, block: RowBlock, clock: SimClock
-                   ) -> list[tuple[tuple, tuple]]:
-        """Parallel hook: sort one morsel's rows into a keyed run,
-        charging ``clock`` the run's share of the sort cost."""
-        rows = block.to_rows()
-        cost = self._sort_cost(len(rows))
+    def _order(self, block: RowBlock) -> np.ndarray:
+        """The stable sort permutation of ``block``'s rows."""
+        arrays: list[np.ndarray] = []
+        for (kind, payload), descending in self._key_sources:
+            typed = (_key_arrays(block.columns[payload], ordered=True)
+                     if kind == _SLOT else None)
+            if typed is None:
+                keys = [self._composite_key(row) for row in block.iter_rows()]
+                return np.array(sorted(range(len(keys)),
+                                       key=keys.__getitem__), dtype=np.intp)
+            if descending:
+                # -x for floats, ~x (= -x - 1, no overflow) for the rest
+                typed = [-a if a.dtype.kind == "f" else ~a for a in typed]
+            arrays += typed
+        return _stable_order(arrays)
+
+    def sort_block(self, block: RowBlock, clock: SimClock) -> RowBlock:
+        """Parallel hook: sort one morsel's rows into a run, charging
+        ``clock`` the run's share of the sort cost."""
+        cost = self._sort_cost(len(block))
         if cost:
             clock.advance(cost, cat.SORT)
-        run = [(self._composite_key(row), row) for row in rows]
-        run.sort(key=lambda pair: pair[0])
-        return run
+        return block.take(self._order(block))
 
-    def merge_runs(self, runs: list[list[tuple[tuple, tuple]]],
-                   clock: SimClock) -> list[RowBlock]:
-        """Serial-lane parallel hook: k-way merge of per-morsel sorted
-        runs; charges ``clock`` the merge remainder so run charges plus
-        this equal the serial engines' total.  Does not touch
-        ``rows_out`` — the scheduler attributes counts."""
-        import heapq
-        runs = [run for run in runs if run]
-        total = sum(len(run) for run in runs)
-        remainder = self._sort_cost(total) - sum(
-            self._sort_cost(len(run)) for run in runs)
-        if remainder > 0:
-            clock.advance(remainder, cat.SORT)
+    def run_units(self, run: RowBlock) -> int:
+        """Modeled exchange size of one run: the scalar leaves of the
+        ``[(composite key, row), ...]`` list it stands for (an ASC key
+        is a two-slot ``_sort_key``, a DESC key one wrapped slot)."""
+        return len(run) * (len(run.columns) + sum(
+            1 if descending else 2 for _, descending in self._keys))
+
+    def merge_runs(self, runs: list[RowBlock], clock: SimClock,
+                   paid: bool = True,
+                   top: int | None = None) -> list[RowBlock]:
+        """Serial-lane hook: one stable sort over ``runs`` concatenated
+        in order, cut into batch-size blocks.  Charges ``clock`` the whole
+        sort less what the runs' own sorts ``paid`` (the serial sink's
+        unsorted blocks paid nothing).  ``top`` (a LIMIT directly above)
+        cuts the permutation before any row is gathered.  Does not touch
+        ``rows_out``."""
+        cost = self._sort_cost(sum(len(run) for run in runs))
+        if paid:
+            cost -= sum(self._sort_cost(len(run)) for run in runs)
+        if cost > 0:
+            clock.advance(cost, cat.SORT)
         if not runs:
             return []
-        if len(runs) == 1:
-            rows = [row for _, row in runs[0]]
-        else:
-            heap = [(run[0][0], idx, 0) for idx, run in enumerate(runs)]
-            heapq.heapify(heap)
-            rows = []
-            while heap:
-                key, idx, pos = heapq.heappop(heap)
-                rows.append(runs[idx][pos][1])
-                pos += 1
-                if pos < len(runs[idx]):
-                    heapq.heappush(heap, (runs[idx][pos][0], idx, pos))
-        return list(rows_to_blocks(self.layout, rows))
+        merged = RowBlock.concat(runs)
+        out = merged.take(self._order(merged)[:top])
+        return [out.slice(start, start + DEFAULT_BATCH_SIZE)
+                for start in range(0, len(out), DEFAULT_BATCH_SIZE)]
 
 
 def _is_nan(value: Any) -> bool:
@@ -1359,13 +1450,3 @@ class EmptyRowOp(Operator):
 
     def batches(self) -> Iterator[RowBlock]:
         yield self._emit_block(RowBlock.from_rows(self.layout, [()]))
-
-
-def _output_name(item: ast.SelectItem, position: int) -> str:
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ast.ColumnRef):
-        return item.expr.name
-    if isinstance(item.expr, ast.FuncCall):
-        return item.expr.name
-    return f"col{position}"

@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.common.simtime import BudgetExceeded, SimClock
 from repro.exec import operators as ops
-from repro.exec.batch import RowBlock, rows_to_blocks
+from repro.exec.batch import RowBlock
 from repro.exec.expr import RowLayout
 
 
@@ -174,7 +174,7 @@ class ProjectStage(PipelineStage):
 
 
 class ProbeStage(PipelineStage):
-    """Hash-join probe against a :class:`BuildSink`'s finished bucket
+    """Hash-join probe against a :class:`BuildSink`'s finished build
     table (read-only by the time any probe runs)."""
 
     def __init__(self, op: ops.HashJoinOp, build: "BuildSink"):
@@ -182,8 +182,8 @@ class ProbeStage(PipelineStage):
         self.build = build
 
     def apply(self, carrier, clock):
-        out = self.op.probe_block(carrier.materialize(), self.build.buckets,
-                                  self.build.probe_factor, clock)
+        out = self.op.probe_block(carrier.materialize(), self.build.table,
+                                  clock)
         return BlockCarrier(out) if out is not None else None
 
 
@@ -274,46 +274,40 @@ class AggregateSink(PipelineSink):
 
 
 class SortSink(PipelineSink):
+    """Collects blocks; the sort is one stable argsort at finish.
+    ``top`` is set at compile time when a LIMIT sits directly above: only
+    the first ``offset + limit`` sorted rows are ever gathered."""
+
     def __init__(self, op: ops.SortOp):
         super().__init__(op)
-        self._rows: list[tuple] = []
+        self._blocks: list[RowBlock] = []
+        self.top: int | None = None
 
     def absorb(self, block, clock):
-        self._rows.extend(block.iter_rows())
+        self._blocks.append(block)
 
     def finish(self, clock):
-        rows = self.op.sorted_rows(self._rows, clock)
-        for block in rows_to_blocks(self.op.layout, rows):
-            self.result_blocks.append(self.op._emit_block(block))
+        self.result_blocks = self.op.merge_runs(self._blocks, clock,
+                                                paid=False, top=self.top)
+        self.op.rows_out += sum(len(block) for block in self._blocks)
 
 
 class BuildSink(PipelineSink):
-    """Hash-join build side: buckets in input order, spill surcharge at
-    finish.  The placed walk fills it from merged per-morsel build parts
-    instead (:meth:`set_built`); either way the probe stage reads the
-    same ``buckets``/``probe_factor``.  ``build_rows`` counts the build
-    input (NULL keys included)."""
+    """Hash-join build side: per-block build parts in input order,
+    merged — with the spill surcharge — into ``table`` at finish.  The
+    placed walk merges per-morsel parts into it instead; either way the
+    probe stage reads the same :class:`~repro.exec.operators.BuildTable`."""
 
     def __init__(self, op: ops.HashJoinOp):
         super().__init__(op)
-        self.buckets: dict = {}
-        self.probe_factor = 1.0
-        self.build_rows = 0
+        self._parts: list[tuple] = []
+        self.table: ops.BuildTable | None = None
 
     def absorb(self, block, clock):
-        n, pairs = self.op.build_block(block, clock)
-        self.build_rows += n
-        for key, row in pairs:
-            self.buckets.setdefault(key, []).append(row)
+        self._parts.append(self.op.build_block(block, clock))
 
     def finish(self, clock):
-        self.probe_factor = self.op._spill(self.build_rows, clock)
-
-    def set_built(self, buckets: dict, probe_factor: float,
-                  build_rows: int) -> None:
-        self.buckets = buckets
-        self.probe_factor = probe_factor
-        self.build_rows = build_rows
+        self.table = self.op.merge_build(self._parts, clock)
 
 
 # -- sources ------------------------------------------------------------------
@@ -545,6 +539,17 @@ def _break_as_stage(stage_cls):
     return handler
 
 
+def _break_limit(op: ops.LimitOp, pipelines: list[Pipeline]) -> Pipeline:
+    """Limit rides as a serial stage; directly above a sort it also tells
+    the sort sink how many rows will ever be read (top-k)."""
+    p = _break_as_stage(LimitStage)(op, pipelines)
+    if (len(p.stages) == 1 and op._limit is not None
+            and isinstance(p.source, SinkSource)
+            and isinstance(p.source.sink, SortSink)):
+        p.source.sink.top = op._offset + op._limit
+    return p
+
+
 # how each BREAKER plan node's operator splits the pipeline; an
 # unregistered breaker gets the conservative serial fallback below
 _BREAKER_HANDLERS = {
@@ -552,7 +557,7 @@ _BREAKER_HANDLERS = {
     ops.SortOp: lambda op, ps: _break_at_sink(op, SortSink, ps),
     ops.HashJoinOp: _break_hash_join,
     ops.DistinctOp: _break_as_stage(DistinctStage),
-    ops.LimitOp: _break_as_stage(LimitStage),
+    ops.LimitOp: _break_limit,
 }
 
 
@@ -814,9 +819,12 @@ class PlacedDriver:
         raise NotImplementedError
 
     def gather(self, placed: list[tuple[int, Any]], op: ops.Operator,
-               label: str, rows: Callable[[Any], int] = len) -> None:
-        """Move placed items to the coordinator (``rows(item)`` sizes
-        one); nothing moves when every site shares one memory."""
+               label: str, rows: Callable[[Any], int] = len,
+               units: Callable[[Any], int] | None = None) -> None:
+        """Move placed items to the coordinator (``rows(item)`` counts
+        one's rows, ``units(item)`` its modeled payload units where the
+        item's own structure does not say); nothing moves when every
+        site shares one memory."""
 
     def broadcast_builds(self, scan: ops.SeqScanOp,
                          stages: list[PipelineStage]) -> None:
@@ -943,20 +951,20 @@ class PlacedDriver:
             sink.result_blocks = [] if result is None else [result]
         elif isinstance(sink, SortSink):
             # per-unit sorted runs (each charging its own n_i*log2(n_i)),
-            # then a k-way merge on the lane charging the remainder
+            # then one stable sort over them on the lane charging the
+            # remainder
             runs = self.dispatch(placed, self._op_task(op, op.sort_block))
-            self.gather(runs, op, "sorted runs")
+            self.gather(runs, op, "sorted runs", units=op.run_units)
             sink.result_blocks = self._op_task(op, op.merge_runs)(
                 [run for _, run in runs], self.lane)
             for block in sink.result_blocks:
                 op.rows_out += len(block)
         elif isinstance(sink, BuildSink):
             parts = self.dispatch(placed, self._op_task(op, op.build_block))
-            self.gather(parts, op, "build parts", rows=lambda part: part[0])
-            buckets, factor = self._op_task(op, op.merge_build)(
+            self.gather(parts, op, "build parts", rows=lambda part: part[0],
+                        units=op.part_units)
+            sink.table = self._op_task(op, op.merge_build)(
                 [part for _, part in parts], self.lane)
-            sink.set_built(buckets, factor,
-                           sum(part[0] for _, part in parts))
         else:  # CollectSink: plain collection, no merge charges
             self.gather(placed, op, "collect gather")
             sink.result_blocks = [block for _, block in placed]

@@ -22,12 +22,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import PlanError
+from repro.common.errors import BindError, PlanError
 from repro.plan import logical as plan
 from repro.plan.cardinality import CardinalityEstimator, is_equi_join_condition
 from repro.plan.cost import PlanCoster
 from repro.sql import ast
 from repro.storage.catalog import Catalog
+from repro.storage.types import DataType
 
 
 @dataclass
@@ -347,23 +348,82 @@ class Planner:
         if bound.residuals:
             tree = plan.Filter(child=tree, predicate=conjoin(bound.residuals))
 
+        # an integer literal in GROUP BY / ORDER BY names a select-list
+        # position: group on that item's expression, sort on its output
+        outputs = self._outputs(bound)
+        group_by = tuple(self._positional(expr, outputs, "GROUP BY", 0)
+                         for expr in select.group_by)
+        order_by = tuple(
+            ast.OrderItem(self._positional(key.expr, outputs, "ORDER BY", 1),
+                          key.descending) for key in select.order_by)
+
         has_aggregates = any(ast.is_aggregate(item.expr)
                              for item in select.items)
-        if select.group_by or has_aggregates:
-            tree = plan.Aggregate(child=tree, group_by=select.group_by,
+        if group_by or has_aggregates:
+            if any(ast.is_aggregate(expr) for expr in group_by):
+                raise BindError("GROUP BY cannot name an aggregate")
+            for item in select.items:
+                self._check_aggregate_types(item.expr, bound)
+            tree = plan.Aggregate(child=tree, group_by=group_by,
                                   items=select.items)
         else:
             tree = plan.Project(child=tree, items=select.items)
 
         if select.distinct:
             tree = plan.Distinct(child=tree)
-        if select.order_by:
-            tree = plan.Sort(child=tree, keys=select.order_by)
+        if order_by:
+            tree = plan.Sort(child=tree, keys=order_by)
         if select.limit is not None or select.offset is not None:
             tree = plan.Limit(child=tree, limit=select.limit,
                               offset=select.offset or 0)
         coster.annotate(tree)
         return tree
+
+    def _outputs(self, bound: BoundQuery
+                 ) -> list[tuple[ast.Expr, ast.ColumnRef]]:
+        """Per output column of the select list (``*`` expanded): the
+        expression it computes, and a reference to it by output name."""
+        out: list[tuple[ast.Expr, ast.ColumnRef]] = []
+        for position, item in enumerate(bound.select.items):
+            if not isinstance(item.expr, ast.Star):
+                out.append((item.expr, ast.ColumnRef(
+                    ast.output_name(item, position))))
+                continue
+            for alias in bound.table_order:
+                if (item.expr.table or alias).lower() == alias:
+                    schema = self._catalog.table(bound.bindings[alias]).schema
+                    refs = [ast.ColumnRef(name, alias)
+                            for name in schema.column_names()]
+                    out += zip(refs, refs)
+        return out
+
+    @staticmethod
+    def _positional(expr: ast.Expr, outputs: list, clause: str,
+                    pick: int) -> ast.Expr:
+        if not (isinstance(expr, ast.Literal) and type(expr.value) is int):
+            return expr
+        if not 1 <= expr.value <= len(outputs):
+            raise BindError(f"{clause} position {expr.value} is not in the "
+                            f"select list (1..{len(outputs)})")
+        return outputs[expr.value - 1][pick]
+
+    def _check_aggregate_types(self, expr: ast.Expr,
+                               bound: BoundQuery) -> None:
+        """sum/avg need numbers: reject a TEXT column argument here
+        instead of concatenating strings at run time."""
+        if isinstance(expr, ast.BinaryOp):
+            self._check_aggregate_types(expr.left, bound)
+            self._check_aggregate_types(expr.right, bound)
+        elif isinstance(expr, ast.UnaryOp):
+            self._check_aggregate_types(expr.operand, bound)
+        elif (isinstance(expr, ast.FuncCall) and expr.name in ("sum", "avg")
+                and expr.args and isinstance(expr.args[0], ast.ColumnRef)):
+            ref = expr.args[0]
+            table = bound.bindings[self._alias_of_ref(ref, bound)]
+            column = self._catalog.table(table).schema.column(ref.name)
+            if column.dtype is DataType.TEXT:
+                raise BindError(f"{expr.name}() needs a numeric argument; "
+                                f"{ref.display()} is TEXT")
 
     def _plan_tableless(self, select: ast.Select) -> plan.PlanNode:
         """SELECT without FROM, e.g. ``SELECT 1 + 1``."""

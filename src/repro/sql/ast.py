@@ -222,6 +222,17 @@ class SelectItem:
     alias: Optional[str] = None
 
 
+def output_name(item: SelectItem, position: int) -> str:
+    """The result-column name of the select item at ``position``."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ColumnRef):
+        return item.expr.name
+    if isinstance(item.expr, FuncCall):
+        return item.expr.name
+    return f"col{position}"
+
+
 @dataclass(frozen=True)
 class OrderItem:
     expr: Expr

@@ -414,6 +414,30 @@ class TypedColumn:
             obj = obj[mask]
         return obj.tolist()
 
+    def key_arrays(self, ordered: bool = False) -> "list[np.ndarray] | None":
+        """Arrays, most significant first, that stand in for the values
+        in the executor's array kernels: two rows hold equal values
+        exactly when they agree on every array (NULL equals only NULL).
+        With ``ordered`` their lexicographic order is also the ascending
+        sort order — values, then NULLs; strings ranked through the
+        sorted dictionary.  ``None`` for ``"obj"`` columns, whose values
+        only Python can compare."""
+        if self.kind == "obj":
+            return None
+        if self.kind == "dict":
+            if not ordered:
+                return [self.data]
+            # the extra last slot sends NULL (code -1) behind every string
+            size = len(self.dictionary)
+            ranks = np.full(size + 1, size, dtype=np.int32)
+            ranks[sorted(range(size),
+                         key=self.dictionary.__getitem__)] = np.arange(size)
+            return [ranks[self.data]]
+        if self.valid is None:
+            return [self.data]
+        # NULL slots may hold anything: level them so they tie
+        return [~self.valid, np.where(self.valid, self.data, 0)]
+
     def code_of(self, value: str) -> "int | None":
         """Dictionary code for ``value``, or ``None`` if absent."""
         if self._codebook is None:

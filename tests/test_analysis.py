@@ -358,7 +358,7 @@ class TestRaceAnalysisPass:
     def test_partial_block_helpers_are_audited(self):
         """partial_block is the serial partitioner run into a logging
         state: a shared write in any helper it reaches is a finding."""
-        match = re.search(r"    def _absorb_group\(self.*?:\n",
+        match = re.search(r"    def _fold_groups\(self.*?:\n",
                           OPERATORS_SRC, re.S)
         assert match is not None
         injected = (OPERATORS_SRC[:match.end()]
@@ -366,7 +366,7 @@ class TestRaceAnalysisPass:
                     + OPERATORS_SRC[match.end():])
         found = race_findings(operators=injected)
         assert any(f.rule == "unlocked-shared-write"
-                   and "_absorb_group" in f.message for f in found)
+                   and "_fold_groups" in f.message for f in found)
 
     def test_expected_hooks_match_scheduler_contract(self):
         # the serial-lane hooks must never appear in the worker set

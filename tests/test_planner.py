@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.common.errors import PlanError
+from repro.common.errors import BindError, PlanError
 from repro.plan import (
     Aggregate,
     Filter,
@@ -161,6 +161,55 @@ class TestUpperPlan:
             parse("SELECT count(*) FROM users"))
         text = node.pretty()
         assert "SeqScan" in text
+
+
+class TestPositionsAndAggregateTypes:
+    """ORDER BY / GROUP BY ordinals name select-list positions, and
+    sum/avg reject TEXT, both at plan time."""
+
+    def test_group_by_position_groups_on_the_item(self, users_orders_db):
+        db = users_orders_db
+        by_name = db.execute("SELECT city, count(*) FROM users GROUP BY city")
+        by_position = db.execute("SELECT city, count(*) FROM users GROUP BY 1")
+        assert len(by_position.rows) == 4
+        assert by_position.rows == by_name.rows
+
+    def test_order_by_position_sorts_on_the_output(self, users_orders_db):
+        db = users_orders_db
+        by_name = db.execute("SELECT name, age FROM users "
+                             "ORDER BY age DESC, name")
+        by_position = db.execute("SELECT name, age FROM users "
+                                 "ORDER BY 2 DESC, 1")
+        assert by_position.rows == by_name.rows
+        assert by_position.rows != db.execute(
+            "SELECT name, age FROM users").rows
+        # through * and through an aggregate's output
+        assert db.execute("SELECT * FROM users ORDER BY 3 DESC, 1 "
+                          "LIMIT 1").rows[0][2] == 59
+        counts = db.execute("SELECT city, count(*) FROM users WHERE age > 40 "
+                            "GROUP BY 1 ORDER BY 2 DESC, 1").rows
+        assert [c for _, c in counts] == sorted((c for _, c in counts),
+                                                reverse=True)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, name, age FROM users ORDER BY 9",
+        "SELECT id FROM users ORDER BY 0",
+        "SELECT city, count(*) FROM users GROUP BY 3",
+        "SELECT count(*) FROM users GROUP BY 1",       # names an aggregate
+        "SELECT sum(name) FROM users",
+        "SELECT city, avg(name) FROM users GROUP BY city",
+        "SELECT u.city, sum(o.status) FROM users u JOIN orders o "
+        "ON u.id = o.user_id GROUP BY u.city",
+    ])
+    def test_rejected_at_plan_time(self, users_orders_db, sql):
+        with pytest.raises(BindError):
+            users_orders_db.planner.plan_select(parse(sql))
+
+    def test_min_max_count_over_text_still_allowed(self, users_orders_db):
+        row = users_orders_db.execute(
+            "SELECT min(name), max(city), count(name), sum(age) "
+            "FROM users").rows[0]
+        assert row[:3] == ("user0", "tok", 60)
 
 
 class TestCardinality:
