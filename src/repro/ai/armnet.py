@@ -21,16 +21,78 @@ import numpy as np
 from repro.common.rng import stable_hash
 from repro.nn.layers import Embedding, Linear, Module
 from repro.nn.tensor import Tensor
+from repro.storage.types import TypedColumn
 
 DEFAULT_HASH_BUCKETS = 4096
+
+
+#: Columns shorter than this are hashed value by value: factorising has a
+#: fixed numpy cost per column that pays back from about 20 rows on.
+SHORT_COLUMN = 24
+
+_NUMBER = (int, float, np.number, np.bool_)
+
+
+def _round2(x: np.ndarray) -> np.ndarray:
+    """``round(v, 2)`` of every element of a float64 array, bit for bit.
+
+    ``rint(x * 100) / 100`` is exact unless the product lands on a ``.5``
+    tie (the product is rounded, so the true value may sit on either side)
+    or leaves the integers float64 holds exactly; those cells — a 1e-9
+    guard band around the ties, ``|x| >= 1e13``, NaN — go through
+    ``round`` itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 100.0
+        out = np.rint(scaled) / 100.0
+        unsure = ((np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9)
+                  | ~(np.abs(x) < 1e13))
+    where = np.flatnonzero(unsure)
+    if where.size:
+        out[where] = [round(v, 2) for v in x[where].tolist()]
+    return out
+
+
+def _typed(col) -> "tuple[TypedColumn | list, bool]":
+    """A feature column in the form the hasher works on, and whether it is
+    numeric-kind.  Storage's typed columns pass through.  ``obj`` columns
+    and plain sequences are typed by the classes of their elements: Python
+    ints and floats become ``f8`` (both hash through ``float``), bools
+    ``bool``; short columns and anything else — strings, numpy scalars,
+    mixtures — become a plain list, numeric-kind when every element is a
+    number (an all-NULL untyped column vacuously so)."""
+    if isinstance(col, TypedColumn):
+        if col.kind != "obj":
+            return col, col.kind != "dict"
+        col = col.data
+    values = col.tolist() if isinstance(col, np.ndarray) else list(col)
+    classes = set(map(type, values))
+    has_null = type(None) in classes
+    classes.discard(type(None))
+    exact = classes and (classes <= {int, float} or classes == {bool})
+    if exact and len(values) >= SHORT_COLUMN:
+        kind, fill = ("bool", False) if bool in classes else ("f8", 0.0)
+        valid, filled = None, values
+        if has_null:
+            valid = np.array([v is not None for v in values])
+            filled = [fill if v is None else v for v in values]
+        try:
+            return TypedColumn(kind, np.array(filled, dtype=kind), valid), True
+        except OverflowError:        # an int no float64 can hold
+            pass
+    return values, all(issubclass(c, _NUMBER) for c in classes)
 
 
 class FeatureHasher:
     """Maps raw per-field values to integer ids via feature hashing.
 
-    Numeric values are quantized before hashing so nearby values share ids;
-    strings hash directly.  Field index is mixed into the hash so identical
-    values in different fields get different ids.
+    Two hash families, chosen by the *kinds* of the columns and never by
+    their content: when every column is numeric-kind, non-NULL cells are
+    quantized to 2 decimals and mixed with the field index through integer
+    multiplies (:meth:`_mix_numeric`); otherwise every cell gets the FNV
+    id of ``(field, value)`` (:meth:`_hash_value` — numbers quantized to 2
+    decimals, strings as they are).  A NULL cell has the ``"<null>"`` FNV
+    id in both, so a NULL never changes another cell's id.
     """
 
     def __init__(self, field_count: int, buckets: int = DEFAULT_HASH_BUCKETS):
@@ -38,40 +100,78 @@ class FeatureHasher:
         self.buckets = buckets
 
     def transform(self, rows: Sequence[Sequence[object]]) -> np.ndarray:
-        """Rows of raw values -> (n, field_count) int ids.
-
-        Purely numeric batches take a vectorized path (quantize, then mix
-        field index and value through integer multiplies) — hashing is on
-        the per-batch critical path of training, so it must not be a
-        per-value Python loop for the common case.
-        """
-        if len(rows) == 0:
-            return np.empty((0, self.field_count), dtype=np.int64)
-        try:
-            numeric = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError):
-            numeric = None
-        if numeric is not None and numeric.ndim == 2:
-            if numeric.shape[1] != self.field_count:
-                raise ValueError(
-                    f"rows have {numeric.shape[1]} fields, expected "
-                    f"{self.field_count}")
-            if not np.isnan(numeric).any():
-                return self._mix_numeric(numeric)
-        out = np.empty((len(rows), self.field_count), dtype=np.int64)
-        for i, row in enumerate(rows):
+        """Rows of raw values -> (n, field_count) int ids: a transpose into
+        :meth:`transform_columns`, the one definition of the hashing."""
+        for row in rows:
             if len(row) != self.field_count:
                 raise ValueError(
                     f"row has {len(row)} fields, expected {self.field_count}")
-            for j, value in enumerate(row):
-                out[i, j] = self._hash_value(j, value)
+        if len(rows) == 0:
+            return np.empty((0, self.field_count), dtype=np.int64)
+        return self.transform_columns(list(zip(*rows)))
+
+    def transform_columns(self, columns: Sequence[Sequence[object]]
+                          ) -> np.ndarray:
+        """Feature columns -> (n, field_count) int ids, a column at a time.
+
+        Columns are storage's ``TypedColumn`` objects as scanned, or any
+        sequence of raw values.  Hashing goes through the *distinct* values
+        of a column, not its cells: dictionary codes, int64 / bool data and
+        2-decimal-quantized float bit patterns are factorised with
+        ``np.unique`` and only the distinct values reach
+        :meth:`_hash_value`; the ids are gathered back by code.
+        """
+        if len(columns) != self.field_count:
+            raise ValueError(
+                f"got {len(columns)} columns, expected {self.field_count}")
+        length = len(columns[0]) if columns else 0
+        if any(len(col) != length for col in columns):
+            raise ValueError("feature columns have unequal lengths")
+        if length == 0:
+            return np.empty((0, self.field_count), dtype=np.int64)
+        typed = [_typed(col) for col in columns]
+        if all(numeric for _, numeric in typed):
+            return self._mix_columns([col for col, _ in typed])
+        if length < SHORT_COLUMN:
+            cells = zip(*(col if isinstance(col, list) else col.values_list()
+                          for col, _ in typed))
+            return np.array([[self._hash_value(j, value)
+                              for j, value in enumerate(row)]
+                             for row in cells], dtype=np.int64)
+        out = np.empty((length, self.field_count), dtype=np.int64)
+        for j, (col, _) in enumerate(typed):
+            out[:, j] = self._hash_column(j, col)
         return out
 
+    def _mix_columns(self, columns: "list[TypedColumn | list]") -> np.ndarray:
+        """The numeric family over numeric-kind columns: every cell is
+        mixed but the NULL and NaN ones, which keep their FNV ids."""
+        floats = []
+        for col in columns:
+            if isinstance(col, list):
+                col = [np.nan if v is None else v for v in col]
+                floats.append(np.array(col, dtype=np.float64))
+            else:
+                values = col.data.astype(np.float64, copy=False)
+                floats.append(values if col.valid is None
+                              else np.where(col.valid, values, np.nan))
+        numeric = np.column_stack(floats)
+        ids = self._mix_numeric(numeric)
+        missing = np.isnan(numeric)
+        if missing.any():
+            for j in np.flatnonzero(missing.any(axis=0)).tolist():
+                col = columns[j]
+                null = (np.array([v is None for v in col])
+                        if isinstance(col, list) else col.null_mask())
+                ids[missing[:, j], j] = self._hash_value(j, np.nan)
+                ids[null, j] = self._hash_value(j, None)
+        return ids
+
     def _mix_numeric(self, numeric: np.ndarray) -> np.ndarray:
-        """Quantize a NaN-free (n, field_count) float matrix and mix field
-        index and value into bucket ids — the single definition both the
-        row and column transforms share, so their ids cannot diverge."""
-        quantized = np.rint(numeric * 100).astype(np.int64)
+        """Quantize a (n, field_count) float matrix and mix field index and
+        value into bucket ids."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            quantized = np.rint(numeric * 100).astype(np.int64)
         fields = np.arange(self.field_count, dtype=np.int64)
         mixed = (quantized * np.int64(0x9E3779B1)
                  + (fields + 1) * np.int64(0x85EBCA77))
@@ -80,36 +180,33 @@ class FeatureHasher:
         mixed ^= mixed >> 13
         return np.abs(mixed) % self.buckets
 
-    def transform_columns(self, columns: Sequence[Sequence[object]]
-                          ) -> np.ndarray:
-        """Column arrays of raw values -> (n, field_count) int ids.
-
-        The columnar twin of :meth:`transform`, fed straight from the batch
-        engine's column arrays so training matrices never pass through
-        per-row tuples.  Hashing is identical to :meth:`transform` —
-        quantize then integer-mix for all-numeric data, per-value stable
-        hashing otherwise — so a model sees the same ids either way.
-        """
-        if len(columns) != self.field_count:
-            raise ValueError(
-                f"got {len(columns)} columns, expected {self.field_count}")
-        length = len(columns[0]) if columns else 0
-        if length == 0:
-            return np.empty((0, self.field_count), dtype=np.int64)
-        try:
-            numeric = np.column_stack(
-                [np.asarray(col, dtype=np.float64) for col in columns])
-        except (TypeError, ValueError):
-            numeric = None
-        if numeric is not None and not np.isnan(numeric).any():
-            return self._mix_numeric(numeric)
-        out = np.empty((length, self.field_count), dtype=np.int64)
-        for j, col in enumerate(columns):
-            if len(col) != length:
-                raise ValueError("feature columns have unequal lengths")
-            for i, value in enumerate(col):
-                out[i, j] = self._hash_value(j, value)
-        return out
+    def _hash_column(self, field_idx: int,
+                     col: "TypedColumn | list") -> np.ndarray:
+        """FNV ids of one column of ``SHORT_COLUMN`` rows or more: lists of
+        raw values hash value by value (each distinct string once), the
+        typed kinds factorise."""
+        if isinstance(col, list):
+            memo = {v: self._hash_value(field_idx, v)
+                    for v in {v for v in col if type(v) is str}}
+            return np.array([memo[v] if type(v) is str
+                             else self._hash_value(field_idx, v)
+                             for v in col], dtype=np.int64)
+        if col.kind == "f8":
+            # the bit pattern keeps -0.0 apart from 0.0, as repr does
+            distinct, codes = np.unique(_round2(col.data).view(np.int64),
+                                        return_inverse=True)
+            values = distinct.view(np.float64).tolist()
+        else:
+            distinct, codes = np.unique(col.data, return_inverse=True)
+            values = distinct.tolist()
+            if col.kind == "dict":
+                values = [None if code < 0 else col.dictionary[code]
+                          for code in values]
+        ids = np.array([self._hash_value(field_idx, v) for v in values],
+                       dtype=np.int64)[codes]
+        if col.valid is not None:
+            ids[~col.valid] = self._hash_value(field_idx, None)
+        return ids
 
     def _hash_value(self, field_idx: int, value: object) -> int:
         if value is None:
@@ -159,11 +256,23 @@ class _InteractionLayer(Module):
         return out
 
 
+class _NoInit:
+    """Stands in for the generator when every weight is about to be
+    loaded: the layers get zeros instead of drawing 65k normals."""
+
+    @staticmethod
+    def standard_normal(shape) -> np.ndarray:
+        return np.zeros(shape)
+
+
 class ARMNet(Module):
     """The analytics model: hash -> embed -> adaptive interaction -> MLP head.
 
     Layer order (the unit of incremental update, first = closest to input):
         ``embedding`` -> ``interaction`` -> ``head0`` -> ``head1``
+
+    ``seed=None`` builds the skeleton with zero weights, for a caller that
+    loads every layer next (:meth:`ModelManager.load_model`).
     """
 
     LAYER_NAMES = ("embedding", "interaction", "head0", "head1")
@@ -171,11 +280,11 @@ class ARMNet(Module):
     def __init__(self, field_count: int, task_type: str = "classification",
                  embed_dim: int = 16, num_cross: int = 8,
                  hidden_dim: int = 64, buckets: int = DEFAULT_HASH_BUCKETS,
-                 seed: int = 0):
+                 seed: int | None = 0):
         super().__init__()
         if task_type not in ("classification", "regression"):
             raise ValueError(f"unknown task_type {task_type!r}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if seed is not None else _NoInit()
         self.field_count = field_count
         self.task_type = task_type
         self.hasher = FeatureHasher(field_count, buckets)
@@ -257,7 +366,7 @@ class ARMNet(Module):
         }
 
     @classmethod
-    def from_spec(cls, spec: dict, seed: int = 0) -> "ARMNet":
+    def from_spec(cls, spec: dict, seed: int | None = 0) -> "ARMNet":
         return cls(field_count=spec["field_count"],
                    task_type=spec["task_type"],
                    embed_dim=spec.get("embed_dim", 16),

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.ai.armnet import ARMNet
-from repro.ai.loader import ColumnTrainingSet, StreamingDataLoader
+from repro.ai.loader import (ColumnFeatures, ColumnTrainingSet,
+                             StreamingDataLoader)
 from repro.ai.model_manager import ModelManager
 from repro.ai.monitor import Monitor
 from repro.ai.runtime import AIRuntime
@@ -195,7 +196,6 @@ class AIEngine:
         """Inference against an already-materialized model — the serving
         subsystem's entry point, where the model comes from a cache and
         must not be re-loaded (and re-charged) per request."""
-        from repro.ai.loader import ColumnFeatures
         if isinstance(rows, ColumnFeatures):
             ids = model.hasher.transform_columns(rows.columns)
         else:

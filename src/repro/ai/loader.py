@@ -9,10 +9,11 @@ delay in the data preparation steps".
 :class:`ColumnTrainingSet` (column arrays produced by the batch execution
 engine), hashes features, and yields ready-to-train (ids, targets) batches.
 It maintains a bounded window of prepared batches (the paper's default
-window is 80 batches of 4096 records).  The columnar path slices feature
-columns directly and hashes them with
-:meth:`~repro.ai.armnet.FeatureHasher.transform_columns`, so no per-row
-tuples are built between the storage engine and the training matrix.
+window is 80 batches of 4096 records).  The columnar path carries storage's
+``TypedColumn`` objects unboxed, hashes a set once
+(:meth:`ColumnTrainingSet.ids`) and slices the id matrix per batch, so no
+per-row tuples — and no per-epoch hashing — stand between the storage engine
+and the training matrix.
 """
 
 from __future__ import annotations
@@ -25,18 +26,20 @@ import numpy as np
 from repro.ai.armnet import FeatureHasher
 from repro.common import categories as cat
 from repro.common.simtime import CostModel, SimClock
-from repro.exec.batch import RowBlock, schema_kinds
+from repro.exec.batch import RowBlock, concat_columns, schema_kinds
 from repro.exec.expr import RowLayout
+from repro.storage.types import DataType, TypedColumn
 
 
 class ColumnTrainingSet:
     """Materialized columnar training data: feature columns plus targets.
 
     The batch engine's hand-off format to the AI layer: ``columns`` is one
-    object array per feature field (original Python values, scan order
-    preserved) and ``targets`` is a float64 array.  Supports ``len`` and
-    row-tuple iteration so existing row-oriented consumers (model
-    selection, inference) keep working.
+    column per feature field — storage's ``TypedColumn`` as scanned, or an
+    object array of the original Python values — in scan order, and
+    ``targets`` is a float64 array.  Supports ``len`` and row-tuple
+    iteration so existing row-oriented consumers (model selection,
+    inference) keep working.
     """
 
     def __init__(self, columns: Sequence[np.ndarray], targets: np.ndarray):
@@ -47,6 +50,7 @@ class ColumnTrainingSet:
                 raise ValueError("feature columns and targets must have "
                                  "equal lengths")
         self._rows: list[tuple] | None = None
+        self._ids: tuple[int, np.ndarray] | None = None
 
     @property
     def field_count(self) -> int:
@@ -71,8 +75,13 @@ class ColumnTrainingSet:
                           else [() for _ in range(len(self.targets))])
         return self._rows
 
-    def slice_columns(self, start: int, stop: int) -> list[np.ndarray]:
-        return [col[start:stop] for col in self.columns]
+    def ids(self, hasher: FeatureHasher) -> np.ndarray:
+        """The set's (n, field_count) id matrix, hashed once: every batch
+        of every epoch is a row slice of it."""
+        if self._ids is None or self._ids[0] != hasher.buckets:
+            self._ids = (hasher.buckets,
+                         hasher.transform_columns(self.columns))
+        return self._ids[1]
 
     def tail(self, rows: int) -> "ColumnTrainingSet":
         """The most recent ``rows`` rows (scan order = insertion order for
@@ -108,10 +117,14 @@ class ColumnFeatures:
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple],
-                  field_count: int) -> "ColumnFeatures":
-        columns = ([_to_object_array(col) for col in zip(*rows)] if rows
-                   else [np.empty(0, dtype=object)
-                         for _ in range(field_count)])
+                  dtypes: Sequence[DataType]) -> "ColumnFeatures":
+        """Inline rows as feature columns.  ``dtypes`` (the schema's, one
+        per field) type a column whose cells are all NULL: its values
+        cannot say whether it is numeric-kind, and the hasher must know."""
+        columns = [TypedColumn.from_values(col, dtype)
+                   if all(v is None for v in col) else _to_object_array(col)
+                   for col, dtype in zip(zip(*rows) if rows
+                                         else [()] * len(dtypes), dtypes)]
         out = cls(columns)
         out._rows = list(rows)
         return out
@@ -146,7 +159,7 @@ class ColumnFeatures:
             if part.field_count != width:
                 raise ValueError("cannot concat feature sets of different "
                                  "widths")
-        return cls([np.concatenate([p.columns[i] for p in parts])
+        return cls([concat_columns([p.columns[i] for p in parts])
                     for i in range(width)])
 
 
@@ -228,7 +241,7 @@ class StreamingDataLoader:
             self._exhausted = True
             return False
         self._cursor = stop
-        ids = self._hasher.transform_columns(data.slice_columns(start, stop))
+        ids = data.ids(self._hasher)[start:stop]
         targets = data.targets[start:stop].copy()
         self._window.append((ids, targets))
         self.batches_produced += 1
@@ -390,7 +403,7 @@ def table_column_stream(table, feature_columns: list[str],
         target = block.numeric(target_idx)
         if target is None:
             target = block.column(target_idx).astype(np.float64)
-        return (target, [block.column(idx) for idx in feature_idx])
+        return (target, [block.columns[idx] for idx in feature_idx])
 
     results = [part for part in
                map_scan_blocks(table, materialize, clock=clock,
@@ -402,7 +415,7 @@ def table_column_stream(table, feature_columns: list[str],
         return ([np.empty(0, dtype=object) for _ in feature_idx],
                 np.empty(0, dtype=np.float64))
     targets = np.concatenate([t for t, _ in results])
-    merged = [np.concatenate([cols[i] for _, cols in results])
+    merged = [concat_columns([cols[i] for _, cols in results])
               for i in range(len(feature_idx))]
     return merged, targets
 
@@ -491,7 +504,7 @@ def table_feature_columns(table, feature_columns: list[str],
             block = block.select(block_predicate(block))
         if not block:
             return None
-        features = [block.column(idx) for idx in feature_idx]
+        features = [block.columns[idx] for idx in feature_idx]
         if target_idx is None:
             return features, None, None
         return (features, block.column(target_idx),
@@ -510,7 +523,7 @@ def table_feature_columns(table, feature_columns: list[str],
         return (features, np.empty(0, dtype=object),
                 np.empty(0, dtype=bool))
     features = ColumnFeatures(
-        [np.concatenate([cols[i] for cols, _, _ in results])
+        [concat_columns([cols[i] for cols, _, _ in results])
          for i in range(len(feature_idx))])
     if target_idx is None:
         return features, None, None

@@ -9,11 +9,14 @@ prefix — the storage saving the paper calls out.
 
 Metadata rows live in real heap tables of this engine (models are managed
 *by the database*, the paper's design point); the weight blobs live in a
-blob store keyed by (MID, LID, timestamp).
+blob store keyed by (MID, LID, timestamp).  A per-model index of those rows
+(version timestamps, and each layer's timestamps, ascending) answers every
+read, so resolving a version costs the same at 1 and at 1,000 versions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +68,10 @@ class ModelManager:
         self._specs: dict[int, dict] = {}
         self._layer_names: dict[int, tuple[str, ...]] = {}
         self._name_to_mid: dict[str, int] = {}
+        # mid -> version timestamps / per-LID layer timestamps, ascending
+        # (timestamps only grow, so appends keep both sorted)
+        self._versions: dict[int, list[int]] = {}
+        self._layer_stamps: dict[int, list[list[int]]] = {}
         self._next_mid = 1
         self._logical_time = 0
 
@@ -82,21 +89,10 @@ class ModelManager:
 
     def register_model(self, name: str, model: ARMNet) -> int:
         """Persist a freshly-trained model as version 1; returns timestamp."""
-        name = name.lower()
-        if name in self._name_to_mid:
-            raise ValueError(f"model {name!r} already registered; "
+        if name.lower() in self._name_to_mid:
+            raise ValueError(f"model {name.lower()!r} already registered; "
                              "use incremental_update or a new name")
-        mid = self._next_mid
-        self._next_mid += 1
-        self._name_to_mid[name] = mid
-        self._specs[mid] = model.spec()
-        self._layer_names[mid] = model.layer_names()
-        timestamp = self._tick()
-        self._models.insert((mid, name, timestamp))
-        for lid, layer_name in enumerate(model.layer_names()):
-            self._persist_layer(mid, lid, timestamp,
-                                model.layer_state(layer_name))
-        return timestamp
+        return self.replace_model(name, model)
 
     def incremental_update(self, name: str, model: ARMNet,
                            tuned_layers: list[str]) -> int:
@@ -113,41 +109,37 @@ class ModelManager:
                 f"model {name!r} spec changed "
                 f"({self._specs[mid]} -> {model.spec()}); use "
                 "replace_model for architecture changes")
-        timestamp = self._tick()
-        self._models.insert((mid, name.lower(), timestamp))
-        names = self._layer_names[mid]
-        for layer_name in tuned_layers:
-            if layer_name not in names:
-                raise KeyError(f"model {name!r} has no layer {layer_name!r}")
-            lid = names.index(layer_name)
-            self._persist_layer(mid, lid, timestamp,
-                                model.layer_state(layer_name))
-        return timestamp
+        return self._persist_version(mid, name.lower(), model, tuned_layers)
 
     def replace_model(self, name: str, model: ARMNet) -> int:
-        """Re-register a model under an existing name with a NEW model id
-        (for architecture changes); old versions stay readable until the
+        """(Re-)register a model under a name with a NEW model id (for
+        architecture changes); old versions stay readable until the
         name mapping is dropped."""
         name = name.lower()
-        if name not in self._name_to_mid:
-            return self.register_model(name, model)
         mid = self._next_mid
         self._next_mid += 1
         self._name_to_mid[name] = mid
         self._specs[mid] = model.spec()
         self._layer_names[mid] = model.layer_names()
+        self._versions[mid] = []
+        self._layer_stamps[mid] = [[] for _ in model.layer_names()]
+        return self._persist_version(mid, name, model, model.layer_names())
+
+    def _persist_version(self, mid: int, name: str, model: ARMNet,
+                         layer_names) -> int:
         timestamp = self._tick()
         self._models.insert((mid, name, timestamp))
-        for lid, layer_name in enumerate(model.layer_names()):
-            self._persist_layer(mid, lid, timestamp,
-                                model.layer_state(layer_name))
+        self._versions[mid].append(timestamp)
+        names = self._layer_names[mid]
+        for layer_name in layer_names:
+            if layer_name not in names:
+                raise KeyError(f"model {name!r} has no layer {layer_name!r}")
+            lid = names.index(layer_name)
+            blob = pack_state(model.layer_state(layer_name))
+            self._blobs[(mid, lid, timestamp)] = blob
+            self._layers.insert((mid, lid, timestamp, len(blob)))
+            self._layer_stamps[mid][lid].append(timestamp)
         return timestamp
-
-    def _persist_layer(self, mid: int, lid: int, timestamp: int,
-                       state: dict) -> None:
-        blob = pack_state(state)
-        self._blobs[(mid, lid, timestamp)] = blob
-        self._layers.insert((mid, lid, timestamp, len(blob)))
 
     # -- resolution & loading -------------------------------------------------------
 
@@ -164,24 +156,23 @@ class ModelManager:
         """
         mid = self._mid_of(name)
         limit = timestamp if timestamp is not None else self._logical_time
-        newest: dict[int, int] = {}
-        for _, (row_mid, lid, ts, _nbytes) in self._layers.scan():
-            if row_mid != mid or ts > limit:
-                continue
-            if lid not in newest or ts > newest[lid]:
-                newest[lid] = ts
-        expected = len(self._layer_names[mid])
-        if len(newest) != expected:
-            raise ModelNotFound(
-                f"model {name!r} has no complete version at t<={limit}")
-        return sorted(newest.items())
+        resolved = []
+        for lid, stamps in enumerate(self._layer_stamps[mid]):
+            upto = bisect_right(stamps, limit)
+            if not upto:
+                raise ModelNotFound(
+                    f"model {name!r} has no complete version at t<={limit}")
+            resolved.append((lid, stamps[upto - 1]))
+        return resolved
 
     def load_model(self, name: str,
                    timestamp: Optional[int] = None) -> ARMNet:
-        """Assemble a model version from its layer rows."""
+        """Assemble a model version from its layer rows.  Every layer is
+        resolved (or ``resolve_layers`` raised) and loaded strictly, so the
+        skeleton is built without drawing initial weights."""
         mid = self._mid_of(name)
         resolved = self.resolve_layers(name, timestamp)
-        model = ARMNet.from_spec(self._specs[mid])
+        model = ARMNet.from_spec(self._specs[mid], seed=None)
         names = self._layer_names[mid]
         for lid, layer_timestamp in resolved:
             blob = self._blobs[(mid, lid, layer_timestamp)]
@@ -198,21 +189,18 @@ class ModelManager:
         return sorted(self._name_to_mid)
 
     def versions(self, name: str) -> list[int]:
-        mid = self._mid_of(name)
-        return sorted(ts for _, (row_mid, _n, ts) in self._models.scan()
-                      if row_mid == mid)
+        return list(self._versions[self._mid_of(name)])
 
     def storage_bytes(self, name: str) -> int:
         """Total persisted layer bytes across all versions of a model."""
         mid = self._mid_of(name)
-        return sum(len(blob) for (bmid, _lid, _ts), blob in self._blobs.items()
-                   if bmid == mid)
+        return sum(len(self._blobs[(mid, lid, ts)])
+                   for lid, stamps in enumerate(self._layer_stamps[mid])
+                   for ts in stamps)
 
     def layer_rows(self, name: str) -> int:
         """Number of persisted layer rows (Fig. 3's Layers-table rows)."""
-        mid = self._mid_of(name)
-        return sum(1 for _, (row_mid, *_rest) in self._layers.scan()
-                   if row_mid == mid)
+        return sum(map(len, self._layer_stamps[self._mid_of(name)]))
 
     def _mid_of(self, name: str) -> int:
         try:

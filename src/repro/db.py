@@ -652,8 +652,10 @@ class NeurDB:
                         f"{len(ctx.feature_idx)} features")
                 rows.append(tuple(compile_expr(e, empty)(())
                                   for e in value_row))
-            return (ColumnFeatures.from_rows(rows, len(ctx.feature_idx)),
-                    None, None)
+            columns = ctx.table.schema.columns
+            return (ColumnFeatures.from_rows(
+                rows, [columns[i].dtype for i in ctx.feature_idx]),
+                None, None)
         predicate = (compile_predicate_batch(statement.where, ctx.layout)
                      if statement.where is not None else None)
         return table_feature_columns(

@@ -6,6 +6,7 @@ from repro.nn.attention import (
     MultiHeadAttention,
     TransformerBlock,
 )
+from repro.nn.blas import pin_single_thread
 from repro.nn.layers import (
     MLP,
     Dropout,
@@ -29,6 +30,8 @@ from repro.nn.losses import (
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialize import pack_state, state_nbytes, unpack_state
 from repro.nn.tensor import Tensor, concat, numerical_gradient, stack
+
+pin_single_thread()
 
 __all__ = [
     "Adam",

@@ -7,6 +7,7 @@ storage tables and the data streaming protocol's model-transfer messages.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -29,7 +30,8 @@ def pack_state(state: dict[str, np.ndarray]) -> bytes:
 
 
 def unpack_state(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`pack_state`."""
+    """Inverse of :func:`pack_state`.  The arrays are read-only views into
+    ``blob``; ``Module.load_state_dict`` makes the one writable copy."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a packed weight blob (bad magic)")
     offset = 4
@@ -45,11 +47,10 @@ def unpack_state(blob: bytes) -> dict[str, np.ndarray]:
         offset += 1
         shape = struct.unpack_from(f"<{ndim}q", blob, offset)
         offset += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        array = np.frombuffer(blob, dtype=np.float64, count=size,
-                              offset=offset).reshape(shape)
+        size = math.prod(shape)
+        state[name] = np.frombuffer(blob, dtype=np.float64, count=size,
+                                    offset=offset).reshape(shape)
         offset += size * 8
-        state[name] = array.copy()
     return state
 
 

@@ -208,7 +208,7 @@ class TypedColumn:
             try:
                 data = np.array(filled, dtype=np.int64)
             except OverflowError:
-                return cls._from_objects(values)
+                return cls.from_objects(values)
             return cls("i8", data, valid)
         if dtype is DataType.FLOAT:
             filled = [0.0 if v is None else v for v in values]
@@ -216,7 +216,7 @@ class TypedColumn:
             if np.isnan(data).any():
                 # NaN keys group by object identity in the row engine;
                 # a float64 round-trip would mint fresh NaN objects.
-                return cls._from_objects(values)
+                return cls.from_objects(values)
             return cls("f8", data, valid)
         if dtype is DataType.BOOL:
             filled = [False if v is None else v for v in values]
@@ -232,7 +232,7 @@ class TypedColumn:
                 code = codebook.get(v)
                 if code is None:
                     if len(dictionary) >= PAGE_DICT_CAP:
-                        return cls._from_objects(values)
+                        return cls.from_objects(values)
                     code = len(dictionary)
                     codebook[v] = code
                     dictionary.append(v)
@@ -240,10 +240,10 @@ class TypedColumn:
             col = cls("dict", codes, valid, dictionary)
             col._codebook = codebook
             return col
-        return cls._from_objects(values)  # pragma: no cover
+        return cls.from_objects(values)  # pragma: no cover
 
     @classmethod
-    def _from_objects(cls, values: Sequence[Any]) -> "TypedColumn":
+    def from_objects(cls, values: Sequence[Any]) -> "TypedColumn":
         data = np.empty(len(values), dtype=object)
         data[:] = list(values)
         return cls("obj", data)
@@ -260,7 +260,7 @@ class TypedColumn:
             return parts[0]
         kinds = {p.kind for p in parts}
         if len(kinds) != 1:
-            return cls._from_objects(
+            return cls.from_objects(
                 [v for p in parts for v in p.objects().tolist()]
             )
         kind = next(iter(kinds))

@@ -1,5 +1,10 @@
 """Tests for the autograd engine, layers, attention, losses, optimizers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,7 @@ from repro.nn import (
     stack,
     unpack_state,
 )
+from repro.nn.blas import pin_single_thread
 
 RNG = np.random.default_rng(0)
 
@@ -366,3 +372,46 @@ class TestSerialize:
         restored = unpack_state(pack_state(state))
         for name in state:
             assert np.array_equal(restored[name], state[name])
+
+
+_BLAS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+{imports}
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for rows in (50, 512, 2000, 4096):      # a weight gradient: x.T @ grad
+    x, grad = rng.standard_normal((rows, 128)), rng.standard_normal((rows, 64))
+    digest.update((x.T @ grad).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasPin:
+    """``repro.nn`` pins OpenBLAS to one thread (``nn/blas.py``): the bits
+    of a product must not depend on how many threads the host would give."""
+
+    @staticmethod
+    def _digest(threads: int, imports: str) -> str:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_SCRIPT.format(imports=imports)],
+            env=env, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def test_products_do_not_depend_on_thread_count(self):
+        digests = {self._digest(threads, "import repro.nn")
+                   for threads in (1, 2, 4)}
+        assert len(digests) == 1
+        # the same product computed without the pin, on one thread
+        assert digests == {self._digest(1, "")}
+
+    def test_pin_finds_the_blas_numpy_uses(self):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the pin reads /proc/self/maps")
+        with open("/proc/self/maps") as maps:
+            if "openblas" not in maps.read():
+                pytest.skip("numpy is not linked against OpenBLAS")
+        assert pin_single_thread()
