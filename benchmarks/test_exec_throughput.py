@@ -1,6 +1,6 @@
 """Execution-engine throughput gates, written to ``BENCH_exec.json``.
 
-Four groups of workload families keep a wall-clock trajectory (host
+Five groups of workload families keep a wall-clock trajectory (host
 rows/sec, not virtual time) for future PRs to compare against:
 
 * ``scan_filter_aggregate`` — the PR 1 vectorization gate: the batch
@@ -22,6 +22,13 @@ rows/sec, not virtual time) for future PRs to compare against:
   equi-join on the batch engine against the row engine, whole
   ``Executor.run`` calls with rows out as tuples, identical rows (order
   included), floor 8x at 100k rows (the ROADMAP asked for >= 5x).
+* ``placed_engine_ratio`` — the placed engines' wall-clock floor: the
+  same plans on ``parallel(workers=1)`` and on ``distributed(nodes=2)``
+  over 4 shards, each divided by the batch engine over the same table —
+  integer GROUP BY at 1,000 and ``rows/20`` keys, a filtered aggregate
+  and the equi-join at 100k rows.  A placement may cost its per-morsel
+  bookkeeping, not a multiple: ceiling 2.5x per shape (the dict-partial
+  engines stood at 12x on the integer GROUP BY).
 * ``tracing_overhead`` — the observability gate on the same workload:
   no tracer attached stays within 5% of the pre-tracing charge path,
   an attached tracer costs at most 2x.
@@ -248,10 +255,12 @@ def test_fused_aggregate_throughput():
 # -- array kernels: sort, integer GROUP BY, hash join (batch vs row) -----------
 
 
-def _build_kernel_db(rows: int):
-    db = repro.connect()
+def _build_kernel_db(rows: int, wide_key: bool = False, **options):
+    """``wide_key`` adds ``k2``, an integer key with ``rows/20`` values;
+    ``options`` go to ``connect`` (``shards=``)."""
+    db = repro.connect(**options)
     db.execute("CREATE TABLE t (id INT UNIQUE, grp TEXT, k INT, "
-               "v FLOAT, w FLOAT)")
+               "v FLOAT, w FLOAT" + (", k2 INT)" if wide_key else ")"))
     heap = db.catalog.table("t")
     rng = np.random.default_rng(7)
     groups = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
@@ -260,15 +269,16 @@ def _build_kernel_db(rows: int):
     v = rng.random(rows)
     w = rng.random(rows)
     for i in range(rows):
-        heap.insert((i, groups[grp[i]], int(k[i]), float(v[i]), float(w[i])))
+        heap.insert((i, groups[grp[i]], int(k[i]), float(v[i]), float(w[i]))
+                    + ((i * 37 % max(64, rows // 20),) if wide_key else ()))
     db.execute("ANALYZE")
     return db
 
 
-def _best_run(db, plan, engine: str, repeats: int):
+def _best_run(db, plan, engine: str, repeats: int, **options):
     """(result, best-of-N wall seconds) of whole ``Executor.run`` calls —
-    rows out as tuples on both engines; the first lap warms caches."""
-    executor = Executor(db.catalog, db.clock, engine=engine)
+    rows out as tuples on every engine; the first lap warms caches."""
+    executor = Executor(db.catalog, db.clock, engine=engine, **options)
     best = float("inf")
     for _ in range(repeats + 1):
         start = time.perf_counter()
@@ -306,6 +316,61 @@ def test_array_kernel_throughput(family):
     assert speedup >= floor, (
         f"{family}: batch engine only {speedup:.1f}x over the row engine "
         f"(acceptance floor is {floor}x)")
+
+
+# -- placed engines over batch (the placements' wall-clock floor) --------------
+
+PLACED_CEILING = 6.0 if SMOKE else 2.5
+PLACED_SHAPES = {
+    "int_groupby": KERNEL_FAMILIES["int_groupby"][0],
+    "int_groupby_wide": "SELECT k2, count(*), sum(v) FROM t GROUP BY k2",
+    "filter_agg": AGG_QUERY,
+    "hash_join": KERNEL_FAMILIES["hash_join"][0],
+}
+# (engine, its options, connect options of the table it and its batch
+# baseline both read)
+PLACEMENTS = [("parallel", {"workers": 1}, {}),
+              ("distributed", {"nodes": 2}, {"shards": 4})]
+
+
+def test_placed_engine_ratio():
+    """What a placement costs in real time: the phased walk, per-morsel
+    partials and the one array merge against the streaming batch engine
+    on the same plan and table — identical rows, and no shape more than
+    ``PLACED_CEILING`` times slower.  One worker and a serial node model:
+    this floor is about the data path, not about threads."""
+    repeats = 2 if SMOKE else 5
+    shapes: dict[str, dict] = {name: {"workload": sql}
+                               for name, sql in PLACED_SHAPES.items()}
+    for engine, options, connect in PLACEMENTS:
+        db = _build_kernel_db(KERNEL_ROWS, wide_key=True, **connect)
+        for name, sql in PLACED_SHAPES.items():
+            plan = db.planner.plan_select(parse(sql))
+            batch, batch_s = _best_run(db, plan, "batch", repeats)
+            placed, placed_s = _best_run(db, plan, engine, repeats,
+                                         **options)
+            assert placed.rows == batch.rows, f"{name} on {engine}"
+            shapes[name][engine] = {
+                "options": {**options, **connect},
+                "batch_seconds": round(batch_s, 4),
+                "placed_seconds": round(placed_s, 4),
+                "ratio": round(placed_s / batch_s, 2)}
+            print(f"\n{name} over {KERNEL_ROWS} rows: batch "
+                  f"{batch_s * 1e3:.1f} ms, {engine} {options} "
+                  f"{placed_s * 1e3:.1f} ms "
+                  f"({placed_s / batch_s:.2f}x)")
+    _update_report("placed_engine_ratio", {
+        "measure": "Executor.run, best of N, rows out as tuples; "
+                   "ratio = placed engine / batch engine, same table",
+        "rows": KERNEL_ROWS,
+        "shapes": shapes,
+        "ceiling": PLACED_CEILING,
+    })
+    worst = {f"{name} on {engine}": shapes[name][engine]["ratio"]
+             for name in shapes for engine, _, _ in PLACEMENTS}
+    assert max(worst.values()) <= PLACED_CEILING, (
+        f"placed engines above {PLACED_CEILING}x of batch: "
+        f"{ {k: v for k, v in worst.items() if v > PLACED_CEILING} }")
 
 
 # -- tracing overhead (observability gate) ------------------------------------

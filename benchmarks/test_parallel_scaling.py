@@ -5,15 +5,20 @@ clear >= 2x the serial batch engine's modeled throughput on each of the
 three workload shapes — the scan→filter→aggregate pipeline PR 1
 benchmarked, an ORDER BY-heavy plan (per-morsel sorted runs + serial
 k-way merge, so Amdahl bites on the merge remainder), and a
-wide-aggregation plan (hash-partitioned parallel merge) — with
-bit-identical results.  Throughput is measured in *virtual time* —
+wide-aggregation plan (per-morsel partials, one array merge on the
+serial lane) — with bit-identical results.  Throughput is measured in
+*virtual time* —
 wall-clock cannot show multi-thread scalability in single-process Python
 (the whole reason `src/repro/common/simtime.py` exists): the serial
 engines' elapsed time is their charged virtual time, and the parallel
 engine's elapsed time is its modeled makespan (serial lane + per-phase
 max virtual-worker load, see ``WorkerClocks``).  The worker sweep is
 written to ``benchmarks/BENCH_parallel.json`` so future PRs have a
-scaling trajectory to compare against.
+scaling trajectory to compare against.  Beside every modeled figure the
+file records ``wall_seconds`` — the best of ``WALL_REPEATS`` real runs,
+rows consumed, timed by ``benchmarks/wallclock.py``, never in ``src/`` —
+so the model can be read against what this interpreter actually does
+with the same plan (``docs/parallel.md`` has the verdict).
 
 CI smoke mode (``BENCH_SMOKE=1``): a tiny-scale pass — fewer rows, 2-ish
 workers' worth of morsels, JSON written to a scratch path so the
@@ -23,7 +28,6 @@ the JSON generator without asserting the full-scale speedup floors.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
@@ -33,12 +37,14 @@ import repro
 from repro.bench.reporting import write_bench_json
 from repro.exec.executor import Executor
 from repro.sql import parse
+from wallclock import timed
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 ROWS = 8_000 if SMOKE else 100_000
 MORSEL_ROWS = 256 if SMOKE else None  # None = engine default (4096)
 WORKER_SWEEP = (1, 2, 4) if SMOKE else (1, 2, 4, 8)
 SPEEDUP_FLOOR_AT_4 = 1.05 if SMOKE else 2.0
+WALL_REPEATS = 2 if SMOKE else 5
 
 WORKLOADS = [
     {
@@ -70,7 +76,7 @@ def _build_db(rows: int):
     rng = np.random.default_rng(7)
     groups = ["alpha", "beta", "gamma", "delta"]
     # k: high-cardinality group key (rows/20 distinct values) to push the
-    # wide-aggregation plan far past the partitioned-merge cutoff
+    # wide-aggregation plan far past PARTITION_MIN_KEYS groups a morsel
     wide = max(64, rows // 20)
     v = rng.random(rows)
     w = rng.random(rows)
@@ -88,7 +94,7 @@ def test_parallel_engine_scaling():
         plan = db.planner.plan_select(parse(workload["sql"]))
         batch = Executor(db.catalog, db.clock, engine="batch")
         batch.run(plan)  # warm buffer pool and compiled-expression caches
-        base = batch.run(plan)
+        base, base_wall = timed(batch, plan, WALL_REPEATS)
         base_rate = ROWS / base.virtual_seconds
 
         curve = []
@@ -97,7 +103,7 @@ def test_parallel_engine_scaling():
                 "morsel_rows": MORSEL_ROWS}
             executor = Executor(db.catalog, db.clock, engine="parallel",
                                 workers=workers, **kwargs)
-            result = executor.run(plan)
+            result, wall = timed(executor, plan, WALL_REPEATS)
             assert result.rows == base.rows, (
                 f"{workload['name']}: parallel result diverged")
             stats = result.extra["parallel"]
@@ -105,10 +111,11 @@ def test_parallel_engine_scaling():
             curve.append({
                 "workers": workers,
                 "virtual_seconds": round(makespan, 6),
+                "wall_seconds": wall,
                 "rows_per_virtual_sec": round(ROWS / makespan),
                 "speedup_vs_batch": round(
                     base.virtual_seconds / makespan, 2),
-                # scan-pipeline morsels + per-operator partial/merge tasks
+                # scan-pipeline morsels + per-operator partial tasks
                 "tasks": stats["tasks"],
             })
 
@@ -117,17 +124,20 @@ def test_parallel_engine_scaling():
             "sql": workload["sql"],
             "batch_engine": {
                 "virtual_seconds": round(base.virtual_seconds, 6),
+                "wall_seconds": base_wall,
                 "rows_per_virtual_sec": round(base_rate)},
             "parallel_engine": curve,
         })
 
         print(f"\n{workload['name']} over {ROWS} rows "
-              f"(batch: {base.virtual_seconds * 1e3:.2f} virtual ms):")
+              f"(batch: {base.virtual_seconds * 1e3:.2f} virtual ms, "
+              f"{base_wall * 1e3:.2f} wall ms):")
         for point in curve:
             print(f"  {point['workers']} workers: "
                   f"{point['virtual_seconds'] * 1e3:.2f} virtual ms "
                   f"({point['rows_per_virtual_sec']:,} rows/s, "
-                  f"{point['speedup_vs_batch']:.2f}x)")
+                  f"{point['speedup_vs_batch']:.2f}x), "
+                  f"{point['wall_seconds'] * 1e3:.2f} wall ms")
 
         at_four = next((p for p in curve if p["workers"] == 4), None)
         if at_four is not None:
@@ -145,10 +155,14 @@ def test_parallel_engine_scaling():
         "metric": ("rows per virtual second; parallel elapsed = modeled "
                    "makespan (serial lane + per-phase max worker load), "
                    "serial elapsed = charged virtual time"),
+        "wall_clock": ("wall_seconds = best of wall_repeats real runs of "
+                       "the same plan, rows consumed: a measurement beside "
+                       "the model, never an input to it"),
         "workloads": report_workloads,
     }
     write_bench_json(
         RESULT_PATH, report, smoke=SMOKE, seeds={"numpy_rng": 7},
         workload={"rows": ROWS, "morsel_rows": MORSEL_ROWS,
                   "worker_sweep": WORKER_SWEEP,
-                  "speedup_floor_at_4": SPEEDUP_FLOOR_AT_4})
+                  "speedup_floor_at_4": SPEEDUP_FLOOR_AT_4,
+                  "wall_repeats": WALL_REPEATS})

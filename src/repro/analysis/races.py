@@ -84,10 +84,10 @@ EXPECTED_WORKER_HOOKS = frozenset({
     "make_block", "scan_block",
     # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage)
     "filter_mask", "project_block", "probe_block",
-    # breaker partials (PlacedDriver._run_to_sink / _fold_aggregate) and
-    # the worker pool's partitioned merge (MorselScheduler.repartition)
-    "build_block", "partial_block", "split_partial", "merge_partition",
-    "sort_block",
+    # breaker partials (PlacedDriver._run_to_sink / _fold_aggregate); their
+    # merges (merge_build, merge_runs, group_partials / finish_partials)
+    # run on the serial lane
+    "build_block", "partial_block", "sort_block",
 })
 
 #: method calls that mutate their receiver
@@ -503,8 +503,8 @@ class RaceAnalysisPass(AnalysisPass):
                 if name in reachable:
                     continue
                 reachable.append(name)
-                # references count, not just calls: partial_block hands
-                # self._log_accs to the state that later calls it
+                # references count, not just calls: a hook may hand a
+                # bound helper on to code that calls it later
                 for node in ast.walk(methods[name]):
                     if isinstance(node, ast.Attribute) \
                             and isinstance(node.value, ast.Name) \

@@ -11,10 +11,10 @@ compute.  Between fragments, data moves through **exchanges** over the
 :class:`~repro.common.simtime.NetworkModel`:
 
 * **shuffle** — wide GROUP BY repartitions per-morsel aggregate partials
-  by group-key hash across the nodes (``AggregateOp.split_partial`` with
-  a process-independent :func:`~repro.common.rng.stable_hash`), each node
-  merges its partitions, and the merged partitions funnel to the
-  coordinator for final reassembly;
+  by group-key hash across the nodes (a process-independent
+  :func:`~repro.common.rng.stable_hash` of each distinct key names its
+  owner), each node merges its partition, and the merged partitions
+  funnel to the coordinator for final reassembly;
 * **broadcast** — a hash join's built table ships once from the
   coordinator to every node that runs probe-side scan fragments;
 * **gather** — shard-local results (scan output blocks, sort runs, build
@@ -65,6 +65,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.common import categories as cat
 from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
@@ -92,22 +94,6 @@ def block_bytes(block: RowBlock) -> int:
         return 8 * n
     return sum(_BYTES_BY_KIND.get(kind, _DEFAULT_VALUE_BYTES) * n
                for kind in block.kinds)
-
-
-def payload_units(value: Any) -> int:
-    """Scalar-leaf count of an arbitrary exchange payload (aggregate
-    partials, sort runs, build parts): deterministic structural size, 8
-    modeled bytes per unit."""
-    if isinstance(value, dict):
-        return sum(payload_units(k) + payload_units(v)
-                   for k, v in value.items()) or 1
-    if isinstance(value, (list, tuple)):
-        return sum(payload_units(v) for v in value) or 1
-    return 1
-
-
-def payload_bytes(value: Any) -> int:
-    return 8 * payload_units(value)
 
 
 class DistributedScheduler(pl.PlacedDriver):
@@ -308,10 +294,7 @@ class DistributedScheduler(pl.PlacedDriver):
         """Funnel placed items (blocks, aggregate partials, sort runs,
         build parts) to the coordinator."""
         def size(item):
-            if units is not None:
-                return 8 * units(item)
-            return (block_bytes(item) if isinstance(item, RowBlock)
-                    else payload_bytes(item))
+            return block_bytes(item) if units is None else 8 * units(item)
         transfers = [(node, COORDINATOR, size(item), n_rows)
                      for node, item in placed
                      if node != COORDINATOR and (n_rows := rows(item))]
@@ -373,34 +356,42 @@ class DistributedScheduler(pl.PlacedDriver):
         self.check_budget()
         return out
 
-    def repartition(self, op: ops.AggregateOp,
-                    partials: list[tuple[int, dict]]) -> list[dict] | None:
-        """Hash-repartition per-morsel partials across the nodes: node
-        ``q`` owns partition ``q``, producers ship every slice whose owner
-        is a different node, each owner folds its partition's slices in
-        global morsel order, and the merged partitions gather to the
-        coordinator for first-seen-order reassembly."""
+    def exchange_partials(self, op, partials, groups) -> None:
+        """Narrow partials gather whole.  Wide GROUP BY partials are
+        hash-repartitioned first: node ``q`` owns the groups whose key
+        hashes to ``q``, every morsel ships each other owner its entries
+        for that owner's groups, each owner folds its partition, and the
+        merged partitions gather to the coordinator.  The merge itself
+        already ran once, centrally (placements only account): what is
+        modeled here is who would have sent how much to whom."""
         parts = self.nodes
-        if parts <= 1:
-            return None
-
-        def hasher(key):
-            return stable_hash(key, parts)
-
-        splits = [op.split_partial(partial, parts, hasher=hasher)
-                  for _, partial in partials]
+        if not (parts > 1 and op._node.group_by and partials
+                and max(len(partial) for _, partial in partials)
+                > op.PARTITION_MIN_KEYS):
+            self.gather(partials, op, "aggregate partials", units=lambda
+                        partial: op.entry_units(len(partial), partial.rows))
+            return
+        owner = np.array([stable_hash(key, parts) for key in groups.keys])
+        # per (morsel, owner) cell: the entries shipped and their rows
+        sizes = [len(partial) for _, partial in partials]
+        cell = (np.repeat(np.arange(len(sizes)), sizes) * parts
+                + owner[groups.of_entries()])
+        cells = len(sizes) * parts
+        entries = np.bincount(cell, minlength=cells).reshape(-1, parts)
+        rows = np.bincount(
+            cell, np.concatenate([partial.lens for _, partial in partials]),
+            cells).astype(np.int64).reshape(-1, parts)
         transfers = []
-        for (node, _), split in zip(partials, splits):
-            for owner in range(parts):
-                slice_ = split[owner]
-                if slice_ and node != owner:
-                    transfers.append((node, owner, payload_bytes(slice_),
-                                      len(slice_)))
+        for (node, _), shipped, behind in zip(partials, entries.tolist(),
+                                              rows.tolist()):
+            transfers += [
+                (node, q, 8 * op.entry_units(shipped[q], behind[q],
+                                             stamped=True), shipped[q])
+                for q in range(parts) if shipped[q] and node != q]
         self._exchange(cat.SHUFFLE, transfers, op, "partial repartition")
-        merged = [op.merge_partition([split[owner] for split in splits])
-                  for owner in range(parts)]
-        self.gather(list(enumerate(merged)), op, "merged partitions")
-        return merged
+        merged = np.bincount(owner, minlength=parts).tolist()
+        self.gather(list(enumerate(merged)), op, "merged partitions",
+                    rows=int, units=op.merged_units)
 
     def broadcast_builds(self, scan: ops.SeqScanOp,
                          stages: list[pl.PipelineStage]) -> None:

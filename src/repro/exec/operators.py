@@ -27,11 +27,10 @@ makes it the *source* of a pipeline.
 
 The placed engines (``repro/exec/parallel.py``, ``distributed.py``) run
 the *worker hooks* concurrently on morsel workers: the stateless block
-hooks above plus the ``partial``/``merge`` pairs of the breakers
-(``partial_block``/``merge_partial``/``finish_partials`` on aggregation,
-plus ``split_partial``/``merge_partition``/``finish_partitions`` for the
-hash-partitioned wide-GROUP-BY merge; ``build_block``/``merge_build`` on
-hash join; ``sort_block``/``merge_runs`` on sort).  Contract for every
+hooks above plus the worker half of each breaker's ``partial``/``merge``
+pair (``partial_block`` before ``group_partials``/``finish_partials`` on
+aggregation; ``build_block`` before ``merge_build`` on hash join;
+``sort_block`` before ``merge_runs`` on sort).  Contract for every
 worker hook: it charges all of its virtual-time cost to the clock it is
 *passed* (a per-task shard), never to ``self._clock``; it never touches
 ``self.rows_out`` (the driver attributes output counts after reassembly,
@@ -42,9 +41,10 @@ construction — the exceptions are the batch predicate wrapper's
 fallback latch, an idempotent one-way write (see
 ``compile_predicate_batch``), and ``BuildTable.buckets()``, built once
 under its lock — and every :class:`RowBlock` is owned by one worker at
-a time.  ``AggregateOp.partial_block`` is the
-serial ``absorb_carrier`` run into a fresh state that logs instead of
-folding, so one partitioner serves every engine.
+a time.  ``AggregateOp.partial_block`` keeps, as arrays, what the
+serial ``absorb_carrier`` partitions a block into, and the merge is that
+partitioner again over the partials' representative rows — one
+partitioner serves every engine, on both sides of the breaker.
 """
 
 from __future__ import annotations
@@ -757,36 +757,51 @@ class _Accumulator:
         raise BindError(f"unknown aggregate {self.name!r}")
 
 
-class _EntryLog:
-    """Stands in for an :class:`_Accumulator` while a morsel partial is
-    built: records the one batch call its group receives per block as a
-    partial entry — ``("count", n)`` or ``("values", values, clean)`` —
-    instead of folding it, so the merge can replay raw values in global
-    morsel order."""
+class AggPartial:
+    """One morsel's aggregation, kept columnar: one entry per group of
+    the morsel, in first-seen order.  ``reps`` holds the groups'
+    representative (first) rows; entry ``g`` owns positions ``lows[g] :
+    lows[g] + lens[g]`` of every value column; ``columns`` has, per
+    aggregate call, None for COUNT(*) or ``(values, clean)`` — the
+    argument column arranged by the partition, still a TypedColumn or
+    object array, and whether it is provably NULL-free.  ``rows`` is the
+    morsel's row count, ``len()`` its entry count."""
 
-    __slots__ = ("entry",)
+    __slots__ = ("reps", "lows", "lens", "rows", "columns")
 
-    def add_count(self, rows: int) -> None:
-        self.entry = ("count", rows)
+    def __init__(self, reps: RowBlock, lows: np.ndarray, lens: np.ndarray,
+                 rows: int, columns: list):
+        self.reps = reps
+        self.lows = lows
+        self.lens = lens
+        self.rows = rows
+        self.columns = columns
 
-    def add_values(self, values: list, clean: bool = False) -> None:
-        self.entry = ("values", values, clean)
+    def __len__(self) -> int:
+        return len(self.reps)
 
 
-class _GroupState:
-    """Accumulation state of one aggregation: ``groups`` maps group key
-    -> ``(accumulators, representative row)`` in first-seen order;
-    ``new_accs`` builds a fresh group's accumulators."""
+class PartialGroups:
+    """The entries of ``partials`` — numbered in morsel order, ``block``
+    their representatives laid end to end — partitioned into the merged
+    groups, as both partitioners answer."""
 
-    __slots__ = ("groups", "new_accs")
+    __slots__ = ("partials", "block", "keys", "firsts", "rows", "lows",
+                 "highs")
 
-    def __init__(self, new_accs):
-        self.groups: dict[Any, tuple[list, tuple]] = {}
-        self.new_accs = new_accs
+    def __init__(self, partials: list[AggPartial], block: RowBlock,
+                 grouped: tuple):
+        self.partials = partials
+        self.block = block
+        self.keys, self.firsts, self.rows, self.lows, self.highs = grouped
 
-    def open(self, key, representative: tuple) -> None:
-        """Register ``key``, first seen on the row ``representative``."""
-        self.groups[key] = (self.new_accs(), representative)
+    def of_entries(self) -> np.ndarray:
+        """The merged group (an index into ``keys``) of every entry of a
+        grouped aggregation (a global one has no arrangement to invert)."""
+        by_low = np.argsort(self.lows)
+        out = np.empty(len(self.rows), dtype=np.intp)
+        out[self.rows] = np.repeat(by_low, (self.highs - self.lows)[by_low])
+        return out
 
 
 class AggregateOp(Operator):
@@ -861,46 +876,24 @@ class AggregateOp(Operator):
 
     # -- sink hooks --------------------------------------------------------
 
-    def new_state(self) -> _GroupState:
-        """Fresh serial accumulation state."""
-        return _GroupState(self._new_accs)
+    def new_state(self) -> dict[Any, tuple[list, tuple]]:
+        """Fresh serial state: key -> (accumulators, representative)."""
+        return {}
 
     def absorb_carrier(self, block: RowBlock, mask: np.ndarray | None,
-                       count: int, state: _GroupState,
+                       count: int, state: dict,
                        clock: SimClock) -> None:
         """Sink hook: fold the ``count`` surviving rows of ``(block,
         mask)`` into the accumulation state, charging ``clock``, without
-        materializing the selection.  Rows are grouped by the array
-        partitioner when every group key is a typed column and by the
-        exact-object one otherwise (computed keys, ``"obj"`` columns); a
-        global aggregate is one group.  When every key/argument is a
-        column passthrough a deferred mask rides along; otherwise the
-        block is selected once so row evaluators only ever see
-        surviving rows."""
+        materializing the selection (see :meth:`_partition`)."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
-        if mask is not None and not self._slot_only:
-            block = block.select(mask)
-            mask = None
-        key_columns = [block.columns[payload] if kind == _SLOT else None
-                       for kind, payload in self._group_sources]
-        key_arrays = [_key_arrays(column) for column in key_columns]
-        if not key_columns:
-            first = 0 if mask is None else int(mask.argmax())
-            grouped = [()], np.array([first]), mask, [0], [count]
-        elif all(arrays is not None for arrays in key_arrays):
-            grouped = self._group_typed(
-                mask, key_columns, [a for arrays in key_arrays for a in arrays])
-        else:
-            if mask is not None:
-                block = block.select(mask)
-            grouped = self._group_exact(block)
-        if grouped is not None:
-            self._fold_groups(block, state, *grouped)
+        block, grouped = self._partition(block, mask, count)
+        self._fold_groups(block, state, *grouped)
 
-    def finish_state(self, state: _GroupState) -> RowBlock | None:
+    def finish_state(self, state: dict) -> RowBlock | None:
         """Sink hook: emit the result block (rows_out attributed), or
         None when a grouped query saw no rows."""
-        return self._result_block(state.groups)
+        return self._result_block(state)
 
     def _call_arrays(self, block: RowBlock):
         """(values array, clean) per aggregate call; None for COUNT(*)."""
@@ -925,7 +918,34 @@ class AggregateOp(Operator):
     # ``rows`` selects the block's surviving rows (None: all, as they
     # are), arranged so that group ``g`` — keys in first-seen order, first
     # seen on row ``firsts[g]`` — owns positions ``lows[g]:highs[g]`` of
-    # the selection, in row order.
+    # the selection, in row order.  All but ``keys`` are arrays.
+
+    def _partition(self, block: RowBlock, mask: np.ndarray | None,
+                   count: int):
+        """``(block, grouped)``: the ``count`` surviving rows of ``(block,
+        mask)`` partitioned into groups — by the array partitioner when
+        every group key is a typed column and by the exact-object one
+        otherwise (computed keys, ``"obj"`` columns); a global aggregate
+        is one group.  When every key/argument is a column passthrough a
+        deferred mask rides along; otherwise the returned block is the
+        selection, taken once, so row evaluators only ever see surviving
+        rows."""
+        if mask is not None and not self._slot_only:
+            block = block.select(mask)
+            mask = None
+        key_columns = [block.columns[payload] if kind == _SLOT else None
+                       for kind, payload in self._group_sources]
+        key_arrays = [_key_arrays(column) for column in key_columns]
+        if not key_columns:
+            first = 0 if mask is None else int(mask.argmax())
+            return block, ([()], np.array([first]), mask,
+                           np.array([0]), np.array([count]))
+        if all(arrays is not None for arrays in key_arrays):
+            return block, self._group_typed(
+                mask, key_columns, [a for arrays in key_arrays for a in arrays])
+        if mask is not None:
+            block = block.select(mask)
+        return block, self._group_exact(block)
 
     def _group_typed(self, mask, key_columns, arrays):
         """GROUP BY over typed key columns, without a per-row step: one
@@ -939,7 +959,7 @@ class AggregateOp(Operator):
             arrays = [a[selected] for a in arrays]
         n = len(arrays[0])
         if not n:
-            return None
+            return ([],) + (np.empty(0, dtype=np.intp),) * 4
         order = _stable_order(arrays)
         changed = np.zeros(n - 1, dtype=bool)
         for a in arrays:
@@ -955,8 +975,8 @@ class AggregateOp(Operator):
         # across blocks without splitting groups
         keys = (key_lists[0] if len(key_lists) == 1
                 else list(zip(*key_lists)))
-        return (keys, firsts, rows, starts[seen].tolist(),
-                np.concatenate((starts[1:], [n]))[seen].tolist())
+        return (keys, firsts, rows, starts[seen],
+                np.concatenate((starts[1:], [n]))[seen])
 
     def _group_exact(self, block):
         """Exact-object GROUP BY (a computed key, or a key column that is
@@ -973,26 +993,28 @@ class AggregateOp(Operator):
                 partition[key] = [i]
             else:
                 bucket.append(i)
-        highs = list(itertools.accumulate(map(len, partition.values())))
+        sizes = np.fromiter(map(len, partition.values()), dtype=np.intp,
+                            count=len(partition))
+        highs = np.cumsum(sizes)
         rows = np.fromiter(itertools.chain.from_iterable(partition.values()),
                            dtype=np.intp, count=len(keys))
         firsts = np.array([bucket[0] for bucket in partition.values()],
                           dtype=np.intp)
-        return list(partition), firsts, rows, [0] + highs[:-1], highs
+        return list(partition), firsts, rows, highs - sizes, highs
 
     def _fold_groups(self, block, state, keys, firsts, rows, lows,
                      highs) -> None:
         """Open the groups not seen before (representative: the group's
         first row) and hand every group its argument values as one
         row-ordered slice — so accumulation (left-to-right float sums,
-        DISTINCT first-seen order) and partial entries are exactly the
-        row engine's."""
-        fresh = [g for g, key in enumerate(keys) if key not in state.groups]
+        DISTINCT first-seen order) is exactly the row engine's."""
+        fresh = [g for g, key in enumerate(keys) if key not in state]
         if fresh:
             representatives = block.take(firsts[fresh]).to_rows()
             for g, representative in zip(fresh, representatives):
-                state.open(keys[g], representative)
-        group_accs = [state.groups[key][0] for key in keys]
+                state[keys[g]] = (self._new_accs(), representative)
+        group_accs = [state[key][0] for key in keys]
+        lows, highs = lows.tolist(), highs.tolist()
         for slot, entry in enumerate(self._call_arrays(block)):
             if entry is None:
                 for accs, low, high in zip(group_accs, lows, highs):
@@ -1010,130 +1032,123 @@ class AggregateOp(Operator):
 
     # -- worker hooks ------------------------------------------------------
     #
-    # A morsel partial is an insertion-ordered dict:
-    #   group key -> [representative row, entries]
-    # where entries align with self._agg_calls and each entry is
-    # ("count", n) for COUNT(*) or ("values", values, clean) holding the
-    # group's raw argument values in row order (clean = provably NULL-free).
-    # Partials keep raw values instead of collapsed totals so the merge can
-    # replay accumulation in global morsel order: _Accumulator.add_values
-    # adds strictly left-to-right seeded with the running total, which makes
-    # float sums and DISTINCT first-seen order bit-identical to the serial
-    # engines no matter how morsels were distributed across workers.
-
-    def partial_block(self, block: RowBlock, clock: SimClock) -> dict:
-        """Thread-local worker hook: partial-aggregate one non-empty
-        block, charging ``clock`` — the serial :meth:`absorb_carrier`
-        into a fresh state that logs each group's values instead of
-        folding them, so group discovery order within the morsel, the
-        representative rows and the typed fast paths are the serial
-        engines' own."""
-        state = _GroupState(self._log_accs)
-        self.absorb_carrier(block, None, len(block), state, clock)
-        return {key: [representative, [log.entry for log in logs]]
-                for key, (logs, representative) in state.groups.items()}
-
-    def _log_accs(self) -> list[_EntryLog]:
-        return [_EntryLog() for _ in self._agg_calls]
-
-    @staticmethod
-    def _apply_entries(accs: list[_Accumulator], entries: list) -> None:
-        """Replay one partial's entries — ("count", n) or
-        ("values", values, clean) — into a group's accumulators; the one
-        place the partial entry format is interpreted, shared by both
-        merge paths."""
-        for acc, entry in zip(accs, entries):
-            if entry[0] == "count":
-                acc.add_count(entry[1])
-            else:
-                acc.add_values(entry[1], entry[2])
-
-    def finish_partials(self, partials: list[dict]) -> RowBlock | None:
-        """Merge morsel partials (already in morsel order) and emit the
-        result block, or None when there is nothing to emit (grouped query
-        over zero rows).  The first morsel that discovers a group supplies
-        its representative row, exactly as the serial engines' first
-        matching row would.  An empty partial list is valid: a global
-        aggregate over zero rows still yields its default row."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple]] = {}
-        for partial in partials:
-            for key, (representative, entries) in partial.items():
-                state = groups.get(key)
-                if state is None:
-                    state = groups[key] = (self._new_accs(), representative)
-                self._apply_entries(state[0], entries)
-        return self._result_block(groups)
-
-    # -- partitioned merge (wide GROUP BY) ---------------------------------
+    # A morsel partial (:class:`AggPartial`) is the partition above kept
+    # as arrays.  It keeps raw values instead of collapsed totals so the
+    # merge can accumulate in global morsel order: float sums and DISTINCT
+    # first-seen order come out bit-identical to the serial engines no
+    # matter how morsels were distributed across workers.
     #
-    # For high-cardinality GROUP BY the single morsel-order merge dict
-    # becomes the one serial funnel in an otherwise parallel plan.  The
-    # partitioned path radix-partitions group keys by hash across P
-    # per-worker tables: split_partial slices each morsel partial into P
-    # sub-dicts (parallel over morsels), merge_partition folds one
-    # partition's slices together across all morsels (parallel over
-    # partitions — disjoint key sets, no shared state), and
-    # finish_partitions reassembles global first-seen group order from the
-    # (morsel, position) stamps recorded at split time.  Because every
-    # group lives in exactly one partition and its slices are still folded
-    # in morsel order, the raw-value replay through _Accumulator.add_values
-    # is unchanged — float sums and DISTINCT first-seen order stay
-    # bit-identical to the serial engines.  Like the plain merge, the
-    # partitioned merge charges nothing: every per-row cost was already
+    # The merge is the same partitioner again.  group_partials lays the
+    # partials' representatives end to end, in morsel order, and
+    # partitions *that* block: a representative carries its group's key
+    # and the partition is stable, so a merged group lists its entries in
+    # morsel order and merged groups come out in global first-seen order,
+    # the first entry's representative standing for the group as the
+    # serial engines' first matching row would.  finish_partials then lays
+    # each merged group's value segments end to end — one gather index,
+    # one ``tolist()`` per aggregate column — and makes one add_values /
+    # add_count call per group: the call the serial sink makes, over the
+    # same values in the same order.  Every merged group is complete at
+    # that point, so the fold goes group by group and a group's
+    # accumulators die with its result row (a thousand groups never have a
+    # thousand accumulator sets alive for the cycle collector to walk).
+    # Neither step charges anything: every per-row cost was already
     # charged in a worker (see docs/parallel.md).
 
-    # partials whose widest morsel stays at or under this many groups keep
-    # the plain serial merge; past it the merge dict is worth partitioning
+    def partial_block(self, block: RowBlock, mask: np.ndarray | None,
+                      count: int, clock: SimClock) -> "AggPartial":
+        """Thread-local worker hook: partial-aggregate the ``count``
+        (>= 1) surviving rows of ``(block, mask)``, charging ``clock`` —
+        what the serial :meth:`absorb_carrier` is handed, partitioned by
+        the same :meth:`_partition`, so group discovery order within the
+        morsel, the representative rows, the typed fast paths and the
+        deferred selection are the serial engines' own."""
+        clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
+        block, (_, firsts, rows, lows, highs) = self._partition(
+            block, mask, count)
+        columns = [entry if entry is None or rows is None
+                   else (entry[0][rows], entry[1])
+                   for entry in self._call_arrays(block)]
+        return AggPartial(block.take(firsts), lows, highs - lows, count,
+                          columns)
+
+    def group_partials(self, partials: "list[AggPartial]"
+                       ) -> "PartialGroups | None":
+        """Serial-lane hook: group the entries of ``partials`` (in morsel
+        order) by running the partitioner over their representatives.
+        None for an empty list, which is valid: a global aggregate over
+        zero rows still yields its default row."""
+        if not partials:
+            return None
+        reps = RowBlock.concat([partial.reps for partial in partials])
+        return PartialGroups(partials,
+                             *self._partition(reps, None, len(reps)))
+
+    def finish_partials(self, groups: "PartialGroups | None"
+                        ) -> RowBlock | None:
+        """Serial-lane hook: fold grouped partials and emit the result
+        block, or None when there is nothing to emit (grouped query over
+        zero rows)."""
+        if groups is None:
+            return self._result_block({})
+        partials = groups.partials
+        # entry e's values sit at entry_low[e] : + entry_len[e] of the
+        # partials' value columns laid end to end
+        entry_len = np.concatenate([p.lens for p in partials])
+        bases = np.cumsum([0] + [p.rows for p in partials[:-1]])
+        entry_low = np.concatenate(
+            [p.lows + base for p, base in zip(partials, bases)])
+        if groups.rows is not None:
+            entry_low = entry_low[groups.rows]
+            entry_len = entry_len[groups.rows]
+        # ... and move to ends - entry_len : ends, group after group
+        ends = np.cumsum(entry_len)
+        index = (np.repeat(entry_low - (ends - entry_len), entry_len)
+                 + np.arange(ends[-1]))
+        bounds = np.concatenate(([0], ends))
+        columns = [
+            None if source is None else
+            (concat_columns([p.columns[slot][0] for p in partials])[index]
+             .tolist(), all(p.columns[slot][1] for p in partials))
+            for slot, source in enumerate(self._agg_sources)]
+        rows = []
+        for representative, low, high in zip(
+                groups.block.take(groups.firsts).to_rows(),
+                bounds[groups.lows].tolist(), bounds[groups.highs].tolist()):
+            accs = self._new_accs()
+            for acc, column in zip(accs, columns):
+                if column is None:
+                    acc.add_count(high - low)
+                else:
+                    acc.add_values(column[0][low:high], column[1])
+            rows.append(self._result_row(accs, representative))
+        return self._emit_block(RowBlock.from_rows(self.layout, rows))
+
+    # The distributed placement models what a partial would put on the
+    # wire as 8 bytes per scalar leaf of the nested form it stands for:
+    #   {key: [representative, [("count", n) | ("values", [...], clean)]]}
+    # Only it reads PARTITION_MIN_KEYS: partials whose widest morsel stays
+    # at or under this many groups are modeled as gathered whole, wider
+    # ones as hash-repartitioned by group key first.
     PARTITION_MIN_KEYS = 32
 
-    def split_partial(self, partial: dict, parts: int,
-                      hasher=hash) -> list[dict]:
-        """Parallel hook: slice one morsel partial into ``parts``
-        hash-partitioned sub-dicts of ``key -> (position, state)``.  The
-        recorded position (the key's index within the morsel partial)
-        lets finish_partitions rebuild global first-seen order across
-        partitions.  Equal keys hash equally, so a group's slices all land
-        in the same partition; NaN keys hash by object identity, matching
-        the identity grouping the merge dict already gave them.
+    def entry_units(self, groups: int, rows: int, stamped: bool = False) -> int:
+        """Modeled exchange size of ``groups`` partial entries carrying
+        ``rows`` rows between them; a shuffled entry is ``stamped`` with
+        its position in the morsel."""
+        calls = len(self._agg_calls)
+        per_group = (max(1, len(self._group_sources))
+                     + max(1, len(self._child.layout))
+                     + (2 * calls or 1) + stamped)
+        return groups * per_group + rows * sum(
+            source is not None for source in self._agg_sources)
 
-        ``hasher`` overrides the partition hash: the distributed engine
-        passes a process-independent stable hash so which node owns each
-        group — and therefore the shuffle bytes it records — is
-        reproducible across runs (Python's builtin ``hash`` is
-        per-process salted for strings)."""
-        out: list[dict] = [{} for _ in range(parts)]
-        for position, (key, state) in enumerate(partial.items()):
-            out[hasher(key) % parts][key] = (position, state)
-        return out
-
-    def merge_partition(self, slices: list[dict]) -> dict:
-        """Parallel hook: fold one partition's per-morsel slices (in
-        morsel order) into ``key -> (accumulators, representative,
-        first_seen)`` where ``first_seen`` is the (morsel index, position)
-        of the key's first appearance."""
-        groups: dict[Any, tuple[list[_Accumulator], tuple, tuple]] = {}
-        for morsel_idx, sub in enumerate(slices):
-            for key, (position, (representative, entries)) in sub.items():
-                state = groups.get(key)
-                if state is None:
-                    state = groups[key] = (self._new_accs(), representative,
-                                           (morsel_idx, position))
-                self._apply_entries(state[0], entries)
-        return groups
-
-    def finish_partitions(self, partitions: list[dict]) -> RowBlock | None:
-        """Reassemble partition merges into one result block, restoring
-        the serial engines' global first-seen group order by sorting on
-        the (morsel, position) stamps — integer pairs, unique per key, so
-        group keys themselves are never compared."""
-        stamped = [(first_seen, key, accs, representative)
-                   for partition in partitions
-                   for key, (accs, representative, first_seen)
-                   in partition.items()]
-        stamped.sort(key=lambda entry: entry[0])
-        return self._result_block({key: (accs, representative)
-                                   for _, key, accs, representative
-                                   in stamped})
+    def merged_units(self, groups: int) -> int:
+        """Modeled exchange size of ``groups`` merged groups: the leaves
+        of ``{key: (accumulators, representative, (morsel, position))}``."""
+        return groups * (max(1, len(self._group_sources))
+                         + max(1, len(self._agg_calls))
+                         + max(1, len(self._child.layout)) + 2)
 
     def _result_block(self, groups: dict) -> RowBlock | None:
         """The result block of finished ``groups`` (rows_out attributed),
@@ -1149,10 +1164,13 @@ class AggregateOp(Operator):
         if not groups and not self._node.group_by:
             groups[()] = (self._new_accs(), ())
         for accs, representative in groups.values():
-            results = [acc.result() for acc in accs]
-            out = tuple(item(representative, results)
-                        for item in self._item_evals)
+            out = self._result_row(accs, representative)
             yield self._emit(out) if count else out
+
+    def _result_row(self, accs: list, representative: tuple) -> tuple:
+        results = [acc.result() for acc in accs]
+        return tuple(item(representative, results)
+                     for item in self._item_evals)
 
     def _compile_item(self, expr: ast.Expr):
         """One select item as ``fn(representative row, aggregate

@@ -21,9 +21,9 @@ sweep in `tests/test_batch_parity.py` enforce:
   ``rows_out`` counters, and the charged virtual-time totals are identical
   to the serial batch engine for *any* worker count and any thread
   interleaving.  Float-sensitive aggregate state is never combined by
-  adding subtotals; partials carry raw values and the merge replays them in
-  global morsel order (see ``AggregateOp.partial_block``), which keeps
-  sums bit-identical.
+  adding subtotals; partials carry raw value arrays and the merge
+  accumulates them in global morsel order (see
+  ``AggregateOp.partial_block``), which keeps sums bit-identical.
 * **Virtual time** — every morsel task charges a private shard clock; when
   a phase closes, :class:`~repro.common.simtime.WorkerClocks`
   list-schedules the task charges in morsel order onto W virtual workers
@@ -41,8 +41,9 @@ sweep in `tests/test_batch_parity.py` enforce:
 * **Scope of parallelism** — every pipeline's ``parallel_safe`` stage
   prefix runs morsel-parallel: scan→filter→project chains, hash-join
   probes (and any filters/projections above the join) fused into the
-  probe-side scan task, aggregate partials (with a hash-partitioned
-  parallel merge for wide GROUP BY), and sort runs.  Order-sensitive
+  probe-side scan task, aggregate partials, and sort runs.  The merges
+  (one stable grouping of the partials' representative rows, one stable
+  sort over the runs) are array passes on the serial lane.  Order-sensitive
   stages (Distinct's seen set) and operators without a block
   decomposition (NestedLoopJoin, IndexScan, EmptyRow) run on the serial
   lane, with their *inputs* still computed in parallel.  A plan
@@ -202,26 +203,6 @@ class MorselScheduler(pl.PlacedDriver):
     def dispatch(self, units, fn):
         results = self.map([item for _, item in units], fn)
         return [(pl.COORDINATOR, result) for result in results]
-
-    def repartition(self, op: ops.AggregateOp, partials):
-        """Morsel partials are radix-split by group-key hash into
-        ``workers`` disjoint partitions, each partition folds its slices
-        in morsel order on its own worker — no single merge dict funnels
-        every group — and the serial tail only reassembles first-seen
-        group order from integer stamps."""
-        parts = self.workers
-        if parts <= 1:
-            return None
-
-        def split(partial: dict, _shard: SimClock) -> list[dict]:
-            return op.split_partial(partial, parts)
-
-        def merge(slices: list[dict], _shard: SimClock) -> dict:
-            return op.merge_partition(slices)
-
-        splits = self.map([partial for _, partial in partials], split)
-        return self.map([[split[pid] for split in splits]
-                          for pid in range(parts)], merge)
 
     # -- morsel dispatch ---------------------------------------------------
 

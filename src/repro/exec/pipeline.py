@@ -635,16 +635,19 @@ class BlockPass:
 
     ``scan`` is the pipeline's :class:`ScanSource`, if that is where the
     carriers come from: the pass then counts the scan's output too (every
-    other source attributes its own rows).  The pass never touches
-    ``rows_out``: it returns the per-operator counts and the
+    other source attributes its own rows).  A ``deferred`` pass's tasks
+    hand their survivor on as the carrier, selection still pending, for a
+    sink hook that consumes masks (aggregate partials).  The pass never
+    touches ``rows_out``: it returns the per-operator counts and the
     single-threaded caller hands them to :meth:`credit`, which keeps the
     counters race-free when passes run on worker threads.
     """
 
     def __init__(self, stages: list[PipelineStage], tracer,
-                 scan: "ScanSource | None" = None):
+                 scan: "ScanSource | None" = None, deferred: bool = False):
         self.stages = stages
         self.scan = scan
+        self.deferred = deferred
         self.ops = ([scan.op] if scan is not None else []) \
             + [stage.op for stage in stages]
         self._tracer = tracer
@@ -678,17 +681,20 @@ class BlockPass:
         return lens, carrier
 
     def task(self, unit, clock: SimClock
-             ) -> tuple[list[int], RowBlock | None]:
+             ) -> tuple[list[int], RowBlock | BlockCarrier | None]:
         """One placed task: admit the unit — a scan morsel through the
         scan's fused hook (under the scan's span), or an already
-        produced block — run the chain, and materialize the survivor."""
+        produced block — run the chain, and materialize the survivor
+        (unless the pass is ``deferred``)."""
         if self.scan is not None:
             carrier = _under_span(self._tracer, self.scan.op,
                                   self.scan.morsel_carrier)(unit, clock)
         else:
             carrier = BlockCarrier(unit)
         lens, out = self.run(carrier, clock)
-        return lens, None if out is None else out.materialize()
+        if out is not None and not self.deferred:
+            out = out.materialize()
+        return lens, out
 
     def credit(self, lens: list[int]) -> None:
         for op, n_out in zip(self.ops, lens):
@@ -784,8 +790,8 @@ class PlacedDriver:
     * :meth:`scan_units` — how a scan splits into ``(site, morsel)``
       units, and which clocks the page touches charge;
     * :meth:`dispatch` — how one phase's tasks run and are accounted;
-    * :meth:`gather` / :meth:`broadcast_builds` / :meth:`repartition` —
-      what moves at a breaker;
+    * :meth:`gather` / :meth:`broadcast_builds` /
+      :meth:`exchange_partials` — what moves at a breaker;
     * :meth:`pending` and :meth:`finish` — budget and stats accounting.
 
     Single-use, like the operator tree it drives.
@@ -831,11 +837,11 @@ class PlacedDriver:
         """Ship the built tables ``stages`` probe to wherever ``scan``'s
         units will run."""
 
-    def repartition(self, op: ops.AggregateOp,
-                    partials: list[tuple[int, dict]]) -> list[dict] | None:
-        """Hash-partitioned merge of wide GROUP BY partials: the merged
-        partitions, or None to keep the plain unit-order merge."""
-        raise NotImplementedError
+    def exchange_partials(self, op: ops.AggregateOp,
+                          partials: list[tuple[int, ops.AggPartial]],
+                          groups: ops.PartialGroups | None) -> None:
+        """Account what the placed ``partials`` of one aggregation move
+        on the way to their merge, whose grouping is ``groups``."""
 
     def pending(self) -> float:
         """Seconds charged to task and lane clocks, not yet folded into
@@ -892,9 +898,12 @@ class PlacedDriver:
 
     # -- the walk ----------------------------------------------------------
 
-    def _placed(self, pipe: Pipeline) -> list[tuple[int, RowBlock]]:
+    def _placed(self, pipe: Pipeline, deferred: bool = False
+                ) -> list[tuple[int, RowBlock | BlockCarrier]]:
         """Execute one pipeline (inputs first); returns its output blocks
-        with their sites, in serial-engine block order."""
+        with their sites, in serial-engine block order.  With
+        ``deferred``, the outputs of a last pass that ran as tasks are
+        still carriers (see :class:`BlockPass`)."""
         for dep in pipe.inputs:
             self._run_to_sink(dep)
         safe: list[PipelineStage] = []
@@ -907,14 +916,16 @@ class PlacedDriver:
             # splitting touches the buffer pool: attribute the page
             # charges to the scan, where the serial engines' pulls put them
             units = self._op_task(source.op, self.scan_units)(source.op)
-            placed = self._tasks(units, BlockPass(safe, self._tracer, source))
+            placed = self._tasks(units, BlockPass(safe, self._tracer, source,
+                                                  deferred and not tail))
         else:
             # breaker sinks replay their merged result; serial operators
             # (IndexScan, NestedLoopJoin, EmptyRow) run on the serial lane
             placed = [(COORDINATOR, carrier.materialize())
                       for carrier in source.carriers(self.lane)]
             if safe:
-                placed = self._tasks(placed, BlockPass(safe, self._tracer))
+                placed = self._tasks(placed, BlockPass(
+                    safe, self._tracer, deferred=deferred and not tail))
         if tail:
             self.gather(placed, tail[0].op, "serial tail")
             tail_pass = BlockPass(tail, self._tracer)
@@ -943,9 +954,9 @@ class PlacedDriver:
     def _run_to_sink(self, pipe: Pipeline) -> None:
         """Run a breaker pipeline and fold its blocks into its sink; the
         merged result lives on the coordinator."""
-        placed = self._placed(pipe)
         sink = pipe.sink
         op = sink.op
+        placed = self._placed(pipe, deferred=isinstance(sink, AggregateSink))
         if isinstance(sink, AggregateSink):
             result = self._fold_aggregate(op, placed)
             sink.result_blocks = [] if result is None else [result]
@@ -969,24 +980,23 @@ class PlacedDriver:
             self.gather(placed, op, "collect gather")
             sink.result_blocks = [block for _, block in placed]
 
-    def _fold_aggregate(self, op: ops.AggregateOp,
-                        placed: list[tuple[int, RowBlock]]
+    def _fold_aggregate(self, op: ops.AggregateOp, placed: list
                         ) -> RowBlock | None:
-        """Per-unit partial aggregation, then either the plain unit-order
-        merge on the lane or, for wide GROUP BY, the placement's
-        hash-partitioned merge.  Both replay raw values in global unit
+        """Per-unit partial aggregation, then the one merge on the lane:
+        the partitioner over the partials' representatives, which the
+        placement reads to account what a real deployment would move,
+        and the fold.  The fold accumulates raw values in global unit
         order, so results are bit-identical to the serial engines; the
         merge charges nothing (every per-row cost was charged in a
         task)."""
-        partials = self.dispatch(placed,
-                                 self._op_task(op, op.partial_block))
-        merged = None
-        if (op._node.group_by and partials
-                and max(len(partial) for _, partial in partials)
-                > op.PARTITION_MIN_KEYS):
-            merged = self.repartition(op, partials)
-        if merged is None:
-            self.gather(partials, op, "aggregate partials")
-            return self._op_task(op, op.finish_partials)(
-                [partial for _, partial in partials])
-        return self._op_task(op, op.finish_partitions)(merged)
+        def partial(item, clock):
+            # a scan task's survivor arrives with its selection deferred
+            carrier = item if isinstance(item, BlockCarrier) \
+                else BlockCarrier(item)
+            return op.partial_block(carrier.block, carrier.mask,
+                                    carrier.count, clock)
+
+        partials = self.dispatch(placed, self._op_task(op, partial))
+        groups = op.group_partials([partial for _, partial in partials])
+        self.exchange_partials(op, partials, groups)
+        return self._op_task(op, op.finish_partials)(groups)

@@ -264,8 +264,9 @@ class TestRaceAnalysisPass:
     def test_unlocked_hook_write_flagged(self):
         """Acceptance criterion: an unlocked shared-attribute write in a
         parallel hook produces a finding."""
-        match = re.search(r"(    def partial_block\(self[^\n]*\n)",
-                          OPERATORS_SRC)
+        # the signature wraps: consume to the colon ending it
+        match = re.search(r"    def partial_block\(self.*?:\n",
+                          OPERATORS_SRC, re.S)
         assert match is not None
         injected = (OPERATORS_SRC[:match.end()]
                     + "        self._blocks_seen = 1\n"
@@ -312,7 +313,7 @@ class TestRaceAnalysisPass:
         found = race_findings(pipeline=drifted)
         assert any(f.rule == "dispatch-drift"
                    and "shiny_new_hook" in f.message for f in found)
-        marker = "        splits = self.map("
+        marker = "        results = self.map("
         assert marker in PARALLEL_SRC
         drifted = PARALLEL_SRC.replace(
             marker, "        self.map([], op.pool_only_hook)\n" + marker)
@@ -356,9 +357,9 @@ class TestRaceAnalysisPass:
                    and "BlockPass.run" in f.message for f in found)
 
     def test_partial_block_helpers_are_audited(self):
-        """partial_block is the serial partitioner run into a logging
-        state: a shared write in any helper it reaches is a finding."""
-        match = re.search(r"    def _fold_groups\(self.*?:\n",
+        """partial_block runs the serial sink's partitioner: a shared
+        write in any helper it reaches is a finding."""
+        match = re.search(r"    def _partition\(self.*?:\n",
                           OPERATORS_SRC, re.S)
         assert match is not None
         injected = (OPERATORS_SRC[:match.end()]
@@ -366,12 +367,12 @@ class TestRaceAnalysisPass:
                     + OPERATORS_SRC[match.end():])
         found = race_findings(operators=injected)
         assert any(f.rule == "unlocked-shared-write"
-                   and "_fold_groups" in f.message for f in found)
+                   and "_partition" in f.message for f in found)
 
     def test_expected_hooks_match_scheduler_contract(self):
         # the serial-lane hooks must never appear in the worker set
-        serial_only = {"merge_build", "merge_runs", "finish_partials",
-                       "finish_partitions", "distinct_block", "limit_block"}
+        serial_only = {"merge_build", "merge_runs", "group_partials",
+                       "finish_partials", "distinct_block", "limit_block"}
         assert not (EXPECTED_WORKER_HOOKS & serial_only)
 
     def test_morsel_local_writes_clean(self):

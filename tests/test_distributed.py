@@ -25,12 +25,12 @@ import repro
 from repro.common import categories as cat
 from repro.common.faults import FaultPlan
 from repro.common.simtime import CostModel, NetworkModel, SimClock
-from repro.exec.distributed import (DistributedScheduler, block_bytes,
-                                    payload_bytes, payload_units)
+from repro.exec.distributed import DistributedScheduler, block_bytes
 from repro.exec.executor import Executor
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import parse
 from repro.storage.schema import Column, DataType, TableSchema
+from partial_oracle import payload_bytes, payload_units
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 

@@ -5,22 +5,33 @@ Covers the total-order sort key (NaN bucketed deterministically between
 numbers and strings), three-way engine parity for ORDER BY over
 NaN/NULL/mixed-type keys and multi-key DESC sorts, wide GROUP BY past the
 mask-partition cutoff with NaN group keys at several worker counts, the
-sort-cost charge fix for empty/single-row inputs, and the mid-flight
-virtual-time budget enforcement at parallel phase boundaries.
+sort-cost charge fix for empty/single-row inputs, the mid-flight
+virtual-time budget enforcement at parallel phase boundaries, and the
+columnar aggregate partial: its format against the retired row-order
+partition, its one array merge against the row engine over a morsel x
+worker x node grid, and the closed-form modeled bytes against a walk of
+the nested form (``tests/partial_oracle.py``).
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 import repro
 from repro.common import categories as cat
 from repro.common.simtime import BudgetExceeded, CostModel, SimClock
 from repro.exec import operators as ops
+from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.measure import measure_plan_latency
 from repro.exec.operators import _Descending, _sort_key
 from repro.sql import parse
+from repro.storage import Column, DataType, TableSchema
+from partial_oracle import (expand_partial, merge_partition, payload_bytes,
+                            payload_units, split_partial)
 
 WORKER_SWEEP = (1, 2, 4, 8)
 
@@ -232,30 +243,34 @@ def test_wide_group_by_nan_keys_parity(wide_db, workers):
             row.virtual_seconds, rel=1e-6, abs=1e-9)
 
 
-def test_wide_group_by_uses_partitioned_merge(wide_db, monkeypatch):
-    """The partitioned path (finish_partitions) must actually engage past
-    the cutoff with several workers, and stay out of the narrow case."""
-    calls = []
-    orig = ops.AggregateOp.finish_partitions
+def _narrow_rows():
+    return [(["a", "b", "c"][i % 3], i) for i in range(200)]
 
-    def spy(self, partitions):
-        calls.append(len(partitions))
-        return orig(self, partitions)
 
-    monkeypatch.setattr(ops.AggregateOp, "finish_partitions", spy)
-    _run(wide_db, "SELECT k, count(*) FROM w GROUP BY k",
-         engine="parallel", workers=4, morsel_rows=64)
-    assert calls == [4]  # one merge task per worker partition
-    calls.clear()
-    # narrow GROUP BY (3 groups) keeps the plain morsel-order merge
-    db = repro.connect()
+def test_wide_group_by_merges_on_the_lane(wide_db):
+    """The merge is one array pass on the serial lane at every width:
+    ``parallel`` dispatches scan + partial tasks only, at every worker
+    count; only the distributed placement *models* a repartition —
+    one SHUFFLE + one GATHER past PARTITION_MIN_KEYS, one GATHER under."""
+    morsels = -(-600 // 64)
+    for workers in WORKER_SWEEP:
+        stats = _run(wide_db, "SELECT k, count(*) FROM w GROUP BY k",
+                     engine="parallel", workers=workers,
+                     morsel_rows=64).extra["parallel"]
+        assert (stats["tasks"], stats["parallel_phases"]) == (2 * morsels, 2)
+    db = repro.connect(shards=3)
+    db.execute("CREATE TABLE w (k FLOAT, v FLOAT)")
     db.execute("CREATE TABLE n (g TEXT, v INT)")
-    heap = db.catalog.table("n")
-    for i in range(200):
-        heap.insert((["a", "b", "c"][i % 3], i))
-    _run(db, "SELECT g, sum(v) FROM n GROUP BY g", engine="parallel",
-         workers=4, morsel_rows=16)
-    assert calls == []
+    for i in range(600):
+        db.catalog.table("w").insert((float(i % 150) * 1.5, float(i) * 0.25))
+    for row in _narrow_rows():
+        db.catalog.table("n").insert(row)
+    for sql, kinds in (("SELECT k, count(*) FROM w GROUP BY k",
+                        [cat.SHUFFLE, cat.GATHER]),
+                       ("SELECT g, sum(v) FROM n GROUP BY g", [cat.GATHER])):
+        stats = _run(db, sql, engine="distributed", nodes=2,
+                     morsel_rows=64).extra["distributed"]
+        assert [e["kind"] for e in stats["exchanges"]] == kinds, sql
 
 
 def test_partitioned_merge_deterministic_across_workers(wide_db):
@@ -362,12 +377,13 @@ def test_measure_downgrades_parallel_under_cap():
 
 # -- partial_block: one partitioner for every engine --------------------------
 #
-# AggregateOp.partial_block used to carry its own row-order partition; it
-# is now the serial absorb_carrier run into a logging state.  The old
-# implementation is kept here, verbatim, as the reference the new one is
-# differentially tested against over the typed-storage schema generator:
-# partial dicts must be identical — key order, representative rows, entry
-# lists, and the (type, repr) of every value.
+# AggregateOp.partial_block used to carry its own row-order partition and
+# answer with a nested dict; it now keeps the serial sink's partition as
+# arrays.  The old implementation is kept here, verbatim, as the
+# reference the new one is differentially tested against over the
+# typed-storage schema generator: the columnar partial, expanded by
+# partial_oracle.expand_partial, must be that dict — key order,
+# representative rows, entry lists, and the (type, repr) of every value.
 
 
 def _reference_partial(op, block, clock):
@@ -412,7 +428,11 @@ def _bits(value):
     return (type(value), repr(value))
 
 
-def _partial_bits(partial):
+def _partial_bits(partial, clean=True):
+    """``clean=False`` drops the NULL-free flags from the comparison."""
+    if not clean:
+        partial = {key: [representative, [entry[:2] for entry in entries]]
+                   for key, (representative, entries) in partial.items()}
     return [(_bits(key), _bits(representative), _bits(entries))
             for key, (representative, entries) in partial.items()]
 
@@ -439,6 +459,34 @@ def _find(op, cls):
     return op
 
 
+def _entry_rows(entries):
+    """The row count behind one group's nested entries (0 without any
+    aggregate call: then no term of the closed form counts rows)."""
+    if not entries:
+        return 0
+    first = entries[0]
+    return first[1] if first[0] == "count" else len(first[1])
+
+
+def _check_units(agg, partials):
+    """The closed-form modeled sizes against the recursive walk of the
+    nested forms they stand for: each partial, every shuffle slice, every
+    owner's merged partition."""
+    nested = [expand_partial(agg, partial) for partial in partials]
+    for partial, form in zip(partials, nested):
+        assert agg.entry_units(len(partial), partial.rows) \
+            == payload_units(form)
+    splits = [split_partial(form, 3) for form in nested]
+    for piece in (piece for split in splits for piece in split if piece):
+        rows = sum(_entry_rows(entries) for _, (_, entries) in piece.values())
+        assert agg.entry_units(len(piece), rows, stamped=True) \
+            == payload_units(piece)
+    for owner in range(3):
+        merged = merge_partition(agg, [split[owner] for split in splits])
+        if merged:
+            assert agg.merged_units(len(merged)) == payload_units(merged)
+
+
 @pytest.mark.parametrize("shape_idx", range(9))
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
 def test_partial_block_matches_row_partition_reference(shape_idx, density):
@@ -450,6 +498,7 @@ def test_partial_block_matches_row_partition_reference(shape_idx, density):
     heap = db.catalog.create_table(_build(shape, density, 0, 0)[0].schema)
     for row in data:
         heap.insert(row)
+    rng = random.Random(STORAGE_SEED)
     for sql in _aggregate_queries(shape):
         root = Executor(db.catalog, db.clock).build(
             db.planner.plan_select(parse(sql)))
@@ -458,11 +507,254 @@ def test_partial_block_matches_row_partition_reference(shape_idx, density):
         # 24-row morsels stay under the mask-partition cutoff, 400-row
         # ones cross it (wide keys fall back to the row partition)
         for morsel_rows in (24, 400):
-            for columns, n in heap.scan_morsels(morsel_rows):
+            partials = []
+            for index, (columns, n) in enumerate(
+                    heap.scan_morsels(morsel_rows)):
                 block = scan.make_block(columns, n)
                 got_clock, ref_clock = SimClock(), SimClock()
-                got = agg.partial_block(block, got_clock)
+                got = agg.partial_block(block, None, n, got_clock)
                 ref = _reference_partial(agg, block, ref_clock)
-                assert _partial_bits(got) == _partial_bits(ref), \
-                    f"{sql} @ {morsel_rows}"
+                assert _partial_bits(expand_partial(agg, got)) \
+                    == _partial_bits(ref), f"{sql} @ {morsel_rows}"
                 assert got_clock.breakdown() == ref_clock.breakdown()
+                partials.append(got)
+                # every other morsel again behind a deferred selection:
+                # what a filtered scan task hands over
+                mask = np.array([rng.random() < 0.6 for _ in range(n)])
+                if index % 2 or not mask.any():
+                    continue
+                got_clock, ref_clock = SimClock(), SimClock()
+                got = agg.partial_block(block, mask, int(mask.sum()),
+                                        got_clock)
+                ref = _reference_partial(agg, block.select(mask), ref_clock)
+                # the deferred flag is read off the whole block: it may
+                # only err towards "not provably NULL-free"
+                nested = expand_partial(agg, got)
+                assert _partial_bits(nested, clean=False) \
+                    == _partial_bits(ref, clean=False), f"{sql} @ masked"
+                for (_, got_entries), (_, ref_entries) in zip(
+                        nested.values(), ref.values()):
+                    assert all(r[2] for g, r in zip(got_entries, ref_entries)
+                               if g[0] == "values" and g[2])
+                assert got_clock.breakdown() == ref_clock.breakdown()
+            _check_units(agg, partials)
+
+
+# -- the one merge: grouped partials against the row engine ------------------
+#
+# Every aggregate below runs on the row engine — the oracle — and on the
+# placed engines over a morsel x worker x node grid; rows (by type and
+# repr), charged seconds and the per-category breakdown must agree.  The
+# distributed runs also hold the exchange log to what the retired nested
+# forms would have put on the wire (partial_oracle): narrow partials
+# gathered whole, wide ones sliced per owner by ``stable_hash`` of each
+# morsel's own key, merged per owner and gathered.
+
+MORSEL_SWEEP = (1, 24, 400)
+# what the operators do not charge: the network (zero on one node) and the
+# buffer pool (it charges the database's own clock on the serial engines)
+NOT_COMPUTE = {cat.SHUFFLE, cat.BROADCAST, cat.GATHER, cat.EXCHANGE_MSG,
+               cat.BUFFER_HIT, cat.BUFFER_MISS}
+
+
+def _oracle_exchanges(agg, placed, nodes):
+    """``[kind, rows, bytes]`` per exchange the nested forms imply."""
+    nested = [(node, expand_partial(agg, partial))
+              for node, partial in placed]
+    wide = (nodes > 1 and agg._node.group_by and nested
+            and max(len(form) for _, form in nested)
+            > agg.PARTITION_MIN_KEYS)
+    if not wide:
+        transfers = [[(len(form), payload_bytes(form))
+                      for node, form in nested if node and form]]
+        kinds = [cat.GATHER]
+    else:
+        splits = [split_partial(form, nodes) for _, form in nested]
+        merged = [merge_partition(agg, [split[owner] for split in splits])
+                  for owner in range(nodes)]
+        transfers = [
+            [(len(piece), payload_bytes(piece))
+             for (node, _), split in zip(nested, splits)
+             for owner, piece in enumerate(split) if piece and node != owner],
+            [(len(part), payload_bytes(part))
+             for owner, part in enumerate(merged) if owner and part]]
+        kinds = [cat.SHUFFLE, cat.GATHER]
+    return [[kind, sum(t[0] for t in moved), sum(t[1] for t in moved)]
+            for kind, moved in zip(kinds, transfers) if moved]
+
+
+@pytest.fixture()
+def placed_partials(monkeypatch):
+    """``(op, placed partials)`` of every aggregation the distributed
+    engine accounts while the test runs."""
+    seen = []
+    orig = DistributedScheduler.exchange_partials
+
+    def spy(self, op, partials, groups):
+        seen.append((op, list(partials)))
+        return orig(self, op, partials, groups)
+
+    monkeypatch.setattr(DistributedScheduler, "exchange_partials", spy)
+    return seen
+
+
+def _check_against_row_engine(plain, sharded, sql, seen):
+    for db, engine, knob in ((plain, "parallel", "workers"),
+                             (sharded, "distributed", "nodes")):
+        node = db.planner.plan_select(parse(sql))
+        # warm the buffer pool: every later run sees page hits
+        Executor(db.catalog, SimClock(), engine="batch").run(node)
+        clock = SimClock()
+        oracle = Executor(db.catalog, clock, engine="row").run(node)
+        charged = clock.breakdown()
+        for morsel_rows in MORSEL_SWEEP:
+            for count in (1, 2, 4) if knob == "workers" else (1, 2, 3):
+                where = f"{sql} | {engine} {knob}={count} @ {morsel_rows}"
+                clock = SimClock()
+                del seen[:]
+                got = Executor(db.catalog, clock, engine=engine,
+                               morsel_rows=morsel_rows,
+                               **{knob: count}).run(node)
+                assert _nan_safe(got.rows) == _nan_safe(oracle.rows), where
+                breakdown = {category: seconds for category, seconds
+                             in clock.breakdown().items()
+                             if category not in NOT_COMPUTE}
+                assert breakdown == pytest.approx(charged, rel=1e-9), where
+                assert sum(breakdown.values()) == pytest.approx(
+                    oracle.virtual_seconds, rel=1e-9), where
+                if engine == "parallel":
+                    continue
+                log = [[e["kind"], e["rows"], e["bytes"]]
+                       for e in got.extra["distributed"]["exchanges"]
+                       if e["op"] == "AggregateOp"
+                       and e["label"] != "result gather"]
+                assert log == [exchange for op, placed in seen for exchange
+                               in _oracle_exchanges(op, placed, count)], where
+
+
+@pytest.mark.parametrize("shape_idx", range(9))
+def test_grouped_partials_match_row_engine(shape_idx, placed_partials):
+    from test_storage_typed import SHAPES, STORAGE_SEED, _REGIME_DTYPE, _draw
+    shape = SHAPES[shape_idx]
+    # one table per NULL density would triple the sweep: draw the density
+    # per row block instead, so morsels of every density meet in one merge
+    rng = random.Random(STORAGE_SEED * 100_000 + 11 * shape_idx)
+    densities = (0.0, 0.1, 0.0, 1.0)
+    data = [(i,) + tuple(_draw(rng, regime, densities[i // 15 % 4])
+                         for regime in shape) for i in range(150)]
+    schema = [Column("id", DataType.INT)] + [
+        Column(f"c{i}", _REGIME_DTYPE[r]) for i, r in enumerate(shape)]
+    plain, sharded = repro.connect(), repro.connect(shards=3)
+    for db in (plain, sharded):
+        heap = db.catalog.create_table(TableSchema("t", schema))
+        for row in data:
+            heap.insert(row)
+    for sql in _aggregate_queries(shape):
+        _check_against_row_engine(plain, sharded, sql, placed_partials)
+
+
+def _regime_databases():
+    """Hand-made rows whose interesting values are placed by shard, so a
+    key column is typed in one shard's morsels and ``"obj"`` in the
+    next's: ints past int64 and NaN floats (one shared NaN object and
+    fresh ones — NaN keys group by identity) live on shard 1 only;
+    ``b`` / ``k`` / ``f`` take turns being the first non-NULL, so
+    ``coalesce(b, k, f)`` meets ``True``, ``1`` and ``1.0`` across
+    morsels; ``wide`` is near-unique (past PARTITION_MIN_KEYS)."""
+    plain, sharded = repro.connect(), repro.connect(shards=3)
+    schema = TableSchema("m", [
+        Column("id", DataType.INT), Column("k", DataType.INT),
+        Column("f", DataType.FLOAT), Column("s", DataType.TEXT),
+        Column("b", DataType.BOOL), Column("v", DataType.FLOAT),
+        Column("wide", DataType.INT)])
+    tables = [db.catalog.create_table(schema) for db in (plain, sharded)]
+    nan = float("nan")
+    for i in range(180):
+        shard = tables[1].shard_of_key(i)
+        k = None if i % 9 == 0 else i % 5
+        f = None if i % 7 == 0 else float(i % 4)
+        b = None if i % 3 else i % 2 == 0
+        if shard == 1:
+            k = 2 ** 63 + i % 3 if i % 4 == 0 else k
+            f = (nan if i % 10 == 0 else float("nan")) if i % 5 == 0 else f
+        row = (i, k, f, None if i % 11 == 0 else f"s{i % 6}", b,
+               [1e16, 1.0, -1e16][i % 3], i * 7919 % 170)
+        for table in tables:
+            table.insert(row)
+    return plain, sharded
+
+
+REGIME_QUERIES = [
+    "SELECT k, count(*), sum(v), min(s) FROM m GROUP BY k",
+    "SELECT f, count(*), sum(v), count(k) FROM m GROUP BY f",
+    "SELECT coalesce(b, k, f), count(*), sum(v) FROM m "
+    "GROUP BY coalesce(b, k, f)",
+    "SELECT s, b, count(*), max(k) FROM m GROUP BY s, b",
+    "SELECT k, f, count(*) FROM m GROUP BY k, f",
+    "SELECT id % 4, s, count(DISTINCT k), count(DISTINCT s), avg(v) FROM m "
+    "GROUP BY id % 4, s",
+    "SELECT s, sum(v * 2), min(k + 1), count(DISTINCT id % 3) FROM m "
+    "GROUP BY s",
+    "SELECT wide, count(*), sum(v), min(f) FROM m GROUP BY wide",
+    "SELECT wide, s, sum(v) FROM m WHERE f >= 0 GROUP BY wide, s",
+    "SELECT k FROM m GROUP BY k",
+    "SELECT wide FROM m WHERE v > 0 GROUP BY wide",
+    "SELECT count(*), sum(v), avg(v), min(k), max(f) FROM m",
+    # zero surviving rows in some morsels, in all, and a global
+    # aggregate over zero morsels
+    "SELECT s, count(*), sum(v) FROM m WHERE id >= 100 GROUP BY s",
+    "SELECT s, count(*), sum(v) FROM m WHERE id < 0 GROUP BY s",
+    "SELECT count(*), sum(v), min(s) FROM m WHERE id < 0",
+]
+
+
+@pytest.mark.parametrize("sql", REGIME_QUERIES)
+def test_grouped_partials_hand_made_regimes(sql, placed_partials):
+    _check_against_row_engine(*_regime_databases(), sql, placed_partials)
+
+
+def test_float_sums_bit_identical_at_every_cut():
+    """``1e16, 1.0, -1e16`` runs: every association but the row engine's
+    left-to-right one rounds differently, so a merge that added morsel
+    subtotals would show at some cut.  ``repr`` must match for every
+    morsel size — every boundary position — on both placed engines."""
+    values = [1e16, 1.0, -1e16, 1.0, 1.0, 1e16, -1e16, 3.0, 1e-3, -1e16,
+              1e16, 1.0, 0.1]
+    plain, sharded = repro.connect(), repro.connect(shards=2)
+    for db in (plain, sharded):
+        db.execute("CREATE TABLE a (id INT, g INT, v FLOAT)")
+        heap = db.catalog.table("a")
+        for i, v in enumerate(values * 2):
+            heap.insert((i, i % 2, v))
+    for sql in ("SELECT sum(v), avg(v) FROM a",
+                "SELECT g, sum(v), avg(v) FROM a GROUP BY g"):
+        for db, engine, knob in ((plain, "parallel", "workers"),
+                                 (sharded, "distributed", "nodes")):
+            oracle = _run(db, sql, engine="row")
+            for morsel_rows in range(1, 2 * len(values) + 1):
+                for count in (1, 2):
+                    got = _run(db, sql, engine=engine,
+                               morsel_rows=morsel_rows, **{knob: count})
+                    assert _nan_safe(got.rows) == _nan_safe(oracle.rows), \
+                        f"{sql} | {engine} {knob}={count} @ {morsel_rows}"
+
+
+def test_wide_distributed_group_by_equal_keys_of_different_repr():
+    """``0.0`` / ``-0.0`` are one group under Python equality but two
+    ``repr`` strings.  Owners are named by ``stable_hash`` of each
+    *merged* group's key, so the group cannot be split between owners
+    (it was, when every morsel hashed its own copy of the key)."""
+    db = repro.connect(shards=3)
+    db.execute("CREATE TABLE z (id INT, k FLOAT, v INT)")
+    heap = db.catalog.table("z")
+    for i in range(400):
+        heap.insert((i, [0.0, -0.0][i % 2] if i % 50 == 0
+                     else float(i % 90), i))
+    sql = "SELECT k, count(*), sum(v) FROM z GROUP BY k"
+    oracle = _run(db, sql, engine="row")
+    for nodes in (2, 3):
+        got = _run(db, sql, engine="distributed", nodes=nodes,
+                   morsel_rows=200)
+        assert [e["kind"] for e in got.extra["distributed"]["exchanges"]] \
+            == [cat.SHUFFLE, cat.GATHER]
+        assert _nan_safe(got.rows) == _nan_safe(oracle.rows)
