@@ -1,6 +1,6 @@
 """Execution-engine throughput gates, written to ``BENCH_exec.json``.
 
-Five groups of workload families keep a wall-clock trajectory (host
+Six groups of workload families keep a wall-clock trajectory (host
 rows/sec, not virtual time) for future PRs to compare against:
 
 * ``scan_filter_aggregate`` — the PR 1 vectorization gate: the batch
@@ -29,6 +29,12 @@ rows/sec, not virtual time) for future PRs to compare against:
   and the equi-join at 100k rows.  A placement may cost its per-morsel
   bookkeeping, not a multiple: ceiling 2.5x per shape (the dict-partial
   engines stood at 12x on the integer GROUP BY).
+* ``dml_by_key`` — the planned victim scan's floor: ``UPDATE`` and
+  ``DELETE ... WHERE id = k`` through ``db.execute`` at 20k and 100k
+  rows, with the B+-tree on ``id`` and with it dropped (the SeqScan
+  fallback every unindexed UPDATE still takes): best wall clock over a
+  run of keys, charged virtual time and rows examined per victim beside
+  it.  Floor: the indexed statement >= 20x the unindexed one at 20k rows.
 * ``tracing_overhead`` — the observability gate on the same workload:
   no tracer attached stays within 5% of the pre-tracing charge path,
   an attached tracer costs at most 2x.
@@ -51,9 +57,12 @@ import pytest
 
 import repro
 from repro.bench.reporting import write_bench_json
+from repro.common import categories as cat
+from repro.common.simtime import CostModel
 from repro.exec.executor import Executor
 from repro.exec.pipeline import compile_pipelines, run_program
 from repro.sql import parse
+from wallclock import timed_once
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 RESULT_PATH = (os.path.join(tempfile.gettempdir(), "BENCH_exec.json")
@@ -87,6 +96,13 @@ KERNEL_FAMILIES = {
                   5.0 if SMOKE else 8.0),
 }
 
+# measured ~80x (update) / ~120x (delete) at 20k rows, 12-22x at 4k
+DML_SCALES = [4_000] if SMOKE else [20_000, 100_000]
+DML_FLOOR = 5.0 if SMOKE else 20.0
+DML_KEYS = 5 if SMOKE else 15
+DML_SHAPES = {"update": "UPDATE acct SET bal = bal + 1.5 WHERE id = {}",
+              "delete": "DELETE FROM acct WHERE id = {}"}
+
 
 def _update_report(family: str, payload: dict) -> None:
     """Read-modify-write one workload family's entry in the JSON."""
@@ -108,7 +124,9 @@ def _update_report(family: str, payload: dict) -> None:
                   "fused_agg_scales": FUSED_AGG_SCALES,
                   "agg_floor": AGG_FLOOR,
                   "fused_agg_floor": FUSED_AGG_FLOOR,
-                  "kernel_rows": KERNEL_ROWS})
+                  "kernel_rows": KERNEL_ROWS,
+                  "dml_scales": DML_SCALES,
+                  "dml_floor": DML_FLOOR})
 
 
 # -- scan -> filter -> aggregate (batch vs row) -------------------------------
@@ -371,6 +389,85 @@ def test_placed_engine_ratio():
     assert max(worst.values()) <= PLACED_CEILING, (
         f"placed engines above {PLACED_CEILING}x of batch: "
         f"{ {k: v for k, v in worst.items() if v > PLACED_CEILING} }")
+
+
+# -- UPDATE / DELETE by key (the planned victim scan) --------------------------
+
+
+def _dml_figures(db, template: str, keys) -> dict:
+    """One statement per key (a write cannot be repeated): best wall
+    clock, and — from the clock's scan / index charges, as
+    ``benchmarks/e2e`` counts them — charged time and rows examined."""
+    clock = db.clock
+    start = clock.now
+    examined = -(clock.category_total(cat.SCAN)
+                 + clock.category_total(cat.INDEX))
+    best, victims = float("inf"), 0
+    for key in keys:
+        result, wall = timed_once(db.execute, template.format(int(key)))
+        best = min(best, wall)
+        victims += result.extra["rowcount"]
+    assert victims == len(keys)
+    examined += (clock.category_total(cat.SCAN)
+                 + clock.category_total(cat.INDEX))
+    if db.catalog.indexes_on("acct"):
+        examined -= len(keys) * CostModel.INDEX_DESCENT
+    return {"wall_ms": round(best * 1e3, 4),
+            "virtual_ms": round((clock.now - start) / len(keys) * 1e3, 6),
+            "rows_examined_per_victim": round(
+                examined / CostModel.TUPLE_CPU / victims, 1)}
+
+
+def test_dml_by_key():
+    """UPDATE / DELETE by key read one row through the index the table
+    has, where the full scan they used to run reads the table."""
+    scales: dict[str, dict] = {}
+    for rows in DML_SCALES:
+        db = repro.connect()
+        db.execute("CREATE TABLE acct (id INT UNIQUE, owner TEXT, "
+                   "region INT, bal FLOAT)")
+        heap = db.catalog.table("acct")
+        rng = np.random.default_rng(7)
+        for i, bal in enumerate(rng.uniform(0, 1000, rows).round(2)):
+            heap.insert((i, f"owner{i % 997}", i % 50, float(bal)))
+        db.execute("CREATE INDEX acct_id ON acct (id)")
+        db.execute("ANALYZE")
+        keys = iter(rng.permutation(rows)[:4 * DML_KEYS]
+                    .reshape(4, DML_KEYS))
+        figures: dict[str, dict] = {shape: {} for shape in DML_SHAPES}
+        for access in ("indexed", "unindexed"):
+            if access == "unindexed":
+                db.catalog.drop_index("acct_id")
+            for shape, template in DML_SHAPES.items():
+                figures[shape][access] = _dml_figures(db, template,
+                                                      next(keys))
+        for shape, entry in figures.items():
+            indexed, unindexed = entry["indexed"], entry["unindexed"]
+            entry["speedup"] = round(unindexed["wall_ms"]
+                                     / indexed["wall_ms"], 1)
+            print(f"\n{shape} by key over {rows} rows: btree "
+                  f"{indexed['wall_ms']:.3f} ms, no index "
+                  f"{unindexed['wall_ms']:.3f} ms ({entry['speedup']:.0f}x);"
+                  f" virtual {indexed['virtual_ms']:.4f} / "
+                  f"{unindexed['virtual_ms']:.4f} ms")
+        scales[str(rows)] = figures
+    _update_report("dml_by_key", {
+        "measure": "db.execute(sql text), one statement per key, best "
+                   "wall clock of DML_KEYS; virtual = mean charged time; "
+                   "speedup = unindexed / indexed wall",
+        "workloads": DML_SHAPES,
+        "keys": DML_KEYS,
+        "scales": scales,
+        "floor": DML_FLOOR,
+        "floor_at_rows": DML_SCALES[0],
+    })
+    gated = scales[str(DML_SCALES[0])]
+    for shape, entry in gated.items():
+        assert entry["indexed"]["rows_examined_per_victim"] == 1.0
+        assert entry["speedup"] >= DML_FLOOR, (
+            f"{shape} by key through the B+-tree is only "
+            f"{entry['speedup']}x the unindexed statement at "
+            f"{DML_SCALES[0]} rows (floor {DML_FLOOR}x)")
 
 
 # -- tracing overhead (observability gate) ------------------------------------

@@ -39,7 +39,7 @@ from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
 from repro.exec.expr import (RowLayout, compile_expr,
-                             compile_predicate_batch, to_bool)
+                             compile_predicate_batch)
 from repro.obs.explain import (explain_analyze, explain_plan,
                                explain_statement_trace)
 from repro.obs.export import chrome_trace, dump_chrome_trace
@@ -257,9 +257,15 @@ class NeurDB:
         touches — identically on every engine.  One row per output
         line; the structured form rides in ``extra['explain']``."""
         inner = statement.statement
+        # an UPDATE / DELETE's plan is the scan that finds its victims
+        title = (f"{type(inner).__name__} on {inner.table}"
+                 if isinstance(inner, (ast.Update, ast.Delete)) else None)
         if not statement.analyze:
             if isinstance(inner, ast.Select):
                 text = explain_plan(self.planner.plan_select(inner))
+            elif title is not None:
+                text = explain_plan(self.planner.access_path(
+                    inner.table, inner.where), title)
             else:
                 text = f"{type(inner).__name__} (no plan tree)"
             return ResultSet(columns=["plan"],
@@ -272,12 +278,14 @@ class NeurDB:
                 result = self._dispatch_statement(inner, force_retrain)
         finally:
             self._restore_tracer(previous)
-        if isinstance(inner, ast.Select) and self.executor.last_run:
+        if isinstance(inner, ast.Select) or title is not None:
+            # what a write loop charged renders as the "(other)" bucket
             plan, root_op = self.executor.last_run
             text, structured = explain_analyze(
                 plan, root_op, tracer,
                 parallel_stats=result.extra.get("parallel"),
-                distributed_stats=result.extra.get("distributed"))
+                distributed_stats=result.extra.get("distributed"),
+                title=title)
         else:
             text, structured = explain_statement_trace(tracer)
         return ResultSet(columns=["plan"],
@@ -389,6 +397,7 @@ class NeurDB:
             positions = [schema.index_of(c) for c in statement.columns]
         else:
             positions = list(range(len(schema)))
+        indexes = self._index_keys(statement.table)
         empty_layout = RowLayout([])
         inserted = 0
         for value_row in statement.rows:
@@ -400,58 +409,63 @@ class NeurDB:
             for position, expr in zip(positions, value_row):
                 full[position] = compile_expr(expr, empty_layout)(())
             rid = table.insert(full)
-            self._index_insert(statement.table, table.read(rid), rid)
+            stored = table.read(rid)
+            for index, position in indexes:
+                index.insert(stored[position], rid)
             inserted += 1
         return _status(f"INSERT {inserted}", rowcount=inserted)
 
     def _run_update(self, statement: ast.Update) -> ResultSet:
         table = self.catalog.table(statement.table)
-        schema = table.schema
-        layout = RowLayout([(statement.table, c.name)
-                            for c in schema.columns])
-        predicate = (compile_expr(statement.where, layout)
-                     if statement.where is not None else None)
-        assignments = [(schema.index_of(col), compile_expr(expr, layout))
+        scan = self._victim_scan(statement)
+        assignments = [(table.schema.index_of(col),
+                        compile_expr(expr, scan.layout))
                        for col, expr in statement.assignments]
-        victims: list[tuple] = []
-        for rid, row in table.scan():
-            if predicate is None or to_bool(predicate(row)):
-                victims.append((rid, row))
+        indexes = self._index_keys(statement.table)
+        # every victim is read before the first write, so an update that
+        # moves rows along the scanned key (SET id = id + 1000 WHERE
+        # id >= k) never meets its own output
+        victims = list(scan.rid_rows())
         for rid, row in victims:
             new_row = list(row)
             for position, evaluator in assignments:
                 new_row[position] = evaluator(row)
-            self._index_delete(statement.table, row, rid)
-            # a sharded update can move the row to another shard and
+            # heap first: a row it refuses (UNIQUE) keeps its postings.
+            # A sharded update that moves the row to another shard
             # returns the fresh rid; heap updates return None (rid kept)
-            rid = table.update(rid, new_row) or rid
-            self._index_insert(statement.table, table.read(rid), rid)
+            new_rid = table.update(rid, new_row) or rid
+            stored = table.read(new_rid)
+            for index, position in indexes:
+                index.delete(row[position], rid)
+                index.insert(stored[position], new_rid)
         return _status(f"UPDATE {len(victims)}", rowcount=len(victims))
 
     def _run_delete(self, statement: ast.Delete) -> ResultSet:
         table = self.catalog.table(statement.table)
-        layout = RowLayout([(statement.table, c.name)
-                            for c in table.schema.columns])
-        predicate = (compile_expr(statement.where, layout)
-                     if statement.where is not None else None)
-        victims = [(rid, row) for rid, row in table.scan()
-                   if predicate is None or to_bool(predicate(row))]
+        indexes = self._index_keys(statement.table)
+        victims = list(self._victim_scan(statement).rid_rows())
         for rid, row in victims:
-            self._index_delete(statement.table, row, rid)
             table.delete(rid)
+            for index, position in indexes:
+                index.delete(row[position], rid)
         return _status(f"DELETE {len(victims)}", rowcount=len(victims))
 
-    def _index_insert(self, table_name: str, row, rid) -> None:
-        table = self.catalog.table(table_name)
-        for entry in self.catalog.indexes_on(table_name):
-            key = row[table.schema.index_of(entry.column)]
-            entry.index.insert(key, rid)
+    def _victim_scan(self, statement: "ast.Update | ast.Delete"):
+        """The scan operator an UPDATE / DELETE reads its victims from:
+        the planner's access path for the WHERE clause, built like any
+        SELECT's scan (and kept as ``executor.last_run`` for EXPLAIN
+        ANALYZE)."""
+        node = self.planner.access_path(statement.table, statement.where)
+        operator = self.executor.build(node)
+        self.executor.last_run = (node, operator)
+        return operator
 
-    def _index_delete(self, table_name: str, row, rid) -> None:
-        table = self.catalog.table(table_name)
-        for entry in self.catalog.indexes_on(table_name):
-            key = row[table.schema.index_of(entry.column)]
-            entry.index.delete(key, rid)
+    def _index_keys(self, table_name: str) -> list[tuple[Any, int]]:
+        """``(index, key position in the row)`` for every index on the
+        table, resolved once per statement."""
+        schema = self.catalog.table(table_name).schema
+        return [(entry.index, schema.index_of(entry.column))
+                for entry in self.catalog.indexes_on(table_name)]
 
     # -- PREDICT (the in-database AI analytics path) ------------------------------
 

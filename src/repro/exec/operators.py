@@ -4,7 +4,8 @@ Every operator carries two things over the same compiled state:
 
 * ``__iter__`` — the Volcano path: one tuple at a time, per-row
   virtual-time charges.  The semantic reference every other engine is
-  tested against.
+  tested against.  The two scans also hand it out with record ids kept
+  (``rid_rows()``): the victim stream of UPDATE / DELETE.
 * *block hooks* — what the compiled pipelines of
   ``repro/exec/pipeline.py`` call, on :class:`~repro.exec.batch.RowBlock`
   column batches with virtual time charged once per block
@@ -160,10 +161,9 @@ class Operator:
         # wrapped once, at class creation, so no operator needs tracing
         # code of its own.
         super().__init_subclass__(**kwargs)
-        if "__iter__" in cls.__dict__:
-            cls.__iter__ = _traced_generator(cls.__dict__["__iter__"])
-        if "batches" in cls.__dict__:
-            cls.batches = _traced_generator(cls.__dict__["batches"])
+        for name in ("__iter__", "batches", "rid_rows"):
+            if name in cls.__dict__:
+                setattr(cls, name, _traced_generator(cls.__dict__[name]))
 
     def __iter__(self) -> Iterator[tuple]:
         raise NotImplementedError
@@ -206,6 +206,25 @@ class SeqScanOp(Operator):
                 if not to_bool(predicate(row)):
                     continue
             yield self._emit(row)
+
+    def rid_rows(self) -> Iterator[tuple]:
+        """``(rid, row)`` of every row ``__iter__`` yields: UPDATE /
+        DELETE's victim stream.  Same charges, made once per scan, not
+        once per row: DML has no charge-parity contract with another
+        engine, and two clock calls a row double an unindexed UPDATE."""
+        predicate = self._predicate
+        examined = 0
+        try:
+            for item in self._table.scan():
+                examined += 1
+                if predicate is None or to_bool(predicate(item[1])):
+                    self.rows_out += 1
+                    yield item
+        finally:
+            self._clock.advance_batch(CostModel.TUPLE_CPU, examined, cat.SCAN)
+            if predicate is not None:
+                self._clock.advance_batch(CostModel.EVAL_PREDICATE, examined,
+                                          cat.FILTER)
 
     def make_block(self, columns, n: int) -> RowBlock:
         """Materialize one scan morsel/batch as a block (no charges)."""
@@ -256,34 +275,41 @@ class IndexScanOp(Operator):
             self._residual = None
             self._residual_batch = None
 
-    def _key_rids(self):
+    def _fetch(self) -> Iterator[tuple]:
+        """``(rid, row)`` of every live row the index names; no charges."""
         node = self._node
         if node.eq is not None:
-            return ((node.eq, rid) for rid in self._index.search(node.eq))
-        if self._kind != "btree":
+            rids = self._index.search(node.eq)
+        elif self._kind != "btree":
             raise ExecutionError("range scan requires a btree index")
-        return self._index.range_scan(low=node.low, high=node.high)
-
-    def __iter__(self) -> Iterator[tuple]:
-        self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        for _, rid in self._key_rids():
+        else:
+            rids = (rid for _, rid in self._index.range_scan(
+                node.low, node.high, node.include_low, node.include_high))
+        for rid in rids:
             row = self._table.read(rid)
-            if row is None:
-                continue
+            if row is not None:
+                yield rid, row
+
+    def rid_rows(self) -> Iterator[tuple]:
+        """The row path, record ids kept: SELECT's ``__iter__`` drops
+        them, UPDATE / DELETE address their victims by them."""
+        self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
+        for item in self._fetch():
             self._clock.advance(CostModel.TUPLE_CPU, cat.INDEX)
             if self._residual is not None:
                 self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
-                if not to_bool(self._residual(row)):
+                if not to_bool(self._residual(item[1])):
                     continue
-            yield self._emit(row)
+            self.rows_out += 1
+            yield item
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(operator.itemgetter(1), self.rid_rows())
 
     def batches(self) -> Iterator[RowBlock]:
         self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         buffer: list[tuple] = []
-        for _, rid in self._key_rids():
-            row = self._table.read(rid)
-            if row is None:
-                continue
+        for _, row in self._fetch():
             buffer.append(row)
             if len(buffer) >= self.max_batch_rows:
                 block = self._filtered_block(buffer)

@@ -67,9 +67,13 @@ def _operator_index(root_op) -> dict[int, Any]:
     return index
 
 
-def explain_plan(plan) -> str:
-    """Plain ``EXPLAIN``: the estimated plan tree, nothing executed."""
-    return plan.pretty()
+def explain_plan(plan, title: Optional[str] = None) -> str:
+    """Plain ``EXPLAIN``: the estimated plan tree, nothing executed.
+    ``title`` (``Update on t``) heads the tree of a statement whose plan
+    is the scan that finds its victims."""
+    if title is None:
+        return plan.pretty()
+    return f"{title}\n{plan.pretty(2)}"
 
 
 def _fmt_exchange(record: dict) -> str:
@@ -82,7 +86,7 @@ def _fmt_exchange(record: dict) -> str:
 def explain_analyze(plan, root_op, tracer: Tracer,
                     parallel_stats: Optional[dict] = None,
                     distributed_stats: Optional[dict] = None,
-                    ) -> tuple[str, dict]:
+                    title: Optional[str] = None) -> tuple[str, dict]:
     """Render an executed plan with per-operator charged annotations.
 
     Returns ``(text, structured)`` where ``structured`` is the
@@ -94,6 +98,8 @@ def explain_analyze(plan, root_op, tracer: Tracer,
     beneath the plan node that triggered it with rows shipped, bytes on
     the wire, and modeled network seconds; the network charges were made
     under that operator's span, so the ``(other)`` bucket stays empty.
+    ``title`` as in :func:`explain_plan`: for UPDATE / DELETE the tree is
+    the victim scan and the write loop's charges are the ``(other)``.
     """
     ops_by_node = _operator_index(root_op) if root_op is not None else {}
     exchanges_by_node: dict[Any, list[dict]] = {}
@@ -137,7 +143,9 @@ def explain_analyze(plan, root_op, tracer: Tracer,
         for child in node.children:
             render(child, indent + 2)
 
-    render(plan, 0)
+    if title is not None:
+        lines.append(title)
+    render(plan, 0 if title is None else 2)
 
     totals_fix = tracer.fix_totals()
     other = {category: from_fix(value - attributed_fix.get(category, 0))

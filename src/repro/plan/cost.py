@@ -131,11 +131,11 @@ class PlanCoster:
 
     def _selectivity_range(self, node: plan.IndexScan) -> float:
         stats = self._table_column_stats(node)
-        if stats is not None:
-            low = float(node.low) if node.low is not None else None
-            high = float(node.high) if node.high is not None else None
-            return stats.selectivity_range(low, high)
-        return 0.33
+        bounds = (node.low, node.high)
+        if stats is None or any(isinstance(b, str) for b in bounds):
+            return 0.33    # text keys have no histogram to read
+        low, high = (None if b is None else float(b) for b in bounds)
+        return stats.selectivity_range(low, high)
 
     def _table_column_stats(self, node: plan.IndexScan):
         table_stats = self._est._catalog.stats(node.table)

@@ -91,10 +91,13 @@ class IndexScan(PlanNode):
     binding: str
     index_name: str
     column: str
-    # equality lookup if eq is not None, else range [low, high]
+    # equality lookup if eq is not None, else the range low..high, each
+    # end open (None), inclusive, or strict (`col > k`: include_low=False)
     eq: Any = None
     low: Any = None
     high: Any = None
+    include_low: bool = True
+    include_high: bool = True
     residual: Optional[ast.Expr] = None
 
     @property
@@ -102,7 +105,8 @@ class IndexScan(PlanNode):
         if self.eq is not None:
             return f"IndexScan({self.table}.{self.column} = {self.eq!r})"
         return (f"IndexScan({self.table}.{self.column} in "
-                f"[{self.low!r}, {self.high!r}])")
+                f"{'[' if self.include_low else '('}{self.low!r}, "
+                f"{self.high!r}{']' if self.include_high else ')'})")
 
 
 @dataclass

@@ -172,14 +172,27 @@ class Planner:
 
     # -- access paths -------------------------------------------------------------
 
-    def _access_path(self, bound: BoundQuery, alias: str) -> plan.PlanNode:
+    def access_path(self, table: str,
+                    where: Optional[ast.Expr]) -> plan.PlanNode:
+        """The scan UPDATE / DELETE read their victims through: the
+        WHERE's conjuncts bound against the one table (unknown columns
+        fail as they do for SELECT), then SELECT's own choice between
+        the table's indexes and a filtered SeqScan."""
+        table = self._catalog.table(table).name   # CatalogError if missing
+        bindings = {table: table}
+        predicates = split_conjuncts(where)
+        for predicate in predicates:
+            self._aliases_of(predicate, bindings, [table])
+        return self._access_path(bindings, table, predicates)
+
+    def _access_path(self, bindings: dict[str, str], alias: str,
+                     predicates: list[ast.Expr]) -> plan.PlanNode:
         """Best single-table access: index scan if profitable, else seqscan."""
-        table = bound.bindings[alias]
-        predicates = bound.filters.get(alias, [])
+        table = bindings[alias]
         index_plan = self._try_index_scan(table, alias, predicates)
         seq = plan.SeqScan(table=table, binding=alias,
                            predicate=conjoin(predicates))
-        coster = self._coster(bound)
+        coster = PlanCoster(self._estimator, bindings)
         coster.annotate(seq)
         if index_plan is None:
             return seq
@@ -191,6 +204,7 @@ class Planner:
         entries = self._catalog.indexes_on(table)
         if not entries:
             return None
+        schema = self._catalog.table(table).schema
         for i, predicate in enumerate(predicates):
             if not isinstance(predicate, ast.BinaryOp):
                 continue
@@ -198,24 +212,22 @@ class Planner:
             if column is None or literal is None:
                 continue
             for entry in entries:
-                if entry.column != column.name.lower():
+                if entry.column != column.name.lower() or not _comparable(
+                        literal, schema.column(entry.column).dtype):
                     continue
-                residual = conjoin(predicates[:i] + predicates[i + 1:])
-                if predicate.op == "=":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column, eq=literal,
-                                          residual=residual)
-                if predicate.op in ("<", "<=") and entry.kind == "btree":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column,
-                                          high=literal, residual=residual)
-                if predicate.op in (">", ">=") and entry.kind == "btree":
-                    return plan.IndexScan(table=table, binding=alias,
-                                          index_name=entry.name,
-                                          column=entry.column,
-                                          low=literal, residual=residual)
+                op = predicate.op
+                if op == "=":
+                    keys = {"eq": literal}
+                elif op in ("<", "<=") and entry.kind == "btree":
+                    keys = {"high": literal, "include_high": op == "<="}
+                elif op in (">", ">=") and entry.kind == "btree":
+                    keys = {"low": literal, "include_low": op == ">="}
+                else:
+                    continue
+                return plan.IndexScan(
+                    table=table, binding=alias, index_name=entry.name,
+                    column=entry.column, **keys,
+                    residual=conjoin(predicates[:i] + predicates[i + 1:]))
         return None
 
     # -- join enumeration ------------------------------------------------------------
@@ -228,7 +240,8 @@ class Planner:
                               max_trees: int) -> list[plan.PlanNode]:
         aliases = bound.table_order
         coster = self._coster(bound)
-        access = {a: self._access_path(bound, a) for a in aliases}
+        access = {a: self._access_path(bound.bindings, a, bound.filters[a])
+                  for a in aliases}
 
         if len(aliases) == 1:
             only = access[aliases[0]]
@@ -441,6 +454,18 @@ class _EmptyRow(plan.PlanNode):
     @property
     def label(self) -> str:
         return "EmptyRow"
+
+
+def _comparable(literal, dtype: DataType) -> bool:
+    """Whether an index over a ``dtype`` column can order ``literal``
+    among its keys: numbers with INT / FLOAT, text with TEXT, booleans
+    with BOOL.  Anything else (``id = 'abc'``) is left to the SeqScan,
+    whose evaluator decides between no match and an ExecutionError."""
+    if isinstance(literal, bool):
+        return dtype is DataType.BOOL
+    if isinstance(literal, (int, float)):
+        return dtype in (DataType.INT, DataType.FLOAT)
+    return isinstance(literal, str) and dtype is DataType.TEXT
 
 
 def _column_literal(expr: ast.BinaryOp):

@@ -73,6 +73,8 @@ class BPlusTreeIndex:
         Structural underflow is not rebalanced (deletes leave slack), which
         keeps the code simple and is a legitimate B-link-tree strategy.
         """
+        if key is None:
+            return False  # never indexed (see insert); bisect cannot order it
         leaf = self._find_leaf(key)
         i = bisect.bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:

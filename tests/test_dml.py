@@ -1,0 +1,476 @@
+"""UPDATE / DELETE through the planner's access path: a differential sweep.
+
+``db._run_update`` / ``_run_delete`` find their victims through the scan
+the planner picks for the WHERE clause (``Planner.access_path`` ->
+``IndexScanOp.rid_rows`` / ``SeqScanOp.rid_rows``), the same index
+selection and index lookup SELECT uses.  Three independent references
+hold that path to account, after every statement of a seeded sweep:
+
+* stdlib ``sqlite3`` — the same table, the same statement: ``rowcount``
+  and the whole table (sorted) must agree;
+* the full-scan victim loop UPDATE / DELETE ran before they were planned,
+  kept verbatim below (``_full_scan_victims``): the planned scan must
+  select exactly its ``(rid, row)`` set, or raise its error class;
+* the index invariant (``check_indexes``): every live row has exactly one
+  posting under its current key in every index, nothing dangles, and
+  ``len(index)`` counts the non-NULL keys.
+
+The sweep crosses three schema regimes (an ``acct``-like table and two of
+``tests/test_storage_typed.py``'s generated shapes: an INT key with
+duplicates and NULLs, a TEXT key) with index none / btree / hash, table
+heap / replicated / sharded, and with / without ``ANALYZE``.  The SELECT
+half rides along: the same WHERE through ``db.execute`` (the indexed
+plan) must return what sqlite and the full scan return — which is what
+catches a strict bound read as an inclusive one, or a literal the index
+cannot compare.  ``STORAGE_SEED`` re-rolls data and literals.
+"""
+
+from __future__ import annotations
+
+import random
+import sqlite3
+
+import pytest
+
+import repro
+from repro.common.errors import ConstraintViolation, ExecutionError
+from repro.exec.expr import RowLayout, compile_expr, to_bool
+from repro.sql import ast
+from repro.sql.parser import parse
+from test_storage_typed import (BOOL, FLOAT_CLEAN, INT_SMALL, STORAGE_SEED,
+                                TEXT_SMALL, _REGIME_DTYPE, _draw)
+
+ROWS = 200
+TABLES = {"heap": {}, "replicated": {"replication": True},
+          "sharded": {"shards": 3}}
+INDEXES = (None, "btree", "hash")
+SQLITE_TYPE = {"INT": "INTEGER", "FLOAT": "REAL", "TEXT": "TEXT",
+               "BOOL": "INTEGER"}
+
+
+class Regime:
+    """One schema: its columns, the (indexed) key column, a non-indexed
+    numeric column for WHERE, a FLOAT column for SET, and the rows."""
+
+    def __init__(self, columns, key, other, target, rows, unique=False):
+        self.columns, self.key, self.rows = columns, key, rows
+        self.other, self.target = other, target
+        self.unique = unique
+        self.text_key = dict(columns)[key] == "TEXT"
+
+    def ddl(self, sqlite: bool) -> str:
+        parts = []
+        for name, dtype in self.columns:
+            dtype = SQLITE_TYPE[dtype] if sqlite else dtype
+            unique = " UNIQUE" if self.unique and name == self.key else ""
+            parts.append(f"{name} {dtype}{unique}")
+        return f"CREATE TABLE t ({', '.join(parts)})"
+
+
+def _acct(rng: random.Random) -> Regime:
+    ids = list(range(ROWS))
+    rng.shuffle(ids)
+    rows = [(None if rng.random() < 0.03 else i, f"owner{i % 17}",
+             rng.randint(0, 50), round(rng.uniform(0, 1000), 2))
+            for i in ids]
+    return Regime([("id", "INT"), ("owner", "TEXT"), ("region", "INT"),
+                   ("bal", "FLOAT")],
+                  key="id", other="region", target="bal", rows=rows,
+                  unique=True)
+
+
+def _generated(shape, other, target):
+    def build(rng: random.Random) -> Regime:
+        columns = [(f"c{i}", _REGIME_DTYPE[r].value)
+                   for i, r in enumerate(shape)]
+        rows = [tuple(_draw(rng, r, 0.1) for r in shape)
+                for _ in range(ROWS)]
+        return Regime(columns, key="c0", other=other, target=target,
+                      rows=rows)
+    return build
+
+
+REGIMES = {
+    "acct": _acct,
+    # INT key drawn from 20k values: a few duplicates, negative keys, NULLs
+    "int-key": _generated((INT_SMALL, FLOAT_CLEAN, TEXT_SMALL),
+                          other="c1", target="c1"),
+    # TEXT key with 13 distinct values: long posting lists
+    "text-key": _generated((TEXT_SMALL, BOOL, INT_SMALL, FLOAT_CLEAN),
+                           other="c2", target="c3"),
+}
+
+
+# -- the three references ------------------------------------------------------
+
+
+def _full_scan_victims(db, statement):
+    """Victim selection as ``_run_update`` / ``_run_delete`` did it before
+    they went through the planner — kept verbatim as the oracle."""
+    table = db.catalog.table(statement.table)
+    layout = RowLayout([(statement.table, c.name)
+                        for c in table.schema.columns])
+    predicate = (compile_expr(statement.where, layout)
+                 if statement.where is not None else None)
+    victims: list[tuple] = []
+    for rid, row in table.scan():
+        if predicate is None or to_bool(predicate(row)):
+            victims.append((rid, row))
+    return victims
+
+
+def _postings(index) -> list[tuple]:
+    if hasattr(index, "range_scan"):
+        return list(index.range_scan())
+    return [(key, rid) for key, rids in index._buckets.items()
+            for rid in rids]
+
+
+def check_indexes(db, table_name: str = "t") -> None:
+    table = db.catalog.table(table_name)
+    live = list(table.scan())
+    for entry in db.catalog.indexes_on(table_name):
+        position = table.schema.index_of(entry.column)
+        expected = sorted((row[position], rid) for rid, row in live
+                          if row[position] is not None)
+        assert sorted(_postings(entry.index)) == expected, entry.name
+        assert len(entry.index) == len(expected), entry.name
+        for key, rid in expected[::7]:
+            assert rid in entry.index.search(key)
+
+
+def _sorted(rows):
+    return sorted((tuple(row) for row in rows),
+                  key=lambda row: tuple((v is not None, v) for v in row))
+
+
+def _literal(value) -> str:
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value)
+
+
+def _label(line: str) -> str:
+    return line.strip().split(" (rows=")[0]
+
+
+def _scan_label(db, sql: str) -> str:
+    """Label of the scan node in ``EXPLAIN sql`` (its last line)."""
+    return _label(db.execute("EXPLAIN " + sql).rows[-1][0])
+
+
+# -- the sweep -------------------------------------------------------------------
+
+
+class Sweep:
+    def __init__(self, regime: Regime, table_kind: str, index, analyze: bool,
+                 rng: random.Random):
+        self.regime, self.index, self.analyze = regime, index, analyze
+        self.rng = rng
+        self.shift = 100_000
+        self.db = repro.connect(**TABLES[table_kind])
+        self.db.execute(regime.ddl(sqlite=False))
+        table = self.db.catalog.table("t")
+        for row in regime.rows:
+            table.insert(row)
+        if index is not None:
+            self.db.execute(f"CREATE INDEX t_key ON t ({regime.key}) "
+                            f"USING {index}")
+        if analyze:
+            self.db.execute("ANALYZE")
+        self.mirror = sqlite3.connect(":memory:")
+        self.mirror.execute(regime.ddl(sqlite=True))
+        marks = ", ".join("?" * len(regime.columns))
+        self.mirror.executemany(f"INSERT INTO t VALUES ({marks})",
+                                regime.rows)
+
+    # literals come from the table as it is now, so statements keep
+    # finding rows while the sweep deletes and moves them
+    def keys(self) -> list:
+        return sorted(row[0] for row in self.mirror.execute(
+            f"SELECT DISTINCT {self.regime.key} FROM t "
+            f"WHERE {self.regime.key} IS NOT NULL"))
+
+    def pick(self, low: float = 0.0, high: float = 1.0):
+        keys = self.keys()
+        if not keys:
+            return "tag-0" if self.regime.text_key else 0
+        at = self.rng.uniform(low, high)
+        return keys[min(len(keys) - 1, int(at * len(keys)))]
+
+    def expected_scan(self, path: str, literals) -> str | None:
+        """The access path EXPLAIN must name, None where the cost model
+        decides (ranges once ANALYZE has run) or where the parser hands
+        the planner ``-(5)`` instead of a literal."""
+        if self.index is None or path == "seq":
+            return "SeqScan"
+        if any(not isinstance(v, str) and v < 0 for v in literals):
+            return None
+        if path == "eq":
+            return "IndexScan"
+        if self.index == "hash":
+            return "SeqScan"
+        return None if self.analyze else "IndexScan"
+
+    def run(self, sql: str, path: str, literals=()) -> int:
+        db, mirror = self.db, self.mirror
+        statement = parse(sql)
+        where = sql[sql.index(" WHERE "):] if " WHERE " in sql else ""
+
+        # one index selection: DML plans the scan SELECT plans
+        title, scan = (row[0] for row in db.execute("EXPLAIN " + sql).rows)
+        assert title == f"{type(statement).__name__} on t"
+        label = _scan_label(db, "SELECT * FROM t" + where)
+        assert _label(scan) == label, sql
+        expected = self.expected_scan(path, literals)
+        if expected is not None:
+            assert label.startswith(expected), (sql, label)
+
+        try:
+            oracle = _full_scan_victims(db, statement)
+        except ExecutionError as error:
+            # a literal the column cannot be compared with: the planned
+            # scan raises what the full scan raises, and writes nothing
+            before = _sorted(db.execute("SELECT * FROM t").rows)
+            with pytest.raises(type(error)):
+                db.execute(sql)
+            with pytest.raises(type(error)):
+                db.execute("SELECT * FROM t" + where)
+            assert _sorted(db.execute("SELECT * FROM t").rows) == before
+            check_indexes(db)
+            return 0
+
+        planned = list(db.executor.build(db.planner.access_path(
+            statement.table, statement.where)).rid_rows())
+        assert sorted(planned) == sorted(oracle), sql
+
+        # the SELECT half: indexed plan == full scan == sqlite
+        selected = _sorted(db.execute("SELECT * FROM t" + where).rows)
+        assert selected == _sorted(row for _, row in oracle), sql
+        assert selected == _sorted(mirror.execute("SELECT * FROM t" + where)), sql
+
+        result = db.execute(sql)
+        count = mirror.execute(sql).rowcount
+        assert result.extra["rowcount"] == len(oracle) == count, sql
+        assert (_sorted(db.execute("SELECT * FROM t").rows)
+                == _sorted(mirror.execute("SELECT * FROM t"))), sql
+        check_indexes(db)
+        if getattr(db.catalog.table("t"), "replicated", False):
+            assert db.catalog.table("t").copies_identical()
+        return count
+
+    def statements(self):
+        """(sql, path, literals): ``path`` is what the WHERE offers an
+        index — ``eq``, ``range`` (btree only) or ``seq`` (nothing)."""
+        r = self.regime
+        k, o, t = r.key, r.other, r.target
+        bump = f"UPDATE t SET {t} = {t} + 1.5"
+        lit = _literal
+
+        a = self.pick()
+        yield f"{bump} WHERE {k} = {lit(a)}", "eq", [a]
+        yield f"{bump} WHERE {k} = {lit(a)}", "eq", [a]   # same key again
+        for op, low, high in (("<", 0.0, 0.3), ("<=", 0.0, 0.3),
+                              (">", 0.7, 1.0), (">=", 0.7, 1.0)):
+            a = self.pick(low, high)
+            yield f"{bump} WHERE {k} {op} {lit(a)}", "range", [a]
+        a, b = sorted([self.pick(), self.pick()])
+        yield (f"{bump} WHERE {k} >= {lit(a)} AND {k} < {lit(b)}",
+               "range", [a, b])
+        a, b, c = self.pick(), self.pick(), self.pick()
+        yield (f"{bump} WHERE {k} IN ({lit(a)}, {lit(b)}, {lit(c)})",
+               "seq", [])
+        yield f"{bump} WHERE {k} = {lit(a)} OR {k} = {lit(b)}", "seq", []
+        yield f"{bump} WHERE {o} > 0", "seq", []
+        a = self.pick()
+        computed = f"coalesce({k}, 'none')" if r.text_key else f"{k} + 0"
+        yield f"{bump} WHERE {computed} = {lit(a)}", "seq", []
+        yield f"{bump} WHERE t.{k} = {lit(a)}", "eq", [a]
+        yield f"{bump} WHERE {lit(a)} = {k}", "eq", [a]
+        wrong = 5 if r.text_key else "abc"
+        yield f"{bump} WHERE {k} = {lit(wrong)}", "seq", []
+        yield f"{bump} WHERE {k} > {lit(wrong)}", "seq", []
+        yield f"DELETE FROM t WHERE {k} < {lit(wrong)}", "seq", []
+        yield f"{bump} WHERE {k} = NULL", "seq", []
+        absent = "tag-none" if r.text_key else 77_777
+        yield f"{bump} WHERE {k} = {lit(absent)}", "eq", [absent]
+        a = self.pick(0.2, 0.6)
+        yield (f"{bump} WHERE {k} >= {lit(a)} AND {o} > 0", "range", [a])
+
+        # assignments to the indexed column; the second is the Halloween
+        # shape — updated rows land inside the range still being read
+        for op, path, a in (("=", "eq", self.pick()),
+                            (">=", "range", self.pick(0.5, 0.9))):
+            moved = "'tag-zz'" if r.text_key else f"{k} + {self.shift}"
+            self.shift *= 10
+            yield (f"UPDATE t SET {k} = {moved} WHERE {k} {op} {lit(a)}",
+                   path, [a])
+        yield bump, "seq", []
+
+        a = self.pick()
+        yield f"DELETE FROM t WHERE {k} = {lit(a)}", "eq", [a]
+        a = self.pick(0.0, 0.1)
+        yield f"DELETE FROM t WHERE {k} < {lit(a)}", "range", [a]
+        a = self.pick(0.9, 1.0)
+        yield f"DELETE FROM t WHERE {k} > {lit(a)}", "range", [a]
+        yield f"DELETE FROM t WHERE {o} < 0", "seq", []
+        a, b = self.pick(), self.pick()
+        yield f"DELETE FROM t WHERE {k} IN ({lit(a)}, {lit(b)})", "seq", []
+        yield f"DELETE FROM t WHERE {k} = {lit(absent)}", "eq", [absent]
+        yield f"DELETE FROM t WHERE t.{k} = NULL", "seq", []
+        yield "DELETE FROM t", "seq", []
+        yield f"{bump} WHERE {k} = {lit(a)}", "eq", [a]     # empty table
+
+
+@pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyzed"])
+@pytest.mark.parametrize("index", INDEXES, ids=lambda v: v or "noindex")
+@pytest.mark.parametrize("table_kind", TABLES)
+@pytest.mark.parametrize("regime", REGIMES)
+def test_dml_sweep(regime, table_kind, index, analyze):
+    # the same data and literals on every configuration of one regime
+    seed = STORAGE_SEED * 1000 + sorted(REGIMES).index(regime)
+    sweep = Sweep(REGIMES[regime](random.Random(seed)), table_kind, index,
+                  analyze, random.Random(seed + 500))
+    check_indexes(sweep.db)
+    touched = sum(sweep.run(sql, path, literals)
+                  for sql, path, literals in sweep.statements())
+    assert touched > ROWS, "the sweep's statements stopped finding rows"
+    assert len(sweep.db.catalog.table("t")) == 0
+
+
+# -- a failed UPDATE must not cost the row its index entry ------------------------
+
+
+@pytest.mark.parametrize("index", ["btree", "hash"])
+@pytest.mark.parametrize("table_kind", TABLES)
+def test_failed_update_keeps_every_posting(table_kind, index):
+    db = repro.connect(**TABLES[table_kind])
+    db.execute("CREATE TABLE t (id INT UNIQUE, g INT, v FLOAT)")
+    table = db.catalog.table("t")
+    for i in range(50):
+        table.insert((i, i % 10, float(i)))
+    table.insert((121, 0, 121.0))
+    db.execute(f"CREATE INDEX t_id ON t (id) USING {index}")
+    db.execute("CREATE INDEX t_g ON t (g)")
+
+    with pytest.raises(ConstraintViolation):
+        db.execute("UPDATE t SET id = 7 WHERE id = 3")
+    check_indexes(db)
+    assert db.execute("SELECT v FROM t WHERE id = 3").rows == [(3.0,)]
+    assert db.execute("SELECT v FROM t WHERE id + 0 = 3").rows == [(3.0,)]
+    assert db.execute("UPDATE t SET v = 30 WHERE id = 3").extra[
+        "rowcount"] == 1
+
+    # five victims (ids 1, 11, 21, 31, 41); 21 -> 121 is taken, so the
+    # statement fails part-way, whatever order the scan found them in
+    with pytest.raises(ConstraintViolation):
+        db.execute("UPDATE t SET id = id + 100 WHERE g = 1")
+    check_indexes(db)
+    ids = set(db.execute("SELECT id FROM t").column("id"))
+    assert 21 in ids and 121 in ids and len(ids) == 51
+    for key in sorted(ids):
+        assert db.execute(f"SELECT id FROM t WHERE id = {key}").rows == [
+            (key,)], key
+        assert db.execute(f"DELETE FROM t WHERE id = {key}").extra[
+            "rowcount"] == 1
+    check_indexes(db)
+    assert len(table) == 0
+
+
+def test_null_keys_stay_out_of_the_btree():
+    """NULL keys are never indexed; updating or deleting a row that has
+    one must not ask the B+-tree to order None among its keys."""
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT, v INT)")
+    db.execute("INSERT INTO t VALUES (1, 1), (NULL, 2), (3, 3)")
+    db.execute("CREATE INDEX t_id ON t (id)")
+    assert db.execute("UPDATE t SET v = 9 WHERE v = 2").extra["rowcount"] == 1
+    assert db.execute("UPDATE t SET id = 2 WHERE v = 9").extra["rowcount"] == 1
+    check_indexes(db)
+    assert db.execute("SELECT v FROM t WHERE id = 2").rows == [(9,)]
+    assert db.execute("UPDATE t SET id = NULL WHERE id = 2").extra[
+        "rowcount"] == 1
+    assert db.execute("DELETE FROM t WHERE v = 9").extra["rowcount"] == 1
+    check_indexes(db)
+
+
+# -- the access path, made fit for writes to stand on ----------------------------
+
+
+def _indexed_2000():
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT UNIQUE, name TEXT, v FLOAT)")
+    table = db.catalog.table("t")
+    for i in range(2000):
+        table.insert((i, f"n{i:04d}", float(i)))
+    db.execute("CREATE INDEX t_id ON t (id)")
+    db.execute("CREATE INDEX t_name ON t (name)")
+    return db
+
+
+def test_strict_bounds_through_the_index():
+    db = _indexed_2000()
+    cases = [("id > 1995", "(1995, None]", [1996, 1997, 1998, 1999]),
+             ("id >= 1995", "[1995, None]", [1995, 1996, 1997, 1998, 1999]),
+             ("id < 3", "[None, 3)", [0, 1, 2]),
+             ("id <= 3", "[None, 3]", [0, 1, 2, 3]),
+             ("name > 'n1997'", "('n1997', None]", [1998, 1999]),
+             ("name < 'n0002'", "[None, 'n0002')", [0, 1])]
+    for where, interval, ids in cases:
+        sql = f"SELECT id FROM t WHERE {where}"
+        for engine in ("batch", "row"):
+            db.executor = db.executor.with_engine(engine)
+            assert sorted(db.execute(sql).column("id")) == ids, (where, engine)
+        label = _scan_label(db, sql)
+        assert label.startswith("IndexScan") and label.endswith(
+            f" in {interval})"), label
+    # the second bound of a two-sided range stays a residual
+    sql = "SELECT id FROM t WHERE id > 10 AND id < 13"
+    assert _scan_label(db, sql).endswith(" in (10, None])")
+    assert sorted(db.execute(sql).column("id")) == [11, 12]
+
+
+@pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyzed"])
+def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
+    """Every predicate returns the SeqScan's rows or raises the
+    SeqScan's error class — never a TypeError out of ``bisect`` or a
+    ValueError out of ``float()``."""
+    db = _indexed_2000()
+    db.execute("CREATE TABLE flags (b BOOL, n INT)")
+    db.execute("INSERT INTO flags VALUES (TRUE, 1), (FALSE, 0), (NULL, 2)")
+    db.execute("CREATE INDEX flags_b ON flags (b)")
+    db.execute("CREATE INDEX flags_n ON flags (n) USING hash")
+    if analyze:
+        db.execute("ANALYZE")
+    predicates = [
+        ("t", "id = 'abc'"), ("t", "id > 'abc'"), ("t", "id <= 'abc'"),
+        ("t", "'abc' = id"), ("t", "id = TRUE"), ("t", "id > FALSE"),
+        ("t", "name = 5"), ("t", "name < 5"), ("t", "name >= 2.5"),
+        ("t", "name = TRUE"), ("t", "name > 'n1997'"),
+        ("t", "name BETWEEN 'n0001' AND 'n0003'"), ("t", "id = 7.0"),
+        ("t", "id < 2.5"), ("flags", "b = 1"), ("flags", "b = TRUE"),
+        ("flags", "b = 'yes'"), ("flags", "n = 'one'"), ("flags", "n = TRUE"),
+    ]
+    for table, where in predicates:
+        select = parse(f"SELECT * FROM {table} WHERE {where}")
+        try:
+            expected = _sorted(row for _, row in _full_scan_victims(
+                db, ast.Delete(table, select.where)))
+        except ExecutionError as error:
+            with pytest.raises(type(error)):
+                db.execute(f"SELECT * FROM {table} WHERE {where}")
+            with pytest.raises(type(error)):
+                db.execute(f"DELETE FROM {table} WHERE {where}")
+            continue
+        got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
+        assert _sorted(got) == expected, where
+    # kinds that match keep the index
+    for sql in ("SELECT * FROM t WHERE id = 7.0",
+                "SELECT * FROM t WHERE name > 'n1997'",
+                "SELECT * FROM flags WHERE b = TRUE"):
+        assert _scan_label(db, sql).startswith("IndexScan"), sql
+    for sql in ("SELECT * FROM t WHERE id = 'abc'",
+                "SELECT * FROM t WHERE name = 5",
+                "SELECT * FROM flags WHERE b = 1",
+                "SELECT * FROM flags WHERE n = TRUE"):
+        assert _scan_label(db, sql).startswith("SeqScan"), sql

@@ -111,6 +111,33 @@ class TestPlainExplain:
         assert db.execute(
             "SELECT count(*) FROM users WHERE id = 900").rows[0][0] == 0
 
+    def test_explain_dml_renders_its_access_path(self):
+        """UPDATE / DELETE are planned: a title line over the scan that
+        finds the victims — SELECT's own choice for the same WHERE —
+        and nothing is written."""
+        db = _build_db()
+        db.execute("CREATE INDEX users_id ON users (id)")
+        for sql, title, scan in [
+                ("UPDATE users SET age = 0 WHERE id = 7", "Update on users",
+                 "  IndexScan(users.id = 7)"),
+                ("DELETE FROM users WHERE id > 30 AND age < 25",
+                 "Delete on users", "  IndexScan(users.id in (30, None])"),
+                ("DELETE FROM users WHERE age < 25", "Delete on users",
+                 "  SeqScan(users as users) [filtered]"),
+                ("UPDATE users SET age = 0", "Update on users",
+                 "  SeqScan(users as users)")]:
+            result = db.execute("EXPLAIN " + sql)
+            assert result.extra["analyze"] is False
+            lines = [row[0] for row in result.rows]
+            assert lines[0] == title and len(lines) == 2
+            assert lines[1].split(" (rows=")[0] == scan
+            _, where, predicate = sql.partition(" WHERE ")
+            select = db.execute("EXPLAIN SELECT * FROM users"
+                                + where + predicate)
+            assert select.rows[-1][0] == lines[1]
+        assert db.execute("SELECT count(*), min(age) FROM users").rows == [
+            (40, 20)]
+
     def test_explain_cannot_wrap_explain(self):
         db = _build_db()
         with pytest.raises(ParseError):
@@ -218,3 +245,41 @@ class TestExplainAnalyzeFallback:
         # and the INSERT really executed
         assert db.execute(
             "SELECT count(*) FROM users WHERE id = 901").rows[0][0] == 1
+
+
+class TestExplainAnalyzeDml:
+    @pytest.mark.parametrize("sql,scan,victims", [
+        ("UPDATE users SET age = age + 1 WHERE id = 7",
+         "IndexScan(users.id = 7)", 1),
+        ("DELETE FROM users WHERE age < 25",
+         "SeqScan(users as users) [filtered]", 10),
+    ])
+    def test_victim_scan_line_and_category_totals(self, sql, scan, victims):
+        """The statement executes; its victim scan renders as an operator
+        (rows out, charged time) from the spans SELECT's operators use,
+        and what the write loop charged is the ``(other)`` bucket — the
+        two reconcile with the category totals exactly."""
+        db = _build_db()
+        db.execute("CREATE INDEX users_id ON users (id)")
+        before = db.execute("SELECT count(*), sum(age) FROM users").rows[0]
+        result = db.execute("EXPLAIN ANALYZE " + sql)
+        structured = result.extra["explain"]
+        assert result.extra["analyze"] is True
+        (node,) = structured["nodes"]
+        assert node["label"] == scan and node["depth"] == 1
+        assert node["rows_out"] == victims and node["time"] > 0
+        write = "heap-update" if sql.startswith("UPDATE") else "heap-delete"
+        assert write in structured["other"] and write not in node["charged"]
+        for category, seconds in structured["totals"].items():
+            assert seconds == pytest.approx(
+                node["charged"].get(category, 0.0)
+                + structured["other"].get(category, 0.0), rel=1e-12)
+        lines = [row[0] for row in result.rows]
+        assert lines[0].startswith("total charged:")
+        title = lines.index(sql.split()[0].capitalize() + " on users")
+        assert lines[title + 1].startswith("  " + scan)
+        assert lines[title + 2].startswith("    actual: time=")
+        assert f"rows_out={victims}" in lines[title + 2]
+        after = db.execute("SELECT count(*), sum(age) FROM users").rows[0]
+        assert after == ((before[0], before[1] + 1) if victims == 1
+                         else (before[0] - victims, after[1]))
