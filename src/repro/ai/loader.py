@@ -303,15 +303,17 @@ def map_scan_blocks(table, process: Callable[[RowBlock, SimClock], object],
       :func:`~repro.exec.pipeline.table_blocks` (the same scan-block
       primitive the fused pipeline sources use), blocks processed inline
       against ``clock``.
-    * ``workers>1`` — morsel-parallel: the scan splits into morsels via
+    * ``workers>1`` — morsel tasks: the scan splits into morsels via
       :meth:`~repro.storage.heap.HeapTable.scan_morsels` and a
-      :class:`~repro.exec.parallel.MorselScheduler` fans ``process`` out
-      across the worker pool.  Each task charges a private shard clock;
-      the scheduler's :class:`~repro.common.simtime.WorkerClocks` merge
-      the shard charges back into ``clock`` in morsel order, so the
-      charged *total* is the same multiset of charges as the streaming
-      scan — parity-identical virtual time, with the modeled makespan
-      shrinking as workers grow.
+      :class:`~repro.exec.parallel.MorselScheduler` runs ``process`` once
+      per morsel (inline, in scan order).  Each task charges a private
+      shard clock; the scheduler's
+      :class:`~repro.common.simtime.WorkerClocks` schedule the shard
+      charges onto ``workers`` modeled workers and merge them back into
+      ``clock`` in morsel order, so the charged *total* is the same
+      multiset of charges as the streaming scan — parity-identical
+      virtual time, with the modeled makespan shrinking as workers
+      grow.
 
     Either way each batch holds ``batch_size`` rows (the final one may be
     short), so the two paths see identical block boundaries and therefore

@@ -10,15 +10,15 @@ Everything this repo claims rests on invariants no type checker sees:
   are asserted by the parity suite and the benchmarks.  A typo'd
   category literal opens a fresh bucket and quietly drains the one the
   tests watch.
-* **Parallel-hook thread safety** — morsel workers run operator hooks
-  concurrently; the contract is "stateless after construction".  An
-  unlocked shared-attribute write in a worker-executed hook is a race
-  the GIL usually hides.
+* **Parallel-hook statelessness** — a placed task's operator hooks are
+  re-executed when a morsel is retried, and the makespan model claims
+  the tasks of a phase could overlap; the contract is "stateless after
+  construction".  A shared-attribute write in a task-executed hook
+  breaks both, silently.
 
 This package checks all three statically (AST passes over ``src/repro``,
-run by ``tools/analyze.py`` and blocking in CI) and the third one
-dynamically as well (the opt-in lockset sanitizer, ``REPRO_SANITIZE=1``).
-See ``docs/analysis.md`` for the rule catalogue and pragma syntax.
+run by ``tools/analyze.py`` and blocking in CI).  See
+``docs/analysis.md`` for the rule catalogue and pragma syntax.
 """
 
 from repro.analysis.charges import ChargeCategoryPass
@@ -36,11 +36,6 @@ from repro.analysis.core import (
 )
 from repro.analysis.determinism import DeterminismPass
 from repro.analysis.races import RaceAnalysisPass
-from repro.analysis.sanitizer import (
-    SanitizerViolation,
-    sanitizer,
-    sanitizer_enabled,
-)
 
 #: The default pass lineup, in report order.
 ALL_PASSES = (DeterminismPass, ChargeCategoryPass, RaceAnalysisPass)
@@ -53,14 +48,11 @@ __all__ = [
     "Finding",
     "ModuleSource",
     "RaceAnalysisPass",
-    "SanitizerViolation",
     "Severity",
     "load_module",
     "load_tree",
     "render_findings",
     "render_json",
     "run_passes",
-    "sanitizer",
-    "sanitizer_enabled",
     "unsuppressed",
 ]

@@ -1,18 +1,27 @@
-"""Parallel-hook race analysis: shared-state writes reachable from
-worker-executed code must hold a lock at the write site.
+"""Parallel-hook race analysis: code a placed task executes must not
+write shared state (unless it holds a lock at the write site).
 
 The placed walk (``PlacedDriver`` in ``repro/exec/pipeline.py``) hands
-operator *hooks* to its placement's ``dispatch``; the morsel scheduler
-(``repro/exec/parallel.py``) runs them concurrently on worker threads.
-The contract (module docstring of ``repro/exec/operators.py``) is that
-every such hook is stateless after construction: it writes only
-morsel-local state (parameters, locals, its private shard clock), never
-``self``.  Nothing enforced that until this pass.
+operator *hooks* to its placement's ``dispatch``, one task per morsel.
+The placements run the tasks inline, but two things rest on the hooks
+being **stateless after construction** (module docstring of
+``repro/exec/operators.py``) — writing only morsel-local state
+(parameters, locals, the private shard clock), never ``self``:
+
+* **re-execution** — a morsel whose attempt failed transiently, or whose
+  worker "crashed", is run again (``MorselScheduler.map``); recovered
+  results are bit-identical to the fault-free run only if the lost
+  attempt left nothing behind;
+* **the makespan model** — ``WorkerClocks`` schedules a phase's task
+  charges onto W workers *as if the tasks overlapped*; a hook that reads
+  what an earlier task wrote would make that claim false.
+
+Nothing else enforces the contract; this pass does.
 
 How the hook set is derived — and why it cannot drift
 -----------------------------------------------------
 The pass does **not** trust a hand-maintained hook list.  It re-derives
-the worker dispatch table from the code that actually dispatches:
+the task dispatch table from the code that actually dispatches:
 
 * every ``self.dispatch(units, fn)`` call site inside ``PlacedDriver``
   and every ``self.map(items, fn)`` inside ``MorselScheduler``
@@ -31,29 +40,24 @@ the worker dispatch table from the code that actually dispatches:
 
 The derived set is then cross-checked against
 :data:`EXPECTED_WORKER_HOOKS`; any mismatch in either direction is a
-``dispatch-drift`` finding, so adding a new parallel hook forces this
+``dispatch-drift`` finding, so adding a new task hook forces this
 file — and therefore a re-audit — to change with it.
 
 What gets flagged
 -----------------
 For every operator class in ``exec/operators.py`` defining a worker
 hook (plus the ``self._helper`` methods those hooks reference,
-transitively), for the worker-executed pipeline surface derived above
-(minus classes the worker code itself instantiates — a carrier built
-inside a task is task-local), and for the worker-thread closures inside
-``MorselScheduler.map`` itself (``work``, ``run_task``, and everything
-they call on ``self``):
+transitively), and for the task-executed pipeline surface derived above
+(minus classes the task code itself instantiates — a carrier built
+inside a task is task-local):
 
 ``unlocked-shared-write``
     A write to ``self.<attr>`` — assignment, augmented assignment, a
-    constant-index subscript store, or a mutating method call
+    subscript store, or a mutating method call
     (``append``/``add``/``update``/``setdefault``/...) — not enclosed
     in a ``with self.<lock>:`` block (any attribute whose name contains
     ``lock``), and likewise a write or mutating call targeting a
-    closure/global name.  Subscript stores indexed by a *variable*
-    (``results[i] = ...``, ``attempt_clocks[i].append(...)``) are
-    classified morsel-local: the scheduler's per-task-index ownership
-    convention.  Constant indices (``crashes[0] += 1``) are shared.
+    closure/global name.
 
 ``dispatch-drift``
     The derived worker-hook set differs from
@@ -96,11 +100,6 @@ _MUTATORS = {
     "popitem", "remove", "discard", "clear", "__setitem__", "push",
     "appendleft", "sort", "reverse",
 }
-
-#: receiver method calls that are thread-safe by design (threading
-#: primitives); ``Event.set`` most importantly — not the set-type "add"
-_SAFE_CALLS = {"set", "is_set", "wait", "acquire", "release", "get",
-               "put", "join", "start"}
 
 
 def _chain_head(node: ast.AST) -> str:
@@ -196,8 +195,7 @@ class _WriteScanner:
                 self._check_store(target, node, stack)
         elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _MUTATORS \
-                and node.func.attr not in _SAFE_CALLS:
+                and node.func.attr in _MUTATORS:
             self._check_mutating_call(node, stack)
 
     # -- stores ------------------------------------------------------------
@@ -216,7 +214,8 @@ class _WriteScanner:
         self.findings.append(self.pass_.finding(
             self.module, stmt, "unlocked-shared-write",
             f"{self.context}: write to shared state {why} without a "
-            f"held lock — worker threads execute this concurrently"))
+            f"held lock — tasks are re-executed on retry and modeled as "
+            f"overlapping"))
 
     def _check_mutating_call(self, node: ast.Call,
                              stack: list[ast.AST]) -> None:
@@ -229,18 +228,13 @@ class _WriteScanner:
         self.findings.append(self.pass_.finding(
             self.module, node, "unlocked-shared-write",
             f"{self.context}: mutating call .{node.func.attr}() on "
-            f"shared state {why} without a held lock — worker threads "
-            f"execute this concurrently"))
+            f"shared state {why} without a held lock — tasks are "
+            f"re-executed on retry and modeled as overlapping"))
 
     def _classify_target(self, node: ast.AST) -> tuple[str, bool, str]:
         """(root name, is-shared, description).  Morsel-local roots:
-        plain locals/params, and subscripts indexed by a variable (the
-        per-task-index ownership convention)."""
-        # peel subscripts, remembering whether any index was a variable
-        saw_variable_index = False
+        plain locals/params."""
         while isinstance(node, ast.Subscript):
-            if not isinstance(node.slice, ast.Constant):
-                saw_variable_index = True
             node = node.value
         if isinstance(node, ast.Attribute):
             base = node.value
@@ -264,8 +258,6 @@ class _WriteScanner:
         if isinstance(node, ast.Name):
             if node.id in self.locals:
                 return (node.id, False, "")
-            if saw_variable_index:
-                return (node.id, False, "")  # results[i] = ... pattern
             return (node.id, True, f"captured '{node.id}'")
         return ("", False, "")
 
@@ -297,8 +289,6 @@ class RaceAnalysisPass(AnalysisPass):
         else:
             return []
         findings: list[Finding] = []
-        if path.endswith(self.PARALLEL):
-            findings.extend(self._scan_scheduler(module))
         if path.endswith(self.OPERATORS):
             findings.extend(self._scan_operators(module))
         if path.endswith(self.PIPELINE):
@@ -391,7 +381,7 @@ class RaceAnalysisPass(AnalysisPass):
 
     def _worker_surface(self, pipeline: ModuleSource, entries: set[str]
                         ) -> list[tuple[ast.ClassDef, ast.FunctionDef]]:
-        """The ``pipeline.py`` methods worker threads execute on shared
+        """The ``pipeline.py`` methods placed tasks execute on shared
         objects: everything reachable from the dispatched ``entries`` by
         method name (references count — a method passed to a span shim
         is still called), minus the classes that worker code itself
@@ -531,48 +521,6 @@ class RaceAnalysisPass(AnalysisPass):
             context = f"worker-executed {cls.name}.{func.name}"
             findings.extend(_WriteScanner(self, module, func,
                                           context).scan())
-        return findings
-
-    # -- the scheduler's own worker loop ------------------------------------
-
-    def _scan_scheduler(self, module: ModuleSource) -> list[Finding]:
-        """Worker-thread roots inside MorselScheduler: functions passed
-        as ``threading.Thread(target=...)``, everything they call
-        locally, and the ``self._attempt`` chain."""
-        scheduler = self._class_def(module, "MorselScheduler")
-        methods = {stmt.name: stmt for stmt in scheduler.body
-                   if isinstance(stmt, ast.FunctionDef)}
-        local_defs = {f.name: f for f in ast.walk(scheduler)
-                      if isinstance(f, ast.FunctionDef)}
-        roots: list[str] = []
-        for node in ast.walk(scheduler):
-            if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute) and node.func.attr == "Thread":
-                for kw in node.keywords:
-                    if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                        roots.append(kw.value.id)
-        # transitive closure over local defs and self-methods
-        reachable: list[str] = []
-        queue = list(roots)
-        while queue:
-            name = queue.pop()
-            if name in reachable or name not in local_defs:
-                continue
-            reachable.append(name)
-            for node in ast.walk(local_defs[name]):
-                if isinstance(node, ast.Call):
-                    if isinstance(node.func, ast.Name):
-                        queue.append(node.func.id)
-                    elif isinstance(node.func, ast.Attribute) \
-                            and isinstance(node.func.value, ast.Name) \
-                            and node.func.value.id == "self" \
-                            and node.func.attr in methods:
-                        queue.append(node.func.attr)
-        findings: list[Finding] = []
-        for name in reachable:
-            context = f"worker thread {name}"
-            findings.extend(_WriteScanner(
-                self, module, local_defs[name], context).scan())
         return findings
 
     @staticmethod

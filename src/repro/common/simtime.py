@@ -183,21 +183,21 @@ class WorkerClocks:
     """Per-worker virtual-time accounting for the morsel-driven engine.
 
     The parallel executor cannot charge worker costs straight to the query's
-    shared :class:`SimClock`: concurrent ``advance`` calls would race, and a
-    single accumulator could not distinguish "total work done" from "time a
-    multicore would actually take".  Instead every morsel task charges a
-    private shard clock, plus one ``serial_lane`` clock for the parts of
-    the query that cannot be parallelized (merge steps, order-sensitive
-    operators, spill surcharges).
+    shared :class:`SimClock`: a single accumulator could not distinguish
+    "total work done" from "time a multicore would actually take".
+    Instead every morsel task charges a private shard clock, plus one
+    ``serial_lane`` clock for the parts of the query that cannot be
+    parallelized (merge steps, order-sensitive operators, spill
+    surcharges).
 
     When a phase closes, its task charges are *list-scheduled in morsel
     order onto W virtual workers* — each task goes to the earliest-free
     worker, exactly the pull-the-next-morsel dispatch a real morsel
-    scheduler performs.  Modeling the assignment in virtual time (rather
-    than reading back which OS thread really ran what) keeps the makespan
-    deterministic and decoupled from the GIL's thread interleaving, which
-    single-process Python could never make representative anyway (see the
-    module docstring).
+    scheduler performs.  Modeling the assignment in virtual time makes
+    the makespan a function of the task charges alone, so the tasks
+    themselves run inline, one after another: threads under the GIL
+    could never make a wall clock representative anyway (see the module
+    docstring).
 
     Two quantities fall out:
 

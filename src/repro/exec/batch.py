@@ -30,7 +30,8 @@ scheduler rely on:
   are shared snapshots of the columnar page cache; consumers only mask,
   slice, or read them.  ``select``/``slice`` build new blocks (and carry
   the derived-view caches along) rather than mutating in place.  This is
-  what makes a block safe to hand to a worker thread.
+  what makes a block safe to hand to a morsel task, and to hand to it
+  again on retry.
 * **Order** — ``select`` and ``slice`` preserve row order; a block never
   reorders rows on its own.
 """

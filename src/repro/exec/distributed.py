@@ -24,7 +24,7 @@ compute.  Between fragments, data moves through **exchanges** over the
 engine and enforced by ``tests/test_distributed.py`` plus the sharded
 shapes in ``tests/test_batch_parity.py``:
 
-* The scheduler is **fully serial** — no threads.  Shards, morsels, and
+* The scheduler is **fully serial**.  Shards, morsels, and
   merges are processed in canonical shard-major order at every node
   count, so result rows (values, Python types, order) are bit-identical
   to the serial engines, and aggregate float state replays raw values in
@@ -58,7 +58,7 @@ results stay bit-identical while the slow node's phase times (and the
 query makespan) inflate.  Storage-level kinds (``replica_down``) keep
 working through the shard tables' own replica failover.  The parallel
 engine's worker-crash/retry machinery is intentionally out of scope
-here: the distributed model is about *placement*, not thread recovery.
+here: the distributed model is about *placement*, not task recovery.
 """
 
 from __future__ import annotations

@@ -66,13 +66,14 @@ class Executor:
       chain per pass with no intermediate materialization.  Results are
       materialized back to row tuples, so callers see the same
       :class:`ResultSet` as ever.
-    * ``"parallel"`` — morsel-driven parallel execution of the same
-      compiled pipelines (:class:`~repro.exec.parallel.MorselScheduler`):
-      scans split into morsels fanned out across ``workers`` threads,
-      each task running a whole pipeline pass per morsel, with results,
-      ``rows_out`` counters, and charged virtual-time totals identical to
-      ``"batch"``.  ``ResultSet.extra["parallel"]`` carries the scheduler
-      stats, including the modeled parallel makespan.
+    * ``"parallel"`` — morsel-driven execution of the same compiled
+      pipelines (:class:`~repro.exec.parallel.MorselScheduler`): scans
+      split into morsels, one task per morsel running a whole pipeline
+      pass, the task charges scheduled onto ``workers`` modeled workers,
+      with results, ``rows_out`` counters, and charged virtual-time
+      totals identical to ``"batch"``.  ``ResultSet.extra["parallel"]``
+      carries the scheduler stats, including the modeled parallel
+      makespan.
     * ``"distributed"`` — sharded scale-out execution of the same
       compiled pipelines (:class:`~repro.exec.distributed.
       DistributedScheduler`): shard-local pipeline fragments on ``nodes``

@@ -27,22 +27,23 @@ EmptyRow — keep a ``batches()`` generator instead; the pipeline compiler
 makes it the *source* of a pipeline.
 
 The placed engines (``repro/exec/parallel.py``, ``distributed.py``) run
-the *worker hooks* concurrently on morsel workers: the stateless block
-hooks above plus the worker half of each breaker's ``partial``/``merge``
-pair (``partial_block`` before ``group_partials``/``finish_partials`` on
-aggregation; ``build_block`` before ``merge_build`` on hash join;
-``sort_block`` before ``merge_runs`` on sort).  Contract for every
-worker hook: it charges all of its virtual-time cost to the clock it is
-*passed* (a per-task shard), never to ``self._clock``; it never touches
-``self.rows_out`` (the driver attributes output counts after reassembly,
-keeping the counters race-free); and it is safe to call concurrently
-from multiple threads because compiled state (``compile_expr_cached``
-evaluators, predicate batch evaluators) is effectively read-only after
-construction — the exceptions are the batch predicate wrapper's
-fallback latch, an idempotent one-way write (see
-``compile_predicate_batch``), and ``BuildTable.buckets()``, built once
-under its lock — and every :class:`RowBlock` is owned by one worker at
-a time.  ``AggregateOp.partial_block`` keeps, as arrays, what the
+the *worker hooks* as morsel tasks — inline, but re-executed when a
+morsel is retried and accounted as if a phase's tasks overlapped: the
+stateless block hooks above plus the worker half of each breaker's
+``partial``/``merge`` pair (``partial_block`` before
+``group_partials``/``finish_partials`` on aggregation; ``build_block``
+before ``merge_build`` on hash join; ``sort_block`` before ``merge_runs``
+on sort).  Contract for every worker hook: it charges all of its
+virtual-time cost to the clock it is *passed* (a per-task shard), never
+to ``self._clock``; it never touches ``self.rows_out`` (the driver
+attributes output counts after reassembly, so a retried task does not
+count twice); and running it again, or in another order, changes
+nothing, because compiled state (``compile_expr_cached`` evaluators,
+predicate batch evaluators) is effectively read-only after construction
+— the exceptions are the batch predicate wrapper's fallback latch, an
+idempotent one-way write (see ``compile_predicate_batch``), and
+``BuildTable.buckets()``, built once under its lock — and every
+:class:`RowBlock` is owned by one task at a time.  ``AggregateOp.partial_block`` keeps, as arrays, what the
 serial ``absorb_carrier`` partitions a block into, and the merge is that
 partitioner again over the partials' representative rows — one
 partitioner serves every engine, on both sides of the breaker.
@@ -761,13 +762,15 @@ class _Accumulator:
             else:
                 self.total = sum(live, self.total)
         elif name == "min":
-            low = min(live)
-            if self.minimum is None or low < self.minimum:
-                self.minimum = low
+            # builtin min / max fold left to right with the row path's
+            # own comparison; seeded with the running extreme the fold
+            # does not restart at a block boundary (NaN compares false
+            # both ways, so a per-block min would depend on the blocks)
+            self.minimum = min(live) if self.minimum is None \
+                else min(itertools.chain((self.minimum,), live))
         elif name == "max":
-            high = max(live)
-            if self.maximum is None or high > self.maximum:
-                self.maximum = high
+            self.maximum = max(live) if self.maximum is None \
+                else max(itertools.chain((self.maximum,), live))
 
     def result(self) -> Any:
         if self.name == "count":

@@ -1,29 +1,31 @@
 """Morsel-driven parallel execution: the worker-pool placement.
 
 A :class:`RowBlock` is a self-contained unit of work, so the batch engine
-parallelizes the way Leis et al.'s morsel-driven scheduler does: the scan
+decomposes the way Leis et al.'s morsel-driven scheduler does: the scan
 is split into *morsels* (fixed-size column batches, default
-:data:`DEFAULT_MORSEL_ROWS` rows), workers pull the next morsel index from
-a shared counter — natural load balancing, no static partitioning — and
-push each morsel through a whole compiled **pipeline** pass
+:data:`DEFAULT_MORSEL_ROWS` rows) and each morsel is pushed through a
+whole compiled **pipeline** pass
 (:class:`~repro.exec.pipeline.BlockPass`).  *What* runs in which phase is
 the shared walk of :class:`~repro.exec.pipeline.PlacedDriver`;
 :class:`MorselScheduler` is the placement that says *how*: every site is
-this process (nothing moves at a breaker), a phase's tasks run on a
-thread pool with retry/crash recovery, and their charges are accounted
-by :class:`~repro.common.simtime.WorkerClocks`.
+this process (nothing moves at a breaker), a phase's tasks run inline, in
+morsel order, with retry/crash recovery, and their charges are scheduled
+onto ``workers`` *modeled* workers by
+:class:`~repro.common.simtime.WorkerClocks`.  No thread is started:
+under the GIL two real threads lose to one on every measured shape
+(``docs/parallel.md``, "The thread pool, measured"), and every recorded
+multicore number is the model's.
 
 The module's contract, which `tests/test_parallel.py` and the parity
 sweep in `tests/test_batch_parity.py` enforce:
 
-* **Ordering / determinism** — results are reassembled by morsel sequence
-  number, so the output rows (values, Python types, and order), the
+* **Ordering / determinism** — tasks run and results are collected in
+  morsel order, so the output rows (values, Python types, and order), the
   ``rows_out`` counters, and the charged virtual-time totals are identical
-  to the serial batch engine for *any* worker count and any thread
-  interleaving.  Float-sensitive aggregate state is never combined by
-  adding subtotals; partials carry raw value arrays and the merge
-  accumulates them in global morsel order (see
-  ``AggregateOp.partial_block``), which keeps sums bit-identical.
+  to the serial batch engine for *any* worker count.  Float-sensitive
+  aggregate state is never combined by adding subtotals; partials carry
+  raw value arrays and the merge accumulates them in global morsel order
+  (see ``AggregateOp.partial_block``), which keeps sums bit-identical.
 * **Virtual time** — every morsel task charges a private shard clock; when
   a phase closes, :class:`~repro.common.simtime.WorkerClocks`
   list-schedules the task charges in morsel order onto W virtual workers
@@ -31,26 +33,26 @@ sweep in `tests/test_batch_parity.py` enforce:
   of all charges is merged into the query's shared clock at the end, so
   totals match the serial engines (the parity invariant), while the
   per-phase *max worker load* models the parallel makespan a real
-  multicore would see — deterministically, independent of how the GIL
-  interleaved the actual threads.  Buffer-pool charges land on the
-  shared clock while morsels are split (page access is inherently shared)
-  and count fully toward the makespan.  The aggregate merge itself is
+  multicore would see.  ``workers`` is the W of that model and nothing
+  else.  Buffer-pool charges land on the shared clock while morsels are
+  split (page access is inherently shared) and count fully toward the
+  makespan.  The aggregate merge itself is
   modeled as free: its real cost scales with group counts, not row counts,
   and every per-row cost has already been charged in a worker — charging
   it again would break total parity.
 * **Scope of parallelism** — every pipeline's ``parallel_safe`` stage
-  prefix runs morsel-parallel: scan→filter→project chains, hash-join
+  prefix runs as morsel tasks: scan→filter→project chains, hash-join
   probes (and any filters/projections above the join) fused into the
   probe-side scan task, aggregate partials, and sort runs.  The merges
   (one stable grouping of the partials' representative rows, one stable
   sort over the runs) are array passes on the serial lane.  Order-sensitive
   stages (Distinct's seen set) and operators without a block
   decomposition (NestedLoopJoin, IndexScan, EmptyRow) run on the serial
-  lane, with their *inputs* still computed in parallel.  A plan
+  lane, with their *inputs* still computed as morsel tasks.  A plan
   containing LIMIT anywhere runs the streaming driver on the serial lane.
-* **Single-worker mode** — ``workers=1`` dispatches inline on the calling
-  thread with no threads created at all: fully deterministic, used as the
-  reference in scheduler tests.
+* **Failure** — an error that is not retried stops the phase at the
+  morsel that raised it: morsels ``0..k`` have run and charged, none past
+  ``k`` has, at every ``workers``.
 * **Budgets** — virtual-time budgets (``SimClock.set_limit``) are checked
   every time a phase's worker charges close (and once more before the
   final merge), so ``BudgetExceeded`` fires mid-flight at phase
@@ -78,11 +80,9 @@ sweep in `tests/test_batch_parity.py` enforce:
 
 from __future__ import annotations
 
-import threading
-from itertools import count as _shared_counter
+from itertools import count
 from typing import Any, Callable
 
-from repro.analysis.sanitizer import sanitizer as _sanitizer
 from repro.common import categories as cat
 from repro.common.errors import WorkerCrash, is_retryable
 from repro.common.faults import FaultPlan
@@ -97,13 +97,14 @@ DEFAULT_RETRY_LIMIT = 3
 
 
 class MorselScheduler(pl.PlacedDriver):
-    """The worker pool: runs a phase's tasks morsel-driven on ``workers``
-    threads, with retry and crash recovery, and accounts their charges.
+    """The worker pool, modeled: runs a phase's tasks inline, one per
+    morsel, with retry and crash recovery, and schedules their charges
+    onto ``workers`` virtual workers.
 
     ``run(operator)`` (the shared walk) returns ``(blocks, stats)``: the
     result blocks in serial-engine order and a stats dict with the
     modeled parallel timings.  :meth:`map` / :meth:`finish` expose the
-    same pool to non-operator work.
+    same dispatch to non-operator work.
     """
 
     def __init__(self, clock: SimClock, workers: int = DEFAULT_WORKERS,
@@ -125,29 +126,14 @@ class MorselScheduler(pl.PlacedDriver):
         self._phase_no = 0
         self.task_retries = 0
         self.crashes_recovered = 0
-        self._counter_lock: Any = threading.Lock()
-        if _sanitizer.enabled():
-            # lockset sanitizer (REPRO_SANITIZE=1): record this
-            # scheduler's own counter writes with their held locks
-            self._counter_lock = _sanitizer.lock(self._counter_lock,
-                                                 "_counter_lock")
-            _sanitizer.instrument(self)
-
-    def _compile(self, operator: ops.Operator) -> pl.PipelineProgram:
-        program = super()._compile(operator)
-        if _sanitizer.enabled():
-            # instrument AFTER compilation: pipeline compilation
-            # dispatches on type(op), which the class swap changes
-            _sanitizer.instrument_tree(operator)
-        return program
 
     def finish(self, start: float | None = None) -> dict:
         """Fold all accumulated worker charges into the shared clock (in
-        deterministic morsel order, so charged totals stay bit-identical
-        across worker counts and thread interleavings) and return the
-        scheduler stats.  ``start`` is the shared clock's reading when this
-        scheduler's work began; direct shared-clock charges since then
-        (buffer pool, index page reads) count toward the makespan."""
+        morsel order, so charged totals stay bit-identical across worker
+        counts) and return the scheduler stats.  ``start`` is the shared
+        clock's reading when this scheduler's work began; direct
+        shared-clock charges since then (buffer pool, index page reads)
+        count toward the makespan."""
         direct = (self._clock.now - start) if start is not None else 0.0
         clocks = self._worker_clocks
         makespan = direct + clocks.makespan()
@@ -162,8 +148,6 @@ class MorselScheduler(pl.PlacedDriver):
             clocks.merge_into(self._clock)
         finally:
             self._clock.set_limit(limit)
-        if _sanitizer.enabled():
-            _sanitizer.check()
         if self._registry is not None:
             registry = self._registry
             registry.counter("exec.tasks").inc(self.tasks_dispatched)
@@ -207,13 +191,13 @@ class MorselScheduler(pl.PlacedDriver):
     # -- morsel dispatch ---------------------------------------------------
 
     def map(self, items: list, fn: Callable[[Any, SimClock], Any]) -> list:
-        """Run ``fn(item, shard_clock)`` over items as one phase,
-        morsel-driven: workers pull the next item index from a shared
-        counter, so a slow morsel never stalls the others.  Results come
-        back in item order regardless of which worker ran what.  Public
-        for non-operator work too (the AI loader's training-data
-        materialization): call :meth:`finish` once all maps are done to
-        fold the worker charges into the shared clock and read the stats.
+        """Run ``fn(item, shard_clock)`` over items as one phase: one task
+        per item, inline and in item order, each attempt on a fresh shard
+        clock that the phase close list-schedules onto the ``workers``
+        modeled workers.  Public for non-operator work too (the AI
+        loader's training-data materialization): call :meth:`finish` once
+        all maps are done to fold the task charges into the shared clock
+        and read the stats.
 
         Recovery: retryable failures (injected or real — see
         :func:`~repro.common.errors.is_retryable`) re-run the morsel on a
@@ -222,135 +206,70 @@ class MorselScheduler(pl.PlacedDriver):
         morsel/attempt order, so recovery cost shows up in the totals and
         the makespan.  Each distinct worker crash removes one virtual
         worker from this phase's makespan model (the survivors finish the
-        work)."""
+        work).  Anything else — a non-retryable error, an exhausted
+        retry budget, ``KeyboardInterrupt`` / ``SystemExit`` — surfaces as
+        itself from the morsel that raised it: no later morsel runs, and
+        the phase closes over the charges made so far."""
         if not items:
             return []
         self.tasks_dispatched += len(items)
-        n_workers = min(self.workers, len(items))
         phase = self._phase_no
         self._phase_no += 1
-        # one shard clock per *attempt*: charges are later list-scheduled
-        # onto virtual workers in morsel/attempt order
-        # (WorkerClocks.close_phase), so the modeled makespan does not
-        # depend on which OS thread happened to grab which morsel under
-        # the GIL.  attempt_clocks[i] is only ever touched by the single
-        # worker running morsel i.
-        attempt_clocks: list[list[SimClock]] = [[] for _ in items]
-        results: list[Any] = [None] * len(items)
-        crashes = [0]
-
-        tracer = self._tracer
-
-        def run_task(i: int) -> Any:
-            attempt = 0
-            while True:
-                # shard() keeps each attempt's charges reachable by the
-                # tracer (attribution only; the shared clock folds them
-                # at merge time)
-                shard = self._clock.shard()
-                try:
-                    result = self._attempt(fn, items[i], shard, phase, i,
-                                           attempt)
-                except Exception as exc:
-                    # partial/lost charges are kept either way: the work
-                    # (or part of it) really ran before the failure
-                    attempt_clocks[i].append(shard)
-                    crashed = isinstance(exc, WorkerCrash)
-                    if not is_retryable(exc) or attempt >= self.retry_limit:
-                        raise
-                    with self._counter_lock:
+        # one shard clock per *attempt*, in morsel/attempt order (shard()
+        # keeps each attempt's charges reachable by the tracer)
+        shards: list[SimClock] = []
+        results: list[Any] = []
+        crashes = 0
+        try:
+            for i, item in enumerate(items):
+                for attempt in count():
+                    # failed and lost attempts keep their charges: the
+                    # work (or part of it) really ran before the failure
+                    shards.append(self._clock.shard())
+                    try:
+                        results.append(self._attempt(
+                            fn, item, shards[-1], phase, i, attempt))
+                        break
+                    except Exception as exc:
+                        if not is_retryable(exc) \
+                                or attempt >= self.retry_limit:
+                            raise
+                        crashed = isinstance(exc, WorkerCrash)
                         if crashed:
-                            crashes[0] += 1
+                            crashes += 1
                             self.crashes_recovered += 1
                         else:
                             self.task_retries += 1
-                    if tracer is not None:
-                        tracer.event(
-                            "worker_crash" if crashed else "task_retry",
-                            phase=phase, morsel=i, attempt=attempt,
-                            error=f"{type(exc).__name__}: {exc}")
-                    attempt += 1
-                    continue
-                attempt_clocks[i].append(shard)
-                return result
-
-        def close_phase() -> None:
-            flat = [shard for per_task in attempt_clocks
-                    for shard in per_task]
-            survivors = max(1, n_workers - crashes[0])
-            placements = self._worker_clocks.placements
-            before = len(placements) if placements is not None else 0
-            self._worker_clocks.close_phase(flat, survivors)
-            if tracer is not None and placements is not None:
-                # one task span per attempt, placed on the modeled virtual
-                # worker timeline; the span carries the shard's own charge
-                # profile as decoration (the charges were attributed to
-                # operator spans at their site)
-                for (phase_no, task_idx, worker, start, end) in \
-                        placements[before:]:
-                    span = tracer.begin(
-                        f"morsel p{phase_no}.{task_idx}", "task",
-                        parent=None, phase=phase_no, morsel=task_idx,
-                        worker=worker)
-                    span.start, span.end = start, end
-                    if task_idx < len(flat):
-                        for category, seconds in \
-                                flat[task_idx].breakdown().items():
-                            span.add(category, _trace_to_fix(seconds), 0)
-
-        if n_workers == 1:
-            # deterministic inline mode: no threads at all
-            try:
-                for i in range(len(items)):
-                    results[i] = run_task(i)
-            finally:
-                close_phase()
-            self.check_budget()
-            return results
-        grab = _shared_counter()
-        errors: list[tuple[int, BaseException]] = []
-        interrupts: list[BaseException] = []
-        stop = threading.Event()
-
-        def work() -> None:
-            while not stop.is_set():
-                i = next(grab)  # C-level atomic under the GIL
-                if i >= len(items):
-                    return
-                try:
-                    results[i] = run_task(i)
-                except (KeyboardInterrupt, SystemExit) as exc:
-                    # not a task failure: surface the interrupt itself,
-                    # never retry it or bury it under a morsel error
-                    with self._counter_lock:
-                        interrupts.append(exc)
-                    stop.set()
-                    return
-                except BaseException as exc:
-                    with self._counter_lock:
-                        errors.append((i, exc))
-                    stop.set()  # no new morsels; in-flight ones finish
-                    return
-
-        threads = [threading.Thread(target=work, name=f"morsel-worker-{w}")
-                   for w in range(n_workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        close_phase()
-        if interrupts:
-            raise interrupts[0]
-        if errors:
-            # morsels are pulled in index order, so every morsel before a
-            # recorded error also ran (and recorded its own error if it had
-            # one): the minimum index is THE first failing morsel, making
-            # the surfaced error deterministic across thread interleavings
-            # (in-flight and already-completed later morsels still count,
-            # so a failing query may charge more than the serial engines)
-            raise min(errors, key=lambda pair: pair[0])[1]
+                        if self._tracer is not None:
+                            self._tracer.event(
+                                "worker_crash" if crashed else "task_retry",
+                                phase=phase, morsel=i, attempt=attempt,
+                                error=f"{type(exc).__name__}: {exc}")
+        finally:
+            self._close_phase(
+                shards, max(1, min(self.workers, len(items)) - crashes))
         self.check_budget()
         return results
+
+    def _close_phase(self, shards: list[SimClock], survivors: int) -> None:
+        """List-schedule the phase's attempt clocks onto ``survivors``
+        virtual workers; with a tracer, record where each landed."""
+        placements = self._worker_clocks.placements
+        before = len(placements) if placements is not None else 0
+        self._worker_clocks.close_phase(shards, survivors)
+        if placements is None:
+            return
+        # one task span per attempt, placed on the modeled virtual worker
+        # timeline; the span carries the shard's own charge profile as
+        # decoration (the charges were attributed to operator spans at
+        # their site)
+        for phase_no, task_idx, worker, start, end in placements[before:]:
+            span = self._tracer.begin(
+                f"morsel p{phase_no}.{task_idx}", "task", parent=None,
+                phase=phase_no, morsel=task_idx, worker=worker)
+            span.start, span.end = start, end
+            for category, seconds in shards[task_idx].breakdown().items():
+                span.add(category, _trace_to_fix(seconds), 0)
 
     def _attempt(self, fn: Callable[[Any, SimClock], Any], item: Any,
                  shard: SimClock, phase: int, index: int,
@@ -363,7 +282,7 @@ class MorselScheduler(pl.PlacedDriver):
         ``worker_crash`` strikes last — the work ran and charged, then the
         worker died before reporting, so the result is lost but the cost
         is real.  Fault decisions are pure functions of
-        (seed, scope, phase, morsel, attempt), never of thread timing.
+        (seed, scope, phase, morsel, attempt).
         """
         faults = self.faults
         if faults is None:

@@ -85,7 +85,7 @@ class BlockSource(ops.Operator):
     the blocks' producers charge their cost and attribute their row
     counts as the blocks are produced.  The replaced operator stays
     reachable as ``_child``, so tree walkers (EXPLAIN ANALYZE's
-    annotation pass, the sanitizer) still find the subtree.
+    annotation pass) still find the subtree.
     """
 
     def __init__(self, child: ops.Operator, blocks, clock: SimClock):
@@ -356,7 +356,7 @@ class ScanSource(PipelineSource):
     def morsel_carrier(self, morsel, clock: SimClock) -> BlockCarrier | None:
         """One ``(columns, row_count)`` scan morsel through the scan's
         fused hook; None when the pushed-down predicate rejects every
-        row.  Runs on worker threads in the placed engines."""
+        row.  Runs inside a morsel task in the placed engines."""
         out = self.op.scan_block(self.op.make_block(*morsel), clock)
         return None if out is None else BlockCarrier(*out)
 
@@ -609,8 +609,8 @@ def _compile(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
 
 
 def _under_span(tracer, op: ops.Operator, fn):
-    """``fn`` wrapped so its charges attribute to ``op``'s span on
-    whichever thread runs it; ``fn`` itself when no tracer is attached."""
+    """``fn`` wrapped so its charges attribute to ``op``'s span; ``fn``
+    itself when no tracer is attached."""
     if tracer is None:
         return fn
     span = tracer.operator_span(op)
@@ -639,8 +639,8 @@ class BlockPass:
     hand their survivor on as the carrier, selection still pending, for a
     sink hook that consumes masks (aggregate partials).  The pass never
     touches ``rows_out``: it returns the per-operator counts and the
-    single-threaded caller hands them to :meth:`credit`, which keeps the
-    counters race-free when passes run on worker threads.
+    caller hands them to :meth:`credit` once the task has succeeded,
+    which keeps a retried or lost attempt from counting twice.
     """
 
     def __init__(self, stages: list[PipelineStage], tracer,
@@ -860,7 +860,7 @@ class PlacedDriver:
         its partial charges behind."""
         start = self._clock.now
         try:
-            program = self._compile(operator)
+            program = compile_pipelines(operator)
             if program.has_limit:
                 # LIMIT stops pulling mid-stream; eager dispatch would
                 # scan (and charge) rows the serial engines never touch
@@ -877,9 +877,6 @@ class PlacedDriver:
         finally:
             stats = self.finish(start)
         return blocks, stats
-
-    def _compile(self, operator: ops.Operator) -> PipelineProgram:
-        return compile_pipelines(operator)
 
     def check_budget(self) -> None:
         """Raise :class:`BudgetExceeded` once the charges accumulated so
@@ -942,8 +939,8 @@ class PlacedDriver:
     @staticmethod
     def _credited(block_pass: BlockPass, results: list
                   ) -> list[tuple[int, RowBlock]]:
-        """Attribute the passes' per-operator counts (only this thread
-        writes ``rows_out``) and keep the surviving blocks."""
+        """Attribute the passes' per-operator counts (only the
+        coordinator writes ``rows_out``) and keep the surviving blocks."""
         placed = []
         for site, (lens, block) in results:
             block_pass.credit(lens)

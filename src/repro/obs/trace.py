@@ -24,8 +24,8 @@ Attribution and reconciliation use two parallel accounting schemes:
 
 Span *attribution* is a thread-local stack: the innermost pushed span owns
 every charge made on its thread, which is how one interleaved generator
-pull (row engine), one fused block pass, or one morsel task on a worker
-thread all attribute to the right operator.
+pull (row engine), one fused block pass, or one morsel task all attribute
+to the right operator.
 """
 
 from __future__ import annotations
@@ -118,10 +118,11 @@ class Tracer:
     directly, or hand the tracer to :mod:`repro.obs.export` /
     :mod:`repro.obs.explain` for rendering.
 
-    Thread safety: worker threads attribute concurrently under one lock;
-    per-span exact sums and counts are order-independent, so traces are
-    deterministic even when morsel tasks interleave.  The float mirror
-    only moves on shared-clock charges (main thread, program order).
+    Thread safety: callers on several threads attribute under one lock,
+    each against its own span stack; per-span exact sums and counts are
+    order-independent.  The engines themselves run a statement on the
+    calling thread, morsel tasks included, so its spans, events and float
+    mirror follow program order.
     """
 
     def __init__(self) -> None:

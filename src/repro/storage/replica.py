@@ -40,10 +40,10 @@ Replication protocol
   re-attempt, by which time the outage may have elapsed).
 
 Determinism contract: outage decisions are made on the table-operation
-counter (``opno``), which advances only on main-thread table entry points
-(never inside worker threads — morsel workers only touch pre-split
-read-only column snapshots), so a seeded fault plan takes the same node
-down at the same operation on every run.
+counter (``opno``), which advances only on table entry points (never
+inside a morsel task — tasks only touch pre-split read-only column
+snapshots, so a retried task does not move it), so a seeded fault plan
+takes the same node down at the same operation on every run.
 
 Cost model: replicating a write charges the backup's usual heap charges
 plus a per-byte ship cost (serialize + network, category ``replicate``);
@@ -151,8 +151,8 @@ class ReplicatedTable:
         return self._begin_op().read(rid)
 
     def scan(self) -> Iterator[tuple[RecordId, tuple]]:
-        # resolve the serving node NOW (main thread), not when the
-        # generator is first advanced
+        # resolve the serving node NOW, not when the generator is first
+        # advanced
         return self._begin_op().scan()
 
     def scan_batches(self, batch_size: int = 1024):

@@ -14,6 +14,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.common.rng import stable_hash
 from repro.storage.schema import TableSchema
 from repro.storage.types import DataType, is_numeric
 
@@ -130,14 +131,18 @@ def compute_column_stats(name: str, dtype: DataType,
         arr = np.asarray(non_null, dtype=np.float64)
         stats.min_value = float(arr.min())
         stats.max_value = float(arr.max())
-        hist, edges = np.histogram(arr, bins=HISTOGRAM_BINS)
-        stats.histogram = hist.astype(np.float64)
-        stats.bin_edges = edges
+        # inf / NaN cells count above; a histogram has no bin for them
+        finite = arr[np.isfinite(arr)]
+        if finite.size:
+            hist, edges = np.histogram(finite, bins=HISTOGRAM_BINS)
+            stats.histogram = hist.astype(np.float64)
+            stats.bin_edges = edges
     elif non_null:
-        # order strings/bools by hash bucket for a coarse distribution sketch
+        # order strings/bools by hash bucket for a coarse distribution
+        # sketch (stable_hash: the builtin is salted per process)
         buckets = np.zeros(HISTOGRAM_BINS)
-        for v in non_null:
-            buckets[hash(repr(v)) % HISTOGRAM_BINS] += 1
+        for v, count in counts.items():
+            buckets[stable_hash(v, HISTOGRAM_BINS)] += count
         stats.histogram = buckets
     return stats
 

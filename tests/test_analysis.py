@@ -1,6 +1,5 @@
 """The invariant analyzer suite: determinism lint, charge-category
-registry, parallel-hook race analysis, and the runtime lockset
-sanitizer.
+registry, and parallel-hook race analysis.
 
 Three kinds of coverage:
 
@@ -17,10 +16,7 @@ Three kinds of coverage:
 from __future__ import annotations
 
 import re
-import threading
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import (
     ALL_PASSES,
@@ -32,10 +28,6 @@ from repro.analysis import (
     unsuppressed,
 )
 from repro.analysis.races import EXPECTED_WORKER_HOOKS, RaceAnalysisPass
-from repro.analysis.sanitizer import (
-    LocksetSanitizer,
-    SanitizerViolation,
-)
 from repro.common import categories
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -287,18 +279,6 @@ class TestRaceAnalysisPass:
         assert any(f.rule == "unlocked-shared-write"
                    and "sort_block" in f.message for f in found)
 
-    def test_unguarded_scheduler_append_flagged(self):
-        """Removing the lock around the worker loop's error collection
-        must be caught (the very fix this pass motivated)."""
-        broken = PARALLEL_SRC.replace(
-            "                    with self._counter_lock:\n"
-            "                        errors.append((i, exc))\n",
-            "                    errors.append((i, exc))\n")
-        assert broken != PARALLEL_SRC
-        found = race_findings(parallel=broken)
-        assert any(f.rule == "unlocked-shared-write"
-                   and "captured 'errors'" in f.message for f in found)
-
     SORT_DISPATCH = ("            runs = self.dispatch(placed, "
                      "self._op_task(op, op.sort_block))\n")
 
@@ -422,98 +402,3 @@ def test_src_tree_has_no_unsuppressed_findings():
                                     [p() for p in ALL_PASSES]))
     assert found == [], "\n".join(
         f"{f.location()}: [{f.rule}] {f.message}" for f in found)
-
-
-# -- runtime lockset sanitizer ----------------------------------------------
-
-
-class _SharedThing:
-    pass
-
-
-class TestSanitizer:
-    def test_unlocked_worker_write_raises(self):
-        san = LocksetSanitizer()
-        obj = _SharedThing()
-        san.instrument(obj)
-
-        def worker():
-            obj.counter = 1
-
-        t = threading.Thread(target=worker, name="morsel-worker-0")
-        t.start()
-        t.join()
-        with pytest.raises(SanitizerViolation):
-            san.check()
-
-    def test_locked_worker_write_clean(self):
-        san = LocksetSanitizer()
-        obj = _SharedThing()
-        san.instrument(obj)
-        lock = san.lock(name="guard")
-
-        def worker():
-            with lock:
-                obj.counter = 2
-
-        t = threading.Thread(target=worker, name="morsel-worker-0")
-        t.start()
-        t.join()
-        san.check()  # no raise
-        assert obj.counter == 2
-
-    def test_coordinator_writes_recorded_not_violations(self):
-        san = LocksetSanitizer()
-        obj = _SharedThing()
-        san.instrument(obj)
-        obj.value = 3
-        assert [r.attribute for r in san.records()] == ["_SharedThing.value"]
-        assert san.violations() == []
-        san.check()
-
-    def test_instrument_idempotent_and_type_preserving(self):
-        san = LocksetSanitizer()
-        obj = _SharedThing()
-        san.instrument(obj)
-        first = type(obj)
-        san.instrument(obj)
-        assert type(obj) is first
-        assert isinstance(obj, _SharedThing)
-        assert type(obj).__name__ == "_SharedThing"
-
-    def test_check_clears_records(self):
-        san = LocksetSanitizer()
-        obj = _SharedThing()
-        san.instrument(obj)
-        obj.x = 1
-        san.check()
-        assert san.records() == []
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_scheduler_parity_run_clean_under_sanitizer(
-            self, workers, monkeypatch):
-        """Full engine run with REPRO_SANITIZE=1: the morsel scheduler
-        instruments the operator tree and itself, and finishes with no
-        violations at every worker count the parity sweep uses."""
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        import repro
-        from repro.analysis.sanitizer import sanitizer
-        from repro.exec.executor import Executor
-        from repro.sql import parse
-        sanitizer.reset()
-        db = repro.connect()
-        db.execute("CREATE TABLE t (id INT UNIQUE, grp TEXT, v FLOAT)")
-        heap = db.catalog.table("t")
-        for i in range(200):
-            heap.insert((i, ["a", "b", "c"][i % 3], float(i) * 0.5))
-        db.execute("ANALYZE")
-        sql = ("SELECT grp, count(*), sum(v) FROM t WHERE v > 5.0 "
-               "GROUP BY grp ORDER BY grp")
-
-        def run(**kwargs):
-            plan = db.planner.plan_select(parse(sql))
-            return Executor(db.catalog, db.clock, **kwargs).run(plan)
-
-        serial = run(engine="batch").rows
-        parallel = run(engine="parallel", workers=workers).rows
-        assert parallel == serial  # sanitizer raised nothing, parity holds

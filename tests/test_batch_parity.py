@@ -8,7 +8,7 @@ and every expression family the vectorizer handles, plus the fallback
 cases (non-constant LIKE, scalar functions) and the Table 1 workload
 predicates.  The parallel engine runs with deliberately tiny morsels
 (16 rows) and several workers so every query exercises real morsel
-splitting, thread-local partials, and the morsel-order merge.
+splitting, per-morsel partials, and the morsel-order merge.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.exec.executor import Executor
+from repro.exec.pipeline import FUSED_SCAN_ROWS
 from repro.sql import parse
 
 # scan / filter / project / join / aggregate / sort / limit / distinct,
@@ -502,6 +503,28 @@ def test_nan_group_key_parity():
         assert len(got.rows) == len(row.rows)
         assert [(repr(k), c, s) for k, c, s in got.rows] \
             == [(repr(k), c, s) for k, c, s in row.rows]
+
+
+def test_nan_min_max_ignore_block_boundaries():
+    """``min`` / ``max`` fold left to right with ``<`` / ``>``, and NaN
+    compares false both ways, so over a NaN-bearing column the answer
+    depends on where the fold starts — it must not restart per block.
+    The batch engine's first fused-scan block (and the fourth default
+    morsel) ends between the 2.0 / 0.0 and the NaN."""
+    db = repro.connect()
+    db.execute("CREATE TABLE m (lo FLOAT, hi FLOAT)")
+    heap = db.catalog.table("m")
+    nan = float("nan")
+    for _ in range(FUSED_SCAN_ROWS - 1):
+        heap.insert((1.0, 1.0))
+    for lo, hi in [(2.0, 0.0), (nan, nan), (0.0, 2.0)]:
+        heap.insert((lo, hi))  # (NaN is insertable via the heap API)
+    plan = db.planner.plan_select(parse("SELECT min(lo), max(hi) FROM m"))
+    for kwargs in (dict(engine="row"), dict(engine="batch"),
+                   dict(engine="parallel", workers=2),
+                   dict(engine="distributed", nodes=2, workers=2)):
+        got = Executor(db.catalog, db.clock, **kwargs).run(plan)
+        assert got.rows == [(0.0, 2.0)], kwargs
 
 
 def test_high_cardinality_group_by_parity():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.common.errors import CatalogError
 from repro.storage import (
     Catalog,
@@ -158,6 +159,52 @@ class TestColumnStats:
                                      ["a", "b", "a", "c"])
         assert stats.distinct_count == 3
         assert stats.histogram.sum() == 4
+
+    def test_text_sketch_is_process_stable(self):
+        """The sketch feeds the learned optimizer's feature vector, so
+        its buckets must not follow ``PYTHONHASHSEED`` (the builtin
+        ``hash`` of a string does): pinned, they hold in any process."""
+        stats = compute_column_stats("c", DataType.TEXT,
+                                     ["a", "b", "a", "c", "dd", "e"])
+        assert stats.histogram.tolist() == [
+            0, 1, 0, 1, 0, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0, 0]
+        flags = compute_column_stats("c", DataType.BOOL,
+                                     [True, False, True])
+        assert flags.histogram.tolist() == [
+            0, 0, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_non_finite_floats_are_counted_not_binned(self):
+        inf, nan = float("inf"), float("nan")
+        stats = compute_column_stats("c", DataType.FLOAT,
+                                     [inf, 1.0, None, 3.0, -inf])
+        assert (stats.row_count, stats.null_count,
+                stats.distinct_count) == (5, 1, 4)
+        assert (stats.min_value, stats.max_value) == (-inf, inf)
+        assert stats.histogram.sum() == 2
+        assert (stats.bin_edges[0], stats.bin_edges[-1]) == (1.0, 3.0)
+        assert stats.selectivity_range(0.0, 2.0) == pytest.approx(0.5)
+        # nothing finite to bin: the un-analyzed defaults stay
+        stats = compute_column_stats("c", DataType.FLOAT, [nan, inf])
+        assert stats.distinct_count == 2
+        assert stats.histogram.sum() == 0 and stats.bin_edges is None
+
+    def test_analyze_accepts_inf_and_nan_cells(self):
+        """ANALYZE is total: an out-of-range literal is ``inf``, and the
+        histogram used to refuse it with numpy's raw ``ValueError``."""
+        db = repro.connect()
+        db.execute("CREATE TABLE t (id INT, v FLOAT)")
+        db.execute("INSERT INTO t VALUES (1, 1e999), (2, 1.0)")
+        db.execute("ANALYZE")
+        stats = db.catalog.stats("t").column_stats("v")
+        assert stats.max_value == float("inf")
+        assert stats.histogram.sum() == 1
+        db.catalog.table("t").insert((3, float("nan")))
+        db.execute("ANALYZE")
+        stats = db.catalog.stats("t").column_stats("v")
+        assert (stats.row_count, stats.distinct_count) == (3, 3)
+        assert stats.histogram.sum() == 1
+        assert db.execute("SELECT id FROM t WHERE v > 0.5").rows \
+            == [(1,), (2,)]
 
     def test_feature_vector_shape_and_bounds(self):
         values = list(np.random.default_rng(0).normal(50, 10, 500))

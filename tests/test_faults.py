@@ -15,6 +15,7 @@ counters (``PredictServer.stats()``, ``NeurDB.warnings()``).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -262,6 +263,35 @@ class TestSchedulerRecovery:
         with pytest.raises(ExecutionError):
             sched.map([0, 1, 2], boom)
         assert sched.task_retries == 0
+
+    def test_failing_morsel_stops_the_phase_at_any_worker_count(self):
+        """A non-retryable error in morsel ``k`` surfaces as itself with
+        morsels ``0..k`` run and charged and none past ``k`` started —
+        the same clock reading at every ``workers``."""
+        readings = []
+        for workers in (1, 2, 4, 8):
+            clock = SimClock()
+            sched = MorselScheduler(clock, workers=workers, retry_limit=5)
+            ran = []
+
+            def task(item, shard):
+                ran.append(item)
+                shard.advance(0.001 * (item + 1), "scan")
+                if item == 5:
+                    time.sleep(0.01)  # a pool would run ahead meanwhile
+                    raise ExecutionError(f"morsel {item} is broken")
+                return item
+
+            try:
+                with pytest.raises(ExecutionError, match="morsel 5"):
+                    sched.map(list(range(12)), task)
+            finally:
+                stats = sched.finish()
+            assert ran == [0, 1, 2, 3, 4, 5]
+            assert stats["task_retries"] == 0
+            readings.append((clock.now, clock.breakdown()))
+        assert readings[0][0] == pytest.approx(0.021)
+        assert all(reading == readings[0] for reading in readings)
 
     def test_keyboard_interrupt_propagates_immediately(self):
         """The worker loop must re-raise KeyboardInterrupt/SystemExit as

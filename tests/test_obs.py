@@ -196,6 +196,43 @@ class TestSpans:
         workers = {span.attrs.get("worker") for span in tasks}
         assert len(workers) >= 1
 
+    def test_fault_events_and_spans_equal_across_workers(self):
+        """Placed tasks run on the statement's own thread, so a retry or
+        crash event lands in the statement's span at every ``workers``,
+        in morsel order — and everything but the task spans' placement
+        on the modeled workers is equal across worker counts."""
+        traces = []
+        for workers in (1, 2, 4):
+            db = _build_db()
+            plan = (FaultPlan(seed=1).arm("task_error", rate=0.3)
+                    .arm("worker_crash", rate=0.2))
+            executor = Executor(db.catalog, db.clock, engine="parallel",
+                                workers=workers, morsel_rows=8,
+                                faults=plan, retry_limit=8)
+            tracer = Tracer()
+            tracer.attach(db.clock)
+            try:
+                with tracer.span("q", "statement",
+                                 clock=db.clock) as statement:
+                    result = executor.run(
+                        db.planner.plan_select(parse(TRACE_QUERIES[1])))
+            finally:
+                Tracer.detach(db.clock)
+            events = [(event["name"], event["span_id"], event["phase"],
+                       event["morsel"], event["attempt"])
+                      for event in tracer.events]
+            assert {name for name, *_ in events} \
+                == {"task_retry", "worker_crash"}
+            assert {span_id for _, span_id, *_ in events} \
+                == {statement.span_id}
+            spans = [(span.span_id, span.name, span.kind, span.parent_id,
+                      span.start, span.end, span.fix, span.counts)
+                     for span in tracer.spans if span.kind != "task"]
+            assert len(tracer.spans_of_kind("task")) \
+                == result.extra["parallel"]["tasks"] + len(events)
+            traces.append((events, spans, _typed(result.rows)))
+        assert traces[0] == traces[1] == traces[2]
+
     def test_statement_span_owns_charges(self):
         db = _build_db()
         tracer = Tracer()
