@@ -9,9 +9,7 @@ from repro.ai.loader import (
     ColumnTrainingSet,
     StreamingDataLoader,
     map_scan_blocks,
-    table_column_stream,
     table_feature_columns,
-    table_row_stream,
     table_training_set,
 )
 from repro.ai.model_manager import ModelManager, ModelView
@@ -67,8 +65,6 @@ __all__ = [
     "encode_batch",
     "encode_handshake",
     "map_scan_blocks",
-    "table_column_stream",
     "table_feature_columns",
-    "table_row_stream",
     "table_training_set",
 ]

@@ -28,6 +28,7 @@ from repro.common import categories as cat
 from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import RowBlock, concat_columns, schema_kinds
 from repro.exec.expr import RowLayout
+from repro.exec.pipeline import table_blocks
 from repro.storage.types import DataType, TypedColumn
 
 
@@ -271,104 +272,48 @@ class StreamingDataLoader:
         return len(self._window)
 
 
-def table_row_stream(table, feature_columns: list[str],
-                     target_column: str,
-                     row_filter: Callable[[tuple], bool] | None = None):
-    """Split a heap table scan into (feature-row stream, target stream).
-
-    Rows are materialized once (a scan cursor can't be iterated twice in
-    parallel) via the page-granular batch scan, and NULL-target rows are
-    skipped, mirroring how the Train operator feeds the loader.
-    """
-    columns, targets = table_column_stream(table, feature_columns,
-                                           target_column,
-                                           row_filter=row_filter)
-    feature_rows = (list(zip(*columns)) if columns
-                    else [() for _ in range(len(targets))])
-    return feature_rows, list(targets)
+# rows per scan block of a PREDICT materialization (the paper's default
+# loader batch): block boundaries set the per-block charge amounts, so
+# the recorded PREDICT charges hold at this value
+SCAN_BLOCK_ROWS = 4096
 
 
-def map_scan_blocks(table, process: Callable[[RowBlock, SimClock], object],
-                    clock: SimClock | None = None, workers: int = 1,
-                    batch_size: int = 4096, start_page: int = 0,
-                    faults=None, retry_limit: int | None = None) -> list:
-    """Apply ``process(block, clock)`` to every scan batch of ``table``;
-    returns the per-block results in scan order.  ``start_page`` skips
-    earlier pages entirely (tail scans for recency windows).
+def map_scan_blocks(table, process: Callable[[RowBlock], object],
+                    start_page: int = 0) -> list:
+    """Apply ``process(block)`` to every scan batch of ``table``; returns
+    the per-block results in scan order.  ``start_page`` skips earlier
+    pages entirely (tail scans for recency windows).
 
     The single scan-shaping routine both AI materialization paths
-    (training sets and prediction inputs) run on:
-
-    * ``workers=1`` — the streaming column scan via
-      :func:`~repro.exec.pipeline.table_blocks` (the same scan-block
-      primitive the fused pipeline sources use), blocks processed inline
-      against ``clock``.
-    * ``workers>1`` — morsel tasks: the scan splits into morsels via
-      :meth:`~repro.storage.heap.HeapTable.scan_morsels` and a
-      :class:`~repro.exec.parallel.MorselScheduler` runs ``process`` once
-      per morsel (inline, in scan order).  Each task charges a private
-      shard clock; the scheduler's
-      :class:`~repro.common.simtime.WorkerClocks` schedule the shard
-      charges onto ``workers`` modeled workers and merge them back into
-      ``clock`` in morsel order, so the charged *total* is the same
-      multiset of charges as the streaming scan — parity-identical
-      virtual time, with the modeled makespan shrinking as workers
-      grow.
-
-    Either way each batch holds ``batch_size`` rows (the final one may be
-    short), so the two paths see identical block boundaries and therefore
-    charge identical per-block amounts.
-
-    ``faults`` / ``retry_limit`` thread the caller's fault plan and retry
-    budget into the scheduler (see :mod:`repro.common.faults`), so PREDICT
-    materialization recovers from injected worker crashes and transient
-    task errors exactly like query execution; the serial path has no
-    injection sites (its fault surface is the storage layer).
+    (training sets and prediction inputs) run on: the streaming column
+    scan via :func:`~repro.exec.pipeline.table_blocks` (the same
+    scan-block primitive the fused pipeline sources use), blocks of
+    :data:`SCAN_BLOCK_ROWS` rows (the final one may be short) processed
+    inline.  It has no fault-injection sites of its own (its fault
+    surface is the storage layer); a PREDICT that fails transiently is
+    retried whole by the statement-level ``retry_policy``.
     """
     schema = table.schema
     layout = RowLayout([(schema.table_name, c.name)
                         for c in schema.columns])
     kinds = schema_kinds(schema)
-    if workers <= 1:
-        from repro.exec.pipeline import table_blocks
-        lane = clock if clock is not None else SimClock()
-        return [process(block, lane)
-                for block in table_blocks(table, layout, kinds, batch_size,
-                                          start_page)]
-    from repro.exec.parallel import MorselScheduler
-    kwargs = {} if retry_limit is None else {"retry_limit": retry_limit}
-    scheduler = MorselScheduler(clock if clock is not None else SimClock(),
-                                workers=workers, morsel_rows=batch_size,
-                                faults=faults, **kwargs)
-    morsels = table.scan_morsels(batch_size, start_page)
-    try:
-        return scheduler.map(
-            morsels,
-            lambda morsel, shard: process(
-                RowBlock(layout, morsel[0], morsel[1], kinds), shard))
-    finally:
-        # merge worker charges even when a morsel raises: a failing scan
-        # must leave its partial charges behind, exactly like the
-        # streaming path (and MorselScheduler.run's finally block)
-        scheduler.finish()
+    return [process(block)
+            for block in table_blocks(table, layout, kinds,
+                                      SCAN_BLOCK_ROWS, start_page)]
 
 
-def table_column_stream(table, feature_columns: list[str],
-                        target_column: str,
-                        row_filter: Callable[[tuple], bool] | None = None,
-                        batch_size: int = 4096,
-                        block_predicate: Callable | None = None,
-                        clock: SimClock | None = None, workers: int = 1,
-                        start_page: int = 0, faults=None,
-                        retry_limit: int | None = None):
-    """Materialize a heap table as feature column arrays plus a target array.
+def table_training_set(table, feature_columns: list[str],
+                       target_column: str,
+                       block_predicate: Callable | None = None,
+                       clock: SimClock | None = None,
+                       start_page: int = 0) -> ColumnTrainingSet:
+    """Materialize a heap table as a columnar training set: feature
+    column arrays plus a target array.
 
-    The columnar twin of :func:`table_row_stream`: pages are scanned in
-    batches, NULL-target (and filtered) rows are dropped with a boolean
-    mask, and the surviving values are concatenated column-wise — no
-    per-row tuple is ever built for the common path.
+    Pages are scanned in batches, NULL-target (and filtered) rows are
+    dropped with a boolean mask, and the surviving values are
+    concatenated column-wise — no per-row tuple is ever built.
 
-    ``row_filter`` is a per-row callable applied over the whole batch;
     ``block_predicate`` is a vectorized ``RowBlock -> bool mask`` (e.g.
     from :func:`~repro.exec.expr.compile_predicate_batch`) applied only
     to rows whose target is non-NULL — matching the row engine's skip
@@ -377,24 +322,17 @@ def table_column_stream(table, feature_columns: list[str],
 
     When a ``clock`` is supplied, materialization charges
     :data:`~repro.common.simtime.CostModel.TUPLE_CPU` per scanned row
-    (category ``predict-materialize``); with ``workers > 1`` the scan runs
-    morsel-parallel via :func:`map_scan_blocks`, with the same charged
-    totals as the streaming scan.
+    (category ``predict-materialize``).
     """
     schema = table.schema
     feature_idx = [schema.index_of(c) for c in feature_columns]
     target_idx = schema.index_of(target_column)
 
-    def materialize(block: RowBlock, lane: SimClock):
-        n = len(block)
+    def materialize(block: RowBlock):
         if clock is not None:
-            lane.advance_batch(CostModel.TUPLE_CPU, n, cat.PREDICT_MATERIALIZE)
-        keep = ~block.null_mask(target_idx)
-        if row_filter is not None:
-            keep &= np.fromiter(
-                (bool(row_filter(row)) for row in block.iter_rows()),
-                dtype=bool, count=n)
-        block = block.select(keep)
+            clock.advance_batch(CostModel.TUPLE_CPU, len(block),
+                                cat.PREDICT_MATERIALIZE)
+        block = block.select(~block.null_mask(target_idx))
         if block and block_predicate is not None:
             block = block.select(block_predicate(block))
         if not block:
@@ -408,44 +346,21 @@ def table_column_stream(table, feature_columns: list[str],
         return (target, [block.columns[idx] for idx in feature_idx])
 
     results = [part for part in
-               map_scan_blocks(table, materialize, clock=clock,
-                               workers=workers, batch_size=batch_size,
-                               start_page=start_page, faults=faults,
-                               retry_limit=retry_limit)
+               map_scan_blocks(table, materialize, start_page=start_page)
                if part is not None]
     if not results:
-        return ([np.empty(0, dtype=object) for _ in feature_idx],
-                np.empty(0, dtype=np.float64))
+        return ColumnTrainingSet(
+            [np.empty(0, dtype=object) for _ in feature_idx],
+            np.empty(0, dtype=np.float64))
     targets = np.concatenate([t for t, _ in results])
     merged = [concat_columns([cols[i] for _, cols in results])
               for i in range(len(feature_idx))]
-    return merged, targets
-
-
-def table_training_set(table, feature_columns: list[str],
-                       target_column: str,
-                       row_filter: Callable[[tuple], bool] | None = None,
-                       block_predicate: Callable | None = None,
-                       clock: SimClock | None = None, workers: int = 1,
-                       start_page: int = 0, faults=None,
-                       retry_limit: int | None = None) -> ColumnTrainingSet:
-    """One-call columnar training set for a table (batch-engine fed)."""
-    columns, targets = table_column_stream(table, feature_columns,
-                                           target_column,
-                                           row_filter=row_filter,
-                                           block_predicate=block_predicate,
-                                           clock=clock, workers=workers,
-                                           start_page=start_page,
-                                           faults=faults,
-                                           retry_limit=retry_limit)
-    return ColumnTrainingSet(columns, targets)
+    return ColumnTrainingSet(merged, targets)
 
 
 def table_training_set_tail(table, feature_columns: list[str],
                             target_column: str, window: int,
-                            clock: SimClock | None = None,
-                            workers: int = 1, faults=None,
-                            retry_limit: int | None = None
+                            clock: SimClock | None = None
                             ) -> ColumnTrainingSet:
     """Training set of the table's last ``window`` qualifying rows,
     scanning only the trailing pages — the recency-window feed for
@@ -463,9 +378,7 @@ def table_training_set_tail(table, feature_columns: list[str],
     while True:
         start = table.tail_start_page(min_rows)
         data = table_training_set(table, feature_columns, target_column,
-                                  clock=clock, workers=workers,
-                                  start_page=start, faults=faults,
-                                  retry_limit=retry_limit)
+                                  clock=clock, start_page=start)
         if len(data) >= window or start == 0:
             return data.tail(window) if len(data) else data
         min_rows *= 2
@@ -474,20 +387,17 @@ def table_training_set_tail(table, feature_columns: list[str],
 def table_feature_columns(table, feature_columns: list[str],
                           block_predicate: Callable | None = None,
                           target_column: str | None = None,
-                          clock: SimClock | None = None, workers: int = 1,
-                          batch_size: int = 4096, faults=None,
-                          retry_limit: int | None = None):
+                          clock: SimClock | None = None):
     """Materialize PREDICT inference inputs as columnar features.
 
-    Scans the table (optionally morsel-parallel, see
-    :func:`map_scan_blocks`), applies the vectorized WHERE predicate, and
-    returns ``(ColumnFeatures, targets, target_null)``: the selected
-    rows' feature columns, plus — when ``target_column`` is given — the
-    selected rows' raw target column and its NULL mask, which the serving
-    subsystem uses to score predictions against ground truth where it
-    exists.  No per-row tuples are built anywhere on this path; the
-    feature columns flow straight into
-    :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`.
+    Scans the table (see :func:`map_scan_blocks`), applies the vectorized
+    WHERE predicate, and returns ``(ColumnFeatures, targets,
+    target_null)``: the selected rows' feature columns, plus — when
+    ``target_column`` is given — the selected rows' raw target column
+    and its NULL mask, which the serving subsystem uses to score
+    predictions against ground truth where it exists.  No per-row tuples
+    are built anywhere on this path; the feature columns flow straight
+    into :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`.
 
     Virtual-time charges are identical to the training-set
     materialization: ``TUPLE_CPU`` per scanned row when a ``clock`` is
@@ -498,10 +408,10 @@ def table_feature_columns(table, feature_columns: list[str],
     target_idx = (schema.index_of(target_column)
                   if target_column is not None else None)
 
-    def materialize(block: RowBlock, lane: SimClock):
+    def materialize(block: RowBlock):
         if clock is not None:
-            lane.advance_batch(CostModel.TUPLE_CPU, len(block),
-                               cat.PREDICT_MATERIALIZE)
+            clock.advance_batch(CostModel.TUPLE_CPU, len(block),
+                                cat.PREDICT_MATERIALIZE)
         if block_predicate is not None:
             block = block.select(block_predicate(block))
         if not block:
@@ -513,9 +423,7 @@ def table_feature_columns(table, feature_columns: list[str],
                 block.null_mask(target_idx))
 
     results = [part for part in
-               map_scan_blocks(table, materialize, clock=clock,
-                               workers=workers, batch_size=batch_size,
-                               faults=faults, retry_limit=retry_limit)
+               map_scan_blocks(table, materialize)
                if part is not None]
     if not results:
         features = ColumnFeatures([np.empty(0, dtype=object)

@@ -81,10 +81,6 @@ class ModelManager:
         self._logical_time += 1
         return self._logical_time
 
-    @property
-    def logical_time(self) -> int:
-        return self._logical_time
-
     # -- registration -----------------------------------------------------------
 
     def register_model(self, name: str, model: ARMNet) -> int:

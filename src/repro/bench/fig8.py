@@ -70,7 +70,7 @@ def _build_db(scale: StatsScale, seed: int, knobs=None) -> NeurDB:
         kwargs = {"reputation_shape": float(knobs[0]),
                   "score_correlation": float(knobs[1]),
                   "vote_skew": float(knobs[2])}
-    db = NeurDB(seed=seed)
+    db = NeurDB()
     StatsGenerator(scale=scale, seed=seed, **kwargs).build(db)
     return db
 

@@ -13,7 +13,6 @@ from repro.common.errors import (
     PlanError,
     ReplicaUnavailable,
     StreamProtocolError,
-    TransactionAborted,
     TransientError,
     TypeMismatchError,
     WorkerCrash,
@@ -40,7 +39,6 @@ __all__ = [
     "ReplicaUnavailable",
     "SimClock",
     "StreamProtocolError",
-    "TransactionAborted",
     "TransientError",
     "TypeMismatchError",
     "WorkerCrash",

@@ -45,21 +45,6 @@ class ConstraintViolation(ExecutionError):
     """A uniqueness or not-null constraint was violated."""
 
 
-class TransactionAborted(NeurDBError):
-    """The concurrency control algorithm aborted the transaction.
-
-    Attributes:
-        reason: short machine-readable reason code, e.g. ``"deadlock"``,
-            ``"ww-conflict"``, ``"ssi-dangerous-structure"``, ``"policy"``.
-    """
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"transaction aborted ({reason}): {detail}" if detail
-                         else f"transaction aborted ({reason})")
-        self.reason = reason
-        self.detail = detail
-
-
 class TransientError(NeurDBError):
     """A failure expected to clear on retry: a dropped message, a timed-out
     RPC, an injected chaos fault.  Every retry site in the system treats a

@@ -100,11 +100,6 @@ class PredictContext:
 class NeurDB:
     """An in-process NeurDB instance.
 
-    ``predict_workers`` sets how many morsel workers materialize PREDICT
-    training sets and inference inputs (1 = the streaming column scan).
-    Charged virtual-time totals are parity-identical across worker counts;
-    only the modeled makespan changes.
-
     ``refresh_window`` bounds how many of the table's most recent rows a
     background refresh fine-tunes on (:meth:`fine_tune_model`'s default
     window): on a regime shift the freshest rows carry the new
@@ -123,16 +118,12 @@ class NeurDB:
     """
 
     def __init__(self, num_runtimes: int = 1, buffer_pages: int = 4096,
-                 seed: int = 0, predict_workers: int = 1,
                  refresh_window: int | None = None,
                  faults: FaultPlan | None = None,
                  replication: bool = False,
                  retry_policy: "RetryPolicy | int | None" = None,
                  tracing: bool = False, shards: int | None = None,
                  engine: str = "batch", nodes: int | None = None):
-        if predict_workers < 1:
-            raise ValueError(
-                f"predict_workers must be >= 1, got {predict_workers}")
         if refresh_window is not None and refresh_window < 1:
             raise ValueError(
                 f"refresh_window must be >= 1 or None, got {refresh_window}")
@@ -164,9 +155,7 @@ class NeurDB:
                                   clock=self.clock,
                                   num_runtimes=num_runtimes,
                                   monitor=self.monitor)
-        self.predict_workers = predict_workers
         self.refresh_window = refresh_window
-        self._seed = seed
         self.query_retries = 0
 
     # -- public API ----------------------------------------------------------
@@ -240,10 +229,6 @@ class NeurDB:
             return self._run_predict(statement, force_retrain)
         if isinstance(statement, ast.Explain):
             return self._run_explain(statement, force_retrain)
-        if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
-            # The facade runs autocommit; full concurrency control lives in
-            # repro.txn / repro.txnsim where contention actually exists.
-            return _status(type(statement).__name__.upper())
         raise NeurDBError(f"unsupported statement {type(statement).__name__}")
 
     # -- EXPLAIN [ANALYZE] ----------------------------------------------------
@@ -578,17 +563,10 @@ class NeurDB:
                   else self.refresh_window)
         if window is not None:
             data = table_training_set_tail(heap, feature_columns, target,
-                                           window, clock=self.clock,
-                                           workers=self.predict_workers,
-                                           faults=self.faults,
-                                           retry_limit=self.executor
-                                           .retry_limit)
+                                           window, clock=self.clock)
         else:
             data = table_training_set(heap, feature_columns, target,
-                                      clock=self.clock,
-                                      workers=self.predict_workers,
-                                      faults=self.faults,
-                                      retry_limit=self.executor.retry_limit)
+                                      clock=self.clock)
         if batch_size is None:
             batch_size = min(4096, max(1, len(data)))
         task = FineTuneTask(model_name=model_name,
@@ -626,10 +604,9 @@ class NeurDB:
 
     def _training_data(self, ctx: PredictContext
                        ) -> tuple[ColumnTrainingSet, Any]:
-        """Columnar training data: the loader scans in page batches
-        (morsel-parallel when ``predict_workers > 1``), drops NULL-target
-        rows, applies the vectorized WITH filter, and hands the AI layer
-        column arrays instead of per-row tuples."""
+        """Columnar training data: the loader scans in page batches,
+        drops NULL-target rows, applies the vectorized WITH filter, and
+        hands the AI layer column arrays instead of per-row tuples."""
         statement = ctx.statement
         predicate = (compile_predicate_batch(statement.train_filter,
                                              ctx.layout)
@@ -637,10 +614,7 @@ class NeurDB:
         data = table_training_set(ctx.table, ctx.feature_columns,
                                   statement.target,
                                   block_predicate=predicate,
-                                  clock=self.clock,
-                                  workers=self.predict_workers,
-                                  faults=self.faults,
-                                  retry_limit=self.executor.retry_limit)
+                                  clock=self.clock)
         return data, data.targets
 
     def prediction_inputs(self, ctx: PredictContext,
@@ -675,8 +649,7 @@ class NeurDB:
         return table_feature_columns(
             ctx.table, ctx.feature_columns, block_predicate=predicate,
             target_column=ctx.target if with_targets else None,
-            clock=self.clock, workers=self.predict_workers,
-            faults=self.faults, retry_limit=self.executor.retry_limit)
+            clock=self.clock)
 
     def _observe_losses(self, model_name: str,
                         losses: Iterable[float]) -> None:
@@ -693,7 +666,6 @@ def _status(message: str, rowcount: int = 0) -> ResultSet:
 
 
 def connect(num_runtimes: int = 1, buffer_pages: int = 4096,
-            seed: int = 0, predict_workers: int = 1,
             refresh_window: int | None = None,
             faults: FaultPlan | None = None, replication: bool = False,
             retry_policy: "RetryPolicy | int | None" = None,
@@ -729,7 +701,6 @@ def connect(num_runtimes: int = 1, buffer_pages: int = 4096,
     compute totals stay bit-identical to the default batch engine.
     """
     return NeurDB(num_runtimes=num_runtimes, buffer_pages=buffer_pages,
-                  seed=seed, predict_workers=predict_workers,
                   refresh_window=refresh_window, faults=faults,
                   replication=replication, retry_policy=retry_policy,
                   tracing=tracing, shards=shards, engine=engine, nodes=nodes)

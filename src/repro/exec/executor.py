@@ -82,8 +82,11 @@ class Executor:
       Results and per-category charged compute totals are identical to
       ``"batch"`` at every node count; ``ResultSet.extra["distributed"]``
       carries the exchange log and per-node timings.
-    * ``"row"`` — the Volcano row-at-a-time path: the semantic
-      reference the other engines are tested against.
+    * ``"row"`` — the Volcano row-at-a-time path.  Its role is the
+      **reference**: no benchmark workload or example selects it; it
+      stays in ``src/`` because the parity suites and
+      ``benchmarks/test_exec_throughput.py`` hold every other engine's
+      rows and charges to it (see ``docs/execution.md``).
 
     ``workers`` and ``morsel_rows`` tune the placed engines (parallel
     and distributed), ``nodes`` only the distributed one and

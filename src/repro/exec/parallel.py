@@ -103,8 +103,8 @@ class MorselScheduler(pl.PlacedDriver):
 
     ``run(operator)`` (the shared walk) returns ``(blocks, stats)``: the
     result blocks in serial-engine order and a stats dict with the
-    modeled parallel timings.  :meth:`map` / :meth:`finish` expose the
-    same dispatch to non-operator work.
+    modeled parallel timings.  :meth:`map` is the dispatch under every
+    phase; :meth:`finish` folds the charges and reads the stats.
     """
 
     def __init__(self, clock: SimClock, workers: int = DEFAULT_WORKERS,
@@ -194,10 +194,8 @@ class MorselScheduler(pl.PlacedDriver):
         """Run ``fn(item, shard_clock)`` over items as one phase: one task
         per item, inline and in item order, each attempt on a fresh shard
         clock that the phase close list-schedules onto the ``workers``
-        modeled workers.  Public for non-operator work too (the AI
-        loader's training-data materialization): call :meth:`finish` once
-        all maps are done to fold the task charges into the shared clock
-        and read the stats.
+        modeled workers.  Call :meth:`finish` once all maps are done to
+        fold the task charges into the shared clock and read the stats.
 
         Recovery: retryable failures (injected or real — see
         :func:`~repro.common.errors.is_retryable`) re-run the morsel on a

@@ -1,9 +1,7 @@
-"""Fast-adaptive learned database components: concurrency control (cc),
-query optimization (qo) — each with the baselines the paper compares
-against — and the monitor-driven autonomous knob tuner."""
+"""Fast-adaptive learned database components: concurrency control (cc)
+and query optimization (qo), each with the baselines the paper compares
+against."""
 
 from repro.learned import cc, qo
-from repro.learned.tuner import Knob, KnobTuner, TuningReport, buffer_pool_probe
 
-__all__ = ["Knob", "KnobTuner", "TuningReport", "buffer_pool_probe",
-           "cc", "qo"]
+__all__ = ["cc", "qo"]

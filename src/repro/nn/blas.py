@@ -7,8 +7,8 @@ CPU-seconds per wall second), on a host with busy neighbours a descheduled
 worker stalls every product (training took twice as long and swung twice as
 far from run to run), and because OpenBLAS splits a product by thread count
 the last bits of a loss or a prediction depended on how many cores the host
-had.  The engine's own parallelism (``predict_workers``, morsel workers) is
-modeled in virtual time and starts no thread either: the process runs on one.
+had.  The engine's own parallelism (morsel workers) is modeled in virtual
+time and starts no thread either: the process runs on one.
 """
 
 from __future__ import annotations

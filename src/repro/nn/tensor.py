@@ -58,13 +58,6 @@ class Tensor:
     def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
-    @staticmethod
-    def randn(*shape: int, rng: np.random.Generator | None = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        return Tensor(rng.standard_normal(shape) * scale,
-                      requires_grad=requires_grad)
-
     # -- shape ----------------------------------------------------------------
 
     @property

@@ -316,10 +316,6 @@ class Tracer:
 
     # -- tree helpers --------------------------------------------------------
 
-    def children_of(self, span: Optional[Span]) -> list[Span]:
-        parent_id = span.span_id if span is not None else None
-        return [s for s in self.spans if s.parent_id == parent_id]
-
     def roots(self) -> list[Span]:
         known = {s.span_id for s in self.spans}
         return [s for s in self.spans

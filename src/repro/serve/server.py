@@ -37,8 +37,8 @@ request's latency is ``completion - arrival`` on that modeled timeline,
 and every virtual second of work is still charged exactly once to the
 database's shared clock.  A single request served here charges
 bit-identically to the same statement through ``Db.execute`` (the parity
-suite in ``tests/test_serve.py`` asserts this at several
-``predict_workers`` settings); micro-batching and the model cache then
+suite in ``tests/test_serve.py`` asserts this); micro-batching and the
+model cache then
 cut the *per-request* cost, which is where the modeled throughput win in
 ``benchmarks/BENCH_serve.json`` comes from.
 

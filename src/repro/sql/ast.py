@@ -267,21 +267,6 @@ class Explain(Statement):
 
 
 @dataclass(frozen=True)
-class Begin(Statement):
-    pass
-
-
-@dataclass(frozen=True)
-class Commit(Statement):
-    pass
-
-
-@dataclass(frozen=True)
-class Rollback(Statement):
-    pass
-
-
-@dataclass(frozen=True)
 class Predict(Statement):
     """The paper's PREDICT extension (Listings 1 & 2).
 

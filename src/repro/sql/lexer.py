@@ -18,7 +18,7 @@ KEYWORDS = {
     "ON", "USING", "UNIQUE", "NULL", "TRUE", "FALSE", "JOIN", "INNER",
     "LEFT", "CROSS", "GROUP", "BY", "ORDER", "ASC", "DESC", "LIMIT",
     "OFFSET", "AS", "DISTINCT", "IN", "IS", "BETWEEN", "LIKE", "EXISTS",
-    "IF", "ANALYZE", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK",
+    "IF", "ANALYZE", "EXPLAIN",
     # AI analytics extension (paper §2.3)
     "PREDICT", "VALUE", "CLASS", "OF", "TRAIN", "WITH",
 }

@@ -128,15 +128,12 @@ class _Parser:
             if self._peek().type is TokenType.IDENT:
                 table = self._expect_ident()
             stmt = ast.Analyze(table)
-        elif token.is_keyword("BEGIN"):
-            self._advance()
-            stmt = ast.Begin()
-        elif token.is_keyword("COMMIT"):
-            self._advance()
-            stmt = ast.Commit()
-        elif token.is_keyword("ROLLBACK"):
-            self._advance()
-            stmt = ast.Rollback()
+        elif (token.type is TokenType.IDENT
+                and token.value in ("begin", "commit", "rollback")):
+            raise ParseError(
+                f"{token.value.upper()} is not supported: the session is "
+                "autocommit, every statement takes effect as it returns",
+                token.position)
         else:
             raise ParseError(f"unexpected token {token.value!r} at start of "
                              "statement", token.position)
@@ -564,7 +561,13 @@ class _Parser:
 
     def _parse_unary(self) -> ast.Expr:
         if self._match_operator("-"):
-            return ast.UnaryOp("-", self._parse_unary())
+            operand = self._parse_unary()
+            # a negated number is a literal: index selection and
+            # selectivity estimation only read Literal operands
+            if (isinstance(operand, ast.Literal)
+                    and type(operand.value) in (int, float)):
+                return ast.Literal(-operand.value)
+            return ast.UnaryOp("-", operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:

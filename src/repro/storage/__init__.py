@@ -14,7 +14,6 @@ from repro.storage.stats import (
     compute_column_stats,
     compute_table_stats,
 )
-from repro.storage.export import column_to_numpy, table_typed_columns, to_pandas
 from repro.storage.types import (
     PAGE_DICT_CAP,
     DataType,
@@ -45,11 +44,8 @@ __all__ = [
     "TableStats",
     "TypedColumn",
     "coerce_value",
-    "column_to_numpy",
     "compute_column_stats",
     "compute_table_stats",
     "is_numeric",
-    "table_typed_columns",
-    "to_pandas",
     "value_size_bytes",
 ]

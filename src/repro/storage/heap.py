@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
 from repro.common import categories as cat
 from repro.common.errors import ConstraintViolation
 from repro.common.simtime import CostModel, SimClock
@@ -109,40 +107,14 @@ class HeapTable:
             self._touch_page(page.page_no)
             yield from page.scan()
 
-    def scan_batches(self, batch_size: int = 1024) -> Iterator[list[tuple]]:
-        """Full scan yielding lists of up to ``batch_size`` row tuples.
-
-        Contract: rows appear in the same page/slot order as :meth:`scan`,
-        every page is charged to the buffer pool exactly once (same as
-        :meth:`scan`), and each page is materialized wholesale with
-        :meth:`HeapPage.live_rows` — no per-row Python calls.  The final
-        batch may be short; empty batches are never yielded.  Mutating the
-        table while a batch scan is open is undefined, as with ``scan``.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        buffer: list[tuple] = []
-        for page in self._pages:
-            self._touch_page(page.page_no)
-            rows = page.live_rows()
-            if not buffer and len(rows) == batch_size:
-                yield rows
-                continue
-            buffer.extend(rows)
-            while len(buffer) >= batch_size:
-                yield buffer[:batch_size]
-                buffer = buffer[batch_size:]
-        if buffer:
-            yield buffer
-
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
                             clock: SimClock | None = None
                             ) -> Iterator[tuple[list, int]]:
         """Full scan yielding ``(columns, row_count)`` column batches.
 
-        The columnar twin of :meth:`scan_batches`, built from each page's
-        cached :meth:`HeapPage.typed_columns` view: same row order, same
+        The columnar twin of :meth:`scan`, built from each page's cached
+        :meth:`HeapPage.typed_columns` view: same row order, same
         one-buffer-pool-touch-per-page accounting, zero per-row Python
         work on a warm cache.  Each column is a
         :class:`~repro.storage.types.TypedColumn` — int64/float64/bool
@@ -278,36 +250,6 @@ class HeapTable:
         if self._buffer_pool is not None:
             self._buffer_pool.note_view(
                 self.name, True if view_hits is None else view_hits[idx])
-
-    # -- typed export surface ----------------------------------------------
-
-    def typed_column(self, column_name: str) -> TypedColumn:
-        """The whole column as one :class:`TypedColumn` (page views
-        concatenated), without round-tripping through object arrays."""
-        from repro.storage.export import table_typed_columns
-        return table_typed_columns(self)[self.schema.index_of(column_name)]
-
-    def column_arrays(self) -> "dict[str, np.ndarray]":
-        """``{column name: numpy array}`` with natural dtypes — int64 /
-        float64 / bool where the column is clean, float64-with-NaN for
-        nullable numerics, object otherwise."""
-        from repro.storage.export import column_to_numpy, table_typed_columns
-        cols = table_typed_columns(self)
-        return {c.name: column_to_numpy(col)
-                for c, col in zip(self.schema.columns, cols)}
-
-    def to_pandas(self):
-        """The table as a ``pandas.DataFrame`` (requires pandas)."""
-        from repro.storage.export import to_pandas
-        return to_pandas(self)
-
-    def lookup_unique(self, column_name: str, value: Any) -> RecordId | None:
-        """RID for ``value`` in a unique column, or None."""
-        col_idx = self.schema.index_of(column_name)
-        if col_idx not in self._unique_maps:
-            raise ConstraintViolation(
-                f"column {column_name!r} of {self.name!r} is not UNIQUE")
-        return self._unique_maps[col_idx].get(value)
 
     # -- internals ----------------------------------------------------------
 

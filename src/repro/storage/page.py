@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
 from repro.storage.types import DataType, TypedColumn
 
 PAGE_CAPACITY_BYTES = 8192
@@ -50,14 +48,9 @@ class HeapPage:
         self._slots: list[Any] = []
         self._used_bytes = 0
         self.live_count = 0
-        # bumped on every mutation; invalidates the columnar caches
+        # bumped on every mutation; invalidates the typed page view
         self.version = 0
-        self._columns_cache: tuple[int, list[np.ndarray]] | None = None
         self._typed_cache: tuple[int, list[TypedColumn]] | None = None
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
 
     def has_room(self, row_bytes: int) -> bool:
         return self._used_bytes + row_bytes <= PAGE_CAPACITY_BYTES
@@ -100,35 +93,13 @@ class HeapPage:
     def live_rows(self) -> list[tuple]:
         """All live tuples in slot order, materialized in one pass.
 
-        The batch scan path uses this instead of :meth:`scan` so a whole
-        page costs one list operation rather than a per-row generator
-        round-trip; the common no-tombstone case is a straight copy."""
+        The typed page view is built from this instead of :meth:`scan` so
+        a whole page costs one list operation rather than a per-row
+        generator round-trip; the common no-tombstone case is a straight
+        copy."""
         if self.live_count == len(self._slots):
             return list(self._slots)
         return [row for row in self._slots if row is not _TOMBSTONE]
-
-    def live_columns(self) -> list[np.ndarray]:
-        """The live tuples transposed to per-column object arrays, cached
-        until the page next mutates.
-
-        This is the columnar page cache behind the batch execution engine:
-        repeated scans of a cold-to-hot table pay the row->column transpose
-        once, and vectorized readers get stable arrays they can slice and
-        mask without touching individual tuples."""
-        cache = self._columns_cache
-        if cache is not None and cache[0] == self.version:
-            return cache[1]
-        rows = self.live_rows()
-        if not rows:
-            columns: list[np.ndarray] = []
-        else:
-            columns = []
-            for values in zip(*rows):
-                arr = np.empty(len(rows), dtype=object)
-                arr[:] = values
-                columns.append(arr)
-        self._columns_cache = (self.version, columns)
-        return columns
 
     def typed_cache_valid(self) -> bool:
         """True when the typed column cache matches the current version."""
@@ -140,10 +111,10 @@ class HeapPage:
 
         This is the v2 columnar cache: int64/float64/bool arrays with
         validity bitmaps and dictionary-encoded strings (see
-        :class:`~repro.storage.types.TypedColumn`).  Like
-        :meth:`live_columns` it is invalidated by the page ``version``
-        counter, so any insert/update/delete rebuilds the typed view on
-        next scan and a cached view can never serve stale data."""
+        :class:`~repro.storage.types.TypedColumn`).  It is invalidated by
+        the page ``version`` counter, so any insert/update/delete rebuilds
+        the typed view on next scan and a cached view can never serve
+        stale data."""
         cache = self._typed_cache
         if cache is not None and cache[0] == self.version:
             return cache[1]

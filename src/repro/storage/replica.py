@@ -7,7 +7,7 @@ classic primary/backup exercises (CS262 Design Exercise 4): a
 :class:`ReplicatedTable` keeps **two full copies** of one table —
 ``primary`` and ``backup`` — and exposes the exact :class:`HeapTable`
 interface the rest of the engine already speaks (scan, scan_morsels,
-insert/update/delete, lookup_unique, tail_start_page...), so the planner,
+insert/update/delete, tail_start_page...), so the planner,
 executors, loader, and serving layer run over it unchanged.
 
 Replication protocol
@@ -155,9 +155,6 @@ class ReplicatedTable:
         # advanced
         return self._begin_op().scan()
 
-    def scan_batches(self, batch_size: int = 1024):
-        return self._begin_op().scan_batches(batch_size)
-
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
                             clock: SimClock | None = None):
@@ -173,20 +170,6 @@ class ReplicatedTable:
 
     def tail_start_page(self, min_rows: int) -> int:
         return self._begin_op().tail_start_page(min_rows)
-
-    def lookup_unique(self, column_name: str, value: Any) -> RecordId | None:
-        return self._begin_op().lookup_unique(column_name, value)
-
-    # -- typed export surface ------------------------------------------------
-
-    def typed_column(self, column_name: str):
-        return self._begin_op().typed_column(column_name)
-
-    def column_arrays(self) -> dict:
-        return self._begin_op().column_arrays()
-
-    def to_pandas(self):
-        return self._begin_op().to_pandas()
 
     # -- replica verification ------------------------------------------------
 

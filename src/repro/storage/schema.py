@@ -96,10 +96,6 @@ class TableSchema:
         return sum(value_size_bytes(v, c.dtype)
                    for v, c in zip(row, self.columns))
 
-    def numeric_column_names(self) -> list[str]:
-        from repro.storage.types import is_numeric
-        return [c.name for c in self.columns if is_numeric(c.dtype)]
-
     def non_unique_column_names(self) -> list[str]:
         """Columns eligible for ``TRAIN ON *`` (the paper excludes columns
         with unique constraints as meaningless features)."""

@@ -23,8 +23,8 @@ Sharding model
   NaN partition keys always route to shard 0 in either scheme.
 * **Canonical order** — the table's scan order is *shard-major*: all of
   shard 0's rows in its page/slot order, then shard 1's, and so on.
-  Every scan surface (``scan``, ``scan_batches``,
-  ``scan_column_batches``, ``scan_morsels``) honours that one order, so
+  Every scan surface (``scan``, ``scan_column_batches``,
+  ``scan_morsels``) honours that one order, so
   the serial engines, the morsel scheduler, and the distributed
   scheduler all see identical row streams and the cross-engine parity
   suite holds over sharded tables exactly as it does over heaps.
@@ -70,7 +70,6 @@ from repro.storage.heap import HeapTable
 from repro.storage.page import RecordId
 from repro.storage.replica import ReplicatedTable
 from repro.storage.schema import Column, TableSchema
-from repro.storage.types import TypedColumn
 
 SHARD_SUFFIX = "@shard"
 """Buffer-pool identity infix: shard ``i`` of ``t`` is ``t@shard<i>``."""
@@ -236,10 +235,6 @@ class ShardedTable:
             for rid, row in table.scan():
                 yield ShardRid(shard, rid), row
 
-    def scan_batches(self, batch_size: int = 1024) -> Iterator[list[tuple]]:
-        for table in self.shard_tables:
-            yield from table.scan_batches(batch_size)
-
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
                             clock: SimClock | None = None
@@ -295,45 +290,6 @@ class ShardedTable:
             return (self.shard_page_start(shard)
                     + table.tail_start_page(remaining))
         return 0
-
-    def lookup_unique(self, column_name: str, value: Any) -> ShardRid | None:
-        col_idx = self.schema.index_of(column_name)
-        if col_idx not in self._unique_maps:
-            raise ConstraintViolation(
-                f"column {column_name!r} of {self.name!r} is not UNIQUE")
-        return self._unique_maps[col_idx].get(value)
-
-    # -- typed export surface ----------------------------------------------
-
-    def _typed_columns(self) -> list[TypedColumn]:
-        from repro.storage.export import table_typed_columns
-        per_shard = [table_typed_columns(t)
-                     for t in self.shard_tables if len(t)]
-        if not per_shard:
-            return table_typed_columns(self.shard_tables[0])
-        if len(per_shard) == 1:
-            return per_shard[0]
-        return [TypedColumn.concat([cols[i] for cols in per_shard])
-                for i in range(len(self.schema.columns))]
-
-    def typed_column(self, column_name: str) -> TypedColumn:
-        return self._typed_columns()[self.schema.index_of(column_name)]
-
-    def column_arrays(self) -> dict:
-        from repro.storage.export import column_to_numpy
-        cols = self._typed_columns()
-        return {c.name: column_to_numpy(col)
-                for c, col in zip(self.schema.columns, cols)}
-
-    def to_pandas(self):
-        try:
-            import pandas as pd
-        except ImportError as exc:  # pragma: no cover - env-dependent
-            raise RuntimeError(
-                "to_pandas() requires pandas, which is not installed; "
-                "use column_arrays() for a pure-numpy export") from exc
-        return pd.DataFrame(self.column_arrays(),
-                            columns=[c.name for c in self.schema.columns])
 
     # -- replication pass-through -------------------------------------------
 

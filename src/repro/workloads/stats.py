@@ -268,7 +268,7 @@ class StatsGenerator:
 def build_stats_db(scale: StatsScale | None = None, seed: int = 0,
                    **knobs) -> NeurDB:
     """Convenience: a NeurDB pre-loaded with the synthetic STATS data."""
-    db = NeurDB(seed=seed)
+    db = NeurDB()
     generator = StatsGenerator(scale=scale or StatsScale(), seed=seed,
                                **knobs)
     generator.build(db)

@@ -10,7 +10,7 @@ from repro.common import (
     NeurDBError,
     ParseError,
     SimClock,
-    TransactionAborted,
+    TransientError,
     make_rng,
     stable_hash,
     zipf_sample,
@@ -188,12 +188,7 @@ class TestRng:
 class TestErrors:
     def test_hierarchy(self):
         assert issubclass(ParseError, NeurDBError)
-        assert issubclass(TransactionAborted, NeurDBError)
-
-    def test_transaction_aborted_reason(self):
-        err = TransactionAborted("deadlock", "txn 1 vs txn 2")
-        assert err.reason == "deadlock"
-        assert "deadlock" in str(err)
+        assert issubclass(TransientError, NeurDBError)
 
     def test_parse_error_position(self):
         err = ParseError("bad token", position=12)

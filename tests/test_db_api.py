@@ -10,6 +10,7 @@ from repro.common.errors import (
     ConstraintViolation,
     ExecutionError,
     NeurDBError,
+    ParseError,
 )
 
 
@@ -109,6 +110,19 @@ class TestDML:
             "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); "
             "SELECT count(*) FROM t")
         assert results[-1].scalar() == 1
+
+    def test_transaction_statements_are_rejected_not_ignored(self):
+        # BEGIN .. ROLLBACK used to answer with status strings while the
+        # DELETE between them stuck; an autocommit session refuses them
+        db = repro.connect()
+        db.execute_script("CREATE TABLE t (id INT); "
+                          "INSERT INTO t VALUES (5), (6)")
+        for sql in ("BEGIN", "COMMIT", "ROLLBACK"):
+            with pytest.raises(ParseError, match="autocommit"):
+                db.execute(sql)
+        with pytest.raises(ParseError, match="autocommit"):
+            db.execute_script("BEGIN; DELETE FROM t WHERE id = 5; ROLLBACK")
+        assert db.execute("SELECT count(*) FROM t").scalar() == 2
 
 
 def _load_review_table(db, n=400, seed=0):

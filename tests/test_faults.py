@@ -552,6 +552,27 @@ class TestReplicatedDb:
         fill(chaotic)
         assert _typed(chaotic.execute(sql).rows) == expected
 
+    def test_shards_and_replication_compose(self):
+        """``connect(shards=4, replication=True)`` honours both knobs:
+        four shards, each a primary/backup pair, reads failing over."""
+        db = repro.connect(shards=4, replication=True)
+        db.execute("CREATE TABLE t (id INT UNIQUE, v FLOAT)")
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i * 0.5})" for i in range(40)))
+        table = db.catalog.table("t")
+        assert table.shard_count == 4 and table.replicated
+        assert all(isinstance(shard, ReplicatedTable)
+                   for shard in table.shard_tables)
+        expected = [(i, i * 0.5) for i in range(40)]
+        table.shard_tables[1].mark_down(PRIMARY, ops=1000)
+        assert table.shard_tables[1].active_node() == BACKUP
+        assert db.execute("SELECT * FROM t ORDER BY id").rows == expected
+        db.execute("INSERT INTO t VALUES (40, 20.0)")     # written once...
+        table.recover(PRIMARY)                            # ...replayed here
+        assert table.copies_identical()
+        assert db.execute("SELECT * FROM t ORDER BY id").rows == \
+            expected + [(40, 20.0)]
+
     def test_drop_table_evicts_backup_pages(self):
         db = repro.connect(replication=True)
         db.execute("CREATE TABLE t (id INT)")
@@ -754,6 +775,12 @@ class TestServingRobustness:
 # -- Db-level retry policy ----------------------------------------------------
 
 
+# a statement with fault sites: a scan the parallel engine runs as morsel
+# tasks (PREDICT's feed is a plain streaming scan with none)
+BRAND_SQL = ("SELECT brand_name, count(*), sum(f1) FROM review "
+             "GROUP BY brand_name")
+
+
 class TestDbRetryPolicy:
     def test_policy_validation_and_shorthand(self):
         assert repro.RetryPolicy(max_retries=3).max_retries == 3
@@ -765,43 +792,56 @@ class TestDbRetryPolicy:
         assert db.retry_policy.max_retries == 4
 
     def test_transient_query_failures_are_retried(self):
-        """Seed 12 makes the first materialization scope fail under a 0.5
+        """Seed 12 makes the first scheduler scope fail under a 0.5
         task_error rate with no scheduler-level retries, so the failure
         escalates to the Db retry loop — which re-runs the statement
         (fresh fault scope) until it succeeds, bit-identical to the
         fault-free answer."""
         plan = FaultPlan(seed=12).arm("task_error", rate=0.5)
-        db = _review_db(faults=plan, predict_workers=4,
+        db = _review_db(faults=plan, engine="parallel",
                         retry_policy=repro.RetryPolicy(max_retries=20,
                                                        backoff=1e-4))
         db.executor.retry_limit = 0
-        result = db.execute(REVIEW_SQL)
+        result = db.execute(BRAND_SQL)
         assert db.query_retries >= 1
         assert "retry-backoff" in db.clock.breakdown()
         assert any("TransientError" in w for w in db.warnings())
 
-        clean = _review_db(predict_workers=4).execute(REVIEW_SQL)
+        clean = _review_db(engine="parallel").execute(BRAND_SQL)
         assert _typed(result.rows) == _typed(clean.rows)
 
     def test_retry_budget_exhaustion_raises(self):
         # a scheduled fault re-fires for every fresh scheduler scope, so
         # with no scheduler retries the statement can never succeed
         plan = FaultPlan(seed=0).arm("task_error", times=(0,))
-        db = _review_db(faults=plan, predict_workers=4, retry_policy=2)
+        db = _review_db(faults=plan, engine="parallel", retry_policy=2)
         db.executor.retry_limit = 0
         with pytest.raises(TransientError):
-            db.execute(REVIEW_SQL)
+            db.execute(BRAND_SQL)
         assert db.query_retries == 2
         assert len(db.warnings()) == 2
 
     def test_no_policy_preserves_fail_fast(self):
         plan = FaultPlan(seed=0).arm("task_error", times=(0,))
-        db = _review_db(faults=plan, predict_workers=4)
+        db = _review_db(faults=plan, engine="parallel")
         db.executor.retry_limit = 0
         with pytest.raises(TransientError):
-            db.execute(REVIEW_SQL)
+            db.execute(BRAND_SQL)
         assert db.query_retries == 0
         assert db.warnings() == []
+
+    def test_predict_is_retried_whole(self):
+        """PREDICT's feed has no fault sites of its own; a storage outage
+        under it fails the statement, and the policy re-runs all of it."""
+        db = _review_db(replication=True, retry_policy=3)
+        table = db.catalog.table("review")
+        table.mark_down(PRIMARY, ops=1)
+        table.mark_down(BACKUP, ops=1)
+        result = db.execute(REVIEW_SQL)
+        assert db.query_retries == 1
+        assert any("ReplicaUnavailable" in w for w in db.warnings())
+        clean = _review_db(replication=True).execute(REVIEW_SQL)
+        assert _typed(result.rows) == _typed(clean.rows)
 
     def test_non_retryable_errors_never_retried(self):
         db = repro.connect(retry_policy=5)

@@ -164,9 +164,9 @@ def test_more_workers_never_slower():
 
 
 def test_no_thread_is_ever_started(monkeypatch):
-    """``workers`` / ``predict_workers`` are the W of the makespan model,
-    not a pool size: placed tasks run inline, on the statement's own
-    thread, at every setting."""
+    """``workers`` is the W of the makespan model, not a pool size:
+    placed tasks run inline, on the statement's own thread, at every
+    setting — and so does PREDICT."""
     def refuse(thread):
         raise AssertionError(f"started a thread: {thread.name}")
 
@@ -182,22 +182,15 @@ def test_no_thread_is_ever_started(monkeypatch):
         assert parallel.extra["parallel"]["tasks"] > 4
         assert parallel.extra["parallel"]["modeled_speedup"] > 1.5
         assert _typed(parallel.rows) == _typed(batch.rows)
-    # PREDICT materialises its training set and its inputs through map
-    answers = []
-    for predict_workers in (1, 4):
-        ai = repro.connect(predict_workers=predict_workers)
-        ai.execute("CREATE TABLE r (id INT UNIQUE, a FLOAT, b FLOAT, "
-                   "y FLOAT)")
-        ai.execute("INSERT INTO r VALUES " + ", ".join(
-            f"({i}, {i % 7 * 0.25}, {i % 5 * 0.5}, "
-            f"{i % 7 * 0.5 - i % 5 * 0.25})" for i in range(150)))
-        train = ai.execute("PREDICT VALUE OF y FROM r WHERE id < 10 "
-                           "TRAIN ON *")
-        infer = ai.execute("PREDICT VALUE OF y FROM r WHERE id >= 140 "
-                           "TRAIN ON *")
-        assert len(train.rows) == 10 and len(infer.rows) == 10
-        answers.append((train.rows, infer.rows, ai.clock.now))
-    assert answers[0] == answers[1]
+    ai = repro.connect()
+    ai.execute("CREATE TABLE r (id INT UNIQUE, a FLOAT, b FLOAT, y FLOAT)")
+    ai.execute("INSERT INTO r VALUES " + ", ".join(
+        f"({i}, {i % 7 * 0.25}, {i % 5 * 0.5}, "
+        f"{i % 7 * 0.5 - i % 5 * 0.25})" for i in range(150)))
+    train = ai.execute("PREDICT VALUE OF y FROM r WHERE id < 10 TRAIN ON *")
+    infer = ai.execute("PREDICT VALUE OF y FROM r WHERE id >= 140 "
+                       "TRAIN ON *")
+    assert len(train.rows) == 10 and len(infer.rows) == 10
 
 
 def test_limit_plans_run_on_serial_lane():

@@ -79,10 +79,16 @@ class TestBinding:
 
 class TestAccessPaths:
     def test_index_chosen_for_unique_eq(self, users_orders_db):
-        node = users_orders_db.planner.plan_select(
-            parse("SELECT * FROM users WHERE id = 5"))
-        kinds = [type(n) for n in node.walk()]
-        assert IndexScan in kinds
+        # -5 reaches the planner as a literal, not as -(5): reads and
+        # writes take the index for it as they do for 5
+        planner = users_orders_db.planner
+        for key in (5, -5):
+            select = parse(f"SELECT * FROM users WHERE id = {key}")
+            for node in (planner.plan_select(select),
+                         planner.access_path("users", select.where)):
+                (scan,) = [n for n in node.walk()
+                           if isinstance(n, IndexScan)]
+                assert scan.eq == key and scan.residual is None
 
     def test_seqscan_with_pushdown_without_index(self, users_orders_db):
         node = users_orders_db.planner.plan_select(

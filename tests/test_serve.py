@@ -4,7 +4,7 @@ The acceptance contract (see ``docs/serving.md``):
 
 * a single PREDICT served through :class:`~repro.serve.PredictServer`
   returns bit-identical rows AND charges bit-identical virtual time to the
-  same statement through ``Db.execute`` — at ``predict_workers`` 1, 2, 4;
+  same statement through ``Db.execute``;
 * compatible concurrent requests coalesce into micro-batches that charge
   strictly less than per-request serving;
 * the model cache is a versioned LRU; in-flight batches pin their version
@@ -29,8 +29,8 @@ REVIEW_SQL = ("PREDICT VALUE OF score FROM review "
               "TRAIN ON f1, f2 WITH brand_name <> 'special goods'")
 
 
-def _build_review_db(predict_workers: int = 1, n: int = 120):
-    db = repro.connect(predict_workers=predict_workers)
+def _build_review_db(n: int = 120):
+    db = repro.connect()
     db.execute("CREATE TABLE review (rid INT UNIQUE, brand_name TEXT, "
                "f1 FLOAT, f2 FLOAT, score FLOAT)")
     rng = np.random.default_rng(0)
@@ -49,15 +49,14 @@ def _typed(rows):
 
 
 class TestSingleRequestParity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_rows_and_charges_bit_identical(self, workers):
-        db_direct = _build_review_db(workers)
+    def test_rows_and_charges_bit_identical(self):
+        db_direct = _build_review_db()
         before = db_direct.clock.now
         expected = db_direct.execute(REVIEW_SQL)
         direct_cost = db_direct.clock.now - before
         direct_breakdown = db_direct.clock.breakdown()
 
-        db_served = _build_review_db(workers)
+        db_served = _build_review_db()
         server = PredictServer(db_served)
         before = db_served.clock.now
         request = server.submit(REVIEW_SQL)
@@ -405,58 +404,22 @@ class TestSqlRefreshKnob:
         assert db_knob.clock.now == db_plain.clock.now
 
 
-class TestMorselMaterializationParity:
-    def test_training_set_identical_across_workers(self):
+class TestMaterialization:
+    def test_failing_scan_keeps_partial_charges(self):
+        # the engines' contract: a failing query leaves its charges
+        # behind — the PREDICT materialization included
+        from repro.exec.expr import compile_predicate_batch
         db = _build_review_db()
         heap = db.catalog.table("review")
-        base = table_training_set(heap, ["f1", "f2"], "score")
-        for workers in (2, 4):
-            parallel = table_training_set(heap, ["f1", "f2"], "score",
-                                          workers=workers)
-            assert np.array_equal(parallel.targets, base.targets)
-            for a, b in zip(parallel.columns, base.columns):
-                assert list(a) == list(b)
-
-    def test_charged_totals_parity_across_workers(self):
-        costs = {}
-        for workers in (1, 2, 4):
-            db = _build_review_db()
-            heap = db.catalog.table("review")
-            before = db.clock.now
-            table_training_set(heap, ["f1", "f2"], "score", clock=db.clock,
-                               workers=workers)
-            costs[workers] = db.clock.now - before
-        assert costs[2] == pytest.approx(costs[1], rel=1e-9)
-        assert costs[4] == pytest.approx(costs[1], rel=1e-9)
-        assert costs[1] > 0  # materialization is charged work now
-
-    def test_failing_scan_keeps_partial_charges_on_all_worker_counts(self):
-        # the serial engines' contract: a failing query leaves its
-        # charges behind — the morsel-parallel materialization included
-        from repro.exec.expr import compile_predicate_batch
-        costs = {}
-        for workers in (1, 4):
-            db = _build_review_db()
-            heap = db.catalog.table("review")
-            layout = RowLayout([("review", c.name)
-                                for c in heap.schema.columns])
-            bad = compile_predicate_batch(
-                parse("SELECT 1 FROM review WHERE lower(f1) = 'x'").where,
-                layout)
-            before = db.clock.now
-            with pytest.raises(AttributeError):
-                table_training_set(heap, ["f1", "f2"], "score",
-                                   block_predicate=bad, clock=db.clock,
-                                   workers=workers)
-            costs[workers] = db.clock.now - before
-        assert costs[1] > 0
-        assert costs[4] > 0
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_db_predict_rows_identical_across_workers(self, workers):
-        base = _build_review_db(1).execute(REVIEW_SQL)
-        got = _build_review_db(workers).execute(REVIEW_SQL)
-        assert _typed(got.rows) == _typed(base.rows)
+        layout = RowLayout([("review", c.name) for c in heap.schema.columns])
+        bad = compile_predicate_batch(
+            parse("SELECT 1 FROM review WHERE lower(f1) = 'x'").where,
+            layout)
+        before = db.clock.now
+        with pytest.raises(AttributeError):
+            table_training_set(heap, ["f1", "f2"], "score",
+                               block_predicate=bad, clock=db.clock)
+        assert db.clock.now > before
 
 
 class TestServerValidation:

@@ -183,8 +183,9 @@ class TestHeapTable:
         table = self._table(simple_schema)
         rid = table.insert((1, "a", 0.0, True))
         table.update(rid, (2, "a", 0.0, True))
-        assert table.lookup_unique("id", 2) == rid
-        assert table.lookup_unique("id", 1) is None
+        with pytest.raises(ConstraintViolation):
+            table.insert((2, "b", 1.0, False))
+        table.insert((1, "b", 1.0, False))  # the old key is free again
 
     def test_update_conflicting_unique_rejected(self, simple_schema):
         table = self._table(simple_schema)
@@ -293,7 +294,7 @@ class TestBufferPool:
 
 
 class TestBatchScans:
-    """Contract tests for scan_batches / scan_column_batches."""
+    """Contract tests for scan_column_batches."""
 
     def _table(self, rows=100):
         from repro.storage.heap import HeapTable
@@ -305,31 +306,33 @@ class TestBatchScans:
         return table, rids
 
     def test_scan_batches_matches_scan_order(self):
+        # 7 does not divide the table: the last batch is short
         table, _ = self._table(100)
-        flattened = [row for batch in table.scan_batches(7) for row in batch]
+        flattened = [row for columns, _ in table.scan_column_batches(7)
+                     for row in zip(*columns)]
         assert flattened == [row for _, row in table.scan()]
+
+    def test_scan_batches_empty_table(self):
+        table, _ = self._table(0)
+        assert list(table.scan_column_batches(16)) == []
 
     def test_scan_batches_sizes(self):
         table, _ = self._table(100)
-        sizes = [len(b) for b in table.scan_batches(32)]
+        sizes = [n for _, n in table.scan_column_batches(32)]
         assert sizes == [32, 32, 32, 4]
-        assert all(s > 0 for s in sizes)
 
     def test_scan_batches_skips_tombstones(self):
         table, rids = self._table(50)
         for rid in rids[::2]:
             table.delete(rid)
-        flattened = [row for batch in table.scan_batches(8) for row in batch]
+        flattened = [row for columns, _ in table.scan_column_batches(8)
+                     for row in zip(*columns)]
         assert flattened == [(i, f"n{i}") for i in range(1, 50, 2)]
-
-    def test_scan_batches_empty_table(self):
-        table, _ = self._table(0)
-        assert list(table.scan_batches(16)) == []
 
     def test_scan_batches_rejects_bad_size(self):
         table, _ = self._table(1)
         with pytest.raises(ValueError):
-            list(table.scan_batches(0))
+            list(table.scan_column_batches(0))
 
     def test_column_batches_match_scan(self):
         table, _ = self._table(100)
@@ -360,7 +363,6 @@ class TestBatchScans:
         table = HeapTable(schema, buffer_pool=pool)
         for i in range(500):
             table.insert((i,))
-        list(table.scan_batches(64))
         accesses_then = pool._hits + pool._misses
         list(table.scan_column_batches(64))
         assert (pool._hits + pool._misses

@@ -4,9 +4,9 @@ The invariant under test (``docs/storage.md``): the typed at-rest layout
 — int64/float64/bool arrays with validity bitmaps, dictionary-encoded
 strings — is *representation only*.  For every randomized schema and
 content mix, writing rows and reading them back through any surface
-(``scan``, ``scan_batches``, ``scan_column_batches``, per-page
-``typed_columns``) returns bit-identical values (types included),
-identical RecordIds, and validity bitmaps that match the NULLs exactly.
+(``scan``, ``scan_column_batches``, per-page ``typed_columns``) returns
+bit-identical values (types included), identical RecordIds, and validity
+bitmaps that match the NULLs exactly.
 
 The case grid is seeded and env-selectable like the fault sweep: set
 ``STORAGE_SEED`` to shift every case's value stream (CI runs a 3-seed
@@ -142,10 +142,6 @@ def test_roundtrip_property(case):
             _typed_rows(data)
     assert [rid for rid, _ in table.scan()] == rids
 
-    # batch row scan agrees with the row scan
-    batched = [r for batch in table.scan_batches(128) for r in batch]
-    assert _typed_rows(batched) == _typed_rows(data)
-
     # per-page typed views: dtypes, validity, and objects() round-trip
     for page in table._pages:
         live = page.live_rows()
@@ -232,7 +228,6 @@ def test_empty_table_surfaces():
                                Column("f", DataType.FLOAT)])
     table = HeapTable(schema)
     assert list(table.scan()) == []
-    assert list(table.scan_batches(16)) == []
     assert list(table.scan_column_batches(16)) == []
     assert table.scan_morsels() == []
 

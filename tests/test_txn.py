@@ -1,13 +1,10 @@
-"""Tests for the transaction substrate: lock manager, MVCC, and the
-discrete-event concurrency simulator."""
+"""Tests for the discrete-event concurrency simulator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import TransactionAborted
-from repro.txn import LockManager, LockMode, MVCCStore
 from repro.txnsim import (
     ActionType,
     OptimisticCC,
@@ -18,129 +15,6 @@ from repro.txnsim import (
     TxnSimulator,
 )
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
-
-
-class TestLockManager:
-    def test_shared_locks_compatible(self):
-        lm = LockManager()
-        assert lm.acquire(1, "k", LockMode.SHARED)
-        assert lm.acquire(2, "k", LockMode.SHARED)
-
-    def test_exclusive_conflicts(self):
-        lm = LockManager()
-        assert lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        assert lm.acquire(2, "k", LockMode.SHARED) is False
-
-    def test_reacquire_held_lock(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.SHARED)
-        assert lm.acquire(1, "k", LockMode.SHARED)
-
-    def test_upgrade_when_sole_holder(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.SHARED)
-        assert lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        assert lm.holders("k")[1] is LockMode.EXCLUSIVE
-
-    def test_release_grants_waiter(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        assert lm.acquire(2, "k", LockMode.EXCLUSIVE) is False
-        granted = lm.release_all(1)
-        assert ("k", 2) in granted
-        assert 2 in lm.holders("k")
-
-    def test_fifo_grant_order(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        lm.acquire(2, "k", LockMode.EXCLUSIVE)
-        lm.acquire(3, "k", LockMode.EXCLUSIVE)
-        granted = lm.release_all(1)
-        assert granted == [("k", 2)]  # only the head of the queue
-
-    def test_shared_waiters_granted_together(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        lm.acquire(2, "k", LockMode.SHARED)
-        lm.acquire(3, "k", LockMode.SHARED)
-        granted = lm.release_all(1)
-        assert {t for _, t in granted} == {2, 3}
-
-    def test_deadlock_detected(self):
-        lm = LockManager()
-        lm.acquire(1, "a", LockMode.EXCLUSIVE)
-        lm.acquire(2, "b", LockMode.EXCLUSIVE)
-        lm.acquire(1, "b", LockMode.EXCLUSIVE)  # 1 waits on 2
-        with pytest.raises(TransactionAborted) as excinfo:
-            lm.acquire(2, "a", LockMode.EXCLUSIVE)  # would close cycle
-        assert excinfo.value.reason == "deadlock"
-
-    def test_queue_length(self):
-        lm = LockManager()
-        lm.acquire(1, "k", LockMode.EXCLUSIVE)
-        lm.acquire(2, "k", LockMode.SHARED)
-        assert lm.queue_length("k") == 1
-
-
-class TestMVCC:
-    def test_snapshot_isolation_reads(self):
-        store = MVCCStore()
-        store.begin(1)
-        store.write(1, "k", "v1")
-        store.commit(1)
-
-        store.begin(2)            # snapshot sees v1
-        store.begin(3)
-        store.write(3, "k2", "x")
-        store.commit(3)
-        assert store.read(2, "k") == "v1"
-        assert store.read(2, "k2") is None  # committed after 2's snapshot
-
-    def test_read_own_writes(self):
-        store = MVCCStore()
-        store.begin(1)
-        store.write(1, "k", "mine")
-        assert store.read(1, "k") == "mine"
-
-    def test_first_updater_wins(self):
-        store = MVCCStore()
-        store.begin(1)
-        store.begin(2)
-        store.write(1, "k", "a")
-        with pytest.raises(TransactionAborted):
-            store.write(2, "k", "b")
-
-    def test_write_after_concurrent_commit_aborts(self):
-        store = MVCCStore()
-        store.begin(1)
-        store.begin(2)
-        store.write(1, "k", "a")
-        store.commit(1)
-        with pytest.raises(TransactionAborted):
-            store.write(2, "k", "b")
-
-    def test_abort_discards(self):
-        store = MVCCStore()
-        store.begin(1)
-        store.write(1, "k", "x")
-        store.abort(1)
-        assert store.committed_value("k") is None
-        store.begin(2)
-        store.write(2, "k", "y")  # no lingering uncommitted writer
-        store.commit(2)
-        assert store.committed_value("k") == "y"
-
-    def test_version_history_grows(self):
-        store = MVCCStore()
-        for i in range(3):
-            store.begin(i)
-            store.write(i, "k", i)
-            store.commit(i)
-        assert store.version_count("k") == 3
-
-    def test_read_without_begin(self):
-        with pytest.raises(KeyError):
-            MVCCStore().read(9, "k")
 
 
 def _hot_workload(keys=3, reads=2, writes=2):
