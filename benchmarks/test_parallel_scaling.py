@@ -12,7 +12,7 @@ wall-clock cannot show multi-thread scalability in single-process Python
 (the whole reason `src/repro/common/simtime.py` exists): the serial
 engines' elapsed time is their charged virtual time, and the parallel
 engine's elapsed time is its modeled makespan (serial lane + per-phase
-max virtual-worker load, see ``WorkerClocks``).  The worker sweep is
+max virtual-worker load, see ``LaneSchedule``).  The worker sweep is
 written to ``benchmarks/BENCH_parallel.json`` so future PRs have a
 scaling trajectory to compare against.  Beside every modeled figure the
 file records ``wall_seconds`` — the best of ``WALL_REPEATS`` real runs,

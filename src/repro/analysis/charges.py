@@ -24,8 +24,8 @@ sequence), and checks it:
     *warning* for review: the analyzer cannot prove it against the
     registry.  Forwarding helpers whose category is a verbatim
     parameter pass-through (the clock's own internals,
-    ``HeapTable._charge``, ``ReplicatedTable._charge``,
-    ``WorkerClocks.merge_into``) are allowlisted by symbol — their
+    ``HeapTable._charge``, ``ReplicatedTable._charge``) are
+    allowlisted by symbol — their
     *callers* are the real charge sites and are checked instead.
 
 ``untraced-clock``
@@ -81,7 +81,7 @@ class ChargeCategoryPass(AnalysisPass):
         "untraced-clock": _CLOCK_PRAGMA,
     }
     # the clock itself forwards categories between its own entry points
-    # (and shard()/WorkerClocks legitimately construct bare clocks)
+    # (and shard() legitimately constructs bare clocks)
     path_allowlist = ("repro/common/simtime.py",)
     # verbatim parameter pass-throughs: the category is checked at their
     # call sites, which this pass also visits

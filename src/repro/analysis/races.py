@@ -1,20 +1,20 @@
 """Parallel-hook race analysis: code a placed task executes must not
 write shared state (unless it holds a lock at the write site).
 
-The placed walk (``PlacedDriver`` in ``repro/exec/pipeline.py``) hands
-operator *hooks* to its placement's ``dispatch``, one task per morsel.
-The placements run the tasks inline, but two things rest on the hooks
-being **stateless after construction** (module docstring of
-``repro/exec/operators.py``) — writing only morsel-local state
-(parameters, locals, the private shard clock), never ``self``:
+The placed walk (``DistributedScheduler`` in
+``repro/exec/distributed.py``) hands operator *hooks* to its
+``dispatch``, one task per morsel.  The tasks run inline, but two things
+rest on the hooks being **stateless after construction** (module
+docstring of ``repro/exec/operators.py``) — writing only morsel-local
+state (parameters, locals, the private task clock), never ``self``:
 
 * **re-execution** — a morsel whose attempt failed transiently, or whose
-  worker "crashed", is run again (``MorselScheduler.map``); recovered
-  results are bit-identical to the fault-free run only if the lost
-  attempt left nothing behind;
-* **the makespan model** — ``WorkerClocks`` schedules a phase's task
-  charges onto W workers *as if the tasks overlapped*; a hook that reads
-  what an earlier task wrote would make that claim false.
+  worker "crashed", is run again (``DistributedScheduler.dispatch``);
+  recovered results are bit-identical to the fault-free run only if the
+  lost attempt left nothing behind;
+* **the makespan model** — a phase's task charges are list-scheduled
+  onto each node's W lanes *as if the tasks overlapped*; a hook that
+  reads what an earlier task wrote would make that claim false.
 
 Nothing else enforces the contract; this pass does.
 
@@ -23,9 +23,9 @@ How the hook set is derived — and why it cannot drift
 The pass does **not** trust a hand-maintained hook list.  It re-derives
 the task dispatch table from the code that actually dispatches:
 
-* every ``self.dispatch(units, fn)`` call site inside ``PlacedDriver``
-  and every ``self.map(items, fn)`` inside ``MorselScheduler``
-  contributes ``fn`` — a bound hook reference (``op.partial_block``),
+* every ``self.dispatch(units, fn)`` call site inside
+  ``DistributedScheduler`` — the one dispatch loop — contributes ``fn``:
+  a bound hook reference (``op.partial_block``),
   possibly wrapped in the tracing shim ``self._op_task(op, op.<hook>)``
   (which only pushes the operator's span around the call), a local
   closure, whose operator-method calls are extracted, or a pipeline
@@ -35,8 +35,7 @@ the task dispatch table from the code that actually dispatches:
   -> the ``apply`` of every ``parallel_safe``
   :class:`~repro.exec.pipeline.PipelineStage`, ``ScanSource.
   morsel_carrier`` — collecting every ``<x>.op.<hook>(...)`` call.
-  The driver class itself (coordinator code by definition) and serial
-  stages (``parallel_safe = False``) are never entered.
+  Serial stages (``parallel_safe = False``) are never entered.
 
 The derived set is then cross-checked against
 :data:`EXPECTED_WORKER_HOOKS`; any mismatch in either direction is a
@@ -81,14 +80,14 @@ _PRAGMA = "race-ok"
 
 #: The audited worker-executed hook surface.  Update this *only*
 #: together with a re-audit of the new hook's body: the pass re-derives
-#: the real dispatch table from exec/pipeline.py + exec/parallel.py and
-#: flags any mismatch with this set.
+#: the real dispatch table from exec/distributed.py + exec/pipeline.py
+#: and flags any mismatch with this set.
 EXPECTED_WORKER_HOOKS = frozenset({
     # the scan step of a placed task (ScanSource.morsel_carrier)
     "make_block", "scan_block",
     # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage)
     "filter_mask", "project_block", "probe_block",
-    # breaker partials (PlacedDriver._run_to_sink / _fold_aggregate); their
+    # breaker partials (the walk's _run_to_sink / _fold_aggregate); their
     # merges (merge_build, merge_runs, group_partials / finish_partials)
     # run on the serial lane
     "build_block", "partial_block", "sort_block",
@@ -270,7 +269,7 @@ class RaceAnalysisPass(AnalysisPass):
     }
 
     #: the three files this pass reasons about, repo-relative
-    PARALLEL = "repro/exec/parallel.py"
+    SCHEDULER = "repro/exec/distributed.py"
     PIPELINE = "repro/exec/pipeline.py"
     OPERATORS = "repro/exec/operators.py"
 
@@ -282,7 +281,7 @@ class RaceAnalysisPass(AnalysisPass):
     # relevant one.
     def run(self, module: ModuleSource) -> list[Finding]:
         path = module.path.replace("\\", "/")
-        for tail in (self.PARALLEL, self.PIPELINE, self.OPERATORS):
+        for tail in (self.SCHEDULER, self.PIPELINE, self.OPERATORS):
             if path.endswith(tail):
                 self._sources[tail] = module
                 break
@@ -291,11 +290,10 @@ class RaceAnalysisPass(AnalysisPass):
         findings: list[Finding] = []
         if path.endswith(self.OPERATORS):
             findings.extend(self._scan_operators(module))
-        if path.endswith(self.PIPELINE):
-            findings.extend(self._scan_stages(module))
-        if {self.PARALLEL, self.PIPELINE} <= set(self._sources):
+        if {self.SCHEDULER, self.PIPELINE} <= set(self._sources):
+            findings.extend(self._scan_stages())
             findings.extend(self._cross_check())
-            # only emit the cross-check once per (parallel, pipeline) pair
+            # only emit once per (scheduler, pipeline) pair
             self._sources.pop(self.PIPELINE)
         return findings
 
@@ -303,9 +301,9 @@ class RaceAnalysisPass(AnalysisPass):
 
     #: the walk's class: its methods run on the coordinator, and its
     #: ``dispatch`` call sites are where work is handed to workers
-    DRIVER = "PlacedDriver"
+    DRIVER = "DistributedScheduler"
 
-    def derived_worker_hooks(self, parallel: ModuleSource,
+    def derived_worker_hooks(self, scheduler: ModuleSource,
                              pipeline: ModuleSource) -> set[str]:
         """The worker-executed operator-hook names, re-derived from the
         dispatching code itself."""
@@ -313,24 +311,21 @@ class RaceAnalysisPass(AnalysisPass):
         entries: set[str] = set()
         operator_methods = self._operator_method_names()
         pipeline_methods = self._pipeline_methods(pipeline)
-        for module, cls_name, dispatchers in (
-                (pipeline, self.DRIVER, ("dispatch",)),
-                (parallel, "MorselScheduler", ("map",))):
-            cls = self._class_def(module, cls_name)
-            # distinct methods may reuse closure names: keep every def
-            # per name and union their calls
-            closures: dict[str, list[ast.FunctionDef]] = {}
-            for f in ast.walk(cls):
-                if isinstance(f, ast.FunctionDef):
-                    closures.setdefault(f.name, []).append(f)
-            for fn in self._dispatched(cls, dispatchers):
-                if isinstance(fn, ast.Attribute):
-                    (entries if fn.attr in pipeline_methods
-                     else hooks).add(fn.attr)
-                elif isinstance(fn, ast.Name):
-                    for defn in closures.get(fn.id, []):
-                        hooks.update(self._closure_hook_calls(
-                            defn, operator_methods))
+        cls = self._class_def(scheduler, self.DRIVER)
+        # distinct methods may reuse closure names: keep every def per
+        # name and union their calls
+        closures: dict[str, list[ast.FunctionDef]] = {}
+        for f in ast.walk(cls):
+            if isinstance(f, ast.FunctionDef):
+                closures.setdefault(f.name, []).append(f)
+        for fn in self._dispatched(cls):
+            if isinstance(fn, ast.Attribute):
+                (entries if fn.attr in pipeline_methods
+                 else hooks).add(fn.attr)
+            elif isinstance(fn, ast.Name):
+                for defn in closures.get(fn.id, []):
+                    hooks.update(self._closure_hook_calls(
+                        defn, operator_methods))
         for _, func in self._worker_surface(pipeline, entries):
             for node in ast.walk(func):
                 if isinstance(node, ast.Call) \
@@ -341,15 +336,15 @@ class RaceAnalysisPass(AnalysisPass):
         return hooks
 
     @staticmethod
-    def _dispatched(cls: ast.ClassDef, dispatchers: tuple[str, ...]):
-        """The ``fn`` argument of every ``<x>.<dispatcher>(units, fn)``
-        call inside ``cls``, seen through the tracing shim
+    def _dispatched(cls: ast.ClassDef):
+        """The ``fn`` argument of every ``<x>.dispatch(units, fn)`` call
+        inside ``cls``, seen through the tracing shim
         ``_op_task(op, fn)`` (which only pushes the operator's span
         around the call)."""
         for node in ast.walk(cls):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in dispatchers
+                    and node.func.attr == "dispatch"
                     and len(node.args) >= 2):
                 continue
             fn = node.args[1]
@@ -364,11 +359,11 @@ class RaceAnalysisPass(AnalysisPass):
                           ) -> dict[str, list[tuple[ast.ClassDef,
                                                     ast.FunctionDef]]]:
         """Method name -> definitions across ``pipeline.py``'s classes
-        that worker code may enter: everything but the driver class and
-        the serial (``parallel_safe = False``) stages."""
+        that worker code may enter: everything but the serial
+        (``parallel_safe = False``) stages."""
         table: dict[str, list[tuple[ast.ClassDef, ast.FunctionDef]]] = {}
         for cls in ast.walk(pipeline.tree):
-            if not isinstance(cls, ast.ClassDef) or cls.name == self.DRIVER:
+            if not isinstance(cls, ast.ClassDef):
                 continue
             bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
             if "PipelineStage" in bases \
@@ -453,9 +448,9 @@ class RaceAnalysisPass(AnalysisPass):
         return names
 
     def _cross_check(self) -> list[Finding]:
-        parallel = self._sources[self.PARALLEL]
+        scheduler = self._sources[self.SCHEDULER]
         pipeline = self._sources[self.PIPELINE]
-        derived = self.derived_worker_hooks(parallel, pipeline)
+        derived = self.derived_worker_hooks(scheduler, pipeline)
         if derived == EXPECTED_WORKER_HOOKS:
             return []
         extra = sorted(derived - EXPECTED_WORKER_HOOKS)
@@ -467,7 +462,7 @@ class RaceAnalysisPass(AnalysisPass):
             parts.append(f"audited but no longer dispatched: {missing}")
         return [Finding(
             rule="dispatch-drift", severity=Severity.ERROR,
-            path=parallel.path, line=1, pragma=_PRAGMA,
+            path=scheduler.path, line=1, pragma=_PRAGMA,
             message="worker-hook dispatch table drifted from "
                     "EXPECTED_WORKER_HOOKS in repro/analysis/races.py "
                     "(" + "; ".join(parts) + ") — re-audit the hook "
@@ -507,14 +502,15 @@ class RaceAnalysisPass(AnalysisPass):
                     self, module, methods[name], context).scan())
         return findings
 
-    def _scan_stages(self, module: ModuleSource) -> list[Finding]:
+    def _scan_stages(self) -> list[Finding]:
         """The worker-executed pipeline surface — the dispatched entry
         points and everything they reach (the per-block pass, the scan
         step, the parallel-safe stages' ``apply``) — gets the same
         shared-write scan as the operator hooks."""
+        module = self._sources[self.PIPELINE]
         methods = self._pipeline_methods(module)
-        entries = {fn.attr for fn in self._dispatched(
-                       self._class_def(module, self.DRIVER), ("dispatch",))
+        entries = {fn.attr for fn in self._dispatched(self._class_def(
+                       self._sources[self.SCHEDULER], self.DRIVER))
                    if isinstance(fn, ast.Attribute) and fn.attr in methods}
         findings: list[Finding] = []
         for cls, func in self._worker_surface(module, entries):

@@ -1,7 +1,7 @@
 """Deterministic fault injection: seeded chaos for the whole engine.
 
 The ROADMAP's distributed-execution north star needs every layer to
-survive failures — worker crashes in the morsel scheduler, replica nodes
+survive failures — worker crashes in the placed scheduler, replica nodes
 going down under the storage layer, transient errors and refresh failures
 in the serving subsystem.  Testing that recovery is only trustworthy when
 the chaos itself is *exactly reproducible*: the same seed must kill the
@@ -43,22 +43,21 @@ Fault kinds and where they fire
 ===============  ======================================  =====================
 kind             injection site                          effect
 ===============  ======================================  =====================
-``task_error``   morsel task (``exec/parallel.py``)      raises
-                                                         :class:`TransientError`;
-                                                         retried up to the
+``task_error``   placed task attempt, before the work    raises
+                 (``exec/distributed.py``; both          :class:`TransientError`;
+                 ``parallel`` and ``distributed``)       retried up to the
                                                          scheduler's budget
-``worker_crash`` morsel task                             raises
-                                                         :class:`WorkerCrash`
-                                                         *after* the work ran:
+``worker_crash`` placed task attempt, after the work     raises
+                                                         :class:`WorkerCrash`:
                                                          the result is lost,
                                                          the charges are kept,
                                                          a survivor re-executes
-``slow_worker``  morsel task                             charges ``latency``
+``slow_worker``  placed task attempt, after the work     charges ``latency``
                                                          extra virtual seconds
-                                                         on the shard clock
-``slow_node``    shard-local node task                   charges ``latency``
-                 (``exec/distributed.py``)               extra virtual seconds
-                                                         on every task the
+                                                         on the task clock
+``slow_node``    placed task attempt, after the work,    charges ``latency``
+                 targeted at ``node<i>`` (``node0``      extra virtual seconds
+                 only under ``parallel``)                on every task the
                                                          slow node runs;
                                                          results stay
                                                          bit-identical while

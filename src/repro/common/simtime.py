@@ -91,7 +91,7 @@ class SimClock:
     def absorb(self, seconds: float, category: str = "misc") -> float:
         """:meth:`advance`, for charges already *attributed* elsewhere.
 
-        :meth:`WorkerClocks.merge_into` replays shard-clock breakdowns
+        The placed scheduler's ``finish`` replays shard-clock breakdowns
         onto the shared clock; those charges were seen by the tracer once
         at their original site (span attribution and event counts), so
         the replay must only *fold* — keep the tracer's float mirror in
@@ -112,13 +112,13 @@ class SimClock:
     def shard(self) -> "SimClock":
         """A fresh clock whose charges the attached tracer still sees.
 
-        The morsel scheduler's worker tasks charge private shard clocks
-        that are later folded into the shared clock; constructing them
+        The placed scheduler's tasks charge private shard clocks that
+        are later folded into the shared clock; constructing them
         through ``shard()`` (instead of a bare ``SimClock()``) keeps every
         charge site reachable by the tracer — the invariant the
         ``untraced-clock`` analysis rule enforces.  Shard charges notify
         for attribution only (``fold=False``): the shared clock's
-        :meth:`absorb` folds them when the phase closes.
+        :meth:`absorb` folds them when the scheduler finishes.
         """
         child = SimClock()
         child.tracer = self.tracer
@@ -150,8 +150,8 @@ class SimClock:
     def limit(self) -> float | None:
         """The armed budget limit (absolute virtual time), or None.
 
-        The morsel scheduler reads this to enforce the budget at phase
-        boundaries: worker charges accumulate on shard clocks that carry
+        The placed scheduler reads this to enforce the budget at phase
+        boundaries: task charges accumulate on shard clocks that carry
         no limit of their own, so the shared clock's limit must be checked
         explicitly when a phase's charges are folded in."""
         return self._limit
@@ -179,108 +179,19 @@ class SimClock:
         return f"SimClock(now={self._now:.6f})"
 
 
-class WorkerClocks:
-    """Per-worker virtual-time accounting for the morsel-driven engine.
-
-    The parallel executor cannot charge worker costs straight to the query's
-    shared :class:`SimClock`: a single accumulator could not distinguish
-    "total work done" from "time a multicore would actually take".
-    Instead every morsel task charges a private shard clock, plus one
-    ``serial_lane`` clock for the parts of the query that cannot be
-    parallelized (merge steps, order-sensitive operators, spill
-    surcharges).
-
-    When a phase closes, its task charges are *list-scheduled in morsel
-    order onto W virtual workers* — each task goes to the earliest-free
-    worker, exactly the pull-the-next-morsel dispatch a real morsel
-    scheduler performs.  Modeling the assignment in virtual time makes
-    the makespan a function of the task charges alone, so the tasks
-    themselves run inline, one after another: threads under the GIL
-    could never make a wall clock representative anyway (see the module
-    docstring).
-
-    Two quantities fall out:
-
-    * ``total()`` — the plain sum of every charge on every task shard and
-      the serial lane.  By construction this equals what the serial batch
-      engine would have charged for the same query (each per-row cost is
-      charged exactly once, on whichever clock ran the row), so
-      :meth:`merge_into` reproduces the serial engines' virtual-time totals
-      on the shared clock — the invariant the parity suite asserts.
-    * ``makespan()`` — the modeled parallel elapsed time: the serial lane
-      runs alone, and each parallel phase contributes only its most-loaded
-      virtual worker's time.  This is what a real multicore's wall clock
-      would show, and what the scaling benchmark measures.
-    """
-
-    def __init__(self, tracer=None) -> None:
-        self.serial_lane = SimClock()
-        if tracer is not None:
-            # attribution-only, like shard clocks: the serial lane's
-            # charges reach the shared clock via merge_into/absorb
-            self.serial_lane.tracer = tracer
-            self.serial_lane._tracer_folds = False
-        self.phases = 0
-        self._parallel_total = 0.0
-        self._parallel_makespan = 0.0
-        self._breakdowns: list[dict[str, float]] = []
-        #: when set to a list (by a tracing scheduler), close_phase appends
-        #: one ``(phase, task_index, worker, start, end)`` placement per
-        #: shard, in morsel order — the virtual worker timeline that the
-        #: Chrome trace export renders
-        self.placements: list[tuple[int, int, int, float, float]] | None = None
-
-    def close_phase(self, task_clocks: list["SimClock"],
-                    workers: int) -> None:
-        """Absorb one phase's per-task shard clocks (in morsel order),
-        list-scheduling them onto ``workers`` virtual workers."""
-        if not task_clocks:
-            return
-        self.phases += 1
-        base = self.makespan()
-        loads = [0.0] * max(1, workers)
-        for index, shard in enumerate(task_clocks):
-            earliest = min(range(len(loads)), key=loads.__getitem__)
-            if self.placements is not None:
-                self.placements.append(
-                    (self.phases, index, earliest,
-                     base + loads[earliest],
-                     base + loads[earliest] + shard.now))
-            loads[earliest] += shard.now
-            self._parallel_total += shard.now
-            if shard.now:
-                self._breakdowns.append(shard.breakdown())
-        self._parallel_makespan += max(loads)
-
-    def total(self) -> float:
-        """Sum of all charges — equals the serial engines' total."""
-        return self._parallel_total + self.serial_lane.now
-
-    def makespan(self) -> float:
-        """Modeled parallel elapsed: serial lane + per-phase max load."""
-        return self._parallel_makespan + self.serial_lane.now
-
-    def merge_into(self, clock: SimClock) -> None:
-        """Charge everything accumulated here onto ``clock``, preserving
-        per-category breakdowns, in a deterministic order (serial lane
-        first, then shards in phase/worker order) so repeated runs charge
-        float-identical totals."""
-        for breakdown in (self.serial_lane.breakdown(), *self._breakdowns):
-            for category, seconds in breakdown.items():
-                clock.absorb(seconds, category)
-
-
 class LaneSchedule:
     """Earliest-free-lane assignment over a virtual timeline.
 
-    The serving subsystem (``repro/serve``) models concurrency the same way
-    :class:`WorkerClocks` models the morsel scheduler: work is *executed*
-    in deterministic program order, but its *placement in virtual time* is
-    decided by a simple scheduling rule — here, each unit of work starts on
-    the earliest-free lane, no earlier than its ready time.  One
-    ``LaneSchedule`` with ``lanes=1`` is a serial queue (the background
-    refresh worker); with ``lanes=k`` it models ``k`` concurrent serving
-    lanes sharing a request queue.
+    The one list scheduler: the placed execution engines
+    (``repro/exec/distributed.py``, a node's morsel tasks onto its
+    workers) and the serving subsystem (``repro/serve``) model concurrency
+    the same way.  Work is *executed* in deterministic program order, but
+    its *placement in virtual time* is decided by a simple scheduling rule
+    — each unit of work starts on the earliest-free lane, no earlier than
+    its ready time (the pull-the-next-morsel dispatch a real scheduler
+    performs).  One ``LaneSchedule`` with ``lanes=1`` is a serial queue
+    (the background refresh worker); with ``lanes=k`` it models ``k``
+    concurrent lanes sharing a queue.
 
     ``assign`` never reorders work: callers submit in ready-time order, and
     the completion times that fall out are deterministic functions of the

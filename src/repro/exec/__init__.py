@@ -1,19 +1,14 @@
 """Query execution: expression compiler, operators, and the executor.
 
 Four engines share one operator tree: the vectorized batch engine
-(default), the morsel-driven parallel and sharded distributed engines that
-place the same compiled pipelines on workers and nodes, and the
-row-at-a-time reference engine — see docs/execution.md, docs/parallel.md
-and docs/distributed.md.
+(default), the morsel-driven parallel and sharded distributed engines —
+one scheduler placing the same compiled pipelines on workers and nodes,
+``parallel`` its one-node case — and the row-at-a-time reference engine;
+see docs/execution.md, docs/parallel.md and docs/distributed.md.
 """
 
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.exec.executor import Executor, ResultSet
-from repro.exec.parallel import (
-    DEFAULT_MORSEL_ROWS,
-    DEFAULT_WORKERS,
-    MorselScheduler,
-)
 from repro.exec.expr import (
     RowLayout,
     compile_expr,
@@ -25,10 +20,7 @@ from repro.exec.expr import (
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MORSEL_ROWS",
-    "DEFAULT_WORKERS",
     "Executor",
-    "MorselScheduler",
     "ResultSet",
     "RowBlock",
     "RowLayout",

@@ -8,15 +8,15 @@ from typing import Any
 from repro.common.errors import ExecutionError
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.distributed import DEFAULT_NODES, DistributedScheduler
-from repro.exec.parallel import (
+from repro.exec.distributed import (
     DEFAULT_MORSEL_ROWS,
+    DEFAULT_NODES,
     DEFAULT_RETRY_LIMIT,
     DEFAULT_WORKERS,
-    MorselScheduler,
+    DistributedScheduler,
+    check_at_least,
 )
-from repro.exec.pipeline import (check_at_least, compile_pipelines,
-                                 run_program)
+from repro.exec.pipeline import compile_pipelines, run_program
 from repro.plan import logical as plan
 from repro.plan.optimizer import _EmptyRow
 from repro.storage.catalog import Catalog
@@ -66,32 +66,30 @@ class Executor:
       chain per pass with no intermediate materialization.  Results are
       materialized back to row tuples, so callers see the same
       :class:`ResultSet` as ever.
-    * ``"parallel"`` — morsel-driven execution of the same compiled
-      pipelines (:class:`~repro.exec.parallel.MorselScheduler`): scans
-      split into morsels, one task per morsel running a whole pipeline
-      pass, the task charges scheduled onto ``workers`` modeled workers,
-      with results, ``rows_out`` counters, and charged virtual-time
-      totals identical to ``"batch"``.  ``ResultSet.extra["parallel"]``
-      carries the scheduler stats, including the modeled parallel
-      makespan.
-    * ``"distributed"`` — sharded scale-out execution of the same
-      compiled pipelines (:class:`~repro.exec.distributed.
-      DistributedScheduler`): shard-local pipeline fragments on ``nodes``
-      virtual nodes (each with ``workers`` morsel lanes) connected by
+    * ``"distributed"`` — placed execution of the same compiled
+      pipelines (:class:`~repro.exec.distributed.DistributedScheduler`):
+      scans split into morsels, one task per morsel running a whole
+      pipeline pass, shard-local on ``nodes`` virtual nodes (each with
+      ``workers`` modeled morsel lanes) connected by
       shuffle/broadcast/gather exchanges over the modeled network.
-      Results and per-category charged compute totals are identical to
-      ``"batch"`` at every node count; ``ResultSet.extra["distributed"]``
-      carries the exchange log and per-node timings.
+      Results, ``rows_out`` counters and per-category charged compute
+      totals are identical to ``"batch"`` at every node and worker count;
+      ``ResultSet.extra["distributed"]`` carries the scheduler stats:
+      modeled makespan, recovery counts, exchange log, per-node timings.
+    * ``"parallel"`` — the one-node spelling of ``"distributed"``: the
+      same scheduler with ``nodes`` pinned to 1 (no exchange ever ships),
+      the same stats dict under ``ResultSet.extra["parallel"]``.
     * ``"row"`` — the Volcano row-at-a-time path.  Its role is the
       **reference**: no benchmark workload or example selects it; it
       stays in ``src/`` because the parity suites and
       ``benchmarks/test_exec_throughput.py`` hold every other engine's
       rows and charges to it (see ``docs/execution.md``).
 
-    ``workers`` and ``morsel_rows`` tune the placed engines (parallel
-    and distributed), ``nodes`` only the distributed one and
-    ``retry_limit`` only the parallel one; the serial engines ignore all
-    four.  Every knob is validated here, whichever engine is selected.
+    ``workers``, ``morsel_rows``, ``faults`` and ``retry_limit`` (extra
+    attempts per morsel task after a retryable failure) apply to both
+    placed engines; ``nodes`` is pinned to 1 by ``engine="parallel"``.
+    The serial engines ignore all of them.  Every knob is validated
+    here, whichever engine is selected.
     """
 
     ENGINES = ("batch", "row", "parallel", "distributed")
@@ -111,7 +109,7 @@ class Executor:
         self.nodes = nodes if nodes is not None else DEFAULT_NODES
         self.morsel_rows = (morsel_rows if morsel_rows is not None
                             else DEFAULT_MORSEL_ROWS)
-        # fault injection + recovery knobs for the parallel engine (see
+        # fault injection + recovery knobs for the placed engines (see
         # repro.common.faults); the serial engines ignore them — their
         # fault surface is the storage layer's replicated tables
         self.faults = faults
@@ -129,7 +127,7 @@ class Executor:
     @property
     def placed(self) -> bool:
         """True for the engines that dispatch eagerly, phase by phase
-        (see :class:`~repro.exec.pipeline.PlacedDriver`)."""
+        (see :class:`~repro.exec.distributed.DistributedScheduler`)."""
         return self.engine in ("parallel", "distributed")
 
     def with_engine(self, engine: str) -> "Executor":
@@ -169,18 +167,14 @@ class Executor:
             return ops.EmptyRowOp(self._clock)
         raise ExecutionError(f"no operator for plan node {node.label}")
 
-    def _scheduler(self) -> MorselScheduler | DistributedScheduler:
+    def _scheduler(self) -> DistributedScheduler:
         """A fresh (single-use) scheduler for the placed engine."""
-        if self.engine == "parallel":
-            return MorselScheduler(self._clock, workers=self.workers,
-                                   morsel_rows=self.morsel_rows,
-                                   faults=self.faults,
-                                   retry_limit=self.retry_limit,
-                                   registry=self.registry)
-        return DistributedScheduler(self._clock, nodes=self.nodes,
+        nodes = 1 if self.engine == "parallel" else self.nodes
+        return DistributedScheduler(self._clock, nodes=nodes,
                                     workers=self.workers,
                                     morsel_rows=self.morsel_rows,
                                     faults=self.faults,
+                                    retry_limit=self.retry_limit,
                                     registry=self.registry)
 
     def iter_rows(self, operator: ops.Operator):

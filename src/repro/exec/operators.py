@@ -26,7 +26,7 @@ Operators with no block decomposition — IndexScan, NestedLoopJoin,
 EmptyRow — keep a ``batches()`` generator instead; the pipeline compiler
 makes it the *source* of a pipeline.
 
-The placed engines (``repro/exec/parallel.py``, ``distributed.py``) run
+The placed engines (``repro/exec/distributed.py``) run
 the *worker hooks* as morsel tasks — inline, but re-executed when a
 morsel is retried and accounted as if a phase's tasks overlapped: the
 stateless block hooks above plus the worker half of each breaker's

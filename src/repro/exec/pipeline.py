@@ -23,13 +23,12 @@ compiled program, written once for every batch-family engine.
   it per morsel.
 * :func:`run_program` is the streaming driver: the batch engine's drive
   loop, and the serial lane of the placed engines for LIMIT plans.
-* :class:`PlacedDriver` is the phased walk the placed engines share
-  (inputs -> parallel-safe prefix tasks -> serial tail -> sink fold).
-  ``repro/exec/parallel.py`` and ``repro/exec/distributed.py`` subclass
-  it with what genuinely differs between them: how a scan splits into
-  units, how a phase's tasks are dispatched and accounted, and what
-  moves at a breaker.  The AI loader's PREDICT materialization feeds
-  from :func:`table_blocks`, the scan-block primitive.
+* :class:`~repro.exec.distributed.DistributedScheduler` is the placed
+  engines' phased walk over the same program (inputs -> one task per
+  morsel through the parallel-safe stage prefix -> serial tail -> sink
+  fold), every task one :meth:`BlockPass.task`.  The AI loader's PREDICT
+  materialization feeds from :func:`table_blocks`, the scan-block
+  primitive.
 
 Charge parity
 -------------
@@ -56,11 +55,11 @@ serial engines never touch.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.common.simtime import BudgetExceeded, SimClock
+from repro.common.simtime import SimClock
 from repro.exec import operators as ops
 from repro.exec.batch import RowBlock
 from repro.exec.expr import RowLayout
@@ -608,7 +607,7 @@ def _compile(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
 # -- the per-block pass -------------------------------------------------------
 
 
-def _under_span(tracer, op: ops.Operator, fn):
+def under_span(tracer, op: ops.Operator, fn):
     """``fn`` wrapped so its charges attribute to ``op``'s span; ``fn``
     itself when no tracer is attached."""
     if tracer is None:
@@ -687,7 +686,7 @@ class BlockPass:
         produced block — run the chain, and materialize the survivor
         (unless the pass is ``deferred``)."""
         if self.scan is not None:
-            carrier = _under_span(self._tracer, self.scan.op,
+            carrier = under_span(self._tracer, self.scan.op,
                                   self.scan.morsel_carrier)(unit, clock)
         else:
             carrier = BlockCarrier(unit)
@@ -756,244 +755,7 @@ def _drive_carriers(pipeline: Pipeline,
 
 def _run_to_sink(pipeline: Pipeline, clock: SimClock) -> None:
     sink = pipeline.sink
-    absorb = _under_span(clock.tracer, sink.op, sink.absorb_carrier)
+    absorb = under_span(clock.tracer, sink.op, sink.absorb_carrier)
     for carrier in _drive_carriers(pipeline, clock):
         absorb(carrier, clock)
-    _under_span(clock.tracer, sink.op, sink.finish)(clock)
-
-
-# -- placed walk --------------------------------------------------------------
-
-#: the site that holds merged breaker state, serial operators and the result
-COORDINATOR = 0
-
-
-def check_at_least(name: str, value: int, minimum: int = 1) -> None:
-    """The one validation rule of the executor's integer knobs."""
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-class PlacedDriver:
-    """The phased walk of a compiled program that the placed engines
-    share: per pipeline, inputs first, then one task per unit pushing it
-    through the parallel-safe stage prefix, the order-sensitive tail
-    (Distinct) on the serial lane, and the sink fold — per-unit partial
-    state from the operator's worker hooks (aggregate partials, sorted
-    runs, hash-join build parts) merged in unit order on the serial lane.
-
-    Work is tracked as ``(site, item)`` pairs in the serial engines'
-    block order; everything merged lives at :data:`COORDINATOR`.
-    Subclasses are the *placements* and supply only what differs:
-
-    * ``lane`` — the serial lane's clock;
-    * :meth:`scan_units` — how a scan splits into ``(site, morsel)``
-      units, and which clocks the page touches charge;
-    * :meth:`dispatch` — how one phase's tasks run and are accounted;
-    * :meth:`gather` / :meth:`broadcast_builds` /
-      :meth:`exchange_partials` — what moves at a breaker;
-    * :meth:`pending` and :meth:`finish` — budget and stats accounting.
-
-    Single-use, like the operator tree it drives.
-    """
-
-    def __init__(self, clock: SimClock, workers: int, morsel_rows: int,
-                 faults, registry):
-        check_at_least("workers", workers)
-        check_at_least("morsel_rows", morsel_rows)
-        self.workers = workers
-        self.morsel_rows = morsel_rows
-        self._clock = clock
-        # the tracer (if any) rides the shared clock; the serial lane and
-        # every task shard (clock.shard()) notify it for attribution
-        self._tracer = clock.tracer
-        self.faults = faults
-        self._registry = registry
-        self.tasks_dispatched = 0
-
-    # -- what a placement supplies -----------------------------------------
-
-    lane: SimClock
-
-    def scan_units(self, scan: ops.SeqScanOp) -> list[tuple[int, tuple]]:
-        raise NotImplementedError
-
-    def dispatch(self, units: list[tuple[int, Any]],
-                 fn: Callable[[Any, SimClock], Any]) -> list[tuple[int, Any]]:
-        """Run ``fn(item, task_clock)`` once per unit as one accounted
-        phase; ``(site, result)`` pairs come back in unit order."""
-        raise NotImplementedError
-
-    def gather(self, placed: list[tuple[int, Any]], op: ops.Operator,
-               label: str, rows: Callable[[Any], int] = len,
-               units: Callable[[Any], int] | None = None) -> None:
-        """Move placed items to the coordinator (``rows(item)`` counts
-        one's rows, ``units(item)`` its modeled payload units where the
-        item's own structure does not say); nothing moves when every
-        site shares one memory."""
-
-    def broadcast_builds(self, scan: ops.SeqScanOp,
-                         stages: list[PipelineStage]) -> None:
-        """Ship the built tables ``stages`` probe to wherever ``scan``'s
-        units will run."""
-
-    def exchange_partials(self, op: ops.AggregateOp,
-                          partials: list[tuple[int, ops.AggPartial]],
-                          groups: ops.PartialGroups | None) -> None:
-        """Account what the placed ``partials`` of one aggregation move
-        on the way to their merge, whose grouping is ``groups``."""
-
-    def pending(self) -> float:
-        """Seconds charged to task and lane clocks, not yet folded into
-        the shared clock."""
-        raise NotImplementedError
-
-    def finish(self, start: float | None = None) -> dict:
-        raise NotImplementedError
-
-    # -- entry -------------------------------------------------------------
-
-    def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
-        """Execute the tree; returns (result blocks, stats).  Task and
-        lane charges are folded into the shared clock even when
-        execution raises: like the serial engines, a failing query leaves
-        its partial charges behind."""
-        start = self._clock.now
-        try:
-            program = compile_pipelines(operator)
-            if program.has_limit:
-                # LIMIT stops pulling mid-stream; eager dispatch would
-                # scan (and charge) rows the serial engines never touch
-                blocks = list(run_program(program, self.lane))
-            else:
-                root = program.root
-                placed = self._placed(root)
-                self.gather(placed, root.stages[-1].op if root.stages
-                            else root.source.op, "result gather")
-                blocks = [block for _, block in placed]
-            # serial-lane charges since the last phase close (run merges,
-            # spill surcharges) are budget-checked here, before the fold
-            self.check_budget()
-        finally:
-            stats = self.finish(start)
-        return blocks, stats
-
-    def check_budget(self) -> None:
-        """Raise :class:`BudgetExceeded` once the charges accumulated so
-        far have crossed the shared clock's armed limit.  Called at each
-        phase close — the finest granularity at which task charges are
-        observable — so budgets fire mid-flight."""
-        limit = self._clock.limit
-        if limit is not None and self._clock.now + self.pending() > limit:
-            raise BudgetExceeded(f"virtual-time budget {limit} exceeded at "
-                                 f"a phase boundary")
-
-    def _op_task(self, op: ops.Operator, fn):
-        """``fn`` under ``op``'s span (a worker hook about to be
-        dispatched, or a serial-lane merge step)."""
-        return _under_span(self._tracer, op, fn)
-
-    # -- the walk ----------------------------------------------------------
-
-    def _placed(self, pipe: Pipeline, deferred: bool = False
-                ) -> list[tuple[int, RowBlock | BlockCarrier]]:
-        """Execute one pipeline (inputs first); returns its output blocks
-        with their sites, in serial-engine block order.  With
-        ``deferred``, the outputs of a last pass that ran as tasks are
-        still carriers (see :class:`BlockPass`)."""
-        for dep in pipe.inputs:
-            self._run_to_sink(dep)
-        safe: list[PipelineStage] = []
-        tail: list[PipelineStage] = []
-        for stage in pipe.stages:
-            (tail if tail or not stage.parallel_safe else safe).append(stage)
-        source = pipe.source
-        if isinstance(source, ScanSource):
-            self.broadcast_builds(source.op, safe)
-            # splitting touches the buffer pool: attribute the page
-            # charges to the scan, where the serial engines' pulls put them
-            units = self._op_task(source.op, self.scan_units)(source.op)
-            placed = self._tasks(units, BlockPass(safe, self._tracer, source,
-                                                  deferred and not tail))
-        else:
-            # breaker sinks replay their merged result; serial operators
-            # (IndexScan, NestedLoopJoin, EmptyRow) run on the serial lane
-            placed = [(COORDINATOR, carrier.materialize())
-                      for carrier in source.carriers(self.lane)]
-            if safe:
-                placed = self._tasks(placed, BlockPass(
-                    safe, self._tracer, deferred=deferred and not tail))
-        if tail:
-            self.gather(placed, tail[0].op, "serial tail")
-            tail_pass = BlockPass(tail, self._tracer)
-            placed = self._credited(tail_pass, [
-                (COORDINATOR, tail_pass.task(block, self.lane))
-                for _, block in placed])
-        return placed
-
-    def _tasks(self, units: list, block_pass: BlockPass
-               ) -> list[tuple[int, RowBlock]]:
-        return self._credited(block_pass,
-                              self.dispatch(units, block_pass.task))
-
-    @staticmethod
-    def _credited(block_pass: BlockPass, results: list
-                  ) -> list[tuple[int, RowBlock]]:
-        """Attribute the passes' per-operator counts (only the
-        coordinator writes ``rows_out``) and keep the surviving blocks."""
-        placed = []
-        for site, (lens, block) in results:
-            block_pass.credit(lens)
-            if block is not None:
-                placed.append((site, block))
-        return placed
-
-    def _run_to_sink(self, pipe: Pipeline) -> None:
-        """Run a breaker pipeline and fold its blocks into its sink; the
-        merged result lives on the coordinator."""
-        sink = pipe.sink
-        op = sink.op
-        placed = self._placed(pipe, deferred=isinstance(sink, AggregateSink))
-        if isinstance(sink, AggregateSink):
-            result = self._fold_aggregate(op, placed)
-            sink.result_blocks = [] if result is None else [result]
-        elif isinstance(sink, SortSink):
-            # per-unit sorted runs (each charging its own n_i*log2(n_i)),
-            # then one stable sort over them on the lane charging the
-            # remainder
-            runs = self.dispatch(placed, self._op_task(op, op.sort_block))
-            self.gather(runs, op, "sorted runs", units=op.run_units)
-            sink.result_blocks = self._op_task(op, op.merge_runs)(
-                [run for _, run in runs], self.lane)
-            for block in sink.result_blocks:
-                op.rows_out += len(block)
-        elif isinstance(sink, BuildSink):
-            parts = self.dispatch(placed, self._op_task(op, op.build_block))
-            self.gather(parts, op, "build parts", rows=lambda part: part[0],
-                        units=op.part_units)
-            sink.table = self._op_task(op, op.merge_build)(
-                [part for _, part in parts], self.lane)
-        else:  # CollectSink: plain collection, no merge charges
-            self.gather(placed, op, "collect gather")
-            sink.result_blocks = [block for _, block in placed]
-
-    def _fold_aggregate(self, op: ops.AggregateOp, placed: list
-                        ) -> RowBlock | None:
-        """Per-unit partial aggregation, then the one merge on the lane:
-        the partitioner over the partials' representatives, which the
-        placement reads to account what a real deployment would move,
-        and the fold.  The fold accumulates raw values in global unit
-        order, so results are bit-identical to the serial engines; the
-        merge charges nothing (every per-row cost was charged in a
-        task)."""
-        def partial(item, clock):
-            # a scan task's survivor arrives with its selection deferred
-            carrier = item if isinstance(item, BlockCarrier) \
-                else BlockCarrier(item)
-            return op.partial_block(carrier.block, carrier.mask,
-                                    carrier.count, clock)
-
-        partials = self.dispatch(placed, self._op_task(op, partial))
-        groups = op.group_partials([partial for _, partial in partials])
-        self.exchange_partials(op, partials, groups)
-        return self._op_task(op, op.finish_partials)(groups)
+    under_span(clock.tracer, sink.op, sink.finish)(clock)

@@ -30,9 +30,9 @@ module closes both gaps:
 
 Time model
 ----------
-Like the morsel scheduler's :class:`~repro.common.simtime.WorkerClocks`,
-the server executes all work in deterministic program order but *places*
-it in virtual time with :class:`~repro.common.simtime.LaneSchedule`: a
+Like the placed execution engines' scheduler, the server executes all
+work in deterministic program order but *places* it in virtual time with
+:class:`~repro.common.simtime.LaneSchedule`: a
 request's latency is ``completion - arrival`` on that modeled timeline,
 and every virtual second of work is still charged exactly once to the
 database's shared clock.  A single request served here charges

@@ -235,15 +235,17 @@ class TestChargeCategoryPass:
 
 
 OPERATORS_SRC = (SRC / "exec" / "operators.py").read_text(encoding="utf-8")
-PARALLEL_SRC = (SRC / "exec" / "parallel.py").read_text(encoding="utf-8")
+SCHEDULER_SRC = (SRC / "exec" / "distributed.py").read_text(
+    encoding="utf-8")
 PIPELINE_SRC = (SRC / "exec" / "pipeline.py").read_text(encoding="utf-8")
 
 
-def race_findings(operators=OPERATORS_SRC, parallel=PARALLEL_SRC,
+def race_findings(operators=OPERATORS_SRC, scheduler=SCHEDULER_SRC,
                   pipeline=PIPELINE_SRC):
+    # the order tools/analyze.py walks them in
     modules = [
+        load_module("repro/exec/distributed.py", scheduler),
         load_module("repro/exec/operators.py", operators),
-        load_module("repro/exec/parallel.py", parallel),
         load_module("repro/exec/pipeline.py", pipeline),
     ]
     return unsuppressed(run_passes(modules, [RaceAnalysisPass()]))
@@ -283,34 +285,33 @@ class TestRaceAnalysisPass:
                      "self._op_task(op, op.sort_block))\n")
 
     def test_dispatch_drift_detected(self):
-        """A new hook dispatched by the walk (or mapped by the worker
-        pool) without a matching EXPECTED_WORKER_HOOKS entry is a
-        finding."""
-        assert self.SORT_DISPATCH in PIPELINE_SRC
-        drifted = PIPELINE_SRC.replace(
+        """A new hook handed to the one ``dispatch`` without a matching
+        EXPECTED_WORKER_HOOKS entry is a finding — and so is an audited
+        hook that is no longer dispatched."""
+        assert self.SORT_DISPATCH in SCHEDULER_SRC
+        drifted = SCHEDULER_SRC.replace(
             self.SORT_DISPATCH, self.SORT_DISPATCH
             + "            self.dispatch(placed, op.shiny_new_hook)\n")
-        found = race_findings(pipeline=drifted)
+        found = race_findings(scheduler=drifted)
         assert any(f.rule == "dispatch-drift"
                    and "shiny_new_hook" in f.message for f in found)
-        marker = "        results = self.map("
-        assert marker in PARALLEL_SRC
-        drifted = PARALLEL_SRC.replace(
-            marker, "        self.map([], op.pool_only_hook)\n" + marker)
-        found = race_findings(parallel=drifted)
+        dropped = SCHEDULER_SRC.replace(
+            self.SORT_DISPATCH, "            runs = []\n")
+        found = race_findings(scheduler=dropped)
         assert any(f.rule == "dispatch-drift"
-                   and "pool_only_hook" in f.message for f in found)
+                   and "no longer dispatched: ['sort_block']" in f.message
+                   for f in found)
 
     def test_dispatch_seen_through_tracing_shim(self):
         """The derived hook set must see through the ``_op_task``
         wrapper: dropping a shimmed hook from EXPECTED_WORKER_HOOKS
         would drift, so the shimmed form itself must derive cleanly."""
         assert "sort_block" in EXPECTED_WORKER_HOOKS
-        drifted = PIPELINE_SRC.replace(
+        drifted = SCHEDULER_SRC.replace(
             self.SORT_DISPATCH,
             self.SORT_DISPATCH.replace("sort_block", "shim_only_hook"))
-        assert drifted != PIPELINE_SRC
-        found = race_findings(pipeline=drifted)
+        assert drifted != SCHEDULER_SRC
+        found = race_findings(scheduler=drifted)
         assert any(f.rule == "dispatch-drift"
                    and "shim_only_hook" in f.message for f in found)
 
@@ -359,7 +360,7 @@ class TestRaceAnalysisPass:
         """Index-local stores and local mutations — the scheduler's own
         idiom — must not be flagged."""
         src = ("import threading\n"
-               "class MorselScheduler:\n"
+               "class DistributedScheduler:\n"
                "    def _go(self, items):\n"
                "        results = [None] * len(items)\n"
                "        def work():\n"
@@ -369,7 +370,7 @@ class TestRaceAnalysisPass:
                "                results[i] = local\n"
                "        t = threading.Thread(target=work)\n"
                "        t.start()\n")
-        mod = load_module("repro/exec/parallel.py", src)
+        mod = load_module("repro/exec/distributed.py", src)
         assert unsuppressed(run_passes([mod], [RaceAnalysisPass()])) == []
 
 

@@ -9,6 +9,13 @@ cases (non-constant LIKE, scalar functions) and the Table 1 workload
 predicates.  The parallel engine runs with deliberately tiny morsels
 (16 rows) and several workers so every query exercises real morsel
 splitting, per-morsel partials, and the morsel-order merge.
+
+Every placed task of this file also runs **twice** (``rerun_every_task``):
+the scheduler re-executes a morsel after a transient failure and models a
+phase's tasks as overlapping, which is only right if a task hook leaves
+nothing behind — the second run, on a fresh clock, must return the same
+result and make the same charges.  ``analysis/races.py`` holds the same
+contract statically; this is its dynamic half.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.common.simtime import SimClock
+from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.pipeline import FUSED_SCAN_ROWS
 from repro.sql import parse
@@ -169,11 +178,58 @@ def _typed(rows):
     return [tuple((type(v), v) for v in row) for row in rows]
 
 
+def _fingerprint(value):
+    """A task result as nested ``(type, repr)`` leaves: blocks, carriers,
+    aggregate partials, typed columns and arrays by their public content
+    (``_``-prefixed slots are derived caches)."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", str(value.dtype),
+                [_fingerprint(item) for item in value.tolist()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_fingerprint(item) for item in value])
+    slots = getattr(type(value), "__slots__", None)
+    if slots is None or isinstance(value, (int, float, str)):
+        return (type(value).__name__, repr(value))
+    return (type(value).__name__,
+            [(name, _fingerprint(getattr(value, name)))
+             for name in slots if not name.startswith("_")])
+
+
+@pytest.fixture(autouse=True)
+def rerun_every_task(monkeypatch):
+    """Run every dispatched task a second time on a fresh task clock and
+    hold it to the first run: same result, same charges."""
+    dispatch = DistributedScheduler.dispatch
+    reruns = []
+
+    def checked(self, units, fn):
+        def twice(item, tclock):
+            result = fn(item, tclock)
+            again_clock = SimClock()
+            again = fn(item, again_clock)
+            reruns.append(item)
+            assert _fingerprint(again) == _fingerprint(result)
+            assert again_clock.breakdown() == tclock.breakdown()
+            return result
+        return dispatch(self, units, twice)
+
+    monkeypatch.setattr(DistributedScheduler, "dispatch", checked)
+    return reruns
+
+
 def _parallel_engine(db):
     """The sweep's parallel executor: tiny morsels + several workers, so
     even the 60-row tables split into many morsels."""
     return Executor(db.catalog, db.clock, engine="parallel", workers=4,
                     morsel_rows=16)
+
+
+def test_every_task_is_run_twice(parity_db, rerun_every_task):
+    plan = parity_db.planner.plan_select(parse(
+        "SELECT city, count(*), sum(score) FROM users GROUP BY city "
+        "ORDER BY city"))
+    stats = _parallel_engine(parity_db).run(plan).extra["parallel"]
+    assert len(rerun_every_task) == stats["tasks"] > 0
 
 
 @pytest.mark.parametrize("sql", PARITY_QUERIES)

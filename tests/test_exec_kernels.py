@@ -19,7 +19,11 @@ Charges are part of the contract: per-category charged seconds and the
 distributed engine's exchange log (kind, rows, modeled bytes, messages)
 must equal what ``tests/exec_kernels_golden.json`` holds a digest of,
 recorded at the commit *before* the kernels landed (``KERNELS_RECORD=1``
-rewrites it; only ``STORAGE_SEED=0`` is recorded).
+rewrites it; only ``STORAGE_SEED=0`` is recorded).  A digest says *that*
+a record moved, not what: ``KERNELS_DUMP=<file>`` also writes the
+undigested records (``{case: {sql: {plan | engine: record}}}``), so a
+re-record is preceded by a dump at the parent commit, one at the change,
+and a diff of the two (``docs/parallel.md``, "Re-recording the golden").
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from test_storage_typed import (
 
 GOLDEN = Path(__file__).with_name("exec_kernels_golden.json")
 RECORD = os.environ.get("KERNELS_RECORD") == "1"
+DUMP = os.environ.get("KERNELS_DUMP")
 
 # key regimes on top of the storage generator's
 INT_KEY, FLOAT_KEY, INT_2_53, FLOAT_2_53 = "ik", "fk", "i53", "f53"
@@ -207,26 +212,30 @@ def _plans(db, sql: str) -> list[plan.PlanNode]:
 
 def _run(db, node, engine: str, kwargs: dict):
     """(rows, record): the record holds what must not move — charged
-    seconds per category on a fresh clock (a pure function of the charge
-    sequence) and, for the distributed engine, the exchange log."""
+    seconds per category as a pure function of the charge sequence (a
+    fresh clock on the batch engine, the scheduler's own fold on the
+    placed ones: the executor's clock is private here, so the buffer
+    pool's charges reach it only through the placed engines' page
+    clocks) and, for the distributed engine, the exchange log."""
     clock = SimClock()
     result = Executor(db.catalog, clock, engine=engine, **kwargs).run(node)
     record = {"charged": dict(clock.breakdown())}
-    if engine == "distributed":
-        stats = result.extra["distributed"]
+    if engine != "batch":
+        stats = result.extra[engine]
         record["charged"] = stats["charged_by_category"]
+    if engine == "distributed":
         record["exchanges"] = [
             [e["kind"], e["label"], e["rows"], e["bytes"], e["messages"]]
             for e in stats["exchanges"]]
     return result.rows, record
 
 
-def _sweep(density: float, empty: bool = False) -> dict:
+def _sweep(case: str, density: float, empty: bool = False) -> dict:
     """Run every query on every engine against the row oracle; returns
     ``{sql: digest}`` — an exact fingerprint (floats by ``repr``) of the
     query's records on every plan and engine configuration."""
     plain, sharded = _databases(density, empty)
-    digests = {}
+    digests, dump = {}, {}
     for sql in QUERIES:
         records = {}
         for db, engines in ((plain, ENGINES), (sharded, SHARDED_ENGINES)):
@@ -240,6 +249,12 @@ def _sweep(density: float, empty: bool = False) -> dict:
                         f"{sql} | {where}"
         text = json.dumps(records, sort_keys=True)
         digests[sql] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        dump[sql] = records
+    if DUMP:
+        path = Path(DUMP)
+        cases = json.loads(path.read_text()) if path.exists() else {}
+        cases[case] = dump
+        path.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     return digests
 
 
@@ -256,8 +271,9 @@ def _check_golden(case: str, digests: dict) -> None:
 
 @pytest.mark.parametrize("density", DENSITIES)
 def test_kernels_match_row_oracle_and_recorded_charges(density):
-    _check_golden(f"density={density}", _sweep(density))
+    case = f"density={density}"
+    _check_golden(case, _sweep(case, density))
 
 
 def test_kernels_on_empty_tables():
-    _check_golden("empty", _sweep(0.0, empty=True))
+    _check_golden("empty", _sweep("empty", 0.0, empty=True))

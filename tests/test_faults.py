@@ -3,7 +3,9 @@
 The headline invariant (``docs/faults.md``): under **any** seeded fault
 plan, recovered results are bit-identical — rows *and* final answers — to
 the fault-free run.  The fault-sweep parity suite asserts it at workers
-1/2/4 for the seed in ``FAULT_SEED`` (CI runs a 3-seed matrix).
+1/2/4 on every placement (``parallel``, ``distributed`` at one node and
+at four nodes over four shards — one scheduler, ``PLACEMENTS``) for the
+seed in ``FAULT_SEED`` (CI runs a 3-seed matrix).
 
 Beyond the sweep: FaultPlan determinism and validation, scheduler crash
 recovery and retry-budget exhaustion, replicated-table failover /
@@ -15,7 +17,7 @@ counters (``PredictServer.stats()``, ``NeurDB.warnings()``).
 from __future__ import annotations
 
 import os
-import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from repro.common.errors import (
 )
 from repro.common.faults import KINDS, NO_FAULTS, FaultPlan, FaultSpec
 from repro.common.simtime import BudgetExceeded, SimClock
+from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
-from repro.exec.parallel import MorselScheduler
 from repro.serve import PredictServer
 from repro.sql import parse
 from repro.storage import (
@@ -146,8 +148,8 @@ class TestFaultPlan:
 # -- fault-sweep parity: the headline invariant ------------------------------
 
 
-def _chaos_db(rows: int = 300):
-    db = repro.connect()
+def _chaos_db(rows: int = 300, **connect):
+    db = repro.connect(**connect)
     db.execute("CREATE TABLE t (id INT UNIQUE, grp TEXT, v FLOAT)")
     heap = db.catalog.table("t")
     for i in range(rows):
@@ -162,39 +164,117 @@ SWEEP_QUERIES = [
     "SELECT id, v FROM t WHERE v > 20.0 ORDER BY v DESC",
 ]
 
+TASK_KINDS = ("task_error", "worker_crash", "slow_worker", "slow_node")
+
+
+def _compute(stats):
+    """Charged seconds per category, injected latency aside — a pure
+    function of the charge sequence (``charged_by_category``)."""
+    return {category: seconds
+            for category, seconds in stats["charged_by_category"].items()
+            if category != "fault-slow"}
+
 
 class TestFaultSweepParity:
-    """Chaos at workers 1/2/4 never changes a single bit of the answer."""
+    """Chaos at workers 1/2/4 never changes a single bit of the answer.
+    The subclasses below re-run every test on the other spelling of the
+    one placed scheduler."""
+
+    #: engine, executor knobs, connect options
+    engine, knobs, connect = "parallel", {}, {}
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("sql", SWEEP_QUERIES)
     def test_recovered_results_bit_identical(self, sql, workers):
-        db = _chaos_db()
+        engine, knobs = self.engine, self.knobs
+        db = _chaos_db(**self.connect)
         plan_node = db.planner.plan_select(parse(sql))
-        expected = Executor(db.catalog, db.clock, engine="parallel",
-                            workers=workers).run(plan_node)
-        chaos = FaultPlan.chaos(FAULT_SEED, rate=0.08, latency=1e-4)
-        result = Executor(db.catalog, db.clock, engine="parallel",
-                          workers=workers, faults=chaos,
-                          retry_limit=6).run(plan_node)
+
+        def run(faults=None):
+            return Executor(db.catalog, db.clock, engine=engine,
+                            workers=workers, morsel_rows=32, faults=faults,
+                            retry_limit=6, **knobs).run(plan_node)
+
+        expected = run()
+        # every task kind at once: rows survive, every injected failure
+        # is a counted recovery
+        chaos = FaultPlan.chaos(FAULT_SEED, rate=0.08, latency=1e-4,
+                                kinds=TASK_KINDS)
+        result = run(chaos)
         assert _typed(result.rows) == _typed(expected.rows)
-        stats = result.extra["parallel"]
+        stats = result.extra[engine]
         injected = chaos.counts()
-        recovered = (stats["task_retries"] + stats["crashes_recovered"])
-        assert recovered == (injected.get("task_error", 0)
-                             + injected.get("worker_crash", 0))
+        assert stats["task_retries"] == injected.get("task_error", 0)
+        assert stats["crashes_recovered"] == injected.get("worker_crash", 0)
+        assert stats["tasks"] == expected.extra[engine]["tasks"]
+        # without crashes (whose lost attempts keep their charges) the
+        # compute charges are the fault-free run's, bit for bit: a task
+        # error strikes before the work, latency lands in its own category
+        mild = FaultPlan.chaos(
+            FAULT_SEED, rate=0.2, latency=1e-4,
+            kinds=("task_error", "slow_worker", "slow_node"))
+        result = run(mild)
+        assert mild.count() > 0, "chaos plan never fired; raise the rate"
+        assert _typed(result.rows) == _typed(expected.rows)
+        assert _compute(result.extra[engine]) \
+            == _compute(expected.extra[engine])
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_scheduled_fault_fires_and_is_recovered(self, kind):
+        """Every task fault kind acts on both spellings: armed on morsel
+        1 of each phase, it fires, rows stay the fault-free run's and —
+        a crash's re-run aside — so do the compute charges."""
+        engine, knobs = self.engine, self.knobs
+        db = _chaos_db(**self.connect)
+        plan_node = db.planner.plan_select(parse(SWEEP_QUERIES[1]))
+
+        def run(faults=None):
+            return Executor(db.catalog, db.clock, engine=engine, workers=2,
+                            morsel_rows=32, faults=faults, retry_limit=2,
+                            **knobs).run(plan_node)
+
+        clean = run()
+        plan = FaultPlan(FAULT_SEED).arm(kind, times=(1,), latency=1e-3)
+        faulty = run(plan)
+        assert plan.count(kind) >= 1
+        assert _typed(faulty.rows) == _typed(clean.rows)
+        stats, base = faulty.extra[engine], clean.extra[engine]
+        assert stats["task_retries"] == plan.count("task_error")
+        assert stats["crashes_recovered"] == plan.count("worker_crash")
+        slow = stats["charged_by_category"].get("fault-slow", 0.0)
+        if kind.startswith("slow"):
+            assert slow == pytest.approx(1e-3 * plan.count(kind))
+            assert stats["virtual_makespan"] > base["virtual_makespan"]
+        else:
+            assert slow == 0.0
+        if kind == "worker_crash":
+            assert stats["virtual_charged"] > base["virtual_charged"]
+        else:
+            assert _compute(stats) == _compute(base)
+
+    def test_retry_limit_is_honoured(self):
+        engine, knobs = self.engine, self.knobs
+        db = _chaos_db(**self.connect)
+        plan_node = db.planner.plan_select(parse(SWEEP_QUERIES[0]))
+        always = FaultPlan(FAULT_SEED).arm("task_error", rate=1.0)
+        executor = Executor(db.catalog, db.clock, engine=engine,
+                            faults=always, retry_limit=2, **knobs)
+        with pytest.raises(TransientError):
+            executor.run(plan_node)
+        assert always.count("task_error") == 3   # 1 attempt + 2 retries
 
     def test_injected_multiset_independent_of_worker_count(self):
         """The same seed injects the same faults at workers 1, 2, and 4 —
-        thread interleaving cannot perturb the chaos."""
+        the worker count cannot perturb the chaos."""
+        engine, knobs = self.engine, self.knobs
         counts = []
         for workers in (1, 2, 4):
-            db = _chaos_db()
+            db = _chaos_db(**self.connect)
             plan_node = db.planner.plan_select(parse(SWEEP_QUERIES[1]))
             chaos = FaultPlan.chaos(FAULT_SEED, rate=0.15, latency=1e-4)
-            Executor(db.catalog, db.clock, engine="parallel",
-                     workers=workers, faults=chaos,
-                     retry_limit=8).run(plan_node)
+            Executor(db.catalog, db.clock, engine=engine,
+                     workers=workers, morsel_rows=32, faults=chaos,
+                     retry_limit=8, **knobs).run(plan_node)
             counts.append(chaos.counts())
         assert counts[0] == counts[1] == counts[2]
 
@@ -202,28 +282,49 @@ class TestFaultSweepParity:
         """Crashed attempts keep their charges: a chaotic run charges
         strictly more virtual time than the fault-free run, and the
         makespan models the shrunken worker pool."""
-        db = _chaos_db()
+        engine, knobs = self.engine, self.knobs
+        db = _chaos_db(**self.connect)
         plan_node = db.planner.plan_select(parse(SWEEP_QUERIES[0]))
-        clean = Executor(db.catalog, db.clock, engine="parallel",
-                         workers=4).run(plan_node)
+        clean = Executor(db.catalog, db.clock, engine=engine,
+                         workers=4, **knobs).run(plan_node)
         chaos = FaultPlan(seed=FAULT_SEED).arm("worker_crash", times=(0,))
-        faulty = Executor(db.catalog, db.clock, engine="parallel",
+        faulty = Executor(db.catalog, db.clock, engine=engine,
                           workers=4, faults=chaos,
-                          retry_limit=4).run(plan_node)
+                          retry_limit=4, **knobs).run(plan_node)
         assert chaos.count("worker_crash") >= 1
         assert faulty.virtual_seconds > clean.virtual_seconds
-        assert (faulty.extra["parallel"]["virtual_makespan"]
-                >= clean.extra["parallel"]["virtual_makespan"])
+        assert (faulty.extra[engine]["virtual_makespan"]
+                >= clean.extra[engine]["virtual_makespan"])
+
+
+class TestFaultSweepParityDistributedOneNode(TestFaultSweepParity):
+    engine, knobs, connect = "distributed", {"nodes": 1}, {}
+
+
+class TestFaultSweepParityDistributedSharded(TestFaultSweepParity):
+    """Four nodes over four shards: real exchanges under the recovery."""
+    engine, knobs, connect = "distributed", {"nodes": 4}, {"shards": 4}
 
 
 # -- scheduler recovery mechanics --------------------------------------------
 
 
+def _scheduler(clock=None, nodes=1, **knobs):
+    return DistributedScheduler(clock if clock is not None else SimClock(),
+                                nodes=nodes, **knobs)
+
+
+def _map(sched, items, fn):
+    """One phase over ``items``, spread round-robin over the nodes."""
+    units = [(i % sched.nodes, item) for i, item in enumerate(items)]
+    return [result for _, result in sched.dispatch(units, fn)]
+
+
 class TestSchedulerRecovery:
     def test_scheduled_crash_is_recovered(self):
         plan = FaultPlan(seed=0).arm("worker_crash", times=(2,))
-        sched = MorselScheduler(SimClock(), workers=3, faults=plan)
-        out = sched.map(list(range(8)), lambda item, shard: item * 10)
+        sched = _scheduler(workers=3, faults=plan)
+        out = _map(sched, list(range(8)), lambda item, shard: item * 10)
         assert out == [i * 10 for i in range(8)]
         assert sched.crashes_recovered == 1
         assert sched.finish()["crashes_recovered"] == 1
@@ -232,78 +333,98 @@ class TestSchedulerRecovery:
         plan = FaultPlan(seed=0).arm("slow_worker", times=(1,),
                                      latency=0.5)
         clock = SimClock()
-        sched = MorselScheduler(clock, workers=2, faults=plan)
-        sched.map([0, 1, 2], lambda item, shard: item)
+        sched = _scheduler(clock, workers=2, faults=plan)
+        _map(sched, [0, 1, 2], lambda item, shard: item)
         sched.finish()
         assert clock.breakdown().get("fault-slow") == pytest.approx(0.5)
 
+    def test_crash_removes_a_lane_from_its_node_only(self):
+        """Four 1s tasks on 2 nodes x 2 workers; morsel 0 (node 0)
+        crashes once: node 0 runs its three attempts on the one
+        surviving lane (3s), node 1 its two on two lanes (1s)."""
+        plan = FaultPlan(seed=0).arm("worker_crash", times=(0,))
+        sched = _scheduler(nodes=2, workers=2, faults=plan)
+        _map(sched, list(range(4)),
+             lambda item, tclock: tclock.advance(1.0, "work"))
+        stats = sched.finish()
+        assert stats["virtual_charged"] == pytest.approx(5.0)
+        assert stats["virtual_makespan"] == pytest.approx(3.0)
+        busy = [node["busy_seconds"] for node in stats["per_node"]]
+        assert busy == [pytest.approx(3.0), pytest.approx(1.0)]
+
     def test_retry_budget_exhaustion_raises_transient(self):
         plan = FaultPlan(seed=0).arm("task_error", rate=1.0)
-        sched = MorselScheduler(SimClock(), workers=2, faults=plan,
-                                retry_limit=3)
+        sched = _scheduler(workers=2, faults=plan, retry_limit=3)
         with pytest.raises(TransientError):
-            sched.map([0, 1], lambda item, shard: item)
+            _map(sched, [0, 1], lambda item, shard: item)
         # the budget was spent before giving up
         assert sched.task_retries == 3
 
     def test_zero_retry_limit_escalates_immediately(self):
         plan = FaultPlan(seed=0).arm("task_error", times=(0,))
-        sched = MorselScheduler(SimClock(), workers=2, faults=plan,
-                                retry_limit=0)
+        sched = _scheduler(workers=2, faults=plan, retry_limit=0)
         with pytest.raises(TransientError):
-            sched.map([0, 1], lambda item, shard: item)
+            _map(sched, [0, 1], lambda item, shard: item)
         assert sched.task_retries == 0
 
     def test_non_retryable_errors_are_not_retried(self):
-        sched = MorselScheduler(SimClock(), workers=2, retry_limit=5)
+        sched = _scheduler(workers=2, retry_limit=5)
 
         def boom(item, shard):
             raise ExecutionError("real bug, not chaos")
 
         with pytest.raises(ExecutionError):
-            sched.map([0, 1, 2], boom)
+            _map(sched, [0, 1, 2], boom)
         assert sched.task_retries == 0
 
     def test_failing_morsel_stops_the_phase_at_any_worker_count(self):
         """A non-retryable error in morsel ``k`` surfaces as itself with
-        morsels ``0..k`` run and charged and none past ``k`` started —
-        the same clock reading at every ``workers``."""
+        morsels ``0..k`` run and charged, none past ``k`` started and the
+        phase closed over them — the same clock reading at every
+        ``workers``, on one node and on four."""
         readings = []
-        for workers in (1, 2, 4, 8):
+        for nodes, workers in product((1, 4), (1, 2, 4, 8)):
             clock = SimClock()
-            sched = MorselScheduler(clock, workers=workers, retry_limit=5)
+            sched = _scheduler(clock, nodes=nodes, workers=workers,
+                               retry_limit=5)
             ran = []
 
             def task(item, shard):
                 ran.append(item)
                 shard.advance(0.001 * (item + 1), "scan")
                 if item == 5:
-                    time.sleep(0.01)  # a pool would run ahead meanwhile
                     raise ExecutionError(f"morsel {item} is broken")
                 return item
 
             try:
                 with pytest.raises(ExecutionError, match="morsel 5"):
-                    sched.map(list(range(12)), task)
+                    _map(sched, list(range(12)), task)
             finally:
                 stats = sched.finish()
             assert ran == [0, 1, 2, 3, 4, 5]
             assert stats["task_retries"] == 0
+            # the phase was closed: its tasks are on the modeled timeline
+            assert stats["phases"] == 1
+            assert sum(node["compute_seconds"]
+                       for node in stats["per_node"]) == pytest.approx(0.021)
+            assert 0.006 <= stats["virtual_makespan"] <= 0.021 + 1e-12
+            if nodes == workers == 1:
+                assert stats["virtual_makespan"] == pytest.approx(0.021)
             readings.append((clock.now, clock.breakdown()))
         assert readings[0][0] == pytest.approx(0.021)
         assert all(reading == readings[0] for reading in readings)
 
     def test_keyboard_interrupt_propagates_immediately(self):
-        """The worker loop must re-raise KeyboardInterrupt/SystemExit as
+        """The dispatch loop must re-raise KeyboardInterrupt/SystemExit as
         themselves — never swallowed into task-failure handling, never
         retried."""
-        sched = MorselScheduler(SimClock(), workers=2, retry_limit=5)
+        sched = _scheduler(workers=2, retry_limit=5)
 
         def interrupted(item, shard):
             raise KeyboardInterrupt()
 
         with pytest.raises(KeyboardInterrupt):
-            sched.map(list(range(4)), interrupted)
+            _map(sched, list(range(4)), interrupted)
         assert sched.task_retries == 0
 
     def test_budget_exhaustion_not_swallowed_by_fault_retries(self):
@@ -327,7 +448,7 @@ class TestSchedulerRecovery:
 
     def test_retry_limit_validation(self):
         with pytest.raises(ValueError):
-            MorselScheduler(SimClock(), workers=2, retry_limit=-1)
+            _scheduler(workers=2, retry_limit=-1)
 
 
 # -- replicated storage -------------------------------------------------------

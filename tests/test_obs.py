@@ -233,6 +233,44 @@ class TestSpans:
             traces.append((events, spans, _typed(result.rows)))
         assert traces[0] == traces[1] == traces[2]
 
+    @pytest.mark.parametrize("engine, knobs", [
+        ("parallel", {}), ("distributed", {"nodes": 2})])
+    def test_task_spans_name_the_morsel_they_ran(self, engine, knobs):
+        """A span carries the (phase, morsel, attempt) its dispatch ran,
+        not its position among the phase's attempts: with 3 morsels and
+        one crash at morsel 1, the scan phase's spans are morsel 0, 1,
+        1 (attempt 1), 2 — and a fault event is labelled like the span of
+        the attempt it ended."""
+        db = repro.connect()
+        db.execute("CREATE TABLE t (id INT, v FLOAT)")
+        heap = db.catalog.table("t")
+        for i in range(48):
+            heap.insert((i, i * 0.5))
+        plan = FaultPlan(seed=0).arm("worker_crash", times=(1,))
+        executor = Executor(db.catalog, db.clock, engine=engine, workers=2,
+                            morsel_rows=16, faults=plan, **knobs)
+        tracer = Tracer()
+        tracer.attach(db.clock)
+        try:
+            result = executor.run(db.planner.plan_select(
+                parse("SELECT id FROM t WHERE v >= 0")))
+        finally:
+            Tracer.detach(db.clock)
+        assert len(result.rows) == 48
+        spans = tracer.spans_of_kind("task")
+        assert [(s.attrs["phase"], s.attrs["morsel"], s.attrs["attempt"])
+                for s in spans] == [(0, 0, 0), (0, 1, 0), (0, 1, 1),
+                                    (0, 2, 0)]
+        assert [s.name for s in spans] == [
+            "morsel p0.0", "morsel p0.1", "morsel p0.1 retry 1",
+            "morsel p0.2"]
+        assert all(s.attrs["node"] == 0 for s in spans)
+        assert {s.attrs["worker"] for s in spans} <= {0, 1}
+        crash, = tracer.events
+        assert crash["name"] == "worker_crash"
+        assert (crash["phase"], crash["morsel"], crash["attempt"],
+                crash["node"]) == (0, 1, 0, 0)
+
     def test_statement_span_owns_charges(self):
         db = _build_db()
         tracer = Tracer()

@@ -1,4 +1,5 @@
-"""Morsel scheduler edge cases and guarantees.
+"""Placed scheduler edge cases and guarantees, at one node
+(``engine="parallel"``; tests/test_distributed.py has the many-node ones).
 
 The three-way result parity lives in test_batch_parity.py; this file
 exercises the scheduler itself: degenerate morsel shapes (empty tables,
@@ -15,9 +16,9 @@ import threading
 import pytest
 
 import repro
-from repro.common.simtime import SimClock, WorkerClocks
+from repro.common.simtime import SimClock
+from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
-from repro.exec.parallel import MorselScheduler
 from repro.sql import parse
 
 
@@ -201,47 +202,58 @@ def test_limit_plans_run_on_serial_lane():
     batch = _run(db, sql, engine="batch")
     parallel = _run(db, sql, engine="parallel", workers=4, morsel_rows=8)
     assert parallel.rows == batch.rows
-    assert parallel.extra["parallel"]["parallel_phases"] == 0
+    assert parallel.extra["parallel"]["phases"] == 0
     assert parallel.virtual_seconds == pytest.approx(
         batch.virtual_seconds, rel=1e-9, abs=1e-12)
 
 
-# -- WorkerClocks ------------------------------------------------------------
+# -- the phase model: list scheduling onto the workers ------------------------
+
+def _charge(seconds, category):
+    return lambda item, tclock: tclock.advance(seconds, category)
+
 
 def test_worker_clocks_list_scheduling():
-    """Six equal 1s tasks on 2 virtual workers => 3s makespan, 6s total."""
-    clocks = WorkerClocks()
-    shards = []
-    for _ in range(6):
-        shard = SimClock()
-        shard.advance(1.0, "work")
-        shards.append(shard)
-    clocks.close_phase(shards, workers=2)
-    assert clocks.total() == pytest.approx(6.0)
-    assert clocks.makespan() == pytest.approx(3.0)
-    target = SimClock()
-    clocks.merge_into(target)
-    assert target.now == pytest.approx(6.0)
-    assert target.category_total("work") == pytest.approx(6.0)
+    """Six equal 1s tasks on 2 virtual workers => 3s makespan, 6s total,
+    all of it folded into the shared clock under its category."""
+    clock = SimClock()
+    sched = DistributedScheduler(clock, nodes=1, workers=2)
+    sched.dispatch([(0, i) for i in range(6)], _charge(1.0, "work"))
+    stats = sched.finish()
+    assert stats["virtual_charged"] == pytest.approx(6.0)
+    assert stats["virtual_makespan"] == pytest.approx(3.0)
+    assert (stats["phases"], stats["tasks"]) == (1, 6)
+    assert stats["charged_by_category"] == {"work": pytest.approx(6.0)}
+    assert clock.now == pytest.approx(6.0)
+    assert clock.category_total("work") == pytest.approx(6.0)
+
+
+def test_one_worker_makespan_is_the_total():
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=1)
+    sched.dispatch([(0, i) for i in range(6)], _charge(1.0, "work"))
+    stats = sched.finish()
+    assert stats["virtual_makespan"] == stats["virtual_charged"] == 6.0
 
 
 def test_worker_clocks_serial_lane_counts_fully():
-    clocks = WorkerClocks()
-    clocks.serial_lane.advance(2.0, "sort")
-    shard = SimClock()
-    shard.advance(4.0, "scan")
-    clocks.close_phase([shard], workers=4)
-    assert clocks.total() == pytest.approx(6.0)
+    clock = SimClock()
+    sched = DistributedScheduler(clock, nodes=1, workers=4)
+    sched.lane.advance(2.0, "sort")
+    sched.dispatch([(0, None)], _charge(4.0, "scan"))
+    stats = sched.finish()
+    assert stats["virtual_charged"] == pytest.approx(6.0)
     # one task cannot be split across workers: 4s phase + 2s lane
-    assert clocks.makespan() == pytest.approx(6.0)
+    assert stats["virtual_makespan"] == pytest.approx(6.0)
+    assert clock.breakdown() == {"scan": 4.0, "sort": 2.0}
 
 
 def test_worker_clocks_empty_phase_is_noop():
-    clocks = WorkerClocks()
-    clocks.close_phase([], workers=4)
-    assert clocks.phases == 0
-    assert clocks.total() == 0.0
-    assert clocks.makespan() == 0.0
+    sched = DistributedScheduler(SimClock(), nodes=1, workers=4)
+    assert sched.dispatch([], _charge(1.0, "work")) == []
+    stats = sched.finish()
+    assert stats["phases"] == 0
+    assert stats["virtual_charged"] == 0.0
+    assert stats["virtual_makespan"] == 0.0
 
 
 # -- knobs and validation ----------------------------------------------------
@@ -249,9 +261,9 @@ def test_worker_clocks_empty_phase_is_noop():
 def test_scheduler_rejects_bad_knobs():
     clock = SimClock()
     with pytest.raises(ValueError):
-        MorselScheduler(clock, workers=0)
+        DistributedScheduler(clock, workers=0)
     with pytest.raises(ValueError):
-        MorselScheduler(clock, morsel_rows=0)
+        DistributedScheduler(clock, morsel_rows=0)
     with pytest.raises(ValueError):
         Executor(repro.connect().catalog, engine="parallel", workers=0)
 

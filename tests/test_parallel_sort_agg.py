@@ -175,7 +175,7 @@ def test_sort_heavy_plan_gets_modeled_speedup():
     stats = _run(db, "SELECT id, v FROM t ORDER BY v", engine="parallel",
                  workers=4).extra["parallel"]
     assert stats["modeled_speedup"] >= 2.0
-    assert stats["parallel_phases"] >= 2  # scan pipeline + run sorts
+    assert stats["phases"] >= 2  # scan pipeline + run sorts
 
 
 def test_sort_charge_split_matches_serial_total(messy_db):
@@ -257,7 +257,7 @@ def test_wide_group_by_merges_on_the_lane(wide_db):
         stats = _run(wide_db, "SELECT k, count(*) FROM w GROUP BY k",
                      engine="parallel", workers=workers,
                      morsel_rows=64).extra["parallel"]
-        assert (stats["tasks"], stats["parallel_phases"]) == (2 * morsels, 2)
+        assert (stats["tasks"], stats["phases"]) == (2 * morsels, 2)
     db = repro.connect(shards=3)
     db.execute("CREATE TABLE w (k FLOAT, v FLOAT)")
     db.execute("CREATE TABLE n (g TEXT, v INT)")

@@ -202,6 +202,18 @@ def test_with_engine_carries_knobs(db):
     assert sibling.engine == "batch" and not sibling.placed
     assert (sibling.workers, sibling.morsel_rows, sibling.retry_limit,
             sibling.nodes) == (3, 7, 5, 2)
+    # "parallel" is the one-node spelling: the knob carries through it,
+    # the scheduler it builds is pinned to one node, and the stats dict
+    # is the distributed one under the other name
+    plan = db.planner.plan_select(
+        parse("SELECT grp, sum(v) FROM t GROUP BY grp"))
+    pinned = executor.with_engine("parallel")
+    assert pinned.placed and pinned.nodes == 2
+    one, two = (ex.run(plan).extra[ex.engine] for ex in (pinned, executor))
+    assert (one["nodes"], two["nodes"]) == (1, 2)
+    assert one.keys() == two.keys()
+    assert (one["workers"], one["morsel_rows"]) == (3, 7)
+    assert pinned.with_engine("distributed").nodes == 2
 
 
 def test_pipeline_description_in_result_extra(db):
