@@ -35,6 +35,12 @@ rows/sec, not virtual time) for future PRs to compare against:
   fallback every unindexed UPDATE still takes): best wall clock over a
   run of keys, charged virtual time and rows examined per victim beside
   it.  Floor: the indexed statement >= 20x the unindexed one at 20k rows.
+  Its ``range_by_key`` case is the folded two-sided range: a 20-id
+  ``SELECT`` / ``UPDATE`` / ``DELETE ... WHERE id >= k AND id < k + 20``
+  on the same two tables, identical rows, one row examined per row
+  returned through the index; the writes hold the same 20x floor, the
+  read is held to its work (the batch engine's SeqScan of a warm typed
+  view is within 3x of twenty index probes at 20k rows).
 * ``tracing_overhead`` — the observability gate on the same workload:
   no tracer attached stays within 5% of the pre-tracing charge path,
   an attached tracer costs at most 2x.
@@ -102,6 +108,15 @@ DML_FLOOR = 5.0 if SMOKE else 20.0
 DML_KEYS = 5 if SMOKE else 15
 DML_SHAPES = {"update": "UPDATE acct SET bal = bal + 1.5 WHERE id = {}",
               "delete": "DELETE FROM acct WHERE id = {}"}
+# measured 27-35x (update) / 40-51x (delete) at 20k rows over four runs,
+# 7-10x at 4k; the SELECT reads 2.7-3.1x at 20k and is gated on rows
+# examined, not wall
+RANGE_SPAN = 20
+RANGE_SHAPES = {
+    "select": "SELECT id, bal FROM acct WHERE id >= {} AND id < {}",
+    "update": "UPDATE acct SET bal = bal + 1.5 WHERE id >= {} AND id < {}",
+    "delete": "DELETE FROM acct WHERE id >= {} AND id < {}"}
+RANGE_FLOOR = 3.0 if SMOKE else 20.0
 
 
 def _update_report(family: str, payload: dict) -> None:
@@ -394,20 +409,22 @@ def test_placed_engine_ratio():
 # -- UPDATE / DELETE by key (the planned victim scan) --------------------------
 
 
-def _dml_figures(db, template: str, keys) -> dict:
+def _dml_figures(db, template: str, keys, span: int = 1) -> dict:
     """One statement per key (a write cannot be repeated): best wall
     clock, and — from the clock's scan / index charges, as
-    ``benchmarks/e2e`` counts them — charged time and rows examined."""
+    ``benchmarks/e2e`` counts them — charged time and rows examined.
+    ``span`` > 1: the statement names ``[key, key + span)``."""
     clock = db.clock
     start = clock.now
     examined = -(clock.category_total(cat.SCAN)
                  + clock.category_total(cat.INDEX))
     best, victims = float("inf"), 0
     for key in keys:
-        result, wall = timed_once(db.execute, template.format(int(key)))
+        result, wall = timed_once(db.execute,
+                                  template.format(int(key), int(key) + span))
         best = min(best, wall)
-        victims += result.extra["rowcount"]
-    assert victims == len(keys)
+        victims += result.extra.get("rowcount", len(result.rows))
+    assert victims == span * len(keys)
     examined += (clock.category_total(cat.SCAN)
                  + clock.category_total(cat.INDEX))
     if db.catalog.indexes_on("acct"):
@@ -418,10 +435,32 @@ def _dml_figures(db, template: str, keys) -> dict:
                 examined / CostModel.TUPLE_CPU / victims, 1)}
 
 
+def _indexed_then_dropped(db):
+    """The two tables every shape is timed on: ``acct`` with the B+-tree
+    on ``id``, then with it dropped."""
+    db.execute("CREATE INDEX acct_id ON acct (id)")
+    yield "indexed"
+    db.catalog.drop_index("acct_id")
+    yield "unindexed"
+
+
+def _speedups(figures: dict, title: str, rows: int) -> None:
+    for shape, entry in figures.items():
+        indexed, unindexed = entry["indexed"], entry["unindexed"]
+        entry["speedup"] = round(unindexed["wall_ms"] / indexed["wall_ms"], 1)
+        print(f"\n{shape} {title} over {rows} rows: btree "
+              f"{indexed['wall_ms']:.3f} ms, no index "
+              f"{unindexed['wall_ms']:.3f} ms ({entry['speedup']:.0f}x);"
+              f" virtual {indexed['virtual_ms']:.4f} / "
+              f"{unindexed['virtual_ms']:.4f} ms")
+
+
 def test_dml_by_key():
     """UPDATE / DELETE by key read one row through the index the table
-    has, where the full scan they used to run reads the table."""
+    has, where the full scan they used to run reads the table — and a
+    two-sided range reads its twenty."""
     scales: dict[str, dict] = {}
+    range_scales: dict[str, dict] = {}
     for rows in DML_SCALES:
         db = repro.connect()
         db.execute("CREATE TABLE acct (id INT UNIQUE, owner TEXT, "
@@ -430,27 +469,37 @@ def test_dml_by_key():
         rng = np.random.default_rng(7)
         for i, bal in enumerate(rng.uniform(0, 1000, rows).round(2)):
             heap.insert((i, f"owner{i % 997}", i % 50, float(bal)))
-        db.execute("CREATE INDEX acct_id ON acct (id)")
         db.execute("ANALYZE")
-        keys = iter(rng.permutation(rows)[:4 * DML_KEYS]
-                    .reshape(4, DML_KEYS))
+        point_keys = rng.permutation(rows)[:4 * DML_KEYS]
+        keys = iter(point_keys.reshape(4, DML_KEYS))
+        # range starts: 20-id blocks no point statement touches; the
+        # SELECT and the UPDATE take the same ones with and without the
+        # index, a DELETE cannot
+        taken = set(point_keys // RANGE_SPAN)
+        blocks = [block for block in rng.permutation(rows // RANGE_SPAN)
+                  if block not in taken][:4 * DML_KEYS]
+        starts = (np.array(blocks) * RANGE_SPAN).reshape(4, DML_KEYS)
         figures: dict[str, dict] = {shape: {} for shape in DML_SHAPES}
-        for access in ("indexed", "unindexed"):
-            if access == "unindexed":
-                db.catalog.drop_index("acct_id")
+        ranges: dict[str, dict] = {shape: {} for shape in RANGE_SHAPES}
+        returned = {}
+        for access in _indexed_then_dropped(db):
             for shape, template in DML_SHAPES.items():
                 figures[shape][access] = _dml_figures(db, template,
                                                       next(keys))
-        for shape, entry in figures.items():
-            indexed, unindexed = entry["indexed"], entry["unindexed"]
-            entry["speedup"] = round(unindexed["wall_ms"]
-                                     / indexed["wall_ms"], 1)
-            print(f"\n{shape} by key over {rows} rows: btree "
-                  f"{indexed['wall_ms']:.3f} ms, no index "
-                  f"{unindexed['wall_ms']:.3f} ms ({entry['speedup']:.0f}x);"
-                  f" virtual {indexed['virtual_ms']:.4f} / "
-                  f"{unindexed['virtual_ms']:.4f} ms")
+        for at, access in enumerate(_indexed_then_dropped(db)):
+            for shape, picks in (("select", starts[0]), ("update", starts[1]),
+                                 ("delete", starts[2 + at])):
+                ranges[shape][access] = _dml_figures(
+                    db, RANGE_SHAPES[shape], picks, RANGE_SPAN)
+            returned[access] = [
+                sorted(db.execute(RANGE_SHAPES["select"].format(
+                    int(k), int(k) + RANGE_SPAN)).rows)
+                for k in starts[0]]
+        assert returned["indexed"] == returned["unindexed"]
+        _speedups(figures, "by key", rows)
+        _speedups(ranges, f"of a {RANGE_SPAN}-id range", rows)
         scales[str(rows)] = figures
+        range_scales[str(rows)] = ranges
     _update_report("dml_by_key", {
         "measure": "db.execute(sql text), one statement per key, best "
                    "wall clock of DML_KEYS; virtual = mean charged time; "
@@ -460,6 +509,13 @@ def test_dml_by_key():
         "scales": scales,
         "floor": DML_FLOOR,
         "floor_at_rows": DML_SCALES[0],
+        "range_by_key": {
+            "workloads": RANGE_SHAPES,
+            "span": RANGE_SPAN,
+            "scales": range_scales,
+            "floor": RANGE_FLOOR,
+            "floor_on": ["update", "delete"],
+        },
     })
     gated = scales[str(DML_SCALES[0])]
     for shape, entry in gated.items():
@@ -468,6 +524,12 @@ def test_dml_by_key():
             f"{shape} by key through the B+-tree is only "
             f"{entry['speedup']}x the unindexed statement at "
             f"{DML_SCALES[0]} rows (floor {DML_FLOOR}x)")
+    for shape, entry in range_scales[str(DML_SCALES[0])].items():
+        assert entry["indexed"]["rows_examined_per_victim"] == 1.0, shape
+        assert shape == "select" or entry["speedup"] >= RANGE_FLOOR, (
+            f"{shape} of a {RANGE_SPAN}-id range through the B+-tree is "
+            f"only {entry['speedup']}x the unindexed statement at "
+            f"{DML_SCALES[0]} rows (floor {RANGE_FLOOR}x)")
 
 
 # -- tracing overhead (observability gate) ------------------------------------

@@ -153,7 +153,11 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
             lo, hi = low(row), high(row)
             if v is None or lo is None or hi is None:
                 return None
-            result = lo <= v <= hi
+            try:
+                result = lo <= v <= hi
+            except TypeError:
+                raise ExecutionError(f"cannot compare {v!r} with "
+                                     f"{lo!r} and {hi!r}") from None
             return (not result) if negated else result
         return eval_between
 

@@ -102,11 +102,15 @@ class IndexScan(PlanNode):
 
     @property
     def label(self) -> str:
+        suffix = " [filtered]" if self.residual is not None else ""
         if self.eq is not None:
-            return f"IndexScan({self.table}.{self.column} = {self.eq!r})"
-        return (f"IndexScan({self.table}.{self.column} in "
-                f"{'[' if self.include_low else '('}{self.low!r}, "
-                f"{self.high!r}{']' if self.include_high else ')'})")
+            return (f"IndexScan({self.table}.{self.column} = {self.eq!r})"
+                    f"{suffix}")
+        low = ("(-inf" if self.low is None else
+               f"{'[' if self.include_low else '('}{self.low!r}")
+        high = ("+inf)" if self.high is None else
+                f"{self.high!r}{']' if self.include_high else ')'}")
+        return f"IndexScan({self.table}.{self.column} in {low}, {high}){suffix}"
 
 
 @dataclass

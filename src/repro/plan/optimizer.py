@@ -189,46 +189,39 @@ class Planner:
                      predicates: list[ast.Expr]) -> plan.PlanNode:
         """Best single-table access: index scan if profitable, else seqscan."""
         table = bindings[alias]
-        index_plan = self._try_index_scan(table, alias, predicates)
+        coster = PlanCoster(self._estimator, bindings)
         seq = plan.SeqScan(table=table, binding=alias,
                            predicate=conjoin(predicates))
-        coster = PlanCoster(self._estimator, bindings)
         coster.annotate(seq)
-        if index_plan is None:
-            return seq
-        coster.annotate(index_plan)
-        return index_plan if index_plan.est_cost < seq.est_cost else seq
+        index_plan = self._try_index_scan(table, alias, predicates, coster)
+        if index_plan is not None and index_plan.est_cost < seq.est_cost:
+            return index_plan
+        return seq
 
     def _try_index_scan(self, table: str, alias: str,
-                        predicates: list[ast.Expr]) -> plan.IndexScan | None:
-        entries = self._catalog.indexes_on(table)
-        if not entries:
-            return None
+                        predicates: list[ast.Expr],
+                        coster: PlanCoster) -> plan.IndexScan | None:
+        """The cheapest scan any index on ``table`` offers: per index,
+        every conjunct on its column folded into one key range
+        (:func:`_fold_bounds`), the conjuncts the fold did not use kept
+        as the residual.  None when no conjunct bounds an indexed column."""
         schema = self._catalog.table(table).schema
-        for i, predicate in enumerate(predicates):
-            if not isinstance(predicate, ast.BinaryOp):
+        best = None
+        for entry in self._catalog.indexes_on(table):
+            keys, used = _fold_bounds(
+                predicates, entry.column, schema.column(entry.column).dtype,
+                ranges=entry.kind == "btree")
+            if not keys:
                 continue
-            column, literal = _column_literal(predicate)
-            if column is None or literal is None:
-                continue
-            for entry in entries:
-                if entry.column != column.name.lower() or not _comparable(
-                        literal, schema.column(entry.column).dtype):
-                    continue
-                op = predicate.op
-                if op == "=":
-                    keys = {"eq": literal}
-                elif op in ("<", "<=") and entry.kind == "btree":
-                    keys = {"high": literal, "include_high": op == "<="}
-                elif op in (">", ">=") and entry.kind == "btree":
-                    keys = {"low": literal, "include_low": op == ">="}
-                else:
-                    continue
-                return plan.IndexScan(
-                    table=table, binding=alias, index_name=entry.name,
-                    column=entry.column, **keys,
-                    residual=conjoin(predicates[:i] + predicates[i + 1:]))
-        return None
+            candidate = plan.IndexScan(
+                table=table, binding=alias, index_name=entry.name,
+                column=entry.column, **keys,
+                residual=conjoin([p for i, p in enumerate(predicates)
+                                  if i not in used]))
+            coster.annotate(candidate)
+            if best is None or candidate.est_cost < best.est_cost:
+                best = candidate
+        return best
 
     # -- join enumeration ------------------------------------------------------------
 
@@ -468,16 +461,59 @@ def _comparable(literal, dtype: DataType) -> bool:
     return isinstance(literal, str) and dtype is DataType.TEXT
 
 
-def _column_literal(expr: ast.BinaryOp):
-    """Normalize ``col OP lit`` / ``lit OP col`` to (col, lit) with OP
-    flipped onto the column side by the caller's op usage."""
-    if isinstance(expr.left, ast.ColumnRef) and isinstance(
-            expr.right, ast.Literal):
-        return expr.left, expr.right.value
-    if isinstance(expr.right, ast.ColumnRef) and isinstance(
-            expr.left, ast.Literal):
-        # NOTE: callers only use this for '=' and btree ranges where the
-        # flipped form is handled conservatively (treated as '=')
-        if expr.op == "=":
-            return expr.right, expr.left.value
-    return None, None
+_MIRROR = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _column_literal(expr: ast.Expr):
+    """Normalize ``col OP lit`` / ``lit OP col`` to (col, OP, lit) with OP
+    mirrored onto the column side (``10 <= id`` is ``id >= 10``);
+    (None, None, None) for anything that is not such a comparison."""
+    if isinstance(expr, ast.BinaryOp) and expr.op in _MIRROR:
+        if isinstance(expr.left, ast.ColumnRef) and isinstance(
+                expr.right, ast.Literal):
+            return expr.left, expr.op, expr.right.value
+        if isinstance(expr.right, ast.ColumnRef) and isinstance(
+                expr.left, ast.Literal):
+            return expr.right, _MIRROR[expr.op], expr.left.value
+    return None, None, None
+
+
+def _fold_bounds(predicates: list[ast.Expr], column: str, dtype: DataType,
+                 ranges: bool) -> tuple[dict, set[int]]:
+    """All conjuncts that bound ``column`` by literals its index can
+    order, folded into ``IndexScan`` key arguments: an equality wins
+    outright, otherwise the tightest lower and the tightest upper bound
+    (``>`` beats ``>=`` at equal keys; ``ranges`` is False for a hash
+    index, which has no order).  A non-negated ``BETWEEN`` is two
+    inclusive bounds.  Returns the arguments and the positions of the
+    conjuncts they replace; everything else stays in the residual."""
+    eq, lows, highs, folded = None, [], [], set()
+    for i, predicate in enumerate(predicates):
+        if isinstance(predicate, ast.Between) and not predicate.negated:
+            parts = [ast.BinaryOp(">=", predicate.operand, predicate.low),
+                     ast.BinaryOp("<=", predicate.operand, predicate.high)]
+        else:
+            parts = [predicate]
+        bounds = [_column_literal(part) for part in parts]
+        if any(ref is None or ref.name.lower() != column
+               or not _comparable(literal, dtype)
+               for ref, _, literal in bounds):
+            continue
+        if bounds[0][1] == "=":
+            eq = eq or (i, bounds[0][2])
+        elif ranges:
+            folded.add(i)
+            for _, op, literal in bounds:
+                if op in (">", ">="):
+                    lows.append((literal, op == ">"))
+                else:
+                    highs.append((literal, op == "<="))
+    if eq:
+        return {"eq": eq[1]}, {eq[0]}
+    keys = {}
+    if lows:
+        keys["low"], strict = max(lows)
+        keys["include_low"] = not strict
+    if highs:
+        keys["high"], keys["include_high"] = min(highs)
+    return keys, folded

@@ -23,6 +23,15 @@ half rides along: the same WHERE through ``db.execute`` (the indexed
 plan) must return what sqlite and the full scan return — which is what
 catches a strict bound read as an inclusive one, or a literal the index
 cannot compare.  ``STORAGE_SEED`` re-rolls data and literals.
+
+``test_ranges_held_to_sqlite`` puts the planner's bound fold (every
+conjunct on an indexed column into one ``IndexScan [lo, hi)``) through
+the same three references on a table with an indexed INT and an indexed
+TEXT column — every operator on either side, two to four bounds,
+contradictory ranges, ``BETWEEN``, mixed int / float literals, a second
+indexed column, an unindexed residual — as SELECT on every engine, as
+UPDATE and as DELETE, and holds the EXPLAIN label to the interval
+written out by hand per shape.
 """
 
 from __future__ import annotations
@@ -33,7 +42,10 @@ import sqlite3
 import pytest
 
 import repro
+from repro.common import categories as cat
 from repro.common.errors import ConstraintViolation, ExecutionError
+from repro.common.simtime import CostModel
+from repro.exec.executor import Executor
 from repro.exec.expr import RowLayout, compile_expr, to_bool
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -164,9 +176,9 @@ def _scan_label(db, sql: str) -> str:
 
 class Sweep:
     def __init__(self, regime: Regime, table_kind: str, index, analyze: bool,
-                 rng: random.Random):
+                 rng: random.Random, engines=("batch",)):
         self.regime, self.index, self.analyze = regime, index, analyze
-        self.rng = rng
+        self.rng, self.engines = rng, engines
         self.shift = 100_000
         self.db = repro.connect(**TABLES[table_kind])
         self.db.execute(regime.ddl(sqlite=False))
@@ -186,10 +198,10 @@ class Sweep:
 
     # literals come from the table as it is now, so statements keep
     # finding rows while the sweep deletes and moves them
-    def keys(self) -> list:
+    def keys(self, column=None) -> list:
+        column = column or self.regime.key
         return sorted(row[0] for row in self.mirror.execute(
-            f"SELECT DISTINCT {self.regime.key} FROM t "
-            f"WHERE {self.regime.key} IS NOT NULL"))
+            f"SELECT DISTINCT {column} FROM t WHERE {column} IS NOT NULL"))
 
     def pick(self, low: float = 0.0, high: float = 1.0):
         keys = self.keys()
@@ -209,7 +221,11 @@ class Sweep:
             return "SeqScan"
         return None if self.analyze else "IndexScan"
 
-    def run(self, sql: str, path: str) -> int:
+    def run(self, sql: str, path: str, labels=()) -> int:
+        """One DML statement held to the three references.  ``labels``:
+        the scan labels the fold may produce for this WHERE — the first
+        one exactly where the cost model has no statistics to weigh,
+        any of them (or a SeqScan) once ANALYZE has run."""
         db, mirror = self.db, self.mirror
         statement = parse(sql)
         where = sql[sql.index(" WHERE "):] if " WHERE " in sql else ""
@@ -222,6 +238,10 @@ class Sweep:
         expected = self.expected_scan(path)
         if expected is not None:
             assert label.startswith(expected), (sql, label)
+        if labels and not self.analyze:
+            assert label == labels[0], sql
+        elif labels:
+            assert label in labels or label.startswith("SeqScan"), (sql, label)
 
         try:
             oracle = _full_scan_victims(db, statement)
@@ -242,8 +262,12 @@ class Sweep:
         assert sorted(planned) == sorted(oracle), sql
 
         # the SELECT half: indexed plan == full scan == sqlite
-        selected = _sorted(db.execute("SELECT * FROM t" + where).rows)
-        assert selected == _sorted(row for _, row in oracle), sql
+        session = db.executor
+        for engine in self.engines:
+            db.executor = session.with_engine(engine)
+            selected = _sorted(db.execute("SELECT * FROM t" + where).rows)
+            assert selected == _sorted(row for _, row in oracle), (sql, engine)
+        db.executor = session
         assert selected == _sorted(mirror.execute("SELECT * FROM t" + where)), sql
 
         result = db.execute(sql)
@@ -338,6 +362,111 @@ def test_dml_sweep(regime, table_kind, index, analyze):
     assert len(sweep.db.catalog.table("t")) == 0
 
 
+# -- every bound takes the index: the fold held to sqlite3 ------------------------
+
+
+def _two_key(rng: random.Random) -> Regime:
+    """An indexed INT and an indexed TEXT column, duplicates and NULLs in
+    both, beside an unindexed one."""
+    rows = [(None if rng.random() < 0.03 else rng.randrange(-20, 160),
+             None if rng.random() < 0.03 else f"n{rng.randrange(90):03d}",
+             rng.randint(0, 9), round(rng.uniform(0, 1000), 2))
+            for _ in range(ROWS)]
+    return Regime([("id", "INT"), ("name", "TEXT"), ("g", "INT"),
+                   ("v", "FLOAT")],
+                  key="id", other="g", target="v", rows=rows)
+
+
+def _range_cases(sweep: Sweep, k: str, other: str):
+    """``(where, path, labels)`` over column ``k``: every shape the fold
+    reads, the expected interval written out by hand per shape.  Literals
+    are four neighbouring keys ``a < b < c < d`` of the table as it is
+    now, so a range stays a handful of rows wide."""
+    lit, mirror = _literal, {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+    def scan(interval: str, filtered: bool = False) -> str:
+        return (f"IndexScan(t.{k} {interval})"
+                + (" [filtered]" if filtered else ""))
+
+    def four():
+        keys = sweep.keys(k)
+        at = sweep.rng.randrange(max(1, len(keys) - 3))
+        return (keys[at:at + 4] + keys[-1:] * 4)[:4]
+
+    a, b, c, d = four()
+    for op, interval in (("<", f"in (-inf, {b!r})"), ("<=", f"in (-inf, {b!r}]"),
+                         (">", f"in ({b!r}, +inf)"), (">=", f"in [{b!r}, +inf)")):
+        yield f"{k} {op} {lit(b)}", "range", (scan(interval),)
+        yield f"{lit(b)} {mirror[op]} t.{k}", "range", (scan(interval),)
+    for lo in (">", ">="):
+        for hi in ("<", "<="):
+            a, b, c, d = four()
+            interval = (f"in {'[' if lo == '>=' else '('}{a!r}, "
+                        f"{c!r}{']' if hi == '<=' else ')'}")
+            yield (f"{k} {lo} {lit(a)} AND {k} {hi} {lit(c)}", "range",
+                   (scan(interval),))
+            yield (f"{lit(c)} {mirror[hi]} {k} AND {lit(a)} {mirror[lo]} {k}",
+                   "range", (scan(interval),))
+    # three and four bounds: the tightest is not the first, and a strict
+    # bound beats an inclusive one at the same key
+    a, b, c, d = four()
+    yield (f"{k} > {lit(a)} AND {k} >= {lit(b)} AND {k} < {lit(d)}", "range",
+           (scan(f"in [{b!r}, {d!r})"),))
+    yield (f"{k} <= {lit(d)} AND {lit(a)} < {k} AND {k} < {lit(c)}", "range",
+           (scan(f"in ({a!r}, {c!r})"),))
+    yield (f"{k} >= {lit(a)} AND {k} > {lit(a)} AND {k} <= {lit(c)} "
+           f"AND {k} < {lit(c)}", "range", (scan(f"in ({a!r}, {c!r})"),))
+    # contradictory: no rows, still one descent
+    yield (f"{k} >= {lit(c)} AND {k} < {lit(a)}", "range",
+           (scan(f"in [{c!r}, {a!r})"),))
+    yield (f"{k} > {lit(b)} AND {k} <= {lit(b)}", "range",
+           (scan(f"in ({b!r}, {b!r}]"),))
+    a, b, c, d = four()
+    yield f"{k} BETWEEN {lit(a)} AND {lit(c)}", "range", (
+        scan(f"in [{a!r}, {c!r}]"),)
+    yield (f"{k} BETWEEN {lit(a)} AND {lit(d)} AND {k} < {lit(c)}", "range",
+           (scan(f"in [{a!r}, {c!r})"),))
+    yield f"{k} NOT BETWEEN {lit(a)} AND {lit(c)}", "seq", ()
+    if k == "id":           # int and float literals on one INT column
+        yield (f"id >= {a} AND id > {a - 0.5}", "range",
+               (scan(f"in [{a!r}, +inf)"),))
+        yield (f"id > {a + 0.5} AND id >= {a} AND id < {c}", "range",
+               (scan(f"in ({a + 0.5!r}, {c!r})"),))
+    # beside the other indexed column, an unindexed one, an equality
+    x = sweep.keys(other)[0]
+    yield (f"{k} > {lit(a)} AND {other} = {lit(x)}", "eq",
+           (f"IndexScan(t.{other} = {x!r}) [filtered]",
+            scan(f"in ({a!r}, +inf)", filtered=True)))
+    yield (f"{k} >= {lit(a)} AND g > 3 AND {k} < {lit(c)}", "range",
+           (scan(f"in [{a!r}, {c!r})", filtered=True),))
+    yield (f"{k} > {lit(a)} AND {k} = {lit(b)}", "eq",
+           (scan(f"= {b!r}", filtered=True),))
+
+
+@pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyzed"])
+@pytest.mark.parametrize("table_kind", TABLES)
+def test_ranges_held_to_sqlite(table_kind, analyze):
+    """Every WHERE of ``_range_cases`` as a SELECT on every engine and as
+    an UPDATE; every third one also as a DELETE or as the UPDATE that
+    moves the scanned key out of the range being read."""
+    seed = STORAGE_SEED * 1000 + 77
+    sweep = Sweep(_two_key(random.Random(seed)), table_kind, "btree", analyze,
+                  random.Random(seed + 500), engines=Executor.ENGINES)
+    sweep.db.execute("CREATE INDEX t_name ON t (name)")
+    touched = writes = 0
+    for k, other, moved in (("id", "name", "id + 1000"),
+                            ("name", "id", "'zz-moved'")):
+        for where, path, labels in _range_cases(sweep, k, other):
+            touched += sweep.run(f"UPDATE t SET v = v + 1.5 WHERE {where}",
+                                 path, labels)
+            writes += 1
+            if writes % 3 == 0 and path == "range" and " AND " in where:
+                sql = (f"DELETE FROM t WHERE {where}" if writes % 2 else
+                       f"UPDATE t SET {k} = {moved} WHERE {where}")
+                touched += sweep.run(sql, path, labels)
+    assert touched > ROWS, "the sweep's statements stopped finding rows"
+
+
 # -- a failed UPDATE must not cost the row its index entry ------------------------
 
 
@@ -410,12 +539,12 @@ def _indexed_2000():
 
 def test_strict_bounds_through_the_index():
     db = _indexed_2000()
-    cases = [("id > 1995", "(1995, None]", [1996, 1997, 1998, 1999]),
-             ("id >= 1995", "[1995, None]", [1995, 1996, 1997, 1998, 1999]),
-             ("id < 3", "[None, 3)", [0, 1, 2]),
-             ("id <= 3", "[None, 3]", [0, 1, 2, 3]),
-             ("name > 'n1997'", "('n1997', None]", [1998, 1999]),
-             ("name < 'n0002'", "[None, 'n0002')", [0, 1])]
+    cases = [("id > 1995", "(1995, +inf)", [1996, 1997, 1998, 1999]),
+             ("id >= 1995", "[1995, +inf)", [1995, 1996, 1997, 1998, 1999]),
+             ("id < 3", "(-inf, 3)", [0, 1, 2]),
+             ("id <= 3", "(-inf, 3]", [0, 1, 2, 3]),
+             ("name > 'n1997'", "('n1997', +inf)", [1998, 1999]),
+             ("name < 'n0002'", "(-inf, 'n0002')", [0, 1])]
     for where, interval, ids in cases:
         sql = f"SELECT id FROM t WHERE {where}"
         for engine in ("batch", "row"):
@@ -424,10 +553,41 @@ def test_strict_bounds_through_the_index():
         label = _scan_label(db, sql)
         assert label.startswith("IndexScan") and label.endswith(
             f" in {interval})"), label
-    # the second bound of a two-sided range stays a residual
+    # both bounds of a two-sided range fold into the scan: no residual
     sql = "SELECT id FROM t WHERE id > 10 AND id < 13"
-    assert _scan_label(db, sql).endswith(" in (10, None])")
+    assert _scan_label(db, sql) == "IndexScan(t.id in (10, 13))"
     assert sorted(db.execute(sql).column("id")) == [11, 12]
+
+
+def test_a_range_reads_its_rows_and_nothing_else():
+    """Work, not wall time: a 20-id range costs one descent and twenty
+    index rows wherever it sits in the table, and the second bound is
+    part of the scan, not a filter over everything above ``k``."""
+    db = _indexed_2000()
+    for k in (0, 990, 1980):
+        where = f"WHERE id >= {k} AND id < {k + 20}"
+        for engine in ("row", "batch"):
+            db.executor = db.executor.with_engine(engine)
+            before = (db.clock.category_total(cat.INDEX),
+                      db.clock.category_total(cat.FILTER))
+            rows = db.execute(f"SELECT id FROM t {where}").column("id")
+            assert sorted(rows) == list(range(k, k + 20))
+            index = db.clock.category_total(cat.INDEX) - before[0]
+            assert index == pytest.approx(
+                CostModel.INDEX_DESCENT + 20 * CostModel.TUPLE_CPU, rel=1e-9)
+            assert db.clock.category_total(cat.FILTER) == before[1]
+        analyzed = db.execute(f"EXPLAIN ANALYZE SELECT * FROM t {where}")
+        scan = [line for (line,) in analyzed.rows if " pages=" in line]
+        assert len(scan) == 1
+        assert int(scan[0].split(" pages=")[1].split()[0]) <= 21
+    # the cheapest index, not the first conjunct; the tightest bound, not
+    # the first one
+    assert _scan_label(db, "SELECT * FROM t WHERE id > 5 AND name = 'n0007'"
+                       ) == "IndexScan(t.name = 'n0007') [filtered]"
+    assert _scan_label(db, "SELECT * FROM t WHERE id > 3 AND id > 1990"
+                       ) == "IndexScan(t.id in (1990, +inf))"
+    assert _scan_label(db, "UPDATE t SET v = 0 WHERE id >= 100 AND id < 103"
+                       ) == "IndexScan(t.id in [100, 103))"
 
 
 @pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyzed"])
@@ -450,6 +610,10 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
         ("t", "name BETWEEN 'n0001' AND 'n0003'"), ("t", "id = 7.0"),
         ("t", "id < 2.5"), ("flags", "b = 1"), ("flags", "b = TRUE"),
         ("flags", "b = 'yes'"), ("flags", "n = 'one'"), ("flags", "n = TRUE"),
+        # a mixed pair: the bound the index can order is folded, the other
+        # stays a residual (or the SeqScan wins) and fails as it always did
+        ("t", "id >= 5 AND id < 'abc'"), ("t", "'abc' > id AND 5 <= id"),
+        ("t", "id BETWEEN 5 AND 'abc'"), ("t", "id >= 5 AND id = 'abc'"),
     ]
     for table, where in predicates:
         select = parse(f"SELECT * FROM {table} WHERE {where}")
@@ -457,13 +621,17 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
             expected = _sorted(row for _, row in _full_scan_victims(
                 db, ast.Delete(table, select.where)))
         except ExecutionError as error:
-            with pytest.raises(type(error)):
-                db.execute(f"SELECT * FROM {table} WHERE {where}")
+            for engine in ("batch", "row"):
+                db.executor = db.executor.with_engine(engine)
+                with pytest.raises(type(error)):
+                    db.execute(f"SELECT * FROM {table} WHERE {where}")
             with pytest.raises(type(error)):
                 db.execute(f"DELETE FROM {table} WHERE {where}")
             continue
-        got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
-        assert _sorted(got) == expected, where
+        for engine in ("batch", "row"):
+            db.executor = db.executor.with_engine(engine)
+            got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
+            assert _sorted(got) == expected, (where, engine)
     # kinds that match keep the index
     for sql in ("SELECT * FROM t WHERE id = 7.0",
                 "SELECT * FROM t WHERE name > 'n1997'",

@@ -121,7 +121,7 @@ class TestPlainExplain:
                 ("UPDATE users SET age = 0 WHERE id = 7", "Update on users",
                  "  IndexScan(users.id = 7)"),
                 ("DELETE FROM users WHERE id > 30 AND age < 25",
-                 "Delete on users", "  IndexScan(users.id in (30, None])"),
+                 "Delete on users", "  IndexScan(users.id in (30, +inf)) [filtered]"),
                 ("DELETE FROM users WHERE age < 25", "Delete on users",
                  "  SeqScan(users as users) [filtered]"),
                 ("UPDATE users SET age = 0", "Update on users",

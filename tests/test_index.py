@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.plan import logical as plan
+from repro.sql.parser import parse
 from repro.storage.index import BPlusTreeIndex, HashIndex
 from repro.storage.page import RecordId
 
@@ -145,3 +148,43 @@ class TestHashIndex:
         for i in range(5):
             index.insert(7, rid(i))
         assert len(index.search(7)) == 5
+
+
+# -- the planner's fold over the B+-tree ----------------------------------------
+
+
+def _keyed(indexed: bool):
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT, v INT)")
+    table = db.catalog.table("t")
+    for i in range(150):
+        table.insert((None if i % 31 == 0 else (i * 7) % 60, i))
+    if indexed:
+        db.execute("CREATE INDEX t_id ON t (id)")
+    return db
+
+
+_INDEXED, _DROPPED = _keyed(True), _keyed(False)
+_LITERALS = st.one_of(st.integers(-3, 63),
+                      st.integers(-6, 126).map(lambda n: n / 2))
+_BOUNDS = st.one_of(
+    st.tuples(st.sampled_from(["<", "<=", ">", ">=", "="]), _LITERALS,
+              st.booleans()).map(
+        lambda b: f"{b[1]!r} {b[0]} id" if b[2] else f"id {b[0]} {b[1]!r}"),
+    st.tuples(_LITERALS, _LITERALS).map(
+        lambda b: f"id BETWEEN {b[0]!r} AND {b[1]!r}"))
+
+
+@given(st.lists(_BOUNDS, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_folded_bounds_match_the_table_without_the_index(bounds):
+    """Any set of bounds on the indexed column, folded into one
+    IndexScan, returns the rows a scan of the un-indexed table returns —
+    and the fold leaves no range conjunct behind as a residual."""
+    sql = "SELECT id, v FROM t WHERE " + " AND ".join(bounds)
+    scan = _INDEXED.planner.access_path("t", parse(sql).where)
+    assert isinstance(scan, plan.IndexScan)
+    if scan.eq is None:
+        assert scan.residual is None
+    assert sorted(_INDEXED.execute(sql).rows) == sorted(
+        _DROPPED.execute(sql).rows)
