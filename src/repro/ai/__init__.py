@@ -12,7 +12,7 @@ from repro.ai.loader import (
     table_feature_columns,
     table_training_set,
 )
-from repro.ai.model_manager import ModelManager, ModelView
+from repro.ai.model_manager import ModelManager
 from repro.ai.monitor import DriftEvent, MetricStream, Monitor
 from repro.ai.runtime import AIRuntime
 from repro.ai.streaming import (
@@ -52,7 +52,6 @@ __all__ = [
     "MetricStream",
     "ModelManager",
     "ModelSelectionTask",
-    "ModelView",
     "Monitor",
     "StreamConfig",
     "StreamSender",

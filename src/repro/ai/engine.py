@@ -100,6 +100,70 @@ class AIEngine:
                               else StreamConfig())
         self.completed_tasks: list[TaskResult] = []
 
+    # -- the streamed-epoch loop ---------------------------------------------
+
+    def _stream_epochs(self, task: "TrainTask | FineTuneTask", model: ARMNet,
+                       rows, targets, kind: str,
+                       consumer_cost=None, **handshake) -> TaskResult:
+        """Stream ``task.epochs`` passes of ``rows`` / ``targets`` to one
+        runtime that takes a gradient step per batch — the one loop under
+        :meth:`train` and :meth:`fine_tune`.  Producer and consumer time
+        land on the dispatcher's private clocks; the caller charges the
+        pipelined makespan (``virtual_seconds``) to the shared clock.
+
+        ``consumer_cost(samples, fields)`` caps a batch's consumer charge
+        (a fine-tune step is cheaper than the full step the runtime
+        charged); ``handshake`` goes to
+        :meth:`~repro.ai.runtime.AIRuntime.accept_handshake`.  The result
+        has no ``model_version`` yet: the caller persists."""
+        config = StreamConfig(
+            window_batches=self.stream_config.window_batches,
+            batch_size=task.batch_size,
+            batches_per_transmission=self.stream_config.batches_per_transmission)
+        dispatcher = Dispatcher(task.task_id)
+        producer, consumer = (dispatcher.producer_clock,
+                              dispatcher.consumer_clock)
+        channel = Channel(producer)
+        sender = StreamSender(channel, config)
+        runtime = AIRuntime(channel, consumer)
+        sender.handshake(model.spec())
+        runtime.accept_handshake(model=model, **handshake)
+
+        samples = 0
+        for _ in range(task.epochs):
+            loader = StreamingDataLoader(rows, targets, model.hasher,
+                                         batch_size=task.batch_size,
+                                         window_batches=config.window_batches)
+            for ids, batch_targets in loader:
+                producer_before = producer.now
+                producer.advance(ids.size * CostModel.PREP_PER_VALUE,
+                                 cat.PREP)
+                sender.send_batch(ids, batch_targets)
+                producer_delta = producer.now - producer_before
+
+                consumer_before = consumer.now
+                runtime.consume_available(train=True)
+                runtime.grant_credit(sender, 1)
+                consumer_delta = consumer.now - consumer_before
+                if consumer_cost is not None:
+                    consumer_delta = min(consumer_delta, consumer_cost(
+                        len(batch_targets), model.field_count))
+
+                dispatcher.record_batch(producer_delta, consumer_delta)
+                samples += len(batch_targets)
+        sender.finish()
+
+        makespan = (CostModel.NET_ROUND_TRIP  # handshake round trip
+                    + dispatcher.makespan(self.num_runtimes))
+        return TaskResult(task_id=task.task_id, model_name=task.model_name,
+                          kind=kind, virtual_seconds=makespan,
+                          samples_processed=samples,
+                          losses=list(runtime.losses),
+                          details={"batches": dispatcher.batches,
+                                   "stream_stats": channel.stats,
+                                   "serial_seconds":
+                                       dispatcher.serial_time()})
+
     # -- training -------------------------------------------------------------
 
     def train(self, task: TrainTask, rows: Sequence[Sequence[object]],
@@ -112,70 +176,20 @@ class AIEngine:
             model = ARMNet(field_count=task.field_count,
                            task_type=task.task_type,
                            **task.hyperparams)
-        config = StreamConfig(
-            window_batches=self.stream_config.window_batches,
-            batch_size=task.batch_size,
-            batches_per_transmission=self.stream_config.batches_per_transmission)
-
-        dispatcher = Dispatcher(task.task_id)
-        channel = Channel(dispatcher.producer_clock)
-        sender = StreamSender(channel, config)
-        runtime = AIRuntime(channel, dispatcher.consumer_clock)
-
-        sender.handshake(model.spec())
-        runtime.accept_handshake(model=model)
-
-        loader = StreamingDataLoader(rows, targets, model.hasher,
-                                     batch_size=task.batch_size,
-                                     window_batches=config.window_batches)
-        samples = 0
-        for _ in range(task.epochs):
-            epoch_loader = (loader if samples == 0 else
-                            StreamingDataLoader(rows, targets, model.hasher,
-                                                batch_size=task.batch_size,
-                                                window_batches=config.window_batches))
-            for ids, batch_targets in epoch_loader:
-                producer_before = dispatcher.producer_clock.now
-                dispatcher.producer_clock.advance(
-                    ids.size * CostModel.PREP_PER_VALUE, cat.PREP)
-                sender.send_batch(ids, batch_targets)
-                producer_delta = (dispatcher.producer_clock.now
-                                  - producer_before)
-
-                consumer_before = dispatcher.consumer_clock.now
-                runtime.consume_available(train=True)
-                runtime.grant_credit(sender, 1)
-                consumer_delta = (dispatcher.consumer_clock.now
-                                  - consumer_before)
-
-                dispatcher.record_batch(producer_delta, consumer_delta)
-                samples += len(batch_targets)
-        sender.finish()
-
-        makespan = (CostModel.NET_ROUND_TRIP  # handshake round trip
-                    + dispatcher.makespan(self.num_runtimes))
-        self.clock.advance(makespan, cat.AI_TRAIN)
-
+        result = self._stream_epochs(task, model, rows, targets, "train")
+        self.clock.advance(result.virtual_seconds, cat.AI_TRAIN)
         if not self.models.has_model(task.model_name):
-            version = self.models.register_model(task.model_name, model)
+            result.model_version = self.models.register_model(
+                task.model_name, model)
         else:
             # retraining an existing model: persist every layer as a new
             # full version; if the architecture changed, re-register
             try:
-                version = self.models.incremental_update(
+                result.model_version = self.models.incremental_update(
                     task.model_name, model, list(model.layer_names()))
             except ValueError:
-                version = self.models.replace_model(task.model_name, model)
-
-        result = TaskResult(task_id=task.task_id, model_name=task.model_name,
-                            kind="train", virtual_seconds=makespan,
-                            samples_processed=samples,
-                            losses=list(runtime.losses),
-                            model_version=version,
-                            details={"batches": dispatcher.batches,
-                                     "stream_stats": channel.stats,
-                                     "serial_seconds":
-                                         dispatcher.serial_time()})
+                result.model_version = self.models.replace_model(
+                    task.model_name, model)
         self.completed_tasks.append(result)
         return result
 
@@ -220,59 +234,19 @@ class AIEngine:
         and persist only those layers as a new version (paper Fig. 3)."""
         model = self.models.load_model(task.model_name)
         trainable = model.freeze_prefix(task.tune_last_layers)
-
-        dispatcher = Dispatcher(task.task_id)
-        channel = Channel(dispatcher.producer_clock)
-        config = StreamConfig(window_batches=self.stream_config.window_batches,
-                              batch_size=task.batch_size)
-        sender = StreamSender(channel, config)
-        runtime = AIRuntime(channel, dispatcher.consumer_clock)
-        sender.handshake(model.spec())
-        runtime.accept_handshake(learning_rate=task.learning_rate,
-                                 model=model, trainable_params=trainable)
-
         if not isinstance(rows, ColumnTrainingSet):
             rows = list(rows)
             targets = list(targets)
-        samples = 0
-        for _ in range(task.epochs):
-            loader = StreamingDataLoader(rows, targets, model.hasher,
-                                         batch_size=task.batch_size,
-                                         window_batches=config.window_batches)
-            for ids, batch_targets in loader:
-                producer_before = dispatcher.producer_clock.now
-                dispatcher.producer_clock.advance(
-                    ids.size * CostModel.PREP_PER_VALUE, cat.PREP)
-                sender.send_batch(ids, batch_targets)
-                producer_delta = (dispatcher.producer_clock.now
-                                  - producer_before)
-                consumer_before = dispatcher.consumer_clock.now
-                runtime.consume_available(train=True)
-                runtime.grant_credit(sender, 1)
-                # fine-tune steps are cheaper: replace the full-train charge
-                # with the suffix-only cost
-                full = (dispatcher.consumer_clock.now - consumer_before)
-                suffix = AIRuntime.finetune_batch_cost(
-                    len(batch_targets), model.field_count)
-                consumer_delta = min(full, suffix)
-                dispatcher.record_batch(producer_delta, consumer_delta)
-                samples += len(batch_targets)
-        sender.finish()
+        result = self._stream_epochs(
+            task, model, rows, targets, "finetune",
+            consumer_cost=AIRuntime.finetune_batch_cost,
+            learning_rate=task.learning_rate, trainable_params=trainable)
         model.unfreeze_all()
-
-        makespan = CostModel.NET_ROUND_TRIP + dispatcher.makespan(
-            self.num_runtimes)
-        self.clock.advance(makespan, cat.AI_FINETUNE)
-
+        self.clock.advance(result.virtual_seconds, cat.AI_FINETUNE)
         tuned = list(model.layer_names()[-task.tune_last_layers:])
-        version = self.models.incremental_update(task.model_name, model,
-                                                 tuned)
-        result = TaskResult(task_id=task.task_id, model_name=task.model_name,
-                            kind="finetune", virtual_seconds=makespan,
-                            samples_processed=samples,
-                            losses=list(runtime.losses),
-                            model_version=version,
-                            details={"tuned_layers": tuned})
+        result.model_version = self.models.incremental_update(
+            task.model_name, model, tuned)
+        result.details["tuned_layers"] = tuned
         self.completed_tasks.append(result)
         return result
 

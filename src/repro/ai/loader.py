@@ -26,55 +26,88 @@ import numpy as np
 from repro.ai.armnet import FeatureHasher
 from repro.common import categories as cat
 from repro.common.simtime import CostModel, SimClock
-from repro.exec.batch import RowBlock, concat_columns, schema_kinds
+from repro.exec.batch import (RowBlock, concat_columns, object_array,
+                              schema_kinds)
 from repro.exec.expr import RowLayout
 from repro.exec.pipeline import table_blocks
 from repro.storage.types import DataType, TypedColumn
 
 
-class ColumnTrainingSet:
-    """Materialized columnar training data: feature columns plus targets.
+class ColumnFeatures:
+    """Materialized feature columns: the batch engine's hand-off format to
+    the AI layer.
 
-    The batch engine's hand-off format to the AI layer: ``columns`` is one
-    column per feature field — storage's ``TypedColumn`` as scanned, or an
-    object array of the original Python values — in scan order, and
-    ``targets`` is a float64 array.  Supports ``len`` and row-tuple
-    iteration so existing row-oriented consumers (model selection,
-    inference) keep working.
+    ``columns`` is one column per feature field — storage's
+    ``TypedColumn`` as scanned, or an object array of the original Python
+    values — in scan order.  The PREDICT path hands these straight to
+    :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`, so inputs
+    never explode into per-row Python tuples between the storage engine
+    and the id matrix.  ``rows()`` builds the tuple view lazily for the
+    places that still need it (result-set assembly).
     """
 
-    def __init__(self, columns: Sequence[np.ndarray], targets: np.ndarray):
+    def __init__(self, columns: Sequence[np.ndarray]):
         self.columns = list(columns)
-        self.targets = np.asarray(targets, dtype=np.float64)
-        for col in self.columns:
-            if len(col) != len(self.targets):
-                raise ValueError("feature columns and targets must have "
-                                 "equal lengths")
+        self._length = len(self.columns[0]) if self.columns else 0
+        for col in self.columns[1:]:
+            if len(col) != self._length:
+                raise ValueError("feature columns must have equal lengths")
         self._rows: list[tuple] | None = None
-        self._ids: tuple[int, np.ndarray] | None = None
 
-    @property
-    def field_count(self) -> int:
-        return len(self.columns)
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple],
+                  dtypes: Sequence[DataType]) -> "ColumnFeatures":
+        """Inline rows as feature columns.  ``dtypes`` (the schema's, one
+        per field) type a column whose cells are all NULL: its values
+        cannot say whether it is numeric-kind, and the hasher must know."""
+        columns = [TypedColumn.from_values(col, dtype)
+                   if all(v is None for v in col) else object_array(col)
+                   for col, dtype in zip(zip(*rows) if rows
+                                         else [()] * len(dtypes), dtypes)]
+        out = cls(columns)
+        out._rows = list(rows)
+        return out
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return self._length
 
     def __bool__(self) -> bool:
-        return len(self.targets) > 0
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows())
-
-    def __getitem__(self, index):
-        return self.rows()[index]
+        return self._length > 0
 
     def rows(self) -> list[tuple]:
         """Row-tuple view, built lazily for row-oriented consumers."""
         if self._rows is None:
             self._rows = (list(zip(*self.columns)) if self.columns
-                          else [() for _ in range(len(self.targets))])
+                          else [()] * self._length)
         return self._rows
+
+    @classmethod
+    def concat(cls, parts: Sequence["ColumnFeatures"]) -> "ColumnFeatures":
+        """Concatenate several feature sets row-wise (micro-batch
+        coalescing in the serving subsystem)."""
+        if not parts:
+            raise ValueError("concat needs at least one part")
+        width = len(parts[0].columns)
+        for part in parts[1:]:
+            if len(part.columns) != width:
+                raise ValueError("cannot concat feature sets of different "
+                                 "widths")
+        return cls([concat_columns([p.columns[i] for p in parts])
+                    for i in range(width)])
+
+
+class ColumnTrainingSet(ColumnFeatures):
+    """Feature columns plus ``targets`` (a float64 array, one per row):
+    what a training or fine-tune task streams."""
+
+    def __init__(self, columns: Sequence[np.ndarray], targets: np.ndarray):
+        super().__init__(columns)
+        self.targets = np.asarray(targets, dtype=np.float64)
+        if self.columns and len(self.targets) != self._length:
+            raise ValueError("feature columns and targets must have "
+                             "equal lengths")
+        self._length = len(self.targets)
+        self._ids: tuple[int, np.ndarray] | None = None
 
     def ids(self, hasher: FeatureHasher) -> np.ndarray:
         """The set's (n, field_count) id matrix, hashed once: every batch
@@ -98,79 +131,6 @@ class ColumnTrainingSet:
                                  self.targets[n - rows:])
 
 
-class ColumnFeatures:
-    """Materialized columnar inference inputs: feature columns, no targets.
-
-    The prediction-side twin of :class:`ColumnTrainingSet`: the PREDICT
-    path hands these straight to
-    :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`, so inference
-    inputs never explode into per-row Python tuples between the storage
-    engine and the id matrix.  ``rows()`` builds the tuple view lazily for
-    the places that still need it (result-set assembly).
-    """
-
-    def __init__(self, columns: Sequence[np.ndarray]):
-        self.columns = list(columns)
-        for col in self.columns[1:]:
-            if len(col) != len(self.columns[0]):
-                raise ValueError("feature columns must have equal lengths")
-        self._rows: list[tuple] | None = None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple],
-                  dtypes: Sequence[DataType]) -> "ColumnFeatures":
-        """Inline rows as feature columns.  ``dtypes`` (the schema's, one
-        per field) type a column whose cells are all NULL: its values
-        cannot say whether it is numeric-kind, and the hasher must know."""
-        columns = [TypedColumn.from_values(col, dtype)
-                   if all(v is None for v in col) else _to_object_array(col)
-                   for col, dtype in zip(zip(*rows) if rows
-                                         else [()] * len(dtypes), dtypes)]
-        out = cls(columns)
-        out._rows = list(rows)
-        return out
-
-    @property
-    def field_count(self) -> int:
-        return len(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows())
-
-    def rows(self) -> list[tuple]:
-        """Row-tuple view, built lazily for row-oriented consumers."""
-        if self._rows is None:
-            self._rows = list(zip(*self.columns)) if self.columns else []
-        return self._rows
-
-    @classmethod
-    def concat(cls, parts: Sequence["ColumnFeatures"]) -> "ColumnFeatures":
-        """Concatenate several feature sets row-wise (micro-batch
-        coalescing in the serving subsystem)."""
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        width = parts[0].field_count
-        for part in parts[1:]:
-            if part.field_count != width:
-                raise ValueError("cannot concat feature sets of different "
-                                 "widths")
-        return cls([concat_columns([p.columns[i] for p in parts])
-                    for i in range(width)])
-
-
-def _to_object_array(values: Sequence[object]) -> np.ndarray:
-    arr = np.empty(len(values), dtype=object)
-    if len(values):
-        arr[:] = values
-    return arr
-
-
 class StreamingDataLoader:
     """Windowed, batch-granularity loader over a row stream or column set.
 
@@ -191,22 +151,15 @@ class StreamingDataLoader:
             raise ValueError("batch_size must be positive")
         if window_batches <= 0:
             raise ValueError("window_batches must be positive")
-        if isinstance(rows, ColumnTrainingSet):
-            self._columnar: ColumnTrainingSet | None = rows
-            self._cursor = 0
-            self._rows = iter(())
-            self._targets = iter(())
-        else:
-            self._columnar = None
-            self._cursor = 0
-            self._rows = iter(rows)
-            self._targets = iter(targets)
+        self._columnar = rows if isinstance(rows, ColumnTrainingSet) else None
+        self._cursor = 0
+        self._rows = iter(() if self._columnar is not None else rows)
+        self._targets = iter(() if self._columnar is not None else targets)
         self._hasher = hasher
         self.batch_size = batch_size
         self.window_batches = window_batches
         self._window: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._exhausted = False
-        self.batches_produced = 0
 
     # -- producer side -----------------------------------------------------
 
@@ -230,7 +183,6 @@ class StreamingDataLoader:
         ids = self._hasher.transform(raw_rows)
         targets = np.asarray(raw_targets, dtype=np.float64)
         self._window.append((ids, targets))
-        self.batches_produced += 1
         return True
 
     def _prepare_columnar(self) -> bool:
@@ -245,17 +197,13 @@ class StreamingDataLoader:
         ids = data.ids(self._hasher)[start:stop]
         targets = data.targets[start:stop].copy()
         self._window.append((ids, targets))
-        self.batches_produced += 1
         return True
 
-    def fill_window(self) -> int:
+    def fill_window(self) -> None:
         """Prepare batches until the window is full or input runs dry."""
-        added = 0
-        while len(self._window) < self.window_batches:
-            if not self._prepare_one():
-                break
-            added += 1
-        return added
+        while (len(self._window) < self.window_batches
+               and self._prepare_one()):
+            pass
 
     # -- consumer side ---------------------------------------------------------
 
@@ -266,10 +214,6 @@ class StreamingDataLoader:
                 if not self._window:
                     return
             yield self._window.popleft()
-
-    @property
-    def window_fill(self) -> int:
-        return len(self._window)
 
 
 # rows per scan block of a PREDICT materialization (the paper's default
@@ -302,60 +246,68 @@ def map_scan_blocks(table, process: Callable[[RowBlock], object],
                                       SCAN_BLOCK_ROWS, start_page)]
 
 
+def _scan_columns(table, masks: Sequence[Callable], pick: Callable,
+                  clock: SimClock | None, start_page: int = 0):
+    """The one scan under every PREDICT materialization: charge
+    :data:`~repro.common.simtime.CostModel.TUPLE_CPU` per scanned row
+    (category ``predict-materialize``) when a ``clock`` is supplied, narrow
+    each block by ``masks`` in order (vectorized ``RowBlock -> bool
+    mask``; a later mask never sees a row an earlier one dropped), and lay
+    the survivors' ``pick(block)`` columns end to end.  Returns None when
+    no row survives.  No per-row tuple is ever built."""
+
+    def materialize(block: RowBlock):
+        if clock is not None:
+            clock.advance_batch(CostModel.TUPLE_CPU, len(block),
+                                cat.PREDICT_MATERIALIZE)
+        for mask in masks:
+            if not block:
+                break
+            block = block.select(mask(block))
+        return pick(block) if block else None
+
+    parts = [part for part in
+             map_scan_blocks(table, materialize, start_page=start_page)
+             if part is not None]
+    if not parts:
+        return None
+    return [concat_columns(column) for column in zip(*parts)]
+
+
 def table_training_set(table, feature_columns: list[str],
                        target_column: str,
                        block_predicate: Callable | None = None,
                        clock: SimClock | None = None,
                        start_page: int = 0) -> ColumnTrainingSet:
     """Materialize a heap table as a columnar training set: feature
-    column arrays plus a target array.
+    column arrays plus a float64 target array (see :func:`_scan_columns`
+    for the scan and its charges).
 
-    Pages are scanned in batches, NULL-target (and filtered) rows are
-    dropped with a boolean mask, and the surviving values are
-    concatenated column-wise — no per-row tuple is ever built.
-
-    ``block_predicate`` is a vectorized ``RowBlock -> bool mask`` (e.g.
-    from :func:`~repro.exec.expr.compile_predicate_batch`) applied only
-    to rows whose target is non-NULL — matching the row engine's skip
-    order, so a predicate that would error on a NULL-target row never
-    evaluates it.
-
-    When a ``clock`` is supplied, materialization charges
-    :data:`~repro.common.simtime.CostModel.TUPLE_CPU` per scanned row
-    (category ``predict-materialize``).
+    NULL-target rows are dropped *before* ``block_predicate`` (e.g. from
+    :func:`~repro.exec.expr.compile_predicate_batch`) runs — matching the
+    row engine's skip order, so a predicate that would error on a
+    NULL-target row never evaluates it.
     """
     schema = table.schema
     feature_idx = [schema.index_of(c) for c in feature_columns]
     target_idx = schema.index_of(target_column)
+    masks = [lambda block: ~block.null_mask(target_idx)]
+    if block_predicate is not None:
+        masks.append(block_predicate)
 
-    def materialize(block: RowBlock):
-        if clock is not None:
-            clock.advance_batch(CostModel.TUPLE_CPU, len(block),
-                                cat.PREDICT_MATERIALIZE)
-        block = block.select(~block.null_mask(target_idx))
-        if block and block_predicate is not None:
-            block = block.select(block_predicate(block))
-        if not block:
-            return None
+    def pick(block: RowBlock) -> list:
         # typed scan blocks hand the target straight out of the float64
         # page layout (bit-identical to the object astype, no boxing);
         # the object fallback covers precision-declined columns
         target = block.numeric(target_idx)
         if target is None:
             target = block.column(target_idx).astype(np.float64)
-        return (target, [block.columns[idx] for idx in feature_idx])
+        return [block.columns[idx] for idx in feature_idx] + [target]
 
-    results = [part for part in
-               map_scan_blocks(table, materialize, start_page=start_page)
-               if part is not None]
-    if not results:
-        return ColumnTrainingSet(
-            [np.empty(0, dtype=object) for _ in feature_idx],
-            np.empty(0, dtype=np.float64))
-    targets = np.concatenate([t for t, _ in results])
-    merged = [concat_columns([cols[i] for _, cols in results])
-              for i in range(len(feature_idx))]
-    return ColumnTrainingSet(merged, targets)
+    columns = _scan_columns(table, masks, pick, clock, start_page)
+    if columns is None:
+        columns = [np.empty(0, dtype=object)] * (len(feature_idx) + 1)
+    return ColumnTrainingSet(columns[:-1], columns[-1])
 
 
 def table_training_set_tail(table, feature_columns: list[str],
@@ -388,55 +340,33 @@ def table_feature_columns(table, feature_columns: list[str],
                           block_predicate: Callable | None = None,
                           target_column: str | None = None,
                           clock: SimClock | None = None):
-    """Materialize PREDICT inference inputs as columnar features.
+    """Materialize PREDICT inference inputs: ``(ColumnFeatures, targets,
+    target_null)`` — the feature columns of the rows the vectorized WHERE
+    predicate keeps, plus, when ``target_column`` is given, those rows'
+    raw target column and its NULL mask, which the serving subsystem uses
+    to score predictions against ground truth where it exists.
 
-    Scans the table (see :func:`map_scan_blocks`), applies the vectorized
-    WHERE predicate, and returns ``(ColumnFeatures, targets,
-    target_null)``: the selected rows' feature columns, plus — when
-    ``target_column`` is given — the selected rows' raw target column
-    and its NULL mask, which the serving subsystem uses to score
-    predictions against ground truth where it exists.  No per-row tuples
-    are built anywhere on this path; the feature columns flow straight
-    into :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`.
-
-    Virtual-time charges are identical to the training-set
-    materialization: ``TUPLE_CPU`` per scanned row when a ``clock`` is
-    supplied, independent of ``target_column``.
+    Charges are those of the training-set materialization (the same
+    :func:`_scan_columns`), independent of ``target_column``.
     """
     schema = table.schema
     feature_idx = [schema.index_of(c) for c in feature_columns]
+    width = len(feature_idx)
     target_idx = (schema.index_of(target_column)
                   if target_column is not None else None)
 
-    def materialize(block: RowBlock):
-        if clock is not None:
-            clock.advance_batch(CostModel.TUPLE_CPU, len(block),
-                                cat.PREDICT_MATERIALIZE)
-        if block_predicate is not None:
-            block = block.select(block_predicate(block))
-        if not block:
-            return None
+    def pick(block: RowBlock) -> list:
         features = [block.columns[idx] for idx in feature_idx]
         if target_idx is None:
-            return features, None, None
-        return (features, block.column(target_idx),
-                block.null_mask(target_idx))
+            return features
+        return features + [block.column(target_idx),
+                           block.null_mask(target_idx)]
 
-    results = [part for part in
-               map_scan_blocks(table, materialize)
-               if part is not None]
-    if not results:
-        features = ColumnFeatures([np.empty(0, dtype=object)
-                                   for _ in feature_idx])
-        if target_idx is None:
-            return features, None, None
-        return (features, np.empty(0, dtype=object),
-                np.empty(0, dtype=bool))
-    features = ColumnFeatures(
-        [concat_columns([cols[i] for cols, _, _ in results])
-         for i in range(len(feature_idx))])
+    masks = [block_predicate] if block_predicate is not None else []
+    columns = _scan_columns(table, masks, pick, clock)
+    if columns is None:
+        columns = ([np.empty(0, dtype=object)] * (width + 1)
+                   + [np.empty(0, dtype=bool)])
     if target_idx is None:
-        return features, None, None
-    targets = np.concatenate([t for _, t, _ in results])
-    null = np.concatenate([m for _, _, m in results])
-    return features, targets, null
+        return ColumnFeatures(columns[:width]), None, None
+    return ColumnFeatures(columns[:width]), columns[width], columns[width + 1]

@@ -17,7 +17,6 @@ read, so resolving a version costs the same at 1 and at 1,000 versions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.ai.armnet import ARMNet
@@ -28,23 +27,6 @@ from repro.nn.serialize import pack_state, unpack_state
 from repro.storage.heap import HeapTable
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
-
-
-@dataclass
-class ModelView:
-    """Logical handle on (model name, version timestamp); the physical
-    layers are resolved at materialization time (paper's "model view")."""
-
-    manager: "ModelManager"
-    name: str
-    timestamp: Optional[int] = None  # None = newest
-
-    def materialize(self) -> ARMNet:
-        return self.manager.load_model(self.name, self.timestamp)
-
-    def layers(self) -> list[tuple[int, int]]:
-        """(LID, timestamp) pairs this view resolves to."""
-        return self.manager.resolve_layers(self.name, self.timestamp)
 
 
 class ModelManager:
@@ -139,10 +121,6 @@ class ModelManager:
 
     # -- resolution & loading -------------------------------------------------------
 
-    def view(self, name: str, timestamp: Optional[int] = None) -> ModelView:
-        self._mid_of(name)  # existence check
-        return ModelView(self, name.lower(), timestamp)
-
     def resolve_layers(self, name: str,
                        timestamp: Optional[int] = None) -> list[tuple[int, int]]:
         """For each LID, the newest persisted timestamp <= requested.
@@ -181,18 +159,8 @@ class ModelManager:
     def has_model(self, name: str) -> bool:
         return name.lower() in self._name_to_mid
 
-    def model_names(self) -> list[str]:
-        return sorted(self._name_to_mid)
-
     def versions(self, name: str) -> list[int]:
         return list(self._versions[self._mid_of(name)])
-
-    def storage_bytes(self, name: str) -> int:
-        """Total persisted layer bytes across all versions of a model."""
-        mid = self._mid_of(name)
-        return sum(len(self._blobs[(mid, lid, ts)])
-                   for lid, stamps in enumerate(self._layer_stamps[mid])
-                   for ts in stamps)
 
     def layer_rows(self, name: str) -> int:
         """Number of persisted layer rows (Fig. 3's Layers-table rows)."""

@@ -17,7 +17,6 @@ from repro.ai.streaming import (
     FrameType,
     decode_batch,
     decode_handshake,
-    decode_renegotiate,
 )
 from repro.common import categories as cat
 from repro.common.errors import StreamProtocolError
@@ -74,8 +73,6 @@ class AIRuntime:
                 consumed += 1
                 self.batches_consumed += 1
                 self.samples_consumed += len(targets)
-            elif frame.type is FrameType.RENEGOTIATE:
-                self._config = decode_renegotiate(frame)
             elif frame.type is FrameType.END_OF_STREAM:
                 return consumed
             else:
@@ -104,15 +101,6 @@ class AIRuntime:
         self._clock.advance(self.train_batch_cost(len(targets),
                                                   ids.shape[1]), cat.TRAIN)
         return value
-
-    def infer(self, ids: np.ndarray) -> np.ndarray:
-        assert self.model is not None
-        self._clock.advance(self.infer_batch_cost(ids.shape[0],
-                                                  ids.shape[1]), cat.INFER)
-        logits = self.model.forward(ids).data
-        if self.model.task_type == "classification":
-            return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
-        return logits
 
     # -- virtual-time cost formulas ------------------------------------------------
 

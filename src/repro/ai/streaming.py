@@ -9,10 +9,10 @@ model transfer through the connection."
 
 This module implements that protocol over an in-process duplex channel that
 stands in for the TCP socket: real framed messages (header + payload bytes),
-a real handshake negotiating model/streaming parameters, credit-based
-windowed flow control, and dynamic parameter renegotiation mid-stream (the
-"data-driven dispatcher" adjusting an ongoing task).  Virtual time is charged
-per frame and per byte so the protocol's efficiency is measurable.
+a real handshake negotiating model/streaming parameters, and credit-based
+windowed flow control (the receiver returns credit by method call, not by
+frame).  Virtual time is charged per frame and per byte so the protocol's
+efficiency is measurable.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class FrameType(enum.IntEnum):
     HANDSHAKE_ACK = 2
     DATA_BATCH = 3
     MODEL_WEIGHTS = 4
-    CREDIT = 5          # receiver grants the sender more window slots
-    RENEGOTIATE = 6     # dynamic parameter update for an ongoing task
+    CREDIT = 5          # reserved: credit travels by method call today
+    RENEGOTIATE = 6     # reserved: no sender emits it
     END_OF_STREAM = 7
     RESULT = 8
 
@@ -72,7 +72,6 @@ class StreamStats:
     bytes_sent: int = 0
     batches_sent: int = 0
     handshakes: int = 0
-    renegotiations: int = 0
 
 
 class Channel:
@@ -168,28 +167,6 @@ def decode_batch(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     return ids.copy(), targets.copy()
 
 
-def encode_credit(batches: int) -> Frame:
-    return Frame(FrameType.CREDIT, struct.pack("<I", batches))
-
-
-def decode_credit(frame: Frame) -> int:
-    if frame.type is not FrameType.CREDIT:
-        raise StreamProtocolError(f"expected CREDIT, got {frame.type.name}")
-    return struct.unpack_from("<I", frame.payload)[0]
-
-
-def encode_renegotiate(config: StreamConfig) -> Frame:
-    payload = json.dumps(config.to_json()).encode("utf-8")
-    return Frame(FrameType.RENEGOTIATE, payload)
-
-
-def decode_renegotiate(frame: Frame) -> StreamConfig:
-    if frame.type is not FrameType.RENEGOTIATE:
-        raise StreamProtocolError(
-            f"expected RENEGOTIATE, got {frame.type.name}")
-    return StreamConfig.from_json(json.loads(frame.payload.decode("utf-8")))
-
-
 class StreamSender:
     """Dispatcher-side sender with credit-based flow control.
 
@@ -202,10 +179,6 @@ class StreamSender:
         self._channel = channel
         self._config = config
         self._in_flight = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
 
     def handshake(self, model_spec: dict) -> None:
         self._channel.send(encode_handshake(model_spec, self._config))
@@ -221,11 +194,6 @@ class StreamSender:
 
     def credit_received(self, batches: int) -> None:
         self._in_flight = max(0, self._in_flight - batches)
-
-    def renegotiate(self, config: StreamConfig) -> None:
-        self._config = config
-        self._channel.send(encode_renegotiate(config))
-        self._channel.stats.renegotiations += 1
 
     def finish(self) -> None:
         self._channel.send(Frame(FrameType.END_OF_STREAM, b""))

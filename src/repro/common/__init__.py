@@ -19,7 +19,7 @@ from repro.common.errors import (
     is_retryable,
 )
 from repro.common.faults import FaultPlan, FaultSpec
-from repro.common.rng import make_rng, stable_hash, zipf_sample
+from repro.common.rng import make_rng, stable_hash
 from repro.common.simtime import CostModel, SimClock
 
 __all__ = [
@@ -45,5 +45,4 @@ __all__ = [
     "is_retryable",
     "make_rng",
     "stable_hash",
-    "zipf_sample",
 ]

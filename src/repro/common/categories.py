@@ -60,7 +60,6 @@ RETRY_BACKOFF = "retry-backoff"  # Db-level statement retry backoff
 
 # -- AI runtime and serving ---------------------------------------------------
 TRAIN = "train"                # runtime forward/backward per batch
-INFER = "infer"                # runtime forward per batch
 PREP = "prep"                  # producer-side vectorized prep per value
 STREAM = "stream"              # streaming frame send (net + serialize)
 AI_TRAIN = "ai-train"          # engine-level training-task makespan
@@ -105,7 +104,6 @@ REGISTRY: dict[str, str] = {
     FAULT_SLOW: "injected slow-worker latency",
     RETRY_BACKOFF: "statement retry backoff",
     TRAIN: "runtime training step per batch",
-    INFER: "runtime inference per batch",
     PREP: "producer-side prep per value",
     STREAM: "streaming frame send",
     AI_TRAIN: "training-task makespan",

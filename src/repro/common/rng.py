@@ -27,23 +27,6 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
 
-def zipf_sample(rng: np.random.Generator, n: int, theta: float,
-                size: int | None = None) -> np.ndarray | int:
-    """Sample from a Zipfian distribution over ``{0, ..., n-1}``.
-
-    This is the classical YCSB-style zipfian generator: item rank ``r`` has
-    probability proportional to ``1 / (r+1)**theta``.  ``theta = 0`` is
-    uniform; YCSB's default hotspot skew is ``theta = 0.99``.
-    """
-    if n <= 0:
-        raise ValueError("zipf_sample requires n >= 1")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-theta)
-    weights /= weights.sum()
-    out = rng.choice(n, size=size, p=weights)
-    return out
-
-
 def stable_hash(value: object, buckets: int) -> int:
     """Deterministic (process-independent) hash of a value into a bucket.
 

@@ -170,11 +170,6 @@ class SimClock:
         """Copy of the per-category totals."""
         return dict(self._by_category)
 
-    def reset(self) -> None:
-        """Zero the clock and all counters."""
-        self._now = 0.0
-        self._by_category.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"
 
@@ -203,7 +198,6 @@ class LaneSchedule:
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         self._free = [0.0] * lanes
-        self._busy = 0.0
         self.assignments = 0
 
     @property
@@ -227,17 +221,12 @@ class LaneSchedule:
         start = max(ready, self._free[lane])
         completion = start + cost
         self._free[lane] = completion
-        self._busy += cost
         self.assignments += 1
         return lane, start, completion
 
     def makespan(self) -> float:
         """Virtual time at which the last assigned work completes."""
         return max(self._free)
-
-    def busy_time(self) -> float:
-        """Total lane-occupied virtual seconds across all lanes."""
-        return self._busy
 
 
 class NetworkModel:

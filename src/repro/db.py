@@ -26,9 +26,8 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.ai.engine import AIEngine
-from repro.ai.loader import (ColumnFeatures, ColumnTrainingSet,
-                             table_feature_columns, table_training_set,
-                             table_training_set_tail)
+from repro.ai.loader import (ColumnFeatures, table_feature_columns,
+                             table_training_set, table_training_set_tail)
 from repro.ai.model_manager import ModelManager
 from repro.ai.monitor import Monitor
 from repro.ai.tasks import FineTuneTask, InferenceTask, TrainTask
@@ -296,9 +295,6 @@ class NeurDB:
         return (self.registry.event_messages(prefix="db.")
                 + self.registry.event_messages(kind="monitor.trigger_error"))
 
-    def _warn(self, message: str) -> None:
-        self.registry.event("db.warning", message, time=self.clock.now)
-
     # -- observability --------------------------------------------------------
 
     def metrics(self) -> dict:
@@ -459,13 +455,11 @@ class NeurDB:
         ctx = self.bind_predict(statement)
         trained_now = self.ensure_predict_model(ctx, force_retrain)
         features, _, _ = self.prediction_inputs(ctx)
-        if not features:
-            return ResultSet(columns=ctx.feature_columns + [ctx.target],
-                             rows=[], extra={"model": ctx.model_name})
-        inference = self.ai_engine.infer(
-            InferenceTask(model_name=ctx.model_name), features)
-        return self.predict_result(ctx, features, inference.predictions,
-                                    trained_now)
+        # no rows, no inference: the model is not even loaded
+        predictions = (self.ai_engine.infer(
+            InferenceTask(model_name=ctx.model_name), features).predictions
+            if features else None)
+        return self.predict_result(ctx, features, predictions, trained_now)
 
     def bind_predict(self, statement: ast.Predict) -> PredictContext:
         """Resolve a PREDICT statement against the catalog (no charges)."""
@@ -492,41 +486,52 @@ class NeurDB:
         training task actually ran."""
         if not force_retrain and self.models.has_model(ctx.model_name):
             return False
-        train_rows, train_targets = self._training_data(ctx)
-        if not train_rows:
+        statement = ctx.statement
+        predicate = (compile_predicate_batch(statement.train_filter,
+                                             ctx.layout)
+                     if statement.train_filter is not None else None)
+        data = table_training_set(ctx.table, ctx.feature_columns,
+                                  statement.target,
+                                  block_predicate=predicate,
+                                  clock=self.clock)
+        if not data:
             raise ExecutionError(
                 "PREDICT has no training rows (check WITH filter and "
                 "target NULLs)")
-        batch_size = min(512, len(train_rows))
+        batch_size = min(512, len(data))
         # small tables need more passes to reach a useful step count;
         # large tables converge within the paper's 1-2 streaming epochs
         steps_wanted = 80
         epochs = max(2, min(100, round(steps_wanted * batch_size
-                                       / len(train_rows))))
+                                       / len(data))))
         task = TrainTask(model_name=ctx.model_name,
-                         task_type=ctx.statement.task,
+                         task_type=statement.task,
                          field_count=len(ctx.feature_columns),
                          epochs=epochs, batch_size=batch_size)
-        train_result = self.ai_engine.train(task, train_rows, train_targets)
-        self.catalog.bind_model(ctx.statement.table, ctx.target,
-                                ctx.model_name)
+        train_result = self.ai_engine.train(task, data, data.targets)
+        self.catalog.bind_model(ctx.model_name, statement.table,
+                                ctx.target, ctx.feature_columns)
         self._observe_losses(ctx.model_name, train_result.losses)
         return True
 
     def predict_result(self, ctx: PredictContext, features: ColumnFeatures,
-                        predictions: np.ndarray,
+                        predictions: "np.ndarray | None",
                         trained_now: bool) -> ResultSet:
         """Assemble the PREDICT result set from columnar features plus raw
-        model outputs — one shared definition, so the facade and the
-        serving subsystem format bit-identically."""
+        model outputs (None for an empty feature set) — one shared
+        definition, so the facade and the serving subsystem format
+        bit-identically."""
+        columns = ctx.feature_columns + [ctx.target]
+        if not features:
+            return ResultSet(columns=columns, rows=[],
+                             extra={"model": ctx.model_name})
         if ctx.statement.task == "classification":
             output = [int(p >= 0.5) for p in predictions]
         else:
             output = [float(p) for p in predictions]
         rows = [tuple(row) + (value,)
                 for row, value in zip(features.rows(), output)]
-        return ResultSet(columns=ctx.feature_columns + [ctx.target],
-                         rows=rows,
+        return ResultSet(columns=columns, rows=rows,
                          extra={"model": ctx.model_name,
                                 "trained_now": trained_now,
                                 "probabilities": predictions})
@@ -535,9 +540,15 @@ class NeurDB:
                         tune_last_layers: int = 2, epochs: int = 2,
                         learning_rate: float = 5e-3,
                         batch_size: int | None = None,
-                        window_rows: int | None = None) -> None:
+                        window_rows: int | None = None, *,
+                        model_name: str | None = None) -> None:
         """Explicitly trigger the FineTune operator for a bound PREDICT
         model, using the current table contents as the update data.
+
+        The model is ``model_name``, or the one most recently trained for
+        ``table.target``; the update data are the columns the catalog
+        recorded it was trained on
+        (:meth:`~repro.storage.catalog.Catalog.model_binding`).
 
         ``learning_rate`` and ``batch_size`` tune the incremental update:
         adaptation to a drifted distribution wants a larger step and more
@@ -551,14 +562,17 @@ class NeurDB:
         refresh cost tracks the window, not the table history.  It
         defaults to the connection-level ``refresh_window`` knob, and
         ``None`` there keeps the historical full-table behavior."""
-        model_name = self.catalog.bound_model(table, target)
         if model_name is None:
-            raise NeurDBError(f"no model bound for {table}.{target}")
+            model_name = self.catalog.bound_model(table, target)
+        binding = self.catalog.model_binding(model_name)
+        if binding is None or binding[:2] != (table.lower(), target.lower()):
+            raise NeurDBError(f"no model bound for {table}.{target}"
+                              f" (asked for: {model_name})")
         heap = self.catalog.table(table)
-        schema = heap.schema
-        model = self.models.load_model(model_name)
-        feature_columns = [c for c in schema.non_unique_column_names()
-                           if c != target.lower()][: model.field_count]
+        feature_columns = list(binding.feature_columns)
+        # the operator's recorded cost has this load beside the engine's
+        # own (tests/feature_hashing_golden.json pins both charges)
+        self.models.load_model(model_name)
         window = (window_rows if window_rows is not None
                   else self.refresh_window)
         if window is not None:
@@ -601,21 +615,6 @@ class NeurDB:
         signature = stable_hash(tuple(feature_columns), 1 << 32)
         return (f"predict_{statement.table}_{statement.target}"
                 f"_{signature:08x}").lower()
-
-    def _training_data(self, ctx: PredictContext
-                       ) -> tuple[ColumnTrainingSet, Any]:
-        """Columnar training data: the loader scans in page batches,
-        drops NULL-target rows, applies the vectorized WITH filter, and
-        hands the AI layer column arrays instead of per-row tuples."""
-        statement = ctx.statement
-        predicate = (compile_predicate_batch(statement.train_filter,
-                                             ctx.layout)
-                     if statement.train_filter is not None else None)
-        data = table_training_set(ctx.table, ctx.feature_columns,
-                                  statement.target,
-                                  block_predicate=predicate,
-                                  clock=self.clock)
-        return data, data.targets
 
     def prediction_inputs(self, ctx: PredictContext,
                            with_targets: bool = False

@@ -47,7 +47,7 @@ from repro.storage.types import TypedColumn
 DEFAULT_BATCH_SIZE = 1024
 
 
-def _object_array(values: Sequence[Any]) -> np.ndarray:
+def object_array(values: Sequence[Any]) -> np.ndarray:
     """A 1-D object array whose elements are exactly ``values``.
 
     ``np.array(values, dtype=object)`` is avoided: it inspects nested
@@ -109,7 +109,7 @@ class RowBlock:
         if n == 0:
             return cls(layout, [np.empty(0, dtype=object)
                                 for _ in range(width)], 0, kinds)
-        return cls(layout, [_object_array(col) for col in zip(*rows)], n,
+        return cls(layout, [object_array(col) for col in zip(*rows)], n,
                    kinds)
 
     @classmethod
@@ -130,7 +130,7 @@ class RowBlock:
         length = len(columns[0]) if columns else 0
         cols = [c if isinstance(c, TypedColumn)
                 or (isinstance(c, np.ndarray) and c.dtype == object)
-                else _object_array(list(c)) for c in columns]
+                else object_array(list(c)) for c in columns]
         return cls(layout, cols, length)
 
     # -- basic properties ---------------------------------------------------

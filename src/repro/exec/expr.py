@@ -78,9 +78,6 @@ class RowLayout:
             raise BindError(f"column reference {column!r} is ambiguous")
         raise BindError(f"column {column!r} not in scope")
 
-    def has(self, column: str, binding: str | None = None) -> bool:
-        return self.try_resolve(column, binding) is not None
-
     def concat(self, other: "RowLayout") -> "RowLayout":
         return RowLayout(self.slots + other.slots)
 

@@ -9,7 +9,6 @@ from repro.nn.attention import (
 from repro.nn.blas import pin_single_thread
 from repro.nn.layers import (
     MLP,
-    Dropout,
     Embedding,
     GeLU,
     LayerNorm,
@@ -20,23 +19,16 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.losses import (
-    accuracy,
-    auc_score,
-    bce_with_logits,
-    mse_loss,
-    softmax_cross_entropy,
-)
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.losses import auc_score, bce_with_logits, mse_loss
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.serialize import pack_state, state_nbytes, unpack_state
-from repro.nn.tensor import Tensor, concat, numerical_gradient, stack
+from repro.nn.tensor import Tensor, numerical_gradient
 
 pin_single_thread()
 
 __all__ = [
     "Adam",
     "CrossAttentionBlock",
-    "Dropout",
     "Embedding",
     "GeLU",
     "LayerNorm",
@@ -46,21 +38,16 @@ __all__ = [
     "MultiHeadAttention",
     "Optimizer",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "Tanh",
     "Tensor",
     "TransformerBlock",
-    "accuracy",
     "auc_score",
     "bce_with_logits",
-    "concat",
     "mse_loss",
     "numerical_gradient",
     "pack_state",
-    "softmax_cross_entropy",
-    "stack",
     "state_nbytes",
     "unpack_state",
 ]

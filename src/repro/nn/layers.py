@@ -22,7 +22,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Tensor] = {}
         self._modules: dict[str, Module] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value: object) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -50,21 +49,9 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_parameters(f"{prefix}{mod_name}.")
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None
-
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     # -- (de)serialization -----------------------------------------------------
 
@@ -163,24 +150,6 @@ class GeLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         inner = (x + x * x * x * 0.044715) * 0.7978845608028654
         return x * (inner.tanh() + 1.0) * 0.5
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.1,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
 
 
 class LayerNorm(Module):

@@ -25,28 +25,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
     return loss.mean()
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Multi-class cross-entropy; ``labels`` are integer class ids."""
-    labels = np.asarray(labels, dtype=np.int64)
-    log_probs = logits.log_softmax(axis=-1)
-    batch = log_probs.shape[0]
-    one_hot = np.zeros(log_probs.shape)
-    one_hot[np.arange(batch), labels] = 1.0
-    picked = log_probs * Tensor(one_hot)
-    return -picked.sum() * (1.0 / batch)
-
-
-def accuracy(logits: Tensor | np.ndarray, labels: np.ndarray) -> float:
-    """Classification accuracy for logits (binary if 1-d, else argmax)."""
-    data = logits.data if isinstance(logits, Tensor) else logits
-    labels = np.asarray(labels)
-    if data.ndim == 1 or data.shape[-1] == 1:
-        predicted = (data.reshape(-1) > 0).astype(np.int64)
-    else:
-        predicted = data.argmax(axis=-1)
-    return float((predicted == labels.reshape(predicted.shape)).mean())
-
-
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via the rank-sum formulation."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)

@@ -345,42 +345,6 @@ class Tensor:
         e = shifted.exp()
         return e / e.sum(axis=axis, keepdims=True)
 
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self - self.max(axis=axis, keepdims=True)
-        return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along an axis with gradient routing back to the parts."""
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward() -> None:
-        splits = np.cumsum(sizes)[:-1]
-        grads = np.split(out.grad, splits, axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad:
-                tensor._accumulate(grad)
-    out._backward = backward
-    return out
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack along a new axis with gradient routing."""
-    data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors))
-
-    def backward() -> None:
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(grad, axis=axis))
-    out._backward = backward
-    return out
-
 
 def numerical_gradient(fn: Callable[[Tensor], Tensor], x: Tensor,
                        epsilon: float = 1e-6) -> Array:

@@ -247,15 +247,6 @@ class Tracer:
         """Span of a plan node, if any charges were attributed to it."""
         return self._node_spans.get(node_id)
 
-    @contextmanager
-    def op(self, op):
-        """Attribute the block to ``op``'s operator span."""
-        self.push(self.operator_span(op))
-        try:
-            yield
-        finally:
-            self.pop()
-
     def trace_iter(self, op, inner: Iterator) -> Iterator:
         """Wrap a generator so each ``next()`` — and every charge made
         during it, including buffer-pool page charges inside a scan pull —
@@ -320,9 +311,6 @@ class Tracer:
         known = {s.span_id for s in self.spans}
         return [s for s in self.spans
                 if s.parent_id is None or s.parent_id not in known]
-
-    def operator_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.kind == "operator"]
 
     def spans_of_kind(self, *kinds: str) -> list[Span]:
         return [s for s in self.spans if s.kind in kinds]

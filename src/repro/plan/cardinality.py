@@ -101,28 +101,28 @@ class CardinalityEstimator:
 
     def _sel_comparison(self, expr: ast.BinaryOp,
                         bindings: dict[str, str]) -> float:
-        column, literal = _split_column_literal(expr)
+        column, op, literal = column_literal(expr)
         if column is None:
             # col-to-col comparison within one row, or something opaque
             return 0.1 if expr.op != "=" else DEFAULT_JOIN_SELECTIVITY
         stats = self._column_stats(column, bindings)
-        if expr.op == "=":
+        if op == "=":
             if stats is not None and literal is not None:
                 return stats.selectivity_eq(literal)
             return DEFAULT_EQ_SELECTIVITY
-        if expr.op == "<>":
+        if op == "<>":
             if stats is not None and literal is not None:
                 return 1.0 - stats.selectivity_eq(literal)
             return 1.0 - DEFAULT_EQ_SELECTIVITY
-        if expr.op in ("<", "<=", ">", ">="):
+        if op in _MIRROR:
             if stats is not None and literal is not None and isinstance(
                     literal, (int, float)):
                 value = float(literal)
-                if expr.op in ("<", "<="):
+                if op in ("<", "<="):
                     return stats.selectivity_range(None, value)
                 return stats.selectivity_range(value, None)
             return DEFAULT_RANGE_SELECTIVITY
-        if expr.op == "LIKE":
+        if op == "LIKE":
             return 0.1
         return 0.5
 
@@ -169,15 +169,22 @@ def _literal_value(expr: ast.Expr) -> Any:
     return expr.value if isinstance(expr, ast.Literal) else None
 
 
-def _split_column_literal(expr: ast.BinaryOp):
-    """For ``col OP literal`` (either side), return (ColumnRef, value)."""
-    if isinstance(expr.left, ast.ColumnRef) and isinstance(
-            expr.right, ast.Literal):
-        return expr.left, expr.right.value
-    if isinstance(expr.right, ast.ColumnRef) and isinstance(
-            expr.left, ast.Literal):
-        return expr.right, expr.left.value
-    return None, None
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def column_literal(expr: ast.Expr):
+    """Normalize ``col OP lit`` / ``lit OP col`` to (col, OP, lit) with an
+    order comparison mirrored onto the column side (``10 <= id`` is
+    ``id >= 10``; every other operator keeps its spelling); (None, None,
+    None) for anything that is not a column against a literal."""
+    if isinstance(expr, ast.BinaryOp):
+        if isinstance(expr.left, ast.ColumnRef) and isinstance(
+                expr.right, ast.Literal):
+            return expr.left, expr.op, expr.right.value
+        if isinstance(expr.right, ast.ColumnRef) and isinstance(
+                expr.left, ast.Literal):
+            return expr.right, _MIRROR.get(expr.op, expr.op), expr.left.value
+    return None, None, None
 
 
 def is_equi_join_condition(expr: ast.Expr):

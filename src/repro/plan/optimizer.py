@@ -24,7 +24,8 @@ from typing import Optional
 
 from repro.common.errors import BindError, PlanError
 from repro.plan import logical as plan
-from repro.plan.cardinality import CardinalityEstimator, is_equi_join_condition
+from repro.plan.cardinality import (CardinalityEstimator, column_literal,
+                                    is_equi_join_condition)
 from repro.plan.cost import PlanCoster
 from repro.sql import ast
 from repro.storage.catalog import Catalog
@@ -461,21 +462,7 @@ def _comparable(literal, dtype: DataType) -> bool:
     return isinstance(literal, str) and dtype is DataType.TEXT
 
 
-_MIRROR = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _column_literal(expr: ast.Expr):
-    """Normalize ``col OP lit`` / ``lit OP col`` to (col, OP, lit) with OP
-    mirrored onto the column side (``10 <= id`` is ``id >= 10``);
-    (None, None, None) for anything that is not such a comparison."""
-    if isinstance(expr, ast.BinaryOp) and expr.op in _MIRROR:
-        if isinstance(expr.left, ast.ColumnRef) and isinstance(
-                expr.right, ast.Literal):
-            return expr.left, expr.op, expr.right.value
-        if isinstance(expr.right, ast.ColumnRef) and isinstance(
-                expr.left, ast.Literal):
-            return expr.right, _MIRROR[expr.op], expr.left.value
-    return None, None, None
+_BOUND_OPS = ("=", "<", "<=", ">", ">=")
 
 
 def _fold_bounds(predicates: list[ast.Expr], column: str, dtype: DataType,
@@ -494,10 +481,11 @@ def _fold_bounds(predicates: list[ast.Expr], column: str, dtype: DataType,
                      ast.BinaryOp("<=", predicate.operand, predicate.high)]
         else:
             parts = [predicate]
-        bounds = [_column_literal(part) for part in parts]
-        if any(ref is None or ref.name.lower() != column
+        bounds = [column_literal(part) for part in parts]
+        if any(ref is None or op not in _BOUND_OPS
+               or ref.name.lower() != column
                or not _comparable(literal, dtype)
-               for ref, _, literal in bounds):
+               for ref, op, literal in bounds):
             continue
         if bounds[0][1] == "=":
             eq = eq or (i, bounds[0][2])

@@ -61,8 +61,9 @@ Serving survives injected and real failures (``docs/faults.md``):
 * **Graceful refresh degradation** — a failed background refresh never
   takes serving down: the pinned version keeps serving, the failure is
   recorded in :meth:`PredictServer.stats`, and retryable failures re-arm
-  the refresh with exponential backoff up to ``refresh_max_retries``
-  before giving up (after which the next drift event may try again).
+  the refresh with exponential backoff (base :data:`REFRESH_BACKOFF`) up
+  to ``refresh_max_retries`` before giving up (after which the next drift
+  event may try again).
 """
 
 from __future__ import annotations
@@ -84,6 +85,22 @@ from repro.db import NeurDB, PredictContext
 from repro.exec.executor import ResultSet
 from repro.sql import ast
 from repro.sql.parser import parse
+
+
+# Incremental-update hyperparameters of a background refresh, handed to
+# ``NeurDB.fine_tune_model``.  They lean aggressive (large step, small
+# batches => many gradient steps): a refresh only runs because the served
+# distribution has already moved.
+REFRESH_TUNE_LAST_LAYERS = 2
+REFRESH_LEARNING_RATE = 5e-2
+REFRESH_BATCH_SIZE = 256
+# drift parameters of the ``serving:<model>`` loss streams (beside the
+# ``serving_window`` option; None = the monitor's default cooldown)
+SERVING_THRESHOLD = 0.5
+SERVING_COOLDOWN = None
+# base of the exponential backoff (virtual seconds) between attempts of a
+# failed background refresh
+REFRESH_BACKOFF = 1e-2
 
 
 @dataclass
@@ -179,10 +196,6 @@ class ModelCache:
             self._entries.popitem(last=False)
         return model
 
-    def cached_versions(self, name: str) -> list[int]:
-        name = name.lower()
-        return [ts for (n, ts) in self._entries if n == name]
-
 
 class PredictServer:
     """Micro-batched, drift-adaptive PREDICT serving over one NeurDB.
@@ -198,18 +211,16 @@ class PredictServer:
         refresh: default refresh policy — ``"auto"`` (drift enqueues a
             background fine-tune) or ``"manual"``; a request's
             ``WITH (refresh=...)`` knob overrides it for that model.
-        refresh_epochs / refresh_tune_last_layers / refresh_learning_rate
-            / refresh_batch_size: incremental-update hyperparameters
-            handed to ``Db.fine_tune_model``.  Defaults lean aggressive
-            (large step, small batches => many gradient steps): a refresh
-            only runs because the served distribution has already moved.
+        refresh_epochs: passes a background refresh makes over its
+            window (the other incremental-update hyperparameters are the
+            ``REFRESH_*`` module constants).
         refresh_window: fine-tune on only the table's most recent rows (a
             sliding recency window — on a regime shift the freshest rows
             carry the new distribution, so refreshes adapt faster and
             cheaper).  None defers to the database's connection-level
             ``refresh_window`` knob, whose own default is the full table.
-        serving_threshold / serving_window / serving_cooldown: drift
-            parameters for the ``serving:<model>`` metric streams.
+        serving_window: observations per drift window of the
+            ``serving:<model>`` metric streams.
         faults: a seeded :class:`~repro.common.faults.FaultPlan`;
             ``serve_error`` specs fail batch executions (then retried),
             ``refresh_fail`` specs fail background refreshes (then
@@ -223,24 +234,19 @@ class PredictServer:
         default_deadline: relative deadline (virtual seconds from
             arrival) applied to every request that does not pass its own
             to :meth:`submit`; None (default) means no deadline.
-        refresh_max_retries / refresh_backoff: the same retry budget and
-            backoff base for failed background refreshes.
+        refresh_max_retries: the same retry budget for failed background
+            refreshes.
     """
 
     def __init__(self, db: NeurDB, lanes: int = 1,
                  max_batch_requests: int = 16, max_batch_rows: int = 8192,
                  model_cache_size: int = 4, refresh: str = "auto",
-                 refresh_epochs: int = 8, refresh_tune_last_layers: int = 2,
-                 refresh_learning_rate: float = 5e-2,
-                 refresh_batch_size: int = 256,
-                 refresh_window: int | None = None,
-                 serving_threshold: float = 0.5, serving_window: int = 4,
-                 serving_cooldown: int | None = None,
+                 refresh_epochs: int = 8,
+                 refresh_window: int | None = None, serving_window: int = 4,
                  faults: FaultPlan | None = None,
                  max_batch_retries: int = 2, retry_backoff: float = 1e-3,
                  default_deadline: float | None = None,
-                 refresh_max_retries: int = 3,
-                 refresh_backoff: float = 1e-2):
+                 refresh_max_retries: int = 3):
         if refresh not in ("auto", "manual"):
             raise ValueError(f"refresh must be auto or manual, "
                              f"got {refresh!r}")
@@ -255,8 +261,8 @@ class PredictServer:
             raise ValueError("max_batch_retries must be >= 0")
         if refresh_max_retries < 0:
             raise ValueError("refresh_max_retries must be >= 0")
-        if retry_backoff < 0 or refresh_backoff < 0:
-            raise ValueError("backoff bases must be >= 0")
+        if retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0 or None, "
                              f"got {default_deadline}")
@@ -269,9 +275,6 @@ class PredictServer:
         self.max_batch_rows = max_batch_rows
         self.default_refresh = refresh
         self.refresh_epochs = refresh_epochs
-        self.refresh_tune_last_layers = refresh_tune_last_layers
-        self.refresh_learning_rate = refresh_learning_rate
-        self.refresh_batch_size = refresh_batch_size
         self.refresh_window = refresh_window
         # robustness knobs + counters (docs/faults.md)
         self.faults = faults if faults is not None else getattr(
@@ -280,7 +283,6 @@ class PredictServer:
         self.retry_backoff = retry_backoff
         self.default_deadline = default_deadline
         self.refresh_max_retries = refresh_max_retries
-        self.refresh_backoff = refresh_backoff
         self.deadline_misses = 0
         self.batch_retries = 0
         self.refresh_retries = 0
@@ -289,16 +291,13 @@ class PredictServer:
         self.registry = getattr(db, "registry", None)
         if self.registry is not None:
             self.registry.add_collector(self._collect_gauges)
-        self._serving_params = dict(threshold=serving_threshold,
-                                    window=serving_window,
-                                    cooldown=serving_cooldown)
+        self.serving_window = serving_window
         self._pending: deque[PredictRequest] = deque()
         self.completed: list[PredictRequest] = []
         self.refreshes: list[RefreshTask] = []
         self._refresh_queue: deque[RefreshTask] = deque()
         self._serving_version: dict[str, int] = {}
         self._refresh_mode: dict[str, str] = {}
-        self._model_binding: dict[str, tuple[str, str]] = {}
         self._watched_streams: set[str] = set()
         self._contexts: dict[int, PredictContext] = {}
         self._next_request_id = 1
@@ -345,12 +344,12 @@ class PredictServer:
         return request
 
     def refresh_now(self, table: str, target: str) -> RefreshTask:
-        """Manually enqueue a background refresh for a bound model (the
-        ``refresh=manual`` escape hatch); it runs on the next drain."""
+        """Manually enqueue a background refresh for the model most
+        recently trained for ``table.target`` (the ``refresh=manual``
+        escape hatch); it runs on the next drain."""
         model_name = self.db.catalog.bound_model(table, target)
         if model_name is None:
             raise NeurDBError(f"no model bound for {table}.{target}")
-        self._model_binding[model_name] = (table, target)
         return self._enqueue_refresh(model_name, trigger=None,
                                      at=self._event_time)
 
@@ -543,8 +542,6 @@ class PredictServer:
                 trained_now = (self.db.ensure_predict_model(head_ctx)
                                or trained_ever)
                 trained_ever = trained_now
-                self._model_binding[model_name] = (head_ctx.statement.table,
-                                                   head_ctx.target)
                 # pin the serving version: set on first sight of the model,
                 # changed only by an atomic swap at a batch boundary
                 version = self._serving_version.setdefault(
@@ -634,15 +631,9 @@ class PredictServer:
         if not failure:
             for part in parts:
                 request, ctx = part["request"], part["ctx"]
-                features = part["features"]
-                if not features:
-                    request.result = ResultSet(
-                        columns=ctx.feature_columns + [ctx.target], rows=[],
-                        extra={"model": ctx.model_name})
-                else:
-                    request.result = self.db.predict_result(
-                        ctx, features, part["predictions"],
-                        part["trained_now"])
+                request.result = self.db.predict_result(
+                    ctx, part["features"], part.get("predictions"),
+                    part["trained_now"])
         for request, _ in batch:
             request.batch_id = batch_id
             request.batched_with = len(batch)
@@ -700,7 +691,9 @@ class PredictServer:
         loss = float(np.mean((predictions[scored] - truth) ** 2))
         stream = f"serving:{model_name}"
         self.db.monitor.ensure_stream(stream, higher_is_better=False,
-                                      **self._serving_params)
+                                      threshold=SERVING_THRESHOLD,
+                                      window=self.serving_window,
+                                      cooldown=SERVING_COOLDOWN)
         self._watch_stream(stream, model_name)
         self.db.monitor.observe(stream, loss)
 
@@ -738,15 +731,18 @@ class PredictServer:
                               at=self._event_time)
 
     def _enqueue_refresh(self, model_name: str, trigger: DriftEvent | None,
-                         at: float) -> RefreshTask:
-        binding = self._model_binding.get(model_name)
+                         at: float, attempt: int = 0) -> RefreshTask:
+        # the catalog's record of what the model was trained on says
+        # which table the refresh reads (and, in fine_tune_model, which
+        # columns): a drift event tunes the model it was raised for
+        binding = self.db.catalog.model_binding(model_name)
         if binding is None:
             raise NeurDBError(f"no table/target binding recorded for "
                               f"model {model_name!r}")
         task = RefreshTask(task_id=self._next_refresh_id,
-                           model_name=model_name, table=binding[0],
-                           target=binding[1], trigger=trigger,
-                           enqueued_at=at)
+                           model_name=model_name, table=binding.table,
+                           target=binding.target, trigger=trigger,
+                           enqueued_at=at, attempt=attempt)
         self._next_refresh_id += 1
         self._refresh_queue.append(task)
         return task
@@ -781,11 +777,12 @@ class PredictServer:
                         attempt=task.attempt)
                 self.db.fine_tune_model(
                     task.table, task.target,
-                    tune_last_layers=self.refresh_tune_last_layers,
+                    tune_last_layers=REFRESH_TUNE_LAST_LAYERS,
                     epochs=self.refresh_epochs,
-                    learning_rate=self.refresh_learning_rate,
-                    batch_size=self.refresh_batch_size,
-                    window_rows=self.refresh_window)
+                    learning_rate=REFRESH_LEARNING_RATE,
+                    batch_size=REFRESH_BATCH_SIZE,
+                    window_rows=self.refresh_window,
+                    model_name=task.model_name)
                 task.version_after = \
                     self.db.models.versions(task.model_name)[-1]
                 task.status = "done"
@@ -832,15 +829,10 @@ class PredictServer:
                                  task_id=task.task_id,
                                  model=task.model_name,
                                  attempt=task.attempt + 1)
-                retry = RefreshTask(
-                    task_id=self._next_refresh_id,
-                    model_name=task.model_name, table=task.table,
-                    target=task.target, trigger=task.trigger,
-                    enqueued_at=(completion + self.refresh_backoff
-                                 * (2 ** task.attempt)),
+                self._enqueue_refresh(
+                    task.model_name, task.trigger,
+                    at=completion + REFRESH_BACKOFF * (2 ** task.attempt),
                     attempt=task.attempt + 1)
-                self._next_refresh_id += 1
-                self._refresh_queue.append(retry)
 
     def _apply_swaps(self, now: float) -> None:
         """Atomically swap in refreshed versions whose background

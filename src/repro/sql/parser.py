@@ -16,11 +16,19 @@ def parse(sql: str) -> ast.Statement:
 
 
 def parse_script(sql: str) -> list[ast.Statement]:
-    """Parse a ``;``-separated script into a list of statements."""
-    statements = []
-    for piece in sql.split(";"):
-        if piece.strip():
-            statements.append(parse(piece))
+    """Parse a ``;``-separated script into a list of statements.  The
+    token stream is what gets split, so a ``;`` inside a string literal
+    is text, empty statements vanish, and a :class:`ParseError` position
+    points into ``sql``."""
+    statements, run = [], []
+    for token in tokenize(sql):
+        if token.type is not TokenType.EOF and not (
+                token.type is TokenType.PUNCT and token.value == ";"):
+            run.append(token)
+        elif run:
+            end = Token(TokenType.EOF, "", token.position)
+            statements.append(_Parser(run + [end]).parse_statement())
+            run = []
     return statements
 
 

@@ -31,8 +31,6 @@ class BufferPool:
         self._lru: OrderedDict[tuple[str, int], None] = OrderedDict()
         self._hits = 0
         self._misses = 0
-        self._table_hits: dict[str, int] = {}
-        self._table_misses: dict[str, int] = {}
         # typed-view cache accounting: how often a columnar scan found a
         # page's TypedColumn view already built (version-valid) vs. had
         # to rebuild it after a mutation bumped the page version
@@ -53,11 +51,9 @@ class BufferPool:
         if key in self._lru:
             self._lru.move_to_end(key)
             self._hits += 1
-            self._table_hits[table] = self._table_hits.get(table, 0) + 1
             charge_clock.advance(CostModel.PAGE_HIT, cat.BUFFER_HIT)
             return True
         self._misses += 1
-        self._table_misses[table] = self._table_misses.get(table, 0) + 1
         charge_clock.advance(CostModel.PAGE_READ, cat.BUFFER_MISS)
         self._lru[key] = None
         if len(self._lru) > self.capacity_pages:
@@ -101,19 +97,6 @@ class BufferPool:
     def hit_ratio(self) -> float:
         total = self._hits + self._misses
         return self._hits / total if total else 1.0
-
-    def table_hit_ratio(self, table: str) -> float:
-        hits = self._table_hits.get(table, 0)
-        misses = self._table_misses.get(table, 0)
-        total = hits + misses
-        return hits / total if total else 1.0
-
-    def table_residency(self, table: str, table_pages: int) -> float:
-        """Fraction of a table's pages currently resident (0 if empty)."""
-        if table_pages <= 0:
-            return 0.0
-        resident = sum(1 for t, _ in self._lru if t == table)
-        return min(1.0, resident / table_pages)
 
     def snapshot(self) -> dict[str, float]:
         """Summary used as the optimizer's buffer-info feature block."""

@@ -9,7 +9,7 @@ bound to which prediction targets so PREDICT can find a reusable model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.common.errors import CatalogError
 from repro.common.faults import FaultPlan
@@ -30,6 +30,15 @@ class IndexEntry:
     column: str
     index: BPlusTreeIndex | HashIndex
     kind: str  # "btree" | "hash"
+
+
+class ModelBinding(NamedTuple):
+    """What a PREDICT model was trained on: the one record the fine-tune
+    operator and the serving refresh read."""
+
+    table: str
+    target: str
+    feature_columns: tuple[str, ...]
 
 
 class Catalog:
@@ -54,8 +63,8 @@ class Catalog:
         self._indexes: dict[str, IndexEntry] = {}
         self._stats: dict[str, TableStats] = {}
         self._stats_version = 0
-        # prediction-target -> model name bindings for PREDICT reuse
-        self._model_bindings: dict[tuple[str, str], str] = {}
+        # model name -> what it was trained on, oldest binding first
+        self._model_bindings: dict[str, ModelBinding] = {}
 
     # -- tables --------------------------------------------------------------
 
@@ -121,12 +130,6 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
-    def tables(self) -> Iterator[HeapTable]:
-        return iter(self._tables.values())
-
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     # -- indexes ---------------------------------------------------------------
 
     def create_index(self, name: str, table: str, column: str,
@@ -178,13 +181,24 @@ class Catalog:
     def stats(self, table_name: str) -> TableStats | None:
         return self._stats.get(table_name.lower())
 
-    def stats_version(self) -> int:
-        return self._stats_version
-
     # -- model bindings -------------------------------------------------------
 
-    def bind_model(self, table: str, target_column: str, model_name: str) -> None:
-        self._model_bindings[(table.lower(), target_column.lower())] = model_name
+    def bind_model(self, model_name: str, table: str, target_column: str,
+                   feature_columns: list[str]) -> None:
+        """Record what ``model_name`` was (re)trained on; a re-bind makes
+        it the most recent model of its ``(table, target)``."""
+        self._model_bindings.pop(model_name, None)
+        self._model_bindings[model_name] = ModelBinding(
+            table.lower(), target_column.lower(),
+            tuple(c.lower() for c in feature_columns))
+
+    def model_binding(self, model_name: str | None) -> ModelBinding | None:
+        return self._model_bindings.get(model_name)
 
     def bound_model(self, table: str, target_column: str) -> str | None:
-        return self._model_bindings.get((table.lower(), target_column.lower()))
+        """The model most recently bound to ``(table, target_column)``."""
+        pair = (table.lower(), target_column.lower())
+        for name in reversed(self._model_bindings):
+            if self._model_bindings[name][:2] == pair:
+                return name
+        return None

@@ -45,14 +45,6 @@ class BPlusTreeIndex:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def height(self) -> int:
-        h, node = 1, self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-            h += 1
-        return h
-
     # -- mutation ----------------------------------------------------------
 
     def insert(self, key: Any, rid: RecordId) -> None:

@@ -217,10 +217,6 @@ class ReplicatedTable:
         del self._down[node]
         self._resync(node)
 
-    def is_down(self, node: str) -> bool:
-        self._check_node(node)
-        return node in self._down
-
     def active_node(self) -> str:
         """Which copy is currently serving (``primary`` or ``backup``)."""
         if PRIMARY not in self._down:

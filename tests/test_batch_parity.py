@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.common.simtime import SimClock
+from repro.common.simtime import CostModel, SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.pipeline import FUSED_SCAN_ROWS
@@ -746,6 +746,61 @@ class TestTrainingDataParity:
             expected_targets.append(float(row[aidx]))
         assert data.rows() == expected_rows
         assert np.array_equal(data.targets, np.array(expected_targets))
+
+    def test_feature_columns_match_row_loop(self, parity_db):
+        """The inference materializer keeps NULL-target rows (the training
+        one drops them) and hands back the raw target beside its mask."""
+        from repro.ai.loader import table_feature_columns
+        from repro.exec.expr import RowLayout, compile_predicate_batch
+        heap = parity_db.catalog.table("users")
+        schema = heap.schema
+        layout = RowLayout([("users", c.name) for c in schema.columns])
+        predicate = compile_predicate_batch(
+            parse("SELECT 1 FROM users WHERE age >= 40").where, layout)
+        clock = SimClock()
+        features, targets, null = table_feature_columns(
+            heap, ["age", "city"], block_predicate=predicate,
+            target_column="score", clock=clock)
+        kept = [row for _, row in heap.scan() if row[2] >= 40]
+        assert features.rows() == [(row[2], row[3]) for row in kept]
+        assert targets.tolist() == [row[5] for row in kept]
+        assert null.tolist() == [row[5] is None for row in kept]
+        assert null.any() and not null.all()
+        assert clock.category_total("predict-materialize") == \
+            pytest.approx(60 * CostModel.TUPLE_CPU)
+        bare, no_targets, no_null = table_feature_columns(
+            heap, ["age", "city"], block_predicate=predicate)
+        assert bare.rows() == features.rows()
+        assert no_targets is None and no_null is None
+
+    def test_nothing_selected_is_an_empty_hand_off(self, parity_db):
+        from repro.ai.loader import table_feature_columns, table_training_set
+        heap = parity_db.catalog.table("users")
+
+        def nobody(block):
+            return np.zeros(len(block), dtype=bool)
+        features, targets, null = table_feature_columns(
+            heap, ["age", "city"], block_predicate=nobody,
+            target_column="score")
+        assert len(features) == 0 and len(features.columns) == 2
+        assert len(targets) == 0 and null.dtype == bool and len(null) == 0
+        data = table_training_set(heap, ["age", "city"], "score",
+                                  block_predicate=nobody)
+        assert len(data) == 0 and len(data.columns) == 2
+        assert data.targets.dtype == np.float64
+
+    def test_training_filter_never_sees_a_null_target(self, parity_db):
+        from repro.ai.loader import table_training_set
+        heap = parity_db.catalog.table("users")
+        score = heap.schema.index_of("score")
+        seen = []
+
+        def spy(block):
+            seen.extend(block.column(score).tolist())
+            return np.ones(len(block), dtype=bool)
+        data = table_training_set(heap, ["age"], "score",
+                                  block_predicate=spy)
+        assert len(seen) == len(data) == 48 and None not in seen
 
     def test_hasher_columns_match_rows(self, parity_db):
         from repro.ai.armnet import FeatureHasher

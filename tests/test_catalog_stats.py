@@ -49,11 +49,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.drop_table("ghost")
 
-    def test_table_names_sorted(self, catalog):
-        catalog.create_table(_schema("zz"))
-        catalog.create_table(_schema("aa"))
-        assert catalog.table_names() == ["aa", "zz"]
-
     def test_create_index_backfills_existing_rows(self, catalog):
         catalog.create_table(_schema())
         table = catalog.table("t")
@@ -88,9 +83,9 @@ class TestCatalog:
     def test_analyze_versions_increase(self, catalog):
         catalog.create_table(_schema())
         catalog.analyze()
-        v1 = catalog.stats_version()
+        v1 = catalog.stats("t").version
         catalog.analyze("t")
-        assert catalog.stats_version() == v1 + 1
+        assert catalog.stats("t").version == v1 + 1
 
     def test_analyze_captures_row_count(self, catalog):
         catalog.create_table(_schema())
@@ -102,9 +97,17 @@ class TestCatalog:
 
     def test_model_bindings(self, catalog):
         catalog.create_table(_schema())
-        catalog.bind_model("t", "v", "model_x")
+        catalog.bind_model("model_x", "T", "V", ["ID"])
+        assert catalog.model_binding("model_x") == ("t", "v", ("id",))
+        assert catalog.model_binding("model_y") is None
         assert catalog.bound_model("T", "V") == "model_x"
         assert catalog.bound_model("t", "id") is None
+        # a pair's model is the one bound last; a re-bind moves to the end
+        catalog.bind_model("model_y", "t", "v", ["id", "v"])
+        assert catalog.bound_model("t", "v") == "model_y"
+        catalog.bind_model("model_x", "t", "v", ["id"])
+        assert catalog.bound_model("t", "v") == "model_x"
+        assert catalog.model_binding("model_y").feature_columns == ("id", "v")
 
 
 class TestColumnStats:

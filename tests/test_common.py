@@ -13,7 +13,6 @@ from repro.common import (
     TransientError,
     make_rng,
     stable_hash,
-    zipf_sample,
 )
 from repro.common.simtime import BudgetExceeded
 
@@ -59,13 +58,6 @@ class TestSimClock:
         clock.advance_to(3.0)  # in the past: no-op
         assert clock.now == pytest.approx(5.0)
 
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(7.0, "x")
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.category_total("x") == 0.0
-
     def test_budget_limit_raises(self):
         clock = SimClock()
         clock.set_limit(1.0)
@@ -97,7 +89,6 @@ class TestLaneSchedule:
         assert lanes.assign(1.0, 2.0) == (0, 2.0, 4.0)  # queued behind
         assert lanes.assign(9.0, 1.0) == (0, 9.0, 10.0)  # lane idled
         assert lanes.makespan() == 10.0
-        assert lanes.busy_time() == 5.0
 
     def test_earliest_free_lane_wins(self):
         from repro.common.simtime import LaneSchedule
@@ -152,23 +143,6 @@ class TestRng:
         c = make_rng(DEFAULT_SEED).random(5)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
-
-    def test_zipf_uniform_when_theta_zero(self):
-        rng = make_rng(0)
-        samples = zipf_sample(rng, 10, theta=0.0, size=20_000)
-        counts = np.bincount(samples, minlength=10)
-        assert counts.min() > 0.8 * counts.max()
-
-    def test_zipf_skewed_when_theta_high(self):
-        rng = make_rng(0)
-        samples = zipf_sample(rng, 100, theta=1.2, size=20_000)
-        counts = np.bincount(samples, minlength=100)
-        # rank 0 must dominate rank 50 heavily
-        assert counts[0] > 10 * max(1, counts[50])
-
-    def test_zipf_rejects_empty_domain(self):
-        with pytest.raises(ValueError):
-            zipf_sample(make_rng(0), 0, 0.5)
 
     def test_stable_hash_deterministic_across_calls(self):
         assert stable_hash(("a", 1), 100) == stable_hash(("a", 1), 100)

@@ -111,6 +111,14 @@ class TestDML:
             "SELECT count(*) FROM t")
         assert results[-1].scalar() == 1
 
+    def test_execute_script_keeps_semicolons_inside_strings(self):
+        db = repro.connect()
+        results = db.execute_script(
+            "CREATE TABLE t (id INT, s TEXT); "
+            "INSERT INTO t VALUES (1, 'a;b');; SELECT * FROM t;")
+        assert [r.rows for r in results][-1] == [(1, "a;b")]
+        assert len(results) == 3
+
     def test_transaction_statements_are_rejected_not_ignored(self):
         # BEGIN .. ROLLBACK used to answer with status strings while the
         # DELETE between them stuck; an autocommit session refuses them
@@ -249,6 +257,43 @@ class TestPredict:
         versions_before = db.models.versions(model_name)
         db.fine_tune_model("review", "score", epochs=1)
         assert len(db.models.versions(model_name)) == len(versions_before) + 1
+
+    def test_fine_tune_reads_the_columns_the_model_was_trained_on(
+            self, monkeypatch):
+        import repro.db as facade
+        db = repro.connect()
+        _load_review_table(db, n=200)
+        db.execute("PREDICT VALUE OF score FROM review "
+                   "WHERE brand_name = 'special goods' TRAIN ON f2")
+        model_name = db.catalog.bound_model("review", "score")
+        materialised = []
+        real = facade.table_training_set
+
+        def spy(table, feature_columns, *args, **kwargs):
+            materialised.append(list(feature_columns))
+            return real(table, feature_columns, *args, **kwargs)
+        monkeypatch.setattr(facade, "table_training_set", spy)
+        db.fine_tune_model("review", "score", epochs=3, batch_size=32)
+        # f2 is not a prefix of the schema's non-unique columns
+        assert materialised == [["f2"]]
+        tune = db.ai_engine.completed_tasks[-1]
+        assert (tune.kind, tune.model_name) == ("finetune", model_name)
+        assert tune.samples_processed == 3 * 150
+        assert np.isfinite(tune.losses).all() and len(set(tune.losses)) > 1
+        assert db.models.versions(model_name)[-1] == tune.model_version
+
+    def test_fine_tune_names_a_model_bound_to_the_pair(self):
+        db = repro.connect()
+        _load_review_table(db, n=120)
+        db.execute("PREDICT VALUE OF score FROM review TRAIN ON f1")
+        db.execute("PREDICT VALUE OF f2 FROM review TRAIN ON f1")
+        first = db.catalog.bound_model("review", "score")
+        db.fine_tune_model("review", "score", epochs=1, model_name=first)
+        assert len(db.models.versions(first)) == 2
+        with pytest.raises(NeurDBError, match="no model bound"):
+            db.fine_tune_model("review", "score", model_name="nobody")
+        with pytest.raises(NeurDBError, match="no model bound"):   # other pair
+            db.fine_tune_model("review", "f2", model_name=first)
 
     def test_fine_tune_without_binding(self):
         db = repro.connect()

@@ -503,9 +503,9 @@ class TestReplicatedTable:
         table.mark_down(PRIMARY, ops=2)
         table.insert((1, 1))
         table.insert((2, 2))
-        assert table.is_down(PRIMARY)
+        assert table.status()["down"] == [PRIMARY]
         table.insert((3, 3))   # outage elapsed: resync happened first
-        assert not table.is_down(PRIMARY)
+        assert table.status()["down"] == []
         assert table.resyncs == 1
         assert (_typed([r for _, r in table.primary.scan()])
                 == _typed([r for _, r in table.backup.scan()]))
@@ -558,7 +558,7 @@ class TestReplicatedTable:
         with pytest.raises(ValueError):
             table.mark_down("coordinator")
         with pytest.raises(ValueError):
-            table.is_down("quorum")
+            table.recover("quorum")
 
     @staticmethod
     def _typed_replicated(faults=None):
@@ -701,10 +701,11 @@ class TestReplicatedDb:
         table = db.catalog.table("t")
         backup = table.backup.name
         list(table.backup.scan())   # make the backup's page resident
-        assert db.buffer_pool.table_residency(backup, 1) > 0
+        assert db.buffer_pool.resident_pages > 0
         db.execute("DROP TABLE t")
         assert not db.catalog.has_table("t")
-        assert db.buffer_pool.table_residency(backup, 1) == 0
+        # nothing of the backup was left behind for a later evict to find
+        assert db.buffer_pool.evict_table(backup) == 0
 
 
 # -- serving robustness -------------------------------------------------------

@@ -39,7 +39,8 @@ class TestBPlusTree:
         index = BPlusTreeIndex("i", "t", "c")
         for i in range(1000):
             index.insert(i, rid(i))
-        assert index.height >= 2
+        # many leaves by now: the chain still reads in key order
+        assert [key for key, _ in index.range_scan()] == list(range(1000))
         for probe in (0, 17, 500, 999):
             assert index.search(probe) == [rid(probe)]
 

@@ -126,7 +126,10 @@ class TestMultipleModelsOneDatabase:
         r1 = db.execute("PREDICT VALUE OF y1 FROM t TRAIN ON a, b")
         r2 = db.execute("PREDICT CLASS OF y2 FROM t TRAIN ON a, b")
         assert r1.extra["model"] != r2.extra["model"]
-        assert len(db.models.model_names()) == 2
+        assert all(db.models.has_model(r.extra["model"]) for r in (r1, r2))
+        assert {db.catalog.bound_model("t", "y1"),
+                db.catalog.bound_model("t", "y2")} == {r1.extra["model"],
+                                                       r2.extra["model"]}
 
     def test_different_feature_sets_different_models(self):
         db = repro.connect()

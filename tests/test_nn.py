@@ -14,24 +14,18 @@ from repro.nn import (
     MLP,
     Adam,
     CrossAttentionBlock,
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
     MultiHeadAttention,
-    SGD,
     Sequential,
     Tensor,
     TransformerBlock,
-    accuracy,
     auc_score,
     bce_with_logits,
-    concat,
     mse_loss,
     numerical_gradient,
     pack_state,
-    softmax_cross_entropy,
-    stack,
     unpack_state,
 )
 from repro.nn.blas import pin_single_thread
@@ -106,9 +100,6 @@ class TestAutogradOps:
         assert np.allclose(probs.sum(axis=-1), 1.0)
         assert (probs >= 0).all()
 
-    def test_log_softmax_gradient(self):
-        check_gradient(lambda x: x.log_softmax(axis=-1).sum(), (3, 4), 1e-5)
-
     def test_gather_rows_gradient_accumulates(self):
         table = Tensor(np.zeros((5, 2)), requires_grad=True)
         out = table.gather_rows(np.array([1, 1, 3]))
@@ -116,19 +107,6 @@ class TestAutogradOps:
         assert np.allclose(table.grad[1], 2.0)
         assert np.allclose(table.grad[3], 1.0)
         assert np.allclose(table.grad[0], 0.0)
-
-    def test_concat_gradient_splits(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        concat([a, b], axis=1).sum().backward()
-        assert a.grad.shape == (2, 2)
-        assert b.grad.shape == (2, 3)
-
-    def test_stack_gradient(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        stack([a, b]).sum().backward()
-        assert np.allclose(a.grad, 1.0) and np.allclose(b.grad, 1.0)
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -175,22 +153,10 @@ class TestLayers:
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
 
-    def test_dropout_train_vs_eval(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((100, 10)))
-        out_train = drop(x).data
-        assert (out_train == 0).any()
-        drop.eval()
-        assert np.array_equal(drop(x).data, x.data)
-
     def test_sequential_indexing(self):
         seq = Sequential(Linear(2, 2, rng=RNG), Linear(2, 2, rng=RNG))
         assert len(seq) == 2
         assert isinstance(seq[0], Linear)
-
-    def test_parameter_count(self):
-        mlp = MLP([4, 8, 1], rng=RNG)
-        assert mlp.parameter_count() == 4 * 8 + 8 + 8 * 1 + 1
 
     def test_state_dict_roundtrip(self):
         a = MLP([3, 5, 2], rng=np.random.default_rng(1))
@@ -279,16 +245,6 @@ class TestLosses:
         assert np.isfinite(loss.item())
         assert np.isfinite(logits.grad).all()
 
-    def test_softmax_ce_perfect_prediction(self):
-        logits = Tensor(np.array([[10.0, -10.0], [-10.0, 10.0]]))
-        loss = softmax_cross_entropy(logits, np.array([0, 1]))
-        assert loss.item() < 1e-6
-
-    def test_accuracy_binary_and_multiclass(self):
-        assert accuracy(np.array([1.0, -1.0]), np.array([1, 0])) == 1.0
-        logits = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert accuracy(logits, np.array([0, 0])) == 0.5
-
     def test_auc_perfect_and_random(self):
         labels = np.array([0, 0, 1, 1])
         assert auc_score(np.array([0.1, 0.2, 0.8, 0.9]), labels) == 1.0
@@ -307,19 +263,13 @@ class TestOptimizers:
             optimizer.step()
         return float((x.data ** 2).sum())
 
-    def test_sgd_converges(self):
-        assert self._quadratic_descends(SGD, lr=0.1) < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_descends(SGD, lr=0.05, momentum=0.9) < 1e-6
-
     def test_adam_converges(self):
         assert self._quadratic_descends(Adam, lr=0.1) < 1e-4
 
     def test_weight_decay_shrinks(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        optimizer = SGD([x], lr=0.1, weight_decay=0.5)
-        for _ in range(50):
+        optimizer = Adam([x], lr=0.01, weight_decay=0.5)
+        for _ in range(200):
             optimizer.zero_grad()
             (x * 0.0).sum().backward()  # zero data gradient
             optimizer.step()
@@ -327,7 +277,7 @@ class TestOptimizers:
 
     def test_optimizer_needs_parameters(self):
         with pytest.raises(ValueError):
-            SGD([Tensor(np.ones(1))])  # requires_grad=False
+            Adam([Tensor(np.ones(1))])  # requires_grad=False
 
     def test_mlp_learns_xor(self):
         rng = np.random.default_rng(0)

@@ -132,7 +132,7 @@ class TestReconciliation:
                 Tracer.detach(db.clock)
             totals = tracer.fix_totals()
             attributed: dict[str, int] = {}
-            for span in tracer.operator_spans():
+            for span in tracer.spans_of_kind("operator"):
                 for category, fix in span.fix.items():
                     attributed[category] = (
                         attributed.get(category, 0) + fix)
@@ -368,12 +368,6 @@ class TestWarningEvents:
         assert db.metrics()["counters"]["db.query_retries"] \
             == db.query_retries
 
-    def test_warn_goes_through_registry(self):
-        db = repro.connect()
-        db._warn("something recovered")
-        assert "something recovered" in db.warnings()
-        events = db.registry.events(kind="db.warning")
-        assert events and events[0]["message"] == "something recovered"
 
 
 # -- chrome trace export -------------------------------------------------------

@@ -218,6 +218,29 @@ class TestPositionsAndAggregateTypes:
         assert row[:3] == ("user0", "tok", 60)
 
 
+class TestColumnLiteral:
+    """The one normaliser the estimator and the access-path fold share."""
+
+    @pytest.mark.parametrize("written,mirrored", [
+        ("<", ">"), ("<=", ">="), (">", "<"), (">=", "<="),
+        ("=", "="), ("<>", "<>")])
+    def test_literal_on_the_left_mirrors_onto_the_column(self, written,
+                                                         mirrored):
+        from repro.plan.cardinality import column_literal
+        where = parse(f"SELECT 1 FROM t WHERE 7 {written} x").where
+        ref, op, literal = column_literal(where)
+        assert (ref.name, op, literal) == ("x", mirrored, 7)
+        where = parse(f"SELECT 1 FROM t WHERE x {written} 7").where
+        assert column_literal(where)[1:] == (written, 7)
+
+    def test_anything_else_is_not_a_column_against_a_literal(self):
+        from repro.plan.cardinality import column_literal
+        for text in ("x = y", "x + 1 > 2", "1 = 1", "x IS NULL",
+                     "x BETWEEN 1 AND 2"):
+            where = parse(f"SELECT 1 FROM t WHERE {text}").where
+            assert column_literal(where) == (None, None, None), text
+
+
 class TestCardinality:
     def test_selectivity_shrinks_estimate(self, users_orders_db):
         planner = users_orders_db.planner
@@ -241,6 +264,22 @@ class TestCardinality:
         two = planner.plan_select(
             parse("SELECT * FROM users WHERE age > 30 AND city = 'sg'"))
         assert two.est_rows < one.est_rows
+
+    @pytest.mark.parametrize("op,flipped", [("<", ">"), ("<=", ">="),
+                                            (">", "<"), (">=", "<=")])
+    def test_flipped_comparison_estimates_the_same(self, users_orders_db,
+                                                   op, flipped):
+        """``50 < age`` is ``age > 50``: the literal's side must not turn
+        the estimate round (ages run 20..59, so 50 splits them 3 : 1)."""
+        planner = users_orders_db.planner
+        written = planner.plan_select(
+            parse(f"SELECT * FROM users WHERE age {op} 50"))
+        mirrored = planner.plan_select(
+            parse(f"SELECT * FROM users WHERE 50 {flipped} age"))
+        assert mirrored.est_rows == written.est_rows
+        other_side = planner.plan_select(
+            parse(f"SELECT * FROM users WHERE age {flipped} 50"))
+        assert (written.est_rows < other_side.est_rows) == (op[0] == ">")
 
     def test_stale_stats_after_growth(self):
         db = repro.connect()

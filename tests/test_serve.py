@@ -222,7 +222,8 @@ class TestModelCache:
         newer = db.models.versions(name)[-1]
         cache.get(name, newer)       # evicts the older snapshot
         assert len(cache) == 1
-        assert cache.cached_versions(name) == [newer]
+        cache.get(name, newer)       # the newer one is what stayed
+        assert cache.hits == 2
         cache.get(name, version)     # old version still loadable: miss
         assert cache.misses == 3
 
@@ -311,13 +312,39 @@ class TestRefreshLoop:
         self._run_drift(server)
         task = server.refreshes[0]
         # the refresh occupies the background lane, not a serving lane:
-        # its cost appears in the refresh lane's busy time only
-        assert server.refresh_lane.busy_time() > 0
-        assert task.completed_at - task.started_at == pytest.approx(
-            server.refresh_lane.busy_time())
+        # it is the one piece of work that lane was ever given
+        refresh_cost = task.completed_at - task.started_at
+        assert refresh_cost > 0
+        assert server.refresh_lane.assignments == len(server.refreshes) == 1
+        assert server.refresh_lane.makespan() == task.completed_at
         # and serving latency stays orders below the refresh cost
         served = [r.latency for r in server.completed if r.error is None]
-        assert min(served) < server.refresh_lane.busy_time()
+        assert min(served) < refresh_cost
+
+    def test_refresh_tunes_the_model_that_drifted(self):
+        """Two models on one (table, target): the drift event's model gets
+        the new version, on its own columns; the other is untouched."""
+        db = _build_review_db()
+        server = PredictServer(db, refresh_epochs=1)
+        requests = [server.submit("PREDICT VALUE OF score FROM review "
+                                  f"WHERE rid < 5 TRAIN ON {column}")
+                    for column in ("f1", "f2")]
+        server.drain()
+        first, second = (r.model_name for r in requests)
+        assert first != second
+        assert db.catalog.bound_model("review", "score") == second
+        untouched = db.models.versions(second)
+        db.monitor.observe(f"loss:{first}", 1e3)     # drift, on the first
+        server.drain()
+        [task] = server.refreshes
+        assert (task.model_name, task.status) == (first, "done")
+        assert db.models.versions(first) == [task.version_before,
+                                             task.version_after]
+        assert task.version_after > untouched[-1]
+        assert db.models.versions(second) == untouched
+        assert db.catalog.model_binding(first).feature_columns == ("f1",)
+        # refresh_now(table, target) still means the most recently bound
+        assert server.refresh_now("review", "score").model_name == second
 
     def test_manual_mode_never_auto_refreshes(self):
         db, server = self._drifting_server(refresh="manual")

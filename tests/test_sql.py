@@ -231,6 +231,28 @@ class TestDmlDdlParsing:
         assert len(stmts) == 2
 
 
+    def test_parse_script_splits_tokens_not_text(self):
+        script = ("CREATE TABLE t (id INT, s TEXT); "
+                  "INSERT INTO t VALUES (1, 'a;b');; ;\n"
+                  "SELECT * FROM t;")
+        create, insert, select = parse_script(script)
+        assert isinstance(create, ast.CreateTable)
+        assert insert.rows[0][1].value == "a;b"
+        assert isinstance(select, ast.Select)
+        assert parse_script("") == parse_script(" ;; ; ") == []
+        assert len(parse_script("SELECT 1; SELECT 2")) == 2   # no trailing ;
+
+    def test_parse_script_error_positions_point_into_the_script(self):
+        script = "SELECT 1 FROM t; SELECT 1 FROM t LIMIT x; SELECT 2"
+        with pytest.raises(ParseError) as info:
+            parse_script(script)
+        assert info.value.position == script.index("x")
+        cut_short = "SELECT 1 FROM t; SELECT 1 FROM t WHERE; SELECT 2"
+        with pytest.raises(ParseError) as info:
+            parse_script(cut_short)
+        assert info.value.position == cut_short.index("WHERE") + len("WHERE")
+
+
 class TestPredictParsing:
     def test_paper_listing_1_regression(self):
         stmt = parse("PREDICT VALUE OF score FROM review "

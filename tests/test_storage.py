@@ -255,14 +255,6 @@ class TestBufferPool:
         pool.access("t", 0)
         assert pool.hit_ratio() == pytest.approx(2 / 3)
 
-    def test_per_table_stats(self):
-        pool = BufferPool(capacity_pages=10)
-        pool.access("a", 0)
-        pool.access("a", 0)
-        pool.access("b", 0)
-        assert pool.table_hit_ratio("a") == pytest.approx(0.5)
-        assert pool.table_hit_ratio("b") == 0.0
-
     def test_evict_table(self):
         pool = BufferPool(capacity_pages=10)
         pool.access("a", 0)
