@@ -46,7 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.plan.optimizer import Planner
 from repro.sql import ast
-from repro.sql.parser import parse
+from repro.sql.parser import parse, template_stats
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 
@@ -311,6 +311,12 @@ class NeurDB:
             for kind, count in self.faults.counts().items():
                 gauges[f"faults.injected{{kind={kind}}}"] = float(count)
         gauges["db.query_retries_total"] = float(self.query_retries)
+        # the parser's template cache is shared by every connection in
+        # the process, so these three count other connections' statements
+        templates = template_stats()
+        gauges["sql.templates"] = float(templates["templates"])
+        gauges["sql.template_hits_total"] = float(templates["hits"])
+        gauges["sql.template_misses_total"] = float(templates["misses"])
         return gauges
 
     def profile(self, sql: str, path: str | None = None,

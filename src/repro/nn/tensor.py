@@ -21,6 +21,20 @@ def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
 
 
+def _topological_order(node: "Tensor", visited: set[int],
+                       topo: list["Tensor"]) -> None:
+    """Append ``node``'s graph to ``topo``, parents first.  A function of
+    its own, not a closure over ``topo``: a recursive closure is a cycle,
+    and it would keep the whole graph alive until the cyclic collector
+    ran."""
+    if id(node) in visited:
+        return
+    visited.add(id(node))
+    for parent in node._parents:
+        _topological_order(parent, visited, topo)
+    topo.append(node)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -84,29 +98,30 @@ class Tensor:
     # -- autograd ---------------------------------------------------------------
 
     def backward(self, grad: Array | None = None) -> None:
-        """Backpropagate from this tensor (must be scalar if grad is None)."""
+        """Backpropagate from this tensor (must be scalar if grad is None).
+
+        The graph is released as the pass consumes it, as PyTorch does
+        without ``retain_graph``: each op's backward closure holds the op's
+        output, a cycle only the cyclic collector frees, so activations and
+        gradients would otherwise outlive the step by however long the
+        next full collection takes.  Leaf gradients stay; a second
+        ``backward`` through the same graph reaches nothing."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
         topo: list[Tensor] = []
-        visited: set[int] = set()
-
-        def build(node: Tensor) -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
-        build(self)
+        _topological_order(self, set(), topo)
         for node in topo:
             node.grad = None
         self.grad = _as_array(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            if node._parents:
+                node._backward = None
+                node._parents = ()
+                node.grad = None
 
     def _accumulate(self, grad: Array) -> None:
         if self.grad is None:

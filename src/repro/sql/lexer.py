@@ -1,14 +1,20 @@
-"""SQL tokenizer.
+"""SQL tokenizer and statement fingerprint.
 
 Produces a flat token stream for the recursive-descent parser.  Keywords are
 case-insensitive; identifiers are lower-cased; string literals use single
 quotes with ``''`` escaping, as in standard SQL.
+
+One compiled pattern, :data:`_TOKEN`, reads the text: each match is the
+whitespace and ``--`` comments before a token, then the token.
+:func:`tokenize` turns the matches into :class:`Token` objects;
+:func:`fingerprint` reads the same matches but keeps only the literals, so
+that statements differing only in their literal values share one key
+(what the parser's template cache looks up).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+import re
 
 from repro.common.errors import ParseError
 
@@ -24,7 +30,12 @@ KEYWORDS = {
 }
 
 
-class TokenType(enum.Enum):
+class TokenType:
+    """Token kinds, compared by identity (``token.type is
+    TokenType.KEYWORD``).  Plain class attributes, not an ``Enum``: the
+    parser reads a dozen per token, and an ``Enum`` member costs several
+    times a class attribute to look up."""
+
     KEYWORD = "KEYWORD"
     IDENT = "IDENT"
     NUMBER = "NUMBER"
@@ -34,86 +45,128 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: str
-    position: int
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: str, value: str, position: int):
+        self.type = type
+        self.value = value
+        self.position = position
+
+    def __repr__(self) -> str:
+        return f"Token({self.type}, {self.value!r}, {self.position})"
 
     def is_keyword(self, *names: str) -> bool:
         return self.type is TokenType.KEYWORD and self.value in names
 
 
-_OPERATORS = ("<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
+# A number is a digit (or ``.`` then a digit) followed by digits, dots and
+# exponents, so ``1.2.3`` and ``1e+`` are one (malformed) token that
+# :func:`number_value` rejects.  A string's closing quote may not be
+# followed by another quote: ``''`` inside it is an escaped quote, and
+# without the lookahead ``'ab''`` would read as ``'ab'`` plus a stray
+# quote.  ``end`` and ``bad`` make every position match, so the scan never
+# backtracks into the skipped prefix.
+_TOKEN = re.compile(r"""
+    \s*(?:--[^\n]*\s*)*
+    (?:
+      (?P<word>[^\W\d]\w*)
+    | (?P<number>(?:\d|\.\d)(?:[eE][+-]?|[\d.])*)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<op><>|<=|>=|!=|[=<>+*/%-])
+    | (?P<punct>[(),.;])
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )""", re.VERBOSE | re.DOTALL)
+
+_TYPES = {"number": TokenType.NUMBER, "op": TokenType.OPERATOR,
+          "punct": TokenType.PUNCT}
+
+
+def _lex_error(sql: str, position: int) -> ParseError:
+    if sql[position] == "'":
+        return ParseError(
+            f"unterminated string literal starting at {position}", position)
+    return ParseError(
+        f"illegal character {sql[position]!r} at position {position}",
+        position)
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Tokenize ``sql``; raises :class:`ParseError` on an illegal character."""
+    """Tokenize ``sql``; raises :class:`ParseError` on an illegal character
+    or an unterminated string.  Every token's position is its first
+    character."""
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):  # line comment
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            text, i = _read_string(sql, i)
-            tokens.append(Token(TokenType.STRING, text, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            while i < n and (sql[i].isdigit() or sql[i] in ".eE"
-                             or (sql[i] in "+-" and sql[i - 1] in "eE")):
-                i += 1
-            tokens.append(Token(TokenType.NUMBER, sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
+    append = tokens.append
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        start = match.start(kind)
+        text = sql[start:match.end()]
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                # a numeric character that is not a decimal digit (``²``)
+                append(Token(TokenType.NUMBER, text, start))
+                continue
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENT, word.lower(), start))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"illegal character {ch!r} at position {i}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+                append(Token(TokenType.IDENT, text.lower(), start))
+        elif kind == "string":
+            append(Token(TokenType.STRING, text[1:-1].replace("''", "'"),
+                         start))
+        elif kind == "end":
+            append(Token(TokenType.EOF, "", start))
+            break
+        elif kind == "bad":
+            raise _lex_error(sql, start)
+        else:
+            append(Token(_TYPES[kind], text, start))
     return tokens
 
 
-def _read_string(sql: str, i: int) -> tuple[str, int]:
-    """Read a single-quoted string starting at ``i``; returns (text, next_i)."""
-    assert sql[i] == "'"
-    out: list[str] = []
-    j = i + 1
-    n = len(sql)
-    while j < n:
-        if sql[j] == "'":
-            if j + 1 < n and sql[j + 1] == "'":  # escaped quote
-                out.append("'")
-                j += 2
-                continue
-            return "".join(out), j + 1
-        out.append(sql[j])
-        j += 1
-    raise ParseError(f"unterminated string literal starting at {i}", i)
+def fingerprint(sql: str) -> tuple[str, list[tuple[str, int]]]:
+    """``(key, literals)``: ``key`` is ``sql`` with every number and string
+    literal replaced by a mark of its kind — ``\\0i`` for an integer
+    (digits only), ``\\0f`` for any other number, ``\\0s`` for a string —
+    and ``literals`` lists each literal's token value (a string's quotes
+    removed and ``''`` unescaped) and position, in order.  Statements with
+    equal keys have the same tokens but for those literal values.  Raises
+    the :class:`ParseError` :func:`tokenize` would on text it cannot
+    read."""
+    parts: list[str] = []
+    literals: list[tuple[str, int]] = []
+    last = 0
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        if kind == "number":
+            start, end = match.span(kind)
+            text = sql[start:end]
+            parts.append(sql[last:start])
+            parts.append("\0i" if text.isdecimal() else "\0f")
+        elif kind == "string":
+            start, end = match.span(kind)
+            text = sql[start + 1:end - 1].replace("''", "'")
+            parts.append(sql[last:start])
+            parts.append("\0s")
+        elif kind == "end":
+            break
+        elif kind == "bad":
+            raise _lex_error(sql, match.start(kind))
+        else:
+            continue
+        literals.append((text, start))
+        last = end
+    parts.append(sql[last:])
+    return "".join(parts), literals
+
+
+def number_value(text: str, position: int) -> int | float:
+    """The value of a number token: an int when it is all digits, else a
+    float.  Raises :class:`ParseError` at ``position`` on a malformed
+    number (``1.2.3``, ``1e``, a 5,000-digit integer)."""
+    try:
+        return int(text) if text.isdecimal() else float(text)
+    except ValueError:
+        raise ParseError(f"malformed number {text!r} at position {position}",
+                         position) from None

@@ -1,18 +1,61 @@
-"""Recursive-descent parser for the SQL dialect plus the PREDICT extension."""
+"""Recursive-descent parser for the SQL dialect plus the PREDICT extension,
+behind a cache of statement templates.
+
+:func:`parse` looks the statement's :func:`~repro.sql.lexer.fingerprint`
+up first.  A statement whose text differs from an earlier one only in its
+number and string literals (a *template* seen before) is not parsed again:
+its literal values are bound into a copy of the earlier tree that rebuilds
+only the nodes holding a literal and shares every other subtree.  Only the
+parse is cached — it depends on the text alone; a plan depends on the
+literal values too (selectivity picks the access path), so nothing past
+the AST is kept.  The cache is process-wide and holds at most
+:data:`_TEMPLATE_CACHE_MAX` templates, oldest dropped first.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import fields, is_dataclass
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Optional
 
 from repro.common.errors import ParseError
 from repro.sql import ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import (Token, TokenType, fingerprint, number_value,
+                             tokenize)
 from repro.storage.types import DataType
+
+_TEMPLATE_CACHE_MAX = 1024
+_templates: dict[str, "_Template"] = {}
+_counts = {"hits": 0, "misses": 0}
+
+# statements whose literals are recorded; DDL, ANALYZE and EXPLAIN are
+# parsed every time
+_CACHEABLE = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Predict)
 
 
 def parse(sql: str) -> ast.Statement:
     """Parse a single SQL statement (a trailing ``;`` is allowed)."""
-    return _Parser(tokenize(sql)).parse_statement()
+    key, literals = fingerprint(sql)
+    template = _templates.get(key)
+    if template is not None:
+        _counts["hits"] += 1
+        return template.bind(literals)
+    _counts["misses"] += 1
+    tokens = tokenize(sql)
+    statement = _Parser(tokens).parse_statement()
+    if isinstance(statement, _CACHEABLE):
+        template = _record(statement, tokens)
+        if template is not None:
+            if len(_templates) >= _TEMPLATE_CACHE_MAX:
+                del _templates[next(iter(_templates))]
+            _templates[key] = template
+    return statement
+
+
+def template_stats() -> dict[str, int]:
+    """The template cache's size and its hit / miss counts since the
+    process started (every connection shares one cache)."""
+    return {"templates": len(_templates), **_counts}
 
 
 def parse_script(sql: str) -> list[ast.Statement]:
@@ -96,7 +139,11 @@ class _Parser:
     # -- statements ------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        stmt = self._parse_bare_statement()
+        try:
+            stmt = self._parse_bare_statement()
+        except RecursionError:
+            raise ParseError("statement nests too deeply",
+                             self._peek().position) from None
         self._match_punct(";")
         tail = self._peek()
         if tail.type is not TokenType.EOF:
@@ -235,14 +282,10 @@ class _Parser:
 
     def _parse_int_literal(self) -> int:
         token = self._advance()
-        if token.type is not TokenType.NUMBER:
+        if token.type is not TokenType.NUMBER or not token.value.isdecimal():
             raise ParseError(f"expected integer, got {token.value!r}",
                              token.position)
-        try:
-            return int(token.value)
-        except ValueError:
-            raise ParseError(f"expected integer, got {token.value!r}",
-                             token.position) from None
+        return number_value(token.value, token.position)
 
     # -- INSERT / UPDATE / DELETE ----------------------------------------------
 
@@ -582,10 +625,7 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            text = token.value
-            if any(c in text for c in ".eE"):
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return ast.Literal(number_value(token.value, token.position))
         if token.type is TokenType.STRING:
             self._advance()
             return ast.Literal(token.value)
@@ -632,3 +672,161 @@ class _Parser:
             column = self._expect_ident()
             return ast.ColumnRef(column, table=name)
         return ast.ColumnRef(name)
+
+
+# -- templates ------------------------------------------------------------------
+
+# What a slot's literal becomes: Literal(text), Literal(number),
+# Literal(-number) (a literal the parser folded a unary minus into), or the
+# bare int of a LIMIT / OFFSET.
+_STRING, _NUMBER, _NEGATED, _BARE = range(4)
+
+# A getter of each AST node's fields, in declaration order — the order the
+# parser reads them in.  The one-field nodes are left out: a Literal is a
+# slot, Star and Analyze hold a name.  The recorder descends into tuples,
+# ints, literals and the nodes with a field that may hold a literal; names
+# and flags cannot.
+_FIELDS = {cls: attrgetter(*(field.name for field in fields(cls)))
+           for cls in vars(ast).values()
+           if isinstance(cls, type) and is_dataclass(cls)
+           and len(fields(cls)) > 1}
+_WALKED = frozenset(
+    [tuple, int, ast.Literal] + [cls for cls in _FIELDS if any(
+        field.type not in ("str", "Optional[str]", "bool")
+        for field in fields(cls))])
+
+
+class _Template:
+    """A parsed statement whose literals are numbered slots: ``kinds[i]``
+    says how the i-th literal of a statement with the same fingerprint
+    converts, ``build`` rebuilds the tree around the converted values."""
+
+    __slots__ = ("kinds", "build")
+
+    def __init__(self, kinds: list[int], build: Callable[[list], Any]):
+        self.kinds = kinds
+        self.build = build
+
+    def bind(self, literals: list[tuple[str, int]]) -> ast.Statement:
+        values: list[Any] = []
+        append = values.append
+        for (text, position), kind in zip(literals, self.kinds):
+            if kind == _STRING:
+                append(ast.Literal(text))
+                continue
+            number = number_value(text, position)
+            if kind == _NUMBER:
+                append(ast.Literal(number))
+            elif kind == _NEGATED:
+                append(ast.Literal(-number))
+            else:
+                append(number)
+        return self.build(values)
+
+
+class _Uncacheable(Exception):
+    """The recorder could not tell where a literal's value went."""
+
+
+def _record(statement: ast.Statement,
+            tokens: list[Token]) -> Optional[_Template]:
+    """The template of a freshly parsed ``statement``, or None when one of
+    its literals sits where the recorder cannot place it for sure."""
+    recorder = _Recorder(tokens)
+    try:
+        build = recorder.walk(statement)
+    except (_Uncacheable, RecursionError):      # a 5,000-term a + a + ...
+        return None
+    if len(recorder.kinds) != len(recorder.literals):
+        return None
+    if build is None:
+        return _Template([], lambda values: statement)
+    return _Template(recorder.kinds, build)
+
+
+class _Recorder:
+    """Walks a statement's tree in source order — the order the parser
+    consumed its tokens — pairing each literal it meets with the next
+    literal token, and returns the tree's rebuilder."""
+
+    def __init__(self, tokens: list[Token]):
+        self.literals: list[tuple[Token, bool]] = []
+        self.kinds: list[int] = []
+        for k, token in enumerate(tokens):
+            if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+                # a unary minus folds into a number through parentheses:
+                # -5, - -5, -(5)
+                j = k - 1
+                while (j >= 0 and tokens[j].type is TokenType.PUNCT
+                       and tokens[j].value == "("):
+                    j -= 1
+                after_minus = (j >= 0 and tokens[j].type is TokenType.OPERATOR
+                               and tokens[j].value == "-")
+                self.literals.append((token, after_minus))
+
+    def walk(self, node: Any):
+        """None when ``node`` holds no literal (it is shared as it is), a
+        slot number when it is one, else a function from the bound values
+        to a copy of ``node``."""
+        cls = type(node)
+        if cls is ast.Literal:
+            kind = type(node.value)
+            if kind is int or kind is float or kind is str:
+                return self._claim(node.value, bare=False)
+            return None                         # TRUE, FALSE, NULL
+        if cls is int:                          # LIMIT / OFFSET
+            return self._claim(node, bare=True)
+        values = node if cls is tuple else _FIELDS[cls](node)
+        parts = [self.walk(value) if type(value) in _WALKED else None
+                 for value in values]
+        if parts.count(None) == len(parts):
+            return None
+        return _rebuilder(_pack if cls is tuple else cls, values, parts)
+
+    def _claim(self, value: Any, bare: bool) -> int:
+        slot = len(self.kinds)
+        if slot == len(self.literals):
+            raise _Uncacheable
+        token, after_minus = self.literals[slot]
+        if token.type is TokenType.STRING:
+            if type(value) is not str or value != token.value:
+                raise _Uncacheable
+            self.kinds.append(_STRING)
+            return slot
+        parsed = number_value(token.value, token.position)
+        if type(value) is not type(parsed):
+            raise _Uncacheable
+        if after_minus and value == -parsed:
+            if value == parsed or bare:         # x = -0: the sign is lost
+                raise _Uncacheable
+            self.kinds.append(_NEGATED)
+        elif value == parsed:
+            self.kinds.append(_BARE if bare else _NUMBER)
+        else:
+            raise _Uncacheable
+        return slot
+
+
+def _pack(*items: Any) -> tuple:
+    return items
+
+
+def _rebuilder(factory: Callable, values: tuple,
+               parts: list) -> Callable[[list], Any]:
+    """A function from the bound values to ``factory(*values)`` with each
+    part that is not None put in its place; a part is a slot number or a
+    rebuilder."""
+    low = parts[0]
+    if (factory is _pack and type(low) is int
+            and parts == list(range(low, low + len(parts)))):
+        high = low + len(parts)                 # a VALUES row
+        return lambda slots: tuple(slots[low:high])
+    subs = [(i, itemgetter(part) if type(part) is int else part)
+            for i, part in enumerate(parts) if part is not None]
+
+    def build(slots: list) -> Any:
+        out = list(values)
+        for i, part in subs:
+            out[i] = part(slots)
+        return factory(*out)
+    return build

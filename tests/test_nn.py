@@ -1,8 +1,10 @@
 """Tests for the autograd engine, layers, attention, losses, optimizers."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,23 @@ class TestAutogradOps:
         x = Tensor(np.ones(3), requires_grad=True)
         y = (x * 2.0).detach()
         assert y.requires_grad is False
+
+    def test_backward_releases_the_graph(self):
+        # an activation dies with the last reference to the loss, not at
+        # the cyclic collector's next pass
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x * 2.0
+        activation = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        gc.disable()
+        try:
+            loss.backward()
+            del loss
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert np.allclose(x.grad, 8.0)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)

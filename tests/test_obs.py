@@ -316,6 +316,19 @@ class TestMetricsRegistry:
         assert any(key.startswith("buffer.") for key in gauges)
         assert "db.query_retries_total" in gauges
 
+    def test_template_cache_gauges(self):
+        # process-wide counts: compare before and after, never absolutes
+        db = _build_db()
+        before = db.metrics()["gauges"]
+        for i in range(10):
+            db.execute(f"SELECT name, age FROM users WHERE id = {i * 3}")
+        after = db.metrics()["gauges"]
+        assert after["sql.templates"] >= 1
+        assert (after["sql.template_hits_total"]
+                - before["sql.template_hits_total"]) >= 9
+        assert (after["sql.template_misses_total"]
+                - before["sql.template_misses_total"]) <= 1
+
     def test_fault_counts_surfaced(self):
         # seed 1 at rate 0.3 injects several task errors that the
         # scheduler's own retries absorb (no Db-level retry needed)
