@@ -26,8 +26,7 @@ import numpy as np
 from repro.ai.armnet import FeatureHasher
 from repro.common import categories as cat
 from repro.common.simtime import CostModel, SimClock
-from repro.exec.batch import (RowBlock, concat_columns, object_array,
-                              schema_kinds)
+from repro.exec.batch import RowBlock, concat_columns, object_array
 from repro.exec.expr import RowLayout
 from repro.exec.pipeline import table_blocks
 from repro.storage.types import DataType, TypedColumn
@@ -237,13 +236,10 @@ def map_scan_blocks(table, process: Callable[[RowBlock], object],
     surface is the storage layer); a PREDICT that fails transiently is
     retried whole by the statement-level ``retry_policy``.
     """
-    schema = table.schema
-    layout = RowLayout([(schema.table_name, c.name)
-                        for c in schema.columns])
-    kinds = schema_kinds(schema)
+    layout = RowLayout.of_table(table.schema.table_name, table.schema)
     return [process(block)
-            for block in table_blocks(table, layout, kinds,
-                                      SCAN_BLOCK_ROWS, start_page)]
+            for block in table_blocks(table, layout, SCAN_BLOCK_ROWS,
+                                      start_page)]
 
 
 def _scan_columns(table, masks: Sequence[Callable], pick: Callable,

@@ -37,8 +37,8 @@ from repro.common.errors import (BindError, ExecutionError, NeurDBError,
 from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
-from repro.exec.expr import (RowLayout, compile_expr,
-                             compile_predicate_batch)
+from repro.exec.expr import (NO_COLUMNS, RowLayout, compile_expr,
+                             compile_predicate_batch, expr_type)
 from repro.obs.explain import (explain_analyze, explain_plan,
                                explain_statement_trace)
 from repro.obs.export import chrome_trace, dump_chrome_trace
@@ -49,6 +49,7 @@ from repro.sql import ast
 from repro.sql.parser import parse, template_stats
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
+from repro.storage.types import DataType
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,6 @@ class NeurDB:
         else:
             positions = list(range(len(schema)))
         indexes = self._index_keys(statement.table)
-        empty_layout = RowLayout([])
         inserted = 0
         for value_row in statement.rows:
             if len(value_row) != len(positions):
@@ -394,7 +394,7 @@ class NeurDB:
                     f"got {len(value_row)}")
             full: list[Any] = [None] * len(schema)
             for position, expr in zip(positions, value_row):
-                full[position] = compile_expr(expr, empty_layout)(())
+                full[position] = compile_expr(expr, NO_COLUMNS)(())
             rid = table.insert(full)
             stored = table.read(rid)
             for index, position in indexes:
@@ -405,9 +405,16 @@ class NeurDB:
     def _run_update(self, statement: ast.Update) -> ResultSet:
         table = self.catalog.table(statement.table)
         scan = self._victim_scan(statement)
-        assignments = [(table.schema.index_of(col),
-                        compile_expr(expr, scan.layout))
-                       for col, expr in statement.assignments]
+        assignments = []
+        for name, expr in statement.assignments:
+            position = table.schema.index_of(name)
+            value = expr_type(expr, scan.layout)
+            column = table.schema.columns[position].dtype
+            if value is not None and (value is DataType.TEXT) != (
+                    column is DataType.TEXT):
+                raise BindError(f"cannot assign {value.value} to "
+                                f"{column.value} column {name!r}")
+            assignments.append((position, compile_expr(expr, scan.layout)))
         indexes = self._index_keys(statement.table)
         # every victim is read before the first write, so an update that
         # moves rows along the scanned key (SET id = id + 1000 WHERE
@@ -476,8 +483,10 @@ class NeurDB:
             raise BindError(f"target column {target!r} not in "
                             f"{statement.table!r}")
         feature_columns = self._feature_columns(statement, schema)
-        layout = RowLayout([(statement.table, c.name)
-                            for c in schema.columns])
+        layout = RowLayout.of_table(statement.table, schema)
+        for where in (statement.where, statement.train_filter):
+            if where is not None:
+                expr_type(where, layout)
         feature_idx = [schema.index_of(c) for c in feature_columns]
         model_name = self._model_name(statement, feature_columns)
         return PredictContext(statement=statement, table=table,
@@ -636,14 +645,13 @@ class NeurDB:
         """
         statement = ctx.statement
         if statement.inline_rows:
-            empty = RowLayout([])
             rows = []
             for value_row in statement.inline_rows:
                 if len(value_row) != len(ctx.feature_idx):
                     raise ExecutionError(
                         f"VALUES row has {len(value_row)} values, expected "
                         f"{len(ctx.feature_idx)} features")
-                rows.append(tuple(compile_expr(e, empty)(())
+                rows.append(tuple(compile_expr(e, NO_COLUMNS)(())
                                   for e in value_row))
             columns = ctx.table.schema.columns
             return (ColumnFeatures.from_rows(

@@ -42,7 +42,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.storage.types import TypedColumn
+from repro.storage.types import MAX_EXACT_FLOAT, DataType, TypedColumn
 
 DEFAULT_BATCH_SIZE = 1024
 
@@ -59,18 +59,6 @@ def object_array(values: Sequence[Any]) -> np.ndarray:
     return arr
 
 
-# column type kinds, used to pick the numeric-conversion strategy:
-# NUMERIC — schema says INT/FLOAT/BOOL: convert without value inspection.
-# TEXT — schema says TEXT: never convert (digit strings must stay strings).
-# UNKNOWN — computed/derived column: convert only after checking no strings
-# are present, so '5' = 5 keeps its row-engine semantics.
-NUMERIC, TEXT, UNKNOWN = "num", "text", None
-
-# float64 is exact only up to 2^53; columns with larger magnitudes stay on
-# the object path so integer comparisons keep full precision
-_MAX_EXACT_FLOAT = 2.0 ** 53
-
-
 def concat_columns(parts: Sequence["TypedColumn | np.ndarray"]
                    ) -> "TypedColumn | np.ndarray":
     """Block columns laid end to end: typed when every part is (see
@@ -84,15 +72,11 @@ def concat_columns(parts: Sequence["TypedColumn | np.ndarray"]
 class RowBlock:
     """A batch of rows stored column-wise."""
 
-    __slots__ = ("layout", "columns", "kinds", "_length", "_numeric",
-                 "_null")
+    __slots__ = ("layout", "columns", "_length", "_numeric", "_null")
 
-    def __init__(self, layout, columns: Sequence[np.ndarray], length: int,
-                 kinds: Sequence[str | None] | None = None):
+    def __init__(self, layout, columns: Sequence[np.ndarray], length: int):
         self.layout = layout
         self.columns = list(columns)
-        self.kinds = (list(kinds) if kinds is not None
-                      else [UNKNOWN] * len(self.columns))
         self._length = length
         # per-column caches: slot index -> derived array (or None marker)
         self._numeric: dict[int, np.ndarray | None] = {}
@@ -101,16 +85,14 @@ class RowBlock:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, layout, rows: Sequence[tuple],
-                  kinds: Sequence[str | None] | None = None) -> "RowBlock":
+    def from_rows(cls, layout, rows: Sequence[tuple]) -> "RowBlock":
         """Transpose a list of row tuples into a block."""
         n = len(rows)
         width = len(layout)
         if n == 0:
             return cls(layout, [np.empty(0, dtype=object)
-                                for _ in range(width)], 0, kinds)
-        return cls(layout, [object_array(col) for col in zip(*rows)], n,
-                   kinds)
+                                for _ in range(width)], 0)
+        return cls(layout, [object_array(col) for col in zip(*rows)], n)
 
     @classmethod
     def concat(cls, blocks: Sequence["RowBlock"]) -> "RowBlock":
@@ -121,8 +103,7 @@ class RowBlock:
             return first
         columns = [concat_columns([block.columns[i] for block in blocks])
                    for i in range(len(first.columns))]
-        return cls(first.layout, columns, sum(len(b) for b in blocks),
-                   first.kinds)
+        return cls(first.layout, columns, sum(len(b) for b in blocks))
 
     @classmethod
     def from_columns(cls, layout,
@@ -203,90 +184,46 @@ class RowBlock:
         return mask
 
     def numeric(self, idx: int) -> np.ndarray | None:
-        """A float64 view of the column (NULLs read as 0.0), or None if the
-        column holds non-numeric values.  Cached per slot."""
-        if idx in self._numeric:
-            return self._numeric[idx]
+        """A float64 view of the number column at ``idx`` (NULLs read as
+        0.0), or None for a TEXT column and for one holding a magnitude
+        float64 cannot represent exactly.  The slot type comes from
+        ``layout``, so no value is inspected to find out whether the
+        column is numeric.  Cached per slot."""
+        if idx not in self._numeric:
+            text = self.layout.types[idx] is DataType.TEXT
+            self._numeric[idx] = None if text else self._float64(idx)
+        return self._numeric[idx]
+
+    def _float64(self, idx: int) -> np.ndarray | None:
         col = self.columns[idx]
         if isinstance(col, TypedColumn):
             pair = col.float64()
             if pair is not None:
-                values, null = pair
-                self._null[idx] = null
-                self._numeric[idx] = values
+                values, self._null[idx] = pair
                 return values
             if col.kind != "obj":
-                # dict strings / precision-declined int64: definitively
-                # non-numeric, no object-path retry needed
-                self._null[idx] = col.null_mask()
-                self._numeric[idx] = None
-                return None
-            # object fallback (NaN floats, out-of-range ints): derive from
-            # the raw values exactly as an untyped column would
+                return None                 # int64 past 2^53
+            # NaN floats, out-of-range ints: derive from the raw values
+            # exactly as an object column would
             col = col.objects()
-        kind = self.kinds[idx]
-        values: np.ndarray | None
-        if kind == TEXT:
-            values = None
-        elif idx not in self._null:
-            # fast path: convert in one C call; astype maps None to NaN,
-            # so a NaN-free result proves the column had no NULLs without
-            # any per-value scan
-            try:
-                values = col.astype(np.float64)
-            except (TypeError, ValueError):
-                values = self._numeric_with_nulls(col, idx, kind)
-            else:
-                if np.isnan(values).any():
-                    # NULLs (or genuine NaNs): build the exact null mask
-                    values = self._numeric_with_nulls(col, idx, kind)
-                elif self._loses_precision(values):
-                    values = None
-                elif kind == UNKNOWN and self._has_strings(col):
-                    values = None
-                else:
-                    self._null[idx] = np.zeros(self._length, dtype=bool)
-        else:
-            values = self._numeric_with_nulls(col, idx, kind)
-        self._numeric[idx] = values
-        return values
-
-    def _numeric_with_nulls(self, col: np.ndarray, idx: int,
-                            kind: str | None) -> np.ndarray | None:
-        null = self._null.get(idx)
-        if null is None:
-            null = np.fromiter((v is None for v in col), dtype=bool,
-                               count=self._length)
-            self._null[idx] = null
         try:
-            if null.any():
-                filled = col.copy()
-                filled[null] = 0.0
-                values = filled.astype(np.float64)
-            else:
+            null = self._null.get(idx)
+            if null is None:
+                # one C call: astype maps None to NaN, so a NaN-free result
+                # proves the column has no NULLs without a per-value scan
                 values = col.astype(np.float64)
-        except (TypeError, ValueError):
+                if not np.isnan(values).any():
+                    self._null[idx] = np.zeros(self._length, dtype=bool)
+                    return None if _loses_precision(values) else values
+                null = self._null[idx] = np.fromiter(
+                    (v is None for v in col), dtype=bool, count=self._length)
+            if null.any():
+                col = col.copy()
+                col[null] = 0.0
+            values = col.astype(np.float64)
+        except OverflowError:               # an int past float64's range
             return None
-        if self._loses_precision(values):
-            return None
-        if kind == UNKNOWN and self._has_strings(col):
-            return None
-        return values
-
-    @staticmethod
-    def _loses_precision(values: np.ndarray) -> bool:
-        if not values.size:
-            return False
-        peak = np.abs(values).max()  # NaN propagates and compares False
-        # >= because a lossy integer (2^53 + 1) can round DOWN onto 2^53;
-        # nothing inexact can round below it
-        return bool(peak >= _MAX_EXACT_FLOAT)
-
-    @staticmethod
-    def _has_strings(col: np.ndarray) -> bool:
-        # digit strings convert under astype; an untyped column must stay
-        # non-numeric if any string is present so '5' = 5 is still false
-        return any(isinstance(v, str) for v in col)
+        return None if _loses_precision(values) else values
 
     # -- reshaping ----------------------------------------------------------
 
@@ -298,7 +235,7 @@ class RowBlock:
         if count == self._length:
             return self
         block = RowBlock(self.layout, [c[mask] for c in self.columns],
-                         count, self.kinds)
+                         count)
         for idx, values in self._numeric.items():
             block._numeric[idx] = None if values is None else values[mask]
         for idx, null in self._null.items():
@@ -308,7 +245,7 @@ class RowBlock:
     def take(self, indices: np.ndarray) -> "RowBlock":
         """The rows at ``indices`` (an integer array), in that order."""
         return RowBlock(self.layout, [c[indices] for c in self.columns],
-                        len(indices), self.kinds)
+                        len(indices))
 
     def slice(self, start: int, stop: int) -> "RowBlock":
         start = max(0, start)
@@ -317,7 +254,7 @@ class RowBlock:
             return self
         block = RowBlock(self.layout,
                          [c[start:stop] for c in self.columns],
-                         max(0, stop - start), self.kinds)
+                         max(0, stop - start))
         for idx, values in self._numeric.items():
             block._numeric[idx] = (None if values is None
                                    else values[start:stop])
@@ -326,9 +263,11 @@ class RowBlock:
         return block
 
 
-def schema_kinds(schema) -> list:
-    """Column kinds for a table schema (scan producers pass these so
-    numeric conversion needs no value inspection)."""
-    from repro.storage.types import DataType
-    return [TEXT if c.dtype == DataType.TEXT else NUMERIC
-            for c in schema.columns]
+
+def _loses_precision(values: np.ndarray) -> bool:
+    if not values.size:
+        return False
+    peak = np.abs(values).max()  # NaN propagates and compares False
+    # >= because a lossy integer (2^53 + 1) can round DOWN onto 2^53;
+    # nothing inexact can round below it
+    return bool(peak >= MAX_EXACT_FLOAT)

@@ -106,10 +106,8 @@ DEFAULT_RETRY_LIMIT = 3
 #: the node that holds merged breaker state, serial operators and the result
 COORDINATOR = 0
 
-#: modeled wire size per value by column kind (typed columns ship their
-#: fixed-width representation; dictionary/object columns a pointer-ish 16)
-_BYTES_BY_KIND = {"i8": 8, "f8": 8, "bool": 1}
-_DEFAULT_VALUE_BYTES = 16
+#: modeled wire size of one value, whatever its column's type
+_VALUE_BYTES = 16
 
 #: per-node network counters, as :meth:`NetworkModel.exchange` reports them
 _NET_KEYS = ("rows_sent", "bytes_sent", "rows_received", "bytes_received",
@@ -123,14 +121,10 @@ def check_at_least(name: str, value: int, minimum: int = 1) -> None:
 
 
 def block_bytes(block: RowBlock) -> int:
-    """Modeled on-the-wire size of one block (deterministic, kind-based)."""
+    """Modeled on-the-wire size of one block: 16 bytes per value, 8 per
+    row of a zero-width block."""
     n = len(block)
-    if n == 0:
-        return 0
-    if not block.kinds:
-        return 8 * n
-    return sum(_BYTES_BY_KIND.get(kind, _DEFAULT_VALUE_BYTES) * n
-               for kind in block.kinds)
+    return _VALUE_BYTES * n * len(block.columns) or 8 * n
 
 
 class DistributedScheduler:

@@ -18,7 +18,6 @@ from repro.exec.distributed import (
 )
 from repro.exec.pipeline import compile_pipelines, run_program
 from repro.plan import logical as plan
-from repro.plan.optimizer import _EmptyRow
 from repro.storage.catalog import Catalog
 
 
@@ -163,7 +162,7 @@ class Executor:
             return ops.LimitOp(node, self.build(node.child), self._clock)
         if isinstance(node, plan.Distinct):
             return ops.DistinctOp(node, self.build(node.child), self._clock)
-        if isinstance(node, _EmptyRow):
+        if isinstance(node, plan.EmptyRow):
             return ops.EmptyRowOp(self._clock)
         raise ExecutionError(f"no operator for plan node {node.label}")
 

@@ -1,32 +1,38 @@
-"""Expression evaluation over rows, and its vectorized (columnar) twin.
+"""Expression typing and evaluation over rows, and the vectorized twin.
 
 A row's columns are described by a :class:`RowLayout` — an ordered list of
-(binding, column) pairs, where *binding* is the table alias in scope.  The
-evaluator resolves column references against the layout once (compile step)
-and then evaluates per row, so hot loops avoid repeated name resolution.
+(binding, column) pairs, where *binding* is the table alias in scope, and
+the type of each slot.  The evaluator resolves column references against
+the layout once (compile step) and then evaluates per row, so hot loops
+avoid repeated name resolution.
+
+Types are decided before any row is read, by one function:
+:func:`expr_type`.  The planner calls it on every expression of a
+statement, so an ill-typed one is a :class:`BindError` at plan time, and
+the vector compiler calls it to pick each lowering.
 
 Contract between the two compilers: :func:`compile_expr` (row) is the
 semantic reference; :func:`compile_expr_vector` (batch) must agree with it
-bit-for-bit or decline.  It declines in two ways.  At *compile time* it
-returns None for forms it cannot lower — 2-argument ``round``, literals
-float64 cannot hold, LIKE operands outside the raw-value forms
-:func:`_compile_raw_vector` accepts — and the batch predicate wrapper
-(:func:`compile_predicate_batch`) then evaluates the block row-by-row with
-the reference evaluator.  At *runtime* a lowered plan defeated by actual
-column contents (arithmetic or ``abs``/``round`` over strings,
-``lower``/``upper``/``length`` over non-strings, mixed-type ordering or
-COALESCE branches, a reachable zero divisor, a computed LIKE operand that
-evaluates numerically) raises :class:`VectorFallback`, and the predicate
-permanently degrades to the row evaluator for that plan, so
-error/short-circuit semantics are decided by row order exactly as the row
-engine would.  LIKE lowers for constant patterns (compiled matcher at
-plan-compile time; wildcard-free patterns shortcut to string equality)
-*and* non-constant patterns / computed left operands (per-plan matcher
-cache keyed by runtime pattern value — see :func:`_compile_like_vector`).
+bit-for-bit or decline.  It declines once at *compile time*, returning
+None for the forms it does not lower — 2-argument ``round``, literals
+float64 cannot hold, a LIKE operand computed as a number (``str()`` of its
+float64 view could disagree) — and the batch predicate wrapper
+(:func:`compile_predicate_batch`) then evaluates those blocks row by row
+with the reference evaluator.  At *runtime* it declines per block, for two
+reasons that depend on values, never on types: a number column holding a
+magnitude float64 cannot represent exactly, and a reachable zero divisor.
+Either raises :class:`VectorFallback` and that one block is evaluated by
+the row path, so precision and error / short-circuit semantics are decided
+in row order exactly as the row engine would.  LIKE lowers for constant
+patterns (compiled matcher at plan-compile time; wildcard-free patterns
+shortcut to string equality) *and* non-constant patterns / computed text
+operands (per-plan matcher cache keyed by runtime pattern value — see
+:func:`_compile_like_vector`).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Sequence
 
@@ -34,55 +40,216 @@ import numpy as np
 
 from repro.common.errors import BindError, ExecutionError
 from repro.sql import ast
+from repro.storage.types import DataType
 
 
 class RowLayout:
-    """Maps (binding, column) pairs to positions in a row tuple."""
+    """Maps (binding, column) pairs to positions in a row tuple, and each
+    position to the type of its values: a :class:`DataType`, or None for
+    a slot that only ever holds NULL (the type of a NULL literal, which
+    fits anything)."""
 
-    def __init__(self, slots: Sequence[tuple[str, str]]):
+    def __init__(self, slots: Sequence[tuple[str, str]],
+                 types: Sequence[DataType | None]):
         self.slots: tuple[tuple[str, str], ...] = tuple(
             (b.lower(), c.lower()) for b, c in slots)
+        self.types: tuple[DataType | None, ...] = tuple(types)
+        if len(self.types) != len(self.slots):
+            raise ValueError(f"{len(self.slots)} slots but "
+                             f"{len(self.types)} types")
+        # compiled expressions are cached per layout (types included), so
+        # the hash is taken once here instead of on every lookup
+        self._hash = hash((self.slots, self.types))
         self._by_pair = {pair: i for i, pair in enumerate(self.slots)}
         self._by_name: dict[str, list[int]] = {}
         for i, (_, col) in enumerate(self.slots):
             self._by_name.setdefault(col, []).append(i)
 
+    @classmethod
+    def of_table(cls, binding: str, schema) -> "RowLayout":
+        """The rows a scan of a table with ``schema`` yields under the
+        alias ``binding``; built once per schema object (a schema never
+        changes — a re-created table gets a new one)."""
+        return _memo(("table", binding, id(schema)), schema, lambda: cls(
+            [(binding, c.name) for c in schema.columns], schema.dtypes()))
+
     def __len__(self) -> int:
         return len(self.slots)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RowLayout) and self.slots == other.slots
+        return self is other or (isinstance(other, RowLayout)
+                                 and self.slots == other.slots
+                                 and self.types == other.types)
 
-    def try_resolve(self, column: str,
-                    binding: str | None = None) -> int | None:
-        """Index of a column reference, or None when the reference does not
-        resolve (unknown or ambiguous).  Never raises — safe for hot paths
-        and speculative binder probes."""
-        column = column.lower()
-        if binding is not None:
-            return self._by_pair.get((binding.lower(), column))
-        hits = self._by_name.get(column)
-        if hits is None or len(hits) != 1:
-            return None
-        return hits[0]
+    def __hash__(self) -> int:
+        return self._hash
 
     def resolve(self, column: str, binding: str | None = None) -> int:
         """Index of a column reference, raising on unknown/ambiguous names."""
-        idx = self.try_resolve(column, binding)
-        if idx is not None:
-            return idx
         column = column.lower()
         if binding is not None:
-            raise BindError(f"column {binding}.{column} not in scope")
-        if len(self._by_name.get(column, [])) > 1:
+            idx = self._by_pair.get((binding.lower(), column))
+            if idx is None:
+                raise BindError(f"column {binding}.{column} not in scope")
+            return idx
+        hits = self._by_name.get(column, ())
+        if len(hits) == 1:
+            return hits[0]
+        if hits:
             raise BindError(f"column reference {column!r} is ambiguous")
         raise BindError(f"column {column!r} not in scope")
 
     def concat(self, other: "RowLayout") -> "RowLayout":
-        return RowLayout(self.slots + other.slots)
+        if not self.slots:
+            return other
+        return RowLayout(self.slots + other.slots, self.types + other.types)
 
     def column_names(self) -> list[str]:
         return [c for _, c in self.slots]
+
+
+#: the layout of a row with no columns (table-less SELECT, INSERT VALUES)
+NO_COLUMNS = RowLayout([], [])
+
+
+# -- typing ---------------------------------------------------------------------
+
+_TEXT, _FLOAT = DataType.TEXT, DataType.FLOAT
+_LITERAL_TYPES = {bool: DataType.BOOL, int: DataType.INT, float: _FLOAT,
+                  str: _TEXT}
+_ORDERED_CMP = frozenset(("<", "<=", ">", ">="))
+_ARITHMETIC = frozenset(("+", "-", "*", "/", "%"))
+_BOOLEAN = frozenset(("AND", "OR", "LIKE", "=", "<>"))
+# fewest and most arguments per function
+_ARGUMENTS = {"abs": (1, 1), "round": (1, 2), "floor": (1, 1),
+              "ceil": (1, 1), "lower": (1, 1), "upper": (1, 1),
+              "length": (1, 1), "coalesce": (1, float("inf")),
+              "count": (0, 1), "sum": (1, 1), "avg": (1, 1), "min": (1, 1),
+              "max": (1, 1)}
+
+
+def expr_type(expr: ast.Expr, layout: RowLayout) -> DataType | None:
+    """The type of ``expr``'s values over rows of ``layout``.
+
+    INT, FLOAT and BOOL are numbers and mix as Python mixes them, TEXT is
+    text, and None is the type of NULL, which fits anything.  Raises
+    :class:`BindError` where no row could be evaluated: arithmetic or a
+    numeric function over TEXT, a string function over a number, an
+    ordering or COALESCE mixing TEXT and numbers, an unknown name, a wrong
+    argument count.  ``=``, ``<>`` and ``IN`` across kinds never match,
+    and ``LIKE`` reads any operand through ``str()``: both well typed.
+    Aggregates are typed wherever they appear; whether one is allowed
+    there is the compiler's question."""
+    if type(expr) is ast.ColumnRef:
+        return layout.types[layout.resolve(expr.name, expr.table)]
+    if type(expr) is ast.Literal:
+        return _LITERAL_TYPES.get(type(expr.value))
+    if type(expr) is ast.BinaryOp:
+        left = expr_type(expr.left, layout)
+        right = expr_type(expr.right, layout)
+        op = expr.op
+        if op in _BOOLEAN:
+            return DataType.BOOL
+        if op in _ORDERED_CMP:
+            _one_kind(op, left, right)
+            return DataType.BOOL
+        if op in _ARITHMETIC:
+            number = _number(op, left, right)
+            return _FLOAT if op == "/" and number else number
+        raise BindError(f"unknown binary operator {op!r}")
+    if isinstance(expr, ast.UnaryOp):
+        operand = expr_type(expr.operand, layout)
+        if expr.op == "NOT":
+            return DataType.BOOL
+        if expr.op == "-":
+            return _number("-", operand)
+        raise BindError(f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, ast.IsNull):
+        expr_type(expr.operand, layout)
+        return DataType.BOOL
+    if isinstance(expr, ast.InList):
+        for item in (expr.operand, *expr.items):
+            expr_type(item, layout)
+        return DataType.BOOL
+    if isinstance(expr, ast.Between):
+        _one_kind("BETWEEN", *(expr_type(e, layout)
+                               for e in (expr.operand, expr.low, expr.high)))
+        return DataType.BOOL
+    if isinstance(expr, ast.FuncCall):
+        return _call_type(expr, layout)
+    if isinstance(expr, ast.Star):
+        raise BindError("'*' is only valid in a select list or COUNT(*)")
+    raise BindError(f"cannot compile expression {expr!r}")
+
+
+def _number(what: str, *types: DataType | None) -> DataType | None:
+    """The type of ``what`` over operands of ``types``: FLOAT if one is
+    FLOAT, INT if one is any other number, None if all are NULL."""
+    if _TEXT in types:
+        raise BindError(f"{what!r} needs numbers, not TEXT")
+    if _FLOAT in types:
+        return _FLOAT
+    return None if types.count(None) == len(types) else DataType.INT
+
+
+def _one_kind(what: str, *types: DataType | None) -> None:
+    """Ordering and COALESCE stay among TEXT values or among numbers."""
+    if _TEXT in types and any(t not in (_TEXT, None) for t in types):
+        raise BindError(f"{what!r} mixes TEXT and numbers")
+
+
+def _call_type(call: ast.FuncCall, layout: RowLayout) -> DataType | None:
+    name, args = call.name.lower(), call.args
+    if name not in _ARGUMENTS:
+        raise BindError(f"unknown function {call.name!r}")
+    if name == "count" and args and isinstance(args[0], ast.Star):
+        args = ()
+    low, high = _ARGUMENTS[name]
+    if not low <= len(args) <= high:
+        raise BindError(f"{name}() does not take {len(args)} argument(s)")
+    types = [expr_type(arg, layout) for arg in args]    # sum(*) raises
+    if name == "count":
+        return DataType.INT
+    if name in ("min", "max"):
+        return types[0]
+    if name in ("lower", "upper", "length"):
+        if types[0] not in (_TEXT, None):
+            raise BindError(f"{name}() needs TEXT, not {types[0].value}")
+        return DataType.INT if name == "length" else _TEXT
+    if name == "coalesce":
+        _one_kind("COALESCE", *types)
+        known = {t for t in types if t is not None}
+        return (known.pop() if len(known) == 1
+                else _number("COALESCE", *known) if known else None)
+    number = _number(name, *types)          # sum, avg and the numeric
+    return _FLOAT if name == "avg" and number else number
+
+
+def output_layout(items: Sequence[ast.SelectItem],
+                  layout: RowLayout) -> RowLayout:
+    """The rows a select list computes from rows of ``layout``: ``*`` and
+    ``t.*`` pass the slots they name through, any other item is one slot
+    named by :func:`~repro.sql.ast.output_name` and typed by
+    :func:`expr_type`.  Memoized: the parser's template cache hands every
+    statement of one template the same items."""
+    return _memo(("output", id(items), layout), items,
+                 lambda: _output_layout(items, layout))
+
+
+def _output_layout(items: Sequence[ast.SelectItem],
+                   layout: RowLayout) -> RowLayout:
+    slots, types = [], []
+    for position, item in enumerate(items):
+        if not isinstance(item.expr, ast.Star):
+            slots.append(("", ast.output_name(item, position)))
+            types.append(expr_type(item.expr, layout))
+            continue
+        table = item.expr.table
+        for slot, dtype in zip(layout.slots, layout.types):
+            if table is None or slot[0] == table.lower():
+                slots.append(slot)
+                types.append(dtype)
+    return RowLayout(slots, types)
 
 
 Evaluator = Callable[[tuple], Any]
@@ -113,12 +280,11 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
                 v = inner(row)
                 return None if v is None else (not bool(v))
             return eval_not
-        if expr.op == "-":
-            def eval_neg(row: tuple) -> Any:
-                v = inner(row)
-                return None if v is None else -v
-            return eval_neg
-        raise BindError(f"unknown unary operator {expr.op!r}")
+
+        def eval_neg(row: tuple) -> Any:
+            v = inner(row)
+            return None if v is None else -v
+        return eval_neg
 
     if isinstance(expr, ast.IsNull):
         inner = compile_expr(expr.operand, layout)
@@ -150,11 +316,7 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
             lo, hi = low(row), high(row)
             if v is None or lo is None or hi is None:
                 return None
-            try:
-                result = lo <= v <= hi
-            except TypeError:
-                raise ExecutionError(f"cannot compare {v!r} with "
-                                     f"{lo!r} and {hi!r}") from None
+            result = lo <= v <= hi
             return (not result) if negated else result
         return eval_between
 
@@ -177,22 +339,29 @@ def to_bool(value: Any) -> bool:
 # Operators are rebuilt from plan nodes on every execution, so streaming
 # re-train loops and benchmark iterations would recompile the same
 # predicates over and over.  The cache is keyed by AST-node identity plus
-# layout shape; values pin the AST node so its id() cannot be recycled.
+# the layout, slot types included: the parser's template cache shares
+# literal-free subtrees across statements, and the same node must lower
+# anew over a table re-created with other types.  Values pin the object
+# whose id() is in the key, so the id cannot be recycled.
 
 _COMPILE_CACHE_MAX = 4096
-_compile_cache: dict[tuple, tuple[ast.Expr, Any]] = {}
+_compile_cache: dict[tuple, tuple[Any, Any]] = {}
+
+
+def _memo(key: tuple, pin: Any, build: Callable[[], Any]) -> Any:
+    hit = _compile_cache.get(key)
+    if hit is not None and hit[0] is pin:
+        return hit[1]
+    value = build()
+    if len(_compile_cache) >= _COMPILE_CACHE_MAX:
+        _compile_cache.clear()
+    _compile_cache[key] = (pin, value)
+    return value
 
 
 def _cached(kind: str, expr: ast.Expr, layout: RowLayout, compile_fn):
-    key = (kind, id(expr), layout.slots)
-    hit = _compile_cache.get(key)
-    if hit is not None and hit[0] is expr:
-        return hit[1]
-    compiled = compile_fn(expr, layout)
-    if len(_compile_cache) >= _COMPILE_CACHE_MAX:
-        _compile_cache.clear()
-    _compile_cache[key] = (expr, compiled)
-    return compiled
+    return _memo((kind, id(expr), layout), expr,
+                 lambda: compile_fn(expr, layout))
 
 
 def compile_expr_cached(expr: ast.Expr, layout: RowLayout) -> Evaluator:
@@ -200,20 +369,12 @@ def compile_expr_cached(expr: ast.Expr, layout: RowLayout) -> Evaluator:
     return _cached("row", expr, layout, compile_expr)
 
 
+# comparisons and + - *: one definition for Python values and for arrays
 _CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
 }
-
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _compile_binary(expr: ast.BinaryOp, layout: RowLayout) -> Evaluator:
@@ -247,49 +408,27 @@ def _compile_binary(expr: ast.BinaryOp, layout: RowLayout) -> Evaluator:
             return False
         return eval_or
 
-    if op in _CMP:
-        cmp = _CMP[op]
-
-        def eval_cmp(row: tuple) -> Any:
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return cmp(a, b)
-            except TypeError:
-                raise ExecutionError(
-                    f"cannot compare {a!r} with {b!r}") from None
-        return eval_cmp
-
-    if op in _ARITH:
-        fn = _ARITH[op]
-
-        def eval_arith(row: tuple) -> Any:
+    fn = _CMP.get(op) or _ARITH.get(op)
+    if fn is not None:
+        def eval_binary(row: tuple) -> Any:
             a, b = left(row), right(row)
             if a is None or b is None:
                 return None
             return fn(a, b)
-        return eval_arith
+        return eval_binary
 
-    if op == "/":
+    if op in ("/", "%"):
+        divide, what = ((operator.truediv, "division") if op == "/"
+                        else (operator.mod, "modulo"))
+
         def eval_div(row: tuple) -> Any:
             a, b = left(row), right(row)
             if a is None or b is None:
                 return None
             if b == 0:
-                raise ExecutionError("division by zero")
-            return a / b
+                raise ExecutionError(f"{what} by zero")
+            return divide(a, b)
         return eval_div
-
-    if op == "%":
-        def eval_mod(row: tuple) -> Any:
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                raise ExecutionError("modulo by zero")
-            return a % b
-        return eval_mod
 
     if op == "LIKE":
         def eval_like(row: tuple) -> Any:
@@ -363,22 +502,18 @@ def _compile_scalar_func(expr: ast.FuncCall, layout: RowLayout) -> Evaluator:
 #
 # The batch engine lowers expressions to numpy column operations.  A vector
 # evaluator maps a RowBlock to ``(values, null)`` where ``values`` is a
-# float64 / bool / object array and ``null`` is a boolean NULL mask (SQL
-# three-valued logic rides in the mask, not in the values).  Expressions the
-# vectorizer cannot lower — scalar functions, LIKE with a non-constant
-# pattern, non-numeric arithmetic — fall back to the row evaluator per
-# block, so the batch path is always semantically complete.
-#
-# Errors defer to the row engine: when eager vector evaluation *would*
-# raise (zero divisor, mismatched ordering types), the evaluator raises
-# VectorFallback instead, and the row path decides which rows actually
-# error — preserving AND/OR short-circuit semantics exactly.
+# float64 / bool array for a number, an object array of the raw Python
+# values for TEXT, and ``null`` is a boolean NULL mask (SQL three-valued
+# logic rides in the mask, not in the values; whatever sits in ``values``
+# at a NULL position is never read).  Which of the two a node produces is
+# decided at compile time by :func:`expr_type`, so no evaluator inspects a
+# dtype to find out what it was given.
 
 
 class VectorFallback(Exception):
-    """Raised by a vector evaluator when runtime column types defeat the
-    vectorized plan (e.g. arithmetic over string columns); the caller
-    re-evaluates the block row-wise."""
+    """Raised by a vector evaluator when the values of one block defeat
+    it — a number float64 cannot hold exactly, a reachable zero divisor;
+    the caller evaluates that block row by row."""
 
 
 VectorEvaluator = Callable[[Any], tuple[np.ndarray, np.ndarray]]
@@ -386,18 +521,6 @@ VectorEvaluator = Callable[[Any], tuple[np.ndarray, np.ndarray]]
 # per-literal bound on cached broadcast arrays (keyed by block length);
 # past it the cache resets, like the compile and LIKE-matcher caches
 _LITERAL_CACHE_MAX = 32
-
-_NP_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-_ORDERED_CMP = ("<", "<=", ">", ">=")
-
 
 def _truthy(values: np.ndarray, null: np.ndarray) -> np.ndarray:
     """Definitely-true mask (WHERE semantics: NULL counts as false)."""
@@ -412,9 +535,20 @@ def _truthy(values: np.ndarray, null: np.ndarray) -> np.ndarray:
     return true & ~null
 
 
+def _where_valid(fn, null: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """``fn(*arrays)`` over the non-NULL rows only, False elsewhere: TEXT
+    ordering, so None never reaches a Python ``<``."""
+    out = np.zeros(len(null), dtype=bool)
+    valid = ~null
+    out[valid] = fn(*(a[valid] for a in arrays))
+    return out
+
+
 def compile_expr_vector(expr: ast.Expr,
                         layout: RowLayout) -> VectorEvaluator | None:
-    """Lower an expression to a block evaluator, or None if unsupported."""
+    """Lower a well-typed expression (one :func:`expr_type` accepts over
+    ``layout``) to a block evaluator, or None for a form kept on the row
+    path."""
     if isinstance(expr, ast.Literal):
         # literal columns are length-keyed and cached: scan block sizes
         # repeat (one or two distinct lengths per scan), so each literal
@@ -424,8 +558,7 @@ def compile_expr_vector(expr: ast.Expr,
         # pinned process-wide by the compile cache, so an unbounded dict
         # would leak one array pair per distinct length seen.  The cached
         # arrays are read-only by the evaluator contract (consumers copy
-        # before mutating), and concurrent cache writes under the
-        # parallel engine are benign rebuilds.
+        # before mutating).
         value = expr.value
         cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -462,13 +595,18 @@ def compile_expr_vector(expr: ast.Expr,
 
     if isinstance(expr, ast.ColumnRef):
         idx = layout.resolve(expr.name, expr.table)
+        if layout.types[idx] is _TEXT:
+            return lambda block: (block.column(idx), block.null_mask(idx))
 
-        def eval_column(block):
-            numeric = block.numeric(idx)
-            if numeric is not None:
-                return numeric, block.null_mask(idx)
-            return block.column(idx), block.null_mask(idx)
-        return eval_column
+        def eval_number_column(block):
+            values = block.numeric(idx)
+            if values is None:
+                # value-decided: this block holds a magnitude float64
+                # cannot represent exactly (|int| >= 2^53 arrives as
+                # objects), which the row path compares exactly
+                raise VectorFallback
+            return values, block.null_mask(idx)
+        return eval_number_column
 
     if isinstance(expr, ast.BinaryOp):
         return _compile_binary_vector(expr, layout)
@@ -484,14 +622,11 @@ def compile_expr_vector(expr: ast.Expr,
                 false = ~true & ~null
                 return false, null
             return eval_not
-        if expr.op == "-":
-            def eval_neg(block):
-                values, null = inner(block)
-                if values.dtype == object:
-                    raise VectorFallback
-                return -values.astype(np.float64), null
-            return eval_neg
-        return None
+
+        def eval_neg(block):
+            values, null = inner(block)
+            return -values.astype(np.float64), null
+        return eval_neg
 
     if isinstance(expr, ast.IsNull):
         inner = compile_expr_vector(expr.operand, layout)
@@ -506,22 +641,24 @@ def compile_expr_vector(expr: ast.Expr,
         return eval_is_null
 
     if isinstance(expr, ast.Between):
-        parts = [compile_expr_vector(e, layout)
-                 for e in (expr.operand, expr.low, expr.high)]
+        bounds = (expr.operand, expr.low, expr.high)
+        parts = [compile_expr_vector(e, layout) for e in bounds]
         if any(p is None for p in parts):
             return None
         operand, low, high = parts
         negated = expr.negated
+        text = any(expr_type(e, layout) is _TEXT for e in bounds)
 
         def eval_between(block):
             v, vn = operand(block)
             lo, ln = low(block)
             hi, hn = high(block)
-            if (v.dtype == object or lo.dtype == object
-                    or hi.dtype == object):
-                raise VectorFallback
             null = vn | ln | hn
-            out = (lo <= v) & (v <= hi)
+            if text:
+                out = _where_valid(lambda v, lo, hi: (lo <= v) & (v <= hi),
+                                   null, v, lo, hi)
+            else:
+                out = (lo <= v) & (v <= hi)
             if negated:
                 out = ~out
             return out, null
@@ -554,9 +691,7 @@ def compile_expr_vector(expr: ast.Expr,
     if isinstance(expr, ast.FuncCall):
         return _compile_func_vector(expr, layout)
 
-    # LIKE arms of BinaryOp are handled in _compile_binary_vector;
-    # Star and anything unknown use the row fallback.
-    return None
+    return None  # Star and anything unknown: the row compiler raises
 
 
 def _compile_binary_vector(expr: ast.BinaryOp,
@@ -590,9 +725,10 @@ def _compile_binary_vector(expr: ast.BinaryOp,
             return out, null
         return eval_logic
 
-    if op in _NP_CMP:
-        cmp = _NP_CMP[op]
-        ordered = op in _ORDERED_CMP
+    if op in _CMP:
+        cmp = _CMP[op]
+        text_order = op in _ORDERED_CMP and _TEXT in (
+            expr_type(expr.left, layout), expr_type(expr.right, layout))
         dict_probe = (_dict_cmp_probe(expr, layout)
                       if op in ("=", "<>") else None)
 
@@ -604,35 +740,19 @@ def _compile_binary_vector(expr: ast.BinaryOp,
             av, an = left(block)
             bv, bn = right(block)
             null = an | bn
-            objects = av.dtype == object or bv.dtype == object
-            if not objects:
-                return cmp(av, bv), null
-            if not ordered:
-                # object equality is None-safe elementwise; garbage at
-                # NULL positions is hidden by the mask
-                return np.asarray(cmp(av, bv), dtype=bool), null
-            # ordering over object columns: only compare non-NULL rows so
-            # None never reaches a Python "<"
-            out = np.zeros(len(av), dtype=bool)
-            valid = ~null
-            try:
-                out[valid] = cmp(av[valid], bv[valid])
-            except TypeError:
-                # mismatched types somewhere in the column: let the row
-                # evaluator decide which rows actually error (an AND
-                # short-circuit may never reach them)
-                raise VectorFallback from None
-            return out, null
+            if text_order:
+                return _where_valid(cmp, null, av, bv), null
+            # equality across kinds compares elementwise to "no match";
+            # garbage at NULL positions is hidden by the mask
+            return np.asarray(cmp(av, bv), dtype=bool), null
         return eval_cmp
 
     if op in _ARITH:
-        fn = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
+        fn = _ARITH[op]
 
         def eval_arith(block):
             av, an = left(block)
             bv, bn = right(block)
-            if av.dtype == object or bv.dtype == object:
-                raise VectorFallback
             return fn(av.astype(np.float64), bv.astype(np.float64)), an | bn
         return eval_arith
 
@@ -642,15 +762,12 @@ def _compile_binary_vector(expr: ast.BinaryOp,
         def eval_div(block):
             av, an = left(block)
             bv, bn = right(block)
-            if av.dtype == object or bv.dtype == object:
-                raise VectorFallback
             null = an | bn
             bv = bv.astype(np.float64)
-            zero = (bv == 0.0) & ~null
-            if zero.any():
-                # a zero divisor exists, but short-circuit row semantics
-                # decide whether it is ever evaluated — degrade to the row
-                # path, which raises exactly when a row reaches it
+            if ((bv == 0.0) & ~null).any():
+                # value-decided: a zero divisor exists, but short-circuit
+                # row semantics decide whether it is ever evaluated — the
+                # row path raises exactly when a row reaches it
                 raise VectorFallback
             safe = np.where(bv == 0.0, 1.0, bv)  # NULL slots hold 0.0
             av = av.astype(np.float64)
@@ -662,99 +779,68 @@ def _compile_binary_vector(expr: ast.BinaryOp,
 
 
 # scalar functions the vectorizer lowers: numeric ones map to one numpy
-# ufunc over the float64 view; string ones run a single fromiter pass over
-# the raw object column (no row tuples, no whole-block fallback).  Each
-# matches the row evaluator exactly where it applies and raises
-# VectorFallback where runtime values could diverge (non-string input to a
-# string function, object-dtype numerics), so error and result semantics
-# stay row-decided.  round is vectorized only in its 1-argument form:
-# numpy's 2-argument decimal rounding scales/unscales through float64 and
-# can disagree with Python's exact round-half-even on ties.
+# ufunc over the float64 view; string ones run one pass over the non-NULL
+# values of the raw object column (no row tuples, no whole-block
+# fallback).  round is vectorized only in its 1-argument form: numpy's
+# 2-argument decimal rounding scales/unscales through float64 and can
+# disagree with Python's exact round-half-even on ties.
 _NUMERIC_FUNC_VECTOR = {
     "abs": np.abs,
     "round": np.rint,
     "floor": np.floor,
     "ceil": np.ceil,
 }
+_STRING_FUNC_VECTOR = {"lower": str.lower, "upper": str.upper, "length": len}
 
 
 def _compile_func_vector(expr: ast.FuncCall,
                          layout: RowLayout) -> VectorEvaluator | None:
-    """Lower a scalar function call, or None for the row fallback."""
+    """Lower a scalar function call, or None for the row fallback (an
+    aggregate here is the row compiler's BindError to raise)."""
     name = expr.name.lower()
-    if name in ast.AGGREGATE_FUNCTIONS:
-        return None  # let the row compiler raise its BindError
+    args = [compile_expr_vector(a, layout) for a in expr.args]
+    if any(a is None for a in args):
+        return None
 
     if name == "coalesce":
-        args = [compile_expr_vector(a, layout) for a in expr.args]
-        if not args or any(a is None for a in args):
-            return None
+        dtype = object if expr_type(expr, layout) is _TEXT else np.float64
 
         def eval_coalesce(block):
             values, null = args[0](block)
-            values = values.copy()
+            values = values.astype(dtype)
             for arg in args[1:]:
                 if not null.any():
                     break
                 fill_values, fill_null = arg(block)
-                if (values.dtype == object) != (fill_values.dtype == object):
-                    # mixing a numeric view with raw objects could change
-                    # comparison semantics downstream: row path decides
-                    raise VectorFallback
-                if values.dtype != object and \
-                        fill_values.dtype != values.dtype:
-                    fill_values = fill_values.astype(values.dtype)
                 values[null] = fill_values[null]
                 null = null & fill_null
             return values, null
         return eval_coalesce
 
     if name in _NUMERIC_FUNC_VECTOR:
-        if len(expr.args) != 1:
-            return None  # wrong arity (or round's 2-arg form): row path
-        inner = compile_expr_vector(expr.args[0], layout)
-        if inner is None:
-            return None
-        fn = _NUMERIC_FUNC_VECTOR[name]
+        if len(args) != 1:
+            return None  # round's 2-argument form: row path
+        inner, fn = args[0], _NUMERIC_FUNC_VECTOR[name]
 
         def eval_numeric_func(block):
             values, null = inner(block)
-            if values.dtype == object:
-                raise VectorFallback
             return fn(values.astype(np.float64)), null
         return eval_numeric_func
 
-    if name in ("lower", "upper", "length"):
-        if len(expr.args) != 1:
-            return None
-        inner = compile_expr_vector(expr.args[0], layout)
-        if inner is None:
-            return None
+    if name in _STRING_FUNC_VECTOR:
+        inner, fn = args[0], _STRING_FUNC_VECTOR[name]
+        length = name == "length"
 
         def eval_string_func(block):
             values, null = inner(block)
-            if values.dtype != object:
-                # a numeric view means no strings anywhere: the row
-                # evaluator raises on every non-NULL row; let it
-                raise VectorFallback
             n = len(values)
-            out = np.empty(n, dtype=object) if name != "length" else \
-                np.zeros(n, dtype=np.float64)
-            for i, v in enumerate(values):
-                if null[i]:
-                    continue
-                if not isinstance(v, str):
-                    raise VectorFallback
-                if name == "lower":
-                    out[i] = v.lower()
-                elif name == "upper":
-                    out[i] = v.upper()
-                else:
-                    out[i] = float(len(v))
+            out = np.zeros(n) if length else np.empty(n, dtype=object)
+            live = np.flatnonzero(~null)
+            out[live] = [fn(v) for v in values[live].tolist()]
             return out, null
         return eval_string_func
 
-    return None  # unknown function: the row compiler raises BindError
+    return None
 
 
 # -- dictionary-code fast paths ----------------------------------------------
@@ -838,29 +924,17 @@ def _compile_raw_vector(expr: ast.Expr,
     never a numeric float64 view — the row engine applies ``str()`` to the
     original value, and ``str(5)`` ≠ ``str(5.0)``.
 
-    Column references read the object column directly.  Anything else
-    compiles through the vectorizer and is accepted only if it evaluates
-    to an object array at runtime (string functions, COALESCE in object
-    mode, string literals); a numeric result raises
-    :class:`VectorFallback` so the row path decides, keeping ``str()``
-    semantics row-identical.
+    Column references read the object column directly, whatever their
+    type.  Any other TEXT (or NULL) expression compiles through the
+    vectorizer, which hands TEXT out as raw objects; a computed number is
+    declined here, at compile time, so its ``str()`` stays the row path's.
     """
     if isinstance(expr, ast.ColumnRef):
         idx = layout.resolve(expr.name, expr.table)
-
-        def eval_raw_column(block):
-            return block.column(idx), block.null_mask(idx)
-        return eval_raw_column
-    inner = compile_expr_vector(expr, layout)
-    if inner is None:
+        return lambda block: (block.column(idx), block.null_mask(idx))
+    if expr_type(expr, layout) not in (_TEXT, None):
         return None
-
-    def eval_raw(block):
-        values, null = inner(block)
-        if values.dtype != object:
-            raise VectorFallback  # numeric view: str() may disagree
-        return values, null
-    return eval_raw
+    return compile_expr_vector(expr, layout)
 
 
 # per-plan bound on cached compiled matchers for non-constant LIKE
@@ -878,28 +952,20 @@ def _compile_like_vector(expr: ast.BinaryOp,
     re-translation, no row-tuple materialization; wildcard-free patterns
     shortcut to string equality.
 
-    Non-constant patterns (``a.name LIKE b.pattern``) and computed left
+    Non-constant patterns (``a.name LIKE b.pattern``) and computed text
     operands (``lower(name) LIKE 'u%'``) lower too: operands compile via
     :func:`_compile_raw_vector` (raw values only), and each *distinct
     runtime pattern value* compiles its matcher once into a per-plan
     cache keyed by the pattern string — the row path re-escapes and
-    re-compiles the regex for every row.  The cache is shared compiled
-    state under the parallel engine: reads and inserts are benign under
-    the GIL (worst case a matcher is compiled twice), the same sanctioned
-    exception class as the predicate wrapper's fallback latch.
+    re-compiles the regex for every row.  The cache only ever gains
+    matchers that are pure functions of their key, so evaluating a block
+    again, or in another order, finds the same verdicts.
     """
     left = _compile_raw_vector(expr.left, layout)
     if left is None:
         return None
-    if isinstance(expr.right, ast.Literal):
-        pattern = expr.right.value
-        if pattern is None:
-            # x LIKE NULL is NULL for every row
-            def eval_like_null(block):
-                n = len(block)
-                return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-            return eval_like_null
-        match = _like_matcher(str(pattern))
+    if isinstance(expr.right, ast.Literal) and expr.right.value is not None:
+        match = _like_matcher(str(expr.right.value))
         dict_idx = (layout.resolve(expr.left.name, expr.left.table)
                     if isinstance(expr.left, ast.ColumnRef) else None)
 
@@ -948,37 +1014,35 @@ def _compile_like_vector(expr: ast.BinaryOp,
 
 
 def compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
-    """Compile a WHERE/ON predicate for the batch engine.
+    """Compile a WHERE/ON predicate for the block engines: ``block -> bool
+    mask`` of the rows that pass (NULL = fail).
 
-    Returns ``block -> bool mask`` of rows that pass (NULL = fail).  Uses
-    the vectorized path when possible and transparently degrades to
-    row-at-a-time evaluation inside the block otherwise — including when a
-    vector plan is defeated at runtime by unexpected column types.
-
-    Thread-safety note for the parallel engine: the runtime degrade is a
-    one-way latch on shared state (``state["vector"] = None``).  The write
-    is idempotent and order-independent — concurrent workers at worst both
-    evaluate their block row-wise before the latch sticks — so it is the
-    single sanctioned exception to the "compiled state is read-only"
-    contract in ``repro/exec/operators.py``.
-    """
+    The predicate is typed first (:class:`BindError` when ill-typed), then
+    lowered by :func:`compile_expr_vector`.  A form the vector compiler
+    declines evaluates every block row by row with the reference
+    evaluator; a lowered plan does so only for a block whose values raise
+    :class:`VectorFallback`.  The compiled function holds no state that
+    evaluating a block changes."""
     return _cached("pred", expr, layout, _compile_predicate_batch)
 
 
 def _compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
+    expr_type(expr, layout)
     vector = compile_expr_vector(expr, layout)
-    row_eval = compile_expr(expr, layout)
-    state = {"vector": vector}
+    row_eval = compile_expr_cached(expr, layout)
 
-    def eval_block(block) -> np.ndarray:
-        vec = state["vector"]
-        if vec is not None:
-            try:
-                values, null = vec(block)
-                return _truthy(values, null)
-            except VectorFallback:
-                state["vector"] = None  # this plan's types won't change
+    def eval_rows(block) -> np.ndarray:
         return np.fromiter((to_bool(row_eval(row))
                             for row in block.iter_rows()),
                            dtype=bool, count=len(block))
+
+    if vector is None:
+        return eval_rows
+
+    def eval_block(block) -> np.ndarray:
+        try:
+            values, null = vector(block)
+        except VectorFallback:
+            return eval_rows(block)
+        return _truthy(values, null)
     return eval_block

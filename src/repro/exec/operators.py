@@ -40,11 +40,10 @@ attributes output counts after reassembly, so a retried task does not
 count twice); and running it again, or in another order, changes
 nothing, because compiled state (``compile_expr_cached`` evaluators,
 predicate batch evaluators) is effectively read-only after construction
-— the exceptions are the batch predicate wrapper's fallback latch, an
-idempotent one-way write (see ``compile_predicate_batch``), and
-``BuildTable.buckets()``, built once under its lock — and every
-:class:`RowBlock` is owned by one task at a time.  ``AggregateOp.partial_block`` keeps, as arrays, what the
-serial ``absorb_carrier`` partitions a block into, and the merge is that
+— the one exception is ``BuildTable.buckets()``, built once under its
+lock — and every :class:`RowBlock` is owned by one task at a time.
+``AggregateOp.partial_block`` keeps, as arrays, what the serial
+``absorb_carrier`` partitions a block into, and the merge is that
 partitioner again over the partials' representative rows — one
 partitioner serves every engine, on both sides of the breaker.
 """
@@ -60,18 +59,19 @@ import threading
 import numpy as np
 
 from repro.common import categories as cat
-from repro.common.errors import BindError, ExecutionError
+from repro.common.errors import ExecutionError
 from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import (
     DEFAULT_BATCH_SIZE,
     RowBlock,
     concat_columns,
-    schema_kinds,
 )
 from repro.exec.expr import (
+    NO_COLUMNS,
     RowLayout,
     compile_expr_cached,
     compile_predicate_batch,
+    output_layout,
     to_bool,
 )
 from repro.plan import logical as plan
@@ -181,12 +181,10 @@ class Operator:
 class SeqScanOp(Operator):
     def __init__(self, node: plan.SeqScan, catalog: Catalog, clock: SimClock):
         table = catalog.table(node.table)
-        layout = RowLayout([(node.binding, c.name)
-                            for c in table.schema.columns])
+        layout = RowLayout.of_table(node.binding, table.schema)
         super().__init__(layout, clock)
         self.plan_node = node
         self._table = table
-        self._kinds = schema_kinds(table.schema)
         # LIMIT push-down shrinks this so early termination doesn't pay
         # for a full batch of rows the row engine would never scan
         self.max_batch_rows = DEFAULT_BATCH_SIZE
@@ -229,7 +227,7 @@ class SeqScanOp(Operator):
 
     def make_block(self, columns, n: int) -> RowBlock:
         """Materialize one scan morsel/batch as a block (no charges)."""
-        return RowBlock(self.layout, columns, n, self._kinds)
+        return RowBlock(self.layout, columns, n)
 
     def scan_block(self, block: RowBlock, clock: SimClock
                    ) -> tuple[RowBlock, np.ndarray | None] | None:
@@ -254,13 +252,11 @@ class IndexScanOp(Operator):
     def __init__(self, node: plan.IndexScan, catalog: Catalog,
                  clock: SimClock):
         table = catalog.table(node.table)
-        layout = RowLayout([(node.binding, c.name)
-                            for c in table.schema.columns])
+        layout = RowLayout.of_table(node.binding, table.schema)
         super().__init__(layout, clock)
         self.plan_node = node
         self._table = table
         self._node = node
-        self._kinds = schema_kinds(table.schema)
         self.max_batch_rows = DEFAULT_BATCH_SIZE
         entry = next((e for e in catalog.indexes_on(node.table)
                       if e.name == node.index_name), None)
@@ -325,7 +321,7 @@ class IndexScanOp(Operator):
     def _filtered_block(self, rows: list[tuple]) -> RowBlock:
         n = len(rows)
         self._clock.advance_batch(CostModel.TUPLE_CPU, n, cat.INDEX)
-        block = RowBlock.from_rows(self.layout, rows, self._kinds)
+        block = RowBlock.from_rows(self.layout, rows)
         if self._residual_batch is not None:
             self._clock.advance_batch(CostModel.EVAL_PREDICATE, n, cat.FILTER)
             block = block.select(self._residual_batch(block))
@@ -362,21 +358,18 @@ class ProjectOp(Operator):
     def __init__(self, node: plan.Project, child: Operator, clock: SimClock):
         evaluators = []
         sources = []
-        slots: list[tuple[str, str]] = []
-        for i, item in enumerate(node.items):
+        for item in node.items:
             if isinstance(item.expr, ast.Star):
-                for slot_idx, (binding, col) in enumerate(child.layout.slots):
+                for slot_idx, (binding, _) in enumerate(child.layout.slots):
                     if item.expr.table and binding != item.expr.table.lower():
                         continue
                     evaluators.append(
                         lambda row, j=slot_idx: row[j])
                     sources.append((_SLOT, slot_idx))
-                    slots.append((binding, col))
                 continue
             evaluators.append(compile_expr_cached(item.expr, child.layout))
             sources.append(_value_source(item.expr, child.layout))
-            slots.append(("", ast.output_name(item, i)))
-        super().__init__(RowLayout(slots), clock)
+        super().__init__(output_layout(node.items, child.layout), clock)
         self.plan_node = node
         self._child = child
         self._evaluators = evaluators
@@ -587,7 +580,7 @@ class HashJoinOp(Operator):
         out = RowBlock(self.layout,
                        [c[build_idx] for c in build.block.columns]
                        + [c[probe_idx] for c in block.columns],
-                       candidates, build.block.kinds + block.kinds)
+                       candidates)
         if self._residual_batch is not None:
             clock.advance_batch(CostModel.EVAL_PREDICATE, candidates,
                                 cat.JOIN)
@@ -781,9 +774,7 @@ class _Accumulator:
             return self.total / self.count if self.count else None
         if self.name == "min":
             return self.minimum
-        if self.name == "max":
-            return self.maximum
-        raise BindError(f"unknown aggregate {self.name!r}")
+        return self.maximum                 # max: the call was typed
 
 
 class AggPartial:
@@ -843,9 +834,7 @@ class AggregateOp(Operator):
 
     def __init__(self, node: plan.Aggregate, child: Operator,
                  clock: SimClock):
-        slots = [("", ast.output_name(item, i))
-                 for i, item in enumerate(node.items)]
-        super().__init__(RowLayout(slots), clock)
+        super().__init__(output_layout(node.items, child.layout), clock)
         self.plan_node = node
         self._child = child
         self._node = node
@@ -861,14 +850,12 @@ class AggregateOp(Operator):
             None if (not call.args or isinstance(call.args[0], ast.Star))
             else _value_source(call.args[0], child.layout)
             for call in self._agg_calls]
-        # compiled once here, not once per group
-        self._agg_args = []
-        for call, source in zip(self._agg_calls, self._agg_sources):
-            if source is None and call.name != "count":
-                raise BindError(f"{call.name}(*) is not valid")
-            self._agg_args.append(
-                None if source is None
-                else compile_expr_cached(call.args[0], child.layout))
+        # compiled once here, not once per group (typing the items above
+        # already refused sum(*) and its kin)
+        self._agg_args = [
+            None if source is None
+            else compile_expr_cached(call.args[0], child.layout)
+            for call, source in zip(self._agg_calls, self._agg_sources)]
         self._item_evals = [self._compile_item(item.expr)
                             for item in node.items]
         # deferred-mask absorption is safe only when every group key and
@@ -1490,7 +1477,7 @@ class EmptyRowOp(Operator):
     """A single empty row, for table-less SELECTs."""
 
     def __init__(self, clock: SimClock):
-        super().__init__(RowLayout([]), clock)
+        super().__init__(NO_COLUMNS, clock)
 
     def __iter__(self) -> Iterator[tuple]:
         yield self._emit(())

@@ -65,7 +65,7 @@ from repro.exec.batch import RowBlock
 from repro.exec.expr import RowLayout
 
 
-def table_blocks(table, layout: RowLayout, kinds, batch_size: int,
+def table_blocks(table, layout: RowLayout, batch_size: int,
                  start_page: int = 0) -> Iterator[RowBlock]:
     """Stream a heap table as :class:`RowBlock`\\ s — the shared scan
     primitive under pipeline sources and the AI loader's PREDICT
@@ -73,7 +73,7 @@ def table_blocks(table, layout: RowLayout, kinds, batch_size: int,
     inside the storage scan, per page, exactly as ``scan()`` would.
     ``start_page`` skips earlier pages entirely (tail scans)."""
     for columns, n in table.scan_column_batches(batch_size, start_page):
-        yield RowBlock(layout, columns, n, kinds)
+        yield RowBlock(layout, columns, n)
 
 
 class BlockSource(ops.Operator):

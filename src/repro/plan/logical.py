@@ -229,6 +229,10 @@ class Distinct(PlanNode):
         return (self.child,)
 
 
+class EmptyRow(PlanNode):
+    """A one-row, zero-column input for table-less SELECTs."""
+
+
 def plan_signature(node: PlanNode) -> str:
     """A canonical string identifying the plan's structure (for dedup and
     for the learned optimizer's training keys)."""

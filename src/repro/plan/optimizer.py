@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import BindError, PlanError
+from repro.exec.expr import (NO_COLUMNS, RowLayout, expr_type,
+                             output_layout)
 from repro.plan import logical as plan
 from repro.plan.cardinality import (CardinalityEstimator, column_literal,
                                     is_equi_join_condition)
@@ -146,10 +148,30 @@ class Planner:
             else:
                 residuals.append(conjunct)
 
-        return BoundQuery(select=select, bindings=bindings,
-                          table_order=table_order, filters=filters,
-                          join_conditions=join_conditions,
-                          residuals=residuals)
+        bound = BoundQuery(select=select, bindings=bindings,
+                           table_order=table_order, filters=filters,
+                           join_conditions=join_conditions,
+                           residuals=residuals)
+        self._check_types(bound, conjuncts)
+        return bound
+
+    def _check_types(self, bound: BoundQuery,
+                     conjuncts: list[ast.Expr]) -> None:
+        """Type every expression of the statement over the rows it will
+        be evaluated on (:func:`~repro.exec.expr.expr_type`): the WHERE
+        and ON conjuncts, GROUP BY and the select list over the FROM
+        tables, ORDER BY over the select list.  An ill-typed one is a
+        BindError here, before any operator is built or any row read."""
+        select = bound.select
+        scope = NO_COLUMNS
+        for alias in bound.table_order:
+            scope = scope.concat(RowLayout.of_table(
+                alias, self._catalog.table(bound.bindings[alias]).schema))
+        for expr in itertools.chain(conjuncts, select.group_by):
+            expr_type(expr, scope)
+        output = output_layout(select.items, scope)
+        for key in select.order_by:
+            expr_type(key.expr, output)
 
     def _aliases_of(self, expr: ast.Expr, bindings: dict[str, str],
                     table_order: list[str]) -> set[str]:
@@ -179,11 +201,14 @@ class Planner:
         WHERE's conjuncts bound against the one table (unknown columns
         fail as they do for SELECT), then SELECT's own choice between
         the table's indexes and a filtered SeqScan."""
-        table = self._catalog.table(table).name   # CatalogError if missing
+        heap = self._catalog.table(table)           # CatalogError if missing
+        table = heap.name
         bindings = {table: table}
         predicates = split_conjuncts(where)
         for predicate in predicates:
             self._aliases_of(predicate, bindings, [table])
+        if where is not None:
+            expr_type(where, RowLayout.of_table(table, heap.schema))
         return self._access_path(bindings, table, predicates)
 
     def _access_path(self, bindings: dict[str, str], alias: str,
@@ -357,7 +382,8 @@ class Planner:
 
         # an integer literal in GROUP BY / ORDER BY names a select-list
         # position: group on that item's expression, sort on its output
-        outputs = self._outputs(bound)
+        outputs = (self._outputs(bound) if select.group_by or select.order_by
+                   else [])
         group_by = tuple(self._positional(expr, outputs, "GROUP BY", 0)
                          for expr in select.group_by)
         order_by = tuple(
@@ -369,8 +395,6 @@ class Planner:
         if group_by or has_aggregates:
             if any(ast.is_aggregate(expr) for expr in group_by):
                 raise BindError("GROUP BY cannot name an aggregate")
-            for item in select.items:
-                self._check_aggregate_types(item.expr, bound)
             tree = plan.Aggregate(child=tree, group_by=group_by,
                                   items=select.items)
         else:
@@ -414,27 +438,9 @@ class Planner:
                             f"select list (1..{len(outputs)})")
         return outputs[expr.value - 1][pick]
 
-    def _check_aggregate_types(self, expr: ast.Expr,
-                               bound: BoundQuery) -> None:
-        """sum/avg need numbers: reject a TEXT column argument here
-        instead of concatenating strings at run time."""
-        if isinstance(expr, ast.BinaryOp):
-            self._check_aggregate_types(expr.left, bound)
-            self._check_aggregate_types(expr.right, bound)
-        elif isinstance(expr, ast.UnaryOp):
-            self._check_aggregate_types(expr.operand, bound)
-        elif (isinstance(expr, ast.FuncCall) and expr.name in ("sum", "avg")
-                and expr.args and isinstance(expr.args[0], ast.ColumnRef)):
-            ref = expr.args[0]
-            table = bound.bindings[self._alias_of_ref(ref, bound)]
-            column = self._catalog.table(table).schema.column(ref.name)
-            if column.dtype is DataType.TEXT:
-                raise BindError(f"{expr.name}() needs a numeric argument; "
-                                f"{ref.display()} is TEXT")
-
     def _plan_tableless(self, select: ast.Select) -> plan.PlanNode:
         """SELECT without FROM, e.g. ``SELECT 1 + 1``."""
-        node = plan.Project(child=_EmptyRow(), items=select.items)
+        node = plan.Project(child=plan.EmptyRow(), items=select.items)
         node.est_rows = 1.0
         return node
 
@@ -442,19 +448,12 @@ class Planner:
         return PlanCoster(self._estimator, bound.bindings)
 
 
-class _EmptyRow(plan.PlanNode):
-    """A one-row, zero-column input for table-less SELECTs."""
-
-    @property
-    def label(self) -> str:
-        return "EmptyRow"
-
-
 def _comparable(literal, dtype: DataType) -> bool:
     """Whether an index over a ``dtype`` column can order ``literal``
     among its keys: numbers with INT / FLOAT, text with TEXT, booleans
     with BOOL.  Anything else (``id = 'abc'``) is left to the SeqScan,
-    whose evaluator decides between no match and an ExecutionError."""
+    whose evaluator finds no match; an ordering across TEXT and numbers
+    (``id < 'abc'``) never gets here, it is ill-typed."""
     if isinstance(literal, bool):
         return dtype is DataType.BOOL
     if isinstance(literal, (int, float)):

@@ -120,7 +120,7 @@ PAGE_DICT_CAP = 128
 # Beyond 2**53 consecutive integers stop being exactly representable in a
 # float64, so the numeric view declines rather than silently lose bits
 # (same contract as RowBlock's object-array fallback).
-_MAX_EXACT_FLOAT = 2.0**53
+MAX_EXACT_FLOAT = 2.0**53
 
 _VALUES = "values"  # marker: float64() payload is the data array itself
 
@@ -387,7 +387,7 @@ class TypedColumn:
             elif self.kind in ("i8", "bool"):
                 values = self.data.astype(np.float64)
                 if self.kind == "i8" and len(values) and (
-                    np.abs(values).max() >= _MAX_EXACT_FLOAT
+                    np.abs(values).max() >= MAX_EXACT_FLOAT
                 ):
                     self._f64 = (None, None)
                 else:

@@ -754,7 +754,7 @@ class TestTrainingDataParity:
         from repro.exec.expr import RowLayout, compile_predicate_batch
         heap = parity_db.catalog.table("users")
         schema = heap.schema
-        layout = RowLayout([("users", c.name) for c in schema.columns])
+        layout = RowLayout.of_table("users", schema)
         predicate = compile_predicate_batch(
             parse("SELECT 1 FROM users WHERE age >= 40").where, layout)
         clock = SimClock()

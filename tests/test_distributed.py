@@ -145,13 +145,19 @@ class TestNetworkModel:
 
 class TestPayloadSizing:
     def test_block_bytes_by_kind(self):
+        """16 bytes per value whatever the column's type (typed widths
+        would be a modeled-byte change), 8 per row of a zero-width
+        block."""
         from repro.exec.batch import RowBlock
         from repro.exec.expr import RowLayout
-        layout = RowLayout([("t", "a"), ("t", "b")])
-        block = RowBlock.from_rows(layout, [(1, "x"), (2, "y")])
-        assert block_bytes(block) > 0
-        empty = RowBlock.from_rows(layout, [])
-        assert block_bytes(empty) == 0
+        from repro.storage.types import DataType
+        layout = RowLayout([("t", c) for c in "abcd"], list(DataType))
+        block = RowBlock.from_rows(layout, [(1, 1.5, "x", True),
+                                            (2, None, "y", False)])
+        assert block_bytes(block) == 128
+        assert block_bytes(RowBlock.from_rows(layout, [])) == 0
+        assert block_bytes(RowBlock.from_rows(RowLayout([], []),
+                                              [(), (), ()])) == 24
 
     def test_payload_units_nested(self):
         assert payload_units(7) == 1

@@ -43,10 +43,10 @@ import pytest
 
 import repro
 from repro.common import categories as cat
-from repro.common.errors import ConstraintViolation, ExecutionError
+from repro.common.errors import BindError, ConstraintViolation
 from repro.common.simtime import CostModel
 from repro.exec.executor import Executor
-from repro.exec.expr import RowLayout, compile_expr, to_bool
+from repro.exec.expr import RowLayout, compile_expr, expr_type, to_bool
 from repro.sql import ast
 from repro.sql.parser import parse
 from test_storage_typed import (BOOL, FLOAT_CLEAN, INT_SMALL, STORAGE_SEED,
@@ -118,12 +118,15 @@ REGIMES = {
 
 def _full_scan_victims(db, statement):
     """Victim selection as ``_run_update`` / ``_run_delete`` did it before
-    they went through the planner — kept verbatim as the oracle."""
+    they went through the planner — kept as the oracle, over the table's
+    typed layout: an ill-typed WHERE is a BindError before any row is
+    read, as it is for the planner."""
     table = db.catalog.table(statement.table)
-    layout = RowLayout([(statement.table, c.name)
-                        for c in table.schema.columns])
-    predicate = (compile_expr(statement.where, layout)
-                 if statement.where is not None else None)
+    layout = RowLayout.of_table(statement.table, table.schema)
+    predicate = None
+    if statement.where is not None:
+        expr_type(statement.where, layout)
+        predicate = compile_expr(statement.where, layout)
     victims: list[tuple] = []
     for rid, row in table.scan():
         if predicate is None or to_bool(predicate(row)):
@@ -230,6 +233,20 @@ class Sweep:
         statement = parse(sql)
         where = sql[sql.index(" WHERE "):] if " WHERE " in sql else ""
 
+        try:
+            oracle = _full_scan_victims(db, statement)
+        except BindError:
+            # a literal the column cannot be ordered against: ill-typed,
+            # so the statement, its SELECT and its EXPLAIN are rejected at
+            # plan time, and nothing is written
+            before = _sorted(db.execute("SELECT * FROM t").rows)
+            for text in (sql, "SELECT * FROM t" + where, "EXPLAIN " + sql):
+                with pytest.raises(BindError):
+                    db.execute(text)
+            assert _sorted(db.execute("SELECT * FROM t").rows) == before
+            check_indexes(db)
+            return 0
+
         # one index selection: DML plans the scan SELECT plans
         title, scan = (row[0] for row in db.execute("EXPLAIN " + sql).rows)
         assert title == f"{type(statement).__name__} on t"
@@ -242,20 +259,6 @@ class Sweep:
             assert label == labels[0], sql
         elif labels:
             assert label in labels or label.startswith("SeqScan"), (sql, label)
-
-        try:
-            oracle = _full_scan_victims(db, statement)
-        except ExecutionError as error:
-            # a literal the column cannot be compared with: the planned
-            # scan raises what the full scan raises, and writes nothing
-            before = _sorted(db.execute("SELECT * FROM t").rows)
-            with pytest.raises(type(error)):
-                db.execute(sql)
-            with pytest.raises(type(error)):
-                db.execute("SELECT * FROM t" + where)
-            assert _sorted(db.execute("SELECT * FROM t").rows) == before
-            check_indexes(db)
-            return 0
 
         planned = list(db.executor.build(db.planner.access_path(
             statement.table, statement.where)).rid_rows())
@@ -506,6 +509,30 @@ def test_failed_update_keeps_every_posting(table_kind, index):
     assert len(table) == 0
 
 
+@pytest.mark.parametrize("table_kind", TABLES)
+def test_ill_typed_update_writes_nothing(table_kind):
+    """``a + s`` adds a number to TEXT: the UPDATE is a BindError before
+    its first victim is read — not a rewrite of row 1 (where ``a`` is
+    NULL, so ``a + s`` is too) and a TypeError at row 2."""
+    db = repro.connect(**TABLES[table_kind])
+    db.execute("CREATE TABLE t (id INT, a INT, s TEXT)")
+    db.execute("INSERT INTO t VALUES (1, NULL, 'x'), (2, 5, 'y')")
+    db.execute("CREATE INDEX t_s ON t (s)")
+    db.execute("CREATE INDEX t_a ON t (a) USING hash")
+    rows = list(db.catalog.table("t").scan())
+    before = db.clock.now
+    with pytest.raises(BindError):
+        db.execute("UPDATE t SET s = upper(s), a = a + s")
+    assert db.clock.now == before
+    assert list(db.catalog.table("t").scan()) == rows
+    check_indexes(db)
+    assert db.execute("UPDATE t SET s = upper(s), a = a + id").extra[
+        "rowcount"] == 2
+    assert _sorted(db.execute("SELECT * FROM t").rows) == [
+        (1, None, "X"), (2, 7, "Y")]
+    check_indexes(db)
+
+
 def test_null_keys_stay_out_of_the_btree():
     """NULL keys are never indexed; updating or deleting a row that has
     one must not ask the B+-tree to order None among its keys."""
@@ -592,9 +619,9 @@ def test_a_range_reads_its_rows_and_nothing_else():
 
 @pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyzed"])
 def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
-    """Every predicate returns the SeqScan's rows or raises the
-    SeqScan's error class — never a TypeError out of ``bisect`` or a
-    ValueError out of ``float()``."""
+    """Every predicate returns the SeqScan's rows or, when it orders TEXT
+    against a number, is a BindError before anything is charged — never
+    a TypeError out of ``bisect`` or a ValueError out of ``float()``."""
     db = _indexed_2000()
     db.execute("CREATE TABLE flags (b BOOL, n INT)")
     db.execute("INSERT INTO flags VALUES (TRUE, 1), (FALSE, 0), (NULL, 2)")
@@ -610,8 +637,8 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
         ("t", "name BETWEEN 'n0001' AND 'n0003'"), ("t", "id = 7.0"),
         ("t", "id < 2.5"), ("flags", "b = 1"), ("flags", "b = TRUE"),
         ("flags", "b = 'yes'"), ("flags", "n = 'one'"), ("flags", "n = TRUE"),
-        # a mixed pair: the bound the index can order is folded, the other
-        # stays a residual (or the SeqScan wins) and fails as it always did
+        # a mixed pair: the bound the index can order does not save the
+        # other one from being ill-typed
         ("t", "id >= 5 AND id < 'abc'"), ("t", "'abc' > id AND 5 <= id"),
         ("t", "id BETWEEN 5 AND 'abc'"), ("t", "id >= 5 AND id = 'abc'"),
     ]
@@ -620,13 +647,8 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
         try:
             expected = _sorted(row for _, row in _full_scan_victims(
                 db, ast.Delete(table, select.where)))
-        except ExecutionError as error:
-            for engine in ("batch", "row"):
-                db.executor = db.executor.with_engine(engine)
-                with pytest.raises(type(error)):
-                    db.execute(f"SELECT * FROM {table} WHERE {where}")
-            with pytest.raises(type(error)):
-                db.execute(f"DELETE FROM {table} WHERE {where}")
+        except BindError:
+            _assert_rejected(db, table, where)
             continue
         for engine in ("batch", "row"):
             db.executor = db.executor.with_engine(engine)
@@ -642,3 +664,47 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
                 "SELECT * FROM flags WHERE b = 1",
                 "SELECT * FROM flags WHERE n = TRUE"):
         assert _scan_label(db, sql).startswith("SeqScan"), sql
+    _cross_kind_orderings_rejected(analyze)
+
+
+def _assert_rejected(db, table: str, where: str) -> None:
+    """``where`` is a BindError on every engine and as UPDATE / DELETE,
+    with nothing charged and nothing written."""
+    rows = _sorted(db.execute(f"SELECT * FROM {table}").rows)
+    session, before = db.executor, db.clock.now
+    column = db.catalog.table(table).schema.columns[0].name
+    for engine in Executor.ENGINES:
+        db.executor = session.with_engine(engine)
+        with pytest.raises(BindError):
+            db.execute(f"SELECT * FROM {table} WHERE {where}")
+    db.executor = session
+    for sql in (f"UPDATE {table} SET {column} = {column} WHERE {where}",
+                f"DELETE FROM {table} WHERE {where}"):
+        with pytest.raises(BindError):
+            db.execute(sql)
+    assert db.clock.now == before, where
+    assert _sorted(db.execute(f"SELECT * FROM {table}").rows) == rows
+    check_indexes(db, table)
+
+
+def _cross_kind_orderings_rejected(analyze: bool) -> None:
+    """Whether an ordering across TEXT and numbers is rejected does not
+    depend on the data: every column of every seeded shape, indexed, on
+    the drawn rows and on an empty table."""
+    for name, build in sorted(REGIMES.items()):
+        regime = build(random.Random(STORAGE_SEED * 1000 + 5))
+        for rows in (regime.rows, []):
+            db = repro.connect()
+            db.execute(regime.ddl(sqlite=False))
+            table = db.catalog.table("t")
+            for row in rows:
+                table.insert(row)
+            db.execute(f"CREATE INDEX t_key ON t ({regime.key})")
+            if analyze:
+                db.execute("ANALYZE")
+            for column, dtype in regime.columns:
+                wrong = "5" if dtype == "TEXT" else "'abc'"
+                for where in (f"{column} < {wrong}", f"{wrong} <= {column}",
+                              f"{column} BETWEEN {wrong} AND {wrong}",
+                              f"{column} IS NOT NULL AND {column} > {wrong}"):
+                    _assert_rejected(db, "t", where)

@@ -11,31 +11,36 @@ from repro.common.errors import BindError, ExecutionError
 from repro.exec.expr import RowLayout, compile_expr, to_bool
 from repro.exec.measure import measure_plan_latency
 from repro.sql import ast, parse
+from repro.storage.types import DataType
+
+INT, FLOAT, TEXT = DataType.INT, DataType.FLOAT, DataType.TEXT
 
 
 class TestRowLayout:
     def test_resolve_qualified(self):
-        layout = RowLayout([("a", "x"), ("b", "x")])
+        layout = RowLayout([("a", "x"), ("b", "x")], [INT, INT])
         assert layout.resolve("x", "a") == 0
         assert layout.resolve("x", "b") == 1
 
     def test_ambiguous_unqualified(self):
-        layout = RowLayout([("a", "x"), ("b", "x")])
+        layout = RowLayout([("a", "x"), ("b", "x")], [INT, INT])
         with pytest.raises(BindError):
             layout.resolve("x")
 
     def test_unknown_column(self):
-        layout = RowLayout([("a", "x")])
+        layout = RowLayout([("a", "x")], [INT])
         with pytest.raises(BindError):
             layout.resolve("zzz")
 
     def test_concat(self):
-        layout = RowLayout([("a", "x")]).concat(RowLayout([("b", "y")]))
+        layout = RowLayout([("a", "x")], [INT]).concat(
+            RowLayout([("b", "y")], [TEXT]))
+        assert layout.types == (INT, TEXT)
         assert layout.resolve("y") == 1
 
 
 def _eval(expr_sql: str, layout=None, row=()):
-    layout = layout if layout is not None else RowLayout([])
+    layout = layout if layout is not None else RowLayout([], [])
     stmt = parse(f"SELECT 1 FROM t WHERE {expr_sql}")
     return compile_expr(stmt.where, layout)(row)
 
@@ -96,7 +101,7 @@ class TestExpressionEvaluation:
             _eval("nosuchfn(1) = 1")
 
     def test_column_reference(self):
-        layout = RowLayout([("t", "a")])
+        layout = RowLayout([("t", "a")], [INT])
         stmt = parse("SELECT 1 FROM t WHERE a * 2 = 10")
         assert compile_expr(stmt.where, layout)((5,)) is True
 
@@ -122,7 +127,8 @@ class TestVectorizedScalarFunctions:
     to force whole-block row fallback — and still defer to the row
     evaluator wherever runtime values could make the two paths diverge."""
 
-    LAYOUT = RowLayout([("t", "name"), ("t", "age"), ("t", "nick")])
+    LAYOUT = RowLayout([("t", "name"), ("t", "age"), ("t", "nick")],
+                       [TEXT, INT, TEXT])
 
     def _mask(self, predicate_sql: str, rows):
         from repro.exec.expr import compile_predicate_batch
@@ -144,11 +150,16 @@ class TestVectorizedScalarFunctions:
             assert vector is not None, predicate
 
     def test_declined_forms_stay_row_fallback(self):
-        # 2-arg round (numpy's scaled rounding can disagree on ties) and
-        # wrong arity must leave error/tie semantics to the row evaluator
-        for predicate in ("round(age, 2) = 1.5", "abs(age, age) = 1"):
-            _, vector = _vector_of(predicate, self.LAYOUT)
-            assert vector is None, predicate
+        # 2-arg round: numpy's scaled rounding can disagree on ties, so
+        # tie semantics stay the row evaluator's
+        _, vector = _vector_of("round(age, 2) = 1.5", self.LAYOUT)
+        assert vector is None
+
+    def test_wrong_arity_is_a_bind_error(self):
+        for predicate in ("abs(age, age) = 1", "length(name, nick) = 1",
+                          "round(age, 1, 2) = 1"):
+            with pytest.raises(BindError):
+                self._mask(predicate, [])
 
     def test_masks_match_row_semantics(self):
         rows = [("Bob", 2, None), ("bob", -3, "x"), ("ann", None, "yy"),
@@ -163,7 +174,7 @@ class TestVectorizedScalarFunctions:
             True, False, False, True]
 
     def test_round_half_even_matches_python(self):
-        layout = RowLayout([("t", "x")])
+        layout = RowLayout([("t", "x")], [FLOAT])
         from repro.exec.expr import compile_predicate_batch
         stmt = parse("SELECT 1 FROM t WHERE round(x) = 2")
         evaluate = compile_predicate_batch(stmt.where, layout)
@@ -171,27 +182,30 @@ class TestVectorizedScalarFunctions:
         got = list(evaluate(_block(layout, rows)))
         assert got == [round(x) == 2 for (x,) in rows]
 
-    def test_string_function_on_numbers_falls_back_to_row_error(self):
-        # lower(5) raises in the row engine; the vector path must not
-        # swallow or reorder that
+    def test_string_function_on_numbers_is_a_bind_error(self):
+        # lower(5) has no answer: rejected at plan time, on an empty
+        # table as on a populated one, before anything is charged
         db = repro.connect()
         db.execute("CREATE TABLE fx (a INT)")
-        db.execute("INSERT INTO fx VALUES (5)")
-        with pytest.raises(Exception):
-            db.execute("SELECT * FROM fx WHERE lower(a) = 'x'")
+        for _ in range(2):
+            before = db.clock.now
+            with pytest.raises(BindError):
+                db.execute("SELECT * FROM fx WHERE lower(a) = 'x'")
+            assert db.clock.now == before
+            db.execute("INSERT INTO fx VALUES (5)")
 
-    def test_mixed_type_coalesce_defers_to_rows(self):
-        # INT column coalesced with a TEXT default: dtypes mix at runtime,
-        # so the vector plan must fall back, not guess
-        rows = [("a", None, None), ("b", 3, "n")]
-        got = self._mask("coalesce(age, name) = 'a'", rows)
-        assert got == [True, False]
+    def test_mixed_type_coalesce_is_a_bind_error(self):
+        # an INT column coalesced with a TEXT default has no one type
+        with pytest.raises(BindError):
+            self._mask("coalesce(age, name) = 'a'", [("a", None, None)])
+        assert self._mask("coalesce(nick, name) = 'a'",
+                          [("a", None, None), ("b", 3, "n")]) == [True, False]
 
 
 class TestCompiledExpressionCache:
     def test_row_compile_cached_by_node_identity(self):
         from repro.exec.expr import compile_expr_cached
-        layout = RowLayout([("t", "a")])
+        layout = RowLayout([("t", "a")], [INT])
         stmt = parse("SELECT 1 FROM t WHERE a > 1")
         first = compile_expr_cached(stmt.where, layout)
         second = compile_expr_cached(stmt.where, layout)
@@ -199,7 +213,7 @@ class TestCompiledExpressionCache:
 
     def test_distinct_nodes_not_shared(self):
         from repro.exec.expr import compile_expr_cached
-        layout = RowLayout([("t", "a")])
+        layout = RowLayout([("t", "a")], [INT])
         one = parse("SELECT 1 FROM t WHERE a > 1").where
         two = parse("SELECT 1 FROM t WHERE a > 1").where
         assert compile_expr_cached(one, layout) is not \
@@ -208,15 +222,48 @@ class TestCompiledExpressionCache:
     def test_layout_shape_part_of_key(self):
         from repro.exec.expr import compile_expr_cached
         stmt = parse("SELECT 1 FROM t WHERE a > 1")
-        narrow = compile_expr_cached(stmt.where, RowLayout([("t", "a")]))
+        narrow = compile_expr_cached(stmt.where,
+                                     RowLayout([("t", "a")], [INT]))
         wide = compile_expr_cached(stmt.where,
-                                   RowLayout([("t", "x"), ("t", "a")]))
+                                   RowLayout([("t", "x"), ("t", "a")],
+                                             [INT, INT]))
         assert narrow((5,)) is True
         assert wide((0, 5)) is True  # resolved against the wider layout
 
+    def test_shared_subtree_retyped_after_recreate(self):
+        """The template cache hands ``s < a`` out as one tree for every
+        statement with that text.  After the table is re-created with
+        other column types, the same tree must type and lower against the
+        new schema, never reuse what was compiled for the old one."""
+        from repro.exec.expr import compile_predicate_batch
+        db = repro.connect()
+        sql = "SELECT id FROM r WHERE s < a AND id > 0"
+        schemas = {}
+        for types, rows, expected in (
+                ("INT", "(1, 9, 10), (2, 10, 9)", [(1,)]),
+                ("TEXT", "(1, '9', '10'), (2, '10', '9')", [(2,)])):
+            db.execute("DROP TABLE IF EXISTS r")
+            db.execute(f"CREATE TABLE r (id INT, s {types}, a {types})")
+            db.execute(f"INSERT INTO r VALUES {rows}")
+            for engine in ("row", "batch"):
+                db.executor = db.executor.with_engine(engine)
+                assert db.execute(sql).rows == expected, (types, engine)
+            schemas[types] = db.catalog.table("r").schema
+        shared = parse(sql).where.left
+        assert parse("SELECT id FROM r WHERE s < a AND id > 7"
+                     ).where.left is shared
+        by_int, by_text = (
+            compile_predicate_batch(shared, RowLayout.of_table("r", schema))
+            for schema in (schemas["INT"], schemas["TEXT"]))
+        assert by_int is not by_text
+        db.execute("DROP TABLE r")
+        db.execute("CREATE TABLE r (id INT, s TEXT, a INT)")
+        with pytest.raises(BindError):
+            db.execute(sql)
+
     def test_predicate_batch_cached_including_vector_funcs(self):
         from repro.exec.expr import compile_predicate_batch
-        layout = RowLayout([("t", "name")])
+        layout = RowLayout([("t", "name")], [TEXT])
         stmt = parse("SELECT 1 FROM t WHERE lower(name) = 'x'")
         first = compile_predicate_batch(stmt.where, layout)
         second = compile_predicate_batch(stmt.where, layout)
@@ -224,7 +271,7 @@ class TestCompiledExpressionCache:
 
     def test_cache_clears_at_capacity_instead_of_growing(self):
         from repro.exec import expr as expr_module
-        layout = RowLayout([("t", "a")])
+        layout = RowLayout([("t", "a")], [INT])
         keep = []  # pin AST nodes so ids cannot be recycled mid-test
         for _ in range(expr_module._COMPILE_CACHE_MAX + 10):
             node = parse("SELECT 1 FROM t WHERE a > 1").where

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.common.errors import BindError
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor
 from repro.plan import logical as plan
@@ -133,12 +134,16 @@ SORT_QUERIES = [
     "SELECT id, big FROM t ORDER BY big DESC, id",        # ints >= 2^53
     "SELECT id, h FROM t ORDER BY h DESC",                # past int64: obj
     "SELECT id, n, s FROM t ORDER BY n, s",               # NaN: obj
-    "SELECT id, coalesce(s, ik) AS mk FROM t ORDER BY mk DESC, id",
     "SELECT id, fk FROM t WHERE f > 0 ORDER BY fk DESC, id LIMIT 7 OFFSET 3",
     "SELECT id, s FROM t ORDER BY s LIMIT 5",             # ties under top-k
     "SELECT id, fk FROM t ORDER BY fk DESC LIMIT 4 OFFSET 400",
     "SELECT id, f FROM t WHERE id < 0 ORDER BY f",        # empty input
 ]
+
+# recorded in the golden, but no longer run: its sort key mixes TEXT and
+# numbers, which is a BindError at plan time (the entry stays until the
+# next re-record)
+RETIRED = "SELECT id, coalesce(s, ik) AS mk FROM t ORDER BY mk DESC, id"
 
 GROUP_QUERIES = [
     "SELECT ik, count(*), sum(f), min(s) FROM t GROUP BY ik",
@@ -235,6 +240,8 @@ def _sweep(case: str, density: float, empty: bool = False) -> dict:
     ``{sql: digest}`` — an exact fingerprint (floats by ``repr``) of the
     query's records on every plan and engine configuration."""
     plain, sharded = _databases(density, empty)
+    with pytest.raises(BindError):
+        plain.planner.plan_select(parse(RETIRED))
     digests, dump = {}, {}
     for sql in QUERIES:
         records = {}
@@ -266,7 +273,8 @@ def _check_golden(case: str, digests: dict) -> None:
         golden[case] = digests
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         return
-    assert digests == golden[case]
+    assert digests == {sql: digest for sql, digest in golden[case].items()
+                       if sql != RETIRED}
 
 
 @pytest.mark.parametrize("density", DENSITIES)

@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.common import categories as cat
+from repro.common.errors import BindError
 from repro.common.simtime import BudgetExceeded, CostModel, SimClock
 from repro.exec import operators as ops
 from repro.exec.distributed import DistributedScheduler
@@ -137,14 +138,22 @@ def test_order_by_multi_key_desc_parity(messy_db, workers):
 
 @pytest.mark.parametrize("workers", WORKER_SWEEP)
 def test_order_by_mixed_type_key_parity(messy_db, workers):
-    """coalesce(s, id) yields str-or-int keys; coalesce(s, k) adds NaN to
-    the mix — the full rank ladder numbers < NaN < strings < NULL."""
+    """A computed key is no typed column, so the sort compares exact
+    objects: coalesce(k, id) mixes floats, NaN and ints, k * 2 adds NULLs
+    — the rank ladder numbers < NaN < NULL — and coalesce(s, 'zz') is
+    text.  A key mixing TEXT and numbers has no order: it is rejected at
+    plan time."""
     _three_way(messy_db,
-               "SELECT id, coalesce(s, id) AS mk FROM m ORDER BY mk, id",
+               "SELECT id, coalesce(k, id) AS mk FROM m ORDER BY mk, id",
                workers=workers)
     _three_way(messy_db,
-               "SELECT id, coalesce(s, k) AS mk FROM m ORDER BY mk DESC, id",
+               "SELECT id, k * 2 AS mk FROM m ORDER BY mk DESC, id",
                workers=workers)
+    _three_way(messy_db, "SELECT id, coalesce(s, 'zz') AS mk FROM m "
+               "ORDER BY mk DESC, id", workers=workers)
+    with pytest.raises(BindError):
+        messy_db.planner.plan_select(parse(
+            "SELECT id, coalesce(s, id) AS mk FROM m ORDER BY mk, id"))
 
 
 def test_order_by_nan_deterministic_across_worker_counts(messy_db):

@@ -20,6 +20,7 @@ import repro
 from repro.exec import pipeline as pl
 from repro.exec.executor import Executor
 from repro.exec.expr import RowLayout, compile_expr, compile_expr_vector
+from repro.storage.types import DataType
 from repro.common.simtime import CostModel
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.sql import ast, parse
@@ -317,7 +318,8 @@ def test_limit_pushdown_charges_match_row_engine():
 
 
 def test_block_carrier_defers_selection():
-    layout = RowLayout([("t", "a"), ("t", "b")])
+    layout = RowLayout([("t", "a"), ("t", "b")],
+                       [DataType.INT, DataType.TEXT])
     block = RowBlock.from_rows(layout, [(1, "x"), (2, "y"), (3, "z")])
     carrier = pl.BlockCarrier(block, np.array([True, False, True]))
     assert carrier.count == 2
@@ -352,7 +354,8 @@ def _eval_both(expr, layout, rows):
 
 
 class TestDynamicLike:
-    layout = RowLayout([("t", "name"), ("t", "pat")])
+    layout = RowLayout([("t", "name"), ("t", "pat")],
+                       [DataType.TEXT, DataType.TEXT])
 
     def test_column_pattern_matches_row_semantics(self):
         expr = ast.BinaryOp("LIKE", ast.ColumnRef("name"),
@@ -408,7 +411,7 @@ class TestDynamicLike:
 
 
 def test_literal_vector_cache_reuses_arrays():
-    layout = RowLayout([("t", "x")])
+    layout = RowLayout([("t", "x")], [DataType.INT])
     vector = compile_expr_vector(ast.Literal(3.5), layout)
     block = RowBlock.from_rows(layout, [(1,), (2,)])
     first = vector(block)

@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.ai.loader import table_training_set
-from repro.common.errors import NeurDBError, ParseError
+from repro.common.errors import ExecutionError, NeurDBError, ParseError
 from repro.exec.expr import RowLayout
 from repro.serve import ModelCache, PredictServer
 from repro.sql.parser import parse
@@ -438,12 +438,12 @@ class TestMaterialization:
         from repro.exec.expr import compile_predicate_batch
         db = _build_review_db()
         heap = db.catalog.table("review")
-        layout = RowLayout([("review", c.name) for c in heap.schema.columns])
+        layout = RowLayout.of_table("review", heap.schema)
         bad = compile_predicate_batch(
-            parse("SELECT 1 FROM review WHERE lower(f1) = 'x'").where,
+            parse("SELECT 1 FROM review WHERE f1 / (f2 - f2) > 0").where,
             layout)
         before = db.clock.now
-        with pytest.raises(AttributeError):
+        with pytest.raises(ExecutionError, match="division by zero"):
             table_training_set(heap, ["f1", "f2"], "score",
                                block_predicate=bad, clock=db.clock)
         assert db.clock.now > before
