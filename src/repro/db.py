@@ -385,13 +385,17 @@ class NeurDB:
             positions = [schema.index_of(c) for c in statement.columns]
         else:
             positions = list(range(len(schema)))
-        indexes = self._index_keys(statement.table)
-        inserted = 0
+        # every row is checked before the first one is written
         for value_row in statement.rows:
             if len(value_row) != len(positions):
                 raise ExecutionError(
                     f"INSERT expects {len(positions)} values, "
                     f"got {len(value_row)}")
+            for expr in value_row:
+                expr_type(expr, NO_COLUMNS)
+        indexes = self._index_keys(statement.table)
+        inserted = 0
+        for value_row in statement.rows:
             full: list[Any] = [None] * len(schema)
             for position, expr in zip(positions, value_row):
                 full[position] = compile_expr(expr, NO_COLUMNS)(())
@@ -487,6 +491,9 @@ class NeurDB:
         for where in (statement.where, statement.train_filter):
             if where is not None:
                 expr_type(where, layout)
+        for value_row in statement.inline_rows:
+            for expr in value_row:
+                expr_type(expr, NO_COLUMNS)
         feature_idx = [schema.index_of(c) for c in feature_columns]
         model_name = self._model_name(statement, feature_columns)
         return PredictContext(statement=statement, table=table,

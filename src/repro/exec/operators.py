@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+import functools
 import itertools
 import operator
 import threading
@@ -65,6 +66,7 @@ from repro.exec.batch import (
     DEFAULT_BATCH_SIZE,
     RowBlock,
     concat_columns,
+    object_array,
 )
 from repro.exec.expr import (
     NO_COLUMNS,
@@ -77,11 +79,12 @@ from repro.exec.expr import (
 from repro.plan import logical as plan
 from repro.sql import ast
 from repro.storage.catalog import Catalog
-from repro.storage.types import TypedColumn
+from repro.storage.types import DataType, TypedColumn
 
 # A value source for the batch path: either a direct column slot or a
-# compiled row evaluator applied inside the block.
-_SLOT, _EVAL = 0, 1
+# compiled row evaluator applied inside the block (an aggregate's result
+# items may also read an aggregate call's slot).
+_SLOT, _EVAL, _AGG = 0, 1, 2
 
 
 def _value_source(expr: ast.Expr, layout: RowLayout):
@@ -121,6 +124,14 @@ def _stable_order(arrays: list[np.ndarray]) -> np.ndarray:
             # 16-bit keys take numpy's radix sort: O(n), and stable
             keys = (keys - low).astype(np.uint16)
     return np.argsort(keys, kind="stable")
+
+
+def _segment_ids(lows: np.ndarray, lens: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+    """Per position, the id of the segment holding it, where segments
+    ``lows[i] : lows[i] + lens[i]`` (id ``ids[i]``) tile the positions."""
+    by_low = np.argsort(lows, kind="stable")
+    return np.repeat(ids[by_low], lens[by_low])
 
 
 def _traced_generator(method):
@@ -690,7 +701,9 @@ class BuildTable:
 
 
 class _Accumulator:
-    """One aggregate function instance (per group)."""
+    """One aggregate function instance (per group): the row engine's
+    state, and a batch sink's for a call that does not fold in arrays
+    (see :class:`_CallFold`)."""
 
     def __init__(self, func: ast.FuncCall, arg):
         # arg: the compiled argument evaluator, None for COUNT(*)
@@ -721,10 +734,6 @@ class _Accumulator:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def add_count(self, rows: int) -> None:
-        """Batch-path COUNT(*): no values to inspect, just a row count."""
-        self.count += rows
-
     def add_values(self, values: list, clean: bool = False) -> None:
         """Batch-path accumulation of pre-extracted argument values.
 
@@ -747,13 +756,13 @@ class _Accumulator:
         self.count += len(live)
         name = self.name
         if name in ("sum", "avg"):
-            # builtin sum adds strictly left-to-right, so seeding it
-            # with the running total reproduces the row path's
-            # addition order at C speed
+            # a left fold seeded with the running total is the row path's
+            # addition order (builtin sum is not: from Python 3.12 it
+            # compensates float rounding)
             if self.total is None:
-                self.total = sum(live[1:], live[0])
+                self.total = functools.reduce(operator.add, live[1:], live[0])
             else:
-                self.total = sum(live, self.total)
+                self.total = functools.reduce(operator.add, live, self.total)
         elif name == "min":
             # builtin min / max fold left to right with the row path's
             # own comparison; seeded with the running extreme the fold
@@ -775,6 +784,111 @@ class _Accumulator:
         if self.name == "min":
             return self.minimum
         return self.maximum                 # max: the call was typed
+
+
+# The column kind a sum / avg folds in arrays, by argument type, and what
+# its totals start from: -0.0 + x is x bit for bit, -0.0 itself included,
+# so a seeded total is the row engine's first value, then the adds
+_TOTALS = {DataType.INT: ("i8", 0), DataType.FLOAT: ("f8", -0.0)}
+
+
+class _CallFold:
+    """One aggregate call's state in a batch sink, for groups numbered
+    densely in first-seen order.
+
+    ``count`` and non-DISTINCT ``sum`` / ``avg`` of an INT or FLOAT column
+    keep a count array and, for the last two, a total array: ``np.add.at``
+    adds in index order, so each group's total is the row engine's
+    left-to-right sum.  A ``sum`` / ``avg`` folds a batch in arrays only
+    while it is a :class:`TypedColumn` of the totals' kind (not ``"obj"``)
+    and, for int64, while a running bound proves no total overflows; the
+    first batch that fails turns the totals into per-group
+    :class:`_Accumulator` s for good — exactly, since the array totals are
+    the Python totals.  Everything else keeps accumulators from the
+    start."""
+
+    __slots__ = ("name", "_call", "_arg", "_kind", "_seed", "counts",
+                 "totals", "_bound", "accs")
+
+    def __init__(self, call: ast.FuncCall, arg, dtype: DataType | None):
+        self.name = call.name
+        self._call, self._arg = call, arg
+        self._kind, self._seed = (_TOTALS.get(dtype, (None, None))
+                                  if self.name in ("sum", "avg")
+                                  else (None, None))
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.totals = np.full(0, self._seed)
+        self._bound = 0                 # >= every |int64 total|, so far
+        # COUNT(*) counts rows, DISTINCT or not, as the row engine does
+        arrays = arg is None or not call.distinct and (
+            self.name == "count" or self._kind)
+        self.accs: list[_Accumulator] | None = None if arrays else []
+
+    def grow(self, groups: int) -> None:
+        """Open groups up to id ``groups - 1``."""
+        if self.accs is not None:
+            self.accs += [_Accumulator(self._call, self._arg)
+                          for _ in range(groups - len(self.accs))]
+            return
+        extra = groups - len(self.counts)
+        if extra:
+            self.counts = np.concatenate(
+                (self.counts, np.zeros(extra, dtype=np.int64)))
+            if self._kind:
+                self.totals = np.concatenate(
+                    (self.totals, np.full(extra, self._seed)))
+
+    def fold_arrays(self, column, clean: bool, gids: np.ndarray) -> bool:
+        """Add argument value ``i`` of ``column`` (None: COUNT(*)) to
+        group ``gids[i]``; False when the call is on the exact path."""
+        if self.accs is not None:
+            return False
+        live = None
+        if column is not None and not clean:
+            live = ~(column.null_mask() if isinstance(column, TypedColumn)
+                     else np.equal(column, None))
+            gids = gids[live]
+        if self._kind:
+            data = self._addends(column, live)
+            if data is None:
+                self._to_accumulators()
+                return False
+            np.add.at(self.totals, gids, data)
+        self.counts += np.bincount(gids, minlength=len(self.counts))
+        return True
+
+    def _addends(self, column, live: np.ndarray | None):
+        """The non-NULL values of ``column`` as an array the totals add
+        exactly, or None."""
+        if not (isinstance(column, TypedColumn) and column.kind == self._kind):
+            return None
+        data = column.data if live is None else column.data[live]
+        if self._kind == "i8" and len(data):
+            self._bound += max(int(data.max()), -int(data.min())) * len(data)
+            if self._bound >= 1 << 63:
+                return None
+        return data
+
+    def _to_accumulators(self) -> None:
+        self.accs = []
+        for count, total in zip(self.counts.tolist(), self.totals.tolist()):
+            acc = _Accumulator(self._call, self._arg)
+            acc.count, acc.total = count, total if count else None
+            self.accs.append(acc)
+
+    def results(self) -> list:
+        """Per-group results, by group id."""
+        if self.accs is not None:
+            return [acc.result() for acc in self.accs]
+        counts = self.counts.tolist()
+        if self.name == "count":
+            return counts
+        totals = self.totals.tolist()
+        if self.name == "avg":
+            return [total / count if count else None
+                    for total, count in zip(totals, counts)]
+        return [total if count else None
+                for total, count in zip(totals, counts)]
 
 
 class AggPartial:
@@ -816,20 +930,36 @@ class PartialGroups:
         self.keys, self.firsts, self.rows, self.lows, self.highs = grouped
 
     def of_entries(self) -> np.ndarray:
-        """The merged group (an index into ``keys``) of every entry of a
-        grouped aggregation (a global one has no arrangement to invert)."""
-        by_low = np.argsort(self.lows)
-        out = np.empty(len(self.rows), dtype=np.intp)
-        out[self.rows] = np.repeat(by_low, (self.highs - self.lows)[by_low])
+        """The merged group (an index into ``keys``) of every entry."""
+        ids = _segment_ids(self.lows, self.highs - self.lows,
+                           np.arange(len(self.lows)))
+        if self.rows is None:             # a global aggregate: one group
+            return ids
+        out = np.empty_like(ids)
+        out[self.rows] = ids
         return out
+
+
+class AggState:
+    """The streaming sink's aggregation so far: ``index`` numbers the
+    group keys in first-seen order, ``reps`` holds the groups'
+    representative (first) rows as blocks in that order, and ``folds``
+    one :class:`_CallFold` per aggregate call."""
+
+    __slots__ = ("index", "reps", "folds")
+
+    def __init__(self, folds: list[_CallFold]):
+        self.index: dict[Any, int] = {}
+        self.reps: list[RowBlock] = []
+        self.folds = folds
 
 
 class AggregateOp(Operator):
     """Hash aggregation with optional GROUP BY.
 
     Select items may mix group-by expressions and aggregate calls; each item
-    is rewritten so aggregates pull from accumulators and non-aggregates
-    evaluate against the group's representative row.
+    is rewritten so aggregates pull from their per-group results and
+    non-aggregates evaluate against the group's representative row.
     """
 
     def __init__(self, node: plan.Aggregate, child: Operator,
@@ -858,6 +988,10 @@ class AggregateOp(Operator):
             for call, source in zip(self._agg_calls, self._agg_sources)]
         self._item_evals = [self._compile_item(item.expr)
                             for item in node.items]
+        # what a batch result column is read from: an aggregate call's
+        # results, a representative column, or the per-group evaluator
+        self._item_columns = [self._item_column(item.expr)
+                              for item in node.items]
         # deferred-mask absorption is safe only when every group key and
         # aggregate argument is a plain column passthrough: row evaluators
         # must never see rows the mask already rejected
@@ -892,27 +1026,49 @@ class AggregateOp(Operator):
 
     # -- sink hooks --------------------------------------------------------
 
-    def new_state(self) -> dict[Any, tuple[list, tuple]]:
-        """Fresh serial state: key -> (accumulators, representative)."""
-        return {}
+    def _new_folds(self) -> list[_CallFold]:
+        types = self._child.layout.types
+        return [_CallFold(call, arg, None if source is None
+                          or source[0] != _SLOT else types[source[1]])
+                for call, arg, source in zip(
+                    self._agg_calls, self._agg_args, self._agg_sources)]
+
+    def new_state(self) -> AggState:
+        """Fresh serial state."""
+        return AggState(self._new_folds())
 
     def absorb_carrier(self, block: RowBlock, mask: np.ndarray | None,
-                       count: int, state: dict,
+                       count: int, state: AggState,
                        clock: SimClock) -> None:
         """Sink hook: fold the ``count`` surviving rows of ``(block,
         mask)`` into the accumulation state, charging ``clock``, without
-        materializing the selection (see :meth:`_partition`)."""
+        materializing the selection (see :meth:`_partition`).  Groups not
+        seen before get the next ids, their first rows as
+        representatives."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
-        block, grouped = self._partition(block, mask, count)
-        self._fold_groups(block, state, *grouped)
+        block, (keys, firsts, rows, lows, highs) = self._partition(
+            block, mask, count)
+        index = state.index
+        ids = list(map(index.get, keys))
+        if None in ids:
+            fresh = [g for g, gid in enumerate(ids) if gid is None]
+            for gid, g in enumerate(fresh, len(index)):
+                index[keys[g]] = ids[g] = gid
+            state.reps.append(block.take(firsts[fresh]))
+        self._fold_groups(state.folds, len(index),
+                          self._call_arrays(block, rows),
+                          _segment_ids(lows, highs - lows,
+                                       np.array(ids, dtype=np.intp)))
 
-    def finish_state(self, state: dict) -> RowBlock | None:
+    def finish_state(self, state: AggState) -> RowBlock | None:
         """Sink hook: emit the result block (rows_out attributed), or
         None when a grouped query saw no rows."""
-        return self._result_block(state)
+        return self._result_block(
+            state.folds, RowBlock.concat(state.reps) if state.reps else None)
 
-    def _call_arrays(self, block: RowBlock):
-        """(values array, clean) per aggregate call; None for COUNT(*)."""
+    def _call_arrays(self, block: RowBlock, rows: np.ndarray | None = None):
+        """(values array, clean) per aggregate call, arranged by the
+        partition's ``rows`` when given; None for COUNT(*)."""
         arrays: list[tuple[np.ndarray, bool] | None] = []
         for source in self._agg_sources:
             if source is None:
@@ -922,12 +1078,13 @@ class AggregateOp(Operator):
             if kind == _SLOT:
                 # raw column: TypedColumn keeps its C-speed tolist/take
                 # paths; both kinds support [mask], [i], and .tolist()
-                arrays.append((block.columns[payload],
-                               not block.null_mask(payload).any()))
+                column = block.columns[payload]
+                clean = not block.null_mask(payload).any()
             else:
-                values = np.empty(len(block), dtype=object)
-                values[:] = [payload(row) for row in block.iter_rows()]
-                arrays.append((values, False))
+                column = np.empty(len(block), dtype=object)
+                column[:] = [payload(row) for row in block.iter_rows()]
+                clean = False
+            arrays.append((column if rows is None else column[rows], clean))
         return arrays
 
     # Both partitioners answer with ``(keys, firsts, rows, lows, highs)``:
@@ -1018,33 +1175,36 @@ class AggregateOp(Operator):
                           dtype=np.intp)
         return list(partition), firsts, rows, highs - sizes, highs
 
-    def _fold_groups(self, block, state, keys, firsts, rows, lows,
-                     highs) -> None:
-        """Open the groups not seen before (representative: the group's
-        first row) and hand every group its argument values as one
-        row-ordered slice — so accumulation (left-to-right float sums,
-        DISTINCT first-seen order) is exactly the row engine's."""
-        fresh = [g for g, key in enumerate(keys) if key not in state]
-        if fresh:
-            representatives = block.take(firsts[fresh]).to_rows()
-            for g, representative in zip(fresh, representatives):
-                state[keys[g]] = (self._new_accs(), representative)
-        group_accs = [state[key][0] for key in keys]
-        lows, highs = lows.tolist(), highs.tolist()
-        for slot, entry in enumerate(self._call_arrays(block)):
-            if entry is None:
-                for accs, low, high in zip(group_accs, lows, highs):
-                    accs[slot].add_count(high - low)
-            else:
-                column, clean = entry
-                if rows is not None:
-                    column = column[rows]
-                if len(keys) == 1:        # one group: the list is its slice
-                    group_accs[0][slot].add_values(column.tolist(), clean)
-                    continue
-                values = column.tolist()
-                for accs, low, high in zip(group_accs, lows, highs):
-                    accs[slot].add_values(values[low:high], clean)
+    def _fold_groups(self, folds: list[_CallFold], groups: int,
+                     columns: list, gids: np.ndarray) -> None:
+        """The one fold, behind both the streaming sink and the placed
+        merge: value ``i`` of every call's column (``columns`` as
+        :meth:`_call_arrays` gives them) belongs to group ``gids[i]``, and
+        each group's values come in row order.  Calls that fold in arrays
+        add in that order (:class:`_CallFold`); the rest get each group's
+        values as one row-ordered slice through ``add_values`` — so float
+        sums stay left-to-right and DISTINCT keeps first-seen order, as in
+        the row engine."""
+        exact = []
+        for fold, entry in zip(folds, columns):
+            fold.grow(groups)
+            column, clean = (None, True) if entry is None else entry
+            if not fold.fold_arrays(column, clean, gids):
+                exact.append((fold.accs, column, clean))
+        if not exact:
+            return
+        if groups == 1:                 # one group: the list is its slice
+            for accs, column, clean in exact:
+                accs[0].add_values(column.tolist(), clean)
+            return
+        order = _stable_order([gids])
+        sizes = np.bincount(gids, minlength=groups)
+        ends = np.cumsum(sizes)
+        bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
+        for accs, column, clean in exact:
+            values = column[order].tolist()
+            for acc, (low, high) in zip(accs, bounds):
+                acc.add_values(values[low:high], clean)
 
     # -- worker hooks ------------------------------------------------------
     #
@@ -1061,15 +1221,11 @@ class AggregateOp(Operator):
     # morsel order and merged groups come out in global first-seen order,
     # the first entry's representative standing for the group as the
     # serial engines' first matching row would.  finish_partials then lays
-    # each merged group's value segments end to end — one gather index,
-    # one ``tolist()`` per aggregate column — and makes one add_values /
-    # add_count call per group: the call the serial sink makes, over the
-    # same values in the same order.  Every merged group is complete at
-    # that point, so the fold goes group by group and a group's
-    # accumulators die with its result row (a thousand groups never have a
-    # thousand accumulator sets alive for the cycle collector to walk).
-    # Neither step charges anything: every per-row cost was already
-    # charged in a worker (see docs/parallel.md).
+    # the partials' value columns end to end in morsel order, gives every
+    # value its merged group's id, and runs the streaming sink's fold once
+    # over the lot: the same values, in the same order per group.  Neither
+    # step charges anything: every per-row cost was already charged in a
+    # worker (see docs/parallel.md).
 
     def partial_block(self, block: RowBlock, mask: np.ndarray | None,
                       count: int, clock: SimClock) -> "AggPartial":
@@ -1082,11 +1238,8 @@ class AggregateOp(Operator):
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         block, (_, firsts, rows, lows, highs) = self._partition(
             block, mask, count)
-        columns = [entry if entry is None or rows is None
-                   else (entry[0][rows], entry[1])
-                   for entry in self._call_arrays(block)]
         return AggPartial(block.take(firsts), lows, highs - lows, count,
-                          columns)
+                          self._call_arrays(block, rows))
 
     def group_partials(self, partials: "list[AggPartial]"
                        ) -> "PartialGroups | None":
@@ -1105,40 +1258,25 @@ class AggregateOp(Operator):
         """Serial-lane hook: fold grouped partials and emit the result
         block, or None when there is nothing to emit (grouped query over
         zero rows)."""
+        folds = self._new_folds()
         if groups is None:
-            return self._result_block({})
+            return self._result_block(folds, None)
         partials = groups.partials
-        # entry e's values sit at entry_low[e] : + entry_len[e] of the
+        # entry e's values sit at entry_low[e] : + lens[e] of the
         # partials' value columns laid end to end
-        entry_len = np.concatenate([p.lens for p in partials])
         bases = np.cumsum([0] + [p.rows for p in partials[:-1]])
         entry_low = np.concatenate(
             [p.lows + base for p, base in zip(partials, bases)])
-        if groups.rows is not None:
-            entry_low = entry_low[groups.rows]
-            entry_len = entry_len[groups.rows]
-        # ... and move to ends - entry_len : ends, group after group
-        ends = np.cumsum(entry_len)
-        index = (np.repeat(entry_low - (ends - entry_len), entry_len)
-                 + np.arange(ends[-1]))
-        bounds = np.concatenate(([0], ends))
+        gids = _segment_ids(entry_low,
+                            np.concatenate([p.lens for p in partials]),
+                            groups.of_entries())
         columns = [
             None if source is None else
-            (concat_columns([p.columns[slot][0] for p in partials])[index]
-             .tolist(), all(p.columns[slot][1] for p in partials))
+            (concat_columns([p.columns[slot][0] for p in partials]),
+             all(p.columns[slot][1] for p in partials))
             for slot, source in enumerate(self._agg_sources)]
-        rows = []
-        for representative, low, high in zip(
-                groups.block.take(groups.firsts).to_rows(),
-                bounds[groups.lows].tolist(), bounds[groups.highs].tolist()):
-            accs = self._new_accs()
-            for acc, column in zip(accs, columns):
-                if column is None:
-                    acc.add_count(high - low)
-                else:
-                    acc.add_values(column[0][low:high], column[1])
-            rows.append(self._result_row(accs, representative))
-        return self._emit_block(RowBlock.from_rows(self.layout, rows))
+        self._fold_groups(folds, len(groups.keys), columns, gids)
+        return self._result_block(folds, groups.block.take(groups.firsts))
 
     # The distributed placement models what a partial would put on the
     # wire as 8 bytes per scalar leaf of the nested form it stands for:
@@ -1166,27 +1304,55 @@ class AggregateOp(Operator):
                          + max(1, len(self._agg_calls))
                          + max(1, len(self._child.layout)) + 2)
 
-    def _result_block(self, groups: dict) -> RowBlock | None:
-        """The result block of finished ``groups`` (rows_out attributed),
-        or None when a grouped query saw no rows."""
-        rows = list(self._result_rows(groups, count=False))
-        if rows:
-            return self._emit_block(RowBlock.from_rows(self.layout, rows))
-        return None
+    def _result_block(self, folds: list[_CallFold],
+                      reps: RowBlock | None) -> RowBlock | None:
+        """The result block of the groups ``folds`` finished, one per row
+        of ``reps`` (their representatives; None when no row was seen),
+        built by column; rows_out attributed.  None when a grouped query
+        saw no rows."""
+        if reps is None:
+            if self._node.group_by:
+                return None
+            row = self._result_row(self._new_accs(), ())
+            return self._emit_block(RowBlock.from_rows(self.layout, [row]))
+        results = [fold.results() for fold in folds]
+        per_group = None
+        columns = []
+        for (kind, payload), evaluate in zip(self._item_columns,
+                                             self._item_evals):
+            if kind == _AGG:
+                columns.append(object_array(results[payload]))
+            elif kind == _SLOT:
+                columns.append(reps.columns[payload])
+            else:
+                if per_group is None:
+                    per_group = list(zip(
+                        reps.to_rows(),
+                        zip(*results) if results else itertools.repeat(())))
+                columns.append(object_array(
+                    [evaluate(row, out) for row, out in per_group]))
+        return self._emit_block(RowBlock(self.layout, columns, len(reps)))
 
-    def _result_rows(self, groups: dict,
-                     count: bool = True) -> Iterator[tuple]:
-        """Result rows in ``groups``' (first-seen) insertion order."""
+    def _result_rows(self, groups: dict) -> Iterator[tuple]:
+        """The row engine's result rows, in ``groups``' (first-seen)
+        insertion order."""
         if not groups and not self._node.group_by:
             groups[()] = (self._new_accs(), ())
         for accs, representative in groups.values():
-            out = self._result_row(accs, representative)
-            yield self._emit(out) if count else out
+            yield self._emit(self._result_row(accs, representative))
 
     def _result_row(self, accs: list, representative: tuple) -> tuple:
         results = [acc.result() for acc in accs]
         return tuple(item(representative, results)
                      for item in self._item_evals)
+
+    def _item_column(self, expr: ast.Expr) -> tuple[int, int | None]:
+        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
+            return _AGG, next(i for i, call in enumerate(self._agg_calls)
+                              if call is expr)
+        if isinstance(expr, ast.ColumnRef):
+            return _SLOT, self._child.layout.resolve(expr.name, expr.table)
+        return _EVAL, None
 
     def _compile_item(self, expr: ast.Expr):
         """One select item as ``fn(representative row, aggregate

@@ -533,6 +533,30 @@ def test_ill_typed_update_writes_nothing(table_kind):
     check_indexes(db)
 
 
+@pytest.mark.parametrize("table_kind", TABLES)
+def test_ill_typed_insert_writes_nothing(table_kind):
+    """``abs('y')`` in the second VALUES row is a BindError before the
+    first row is written — not a write of row 1 and a TypeError at row
+    2."""
+    db = repro.connect(**TABLES[table_kind])
+    db.execute("CREATE TABLE t (id INT, s TEXT)")
+    db.execute("INSERT INTO t VALUES (1, 'a')")
+    db.execute("CREATE INDEX t_id ON t (id)")
+    db.execute("CREATE INDEX t_s ON t (s) USING hash")
+    rows = list(db.catalog.table("t").scan())
+    before = db.clock.now
+    with pytest.raises(BindError):
+        db.execute("INSERT INTO t VALUES (2, 'x'), (abs('y'), 'z')")
+    assert db.clock.now == before
+    assert list(db.catalog.table("t").scan()) == rows
+    check_indexes(db)
+    assert db.execute("INSERT INTO t VALUES (2, 'x'), (abs(-3), 'z')").extra[
+        "rowcount"] == 2
+    assert _sorted(db.execute("SELECT * FROM t").rows) == [
+        (1, "a"), (2, "x"), (3, "z")]
+    check_indexes(db)
+
+
 def test_null_keys_stay_out_of_the_btree():
     """NULL keys are never indexed; updating or deleting a row that has
     one must not ask the B+-tree to order None among its keys."""

@@ -239,6 +239,9 @@ REJECTED = [
     "DELETE FROM users WHERE lower(age) = 'x'",
     "PREDICT VALUE OF age FROM users WHERE name < 5 TRAIN ON *",
     "PREDICT VALUE OF age FROM users TRAIN ON * WITH -city > 0",
+    # VALUES rows: INSERT's and PREDICT's inline features
+    "INSERT INTO users VALUES (900, 'a', 30, 'sg'), (abs('y'), 'b', 31, 'ny')",
+    "PREDICT VALUE OF age FROM users TRAIN ON * VALUES (upper(3), 'a', 'sg')",
 ]
 
 # (sql, rows on the populated tables, rows on the empty ones) — the

@@ -339,6 +339,153 @@ class TestViewCacheInvalidation:
             == [(1, 3.0)]
 
 
+# -- aggregates over every storage regime ------------------------------------
+#
+# The batch sinks fold count / sum / avg of int64 and float64 columns in
+# arrays and everything else through per-group accumulators; a sum / avg
+# that meets a batch it cannot fold exactly (an "obj" page, an int64 total
+# that could overflow) moves to the accumulators for good.  Every engine
+# must still answer exactly what the row engine answers: values, Python
+# types and the sign of zero.
+
+AGG_ENGINES = [
+    ("batch", {}),
+    ("parallel", {"workers": 2, "morsel_rows": 64}),
+    ("distributed", {"nodes": 2, "workers": 2, "morsel_rows": 64}),
+]
+
+GROUPED = ("SELECT g, count(x), sum(x), avg(x), min(x), max(x) FROM t "
+           "GROUP BY g")
+
+
+def _aggregate_db(columns, rows, **options):
+    db = repro.connect(**options)
+    table = db.catalog.create_table(TableSchema("t", columns))
+    for row in rows:
+        table.insert(row)
+    return db
+
+
+def _held_to_row_engine(db, sql):
+    """``sql``'s rows on the row engine, once every other engine's rows
+    have matched them by type and repr."""
+    from repro.common.simtime import SimClock
+    from repro.exec.executor import Executor
+    from repro.sql import parse
+    node = db.planner.plan_select(parse(sql))
+    expected = Executor(db.catalog, SimClock(), engine="row").run(node).rows
+    for engine, options in AGG_ENGINES:
+        rows = Executor(db.catalog, SimClock(), engine=engine,
+                        **options).run(node).rows
+        assert _typed_rows(rows) == _typed_rows(expected), (sql, engine)
+    return expected
+
+
+def _aggregate_sql(shape):
+    items = ["count(*)", "count(DISTINCT *)"]
+    for i, regime in enumerate(shape):
+        items += [f"count(c{i})", f"count(DISTINCT c{i})", f"min(c{i})",
+                  f"max(c{i})"]
+        if _REGIME_DTYPE[regime] is not DataType.TEXT:
+            items += [f"sum(c{i})", f"avg(c{i})"]
+    aggregates = ", ".join(items)
+    return [f"SELECT c0, {aggregates} FROM t GROUP BY c0",
+            f"SELECT {aggregates} FROM t"]
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_aggregates_match_the_row_engine(case):
+    shape_idx, density, rows = CASES[case]
+    shape = SHAPES[shape_idx]
+    table, data = _build(shape, density, rows, STORAGE_SEED * 100_000 + case)
+    db = _aggregate_db(table.schema.columns, data)
+    for sql in _aggregate_sql(shape):
+        _held_to_row_engine(db, sql)
+
+
+def _int_float(dtype):
+    return [Column("g", DataType.INT), Column("x", dtype)]
+
+
+def test_signed_zero_and_all_null_groups():
+    db = _aggregate_db(_int_float(DataType.FLOAT), [
+        (1, -0.0), (1, -0.0), (2, -0.0), (2, 0.0), (3, 0.0), (3, -0.0),
+        (4, None), (4, -0.0), (5, None), (5, None)])
+    # min / max keep the first of two equal zeros; a NULL adds nothing,
+    # not even +0.0
+    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+        (1, 2, -0.0, -0.0, -0.0, -0.0),
+        (2, 2, 0.0, 0.0, -0.0, -0.0),
+        (3, 2, 0.0, 0.0, 0.0, 0.0),
+        (4, 1, -0.0, -0.0, -0.0, -0.0),
+        (5, 0, None, None, None, None)])
+    for where, row in (("g = 1", (2, -0.0, -0.0)), ("g = 4", (1, -0.0, -0.0)),
+                       ("g = 5", (0, None, None)), ("g > 9", (0, None, None))):
+        sql = f"SELECT count(x), sum(x), avg(x) FROM t WHERE {where}"
+        assert _typed_rows(_held_to_row_engine(db, sql)) == \
+            _typed_rows([row])
+
+
+def test_int_sums_past_int64_stay_exact():
+    big = 2 ** 62
+    db = _aggregate_db(_int_float(DataType.INT), [
+        (1, big), (1, big), (1, big), (2, 5), (2, -7), (3, -2 ** 63), (3, 1)])
+    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+        (1, 3, 13835058055282163712, 13835058055282163712 / 3, big, big),
+        (2, 2, -2, -1.0, -7, 5),
+        (3, 2, 1 - 2 ** 63, (1 - 2 ** 63) / 2, -2 ** 63, 1)])
+    # the first scan block folds in int64; a later one would overflow it
+    rows = [(i % 4, i if i < 1200 else big) for i in range(1500)]
+    db = _aggregate_db(_int_float(DataType.INT), rows)
+    sums = {g: sum(x for k, x in rows if k == g) for g in range(4)}
+    assert max(sums.values()) > 2 ** 63
+    assert [row[:3] for row in _held_to_row_engine(db, GROUPED)] == [
+        (g, 375, sums[g]) for g in range(4)]
+
+
+def test_bool_sums_keep_python_types():
+    db = _aggregate_db(_int_float(DataType.BOOL), [
+        (1, True), (2, True), (2, True), (3, False), (4, False), (4, True),
+        (5, None)])
+    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+        (1, 1, True, 1.0, True, True),
+        (2, 2, 2, 1.0, True, True),
+        (3, 1, False, 0.0, False, False),
+        (4, 2, 1, 0.5, False, True),
+        (5, 0, None, None, None, None)])
+
+
+def test_a_sum_leaves_the_arrays_mid_statement():
+    """Shards scan one after another, each from its own typed view: clean
+    float64 pages first, then a shard whose one NaN puts it in "obj"
+    pages — the sum / avg slots of every group switch to accumulators at
+    that block, carrying their array totals over, and the answer is still
+    the row engine's."""
+    from repro.common.simtime import SimClock
+    from repro.exec.executor import Executor
+    from repro.sql import parse
+    columns = [Column("p", DataType.INT)] + _int_float(DataType.FLOAT)
+    db = _aggregate_db(columns, [], shards=3)
+    table = db.catalog.table("t")          # partitioned on p
+    nan_at = next(p for p in range(2000, 2500) if table.shard_of_key(p) == 2)
+    for p in range(2500):
+        # sevenths round, so a sum taken out of order would show
+        table.insert((p, p % 9, float("nan") if p == nan_at else p / 7))
+    expected = _held_to_row_engine(db, GROUPED)
+    agg = Executor(db.catalog, SimClock()).build(
+        db.planner.plan_select(parse(GROUPED)))
+    state, paths = agg.new_state(), []
+    for columns, n in table.scan_column_batches(1024):
+        agg.absorb_carrier(agg._child.make_block(columns, n), None, n, state,
+                           SimClock())
+        paths.append([fold.accs is None for fold in state.folds])
+    # count, sum, avg fold in arrays; min / max never do
+    assert paths[0] == [True, True, True, False, False]
+    assert paths[-1] == [True, False, False, False, False]
+    assert _typed_rows(agg.finish_state(state).to_rows()) == \
+        _typed_rows(expected)
+
+
 def test_typed_column_identical_is_bit_level():
     a = TypedColumn.from_values([1, None, 3], DataType.INT)
     b = TypedColumn.from_values([1, None, 3], DataType.INT)
