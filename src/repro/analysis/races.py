@@ -88,8 +88,8 @@ EXPECTED_WORKER_HOOKS = frozenset({
     # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage)
     "filter_mask", "project_block", "probe_block",
     # breaker partials (the walk's _run_to_sink / _fold_aggregate); their
-    # merges (merge_build, merge_runs, group_partials / finish_partials)
-    # run on the serial lane
+    # merges (merge_build, merge_runs, fold_partial / finish_state) run
+    # on the serial lane
     "build_block", "partial_block", "sort_block",
 })
 

@@ -531,14 +531,16 @@ class DistributedScheduler:
 
     def exchange_partials(self, op: ops.AggregateOp,
                           partials: list[tuple[int, ops.AggPartial]],
-                          groups: ops.PartialGroups | None) -> None:
+                          keys: list, ids: list[np.ndarray]) -> None:
         """Narrow partials gather whole.  Wide GROUP BY partials are
         hash-repartitioned first: node ``q`` owns the groups whose key
         hashes to ``q``, every morsel ships each other owner its entries
         for that owner's groups, each owner folds its partition, and the
         merged partitions gather to the coordinator.  The merge itself
         already ran once, centrally (the scheduler only accounts): what
-        is modeled here is who would have sent how much to whom."""
+        is modeled here is who would have sent how much to whom.
+        ``keys`` are the merged groups' keys by group id, ``ids[i]`` the
+        group id of every entry of partial ``i``."""
         parts = self.nodes
         if not (parts > 1 and op._node.group_by and partials
                 and max(len(partial) for _, partial in partials)
@@ -546,11 +548,11 @@ class DistributedScheduler:
             self.gather(partials, op, "aggregate partials", units=lambda
                         partial: op.entry_units(len(partial), partial.rows))
             return
-        owner = np.array([stable_hash(key, parts) for key in groups.keys])
+        owner = np.array([stable_hash(key, parts) for key in keys])
         # per (morsel, owner) cell: the entries shipped and their rows
         sizes = [len(partial) for _, partial in partials]
         cell = (np.repeat(np.arange(len(sizes)), sizes) * parts
-                + owner[groups.of_entries()])
+                + owner[np.concatenate(ids)])
         cells = len(sizes) * parts
         entries = np.bincount(cell, minlength=cells).reshape(-1, parts)
         rows = np.bincount(
@@ -673,12 +675,12 @@ class DistributedScheduler:
 
     def _fold_aggregate(self, op: ops.AggregateOp, placed: list
                         ) -> RowBlock | None:
-        """Per-unit partial aggregation, then the one merge on the lane:
-        the partitioner over the partials' representatives, which
-        :meth:`exchange_partials` reads to account what a real deployment
-        would move, and the fold.  The fold accumulates raw values in
-        global unit order, so results are bit-identical to the serial
-        engines; the merge charges nothing (every per-row cost was
+        """Per-unit partial aggregation, then the streaming sink's merge
+        on the lane: the partials folded in unit order into one fresh
+        state, whose group ids :meth:`exchange_partials` reads to account
+        what a real deployment would move.  The fold accumulates raw
+        values in global unit order, so results are bit-identical to the
+        serial engines; it charges nothing (every per-row cost was
         charged in a task)."""
         def partial(item, clock):
             # a scan task's survivor arrives with its selection deferred
@@ -688,6 +690,7 @@ class DistributedScheduler:
                                     carrier.count, clock)
 
         partials = self.dispatch(placed, self._op_task(op, partial))
-        groups = op.group_partials([partial for _, partial in partials])
-        self.exchange_partials(op, partials, groups)
-        return self._op_task(op, op.finish_partials)(groups)
+        state = op.new_state()
+        ids = [op.fold_partial(state, partial) for _, partial in partials]
+        self.exchange_partials(op, partials, list(state.index), ids)
+        return self._op_task(op, op.finish_state)(state)

@@ -271,20 +271,11 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
         return lambda row: row[idx]
 
     if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, layout)
+        return binary_evaluator(expr.op, compile_expr(expr.left, layout),
+                                compile_expr(expr.right, layout))
 
     if isinstance(expr, ast.UnaryOp):
-        inner = compile_expr(expr.operand, layout)
-        if expr.op == "NOT":
-            def eval_not(row: tuple) -> Any:
-                v = inner(row)
-                return None if v is None else (not bool(v))
-            return eval_not
-
-        def eval_neg(row: tuple) -> Any:
-            v = inner(row)
-            return None if v is None else -v
-        return eval_neg
+        return unary_evaluator(expr.op, compile_expr(expr.operand, layout))
 
     if isinstance(expr, ast.IsNull):
         inner = compile_expr(expr.operand, layout)
@@ -377,11 +368,27 @@ _CMP = {
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _compile_binary(expr: ast.BinaryOp, layout: RowLayout) -> Evaluator:
-    op = expr.op
-    left = compile_expr(expr.left, layout)
-    right = compile_expr(expr.right, layout)
+def unary_evaluator(op: str, inner: Evaluator) -> Evaluator:
+    """``NOT`` / ``-`` over a one-argument evaluator, whatever its
+    argument is (a row, or an aggregate's ``(representative, results)``
+    pair)."""
+    if op == "NOT":
+        def eval_not(row: tuple) -> Any:
+            v = inner(row)
+            return None if v is None else (not bool(v))
+        return eval_not
 
+    def eval_neg(row: tuple) -> Any:
+        v = inner(row)
+        return None if v is None else -v
+    return eval_neg
+
+
+def binary_evaluator(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
+    """The binary operator ``op`` over two one-argument evaluators — the
+    one definition of its NULL, short-circuit and zero-divisor semantics,
+    whatever the argument is (a row, or an aggregate's
+    ``(representative, results)`` pair)."""
     if op == "AND":
         def eval_and(row: tuple) -> Any:
             a = left(row)

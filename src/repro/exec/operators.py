@@ -12,15 +12,16 @@ Every operator carries two things over the same compiled state:
   (``clock.advance_batch(cost, n)``): ``scan_block`` (scan + pushed
   predicate as a deferred mask), ``filter_mask`` (mask without the
   select), ``project_block`` (projection straight off a deferred mask),
-  ``probe_block``, ``absorb_carrier``/``finish_state`` (aggregate sink),
-  ``merge_runs`` (sort sink), ``limit_block`` (early-exit stage),
-  ``distinct_block`` (order-sensitive stage).  Charged totals are
-  identical to the row path, with one bounded exception: early
-  termination (LIMIT) stops on block boundaries, so up to one block of
-  upstream cost may be charged beyond where the row engine stops.  LIMIT
-  pushes a row budget down to the scan (``max_batch_rows``) to keep that
-  block small — exact parity for unfiltered chains, and divergence
-  bounded by ``offset + limit + 1`` scanned rows otherwise.
+  ``probe_block``, ``partial_block``/``fold_partial``/``finish_state``
+  (aggregate sink), ``merge_runs`` (sort sink), ``limit_block``
+  (early-exit stage), ``distinct_block`` (order-sensitive stage).
+  Charged totals are identical to the row path, with one bounded
+  exception: early termination (LIMIT) stops on block boundaries, so up
+  to one block of upstream cost may be charged beyond where the row
+  engine stops.  LIMIT pushes a row budget down to the scan
+  (``max_batch_rows``) to keep that block small — exact parity for
+  unfiltered chains, and divergence bounded by ``offset + limit + 1``
+  scanned rows otherwise.
 
 Operators with no block decomposition — IndexScan, NestedLoopJoin,
 EmptyRow — keep a ``batches()`` generator instead; the pipeline compiler
@@ -30,22 +31,20 @@ The placed engines (``repro/exec/distributed.py``) run
 the *worker hooks* as morsel tasks — inline, but re-executed when a
 morsel is retried and accounted as if a phase's tasks overlapped: the
 stateless block hooks above plus the worker half of each breaker's
-``partial``/``merge`` pair (``partial_block`` before
-``group_partials``/``finish_partials`` on aggregation; ``build_block``
-before ``merge_build`` on hash join; ``sort_block`` before ``merge_runs``
-on sort).  Contract for every worker hook: it charges all of its
-virtual-time cost to the clock it is *passed* (a per-task shard), never
-to ``self._clock``; it never touches ``self.rows_out`` (the driver
-attributes output counts after reassembly, so a retried task does not
-count twice); and running it again, or in another order, changes
-nothing, because compiled state (``compile_expr_cached`` evaluators,
-predicate batch evaluators) is effectively read-only after construction
-— the one exception is ``BuildTable.buckets()``, built once under its
-lock — and every :class:`RowBlock` is owned by one task at a time.
-``AggregateOp.partial_block`` keeps, as arrays, what the serial
-``absorb_carrier`` partitions a block into, and the merge is that
-partitioner again over the partials' representative rows — one
-partitioner serves every engine, on both sides of the breaker.
+``partial``/``merge`` pair (``partial_block`` before ``fold_partial`` on
+aggregation; ``build_block`` before ``merge_build`` on hash join;
+``sort_block`` before ``merge_runs`` on sort).  The streaming aggregate
+sink runs the same two steps per block that the placed engines split
+between a task and the serial lane.  Contract for every worker hook: it
+charges all of its virtual-time cost to the clock it is *passed* (a
+per-task shard), never to ``self._clock``; it never touches
+``self.rows_out`` (the driver attributes output counts after
+reassembly, so a retried task does not count twice); and running it
+again, or in another order, changes nothing, because compiled state
+(``compile_expr_cached`` evaluators, predicate batch evaluators) is
+effectively read-only after construction — the one exception is
+``BuildTable.buckets()``, built once under its lock — and every
+:class:`RowBlock` is owned by one task at a time.
 """
 
 from __future__ import annotations
@@ -71,10 +70,12 @@ from repro.exec.batch import (
 from repro.exec.expr import (
     NO_COLUMNS,
     RowLayout,
+    binary_evaluator,
     compile_expr_cached,
     compile_predicate_batch,
     output_layout,
     to_bool,
+    unary_evaluator,
 )
 from repro.plan import logical as plan
 from repro.sql import ast
@@ -892,59 +893,39 @@ class _CallFold:
 
 
 class AggPartial:
-    """One morsel's aggregation, kept columnar: one entry per group of
-    the morsel, in first-seen order.  ``reps`` holds the groups'
-    representative (first) rows; entry ``g`` owns positions ``lows[g] :
-    lows[g] + lens[g]`` of every value column; ``columns`` has, per
-    aggregate call, None for COUNT(*) or ``(values, clean)`` — the
-    argument column arranged by the partition, still a TypedColumn or
-    object array, and whether it is provably NULL-free.  ``rows`` is the
-    morsel's row count, ``len()`` its entry count."""
+    """One block's aggregation, kept columnar: one entry per group of
+    the block, in first-seen order.  ``keys`` are the groups' keys, and
+    rows ``firsts`` of ``block`` their representative (first) rows, taken
+    only for the groups a fold has not seen; entry ``g`` owns positions
+    ``lows[g] : lows[g] + lens[g]`` of every value column; ``columns``
+    has, per aggregate call, None for COUNT(*) or ``(values, clean)`` —
+    the argument column arranged by the partition, still a TypedColumn
+    or object array, and whether it is provably NULL-free.  ``rows`` is
+    the block's surviving row count, ``len()`` the entry count."""
 
-    __slots__ = ("reps", "lows", "lens", "rows", "columns")
+    __slots__ = ("keys", "block", "firsts", "lows", "lens", "rows",
+                 "columns")
 
-    def __init__(self, reps: RowBlock, lows: np.ndarray, lens: np.ndarray,
-                 rows: int, columns: list):
-        self.reps = reps
+    def __init__(self, keys: list, block: RowBlock, firsts: np.ndarray,
+                 lows: np.ndarray, lens: np.ndarray, rows: int,
+                 columns: list):
+        self.keys = keys
+        self.block = block
+        self.firsts = firsts
         self.lows = lows
         self.lens = lens
         self.rows = rows
         self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.reps)
-
-
-class PartialGroups:
-    """The entries of ``partials`` — numbered in morsel order, ``block``
-    their representatives laid end to end — partitioned into the merged
-    groups, as both partitioners answer."""
-
-    __slots__ = ("partials", "block", "keys", "firsts", "rows", "lows",
-                 "highs")
-
-    def __init__(self, partials: list[AggPartial], block: RowBlock,
-                 grouped: tuple):
-        self.partials = partials
-        self.block = block
-        self.keys, self.firsts, self.rows, self.lows, self.highs = grouped
-
-    def of_entries(self) -> np.ndarray:
-        """The merged group (an index into ``keys``) of every entry."""
-        ids = _segment_ids(self.lows, self.highs - self.lows,
-                           np.arange(len(self.lows)))
-        if self.rows is None:             # a global aggregate: one group
-            return ids
-        out = np.empty_like(ids)
-        out[self.rows] = ids
-        return out
+        return len(self.firsts)
 
 
 class AggState:
-    """The streaming sink's aggregation so far: ``index`` numbers the
-    group keys in first-seen order, ``reps`` holds the groups'
-    representative (first) rows as blocks in that order, and ``folds``
-    one :class:`_CallFold` per aggregate call."""
+    """An aggregation so far, folded from partials in hand-over order:
+    ``index`` numbers the group keys in first-seen order, ``reps`` holds
+    the groups' representative (first) rows as blocks in that order, and
+    ``folds`` one :class:`_CallFold` per aggregate call."""
 
     __slots__ = ("index", "reps", "folds")
 
@@ -1034,31 +1015,8 @@ class AggregateOp(Operator):
                     self._agg_calls, self._agg_args, self._agg_sources)]
 
     def new_state(self) -> AggState:
-        """Fresh serial state."""
+        """Fresh state, for :meth:`fold_partial` to fold partials into."""
         return AggState(self._new_folds())
-
-    def absorb_carrier(self, block: RowBlock, mask: np.ndarray | None,
-                       count: int, state: AggState,
-                       clock: SimClock) -> None:
-        """Sink hook: fold the ``count`` surviving rows of ``(block,
-        mask)`` into the accumulation state, charging ``clock``, without
-        materializing the selection (see :meth:`_partition`).  Groups not
-        seen before get the next ids, their first rows as
-        representatives."""
-        clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
-        block, (keys, firsts, rows, lows, highs) = self._partition(
-            block, mask, count)
-        index = state.index
-        ids = list(map(index.get, keys))
-        if None in ids:
-            fresh = [g for g, gid in enumerate(ids) if gid is None]
-            for gid, g in enumerate(fresh, len(index)):
-                index[keys[g]] = ids[g] = gid
-            state.reps.append(block.take(firsts[fresh]))
-        self._fold_groups(state.folds, len(index),
-                          self._call_arrays(block, rows),
-                          _segment_ids(lows, highs - lows,
-                                       np.array(ids, dtype=np.intp)))
 
     def finish_state(self, state: AggState) -> RowBlock | None:
         """Sink hook: emit the result block (rows_out attributed), or
@@ -1177,9 +1135,9 @@ class AggregateOp(Operator):
 
     def _fold_groups(self, folds: list[_CallFold], groups: int,
                      columns: list, gids: np.ndarray) -> None:
-        """The one fold, behind both the streaming sink and the placed
-        merge: value ``i`` of every call's column (``columns`` as
-        :meth:`_call_arrays` gives them) belongs to group ``gids[i]``, and
+        """The fold under :meth:`fold_partial`: value ``i`` of every
+        call's column (``columns`` as :meth:`_call_arrays` gives them)
+        belongs to group ``gids[i]``, and
         each group's values come in row order.  Calls that fold in arrays
         add in that order (:class:`_CallFold`); the rest get each group's
         values as one row-ordered slice through ``add_values`` — so float
@@ -1206,77 +1164,46 @@ class AggregateOp(Operator):
             for acc, (low, high) in zip(accs, bounds):
                 acc.add_values(values[low:high], clean)
 
-    # -- worker hooks ------------------------------------------------------
+    # -- the breaker's two steps -------------------------------------------
     #
-    # A morsel partial (:class:`AggPartial`) is the partition above kept
-    # as arrays.  It keeps raw values instead of collapsed totals so the
-    # merge can accumulate in global morsel order: float sums and DISTINCT
-    # first-seen order come out bit-identical to the serial engines no
-    # matter how morsels were distributed across workers.
-    #
-    # The merge is the same partitioner again.  group_partials lays the
-    # partials' representatives end to end, in morsel order, and
-    # partitions *that* block: a representative carries its group's key
-    # and the partition is stable, so a merged group lists its entries in
-    # morsel order and merged groups come out in global first-seen order,
-    # the first entry's representative standing for the group as the
-    # serial engines' first matching row would.  finish_partials then lays
-    # the partials' value columns end to end in morsel order, gives every
-    # value its merged group's id, and runs the streaming sink's fold once
-    # over the lot: the same values, in the same order per group.  Neither
-    # step charges anything: every per-row cost was already charged in a
-    # worker (see docs/parallel.md).
+    # Every engine aggregates a block in two steps: partial_block
+    # partitions it into an AggPartial, and fold_partial folds that into
+    # an AggState.  The streaming sink runs both per block.  The placed
+    # engines run partial_block per morsel as a task and fold_partial on
+    # the serial lane, in morsel order.  A partial keeps raw values, not
+    # collapsed totals, so folding in hand-over order gives the serial
+    # engines' float sums, DISTINCT first-seen order and first-seen group
+    # order bit for bit, whatever worker ran which morsel.  Only
+    # partial_block charges: every per-row cost is paid there, in a task
+    # on the placed engines (see docs/parallel.md).
 
     def partial_block(self, block: RowBlock, mask: np.ndarray | None,
-                      count: int, clock: SimClock) -> "AggPartial":
-        """Thread-local worker hook: partial-aggregate the ``count``
-        (>= 1) surviving rows of ``(block, mask)``, charging ``clock`` —
-        what the serial :meth:`absorb_carrier` is handed, partitioned by
-        the same :meth:`_partition`, so group discovery order within the
-        morsel, the representative rows, the typed fast paths and the
-        deferred selection are the serial engines' own."""
+                      count: int, clock: SimClock) -> AggPartial:
+        """Worker hook: partial-aggregate the ``count`` (>= 1) surviving
+        rows of ``(block, mask)``, charging ``clock``, without
+        materializing the selection (see :meth:`_partition`)."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
-        block, (_, firsts, rows, lows, highs) = self._partition(
+        block, (keys, firsts, rows, lows, highs) = self._partition(
             block, mask, count)
-        return AggPartial(block.take(firsts), lows, highs - lows, count,
+        return AggPartial(keys, block, firsts, lows, highs - lows, count,
                           self._call_arrays(block, rows))
 
-    def group_partials(self, partials: "list[AggPartial]"
-                       ) -> "PartialGroups | None":
-        """Serial-lane hook: group the entries of ``partials`` (in morsel
-        order) by running the partitioner over their representatives.
-        None for an empty list, which is valid: a global aggregate over
-        zero rows still yields its default row."""
-        if not partials:
-            return None
-        reps = RowBlock.concat([partial.reps for partial in partials])
-        return PartialGroups(partials,
-                             *self._partition(reps, None, len(reps)))
-
-    def finish_partials(self, groups: "PartialGroups | None"
-                        ) -> RowBlock | None:
-        """Serial-lane hook: fold grouped partials and emit the result
-        block, or None when there is nothing to emit (grouped query over
-        zero rows)."""
-        folds = self._new_folds()
-        if groups is None:
-            return self._result_block(folds, None)
-        partials = groups.partials
-        # entry e's values sit at entry_low[e] : + lens[e] of the
-        # partials' value columns laid end to end
-        bases = np.cumsum([0] + [p.rows for p in partials[:-1]])
-        entry_low = np.concatenate(
-            [p.lows + base for p, base in zip(partials, bases)])
-        gids = _segment_ids(entry_low,
-                            np.concatenate([p.lens for p in partials]),
-                            groups.of_entries())
-        columns = [
-            None if source is None else
-            (concat_columns([p.columns[slot][0] for p in partials]),
-             all(p.columns[slot][1] for p in partials))
-            for slot, source in enumerate(self._agg_sources)]
-        self._fold_groups(folds, len(groups.keys), columns, gids)
-        return self._result_block(folds, groups.block.take(groups.firsts))
+    def fold_partial(self, state: AggState, partial: AggPartial
+                     ) -> np.ndarray:
+        """Fold one partial into ``state`` — keys not seen before get the
+        next group ids and keep their representative rows — and return
+        each entry's group id.  Charges nothing."""
+        index, keys = state.index, partial.keys
+        ids = list(map(index.get, keys))
+        if None in ids:
+            fresh = [g for g, gid in enumerate(ids) if gid is None]
+            for gid, g in enumerate(fresh, len(index)):
+                index[keys[g]] = ids[g] = gid
+            state.reps.append(partial.block.take(partial.firsts[fresh]))
+        ids = np.array(ids, dtype=np.intp)
+        self._fold_groups(state.folds, len(index), partial.columns,
+                          _segment_ids(partial.lows, partial.lens, ids))
+        return ids
 
     # The distributed placement models what a partial would put on the
     # wire as 8 bytes per scalar leaf of the nested form it stands for:
@@ -1313,7 +1240,7 @@ class AggregateOp(Operator):
         if reps is None:
             if self._node.group_by:
                 return None
-            row = self._result_row(self._new_accs(), ())
+            row = self._result_row(self._new_accs(), self._null_row())
             return self._emit_block(RowBlock.from_rows(self.layout, [row]))
         results = [fold.results() for fold in folds]
         per_group = None
@@ -1329,22 +1256,25 @@ class AggregateOp(Operator):
                     per_group = list(zip(
                         reps.to_rows(),
                         zip(*results) if results else itertools.repeat(())))
-                columns.append(object_array(
-                    [evaluate(row, out) for row, out in per_group]))
+                columns.append(object_array(list(map(evaluate, per_group))))
         return self._emit_block(RowBlock(self.layout, columns, len(reps)))
 
     def _result_rows(self, groups: dict) -> Iterator[tuple]:
         """The row engine's result rows, in ``groups``' (first-seen)
         insertion order."""
         if not groups and not self._node.group_by:
-            groups[()] = (self._new_accs(), ())
+            groups[()] = (self._new_accs(), self._null_row())
         for accs, representative in groups.values():
             yield self._emit(self._result_row(accs, representative))
 
+    def _null_row(self) -> tuple:
+        """The representative of a global aggregate over no rows: its
+        columns are NULL, its literals still evaluate."""
+        return (None,) * len(self._child.layout)
+
     def _result_row(self, accs: list, representative: tuple) -> tuple:
-        results = [acc.result() for acc in accs]
-        return tuple(item(representative, results)
-                     for item in self._item_evals)
+        pair = (representative, [acc.result() for acc in accs])
+        return tuple(item(pair) for item in self._item_evals)
 
     def _item_column(self, expr: ast.Expr) -> tuple[int, int | None]:
         if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
@@ -1355,38 +1285,22 @@ class AggregateOp(Operator):
         return _EVAL, None
 
     def _compile_item(self, expr: ast.Expr):
-        """One select item as ``fn(representative row, aggregate
-        results)``: an aggregate call reads its slot of the results,
-        arithmetic over items is NULL-propagating, anything else
-        evaluates against the group's representative row."""
+        """One select item as ``fn((representative row, aggregate
+        results))``: an aggregate call reads its slot of the results,
+        operators over items are the scalar ones (:func:`binary_evaluator`,
+        :func:`unary_evaluator`), anything else evaluates against the
+        group's representative row."""
         if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
             slot = next(i for i, call in enumerate(self._agg_calls)
                         if call is expr)
-            return lambda row, results: results[slot]
+            return lambda pair: pair[1][slot]
         if isinstance(expr, ast.BinaryOp):
-            left = self._compile_item(expr.left)
-            right = self._compile_item(expr.right)
-            op = _ITEM_OPS.get(expr.op)
-
-            def binary(row, results):
-                a, b = left(row, results), right(row, results)
-                if a is None or b is None or op is None:
-                    return None
-                return op(a, b)
-            return binary
-        if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-            operand = self._compile_item(expr.operand)
-
-            def negate(row, results):
-                value = operand(row, results)
-                return None if value is None else -value
-            return negate
+            return binary_evaluator(expr.op, self._compile_item(expr.left),
+                                    self._compile_item(expr.right))
+        if isinstance(expr, ast.UnaryOp):
+            return unary_evaluator(expr.op, self._compile_item(expr.operand))
         evaluator = compile_expr_cached(expr, self._child.layout)
-        return lambda row, results: evaluator(row) if row else None
-
-
-_ITEM_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-             "/": lambda a, b: a / b if b else None}
+        return lambda pair: evaluator(pair[0])
 
 
 class _Descending:

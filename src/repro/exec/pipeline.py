@@ -259,12 +259,13 @@ class AggregateSink(PipelineSink):
         self._state = op.new_state()
 
     def absorb_carrier(self, carrier, clock):
-        """Consume the carrier's deferred selection directly: group and
-        value extraction AND the mask into their own partition masks, so
-        a filtered scan feeding an aggregate never materializes a
-        selected block at all."""
-        self.op.absorb_carrier(carrier.block, carrier.mask, carrier.count,
-                               self._state, clock)
+        """Partial-aggregate the carrier and fold it in — the placed
+        engines' two steps, run per block.  The deferred selection is
+        consumed directly, so a filtered scan feeding an aggregate never
+        materializes a selected block at all."""
+        op = self.op
+        op.fold_partial(self._state, op.partial_block(
+            carrier.block, carrier.mask, carrier.count, clock))
 
     def finish(self, clock):
         out = self.op.finish_state(self._state)

@@ -41,8 +41,9 @@ def payload_bytes(value: Any) -> int:
 
 def expand_partial(op: ops.AggregateOp, partial: ops.AggPartial) -> dict:
     """The nested form of one columnar partial."""
-    representatives = partial.reps.to_rows()
-    sources = [ops._source_values(source, partial.reps)
+    reps = partial.block.take(partial.firsts)
+    representatives = reps.to_rows()
+    sources = [ops._source_values(source, reps)
                for source in op._group_sources]
     if not sources:
         keys = [()] * len(representatives)       # a global aggregate

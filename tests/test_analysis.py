@@ -352,8 +352,8 @@ class TestRaceAnalysisPass:
 
     def test_expected_hooks_match_scheduler_contract(self):
         # the serial-lane hooks must never appear in the worker set
-        serial_only = {"merge_build", "merge_runs", "group_partials",
-                       "finish_partials", "distinct_block", "limit_block"}
+        serial_only = {"merge_build", "merge_runs", "fold_partial",
+                       "finish_state", "distinct_block", "limit_block"}
         assert not (EXPECTED_WORKER_HOOKS & serial_only)
 
     def test_morsel_local_writes_clean(self):

@@ -19,3 +19,16 @@ def test_docs_have_no_dead_links():
         capture_output=True, text=True)
     assert proc.returncode == 0, (
         f"dead documentation references:\n{proc.stderr}")
+
+
+def test_deleted_members_are_reported(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from check_links import member_errors
+    text = ("`PartialGroups.of_entries` is gone, `AggregateOp.group_partials()`"
+            " too; `AggregateOp.fold_partial`, `AggPartial.keys`, "
+            "`AggState.index`, `NeurDB.execute()`, `DataType.INT`, "
+            "`CollectSink.finish()` (its base's) and "
+            "`ROADMAP.md` / `BENCH_parallel.json` are fine, `Db.execute` not")
+    assert member_errors(text) == ["`PartialGroups.of_entries`",
+                                   "`AggregateOp.group_partials()`",
+                                   "`Db.execute`"]

@@ -599,9 +599,9 @@ def placed_partials(monkeypatch):
     seen = []
     orig = DistributedScheduler.exchange_partials
 
-    def spy(self, op, partials, groups):
+    def spy(self, op, partials, keys, ids):
         seen.append((op, list(partials)))
-        return orig(self, op, partials, groups)
+        return orig(self, op, partials, keys, ids)
 
     monkeypatch.setattr(DistributedScheduler, "exchange_partials", spy)
     return seen

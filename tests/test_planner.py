@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.common.errors import BindError, PlanError
+from repro.common.errors import BindError, ExecutionError, PlanError
 from repro.plan import (
     Aggregate,
     Filter,
@@ -266,6 +266,18 @@ ANSWERED = [
      "WHERE upper(name) BETWEEN 'USER1' AND 'USER2'", [(12,)], [(0,)]),
     ("SELECT coalesce(city, 'none'), coalesce(NULL, age) FROM users "
      "WHERE id = 3", [("tok", 23)], []),
+    # operators over aggregate items are the scalar ones
+    ("SELECT city, sum(age) > 540, sum(age) % 7, max(name) LIKE '%9', "
+     "count(*) > 10 AND min(age) < 22, "
+     "sum(age) / count(*) >= 36 OR min(age) = 20, NOT sum(age) > 540 "
+     "FROM users GROUP BY city",
+     [("sg", False, 2, False, True, True, True),
+      ("ny", False, 3, True, True, False, True),
+      ("ldn", True, 4, False, False, True, False),
+      ("tok", True, 5, False, False, True, False)], []),
+    # no rows: the columns of the one result row are NULL, literals not
+    ("SELECT count(*) + 1, 2, max(age) + 1, city FROM users",
+     [(61, 2, 60, "sg")], [(1, 2, None, None)]),
 ]
 
 
@@ -324,6 +336,26 @@ class TestPositionsAndAggregateTypes:
             for engine in db.executor.ENGINES:
                 db.executor = session.with_engine(engine)
                 assert db.execute(sql).rows == expected, (engine, populated)
+
+    @pytest.mark.parametrize("item", ["sum(age) / 0", "sum(age) % 0",
+                                      "max(age) / (min(age) - min(age))"])
+    def test_aggregate_item_zero_divisor(self, item):
+        """A zero divisor raises over aggregates as over rows; an empty
+        table's NULL aggregate never reaches the division."""
+        for populated in (True, False):
+            db = _typed_db(populated)
+            session = db.executor
+            for engine in db.executor.ENGINES:
+                db.executor = session.with_engine(engine)
+                for sql, empty in (
+                        (f"SELECT {item} FROM users", [(None,)]),
+                        (f"SELECT city, {item} FROM users GROUP BY city",
+                         [])):
+                    if not populated:
+                        assert db.execute(sql).rows == empty, (engine, sql)
+                        continue
+                    with pytest.raises(ExecutionError, match="by zero"):
+                        db.execute(sql)
 
 
 class TestColumnLiteral:

@@ -476,8 +476,8 @@ def test_a_sum_leaves_the_arrays_mid_statement():
         db.planner.plan_select(parse(GROUPED)))
     state, paths = agg.new_state(), []
     for columns, n in table.scan_column_batches(1024):
-        agg.absorb_carrier(agg._child.make_block(columns, n), None, n, state,
-                           SimClock())
+        agg.fold_partial(state, agg.partial_block(
+            agg._child.make_block(columns, n), None, n, SimClock()))
         paths.append([fold.accs is None for fold in state.folds])
     # count, sum, avg fold in arrays; min / max never do
     assert paths[0] == [True, True, True, False, False]

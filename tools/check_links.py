@@ -10,7 +10,12 @@ README (when present):
 * backtick code references that name repo paths — anything starting with
   ``src/``, ``docs/``, ``tests/``, ``benchmarks/``, ``tools/``,
   ``examples/``, or ``repro/`` and ending in ``.py``/``.md``/``.json`` —
-  point at real files (``repro/...`` is also tried under ``src/``).
+  point at real files (``repro/...`` is also tried under ``src/``);
+* backtick member references ``Class.member`` / ``Class.member()`` name a
+  class defined under ``src/repro`` that defines the member — a method,
+  a class-level name, a ``__slots__`` entry or a ``self.<member>``
+  assignment, its own or a base class's (``NAME.md`` / ``NAME.json``
+  file names are not member references).
 
 Exits non-zero listing every dead reference.  Wired into CI
 (``.github/workflows/ci.yml``) and into tier-1 via
@@ -19,6 +24,8 @@ Exits non-zero listing every dead reference.  Wired into CI
 
 from __future__ import annotations
 
+import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -29,6 +36,7 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CODE_REF = re.compile(
     r"`((?:src|docs|tests|benchmarks|tools|examples|repro)/"
     r"[\w./-]+\.(?:py|md|json))`")
+_MEMBER_REF = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\(\))?`")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -40,6 +48,63 @@ def _candidates(base: Path, target: str) -> list[Path]:
     if target.startswith("repro/"):
         paths.append(ROOT / "src" / target)
     return paths
+
+
+def _own_members(cls: ast.ClassDef) -> set[str]:
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                   [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+                if target.id == "__slots__":
+                    names.update(node.value for node in ast.walk(stmt.value)
+                                 if isinstance(node, ast.Constant))
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+@functools.cache
+def class_members() -> dict[str, set[str]]:
+    """Class name -> the members the classes of that name under
+    ``src/repro`` define, inherited ones included."""
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own.setdefault(cls.name, set()).update(_own_members(cls))
+                bases.setdefault(cls.name, set()).update(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in cls.bases
+                    if isinstance(base, (ast.Name, ast.Attribute)))
+
+    def members(name: str, seen: frozenset = frozenset()) -> set[str]:
+        out = set(own[name])
+        for base in bases[name] - seen:
+            if base in own:
+                out |= members(base, seen | {name})
+        return out
+
+    return {name: members(name) for name in own}
+
+
+def member_errors(text: str) -> list[str]:
+    """The ``Class.member`` references in ``text`` that name no member of
+    a class defined under ``src/repro``."""
+    classes = class_members()
+    return [match.group(0) for match in _MEMBER_REF.finditer(text)
+            if match.group(2) not in ("md", "json")
+            and match.group(2) not in classes.get(match.group(1), ())]
 
 
 def check_file(path: Path) -> list[str]:
@@ -56,6 +121,8 @@ def check_file(path: Path) -> list[str]:
         target = match.group(1)
         if not any(p.exists() for p in _candidates(path.parent, target)):
             errors.append(f"{relative}: dead code reference -> `{target}`")
+    errors += [f"{relative}: dead member reference -> {ref}"
+               for ref in member_errors(text)]
     return errors
 
 
