@@ -193,7 +193,8 @@ def _serve_workload(faults=None):
         a, b = float(rng.random()), float(rng.random())
         sqls.append(f"PREDICT VALUE OF y FROM clicks TRAIN ON a, b "
                     f"VALUES ({a:.4f}, {b:.4f})")
-    server = PredictServer(db, faults=faults, max_batch_retries=4)
+    server = PredictServer(db, faults=faults,
+                           retry_policy=repro.RetryPolicy(max_retries=4))
     server.submit(sqls[0], at=0.0)   # warm-up: cold train outside window
     arrivals = uniform_arrivals(SERVE_REQUESTS, SERVE_RATE)
     requests = [server.submit(sql, at=WARM_GAP + t)

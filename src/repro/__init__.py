@@ -12,8 +12,9 @@ Public entry points:
   TPC-C / STATS.
 """
 
+from repro.common.errors import RetryPolicy
 from repro.common.faults import FaultPlan
-from repro.db import NeurDB, RetryPolicy, connect
+from repro.db import NeurDB, connect
 
 __version__ = "1.0.0"
 

@@ -7,6 +7,9 @@ specific subclass that applies.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 
 class NeurDBError(Exception):
     """Base class for every error raised by the repro package."""
@@ -81,9 +84,8 @@ class DeadlineExceeded(NeurDBError):
 
 
 def is_retryable(exc: BaseException) -> bool:
-    """Central transient/fatal classifier used by every retry site
-    (scheduler morsel retries, serving batch retries, refresh re-arm,
-    ``Db`` query retries).
+    """Central transient/fatal classifier, asked only by
+    :meth:`RetryPolicy.next_delay`.
 
     Retryable: :class:`TransientError` (and subclasses, notably
     :class:`ReplicaUnavailable`) and :class:`WorkerCrash`.  Everything
@@ -92,6 +94,40 @@ def is_retryable(exc: BaseException) -> bool:
     fail again or spend time the caller no longer has.
     """
     return isinstance(exc, (TransientError, WorkerCrash))
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The one retry decision behind every recovery loop: statements
+    (``connect(retry_policy=...)``), placed tasks (``retry_limit``),
+    serving micro-batches (``PredictServer(retry_policy=...)``) and
+    background refreshes (``serve.server.REFRESH_RETRY``).
+
+    A loop that saw attempt ``attempt`` (0 = the first) fail with ``exc``
+    asks :meth:`next_delay`; the loop itself decides only where the delay
+    goes and what it counts (``docs/faults.md``, "Retry budgets").
+    """
+
+    max_retries: int = 2
+    backoff: float = 1e-3
+
+    def __post_init__(self) -> None:
+        # exact types: a bool is an int, and NaN fails every comparison
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be an int >= 0, "
+                             f"got {self.max_retries!r}")
+        if (type(self.backoff) not in (int, float)
+                or not 0 <= self.backoff < math.inf):
+            raise ValueError(f"backoff must be a finite number >= 0, "
+                             f"got {self.backoff!r}")
+
+    def next_delay(self, exc: BaseException, attempt: int) -> float | None:
+        """Virtual seconds to wait before retrying after attempt
+        ``attempt`` failed with ``exc`` — ``backoff * 2**attempt`` — or
+        None when ``exc`` is not retryable or the budget is spent."""
+        if not is_retryable(exc) or attempt >= self.max_retries:
+            return None
+        return self.backoff * 2 ** attempt
 
 
 class AIEngineError(NeurDBError):

@@ -33,7 +33,7 @@ from repro.ai.monitor import Monitor
 from repro.ai.tasks import FineTuneTask, InferenceTask, TrainTask
 from repro.common import categories as cat
 from repro.common.errors import (BindError, ExecutionError, NeurDBError,
-                                 is_retryable)
+                                 RetryPolicy)
 from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
@@ -50,32 +50,6 @@ from repro.sql.parser import parse, template_stats
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the facade retries transiently failed statements.
-
-    A statement whose execution raises a *retryable* error
-    (:func:`~repro.common.errors.is_retryable`: ``TransientError``,
-    ``WorkerCrash``, ``ReplicaUnavailable``...) is re-executed up to
-    ``max_retries`` times; each retry first charges an exponential
-    backoff (``backoff * 2**(attempt-1)`` virtual seconds, category
-    ``retry-backoff``) to the shared clock, so recovery cost is modeled
-    like any other.  Retries re-execute the whole statement — safe for
-    reads, and for writes because the storage layer raises its retryable
-    errors before applying any mutation.
-    """
-
-    max_retries: int = 2
-    backoff: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
 
 
 @dataclass
@@ -129,6 +103,9 @@ class NeurDB:
                 f"refresh_window must be >= 1 or None, got {refresh_window}")
         if isinstance(retry_policy, int):
             retry_policy = RetryPolicy(max_retries=retry_policy)
+        elif not isinstance(retry_policy, (RetryPolicy, type(None))):
+            raise TypeError(f"retry_policy must be None, an int or a "
+                            f"RetryPolicy, got {retry_policy!r}")
         self.clock = SimClock()
         self.faults = faults
         self.retry_policy = retry_policy
@@ -174,23 +151,24 @@ class NeurDB:
                           force_retrain: bool = False) -> ResultSet:
         """Run one parsed statement under the connection's retry policy:
         transiently failed statements (injected faults, replica outages,
-        exhausted scheduler budgets) are re-executed after a charged
-        exponential backoff, up to ``retry_policy.max_retries`` times.
-        Each retry is recorded in :meth:`warnings` and
-        ``query_retries``."""
+        exhausted scheduler budgets) are re-executed whole after the
+        policy's backoff, charged to the clock as ``retry-backoff`` —
+        safe for writes too, because storage raises its retryable errors
+        before applying any mutation.  Each retry is recorded in
+        :meth:`warnings` and ``query_retries``."""
         policy = self.retry_policy
         attempt = 0
         while True:
             try:
                 return self._dispatch_statement(statement, force_retrain)
             except Exception as exc:
-                if (policy is None or not is_retryable(exc)
-                        or attempt >= policy.max_retries):
+                delay = (None if policy is None
+                         else policy.next_delay(exc, attempt))
+                if delay is None:
                     raise
                 attempt += 1
                 self.query_retries += 1
-                self.clock.advance(policy.backoff * (2 ** (attempt - 1)),
-                                   cat.RETRY_BACKOFF)
+                self.clock.advance(delay, cat.RETRY_BACKOFF)
                 self.registry.counter("db.query_retries").inc()
                 self.registry.event(
                     "db.retry",

@@ -88,7 +88,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.common import categories as cat
-from repro.common.errors import WorkerCrash, is_retryable
+from repro.common.errors import RetryPolicy, WorkerCrash
 from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
 from repro.common.simtime import (BudgetExceeded, LaneSchedule, NetworkModel,
@@ -153,11 +153,11 @@ class DistributedScheduler:
         check_at_least("nodes", nodes)
         check_at_least("workers", workers)
         check_at_least("morsel_rows", morsel_rows)
-        check_at_least("retry_limit", retry_limit, 0)
         self.nodes = nodes
         self.workers = workers
         self.morsel_rows = morsel_rows
-        self.retry_limit = retry_limit
+        # a retry re-runs at once on a fresh task clock: no delay to place
+        self._retry = RetryPolicy(retry_limit, backoff=0.0)
         self.faults = faults
         self._clock = clock
         # the tracer (if any) rides the shared clock; the lane and every
@@ -350,9 +350,9 @@ class DistributedScheduler:
         phase: inline, in unit order, each attempt on a fresh task clock;
         ``(node, result)`` pairs come back in unit order.
 
-        Recovery: retryable failures (injected or real — see
-        :func:`~repro.common.errors.is_retryable`) re-run the morsel, up
-        to ``retry_limit`` extra attempts; every attempt's charges —
+        Recovery: failures the :class:`~repro.common.errors.RetryPolicy`
+        retries (injected or real) re-run the morsel, up to
+        ``retry_limit`` extra attempts; every attempt's charges —
         including lost crashed attempts — are kept, in morsel/attempt
         order, so recovery cost shows up in the totals and the makespan.
         Anything else — a non-retryable error, an exhausted retry budget,
@@ -378,8 +378,7 @@ class DistributedScheduler:
                             fn, item, tclock, node, phase, index, attempt)))
                         break
                     except Exception as exc:
-                        if not is_retryable(exc) \
-                                or attempt >= self.retry_limit:
+                        if self._retry.next_delay(exc, attempt) is None:
                             raise
                         crashed = isinstance(exc, WorkerCrash)
                         if crashed:

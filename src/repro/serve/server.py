@@ -52,18 +52,18 @@ Serving survives injected and real failures (``docs/faults.md``):
   ``DeadlineExceeded`` at zero cost, and a batch that completes past a
   member's deadline fails just that member (the result is dropped — the
   client already gave up).
-* **Bounded retry with backoff** — a micro-batch whose execution raises
-  a *retryable* error (:func:`~repro.common.errors.is_retryable`) is
-  re-executed up to ``max_batch_retries`` times; each retry is placed on
-  the serving lanes after an exponential backoff
-  (``retry_backoff * 2**(attempt-1)``), so retries cost latency on the
-  modeled timeline exactly like real ones would.
+* **Bounded retry with backoff** — a micro-batch whose execution fails
+  is re-executed while the server's ``retry_policy``
+  (:class:`~repro.common.errors.RetryPolicy`) grants a delay; each retry
+  is placed on the serving lanes that delay after the failed completion,
+  so retries cost latency on the modeled timeline exactly like real ones
+  would.
 * **Graceful refresh degradation** — a failed background refresh never
   takes serving down: the pinned version keeps serving, the failure is
-  recorded in :meth:`PredictServer.stats`, and retryable failures re-arm
-  the refresh with exponential backoff (base :data:`REFRESH_BACKOFF`) up
-  to ``refresh_max_retries`` before giving up (after which the next drift
-  event may try again).
+  recorded in :meth:`PredictServer.stats`, and while
+  :data:`REFRESH_RETRY` grants a delay the refresh re-arms that much
+  later on the refresh lane (after which the next drift event may try
+  again).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from repro.ai.armnet import ARMNet
 from repro.ai.loader import ColumnFeatures
 from repro.ai.monitor import DriftEvent
 from repro.ai.tasks import InferenceTask
-from repro.common.errors import NeurDBError, is_retryable
+from repro.common.errors import NeurDBError, RetryPolicy
 from repro.common.faults import FaultPlan
 from repro.common.simtime import LaneSchedule
 from repro.db import NeurDB, PredictContext
@@ -98,9 +98,9 @@ REFRESH_BATCH_SIZE = 256
 # ``serving_window`` option; None = the monitor's default cooldown)
 SERVING_THRESHOLD = 0.5
 SERVING_COOLDOWN = None
-# base of the exponential backoff (virtual seconds) between attempts of a
-# failed background refresh
-REFRESH_BACKOFF = 1e-2
+# retry budget and backoff base (virtual seconds) of a failed background
+# refresh
+REFRESH_RETRY = RetryPolicy(max_retries=3, backoff=1e-2)
 
 
 @dataclass
@@ -136,10 +136,10 @@ class RefreshTask:
     State machine: ``queued`` (a drift event enqueued it) -> ``done``
     (the incremental fine-tune ran; the new version swaps in once serving
     time passes ``completed_at``) or ``failed`` (the fine-tune raised;
-    serving continues on the pinned version).  A *retryable* failure
-    re-arms a successor task with exponential backoff (``attempt + 1``)
-    until the server's ``refresh_max_retries`` budget runs out, after
-    which the next drift event may try again.
+    serving continues on the pinned version).  While :data:`REFRESH_RETRY`
+    grants a delay, a failure re-arms a successor task (``attempt + 1``)
+    enqueued that delay after the failed completion; once the budget runs
+    out, the next drift event may try again.
     """
 
     task_id: int
@@ -225,17 +225,13 @@ class PredictServer:
             ``serve_error`` specs fail batch executions (then retried),
             ``refresh_fail`` specs fail background refreshes (then
             re-armed).  Defaults to the database's plan.
-        max_batch_retries: how many times one micro-batch may be
-            re-executed after a retryable failure before its requests
-            fail for good.
-        retry_backoff: base of the exponential backoff (virtual seconds)
-            between batch attempts; attempt *n* waits
-            ``retry_backoff * 2**(n-1)`` after the failed completion.
+        retry_policy: how often a failed micro-batch is re-executed
+            before its requests fail for good, and the backoff base
+            (virtual seconds) between attempts: retry *n* (from 0) is
+            placed ``backoff * 2**n`` after the failed completion.
         default_deadline: relative deadline (virtual seconds from
             arrival) applied to every request that does not pass its own
             to :meth:`submit`; None (default) means no deadline.
-        refresh_max_retries: the same retry budget for failed background
-            refreshes.
     """
 
     def __init__(self, db: NeurDB, lanes: int = 1,
@@ -244,9 +240,8 @@ class PredictServer:
                  refresh_epochs: int = 8,
                  refresh_window: int | None = None, serving_window: int = 4,
                  faults: FaultPlan | None = None,
-                 max_batch_retries: int = 2, retry_backoff: float = 1e-3,
-                 default_deadline: float | None = None,
-                 refresh_max_retries: int = 3):
+                 retry_policy: RetryPolicy = RetryPolicy(2, 1e-3),
+                 default_deadline: float | None = None):
         if refresh not in ("auto", "manual"):
             raise ValueError(f"refresh must be auto or manual, "
                              f"got {refresh!r}")
@@ -257,15 +252,12 @@ class PredictServer:
             raise ValueError("max_batch_requests must be >= 1")
         if max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
-        if max_batch_retries < 0:
-            raise ValueError("max_batch_retries must be >= 0")
-        if refresh_max_retries < 0:
-            raise ValueError("refresh_max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0 or None, "
                              f"got {default_deadline}")
+        if not isinstance(retry_policy, RetryPolicy):
+            raise TypeError(f"retry_policy must be a RetryPolicy, "
+                            f"got {retry_policy!r}")
         self.db = db
         self.clock = db.clock
         self.cache = ModelCache(db.models, capacity=model_cache_size)
@@ -277,20 +269,16 @@ class PredictServer:
         self.refresh_epochs = refresh_epochs
         self.refresh_window = refresh_window
         # robustness knobs + counters (docs/faults.md)
-        self.faults = faults if faults is not None else getattr(
-            db, "faults", None)
-        self.max_batch_retries = max_batch_retries
-        self.retry_backoff = retry_backoff
+        self.faults = faults if faults is not None else db.faults
+        self.retry_policy = retry_policy
         self.default_deadline = default_deadline
-        self.refresh_max_retries = refresh_max_retries
         self.deadline_misses = 0
         self.batch_retries = 0
         self.refresh_retries = 0
         # unified observability: counters/events land in the database's
         # metrics registry; spans go to whatever tracer rides the clock
-        self.registry = getattr(db, "registry", None)
-        if self.registry is not None:
-            self.registry.add_collector(self._collect_gauges)
+        self.registry = db.registry
+        self.registry.add_collector(self._collect_gauges)
         self.serving_window = serving_window
         self._pending: deque[PredictRequest] = deque()
         self.completed: list[PredictRequest] = []
@@ -418,10 +406,9 @@ class PredictServer:
 
     def _deadline_miss(self, request: PredictRequest, when: float) -> None:
         self.deadline_misses += 1
-        if self.registry is not None:
-            self.registry.counter("serve.deadline_misses").inc()
-            self.registry.event("serve.deadline_miss", request.error,
-                                time=when, request_id=request.request_id)
+        self.registry.counter("serve.deadline_misses").inc()
+        self.registry.event("serve.deadline_miss", request.error,
+                            time=when, request_id=request.request_id)
         tracer = self.clock.tracer
         if tracer is not None:
             tracer.event("deadline_miss", time=when,
@@ -520,16 +507,16 @@ class PredictServer:
 
         # retry loop: each attempt re-executes the whole batch (training
         # is idempotent-by-presence, materialization re-runs, charges
-        # accumulate) and occupies the serving lanes again after an
-        # exponential backoff, so recovery shows up in latency exactly
-        # like the modeled cost of the work itself
+        # accumulate) and occupies the serving lanes again after the
+        # policy's backoff, so recovery shows up in latency exactly like
+        # the modeled cost of the work itself
         attempt = 0
         ready = form_time
         trained_ever = False
         while True:
             before = self.clock.now
             failure: str | None = None
-            retryable = False
+            delay: float | None = None
             parts: list[dict] = []
             model_version: int | None = None
             if batch_span is not None:
@@ -593,31 +580,28 @@ class PredictServer:
                 # batch's requests (error recorded, charges kept) without
                 # stranding the rest of the queue
                 failure = f"{type(exc).__name__}: {exc}"
-                retryable = is_retryable(exc)
+                delay = self.retry_policy.next_delay(exc, attempt)
             finally:
                 if batch_span is not None:
                     tracer.pop()
 
             cost = self.clock.now - before
             lane, start, completion = self.lanes.assign(ready, cost)
-            if (failure and retryable
-                    and attempt < self.max_batch_retries):
+            if delay is not None:
                 self.batch_retries += 1
                 attempt += 1
-                if self.registry is not None:
-                    self.registry.counter("serve.batch_retries").inc()
-                    self.registry.event(
-                        "serve.batch_retry",
-                        f"batch {batch_id} retry {attempt}/"
-                        f"{self.max_batch_retries} after {failure}",
-                        time=completion, batch_id=batch_id, attempt=attempt,
-                        error=failure)
+                self.registry.counter("serve.batch_retries").inc()
+                self.registry.event(
+                    "serve.batch_retry",
+                    f"batch {batch_id} retry {attempt}/"
+                    f"{self.retry_policy.max_retries} after {failure}",
+                    time=completion, batch_id=batch_id, attempt=attempt,
+                    error=failure)
                 if tracer is not None:
                     tracer.event("batch_retry", time=completion,
                                  batch_id=batch_id, attempt=attempt,
                                  error=failure)
-                ready = (completion
-                         + self.retry_backoff * (2 ** (attempt - 1)))
+                ready = completion + delay
                 continue
             break
 
@@ -756,7 +740,7 @@ class PredictServer:
         while self._refresh_queue:
             task = self._refresh_queue.popleft()
             before = self.clock.now
-            retryable = False
+            delay: float | None = None
             tracer = self.clock.tracer
             refresh_span = None
             if tracer is not None:
@@ -790,10 +774,10 @@ class PredictServer:
                 # adaptation is best-effort: a failed refresh must not
                 # take serving down — the pinned version keeps serving
                 # while the failure is recorded (stats()["refresh_failed"])
-                # and retryable failures re-arm below
+                # and re-armed below while the policy grants a delay
                 task.status = "failed"
                 task.error = f"{type(exc).__name__}: {exc}"
-                retryable = is_retryable(exc)
+                delay = REFRESH_RETRY.next_delay(exc, task.attempt)
             finally:
                 if refresh_span is not None:
                     tracer.pop()
@@ -807,7 +791,7 @@ class PredictServer:
                 refresh_span.attrs.update(status=task.status,
                                           error=task.error)
             self.refreshes.append(task)
-            if task.status == "failed" and self.registry is not None:
+            if task.status == "failed":
                 self.registry.counter("serve.refresh_failures").inc()
                 self.registry.event(
                     "serve.refresh_fail",
@@ -816,14 +800,12 @@ class PredictServer:
                     time=completion, task_id=task.task_id,
                     model=task.model_name, attempt=task.attempt,
                     error=task.error)
-            if (task.status == "failed" and retryable
-                    and task.attempt < self.refresh_max_retries):
-                # re-arm with exponential backoff on the refresh lane;
-                # the retry is a fresh queued task, so the one-in-flight
-                # dedupe in _on_drift keeps holding while it waits
+            if delay is not None:
+                # re-arm with backoff on the refresh lane; the retry is a
+                # fresh queued task, so the one-in-flight dedupe in
+                # _on_drift keeps holding while it waits
                 self.refresh_retries += 1
-                if self.registry is not None:
-                    self.registry.counter("serve.refresh_retries").inc()
+                self.registry.counter("serve.refresh_retries").inc()
                 if tracer is not None:
                     tracer.event("refresh_retry", time=completion,
                                  task_id=task.task_id,
@@ -831,7 +813,7 @@ class PredictServer:
                                  attempt=task.attempt + 1)
                 self._enqueue_refresh(
                     task.model_name, task.trigger,
-                    at=completion + REFRESH_BACKOFF * (2 ** task.attempt),
+                    at=completion + delay,
                     attempt=task.attempt + 1)
 
     def _apply_swaps(self, now: float) -> None:

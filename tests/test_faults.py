@@ -36,6 +36,7 @@ from repro.common.simtime import BudgetExceeded, SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.serve import PredictServer
+from repro.serve.server import REFRESH_RETRY
 from repro.sql import parse
 from repro.storage import (
     BACKUP,
@@ -446,10 +447,6 @@ class TestSchedulerRecovery:
         finally:
             db.clock.set_limit(None)
 
-    def test_retry_limit_validation(self):
-        with pytest.raises(ValueError):
-            _scheduler(workers=2, retry_limit=-1)
-
 
 # -- replicated storage -------------------------------------------------------
 
@@ -753,14 +750,20 @@ class TestServingRobustness:
         assert stats["faults_injected"] == {"serve_error": 1}
 
     def test_batch_retry_budget_exhaustion(self):
+        """``1 + max_retries`` attempts, whatever the database's statement
+        policy: a batch calls the predict pipeline directly, so the two
+        budgets do not nest."""
         plan = FaultPlan(seed=3).arm("serve_error", rate=1.0)
-        db = _review_db()
-        server = PredictServer(db, faults=plan, max_batch_retries=2)
+        db = _review_db(retry_policy=5)
+        server = PredictServer(db, faults=plan,
+                               retry_policy=repro.RetryPolicy(max_retries=2))
         request = server.submit(REVIEW_SQL)
         server.drain()
         assert request.error is not None
         assert "serve_error" in request.error
         assert request.retries == 2
+        assert plan.count("serve_error") == 1 + 2
+        assert db.query_retries == 0
         assert server.stats()["batch_retries"] == 2
         assert server.stats()["failed"] == 1
 
@@ -820,16 +823,20 @@ class TestServingRobustness:
 
     def test_refresh_retry_budget_exhaustion_keeps_serving(self):
         plan = FaultPlan(seed=1).arm("refresh_fail", rate=1.0)
-        db = _review_db()
-        server = PredictServer(db, faults=plan, refresh_max_retries=2)
+        db = _review_db(retry_policy=5)   # never nests with a refresh
+        server = PredictServer(db, faults=plan)
         request = server.submit(REVIEW_SQL)
         server.drain()
         pinned = server.serving_version(request.model_name)
         server.refresh_now("review", "score")
         server.drain()
-        # original + 2 retries, all failed; no infinite loop
-        assert [t.status for t in server.refreshes] == ["failed"] * 3
-        assert server.stats()["refresh_retries"] == 2
+        # the original + REFRESH_RETRY's retries, all failed; no infinite
+        # loop
+        budget = REFRESH_RETRY.max_retries
+        assert [t.status for t in server.refreshes] == ["failed"] * (1 + budget)
+        assert plan.count("refresh_fail") == 1 + budget
+        assert server.stats()["refresh_retries"] == budget
+        assert db.query_retries == 0
         # serving is still alive on the pinned version
         again = server.submit(REVIEW_SQL)
         server.drain()
@@ -883,15 +890,8 @@ class TestServingRobustness:
         assert any("observer bug" in w for w in db.warnings())
 
     def test_constructor_validation(self):
-        db = repro.connect()
         with pytest.raises(ValueError):
-            PredictServer(db, max_batch_retries=-1)
-        with pytest.raises(ValueError):
-            PredictServer(db, refresh_max_retries=-1)
-        with pytest.raises(ValueError):
-            PredictServer(db, retry_backoff=-0.1)
-        with pytest.raises(ValueError):
-            PredictServer(db, default_deadline=0.0)
+            PredictServer(repro.connect(), default_deadline=0.0)
 
 
 # -- Db-level retry policy ----------------------------------------------------
@@ -904,14 +904,10 @@ BRAND_SQL = ("SELECT brand_name, count(*), sum(f1) FROM review "
 
 
 class TestDbRetryPolicy:
-    def test_policy_validation_and_shorthand(self):
+    def test_policy_shorthand(self):
         assert repro.RetryPolicy(max_retries=3).max_retries == 3
-        with pytest.raises(ValueError):
-            repro.RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            repro.RetryPolicy(backoff=-1.0)
         db = repro.connect(retry_policy=4)
-        assert db.retry_policy.max_retries == 4
+        assert db.retry_policy == repro.RetryPolicy(max_retries=4)
 
     def test_transient_query_failures_are_retried(self):
         """Seed 12 makes the first scheduler scope fail under a 0.5
@@ -970,3 +966,85 @@ class TestDbRetryPolicy:
         with pytest.raises(Exception):
             db.execute("SELECT * FROM missing_table")
         assert db.query_retries == 0
+
+
+# -- one RetryPolicy: bad knobs, the nested bound, the seed matrix -----------
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: repro.RetryPolicy(max_retries=-1), ValueError),
+    (lambda: repro.RetryPolicy(max_retries=2.5), ValueError),
+    (lambda: repro.RetryPolicy(max_retries=True), ValueError),
+    (lambda: repro.RetryPolicy(backoff=-1.0), ValueError),
+    (lambda: repro.RetryPolicy(backoff=float("nan")), ValueError),
+    (lambda: repro.RetryPolicy(backoff=float("inf")), ValueError),
+    (lambda: repro.connect(retry_policy=-1), ValueError),
+    (lambda: repro.connect(retry_policy=True), ValueError),
+    (lambda: repro.connect(retry_policy=2.0), TypeError),
+    (lambda: repro.connect(retry_policy="2"), TypeError),
+    (lambda: PredictServer(repro.connect(), retry_policy=2), TypeError),
+    (lambda: _scheduler(workers=2, retry_limit=-1), ValueError),
+    (lambda: _scheduler(workers=2, retry_limit=1.5), ValueError),
+], ids=["budget-negative", "budget-float", "budget-bool",
+        "backoff-negative", "backoff-nan", "backoff-inf",
+        "connect-negative", "connect-bool", "connect-float", "connect-str",
+        "server-int", "scheduler-negative", "scheduler-float"])
+def test_bad_retry_knobs_rejected_at_construction(build, error):
+    """Every retry knob is checked where it is built — never at the
+    first failure, where a wrong type would hide the failure itself."""
+    with pytest.raises(error):
+        build()
+
+
+class TestRetryBudgets:
+    """The worst case of the nested loops (docs/faults.md, "Retry
+    budgets"): a statement retry re-runs placed tasks whose own budget is
+    spent, so a morsel runs at most ``(1 + m) * (1 + r)`` attempts per
+    statement.  Serving batches and refreshes do not nest
+    (``TestServingRobustness``'s budget-exhaustion tests pin them)."""
+
+    @pytest.mark.parametrize("m, r", [(0, 0), (0, 2), (2, 0), (2, 3),
+                                      (1, 5)])
+    def test_statement_times_task_budget(self, m, r):
+        plan = FaultPlan(FAULT_SEED)
+        db = _chaos_db(rows=64, faults=plan, engine="parallel",
+                       retry_policy=repro.RetryPolicy(m, backoff=1e-4))
+        db.executor.retry_limit = r
+        plan.arm("task_error", rate=1.0)
+        with pytest.raises(TransientError):
+            db.execute(SWEEP_QUERIES[1])
+        assert plan.counts()["task_error"] == (1 + m) * (1 + r)
+        assert db.query_retries == m
+
+    def test_serving_recovery_reconciles_under_the_seed(self):
+        """Seeded ``serve_error`` / ``refresh_fail`` rates (re-rolled by
+        the CI ``FAULT_SEED`` matrix): every injected serve error is a
+        batch retry or a batch that failed for good, every injected
+        refresh failure a failed refresh task, and every answered request
+        is bit-identical to the fault-free run's."""
+        def run(faults):
+            db = _review_db()
+            server = PredictServer(db, faults=faults, refresh="manual",
+                                   refresh_epochs=1)
+            requests = [server.submit(REVIEW_SQL, at=float(i))
+                        for i in range(10)]
+            server.drain()
+            for _ in range(3):
+                server.refresh_now("review", "score")
+                server.drain()
+            return server, requests
+
+        _, clean = run(None)
+        plan = (FaultPlan(FAULT_SEED).arm("serve_error", rate=0.3)
+                .arm("refresh_fail", rate=0.5))
+        server, requests = run(plan)
+        stats = server.stats()
+        failed_batches = {r.batch_id for r in requests if r.error}
+        assert plan.count("serve_error") == \
+            stats["batch_retries"] + len(failed_batches)
+        assert plan.count("refresh_fail") == stats["refresh_failed"]
+        answered = [(r, c) for r, c in zip(requests, clean)
+                    if r.error is None]
+        assert answered, "every batch failed; lower the rate"
+        for request, expected in answered:
+            assert _typed(request.result.rows) == _typed(expected.result.rows)
