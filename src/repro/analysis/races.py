@@ -1,5 +1,5 @@
 """Parallel-hook race analysis: code a placed task executes must not
-write shared state (unless it holds a lock at the write site).
+write shared state.
 
 The placed walk (``DistributedScheduler`` in
 ``repro/exec/distributed.py``) hands operator *hooks* to its
@@ -50,13 +50,14 @@ transitively), and for the task-executed pipeline surface derived above
 (minus classes the task code itself instantiates — a carrier built
 inside a task is task-local):
 
-``unlocked-shared-write``
+``shared-write``
     A write to ``self.<attr>`` — assignment, augmented assignment, a
     subscript store, or a mutating method call
-    (``append``/``add``/``update``/``setdefault``/...) — not enclosed
-    in a ``with self.<lock>:`` block (any attribute whose name contains
-    ``lock``), and likewise a write or mutating call targeting a
-    closure/global name.
+    (``append``/``add``/``update``/``setdefault``/...) — and likewise a
+    write or mutating call targeting a closure/global name.  A lock
+    around the write does not excuse it: a write made under a lock still
+    outlives a lost attempt and still couples tasks the makespan model
+    treats as overlapping.
 
 ``dispatch-drift``
     The derived worker-hook set differs from
@@ -111,22 +112,6 @@ def _chain_head(node: ast.AST) -> str:
     return attr
 
 
-def _held_locks(stack: list[ast.AST]) -> set[str]:
-    """Names of ``self.<attr>`` locks held via enclosing ``with``
-    blocks (any attr containing 'lock' counts as a lock)."""
-    held: set[str] = set()
-    for node in stack:
-        if not isinstance(node, ast.With):
-            continue
-        for item in node.items:
-            ctx = item.context_expr
-            if isinstance(ctx, ast.Attribute) and "lock" in ctx.attr.lower():
-                held.add(ctx.attr)
-            elif isinstance(ctx, ast.Name) and "lock" in ctx.id.lower():
-                held.add(ctx.id)
-    return held
-
-
 def _local_names(func: ast.AST) -> set[str]:
     """Parameters and locally-bound names of one function (no nested
     scopes): writes to these are morsel-local by definition."""
@@ -163,7 +148,7 @@ def _local_names(func: ast.AST) -> set[str]:
 
 class _WriteScanner:
     """Walks one worker-executed function body and reports shared-state
-    writes without a held lock."""
+    writes."""
 
     def __init__(self, pass_: "RaceAnalysisPass", module: ModuleSource,
                  func: ast.AST, context: str):
@@ -175,96 +160,82 @@ class _WriteScanner:
         self.findings: list[Finding] = []
 
     def scan(self) -> list[Finding]:
-        self._walk(self.func, [])
+        self._walk(self.func)
         return self.findings
 
-    def _walk(self, node: ast.AST, stack: list[ast.AST]) -> None:
+    def _walk(self, node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and child is not self.func:
                 continue  # nested defs are analyzed as their own roots
-            self._visit(child, stack)
-            self._walk(child, stack + [child])
+            self._visit(child)
+            self._walk(child)
 
-    def _visit(self, node: ast.AST, stack: list[ast.AST]) -> None:
+    def _visit(self, node: ast.AST) -> None:
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
-                self._check_store(target, node, stack)
+                self._check_store(target, node)
         elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _MUTATORS:
-            self._check_mutating_call(node, stack)
+            self._check_mutating_call(node)
 
     # -- stores ------------------------------------------------------------
 
-    def _check_store(self, target: ast.AST, stmt: ast.AST,
-                     stack: list[ast.AST]) -> None:
+    def _check_store(self, target: ast.AST, stmt: ast.AST) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._check_store(elt, stmt, stack)
+                self._check_store(elt, stmt)
             return
-        root, shared, why = self._classify_target(target)
-        if not shared:
-            return
-        if _held_locks(stack):
-            return
-        self.findings.append(self.pass_.finding(
-            self.module, stmt, "unlocked-shared-write",
-            f"{self.context}: write to shared state {why} without a "
-            f"held lock — tasks are re-executed on retry and modeled as "
-            f"overlapping"))
+        why = self._shared(target)
+        if why is not None:
+            self.findings.append(self.pass_.finding(
+                self.module, stmt, "shared-write",
+                f"{self.context}: write to shared state {why} — tasks "
+                f"are re-executed on retry and modeled as overlapping"))
 
-    def _check_mutating_call(self, node: ast.Call,
-                             stack: list[ast.AST]) -> None:
-        receiver = node.func.value
-        root, shared, why = self._classify_target(receiver)
-        if not shared:
-            return
-        if _held_locks(stack):
-            return
-        self.findings.append(self.pass_.finding(
-            self.module, node, "unlocked-shared-write",
-            f"{self.context}: mutating call .{node.func.attr}() on "
-            f"shared state {why} without a held lock — tasks are "
-            f"re-executed on retry and modeled as overlapping"))
+    def _check_mutating_call(self, node: ast.Call) -> None:
+        why = self._shared(node.func.value)
+        if why is not None:
+            self.findings.append(self.pass_.finding(
+                self.module, node, "shared-write",
+                f"{self.context}: mutating call .{node.func.attr}() on "
+                f"shared state {why} — tasks are re-executed on retry "
+                f"and modeled as overlapping"))
 
-    def _classify_target(self, node: ast.AST) -> tuple[str, bool, str]:
-        """(root name, is-shared, description).  Morsel-local roots:
-        plain locals/params."""
+    def _shared(self, node: ast.AST) -> str | None:
+        """How a write target reaches shared state, or None when it is
+        morsel-local (plain locals/params and chains rooted at them)."""
         while isinstance(node, ast.Subscript):
             node = node.value
         if isinstance(node, ast.Attribute):
             base = node.value
             if isinstance(base, ast.Name) and base.id == "self":
-                return (node.attr, True, f"self.{node.attr}")
+                return f"self.{node.attr}"
             # attribute on a local (e.g. a shard clock's internals) is
             # owned by whoever owns the local; a chain rooted at self
             # or at a captured name is shared
             root = base
             while isinstance(root, (ast.Attribute, ast.Subscript)):
                 root = root.value
-            if isinstance(root, ast.Name):
-                if root.id == "self":
-                    return (root.id, True,
-                            f"nested self state (via self.{_chain_head(base)})")
-                if root.id in self.locals:
-                    return (root.id, False, "")
-                return (root.id, True,
-                        f"captured '{root.id}'")
-            return ("", False, "")
-        if isinstance(node, ast.Name):
-            if node.id in self.locals:
-                return (node.id, False, "")
-            return (node.id, True, f"captured '{node.id}'")
-        return ("", False, "")
+            if not isinstance(root, ast.Name):
+                return None
+            if root.id == "self":
+                return f"nested self state (via self.{_chain_head(base)})"
+            if root.id in self.locals:
+                return None
+            return f"captured '{root.id}'"
+        if isinstance(node, ast.Name) and node.id not in self.locals:
+            return f"captured '{node.id}'"
+        return None
 
 
 class RaceAnalysisPass(AnalysisPass):
     name = "races"
     rules = {
-        "unlocked-shared-write": _PRAGMA,
+        "shared-write": _PRAGMA,
         "dispatch-drift": _PRAGMA,
     }
 

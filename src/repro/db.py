@@ -25,6 +25,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.ai.armnet import ARMNet
 from repro.ai.engine import AIEngine
 from repro.ai.loader import (ColumnFeatures, table_feature_columns,
                              table_training_set, table_training_set_tail)
@@ -289,7 +290,6 @@ class NeurDB:
         if self.faults is not None:
             for kind, count in self.faults.counts().items():
                 gauges[f"faults.injected{{kind={kind}}}"] = float(count)
-        gauges["db.query_retries_total"] = float(self.query_retries)
         # the parser's template cache is shared by every connection in
         # the process, so these three count other connections' statements
         templates = template_stats()
@@ -562,6 +562,12 @@ class NeurDB:
         refresh cost tracks the window, not the table history.  It
         defaults to the connection-level ``refresh_window`` knob, and
         ``None`` there keeps the historical full-table behavior."""
+        if not 1 <= tune_last_layers <= len(ARMNet.LAYER_NAMES):
+            raise ValueError(f"tune_last_layers must be in 1.."
+                             f"{len(ARMNet.LAYER_NAMES)}, "
+                             f"got {tune_last_layers}")
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         if model_name is None:
             model_name = self.catalog.bound_model(table, target)
         binding = self.catalog.model_binding(model_name)

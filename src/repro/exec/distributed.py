@@ -329,13 +329,12 @@ class DistributedScheduler:
         ``i % nodes`` and its page touches charge a per-shard page clock
         (an unsharded table is one pseudo-shard on the coordinator)."""
         table = scan._table
-        sharded = getattr(table, "sharded", False)
-        page_clocks = [self._shard_clock()
-                       for _ in range(table.shard_count if sharded else 1)]
-        per_shard = (
-            table.shard_morsels(self.morsel_rows, clock_for=page_clocks)
-            if sharded else
-            [table.scan_morsels(self.morsel_rows, clock=page_clocks[0])])
+        shards = (table.shard_tables if getattr(table, "sharded", False)
+                  else [table])
+        page_clocks = [self._shard_clock() for _ in shards]
+        per_shard = [list(shard.scan_column_batches(self.morsel_rows,
+                                                    clock=page_clock))
+                     for shard, page_clock in zip(shards, page_clocks)]
         units = []
         for shard_idx, morsels in enumerate(per_shard):
             node = shard_idx % self.nodes

@@ -43,7 +43,8 @@ reassembly, so a retried task does not count twice); and running it
 again, or in another order, changes nothing, because compiled state
 (``compile_expr_cached`` evaluators, predicate batch evaluators) is
 effectively read-only after construction — the one exception is
-``BuildTable.buckets()``, built once under its lock — and every
+``BuildTable.buckets()``, a cache built on first use whose contents do
+not depend on which task builds it — and every
 :class:`RowBlock` is owned by one task at a time.
 """
 
@@ -54,7 +55,6 @@ from typing import Any, Iterator
 import functools
 import itertools
 import operator
-import threading
 
 import numpy as np
 
@@ -617,7 +617,6 @@ class BuildTable:
         self.probe_factor = probe_factor
         self._key_column = key_column
         self._buckets: dict[Any, list[int]] | None = None
-        self._lock = threading.Lock()
         self.keys = self.order = None
         arrays = None if block is None else _key_arrays(key_column)
         if arrays is not None:
@@ -629,12 +628,11 @@ class BuildTable:
 
     def buckets(self) -> dict[Any, list[int]]:
         """Block row indices per key, in insertion order."""
-        with self._lock:
-            if self._buckets is None:
-                buckets: dict[Any, list[int]] = {}
-                for i, key in enumerate(self._key_column.tolist()):
-                    buckets.setdefault(key, []).append(i)
-                self._buckets = buckets
+        if self._buckets is None:
+            buckets: dict[Any, list[int]] = {}
+            for i, key in enumerate(self._key_column.tolist()):
+                buckets.setdefault(key, []).append(i)
+            self._buckets = buckets
         return self._buckets
 
     def payload_units(self) -> int:

@@ -11,7 +11,7 @@ Attribution and reconciliation use two parallel accounting schemes:
 * **Exact fixed-point sums** (:func:`to_fix` / :func:`from_fix`).  Every
   float charge is a dyadic rational, so accumulating
   ``numerator << (SHIFT - exponent)`` integers is *exact and associative*:
-  per-span sums regroup freely (across operators, threads, and engines)
+  per-span sums regroup freely (across operators, tasks, and engines)
   yet still add up to the trace total with integer ``==``.  This is what
   lets ``EXPLAIN ANALYZE`` promise that per-operator charged times sum
   exactly to the statement total per category, on every engine including
@@ -22,15 +22,14 @@ Attribution and reconciliation use two parallel accounting schemes:
   ``clock.breakdown()`` / ``clock.now`` at all times — the span-total ↔
   SimClock reconciliation the property tests assert with plain ``==``.
 
-Span *attribution* is a thread-local stack: the innermost pushed span owns
-every charge made on its thread, which is how one interleaved generator
-pull (row engine), one fused block pass, or one morsel task all attribute
-to the right operator.
+Span *attribution* is one stack: the innermost pushed span owns every
+charge, which is how one interleaved generator pull (row engine), one
+fused block pass, or one morsel task all attribute to the right
+operator.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
@@ -118,16 +117,12 @@ class Tracer:
     directly, or hand the tracer to :mod:`repro.obs.export` /
     :mod:`repro.obs.explain` for rendering.
 
-    Thread safety: callers on several threads attribute under one lock,
-    each against its own span stack; per-span exact sums and counts are
-    order-independent.  The engines themselves run a statement on the
-    calling thread, morsel tasks included, so its spans, events and float
-    mirror follow program order.
+    The engines run a statement on the calling thread, morsel tasks
+    included, so its spans, events and float mirror follow program order.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._tls = threading.local()
+        self._stack: list[Span] = []
         self._next_span_id = 1
         self.spans: list[Span] = []
         self.events: list[dict] = []
@@ -161,21 +156,19 @@ class Tracer:
         clock folds them later via ``absorb``)."""
         span = self._current()
         fix = to_fix(seconds)
-        with self._lock:
-            self._fix_total[category] += fix
-            self._count_total[category] += count
-            if fold:
-                self._float_by_category[category] += seconds
-                self._float_now += seconds
-            if span is not None:
-                span.add(category, fix, count)
+        self._fix_total[category] += fix
+        self._count_total[category] += count
+        if fold:
+            self._float_by_category[category] += seconds
+            self._float_now += seconds
+        if span is not None:
+            span.add(category, fix, count)
 
     def on_fold(self, category: str, seconds: float) -> None:
         """Clock callback for :meth:`SimClock.absorb`: advance the float
         mirror only (the charge was already attributed at its site)."""
-        with self._lock:
-            self._float_by_category[category] += seconds
-            self._float_now += seconds
+        self._float_by_category[category] += seconds
+        self._float_now += seconds
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -186,31 +179,22 @@ class Tracer:
         (e.g. worker tasks parented under the query span)."""
         if parent is None:
             parent = self._current()
-        with self._lock:
-            span = Span(self._next_span_id, name, kind,
-                        parent.span_id if parent is not None else None,
-                        attrs)
-            self._next_span_id += 1
-            self.spans.append(span)
+        span = Span(self._next_span_id, name, kind,
+                    parent.span_id if parent is not None else None,
+                    attrs)
+        self._next_span_id += 1
+        self.spans.append(span)
         return span
 
     def push(self, span: Span) -> None:
-        """Make ``span`` the calling thread's attribution target."""
-        self._stack().append(span)
+        """Make ``span`` the attribution target."""
+        self._stack.append(span)
 
     def pop(self) -> Span:
-        return self._stack().pop()
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
+        return self._stack.pop()
 
     def _current(self) -> Optional[Span]:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
+        return self._stack[-1] if self._stack else None
 
     @contextmanager
     def span(self, name: str, kind: str, clock=None, **attrs):
@@ -234,13 +218,12 @@ class Tracer:
         attribution comparable across engines."""
         node = getattr(op, "plan_node", None)
         node_id = node.node_id if node is not None else id(op)
-        with self._lock:
-            span = self._node_spans.get(node_id)
-            if span is None:
-                label = node.label if node is not None else type(op).__name__
-                span = self.begin(label, "operator", parent=None,
-                                  node_id=node_id, op=op)
-                self._node_spans[node_id] = span
+        span = self._node_spans.get(node_id)
+        if span is None:
+            label = node.label if node is not None else type(op).__name__
+            span = self.begin(label, "operator", parent=None,
+                              node_id=node_id, op=op)
+            self._node_spans[node_id] = span
         return span
 
     def node_span(self, node_id: int) -> Optional[Span]:
@@ -269,36 +252,31 @@ class Tracer:
     def event(self, name: str, time: Optional[float] = None,
               **attrs) -> dict:
         """Record an instantaneous span event (fault retry, failover,
-        resync, drift...) against the calling thread's current span."""
+        resync, drift...) against the current span."""
         span = self._current()
-        with self._lock:
-            record = {"name": name, "time": time,
-                      "span_id": span.span_id if span is not None else None,
-                      **attrs}
-            self.events.append(record)
+        record = {"name": name, "time": time,
+                  "span_id": span.span_id if span is not None else None,
+                  **attrs}
+        self.events.append(record)
         return record
 
     # -- reconciled totals ---------------------------------------------------
 
     def category_totals(self) -> dict[str, float]:
         """Per-category charged totals derived from the exact sums."""
-        with self._lock:
-            return {category: from_fix(value)
-                    for category, value in self._fix_total.items()}
+        return {category: from_fix(value)
+                for category, value in self._fix_total.items()}
 
     def fix_totals(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._fix_total)
+        return dict(self._fix_total)
 
     def counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._count_total)
+        return dict(self._count_total)
 
     def float_totals(self) -> dict[str, float]:
         """The chronological float mirror — bit-identical to the shared
         clock's ``breakdown()`` for every category it has touched."""
-        with self._lock:
-            return dict(self._float_by_category)
+        return dict(self._float_by_category)
 
     @property
     def float_now(self) -> float:

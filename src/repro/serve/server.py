@@ -211,7 +211,7 @@ class PredictServer:
         refresh: default refresh policy — ``"auto"`` (drift enqueues a
             background fine-tune) or ``"manual"``; a request's
             ``WITH (refresh=...)`` knob overrides it for that model.
-        refresh_epochs: passes a background refresh makes over its
+        refresh_epochs: passes (>= 1) a background refresh makes over its
             window (the other incremental-update hyperparameters are the
             ``REFRESH_*`` module constants).
         refresh_window: fine-tune on only the table's most recent rows (a
@@ -219,7 +219,7 @@ class PredictServer:
             carry the new distribution, so refreshes adapt faster and
             cheaper).  None defers to the database's connection-level
             ``refresh_window`` knob, whose own default is the full table.
-        serving_window: observations per drift window of the
+        serving_window: observations (>= 2) per drift window of the
             ``serving:<model>`` metric streams.
         faults: a seeded :class:`~repro.common.faults.FaultPlan`;
             ``serve_error`` specs fail batch executions (then retried),
@@ -252,6 +252,12 @@ class PredictServer:
             raise ValueError("max_batch_requests must be >= 1")
         if max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
+        if refresh_epochs < 1:
+            raise ValueError(f"refresh_epochs must be >= 1, "
+                             f"got {refresh_epochs}")
+        if serving_window < 2:
+            raise ValueError(f"serving_window must be >= 2, "
+                             f"got {serving_window}")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0 or None, "
                              f"got {default_deadline}")
@@ -406,7 +412,6 @@ class PredictServer:
 
     def _deadline_miss(self, request: PredictRequest, when: float) -> None:
         self.deadline_misses += 1
-        self.registry.counter("serve.deadline_misses").inc()
         self.registry.event("serve.deadline_miss", request.error,
                             time=when, request_id=request.request_id)
         tracer = self.clock.tracer
@@ -590,7 +595,6 @@ class PredictServer:
             if delay is not None:
                 self.batch_retries += 1
                 attempt += 1
-                self.registry.counter("serve.batch_retries").inc()
                 self.registry.event(
                     "serve.batch_retry",
                     f"batch {batch_id} retry {attempt}/"
@@ -792,7 +796,6 @@ class PredictServer:
                                           error=task.error)
             self.refreshes.append(task)
             if task.status == "failed":
-                self.registry.counter("serve.refresh_failures").inc()
                 self.registry.event(
                     "serve.refresh_fail",
                     f"refresh {task.task_id} of {task.model_name} failed: "
@@ -805,7 +808,6 @@ class PredictServer:
                 # fresh queued task, so the one-in-flight dedupe in
                 # _on_drift keeps holding while it waits
                 self.refresh_retries += 1
-                self.registry.counter("serve.refresh_retries").inc()
                 if tracer is not None:
                     tracer.event("refresh_retry", time=completion,
                                  task_id=task.task_id,

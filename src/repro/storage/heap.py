@@ -163,30 +163,6 @@ class HeapTable:
             self._note_scan_page(pages[touched], view_hits, touched, clock)
             touched += 1
 
-    def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
-        """Materialize the full scan as a random-access list of column
-        morsels — the parallel engine's scan splitter.
-
-        Each morsel is a ``(columns, row_count)`` column batch exactly as
-        :meth:`scan_column_batches` would yield it with
-        ``batch_size=morsel_rows``: same row order (concatenating the
-        morsels reproduces :meth:`scan`'s page/slot order), every page
-        charged to the buffer pool exactly once, morsels of exactly
-        ``morsel_rows`` rows except a short final one.  Unlike the
-        streaming batch scan, the whole list is built up front so a
-        scheduler can hand morsels to workers in any dispatch order and
-        reassemble results by morsel index.  The column arrays are shared
-        read-only snapshots of the columnar page cache: workers must only
-        mask/slice them, never write.  Mutating the table after splitting
-        is undefined, as with :meth:`scan`.  ``start_page`` as in
-        :meth:`scan_column_batches`.
-        """
-        return list(self.scan_column_batches(morsel_rows, start_page,
-                                             clock=clock))
-
     def tail_start_page(self, min_rows: int) -> int:
         """Index of the first page such that the pages from it onward
         hold at least ``min_rows`` live rows (0 when the whole table is

@@ -6,9 +6,9 @@ replicated writes".  This module is that substrate, modeled after the
 classic primary/backup exercises (CS262 Design Exercise 4): a
 :class:`ReplicatedTable` keeps **two full copies** of one table —
 ``primary`` and ``backup`` — and exposes the exact :class:`HeapTable`
-interface the rest of the engine already speaks (scan, scan_morsels,
-insert/update/delete, tail_start_page...), so the planner,
-executors, loader, and serving layer run over it unchanged.
+interface the rest of the engine already speaks (scan,
+scan_column_batches, insert/update/delete, tail_start_page...), so the
+planner, executors, loader, and serving layer run over it unchanged.
 
 Replication protocol
 --------------------
@@ -160,13 +160,6 @@ class ReplicatedTable:
                             clock: SimClock | None = None):
         return self._begin_op().scan_column_batches(batch_size, start_page,
                                                     clock=clock)
-
-    def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
-        return self._begin_op().scan_morsels(morsel_rows, start_page,
-                                             clock=clock)
 
     def tail_start_page(self, min_rows: int) -> int:
         return self._begin_op().tail_start_page(min_rows)

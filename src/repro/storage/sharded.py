@@ -23,11 +23,11 @@ Sharding model
   NaN partition keys always route to shard 0 in either scheme.
 * **Canonical order** — the table's scan order is *shard-major*: all of
   shard 0's rows in its page/slot order, then shard 1's, and so on.
-  Every scan surface (``scan``, ``scan_column_batches``,
-  ``scan_morsels``) honours that one order, so
-  the serial engines, the morsel scheduler, and the distributed
-  scheduler all see identical row streams and the cross-engine parity
-  suite holds over sharded tables exactly as it does over heaps.
+  Both scan surfaces (``scan``, ``scan_column_batches``) honour that one
+  order, and the distributed scheduler scans ``shard_tables`` in it, so
+  the serial engines and the placed scheduler all see identical row
+  streams and the cross-engine parity suite holds over sharded tables
+  exactly as it does over heaps.
   Column batches never span a shard boundary (each shard's final batch
   may be short): a morsel is therefore always shard-local, which is
   what lets the distributed scheduler place it on the shard's node.
@@ -256,26 +256,6 @@ class ShardedTable:
             yield from table.scan_column_batches(batch_size,
                                                  max(0, local_start),
                                                  clock=clock)
-
-    def scan_morsels(self, morsel_rows: int = 4096,
-                     start_page: int = 0,
-                     clock: SimClock | None = None
-                     ) -> list[tuple[list, int]]:
-        return list(self.scan_column_batches(morsel_rows, start_page,
-                                             clock=clock))
-
-    def shard_morsels(self, morsel_rows: int = 4096,
-                      clock_for: "list[SimClock] | None" = None
-                      ) -> list[list[tuple[list, int]]]:
-        """Per-shard morsel lists in canonical order — the distributed
-        scheduler's scan splitter.  Concatenating the sublists reproduces
-        :meth:`scan_morsels`.  ``clock_for`` optionally supplies one
-        charge clock per shard for node-local page-I/O attribution."""
-        out = []
-        for shard, table in enumerate(self.shard_tables):
-            clock = clock_for[shard] if clock_for is not None else None
-            out.append(table.scan_morsels(morsel_rows, 0, clock=clock))
-        return out
 
     def tail_start_page(self, min_rows: int) -> int:
         if min_rows < 0:

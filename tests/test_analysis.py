@@ -7,8 +7,7 @@ Three kinds of coverage:
   on the acceptance-criteria injections into the real
   ``exec/operators.py`` source).
 * **False-positive guards** — known-clean idioms (seeded RNG, sorted
-  set iteration, morsel-local writes, locked counter updates) produce
-  nothing.
+  set iteration, morsel-local writes) produce nothing.
 * **The tree itself** — ``src/repro`` analyzes to zero unsuppressed
   findings, which is also what the blocking CI job asserts.
 """
@@ -266,7 +265,7 @@ class TestRaceAnalysisPass:
                     + "        self._blocks_seen = 1\n"
                     + OPERATORS_SRC[match.end():])
         found = race_findings(operators=injected)
-        assert any(f.rule == "unlocked-shared-write"
+        assert any(f.rule == "shared-write"
                    and "partial_block" in f.message for f in found)
 
     def test_unlocked_mutating_call_flagged(self):
@@ -278,8 +277,22 @@ class TestRaceAnalysisPass:
                     + "        self._runs.append(1)\n"
                     + OPERATORS_SRC[match.end():])
         found = race_findings(operators=injected)
-        assert any(f.rule == "unlocked-shared-write"
+        assert any(f.rule == "shared-write"
                    and "sort_block" in f.message for f in found)
+
+    def test_locked_hook_write_flagged(self):
+        """A lock does not excuse a shared write: the write still outlives
+        a lost attempt and couples tasks modeled as overlapping."""
+        match = re.search(r"    def partial_block\(self.*?:\n",
+                          OPERATORS_SRC, re.S)
+        assert match is not None
+        injected = (OPERATORS_SRC[:match.end()]
+                    + "        with self._lock:\n"
+                    + "            self._blocks_seen = 1\n"
+                    + OPERATORS_SRC[match.end():])
+        found = race_findings(operators=injected)
+        assert any(f.rule == "shared-write"
+                   and "partial_block" in f.message for f in found)
 
     SORT_DISPATCH = ("            runs = self.dispatch(placed, "
                      "self._op_task(op, op.sort_block))\n")
@@ -334,7 +347,7 @@ class TestRaceAnalysisPass:
             "        self.passes_run = 1\n")
         assert racy != PIPELINE_SRC
         found = race_findings(pipeline=racy)
-        assert any(f.rule == "unlocked-shared-write"
+        assert any(f.rule == "shared-write"
                    and "BlockPass.run" in f.message for f in found)
 
     def test_partial_block_helpers_are_audited(self):
@@ -347,7 +360,7 @@ class TestRaceAnalysisPass:
                     + "        self._groups_seen = 1\n"
                     + OPERATORS_SRC[match.end():])
         found = race_findings(operators=injected)
-        assert any(f.rule == "unlocked-shared-write"
+        assert any(f.rule == "shared-write"
                    and "_partition" in f.message for f in found)
 
     def test_expected_hooks_match_scheduler_contract(self):
@@ -359,8 +372,7 @@ class TestRaceAnalysisPass:
     def test_morsel_local_writes_clean(self):
         """Index-local stores and local mutations — the scheduler's own
         idiom — must not be flagged."""
-        src = ("import threading\n"
-               "class DistributedScheduler:\n"
+        src = ("class DistributedScheduler:\n"
                "    def _go(self, items):\n"
                "        results = [None] * len(items)\n"
                "        def work():\n"
@@ -368,8 +380,7 @@ class TestRaceAnalysisPass:
                "                local = []\n"
                "                local.append(i)\n"
                "                results[i] = local\n"
-               "        t = threading.Thread(target=work)\n"
-               "        t.start()\n")
+               "        work()\n")
         mod = load_module("repro/exec/distributed.py", src)
         assert unsuppressed(run_passes([mod], [RaceAnalysisPass()])) == []
 

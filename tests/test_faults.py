@@ -31,7 +31,7 @@ from repro.common.errors import (
     WorkerCrash,
     is_retryable,
 )
-from repro.common.faults import KINDS, NO_FAULTS, FaultPlan, FaultSpec
+from repro.common.faults import KINDS, FaultPlan, FaultSpec
 from repro.common.simtime import BudgetExceeded, SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
@@ -134,8 +134,9 @@ class TestFaultPlan:
         assert plan.arms("task_error") and plan.arms("worker_crash")
         assert plan.arms("slow_worker")
         assert not plan.arms("replica_down")
-        assert NO_FAULTS.decide("task_error", "anything", index=0) is None
-        NO_FAULTS.maybe_raise("worker_crash", "anything")  # no-op
+        empty = FaultPlan(seed=0)
+        assert empty.decide("task_error", "anything", index=0) is None
+        empty.maybe_raise("worker_crash", "anything")  # no-op
 
     def test_retryable_classifier(self):
         assert is_retryable(TransientError("x"))

@@ -27,6 +27,7 @@ from repro.exec.executor import Executor
 from repro.obs.export import chrome_trace, dump_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, from_fix, to_fix
+from repro.serve import PredictServer
 from repro.sql import parse
 
 # every engine the executor exposes, at the worker counts the issue
@@ -314,7 +315,31 @@ class TestMetricsRegistry:
         db.execute("SELECT count(*) FROM users")
         gauges = db.metrics()["gauges"]
         assert any(key.startswith("buffer.") for key in gauges)
-        assert "db.query_retries_total" in gauges
+
+    def test_one_series_per_metric_name(self):
+        """A faulted serving run (a batch retry, a deadline miss, a failed
+        and re-armed refresh) reports each name under counters or gauges,
+        never both."""
+        plan = (FaultPlan(seed=1).arm("serve_error", times=(0,))
+                .arm("refresh_fail", times=(1,)))
+        db = repro.connect(faults=plan)
+        db.execute("CREATE TABLE r (id INT UNIQUE, a FLOAT, b FLOAT, "
+                   "y FLOAT)")
+        db.execute("INSERT INTO r VALUES " + ", ".join(
+            f"({i}, {i % 7 * 0.25}, {i % 5 * 0.5}, "
+            f"{i % 7 * 0.5 - i % 5 * 0.25})" for i in range(60)))
+        server = PredictServer(db)
+        sql = "PREDICT VALUE OF y FROM r WHERE id < 5 TRAIN ON *"
+        server.submit(sql, at=0.0)
+        server.submit(sql, at=0.0, deadline=1e-9)
+        server.drain()
+        server.refresh_now("r", "y")
+        server.drain()
+        snapshot = db.metrics()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        assert (gauges["serve.batch_retries"], gauges["serve.deadline_misses"],
+                gauges["serve.refresh_retries"]) == (1.0, 1.0, 1.0)
+        assert set(counters) & set(gauges) == set()
 
     def test_template_cache_gauges(self):
         # process-wide counts: compare before and after, never absolutes

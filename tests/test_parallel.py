@@ -11,15 +11,21 @@ splitting contract.
 
 from __future__ import annotations
 
+import ast
 import threading
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
+from repro.serve import PredictServer
 from repro.sql import parse
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _typed(rows):
@@ -164,16 +170,21 @@ def test_more_workers_never_slower():
     assert spans[0] >= spans[1] >= spans[2]
 
 
+GROUPED_SQL = "SELECT grp, count(*), sum(v) FROM t GROUP BY grp"
+
+
 def test_no_thread_is_ever_started(monkeypatch):
     """``workers`` is the W of the makespan model, not a pool size:
     placed tasks run inline, on the statement's own thread, at every
-    setting — and so does PREDICT."""
+    setting — and so do tracing, the distributed engine over shards,
+    fault recovery, PREDICT and a serving drain with its refresh.  This
+    is what lets no object under ``src/`` take a lock."""
     def refuse(thread):
         raise AssertionError(f"started a thread: {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     db = _fresh_db(rows=200)
-    for sql in ("SELECT grp, count(*), sum(v) FROM t GROUP BY grp",
+    for sql in (GROUPED_SQL,
                 "SELECT id, v FROM t WHERE v > 20.0 ORDER BY v DESC",
                 "SELECT a.grp, count(*), sum(b.v) FROM t a JOIN t b "
                 "ON a.id = b.id GROUP BY a.grp"):
@@ -183,6 +194,23 @@ def test_no_thread_is_ever_started(monkeypatch):
         assert parallel.extra["parallel"]["tasks"] > 4
         assert parallel.extra["parallel"]["modeled_speedup"] > 1.5
         assert _typed(parallel.rows) == _typed(batch.rows)
+        chaos = _run(db, sql, engine="parallel", workers=4, morsel_rows=16,
+                     faults=FaultPlan.chaos(seed=1, rate=0.2),
+                     retry_limit=8)
+        stats = chaos.extra["parallel"]
+        assert stats["task_retries"] + stats["crashes_recovered"] > 0
+        assert _typed(chaos.rows) == _typed(batch.rows)
+    sharded = repro.connect(tracing=True, shards=4, engine="distributed",
+                            nodes=4)
+    sharded.execute("CREATE TABLE t (id INT UNIQUE, grp TEXT, v FLOAT)")
+    sharded.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, '{'abc'[i % 3]}', {i * 0.5})" for i in range(200)))
+    placed = sharded.execute(GROUPED_SQL)
+    assert placed.extra["distributed"]["nodes"] == 4
+    assert sharded.tracer.spans_of_kind("task")
+    # shard-major scan order: the same groups, in another order
+    assert sorted(_typed(placed.rows)) \
+        == sorted(_typed(_run(db, GROUPED_SQL, engine="batch").rows))
     ai = repro.connect()
     ai.execute("CREATE TABLE r (id INT UNIQUE, a FLOAT, b FLOAT, y FLOAT)")
     ai.execute("INSERT INTO r VALUES " + ", ".join(
@@ -192,6 +220,30 @@ def test_no_thread_is_ever_started(monkeypatch):
     infer = ai.execute("PREDICT VALUE OF y FROM r WHERE id >= 140 "
                        "TRAIN ON *")
     assert len(train.rows) == 10 and len(infer.rows) == 10
+    server = PredictServer(ai, refresh_epochs=1)
+    served = server.submit("PREDICT VALUE OF y FROM r WHERE id < 10 "
+                           "TRAIN ON *")
+    server.refresh_now("r", "y")
+    server.drain()
+    assert served.error is None
+    assert [task.status for task in server.refreshes] == ["done"]
+
+
+def test_no_module_imports_threading():
+    """Nothing under ``src/repro`` can start a thread or take a lock."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "_thread")
+                   for name in names):
+                offenders.append(str(path.relative_to(SRC)))
+    assert offenders == []
 
 
 def test_limit_plans_run_on_serial_lane():
@@ -290,8 +342,9 @@ def test_unknown_engine_rejected():
 
 
 # -- storage morsel splitting ------------------------------------------------
+# The placed scheduler's morsels are one scan's column batches, listed.
 
-def test_scan_morsels_contract():
+def test_morsel_batches_contract():
     """Concatenated morsels reproduce scan order; sizes are exact except
     the final short morsel; each page hits the buffer pool exactly once."""
     db = _fresh_db(rows=137)
@@ -299,7 +352,7 @@ def test_scan_morsels_contract():
     serial = [row for _, row in heap.scan()]
     pool = db.catalog.buffer_pool
     before = pool._hits + pool._misses
-    morsels = heap.scan_morsels(10)
+    morsels = list(heap.scan_column_batches(10))
     touches = (pool._hits + pool._misses) - before
     assert touches == heap.page_count
     assert [n for _, n in morsels[:-1]] == [10] * (len(morsels) - 1)
@@ -309,14 +362,14 @@ def test_scan_morsels_contract():
     assert rebuilt == serial
 
 
-def test_scan_morsels_single_row_granularity():
+def test_morsel_batches_single_row_granularity():
     db = _fresh_db(rows=7)
     heap = db.catalog.table("t")
-    morsels = heap.scan_morsels(1)
+    morsels = list(heap.scan_column_batches(1))
     assert len(morsels) == 7
     assert all(n == 1 for _, n in morsels)
 
 
-def test_scan_morsels_empty_table():
+def test_morsel_batches_empty_table():
     db = _fresh_db(rows=0)
-    assert db.catalog.table("t").scan_morsels(16) == []
+    assert list(db.catalog.table("t").scan_column_batches(16)) == []

@@ -518,7 +518,7 @@ def test_partial_block_matches_row_partition_reference(shape_idx, density):
         for morsel_rows in (24, 400):
             partials = []
             for index, (columns, n) in enumerate(
-                    heap.scan_morsels(morsel_rows)):
+                    list(heap.scan_column_batches(morsel_rows))):
                 block = scan.make_block(columns, n)
                 got_clock, ref_clock = SimClock(), SimClock()
                 got = agg.partial_block(block, None, n, got_clock)

@@ -487,6 +487,29 @@ class TestServerValidation:
         with pytest.raises(ValueError):
             ModelCache(db.models, capacity=0)
 
+    @pytest.mark.parametrize("where, knob, value", [
+        ("server", "serving_window", 1),
+        ("server", "refresh_epochs", 0),
+        ("fine_tune", "tune_last_layers", 0),
+        ("fine_tune", "tune_last_layers", -1),
+        ("fine_tune", "tune_last_layers", 99),
+        ("fine_tune", "epochs", 0),
+    ])
+    def test_bad_knob_rejected_before_any_work(self, where, knob, value):
+        """A knob outside its range is a ValueError where it enters:
+        nothing is charged, no model version is persisted."""
+        db = _build_review_db(n=40)
+        model = db.execute(REVIEW_SQL).extra["model"]
+        versions = db.models.versions(model)
+        before = db.clock.now
+        with pytest.raises(ValueError, match=knob):
+            if where == "server":
+                PredictServer(db, **{knob: value})
+            else:
+                db.fine_tune_model("review", "score", **{knob: value})
+        assert db.clock.now == before
+        assert db.models.versions(model) == versions
+
 
 class TestRefreshWindow:
     """Recency-weighted refresh data: fine-tunes train on a sliding

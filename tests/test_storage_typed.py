@@ -229,7 +229,7 @@ def test_empty_table_surfaces():
     table = HeapTable(schema)
     assert list(table.scan()) == []
     assert list(table.scan_column_batches(16)) == []
-    assert table.scan_morsels() == []
+    assert list(table.scan_column_batches()) == []
 
 
 def test_mutations_keep_differential_identity():
