@@ -8,6 +8,7 @@ activations.  Gradients flow through a topologically-ordered backward pass.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +36,18 @@ def _topological_order(node: "Tensor", visited: set[int],
     topo.append(node)
 
 
+def _reduce_along(ufunc: np.ufunc, data: Array, axis: int) -> Array:
+    """``ufunc.reduce(data, axis=axis, keepdims=True)``, reduced over the
+    outermost axis of a contiguous copy instead: numpy reduces a short
+    innermost axis one output element at a time (a 512x8x4 max took 10x
+    as long), and an outer axis a whole slice at a time.  Only for
+    reductions that give the same bits in both loops: a max (NaN
+    propagates, and of equal zeros the later one wins in both) and sums of
+    small integers."""
+    moved = np.ascontiguousarray(data.swapaxes(0, axis))
+    return ufunc.reduce(moved, axis=0, keepdims=True).swapaxes(0, axis)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -52,8 +65,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 class Tensor:
     """A node in the autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_backward",
+                 "_parents", "name")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple["Tensor", ...] = (),
@@ -61,6 +74,9 @@ class Tensor:
                  name: str = ""):
         self.data = _as_array(data)
         self.grad: Optional[Array] = None
+        # the rows (first-axis indices) outside which ``grad`` is exactly
+        # +0.0, or None when any row may be nonzero; set with ``grad``
+        self.grad_rows: Optional[Array] = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
@@ -123,11 +139,23 @@ class Tensor:
                 node._parents = ()
                 node.grad = None
 
-    def _accumulate(self, grad: Array) -> None:
+    def _accumulate(self, grad: Array, rows: Optional[Array] = None) -> None:
+        """Add ``grad`` into ``self.grad``; ``rows`` names the only rows
+        where ``grad`` may be nonzero (None: any row).
+
+        The first gradient is kept, not copied: no op and no optimizer
+        writes into a gradient in place, so sharing one array between a
+        node and its parents is safe (``tests/test_nn.py`` runs a training
+        step with every gradient read-only to hold that)."""
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
+            self.grad_rows = rows
         else:
             self.grad = self.grad + grad
+            if self.grad_rows is not None and rows is not None:
+                self.grad_rows = np.concatenate((self.grad_rows, rows))
+            else:
+                self.grad_rows = None
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -248,19 +276,17 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, requires_grad=self.requires_grad,
-                     _parents=(self,))
+        out_data = _reduce_along(np.maximum, self.data, axis)
+        out = Tensor(out_data if keepdims else out_data.squeeze(axis),
+                     requires_grad=self.requires_grad, _parents=(self,))
 
         def backward() -> None:
             if not self.requires_grad:
                 return
-            expanded = (out.data if keepdims
-                        else np.expand_dims(out.data, axis))
             grad = (out.grad if keepdims
                     else np.expand_dims(out.grad, axis))
-            mask = (self.data == expanded).astype(np.float64)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+            mask = (self.data == out_data).astype(np.float64)
+            mask /= np.maximum(_reduce_along(np.add, mask, axis), 1.0)
             self._accumulate(mask * grad)
         out._backward = backward
         return out
@@ -290,16 +316,25 @@ class Tensor:
         return out
 
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows (``self[indices]``) — the embedding-lookup primitive."""
+        """Select rows (``self[indices]``, each index in ``[0, len(self))``)
+        — the embedding-lookup primitive.  The gradient names the rows it
+        touched (``grad_rows``), so an optimizer can leave the rest alone."""
         indices = np.asarray(indices)
         out = Tensor(self.data[indices], requires_grad=self.requires_grad,
                      _parents=(self,))
 
         def backward() -> None:
             if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, indices, out.grad)
-                self._accumulate(grad)
+                # one bincount over (row, column) cells: it starts every
+                # cell at 0.0 and adds its terms in index order, exactly
+                # the sums np.add.at(zeros, indices, out.grad) makes
+                rows = indices.reshape(-1)
+                width = math.prod(self.data.shape[1:])
+                cells = rows[:, None] * width + np.arange(width)
+                grad = np.bincount(cells.reshape(-1),
+                                   weights=out.grad.reshape(-1),
+                                   minlength=self.data.size)
+                self._accumulate(grad.reshape(self.data.shape), rows)
         out._backward = backward
         return out
 
@@ -311,7 +346,8 @@ class Tensor:
 
         def backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * (self.data > 0))
+                self._accumulate(
+                    out.grad * (self.data > 0).astype(np.float64))
         out._backward = backward
         return out
 
