@@ -240,7 +240,7 @@ def _stream_seconds(db, plan, engine: str = "batch",
 
 def test_fused_aggregate_throughput():
     """Typed columns end to end: the aggregate sink consumes deferred
-    (block, mask) carriers over dictionary-coded group keys, so the
+    (block, rows) carriers over dictionary-coded group keys, so the
     filtered block the row engine walks tuple by tuple is never even
     materialized."""
     scales = []

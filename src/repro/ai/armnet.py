@@ -133,7 +133,7 @@ class FeatureHasher:
         if all(numeric for _, numeric in typed):
             return self._mix_columns([col for col, _ in typed])
         if length < SHORT_COLUMN:
-            cells = zip(*(col if isinstance(col, list) else col.values_list()
+            cells = zip(*(col if isinstance(col, list) else col.tolist()
                           for col, _ in typed))
             return np.array([[self._hash_value(j, value)
                               for j, value in enumerate(row)]

@@ -8,8 +8,10 @@ bitmaps, dictionary-encoded strings) or a numpy ``object`` array holding
 the *original* Python values (computed columns, row-engine adaptors).
 Both round-trip to row tuples bit-identically; numeric views (``float64``
 plus a null mask) come straight from the typed layout where one exists and
-are derived lazily otherwise.  Selection (filtering) and slicing
-fancy-index the arrays in C instead of looping per row in the interpreter.
+are derived lazily otherwise.  A selection is an array of ascending row
+indices (:func:`selection`), found once per block and gathered per
+column; gathers and slices run in C instead of looping per row in the
+interpreter.
 
 The batch size is a throughput/latency trade-off: big enough to amortize
 per-batch dispatch (numpy call overhead, one clock charge per batch), small
@@ -27,11 +29,11 @@ scheduler rely on:
   view (``numeric()`` returns None), so integer comparisons never lose
   precision; TEXT columns never convert, so digit strings stay strings.
 * **Immutability of shared arrays** — columns handed in by scan producers
-  are shared snapshots of the columnar page cache; consumers only mask,
-  slice, or read them.  ``select``/``slice`` build new blocks (and carry
-  the derived-view caches along) rather than mutating in place.  This is
-  what makes a block safe to hand to a morsel task, and to hand to it
-  again on retry.
+  are shared snapshots of the columnar page cache; consumers only gather,
+  slice, or read them.  ``select``/``take``/``slice`` build new blocks
+  (and carry the derived-view caches along) rather than mutating in
+  place.  This is what makes a block safe to hand to a morsel task, and
+  to hand to it again on retry.
 * **Order** — ``select`` and ``slice`` preserve row order; a block never
   reorders rows on its own.
 """
@@ -57,6 +59,15 @@ def object_array(values: Sequence[Any]) -> np.ndarray:
     if len(values):
         arr[:] = values
     return arr
+
+
+def selection(mask: np.ndarray) -> np.ndarray | None:
+    """A predicate mask as a deferred selection: the ascending indices
+    of its True rows, or None when every row survives.  Gathering them
+    per column beats boolean indexing, numpy's slow path at mid density,
+    and returns the same elements in the same order."""
+    rows = np.flatnonzero(mask)
+    return None if len(rows) == len(mask) else rows
 
 
 def concat_columns(parts: Sequence["TypedColumn | np.ndarray"]
@@ -125,11 +136,12 @@ class RowBlock:
     # -- row access ---------------------------------------------------------
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Yield the rows as tuples of the original Python values."""
+        """Yield the rows as tuples of the original Python values: one
+        zip over the columns' :meth:`values_list`, not their object views."""
         if not self.columns:
             # zero-width layout still carries a row count (e.g. SELECT 1)
             return iter(() for _ in range(self._length))
-        return zip(*(self.column(i) for i in range(len(self.columns))))
+        return zip(*(self.values_list(i) for i in range(len(self.columns))))
 
     def to_rows(self) -> list[tuple]:
         return list(self.iter_rows())
@@ -152,15 +164,10 @@ class RowBlock:
             return col
         return None
 
-    def values_list(self, idx: int, mask: np.ndarray | None = None) -> list:
-        """Python values of the column (optionally masked) as a list,
-        via the typed fast path where one exists."""
-        col = self.columns[idx]
-        if isinstance(col, TypedColumn):
-            return col.values_list(mask)
-        if mask is not None:
-            col = col[mask]
-        return col.tolist()
+    def values_list(self, idx: int) -> list:
+        """Python values of the column as a list, via the typed fast path
+        where one exists (:meth:`TypedColumn.tolist`)."""
+        return self.columns[idx].tolist()
 
     # -- vectorization support ---------------------------------------------
 
@@ -228,24 +235,22 @@ class RowBlock:
     # -- reshaping ----------------------------------------------------------
 
     def select(self, mask: np.ndarray) -> "RowBlock":
-        """Rows where ``mask`` is True, preserving order.  Derived numeric
-        views and null masks are filtered alongside the data so downstream
-        operators don't recompute them."""
-        count = int(np.count_nonzero(mask))
-        if count == self._length:
-            return self
-        block = RowBlock(self.layout, [c[mask] for c in self.columns],
-                         count)
-        for idx, values in self._numeric.items():
-            block._numeric[idx] = None if values is None else values[mask]
-        for idx, null in self._null.items():
-            block._null[idx] = null[mask]
-        return block
+        """Rows where ``mask`` is True, preserving order: the block itself
+        when every row survives, else a :meth:`take` of the survivors."""
+        rows = selection(mask)
+        return self if rows is None else self.take(rows)
 
     def take(self, indices: np.ndarray) -> "RowBlock":
-        """The rows at ``indices`` (an integer array), in that order."""
-        return RowBlock(self.layout, [c[indices] for c in self.columns],
-                        len(indices))
+        """The rows at ``indices`` (an integer array), in that order.
+        Derived numeric views and null masks are gathered alongside the
+        data so downstream operators don't recompute them."""
+        block = RowBlock(self.layout, [c[indices] for c in self.columns],
+                         len(indices))
+        for idx, values in self._numeric.items():
+            block._numeric[idx] = None if values is None else values[indices]
+        for idx, null in self._null.items():
+            block._null[idx] = null[indices]
+        return block
 
     def slice(self, start: int, stop: int) -> "RowBlock":
         start = max(0, start)

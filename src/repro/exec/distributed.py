@@ -684,7 +684,7 @@ class DistributedScheduler:
             # a scan task's survivor arrives with its selection deferred
             carrier = item if isinstance(item, pl.BlockCarrier) \
                 else pl.BlockCarrier(item)
-            return op.partial_block(carrier.block, carrier.mask,
+            return op.partial_block(carrier.block, carrier.rows,
                                     carrier.count, clock)
 
         partials = self.dispatch(placed, self._op_task(op, partial))

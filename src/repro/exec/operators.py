@@ -10,8 +10,9 @@ Every operator carries two things over the same compiled state:
   ``repro/exec/pipeline.py`` call, on :class:`~repro.exec.batch.RowBlock`
   column batches with virtual time charged once per block
   (``clock.advance_batch(cost, n)``): ``scan_block`` (scan + pushed
-  predicate as a deferred mask), ``filter_mask`` (mask without the
-  select), ``project_block`` (projection straight off a deferred mask),
+  predicate as a deferred selection), ``filter_mask`` (mask without the
+  select), ``project_block`` (projection straight off a deferred
+  selection),
   ``probe_block``, ``partial_block``/``fold_partial``/``finish_state``
   (aggregate sink), ``merge_runs`` (sort sink), ``limit_block``
   (early-exit stage), ``distinct_block`` (order-sensitive stage).
@@ -66,6 +67,7 @@ from repro.exec.batch import (
     RowBlock,
     concat_columns,
     object_array,
+    selection,
 )
 from repro.exec.expr import (
     NO_COLUMNS,
@@ -244,10 +246,10 @@ class SeqScanOp(Operator):
     def scan_block(self, block: RowBlock, clock: SimClock
                    ) -> tuple[RowBlock, np.ndarray | None] | None:
         """Fused hook: charge one scanned block (and its pushed-down
-        predicate) and return ``(block, mask)`` with the selection
-        *deferred* — downstream fused stages apply the mask only to the
-        columns they actually touch.  ``mask`` is None when no predicate
-        is pushed down; the result is None when every row is rejected."""
+        predicate) and return ``(block, rows)`` with the selection
+        *deferred* as row indices — downstream fused stages gather only
+        the columns they actually touch.  ``rows`` is None when every row
+        survives; the result is None when every row is rejected."""
         n = len(block)
         if self._predicate_batch is None:
             clock.advance_batch(CostModel.TUPLE_CPU, n, cat.SCAN)
@@ -257,7 +259,7 @@ class SeqScanOp(Operator):
         mask = self._predicate_batch(block)
         if not mask.any():
             return None
-        return block, mask
+        return block, selection(mask)
 
 
 class IndexScanOp(Operator):
@@ -392,27 +394,27 @@ class ProjectOp(Operator):
             self._clock.advance(CostModel.TUPLE_CPU, cat.PROJECT)
             yield self._emit(tuple(e(row) for e in self._evaluators))
 
-    def project_block(self, block: RowBlock, mask: np.ndarray | None,
+    def project_block(self, block: RowBlock, rows: np.ndarray | None,
                       count: int, clock: SimClock) -> RowBlock:
         """Fused hook: project one block whose selection may still be
-        deferred as ``mask`` (``count`` = surviving rows, what the charge
-        and the output length must reflect).  Column-passthrough items
-        apply the mask per projected column — unprojected columns are
+        deferred as row indices ``rows`` (``count`` = surviving rows, what
+        the charge and the output length must reflect).  Passthrough items
+        gather ``rows`` per projected column — unprojected columns are
         never copied; computed items materialize the selected rows once."""
         clock.advance_batch(CostModel.TUPLE_CPU, count, cat.PROJECT)
         columns = []
-        rows: list[tuple] | None = None
+        tuples: list[tuple] | None = None
         for kind, payload in self._sources:
             if kind == _SLOT:
                 # raw column (typed or object) so typed-ness survives
                 # straight-through projections
                 col = block.columns[payload]
-                columns.append(col if mask is None else col[mask])
+                columns.append(col if rows is None else col[rows])
             else:
-                if rows is None:
-                    filtered = block if mask is None else block.select(mask)
-                    rows = filtered.to_rows()
-                columns.append([payload(row) for row in rows])
+                if tuples is None:
+                    filtered = block if rows is None else block.take(rows)
+                    tuples = filtered.to_rows()
+                columns.append([payload(row) for row in tuples])
         return RowBlock.from_columns(self.layout, columns)
 
 
@@ -551,11 +553,10 @@ class HashJoinOp(Operator):
         the same build size as the serial engines."""
         n = len(block)
         clock.advance_batch(CostModel.HASH_BUILD_ROW, n, cat.JOIN)
-        keys = block.columns[self._left_slot]
         null = block.null_mask(self._left_slot)
         if null.any():
-            block, keys = block.select(~null), keys[~null]
-        return n, block, keys
+            block = block.select(~null)
+        return n, block, block.columns[self._left_slot]
 
     def part_units(self, part: tuple) -> int:
         """Modeled exchange size of one build part: the scalar leaves of
@@ -623,7 +624,7 @@ class BuildTable:
             data = arrays[-1]         # keys are NULL-free: the value array
             if data.dtype == bool:
                 data = data.astype(np.int64)
-            self.order = np.argsort(data, kind="stable")
+            self.order = _stable_order([data])
             self.keys = data[self.order]
 
     def buckets(self) -> dict[Any, list[int]]:
@@ -971,9 +972,9 @@ class AggregateOp(Operator):
         # results, a representative column, or the per-group evaluator
         self._item_columns = [self._item_column(item.expr)
                               for item in node.items]
-        # deferred-mask absorption is safe only when every group key and
-        # aggregate argument is a plain column passthrough: row evaluators
-        # must never see rows the mask already rejected
+        # absorbing a deferred selection is safe only when every group key
+        # and aggregate argument is a plain column passthrough: row
+        # evaluators must never see rows the selection already rejected
         self._slot_only = (
             all(s[0] == _SLOT for s in self._group_sources)
             and all(s is None or s[0] == _SLOT for s in self._agg_sources))
@@ -1033,7 +1034,7 @@ class AggregateOp(Operator):
             kind, payload = source
             if kind == _SLOT:
                 # raw column: TypedColumn keeps its C-speed tolist/take
-                # paths; both kinds support [mask], [i], and .tolist()
+                # paths; both kinds support [rows], [i], and .tolist()
                 column = block.columns[payload]
                 clean = not block.null_mask(payload).any()
             else:
@@ -1049,42 +1050,40 @@ class AggregateOp(Operator):
     # seen on row ``firsts[g]`` — owns positions ``lows[g]:highs[g]`` of
     # the selection, in row order.  All but ``keys`` are arrays.
 
-    def _partition(self, block: RowBlock, mask: np.ndarray | None,
+    def _partition(self, block: RowBlock, rows: np.ndarray | None,
                    count: int):
         """``(block, grouped)``: the ``count`` surviving rows of ``(block,
-        mask)`` partitioned into groups — by the array partitioner when
+        rows)`` partitioned into groups — by the array partitioner when
         every group key is a typed column and by the exact-object one
         otherwise (computed keys, ``"obj"`` columns); a global aggregate
         is one group.  When every key/argument is a column passthrough a
-        deferred mask rides along; otherwise the returned block is the
-        selection, taken once, so row evaluators only ever see surviving
-        rows."""
-        if mask is not None and not self._slot_only:
-            block = block.select(mask)
-            mask = None
+        deferred selection rides along; otherwise the returned block is
+        the selection, taken once, so row evaluators only ever see
+        surviving rows."""
+        if rows is not None and not self._slot_only:
+            block, rows = block.take(rows), None
         key_columns = [block.columns[payload] if kind == _SLOT else None
                        for kind, payload in self._group_sources]
         key_arrays = [_key_arrays(column) for column in key_columns]
         if not key_columns:
-            first = 0 if mask is None else int(mask.argmax())
-            return block, ([()], np.array([first]), mask,
+            first = 0 if rows is None else int(rows[0])
+            return block, ([()], np.array([first]), rows,
                            np.array([0]), np.array([count]))
         if all(arrays is not None for arrays in key_arrays):
             return block, self._group_typed(
-                mask, key_columns, [a for arrays in key_arrays for a in arrays])
-        if mask is not None:
-            block = block.select(mask)
+                rows, key_columns, [a for arrays in key_arrays for a in arrays])
+        if rows is not None:
+            block = block.take(rows)
         return block, self._group_exact(block)
 
-    def _group_typed(self, mask, key_columns, arrays):
+    def _group_typed(self, selected, key_columns, arrays):
         """GROUP BY over typed key columns, without a per-row step: one
         stable argsort of the key arrays brings each group's rows
         together in row order, group boundaries fall where any key array
         changes, and first-seen group order is the order of the groups'
-        first rows.  A deferred ``mask`` only narrows the row set:
-        rejected rows are never materialized."""
-        if mask is not None:
-            selected = np.flatnonzero(mask)
+        first rows.  A deferred selection (``selected`` row indices) only
+        narrows the row set: rejected rows are never materialized."""
+        if selected is not None:
             arrays = [a[selected] for a in arrays]
         n = len(arrays[0])
         if not n:
@@ -1095,7 +1094,7 @@ class AggregateOp(Operator):
             ordered = a[order]
             changed |= ordered[1:] != ordered[:-1]
         starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-        rows = order if mask is None else selected[order]
+        rows = order if selected is None else selected[order]
         firsts = rows[starts]             # stable: a group's earliest row
         seen = np.argsort(firsts)         # groups in first-seen order
         firsts = firsts[seen]
@@ -1175,14 +1174,14 @@ class AggregateOp(Operator):
     # partial_block charges: every per-row cost is paid there, in a task
     # on the placed engines (see docs/parallel.md).
 
-    def partial_block(self, block: RowBlock, mask: np.ndarray | None,
+    def partial_block(self, block: RowBlock, rows: np.ndarray | None,
                       count: int, clock: SimClock) -> AggPartial:
         """Worker hook: partial-aggregate the ``count`` (>= 1) surviving
-        rows of ``(block, mask)``, charging ``clock``, without
-        materializing the selection (see :meth:`_partition`)."""
+        rows of ``(block, rows)`` (deferred row indices, None for all),
+        charging ``clock``, without materializing the selection."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         block, (keys, firsts, rows, lows, highs) = self._partition(
-            block, mask, count)
+            block, rows, count)
         return AggPartial(keys, block, firsts, lows, highs - lows, count,
                           self._call_arrays(block, rows))
 

@@ -14,9 +14,9 @@ compiled program, written once for every batch-family engine.
 * Within a pipeline, one :class:`BlockCarrier` flows per source block
   through every stage with **zero intermediate materialization**: a
   filter (or a scan's pushed-down predicate) evaluates its mask against
-  the scan block's columns directly and *defers* the selection on the
-  carrier; a downstream projection applies the mask only to the columns
-  it actually projects.
+  the scan block's columns directly, turns it once into the survivors'
+  row indices and *defers* the selection on the carrier; a downstream
+  projection gathers only the columns it actually projects.
 * :class:`BlockPass` is the one per-block pass (source count -> stages
   -> counts, under the operators' spans when a tracer is attached).
   The streaming driver runs it per source block; every placed task runs
@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.batch import RowBlock
+from repro.exec.batch import RowBlock, selection
 from repro.exec.expr import RowLayout
 
 
@@ -98,32 +98,27 @@ class BlockSource(ops.Operator):
 
 class BlockCarrier:
     """One block flowing through a pipeline, its selection possibly
-    deferred: ``mask`` (when set) marks the surviving rows of ``block``
-    without the copy having happened yet.  Stages that can work straight
-    off the mask (projection of column slots) never pay for it;
-    :meth:`materialize` applies it at most once per pass."""
+    deferred: ``rows`` (when set) are the ascending indices of the
+    surviving rows of ``block``, not yet gathered.  Stages that work off
+    the indices (projection, aggregate partials) gather only the columns
+    they read; :meth:`materialize` gathers at most once per pass."""
 
-    __slots__ = ("block", "mask", "_count")
+    __slots__ = ("block", "rows")
 
-    def __init__(self, block: RowBlock, mask: np.ndarray | None = None):
+    def __init__(self, block: RowBlock, rows: np.ndarray | None = None):
         self.block = block
-        self.mask = mask
-        self._count: int | None = None
+        self.rows = rows
 
     @property
     def count(self) -> int:
         """Surviving row count (without materializing)."""
-        if self._count is None:
-            self._count = (len(self.block) if self.mask is None
-                           else int(np.count_nonzero(self.mask)))
-        return self._count
+        return len(self.block) if self.rows is None else len(self.rows)
 
     def materialize(self) -> RowBlock:
-        """Apply any deferred mask (once) and return the concrete block."""
-        if self.mask is not None:
-            self.block = self.block.select(self.mask)
-            self.mask = None
-            self._count = len(self.block)
+        """Gather any deferred selection (once); the concrete block."""
+        if self.rows is not None:
+            self.block = self.block.take(self.rows)
+            self.rows = None
         return self.block
 
 
@@ -152,22 +147,22 @@ class PipelineStage:
 
 class FilterStage(PipelineStage):
     """Evaluates the predicate mask against the (materialized) input
-    block and defers the selection on the carrier."""
+    block and defers the selection on the carrier as row indices."""
 
     def apply(self, carrier, clock):
         block = carrier.materialize()
         mask = self.op.filter_mask(block, clock)
         if mask is None:
             return None
-        return BlockCarrier(block, mask)
+        return BlockCarrier(block, selection(mask))
 
 
 class ProjectStage(PipelineStage):
-    """Projects straight off the carrier: a deferred mask is applied only
-    to the columns the projection actually outputs."""
+    """Projects straight off the carrier: a deferred selection is
+    gathered only from the columns the projection actually outputs."""
 
     def apply(self, carrier, clock):
-        out = self.op.project_block(carrier.block, carrier.mask,
+        out = self.op.project_block(carrier.block, carrier.rows,
                                     carrier.count, clock)
         return BlockCarrier(out)
 
@@ -235,10 +230,9 @@ class PipelineSink:
 
     def absorb_carrier(self, carrier: BlockCarrier, clock: SimClock) -> None:
         """Absorb one carrier.  The default materializes (applying any
-        deferred mask) and delegates to :meth:`absorb`; sinks that can
-        consume ``(block, mask)`` directly override this so the selection
-        copy never happens (the aggregate sink — the tentpole win of the
-        deferred-mask-across-breakers design)."""
+        deferred selection) and delegates to :meth:`absorb`; sinks that
+        can consume ``(block, rows)`` directly override this so the
+        whole-block gather never happens (the aggregate sink)."""
         self.absorb(carrier.materialize(), clock)
 
     def finish(self, clock: SimClock) -> None:
@@ -265,7 +259,7 @@ class AggregateSink(PipelineSink):
         materializes a selected block at all."""
         op = self.op
         op.fold_partial(self._state, op.partial_block(
-            carrier.block, carrier.mask, carrier.count, clock))
+            carrier.block, carrier.rows, carrier.count, clock))
 
     def finish(self, clock):
         out = self.op.finish_state(self._state)
@@ -340,7 +334,7 @@ FUSED_SCAN_ROWS = 16384
 
 class ScanSource(PipelineSource):
     """SeqScan: streams table blocks through the scan's fused hook — the
-    pushed-down predicate becomes a deferred mask on the carrier."""
+    pushed-down predicate becomes a deferred selection on the carrier."""
 
     def __init__(self, op: ops.SeqScanOp):
         self.op = op
@@ -637,7 +631,7 @@ class BlockPass:
     carriers come from: the pass then counts the scan's output too (every
     other source attributes its own rows).  A ``deferred`` pass's tasks
     hand their survivor on as the carrier, selection still pending, for a
-    sink hook that consumes masks (aggregate partials).  The pass never
+    sink hook that takes row indices (aggregate partials).  The pass never
     touches ``rows_out``: it returns the per-operator counts and the
     caller hands them to :meth:`credit` once the task has succeeded,
     which keeps a retried or lost attempt from counting twice.
@@ -723,9 +717,9 @@ def _drive_carriers(pipeline: Pipeline,
                     clock: SimClock) -> Iterator[BlockCarrier]:
     """One :class:`BlockPass` per source block.  The source pull runs
     under the source operator's span (so a scan's charges — including
-    its deferred-mask predicate and the buffer pool's page charges —
-    land on the scan).  Carriers are yielded with any remaining mask
-    still deferred — sinks that understand masks consume them as-is."""
+    its pushed-down predicate and the buffer pool's page charges — land
+    on the scan).  Carriers are yielded with any remaining selection
+    still deferred — sinks that take row indices consume them as-is."""
     source = pipeline.source
     if isinstance(source, SerialOpSource):
         # the operator's child pipelines are driven lazily through its

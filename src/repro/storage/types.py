@@ -400,19 +400,6 @@ class TypedColumn:
         values = self.data if payload is _VALUES else payload
         return values, self.null_mask()
 
-    def values_list(self, mask: "np.ndarray | None" = None) -> list:
-        """Python values (``None`` at NULLs) as a list, optionally masked.
-
-        Null-free numeric columns take the C-speed ``tolist`` path; dict
-        and nullable columns go through the object view.
-        """
-        if self.kind in ("i8", "f8", "bool") and self.valid is None:
-            data = self.data if mask is None else self.data[mask]
-            return data.tolist()
-        obj = self.objects()
-        if mask is not None:
-            obj = obj[mask]
-        return obj.tolist()
 
     def key_arrays(self, ordered: bool = False) -> "list[np.ndarray] | None":
         """Arrays, most significant first, that stand in for the values
@@ -446,7 +433,14 @@ class TypedColumn:
         return self._codebook.get(value)
 
     def tolist(self) -> list:
-        return self.values_list()
+        """Python values (``None`` at NULLs) as a list.
+
+        Null-free numeric columns take the C-speed ``tolist`` path; dict
+        and nullable columns go through the object view.
+        """
+        if self.kind in ("i8", "f8", "bool") and self.valid is None:
+            return self.data.tolist()
+        return self.objects().tolist()
 
     def identical(self, other: "TypedColumn") -> bool:
         """Bit-level equality of the at-rest representation: same kind,

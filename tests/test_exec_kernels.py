@@ -34,20 +34,26 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.common.errors import BindError
 from repro.common.simtime import SimClock
+from repro.exec import operators as ops
+from repro.exec.batch import RowBlock, object_array
 from repro.exec.executor import Executor
+from repro.exec.expr import RowLayout
 from repro.plan import logical as plan
 from repro.sql import parse
-from repro.storage import Column, DataType, TableSchema
+from repro.storage import Column, DataType, TableSchema, TypedColumn
 from test_storage_typed import (
+    _REGIME_DTYPE,
     BOOL,
     FLOAT_CLEAN,
     FLOAT_NAN,
     INT_HUGE,
+    INT_SMALL,
     STORAGE_SEED,
     TEXT_SMALL,
     _draw,
@@ -285,3 +291,219 @@ def test_kernels_match_row_oracle_and_recorded_charges(density):
 
 def test_kernels_on_empty_tables():
     _check_golden("empty", _sweep("empty", 0.0, empty=True))
+
+
+# -- selections: a mask's survivors as row indices, gathered per column ------
+#
+# A deferred selection is the ascending row indices of a predicate mask's
+# survivors (``batch.selection``); ``RowBlock.select`` gathers every
+# column by them.  A gather by ascending indices must return exactly what
+# boolean indexing returns.  Object payloads are compared by ``tobytes()``
+# too: an object array's bytes are its element pointers, so equal bytes
+# mean the very same Python objects.
+
+# (slot, storage regime, NULL density, the kind the storage layer picks —
+# None for a plain object ndarray, what computed columns are)
+SELECTION_COLUMNS = [
+    ("i", INT_SMALL, 0.0, "i8"),
+    ("in", INT_SMALL, 0.3, "i8"),
+    ("f", FLOAT_CLEAN, 0.0, "f8"),
+    ("fn", FLOAT_CLEAN, 0.3, "f8"),
+    ("b", BOOL, 0.0, "bool"),
+    ("bn", BOOL, 0.3, "bool"),
+    ("s", TEXT_SMALL, 0.3, "dict"),
+    ("h", INT_HUGE, 0.3, "obj"),              # past int64, NULLs
+    ("n", FLOAT_NAN, 0.0, "obj"),             # NaN payloads
+    ("o", INT_SMALL, 0.3, None),
+]
+SELECTION_ROWS = 64
+
+
+def _selection_block() -> RowBlock:
+    rng = random.Random(STORAGE_SEED * 100_000 + 31)
+    columns = []
+    for _, regime, density, kind in SELECTION_COLUMNS:
+        values = [_draw(rng, regime, density)
+                  for _ in range(SELECTION_ROWS)]
+        if density:
+            values[1] = None
+        if regime == INT_HUGE:
+            values[2] = 2 ** 63 + 3
+        if regime == FLOAT_NAN:
+            values[3] = float("nan")
+        if kind is None:
+            columns.append(object_array(values))
+            continue
+        column = TypedColumn.from_values(values, _REGIME_DTYPE[regime])
+        assert column.kind == kind
+        columns.append(column)
+    layout = RowLayout([("t", name) for name, *_ in SELECTION_COLUMNS],
+                       [_REGIME_DTYPE[regime]
+                        for _, regime, *_ in SELECTION_COLUMNS])
+    return RowBlock(layout, columns, SELECTION_ROWS)
+
+
+def _selection_masks() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(STORAGE_SEED + 5)
+    n = SELECTION_ROWS
+    one = np.zeros(n, dtype=bool)
+    one[rng.integers(1, n)] = True
+    sparse = rng.random(n) < 0.08
+    sparse[[0, n - 1]] = False, True
+    all_but_one = np.ones(n, dtype=bool)
+    all_but_one[rng.integers(0, n)] = False
+    return {"one row": one, "sparse": sparse, "half": rng.random(n) < 0.5,
+            "all but one": all_but_one, "all": np.ones(n, dtype=bool)}
+
+
+def _column_bytes(column) -> tuple:
+    """A block column's representation, byte for byte."""
+    if isinstance(column, TypedColumn):
+        return (column.kind, column.data.dtype.str, column.data.tobytes(),
+                None if column.valid is None else column.valid.tobytes(),
+                column.dictionary)
+    return ("ndarray", column.dtype.str, column.tobytes())
+
+
+def _uncached(column):
+    """The same column without any derived-view cache."""
+    if isinstance(column, TypedColumn):
+        return TypedColumn(column.kind, column.data, column.valid,
+                           column.dictionary)
+    return column
+
+
+@pytest.mark.parametrize("density", list(_selection_masks()))
+def test_select_gathers_what_boolean_indexing_returns(density):
+    block = _selection_block()
+    width = len(block.columns)
+    for idx in range(width):          # derived views the gather must carry
+        block.numeric(idx)
+        block.null_mask(idx)
+    mask = _selection_masks()[density]
+    got = block.select(mask)
+    if mask.all():
+        assert got is block
+        return
+    assert len(got) == int(mask.sum())
+    assert [_column_bytes(c) for c in got.columns] \
+        == [_column_bytes(c[mask]) for c in block.columns]
+    assert _typed(got.to_rows()) == _typed(
+        [row for row, keep in zip(block.to_rows(), mask) if keep])
+    fresh = RowBlock(block.layout, [_uncached(c) for c in got.columns],
+                     len(got))
+    for idx in range(width):
+        name = SELECTION_COLUMNS[idx][0]
+        assert got._null[idx].tobytes() == fresh.null_mask(idx).tobytes(), \
+            name
+        carried, derived = got._numeric[idx], fresh.numeric(idx)
+        if carried is None:
+            # a decline (TEXT, or a magnitude past 2^53 anywhere in the
+            # block) is carried as is: the exact object path stays right
+            # for the subset even where the subset alone has a view
+            assert block._numeric[idx] is None, name
+        else:
+            assert derived is not None, name
+            assert carried.tobytes() == derived.tobytes(), name
+
+
+def test_global_aggregate_reads_the_first_survivor():
+    """Bare columns of a global aggregate read its representative row,
+    the first survivor of the selection — here row 21, the sixth row of
+    the second 16-row morsel, and never row 0."""
+    rng = random.Random(STORAGE_SEED * 100_000 + 41)
+    db = repro.connect()
+    db.execute("CREATE TABLE g (id INT, s TEXT, v FLOAT)")
+    table = db.catalog.table("g")
+    rows = [(i, _draw(rng, TEXT_SMALL, 0.1),
+             -1.0 if i <= 20 else _draw(rng, FLOAT_CLEAN, 0.1))
+            for i in range(200)]
+    rows[21] = (21, "first", 7.5)
+    for row in rows:
+        table.insert(row)
+    sql = "SELECT id, s, count(*), sum(v) FROM g WHERE v > 0"
+    node = db.planner.plan_select(parse(sql))
+    oracle = Executor(db.catalog, SimClock(), engine="row").run(node)
+    assert oracle.rows[0][:2] == (21, "first")
+    for engine, kwargs in ENGINES:
+        got = Executor(db.catalog, SimClock(), engine=engine,
+                       **kwargs).run(node)
+        assert _typed(got.rows) == _typed(oracle.rows), engine
+    root = Executor(db.catalog, SimClock()).build(node)
+    agg = root if isinstance(root, ops.AggregateOp) else root._child
+    scan = agg._child
+    (columns, n), = table.scan_column_batches(len(rows))
+    block = scan.make_block(columns, n)
+    _, survivors = scan.scan_block(block, SimClock())
+    assert survivors[0] == 21
+    partial = agg.partial_block(block, survivors, len(survivors), SimClock())
+    assert partial.firsts.tolist() == [21]
+
+
+_BUILD_KEYS = {
+    "narrow": (DataType.INT, lambda rng: rng.randrange(1000)),
+    "span 2^16 - 1": (DataType.INT, lambda rng: rng.choice(
+        [-7, 65_528, rng.randrange(-7, 65_529)])),
+    "span 2^16": (DataType.INT, lambda rng: rng.choice(
+        [-7, 65_529, rng.randrange(-7, 65_530)])),
+    "wide": (DataType.INT, lambda rng: rng.randrange(-2 ** 40, 2 ** 40)),
+    "negative": (DataType.INT, lambda rng: rng.randrange(-70_000, -69_000)),
+    "bool": (DataType.BOOL, lambda rng: rng.random() < 0.5),
+    "text": (DataType.TEXT, lambda rng: f"k{rng.randrange(40)}"),
+    "float": (DataType.FLOAT, lambda rng: rng.choice([0.0, -0.0, 2.5, -1.0])),
+}
+
+
+@pytest.mark.parametrize("regime", list(_BUILD_KEYS))
+def test_build_order_is_the_stable_argsort(regime):
+    """``BuildTable`` sorts its keys through ``_stable_order`` (16-bit key
+    ranges take numpy's radix sort); a stable order is unique, so the
+    permutation must be the stable argsort's, byte for byte."""
+    dtype, draw = _BUILD_KEYS[regime]
+    rng = random.Random(STORAGE_SEED * 100_000 + 53)
+    column = TypedColumn.from_values([draw(rng) for _ in range(3000)], dtype)
+    block = RowBlock(RowLayout([("b", "k")], [dtype]), [column], len(column))
+    table = ops.BuildTable(block, column, len(column), 1.0)
+    data = column.key_arrays()[-1]
+    if data.dtype == bool:
+        data = data.astype(np.int64)
+    order = np.argsort(data, kind="stable")
+    assert table.order.tobytes() == order.tobytes()
+    assert table.keys.tobytes() == data[order].tobytes()
+
+
+# -- result rows: one zip over per-column lists -------------------------------
+
+_PYTHON_TYPES = (int, float, str, bool, type(None))
+
+
+def test_iter_rows_yields_the_object_views_python_values():
+    """``iter_rows`` zips each column's ``values_list``; the rows must
+    equal — value and Python type, never a numpy scalar — the zip of the
+    columns' object views."""
+    block = _selection_block()
+    extra = [
+        ("z", TypedColumn.from_values([-0.0, 0.0, None, 1.5], DataType.FLOAT)),
+        ("z0", TypedColumn.from_values([-0.0, 0.0, 2.0, 1.5],
+                                       DataType.FLOAT)),
+        ("big", TypedColumn.from_values(
+            [2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 62, 5], DataType.INT)),
+        ("nan", object_array([float("nan"), None, 1.0, float("nan")])),
+    ]
+    cached = TypedColumn.from_values([7, None, 2 ** 53 + 1, 0], DataType.INT)
+    cached.objects()                  # the cache built before the zip
+    extra.append(("cached", cached))
+    layout = RowLayout([("x", name) for name, _ in extra],
+                       [DataType.FLOAT, DataType.FLOAT, DataType.INT,
+                        DataType.FLOAT, DataType.INT])
+    for sample in (block, RowBlock(layout, [c for _, c in extra], 4)):
+        rows = list(sample.iter_rows())
+        reference = list(zip(*(sample.column(i)
+                               for i in range(len(sample.columns)))))
+        assert rows == reference
+        assert _typed(rows) == _typed(reference)
+        assert all(type(v) in _PYTHON_TYPES for row in rows for v in row)
+    first = next(RowBlock(layout, [c for _, c in extra], 4).iter_rows())
+    assert [repr(v) for v in first[:3]] == ["-0.0", "-0.0", "9007199254740993"]
+    assert list(RowBlock(RowLayout([], []), [], 3).iter_rows()) \
+        == [(), (), ()]

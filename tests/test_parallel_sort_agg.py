@@ -533,8 +533,8 @@ def test_partial_block_matches_row_partition_reference(shape_idx, density):
                 if index % 2 or not mask.any():
                     continue
                 got_clock, ref_clock = SimClock(), SimClock()
-                got = agg.partial_block(block, mask, int(mask.sum()),
-                                        got_clock)
+                got = agg.partial_block(block, np.flatnonzero(mask),
+                                        int(mask.sum()), got_clock)
                 ref = _reference_partial(agg, block.select(mask), ref_clock)
                 # the deferred flag is read off the whole block: it may
                 # only err towards "not provably NULL-free"

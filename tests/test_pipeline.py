@@ -314,14 +314,14 @@ def test_limit_pushdown_charges_match_row_engine():
     assert fused.virtual_seconds <= row.virtual_seconds + bound
 
 
-# -- deferred selection masks -------------------------------------------------
+# -- deferred selections -----------------------------------------------------
 
 
 def test_block_carrier_defers_selection():
     layout = RowLayout([("t", "a"), ("t", "b")],
                        [DataType.INT, DataType.TEXT])
     block = RowBlock.from_rows(layout, [(1, "x"), (2, "y"), (3, "z")])
-    carrier = pl.BlockCarrier(block, np.array([True, False, True]))
+    carrier = pl.BlockCarrier(block, np.array([0, 2]))
     assert carrier.count == 2
     assert carrier.block is block          # not yet copied
     out = carrier.materialize()
