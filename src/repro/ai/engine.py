@@ -43,7 +43,7 @@ from repro.ai.tasks import (
     TrainTask,
 )
 from repro.common import categories as cat
-from repro.common.errors import AIEngineError
+from repro.common.errors import AIEngineError, check_at_least
 from repro.common.simtime import CostModel, SimClock
 from repro.nn.losses import auc_score, mse_loss
 
@@ -94,7 +94,7 @@ class AIEngine:
         self.clock = clock if clock is not None else SimClock()
         self.models = (model_manager if model_manager is not None
                        else ModelManager(self.clock))
-        self.num_runtimes = max(1, num_runtimes)
+        self.num_runtimes = check_at_least("num_runtimes", num_runtimes)
         self.monitor = monitor if monitor is not None else Monitor()
         self.stream_config = (stream_config if stream_config is not None
                               else StreamConfig())

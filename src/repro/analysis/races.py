@@ -86,8 +86,9 @@ _PRAGMA = "race-ok"
 EXPECTED_WORKER_HOOKS = frozenset({
     # the scan step of a placed task (ScanSource.morsel_carrier)
     "make_block", "scan_block",
-    # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage)
-    "filter_mask", "project_block", "probe_block",
+    # parallel-safe pipeline stages (FilterStage/ProjectStage/ProbeStage/
+    # CrossStage; the cross reads only the InnerSink's finished block)
+    "filter_mask", "project_block", "probe_block", "cross_block",
     # breaker partials (the walk's _run_to_sink / _fold_aggregate); their
     # merges (merge_build, merge_runs, fold_partial / finish_state) run
     # on the serial lane

@@ -8,6 +8,7 @@ specific subclass that applies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -81,6 +82,19 @@ class DeadlineExceeded(NeurDBError):
     *Not* retryable: the time budget is gone; retrying can only miss the
     deadline by more.
     """
+
+
+def check_at_least(name: str, value, minimum: int = 1) -> int:
+    """The one rule of the integer knobs (``workers``, ``nodes``,
+    ``morsel_rows``, ``retry_limit``, ``shards``, ``num_runtimes``): what
+    :func:`operator.index` accepts (numpy ints too) but a bool, at least
+    ``minimum``.  Returns a Python ``int``; the error names the knob."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def is_retryable(exc: BaseException) -> bool:

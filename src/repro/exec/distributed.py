@@ -20,8 +20,9 @@ node:
   :func:`~repro.common.rng.stable_hash` of each distinct key names its
   owner), each node merges its partition, and the merged partitions
   funnel to the coordinator for final reassembly;
-* **broadcast** — a hash join's built table ships once from the
-  coordinator to every node that runs probe-side scan fragments;
+* **broadcast** — a hash join's built table, or a nested-loop join's
+  collected right side, ships once from the coordinator to every node
+  that runs scan fragments of the other side;
 * **gather** — shard-local results (scan output blocks, sort runs, build
   parts, narrow aggregate partials) funnel to the coordinator.
 
@@ -51,12 +52,12 @@ test_batch_parity.py`` enforce (``docs/parallel.md`` states it in full):
   Exchanges add the network model's NIC-placement makespan and the lane
   its full time.  ``modeled_speedup`` is charged total over makespan.
 * **Scope** — every pipeline's ``parallel_safe`` stage prefix runs as
-  tasks (scan->filter->project chains, hash-join probes, aggregate
-  partials, sort runs, build parts).  Merges, order-sensitive stages
-  (Distinct) and operators without a block decomposition
-  (NestedLoopJoin, IndexScan, EmptyRow) run on the lane.  A plan
-  containing LIMIT runs the streaming driver on the lane: eager dispatch
-  would scan rows the serial engines never touch.
+  tasks (scan->filter->project chains, hash-join probes, nested-loop
+  crosses, aggregate partials, sort runs, build parts).  Merges,
+  order-sensitive stages (Distinct) and the leaves that are not table
+  scans (IndexScan, EmptyRow) run on the lane.  A plan containing LIMIT
+  runs the streaming driver on the lane: eager dispatch would scan rows
+  the serial engines never touch.
 * **Failure** — an error that is not retried stops the phase at the
   morsel that raised it: morsels ``0..k`` have run and charged, none past
   ``k`` has, the phase is closed, and :meth:`run` still folds every
@@ -88,7 +89,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.common import categories as cat
-from repro.common.errors import RetryPolicy, WorkerCrash
+from repro.common.errors import RetryPolicy, WorkerCrash, check_at_least
 from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
 from repro.common.simtime import (BudgetExceeded, LaneSchedule, NetworkModel,
@@ -112,12 +113,6 @@ _VALUE_BYTES = 16
 #: per-node network counters, as :meth:`NetworkModel.exchange` reports them
 _NET_KEYS = ("rows_sent", "bytes_sent", "rows_received", "bytes_received",
              "nic_queued")
-
-
-def check_at_least(name: str, value: int, minimum: int = 1) -> None:
-    """The one validation rule of the executor's integer knobs."""
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def block_bytes(block: RowBlock) -> int:
@@ -150,12 +145,9 @@ class DistributedScheduler:
                  faults: FaultPlan | None = None,
                  retry_limit: int = DEFAULT_RETRY_LIMIT,
                  registry=None):
-        check_at_least("nodes", nodes)
-        check_at_least("workers", workers)
-        check_at_least("morsel_rows", morsel_rows)
-        self.nodes = nodes
-        self.workers = workers
-        self.morsel_rows = morsel_rows
+        self.nodes = check_at_least("nodes", nodes)
+        self.workers = check_at_least("workers", workers)
+        self.morsel_rows = check_at_least("morsel_rows", morsel_rows)
         # a retry re-runs at once on a fresh task clock: no delay to place
         self._retry = RetryPolicy(retry_limit, backoff=0.0)
         self.faults = faults
@@ -570,21 +562,27 @@ class DistributedScheduler:
 
     def broadcast_builds(self, scan: ops.SeqScanOp,
                          stages: list[pl.PipelineStage]) -> None:
-        """Ship each probe stage's built table from the coordinator to
-        every node that runs this scan's shard fragments."""
+        """Ship what each probe or cross stage reads — a hash join's
+        built table, a nested-loop join's right side — from the
+        coordinator to every node that runs this scan's shard fragments."""
         table = scan._table
         shards = table.shard_count if getattr(table, "sharded", False) else 1
         targets = sorted({shard % self.nodes for shard in range(shards)}
                          - {COORDINATOR})
+        if not targets:
+            return
         for stage in stages:
-            if not (targets and isinstance(stage, pl.ProbeStage)):
+            if isinstance(stage, pl.ProbeStage):
+                built, label = stage.build.table, "build broadcast"
+                nbytes, rows = 8 * built.payload_units(), built.rows
+            elif isinstance(stage, pl.CrossStage) and stage.inner.block:
+                right, label = stage.inner.block, "inner broadcast"
+                nbytes, rows = block_bytes(right), len(right)
+            else:
                 continue
-            built = stage.build.table
-            nbytes = 8 * built.payload_units()
-            transfers = [(COORDINATOR, node, nbytes, built.rows)
-                         for node in targets]
-            self._exchange(cat.BROADCAST, transfers, stage.op,
-                           "build broadcast")
+            self._exchange(cat.BROADCAST,
+                           [(COORDINATOR, node, nbytes, rows)
+                            for node in targets], stage.op, label)
 
     # -- the walk ----------------------------------------------------------
 
@@ -594,8 +592,11 @@ class DistributedScheduler:
         with their nodes, in serial-engine block order.  With
         ``deferred``, the outputs of a last pass that ran as tasks are
         still carriers (see :class:`~repro.exec.pipeline.BlockPass`)."""
+        clocks = self._shard_clocks
+        bounds = [len(clocks)]
         for dep in pipe.inputs:
             self._run_to_sink(dep)
+            bounds.append(len(clocks))
         safe: list[pl.PipelineStage] = []
         tail: list[pl.PipelineStage] = []
         for stage in pipe.stages:
@@ -609,8 +610,8 @@ class DistributedScheduler:
             placed = self._tasks(units, pl.BlockPass(
                 safe, self._tracer, source, deferred and not tail))
         else:
-            # breaker sinks replay their merged result; serial operators
-            # (IndexScan, NestedLoopJoin, EmptyRow) run on the lane
+            # breaker sinks replay their merged result; the leaves that
+            # are not table scans (IndexScan, EmptyRow) run on the lane
             placed = [(COORDINATOR, carrier.materialize())
                       for carrier in source.carriers(self.lane)]
             if safe:
@@ -622,6 +623,15 @@ class DistributedScheduler:
             placed = self._credited(tail_pass, [
                 (COORDINATOR, tail_pass.task(block, self.lane))
                 for _, block in placed])
+        # nested-loop right sides (the leading inputs) run first, since
+        # the left side's tasks read them, but fold after it, innermost
+        # join first: the plan's left-to-right order, so a category's
+        # total sums its charges as it did when the join ran on the lane
+        inner = sum(isinstance(dep.sink, pl.InnerSink) for dep in pipe.inputs)
+        if inner:
+            clocks[bounds[0]:] = clocks[bounds[inner]:] + [
+                clock for i in reversed(range(inner))
+                for clock in clocks[bounds[i]:bounds[i + 1]]]
         return placed
 
     def _tasks(self, units: list, block_pass: pl.BlockPass
@@ -635,10 +645,9 @@ class DistributedScheduler:
         """Attribute the passes' per-operator counts (only the
         coordinator writes ``rows_out``) and keep the surviving blocks."""
         placed = []
-        for node, (lens, block) in results:
+        for node, (lens, blocks) in results:
             block_pass.credit(lens)
-            if block is not None:
-                placed.append((node, block))
+            placed += [(node, block) for block in blocks]
         return placed
 
     def _run_to_sink(self, pipe: pl.Pipeline) -> None:
@@ -667,9 +676,10 @@ class DistributedScheduler:
                         units=op.part_units)
             sink.table = self._op_task(op, op.merge_build)(
                 [part for _, part in parts], self.lane)
-        else:  # CollectSink: plain collection, no merge charges
-            self.gather(placed, op, "collect gather")
+        else:  # InnerSink: the right side whole, no merge charges
+            self.gather(placed, op, "inner gather")
             sink.result_blocks = [block for _, block in placed]
+            sink.finish(self.lane)
 
     def _fold_aggregate(self, op: ops.AggregateOp, placed: list
                         ) -> RowBlock | None:

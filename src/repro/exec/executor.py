@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Iterator
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, check_at_least
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
 from repro.exec.distributed import (
@@ -14,8 +15,8 @@ from repro.exec.distributed import (
     DEFAULT_RETRY_LIMIT,
     DEFAULT_WORKERS,
     DistributedScheduler,
-    check_at_least,
 )
+from repro.exec.batch import RowBlock
 from repro.exec.pipeline import compile_pipelines, run_program
 from repro.plan import logical as plan
 from repro.storage.catalog import Catalog
@@ -104,20 +105,21 @@ class Executor:
         self._catalog = catalog
         self._clock = clock if clock is not None else catalog.clock
         self.engine = engine
-        self.workers = workers if workers is not None else DEFAULT_WORKERS
-        self.nodes = nodes if nodes is not None else DEFAULT_NODES
-        self.morsel_rows = (morsel_rows if morsel_rows is not None
-                            else DEFAULT_MORSEL_ROWS)
+        self.workers = check_at_least(
+            "workers", workers if workers is not None else DEFAULT_WORKERS)
+        self.nodes = check_at_least(
+            "nodes", nodes if nodes is not None else DEFAULT_NODES)
+        self.morsel_rows = check_at_least(
+            "morsel_rows",
+            morsel_rows if morsel_rows is not None else DEFAULT_MORSEL_ROWS)
         # fault injection + recovery knobs for the placed engines (see
         # repro.common.faults); the serial engines ignore them — their
         # fault surface is the storage layer's replicated tables
         self.faults = faults
-        self.retry_limit = (retry_limit if retry_limit is not None
-                            else DEFAULT_RETRY_LIMIT)
-        check_at_least("workers", self.workers)
-        check_at_least("nodes", self.nodes)
-        check_at_least("morsel_rows", self.morsel_rows)
-        check_at_least("retry_limit", self.retry_limit, 0)
+        self.retry_limit = check_at_least(
+            "retry_limit",
+            retry_limit if retry_limit is not None else DEFAULT_RETRY_LIMIT,
+            0)
         self.registry = registry
         #: (plan node, operator root) of the most recent :meth:`run`, kept
         #: for EXPLAIN ANALYZE's per-operator annotation pass
@@ -176,37 +178,37 @@ class Executor:
                                     retry_limit=self.retry_limit,
                                     registry=self.registry)
 
-    def iter_rows(self, operator: ops.Operator):
+    def _execute(self, operator: ops.Operator
+                 ) -> tuple[Iterator[tuple], dict[str, Any]]:
+        """The one engine dispatch: the rows of ``operator`` on the
+        configured engine, and what the engine reports for
+        ``ResultSet.extra``.  The row and batch engines stream (budgets
+        and LIMIT stop exactly where they should); the placed engines
+        execute eagerly and the rows replay their materialized result."""
+        if self.engine == "row":
+            return iter(operator), {}
+        if self.placed:
+            blocks, stats = self._scheduler().run(operator)
+            extra = {self.engine: stats}
+        else:
+            program = compile_pipelines(operator)
+            blocks = run_program(program, self._clock)
+            extra = {"pipeline": {"pipelines": program.describe()}}
+        return chain.from_iterable(map(RowBlock.iter_rows, blocks)), extra
+
+    def iter_rows(self, operator: ops.Operator) -> Iterator[tuple]:
         """Row-tuple iterator over an operator tree using the configured
         engine — the facade that keeps block execution invisible to
-        row-oriented callers (measurement, db facade, tests).  The batch
-        engine streams (budgets and LIMIT stop exactly where they
-        should); the placed engines execute eagerly and the iterator
-        replays their materialized result."""
-        if self.placed:
-            blocks, _ = self._scheduler().run(operator)
-        elif self.engine == "batch":
-            blocks = run_program(compile_pipelines(operator), self._clock)
-        else:
-            return iter(operator)
-        return (row for block in blocks for row in block.iter_rows())
+        row-oriented callers (measurement, db facade, tests)."""
+        return self._execute(operator)[0]
 
     def run(self, node: plan.PlanNode) -> ResultSet:
         """Execute a plan and materialize the result, measuring virtual time."""
         start = self._clock.now
         operator = self.build(node)
         self.last_run = (node, operator)
-        extra: dict[str, Any] = {}
-        if self.engine == "row":
-            rows = list(operator)
-        else:
-            if self.placed:
-                blocks, extra[self.engine] = self._scheduler().run(operator)
-            else:
-                program = compile_pipelines(operator)
-                blocks = run_program(program, self._clock)
-                extra["pipeline"] = {"pipelines": program.describe()}
-            rows = [row for block in blocks for row in block.iter_rows()]
+        rows, extra = self._execute(operator)
+        rows = list(rows)
         elapsed = self._clock.now - start
         return ResultSet(columns=operator.layout.column_names(), rows=rows,
                          virtual_seconds=elapsed, plan_text=node.pretty(),

@@ -13,7 +13,9 @@ Every operator carries two things over the same compiled state:
   predicate as a deferred selection), ``filter_mask`` (mask without the
   select), ``project_block`` (projection straight off a deferred
   selection),
-  ``probe_block``, ``partial_block``/``fold_partial``/``finish_state``
+  ``probe_block``, ``cross_block`` (each left block against the
+  nested-loop join's collected right side),
+  ``partial_block``/``fold_partial``/``finish_state``
   (aggregate sink), ``merge_runs`` (sort sink), ``limit_block``
   (early-exit stage), ``distinct_block`` (order-sensitive stage).
   Charged totals are identical to the row path, with one bounded
@@ -24,9 +26,9 @@ Every operator carries two things over the same compiled state:
   unfiltered chains, and divergence bounded by ``offset + limit + 1``
   scanned rows otherwise.
 
-Operators with no block decomposition — IndexScan, NestedLoopJoin,
-EmptyRow — keep a ``batches()`` generator instead; the pipeline compiler
-makes it the *source* of a pipeline.
+The leaves that are not table scans — IndexScan, EmptyRow — hand the
+pipeline compiler a ``blocks(clock)`` generator instead: the *source*
+of their pipeline, charging the clock it is passed.
 
 The placed engines (``repro/exec/distributed.py``) run
 the *worker hooks* as morsel tasks — inline, but re-executed when a
@@ -138,7 +140,7 @@ def _segment_ids(lows: np.ndarray, lens: np.ndarray,
 
 
 def _traced_generator(method):
-    """Wrap an operator's ``__iter__``/``batches`` so that, when a tracer
+    """Wrap an operator's ``__iter__``/``rid_rows`` so that, when a tracer
     is attached to the operator's clock, every ``next()`` — and every
     charge made while producing the item, including buffer-pool page
     charges inside a scan pull — attributes to this operator's span.
@@ -165,18 +167,18 @@ class Operator:
         self.layout = layout
         self._clock = clock
         self.rows_out = 0
-        # the plan node this operator was built from; the pipeline
-        # compiler reads its STREAMING/BREAKER annotations.  None for
-        # synthetic operators (EmptyRow, block replays).
+        # the plan node this operator was built from (span labels,
+        # EXPLAIN ANALYZE, exchange records).  None for the synthetic
+        # EmptyRow.
         self.plan_node: plan.PlanNode | None = None
 
     def __init_subclass__(cls, **kwargs):
         # Per-operator attribution for the interleaved row engine and
-        # the ``batches()`` pipeline sources: subclass iterators are
-        # wrapped once, at class creation, so no operator needs tracing
-        # code of its own.
+        # the DML victim streams: subclass iterators are wrapped once, at
+        # class creation, so no operator needs tracing code of its own
+        # (the pipelines' sources trace their own pulls).
         super().__init_subclass__(**kwargs)
-        for name in ("__iter__", "batches", "rid_rows"):
+        for name in ("__iter__", "rid_rows"):
             if name in cls.__dict__:
                 setattr(cls, name, _traced_generator(cls.__dict__[name]))
 
@@ -317,27 +319,23 @@ class IndexScanOp(Operator):
     def __iter__(self) -> Iterator[tuple]:
         return map(operator.itemgetter(1), self.rid_rows())
 
-    def batches(self) -> Iterator[RowBlock]:
-        self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        buffer: list[tuple] = []
-        for _, row in self._fetch():
-            buffer.append(row)
-            if len(buffer) >= self.max_batch_rows:
-                block = self._filtered_block(buffer)
-                buffer = []
-                if block:
-                    yield self._emit_block(block)
-        if buffer:
-            block = self._filtered_block(buffer)
+    def blocks(self, clock: SimClock) -> Iterator[RowBlock]:
+        """The pipeline source: the row path in blocks of at most
+        ``max_batch_rows`` fetched rows, charging ``clock``."""
+        clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
+        rows = map(operator.itemgetter(1), self._fetch())
+        while buffer := list(itertools.islice(rows, self.max_batch_rows)):
+            block = self._filtered_block(buffer, clock)
             if block:
                 yield self._emit_block(block)
 
-    def _filtered_block(self, rows: list[tuple]) -> RowBlock:
+    def _filtered_block(self, rows: list[tuple],
+                        clock: SimClock) -> RowBlock:
         n = len(rows)
-        self._clock.advance_batch(CostModel.TUPLE_CPU, n, cat.INDEX)
+        clock.advance_batch(CostModel.TUPLE_CPU, n, cat.INDEX)
         block = RowBlock.from_rows(self.layout, rows)
         if self._residual_batch is not None:
-            self._clock.advance_batch(CostModel.EVAL_PREDICATE, n, cat.FILTER)
+            clock.advance_batch(CostModel.EVAL_PREDICATE, n, cat.FILTER)
             block = block.select(self._residual_batch(block))
         return block
 
@@ -419,7 +417,7 @@ class ProjectOp(Operator):
 
 
 class NestedLoopJoinOp(Operator):
-    # cap on materialized candidate pairs per emitted block
+    # cap on the candidate pairs built (and condition-tested) at once
     _PAIR_CHUNK = 8192
 
     def __init__(self, node: plan.NestedLoopJoin, left: Operator,
@@ -450,39 +448,35 @@ class NestedLoopJoinOp(Operator):
                         continue
                 yield self._emit(combined)
 
-    def batches(self) -> Iterator[RowBlock]:
-        right = RowBlock.from_rows(
-            self._right.layout,
-            [row for block in self._right.batches()
-             for row in block.iter_rows()])
+    def cross_block(self, block: RowBlock, right: RowBlock,
+                    clock: SimClock) -> Iterator[RowBlock]:
+        """Worker hook: every pair of one left block's rows with the
+        whole right side (``right``, collected before the left side
+        runs), left rows outer and the condition applied, charging
+        ``clock``.  Yields the surviving pairs chunk by chunk, each
+        built from at most ``_PAIR_CHUNK`` pairs (or one left row's),
+        so no block grows with the cross product and a consumer that
+        stops pulling leaves the rest unbuilt and uncharged."""
         m = len(right)
         if m == 0:
-            # still drain the left side so its operators charge the same
-            # virtual time as the row path would
-            for _ in self._left.batches():
-                pass
             return
         condition = self._condition_batch
-        # chunk the left side so each materialized cross-product block
-        # stays bounded regardless of the right side's size
         rows_per_chunk = max(1, self._PAIR_CHUNK // m)
-        for lblock in self._left.batches():
-            for start in range(0, len(lblock), rows_per_chunk):
-                chunk = lblock.slice(start, start + rows_per_chunk)
-                n = len(chunk)
-                pairs = n * m
-                self._clock.advance_batch(CostModel.TUPLE_CPU, pairs, cat.JOIN)
-                columns = [np.repeat(chunk.column(i), m)
-                           for i in range(len(chunk.columns))]
-                columns += [np.tile(right.column(i), n)
-                            for i in range(len(right.columns))]
-                block = RowBlock(self.layout, columns, pairs)
-                if condition is not None:
-                    self._clock.advance_batch(CostModel.EVAL_PREDICATE,
-                                              pairs, cat.JOIN)
-                    block = block.select(condition(block))
-                if block:
-                    yield self._emit_block(block)
+        for start in range(0, len(block), rows_per_chunk):
+            chunk = block.slice(start, start + rows_per_chunk)
+            n = len(chunk)
+            pairs = n * m
+            clock.advance_batch(CostModel.TUPLE_CPU, pairs, cat.JOIN)
+            columns = [np.repeat(chunk.column(i), m)
+                       for i in range(len(chunk.columns))]
+            columns += [np.tile(column, n) for column in right.columns]
+            out = RowBlock(self.layout, columns, pairs)
+            if condition is not None:
+                clock.advance_batch(CostModel.EVAL_PREDICATE, pairs,
+                                    cat.JOIN)
+                out = out.select(condition(out))
+            if out:
+                yield out
 
 
 class HashJoinOp(Operator):
@@ -1559,5 +1553,6 @@ class EmptyRowOp(Operator):
     def __iter__(self) -> Iterator[tuple]:
         yield self._emit(())
 
-    def batches(self) -> Iterator[RowBlock]:
+    def blocks(self, clock: SimClock) -> Iterator[RowBlock]:
+        """The pipeline source: the one row as a block (no charges)."""
         yield self._emit_block(RowBlock.from_rows(self.layout, [()]))

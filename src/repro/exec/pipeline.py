@@ -2,17 +2,20 @@
 stages, split at pipeline breakers — and the code that interprets a
 compiled program, written once for every batch-family engine.
 
-* :func:`compile_pipelines` walks an operator tree (consulting the
-  ``STREAMING``/``BREAKER`` annotations on the plan nodes the operators
-  were built from, see ``repro/plan/logical.py``) and produces a
+* :func:`compile_pipelines` walks an operator tree — one registered
+  handler per operator class, doing what the ``STREAMING``/``BREAKER``
+  annotation of its plan node says (``repro/plan/logical.py``); an
+  operator with no handler is an error — and produces a
   :class:`PipelineProgram`: a DAG of :class:`Pipeline` objects split at
-  breakers (aggregate, sort, hash-join build, nested-loop join), each a
-  *source* (scan, breaker output, or serial operator) plus a chain of
-  fused :class:`PipelineStage` steps (filter, project, hash-join probe,
-  distinct, limit) ending in a :class:`PipelineSink` (or the program
-  output).
+  breakers (aggregate, sort, hash-join build, nested-loop join right
+  side), each a *source* (scan, breaker output, or another leaf's block
+  generator) plus a chain of fused :class:`PipelineStage` steps (filter,
+  project, hash-join probe, nested-loop cross, distinct, limit) ending
+  in a :class:`PipelineSink` (or the program output).  Compiling and
+  running never change the operator tree.
 * Within a pipeline, one :class:`BlockCarrier` flows per source block
-  through every stage with **zero intermediate materialization**: a
+  (past a nested-loop cross, one per pair chunk) through every stage
+  with **zero intermediate materialization**: a
   filter (or a scan's pushed-down predicate) evaluates its mask against
   the scan block's columns directly, turns it once into the survivors'
   row indices and *defers* the selection on the carrier; a downstream
@@ -36,8 +39,8 @@ Every stage charges the clock it is handed exactly what the row
 operator charges for the same rows, in the same order (see
 ``SimClock.advance_charges``): scan ``TUPLE_CPU`` + pushed-predicate
 ``EVAL_PREDICATE`` per scanned row, filter ``EVAL_PREDICATE`` per input
-row, project ``TUPLE_CPU`` per *surviving* row, probe per the hash-join
-hooks.  Deferring a selection never changes a charge because charges are
+row, project ``TUPLE_CPU`` per *surviving* row, probe and cross per the
+join hooks.  Deferring a selection never changes a charge because charges are
 keyed to row counts, not to copies.  The parity suite
 (`tests/test_batch_parity.py`, `tests/test_pipeline.py`) holds the row
 engine and every driver of this module to identical rows and charged
@@ -47,7 +50,8 @@ LIMIT early exit
 ----------------
 A satisfied :class:`LimitStage` reports ``done`` and the streaming
 driver stops pulling the source pipeline — the contract that lets a
-LIMIT above a join probe stop the probe-side scan mid-table.  Placed
+LIMIT above a hash-join probe or a nested-loop cross stop the scan it
+rides on mid-table.  Placed
 engines run LIMIT plans through the same streaming driver on their
 serial lane: eager morsel dispatch would scan (and charge) rows the
 serial engines never touch.
@@ -59,6 +63,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.common.errors import ExecutionError
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
 from repro.exec.batch import RowBlock, selection
@@ -74,26 +79,6 @@ def table_blocks(table, layout: RowLayout, batch_size: int,
     ``start_page`` skips earlier pages entirely (tail scans)."""
     for columns, n in table.scan_column_batches(batch_size, start_page):
         yield RowBlock(layout, columns, n)
-
-
-class BlockSource(ops.Operator):
-    """Stands in for ``child`` under a serially-executed operator
-    (NestedLoopJoin, ...), replaying the blocks of the pipeline compiled
-    from it — a pre-computed list, or a lazy generator that produces them
-    on demand (single use).  Charges nothing and counts nothing itself:
-    the blocks' producers charge their cost and attribute their row
-    counts as the blocks are produced.  The replaced operator stays
-    reachable as ``_child``, so tree walkers (EXPLAIN ANALYZE's
-    annotation pass) still find the subtree.
-    """
-
-    def __init__(self, child: ops.Operator, blocks, clock: SimClock):
-        super().__init__(child.layout, clock)
-        self._child = child
-        self._blocks = blocks
-
-    def batches(self):
-        yield from self._blocks
 
 
 class BlockCarrier:
@@ -181,6 +166,23 @@ class ProbeStage(PipelineStage):
         return BlockCarrier(out) if out is not None else None
 
 
+class CrossStage(PipelineStage):
+    """Nested-loop join: crosses each left block with an
+    :class:`InnerSink`'s finished right block (read-only by the time any
+    left block arrives).  The one stage that fans out: :meth:`split`
+    hands the rest of the chain one carrier per pair chunk, built only
+    when pulled."""
+
+    def __init__(self, op: ops.NestedLoopJoinOp, inner: "InnerSink"):
+        super().__init__(op)
+        self.inner = inner
+
+    def split(self, carrier: BlockCarrier,
+              clock: SimClock) -> Iterator[BlockCarrier]:
+        return map(BlockCarrier, self.op.cross_block(
+            carrier.materialize(), self.inner.block, clock))
+
+
 class DistinctStage(PipelineStage):
     """Streaming DISTINCT: order-sensitive shared state, serial only."""
 
@@ -240,13 +242,6 @@ class PipelineSink:
         empty input)."""
 
 
-class CollectSink(PipelineSink):
-    """Plain collection — feeds serial operators' replay children."""
-
-    def absorb(self, block, clock):
-        self.result_blocks.append(block)
-
-
 class AggregateSink(PipelineSink):
     def __init__(self, op: ops.AggregateOp):
         super().__init__(op)
@@ -304,19 +299,46 @@ class BuildSink(PipelineSink):
         self.table = self.op.merge_build(self._parts, clock)
 
 
+class InnerSink(PipelineSink):
+    """Nested-loop join right side: its blocks collected whole — the row
+    engine's ``list(right)`` — then made one ``block`` at finish, which
+    every :class:`CrossStage` pass reads.  Charges nothing."""
+
+    def __init__(self, op: ops.NestedLoopJoinOp):
+        super().__init__(op)
+        self.block: RowBlock | None = None
+
+    def absorb(self, block, clock):
+        self.result_blocks.append(block)
+
+    def finish(self, clock):
+        self.block = RowBlock.from_rows(
+            self.op._right.layout,
+            [row for block in self.result_blocks
+             for row in block.iter_rows()])
+
+
 # -- sources ------------------------------------------------------------------
 
 
 class PipelineSource:
     """Where a pipeline's carriers come from.  Every source but
-    :class:`ScanSource` counts its own ``rows_out`` (operators driven
-    through ``batches()``, finished sinks); a scan's output is counted by
-    the :class:`BlockPass` that consumes it."""
+    :class:`ScanSource` counts its own ``rows_out`` (leaves' block
+    generators, finished sinks); a scan's output is counted by the
+    :class:`BlockPass` that consumes it."""
 
-    op: ops.Operator
+    def __init__(self, op: ops.Operator):
+        self.op = op
 
     def carriers(self, clock: SimClock) -> Iterator[BlockCarrier]:
         raise NotImplementedError
+
+    def traced(self, items: Iterator, clock: SimClock) -> Iterator:
+        """``items`` with each pull — and every charge made during it,
+        the buffer pool's page charges included — attributed to the
+        source operator's span when ``clock`` carries a tracer."""
+        tracer = clock.tracer
+        return items if tracer is None else tracer.trace_iter(self.op, items)
 
 
 # The streaming driver touches each block a fixed number of times however
@@ -337,7 +359,7 @@ class ScanSource(PipelineSource):
     pushed-down predicate becomes a deferred selection on the carrier."""
 
     def __init__(self, op: ops.SeqScanOp):
-        self.op = op
+        super().__init__(op)
         # set by compile_pipelines when the program contains a LIMIT:
         # early exit must stop on the pushed-down block boundaries
         self.early_exit = False
@@ -355,58 +377,17 @@ class ScanSource(PipelineSource):
         return None if out is None else BlockCarrier(*out)
 
     def carriers(self, clock):
-        for morsel in self.op._table.scan_column_batches(self.scan_rows()):
-            carrier = self.morsel_carrier(morsel, clock)
-            if carrier is not None:
-                yield carrier
+        morsels = self.op._table.scan_column_batches(self.scan_rows())
+        carriers = (self.morsel_carrier(morsel, clock) for morsel in morsels)
+        return self.traced((c for c in carriers if c is not None), clock)
 
 
 class OperatorSource(PipelineSource):
-    """Wraps an operator's own serial ``batches()`` (IndexScan, EmptyRow):
-    it charges the driving clock and attributes its own counts."""
-
-    def __init__(self, op: ops.Operator):
-        self.op = op
+    """A leaf's own block generator (IndexScan, EmptyRow), charging the
+    driving clock under the leaf's span; it attributes its own counts."""
 
     def carriers(self, clock):
-        self.op._clock = clock
-        for block in self.op.batches():
-            yield BlockCarrier(block)
-
-
-class SerialOpSource(PipelineSource):
-    """Operators without a fused decomposition (NestedLoopJoin, unknown
-    breakers): their child subtrees compile to their own pipelines; this
-    source swaps the children for block replays and drives the
-    operator's unchanged serial path.
-
-    Two replay modes.  :meth:`carriers` (the placed walk) expects the
-    child pipelines already run into their :class:`CollectSink`\\ s.
-    :meth:`lazy_carriers` (the streaming driver) hands the operator
-    *generators* that drive the child pipelines on demand — the
-    operator's own pull order decides what actually runs, so a LIMIT
-    above a NestedLoopJoin stops the lazily-pulled side mid-scan, like
-    the row engine's generator laziness."""
-
-    def __init__(self, op: ops.Operator,
-                 children: list[tuple[str, "Pipeline"]]):
-        self.op = op
-        self.children = children
-
-    def _replay(self, clock: SimClock, blocks_for) -> Iterator[BlockCarrier]:
-        self.op._clock = clock
-        for attr, child_pipeline in self.children:
-            child = getattr(self.op, attr)
-            setattr(self.op, attr,
-                    BlockSource(child, blocks_for(child_pipeline), clock))
-        for block in self.op.batches():
-            yield BlockCarrier(block)
-
-    def carriers(self, clock):
-        return self._replay(clock, lambda cp: cp.sink.result_blocks)
-
-    def lazy_carriers(self, clock):
-        return self._replay(clock, lambda cp: _drive(cp, clock))
+        return map(BlockCarrier, self.traced(self.op.blocks(clock), clock))
 
 
 class SinkSource(PipelineSource):
@@ -414,12 +395,11 @@ class SinkSource(PipelineSource):
     and attributed by the sink)."""
 
     def __init__(self, sink: PipelineSink):
+        super().__init__(sink.op)
         self.sink = sink
-        self.op = sink.op
 
     def carriers(self, clock):
-        for block in self.sink.result_blocks:
-            yield BlockCarrier(block)
+        return map(BlockCarrier, self.sink.result_blocks)
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -429,7 +409,8 @@ class Pipeline:
     """One streaming chain: source -> fused stages -> sink (or output).
 
     ``inputs`` are the pipelines that must run to their sinks before this
-    one starts (hash-join builds, breaker inputs, serial-op children).
+    one starts (hash-join builds, nested-loop right sides, breaker
+    inputs).
     """
 
     def __init__(self, source: PipelineSource):
@@ -470,9 +451,9 @@ class PipelineProgram:
 
 def compile_pipelines(op: ops.Operator) -> PipelineProgram:
     """Compile an operator tree into a pipeline DAG, splitting at the
-    plan-level ``BREAKER`` annotations and fusing ``STREAMING`` nodes into
-    their child's pipeline.  Pure inspection: operators are not mutated
-    until the program runs."""
+    breakers and fusing the streaming operators into their child's
+    pipeline.  Pure inspection: neither compiling nor running the
+    program mutates an operator."""
     pipelines: list[Pipeline] = []
     root = _compile(op, pipelines)
     pipelines.append(root)
@@ -494,21 +475,34 @@ def _close(pipeline: Pipeline, sink: PipelineSink,
     return pipeline
 
 
-# how each STREAMING plan node's operator fuses into its child pipeline
-_STREAMING_STAGES: dict[type, type] = {
-    ops.FilterOp: FilterStage,
-    ops.ProjectOp: ProjectStage,
-}
+def _source(source_cls):
+    """Leaves start a pipeline: a SeqScan through its fused hook, the
+    other leaves through their own block generators."""
+    return lambda op, pipelines: Pipeline(source_cls(op))
 
 
-def _break_at_sink(op: ops.Operator, sink_cls,
-                   pipelines: list[Pipeline]) -> Pipeline:
+def _as_stage(stage_cls):
+    """Filter and Project fuse into their child's pipeline as streaming
+    stages; the order-sensitive breakers (Distinct's seen set, Limit's
+    early-exit counter) ride it as serial stages, which end fusion for
+    the placed engines but stream in place serially."""
+    def handler(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
+        p = _compile(op._child, pipelines)
+        p.stages.append(stage_cls(op))
+        return p
+    return handler
+
+
+def _break_at_sink(sink_cls):
     """Full breaker: the child subtree becomes its own pipeline feeding a
     sink; the breaker's output starts the next pipeline."""
-    feeder = _close(_compile(op._child, pipelines), sink_cls(op), pipelines)
-    out = Pipeline(SinkSource(feeder.sink))
-    out.inputs.append(feeder)
-    return out
+    def handler(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
+        feeder = _close(_compile(op._child, pipelines), sink_cls(op),
+                        pipelines)
+        out = Pipeline(SinkSource(feeder.sink))
+        out.inputs.append(feeder)
+        return out
+    return handler
 
 
 def _break_hash_join(op: ops.HashJoinOp,
@@ -522,21 +516,27 @@ def _break_hash_join(op: ops.HashJoinOp,
     return probe
 
 
-def _break_as_stage(stage_cls):
-    """Order-sensitive breakers (Distinct's seen set, Limit's early-exit
-    counter) ride the pipeline as serial stages: they end fusion for the
-    parallel engine but stream in place serially."""
-    def handler(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
-        p = _compile(op._child, pipelines)
-        p.stages.append(stage_cls(op))
-        return p
-    return handler
+def _break_nested_loop(op: ops.NestedLoopJoinOp,
+                       pipelines: list[Pipeline]) -> Pipeline:
+    """NestedLoopJoin, the hash join's sides swapped to match the row
+    engine, which lists the right side before it streams the left: the
+    right side is the breaker and the cross fuses into the left child's
+    pipeline as a streaming stage.  The left side runs whatever the
+    right side holds (an empty one charges the same left-side work as
+    the row engine), and a LIMIT above stops it mid-scan."""
+    inner = _close(_compile(op._right, pipelines), InnerSink(op), pipelines)
+    outer = _compile(op._left, pipelines)
+    # the right side runs before any of the left side's own inputs, in
+    # the row engine's order
+    outer.inputs.insert(0, inner)
+    outer.stages.append(CrossStage(op, inner.sink))
+    return outer
 
 
 def _break_limit(op: ops.LimitOp, pipelines: list[Pipeline]) -> Pipeline:
     """Limit rides as a serial stage; directly above a sort it also tells
     the sort sink how many rows will ever be read (top-k)."""
-    p = _break_as_stage(LimitStage)(op, pipelines)
+    p = _as_stage(LimitStage)(op, pipelines)
     if (len(p.stages) == 1 and op._limit is not None
             and isinstance(p.source, SinkSource)
             and isinstance(p.source.sink, SortSink)):
@@ -544,59 +544,30 @@ def _break_limit(op: ops.LimitOp, pipelines: list[Pipeline]) -> Pipeline:
     return p
 
 
-# how each BREAKER plan node's operator splits the pipeline; an
-# unregistered breaker gets the conservative serial fallback below
-_BREAKER_HANDLERS = {
-    ops.AggregateOp: lambda op, ps: _break_at_sink(op, AggregateSink, ps),
-    ops.SortOp: lambda op, ps: _break_at_sink(op, SortSink, ps),
+# how each operator compiles; the plan nodes' STREAMING / BREAKER
+# annotations (repro/plan/logical.py) name which kind of handler it has
+_HANDLERS = {
+    ops.SeqScanOp: _source(ScanSource),
+    ops.IndexScanOp: _source(OperatorSource),
+    ops.EmptyRowOp: _source(OperatorSource),
+    ops.FilterOp: _as_stage(FilterStage),
+    ops.ProjectOp: _as_stage(ProjectStage),
+    ops.AggregateOp: _break_at_sink(AggregateSink),
+    ops.SortOp: _break_at_sink(SortSink),
     ops.HashJoinOp: _break_hash_join,
-    ops.DistinctOp: _break_as_stage(DistinctStage),
+    ops.NestedLoopJoinOp: _break_nested_loop,
+    ops.DistinctOp: _as_stage(DistinctStage),
     ops.LimitOp: _break_limit,
 }
 
 
 def _compile(op: ops.Operator, pipelines: list[Pipeline]) -> Pipeline:
-    """One subtree -> one pipeline, dispatching on the plan-level
-    STREAMING/BREAKER annotations (``repro/plan/logical.py``); sources
-    and anything unannotated — or annotated but with no registered
-    handler — fall through to the conservative serial paths."""
-    node = op.plan_node
-    if node is not None:
-        if type(node).STREAMING:
-            stage_cls = _STREAMING_STAGES.get(type(op))
-            if stage_cls is not None:
-                p = _compile(op._child, pipelines)
-                p.stages.append(stage_cls(op))
-                return p
-        elif type(node).BREAKER:
-            handler = _BREAKER_HANDLERS.get(type(op))
-            if handler is not None:
-                return handler(op, pipelines)
-
-    # sources: scans (fused hook) and self-contained leaves
-    if isinstance(op, ops.SeqScanOp):
-        return Pipeline(ScanSource(op))
-    if not any(isinstance(getattr(op, attr, None), ops.Operator)
-               for attr in ("_child", "_left", "_right")):
-        # leaf without a fused decomposition (IndexScan, EmptyRow): its
-        # own serial batches() path is the source
-        return Pipeline(OperatorSource(op))
-
-    # conservative serial fallback (NestedLoopJoin, unregistered breaker
-    # or streaming nodes): children become their own pipelines; the
-    # operator replays their blocks through its unchanged serial path
-    children: list[tuple[str, Pipeline]] = []
-    inputs: list[Pipeline] = []
-    for attr in ("_child", "_left", "_right"):
-        child = getattr(op, attr, None)
-        if isinstance(child, ops.Operator):
-            cp = _close(_compile(child, pipelines), CollectSink(child),
-                        pipelines)
-            inputs.append(cp)
-            children.append((attr, cp))
-    p = Pipeline(SerialOpSource(op, children))
-    p.inputs = inputs
-    return p
+    """One subtree -> one pipeline, by its root operator's handler."""
+    handler = _HANDLERS.get(type(op))
+    if handler is None:
+        raise ExecutionError(
+            f"no pipeline handler for operator {type(op).__name__}")
+    return handler(op, pipelines)
 
 
 # -- the per-block pass -------------------------------------------------------
@@ -630,7 +601,7 @@ class BlockPass:
     ``scan`` is the pipeline's :class:`ScanSource`, if that is where the
     carriers come from: the pass then counts the scan's output too (every
     other source attributes its own rows).  A ``deferred`` pass's tasks
-    hand their survivor on as the carrier, selection still pending, for a
+    hand their survivors on as carriers, selection still pending, for a
     sink hook that takes row indices (aggregate partials).  The pass never
     touches ``rows_out``: it returns the per-operator counts and the
     caller hands them to :meth:`credit` once the task has succeeded,
@@ -649,19 +620,39 @@ class BlockPass:
                        [tracer.operator_span(stage.op) for stage in stages])
 
     def run(self, carrier: BlockCarrier | None, clock: SimClock
-            ) -> tuple[list[int], BlockCarrier | None]:
-        """Push one carrier through the chain; returns the counts (aligned
-        with ``ops``) and the surviving carrier, its selection still
-        deferred wherever the stages allow — None once a stage (or the
-        source) rejects every row."""
+            ) -> tuple[list[int], Iterator[BlockCarrier]]:
+        """Push one carrier through the chain.  Returns the per-operator
+        counts (aligned with ``ops``, filled in as the survivors are
+        pulled) and the survivors, their selections still deferred
+        wherever the stages allow — none once a stage (or the source)
+        rejects every row.  One carrier in is at most one out, except
+        past a :class:`CrossStage`: each of its chunks runs the rest of
+        the chain before the next one is built, so a consumer that stops
+        pulling (a satisfied LIMIT) leaves the rest of the cross unbuilt
+        and uncharged."""
         lens = [0] * len(self.ops)
         if carrier is None:
-            return lens, None
-        at = 0 if self.scan is None else 1    # the stages' offset in ops
-        if at:
+            return lens, iter(())
+        if self.scan is not None:
             lens[0] = carrier.count
+        return lens, self._push(carrier, 0, clock, lens)
+
+    def _push(self, carrier: BlockCarrier, first: int, clock: SimClock,
+              lens: list[int]) -> Iterator[BlockCarrier]:
+        """Stages ``first`` onwards over one carrier (see :meth:`run`)."""
+        at = 0 if self.scan is None else 1    # the stages' offset in ops
         tracer, spans = self._tracer, self._spans
-        for j, stage in enumerate(self.stages):
+        stages = self.stages
+        for j in range(first, len(stages)):
+            stage = stages[j]
+            if isinstance(stage, CrossStage):
+                parts = stage.split(carrier, clock)
+                if tracer is not None:
+                    parts = tracer.trace_iter(stage.op, parts)
+                for part in parts:
+                    lens[at + j] += part.count
+                    yield from self._push(part, j + 1, clock, lens)
+                return
             if spans is not None:
                 tracer.push(spans[j])
             try:
@@ -670,25 +661,26 @@ class BlockPass:
                 if spans is not None:
                     tracer.pop()
             if carrier is None:
-                break
-            lens[at + j] = carrier.count
-        return lens, carrier
+                return
+            lens[at + j] += carrier.count
+        yield carrier
 
     def task(self, unit, clock: SimClock
-             ) -> tuple[list[int], RowBlock | BlockCarrier | None]:
+             ) -> tuple[list[int], list[RowBlock | BlockCarrier]]:
         """One placed task: admit the unit — a scan morsel through the
         scan's fused hook (under the scan's span), or an already
-        produced block — run the chain, and materialize the survivor
+        produced block — run the chain, and materialize the survivors
         (unless the pass is ``deferred``)."""
         if self.scan is not None:
             carrier = under_span(self._tracer, self.scan.op,
                                   self.scan.morsel_carrier)(unit, clock)
         else:
             carrier = BlockCarrier(unit)
-        lens, out = self.run(carrier, clock)
-        if out is not None and not self.deferred:
-            out = out.materialize()
-        return lens, out
+        lens, outs = self.run(carrier, clock)
+        outs = list(outs)
+        if not self.deferred:
+            outs = [out.materialize() for out in outs]
+        return lens, outs
 
     def credit(self, lens: list[int]) -> None:
         for op, n_out in zip(self.ops, lens):
@@ -704,46 +696,29 @@ def run_program(program: PipelineProgram,
     pipeline's output blocks lazily (so budget enforcement and
     row-at-a-time consumers see charges as they accrue, and a satisfied
     LIMIT stops the scan)."""
-    yield from _drive(program.root, clock)
-
-
-def _drive(pipeline: Pipeline, clock: SimClock) -> Iterator[RowBlock]:
-    """Program-output drive: every surviving carrier materialized."""
-    for carrier in _drive_carriers(pipeline, clock):
+    for carrier in _drive_carriers(program.root, clock):
         yield carrier.materialize()
 
 
 def _drive_carriers(pipeline: Pipeline,
                     clock: SimClock) -> Iterator[BlockCarrier]:
-    """One :class:`BlockPass` per source block.  The source pull runs
-    under the source operator's span (so a scan's charges — including
-    its pushed-down predicate and the buffer pool's page charges — land
-    on the scan).  Carriers are yielded with any remaining selection
-    still deferred — sinks that take row indices consume them as-is."""
+    """Inputs to their sinks, then one :class:`BlockPass` per source
+    block.  Carriers are yielded with any remaining selection still
+    deferred — sinks that take row indices consume them as-is."""
+    for dep in pipeline.inputs:
+        _run_to_sink(dep, clock)
     source = pipeline.source
-    if isinstance(source, SerialOpSource):
-        # the operator's child pipelines are driven lazily through its
-        # own pull order (so early exit can abandon them); only other
-        # inputs (e.g. a hash-join build upstream) run eagerly
-        lazy = {child_pipeline for _, child_pipeline in source.children}
-        for dep in pipeline.inputs:
-            if dep not in lazy:
-                _run_to_sink(dep, clock)
-        carriers = source.lazy_carriers(clock)
-    else:
-        for dep in pipeline.inputs:
-            _run_to_sink(dep, clock)
-        carriers = source.carriers(clock)
-    tracer = clock.tracer
-    scan = source if isinstance(source, ScanSource) else None
-    if tracer is not None and scan is not None:
-        carriers = tracer.trace_iter(scan.op, carriers)
-    block_pass = BlockPass(pipeline.stages, tracer, scan)
-    for carrier in carriers:
-        lens, out = block_pass.run(carrier, clock)
-        block_pass.credit(lens)
-        if out is not None:
-            yield out
+    block_pass = BlockPass(pipeline.stages, clock.tracer,
+                           source if isinstance(source, ScanSource) else None)
+    for carrier in source.carriers(clock):
+        lens, outs = block_pass.run(carrier, clock)
+        try:
+            for out in outs:
+                yield out
+                if pipeline.stopped:
+                    break
+        finally:
+            block_pass.credit(lens)
         if pipeline.stopped:
             break
 

@@ -25,18 +25,18 @@ class PlanNode:
         est_rows: estimated output cardinality.
         est_cost: estimated virtual-time cost of the subtree.
 
-    Class-level pipeline annotations (consumed by
-    ``repro/exec/pipeline.py`` when a plan is compiled into fused
-    pipelines):
+    Class-level pipeline annotations (what the handler
+    ``repro/exec/pipeline.py`` registers for the node's operator does
+    when a plan is compiled into fused pipelines):
 
     * ``STREAMING`` — the node processes one block at a time and fuses
       into its child's pipeline as a :class:`~repro.exec.pipeline.PipelineStage`
-      (Filter, Project; the HashJoin *probe* side is the one streaming
-      half of a breaker node).
+      (Filter, Project; the HashJoin *probe* side and the NestedLoopJoin
+      *cross* are the streaming halves of breaker nodes).
     * ``BREAKER`` — the node must consume (some of) its input entirely
       before producing output, so the pipeline splits here: the input
       subtree becomes its own pipeline feeding a sink (Aggregate, Sort,
-      HashJoin build, NestedLoopJoin, Distinct) or an order-sensitive
+      HashJoin build, NestedLoopJoin right side) or an order-sensitive
       stage that ends fusion for the parallel engine (Distinct's seen
       set, Limit's early-exit counter).
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.common.errors import CatalogError
+from repro.common.errors import CatalogError, check_at_least
 from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.storage.buffer import BufferPool
@@ -58,7 +58,8 @@ class Catalog:
         self.faults = faults
         # default shard count for created tables (None/1 = unsharded);
         # per-table `shards=` on create_table overrides it
-        self.default_shards = shards
+        self.default_shards = (None if shards is None
+                               else check_at_least("shards", shards))
         self._tables: dict[str, HeapTable | ReplicatedTable] = {}
         self._indexes: dict[str, IndexEntry] = {}
         self._stats: dict[str, TableStats] = {}
@@ -80,10 +81,8 @@ class Catalog:
             raise CatalogError(f"table {name!r} already exists")
         use_replication = (replicated if replicated is not None
                            else self.replication)
-        shard_count = shards if shards is not None else self.default_shards
-        if shard_count is not None and shard_count < 1:
-            raise CatalogError(f"table {name!r}: shards must be >= 1, "
-                               f"got {shard_count}")
+        shard_count = (self.default_shards if shards is None
+                       else check_at_least("shards", shards))
         if (shard_count is not None and shard_count > 1) or partition:
             table: "HeapTable | ReplicatedTable | ShardedTable" = (
                 ShardedTable(schema, shard_count or 1,

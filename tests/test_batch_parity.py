@@ -28,6 +28,7 @@ from repro.common.simtime import CostModel, SimClock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.pipeline import FUSED_SCAN_ROWS
+from repro.plan import logical
 from repro.sql import parse
 
 # scan / filter / project / join / aggregate / sort / limit / distinct,
@@ -166,6 +167,8 @@ def parity_db():
         db.execute(f"INSERT INTO orders VALUES ({i}, {i % 60}, "
                    f"{round(float(i) * 1.5 + 1, 2)}, '{statuses[i % 3]}')")
     db.execute("CREATE INDEX idx_users_id ON users (id)")
+    # the empty right (or left) side of a nested-loop join
+    db.execute("CREATE TABLE nobody (k INT, label TEXT)")
     # a slice of the Table 1 E-commerce workload table
     from repro.workloads.avazu import AvazuGenerator, load_into_db
     load_into_db(db, AvazuGenerator(seed=0), cluster=0, count=300)
@@ -646,8 +649,121 @@ def sharded_parity_db():
     for i in range(200):
         db.execute(f"INSERT INTO orders VALUES ({i}, {i % 60}, "
                    f"{round(float(i) * 1.5 + 1, 2)}, '{statuses[i % 3]}')")
+    db.execute("CREATE TABLE nobody (k INT, label TEXT)")
     db.execute("ANALYZE")
     return db
+
+
+# Nested-loop joins.  A cross join keeps the FROM order, so the second
+# table is the right side the join collects whole before the left side
+# streams through it; the NLJ candidates of an equi-join carry the join
+# condition as the NLJ's own (see _nlj_plans).
+NLJ_QUERIES = [
+    # a filter over the pair under a computed projection
+    "SELECT u.id * 2 + o.oid AS k, upper(u.name) AS nm FROM users u, "
+    "orders o WHERE u.age * 5 > o.amount AND o.status = 'paid'",
+    "SELECT count(*), sum(o.amount) FROM users u, orders o WHERE u.age < 25",
+    # an empty right side still drains the left one; an empty left side
+    "SELECT u.name, n.k FROM users u, nobody n",
+    "SELECT count(*) FROM users u, nobody n",
+    "SELECT n.label, u.id FROM nobody n, users u WHERE u.age > 30",
+    # LIMIT / OFFSET over the cross: the left scan stops mid-table
+    "SELECT u.id, o.oid FROM users u, orders o LIMIT 9 OFFSET 50",
+    "SELECT u.name, o.amount FROM users u, orders o "
+    "WHERE u.age > o.amount / 5 LIMIT 5 OFFSET 3",
+]
+
+NLJ_EQUI_JOIN = ("SELECT u.name, o.amount FROM users u JOIN orders o "
+                 "ON u.id = o.user_id WHERE u.age < 40")
+
+NLJ_ENGINES = ([("batch", {})]
+               + [("parallel", {"workers": w, "morsel_rows": 16})
+                  for w in (1, 2, 4)]
+               + [("distributed", {"nodes": 3, "morsel_rows": 16})])
+
+
+def _nlj_plans(db):
+    """(label, plan) for every NLJ_QUERIES entry, plus each candidate
+    plan of NLJ_EQUI_JOIN that joins by a conditional nested loop."""
+    plans = [(sql, db.planner.plan_select(parse(sql)))
+             for sql in NLJ_QUERIES]
+    conditional = [
+        candidate for candidate in db.planner.candidate_plans(
+            parse(NLJ_EQUI_JOIN), 12)
+        if any(isinstance(node, logical.NestedLoopJoin)
+               and node.condition is not None for node in candidate.walk())]
+    assert conditional
+    plans += [(f"{NLJ_EQUI_JOIN} as {logical.plan_signature(candidate)}",
+               candidate) for candidate in conditional]
+    for label, plan in plans:
+        assert any(isinstance(node, logical.NestedLoopJoin)
+                   for node in plan.walk()), label
+    return plans
+
+
+@pytest.mark.parametrize("engine, kwargs", NLJ_ENGINES,
+                         ids=[f"{e}-{k}" for e, k in NLJ_ENGINES])
+def test_nested_loop_join_parity(parity_db, sharded_parity_db, engine,
+                                 kwargs):
+    """Nested-loop joins on every block engine, distributed over three
+    shards: rows bit-identical to the row engine's, and charges equal to
+    its at the file's tolerance (network overhead aside).  A LIMIT plan
+    runs the streaming driver everywhere and stops on a block boundary,
+    so there the charges are held to the batch engine's instead."""
+    db = sharded_parity_db if engine == "distributed" else parity_db
+    for label, plan in _nlj_plans(db):
+        where = f"{label} on {engine} {kwargs}"
+        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
+        got, rows_out, charged = _run_charged(db, engine, kwargs, plan)
+        assert got.columns == expected.columns, where
+        assert _typed(got.rows) == _typed(expected.rows), where
+        if " LIMIT " not in label:
+            network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
+            assert got.virtual_seconds - network == pytest.approx(
+                expected.virtual_seconds, rel=1e-6, abs=1e-9), where
+        elif engine != "batch":
+            _, batch_rows_out, batch_charged = _run_charged(db, "batch", {},
+                                                            plan)
+            assert rows_out == batch_rows_out, where
+            assert charged.keys() == batch_charged.keys(), where
+            for category, seconds in charged.items():
+                assert seconds == pytest.approx(batch_charged[category],
+                                                rel=1e-9, abs=1e-12), where
+
+
+def _links(op):
+    """What an engine must never rewrite: an operator's children and its
+    clock."""
+    return {attr: getattr(op, attr, None)
+            for attr in ("_child", "_left", "_right", "_clock")}
+
+
+def test_engines_never_change_the_operator_tree(parity_db, monkeypatch):
+    """No engine rewrites the tree it runs: after ``Executor.run``, every
+    operator ``Executor.build`` made still has the same children and the
+    same clock, compared by identity."""
+    built = []
+    build = Executor.build
+
+    def recording(self, node):
+        op = build(self, node)
+        built.append((op, _links(op)))
+        return op
+
+    monkeypatch.setattr(Executor, "build", recording)
+    for engine, kwargs in (("row", {}), ("batch", {}),
+                           ("parallel", {"workers": 4, "morsel_rows": 16}),
+                           ("distributed", {"nodes": 3, "morsel_rows": 16})):
+        executor = Executor(parity_db.catalog, parity_db.clock,
+                            engine=engine, **kwargs)
+        for sql in PARITY_QUERIES + NLJ_QUERIES:
+            built.clear()
+            executor.run(parity_db.planner.plan_select(parse(sql)))
+            assert built, sql
+            for op, links in built:
+                assert all(getattr(op, attr, None) is value
+                           for attr, value in links.items()), \
+                    f"{sql} on {engine}: {type(op).__name__} changed"
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])

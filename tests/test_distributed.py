@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 import repro
@@ -28,7 +29,9 @@ from repro.common.simtime import CostModel, NetworkModel, SimClock
 from repro.exec.distributed import DistributedScheduler, block_bytes
 from repro.exec.executor import Executor
 from repro.obs.metrics import MetricsRegistry
+from repro.plan import logical
 from repro.sql import parse
+from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, DataType, TableSchema
 from partial_oracle import payload_bytes, payload_units
 
@@ -47,6 +50,10 @@ DIST_QUERIES = [
     "SELECT DISTINCT city FROM users ORDER BY city",
     "SELECT name, age FROM users ORDER BY age DESC, name LIMIT 5",
     "SELECT age, count(*) FROM users WHERE age > 25 GROUP BY age ORDER BY age",
+    # a cross join with a filter over the pair: the right side broadcast,
+    # the left side's shard fragments crossing it
+    "SELECT name, oid FROM users, orders WHERE age * 5 > amount "
+    "AND item = 'it3'",
 ]
 
 
@@ -210,6 +217,51 @@ class TestDistributedParity:
         assert cat.BROADCAST in kinds  # build side ships to every peer
         assert cat.GATHER in kinds
 
+    @pytest.mark.parametrize("engine, kwargs", [
+        ("parallel", {"workers": 2}), ("distributed", {"nodes": 3})])
+    def test_cross_join_right_side_folds_after_left(self, monkeypatch,
+                                                    engine, kwargs):
+        """A cross join's right side runs first (the left side's tasks
+        read it), yet its task clocks fold after the left side's: each
+        table's scan charges fold in the plan's left-to-right leaf order,
+        the order each category summed them in when the join ran on the
+        serial lane — nested crosses included."""
+        db = repro.connect(shards=3 if engine == "distributed" else None)
+        sizes = {"a": 40, "b": 20, "c": 30}
+        for name, rows in sizes.items():
+            db.execute(f"CREATE TABLE {name} (v INT)")
+            table = db.catalog.table(name)
+            for i in range(rows):
+                table.insert((i,))
+        db.execute("ANALYZE")
+        folded = []
+        fold = DistributedScheduler._fold
+
+        def recording(self, shard, by_category):
+            folded.append(shard.breakdown())
+            return fold(self, shard, by_category)
+
+        monkeypatch.setattr(DistributedScheduler, "_fold", recording)
+        for sql in ("SELECT count(*) FROM a, b",
+                    "SELECT count(*) FROM a, b, c"):
+            plan = db.planner.plan_select(parse(sql))
+            leaves = [sizes[node.table] for node in plan.walk()
+                      if isinstance(node, logical.SeqScan)]
+            folded.clear()
+            got = Executor(db.catalog, db.clock, engine=engine,
+                           morsel_rows=8, **kwargs).run(plan)
+            assert got.rows == [(int(np.prod(leaves)),)]
+            scanned = [round(charges["scan"] / CostModel.TUPLE_CPU)
+                       for charges in folded if "scan" in charges]
+            # consecutive morsels add up to one leaf's table, leaf by leaf
+            sides, run = [], 0
+            for rows in scanned:
+                run += rows
+                if len(sides) < len(leaves) and run == leaves[len(sides)]:
+                    sides.append(run)
+                    run = 0
+            assert sides == leaves and run == 0, sql
+
     def test_unsharded_table_runs_as_one_pseudo_shard(self):
         db = _build_db(1)
         got = _run(db, "SELECT city, count(*) FROM users GROUP BY city "
@@ -368,7 +420,50 @@ class TestSlowNode:
             assert _typed(got.rows) == _typed(base.rows), sql
 
 
+#: how each integer knob is set, and its minimum
+KNOBS = {
+    "workers": (lambda v: Executor(Catalog(), engine="parallel",
+                                   workers=v), 1),
+    "nodes": (lambda v: repro.connect(nodes=v, engine="distributed"), 1),
+    "morsel_rows": (lambda v: Executor(Catalog(), morsel_rows=v), 1),
+    "retry_limit": (lambda v: Executor(Catalog(), retry_limit=v), 0),
+    "num_runtimes": (lambda v: repro.connect(num_runtimes=v), 1),
+    "shards": (lambda v: repro.connect(shards=v), 1),
+}
+
+
 class TestSchedulerValidation:
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "below_minimum"])
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    def test_integer_knob_rejected_at_construction(self, knob, bad):
+        """A fraction, a bool or a value below the minimum is refused
+        when the knob is set, before any table exists, by an error that
+        names the knob."""
+        construct, minimum = KNOBS[knob]
+        value = {"fraction": 2.5, "bool": True,
+                 "below_minimum": minimum - 1}[bad]
+        with pytest.raises((TypeError, ValueError), match=knob):
+            construct(value)
+
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_per_table_shards_follow_the_same_rule(self, value):
+        """``create_table(shards=)`` is checked by the rule that checks
+        the catalog default, and refused before the table exists."""
+        catalog = Catalog()
+        schema = TableSchema("t", [Column("id", DataType.INT)])
+        with pytest.raises((TypeError, ValueError), match="shards"):
+            catalog.create_table(schema, shards=value)
+        assert not catalog.has_table("t")
+
+    def test_numpy_integer_knobs_are_accepted_as_ints(self):
+        executor = Executor(Catalog(), engine="parallel",
+                            workers=np.int64(3), morsel_rows=np.int32(8),
+                            retry_limit=np.int64(0))
+        knobs = (executor.workers, executor.morsel_rows,
+                 executor.retry_limit)
+        assert knobs == (3, 8, 0)
+        assert all(type(knob) is int for knob in knobs)
+
     def test_rejects_bad_topology(self):
         clock = SimClock()
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def test_deleted_members_are_reported(monkeypatch):
     text = ("`PartialGroups.of_entries` is gone, `AggregateOp.group_partials()`"
             " too; `AggregateOp.fold_partial`, `AggPartial.keys`, "
             "`AggState.index`, `NeurDB.execute()`, `DataType.INT`, "
-            "`CollectSink.finish()` (its base's) and "
+            "`SortSink.absorb_carrier()` (its base's) and "
             "`ROADMAP.md` / `BENCH_parallel.json` are fine, `Db.execute` not")
     assert member_errors(text) == ["`PartialGroups.of_entries`",
                                    "`AggregateOp.group_partials()`",

@@ -164,6 +164,9 @@ SWEEP_QUERIES = [
     "SELECT * FROM t",
     "SELECT grp, count(*), sum(v), avg(v) FROM t GROUP BY grp",
     "SELECT id, v FROM t WHERE v > 20.0 ORDER BY v DESC",
+    # a cross join with a filter over the pair: the cross runs in the
+    # left side's scan tasks
+    "SELECT a.id, b.id FROM t a, t b WHERE a.v > b.v AND b.grp = 'g3'",
 ]
 
 TASK_KINDS = ("task_error", "worker_crash", "slow_worker", "slow_node")

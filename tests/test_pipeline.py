@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.exec import operators as ops
 from repro.exec import pipeline as pl
 from repro.exec.executor import Executor
-from repro.exec.expr import RowLayout, compile_expr, compile_expr_vector
+from repro.exec.expr import (NO_COLUMNS, RowLayout, compile_expr,
+                             compile_expr_vector)
 from repro.storage.types import DataType
-from repro.common.simtime import CostModel
+from repro.common.errors import ExecutionError
+from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.sql import ast, parse
 
@@ -105,6 +108,39 @@ class TestCompile:
         stage = program.root.stages[-1]
         assert isinstance(stage, pl.DistinctStage)
         assert not stage.parallel_safe
+
+    def test_every_plan_node_compiles_through_a_handler(self):
+        """Every concrete plan node's operator has a registered pipeline
+        handler, and an operator without one is an ExecutionError."""
+        from repro.exec import operators as ops
+        from repro.plan import logical as plan
+        nodes, queue = [], [plan.PlanNode]
+        while queue:
+            for sub in queue.pop().__subclasses__():
+                nodes.append(sub)
+                queue.append(sub)
+        assert len(nodes) == 11
+        for node_cls in nodes:
+            assert getattr(ops, node_cls.__name__ + "Op") in pl._HANDLERS, \
+                node_cls.__name__
+
+        class Unregistered(ops.Operator):
+            pass
+
+        with pytest.raises(ExecutionError, match="Unregistered"):
+            pl.compile_pipelines(Unregistered(NO_COLUMNS, SimClock()))
+
+    def test_nested_loop_join_collects_right_crosses_left(self, db):
+        program = _program(db, "SELECT t.id, u.name FROM t, u WHERE "
+                               "t.v > u.gid")
+        assert program.describe() == ["Scan→Inner!",
+                                      "Scan→Cross→Filter→Project"]
+        inner, outer = program.pipelines
+        assert isinstance(inner.sink, pl.InnerSink)
+        assert outer.inputs == [inner]
+        cross = outer.stages[0]
+        assert isinstance(cross, pl.CrossStage) and cross.parallel_safe
+        assert cross.inner is inner.sink
 
     def test_breaker_annotations_on_plan_nodes(self):
         from repro.plan import logical as plan
@@ -293,6 +329,74 @@ def test_limit_over_nested_loop_join_stays_lazy():
     assert got.virtual_seconds < 0.5 * full.virtual_seconds
     assert got.virtual_seconds <= expected.virtual_seconds \
         + DEFAULT_BATCH_SIZE * full.virtual_seconds / 5000
+
+
+def _cross_db(left_rows: int, right_rows: int):
+    db = repro.connect()
+    db.execute("CREATE TABLE big (x INT)")
+    db.execute("CREATE TABLE few (y INT)")
+    big, few = db.catalog.table("big"), db.catalog.table("few")
+    for i in range(left_rows):
+        big.insert((i,))
+    for i in range(right_rows):
+        few.insert((i,))
+    db.execute("ANALYZE")
+    return db
+
+
+CROSS_ENGINES = [("batch", {}),
+                 ("parallel", {"workers": 2, "morsel_rows": 1000}),
+                 ("distributed", {"nodes": 2, "morsel_rows": 1000})]
+
+
+@pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
+                         ids=[engine for engine, _ in CROSS_ENGINES])
+def test_cross_blocks_never_exceed_the_pair_chunk(monkeypatch, engine,
+                                                  kwargs):
+    """A cross join hands the rest of its pipeline one block per pair
+    chunk, however large the left block (3,000 rows here, one scan block
+    on the batch engine): a projection or an aggregate above it never
+    sees more than ``_PAIR_CHUNK`` pairs at once, and sees them all."""
+    db = _cross_db(3000, 40)
+    seen = []
+    project_block = ops.ProjectOp.project_block
+    partial_block = ops.AggregateOp.partial_block
+
+    def spy_project(self, block, rows, count, clock):
+        seen.append(count)
+        return project_block(self, block, rows, count, clock)
+
+    def spy_partial(self, block, rows, count, clock):
+        seen.append(count)
+        return partial_block(self, block, rows, count, clock)
+
+    monkeypatch.setattr(ops.ProjectOp, "project_block", spy_project)
+    monkeypatch.setattr(ops.AggregateOp, "partial_block", spy_partial)
+    executor = Executor(db.catalog, db.clock, engine=engine, **kwargs)
+    for sql in ("SELECT x + y FROM big, few",
+                "SELECT count(*) FROM big, few"):
+        seen.clear()
+        result = executor.run(db.planner.plan_select(parse(sql)))
+        assert max(seen) <= ops.NestedLoopJoinOp._PAIR_CHUNK, sql
+        assert sum(seen) == 3000 * 40, sql
+        assert len(result.rows) == (1 if "count" in sql else 3000 * 40)
+
+
+@pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
+                         ids=[engine for engine, _ in CROSS_ENGINES])
+def test_limit_over_cross_join_stops_within_one_pair_chunk(engine, kwargs):
+    """A satisfied LIMIT stops a cross join between pair chunks: the join
+    charges at most one chunk's pairs, however many left rows the scan
+    block that produced it holds."""
+    db = _cross_db(5000, 40)
+    plan = db.planner.plan_select(parse(
+        "SELECT x, y FROM big, few LIMIT 3 OFFSET 2"))
+    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
+    before = db.clock.category_total("join")
+    got = Executor(db.catalog, db.clock, engine=engine, **kwargs).run(plan)
+    assert got.rows == expected.rows
+    assert db.clock.category_total("join") - before <= (
+        ops.NestedLoopJoinOp._PAIR_CHUNK * CostModel.TUPLE_CPU)
 
 
 def test_limit_pushdown_charges_match_row_engine():
