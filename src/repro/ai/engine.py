@@ -118,8 +118,7 @@ class AIEngine:
         has no ``model_version`` yet: the caller persists."""
         config = StreamConfig(
             window_batches=self.stream_config.window_batches,
-            batch_size=task.batch_size,
-            batches_per_transmission=self.stream_config.batches_per_transmission)
+            batch_size=task.batch_size)
         dispatcher = Dispatcher(task.task_id)
         producer, consumer = (dispatcher.producer_clock,
                               dispatcher.consumer_clock)

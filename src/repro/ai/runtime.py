@@ -35,7 +35,6 @@ class AIRuntime:
         self.node_id = node_id
         self.model: ARMNet | None = None
         self._optimizer: Optimizer | None = None
-        self._config = None
         self.batches_consumed = 0
         self.samples_consumed = 0
         self.losses: list[float] = []
@@ -48,8 +47,7 @@ class AIRuntime:
         """Consume the HANDSHAKE frame; build the model from its spec unless
         a pre-loaded model (fine-tuning an existing version) is supplied."""
         frame = self._channel.recv()
-        spec, config = decode_handshake(frame)
-        self._config = config
+        spec, _ = decode_handshake(frame)
         if model is not None:
             self.model = model
         else:

@@ -9,10 +9,11 @@ model transfer through the connection."
 
 This module implements that protocol over an in-process duplex channel that
 stands in for the TCP socket: real framed messages (header + payload bytes),
-a real handshake negotiating model/streaming parameters, and credit-based
-windowed flow control (the receiver returns credit by method call, not by
-frame).  Virtual time is charged per frame and per byte so the protocol's
-efficiency is measurable.
+a real handshake negotiating the model spec and the two streaming parameters
+this engine honours (window and batch size), and credit-based windowed flow
+control (the receiver returns credit by method call, not by frame).  Virtual
+time is charged per frame and per byte so the protocol's efficiency is
+measurable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import enum
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,14 +34,10 @@ _FRAME_HEADER = struct.Struct("<BI")  # type, payload length
 
 
 class FrameType(enum.IntEnum):
+    # wire numbers: the gaps are retired types, never reused
     HANDSHAKE = 1
-    HANDSHAKE_ACK = 2
     DATA_BATCH = 3
-    MODEL_WEIGHTS = 4
-    CREDIT = 5          # reserved: credit travels by method call today
-    RENEGOTIATE = 6     # reserved: no sender emits it
     END_OF_STREAM = 7
-    RESULT = 8
 
 
 @dataclass
@@ -61,7 +58,12 @@ class Frame:
             raise StreamProtocolError(
                 f"frame length mismatch: header says {length}, "
                 f"got {len(payload)}")
-        return cls(FrameType(type_value), payload)
+        try:
+            frame_type = FrameType(type_value)
+        except ValueError:
+            raise StreamProtocolError(
+                f"unknown frame type {type_value}") from None
+        return cls(frame_type, payload)
 
 
 @dataclass
@@ -112,28 +114,12 @@ class StreamConfig:
 
     window_batches: int = 80      # paper default window size
     batch_size: int = 4096        # paper default records per batch
-    batches_per_transmission: int = 1
-    send_buffer_bytes: int = 1 << 20
-    recv_buffer_bytes: int = 1 << 20
-
-    def to_json(self) -> dict:
-        return {
-            "window_batches": self.window_batches,
-            "batch_size": self.batch_size,
-            "batches_per_transmission": self.batches_per_transmission,
-            "send_buffer_bytes": self.send_buffer_bytes,
-            "recv_buffer_bytes": self.recv_buffer_bytes,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StreamConfig":
-        return cls(**data)
 
 
 def encode_handshake(model_spec: dict, config: StreamConfig) -> Frame:
     """Handshake frame carrying model parameters + streaming parameters."""
     payload = json.dumps({"model": model_spec,
-                          "stream": config.to_json()}).encode("utf-8")
+                          "stream": asdict(config)}).encode("utf-8")
     return Frame(FrameType.HANDSHAKE, payload)
 
 
@@ -142,7 +128,7 @@ def decode_handshake(frame: Frame) -> tuple[dict, StreamConfig]:
         raise StreamProtocolError(
             f"expected HANDSHAKE, got {frame.type.name}")
     data = json.loads(frame.payload.decode("utf-8"))
-    return data["model"], StreamConfig.from_json(data["stream"])
+    return data["model"], StreamConfig(**data["stream"])
 
 
 def encode_batch(ids: np.ndarray, targets: np.ndarray) -> Frame:

@@ -73,23 +73,44 @@ class PredictContext:
 
 
 class NeurDB:
-    """An in-process NeurDB instance.
+    """An in-process NeurDB instance; :func:`connect` is this class.
+
+    ``num_runtimes`` / ``buffer_pages``: AI runtimes a task's batches
+    are spread over, and the buffer pool's capacity in pages.
 
     ``refresh_window`` bounds how many of the table's most recent rows a
-    background refresh fine-tunes on (:meth:`fine_tune_model`'s default
-    window): on a regime shift the freshest rows carry the new
-    distribution, so a sliding window adapts faster *and* cheaper than
-    re-fitting the full history.  None (the default) preserves the
-    historical full-table behavior.
+    fine-tune refresh (manual, or the serving subsystem's background
+    one; :meth:`fine_tune_model`'s default window) trains on: on a
+    regime shift the freshest rows carry the new distribution, so a
+    sliding window adapts faster *and* cheaper than re-fitting the full
+    history.  None (the default) keeps the full-table behavior.
 
     Robustness knobs (``docs/faults.md``): ``faults`` threads a seeded
     :class:`~repro.common.faults.FaultPlan` into the catalog (replica
     outages) and executor (worker crashes / transient task errors);
     ``replication`` backs every created table with a primary/backup
     :class:`~repro.storage.replica.ReplicatedTable`; ``retry_policy``
+    (a :class:`RetryPolicy`, or an int shorthand for ``max_retries``)
     makes :meth:`execute` retry transiently failed statements with
     charged exponential backoff.  Absorbed failures surface through
     :meth:`warnings`.
+
+    ``tracing``: attach a session-wide :class:`~repro.obs.trace.Tracer`
+    to the clock (``db.tracer``); observation-only, so results and
+    charged totals stay bit-identical to an untraced session.
+
+    ``shards``: default shard count for created tables — every CREATE
+    TABLE hash-partitions across that many virtual nodes (see
+    ``docs/distributed.md``); per-table ``WITH (shards=N,
+    partition=col)`` overrides it.  None/1 = unsharded.
+
+    ``engine`` / ``nodes``: the session executor's engine (one of
+    :attr:`~repro.exec.executor.Executor.ENGINES`) and, for
+    ``engine="distributed"``, the virtual node count.  ``connect(
+    shards=4, engine="distributed", nodes=4)`` runs every SELECT —
+    including under ``EXPLAIN ANALYZE`` — through shard-local pipeline
+    fragments connected by modeled exchanges; results and charged
+    compute totals stay bit-identical to the default batch engine.
     """
 
     def __init__(self, num_runtimes: int = 1, buffer_pages: int = 4096,
@@ -407,9 +428,9 @@ class NeurDB:
             for position, evaluator in assignments:
                 new_row[position] = evaluator(row)
             # heap first: a row it refuses (UNIQUE) keeps its postings.
-            # A sharded update that moves the row to another shard
-            # returns the fresh rid; heap updates return None (rid kept)
-            new_rid = table.update(rid, new_row) or rid
+            # update returns the rid the row now lives at (a fresh one
+            # when a sharded row moves to another shard)
+            new_rid = table.update(rid, new_row)
             stored = table.read(new_rid)
             for index, position in indexes:
                 index.delete(row[position], rid)
@@ -669,42 +690,5 @@ def _status(message: str, rowcount: int = 0) -> ResultSet:
                      extra={"rowcount": rowcount})
 
 
-def connect(num_runtimes: int = 1, buffer_pages: int = 4096,
-            refresh_window: int | None = None,
-            faults: FaultPlan | None = None, replication: bool = False,
-            retry_policy: "RetryPolicy | int | None" = None,
-            tracing: bool = False, shards: int | None = None,
-            engine: str = "batch", nodes: int | None = None) -> NeurDB:
-    """Create a fresh in-process NeurDB instance.
-
-    ``refresh_window``: fine-tune refreshes (manual or the serving
-    subsystem's background ones) train on only the table's most recent
-    rows; None = full table (the historical behavior).
-
-    ``faults`` / ``replication`` / ``retry_policy``: the robustness
-    knobs (``docs/faults.md``) — a seeded fault plan injected across the
-    engine, primary/backup replication for every created table, and
-    bounded retry of transiently failed statements (pass a
-    :class:`RetryPolicy` or an int shorthand for ``max_retries``).
-
-    ``tracing``: attach a session-wide :class:`~repro.obs.trace.Tracer`
-    to the clock (``db.tracer``); observation-only, so results and
-    charged totals stay bit-identical to an untraced session.
-
-    ``shards``: default shard count for created tables — every CREATE
-    TABLE hash-partitions across that many virtual nodes (see
-    ``docs/distributed.md``); per-table ``WITH (shards=N,
-    partition=col)`` overrides it.  None/1 = unsharded.
-
-    ``engine`` / ``nodes``: the session executor's engine (one of
-    :attr:`~repro.exec.executor.Executor.ENGINES`) and, for
-    ``engine="distributed"``, the virtual node count.  ``connect(
-    shards=4, engine="distributed", nodes=4)`` runs every SELECT —
-    including under ``EXPLAIN ANALYZE`` — through shard-local pipeline
-    fragments connected by modeled exchanges; results and charged
-    compute totals stay bit-identical to the default batch engine.
-    """
-    return NeurDB(num_runtimes=num_runtimes, buffer_pages=buffer_pages,
-                  refresh_window=refresh_window, faults=faults,
-                  replication=replication, retry_policy=retry_policy,
-                  tracing=tracing, shards=shards, engine=engine, nodes=nodes)
+# the public entry point: ``repro.connect(...)`` builds a fresh instance
+connect = NeurDB

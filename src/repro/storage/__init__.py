@@ -5,7 +5,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog, IndexEntry
 from repro.storage.heap import HeapTable
 from repro.storage.index import BPlusTreeIndex, HashIndex
-from repro.storage.page import PAGE_CAPACITY_BYTES, HeapPage, RecordId
+from repro.storage.page import PAGE_CAPACITY_BYTES, HeapPage
 from repro.storage.replica import BACKUP, PRIMARY, ReplicatedTable
 from repro.storage.schema import Column, TableSchema
 from repro.storage.stats import (
@@ -39,7 +39,6 @@ __all__ = [
     "IndexEntry",
     "PAGE_CAPACITY_BYTES",
     "PAGE_DICT_CAP",
-    "RecordId",
     "TableSchema",
     "TableStats",
     "TypedColumn",

@@ -8,9 +8,11 @@ from repro.common import categories as cat
 from repro.common.errors import ConstraintViolation
 from repro.common.simtime import CostModel, SimClock
 from repro.storage.buffer import BufferPool
-from repro.storage.page import HeapPage, RecordId
+from repro.storage.page import SLOT_BITS, HeapPage
 from repro.storage.schema import TableSchema
 from repro.storage.types import TypedColumn
+
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class HeapTable:
@@ -19,6 +21,9 @@ class HeapTable:
     Uniqueness constraints declared on the schema are enforced here with
     in-memory unique maps (a real engine would use unique indexes; the
     observable behaviour is the same).
+
+    A record id is ``page_no << SLOT_BITS | slot``
+    (:mod:`repro.storage.page`), so ids sort in scan order.
     """
 
     def __init__(self, schema: TableSchema,
@@ -36,7 +41,7 @@ class HeapTable:
         self._merged_cache: dict[int, tuple[int, tuple]] = {}
         self._buffer_pool = buffer_pool
         self._clock = clock
-        self._unique_maps: dict[int, dict[Any, RecordId]] = {
+        self._unique_maps: dict[int, dict[Any, int]] = {
             i: {} for i, col in enumerate(schema.columns) if col.unique
         }
 
@@ -51,13 +56,13 @@ class HeapTable:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> RecordId:
+    def insert(self, values: Sequence[Any]) -> int:
         """Coerce, constraint-check, and store one row; returns its RID."""
         row = self.schema.coerce_row(values)
         self._check_unique(row, exclude_rid=None)
         row_bytes = self.schema.row_size_bytes(row)
         page = self._page_with_room(row_bytes)
-        rid = page.insert(row, row_bytes)
+        rid = page.page_no << SLOT_BITS | page.insert(row, row_bytes)
         for col_idx, uniq in self._unique_maps.items():
             if row[col_idx] is not None:
                 uniq[row[col_idx]] = rid
@@ -66,7 +71,8 @@ class HeapTable:
         self._charge(CostModel.TUPLE_CPU, cat.HEAP_INSERT)
         return rid
 
-    def update(self, rid: RecordId, values: Sequence[Any]) -> None:
+    def update(self, rid: int, values: Sequence[Any]) -> int:
+        """Rewrite one row in place; returns ``rid``, where it still lives."""
         row = self.schema.coerce_row(values)
         old = self.read(rid)
         if old is None:
@@ -77,35 +83,39 @@ class HeapTable:
                 uniq.pop(old[col_idx], None)
             if row[col_idx] is not None:
                 uniq[row[col_idx]] = rid
-        self._pages[rid.page_no].update(rid.slot_no, row)
+        self._pages[rid >> SLOT_BITS].update(rid & _SLOT_MASK, row)
         self._version += 1
         self._charge(CostModel.TUPLE_CPU, cat.HEAP_UPDATE)
+        return rid
 
-    def delete(self, rid: RecordId) -> None:
+    def delete(self, rid: int) -> None:
         old = self.read(rid)
         if old is None:
             raise KeyError(f"delete of missing rid {rid}")
         for col_idx, uniq in self._unique_maps.items():
             if old[col_idx] is not None:
                 uniq.pop(old[col_idx], None)
-        self._pages[rid.page_no].delete(rid.slot_no)
+        self._pages[rid >> SLOT_BITS].delete(rid & _SLOT_MASK)
         self._live_rows -= 1
         self._version += 1
         self._charge(CostModel.TUPLE_CPU, cat.HEAP_DELETE)
 
     # -- access ------------------------------------------------------------
 
-    def read(self, rid: RecordId) -> tuple | None:
-        if not (0 <= rid.page_no < len(self._pages)):
+    def read(self, rid: int) -> tuple | None:
+        page_no = rid >> SLOT_BITS
+        if not (0 <= page_no < len(self._pages)):
             return None
-        self._touch_page(rid.page_no)
-        return self._pages[rid.page_no].read(rid.slot_no)
+        self._touch_page(page_no)
+        return self._pages[page_no].read(rid & _SLOT_MASK)
 
-    def scan(self) -> Iterator[tuple[RecordId, tuple]]:
+    def scan(self) -> Iterator[tuple[int, tuple]]:
         """Full scan in page order, touching the buffer pool per page."""
         for page in self._pages:
             self._touch_page(page.page_no)
-            yield from page.scan()
+            base = page.page_no << SLOT_BITS
+            for slot, row in page.scan():
+                yield base | slot, row
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
@@ -229,7 +239,7 @@ class HeapTable:
 
     # -- internals ----------------------------------------------------------
 
-    def _check_unique(self, row: tuple, exclude_rid: RecordId | None) -> None:
+    def _check_unique(self, row: tuple, exclude_rid: int | None) -> None:
         for col_idx, uniq in self._unique_maps.items():
             value = row[col_idx]
             if value is None:

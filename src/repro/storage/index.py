@@ -10,8 +10,6 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterator
 
-from repro.storage.page import RecordId
-
 _FANOUT = 64
 
 
@@ -20,7 +18,7 @@ class _Leaf:
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
-        self.values: list[list[RecordId]] = []
+        self.values: list[list[int]] = []
         self.next: "_Leaf | None" = None
 
 
@@ -47,7 +45,7 @@ class BPlusTreeIndex:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, key: Any, rid: RecordId) -> None:
+    def insert(self, key: Any, rid: int) -> None:
         if key is None:
             return  # NULLs are not indexed, matching PostgreSQL btree semantics
         split = self._insert(self._root, key, rid)
@@ -59,7 +57,7 @@ class BPlusTreeIndex:
             self._root = new_root
         self._count += 1
 
-    def delete(self, key: Any, rid: RecordId) -> bool:
+    def delete(self, key: Any, rid: int) -> bool:
         """Remove one (key, rid) posting.  Returns True if found.
 
         Structural underflow is not rebalanced (deletes leave slack), which
@@ -82,7 +80,7 @@ class BPlusTreeIndex:
 
     # -- lookups -------------------------------------------------------------
 
-    def search(self, key: Any) -> list[RecordId]:
+    def search(self, key: Any) -> list[int]:
         if key is None:
             return []
         leaf = self._find_leaf(key)
@@ -93,7 +91,7 @@ class BPlusTreeIndex:
 
     def range_scan(self, low: Any = None, high: Any = None,
                    include_low: bool = True,
-                   include_high: bool = True) -> Iterator[tuple[Any, RecordId]]:
+                   include_high: bool = True) -> Iterator[tuple[Any, int]]:
         """Yield (key, rid) for keys in [low, high] (bounds optional)."""
         leaf = self._leftmost_leaf() if low is None else self._find_leaf(low)
         while leaf is not None:
@@ -123,7 +121,7 @@ class BPlusTreeIndex:
             node = node.children[0]
         return node
 
-    def _insert(self, node: Any, key: Any, rid: RecordId):
+    def _insert(self, node: Any, key: Any, rid: int):
         if isinstance(node, _Leaf):
             i = bisect.bisect_left(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
@@ -175,19 +173,19 @@ class HashIndex:
         self.name = name
         self.table = table
         self.column = column
-        self._buckets: dict[Any, list[RecordId]] = {}
+        self._buckets: dict[Any, list[int]] = {}
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
-    def insert(self, key: Any, rid: RecordId) -> None:
+    def insert(self, key: Any, rid: int) -> None:
         if key is None:
             return
         self._buckets.setdefault(key, []).append(rid)
         self._count += 1
 
-    def delete(self, key: Any, rid: RecordId) -> bool:
+    def delete(self, key: Any, rid: int) -> bool:
         postings = self._buckets.get(key)
         if postings and rid in postings:
             postings.remove(rid)
@@ -197,7 +195,7 @@ class HashIndex:
             return True
         return False
 
-    def search(self, key: Any) -> list[RecordId]:
+    def search(self, key: Any) -> list[int]:
         if key is None:
             return []
         return list(self._buckets.get(key, ()))

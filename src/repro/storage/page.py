@@ -1,9 +1,15 @@
 """Slotted heap pages.
 
 A page holds up to :data:`PAGE_CAPACITY_BYTES` of tuple payload.  Tuples are
-stored in slots; a deleted slot leaves a tombstone so record ids (page_no,
-slot_no) stay stable, matching how a real slotted page behaves and letting
-indexes point at stable RIDs.
+stored in slots; a deleted slot leaves a tombstone so slot numbers stay
+stable, matching how a real slotted page behaves and letting indexes point
+at stable record ids.
+
+A record id is one ``int``: :class:`~repro.storage.heap.HeapTable` packs
+``page_no << SLOT_BITS | slot``, and a sharded table packs the shard above
+:data:`SHARD_SHIFT`.  Both fields are bounded where they are created — a
+page takes no slot past ``2 ** SLOT_BITS``, and no page is numbered into
+the shard bits — so packed ids sort exactly as ``(shard, page, slot)``.
 """
 
 from __future__ import annotations
@@ -13,37 +19,18 @@ from typing import Any, Iterator, Sequence
 from repro.storage.types import DataType, TypedColumn
 
 PAGE_CAPACITY_BYTES = 8192
+SLOT_BITS = 16
+SHARD_SHIFT = 48
 _TOMBSTONE = object()
-
-
-class RecordId:
-    """Stable address of a tuple: (page number, slot number)."""
-
-    __slots__ = ("page_no", "slot_no")
-
-    def __init__(self, page_no: int, slot_no: int):
-        self.page_no = page_no
-        self.slot_no = slot_no
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RecordId)
-                and self.page_no == other.page_no
-                and self.slot_no == other.slot_no)
-
-    def __hash__(self) -> int:
-        return hash((self.page_no, self.slot_no))
-
-    def __repr__(self) -> str:
-        return f"RecordId({self.page_no}, {self.slot_no})"
-
-    def __lt__(self, other: "RecordId") -> bool:
-        return (self.page_no, self.slot_no) < (other.page_no, other.slot_no)
 
 
 class HeapPage:
     """One slotted page of tuples."""
 
     def __init__(self, page_no: int):
+        if not 0 <= page_no < 1 << (SHARD_SHIFT - SLOT_BITS):
+            raise ValueError(f"page number {page_no} does not fit a record "
+                             f"id below the shard bits")
         self.page_no = page_no
         self._slots: list[Any] = []
         self._used_bytes = 0
@@ -53,15 +40,17 @@ class HeapPage:
         self._typed_cache: tuple[int, list[TypedColumn]] | None = None
 
     def has_room(self, row_bytes: int) -> bool:
-        return self._used_bytes + row_bytes <= PAGE_CAPACITY_BYTES
+        return (len(self._slots) < 1 << SLOT_BITS
+                and self._used_bytes + row_bytes <= PAGE_CAPACITY_BYTES)
 
-    def insert(self, row: tuple, row_bytes: int) -> RecordId:
-        """Append a tuple; caller must have checked :meth:`has_room`."""
+    def insert(self, row: tuple, row_bytes: int) -> int:
+        """Append a tuple and return its slot number; caller must have
+        checked :meth:`has_room`."""
         self._slots.append(row)
         self._used_bytes += row_bytes
         self.live_count += 1
         self.version += 1
-        return RecordId(self.page_no, len(self._slots) - 1)
+        return len(self._slots) - 1
 
     def read(self, slot_no: int) -> tuple | None:
         """The tuple at ``slot_no``, or None if deleted / out of range."""
@@ -84,11 +73,11 @@ class HeapPage:
         self.live_count -= 1
         self.version += 1
 
-    def scan(self) -> Iterator[tuple[RecordId, tuple]]:
-        """Yield (rid, row) for every live tuple in slot order."""
+    def scan(self) -> Iterator[tuple[int, tuple]]:
+        """Yield (slot, row) for every live tuple in slot order."""
         for slot_no, row in enumerate(self._slots):
             if row is not _TOMBSTONE:
-                yield RecordId(self.page_no, slot_no), row
+                yield slot_no, row
 
     def live_rows(self) -> list[tuple]:
         """All live tuples in slot order, materialized in one pass.

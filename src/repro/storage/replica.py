@@ -18,10 +18,9 @@ Replication protocol
   LSN order, and because a heap table's physical state is a deterministic
   function of its op sequence (inserts append, deletes mark slots), the
   two copies stay *bit-identical* — same pages, same slots, same
-  :class:`~repro.storage.page.RecordId` for every row.  That identity is
-  what makes failover invisible to query results: a scan of the backup
-  returns exactly the rows, order included, a scan of the primary would
-  have.
+  record id for every row.  That identity is what makes failover
+  invisible to query results: a scan of the backup returns exactly the
+  rows, order included, a scan of the primary would have.
 * **Failover** — a :class:`~repro.common.faults.FaultPlan` (or a manual
   :meth:`mark_down`) can take the primary down for a number of table
   operations.  Reads, scans, and writes transparently fail over to the
@@ -62,7 +61,6 @@ from repro.common.faults import FaultPlan
 from repro.common.simtime import CostModel, SimClock
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapTable
-from repro.storage.page import RecordId
 from repro.storage.schema import TableSchema
 
 PRIMARY = "primary"
@@ -126,7 +124,7 @@ class ReplicatedTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> RecordId:
+    def insert(self, values: Sequence[Any]) -> int:
         """Replicated insert: stamped with the next LSN, applied to every
         up copy in LSN order, queued for down copies.  Returns the RID —
         identical on both copies by the determinism argument above."""
@@ -135,22 +133,23 @@ class ReplicatedTable:
         self._replicate(active, "insert", (tuple(values),))
         return rid
 
-    def update(self, rid: RecordId, values: Sequence[Any]) -> None:
+    def update(self, rid: int, values: Sequence[Any]) -> int:
         active = self._begin_op()
         active.update(rid, values)
         self._replicate(active, "update", (rid, tuple(values)))
+        return rid
 
-    def delete(self, rid: RecordId) -> None:
+    def delete(self, rid: int) -> None:
         active = self._begin_op()
         active.delete(rid)
         self._replicate(active, "delete", (rid,))
 
     # -- access -------------------------------------------------------------
 
-    def read(self, rid: RecordId) -> tuple | None:
+    def read(self, rid: int) -> tuple | None:
         return self._begin_op().read(rid)
 
-    def scan(self) -> Iterator[tuple[RecordId, tuple]]:
+    def scan(self) -> Iterator[tuple[int, tuple]]:
         # resolve the serving node NOW, not when the generator is first
         # advanced
         return self._begin_op().scan()
@@ -168,7 +167,7 @@ class ReplicatedTable:
 
     def copies_identical(self) -> bool:
         """Bit-level audit that primary and backup hold the same typed
-        state: page-for-page identical slot layout (RecordIds included)
+        state: page-for-page identical slot layout (record ids included)
         and :meth:`TypedColumn.identical` columns — data arrays, validity
         bitmaps, and dictionaries with matching entry order.  Inspects
         both copies directly (no failover, no charges), so it is valid to

@@ -36,16 +36,17 @@ Sharding model
   per-node cache residency is modeled separately per shard, exactly as
   the replica layer separates primary and backup residency.
 * **Uniqueness** — UNIQUE constraints are global, so they are enforced
-  here with table-level unique maps (value -> :class:`ShardRid`); the
+  here with table-level unique maps (value -> record id); the
   inner shard schemas have the flags stripped so a shard never
   second-guesses the global decision.
 
-Record ids are :class:`ShardRid` — ``(shard, rid)`` pairs wrapping the
-inner table's :class:`~repro.storage.page.RecordId` — and stay stable
-across unrelated mutations like heap RIDs do.  An ``update`` that moves
-a row's partition key across shards is a delete + re-insert and yields
-a fresh ``ShardRid`` (heap updates keep their RID; the executor's
-scan-then-mutate paths never rely on update preserving ids).
+A record id is the inner table's id with the shard packed above
+:data:`~repro.storage.page.SHARD_SHIFT` — ``shard << SHARD_SHIFT | rid``
+— so ids sort in the canonical shard-major scan order and stay stable
+across unrelated mutations like heap ids do.  ``update`` returns the id
+the row lives at afterwards, as every table's ``update`` does: the same
+id, or a fresh one when the partition key moved the row to another
+shard (a delete + re-insert on the new owner).
 
 Cost model: inner tables charge their usual heap/replication costs to
 the shared clock; routing itself is free (pure hashing, like the fault
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.common.errors import ConstraintViolation
 from repro.common.faults import FaultPlan
@@ -67,7 +68,7 @@ from repro.common.rng import stable_hash
 from repro.common.simtime import SimClock
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapTable
-from repro.storage.page import RecordId
+from repro.storage.page import SHARD_SHIFT
 from repro.storage.replica import ReplicatedTable
 from repro.storage.schema import Column, TableSchema
 
@@ -76,12 +77,7 @@ SHARD_SUFFIX = "@shard"
 
 PARTITION_KINDS = ("hash", "range")
 
-
-class ShardRid(NamedTuple):
-    """Stable address of a tuple in a sharded table: (shard, inner rid)."""
-
-    shard: int
-    rid: RecordId
+_INNER_MASK = (1 << SHARD_SHIFT) - 1
 
 
 class ShardedTable:
@@ -155,7 +151,7 @@ class ShardedTable:
                 inner = HeapTable(inner_schema, buffer_pool=buffer_pool,
                                   clock=clock)
             self.shard_tables.append(inner)
-        self._unique_maps: dict[int, dict[Any, ShardRid]] = {
+        self._unique_maps: dict[int, dict[Any, int]] = {
             i: {} for i, col in enumerate(schema.columns) if col.unique
         }
 
@@ -189,51 +185,56 @@ class ShardedTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> ShardRid:
+    def insert(self, values: Sequence[Any]) -> int:
         row = self.schema.coerce_row(values)
         self._check_unique(row, exclude_rid=None)
         shard = self.shard_of(row)
-        rid = ShardRid(shard, self.shard_tables[shard].insert(row))
+        rid = shard << SHARD_SHIFT | self.shard_tables[shard].insert(row)
         self._index_unique(row, rid)
         return rid
 
-    def update(self, rid: ShardRid, values: Sequence[Any]) -> ShardRid:
+    def update(self, rid: int, values: Sequence[Any]) -> int:
         row = self.schema.coerce_row(values)
-        old = self.shard_tables[rid.shard].read(rid.rid)
+        old_shard, inner = rid >> SHARD_SHIFT, rid & _INNER_MASK
+        old = self.shard_tables[old_shard].read(inner)
         if old is None:
             raise KeyError(f"update of missing rid {rid}")
         self._check_unique(row, exclude_rid=rid)
         self._unindex_unique(old)
         shard = self.shard_of(row)
-        if shard == rid.shard:
-            self.shard_tables[shard].update(rid.rid, row)
+        if shard == old_shard:
+            self.shard_tables[shard].update(inner, row)
             new_rid = rid
         else:
             # the partition key moved: delete + re-insert on the owner
-            self.shard_tables[rid.shard].delete(rid.rid)
-            new_rid = ShardRid(shard, self.shard_tables[shard].insert(row))
+            self.shard_tables[old_shard].delete(inner)
+            new_rid = (shard << SHARD_SHIFT
+                       | self.shard_tables[shard].insert(row))
         self._index_unique(row, new_rid)
         return new_rid
 
-    def delete(self, rid: ShardRid) -> None:
-        old = self.shard_tables[rid.shard].read(rid.rid)
+    def delete(self, rid: int) -> None:
+        table, inner = self.shard_tables[rid >> SHARD_SHIFT], rid & _INNER_MASK
+        old = table.read(inner)
         if old is None:
             raise KeyError(f"delete of missing rid {rid}")
         self._unindex_unique(old)
-        self.shard_tables[rid.shard].delete(rid.rid)
+        table.delete(inner)
 
     # -- access -------------------------------------------------------------
 
-    def read(self, rid: ShardRid) -> tuple | None:
-        if not (0 <= rid.shard < self.shard_count):
+    def read(self, rid: int) -> tuple | None:
+        shard = rid >> SHARD_SHIFT
+        if not (0 <= shard < self.shard_count):
             return None
-        return self.shard_tables[rid.shard].read(rid.rid)
+        return self.shard_tables[shard].read(rid & _INNER_MASK)
 
-    def scan(self) -> Iterator[tuple[ShardRid, tuple]]:
+    def scan(self) -> Iterator[tuple[int, tuple]]:
         """Full scan in canonical shard-major order."""
         for shard, table in enumerate(self.shard_tables):
+            base = shard << SHARD_SHIFT
             for rid, row in table.scan():
-                yield ShardRid(shard, rid), row
+                yield base | rid, row
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
@@ -312,7 +313,7 @@ class ShardedTable:
                 f"is sharded without replication")
 
     def _check_unique(self, row: tuple,
-                      exclude_rid: ShardRid | None) -> None:
+                      exclude_rid: int | None) -> None:
         for col_idx, uniq in self._unique_maps.items():
             value = row[col_idx]
             if value is None:
@@ -324,7 +325,7 @@ class ShardedTable:
                     f"duplicate value {value!r} for UNIQUE column "
                     f"{col!r} of table {self.name!r}")
 
-    def _index_unique(self, row: tuple, rid: ShardRid) -> None:
+    def _index_unique(self, row: tuple, rid: int) -> None:
         for col_idx, uniq in self._unique_maps.items():
             if row[col_idx] is not None:
                 uniq[row[col_idx]] = rid

@@ -56,9 +56,13 @@ class TestFrames:
             Frame.decode(b"\x01")
 
     def test_frame_length_mismatch(self):
-        good = Frame(FrameType.RESULT, b"abc").encode()
+        good = Frame(FrameType.END_OF_STREAM, b"abc").encode()
         with pytest.raises(StreamProtocolError):
             Frame.decode(good + b"extra")
+
+    def test_frame_unknown_type(self):
+        with pytest.raises(StreamProtocolError, match="unknown frame type 99"):
+            Frame.decode(b"\x63\0\0\0\0")
 
     def test_handshake_roundtrip(self):
         config = StreamConfig(window_batches=7, batch_size=123)
@@ -76,7 +80,7 @@ class TestFrames:
         assert np.allclose(out_targets, targets)
 
     def test_wrong_frame_type_rejected(self):
-        frame = Frame(FrameType.CREDIT, b"")
+        frame = Frame(FrameType.END_OF_STREAM, b"")
         with pytest.raises(StreamProtocolError):
             decode_batch(frame)
 
@@ -93,8 +97,8 @@ class TestFrames:
 class TestChannelAndFlowControl:
     def test_channel_fifo(self):
         channel = Channel(SimClock())
-        channel.send(Frame(FrameType.RESULT, b"1"))
-        channel.send(Frame(FrameType.RESULT, b"2"))
+        channel.send(Frame(FrameType.DATA_BATCH, b"1"))
+        channel.send(Frame(FrameType.DATA_BATCH, b"2"))
         assert channel.recv().payload == b"1"
         assert channel.recv().payload == b"2"
 

@@ -469,7 +469,7 @@ class TestReplicatedTable:
         table.delete(rids[7])
         assert (_typed([r for _, r in table.primary.scan()])
                 == _typed([r for _, r in table.backup.scan()]))
-        # RecordIds are identical across copies by construction
+        # record ids are identical across copies by construction
         assert ([rid for rid, _ in table.primary.scan()]
                 == [rid for rid, _ in table.backup.scan()])
         assert table.lsn == 52  # 50 inserts + update + delete
@@ -592,7 +592,7 @@ class TestReplicatedTable:
     def test_typed_chaos_resyncs_bit_identical(self):
         """Seeded replica_down chaos over a table exercising every typed
         column layout: after recovery, the typed page state — data
-        arrays, validity bitmaps, dictionaries, RecordIds — is
+        arrays, validity bitmaps, dictionaries, record ids — is
         bit-identical across copies (``copies_identical``), and the
         surviving rows equal a fault-free twin's."""
         plan = FaultPlan(FAULT_SEED).arm("replica_down", rate=0.06,

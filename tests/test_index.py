@@ -9,11 +9,11 @@ import repro
 from repro.plan import logical as plan
 from repro.sql.parser import parse
 from repro.storage.index import BPlusTreeIndex, HashIndex
-from repro.storage.page import RecordId
+from repro.storage.page import SLOT_BITS
 
 
-def rid(i: int) -> RecordId:
-    return RecordId(i // 100, i % 100)
+def rid(i: int) -> int:
+    return (i // 100) << SLOT_BITS | i % 100
 
 
 class TestBPlusTree:

@@ -13,11 +13,11 @@ from repro.storage import (
     DataType,
     HeapPage,
     HeapTable,
-    RecordId,
     TableSchema,
     coerce_value,
     value_size_bytes,
 )
+from repro.storage.page import SLOT_BITS
 
 
 class TestDataType:
@@ -113,26 +113,26 @@ class TestTableSchema:
 class TestHeapPage:
     def test_insert_read(self):
         page = HeapPage(0)
-        rid = page.insert((1, "a"), 20)
-        assert page.read(rid.slot_no) == (1, "a")
+        slot = page.insert((1, "a"), 20)
+        assert page.read(slot) == (1, "a")
         assert page.live_count == 1
 
     def test_delete_leaves_tombstone(self):
         page = HeapPage(0)
-        rid0 = page.insert((1,), 10)
-        rid1 = page.insert((2,), 10)
-        page.delete(rid0.slot_no)
-        assert page.read(rid0.slot_no) is None
-        # rid1 still addressable at its old slot
-        assert page.read(rid1.slot_no) == (2,)
+        slot0 = page.insert((1,), 10)
+        slot1 = page.insert((2,), 10)
+        page.delete(slot0)
+        assert page.read(slot0) is None
+        # slot1 still addressable at its old slot
+        assert page.read(slot1) == (2,)
         assert page.live_count == 1
 
     def test_double_delete_raises(self):
         page = HeapPage(0)
-        rid = page.insert((1,), 10)
-        page.delete(rid.slot_no)
+        slot = page.insert((1,), 10)
+        page.delete(slot)
         with pytest.raises(KeyError):
-            page.delete(rid.slot_no)
+            page.delete(slot)
 
     def test_capacity_accounting(self):
         page = HeapPage(0)
@@ -142,8 +142,8 @@ class TestHeapPage:
 
     def test_scan_skips_tombstones(self):
         page = HeapPage(0)
-        rids = [page.insert((i,), 10) for i in range(5)]
-        page.delete(rids[2].slot_no)
+        slots = [page.insert((i,), 10) for i in range(5)]
+        page.delete(slots[2])
         live = [row for _, row in page.scan()]
         assert live == [(0,), (1,), (3,), (4,)]
 
@@ -165,7 +165,7 @@ class TestHeapTable:
 
     def test_read_missing_rid(self, simple_schema):
         table = self._table(simple_schema)
-        assert table.read(RecordId(99, 0)) is None
+        assert table.read(99 << SLOT_BITS) is None
 
     def test_unique_constraint_enforced(self, simple_schema):
         table = self._table(simple_schema)

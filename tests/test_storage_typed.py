@@ -5,7 +5,7 @@ The invariant under test (``docs/storage.md``): the typed at-rest layout
 strings — is *representation only*.  For every randomized schema and
 content mix, writing rows and reading them back through any surface
 (``scan``, ``scan_column_batches``, per-page ``typed_columns``) returns
-bit-identical values (types included), identical RecordIds, and validity
+bit-identical values (types included), identical record ids, and validity
 bitmaps that match the NULLs exactly.
 
 The case grid is seeded and env-selectable like the fault sweep: set
@@ -135,7 +135,7 @@ def test_roundtrip_property(case):
     scanned = [row for _, row in table.scan()]
     assert _typed_rows(scanned) == _typed_rows(data)
 
-    # RecordIds are stable across scans and across typed-cache builds
+    # record ids are stable across scans and across typed-cache builds
     rids = [rid for rid, _ in table.scan()]
     for batch_size in (1, 64, 1024):
         assert _typed_rows(_reassemble(table, batch_size)) == \
