@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.ai.armnet import FeatureHasher
 from repro.common import categories as cat
+from repro.common.errors import check_at_least
 from repro.common.simtime import CostModel, SimClock
-from repro.exec.batch import RowBlock, concat_columns, object_array
+from repro.exec.batch import RowBlock
 from repro.exec.expr import RowLayout
 from repro.exec.pipeline import table_blocks
 from repro.storage.types import DataType, TypedColumn
@@ -36,16 +37,16 @@ class ColumnFeatures:
     """Materialized feature columns: the batch engine's hand-off format to
     the AI layer.
 
-    ``columns`` is one column per feature field — storage's
-    ``TypedColumn`` as scanned, or an object array of the original Python
-    values — in scan order.  The PREDICT path hands these straight to
+    ``columns`` is one ``TypedColumn`` per feature field — storage's
+    typed kinds as scanned, the ``"obj"`` kind for inline values — in
+    scan order.  The PREDICT path hands these straight to
     :meth:`~repro.ai.armnet.FeatureHasher.transform_columns`, so inputs
     never explode into per-row Python tuples between the storage engine
     and the id matrix.  ``rows()`` builds the tuple view lazily for the
     places that still need it (result-set assembly).
     """
 
-    def __init__(self, columns: Sequence[np.ndarray]):
+    def __init__(self, columns: Sequence[TypedColumn]):
         self.columns = list(columns)
         self._length = len(self.columns[0]) if self.columns else 0
         for col in self.columns[1:]:
@@ -60,7 +61,8 @@ class ColumnFeatures:
         per field) type a column whose cells are all NULL: its values
         cannot say whether it is numeric-kind, and the hasher must know."""
         columns = [TypedColumn.from_values(col, dtype)
-                   if all(v is None for v in col) else object_array(col)
+                   if all(v is None for v in col)
+                   else TypedColumn.from_objects(col)
                    for col, dtype in zip(zip(*rows) if rows
                                          else [()] * len(dtypes), dtypes)]
         out = cls(columns)
@@ -91,7 +93,7 @@ class ColumnFeatures:
             if len(part.columns) != width:
                 raise ValueError("cannot concat feature sets of different "
                                  "widths")
-        return cls([concat_columns([p.columns[i] for p in parts])
+        return cls([TypedColumn.concat([p.columns[i] for p in parts])
                     for i in range(width)])
 
 
@@ -99,7 +101,7 @@ class ColumnTrainingSet(ColumnFeatures):
     """Feature columns plus ``targets`` (a float64 array, one per row):
     what a training or fine-tune task streams."""
 
-    def __init__(self, columns: Sequence[np.ndarray], targets: np.ndarray):
+    def __init__(self, columns: Sequence[TypedColumn], targets: np.ndarray):
         super().__init__(columns)
         self.targets = np.asarray(targets, dtype=np.float64)
         if self.columns and len(self.targets) != self._length:
@@ -128,6 +130,9 @@ class ColumnTrainingSet(ColumnFeatures):
             return self
         return ColumnTrainingSet([col[n - rows:] for col in self.columns],
                                  self.targets[n - rows:])
+
+
+_END = object()             # marks an exhausted input of the row path
 
 
 class StreamingDataLoader:
@@ -159,6 +164,7 @@ class StreamingDataLoader:
         self.window_batches = window_batches
         self._window: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._exhausted = False
+        self._pulled = 0            # (row, target) pairs read so far
 
     # -- producer side -----------------------------------------------------
 
@@ -171,18 +177,32 @@ class StreamingDataLoader:
         raw_rows: list[Sequence[object]] = []
         raw_targets: list[float] = []
         for _ in range(self.batch_size):
-            try:
-                raw_rows.append(next(self._rows))
-                raw_targets.append(next(self._targets))
-            except StopIteration:
+            row = next(self._rows, _END)
+            target = next(self._targets, _END)
+            if row is _END or target is _END:
                 self._exhausted = True
+                if row is not target:
+                    self._unequal_lengths(row is _END)
                 break
+            raw_rows.append(row)
+            raw_targets.append(target)
+            self._pulled += 1
         if not raw_rows:
             return False
         ids = self._hasher.transform(raw_rows)
         targets = np.asarray(raw_targets, dtype=np.float64)
         self._window.append((ids, targets))
         return True
+
+    def _unequal_lengths(self, rows_ended: bool) -> None:
+        """Raise for inputs of different lengths, once the first of them
+        has run out; the other is counted to its end for the message."""
+        rest = 1 + sum(1 for _ in (self._targets if rows_ended
+                                   else self._rows))
+        rows, targets = ((self._pulled, self._pulled + rest) if rows_ended
+                         else (self._pulled + rest, self._pulled))
+        raise ValueError(f"rows and targets differ in length: {rows} rows, "
+                         f"{targets} targets")
 
     def _prepare_columnar(self) -> bool:
         """Slice the next batch straight out of the column arrays."""
@@ -267,7 +287,7 @@ def _scan_columns(table, masks: Sequence[Callable], pick: Callable,
              if part is not None]
     if not parts:
         return None
-    return [concat_columns(column) for column in zip(*parts)]
+    return [TypedColumn.concat(column) for column in zip(*parts)]
 
 
 def table_training_set(table, feature_columns: list[str],
@@ -298,12 +318,13 @@ def table_training_set(table, feature_columns: list[str],
         target = block.numeric(target_idx)
         if target is None:
             target = block.column(target_idx).astype(np.float64)
-        return [block.columns[idx] for idx in feature_idx] + [target]
+        return ([block.columns[idx] for idx in feature_idx]
+                + [TypedColumn("f8", target)])
 
     columns = _scan_columns(table, masks, pick, clock, start_page)
     if columns is None:
-        columns = [np.empty(0, dtype=object)] * (len(feature_idx) + 1)
-    return ColumnTrainingSet(columns[:-1], columns[-1])
+        columns = [TypedColumn.from_objects(())] * (len(feature_idx) + 1)
+    return ColumnTrainingSet(columns[:-1], columns[-1].data)
 
 
 def table_training_set_tail(table, feature_columns: list[str],
@@ -320,9 +341,7 @@ def table_training_set_tail(table, feature_columns: list[str],
     leave fewer than ``window`` qualifying rows in the tail, so the
     result matches ``table_training_set(...).tail(window)`` exactly
     while the scan cost tracks the window, not the table history."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    min_rows = window
+    min_rows = check_at_least("window", window)
     while True:
         start = table.tail_start_page(min_rows)
         data = table_training_set(table, feature_columns, target_column,
@@ -351,18 +370,16 @@ def table_feature_columns(table, feature_columns: list[str],
     target_idx = (schema.index_of(target_column)
                   if target_column is not None else None)
 
+    picked = feature_idx + ([] if target_idx is None else [target_idx])
+
     def pick(block: RowBlock) -> list:
-        features = [block.columns[idx] for idx in feature_idx]
-        if target_idx is None:
-            return features
-        return features + [block.column(target_idx),
-                           block.null_mask(target_idx)]
+        return [block.columns[idx] for idx in picked]
 
     masks = [block_predicate] if block_predicate is not None else []
     columns = _scan_columns(table, masks, pick, clock)
     if columns is None:
-        columns = ([np.empty(0, dtype=object)] * (width + 1)
-                   + [np.empty(0, dtype=bool)])
+        columns = [TypedColumn.from_objects(())] * (width + 1)
     if target_idx is None:
         return ColumnFeatures(columns[:width]), None, None
-    return ColumnFeatures(columns[:width]), columns[width], columns[width + 1]
+    target = columns[width]
+    return ColumnFeatures(columns[:width]), target.objects(), target.null_mask()

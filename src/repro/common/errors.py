@@ -85,8 +85,8 @@ class DeadlineExceeded(NeurDBError):
 
 
 def check_at_least(name: str, value, minimum: int = 1) -> int:
-    """The one rule of the integer knobs (``workers``, ``nodes``,
-    ``morsel_rows``, ``retry_limit``, ``shards``, ``num_runtimes``): what
+    """The one rule of the integer knobs (the executor's, ``connect``'s,
+    ``PredictServer``'s and ``fine_tune_model``'s): what
     :func:`operator.index` accepts (numpy ints too) but a bool, at least
     ``minimum``.  Returns a Python ``int``; the error names the knob."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.common.errors import check_at_least
+
 
 class BudgetExceeded(Exception):
     """Raised when a clock with a budget limit advances past it.
@@ -195,9 +197,7 @@ class LaneSchedule:
     """
 
     def __init__(self, lanes: int = 1) -> None:
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        self._free = [0.0] * lanes
+        self._free = [0.0] * check_at_least("lanes", lanes)
         self.assignments = 0
 
     @property

@@ -34,7 +34,7 @@ from repro.ai.monitor import Monitor
 from repro.ai.tasks import FineTuneTask, InferenceTask, TrainTask
 from repro.common import categories as cat
 from repro.common.errors import (BindError, ExecutionError, NeurDBError,
-                                 RetryPolicy)
+                                 RetryPolicy, check_at_least)
 from repro.common.faults import FaultPlan
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
@@ -120,9 +120,9 @@ class NeurDB:
                  retry_policy: "RetryPolicy | int | None" = None,
                  tracing: bool = False, shards: int | None = None,
                  engine: str = "batch", nodes: int | None = None):
-        if refresh_window is not None and refresh_window < 1:
-            raise ValueError(
-                f"refresh_window must be >= 1 or None, got {refresh_window}")
+        buffer_pages = check_at_least("buffer_pages", buffer_pages)
+        if refresh_window is not None:
+            refresh_window = check_at_least("refresh_window", refresh_window)
         if isinstance(retry_policy, int):
             retry_policy = RetryPolicy(max_retries=retry_policy)
         elif not isinstance(retry_policy, (RetryPolicy, type(None))):
@@ -583,12 +583,17 @@ class NeurDB:
         refresh cost tracks the window, not the table history.  It
         defaults to the connection-level ``refresh_window`` knob, and
         ``None`` there keeps the historical full-table behavior."""
-        if not 1 <= tune_last_layers <= len(ARMNet.LAYER_NAMES):
+        tune_last_layers = check_at_least("tune_last_layers",
+                                          tune_last_layers)
+        if tune_last_layers > len(ARMNet.LAYER_NAMES):
             raise ValueError(f"tune_last_layers must be in 1.."
                              f"{len(ARMNet.LAYER_NAMES)}, "
                              f"got {tune_last_layers}")
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        epochs = check_at_least("epochs", epochs)
+        if batch_size is not None:
+            batch_size = check_at_least("batch_size", batch_size)
+        if window_rows is not None:
+            window_rows = check_at_least("window_rows", window_rows)
         if model_name is None:
             model_name = self.catalog.bound_model(table, target)
         binding = self.catalog.model_binding(model_name)
@@ -612,7 +617,7 @@ class NeurDB:
             batch_size = min(4096, max(1, len(data)))
         task = FineTuneTask(model_name=model_name,
                             tune_last_layers=tune_last_layers, epochs=epochs,
-                            batch_size=max(1, batch_size),
+                            batch_size=batch_size,
                             learning_rate=learning_rate)
         self.ai_engine.fine_tune(task, data, data.targets)
 

@@ -67,8 +67,6 @@ from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import (
     DEFAULT_BATCH_SIZE,
     RowBlock,
-    concat_columns,
-    object_array,
     selection,
 )
 from repro.exec.expr import (
@@ -106,15 +104,6 @@ def _source_values(source, block: RowBlock) -> list:
     if kind == _SLOT:
         return block.values_list(payload)
     return [payload(row) for row in block.iter_rows()]
-
-
-def _key_arrays(column, ordered: bool = False) -> list[np.ndarray] | None:
-    """:meth:`TypedColumn.key_arrays` of a block column; None selects the
-    exact-object path (object arrays and ``"obj"`` columns: mixed types,
-    NaN, out-of-range ints, computed values)."""
-    if isinstance(column, TypedColumn):
-        return column.key_arrays(ordered)
-    return None
 
 
 def _stable_order(arrays: list[np.ndarray]) -> np.ndarray:
@@ -404,7 +393,7 @@ class ProjectOp(Operator):
         tuples: list[tuple] | None = None
         for kind, payload in self._sources:
             if kind == _SLOT:
-                # raw column (typed or object) so typed-ness survives
+                # the column itself, so typed-ness survives
                 # straight-through projections
                 col = block.columns[payload]
                 columns.append(col if rows is None else col[rows])
@@ -412,8 +401,9 @@ class ProjectOp(Operator):
                 if tuples is None:
                     filtered = block if rows is None else block.take(rows)
                     tuples = filtered.to_rows()
-                columns.append([payload(row) for row in tuples])
-        return RowBlock.from_columns(self.layout, columns)
+                columns.append(TypedColumn.from_objects(
+                    [payload(row) for row in tuples]))
+        return RowBlock(self.layout, columns, count)
 
 
 class NestedLoopJoinOp(Operator):
@@ -463,14 +453,15 @@ class NestedLoopJoinOp(Operator):
         condition = self._condition_batch
         rows_per_chunk = max(1, self._PAIR_CHUNK // m)
         for start in range(0, len(block), rows_per_chunk):
-            chunk = block.slice(start, start + rows_per_chunk)
-            n = len(chunk)
-            pairs = n * m
+            stop = min(start + rows_per_chunk, len(block))
+            pairs = (stop - start) * m
             clock.advance_batch(CostModel.TUPLE_CPU, pairs, cat.JOIN)
-            columns = [np.repeat(chunk.column(i), m)
-                       for i in range(len(chunk.columns))]
-            columns += [np.tile(column, n) for column in right.columns]
-            out = RowBlock(self.layout, columns, pairs)
+            # pair i is left row start + i // m beside right row i % m
+            lefts = np.repeat(np.arange(start, stop), m)
+            rights = np.tile(np.arange(m), stop - start)
+            out = RowBlock(self.layout,
+                           [c[lefts] for c in block.columns]
+                           + [c[rights] for c in right.columns], pairs)
             if condition is not None:
                 clock.advance_batch(CostModel.EVAL_PREDICATE, pairs,
                                     cat.JOIN)
@@ -539,7 +530,7 @@ class HashJoinOp(Operator):
         return CostModel.HASH_SPILL_FACTOR / 2 if spilled else 1.0
 
     def build_block(self, block: RowBlock, clock: SimClock
-                    ) -> tuple[int, RowBlock, "TypedColumn | np.ndarray"]:
+                    ) -> tuple[int, RowBlock, TypedColumn]:
         """Build-side parallel hook: ``(row_count, rows, keys)`` for one
         block — its rows with a non-NULL key, still columnar, beside
         their key column — charging ``clock``.  ``row_count`` is the
@@ -566,7 +557,7 @@ class HashJoinOp(Operator):
         block = keys = None
         if parts:
             block = RowBlock.concat([part[1] for part in parts])
-            keys = concat_columns([part[2] for part in parts])
+            keys = TypedColumn.concat([part[2] for part in parts])
         return BuildTable(block, keys, build_rows,
                           self._spill(build_rows, clock))
 
@@ -601,8 +592,8 @@ class BuildTable:
     NULL keys included).  A typed key column is kept as a stably sorted
     array — ``keys[i]`` is the key of block row ``order[i]``, equal keys
     in insertion order — and probed with ``searchsorted`` by columns of
-    the same representation.  Object keys, and probe columns of another
-    representation (object values, text against numbers, ints against
+    the same representation.  ``"obj"`` keys, and probe columns of another
+    representation (``"obj"`` values, text against numbers, ints against
     floats), go through ``buckets()``, built on first use."""
 
     def __init__(self, block: RowBlock | None, key_column, rows: int,
@@ -613,7 +604,7 @@ class BuildTable:
         self._key_column = key_column
         self._buckets: dict[Any, list[int]] | None = None
         self.keys = self.order = None
-        arrays = None if block is None else _key_arrays(key_column)
+        arrays = None if block is None else key_column.key_arrays()
         if arrays is not None:
             data = arrays[-1]         # keys are NULL-free: the value array
             if data.dtype == bool:
@@ -673,7 +664,7 @@ class BuildTable:
         """Per probe row, the start and length of its run of equal keys
         in the sorted key array; None when the comparison needs Python
         equality."""
-        if self.keys is None or not isinstance(probe, TypedColumn):
+        if self.keys is None:
             return None
         if probe.kind == "dict" and self._key_column.kind == "dict":
             # probe codes in the build dictionary; a string it lacks and
@@ -794,7 +785,7 @@ class _CallFold:
     keep a count array and, for the last two, a total array: ``np.add.at``
     adds in index order, so each group's total is the row engine's
     left-to-right sum.  A ``sum`` / ``avg`` folds a batch in arrays only
-    while it is a :class:`TypedColumn` of the totals' kind (not ``"obj"``)
+    while its column is of the totals' kind (not ``"obj"``)
     and, for int64, while a running bound proves no total overflows; the
     first batch that fails turns the totals into per-group
     :class:`_Accumulator` s for good — exactly, since the array totals are
@@ -839,8 +830,7 @@ class _CallFold:
             return False
         live = None
         if column is not None and not clean:
-            live = ~(column.null_mask() if isinstance(column, TypedColumn)
-                     else np.equal(column, None))
+            live = ~column.null_mask()
             gids = gids[live]
         if self._kind:
             data = self._addends(column, live)
@@ -854,7 +844,7 @@ class _CallFold:
     def _addends(self, column, live: np.ndarray | None):
         """The non-NULL values of ``column`` as an array the totals add
         exactly, or None."""
-        if not (isinstance(column, TypedColumn) and column.kind == self._kind):
+        if column.kind != self._kind:
             return None
         data = column.data if live is None else column.data[live]
         if self._kind == "i8" and len(data):
@@ -893,7 +883,7 @@ class AggPartial:
     ``lows[g] : lows[g] + lens[g]`` of every value column; ``columns``
     has, per aggregate call, None for COUNT(*) or ``(values, clean)`` —
     the argument column arranged by the partition, still a TypedColumn
-    or object array, and whether it is provably NULL-free.  ``rows`` is
+    of its kind, and whether it is provably NULL-free.  ``rows`` is
     the block's surviving row count, ``len()`` the entry count."""
 
     __slots__ = ("keys", "block", "firsts", "lows", "lens", "rows",
@@ -1027,13 +1017,11 @@ class AggregateOp(Operator):
                 continue
             kind, payload = source
             if kind == _SLOT:
-                # raw column: TypedColumn keeps its C-speed tolist/take
-                # paths; both kinds support [rows], [i], and .tolist()
                 column = block.columns[payload]
                 clean = not block.null_mask(payload).any()
             else:
-                column = np.empty(len(block), dtype=object)
-                column[:] = [payload(row) for row in block.iter_rows()]
+                column = TypedColumn.from_objects(
+                    [payload(row) for row in block.iter_rows()])
                 clean = False
             arrays.append((column if rows is None else column[rows], clean))
         return arrays
@@ -1058,7 +1046,8 @@ class AggregateOp(Operator):
             block, rows = block.take(rows), None
         key_columns = [block.columns[payload] if kind == _SLOT else None
                        for kind, payload in self._group_sources]
-        key_arrays = [_key_arrays(column) for column in key_columns]
+        key_arrays = [None if column is None else column.key_arrays()
+                      for column in key_columns]
         if not key_columns:
             first = 0 if rows is None else int(rows[0])
             return block, ([()], np.array([first]), rows,
@@ -1239,7 +1228,7 @@ class AggregateOp(Operator):
         for (kind, payload), evaluate in zip(self._item_columns,
                                              self._item_evals):
             if kind == _AGG:
-                columns.append(object_array(results[payload]))
+                columns.append(TypedColumn.from_objects(results[payload]))
             elif kind == _SLOT:
                 columns.append(reps.columns[payload])
             else:
@@ -1247,7 +1236,8 @@ class AggregateOp(Operator):
                     per_group = list(zip(
                         reps.to_rows(),
                         zip(*results) if results else itertools.repeat(())))
-                columns.append(object_array(list(map(evaluate, per_group))))
+                columns.append(TypedColumn.from_objects(
+                    list(map(evaluate, per_group))))
         return self._emit_block(RowBlock(self.layout, columns, len(reps)))
 
     def _result_rows(self, groups: dict) -> Iterator[tuple]:
@@ -1376,7 +1366,7 @@ class SortOp(Operator):
         """The stable sort permutation of ``block``'s rows."""
         arrays: list[np.ndarray] = []
         for (kind, payload), descending in self._key_sources:
-            typed = (_key_arrays(block.columns[payload], ordered=True)
+            typed = (block.columns[payload].key_arrays(ordered=True)
                      if kind == _SLOT else None)
             if typed is None:
                 keys = [self._composite_key(row) for row in block.iter_rows()]

@@ -312,10 +312,9 @@ class InnerSink(PipelineSink):
         self.result_blocks.append(block)
 
     def finish(self, clock):
-        self.block = RowBlock.from_rows(
-            self.op._right.layout,
-            [row for block in self.result_blocks
-             for row in block.iter_rows()])
+        self.block = (RowBlock.concat(self.result_blocks)
+                      if self.result_blocks
+                      else RowBlock.from_rows(self.op._right.layout, []))
 
 
 # -- sources ------------------------------------------------------------------

@@ -78,7 +78,7 @@ from repro.ai.armnet import ARMNet
 from repro.ai.loader import ColumnFeatures
 from repro.ai.monitor import DriftEvent
 from repro.ai.tasks import InferenceTask
-from repro.common.errors import NeurDBError, RetryPolicy
+from repro.common.errors import NeurDBError, RetryPolicy, check_at_least
 from repro.common.faults import FaultPlan
 from repro.common.simtime import LaneSchedule
 from repro.db import NeurDB, PredictContext
@@ -171,10 +171,8 @@ class ModelCache:
     """
 
     def __init__(self, manager, capacity: int = 4):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._manager = manager
-        self._capacity = capacity
+        self._capacity = check_at_least("capacity", capacity)
         self._entries: "OrderedDict[tuple[str, int], ARMNet]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -245,19 +243,15 @@ class PredictServer:
         if refresh not in ("auto", "manual"):
             raise ValueError(f"refresh must be auto or manual, "
                              f"got {refresh!r}")
-        if refresh_window is not None and refresh_window < 1:
-            raise ValueError(f"refresh_window must be >= 1 or None, "
-                             f"got {refresh_window}")
-        if max_batch_requests < 1:
-            raise ValueError("max_batch_requests must be >= 1")
-        if max_batch_rows < 1:
-            raise ValueError("max_batch_rows must be >= 1")
-        if refresh_epochs < 1:
-            raise ValueError(f"refresh_epochs must be >= 1, "
-                             f"got {refresh_epochs}")
-        if serving_window < 2:
-            raise ValueError(f"serving_window must be >= 2, "
-                             f"got {serving_window}")
+        max_batch_requests = check_at_least("max_batch_requests",
+                                            max_batch_requests)
+        max_batch_rows = check_at_least("max_batch_rows", max_batch_rows)
+        model_cache_size = check_at_least("model_cache_size",
+                                          model_cache_size)
+        refresh_epochs = check_at_least("refresh_epochs", refresh_epochs)
+        if refresh_window is not None:
+            refresh_window = check_at_least("refresh_window", refresh_window)
+        serving_window = check_at_least("serving_window", serving_window, 2)
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError(f"default_deadline must be > 0 or None, "
                              f"got {default_deadline}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.common import categories as cat
+from repro.common.errors import check_at_least
 from repro.common.simtime import CostModel, SimClock
 
 
@@ -24,9 +25,7 @@ class BufferPool:
     """
 
     def __init__(self, capacity_pages: int = 1024, clock: SimClock | None = None):
-        if capacity_pages <= 0:
-            raise ValueError("buffer pool needs capacity >= 1 page")
-        self.capacity_pages = capacity_pages
+        self.capacity_pages = check_at_least("capacity_pages", capacity_pages)
         self.clock = clock if clock is not None else SimClock()
         self._lru: OrderedDict[tuple[str, int], None] = OrderedDict()
         self._hits = 0

@@ -7,9 +7,11 @@ NULL is represented by Python ``None`` and is a member of every type.
 Since typed columnar storage v2, pages also keep a :class:`TypedColumn`
 per column: int64/float64/bool data arrays with a validity bitmap, or
 dictionary-encoded strings (int32 codes over a first-seen dictionary).
-The typed representation is what scans hand to the vectorized engines;
-``objects()`` lazily reconstructs the object-array view only where a
-consumer genuinely needs raw Python values.  See ``docs/storage.md``.
+The typed representation is what scans hand to the vectorized engines,
+and the one column type of the executor's blocks: computed values ride
+in the ``"obj"`` kind.  ``objects()`` lazily reconstructs the
+object-array view only where a consumer genuinely needs raw Python
+values.  See ``docs/storage.md``.
 """
 
 from __future__ import annotations
@@ -118,11 +120,24 @@ def is_numeric(dtype: DataType) -> bool:
 PAGE_DICT_CAP = 128
 
 # Beyond 2**53 consecutive integers stop being exactly representable in a
-# float64, so the numeric view declines rather than silently lose bits
-# (same contract as RowBlock's object-array fallback).
+# float64, so the numeric view declines rather than silently lose bits.
 MAX_EXACT_FLOAT = 2.0**53
 
-_VALUES = "values"  # marker: float64() payload is the data array itself
+
+def _loses_precision(values: np.ndarray) -> bool:
+    """Whether a float64 view reaches 2^53, where it may no longer hold
+    the integers it was derived from exactly."""
+    if not values.size:
+        return False
+    peak = np.abs(values).max()  # NaN propagates and compares False
+    # >= because a lossy integer (2^53 + 1) can round DOWN onto 2^53;
+    # nothing inexact can round below it
+    return bool(peak >= MAX_EXACT_FLOAT)
+
+
+# float64() cache markers: the data array itself is the view / no exact
+# view exists
+_VALUES, _DECLINED = "values", "declined"
 
 
 class TypedColumn:
@@ -152,9 +167,9 @@ class TypedColumn:
       columns containing NaN (the row engine groups NaN keys by object
       identity, which ``tolist()`` round-trips would break).
     - ``float64()`` either returns a (values, null-mask) pair that is
-      bit-identical to the object-array derivation, or ``None`` when the
-      column is non-numeric or an int64 column exceeds 2**53 exact-float
-      range — never a lossy view.
+      bit-identical to the ``astype`` of the object view (NULLs as 0.0),
+      or ``None`` when the column is non-numeric or reaches 2**53 — never
+      a lossy view.
     """
 
     __slots__ = (
@@ -181,10 +196,9 @@ class TypedColumn:
         self.dictionary = dictionary
         self._codebook: "dict[str, int] | None" = None
         self._objects: "np.ndarray | None" = None
-        # float64 view cache: None = not built; (_VALUES, null) = data IS
-        # the values array; ("declined", None) = no exact view exists;
-        # (values, null) = materialized pair.
-        self._f64: "tuple[Any, Any] | None" = None
+        # float64 view cache: None = not built, _VALUES, _DECLINED or the
+        # materialized values array
+        self._f64: Any = None
         self._null: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
@@ -244,8 +258,13 @@ class TypedColumn:
 
     @classmethod
     def from_objects(cls, values: Sequence[Any]) -> "TypedColumn":
+        """An ``"obj"`` column whose elements are exactly ``values``.
+
+        ``np.array(values, dtype=object)`` is avoided: it inspects nested
+        sequences and can build a 2-D array.  Allocate-then-assign never
+        does."""
         data = np.empty(len(values), dtype=object)
-        data[:] = list(values)
+        data[:] = values
         return cls("obj", data)
 
     @classmethod
@@ -260,9 +279,7 @@ class TypedColumn:
             return parts[0]
         kinds = {p.kind for p in parts}
         if len(kinds) != 1:
-            return cls.from_objects(
-                [v for p in parts for v in p.objects().tolist()]
-            )
+            return cls("obj", np.concatenate([p.objects() for p in parts]))
         kind = next(iter(kinds))
         if any(p.valid is not None for p in parts):
             valid = np.concatenate(
@@ -328,14 +345,9 @@ class TypedColumn:
             out._objects = self._objects[key]
         if self._null is not None:
             out._null = self._null[key]
-        if self._f64 is not None:
-            payload, null = self._f64
-            if payload is None:  # declined stays declined
-                out._f64 = (None, None)
-            elif payload is _VALUES:
-                out._f64 = (_VALUES, None if null is None else null[key])
-            else:
-                out._f64 = (payload[key], None if null is None else null[key])
+        if self._f64 is not None:  # a marker carries as is
+            out._f64 = (self._f64 if isinstance(self._f64, str)
+                        else self._f64[key])
         return out
 
     # ------------------------------------------------------------------
@@ -367,9 +379,7 @@ class TypedColumn:
             if self.valid is not None:
                 self._null = ~self.valid
             elif self.kind == "obj":
-                self._null = np.fromiter(
-                    (v is None for v in self.data), dtype=bool, count=len(self.data)
-                )
+                self._null = np.equal(self.data, None)
             else:
                 self._null = np.zeros(len(self.data), dtype=bool)
         return self._null
@@ -378,28 +388,45 @@ class TypedColumn:
         """An exact float64 view as ``(values, null-mask)``, or ``None``.
 
         NULL slots of ``values`` hold 0.0 and must be masked by callers.
-        Declines (returns ``None``) for non-numeric kinds and for int64
-        columns whose magnitude exceeds exact-float range.
+        Declines (returns ``None``) for dictionary columns, for magnitudes
+        that reach exact-float range and for ``"obj"`` values past
+        float64's range.  An ``"obj"`` column converts its raw values, so
+        callers must not ask it of a TEXT column.
         """
         if self._f64 is None:
             if self.kind == "f8":
-                self._f64 = (_VALUES, None)
-            elif self.kind in ("i8", "bool"):
-                values = self.data.astype(np.float64)
-                if self.kind == "i8" and len(values) and (
-                    np.abs(values).max() >= MAX_EXACT_FLOAT
-                ):
-                    self._f64 = (None, None)
-                else:
-                    self._f64 = (values, None)
+                self._f64 = _VALUES
             else:
-                self._f64 = (None, None)
-        payload, _ = self._f64
-        if payload is None:
+                values = (self.data.astype(np.float64)
+                          if self.kind in ("i8", "bool") else
+                          self._object_float64() if self.kind == "obj"
+                          else None)
+                self._f64 = (_DECLINED if values is None
+                             or _loses_precision(values) else values)
+        if self._f64 is _DECLINED:
             return None
-        values = self.data if payload is _VALUES else payload
+        values = self.data if self._f64 is _VALUES else self._f64
         return values, self.null_mask()
 
+    def _object_float64(self) -> "np.ndarray | None":
+        """``float64()``'s values for an ``"obj"`` column (NULLs as 0.0),
+        or None past float64's range."""
+        data = self.data
+        try:
+            if self._null is None:
+                # one C call: astype maps None to NaN, so a NaN-free result
+                # proves the column has no NULLs without a per-value scan
+                values = data.astype(np.float64)
+                if not np.isnan(values).any():
+                    self._null = np.zeros(len(data), dtype=bool)
+                    return values
+            null = self.null_mask()
+            if null.any():
+                data = data.copy()
+                data[null] = 0.0
+            return data.astype(np.float64)
+        except OverflowError:               # an int past float64's range
+            return None
 
     def key_arrays(self, ordered: bool = False) -> "list[np.ndarray] | None":
         """Arrays, most significant first, that stand in for the values

@@ -246,6 +246,18 @@ class TestStreamingDataLoader:
         with pytest.raises(ValueError):
             StreamingDataLoader([], [], FeatureHasher(1), window_batches=0)
 
+    @pytest.mark.parametrize("targets", [7, 12])
+    def test_unequal_lengths_rejected(self, targets):
+        """Rows and targets of different lengths are an error naming both
+        — not a last batch of 4 rows beside 3 targets, nor 2 targets
+        dropped without a word."""
+        rows, labels = make_dataset(12)
+        loader = StreamingDataLoader(rows[:10], labels[:targets],
+                                     FeatureHasher(5), batch_size=4)
+        with pytest.raises(ValueError,
+                           match=f"10 rows, {targets} targets"):
+            list(loader)
+
 
 class TestModelManager:
     def _model(self, seed=0):

@@ -24,12 +24,15 @@ import numpy as np
 import pytest
 
 import repro
+from repro.ai.loader import ColumnFeatures
 from repro.common.simtime import CostModel, SimClock
+from repro.exec.batch import RowBlock
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.pipeline import FUSED_SCAN_ROWS
 from repro.plan import logical
 from repro.sql import parse
+from repro.storage import TypedColumn
 
 # scan / filter / project / join / aggregate / sort / limit / distinct,
 # vectorized and fallback expression forms alike
@@ -764,6 +767,51 @@ def test_engines_never_change_the_operator_tree(parity_db, monkeypatch):
                 assert all(getattr(op, attr, None) is value
                            for attr, value in links.items()), \
                     f"{sql} on {engine}: {type(op).__name__} changed"
+
+
+def test_every_block_column_is_a_typed_column(parity_db, monkeypatch):
+    """``TypedColumn`` is the one column type below the result set: every
+    ``RowBlock`` an engine builds — scans, computed projections, aggregate
+    results and arguments, crosses — and every ``ColumnFeatures`` a
+    PREDICT trains or infers on holds nothing else."""
+    seen: dict[type, int] = {}
+    where = ["setup"]
+    untyped: list[str] = []
+
+    def recording(cls):
+        init = cls.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            for column in self.columns:
+                seen[type(column)] = seen.get(type(column), 0) + 1
+                if not isinstance(column, TypedColumn):
+                    untyped.append(f"{cls.__name__} of {where[0]}")
+        monkeypatch.setattr(cls, "__init__", record)
+
+    recording(RowBlock)
+    recording(ColumnFeatures)
+    for engine, kwargs in (("row", {}), ("batch", {}),
+                           ("parallel", {"workers": 4, "morsel_rows": 16}),
+                           ("distributed", {"nodes": 3, "morsel_rows": 16})):
+        executor = Executor(parity_db.catalog, parity_db.clock,
+                            engine=engine, **kwargs)
+        for sql in PARITY_QUERIES + NLJ_QUERIES:
+            where[0] = f"{sql} on {engine}"
+            executor.run(parity_db.planner.plan_select(parse(sql)))
+    db = repro.connect()
+    db.execute("CREATE TABLE p (id INT UNIQUE, s TEXT, a FLOAT, y FLOAT)")
+    for i in range(40):
+        y = "NULL" if i % 7 == 0 else f"{i * 0.1}"
+        db.execute(f"INSERT INTO p VALUES ({i}, 's{i % 3}', {i}.5, {y})")
+    for sql in ("PREDICT VALUE OF y FROM p WHERE id < 20 TRAIN ON * "
+                "WITH id >= 20",
+                "PREDICT VALUE OF y FROM p WHERE id < 20 TRAIN ON *",
+                "PREDICT VALUE OF y FROM p TRAIN ON * VALUES ('s1', 2.5)"):
+        where[0] = sql
+        assert db.execute(sql).rows
+    assert not untyped, untyped[:5]
+    assert seen.get(TypedColumn, 0) > 0
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])

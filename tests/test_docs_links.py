@@ -32,3 +32,18 @@ def test_deleted_members_are_reported(monkeypatch):
     assert member_errors(text) == ["`PartialGroups.of_entries`",
                                    "`AggregateOp.group_partials()`",
                                    "`Db.execute`"]
+
+
+def test_unknown_snake_case_names_are_reported(monkeypatch):
+    """A backticked snake_case name must be one some code defines or
+    uses; a name that only sits inside a longer string (a SQL text, a
+    dotted path) does not count."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from check_links import name_errors
+    text = ("`no_such_helper` and `retired_view()` are gone, `t_name` is an"
+            " index a test's SQL creates; `scan_column_batches`, "
+            "`check_at_least()`, `_mix_numeric`, `predict_batch` (a "
+            "workload), `stmt_per_s` (a metric key), `take`, "
+            "`ROADMAP.md` and `time.process_time` are fine")
+    assert name_errors(text) == ["`no_such_helper`", "`retired_view()`",
+                                 "`t_name`"]

@@ -41,7 +41,7 @@ import repro
 from repro.common.errors import BindError
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.batch import RowBlock, object_array
+from repro.exec.batch import RowBlock
 from repro.exec.executor import Executor
 from repro.exec.expr import RowLayout
 from repro.plan import logical as plan
@@ -303,7 +303,7 @@ def test_kernels_on_empty_tables():
 # mean the very same Python objects.
 
 # (slot, storage regime, NULL density, the kind the storage layer picks —
-# None for a plain object ndarray, what computed columns are)
+# None for an ``"obj"`` column of the raw values, what computed columns are)
 SELECTION_COLUMNS = [
     ("i", INT_SMALL, 0.0, "i8"),
     ("in", INT_SMALL, 0.3, "i8"),
@@ -332,7 +332,7 @@ def _selection_block() -> RowBlock:
         if regime == FLOAT_NAN:
             values[3] = float("nan")
         if kind is None:
-            columns.append(object_array(values))
+            columns.append(TypedColumn.from_objects(values))
             continue
         column = TypedColumn.from_values(values, _REGIME_DTYPE[regime])
         assert column.kind == kind
@@ -356,21 +356,17 @@ def _selection_masks() -> dict[str, np.ndarray]:
             "all but one": all_but_one, "all": np.ones(n, dtype=bool)}
 
 
-def _column_bytes(column) -> tuple:
+def _column_bytes(column: TypedColumn) -> tuple:
     """A block column's representation, byte for byte."""
-    if isinstance(column, TypedColumn):
-        return (column.kind, column.data.dtype.str, column.data.tobytes(),
-                None if column.valid is None else column.valid.tobytes(),
-                column.dictionary)
-    return ("ndarray", column.dtype.str, column.tobytes())
+    return (column.kind, column.data.dtype.str, column.data.tobytes(),
+            None if column.valid is None else column.valid.tobytes(),
+            column.dictionary)
 
 
-def _uncached(column):
+def _uncached(column: TypedColumn) -> TypedColumn:
     """The same column without any derived-view cache."""
-    if isinstance(column, TypedColumn):
-        return TypedColumn(column.kind, column.data, column.valid,
-                           column.dictionary)
-    return column
+    return TypedColumn(column.kind, column.data, column.valid,
+                       column.dictionary)
 
 
 @pytest.mark.parametrize("density", list(_selection_masks()))
@@ -392,16 +388,22 @@ def test_select_gathers_what_boolean_indexing_returns(density):
         [row for row, keep in zip(block.to_rows(), mask) if keep])
     fresh = RowBlock(block.layout, [_uncached(c) for c in got.columns],
                      len(got))
-    for idx in range(width):
+    for idx, column in enumerate(got.columns):
         name = SELECTION_COLUMNS[idx][0]
-        assert got._null[idx].tobytes() == fresh.null_mask(idx).tobytes(), \
-            name
-        carried, derived = got._numeric[idx], fresh.numeric(idx)
+        # the gather carried both views: reading them derives nothing
+        assert column._null is not None, name
+        assert column.null_mask().tobytes() \
+            == fresh.null_mask(idx).tobytes(), name
+        if block.layout.types[idx] is DataType.TEXT:
+            assert got.numeric(idx) is None, name
+            continue
+        assert column._f64 is not None, name
+        carried, derived = got.numeric(idx), fresh.numeric(idx)
         if carried is None:
-            # a decline (TEXT, or a magnitude past 2^53 anywhere in the
-            # block) is carried as is: the exact object path stays right
-            # for the subset even where the subset alone has a view
-            assert block._numeric[idx] is None, name
+            # a decline (a magnitude past 2^53 anywhere in the block) is
+            # carried as is: the exact object path stays right for the
+            # subset even where the subset alone has a view
+            assert block.numeric(idx) is None, name
         else:
             assert derived is not None, name
             assert carried.tobytes() == derived.tobytes(), name
@@ -488,7 +490,8 @@ def test_iter_rows_yields_the_object_views_python_values():
                                        DataType.FLOAT)),
         ("big", TypedColumn.from_values(
             [2 ** 53 + 1, -(2 ** 53) - 3, 2 ** 62, 5], DataType.INT)),
-        ("nan", object_array([float("nan"), None, 1.0, float("nan")])),
+        ("nan", TypedColumn.from_objects([float("nan"), None, 1.0,
+                                          float("nan")])),
     ]
     cached = TypedColumn.from_values([7, None, 2 ** 53 + 1, 0], DataType.INT)
     cached.objects()                  # the cache built before the zip

@@ -384,6 +384,51 @@ def test_cross_blocks_never_exceed_the_pair_chunk(monkeypatch, engine,
 
 @pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
                          ids=[engine for engine, _ in CROSS_ENGINES])
+def test_cross_join_keeps_its_columns_typed(monkeypatch, engine, kwargs):
+    """An INT x TEXT cross gathers each side by index, so its pairs keep
+    the scans' ``i8`` / ``dict`` columns, NULLs and all, and a GROUP BY
+    above it partitions on arrays; rows and charges stay the row
+    engine's."""
+    db = repro.connect()
+    db.execute("CREATE TABLE nums (x INT)")
+    db.execute("CREATE TABLE words (w TEXT)")
+    for i in range(300):
+        db.catalog.table("nums").insert((None if i % 11 == 0 else i,))
+    for i in range(12):
+        db.catalog.table("words").insert((None if i == 4 else f"w{i % 5}",))
+    db.execute("ANALYZE")
+    kinds, exact = set(), []
+    cross_block = ops.NestedLoopJoinOp.cross_block
+    group_exact = ops.AggregateOp._group_exact
+
+    def spy_cross(self, block, right, clock):
+        for out in cross_block(self, block, right, clock):
+            kinds.add(tuple(column.kind for column in out.columns))
+            yield out
+
+    def spy_exact(self, block):
+        exact.append(block)
+        return group_exact(self, block)
+
+    monkeypatch.setattr(ops.NestedLoopJoinOp, "cross_block", spy_cross)
+    monkeypatch.setattr(ops.AggregateOp, "_group_exact", spy_exact)
+    for sql in ("SELECT x, w FROM nums, words",
+                "SELECT x, w FROM nums, words WHERE x < 40 AND w <> 'w2'",
+                "SELECT w, count(*), sum(x) FROM nums, words GROUP BY w"):
+        plan = db.planner.plan_select(parse(sql))
+        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
+        got = Executor(db.catalog, db.clock, engine=engine,
+                       **kwargs).run(plan)
+        assert _typed(got.rows) == _typed(expected.rows), sql
+        network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
+        assert got.virtual_seconds - network == pytest.approx(
+            expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+    assert kinds == {("i8", "dict")}
+    assert not exact
+
+
+@pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
+                         ids=[engine for engine, _ in CROSS_ENGINES])
 def test_limit_over_cross_join_stops_within_one_pair_chunk(engine, kwargs):
     """A satisfied LIMIT stops a cross join between pair chunks: the join
     charges at most one chunk's pairs, however many left rows the scan

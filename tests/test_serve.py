@@ -511,6 +511,54 @@ class TestServerValidation:
         assert db.models.versions(model) == versions
 
 
+# (where the knob enters, knob, its minimum): every integer knob of the
+# serving path goes through ``check_at_least``
+INTEGER_KNOBS = [
+    ("connect", "buffer_pages", 1),
+    ("connect", "refresh_window", 1),
+    ("server", "lanes", 1),
+    ("server", "max_batch_requests", 1),
+    ("server", "max_batch_rows", 1),
+    ("server", "model_cache_size", 1),
+    ("server", "refresh_epochs", 1),
+    ("server", "refresh_window", 1),
+    ("server", "serving_window", 2),
+    ("fine_tune", "tune_last_layers", 1),
+    ("fine_tune", "epochs", 1),
+    ("fine_tune", "batch_size", 1),
+    ("fine_tune", "window_rows", 1),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_review_db():
+    db = _build_review_db(n=40)
+    return db, db.execute(REVIEW_SQL).extra["model"]
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below_minimum"])
+@pytest.mark.parametrize("where, knob, minimum", INTEGER_KNOBS,
+                         ids=[f"{w}-{k}" for w, k, _ in INTEGER_KNOBS])
+def test_integer_knob_rejected_where_it_enters(trained_review_db, where,
+                                               knob, minimum, bad):
+    """A fraction, a bool or a value below the minimum is refused by an
+    error naming the knob, before anything is charged or persisted —
+    never accepted to fail later inside a refresh or a slice."""
+    db, model = trained_review_db
+    value = {"fraction": 2.5, "bool": True, "below_minimum": minimum - 1}[bad]
+    versions = db.models.versions(model)
+    before = db.clock.now
+    with pytest.raises((TypeError, ValueError), match=knob):
+        if where == "connect":
+            repro.connect(**{knob: value})
+        elif where == "server":
+            PredictServer(db, **{knob: value})
+        else:
+            db.fine_tune_model("review", "score", **{knob: value})
+    assert db.clock.now == before
+    assert db.models.versions(model) == versions
+
+
 class TestRefreshWindow:
     """Recency-weighted refresh data: fine-tunes train on a sliding
     window of the table's most recent rows (``refresh_window`` on

@@ -15,7 +15,12 @@ README (when present):
   class defined under ``src/repro`` that defines the member — a method,
   a class-level name, a ``__slots__`` entry or a ``self.<member>``
   assignment, its own or a base class's (``NAME.md`` / ``NAME.json``
-  file names are not member references).
+  file names are not member references);
+* backtick snake_case names ``some_name`` / ``some_name()`` are a name
+  some ``.py`` file under ``src/``, ``tests/``, ``benchmarks/``,
+  ``tools/`` or ``examples/`` defines or uses — an identifier, an
+  attribute, a parameter, a keyword, an import, or a string constant
+  that is exactly the name (metric keys, fault kinds, workload names).
 
 Exits non-zero listing every dead reference.  Wired into CI
 (``.github/workflows/ci.yml``) and into tier-1 via
@@ -37,6 +42,8 @@ _CODE_REF = re.compile(
     r"`((?:src|docs|tests|benchmarks|tools|examples|repro)/"
     r"[\w./-]+\.(?:py|md|json))`")
 _MEMBER_REF = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\(\))?`")
+_NAME_REF = re.compile(r"`(_*[a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\(\))?`")
+_CODE_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -107,6 +114,46 @@ def member_errors(text: str) -> list[str]:
             and match.group(2) not in classes.get(match.group(1), ())]
 
 
+def _node_names(node: ast.AST) -> tuple[str, ...]:
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return (node.name,)
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return (node.arg,) if node.arg else ()
+    if isinstance(node, ast.alias):
+        return (node.name.rsplit(".", 1)[-1],) + (
+            (node.asname,) if node.asname else ())
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value.isidentifier():
+        return (node.value,)
+    return ()
+
+
+@functools.cache
+def code_names() -> frozenset[str]:
+    """Every name the ``.py`` files under :data:`_CODE_DIRS` define or
+    use (see the module docstring)."""
+    names: set[str] = set()
+    for top in _CODE_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                names.update(_node_names(node))
+    return frozenset(names)
+
+
+def name_errors(text: str) -> list[str]:
+    """The backticked snake_case names in ``text`` that no code defines
+    or uses."""
+    names = code_names()
+    return [match.group(0) for match in _NAME_REF.finditer(text)
+            if match.group(1) not in names]
+
+
 def check_file(path: Path) -> list[str]:
     errors = []
     text = path.read_text(encoding="utf-8")
@@ -123,6 +170,8 @@ def check_file(path: Path) -> list[str]:
             errors.append(f"{relative}: dead code reference -> `{target}`")
     errors += [f"{relative}: dead member reference -> {ref}"
                for ref in member_errors(text)]
+    errors += [f"{relative}: dead name reference -> {ref}"
+               for ref in name_errors(text)]
     return errors
 
 
