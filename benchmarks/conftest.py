@@ -1,10 +1,20 @@
 """Shared configuration for the figure benchmarks.
 
-Every benchmark runs the corresponding experiment driver at a scale that
-finishes in CI-friendly wall-clock time, prints the paper-style table, and
-asserts the *shape* of the paper's result (who wins, roughly by how much,
-where the crossovers are).  Absolute values are virtual-time seconds from
-the simulator, not wall-clock — see DESIGN.md §5.
+Every benchmark runs its experiment at a scale that finishes in
+CI-friendly wall-clock time, prints the paper-style table, and asserts the
+*shape* of the paper's result (who wins, where the crossovers are).
+
+Which clock a figure reads:
+
+* wall clock — Figs. 6(a) and 6(b), NeurDB against PostgreSQL+P
+  (``postgres_plus_p.py``), and the ``wall_seconds`` / ``BENCH_exec.json``
+  gates (``wallclock.py``); ``e2e/`` is the wall-clock harness every
+  performance claim is judged with;
+* virtual time from the simulator's cost model — Figs. 7(a), 7(b) and 8,
+  the two ablations, and the modeled figures of ``BENCH_parallel`` /
+  ``BENCH_distributed`` / ``BENCH_faults`` / ``BENCH_serve``;
+* neither — Fig. 6(c) plots real training losses, and Table 1 checks
+  what its PREDICT statements return.
 """
 
 from __future__ import annotations

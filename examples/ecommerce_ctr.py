@@ -34,7 +34,8 @@ def main() -> None:
     print(f"trained on C1: {train.samples_processed} samples, "
           f"loss {train.losses[0]:.3f} -> {train.losses[-1]:.3f}, "
           f"virtual time {train.virtual_seconds:.3f}s "
-          f"({train.training_throughput:,.0f} samples/vs)")
+          f"({train.samples_processed / train.virtual_seconds:,.0f} "
+          f"samples/vs)")
 
     for loss in train.losses:
         monitor.observe("ctr-loss", loss)

@@ -18,8 +18,8 @@ time ``ready_i`` and consumer cost ``c_i``::
 The task's makespan is ``handshake + finish_last``.  Producer and consumer
 costs are measured on private clocks while the real work happens (real
 frames, real gradients), then the engine advances the shared clock by the
-makespan once — this is how streaming+pipelining shows up as lower latency
-than the serial PostgreSQL+P baseline without double-counting.
+makespan once — this is how streaming+pipelining shows up as a makespan
+below the serial sum (``serial_seconds``) without double-counting.
 """
 
 from __future__ import annotations

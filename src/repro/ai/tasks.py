@@ -88,10 +88,3 @@ class TaskResult:
     model_version: Optional[int] = None
     selected_model: Optional[str] = None
     details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def training_throughput(self) -> float:
-        """Samples per virtual second (Fig. 6(a)'s right panel)."""
-        if self.virtual_seconds <= 0:
-            return 0.0
-        return self.samples_processed / self.virtual_seconds

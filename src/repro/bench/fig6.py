@@ -1,13 +1,10 @@
-"""Experiment drivers for Figure 6: in-database AI analytics.
+"""Experiment driver for Figure 6(c): training loss under cluster drift
+C1→C5, with and without the model incremental update.
 
-* :func:`run_fig6a` — end-to-end latency + training throughput, NeurDB vs
-  PostgreSQL+P, workloads E (Avazu CTR) and H (Diabetes).
-* :func:`run_fig6b` — latency vs number of data batches (Workload E sweep).
-* :func:`run_fig6c` — training loss under cluster drift C1→C5 with and
-  without the model incremental update.
-
-All latencies/throughputs are virtual time; losses are real gradient-descent
-losses from the shared ARM-Net implementation.
+The losses are real gradient-descent losses from the shared ARM-Net
+implementation.  Panels 6(a) and 6(b) are wall-clock measurements against
+PostgreSQL+P and live outside the package, in
+``benchmarks/postgres_plus_p.py``.
 """
 
 from __future__ import annotations
@@ -17,112 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ai.armnet import ARMNet
-from repro.ai.engine import AIEngine
 from repro.ai.model_manager import ModelManager
 from repro.ai.monitor import Monitor
-from repro.ai.tasks import InferenceTask, TrainTask
-from repro.baseline import PostgresPlusP
-from repro.common.simtime import SimClock
 from repro.nn.losses import bce_with_logits
 from repro.nn.optim import Adam
 from repro.workloads.avazu import FIELD_COUNT as AVAZU_FIELDS
 from repro.workloads.avazu import AvazuGenerator
-from repro.workloads.diabetes import FIELD_COUNT as DIABETES_FIELDS
-from repro.workloads.diabetes import DiabetesGenerator
-
-
-@dataclass
-class Fig6aRow:
-    workload: str
-    system: str
-    latency_seconds: float
-    training_throughput: float
-
-
-def _workload_data(workload: str, samples: int, seed: int = 0):
-    if workload == "E":
-        generator = AvazuGenerator(seed=seed)
-        batch = generator.generate(cluster=0, count=samples)
-        return batch.rows, batch.labels, AVAZU_FIELDS
-    if workload == "H":
-        generator = DiabetesGenerator(seed=seed)
-        batch = generator.generate(samples)
-        return batch.rows, batch.labels, DIABETES_FIELDS
-    raise ValueError(f"unknown workload {workload!r}")
-
-
-def run_fig6a(samples: int = 40_960, batch_size: int = 4096,
-              predict_rows: int = 4096, epochs: int = 1,
-              seed: int = 0) -> list[Fig6aRow]:
-    """Fig. 6(a): per workload and system, end-to-end PREDICT latency
-    (train + inference) and training throughput."""
-    rows: list[Fig6aRow] = []
-    for workload in ("E", "H"):
-        data_rows, labels, fields = _workload_data(workload, samples, seed)
-        task_args = dict(task_type="classification", field_count=fields,
-                         epochs=epochs, batch_size=batch_size)
-
-        # NeurDB: streaming + pipelined in-database path
-        engine = AIEngine(model_manager=ModelManager(), clock=SimClock())  # repro: untraced-clock-ok standalone figure harness, each side gets its own isolated clock
-        train = engine.train(TrainTask(model_name=f"fig6a_{workload}",
-                                       **task_args), data_rows, labels)
-        infer = engine.infer(InferenceTask(model_name=f"fig6a_{workload}"),
-                             data_rows[:predict_rows])
-        rows.append(Fig6aRow(workload, "NeurDB",
-                             train.virtual_seconds + infer.virtual_seconds,
-                             train.training_throughput))
-
-        # PostgreSQL+P: serial batch-export path (same model & math)
-        baseline = PostgresPlusP(clock=SimClock())  # repro: untraced-clock-ok standalone figure harness, each side gets its own isolated clock
-        base_train = baseline.train(
-            TrainTask(model_name=f"fig6a_{workload}_pg", **task_args),
-            data_rows, labels)
-        model = base_train.details["model"]
-        before = baseline.clock.now
-        baseline.infer(model, data_rows[:predict_rows])
-        infer_seconds = baseline.clock.now - before
-        rows.append(Fig6aRow(workload, "PostgreSQL+P",
-                             base_train.virtual_seconds + infer_seconds,
-                             base_train.training_throughput))
-    return rows
-
-
-@dataclass
-class Fig6bRow:
-    batches: int
-    system: str
-    latency_seconds: float
-
-
-def run_fig6b(batch_counts: tuple[int, ...] = (20, 40, 80, 160, 320, 640),
-              batch_size: int = 512, seed: int = 0) -> list[Fig6bRow]:
-    """Fig. 6(b): Workload E latency as data volume grows.
-
-    ``batch_size`` is configurable so tests can trade wall-clock for scale;
-    the virtual-time *shape* (linear growth, NeurDB below the baseline at
-    every point) is batch-size independent.
-    """
-    generator = AvazuGenerator(seed=seed)
-    rows: list[Fig6bRow] = []
-    for batches in batch_counts:
-        samples = batches * batch_size
-        batch = generator.generate(cluster=0, count=samples)
-        task_args = dict(task_type="classification",
-                         field_count=AVAZU_FIELDS, epochs=1,
-                         batch_size=batch_size)
-
-        engine = AIEngine(model_manager=ModelManager(), clock=SimClock())  # repro: untraced-clock-ok standalone figure harness, each side gets its own isolated clock
-        train = engine.train(TrainTask(model_name=f"fig6b_{batches}",
-                                       **task_args),
-                             batch.rows, batch.labels)
-        rows.append(Fig6bRow(batches, "NeurDB", train.virtual_seconds))
-
-        baseline = PostgresPlusP(clock=SimClock())  # repro: untraced-clock-ok standalone figure harness, each side gets its own isolated clock
-        base = baseline.train(TrainTask(model_name=f"fig6b_{batches}_pg",
-                                        **task_args),
-                              batch.rows, batch.labels)
-        rows.append(Fig6bRow(batches, "PostgreSQL+P", base.virtual_seconds))
-    return rows
 
 
 @dataclass

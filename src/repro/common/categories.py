@@ -20,7 +20,7 @@ constant *first*, then charge to it.
 
 Naming convention: lowercase, hyphen-separated, the subsystem prefix
 only where the bare word would be ambiguous (``ai-train`` vs the
-runtime-internal ``train``, ``pg-*`` for the PostgreSQL+P baseline).
+runtime-internal ``train``).
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ AI_MSELECT = "ai-mselect"      # engine-level model-selection sweep
 MODEL_LOAD = "model-load"      # model-cache load per layer
 PREDICT_MATERIALIZE = "predict-materialize"  # PREDICT input scan per row
 
-# -- PostgreSQL+P baseline ----------------------------------------------------
-PG_EXPORT = "pg-export"        # baseline cursor setup + textual export
-PG_PREP = "pg-prep"            # baseline client-side Python prep
-PG_TRAIN = "pg-train"          # baseline training step
-PG_INFER = "pg-infer"          # baseline inference step
-
 #: Every legal category name -> one-line meaning.  The analyzer treats
 #: the keys as the closed set of legal charge-category literals.
 REGISTRY: dict[str, str] = {
@@ -112,10 +106,6 @@ REGISTRY: dict[str, str] = {
     AI_MSELECT: "model-selection sweep",
     MODEL_LOAD: "model-cache load per layer",
     PREDICT_MATERIALIZE: "PREDICT input materialization",
-    PG_EXPORT: "baseline export path",
-    PG_PREP: "baseline client-side prep",
-    PG_TRAIN: "baseline training step",
-    PG_INFER: "baseline inference step",
 }
 
 

@@ -381,7 +381,6 @@ class CostModel:
     NET_ROUND_TRIP = 200e-6
     NET_PER_BYTE = 0.8e-9
     SERIALIZE_PER_BYTE = 0.25e-9
-    BATCH_EXPORT_SETUP = 2e-3  # baseline: per-batch query/cursor setup
 
     # AI runtime (per-sample base + per-field scaling with row width)
     TRAIN_STEP_PER_SAMPLE = 6e-6
@@ -395,9 +394,3 @@ class CostModel:
 
     # in-database streaming pipeline (NeurDB): vectorized prep per value
     PREP_PER_VALUE = 0.02e-6
-
-    # PostgreSQL+P baseline: per-batch SQL cursor setup, textual export,
-    # and client-side Python preprocessing, all serial with training
-    TEXT_EXPORT_PER_VALUE = 0.15e-6
-    PYTHON_PREP_PER_VALUE = 0.2e-6
-    TEXT_BYTES_INFLATION = 2.5  # text wire format vs binary

@@ -485,15 +485,32 @@ class NeurDB:
         if not schema.has_column(target):
             raise BindError(f"target column {target!r} not in "
                             f"{statement.table!r}")
+        columns = schema.columns
+        if columns[schema.index_of(target)].dtype is DataType.TEXT:
+            raise BindError(f"target column {target!r} is TEXT, not a "
+                            f"number")
         feature_columns = self._feature_columns(statement, schema)
         layout = RowLayout.of_table(statement.table, schema)
         for where in (statement.where, statement.train_filter):
             if where is not None:
                 expr_type(where, layout)
-        for value_row in statement.inline_rows:
-            for expr in value_row:
-                expr_type(expr, NO_COLUMNS)
         feature_idx = [schema.index_of(c) for c in feature_columns]
+        for value_row in statement.inline_rows:
+            if len(value_row) != len(feature_idx):
+                raise BindError(
+                    f"VALUES row has {len(value_row)} values, expected "
+                    f"{len(feature_idx)} features")
+            for expr, i in zip(value_row, feature_idx):
+                # literal types must match: NULL fits any column and INT
+                # widens to FLOAT, but an integral FLOAT (2.0) is refused
+                # for an INT feature, which INSERT would store as 2
+                given = expr_type(expr, NO_COLUMNS)
+                wanted = columns[i].dtype
+                if given is not None and given is not wanted and not (
+                        given is DataType.INT and wanted is DataType.FLOAT):
+                    raise BindError(f"VALUES gives {given.value} for "
+                                    f"{wanted.value} feature "
+                                    f"{columns[i].name!r}")
         model_name = self._model_name(statement, feature_columns)
         return PredictContext(statement=statement, table=table,
                               target=target,
@@ -662,14 +679,8 @@ class NeurDB:
         """
         statement = ctx.statement
         if statement.inline_rows:
-            rows = []
-            for value_row in statement.inline_rows:
-                if len(value_row) != len(ctx.feature_idx):
-                    raise ExecutionError(
-                        f"VALUES row has {len(value_row)} values, expected "
-                        f"{len(ctx.feature_idx)} features")
-                rows.append(tuple(compile_expr(e, NO_COLUMNS)(())
-                                  for e in value_row))
+            rows = [tuple(compile_expr(e, NO_COLUMNS)(()) for e in value_row)
+                    for value_row in statement.inline_rows]
             columns = ctx.table.schema.columns
             return (ColumnFeatures.from_rows(
                 rows, [columns[i].dtype for i in ctx.feature_idx]),

@@ -1,69 +1,12 @@
-"""Tests for the PostgreSQL+P baseline and small-scale bench drivers."""
+"""Tests for the benchmark reporting helpers and the small-scale Fig. 6(c)
+driver.  PostgreSQL+P (Figs. 6(a) and 6(b)) is measured in wall-clock time
+by ``benchmarks/test_fig6a_overall.py`` and
+``benchmarks/test_fig6b_data_volume.py``."""
 
-import numpy as np
 import pytest
 
-from repro.ai.engine import AIEngine
-from repro.ai.tasks import TrainTask
-from repro.baseline import PostgresPlusP
-from repro.bench.fig6 import run_fig6a, run_fig6b, run_fig6c
+from repro.bench.fig6 import run_fig6c
 from repro.bench.reporting import format_table, geometric_mean
-from repro.common.errors import AIEngineError
-from repro.common.simtime import SimClock
-
-
-def make_dataset(n=400, fields=6, seed=0):
-    rng = np.random.default_rng(seed)
-    rows = [[float(v) for v in rng.integers(0, 10, fields)]
-            for _ in range(n)]
-    labels = (rng.random(n) < 0.3).astype(float)
-    return rows, labels
-
-
-class TestPostgresPlusP:
-    def test_train_returns_losses(self):
-        rows, labels = make_dataset()
-        baseline = PostgresPlusP()
-        result = baseline.train(
-            TrainTask(model_name="b", field_count=6, epochs=2,
-                      batch_size=64), rows, labels)
-        assert len(result.losses) > 0
-        assert result.samples_processed == 800
-
-    def test_requires_field_count(self):
-        with pytest.raises(AIEngineError):
-            PostgresPlusP().train(TrainTask(model_name="b"), [], [])
-
-    def test_slower_than_neurdb_on_same_task(self):
-        rows, labels = make_dataset(n=600)
-        task_args = dict(field_count=6, epochs=1, batch_size=64)
-        neurdb = AIEngine(clock=SimClock()).train(
-            TrainTask(model_name="n", **task_args), rows, labels)
-        pg = PostgresPlusP(clock=SimClock()).train(
-            TrainTask(model_name="p", **task_args), rows, labels)
-        assert pg.virtual_seconds > neurdb.virtual_seconds
-        assert pg.training_throughput < neurdb.training_throughput
-
-    def test_identical_learning_math(self):
-        """Both systems train the same architecture; loss trajectories
-        must be comparable in scale (systems differ, learning doesn't)."""
-        rows, labels = make_dataset(n=600)
-        task_args = dict(field_count=6, epochs=2, batch_size=64)
-        neurdb = AIEngine(clock=SimClock()).train(
-            TrainTask(model_name="n", **task_args), rows, labels)
-        pg = PostgresPlusP(clock=SimClock()).train(
-            TrainTask(model_name="p", **task_args), rows, labels)
-        assert abs(neurdb.losses[-1] - pg.losses[-1]) < 0.2
-
-    def test_infer_charges_clock(self):
-        rows, labels = make_dataset(n=100)
-        baseline = PostgresPlusP()
-        result = baseline.train(
-            TrainTask(model_name="b", field_count=6, batch_size=64),
-            rows, labels)
-        before = baseline.clock.now
-        baseline.infer(result.details["model"], rows[:10])
-        assert baseline.clock.now > before
 
 
 class TestReporting:
@@ -81,24 +24,6 @@ class TestReporting:
 class TestFig6DriversSmall:
     """Tiny-scale smoke tests of the experiment drivers; full-scale shape
     assertions live in benchmarks/."""
-
-    def test_fig6a_rows_and_direction(self):
-        rows = run_fig6a(samples=2048, batch_size=512, predict_rows=256)
-        assert len(rows) == 4
-        by = {(r.workload, r.system): r for r in rows}
-        for workload in ("E", "H"):
-            assert (by[(workload, "NeurDB")].latency_seconds
-                    < by[(workload, "PostgreSQL+P")].latency_seconds)
-            assert (by[(workload, "NeurDB")].training_throughput
-                    > by[(workload, "PostgreSQL+P")].training_throughput)
-
-    def test_fig6b_monotone_and_ordered(self):
-        rows = run_fig6b(batch_counts=(5, 10, 20), batch_size=256)
-        neurdb = [r.latency_seconds for r in rows if r.system == "NeurDB"]
-        baseline = [r.latency_seconds for r in rows
-                    if r.system == "PostgreSQL+P"]
-        assert neurdb == sorted(neurdb)
-        assert all(n < b for n, b in zip(neurdb, baseline))
 
     def test_fig6c_incremental_update_helps(self):
         result = run_fig6c(samples_per_cluster=4096, batch_size=256)

@@ -133,6 +133,15 @@ class TestDML:
         assert db.execute("SELECT count(*) FROM t").scalar() == 2
 
 
+def _load_typed_table(db):
+    """One column of each type, features beside a FLOAT target."""
+    db.execute("CREATE TABLE t (id INT UNIQUE, a INT, b FLOAT, c TEXT, "
+               "y FLOAT)")
+    for i in range(20):
+        db.execute(f"INSERT INTO t VALUES ({i}, {i % 3}, {i * 0.5}, "
+                   f"'c{i % 2}', {i * 0.1})")
+
+
 def _load_review_table(db, n=400, seed=0):
     """The paper's Listing-1 scenario: scores known except for one brand."""
     db.execute("CREATE TABLE review (rid INT UNIQUE, brand_name TEXT, "
@@ -240,6 +249,47 @@ class TestPredict:
         with pytest.raises(BindError):
             db.execute("PREDICT VALUE OF score FROM review "
                        "TRAIN ON score, f1")
+
+    @pytest.mark.parametrize("sql", [
+        "PREDICT VALUE OF y FROM t TRAIN ON a, b VALUES (1)",
+        "PREDICT VALUE OF y FROM t TRAIN ON a, b VALUES (1, 2.5), (1)",
+        "PREDICT VALUE OF y FROM t TRAIN ON a VALUES ('x')",
+        "PREDICT VALUE OF y FROM t TRAIN ON a VALUES (1.5)",
+        # INSERT stores an integral FLOAT in an INT column; VALUES does not
+        "PREDICT VALUE OF y FROM t TRAIN ON a VALUES (2.0)",
+        "PREDICT VALUE OF y FROM t TRAIN ON c VALUES (3)",
+        "PREDICT VALUE OF c FROM t TRAIN ON a, b",
+    ])
+    def test_malformed_predict_fails_before_training(self, sql):
+        db = repro.connect()
+        _load_typed_table(db)
+        before = db.clock.now
+        with pytest.raises(BindError):
+            db.execute(sql)
+        assert db.ai_engine.completed_tasks == []
+        assert db.clock.now == before
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("PREDICT VALUE OF y FROM t TRAIN ON a, b, c "
+         "VALUES (1, 2.5, 's0')", 1),
+        ("PREDICT VALUE OF y FROM t TRAIN ON a, b VALUES (2, 3)", 1),
+        ("PREDICT VALUE OF y FROM t TRAIN ON c, a, b "
+         "VALUES ('s3', 1, 0.5), ('s4', 2, 7)", 2),
+        ("PREDICT VALUE OF y FROM t TRAIN ON a, b, c "
+         "VALUES (NULL, NULL, NULL)", 1),
+        ("PREDICT VALUE OF y FROM t TRAIN ON a, b, c "
+         "VALUES (NULL, 2, 's1'), (1, NULL, NULL)", 2),
+    ])
+    def test_predict_values_match_feature_types(self, sql, rows):
+        """PREDICT VALUES accepts a literal of the feature's own type, an
+        INT for a FLOAT feature, and NULL anywhere (an integral FLOAT for
+        an INT feature is refused, see the test above)."""
+        db = repro.connect()
+        _load_typed_table(db)
+        result = db.execute(sql)
+        assert len(result.rows) == rows
+        assert ([t.kind for t in db.ai_engine.completed_tasks]
+                == ["train", "inference"])
 
     def test_no_training_rows(self):
         db = repro.connect()

@@ -35,7 +35,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.ai.armnet import SHORT_COLUMN, ARMNet, FeatureHasher, _round2
+from repro.ai import armnet
+from repro.ai.armnet import (INFER_ROWS, SHORT_COLUMN, ARMNet, FeatureHasher,
+                             _round2)
 from repro.ai.model_manager import ModelManager
 from repro.common import categories as cat
 from repro.common.errors import ModelNotFound
@@ -377,6 +379,31 @@ def test_training_set_is_hashed_once():
     train = db.ai_engine.completed_tasks[0]
     assert train.details["batches"] > 2
     assert calls == [300, 5]           # the training set, then the 5 inputs
+
+
+@pytest.mark.parametrize("task_type", ["classification", "regression"])
+def test_chunked_inference_equals_one_forward(task_type, monkeypatch):
+    """``predict_ids`` runs at most ``INFER_ROWS`` rows per forward (a
+    one-row tail joins the chunk before it); each prediction must be the
+    one a single forward over every row gives, bit for bit."""
+    model = ARMNet(field_count=4, task_type=task_type, seed=3)
+    rng = np.random.default_rng(0)
+    ids = model.hasher.transform(
+        [(int(a), float(b), f"s{c}", None if c % 7 == 0 else int(c))
+         for a, b, c in zip(rng.integers(0, 50, 3 * INFER_ROWS + 2),
+                            rng.normal(size=3 * INFER_ROWS + 2),
+                            rng.integers(0, 30, 3 * INFER_ROWS + 2))])
+    sizes = (1, 2, INFER_ROWS + 1, INFER_ROWS + 2, 2 * INFER_ROWS,
+             2 * INFER_ROWS + 1, 3 * INFER_ROWS + 2)
+    forward, seen = model.forward, []
+    model.forward = lambda part: (seen.append(len(part)), forward(part))[1]
+    chunked = [model.predict_ids(ids[:n]).tobytes() for n in sizes]
+    assert max(seen) <= INFER_ROWS + 1 and seen.count(1) == 1  # n = 1
+    monkeypatch.setattr(armnet, "INFER_ROWS", 10 * INFER_ROWS)
+    seen.clear()
+    whole = [model.predict_ids(ids[:n]).tobytes() for n in sizes]
+    assert seen == list(sizes)
+    assert chunked == whole
 
 
 # -- (d) init-free model load -------------------------------------------------
