@@ -4,9 +4,10 @@ A :class:`RowBlock` is the unit of data flow in the batch engine: a fixed
 :class:`~repro.exec.expr.RowLayout` plus one
 :class:`~repro.storage.types.TypedColumn` per slot.  Scans hand over the
 typed at-rest columns (int64/float64/bool arrays with validity bitmaps,
-dictionary-encoded strings); computed values (projections, aggregate
-results, row-engine adaptors) ride in the ``"obj"`` kind, an object
-array of the *original* Python values.  Every kind round-trips to row
+dictionary-encoded strings); a computed value rides in the kind its
+type names (``expr.compile_values_batch``), and aggregate results,
+row-engine adaptors and values the vector path declines ride in the
+``"obj"`` kind, an object array of the *original* Python values.  Every kind round-trips to row
 tuples bit-identically, and every kind keeps its own derived views
 (``float64`` plus a null mask), built lazily and carried through
 gathers and slices.  A selection is an array of ascending row indices
@@ -22,7 +23,7 @@ sweet spot (MonetDB/X100 uses ~1k values per vector).
 Invariants every RowBlock maintains, which operators and the parallel
 scheduler rely on:
 
-* **Exact round-trip** — ``iter_rows()``/``to_rows()`` return the original
+* **Exact round-trip** — ``iter_rows()`` returns the original
   Python objects, identity included; no conversion ever rewrites a stored
   value.  Numeric views are derived *copies* and NULLs live only in the
   null mask, never as sentinel values in the data.
@@ -103,14 +104,12 @@ class RowBlock:
 
     def iter_rows(self) -> Iterator[tuple]:
         """Yield the rows as tuples of the original Python values: one
-        zip over the columns' :meth:`values_list`, not their object views."""
+        zip over the columns' :meth:`TypedColumn.tolist`, not their object
+        views."""
         if not self.columns:
             # zero-width layout still carries a row count (e.g. SELECT 1)
             return iter(() for _ in range(self._length))
-        return zip(*(self.values_list(i) for i in range(len(self.columns))))
-
-    def to_rows(self) -> list[tuple]:
-        return list(self.iter_rows())
+        return zip(*(column.tolist() for column in self.columns))
 
     def column(self, idx: int) -> np.ndarray:
         """The object-array view of the column at slot ``idx`` — exact
@@ -123,11 +122,6 @@ class RowBlock:
         this is available."""
         col = self.columns[idx]
         return col if col.kind == "dict" else None
-
-    def values_list(self, idx: int) -> list:
-        """Python values of the column as a list, via the typed fast path
-        where one exists (:meth:`TypedColumn.tolist`)."""
-        return self.columns[idx].tolist()
 
     # -- vectorization support ---------------------------------------------
 

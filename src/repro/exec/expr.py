@@ -9,38 +9,42 @@ avoid repeated name resolution.
 Types are decided before any row is read, by one function:
 :func:`expr_type`.  The planner calls it on every expression of a
 statement, so an ill-typed one is a :class:`BindError` at plan time, and
-the vector compiler calls it to pick each lowering.
+the vector compiler calls it to pick each lowering.  A value has the
+Python type its bind-time type names, on every engine.
 
 Contract between the two compilers: :func:`compile_expr` (row) is the
 semantic reference; :func:`compile_expr_vector` (batch) must agree with it
-bit-for-bit or decline.  It declines once at *compile time*, returning
-None for the forms it does not lower — 2-argument ``round``, literals
-float64 cannot hold, a LIKE operand computed as a number (``str()`` of its
-float64 view could disagree) — and the batch predicate wrapper
-(:func:`compile_predicate_batch`) then evaluates those blocks row by row
-with the reference evaluator.  At *runtime* it declines per block, for two
-reasons that depend on values, never on types: a number column holding a
-magnitude float64 cannot represent exactly, and a reachable zero divisor.
-Either raises :class:`VectorFallback` and that one block is evaluated by
-the row path, so precision and error / short-circuit semantics are decided
-in row order exactly as the row engine would.  LIKE lowers for constant
-patterns (compiled matcher at plan-compile time; wildcard-free patterns
-shortcut to string equality) *and* non-constant patterns / computed text
-operands (per-plan matcher cache keyed by runtime pattern value — see
-:func:`_compile_like_vector`).
+bit-for-bit or decline.  The block engines call it through one fallback
+(:func:`_compile_batch`) for predicates (:func:`compile_predicate_batch`)
+and every other value (:func:`compile_values_batch`).  It declines once at
+*compile time*, returning None for the forms it does not lower —
+2-argument ``round``, literals float64 cannot hold, a LIKE operand
+computed as a number (``str()`` of its float64 view could disagree) — and
+the fallback then evaluates those blocks row by row with the reference
+evaluator.  At *runtime* it declines per block, for reasons that depend on
+values, never on types: a number float64 cannot hold exactly (a column or
+an INT result at or past 2^53), a reachable zero divisor, a NaN in a FLOAT
+value.  Each raises :class:`VectorFallback` and that one block is
+evaluated by the row path, so precision and error / short-circuit
+semantics are decided in row order exactly as the row engine would.  LIKE
+lowers for constant patterns (compiled matcher at plan-compile time;
+wildcard-free patterns shortcut to string equality) *and* non-constant
+patterns / computed text operands (per-plan matcher cache keyed by runtime
+pattern value — see :func:`_compile_like_vector`).
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.common.errors import BindError, ExecutionError
 from repro.sql import ast
-from repro.storage.types import DataType
+from repro.storage.types import DataType, TypedColumn, loses_precision
 
 
 class RowLayout:
@@ -252,6 +256,43 @@ def _output_layout(items: Sequence[ast.SelectItem],
     return RowLayout(slots, types)
 
 
+def split_aggregates(items: Sequence[ast.SelectItem], layout: RowLayout
+                     ) -> tuple[list[ast.FuncCall], list[ast.Expr], RowLayout]:
+    """``(calls, exprs, results)`` of an aggregate's select ``items``: the
+    aggregate calls, each item's expression with call ``i`` replaced by a
+    reference to slot ``#i`` (a name no statement can spell), and
+    ``layout`` followed by one slot per call — the rows the expressions
+    read.  Memoized like :func:`output_layout`, so the rewritten trees,
+    and what the compile caches build from them, persist."""
+    return _memo(("aggs", id(items), layout), items,
+                 lambda: _split_aggregates(items, layout))
+
+
+def _split_aggregates(items, layout):
+    calls: list[ast.FuncCall] = []
+
+    def rewrite(expr: ast.Expr) -> ast.Expr:
+        # exactly the nodes ast.is_aggregate looks into
+        if isinstance(expr, ast.FuncCall):
+            if expr.name in ast.AGGREGATE_FUNCTIONS:
+                calls.append(expr)
+                return ast.ColumnRef(f"#{len(calls) - 1}")
+            return replace(expr, args=tuple(map(rewrite, expr.args)))
+        if isinstance(expr, ast.BinaryOp):
+            return replace(expr, left=rewrite(expr.left),
+                           right=rewrite(expr.right))
+        if isinstance(expr, (ast.UnaryOp, ast.IsNull, ast.Between,
+                             ast.InList)):
+            return replace(expr, operand=rewrite(expr.operand))
+        return expr
+
+    exprs = [rewrite(item.expr) for item in items]
+    results = RowLayout(
+        layout.slots + tuple(("", f"#{i}") for i in range(len(calls))),
+        layout.types + tuple(expr_type(call, layout) for call in calls))
+    return calls, exprs, results
+
+
 Evaluator = Callable[[tuple], Any]
 
 
@@ -350,14 +391,10 @@ def _memo(key: tuple, pin: Any, build: Callable[[], Any]) -> Any:
     return value
 
 
-def _cached(kind: str, expr: ast.Expr, layout: RowLayout, compile_fn):
-    return _memo((kind, id(expr), layout), expr,
-                 lambda: compile_fn(expr, layout))
-
-
 def compile_expr_cached(expr: ast.Expr, layout: RowLayout) -> Evaluator:
     """Memoized :func:`compile_expr` for per-operator hot paths."""
-    return _cached("row", expr, layout, compile_expr)
+    return _memo(("row", id(expr), layout), expr,
+                 lambda: compile_expr(expr, layout))
 
 
 # comparisons and + - *: one definition for Python values and for arrays
@@ -369,9 +406,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def unary_evaluator(op: str, inner: Evaluator) -> Evaluator:
-    """``NOT`` / ``-`` over a one-argument evaluator, whatever its
-    argument is (a row, or an aggregate's ``(representative, results)``
-    pair)."""
+    """``NOT`` / ``-`` over a row evaluator."""
     if op == "NOT":
         def eval_not(row: tuple) -> Any:
             v = inner(row)
@@ -385,10 +420,8 @@ def unary_evaluator(op: str, inner: Evaluator) -> Evaluator:
 
 
 def binary_evaluator(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
-    """The binary operator ``op`` over two one-argument evaluators — the
-    one definition of its NULL, short-circuit and zero-divisor semantics,
-    whatever the argument is (a row, or an aggregate's
-    ``(representative, results)`` pair)."""
+    """The binary operator ``op`` over two row evaluators — the one
+    definition of its NULL, short-circuit and zero-divisor semantics."""
     if op == "AND":
         def eval_and(row: tuple) -> Any:
             a = left(row)
@@ -465,16 +498,26 @@ def _like_matcher(pattern: str) -> Callable[[str], bool]:
     return lambda s: fullmatch(s) is not None
 
 
+def _integral(fn: Callable[[float], Any]) -> Callable[[Any], Any]:
+    """floor / ceil / one-argument round: of a FLOAT the float numpy's
+    ``fn`` gives — inf and NaN pass through, the sign of zero is kept, as
+    on the vector path — and of an INT the int itself."""
+    return lambda x: float(fn(x)) if isinstance(x, float) else int(x)
+
+
+_rint = _integral(np.rint)
 _SCALAR_FUNCS: dict[str, Callable[..., Any]] = {
     "abs": abs,
     "lower": lambda s: s.lower(),
     "upper": lambda s: s.upper(),
     "length": len,
-    "round": round,
-    "floor": lambda x: float(int(x // 1)),
-    "ceil": lambda x: float(-int(-x // 1)),
+    "round": lambda x, *digits: round(x, *digits) if digits else _rint(x),
+    "floor": _integral(np.floor),
+    "ceil": _integral(np.ceil),
     "coalesce": None,  # special-cased below
 }
+# what COALESCE casts its value to, by its type: coalesce(b, 5) is an INT
+_CASTS = {DataType.INT: int, _FLOAT: float}
 
 
 def _compile_scalar_func(expr: ast.FuncCall, layout: RowLayout) -> Evaluator:
@@ -484,12 +527,13 @@ def _compile_scalar_func(expr: ast.FuncCall, layout: RowLayout) -> Evaluator:
             f"aggregate {name!r} is not allowed in this context")
     if name == "coalesce":
         args = [compile_expr(a, layout) for a in expr.args]
+        cast = _CASTS.get(expr_type(expr, layout))
 
         def eval_coalesce(row: tuple) -> Any:
             for arg in args:
                 v = arg(row)
                 if v is not None:
-                    return v
+                    return v if cast is None else cast(v)
             return None
         return eval_coalesce
     fn = _SCALAR_FUNCS.get(name)
@@ -754,13 +798,20 @@ def _compile_binary_vector(expr: ast.BinaryOp,
             return np.asarray(cmp(av, bv), dtype=bool), null
         return eval_cmp
 
+    # an INT result at or past 2^53 may have been rounded: so that every
+    # INT a lowering hands on is exact, its block takes the row path
+    exact = expr_type(expr, layout) is DataType.INT
+
     if op in _ARITH:
         fn = _ARITH[op]
 
         def eval_arith(block):
             av, an = left(block)
             bv, bn = right(block)
-            return fn(av.astype(np.float64), bv.astype(np.float64)), an | bn
+            out = fn(av.astype(np.float64), bv.astype(np.float64))
+            if exact and loses_precision(out):
+                raise VectorFallback
+            return out, an | bn
         return eval_arith
 
     if op in ("/", "%"):
@@ -779,6 +830,8 @@ def _compile_binary_vector(expr: ast.BinaryOp,
             safe = np.where(bv == 0.0, 1.0, bv)  # NULL slots hold 0.0
             av = av.astype(np.float64)
             out = np.mod(av, safe) if modulo else av / safe
+            if exact and loses_precision(out):
+                raise VectorFallback
             return out, null
         return eval_div
 
@@ -1021,35 +1074,73 @@ def _compile_like_vector(expr: ast.BinaryOp,
 
 
 def compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
-    """Compile a WHERE/ON predicate for the block engines: ``block -> bool
-    mask`` of the rows that pass (NULL = fail).
-
-    The predicate is typed first (:class:`BindError` when ill-typed), then
-    lowered by :func:`compile_expr_vector`.  A form the vector compiler
-    declines evaluates every block row by row with the reference
-    evaluator; a lowered plan does so only for a block whose values raise
-    :class:`VectorFallback`.  The compiled function holds no state that
-    evaluating a block changes."""
-    return _cached("pred", expr, layout, _compile_predicate_batch)
+    """A WHERE/ON predicate for the block engines: ``block -> bool mask``
+    of the rows that pass (NULL = fail)."""
+    return _memo(("pred", id(expr), layout), expr,
+                 lambda: _compile_batch(expr, layout, "pred"))
 
 
-def _compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
-    expr_type(expr, layout)
+def compile_values_batch(expr: ast.Expr, layout: RowLayout):
+    """A value for the block engines: ``block -> TypedColumn``, the
+    block's own column for a bare column reference, else a column of the
+    kind the value's type names (INT ``"i8"``, FLOAT ``"f8"``, BOOL
+    ``"bool"``, TEXT and NULL ``"obj"``; row-path values ``"obj"``)."""
+    if type(expr) is ast.ColumnRef:
+        idx = layout.resolve(expr.name, expr.table)
+        return lambda block: block.columns[idx]
+    return _memo(("values", id(expr), layout), expr,
+                 lambda: _compile_batch(expr, layout, "values"))
+
+
+def _compile_batch(expr: ast.Expr, layout: RowLayout, kind: str):
+    """The block engines' one row-by-row path: ``expr``, typed first
+    (:class:`BindError` when ill-typed), evaluates every block row by row
+    when :func:`compile_expr_vector` declines its form, and a block whose
+    values raise :class:`VectorFallback` otherwise.  The compiled
+    function holds no state that evaluating a block changes."""
+    dtype = expr_type(expr, layout)
     vector = compile_expr_vector(expr, layout)
     row_eval = compile_expr_cached(expr, layout)
+    from_vector, from_values = (
+        (_truthy, _truth_mask) if kind == "pred"
+        else (_vector_column(dtype), TypedColumn.from_objects))
 
-    def eval_rows(block) -> np.ndarray:
-        return np.fromiter((to_bool(row_eval(row))
-                            for row in block.iter_rows()),
-                           dtype=bool, count=len(block))
+    def eval_rows(block):
+        return from_values([row_eval(row) for row in block.iter_rows()])
 
     if vector is None:
         return eval_rows
 
-    def eval_block(block) -> np.ndarray:
+    def eval_block(block):
         try:
-            values, null = vector(block)
+            return from_vector(*vector(block))
         except VectorFallback:
             return eval_rows(block)
-        return _truthy(values, null)
     return eval_block
+
+
+def _truth_mask(values: list) -> np.ndarray:
+    return np.fromiter(map(to_bool, values), dtype=bool, count=len(values))
+
+
+# the typed column kind, and its array's dtype, of each value type
+_KINDS = {DataType.INT: ("i8", np.int64), _FLOAT: ("f8", np.float64),
+          DataType.BOOL: ("bool", np.bool_)}
+
+
+def _vector_column(dtype: DataType | None):
+    """``(values, null) -> TypedColumn`` of the kind ``dtype`` names, NULL
+    slots levelled.  A NaN raises :class:`VectorFallback` (``"f8"`` never
+    holds one: :meth:`TypedColumn.from_values`), and so does an INT at or
+    past 2^53, as ``numeric()`` refuses one."""
+    kind, array_type = _KINDS.get(dtype, ("obj", object))
+
+    def to_column(values: np.ndarray, null: np.ndarray) -> TypedColumn:
+        if (kind == "f8" and (np.isnan(values) & ~null).any()
+                or kind == "i8" and loses_precision(values)):
+            raise VectorFallback
+        data = values.astype(array_type)        # a copy: values may be shared
+        data[null] = None if kind == "obj" else 0
+        valid = None if kind == "obj" or not null.any() else ~null
+        return TypedColumn(kind, data, valid)
+    return to_column

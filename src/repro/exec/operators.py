@@ -18,6 +18,8 @@ Every operator carries two things over the same compiled state:
   ``partial_block``/``fold_partial``/``finish_state``
   (aggregate sink), ``merge_runs`` (sort sink), ``limit_block``
   (early-exit stage), ``distinct_block`` (order-sensitive stage).
+  A block hook reads columns only — ``compile_predicate_batch`` masks and
+  ``compile_values_batch`` columns; only ``distinct_block`` walks rows.
   Charged totals are identical to the row path, with one bounded
   exception: early termination (LIMIT) stops on block boundaries, so up
   to one block of upstream cost may be charged beyond where the row
@@ -44,8 +46,8 @@ per-task shard), never to ``self._clock``; it never touches
 ``self.rows_out`` (the driver attributes output counts after
 reassembly, so a retried task does not count twice); and running it
 again, or in another order, changes nothing, because compiled state
-(``compile_expr_cached`` evaluators, predicate batch evaluators) is
-effectively read-only after construction — the one exception is
+(``compile_expr_cached`` evaluators, predicate and value batch
+evaluators) is effectively read-only after construction — the one exception is
 ``BuildTable.buckets()``, a cache built on first use whose contents do
 not depend on which task builds it — and every
 :class:`RowBlock` is owned by one task at a time.
@@ -72,38 +74,34 @@ from repro.exec.batch import (
 from repro.exec.expr import (
     NO_COLUMNS,
     RowLayout,
-    binary_evaluator,
     compile_expr_cached,
     compile_predicate_batch,
+    compile_values_batch,
+    expr_type,
     output_layout,
+    split_aggregates,
     to_bool,
-    unary_evaluator,
 )
 from repro.plan import logical as plan
 from repro.sql import ast
 from repro.storage.catalog import Catalog
 from repro.storage.types import DataType, TypedColumn
 
-# A value source for the batch path: either a direct column slot or a
-# compiled row evaluator applied inside the block (an aggregate's result
-# items may also read an aggregate call's slot).
-_SLOT, _EVAL, _AGG = 0, 1, 2
+
+def _compiled(exprs, layout: RowLayout) -> tuple[list, list]:
+    """``exprs`` (None stays None) as the row engine's evaluators and the
+    block engines' column functions."""
+    return ([None if e is None else compile_expr_cached(e, layout)
+             for e in exprs],
+            [None if e is None else compile_values_batch(e, layout)
+             for e in exprs])
 
 
-def _value_source(expr: ast.Expr, layout: RowLayout):
-    """(kind, payload): column passthrough when the expression is a bare
-    column reference — values then keep their exact Python identity — and a
-    row evaluator otherwise."""
-    if isinstance(expr, ast.ColumnRef):
-        return _SLOT, layout.resolve(expr.name, expr.table)
-    return _EVAL, compile_expr_cached(expr, layout)
-
-
-def _source_values(source, block: RowBlock) -> list:
-    kind, payload = source
-    if kind == _SLOT:
-        return block.values_list(payload)
-    return [payload(row) for row in block.iter_rows()]
+def _computed(exprs) -> bool:
+    """Whether any of ``exprs`` computes a value: a hook that does takes a
+    deferred selection first, so computed values see surviving rows only."""
+    return any(not isinstance(e, (ast.ColumnRef, ast.Star, type(None)))
+               for e in exprs)
 
 
 def _stable_order(arrays: list[np.ndarray]) -> np.ndarray:
@@ -358,7 +356,7 @@ class FilterOp(Operator):
 class ProjectOp(Operator):
     def __init__(self, node: plan.Project, child: Operator, clock: SimClock):
         evaluators = []
-        sources = []
+        values = []
         for item in node.items:
             if isinstance(item.expr, ast.Star):
                 for slot_idx, (binding, _) in enumerate(child.layout.slots):
@@ -366,15 +364,17 @@ class ProjectOp(Operator):
                         continue
                     evaluators.append(
                         lambda row, j=slot_idx: row[j])
-                    sources.append((_SLOT, slot_idx))
+                    values.append(
+                        lambda block, j=slot_idx: block.columns[j])
                 continue
             evaluators.append(compile_expr_cached(item.expr, child.layout))
-            sources.append(_value_source(item.expr, child.layout))
+            values.append(compile_values_batch(item.expr, child.layout))
         super().__init__(output_layout(node.items, child.layout), clock)
         self.plan_node = node
         self._child = child
         self._evaluators = evaluators
-        self._sources = sources
+        self._values = values
+        self._computed = _computed(item.expr for item in node.items)
 
     def __iter__(self) -> Iterator[tuple]:
         for row in self._child:
@@ -385,24 +385,16 @@ class ProjectOp(Operator):
                       count: int, clock: SimClock) -> RowBlock:
         """Fused hook: project one block whose selection may still be
         deferred as row indices ``rows`` (``count`` = surviving rows, what
-        the charge and the output length must reflect).  Passthrough items
-        gather ``rows`` per projected column — unprojected columns are
-        never copied; computed items materialize the selected rows once."""
+        the charge and the output length must reflect).  A projection of
+        columns only gathers ``rows`` per projected column — unprojected
+        columns are never copied; one that computes a value takes the
+        selection first."""
         clock.advance_batch(CostModel.TUPLE_CPU, count, cat.PROJECT)
-        columns = []
-        tuples: list[tuple] | None = None
-        for kind, payload in self._sources:
-            if kind == _SLOT:
-                # the column itself, so typed-ness survives
-                # straight-through projections
-                col = block.columns[payload]
-                columns.append(col if rows is None else col[rows])
-            else:
-                if tuples is None:
-                    filtered = block if rows is None else block.take(rows)
-                    tuples = filtered.to_rows()
-                columns.append(TypedColumn.from_objects(
-                    [payload(row) for row in tuples]))
+        if rows is not None and self._computed:
+            block, rows = block.take(rows), None
+        columns = [values(block) for values in self._values]
+        if rows is not None:
+            columns = [column[rows] for column in columns]
         return RowBlock(self.layout, columns, count)
 
 
@@ -763,7 +755,8 @@ class _Accumulator:
         if self.name == "count":
             return self.count
         if self.name == "sum":
-            return self.total
+            # the sum of one BOOL is an int, as the sum of two is
+            return int(self.total) if type(self.total) is bool else self.total
         if self.name == "avg":
             return self.total / self.count if self.count else None
         if self.name == "min":
@@ -921,9 +914,10 @@ class AggState:
 class AggregateOp(Operator):
     """Hash aggregation with optional GROUP BY.
 
-    Select items may mix group-by expressions and aggregate calls; each item
-    is rewritten so aggregates pull from their per-group results and
-    non-aggregates evaluate against the group's representative row.
+    Select items may mix group-by expressions and aggregate calls: each
+    item is rewritten (:func:`~repro.exec.expr.split_aggregates`) into an
+    expression over the group's representative row followed by one slot
+    per aggregate call, and evaluates as any other expression does.
     """
 
     def __init__(self, node: plan.Aggregate, child: Operator,
@@ -932,46 +926,18 @@ class AggregateOp(Operator):
         self.plan_node = node
         self._child = child
         self._node = node
-        self._group_evals = [compile_expr_cached(g, child.layout)
-                             for g in node.group_by]
-        self._group_sources = [_value_source(g, child.layout)
-                               for g in node.group_by]
-        # collect every aggregate call across all select items
-        self._agg_calls: list[ast.FuncCall] = []
-        for item in node.items:
-            self._collect_aggs(item.expr)
-        self._agg_sources = [
-            None if (not call.args or isinstance(call.args[0], ast.Star))
-            else _value_source(call.args[0], child.layout)
-            for call in self._agg_calls]
-        # compiled once here, not once per group (typing the items above
-        # already refused sum(*) and its kin)
-        self._agg_args = [
-            None if source is None
-            else compile_expr_cached(call.args[0], child.layout)
-            for call, source in zip(self._agg_calls, self._agg_sources)]
-        self._item_evals = [self._compile_item(item.expr)
-                            for item in node.items]
-        # what a batch result column is read from: an aggregate call's
-        # results, a representative column, or the per-group evaluator
-        self._item_columns = [self._item_column(item.expr)
-                              for item in node.items]
-        # absorbing a deferred selection is safe only when every group key
-        # and aggregate argument is a plain column passthrough: row
-        # evaluators must never see rows the selection already rejected
-        self._slot_only = (
-            all(s[0] == _SLOT for s in self._group_sources)
-            and all(s is None or s[0] == _SLOT for s in self._agg_sources))
-
-    def _collect_aggs(self, expr: ast.Expr) -> None:
-        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
-            self._agg_calls.append(expr)
-            return
-        if isinstance(expr, ast.BinaryOp):
-            self._collect_aggs(expr.left)
-            self._collect_aggs(expr.right)
-        elif isinstance(expr, ast.UnaryOp):
-            self._collect_aggs(expr.operand)
+        layout = child.layout
+        self._agg_calls, items, self._results = split_aggregates(node.items,
+                                                                 layout)
+        # COUNT(*)'s argument is None
+        args = [None if not call.args or isinstance(call.args[0], ast.Star)
+                else call.args[0] for call in self._agg_calls]
+        self._group_evals, self._key_values = _compiled(node.group_by, layout)
+        self._agg_args, self._arg_values = _compiled(args, layout)
+        self._arg_types = [None if arg is None else expr_type(arg, layout)
+                           for arg in args]
+        self._item_evals, self._item_values = _compiled(items, self._results)
+        self._computed = _computed((*node.group_by, *args))
 
     def _new_accs(self) -> list[_Accumulator]:
         return [_Accumulator(call, arg)
@@ -991,11 +957,8 @@ class AggregateOp(Operator):
     # -- sink hooks --------------------------------------------------------
 
     def _new_folds(self) -> list[_CallFold]:
-        types = self._child.layout.types
-        return [_CallFold(call, arg, None if source is None
-                          or source[0] != _SLOT else types[source[1]])
-                for call, arg, source in zip(
-                    self._agg_calls, self._agg_args, self._agg_sources)]
+        return [_CallFold(call, arg, dtype) for call, arg, dtype in zip(
+            self._agg_calls, self._agg_args, self._arg_types)]
 
     def new_state(self) -> AggState:
         """Fresh state, for :meth:`fold_partial` to fold partials into."""
@@ -1008,22 +971,16 @@ class AggregateOp(Operator):
             state.folds, RowBlock.concat(state.reps) if state.reps else None)
 
     def _call_arrays(self, block: RowBlock, rows: np.ndarray | None = None):
-        """(values array, clean) per aggregate call, arranged by the
+        """(values column, clean) per aggregate call, arranged by the
         partition's ``rows`` when given; None for COUNT(*)."""
-        arrays: list[tuple[np.ndarray, bool] | None] = []
-        for source in self._agg_sources:
-            if source is None:
+        arrays: list[tuple[TypedColumn, bool] | None] = []
+        for values in self._arg_values:
+            if values is None:
                 arrays.append(None)
                 continue
-            kind, payload = source
-            if kind == _SLOT:
-                column = block.columns[payload]
-                clean = not block.null_mask(payload).any()
-            else:
-                column = TypedColumn.from_objects(
-                    [payload(row) for row in block.iter_rows()])
-                clean = False
-            arrays.append((column if rows is None else column[rows], clean))
+            column = values(block)
+            arrays.append((column if rows is None else column[rows],
+                           not column.null_mask().any()))
         return arrays
 
     # Both partitioners answer with ``(keys, firsts, rows, lows, highs)``:
@@ -1036,28 +993,26 @@ class AggregateOp(Operator):
                    count: int):
         """``(block, grouped)``: the ``count`` surviving rows of ``(block,
         rows)`` partitioned into groups — by the array partitioner when
-        every group key is a typed column and by the exact-object one
-        otherwise (computed keys, ``"obj"`` columns); a global aggregate
-        is one group.  When every key/argument is a column passthrough a
-        deferred selection rides along; otherwise the returned block is
-        the selection, taken once, so row evaluators only ever see
-        surviving rows."""
-        if rows is not None and not self._slot_only:
+        every group key column is typed and by the exact-object one
+        otherwise (``"obj"`` columns); a global aggregate is one group.
+        When every key and argument is a column a deferred selection
+        rides along; otherwise the returned block is the selection, taken
+        once, first."""
+        if rows is not None and self._computed:
             block, rows = block.take(rows), None
-        key_columns = [block.columns[payload] if kind == _SLOT else None
-                       for kind, payload in self._group_sources]
-        key_arrays = [None if column is None else column.key_arrays()
-                      for column in key_columns]
+        key_columns = [values(block) for values in self._key_values]
         if not key_columns:
             first = 0 if rows is None else int(rows[0])
             return block, ([()], np.array([first]), rows,
                            np.array([0]), np.array([count]))
+        key_arrays = [column.key_arrays() for column in key_columns]
         if all(arrays is not None for arrays in key_arrays):
             return block, self._group_typed(
                 rows, key_columns, [a for arrays in key_arrays for a in arrays])
         if rows is not None:
             block = block.take(rows)
-        return block, self._group_exact(block)
+            key_columns = [column[rows] for column in key_columns]
+        return block, self._group_exact(key_columns)
 
     def _group_typed(self, selected, key_columns, arrays):
         """GROUP BY over typed key columns, without a per-row step: one
@@ -1089,14 +1044,12 @@ class AggregateOp(Operator):
         return (keys, firsts, rows, starts[seen],
                 np.concatenate((starts[1:], [n]))[seen])
 
-    def _group_exact(self, block):
-        """Exact-object GROUP BY (a computed key, or a key column that is
-        not typed: mixed types, NaN, out-of-range ints): per-row dict
-        partition under Python equality."""
-        key_columns = [_source_values(source, block)
-                       for source in self._group_sources]
-        keys = (key_columns[0] if len(key_columns) == 1
-                else list(zip(*key_columns)))
+    def _group_exact(self, key_columns: list[TypedColumn]):
+        """Exact-object GROUP BY (a key column that is not typed: mixed
+        types, NaN, out-of-range ints): per-row dict partition of the
+        key columns' values under Python equality."""
+        values = [column.tolist() for column in key_columns]
+        keys = values[0] if len(values) == 1 else list(zip(*values))
         partition: dict[Any, list[int]] = {}
         for i, key in enumerate(keys):
             bucket = partition.get(key)
@@ -1161,7 +1114,8 @@ class AggregateOp(Operator):
                       count: int, clock: SimClock) -> AggPartial:
         """Worker hook: partial-aggregate the ``count`` (>= 1) surviving
         rows of ``(block, rows)`` (deferred row indices, None for all),
-        charging ``clock``, without materializing the selection."""
+        charging ``clock``; the selection is materialized only for a
+        computed key or argument."""
         clock.advance_batch(CostModel.HASH_BUILD_ROW, count, cat.AGG)
         block, (keys, firsts, rows, lows, highs) = self._partition(
             block, rows, count)
@@ -1198,16 +1152,16 @@ class AggregateOp(Operator):
         ``rows`` rows between them; a shuffled entry is ``stamped`` with
         its position in the morsel."""
         calls = len(self._agg_calls)
-        per_group = (max(1, len(self._group_sources))
+        per_group = (max(1, len(self._key_values))
                      + max(1, len(self._child.layout))
                      + (2 * calls or 1) + stamped)
         return groups * per_group + rows * sum(
-            source is not None for source in self._agg_sources)
+            values is not None for values in self._arg_values)
 
     def merged_units(self, groups: int) -> int:
         """Modeled exchange size of ``groups`` merged groups: the leaves
         of ``{key: (accumulators, representative, (morsel, position))}``."""
-        return groups * (max(1, len(self._group_sources))
+        return groups * (max(1, len(self._key_values))
                          + max(1, len(self._agg_calls))
                          + max(1, len(self._child.layout)) + 2)
 
@@ -1222,23 +1176,11 @@ class AggregateOp(Operator):
                 return None
             row = self._result_row(self._new_accs(), self._null_row())
             return self._emit_block(RowBlock.from_rows(self.layout, [row]))
-        results = [fold.results() for fold in folds]
-        per_group = None
-        columns = []
-        for (kind, payload), evaluate in zip(self._item_columns,
-                                             self._item_evals):
-            if kind == _AGG:
-                columns.append(TypedColumn.from_objects(results[payload]))
-            elif kind == _SLOT:
-                columns.append(reps.columns[payload])
-            else:
-                if per_group is None:
-                    per_group = list(zip(
-                        reps.to_rows(),
-                        zip(*results) if results else itertools.repeat(())))
-                columns.append(TypedColumn.from_objects(
-                    list(map(evaluate, per_group))))
-        return self._emit_block(RowBlock(self.layout, columns, len(reps)))
+        results = [TypedColumn.from_objects(fold.results()) for fold in folds]
+        block = RowBlock(self._results, reps.columns + results, len(reps))
+        return self._emit_block(RowBlock(
+            self.layout, [values(block) for values in self._item_values],
+            len(reps)))
 
     def _result_rows(self, groups: dict) -> Iterator[tuple]:
         """The row engine's result rows, in ``groups``' (first-seen)
@@ -1254,34 +1196,8 @@ class AggregateOp(Operator):
         return (None,) * len(self._child.layout)
 
     def _result_row(self, accs: list, representative: tuple) -> tuple:
-        pair = (representative, [acc.result() for acc in accs])
-        return tuple(item(pair) for item in self._item_evals)
-
-    def _item_column(self, expr: ast.Expr) -> tuple[int, int | None]:
-        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
-            return _AGG, next(i for i, call in enumerate(self._agg_calls)
-                              if call is expr)
-        if isinstance(expr, ast.ColumnRef):
-            return _SLOT, self._child.layout.resolve(expr.name, expr.table)
-        return _EVAL, None
-
-    def _compile_item(self, expr: ast.Expr):
-        """One select item as ``fn((representative row, aggregate
-        results))``: an aggregate call reads its slot of the results,
-        operators over items are the scalar ones (:func:`binary_evaluator`,
-        :func:`unary_evaluator`), anything else evaluates against the
-        group's representative row."""
-        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_FUNCTIONS:
-            slot = next(i for i, call in enumerate(self._agg_calls)
-                        if call is expr)
-            return lambda pair: pair[1][slot]
-        if isinstance(expr, ast.BinaryOp):
-            return binary_evaluator(expr.op, self._compile_item(expr.left),
-                                    self._compile_item(expr.right))
-        if isinstance(expr, ast.UnaryOp):
-            return unary_evaluator(expr.op, self._compile_item(expr.operand))
-        evaluator = compile_expr_cached(expr, self._child.layout)
-        return lambda pair: evaluator(pair[0])
+        row = representative + tuple(acc.result() for acc in accs)
+        return tuple(item(row) for item in self._item_evals)
 
 
 class _Descending:
@@ -1311,12 +1227,12 @@ class SortOp(Operator):
         self._child = child
         self._keys = [(compile_expr_cached(k.expr, child.layout),
                        k.descending) for k in node.keys]
-        self._key_sources = [(_value_source(k.expr, child.layout),
-                              k.descending) for k in node.keys]
+        self._key_values = [(compile_values_batch(k.expr, child.layout),
+                             k.descending) for k in node.keys]
 
     def _composite_key(self, row: tuple) -> tuple:
-        """Total-order composite sort key for one row — the row engine's
-        sort, and the block engines' exact-object fallback.
+        """Total-order composite sort key for one row: the row engine's
+        sort.
 
         A single stable sort on this tuple is equivalent to the classic
         per-key reversed stable-sort cascade *because* ``_sort_key`` is a
@@ -1352,8 +1268,9 @@ class SortOp(Operator):
     # (if it has NULLs) ahead of the values or dictionary ranks, i.e.
     # ``_sort_key``'s buckets restricted to what one typed column holds —
     # flipped as a whole under DESC, so NULLs lead as ``_Descending``
-    # makes them; stability gives the row engine's tie order.  If any key
-    # is not a typed column the sort compares ``_composite_key`` tuples.
+    # makes them; stability gives the row engine's tie order.  A key
+    # column that is not typed contributes its values' dense ranks under
+    # ``_sort_key`` (``_ranks``), the order ``_composite_key`` compares.
     #
     # The placed engines sort each block into a *run* on a worker
     # (sort_block) and the runs, concatenated in morsel order, on the
@@ -1365,13 +1282,10 @@ class SortOp(Operator):
     def _order(self, block: RowBlock) -> np.ndarray:
         """The stable sort permutation of ``block``'s rows."""
         arrays: list[np.ndarray] = []
-        for (kind, payload), descending in self._key_sources:
-            typed = (block.columns[payload].key_arrays(ordered=True)
-                     if kind == _SLOT else None)
-            if typed is None:
-                keys = [self._composite_key(row) for row in block.iter_rows()]
-                return np.array(sorted(range(len(keys)),
-                                       key=keys.__getitem__), dtype=np.intp)
+        for values, descending in self._key_values:
+            column = values(block)
+            typed = (column.key_arrays(ordered=True)
+                     or [_ranks(column.tolist())])
             if descending:
                 # -x for floats, ~x (= -x - 1, no overflow) for the rest
                 typed = [-a if a.dtype.kind == "f" else ~a for a in typed]
@@ -1415,11 +1329,12 @@ class SortOp(Operator):
                 for start in range(0, len(out), DEFAULT_BATCH_SIZE)]
 
 
-def _is_nan(value: Any) -> bool:
-    """True for float NaN (the one value that defeats ``==``/``<`` total
-    ordering).  The ``isinstance`` guard keeps exotic ``__ne__``
-    implementations from being mistaken for NaN."""
-    return isinstance(value, float) and value != value
+def _ranks(values: list) -> np.ndarray:
+    """Dense ranks of ``values`` in ``_sort_key``'s total order: equal
+    keys share a rank."""
+    keys = list(map(_sort_key, values))
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.intp)
 
 
 def _sort_key(value: Any) -> tuple:
@@ -1435,7 +1350,7 @@ def _sort_key(value: Any) -> tuple:
     if isinstance(value, bool):
         return (0, int(value))
     if isinstance(value, (int, float)):
-        if _is_nan(value):
+        if value != value:                  # NaN
             return (0.5, "")
         return (0, value)
     return (1, str(value))

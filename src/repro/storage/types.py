@@ -124,7 +124,7 @@ PAGE_DICT_CAP = 128
 MAX_EXACT_FLOAT = 2.0**53
 
 
-def _loses_precision(values: np.ndarray) -> bool:
+def loses_precision(values: np.ndarray) -> bool:
     """Whether a float64 view reaches 2^53, where it may no longer hold
     the integers it was derived from exactly."""
     if not values.size:
@@ -402,7 +402,7 @@ class TypedColumn:
                           self._object_float64() if self.kind == "obj"
                           else None)
                 self._f64 = (_DECLINED if values is None
-                             or _loses_precision(values) else values)
+                             or loses_precision(values) else values)
         if self._f64 is _DECLINED:
             return None
         values = self.data if self._f64 is _VALUES else self._f64

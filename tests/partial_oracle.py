@@ -42,9 +42,8 @@ def payload_bytes(value: Any) -> int:
 def expand_partial(op: ops.AggregateOp, partial: ops.AggPartial) -> dict:
     """The nested form of one columnar partial."""
     reps = partial.block.take(partial.firsts)
-    representatives = reps.to_rows()
-    sources = [ops._source_values(source, reps)
-               for source in op._group_sources]
+    representatives = list(reps.iter_rows())
+    sources = [values(reps).tolist() for values in op._key_values]
     if not sources:
         keys = [()] * len(representatives)       # a global aggregate
     else:

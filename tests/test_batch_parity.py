@@ -34,6 +34,32 @@ from repro.plan import logical
 from repro.sql import parse
 from repro.storage import TypedColumn
 
+# computed values — a projection item, a group key, an aggregate
+# argument, an aggregate result item, a sort key — and one query per
+# fallback of expr.compile_values_batch: an INT literal float64 cannot
+# hold, an INT result past 2^53, a zero divisor on rows the WHERE clause
+# rejects, a two-argument round (also a sort key kept in "obj"), and a
+# LIKE over a number
+COMPUTED_QUERIES = [
+    "SELECT id, age * 3 - 1, score * 2.0 + 1, age > 30 AND score < 50, "
+    "-age, coalesce(nickname, city), floor(score), age / 4 "
+    "FROM users WHERE age < 55",
+    "SELECT age % 7, count(*), sum(score) FROM users GROUP BY age % 7",
+    "SELECT city, sum(age * 2), avg(score * 0.5), max(length(name)), "
+    "count(DISTINCT age % 5) FROM users GROUP BY city",
+    "SELECT city, sum(age) * 2 + count(*), abs(min(score) - max(score)), "
+    "coalesce(max(nickname), 'none'), sum(score) IS NULL, "
+    "max(age) BETWEEN 30 AND 50, min(age) IN (20, 21) "
+    "FROM users GROUP BY city",
+    "SELECT id, age, score FROM users ORDER BY age * -1, score DESC, id",
+    "SELECT id, age * 9007199254740993 FROM users",
+    "SELECT id, age * 4503599627370496 FROM users",
+    "SELECT id, 100 / (age - 20), 7 % (age - 20) FROM users WHERE age > 20",
+    "SELECT id, score, round(score, 1) FROM users "
+    "ORDER BY round(score, 1) DESC, id",
+    "SELECT id, age * 2 LIKE '4%' FROM users",
+]
+
 # scan / filter / project / join / aggregate / sort / limit / distinct,
 # vectorized and fallback expression forms alike
 PARITY_QUERIES = [
@@ -128,6 +154,7 @@ PARITY_QUERIES = [
     # computed-operand / non-constant LIKE (vectorized since PR 5)
     "SELECT name FROM users WHERE upper(name) LIKE 'USER1%'",
     "SELECT name FROM users WHERE coalesce(nickname, name) LIKE '%1%'",
+    *COMPUTED_QUERIES,
 ]
 
 # the fused-pipeline sweep: shapes whose stage chains exercise deferred
@@ -465,6 +492,115 @@ def test_rows_out_accounting_parity(parity_db):
         produced = list(engine.iter_rows(op))
         assert len(rows) == len(produced)
         assert op_row.rows_out == op.rows_out
+
+
+@pytest.mark.parametrize("sql", COMPUTED_QUERIES)
+def test_computed_values_on_every_engine(parity_db, sql):
+    """Computed values and their fallbacks: rows, value types, every
+    operator's rows_out and the charges of the row engine, on batch,
+    parallel and distributed (network charges aside)."""
+    plan = parity_db.planner.plan_select(parse(sql))
+    expected, expected_rows_out, _ = _run_charged(parity_db, "row", {}, plan)
+    for engine, kwargs in (
+            ("batch", {}), ("parallel", {"workers": 4, "morsel_rows": 16}),
+            ("distributed", {"nodes": 2, "workers": 2, "morsel_rows": 16})):
+        got, rows_out, _ = _run_charged(parity_db, engine, kwargs, plan)
+        where = f"{sql} on {engine}"
+        assert got.columns == expected.columns, where
+        assert _typed(got.rows) == _typed(expected.rows), where
+        assert rows_out == expected_rows_out, where
+        network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
+        assert got.virtual_seconds - network == pytest.approx(
+            expected.virtual_seconds, rel=1e-6, abs=1e-9), where
+
+
+EVERY_ENGINE = (("row", {}), ("batch", {}),
+                ("parallel", {"workers": 2, "morsel_rows": 2}),
+                ("distributed", {"nodes": 2, "morsel_rows": 2}))
+
+
+def _on_every_engine(db, sql):
+    """The rows of ``sql`` on each engine, with their value types."""
+    plan = db.planner.plan_select(parse(sql))
+    return [_typed(Executor(db.catalog, db.clock, engine=engine, **kwargs)
+                   .run(plan).rows) for engine, kwargs in EVERY_ENGINE]
+
+
+@pytest.fixture(scope="module")
+def value_db():
+    db = repro.connect()
+    db.execute("CREATE TABLE n (id INT, v INT, w FLOAT, b BOOL)")
+    db.execute("INSERT INTO n VALUES (1, 7, 2.5, TRUE)")
+    db.execute("ANALYZE")
+    return db
+
+
+@pytest.mark.parametrize("expr", [
+    "floor(v)", "ceil(v)", "round(v)", "floor(w)", "ceil(w)", "round(w)",
+    "coalesce(v, 2.5)", "coalesce(b, 5)", "coalesce(w, v)", "sum(b)",
+    "sum(v)", "avg(v)", "-b"])
+def test_values_have_the_type_bind_time_names(value_db, expr):
+    from repro.exec.expr import RowLayout, expr_type
+    from repro.storage.types import DataType
+    layout = RowLayout.of_table("n", value_db.catalog.table("n").schema)
+    dtype = expr_type(parse(f"SELECT {expr} FROM n").items[0].expr, layout)
+    python_type = {DataType.INT: int, DataType.FLOAT: float,
+                   DataType.BOOL: bool}[dtype]
+    for rows in _on_every_engine(value_db, f"SELECT {expr} FROM n"):
+        assert [value_type for ((value_type, _),) in rows] == [python_type]
+
+
+def test_floor_ceil_round_pass_inf_and_nan_through():
+    db = repro.connect()
+    db.execute("CREATE TABLE f (id INT, w FLOAT)")
+    for i, w in enumerate(("1e308", "1e308", "2.5", "-0.5", "NULL"), 1):
+        db.execute(f"INSERT INTO f VALUES ({i}, {w})")
+    db.execute("UPDATE f SET w = w * 10 WHERE id = 1")              # inf
+    db.execute("UPDATE f SET w = w * 10 - w * 10 WHERE id = 2")     # NaN
+    for engine in _on_every_engine(
+            db, "SELECT id FROM f WHERE floor(w) > 0 OR ceil(w) < 0"):
+        assert engine == _typed([(1,), (3,)])
+    projected = [[tuple((t, repr(v)) for t, v in row) for row in rows]
+                 for rows in _on_every_engine(
+                     db, "SELECT floor(w), ceil(w), round(w) FROM f")]
+    inf, nan = ((float, "inf"),) * 3, ((float, "nan"),) * 3
+    expected = [inf, nan, ((float, "2.0"), (float, "3.0"), (float, "2.0")),
+                ((float, "-1.0"), (float, "-0.0"), (float, "-0.0")),
+                ((type(None), "None"),) * 3]
+    assert projected == [expected] * len(EVERY_ENGINE)
+
+
+@pytest.mark.parametrize("sql, expected", [
+    ("SELECT g, abs(sum(v)) FROM t GROUP BY g", [(1, 4), (2, 4)]),
+    ("SELECT coalesce(max(w), 0) FROM t", [(2.5,)]),
+    ("SELECT coalesce(max(w), 0) FROM t WHERE g > 5", [(0.0,)]),
+    ("SELECT sum(w) IS NULL FROM t", [(False,)]),
+    ("SELECT sum(w) IS NULL FROM t WHERE w IS NULL", [(True,)]),
+    ("SELECT max(v) BETWEEN 1 AND 5 FROM t", [(True,)]),
+    ("SELECT g, min(v) IN (-7, 0) FROM t GROUP BY g", [(1, True), (2, False)]),
+    ("SELECT g, -sum(v) + 1, NOT max(v) > 3 FROM t GROUP BY g",
+     [(1, 5, True), (2, -3, False)]),
+])
+def test_aggregates_under_functions_and_predicates(sql, expected):
+    db = repro.connect()
+    db.execute("CREATE TABLE t (g INT, v INT, w FLOAT)")
+    for row in ("1, -7, 2.5", "1, 3, NULL", "2, 4, NULL"):
+        db.execute(f"INSERT INTO t VALUES ({row})")
+    for rows in _on_every_engine(db, sql):
+        assert rows == _typed(expected)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT g FROM t WHERE abs(sum(v)) > 1",
+    "SELECT count(*) FROM t GROUP BY abs(sum(v))",
+    "SELECT sum(abs(max(v))) FROM t",
+])
+def test_aggregates_stay_refused_outside_select_items(sql):
+    from repro.common.errors import BindError
+    db = repro.connect()
+    db.execute("CREATE TABLE t (g INT, v INT)")
+    with pytest.raises(BindError):
+        db.execute(sql)
 
 
 def test_division_by_zero_parity(parity_db):

@@ -384,8 +384,8 @@ def test_select_gathers_what_boolean_indexing_returns(density):
     assert len(got) == int(mask.sum())
     assert [_column_bytes(c) for c in got.columns] \
         == [_column_bytes(c[mask]) for c in block.columns]
-    assert _typed(got.to_rows()) == _typed(
-        [row for row, keep in zip(block.to_rows(), mask) if keep])
+    assert _typed(list(got.iter_rows())) == _typed(
+        [row for row, keep in zip(list(block.iter_rows()), mask) if keep])
     fresh = RowBlock(block.layout, [_uncached(c) for c in got.columns],
                      len(got))
     for idx, column in enumerate(got.columns):
@@ -480,7 +480,7 @@ _PYTHON_TYPES = (int, float, str, bool, type(None))
 
 
 def test_iter_rows_yields_the_object_views_python_values():
-    """``iter_rows`` zips each column's ``values_list``; the rows must
+    """``iter_rows`` zips each column's ``tolist()``; the rows must
     equal — value and Python type, never a numpy scalar — the zip of the
     columns' object views."""
     block = _selection_block()

@@ -405,8 +405,7 @@ def _reference_partial(op, block, clock):
                    for entry in call_arrays]
         partial[()] = [tuple(c[0] for c in block.columns), entries]
         return partial
-    key_columns = [ops._source_values(source, block)
-                   for source in op._group_sources]
+    key_columns = [values(block).tolist() for values in op._key_values]
     keys = (key_columns[0] if len(key_columns) == 1
             else list(zip(*key_columns)))
     partition = {}

@@ -474,7 +474,7 @@ def test_block_carrier_defers_selection():
     assert carrier.count == 2
     assert carrier.block is block          # not yet copied
     out = carrier.materialize()
-    assert out.to_rows() == [(1, "x"), (3, "z")]
+    assert list(out.iter_rows()) == [(1, "x"), (3, "z")]
     assert carrier.materialize() is out    # idempotent
 
 
