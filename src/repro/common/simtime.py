@@ -152,10 +152,10 @@ class SimClock:
     def limit(self) -> float | None:
         """The armed budget limit (absolute virtual time), or None.
 
-        The placed scheduler reads this to enforce the budget at phase
-        boundaries: task charges accumulate on shard clocks that carry
-        no limit of their own, so the shared clock's limit must be checked
-        explicitly when a phase's charges are folded in."""
+        ``Executor.run`` reads this to keep a budgeted run off the placed
+        scheduler: its task charges accumulate on shard clocks that carry
+        no limit of their own, so only the streaming driver, charging
+        this clock directly, enforces the budget at every charge."""
         return self._limit
 
     def advance_to(self, when: float, category: str = "wait") -> float:
@@ -371,7 +371,6 @@ class CostModel:
 
     # transactions
     LOCK_ACQUIRE = 1e-6
-    LOCK_RELEASE = 0.5e-6
     VALIDATE_OP = 0.8e-6
     ABORT_PENALTY = 30e-6      # rollback + restart bookkeeping
     TXN_BEGIN = 2e-6

@@ -55,18 +55,12 @@ test_batch_parity.py`` enforce (``docs/parallel.md`` states it in full):
   tasks (scan->filter->project chains, hash-join probes, nested-loop
   crosses, aggregate partials, sort runs, build parts).  Merges,
   order-sensitive stages (Distinct) and the leaves that are not table
-  scans (IndexScan, EmptyRow) run on the lane.  A plan containing LIMIT
-  runs the streaming driver on the lane: eager dispatch would scan rows
-  the serial engines never touch.
+  scans (IndexScan, EmptyRow) run on the lane.
 * **Failure** — an error that is not retried stops the phase at the
   morsel that raised it: morsels ``0..k`` have run and charged, none past
   ``k`` has, the phase is closed, and :meth:`run` still folds every
   charge into the shared clock (a failing query leaves its charges
   behind, like the serial engines).
-* **Budgets** — ``SimClock.set_limit`` is checked at every phase close and
-  once before the final fold, which itself runs with the limit suspended.
-  Capped measurement (``exec/measure.py``) downgrades to the batch engine:
-  a phase is coarser than its per-charge enforcement.
 * **Faults** — with a :class:`~repro.common.faults.FaultPlan` armed, a
   task attempt can suffer ``task_error`` (before the work), ``slow_worker``
   / ``slow_node`` latency (after it, the latter targeted at ``node<i>``)
@@ -92,8 +86,7 @@ from repro.common import categories as cat
 from repro.common.errors import RetryPolicy, WorkerCrash, check_at_least
 from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
-from repro.common.simtime import (BudgetExceeded, LaneSchedule, NetworkModel,
-                                  SimClock)
+from repro.common.simtime import LaneSchedule, NetworkModel, SimClock
 from repro.exec import operators as ops
 from repro.exec import pipeline as pl
 from repro.exec.batch import RowBlock
@@ -132,7 +125,7 @@ class DistributedScheduler:
     the lane.  Work is tracked as ``(node, item)`` pairs in the serial
     engines' block order.
 
-    ``run(operator)`` returns ``(blocks, stats)``: the result blocks in
+    ``run(program)`` returns ``(blocks, stats)``: the result blocks in
     serial-engine order and the stats dict (modeled timings, exchange
     log, per-node accounting, recovery counts).  :meth:`dispatch` is the
     one loop under every phase.  Single-use, like the operator tree it
@@ -186,27 +179,19 @@ class DistributedScheduler:
 
     # -- entry -------------------------------------------------------------
 
-    def run(self, operator: ops.Operator) -> tuple[list[RowBlock], dict]:
-        """Execute the tree; returns (result blocks, stats).  Task and
-        lane charges are folded into the shared clock even when
-        execution raises: like the serial engines, a failing query leaves
-        its partial charges behind."""
+    def run(self, program: pl.PipelineProgram
+            ) -> tuple[list[RowBlock], dict]:
+        """Execute a compiled program without a LIMIT; returns (result
+        blocks, stats).  Task and lane charges are folded into the shared
+        clock even when execution raises: like the serial engines, a
+        failing query leaves its partial charges behind."""
         start = self._clock.now
         try:
-            program = pl.compile_pipelines(operator)
-            if program.has_limit:
-                # LIMIT stops pulling mid-stream; eager dispatch would
-                # scan (and charge) rows the serial engines never touch
-                blocks = list(pl.run_program(program, self.lane))
-            else:
-                root = program.root
-                placed = self._placed(root)
-                self.gather(placed, root.stages[-1].op if root.stages
-                            else root.source.op, "result gather")
-                blocks = [block for _, block in placed]
-            # lane charges since the last phase close (run merges, spill
-            # surcharges) are budget-checked here, before the fold
-            self.check_budget()
+            root = program.root
+            placed = self._placed(root)
+            self.gather(placed, root.stages[-1].op if root.stages
+                        else root.source.op, "result gather")
+            blocks = [block for _, block in placed]
         finally:
             stats = self.finish(start)
         return blocks, stats
@@ -229,19 +214,11 @@ class DistributedScheduler:
         # side: unlike shared-clock deltas, which pick up rounding from
         # whatever the clock already accumulated, this dict is a pure
         # function of the charge sequence — bit-identical across node and
-        # worker counts (the invariant tests and benchmarks assert on).
-        # The budget limit is suspended: a failing query must still leave
-        # all of its charges behind, and the budget was already enforced
-        # at the phase boundaries
+        # worker counts (the invariant tests and benchmarks assert on)
         by_category: dict[str, float] = {}
-        limit = self._clock.limit
-        self._clock.set_limit(None)
-        try:
-            for shard in self._shard_clocks:
-                self._fold(shard, by_category)
-            self._fold(self.lane, by_category)
-        finally:
-            self._clock.set_limit(limit)
+        for shard in self._shard_clocks:
+            self._fold(shard, by_category)
+        self._fold(self.lane, by_category)
         stats = {
             "nodes": self.nodes,
             "workers": self.workers,
@@ -293,21 +270,6 @@ class DistributedScheduler:
         for category, seconds in shard.breakdown().items():
             self._clock.absorb(seconds, category)  # repro: charge-category-ok folding shard breakdowns whose categories were validated at charge time
             by_category[category] = by_category.get(category, 0.0) + seconds
-
-    def check_budget(self) -> None:
-        """Raise :class:`BudgetExceeded` once the charges accumulated so
-        far — on the shared clock and on the task, page and lane clocks
-        not yet folded into it — have crossed the shared clock's armed
-        limit.  Called at each phase close — the finest granularity at
-        which task charges are observable — so budgets fire mid-flight."""
-        limit = self._clock.limit
-        if limit is None:
-            return
-        pending = sum(shard.now for shard in self._shard_clocks) \
-            + self.lane.now
-        if self._clock.now + pending > limit:
-            raise BudgetExceeded(f"virtual-time budget {limit} exceeded at "
-                                 f"a phase boundary")
 
     def _op_task(self, op: ops.Operator, fn):
         """``fn`` under ``op``'s span (a worker hook about to be
@@ -386,7 +348,6 @@ class DistributedScheduler:
         finally:
             self._close_phase(phase, Counter(node for node, _ in units),
                               attempts, crashes)
-        self.check_budget()
         return out
 
     def _attempt(self, fn: Callable[[Any, SimClock], Any], item: Any,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Iterator
+from typing import Any
 
 from repro.common.errors import ExecutionError, check_at_least
 from repro.common.simtime import SimClock
@@ -16,7 +15,6 @@ from repro.exec.distributed import (
     DEFAULT_WORKERS,
     DistributedScheduler,
 )
-from repro.exec.batch import RowBlock
 from repro.exec.pipeline import compile_pipelines, run_program
 from repro.plan import logical as plan
 from repro.storage.catalog import Catalog
@@ -76,6 +74,11 @@ class Executor:
       totals are identical to ``"batch"`` at every node and worker count;
       ``ResultSet.extra["distributed"]`` carries the scheduler stats:
       modeled makespan, recovery counts, exchange log, per-node timings.
+      A plan with a LIMIT, or a run under an armed budget
+      (``SimClock.set_limit``), runs on the streaming driver instead —
+      it dispatches nothing, so ``extra`` holds ``"pipeline"`` — because
+      eager dispatch would scan rows LIMIT never reads and could only
+      check a budget between phases.
     * ``"parallel"`` — the one-node spelling of ``"distributed"``: the
       same scheduler with ``nodes`` pinned to 1 (no exchange ever ships),
       the same stats dict under ``ResultSet.extra["parallel"]``.
@@ -125,21 +128,6 @@ class Executor:
         #: for EXPLAIN ANALYZE's per-operator annotation pass
         self.last_run: tuple[plan.PlanNode, ops.Operator] | None = None
 
-    @property
-    def placed(self) -> bool:
-        """True for the engines that dispatch eagerly, phase by phase
-        (see :class:`~repro.exec.distributed.DistributedScheduler`)."""
-        return self.engine in ("parallel", "distributed")
-
-    def with_engine(self, engine: str) -> "Executor":
-        """A sibling executor over the same catalog and clock, differing
-        only in engine (the other knobs carry over).  Used by capped
-        measurement to downgrade a placed engine to ``batch``."""
-        return Executor(self._catalog, self._clock, engine=engine,
-                        workers=self.workers, morsel_rows=self.morsel_rows,
-                        faults=self.faults, retry_limit=self.retry_limit,
-                        registry=self.registry, nodes=self.nodes)
-
     def build(self, node: plan.PlanNode) -> ops.Operator:
         """Recursively build the operator tree for a plan."""
         if isinstance(node, plan.SeqScan):
@@ -178,37 +166,25 @@ class Executor:
                                     retry_limit=self.retry_limit,
                                     registry=self.registry)
 
-    def _execute(self, operator: ops.Operator
-                 ) -> tuple[Iterator[tuple], dict[str, Any]]:
-        """The one engine dispatch: the rows of ``operator`` on the
-        configured engine, and what the engine reports for
-        ``ResultSet.extra``.  The row and batch engines stream (budgets
-        and LIMIT stop exactly where they should); the placed engines
-        execute eagerly and the rows replay their materialized result."""
-        if self.engine == "row":
-            return iter(operator), {}
-        if self.placed:
-            blocks, stats = self._scheduler().run(operator)
-            extra = {self.engine: stats}
-        else:
-            program = compile_pipelines(operator)
-            blocks = run_program(program, self._clock)
-            extra = {"pipeline": {"pipelines": program.describe()}}
-        return chain.from_iterable(map(RowBlock.iter_rows, blocks)), extra
-
-    def iter_rows(self, operator: ops.Operator) -> Iterator[tuple]:
-        """Row-tuple iterator over an operator tree using the configured
-        engine — the facade that keeps block execution invisible to
-        row-oriented callers (measurement, db facade, tests)."""
-        return self._execute(operator)[0]
-
     def run(self, node: plan.PlanNode) -> ResultSet:
-        """Execute a plan and materialize the result, measuring virtual time."""
+        """Execute a plan and materialize the result, measuring virtual
+        time.  The one place that picks the driver: a placed engine's
+        program runs on the scheduler only without a LIMIT or a budget."""
         start = self._clock.now
         operator = self.build(node)
         self.last_run = (node, operator)
-        rows, extra = self._execute(operator)
-        rows = list(rows)
+        if self.engine == "row":
+            rows, extra = list(operator), {}
+        else:
+            program = compile_pipelines(operator)
+            if (self.engine in ("parallel", "distributed")
+                    and not program.has_limit and self._clock.limit is None):
+                blocks, stats = self._scheduler().run(program)
+                extra = {self.engine: stats}
+            else:
+                blocks = run_program(program, self._clock)
+                extra = {"pipeline": {"pipelines": program.describe()}}
+            rows = [row for block in blocks for row in block.iter_rows()]
         elapsed = self._clock.now - start
         return ResultSet(columns=operator.layout.column_names(), rows=rows,
                          virtual_seconds=elapsed, plan_text=node.pretty(),

@@ -21,35 +21,21 @@ from repro.plan.logical import PlanNode
 @dataclass
 class MeasuredPlan:
     latency: float         # virtual seconds (== cap when censored)
-    rows_produced: int
+    rows_produced: int     # 0 when censored
     censored: bool
 
 
 def measure_plan_latency(executor: Executor, clock: SimClock,
                          node: PlanNode,
                          cap_virtual: float | None = None) -> MeasuredPlan:
-    """Execute a plan under an optional virtual-time budget.
-
-    A capped measurement downgrades a placed executor (parallel or
-    distributed) to the serial batch engine: placed engines dispatch
-    eagerly and enforce budgets only at phase boundaries (coarser than
-    the serial engines' per-charge enforcement), and their modeled
-    makespan is not the per-charge latency the learned optimizer trains
-    on.  Charged compute totals are engine-identical, so the downgrade
-    measures the same virtual latency an uncapped placed run would have
-    charged.
-    """
-    if cap_virtual is not None and executor.placed:
-        executor = executor.with_engine("batch")
+    """Execute a plan under an optional virtual-time budget."""
     start = clock.now
     if cap_virtual is not None:
         clock.set_limit(start + cap_virtual)
     rows = 0
     censored = False
     try:
-        operator = executor.build(node)
-        for _ in executor.iter_rows(operator):
-            rows += 1
+        rows = len(executor.run(node).rows)
     except BudgetExceeded:
         censored = True
     finally:

@@ -25,7 +25,7 @@ compiled program, written once for every batch-family engine.
   The streaming driver runs it per source block; every placed task runs
   it per morsel.
 * :func:`run_program` is the streaming driver: the batch engine's drive
-  loop, and the serial lane of the placed engines for LIMIT plans.
+  loop, and the placed engines' for LIMIT plans and budgeted runs.
 * :class:`~repro.exec.distributed.DistributedScheduler` is the placed
   engines' phased walk over the same program (inputs -> one task per
   morsel through the parallel-safe stage prefix -> serial tail -> sink

@@ -11,8 +11,8 @@ backoff) lands in an explicit ``(other)`` bucket instead of vanishing.
 
 The annotation is engine-independent: row, batch (fused or not), and
 parallel execution attribute to the same plan-node spans, so the same
-query EXPLAINs identically everywhere (the parallel engine additionally
-reports its worker/morsel fan-out).
+query EXPLAINs identically everywhere (the placed engines additionally
+report workers, tasks and modeled makespan).
 """
 
 from __future__ import annotations
@@ -162,14 +162,15 @@ def explain_analyze(plan, root_op, tracer: Tracer,
         header.append(f"  (other, outside operators): "
                       f"[{_fmt_charged(other)}]")
     task_spans = tracer.spans_of_kind("task")
+    placed = distributed_stats if distributed_stats is not None \
+        else parallel_stats
+    if placed is not None:
+        line = ("parallel: " if placed is parallel_stats
+                else f"distributed: nodes={placed['nodes']} ")
+        header.append(f"{line}workers={placed['workers']} "
+                      f"tasks={placed['tasks']} makespan="
+                      f"{_fmt_seconds(placed['virtual_makespan'])}")
     if distributed_stats is not None:
-        line = (f"distributed: nodes={distributed_stats.get('nodes')} "
-                f"workers={distributed_stats.get('workers')} "
-                f"tasks={distributed_stats.get('tasks')}")
-        makespan = distributed_stats.get("virtual_makespan")
-        if makespan is not None:
-            line += f" makespan={_fmt_seconds(makespan)}"
-        header.append(line)
         net_rows = distributed_stats.get("rows_shuffled", 0)
         net_bytes = distributed_stats.get("bytes_on_wire", 0)
         net_seconds = distributed_stats.get("exchange_seconds", 0.0)
@@ -179,18 +180,6 @@ def explain_analyze(plan, root_op, tracer: Tracer,
         for leftover in exchanges_by_node.values():
             for record in leftover:
                 header.append("  " + _fmt_exchange(record))
-    elif parallel_stats is not None:
-        workers = parallel_stats.get("workers")
-        tasks = parallel_stats.get("tasks_dispatched", len(task_spans))
-        makespan = parallel_stats.get("makespan")
-        line = f"parallel: workers={workers} morsel_tasks={tasks}"
-        if makespan is not None:
-            line += f" makespan={_fmt_seconds(makespan)}"
-        header.append(line)
-    elif task_spans:
-        workers = len({s.attrs.get("worker") for s in task_spans})
-        header.append(f"parallel: workers={workers} "
-                      f"morsel_tasks={len(task_spans)}")
 
     text = "\n".join(header) + "\n" + "\n".join(lines)
     structured = {

@@ -49,6 +49,8 @@ from repro.exec.executor import Executor
 from repro.exec.expr import RowLayout, compile_expr, expr_type, to_bool
 from repro.sql import ast
 from repro.sql.parser import parse
+
+from engines import with_engine
 from test_storage_typed import (BOOL, FLOAT_CLEAN, INT_SMALL, STORAGE_SEED,
                                 TEXT_SMALL, _REGIME_DTYPE, _draw)
 
@@ -267,7 +269,7 @@ class Sweep:
         # the SELECT half: indexed plan == full scan == sqlite
         session = db.executor
         for engine in self.engines:
-            db.executor = session.with_engine(engine)
+            db.executor = with_engine(db, engine)
             selected = _sorted(db.execute("SELECT * FROM t" + where).rows)
             assert selected == _sorted(row for _, row in oracle), (sql, engine)
         db.executor = session
@@ -599,7 +601,7 @@ def test_strict_bounds_through_the_index():
     for where, interval, ids in cases:
         sql = f"SELECT id FROM t WHERE {where}"
         for engine in ("batch", "row"):
-            db.executor = db.executor.with_engine(engine)
+            db.executor = with_engine(db, engine)
             assert sorted(db.execute(sql).column("id")) == ids, (where, engine)
         label = _scan_label(db, sql)
         assert label.startswith("IndexScan") and label.endswith(
@@ -618,7 +620,7 @@ def test_a_range_reads_its_rows_and_nothing_else():
     for k in (0, 990, 1980):
         where = f"WHERE id >= {k} AND id < {k + 20}"
         for engine in ("row", "batch"):
-            db.executor = db.executor.with_engine(engine)
+            db.executor = with_engine(db, engine)
             before = (db.clock.category_total(cat.INDEX),
                       db.clock.category_total(cat.FILTER))
             rows = db.execute(f"SELECT id FROM t {where}").column("id")
@@ -675,7 +677,7 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
             _assert_rejected(db, table, where)
             continue
         for engine in ("batch", "row"):
-            db.executor = db.executor.with_engine(engine)
+            db.executor = with_engine(db, engine)
             got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
             assert _sorted(got) == expected, (where, engine)
     # kinds that match keep the index
@@ -698,7 +700,7 @@ def _assert_rejected(db, table: str, where: str) -> None:
     session, before = db.executor, db.clock.now
     column = db.catalog.table(table).schema.columns[0].name
     for engine in Executor.ENGINES:
-        db.executor = session.with_engine(engine)
+        db.executor = with_engine(db, engine)
         with pytest.raises(BindError):
             db.execute(f"SELECT * FROM {table} WHERE {where}")
     db.executor = session

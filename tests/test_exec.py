@@ -13,6 +13,8 @@ from repro.exec.measure import measure_plan_latency
 from repro.sql import ast, parse
 from repro.storage.types import DataType
 
+from engines import with_engine
+
 INT, FLOAT, TEXT = DataType.INT, DataType.FLOAT, DataType.TEXT
 
 
@@ -246,7 +248,7 @@ class TestCompiledExpressionCache:
             db.execute(f"CREATE TABLE r (id INT, s {types}, a {types})")
             db.execute(f"INSERT INTO r VALUES {rows}")
             for engine in ("row", "batch"):
-                db.executor = db.executor.with_engine(engine)
+                db.executor = with_engine(db, engine)
                 assert db.execute(sql).rows == expected, (types, engine)
             schemas[types] = db.catalog.table("r").schema
         shared = parse(sql).where.left

@@ -227,17 +227,18 @@ def _run(db, node, engine: str, kwargs: dict):
     fresh clock on the batch engine, the scheduler's own fold on the
     placed ones: the executor's clock is private here, so the buffer
     pool's charges reach it only through the placed engines' page
-    clocks) and, for the distributed engine, the exchange log."""
+    clocks) and, for the distributed engine, the exchange log.  A placed
+    engine that dispatched nothing (a LIMIT plan runs the streaming
+    driver) records the clock's breakdown and an empty log."""
     clock = SimClock()
     result = Executor(db.catalog, clock, engine=engine, **kwargs).run(node)
-    record = {"charged": dict(clock.breakdown())}
-    if engine != "batch":
-        stats = result.extra[engine]
-        record["charged"] = stats["charged_by_category"]
+    stats = result.extra.get(engine)
+    record = {"charged": dict(clock.breakdown()) if stats is None
+              else stats["charged_by_category"]}
     if engine == "distributed":
         record["exchanges"] = [
             [e["kind"], e["label"], e["rows"], e["bytes"], e["messages"]]
-            for e in stats["exchanges"]]
+            for e in (stats["exchanges"] if stats is not None else [])]
     return result.rows, record
 
 

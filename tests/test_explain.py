@@ -215,6 +215,18 @@ class TestExplainAnalyze:
         text = "\n".join(row[0] for row in result.rows)
         assert "parallel: workers=4" in text
 
+    def test_parallel_trailer_shows_tasks_and_makespan(self):
+        """The parallel trailer reads the keys the scheduler writes, as
+        the distributed one does: the task count and modeled makespan."""
+        db = _build_db()
+        _swap_engine(db, "parallel", {"workers": 4, "morsel_rows": 16})
+        _, result = _analyze(db)
+        stats = result.extra["explain"]["parallel"]
+        assert stats["tasks"] > 0
+        text = "\n".join(row[0] for row in result.rows)
+        assert (f"parallel: workers=4 tasks={stats['tasks']} "
+                f"makespan={stats['virtual_makespan']:.9f}") in text
+
     def test_session_results_unchanged_by_explain_analyze(self):
         """Running EXPLAIN ANALYZE between two plain runs leaves the
         plain results bit-identical — the scoped tracer observes, it

@@ -247,16 +247,18 @@ def test_no_module_imports_threading():
 
 
 def test_limit_plans_run_on_serial_lane():
-    """LIMIT anywhere => whole-tree serial fallback: no parallel phases,
-    and charges exactly match the batch engine's early termination."""
-    db = _fresh_db(rows=300)
+    """LIMIT anywhere => the whole tree runs on the streaming driver:
+    nothing dispatched, and the same charges as the batch engine's early
+    termination (each engine on its own copy of the table, so the clocks
+    start equal)."""
     sql = "SELECT id FROM t WHERE v > 1 LIMIT 3"
-    batch = _run(db, sql, engine="batch")
-    parallel = _run(db, sql, engine="parallel", workers=4, morsel_rows=8)
+    batch_db, parallel_db = _fresh_db(rows=300), _fresh_db(rows=300)
+    batch = _run(batch_db, sql, engine="batch")
+    parallel = _run(parallel_db, sql, engine="parallel", workers=4,
+                    morsel_rows=8)
     assert parallel.rows == batch.rows
-    assert parallel.extra["parallel"]["phases"] == 0
-    assert parallel.virtual_seconds == pytest.approx(
-        batch.virtual_seconds, rel=1e-9, abs=1e-12)
+    assert parallel.extra == batch.extra
+    assert parallel_db.clock.breakdown() == batch_db.clock.breakdown()
 
 
 # -- the phase model: list scheduling onto the workers ------------------------

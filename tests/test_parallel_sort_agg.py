@@ -314,42 +314,42 @@ def test_wide_group_by_multi_column_keys_partition():
     assert _typed(parallel.rows) == _typed(row.rows)
 
 
-# -- mid-flight budget enforcement -------------------------------------------
+# -- budget enforcement -------------------------------------------------------
 
-def _budget_db():
+def _budget_db(rows: int = 20_000):
     db = repro.connect()
     db.execute("CREATE TABLE b (id INT, g TEXT, v FLOAT)")
     heap = db.catalog.table("b")
-    for i in range(20_000):
+    for i in range(rows):
         heap.insert((i, f"g{i % 500}", float(i)))
     db.execute("ANALYZE")
     return db
 
 
-def test_parallel_budget_fires_mid_flight():
-    """A cap below the query's total must interrupt a parallel run at a
-    phase boundary: BudgetExceeded raised, all charges accumulated so far
-    merged onto the shared clock, later phases never run."""
-    db = _budget_db()
+def test_budget_stops_every_block_engine_at_the_same_charge():
+    """A cap below the query's total stops batch, parallel and
+    distributed at the same charge: a budgeted run takes the streaming
+    driver on every block engine, so each raises BudgetExceeded and
+    leaves the same per-category charges behind (each engine runs on its
+    own copy of the database, so the clocks start equal)."""
     sql = "SELECT id, v FROM b ORDER BY v DESC"
-    plan = db.planner.plan_select(parse(sql))
-    executor = Executor(db.catalog, db.clock, engine="parallel", workers=4)
-    full = executor.run(plan)
-    total = full.virtual_seconds
-    start = db.clock.now
-    cap = total * 0.3
-    db.clock.set_limit(start + cap)
-    try:
-        with pytest.raises(BudgetExceeded):
-            Executor(db.catalog, db.clock, engine="parallel",
-                     workers=4).run(plan)
-    finally:
-        db.clock.set_limit(None)
-    charged = db.clock.now - start
-    # the cap was crossed (charges merged despite the raise) but the run
-    # stopped before doing all the serial engines' work
-    assert charged > cap
-    assert charged < total * 0.999
+    left = {}
+    for engine, kwargs in (("batch", {}), ("parallel", {"workers": 4}),
+                           ("distributed", {"nodes": 3, "workers": 2})):
+        db = _budget_db(3_000)
+        plan = db.planner.plan_select(parse(sql))
+        total = Executor(db.catalog, db.clock).run(plan).virtual_seconds
+        start = db.clock.now
+        db.clock.set_limit(start + total * 0.3)
+        try:
+            with pytest.raises(BudgetExceeded):
+                Executor(db.catalog, db.clock, engine=engine,
+                         **kwargs).run(plan)
+        finally:
+            db.clock.set_limit(None)
+        assert db.clock.now - start > total * 0.3, engine
+        left[engine] = db.clock.breakdown()
+    assert left["parallel"] == left["batch"] == left["distributed"]
 
 
 def test_parallel_budget_clean_run_unaffected():
@@ -368,8 +368,8 @@ def test_parallel_budget_clean_run_unaffected():
 
 
 def test_measure_downgrades_parallel_under_cap():
-    """Capped measurement must not use the parallel engine: the downgraded
-    run keeps serial per-charge budget enforcement and still censors."""
+    """Capped measurement on a parallel executor runs the streaming
+    driver, which enforces the cap per charge, and still censors."""
     db = _budget_db()
     plan = db.planner.plan_select(parse("SELECT id, v FROM b ORDER BY v"))
     parallel = Executor(db.catalog, db.clock, engine="parallel", workers=4)

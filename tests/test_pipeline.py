@@ -225,32 +225,24 @@ def test_rows_out_matches_unfused(db):
     plan = db.planner.plan_select(parse(sql))
     row = Executor(db.catalog, db.clock, engine="row")
     batch = Executor(db.catalog, db.clock, engine="batch")
-    op_a = row.build(plan)
-    op_b = batch.build(plan)
-    assert len(list(row.iter_rows(op_a))) == \
-        len(list(batch.iter_rows(op_b)))
-    assert _rows_out(op_a) == _rows_out(op_b)
+    assert len(row.run(plan).rows) == len(batch.run(plan).rows)
+    assert _rows_out(row.last_run[1]) == _rows_out(batch.last_run[1])
 
 
-def test_with_engine_carries_knobs(db):
-    executor = Executor(db.catalog, db.clock, engine="distributed",
-                        workers=3, morsel_rows=7, retry_limit=5, nodes=2)
-    sibling = executor.with_engine("batch")
-    assert sibling.engine == "batch" and not sibling.placed
-    assert (sibling.workers, sibling.morsel_rows, sibling.retry_limit,
-            sibling.nodes) == (3, 7, 5, 2)
-    # "parallel" is the one-node spelling: the knob carries through it,
-    # the scheduler it builds is pinned to one node, and the stats dict
-    # is the distributed one under the other name
+def test_parallel_is_the_one_node_distributed(db):
+    """``engine="parallel"`` is the one-node spelling of
+    ``"distributed"``: the knobs carry through it, the scheduler it
+    builds is pinned to one node, and the stats dict is the distributed
+    one under the other name."""
+    knobs = {"workers": 3, "morsel_rows": 7, "retry_limit": 5, "nodes": 2}
     plan = db.planner.plan_select(
         parse("SELECT grp, sum(v) FROM t GROUP BY grp"))
-    pinned = executor.with_engine("parallel")
-    assert pinned.placed and pinned.nodes == 2
-    one, two = (ex.run(plan).extra[ex.engine] for ex in (pinned, executor))
+    one, two = (Executor(db.catalog, db.clock, engine=engine, **knobs)
+                .run(plan).extra[engine]
+                for engine in ("parallel", "distributed"))
     assert (one["nodes"], two["nodes"]) == (1, 2)
     assert one.keys() == two.keys()
     assert (one["workers"], one["morsel_rows"]) == (3, 7)
-    assert pinned.with_engine("distributed").nodes == 2
 
 
 def test_pipeline_description_in_result_extra(db):

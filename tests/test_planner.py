@@ -21,6 +21,8 @@ from repro.plan import (
 )
 from repro.sql import ast, parse
 
+from engines import with_engine
+
 
 class TestConjuncts:
     def test_split_flat(self):
@@ -320,9 +322,9 @@ class TestPositionsAndAggregateTypes:
                     db.planner.plan_select(statement)
             users = db.catalog.table("users")
             rows = sorted(row for _, row in users.scan())
-            session, before = db.executor, db.clock.now
+            before = db.clock.now
             for engine in db.executor.ENGINES:
-                db.executor = session.with_engine(engine)
+                db.executor = with_engine(db, engine)
                 with pytest.raises(BindError):
                     db.execute(sql)
             assert db.clock.now == before
@@ -332,9 +334,8 @@ class TestPositionsAndAggregateTypes:
     def test_still_answered(self, sql, full, empty):
         for populated, expected in ((True, full), (False, empty)):
             db = _typed_db(populated)
-            session = db.executor
             for engine in db.executor.ENGINES:
-                db.executor = session.with_engine(engine)
+                db.executor = with_engine(db, engine)
                 assert db.execute(sql).rows == expected, (engine, populated)
 
     @pytest.mark.parametrize("item", ["sum(age) / 0", "sum(age) % 0",
@@ -344,9 +345,8 @@ class TestPositionsAndAggregateTypes:
         table's NULL aggregate never reaches the division."""
         for populated in (True, False):
             db = _typed_db(populated)
-            session = db.executor
             for engine in db.executor.ENGINES:
-                db.executor = session.with_engine(engine)
+                db.executor = with_engine(db, engine)
                 for sql, empty in (
                         (f"SELECT {item} FROM users", [(None,)]),
                         (f"SELECT city, {item} FROM users GROUP BY city",
