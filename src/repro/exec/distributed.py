@@ -627,10 +627,11 @@ class DistributedScheduler:
             # remainder
             runs = self.dispatch(placed, self._op_task(op, op.sort_block))
             self.gather(runs, op, "sorted runs", units=op.run_units)
-            sink.result_blocks = self._op_task(op, op.merge_runs)(
+            out = self._op_task(op, op.merge_runs)(
                 [run for _, run in runs], self.lane)
-            for block in sink.result_blocks:
-                op.rows_out += len(block)
+            if out is not None:
+                sink.result_blocks = [out]
+                op.rows_out += len(out)
         elif isinstance(sink, pl.BuildSink):
             parts = self.dispatch(placed, self._op_task(op, op.build_block))
             self.gather(parts, op, "build parts", rows=lambda part: part[0],

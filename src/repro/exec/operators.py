@@ -23,14 +23,13 @@ Every operator carries two things over the same compiled state:
   Charged totals are identical to the row path, with one bounded
   exception: early termination (LIMIT) stops on block boundaries, so up
   to one block of upstream cost may be charged beyond where the row
-  engine stops.  LIMIT pushes a row budget down to the scan
-  (``max_batch_rows``) to keep that block small — exact parity for
-  unfiltered chains, and divergence bounded by ``offset + limit + 1``
-  scanned rows otherwise.
+  engine stops.  How big that block is, the pipeline compiler decides
+  (``repro/exec/pipeline.py``, ``_break_limit``); building an operator
+  tree decides nothing about it.
 
 The leaves that are not table scans — IndexScan, EmptyRow — hand the
-pipeline compiler a ``blocks(clock)`` generator instead: the *source*
-of their pipeline, charging the clock it is passed.
+pipeline compiler a ``blocks(clock, batch_rows)`` generator instead: the
+*source* of their pipeline, charging the clock it is passed.
 
 The placed engines (``repro/exec/distributed.py``) run
 the *worker hooks* as morsel tasks — inline, but re-executed when a
@@ -66,11 +65,7 @@ import numpy as np
 from repro.common import categories as cat
 from repro.common.errors import ExecutionError
 from repro.common.simtime import CostModel, SimClock
-from repro.exec.batch import (
-    DEFAULT_BATCH_SIZE,
-    RowBlock,
-    selection,
-)
+from repro.exec.batch import RowBlock, selection
 from repro.exec.expr import (
     NO_COLUMNS,
     RowLayout,
@@ -188,9 +183,6 @@ class SeqScanOp(Operator):
         super().__init__(layout, clock)
         self.plan_node = node
         self._table = table
-        # LIMIT push-down shrinks this so early termination doesn't pay
-        # for a full batch of rows the row engine would never scan
-        self.max_batch_rows = DEFAULT_BATCH_SIZE
         if node.predicate is not None:
             self._predicate = compile_expr_cached(node.predicate, layout)
             self._predicate_batch = compile_predicate_batch(node.predicate,
@@ -260,7 +252,6 @@ class IndexScanOp(Operator):
         self.plan_node = node
         self._table = table
         self._node = node
-        self.max_batch_rows = DEFAULT_BATCH_SIZE
         entry = next((e for e in catalog.indexes_on(node.table)
                       if e.name == node.index_name), None)
         if entry is None:
@@ -306,12 +297,12 @@ class IndexScanOp(Operator):
     def __iter__(self) -> Iterator[tuple]:
         return map(operator.itemgetter(1), self.rid_rows())
 
-    def blocks(self, clock: SimClock) -> Iterator[RowBlock]:
+    def blocks(self, clock: SimClock, batch_rows: int) -> Iterator[RowBlock]:
         """The pipeline source: the row path in blocks of at most
-        ``max_batch_rows`` fetched rows, charging ``clock``."""
+        ``batch_rows`` fetched rows, charging ``clock``."""
         clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         rows = map(operator.itemgetter(1), self._fetch())
-        while buffer := list(itertools.islice(rows, self.max_batch_rows)):
+        while buffer := list(itertools.islice(rows, batch_rows)):
             block = self._filtered_block(buffer, clock)
             if block:
                 yield self._emit_block(block)
@@ -1309,10 +1300,11 @@ class SortOp(Operator):
 
     def merge_runs(self, runs: list[RowBlock], clock: SimClock,
                    paid: bool = True,
-                   top: int | None = None) -> list[RowBlock]:
+                   top: int | None = None) -> RowBlock | None:
         """Serial-lane hook: one stable sort over ``runs`` concatenated
-        in order, cut into batch-size blocks.  Charges ``clock`` the whole
-        sort less what the runs' own sorts ``paid`` (the serial sink's
+        in order, as one block (None for no rows): only a LIMIT or the
+        result reads a sort's output.  Charges ``clock`` the whole sort
+        less what the runs' own sorts ``paid`` (the serial sink's
         unsorted blocks paid nothing).  ``top`` (a LIMIT directly above)
         cuts the permutation before any row is gathered.  Does not touch
         ``rows_out``."""
@@ -1322,11 +1314,10 @@ class SortOp(Operator):
         if cost > 0:
             clock.advance(cost, cat.SORT)
         if not runs:
-            return []
+            return None
         merged = RowBlock.concat(runs)
         out = merged.take(self._order(merged)[:top])
-        return [out.slice(start, start + DEFAULT_BATCH_SIZE)
-                for start in range(0, len(out), DEFAULT_BATCH_SIZE)]
+        return out if len(out) else None
 
 
 def _ranks(values: list) -> np.ndarray:
@@ -1363,17 +1354,6 @@ class LimitOp(Operator):
         self._child = child
         self._limit = node.limit
         self._offset = node.offset
-        if node.limit is not None:
-            # push the row budget down to the originating scan through
-            # row-streaming operators, so the batch engine scans (and
-            # charges) the same rows the row engine would: offset + limit
-            # produced rows plus the one probe row that triggers the stop
-            target = child
-            while isinstance(target, (FilterOp, ProjectOp, DistinctOp)):
-                target = target._child
-            if isinstance(target, (SeqScanOp, IndexScanOp)):
-                hint = max(1, node.offset + node.limit + 1)
-                target.max_batch_rows = min(target.max_batch_rows, hint)
 
     def __iter__(self) -> Iterator[tuple]:
         produced = 0
@@ -1458,6 +1438,6 @@ class EmptyRowOp(Operator):
     def __iter__(self) -> Iterator[tuple]:
         yield self._emit(())
 
-    def blocks(self, clock: SimClock) -> Iterator[RowBlock]:
+    def blocks(self, clock: SimClock, batch_rows: int) -> Iterator[RowBlock]:
         """The pipeline source: the one row as a block (no charges)."""
         yield self._emit_block(RowBlock.from_rows(self.layout, [()]))

@@ -51,10 +51,12 @@ LIMIT early exit
 A satisfied :class:`LimitStage` reports ``done`` and the streaming
 driver stops pulling the source pipeline — the contract that lets a
 LIMIT above a hash-join probe or a nested-loop cross stop the scan it
-rides on mid-table.  Placed
-engines run LIMIT plans through the same streaming driver on their
-serial lane: eager morsel dispatch would scan (and charge) rows the
-serial engines never touch.
+rides on mid-table.  Early exit stops on source-block boundaries, so
+the compiler sizes the blocks of that one pipeline small (see
+:func:`_break_limit`); every other pipeline of the program runs to its
+end and scans :data:`FUSED_SCAN_ROWS` at a time.  The placed engines
+run LIMIT plans through the same streaming driver: eager morsel
+dispatch would scan (and charge) rows the serial engines never touch.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.common.simtime import SimClock
 from repro.exec import operators as ops
-from repro.exec.batch import RowBlock, selection
+from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock, selection
 from repro.exec.expr import RowLayout
 
 
@@ -276,8 +278,10 @@ class SortSink(PipelineSink):
         self._blocks.append(block)
 
     def finish(self, clock):
-        self.result_blocks = self.op.merge_runs(self._blocks, clock,
-                                                paid=False, top=self.top)
+        out = self.op.merge_runs(self._blocks, clock, paid=False,
+                                 top=self.top)
+        if out is not None:
+            self.result_blocks.append(out)
         self.op.rows_out += sum(len(block) for block in self._blocks)
 
 
@@ -320,14 +324,26 @@ class InnerSink(PipelineSink):
 # -- sources ------------------------------------------------------------------
 
 
+# The streaming driver touches each block a fixed number of times however
+# large it is, so a source runs at coarse granularity (16 default batches)
+# to amortize per-block dispatch.  Scan blocks are array views sliced out
+# of the table's merged typed columns, never value copies, so coarse
+# blocks cost no extra memory.  A full pass charges every row either way,
+# so the block size moves no charge — except in the one pipeline a
+# satisfied LIMIT stops, which :func:`_break_limit` sizes down.
+FUSED_SCAN_ROWS = 16384
+
+
 class PipelineSource:
     """Where a pipeline's carriers come from.  Every source but
     :class:`ScanSource` counts its own ``rows_out`` (leaves' block
     generators, finished sinks); a scan's output is counted by the
-    :class:`BlockPass` that consumes it."""
+    :class:`BlockPass` that consumes it.  ``block_rows`` is how many
+    rows a leaf produces per block, decided by the compiler alone."""
 
     def __init__(self, op: ops.Operator):
         self.op = op
+        self.block_rows = FUSED_SCAN_ROWS
 
     def carriers(self, clock: SimClock) -> Iterator[BlockCarrier]:
         raise NotImplementedError
@@ -340,33 +356,10 @@ class PipelineSource:
         return items if tracer is None else tracer.trace_iter(self.op, items)
 
 
-# The streaming driver touches each block a fixed number of times however
-# large it is, so it runs scans at coarse granularity (16 default batches)
-# to amortize per-block dispatch.  Scan blocks are array views sliced out
-# of the table's merged typed columns, never value copies, so coarse
-# blocks cost no extra memory.  Plans that can stop early (any LIMIT
-# anywhere, marked at compile time) keep the operator's own
-# ``max_batch_rows`` instead: early exit stops on block boundaries, so a
-# bigger block would scan — and charge — rows the row engine never
-# touches beyond the pushed-down budget.  Full-scan plans are
-# granularity-neutral on charges (every row is charged per row either way).
-FUSED_SCAN_ROWS = 16384
-
-
 class ScanSource(PipelineSource):
     """SeqScan: streams table blocks through the scan's fused hook — the
-    pushed-down predicate becomes a deferred selection on the carrier."""
-
-    def __init__(self, op: ops.SeqScanOp):
-        super().__init__(op)
-        # set by compile_pipelines when the program contains a LIMIT:
-        # early exit must stop on the pushed-down block boundaries
-        self.early_exit = False
-
-    def scan_rows(self) -> int:
-        if self.early_exit:
-            return self.op.max_batch_rows
-        return max(self.op.max_batch_rows, FUSED_SCAN_ROWS)
+    pushed-down predicate becomes a deferred selection on the carrier.
+    Page touches charge the driving clock."""
 
     def morsel_carrier(self, morsel, clock: SimClock) -> BlockCarrier | None:
         """One ``(columns, row_count)`` scan morsel through the scan's
@@ -376,7 +369,8 @@ class ScanSource(PipelineSource):
         return None if out is None else BlockCarrier(*out)
 
     def carriers(self, clock):
-        morsels = self.op._table.scan_column_batches(self.scan_rows())
+        morsels = self.op._table.scan_column_batches(self.block_rows,
+                                                     clock=clock)
         carriers = (self.morsel_carrier(morsel, clock) for morsel in morsels)
         return self.traced((c for c in carriers if c is not None), clock)
 
@@ -386,7 +380,8 @@ class OperatorSource(PipelineSource):
     driving clock under the leaf's span; it attributes its own counts."""
 
     def carriers(self, clock):
-        return map(BlockCarrier, self.traced(self.op.blocks(clock), clock))
+        return map(BlockCarrier, self.traced(
+            self.op.blocks(clock, self.block_rows), clock))
 
 
 class SinkSource(PipelineSource):
@@ -409,7 +404,8 @@ class Pipeline:
 
     ``inputs`` are the pipelines that must run to their sinks before this
     one starts (hash-join builds, nested-loop right sides, breaker
-    inputs).
+    inputs).  ``limit`` is the pipeline's :class:`LimitStage`, if it
+    holds one.
     """
 
     def __init__(self, source: PipelineSource):
@@ -417,11 +413,12 @@ class Pipeline:
         self.stages: list[PipelineStage] = []
         self.sink: PipelineSink | None = None
         self.inputs: list[Pipeline] = []
+        self.limit: LimitStage | None = None
 
     @property
     def stopped(self) -> bool:
-        """True once an early-exit stage (LIMIT) is satisfied."""
-        return any(getattr(stage, "done", False) for stage in self.stages)
+        """True once the pipeline's LIMIT is satisfied."""
+        return self.limit is not None and self.limit.done
 
     def describe(self) -> str:
         parts = [type(self.source).__name__.replace("Source", "")]
@@ -441,8 +438,7 @@ class PipelineProgram:
 
     @property
     def has_limit(self) -> bool:
-        return any(isinstance(stage, LimitStage)
-                   for p in self.pipelines for stage in p.stages)
+        return any(p.limit is not None for p in self.pipelines)
 
     def describe(self) -> list[str]:
         return [p.describe() for p in self.pipelines]
@@ -456,15 +452,7 @@ def compile_pipelines(op: ops.Operator) -> PipelineProgram:
     pipelines: list[Pipeline] = []
     root = _compile(op, pipelines)
     pipelines.append(root)
-    program = PipelineProgram(root, pipelines)
-    if program.has_limit:
-        # LIMIT can stop any pipeline mid-stream; scans must keep the
-        # operators' own (pushed-down) block boundaries so early exit
-        # stays within its documented bound (see ScanSource.scan_rows)
-        for pipeline in pipelines:
-            if isinstance(pipeline.source, ScanSource):
-                pipeline.source.early_exit = True
-    return program
+    return PipelineProgram(root, pipelines)
 
 
 def _close(pipeline: Pipeline, sink: PipelineSink,
@@ -533,11 +521,24 @@ def _break_nested_loop(op: ops.NestedLoopJoinOp,
 
 
 def _break_limit(op: ops.LimitOp, pipelines: list[Pipeline]) -> Pipeline:
-    """Limit rides as a serial stage; directly above a sort it also tells
-    the sort sink how many rows will ever be read (top-k)."""
+    """Limit rides as a serial stage and sizes the source blocks of its
+    pipeline, the one it stops on a block boundary: ``offset + limit +
+    1`` rows (what the row engine pulls, the probe row that stops it
+    included — exact charges for an unfiltered chain) where only
+    Filter / Project / Distinct stand between a scan and the LIMIT, the
+    default batch elsewhere.  Directly above a sort it also tells the
+    sort sink how many rows will ever be read (top-k)."""
     p = _as_stage(LimitStage)(op, pipelines)
-    if (len(p.stages) == 1 and op._limit is not None
-            and isinstance(p.source, SinkSource)
+    p.limit = p.stages[-1]
+    p.source.block_rows = DEFAULT_BATCH_SIZE
+    if op._limit is None:
+        return p
+    if (isinstance(p.source.op, (ops.SeqScanOp, ops.IndexScanOp))
+            and all(isinstance(stage, (FilterStage, ProjectStage,
+                                       DistinctStage))
+                    for stage in p.stages[:-1])):
+        p.source.block_rows = op._offset + op._limit + 1
+    elif (len(p.stages) == 1 and isinstance(p.source, SinkSource)
             and isinstance(p.source.sink, SortSink)):
         p.source.sink.top = op._offset + op._limit
     return p

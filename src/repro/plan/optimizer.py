@@ -36,7 +36,8 @@ from repro.storage.types import DataType
 
 @dataclass
 class BoundQuery:
-    """A Select after binding: tables in scope plus classified conjuncts."""
+    """A Select after binding: tables in scope, classified conjuncts, and
+    the GROUP BY / ORDER BY keys with select-list positions resolved."""
 
     select: ast.Select
     bindings: dict[str, str]           # alias -> table name
@@ -44,6 +45,8 @@ class BoundQuery:
     filters: dict[str, list[ast.Expr]]  # alias -> pushable predicates
     join_conditions: list[tuple[ast.ColumnRef, ast.ColumnRef, ast.Expr]]
     residuals: list[ast.Expr]          # conjuncts spanning 3+ tables etc.
+    group_by: tuple[ast.Expr, ...]
+    order_by: tuple[ast.OrderItem, ...]
 
 
 def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
@@ -148,25 +151,36 @@ class Planner:
             else:
                 residuals.append(conjunct)
 
-        bound = BoundQuery(select=select, bindings=bindings,
-                           table_order=table_order, filters=filters,
-                           join_conditions=join_conditions,
-                           residuals=residuals)
-        self._check_types(bound, conjuncts)
-        return bound
+        self._check_types(select, bindings, table_order, conjuncts)
+        # an integer literal in GROUP BY / ORDER BY names a select-list
+        # position: group on that item's expression, sort on its output
+        outputs = (self._outputs(select, bindings, table_order)
+                   if select.group_by or select.order_by else [])
+        group_by = tuple(self._positional(expr, outputs, "GROUP BY", 0)
+                         for expr in select.group_by)
+        if any(ast.is_aggregate(expr) for expr in group_by):
+            raise BindError("GROUP BY cannot name an aggregate")
+        order_by = tuple(
+            ast.OrderItem(self._positional(key.expr, outputs, "ORDER BY", 1),
+                          key.descending) for key in select.order_by)
+        return BoundQuery(select=select, bindings=bindings,
+                          table_order=table_order, filters=filters,
+                          join_conditions=join_conditions,
+                          residuals=residuals, group_by=group_by,
+                          order_by=order_by)
 
-    def _check_types(self, bound: BoundQuery,
+    def _check_types(self, select: ast.Select, bindings: dict[str, str],
+                     table_order: list[str],
                      conjuncts: list[ast.Expr]) -> None:
         """Type every expression of the statement over the rows it will
         be evaluated on (:func:`~repro.exec.expr.expr_type`): the WHERE
         and ON conjuncts, GROUP BY and the select list over the FROM
         tables, ORDER BY over the select list.  An ill-typed one is a
         BindError here, before any operator is built or any row read."""
-        select = bound.select
         scope = NO_COLUMNS
-        for alias in bound.table_order:
+        for alias in table_order:
             scope = scope.concat(RowLayout.of_table(
-                alias, self._catalog.table(bound.bindings[alias]).schema))
+                alias, self._catalog.table(bindings[alias]).schema))
         for expr in itertools.chain(conjuncts, select.group_by):
             expr_type(expr, scope)
         output = output_layout(select.items, scope)
@@ -380,49 +394,38 @@ class Planner:
         if bound.residuals:
             tree = plan.Filter(child=tree, predicate=conjoin(bound.residuals))
 
-        # an integer literal in GROUP BY / ORDER BY names a select-list
-        # position: group on that item's expression, sort on its output
-        outputs = (self._outputs(bound) if select.group_by or select.order_by
-                   else [])
-        group_by = tuple(self._positional(expr, outputs, "GROUP BY", 0)
-                         for expr in select.group_by)
-        order_by = tuple(
-            ast.OrderItem(self._positional(key.expr, outputs, "ORDER BY", 1),
-                          key.descending) for key in select.order_by)
-
         has_aggregates = any(ast.is_aggregate(item.expr)
                              for item in select.items)
-        if group_by or has_aggregates:
-            if any(ast.is_aggregate(expr) for expr in group_by):
-                raise BindError("GROUP BY cannot name an aggregate")
-            tree = plan.Aggregate(child=tree, group_by=group_by,
+        if bound.group_by or has_aggregates:
+            tree = plan.Aggregate(child=tree, group_by=bound.group_by,
                                   items=select.items)
         else:
             tree = plan.Project(child=tree, items=select.items)
 
         if select.distinct:
             tree = plan.Distinct(child=tree)
-        if order_by:
-            tree = plan.Sort(child=tree, keys=order_by)
+        if bound.order_by:
+            tree = plan.Sort(child=tree, keys=bound.order_by)
         if select.limit is not None or select.offset is not None:
             tree = plan.Limit(child=tree, limit=select.limit,
                               offset=select.offset or 0)
         coster.annotate(tree)
         return tree
 
-    def _outputs(self, bound: BoundQuery
+    def _outputs(self, select: ast.Select, bindings: dict[str, str],
+                 table_order: list[str]
                  ) -> list[tuple[ast.Expr, ast.ColumnRef]]:
         """Per output column of the select list (``*`` expanded): the
         expression it computes, and a reference to it by output name."""
         out: list[tuple[ast.Expr, ast.ColumnRef]] = []
-        for position, item in enumerate(bound.select.items):
+        for position, item in enumerate(select.items):
             if not isinstance(item.expr, ast.Star):
                 out.append((item.expr, ast.ColumnRef(
                     ast.output_name(item, position))))
                 continue
-            for alias in bound.table_order:
+            for alias in table_order:
                 if (item.expr.table or alias).lower() == alias:
-                    schema = self._catalog.table(bound.bindings[alias]).schema
+                    schema = self._catalog.table(bindings[alias]).schema
                     refs = [ast.ColumnRef(name, alias)
                             for name in schema.column_names()]
                     out += zip(refs, refs)

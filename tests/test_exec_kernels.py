@@ -146,9 +146,8 @@ SORT_QUERIES = [
     "SELECT id, f FROM t WHERE id < 0 ORDER BY f",        # empty input
 ]
 
-# recorded in the golden, but no longer run: its sort key mixes TEXT and
-# numbers, which is a BindError at plan time (the entry stays until the
-# next re-record)
+# no longer run: its sort key mixes TEXT and numbers, which is a
+# BindError at plan time
 RETIRED = "SELECT id, coalesce(s, ik) AS mk FROM t ORDER BY mk DESC, id"
 
 GROUP_QUERIES = [
@@ -225,11 +224,10 @@ def _run(db, node, engine: str, kwargs: dict):
     """(rows, record): the record holds what must not move — charged
     seconds per category as a pure function of the charge sequence (a
     fresh clock on the batch engine, the scheduler's own fold on the
-    placed ones: the executor's clock is private here, so the buffer
-    pool's charges reach it only through the placed engines' page
-    clocks) and, for the distributed engine, the exchange log.  A placed
-    engine that dispatched nothing (a LIMIT plan runs the streaming
-    driver) records the clock's breakdown and an empty log."""
+    placed ones; buffer-pool charges included on both) and, for the
+    distributed engine, the exchange log.  A placed engine that
+    dispatched nothing (a LIMIT plan runs the streaming driver) records
+    the clock's breakdown and an empty log."""
     clock = SimClock()
     result = Executor(db.catalog, clock, engine=engine, **kwargs).run(node)
     stats = result.extra.get(engine)
@@ -280,8 +278,7 @@ def _check_golden(case: str, digests: dict) -> None:
         golden[case] = digests
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         return
-    assert digests == {sql: digest for sql, digest in golden[case].items()
-                       if sql != RETIRED}
+    assert digests == golden[case]
 
 
 @pytest.mark.parametrize("density", DENSITIES)

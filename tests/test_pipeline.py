@@ -437,9 +437,9 @@ def test_limit_over_cross_join_stops_within_one_pair_chunk(engine, kwargs):
 
 
 def test_limit_pushdown_charges_match_row_engine():
-    """LIMIT over a streaming chain still rides the push-down: the fused
-    scan uses the pushed max_batch_rows, so charges stay within the
-    documented offset+limit+1 bound of the row engine."""
+    """LIMIT over a streaming chain still rides the push-down: the
+    compiler sizes the scan's blocks from the LIMIT, so charges stay
+    within the documented offset+limit+1 bound of the row engine."""
     db = repro.connect()
     db.execute("CREATE TABLE f (id INT, v INT)")
     heap = db.catalog.table("f")
@@ -453,6 +453,96 @@ def test_limit_pushdown_charges_match_row_engine():
     assert fused.rows == row.rows
     bound = 3 * (CostModel.TUPLE_CPU + CostModel.EVAL_PREDICATE)
     assert fused.virtual_seconds <= row.virtual_seconds + bound
+
+
+class TestBlockSizes:
+    """The compiler alone sizes source blocks: only the pipeline holding
+    the LimitStage runs small ones."""
+
+    def test_limit_pipeline_alone_gets_small_blocks(self, db):
+        cases = {
+            # push-down reaches the scan: offset + limit + 1
+            "SELECT id FROM t WHERE v > 3 LIMIT 4 OFFSET 2": [7],
+            "SELECT DISTINCT grp FROM t LIMIT 2": [3],
+            # a probe stands between the scan and the LIMIT
+            "SELECT u.name, t.v FROM u JOIN t ON u.uid = t.id LIMIT 3":
+                [pl.FUSED_SCAN_ROWS, DEFAULT_BATCH_SIZE],
+            # the LIMIT reads a breaker's output: every scan runs whole
+            "SELECT id, v FROM t ORDER BY v DESC LIMIT 10":
+                [pl.FUSED_SCAN_ROWS, DEFAULT_BATCH_SIZE],
+            "SELECT grp, count(*) FROM t GROUP BY grp LIMIT 2":
+                [pl.FUSED_SCAN_ROWS, DEFAULT_BATCH_SIZE],
+            "SELECT id FROM t": [pl.FUSED_SCAN_ROWS],
+        }
+        for sql, sizes in cases.items():
+            program = _program(db, sql)
+            assert [p.source.block_rows for p in program.pipelines] == sizes, sql
+            assert [p.limit is not None for p in program.pipelines] == \
+                [size != pl.FUSED_SCAN_ROWS for size in sizes], sql
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, v FROM big ORDER BY v DESC LIMIT 10",
+        "SELECT k, count(*) FROM big GROUP BY k LIMIT 3",
+    ])
+    def test_scan_under_a_breaker_runs_in_fused_blocks(self, monkeypatch,
+                                                       sql):
+        """A LIMIT above a sort or an aggregate never stops the scan
+        below it, so that scan takes ``FUSED_SCAN_ROWS`` blocks."""
+        n = 2 * pl.FUSED_SCAN_ROWS + 100
+        db = repro.connect()
+        db.execute("CREATE TABLE big (id INT, k INT, v FLOAT)")
+        heap = db.catalog.table("big")
+        for i in range(n):
+            heap.insert((i, i % 7, float((i * 37) % 1009)))
+        db.execute("ANALYZE")
+        plan = db.planner.plan_select(parse(sql))
+        sizes = []
+        scan_block = ops.SeqScanOp.scan_block
+
+        def counted(self, block, clock):
+            sizes.append(len(block))
+            return scan_block(self, block, clock)
+
+        monkeypatch.setattr(ops.SeqScanOp, "scan_block", counted)
+        got = Executor(db.catalog, db.clock, engine="batch").run(plan)
+        monkeypatch.undo()
+        assert len(sizes) == -(-n // pl.FUSED_SCAN_ROWS)
+        assert sum(sizes) == n
+        assert got.rows == Executor(db.catalog, db.clock,
+                                    engine="row").run(plan).rows
+
+
+def test_sort_yields_one_block():
+    db = repro.connect()
+    db.execute("CREATE TABLE s (id INT, v FLOAT)")
+    heap = db.catalog.table("s")
+    for i in range(3000):
+        heap.insert((i, float((i * 7919) % 3001)))
+    plan = db.planner.plan_select(parse("SELECT id, v FROM s ORDER BY v"))
+    executor = Executor(db.catalog, db.clock, engine="batch")
+    blocks = list(pl.run_program(pl.compile_pipelines(executor.build(plan)),
+                                 db.clock))
+    assert [len(block) for block in blocks] == [3000]
+
+
+def test_streaming_scan_charges_pages_to_its_clock():
+    """On a clock of its own, the streaming scan charges its page
+    touches to that clock, as the placed engines' page clocks do."""
+    db = repro.connect()
+    db.execute("CREATE TABLE t (id INT, v INT)")
+    heap = db.catalog.table("t")
+    for i in range(5000):
+        heap.insert((i, i % 50))
+    sql = "SELECT count(*) FROM t WHERE v > 10"
+    db.execute(sql)                      # both runs read warm pages
+    plan = db.planner.plan_select(parse(sql))
+    breakdowns = {}
+    for engine in ("batch", "parallel"):
+        clock = SimClock()
+        Executor(db.catalog, clock, engine=engine).run(plan)
+        breakdowns[engine] = clock.breakdown()
+    assert set(breakdowns["batch"]) == set(breakdowns["parallel"])
+    assert "buffer-hit" in breakdowns["batch"]
 
 
 # -- deferred selections -----------------------------------------------------

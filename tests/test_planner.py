@@ -78,6 +78,23 @@ class TestBinding:
             users_orders_db.planner.bind(
                 parse("SELECT 1 FROM users u, orders u"))
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT city, count(*) FROM users GROUP BY count(*)",
+        "SELECT city, count(*) FROM users GROUP BY 2",
+        "SELECT id, name, age FROM users ORDER BY 9",
+    ])
+    def test_bind_rejects_bad_group_and_order_keys(self, users_orders_db,
+                                                   sql):
+        with pytest.raises(BindError):
+            users_orders_db.planner.bind(parse(sql))
+
+    def test_bind_resolves_positions(self, users_orders_db):
+        bound = users_orders_db.planner.bind(parse(
+            "SELECT city, count(*) AS n FROM users GROUP BY 1 ORDER BY 2 DESC"))
+        assert bound.group_by == (ast.ColumnRef("city"),)
+        assert [(key.expr, key.descending) for key in bound.order_by] == \
+            [(ast.ColumnRef("n"), True)]
+
 
 class TestAccessPaths:
     def test_index_chosen_for_unique_eq(self, users_orders_db):
