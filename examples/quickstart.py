@@ -67,6 +67,12 @@ def main() -> None:
         "WHERE price < 50 GROUP BY brand_name"))
     print("\nquery plan for an analytics query:")
     print(plan.pretty())
+    # the connection's statement table: the 500 INSERTs are two templates
+    # (one writes NULL), each bound once; literals show as ?
+    print("\nstatements run, by template:")
+    for entry in db.statements():
+        print(f"  {entry['calls']:4d} x {entry['kind']:<11s} "
+              f"bind hits {entry['bind_hits']:3d}  {entry['query'][:50]}")
     print(f"\nvirtual time spent so far: {db.clock.now:.4f}s "
           f"(breakdown: { {k: round(v, 4) for k, v in sorted(db.clock.breakdown().items()) if v > 1e-4} })")
 

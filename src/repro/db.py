@@ -20,8 +20,9 @@ monitor watches per-model loss; on drift it triggers the fine-tune operator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.plan.optimizer import Planner
 from repro.sql import ast
-from repro.sql.parser import parse, template_stats
+from repro.sql.parser import parse_keyed, template_stats
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
@@ -70,6 +71,53 @@ class PredictContext:
     layout: RowLayout
     feature_idx: list[int]
     model_name: str
+
+
+# a connection's statement table keeps at most this many templates,
+# oldest dropped first (as the parser's process-wide template cache does)
+_STATEMENT_TABLE_MAX = 1024
+_LITERAL_MARK = re.compile("\0[ifs]")
+
+
+@dataclass
+class _Statement:
+    """One template's entry in a connection's statement table: how its
+    statements bind — valid while the catalog's DDL version is
+    ``version`` — and what they have done so far."""
+
+    key: str
+    kind: str
+    binding: Any = None
+    version: int = -1
+    calls: int = 0
+    rows: int = 0
+    hits: int = 0
+    misses: int = 0
+    errors: int = 0
+
+
+@dataclass
+class _InsertBinding:
+    """What an INSERT's template decides: the target table, the row
+    position each value goes to, and ``(index, key position)`` per index
+    (the value count and types were checked when it was bound)."""
+
+    table: Any
+    positions: list[int]
+    indexes: list[tuple[Any, int]]
+
+
+@dataclass
+class _VictimBinding:
+    """What an UPDATE / DELETE's template decides: the table, the rows its
+    victim scan yields, the row position each SET assignment writes (its
+    type checked when bound; empty for DELETE), and the indexes to
+    maintain."""
+
+    table: Any
+    layout: RowLayout
+    positions: list[int]
+    indexes: list[tuple[Any, int]]
 
 
 class NeurDB:
@@ -156,13 +204,33 @@ class NeurDB:
                                   monitor=self.monitor)
         self.refresh_window = refresh_window
         self.query_retries = 0
+        # fingerprint key -> _Statement, oldest first (see statements())
+        self._statements: dict[str, _Statement] = {}
 
     # -- public API ----------------------------------------------------------
 
     def execute(self, sql: str, force_retrain: bool = False) -> ResultSet:
-        """Parse and run one SQL statement."""
-        statement = parse(sql)
-        return self.execute_statement(statement, force_retrain=force_retrain)
+        """Parse and run one SQL statement.  The statement is filed in the
+        connection's statement table under its fingerprint key
+        (:meth:`statements`): a SELECT, INSERT, UPDATE or DELETE whose
+        template was bound before, with no CREATE / DROP since, reuses
+        what binding decided and re-plans only what its literal values
+        decide."""
+        key, statement = parse_keyed(sql)
+        entry = self._statements.get(key)
+        if entry is None:
+            if len(self._statements) >= _STATEMENT_TABLE_MAX:
+                del self._statements[next(iter(self._statements))]
+            entry = self._statements[key] = _Statement(
+                key, type(statement).__name__)
+        entry.calls += 1
+        try:
+            result = self._execute(statement, force_retrain, entry)
+        except Exception:
+            entry.errors += 1
+            raise
+        entry.rows += result.extra.get("rowcount", len(result.rows))
+        return result
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Run a ``;``-separated script; returns one result per statement."""
@@ -177,12 +245,18 @@ class NeurDB:
         policy's backoff, charged to the clock as ``retry-backoff`` —
         safe for writes too, because storage raises its retryable errors
         before applying any mutation.  Each retry is recorded in
-        :meth:`warnings` and ``query_retries``."""
+        :meth:`warnings` and ``query_retries``.  The statement is bound
+        afresh: it has no entry in the statement table."""
+        return self._execute(statement, force_retrain, None)
+
+    def _execute(self, statement: ast.Statement, force_retrain: bool,
+                 entry: _Statement | None) -> ResultSet:
         policy = self.retry_policy
         attempt = 0
         while True:
             try:
-                return self._dispatch_statement(statement, force_retrain)
+                return self._dispatch_statement(statement, force_retrain,
+                                                entry)
             except Exception as exc:
                 delay = (None if policy is None
                          else policy.next_delay(exc, attempt))
@@ -203,16 +277,21 @@ class NeurDB:
                     error=f"{type(exc).__name__}: {exc}")
 
     def _dispatch_statement(self, statement: ast.Statement,
-                            force_retrain: bool = False) -> ResultSet:
+                            force_retrain: bool = False,
+                            entry: _Statement | None = None) -> ResultSet:
         if isinstance(statement, ast.Select):
-            plan = self.planner.plan_select(statement)
-            return self.executor.run(plan)
+            bound = self._bind(entry, statement, self.planner.bind,
+                               self.planner.rebind)
+            return self.executor.run(self.planner.plan_bound(bound))
         if isinstance(statement, ast.Insert):
-            return self._run_insert(statement)
+            return self._run_insert(statement, self._bind(
+                entry, statement, self._bind_insert))
         if isinstance(statement, ast.Update):
-            return self._run_update(statement)
+            return self._run_update(statement, self._bind(
+                entry, statement, self._bind_victims))
         if isinstance(statement, ast.Delete):
-            return self._run_delete(statement)
+            return self._run_delete(statement, self._bind(
+                entry, statement, self._bind_victims))
         if isinstance(statement, ast.CreateTable):
             return self._run_create_table(statement)
         if isinstance(statement, ast.DropTable):
@@ -230,6 +309,29 @@ class NeurDB:
         if isinstance(statement, ast.Explain):
             return self._run_explain(statement, force_retrain)
         raise NeurDBError(f"unsupported statement {type(statement).__name__}")
+
+    def _bind(self, entry: _Statement | None, statement: ast.Statement,
+              bind: Callable[[Any], Any],
+              rebind: Callable[[Any, Any], Any] = lambda binding, _: binding
+              ) -> Any:
+        """``statement`` bound through its statement-table entry: rebound
+        from the entry's binding when the catalog has had no CREATE / DROP
+        since it was made (``rebind`` may decline with None), else bound
+        afresh by ``bind`` and kept.  An INSERT's, UPDATE's or DELETE's
+        binding carries over as it is: what the literals decide is read
+        from the statement when it runs."""
+        if entry is None:
+            return bind(statement)
+        version = self.catalog.ddl_version
+        if entry.version == version:
+            bound = rebind(entry.binding, statement)
+            if bound is not None:
+                entry.hits += 1
+                return bound
+        entry.misses += 1
+        entry.binding = bind(statement)
+        entry.version = version
+        return entry.binding
 
     # -- EXPLAIN [ANALYZE] ----------------------------------------------------
 
@@ -276,7 +378,6 @@ class NeurDB:
         return ResultSet(columns=["plan"],
                          rows=[(line,) for line in text.split("\n")],
                          virtual_seconds=result.virtual_seconds,
-                         plan_text=result.plan_text,
                          extra={"analyze": True, "explain": structured,
                                 "result_rowcount": len(result.rows)})
 
@@ -305,6 +406,21 @@ class NeurDB:
         tail — via the unified :class:`~repro.obs.metrics.MetricsRegistry`."""
         return self.registry.snapshot()
 
+    def statements(self) -> list[dict[str, Any]]:
+        """This connection's statement table: one entry per template that
+        :meth:`execute` has parsed, oldest first (at most
+        ``_STATEMENT_TABLE_MAX``).  ``query`` is the text with each
+        literal shown as ``?``; ``rows`` counts rows returned, or written
+        by INSERT / UPDATE / DELETE; ``bind_hits`` are statements that
+        reused the template's binding, ``bind_misses`` those bound afresh
+        (DDL, ANALYZE, EXPLAIN and PREDICT are never bound through the
+        table); ``errors`` counts statements that raised."""
+        return [{"query": _LITERAL_MARK.sub("?", entry.key),
+                 "kind": entry.kind, "calls": entry.calls,
+                 "rows": entry.rows, "bind_hits": entry.hits,
+                 "bind_misses": entry.misses, "errors": entry.errors}
+                for entry in self._statements.values()]
+
     def _collect_component_gauges(self) -> dict[str, float]:
         gauges = {f"buffer.{key}": float(value)
                   for key, value in self.buffer_pool.snapshot().items()}
@@ -317,6 +433,10 @@ class NeurDB:
         gauges["sql.templates"] = float(templates["templates"])
         gauges["sql.template_hits_total"] = float(templates["hits"])
         gauges["sql.template_misses_total"] = float(templates["misses"])
+        # this connection's own statement table (statements())
+        gauges["sql.statements"] = float(len(self._statements))
+        gauges["sql.statement_hits_total"] = float(
+            sum(entry.hits for entry in self._statements.values()))
         return gauges
 
     def profile(self, sql: str, path: str | None = None,
@@ -377,14 +497,14 @@ class NeurDB:
 
     # -- DML ------------------------------------------------------------------
 
-    def _run_insert(self, statement: ast.Insert) -> ResultSet:
+    def _bind_insert(self, statement: ast.Insert) -> _InsertBinding:
+        """Every row is checked before the first one is written."""
         table = self.catalog.table(statement.table)
         schema = table.schema
         if statement.columns:
             positions = [schema.index_of(c) for c in statement.columns]
         else:
             positions = list(range(len(schema)))
-        # every row is checked before the first one is written
         for value_row in statement.rows:
             if len(value_row) != len(positions):
                 raise ExecutionError(
@@ -392,33 +512,53 @@ class NeurDB:
                     f"got {len(value_row)}")
             for expr in value_row:
                 expr_type(expr, NO_COLUMNS)
-        indexes = self._index_keys(statement.table)
+        return _InsertBinding(table, positions,
+                              self._index_keys(statement.table))
+
+    def _run_insert(self, statement: ast.Insert,
+                    binding: _InsertBinding) -> ResultSet:
+        table = binding.table
+        width = len(table.schema)
         inserted = 0
         for value_row in statement.rows:
-            full: list[Any] = [None] * len(schema)
-            for position, expr in zip(positions, value_row):
-                full[position] = compile_expr(expr, NO_COLUMNS)(())
+            full: list[Any] = [None] * width
+            for position, expr in zip(binding.positions, value_row):
+                full[position] = (expr.value if type(expr) is ast.Literal
+                                  else compile_expr(expr, NO_COLUMNS)(()))
             rid = table.insert(full)
             stored = table.read(rid)
-            for index, position in indexes:
+            for index, position in binding.indexes:
                 index.insert(stored[position], rid)
             inserted += 1
         return _status(f"INSERT {inserted}", rowcount=inserted)
 
-    def _run_update(self, statement: ast.Update) -> ResultSet:
-        table = self.catalog.table(statement.table)
-        scan = self._victim_scan(statement)
-        assignments = []
-        for name, expr in statement.assignments:
-            position = table.schema.index_of(name)
-            value = expr_type(expr, scan.layout)
+    def _bind_victims(self, statement: "ast.Update | ast.Delete"
+                      ) -> _VictimBinding:
+        name = self.planner.bind_victims(statement.table, statement.where)
+        table = self.catalog.table(name)
+        layout = RowLayout.of_table(name, table.schema)
+        positions = []
+        assignments = (statement.assignments
+                       if isinstance(statement, ast.Update) else ())
+        for column_name, expr in assignments:
+            position = table.schema.index_of(column_name)
+            value = expr_type(expr, layout)
             column = table.schema.columns[position].dtype
             if value is not None and (value is DataType.TEXT) != (
                     column is DataType.TEXT):
                 raise BindError(f"cannot assign {value.value} to "
-                                f"{column.value} column {name!r}")
-            assignments.append((position, compile_expr(expr, scan.layout)))
-        indexes = self._index_keys(statement.table)
+                                f"{column.value} column {column_name!r}")
+            positions.append(position)
+        return _VictimBinding(table, layout, positions,
+                              self._index_keys(name))
+
+    def _run_update(self, statement: ast.Update,
+                    binding: _VictimBinding) -> ResultSet:
+        table = binding.table
+        scan = self._victim_scan(statement, binding)
+        assignments = [(position, compile_expr(expr, binding.layout))
+                       for position, (_, expr)
+                       in zip(binding.positions, statement.assignments)]
         # every victim is read before the first write, so an update that
         # moves rows along the scanned key (SET id = id + 1000 WHERE
         # id >= k) never meets its own output
@@ -432,27 +572,27 @@ class NeurDB:
             # when a sharded row moves to another shard)
             new_rid = table.update(rid, new_row)
             stored = table.read(new_rid)
-            for index, position in indexes:
+            for index, position in binding.indexes:
                 index.delete(row[position], rid)
                 index.insert(stored[position], new_rid)
         return _status(f"UPDATE {len(victims)}", rowcount=len(victims))
 
-    def _run_delete(self, statement: ast.Delete) -> ResultSet:
-        table = self.catalog.table(statement.table)
-        indexes = self._index_keys(statement.table)
-        victims = list(self._victim_scan(statement).rid_rows())
+    def _run_delete(self, statement: ast.Delete,
+                    binding: _VictimBinding) -> ResultSet:
+        victims = list(self._victim_scan(statement, binding).rid_rows())
         for rid, row in victims:
-            table.delete(rid)
-            for index, position in indexes:
+            binding.table.delete(rid)
+            for index, position in binding.indexes:
                 index.delete(row[position], rid)
         return _status(f"DELETE {len(victims)}", rowcount=len(victims))
 
-    def _victim_scan(self, statement: "ast.Update | ast.Delete"):
+    def _victim_scan(self, statement: "ast.Update | ast.Delete",
+                     binding: _VictimBinding):
         """The scan operator an UPDATE / DELETE reads its victims from:
         the planner's access path for the WHERE clause, built like any
         SELECT's scan (and kept as ``executor.last_run`` for EXPLAIN
         ANALYZE)."""
-        node = self.planner.access_path(statement.table, statement.where)
+        node = self.planner.victim_path(binding.table.name, statement.where)
         operator = self.executor.build(node)
         self.executor.last_run = (node, operator)
         return operator

@@ -27,7 +27,6 @@ class ResultSet:
     columns: list[str]
     rows: list[tuple]
     virtual_seconds: float = 0.0
-    plan_text: str = ""
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -187,5 +186,4 @@ class Executor:
             rows = [row for block in blocks for row in block.iter_rows()]
         elapsed = self._clock.now - start
         return ResultSet(columns=operator.layout.column_names(), rows=rows,
-                         virtual_seconds=elapsed, plan_text=node.pretty(),
-                         extra=extra)
+                         virtual_seconds=elapsed, extra=extra)

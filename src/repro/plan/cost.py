@@ -25,9 +25,9 @@ class PlanCoster:
         self._bindings = bindings
 
     def annotate(self, node: plan.PlanNode) -> plan.PlanNode:
-        """Fill ``est_rows`` and ``est_cost`` bottom-up; returns the node."""
-        for child in node.children:
-            self.annotate(child)
+        """Fill ``node``'s ``est_rows`` and ``est_cost`` from its children's,
+        which the planner annotated when it made them: every node is
+        costed once, when it is new.  Returns the node."""
         rows, cost = self._estimate(node)
         node.est_rows = max(0.0, rows)
         node.est_cost = cost + sum(c.est_cost for c in node.children)
@@ -121,7 +121,7 @@ class PlanCoster:
             return (max(1.0, in_rows * 0.5),
                     in_rows * CostModel.HASH_BUILD_ROW)
 
-        return 1.0, 0.0  # pragma: no cover - unknown node kinds
+        return 1.0, 0.0  # EmptyRow: the one row a SELECT without FROM reads
 
     def _selectivity_eq(self, node: plan.IndexScan) -> float:
         stats = self._table_column_stats(node)

@@ -2,9 +2,12 @@
 
 Responsibilities:
 
-1. bind a parsed ``Select`` against the catalog;
+1. bind a parsed ``Select`` against the catalog (:meth:`Planner.bind`);
 2. normalize the WHERE clause to conjuncts and classify each as a
-   single-table filter or an equi-join condition;
+   single-table filter or an equi-join condition — steps 1 and 2 depend
+   on the statement's template alone, so another statement of a bound
+   template is put onto the same classification (:meth:`Planner.rebind`)
+   and only the steps below run again;
 3. choose access paths (index scan vs sequential scan with pushdown);
 4. enumerate join orders with dynamic programming over left-deep trees,
    choosing hash join for equi-joins and nested loops otherwise;
@@ -37,7 +40,14 @@ from repro.storage.types import DataType
 @dataclass
 class BoundQuery:
     """A Select after binding: tables in scope, classified conjuncts, and
-    the GROUP BY / ORDER BY keys with select-list positions resolved."""
+    the GROUP BY / ORDER BY keys with select-list positions resolved.
+
+    ``classes`` says, per conjunct of the WHERE and then the ON clauses,
+    where binding put it: the alias of the one table a filter reads, ``""``
+    for an equi-join condition, None for a residual.  It depends on the
+    statement's template alone, unless a GROUP BY / ORDER BY key named a
+    select-list position (``positional``), so :meth:`Planner.rebind` can
+    put another statement of the template into the same places."""
 
     select: ast.Select
     bindings: dict[str, str]           # alias -> table name
@@ -47,6 +57,8 @@ class BoundQuery:
     residuals: list[ast.Expr]          # conjuncts spanning 3+ tables etc.
     group_by: tuple[ast.Expr, ...]
     order_by: tuple[ast.OrderItem, ...]
+    classes: tuple[Optional[str], ...]
+    positional: bool
 
 
 def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
@@ -56,6 +68,14 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+def _conjuncts(select: ast.Select) -> list[ast.Expr]:
+    """The WHERE clause's conjuncts, then every ON clause's."""
+    conjuncts = split_conjuncts(select.where)
+    for join in select.joins:
+        conjuncts += split_conjuncts(join.condition)
+    return conjuncts
 
 
 def conjoin(exprs: list[ast.Expr]) -> Optional[ast.Expr]:
@@ -82,11 +102,14 @@ class Planner:
 
     def plan_select(self, select: ast.Select) -> plan.PlanNode:
         """The single best plan for a SELECT."""
-        bound = self.bind(select)
+        return self.plan_bound(self.bind(select))
+
+    def plan_bound(self, bound: BoundQuery) -> plan.PlanNode:
+        """The single best plan for a bound SELECT: the steps that read its
+        literal values — access paths, join order, the upper plan."""
         if not bound.table_order:
-            return self._plan_tableless(select)
-        best = self._best_join_tree(bound)
-        return self._finalize(bound, best)
+            return self._finalize(bound, self._empty_row(bound))
+        return self._finalize(bound, self._best_join_tree(bound))
 
     def candidate_plans(self, select: ast.Select,
                         max_candidates: int = 16) -> list[plan.PlanNode]:
@@ -98,7 +121,7 @@ class Planner:
         """
         bound = self.bind(select)
         if not bound.table_order:
-            return [self._plan_tableless(select)]
+            return [self.plan_bound(bound)]
         trees = self._enumerate_join_trees(bound, max_candidates)
         finalized = [self._finalize(bound, t) for t in trees]
         seen: set[str] = set()
@@ -113,9 +136,11 @@ class Planner:
     # -- binding ---------------------------------------------------------------
 
     def bind(self, select: ast.Select) -> BoundQuery:
+        """Bind ``select`` against the catalog: resolve its tables, check
+        every column and type, classify its conjuncts and resolve its
+        GROUP BY / ORDER BY keys."""
         bindings: dict[str, str] = {}
         table_order: list[str] = []
-        join_on_conjuncts: list[ast.Expr] = []
 
         def add_table(ref: ast.TableRef) -> None:
             if not self._catalog.has_table(ref.name):
@@ -130,27 +155,17 @@ class Planner:
             add_table(select.from_table)
         for join in select.joins:
             add_table(join.table)
-            if join.condition is not None:
-                join_on_conjuncts.extend(split_conjuncts(join.condition))
 
-        conjuncts = split_conjuncts(select.where) + join_on_conjuncts
-        filters: dict[str, list[ast.Expr]] = {a: [] for a in table_order}
-        join_conditions = []
-        residuals: list[ast.Expr] = []
-
+        conjuncts = _conjuncts(select)
+        classes: list[Optional[str]] = []
         for conjunct in conjuncts:
             aliases = self._aliases_of(conjunct, bindings, table_order)
-            pair = is_equi_join_condition(conjunct)
-            if pair is not None and len(aliases) == 2:
-                left, right = pair
-                join_conditions.append((left, right, conjunct))
+            if len(aliases) == 2 and is_equi_join_condition(conjunct):
+                classes.append("")
             elif len(aliases) == 1:
-                filters[next(iter(aliases))].append(conjunct)
-            elif len(aliases) == 0:
-                residuals.append(conjunct)  # constant predicate
+                classes.append(next(iter(aliases)))
             else:
-                residuals.append(conjunct)
-
+                classes.append(None)    # a constant, or 3+ tables
         self._check_types(select, bindings, table_order, conjuncts)
         # an integer literal in GROUP BY / ORDER BY names a select-list
         # position: group on that item's expression, sort on its output
@@ -163,11 +178,50 @@ class Planner:
         order_by = tuple(
             ast.OrderItem(self._positional(key.expr, outputs, "ORDER BY", 1),
                           key.descending) for key in select.order_by)
+        positional = any(_is_position(expr) for expr in itertools.chain(
+            select.group_by, (key.expr for key in select.order_by)))
+        return self._classified(select, bindings, table_order, conjuncts,
+                                tuple(classes), group_by, order_by,
+                                positional)
+
+    def rebind(self, bound: BoundQuery,
+               select: ast.Select) -> Optional[BoundQuery]:
+        """``select`` bound like ``bound``, a statement of the same template
+        bound under the same catalog: its conjuncts go where ``bound``'s
+        went, and nothing is looked up or checked again.  None when the
+        template's binding depends on its literals (a GROUP BY / ORDER BY
+        position) or the conjunct counts differ: bind afresh then."""
+        conjuncts = _conjuncts(select)
+        if bound.positional or len(conjuncts) != len(bound.classes):
+            return None
+        return self._classified(select, bound.bindings, bound.table_order,
+                                conjuncts, bound.classes, select.group_by,
+                                select.order_by, False)
+
+    @staticmethod
+    def _classified(select: ast.Select, bindings: dict[str, str],
+                    table_order: list[str], conjuncts: list[ast.Expr],
+                    classes: tuple[Optional[str], ...],
+                    group_by: tuple[ast.Expr, ...],
+                    order_by: tuple[ast.OrderItem, ...],
+                    positional: bool) -> BoundQuery:
+        filters: dict[str, list[ast.Expr]] = {a: [] for a in table_order}
+        join_conditions = []
+        residuals: list[ast.Expr] = []
+        for conjunct, where in zip(conjuncts, classes):
+            if where is None:
+                residuals.append(conjunct)
+            elif where:
+                filters[where].append(conjunct)
+            else:
+                left, right = is_equi_join_condition(conjunct)
+                join_conditions.append((left, right, conjunct))
         return BoundQuery(select=select, bindings=bindings,
                           table_order=table_order, filters=filters,
                           join_conditions=join_conditions,
                           residuals=residuals, group_by=group_by,
-                          order_by=order_by)
+                          order_by=order_by, classes=classes,
+                          positional=positional)
 
     def _check_types(self, select: ast.Select, bindings: dict[str, str],
                      table_order: list[str],
@@ -212,27 +266,35 @@ class Planner:
     def access_path(self, table: str,
                     where: Optional[ast.Expr]) -> plan.PlanNode:
         """The scan UPDATE / DELETE read their victims through: the
-        WHERE's conjuncts bound against the one table (unknown columns
-        fail as they do for SELECT), then SELECT's own choice between
-        the table's indexes and a filtered SeqScan."""
-        heap = self._catalog.table(table)           # CatalogError if missing
-        table = heap.name
-        bindings = {table: table}
-        predicates = split_conjuncts(where)
-        for predicate in predicates:
-            self._aliases_of(predicate, bindings, [table])
+        WHERE bound by :meth:`bind_victims`, then :meth:`victim_path`."""
+        return self.victim_path(self.bind_victims(table, where), where)
+
+    def bind_victims(self, table: str, where: Optional[ast.Expr]) -> str:
+        """Bind an UPDATE / DELETE's WHERE against its one table (unknown
+        columns fail as they do for SELECT, an ill-typed conjunct is a
+        BindError); returns the table's name (CatalogError if missing)."""
+        heap = self._catalog.table(table)
+        name = heap.name
+        for predicate in split_conjuncts(where):
+            self._aliases_of(predicate, {name: name}, [name])
         if where is not None:
-            expr_type(where, RowLayout.of_table(table, heap.schema))
-        return self._access_path(bindings, table, predicates)
+            expr_type(where, RowLayout.of_table(name, heap.schema))
+        return name
+
+    def victim_path(self, table: str,
+                    where: Optional[ast.Expr]) -> plan.PlanNode:
+        """SELECT's own choice between ``table``'s indexes and a filtered
+        SeqScan, for a WHERE :meth:`bind_victims` bound."""
+        return self._access_path({table: table}, table,
+                                 split_conjuncts(where))
 
     def _access_path(self, bindings: dict[str, str], alias: str,
                      predicates: list[ast.Expr]) -> plan.PlanNode:
         """Best single-table access: index scan if profitable, else seqscan."""
         table = bindings[alias]
         coster = PlanCoster(self._estimator, bindings)
-        seq = plan.SeqScan(table=table, binding=alias,
-                           predicate=conjoin(predicates))
-        coster.annotate(seq)
+        seq = coster.annotate(plan.SeqScan(table=table, binding=alias,
+                                           predicate=conjoin(predicates)))
         index_plan = self._try_index_scan(table, alias, predicates, coster)
         if index_plan is not None and index_plan.est_cost < seq.est_cost:
             return index_plan
@@ -277,18 +339,14 @@ class Planner:
                   for a in aliases}
 
         if len(aliases) == 1:
-            only = access[aliases[0]]
-            coster.annotate(only)
-            return [only]
+            return [access[aliases[0]]]
 
         orders = self._join_orders(aliases, bound)
         scored: list[tuple[float, plan.PlanNode]] = []
         for order in orders:
             for use_hash in (True, False):
-                tree = self._build_left_deep(order, access, bound, use_hash)
-                if tree is None:
-                    continue
-                coster.annotate(tree)
+                tree = self._build_left_deep(order, access, bound, use_hash,
+                                             coster)
                 scored.append((tree.est_cost, tree))
         if not scored:
             raise PlanError("no join tree could be constructed")
@@ -331,8 +389,10 @@ class Planner:
 
     def _build_left_deep(self, order: tuple[str, ...],
                          access: dict[str, plan.PlanNode],
-                         bound: BoundQuery,
-                         use_hash: bool) -> plan.PlanNode | None:
+                         bound: BoundQuery, use_hash: bool,
+                         coster: PlanCoster) -> plan.PlanNode:
+        """One left-deep tree over copies of the (costed) access paths;
+        only the joins and the filter it adds are costed here."""
         import copy
         tree: plan.PlanNode = copy.deepcopy(access[order[0]])
         placed = {order[0]}
@@ -364,16 +424,16 @@ class Planner:
                                                    [raw] + extra))
                 for cond in usable:
                     pending.remove(cond)
-                tree = node
+                tree = coster.annotate(node)
             else:
-                tree = plan.NestedLoopJoin(left=tree, right=right,
-                                           condition=None)
+                tree = coster.annotate(plan.NestedLoopJoin(
+                    left=tree, right=right, condition=None))
             placed.add(alias)
 
         if pending:
             # leftover join predicates become filters on top
-            tree = plan.Filter(child=tree,
-                               predicate=conjoin([c[2] for c in pending]))
+            tree = coster.annotate(plan.Filter(
+                child=tree, predicate=conjoin([c[2] for c in pending])))
         return tree
 
     def _alias_of_ref(self, ref: ast.ColumnRef, bound: BoundQuery) -> str:
@@ -390,26 +450,26 @@ class Planner:
     def _finalize(self, bound: BoundQuery,
                   tree: plan.PlanNode) -> plan.PlanNode:
         select = bound.select
-        coster = self._coster(bound)
+        cost = self._coster(bound).annotate
         if bound.residuals:
-            tree = plan.Filter(child=tree, predicate=conjoin(bound.residuals))
+            tree = cost(plan.Filter(child=tree,
+                                    predicate=conjoin(bound.residuals)))
 
         has_aggregates = any(ast.is_aggregate(item.expr)
                              for item in select.items)
         if bound.group_by or has_aggregates:
-            tree = plan.Aggregate(child=tree, group_by=bound.group_by,
-                                  items=select.items)
+            tree = cost(plan.Aggregate(child=tree, group_by=bound.group_by,
+                                       items=select.items))
         else:
-            tree = plan.Project(child=tree, items=select.items)
+            tree = cost(plan.Project(child=tree, items=select.items))
 
         if select.distinct:
-            tree = plan.Distinct(child=tree)
+            tree = cost(plan.Distinct(child=tree))
         if bound.order_by:
-            tree = plan.Sort(child=tree, keys=bound.order_by)
+            tree = cost(plan.Sort(child=tree, keys=bound.order_by))
         if select.limit is not None or select.offset is not None:
-            tree = plan.Limit(child=tree, limit=select.limit,
-                              offset=select.offset or 0)
-        coster.annotate(tree)
+            tree = cost(plan.Limit(child=tree, limit=select.limit,
+                                   offset=select.offset or 0))
         return tree
 
     def _outputs(self, select: ast.Select, bindings: dict[str, str],
@@ -434,21 +494,25 @@ class Planner:
     @staticmethod
     def _positional(expr: ast.Expr, outputs: list, clause: str,
                     pick: int) -> ast.Expr:
-        if not (isinstance(expr, ast.Literal) and type(expr.value) is int):
+        if not _is_position(expr):
             return expr
         if not 1 <= expr.value <= len(outputs):
             raise BindError(f"{clause} position {expr.value} is not in the "
                             f"select list (1..{len(outputs)})")
         return outputs[expr.value - 1][pick]
 
-    def _plan_tableless(self, select: ast.Select) -> plan.PlanNode:
-        """SELECT without FROM, e.g. ``SELECT 1 + 1``."""
-        node = plan.Project(child=plan.EmptyRow(), items=select.items)
-        node.est_rows = 1.0
-        return node
+    def _empty_row(self, bound: BoundQuery) -> plan.PlanNode:
+        """The one-row input of a SELECT without FROM (``SELECT 1 + 1``),
+        which :meth:`_finalize` plans over like any scan."""
+        return self._coster(bound).annotate(plan.EmptyRow())
 
     def _coster(self, bound: BoundQuery) -> PlanCoster:
         return PlanCoster(self._estimator, bound.bindings)
+
+
+def _is_position(expr: ast.Expr) -> bool:
+    """Whether a GROUP BY / ORDER BY key names a select-list position."""
+    return isinstance(expr, ast.Literal) and type(expr.value) is int
 
 
 def _comparable(literal, dtype: DataType) -> bool:

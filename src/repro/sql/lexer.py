@@ -6,10 +6,11 @@ quotes with ``''`` escaping, as in standard SQL.
 
 One compiled pattern, :data:`_TOKEN`, reads the text: each match is the
 whitespace and ``--`` comments before a token, then the token.
-:func:`tokenize` turns the matches into :class:`Token` objects;
-:func:`fingerprint` reads the same matches but keeps only the literals, so
-that statements differing only in their literal values share one key
-(what the parser's template cache looks up).
+:func:`tokenize` turns the matches into :class:`Token` objects.
+:func:`fingerprint` splits the text on the same patterns for words,
+comments and literals and keeps only the literals, so that statements
+differing only in their literal values share one key (what the parser's
+template cache and a connection's statement table look up).
 """
 
 from __future__ import annotations
@@ -125,39 +126,43 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
+# What :func:`fingerprint` splits on: a word or a ``--`` comment (kept as
+# text, so digits inside either are not literals), a number, a string —
+# :data:`_TOKEN`'s own patterns for each.
+_LITERAL = re.compile(r"""
+    (--[^\n]*|[^\W\d]\w*)
+  | ((?:\d|\.\d)(?:[eE][+-]?|[\d.])*)
+  | ('[^']*(?:''[^']*)*'(?!'))""", re.VERBOSE)
+
+
 def fingerprint(sql: str) -> tuple[str, list[tuple[str, int]]]:
     """``(key, literals)``: ``key`` is ``sql`` with every number and string
     literal replaced by a mark of its kind — ``\\0i`` for an integer
     (digits only), ``\\0f`` for any other number, ``\\0s`` for a string —
     and ``literals`` lists each literal's token value (a string's quotes
     removed and ``''`` unescaped) and position, in order.  Statements with
-    equal keys have the same tokens but for those literal values.  Raises
-    the :class:`ParseError` :func:`tokenize` would on text it cannot
-    read."""
-    parts: list[str] = []
+    equal keys have the same tokens but for those literal values.  One
+    ``split`` pass that does not validate: on text :func:`tokenize`
+    rejects it still returns a key, which no template recorded from
+    readable text shares with the same number of literals."""
+    pieces = iter(_LITERAL.split(sql))
+    parts = [next(pieces)]
     literals: list[tuple[str, int]] = []
-    last = 0
-    for match in _TOKEN.finditer(sql):
-        kind = match.lastgroup
-        if kind == "number":
-            start, end = match.span(kind)
-            text = sql[start:end]
-            parts.append(sql[last:start])
-            parts.append("\0i" if text.isdecimal() else "\0f")
-        elif kind == "string":
-            start, end = match.span(kind)
-            text = sql[start + 1:end - 1].replace("''", "'")
-            parts.append(sql[last:start])
-            parts.append("\0s")
-        elif kind == "end":
-            break
-        elif kind == "bad":
-            raise _lex_error(sql, match.start(kind))
+    position = len(parts[0])
+    for word, number, string, after in zip(pieces, pieces, pieces, pieces):
+        if word is not None:
+            parts.append(word)
+            position += len(word)
+        elif number is not None:
+            parts.append("\0i" if number.isdecimal() else "\0f")
+            literals.append((number, position))
+            position += len(number)
         else:
-            continue
-        literals.append((text, start))
-        last = end
-    parts.append(sql[last:])
+            parts.append("\0s")
+            literals.append((string[1:-1].replace("''", "'"), position))
+            position += len(string)
+        parts.append(after)
+        position += len(after)
     return "".join(parts), literals
 
 

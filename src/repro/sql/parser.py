@@ -6,9 +6,11 @@ up first.  A statement whose text differs from an earlier one only in its
 number and string literals (a *template* seen before) is not parsed again:
 its literal values are bound into a copy of the earlier tree that rebuilds
 only the nodes holding a literal and shares every other subtree.  Only the
-parse is cached — it depends on the text alone; a plan depends on the
-literal values too (selectivity picks the access path), so nothing past
-the AST is kept.  The cache is process-wide and holds at most
+parse is cached here — it depends on the text alone.  What binding
+decides depends on the catalog too, and lives in each connection's
+statement table under the same key (:func:`parse_keyed`); a plan depends
+on the literal values as well (selectivity picks the access path), so no
+plan is kept anywhere.  The cache is process-wide and holds at most
 :data:`_TEMPLATE_CACHE_MAX` templates, oldest dropped first.
 """
 
@@ -35,11 +37,21 @@ _CACHEABLE = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Predict)
 
 def parse(sql: str) -> ast.Statement:
     """Parse a single SQL statement (a trailing ``;`` is allowed)."""
+    return parse_keyed(sql)[1]
+
+
+def parse_keyed(sql: str) -> tuple[str, ast.Statement]:
+    """``(key, statement)``: :func:`parse`'s statement together with the
+    fingerprint key it looked the template up under — the key a
+    connection's statement table files the statement under, so the text
+    is fingerprinted once."""
     key, literals = fingerprint(sql)
     template = _templates.get(key)
-    if template is not None:
+    # text tokenize rejects can share a recorded key only through a raw
+    # mark, so with another literal count: a miss, and tokenize raises
+    if template is not None and len(template.kinds) == len(literals):
         _counts["hits"] += 1
-        return template.bind(literals)
+        return key, template.bind(literals)
     _counts["misses"] += 1
     tokens = tokenize(sql)
     statement = _Parser(tokens).parse_statement()
@@ -49,7 +61,7 @@ def parse(sql: str) -> ast.Statement:
             if len(_templates) >= _TEMPLATE_CACHE_MAX:
                 del _templates[next(iter(_templates))]
             _templates[key] = template
-    return statement
+    return key, statement
 
 
 def template_stats() -> dict[str, int]:

@@ -64,6 +64,11 @@ class Catalog:
         self._indexes: dict[str, IndexEntry] = {}
         self._stats: dict[str, TableStats] = {}
         self._stats_version = 0
+        # bumped by every CREATE / DROP of a table or index: a statement
+        # bound under one version names tables, columns and indexes that
+        # all still exist under it (what a connection's statement table
+        # checks before reusing a binding)
+        self.ddl_version = 0
         # model name -> what it was trained on, oldest binding first
         self._model_bindings: dict[str, ModelBinding] = {}
 
@@ -100,6 +105,7 @@ class Catalog:
             table = HeapTable(schema, buffer_pool=self.buffer_pool,
                               clock=self.clock)
         self._tables[name] = table
+        self.ddl_version += 1
         return table
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
@@ -109,6 +115,7 @@ class Catalog:
                 return
             raise CatalogError(f"table {name!r} does not exist")
         table = self._tables.pop(name)
+        self.ddl_version += 1
         self._stats.pop(name, None)
         self.buffer_pool.evict_table(name)
         self.buffer_pool.evict_table(name + BACKUP_SUFFIX)
@@ -149,6 +156,7 @@ class Catalog:
         entry = IndexEntry(name=name, table=table, column=column.lower(),
                            index=index, kind=kind)
         self._indexes[name] = entry
+        self.ddl_version += 1
         return entry
 
     def drop_index(self, name: str) -> None:
@@ -156,6 +164,7 @@ class Catalog:
         if name not in self._indexes:
             raise CatalogError(f"index {name!r} does not exist")
         del self._indexes[name]
+        self.ddl_version += 1
 
     def indexes_on(self, table: str, column: str | None = None) -> list[IndexEntry]:
         table = table.lower()

@@ -58,22 +58,36 @@ class ColumnStats:
         total = self.histogram.sum()
         if total == 0:
             return 0.0
-        lo = self.bin_edges[0] if low is None else low
-        hi = self.bin_edges[-1] if high is None else high
+        counts, edges = self._bin_floats()
+        lo = edges[0] if low is None else low
+        hi = edges[-1] if high is None else high
         if hi < lo:
             return 0.0
         covered = 0.0
-        for i in range(len(self.histogram)):
-            left, right = self.bin_edges[i], self.bin_edges[i + 1]
+        for i, count in enumerate(counts):
+            left, right = edges[i], edges[i + 1]
             if right < lo or left > hi:
                 continue
             width = right - left
             if width <= 0:
-                covered += self.histogram[i]
+                covered += count
                 continue
             overlap = min(right, hi) - max(left, lo)
-            covered += self.histogram[i] * max(0.0, overlap) / width
+            covered += count * max(0.0, overlap) / width
         return float(min(1.0, covered / total))
+
+    def _bin_floats(self) -> tuple[list[float], list[float]]:
+        """The histogram's counts and bin edges as plain floats, copied
+        once per pair of arrays: the bin loop above reads them one at a
+        time, and a float64 array costs several times a list to index.
+        The same doubles, so the estimate is bit-for-bit the same."""
+        cached = self.__dict__.get("_bins")
+        if (cached is None or cached[0] is not self.histogram
+                or cached[1] is not self.bin_edges):
+            cached = self._bins = (self.histogram, self.bin_edges,
+                                   self.histogram.tolist(),
+                                   self.bin_edges.tolist())
+        return cached[2], cached[3]
 
     def feature_vector(self) -> np.ndarray:
         """Fixed-width numeric encoding for the learned optimizer.

@@ -20,6 +20,10 @@ contract statically; this is its dynamic half.
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +186,10 @@ FUSED_PIPELINE_QUERIES = [
 
 @pytest.fixture(scope="module")
 def parity_db():
+    return _parity_db()
+
+
+def _parity_db():
     db = repro.connect()
     db.execute("CREATE TABLE users (id INT UNIQUE, name TEXT, age INT, "
                "city TEXT, nickname TEXT, score FLOAT)")
@@ -461,6 +469,38 @@ def test_limit_plans_identical_on_every_streaming_engine(parity_db, sql):
         # a LIMIT plan takes the streaming driver on the shared clock on
         # every block engine: the same charges, not just close ones
         assert charged == expected_charged, where
+
+
+PLANS_GOLDEN = Path(__file__).with_name("candidate_plans_golden.json")
+
+
+def candidate_plan_dump() -> dict:
+    """``repr`` of every node's ``est_rows`` / ``est_cost`` and the
+    ``pretty()`` text of every ``candidate_plans`` entry, for the parity
+    corpus on a fresh parity database and the eight STATS queries on a
+    small STATS database — the planner's every estimate, to the bit."""
+    from repro.workloads.stats import QUERIES, build_stats_db
+    from test_workloads import SMALL_SCALE
+
+    def dump(db, queries):
+        return {sql: [{"pretty": plan.pretty(),
+                       "est": [[repr(node.est_rows), repr(node.est_cost)]
+                               for node in plan.walk()]}
+                      for plan in db.planner.candidate_plans(parse(sql))]
+                for sql in queries}
+    return {"parity": dump(_parity_db(), PARITY_QUERIES),
+            "stats": dump(build_stats_db(scale=SMALL_SCALE, seed=0),
+                          QUERIES)}
+
+
+def test_candidate_plans_cost_as_recorded():
+    """Candidate plans and their estimates are pinned by
+    ``candidate_plans_golden.json`` (``PLANS_RECORD=1`` rewrites it): a
+    planner change that means to keep every estimate shows it here."""
+    dump = candidate_plan_dump()
+    if os.environ.get("PLANS_RECORD") == "1":
+        PLANS_GOLDEN.write_text(json.dumps(dump, indent=1) + "\n")
+    assert dump == json.loads(PLANS_GOLDEN.read_text())
 
 
 def test_candidate_plans_parity(parity_db):

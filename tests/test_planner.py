@@ -1,5 +1,7 @@
 """Tests for the planner: binding, access paths, join enumeration, costing."""
 
+import sqlite3
+
 import pytest
 
 import repro
@@ -373,6 +375,31 @@ class TestPositionsAndAggregateTypes:
                         continue
                     with pytest.raises(ExecutionError, match="by zero"):
                         db.execute(sql)
+
+
+# SELECTs without FROM: every clause applies to the one empty input row
+TABLELESS = [
+    "SELECT 1 LIMIT 0", "SELECT 1 OFFSET 1", "SELECT 1 LIMIT 1 OFFSET 0",
+    "SELECT DISTINCT 1 ORDER BY 1 LIMIT 0 OFFSET 3",
+    "SELECT DISTINCT 1, 2 ORDER BY 2 DESC", "SELECT 2 + 3 AS x ORDER BY x",
+    "SELECT 1 WHERE 1 = 0", "SELECT 'a' WHERE 2 > 1",
+    "SELECT count(*)", "SELECT count(*) WHERE 1 = 0", "SELECT sum(2) + 1",
+    "SELECT 1 GROUP BY 1", "SELECT 7 % 3, 'it''s' LIMIT 5",
+]
+
+
+@pytest.mark.parametrize("sql", TABLELESS)
+def test_a_select_without_from_is_held_to_sqlite(sql):
+    """Planned like any other SELECT, over a one-row input: WHERE,
+    aggregates, DISTINCT, ORDER BY, LIMIT and OFFSET all apply."""
+    # sqlite takes OFFSET only after a LIMIT; -1 is its "no limit"
+    oracle = (sql if "LIMIT" in sql
+              else sql.replace(" OFFSET", " LIMIT -1 OFFSET"))
+    expected = sqlite3.connect(":memory:").execute(oracle).fetchall()
+    db = repro.connect()
+    for engine in db.executor.ENGINES:
+        db.executor = with_engine(db, engine)
+        assert db.execute(sql).rows == expected, engine
 
 
 class TestColumnLiteral:

@@ -523,6 +523,29 @@ def test_rebound_literals_parse_as_uncached(data):
         assert _outcome(parse, sql) == _outcome(_uncached, sql)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=timedelta(seconds=1))
+def test_fingerprint_literals_are_the_tokenizers(data):
+    """The one-pass fingerprint finds exactly the NUMBER and STRING tokens
+    tokenize finds, by value and position, and marks each by its kind —
+    a digit inside a word or a comment stays text."""
+    sql = data.draw(st.one_of(
+        st.sampled_from(CORPUS + ["SELECT c1, t2.x3 FROM t2 -- 4 '5'\n"
+                                  "WHERE a9 = 7 -- 8"]),
+        st.sampled_from(sorted(E2E_TEMPLATES.values())).flatmap(
+            lambda template: st.tuples(*(
+                _LITERAL_TEXTS[kind] for kind in _MARK.findall(template)
+            )).map(lambda texts: _fill(template, texts)))))
+    key, literals = fingerprint(sql)
+    tokens = [token for token in tokenize(sql)
+              if token.type in (TokenType.NUMBER, TokenType.STRING)]
+    assert literals == [(token.value, token.position) for token in tokens]
+    marks = ["\0s" if token.type is TokenType.STRING
+             else "\0i" if token.value.isdecimal() else "\0f"
+             for token in tokens]
+    assert re.findall("\0[ifs]", key) == marks
+
+
 def test_a_hit_fails_exactly_as_a_miss(fresh_templates):
     for good, bad in (
             ("SELECT 1.5 FROM t", "SELECT 1.2.3 FROM t"),
