@@ -240,12 +240,23 @@ def output_layout(items: Sequence[ast.SelectItem],
                  lambda: _output_layout(items, layout))
 
 
+def output_slot(item: ast.SelectItem, position: int) -> tuple[str, str]:
+    """The output slot of the (non-``*``) select item at ``position``: an
+    unaliased ``t.c`` keeps its alias, any other item is bound to
+    ``#position`` (a name no statement can spell), so a reference to the
+    slot finds it where two items share an output name."""
+    expr = item.expr
+    if not item.alias and isinstance(expr, ast.ColumnRef) and expr.table:
+        return expr.table, expr.name
+    return f"#{position}", ast.output_name(item, position)
+
+
 def _output_layout(items: Sequence[ast.SelectItem],
                    layout: RowLayout) -> RowLayout:
     slots, types = [], []
     for position, item in enumerate(items):
         if not isinstance(item.expr, ast.Star):
-            slots.append(("", ast.output_name(item, position)))
+            slots.append(output_slot(item, position))
             types.append(expr_type(item.expr, layout))
             continue
         table = item.expr.table

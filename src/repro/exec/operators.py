@@ -193,7 +193,7 @@ class SeqScanOp(Operator):
 
     def __iter__(self) -> Iterator[tuple]:
         predicate = self._predicate
-        for _, row in self._table.scan():
+        for _, row in self._table.scan(self._clock):
             self._clock.advance(CostModel.TUPLE_CPU, cat.SCAN)
             if predicate is not None:
                 self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
@@ -209,7 +209,7 @@ class SeqScanOp(Operator):
         predicate = self._predicate
         examined = 0
         try:
-            for item in self._table.scan():
+            for item in self._table.scan(self._clock):
                 examined += 1
                 if predicate is None or to_bool(predicate(item[1])):
                     self.rows_out += 1

@@ -27,7 +27,9 @@ class PlanCoster:
     def annotate(self, node: plan.PlanNode) -> plan.PlanNode:
         """Fill ``node``'s ``est_rows`` and ``est_cost`` from its children's,
         which the planner annotated when it made them: every node is
-        costed once, when it is new.  Returns the node."""
+        costed once, when it is new, and this is the one write a node
+        gets — subtrees are shared between candidate trees.  Returns the
+        node."""
         rows, cost = self._estimate(node)
         node.est_rows = max(0.0, rows)
         node.est_cost = cost + sum(c.est_cost for c in node.children)

@@ -4,6 +4,12 @@ The planner lowers an AST ``Select`` into a tree of physical plan nodes.
 Physical nodes are declarative descriptions — the executor instantiates
 iterator operators from them — so the learned query optimizer can enumerate,
 featurize, and score many candidate trees cheaply without executing them.
+
+A node is written once: :meth:`~repro.plan.cost.PlanCoster.annotate` sets
+its estimates when the planner makes it, and its fields are final from
+then on.  Candidate trees therefore share subtrees (every join order holds
+each alias's one costed access path) and nothing that reads a plan — an
+engine, EXPLAIN, a learned optimizer — may write to one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ _plan_ids = itertools.count(1)
 class PlanNode:
     """Base physical plan node.
 
-    Attributes populated by the optimizer:
+    Attributes set by ``PlanCoster.annotate``, once, when the node is made:
         est_rows: estimated output cardinality.
         est_cost: estimated virtual-time cost of the subtree.
 
@@ -237,7 +243,8 @@ def plan_signature(node: PlanNode) -> str:
     """A canonical string identifying the plan's structure (for dedup and
     for the learned optimizer's training keys)."""
     if isinstance(node, SeqScan):
-        return f"seq({self_table(node)})"
+        flag = "+f" if node.predicate is not None else ""
+        return f"seq({node.table}{flag})"
     if isinstance(node, IndexScan):
         return f"idx({node.table}.{node.column})"
     if isinstance(node, Filter):
@@ -259,8 +266,3 @@ def plan_signature(node: PlanNode) -> str:
     if isinstance(node, Distinct):
         return f"distinct({plan_signature(node.child)})"
     return type(node).__name__.lower()
-
-
-def self_table(node: SeqScan) -> str:
-    flag = "+f" if node.predicate is not None else ""
-    return f"{node.table}{flag}"

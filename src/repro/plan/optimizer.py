@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.common.errors import BindError, PlanError
 from repro.exec.expr import (NO_COLUMNS, RowLayout, expr_type,
-                             output_layout)
+                             output_layout, output_slot)
 from repro.plan import logical as plan
 from repro.plan.cardinality import (CardinalityEstimator, column_literal,
                                     is_equi_join_condition)
@@ -107,9 +107,7 @@ class Planner:
     def plan_bound(self, bound: BoundQuery) -> plan.PlanNode:
         """The single best plan for a bound SELECT: the steps that read its
         literal values — access paths, join order, the upper plan."""
-        if not bound.table_order:
-            return self._finalize(bound, self._empty_row(bound))
-        return self._finalize(bound, self._best_join_tree(bound))
+        return self._finalize(bound, self._enumerate_join_trees(bound, 1)[0])
 
     def candidate_plans(self, select: ast.Select,
                         max_candidates: int = 16) -> list[plan.PlanNode]:
@@ -120,18 +118,11 @@ class Planner:
         the learned optimizer compares apples to apples.
         """
         bound = self.bind(select)
-        if not bound.table_order:
-            return [self.plan_bound(bound)]
-        trees = self._enumerate_join_trees(bound, max_candidates)
-        finalized = [self._finalize(bound, t) for t in trees]
-        seen: set[str] = set()
-        unique: list[plan.PlanNode] = []
-        for candidate in finalized:
-            sig = plan.plan_signature(candidate)
-            if sig not in seen:
-                seen.add(sig)
-                unique.append(candidate)
-        return unique[:max_candidates]
+        unique: dict[str, plan.PlanNode] = {}
+        for tree in self._enumerate_join_trees(bound, max_candidates):
+            candidate = self._finalize(bound, tree)
+            unique.setdefault(plan.plan_signature(candidate), candidate)
+        return list(unique.values())[:max_candidates]
 
     # -- binding ---------------------------------------------------------------
 
@@ -315,45 +306,34 @@ class Planner:
                 ranges=entry.kind == "btree")
             if not keys:
                 continue
-            candidate = plan.IndexScan(
+            candidate = coster.annotate(plan.IndexScan(
                 table=table, binding=alias, index_name=entry.name,
                 column=entry.column, **keys,
                 residual=conjoin([p for i, p in enumerate(predicates)
-                                  if i not in used]))
-            coster.annotate(candidate)
+                                  if i not in used])))
             if best is None or candidate.est_cost < best.est_cost:
                 best = candidate
         return best
 
     # -- join enumeration ------------------------------------------------------------
 
-    def _best_join_tree(self, bound: BoundQuery) -> plan.PlanNode:
-        trees = self._enumerate_join_trees(bound, max_trees=1)
-        return trees[0]
-
     def _enumerate_join_trees(self, bound: BoundQuery,
                               max_trees: int) -> list[plan.PlanNode]:
+        """The ``max_trees`` cheapest join trees over ``bound``'s tables
+        (a SELECT without FROM reads one empty row: ``SELECT 1 + 1``)."""
         aliases = bound.table_order
         coster = self._coster(bound)
+        if not aliases:
+            return [coster.annotate(plan.EmptyRow())]
         access = {a: self._access_path(bound.bindings, a, bound.filters[a])
                   for a in aliases}
-
         if len(aliases) == 1:
             return [access[aliases[0]]]
-
-        orders = self._join_orders(aliases, bound)
-        scored: list[tuple[float, plan.PlanNode]] = []
-        for order in orders:
-            for use_hash in (True, False):
-                tree = self._build_left_deep(order, access, bound, use_hash,
-                                             coster)
-                scored.append((tree.est_cost, tree))
-        if not scored:
-            raise PlanError("no join tree could be constructed")
-        scored.sort(key=lambda pair: pair[0])
-        if max_trees == 1:
-            return [scored[0][1]]
-        return [tree for _, tree in scored[: max(max_trees, 1)]]
+        trees = [self._build_left_deep(order, access, bound, use_hash, coster)
+                 for order in self._join_orders(aliases, bound)
+                 for use_hash in (True, False)]
+        trees.sort(key=lambda tree: tree.est_cost)
+        return trees[:max_trees]
 
     def _join_orders(self, aliases: list[str],
                      bound: BoundQuery) -> list[tuple[str, ...]]:
@@ -391,15 +371,15 @@ class Planner:
                          access: dict[str, plan.PlanNode],
                          bound: BoundQuery, use_hash: bool,
                          coster: PlanCoster) -> plan.PlanNode:
-        """One left-deep tree over copies of the (costed) access paths;
-        only the joins and the filter it adds are costed here."""
-        import copy
-        tree: plan.PlanNode = copy.deepcopy(access[order[0]])
+        """One left-deep tree over the (costed) access paths, which every
+        candidate tree shares; only the joins and the filter it adds are
+        new nodes, costed here."""
+        tree = access[order[0]]
         placed = {order[0]}
         pending = list(bound.join_conditions)
 
         for alias in order[1:]:
-            right = copy.deepcopy(access[alias])
+            right = access[alias]
             usable = []
             for cond in pending:
                 left_ref, right_ref, raw = cond
@@ -476,12 +456,12 @@ class Planner:
                  table_order: list[str]
                  ) -> list[tuple[ast.Expr, ast.ColumnRef]]:
         """Per output column of the select list (``*`` expanded): the
-        expression it computes, and a reference to it by output name."""
+        expression it computes, and a reference to its output slot."""
         out: list[tuple[ast.Expr, ast.ColumnRef]] = []
         for position, item in enumerate(select.items):
             if not isinstance(item.expr, ast.Star):
-                out.append((item.expr, ast.ColumnRef(
-                    ast.output_name(item, position))))
+                binding, name = output_slot(item, position)
+                out.append((item.expr, ast.ColumnRef(name, binding)))
                 continue
             for alias in table_order:
                 if (item.expr.table or alias).lower() == alias:
@@ -500,11 +480,6 @@ class Planner:
             raise BindError(f"{clause} position {expr.value} is not in the "
                             f"select list (1..{len(outputs)})")
         return outputs[expr.value - 1][pick]
-
-    def _empty_row(self, bound: BoundQuery) -> plan.PlanNode:
-        """The one-row input of a SELECT without FROM (``SELECT 1 + 1``),
-        which :meth:`_finalize` plans over like any scan."""
-        return self._coster(bound).annotate(plan.EmptyRow())
 
     def _coster(self, bound: BoundQuery) -> PlanCoster:
         return PlanCoster(self._estimator, bound.bindings)

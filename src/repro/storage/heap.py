@@ -109,10 +109,12 @@ class HeapTable:
         self._touch_page(page_no)
         return self._pages[page_no].read(rid & _SLOT_MASK)
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Full scan in page order, touching the buffer pool per page."""
+    def scan(self, clock: SimClock | None = None
+             ) -> Iterator[tuple[int, tuple]]:
+        """Full scan in page order, touching the buffer pool per page
+        (charged to ``clock`` if given, as :meth:`scan_column_batches`)."""
         for page in self._pages:
-            self._touch_page(page.page_no)
+            self._touch_page(page.page_no, clock)
             base = page.page_no << SLOT_BITS
             for slot, row in page.scan():
                 yield base | slot, row

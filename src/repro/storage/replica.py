@@ -149,10 +149,11 @@ class ReplicatedTable:
     def read(self, rid: int) -> tuple | None:
         return self._begin_op().read(rid)
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self, clock: SimClock | None = None
+             ) -> Iterator[tuple[int, tuple]]:
         # resolve the serving node NOW, not when the generator is first
         # advanced
-        return self._begin_op().scan()
+        return self._begin_op().scan(clock)
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,

@@ -229,11 +229,12 @@ class ShardedTable:
             return None
         return self.shard_tables[shard].read(rid & _INNER_MASK)
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
+    def scan(self, clock: SimClock | None = None
+             ) -> Iterator[tuple[int, tuple]]:
         """Full scan in canonical shard-major order."""
         for shard, table in enumerate(self.shard_tables):
             base = shard << SHARD_SHIFT
-            for rid, row in table.scan():
+            for rid, row in table.scan(clock):
                 yield base | rid, row
 
     def scan_column_batches(self, batch_size: int = 1024,

@@ -518,6 +518,59 @@ def test_candidate_plans_parity(parity_db):
         assert _parallel_engine(parity_db).run(candidate).rows == expected
 
 
+JOIN_QUERIES = [sql for sql in PARITY_QUERIES
+                if " JOIN " in sql or "FROM users, orders" in sql]
+
+
+def test_running_a_candidate_never_writes_it(parity_db, monkeypatch):
+    """Candidate trees share their access paths, so nothing that reads a
+    plan may write one: every node's fields after the engines, EXPLAIN
+    ANALYZE and the learned optimizers' read paths have run over every
+    candidate are what the planner made."""
+    from repro.learned.qo.bao import HINT_SETS, plan_under_hints
+    from repro.learned.qo.features import PlanFeaturizer
+    from repro.learned.qo.lero import LeroOptimizer
+    from repro.learned.qo.optimizer import LearnedQueryOptimizer
+    from repro.obs.explain import explain_analyze
+
+    assert len(JOIN_QUERIES) >= 4
+    planned = {sql: parity_db.planner.candidate_plans(parse(sql))
+               for sql in JOIN_QUERIES}
+    nodes = {id(node): node for candidates in planned.values()
+             for candidate in candidates for node in candidate.walk()}
+    snapshot = {key: dict(vars(node)) for key, node in nodes.items()}
+    lero = LeroOptimizer()
+    for sql, candidates in planned.items():
+        for engine, kwargs in (("batch", {}),
+                               ("parallel", {"workers": 2,
+                                             "morsel_rows": 16}),
+                               ("distributed", {"nodes": 2,
+                                                "morsel_rows": 16})):
+            for candidate in candidates:
+                clock = SimClock()
+                tracer = Tracer()
+                tracer.attach(clock)
+                executor = Executor(parity_db.catalog, clock, engine=engine,
+                                    **kwargs)
+                result = executor.run(candidate)
+                explain_analyze(candidate, executor.last_run[1], tracer,
+                                result.extra.get("parallel"),
+                                result.extra.get("distributed"))
+        # the learned optimizers, handed these very trees
+        monkeypatch.setattr(parity_db.planner, "candidate_plans",
+                            lambda select, max_candidates=16: candidates)
+        for hint in HINT_SETS:
+            assert plan_under_hints(parity_db, parse(sql), hint) \
+                in candidates
+        for candidate in candidates:
+            PlanFeaturizer().featurize(candidate)
+            lero._pooled(candidate)
+        LearnedQueryOptimizer().collect_samples(parity_db, sql)
+        monkeypatch.undo()
+    assert {key: dict(vars(node)) for key, node in nodes.items()} \
+        == snapshot
+
+
 def test_rows_out_accounting_parity(parity_db):
     plan = parity_db.planner.plan_select(
         parse("SELECT * FROM users WHERE age >= 30"))

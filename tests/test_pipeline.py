@@ -526,8 +526,10 @@ def test_sort_yields_one_block():
 
 
 def test_streaming_scan_charges_pages_to_its_clock():
-    """On a clock of its own, the streaming scan charges its page
-    touches to that clock, as the placed engines' page clocks do."""
+    """On a clock of its own, every engine's scan charges its page
+    touches to that clock — the streaming driver, the placed engines'
+    page clocks, and the row engine's ``table.scan`` (its SELECT rows and
+    the UPDATE / DELETE victim stream ``rid_rows`` alike)."""
     db = repro.connect()
     db.execute("CREATE TABLE t (id INT, v INT)")
     heap = db.catalog.table("t")
@@ -537,12 +539,18 @@ def test_streaming_scan_charges_pages_to_its_clock():
     db.execute(sql)                      # both runs read warm pages
     plan = db.planner.plan_select(parse(sql))
     breakdowns = {}
-    for engine in ("batch", "parallel"):
+    for engine in ("row", "batch", "parallel"):
         clock = SimClock()
         Executor(db.catalog, clock, engine=engine).run(plan)
         breakdowns[engine] = clock.breakdown()
-    assert set(breakdowns["batch"]) == set(breakdowns["parallel"])
-    assert "buffer-hit" in breakdowns["batch"]
+    assert set(breakdowns["row"]) == set(breakdowns["batch"]) \
+        == set(breakdowns["parallel"])
+    assert breakdowns["row"]["buffer-hit"] == breakdowns["batch"]["buffer-hit"]
+    clock = SimClock()
+    victims = Executor(db.catalog, clock, engine="row").build(
+        db.planner.access_path("t", parse(sql).where))
+    assert len(list(victims.rid_rows())) == 3900
+    assert clock.breakdown()["buffer-hit"] == breakdowns["row"]["buffer-hit"]
 
 
 # -- deferred selections -----------------------------------------------------

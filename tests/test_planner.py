@@ -94,8 +94,9 @@ class TestBinding:
         bound = users_orders_db.planner.bind(parse(
             "SELECT city, count(*) AS n FROM users GROUP BY 1 ORDER BY 2 DESC"))
         assert bound.group_by == (ast.ColumnRef("city"),)
+        # a sort key references its item's output slot, not just its name
         assert [(key.expr, key.descending) for key in bound.order_by] == \
-            [(ast.ColumnRef("n"), True)]
+            [(ast.ColumnRef("n", "#1"), True)]
 
 
 class TestAccessPaths:
@@ -151,6 +152,40 @@ class TestJoinPlanning:
                   "ON u.id = o.user_id WHERE u.age > 30"), 16)
         costs = [c.est_cost for c in candidates]
         assert costs == sorted(costs)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT count(*) FROM users u JOIN orders o ON u.id = o.user_id "
+        "WHERE u.age > 30",
+        "SELECT u.name, p.amount FROM users u JOIN orders o "
+        "ON u.id = o.user_id JOIN orders p ON o.oid = p.oid "
+        "WHERE u.id < 40 AND p.status = 'paid'",
+        "SELECT a.name, b.name FROM users a JOIN users b ON a.id = b.age "
+        "WHERE a.id = 7",
+    ])
+    def test_candidates_share_each_access_path(self, users_orders_db, sql):
+        """Every candidate tree holds the one costed access path of each
+        alias — the same object, never a copy — and no tree holds one
+        node object twice (a self-join's two aliases get two paths)."""
+        planner = users_orders_db.planner
+        bound = planner.bind(parse(sql))
+        candidates = planner.candidate_plans(parse(sql), 16)
+        assert len(candidates) > 1
+
+        def scans(tree):
+            return {n.binding: n for n in tree.walk()
+                    if isinstance(n, (SeqScan, IndexScan))}
+
+        shared = scans(candidates[0])
+        assert sorted(shared) == sorted(bound.table_order)
+        for alias, node in shared.items():
+            fresh = planner._access_path(bound.bindings, alias,
+                                         bound.filters[alias])
+            assert node.pretty() == fresh.pretty()
+        for tree in candidates:
+            assert all(node is shared[alias]
+                       for alias, node in scans(tree).items())
+            nodes = list(tree.walk())
+            assert len({id(n) for n in nodes}) == len(nodes)
 
     def test_best_plan_is_first_candidate(self, users_orders_db):
         select = parse("SELECT count(*) FROM users u JOIN orders o "
