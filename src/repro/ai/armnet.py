@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.common.rng import stable_hash
+from repro.common.rng import fnv1a, stable_hash
 from repro.nn.layers import Embedding, Linear, Module
 from repro.nn.tensor import Tensor
 from repro.storage.types import TypedColumn
@@ -33,6 +33,10 @@ SHORT_COLUMN = 24
 #: Rows per inference forward.  Activations grow with the rows: one
 #: forward over a 163,840-row table held 3.3 GB.
 INFER_ROWS = 1024
+
+#: Distinct ``(field, value)`` ids one :class:`FeatureHasher` remembers;
+#: the memo starts over when it reaches this many.
+MEMO_ENTRIES = 65_536
 
 _NUMBER = (int, float, np.number, np.bool_)
 
@@ -97,11 +101,17 @@ class FeatureHasher:
     id of ``(field, value)`` (:meth:`_hash_value` — numbers quantized to 2
     decimals, strings as they are).  A NULL cell has the ``"<null>"`` FNV
     id in both, so a NULL never changes another cell's id.
+
+    The column paths look each distinct value's FNV id up in a memo the
+    hasher keeps across calls (:meth:`_memo_id`), so a hasher that lives
+    as long as its model — a served one in the model cache — runs the FNV
+    loop once per value it has ever seen, not once per batch.
     """
 
     def __init__(self, field_count: int, buckets: int = DEFAULT_HASH_BUCKETS):
         self.field_count = field_count
         self.buckets = buckets
+        self._memo: dict[str, int] = {}
 
     def transform(self, rows: Sequence[Sequence[object]]) -> np.ndarray:
         """Rows of raw values -> (n, field_count) int ids: a transpose into
@@ -123,7 +133,7 @@ class FeatureHasher:
         of a column, not its cells: dictionary codes, int64 / bool data and
         2-decimal-quantized float bit patterns are factorised with
         ``np.unique`` and only the distinct values reach
-        :meth:`_hash_value`; the ids are gathered back by code.
+        :meth:`_memo_id`; the ids are gathered back by code.
         """
         if len(columns) != self.field_count:
             raise ValueError(
@@ -139,7 +149,7 @@ class FeatureHasher:
         if length < SHORT_COLUMN:
             cells = zip(*(col if isinstance(col, list) else col.tolist()
                           for col, _ in typed))
-            return np.array([[self._hash_value(j, value)
+            return np.array([[self._memo_id(j, value)
                               for j, value in enumerate(row)]
                              for row in cells], dtype=np.int64)
         out = np.empty((length, self.field_count), dtype=np.int64)
@@ -167,8 +177,8 @@ class FeatureHasher:
                 col = columns[j]
                 null = (np.array([v is None for v in col])
                         if isinstance(col, list) else col.null_mask())
-                ids[missing[:, j], j] = self._hash_value(j, np.nan)
-                ids[null, j] = self._hash_value(j, None)
+                ids[missing[:, j], j] = self._memo_id(j, np.nan)
+                ids[null, j] = self._memo_id(j, None)
         return ids
 
     def _mix_numeric(self, numeric: np.ndarray) -> np.ndarray:
@@ -190,10 +200,10 @@ class FeatureHasher:
         raw values hash value by value (each distinct string once), the
         typed kinds factorise."""
         if isinstance(col, list):
-            memo = {v: self._hash_value(field_idx, v)
-                    for v in {v for v in col if type(v) is str}}
-            return np.array([memo[v] if type(v) is str
-                             else self._hash_value(field_idx, v)
+            texts = {v: self._memo_id(field_idx, v)
+                     for v in {v for v in col if type(v) is str}}
+            return np.array([texts[v] if type(v) is str
+                             else self._memo_id(field_idx, v)
                              for v in col], dtype=np.int64)
         if col.kind == "f8":
             # the bit pattern keeps -0.0 apart from 0.0, as repr does
@@ -206,23 +216,43 @@ class FeatureHasher:
             if col.kind == "dict":
                 values = [None if code < 0 else col.dictionary[code]
                           for code in values]
-        ids = np.array([self._hash_value(field_idx, v) for v in values],
+        ids = np.array([self._memo_id(field_idx, v) for v in values],
                        dtype=np.int64)[codes]
         if col.valid is not None:
-            ids[~col.valid] = self._hash_value(field_idx, None)
+            ids[~col.valid] = self._memo_id(field_idx, None)
         return ids
 
     def _hash_value(self, field_idx: int, value: object) -> int:
-        if value is None:
-            key = (field_idx, "<null>")
-        elif isinstance(value, bool):
-            key = (field_idx, value)
-        elif isinstance(value, (int, float)):
-            # quantize continuous values to 2 decimals for bucket sharing
-            key = (field_idx, round(float(value), 2))
-        else:
-            key = (field_idx, str(value))
-        return stable_hash(key, self.buckets)
+        """The FNV id of one cell, by definition: no memo."""
+        return stable_hash(_feature_key(field_idx, value), self.buckets)
+
+    def _memo_id(self, field_idx: int, value: object) -> int:
+        """:meth:`_hash_value` through the memo.  The memo is keyed by the
+        ``repr`` text the FNV hash reads, never by the key tuple: ``True``,
+        ``1`` and ``1.0`` are one dict key, as are ``0.0`` and ``-0.0``,
+        but ``True`` hashes apart from the other two and ``-0.0`` apart
+        from ``0.0``.  A miss costs that one ``repr``, the FNV loop and
+        one insert."""
+        text = repr(_feature_key(field_idx, value))
+        found = self._memo.get(text)
+        if found is None:
+            if len(self._memo) >= MEMO_ENTRIES:
+                self._memo.clear()
+            found = self._memo[text] = (fnv1a(text.encode("utf-8"))
+                                        % self.buckets)
+        return found
+
+
+def _feature_key(field_idx: int, value: object) -> tuple:
+    """What a cell is hashed as: ``(field, value)``, numbers quantized to
+    2 decimals for bucket sharing, NULL as ``"<null>"``."""
+    if value is None:
+        return (field_idx, "<null>")
+    if isinstance(value, bool):
+        return (field_idx, value)
+    if isinstance(value, (int, float)):
+        return (field_idx, round(float(value), 2))
+    return (field_idx, str(value))
 
 
 class _InteractionLayer(Module):

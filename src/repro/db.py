@@ -819,7 +819,9 @@ class NeurDB:
         """
         statement = ctx.statement
         if statement.inline_rows:
-            rows = [tuple(compile_expr(e, NO_COLUMNS)(()) for e in value_row)
+            rows = [tuple(e.value if type(e) is ast.Literal
+                          else compile_expr(e, NO_COLUMNS)(())
+                          for e in value_row)
                     for value_row in statement.inline_rows]
             columns = ctx.table.schema.columns
             return (ColumnFeatures.from_rows(

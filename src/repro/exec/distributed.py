@@ -18,8 +18,10 @@ node:
 * **shuffle** — wide GROUP BY repartitions per-morsel aggregate partials
   by group-key hash across the nodes (a process-independent
   :func:`~repro.common.rng.stable_hash` of each distinct key names its
-  owner), each node merges its partition, and the merged partitions
-  funnel to the coordinator for final reassembly;
+  owner, every key hashed in one vectorized
+  :func:`~repro.common.rng.stable_hashes` pass), each node merges its
+  partition, and the merged partitions funnel to the coordinator for
+  final reassembly;
 * **broadcast** — a hash join's built table, or a nested-loop join's
   collected right side, ships once from the coordinator to every node
   that runs scan fragments of the other side;
@@ -85,7 +87,7 @@ import numpy as np
 from repro.common import categories as cat
 from repro.common.errors import RetryPolicy, WorkerCrash, check_at_least
 from repro.common.faults import FaultPlan
-from repro.common.rng import stable_hash
+from repro.common.rng import stable_hashes
 from repro.common.simtime import LaneSchedule, NetworkModel, SimClock
 from repro.exec import operators as ops
 from repro.exec import pipeline as pl
@@ -499,7 +501,7 @@ class DistributedScheduler:
             self.gather(partials, op, "aggregate partials", units=lambda
                         partial: op.entry_units(len(partial), partial.rows))
             return
-        owner = np.array([stable_hash(key, parts) for key in keys])
+        owner = stable_hashes(keys, parts)
         # per (morsel, owner) cell: the entries shipped and their rows
         sizes = [len(partial) for _, partial in partials]
         cell = (np.repeat(np.arange(len(sizes)), sizes) * parts

@@ -266,8 +266,9 @@ class IndexScanOp(Operator):
             self._residual = None
             self._residual_batch = None
 
-    def _fetch(self) -> Iterator[tuple]:
-        """``(rid, row)`` of every live row the index names; no charges."""
+    def _fetch(self, clock: SimClock) -> Iterator[tuple]:
+        """``(rid, row)`` of every live row the index names; the heap
+        charges its page touches to ``clock``, nothing else is charged."""
         node = self._node
         if node.eq is not None:
             rids = self._index.search(node.eq)
@@ -277,7 +278,7 @@ class IndexScanOp(Operator):
             rids = (rid for _, rid in self._index.range_scan(
                 node.low, node.high, node.include_low, node.include_high))
         for rid in rids:
-            row = self._table.read(rid)
+            row = self._table.read(rid, clock)
             if row is not None:
                 yield rid, row
 
@@ -285,7 +286,7 @@ class IndexScanOp(Operator):
         """The row path, record ids kept: SELECT's ``__iter__`` drops
         them, UPDATE / DELETE address their victims by them."""
         self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        for item in self._fetch():
+        for item in self._fetch(self._clock):
             self._clock.advance(CostModel.TUPLE_CPU, cat.INDEX)
             if self._residual is not None:
                 self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
@@ -301,7 +302,7 @@ class IndexScanOp(Operator):
         """The pipeline source: the row path in blocks of at most
         ``batch_rows`` fetched rows, charging ``clock``."""
         clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
-        rows = map(operator.itemgetter(1), self._fetch())
+        rows = map(operator.itemgetter(1), self._fetch(clock))
         while buffer := list(itertools.islice(rows, batch_rows)):
             block = self._filtered_block(buffer, clock)
             if block:

@@ -68,6 +68,7 @@ Serving survives injected and real failures (``docs/faults.md``):
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Optional
@@ -101,6 +102,9 @@ SERVING_COOLDOWN = None
 # retry budget and backoff base (virtual seconds) of a failed background
 # refresh
 REFRESH_RETRY = RetryPolicy(max_retries=3, backoff=1e-2)
+# completed requests kept on ``PredictServer.completed``, oldest dropped
+# first; ``stats()`` covers every request through running totals
+RETAINED_REQUESTS = 1024
 
 
 @dataclass
@@ -167,7 +171,9 @@ class ModelCache:
     version.  A miss materializes through
     :meth:`~repro.ai.model_manager.ModelManager.load_model` and therefore
     charges the usual per-layer load cost; hits charge nothing — the
-    serving path's steady-state saving.
+    serving path's steady-state saving.  A cached model also keeps its
+    :class:`~repro.ai.armnet.FeatureHasher`, and with it the memo of the
+    feature ids it has hashed, from one batch to the next.
     """
 
     def __init__(self, manager, capacity: int = 4):
@@ -281,7 +287,14 @@ class PredictServer:
         self.registry.add_collector(self._collect_gauges)
         self.serving_window = serving_window
         self._pending: deque[PredictRequest] = deque()
-        self.completed: list[PredictRequest] = []
+        self.completed: deque[PredictRequest] = deque(
+            maxlen=RETAINED_REQUESTS)
+        # running totals over every completed request, which stats()
+        # reads in place of the requests themselves
+        self._requests = 0
+        self._succeeded = 0
+        self._ok_batches = 0       # batches with a successful request
+        self._latencies = array("d")   # of the successful requests
         self.refreshes: list[RefreshTask] = []
         self._refresh_queue: deque[RefreshTask] = deque()
         self._serving_version: dict[str, int] = {}
@@ -424,9 +437,19 @@ class PredictServer:
         request.lane, request.started_at, request.completed_at = (
             lane, start, completion)
         self._contexts.pop(request.request_id, None)
-        self.completed.append(request)
+        self._complete([request])
         self._trace_request(request, None)
         return request
+
+    def _complete(self, requests: list[PredictRequest]) -> None:
+        """File one batch's finished requests: retained on ``completed``,
+        counted in the running totals :meth:`stats` reads."""
+        self.completed.extend(requests)
+        ok = [r.latency for r in requests if r.error is None]
+        self._latencies.extend(ok)
+        self._requests += len(requests)
+        self._succeeded += len(ok)
+        self._ok_batches += bool(ok)
 
     def _trace_request(self, request: PredictRequest, batch_span) -> None:
         """Record a completed request's span tree on the active tracer:
@@ -635,9 +658,9 @@ class PredictServer:
                                  f"{request.deadline:.6f}")
                 self._deadline_miss(request, completion)
             self._contexts.pop(request.request_id, None)
-            self.completed.append(request)
             self._trace_request(request, batch_span)
             served.append(request)
+        self._complete(served)
 
         # score against ground truth & let the monitor decide on drift;
         # triggers observe the *completion* time of this batch
@@ -831,19 +854,21 @@ class PredictServer:
         return self._serving_version.get(model_name.lower())
 
     def stats(self) -> dict:
-        """Serving metrics over everything completed so far."""
-        ok = [r for r in self.completed if r.error is None]
-        latencies = np.asarray([r.latency for r in ok], dtype=np.float64)
-        batches = len({r.batch_id for r in ok})
+        """Serving metrics over everything completed so far (``retained``
+        of those requests are still on ``completed``)."""
+        ok = self._succeeded
+        latencies = np.array(self._latencies, dtype=np.float64)
+        batches = self._ok_batches
         makespan = self.lanes.makespan()
         out = {
-            "requests": len(self.completed),
-            "failed": len(self.completed) - len(ok),
+            "requests": self._requests,
+            "failed": self._requests - ok,
+            "retained": len(self.completed),
             "batches": batches,
-            "mean_batch_requests": (len(ok) / batches) if batches else 0.0,
+            "mean_batch_requests": (ok / batches) if batches else 0.0,
             "lanes": self.lanes.lanes,
             "serving_makespan": makespan,
-            "throughput_rps": (len(ok) / makespan) if makespan > 0 else 0.0,
+            "throughput_rps": (ok / makespan) if makespan > 0 else 0.0,
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "refreshes": len(self.refreshes),

@@ -102,11 +102,15 @@ class HeapTable:
 
     # -- access ------------------------------------------------------------
 
-    def read(self, rid: int) -> tuple | None:
+    def read(self, rid: int, clock: SimClock | None = None
+             ) -> tuple | None:
+        """The live row at ``rid`` (None if there is none), touching its
+        page in the buffer pool (charged to ``clock`` if given, as
+        :meth:`scan`)."""
         page_no = rid >> SLOT_BITS
         if not (0 <= page_no < len(self._pages)):
             return None
-        self._touch_page(page_no)
+        self._touch_page(page_no, clock)
         return self._pages[page_no].read(rid & _SLOT_MASK)
 
     def scan(self, clock: SimClock | None = None

@@ -146,8 +146,9 @@ class ReplicatedTable:
 
     # -- access -------------------------------------------------------------
 
-    def read(self, rid: int) -> tuple | None:
-        return self._begin_op().read(rid)
+    def read(self, rid: int, clock: SimClock | None = None
+             ) -> tuple | None:
+        return self._begin_op().read(rid, clock)
 
     def scan(self, clock: SimClock | None = None
              ) -> Iterator[tuple[int, tuple]]:

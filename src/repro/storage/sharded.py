@@ -223,11 +223,12 @@ class ShardedTable:
 
     # -- access -------------------------------------------------------------
 
-    def read(self, rid: int) -> tuple | None:
+    def read(self, rid: int, clock: SimClock | None = None
+             ) -> tuple | None:
         shard = rid >> SHARD_SHIFT
         if not (0 <= shard < self.shard_count):
             return None
-        return self.shard_tables[shard].read(rid & _INNER_MASK)
+        return self.shard_tables[shard].read(rid & _INNER_MASK, clock)
 
     def scan(self, clock: SimClock | None = None
              ) -> Iterator[tuple[int, tuple]]:

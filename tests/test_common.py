@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common import (
@@ -14,6 +14,8 @@ from repro.common import (
     make_rng,
     stable_hash,
 )
+from repro.common import rng
+from repro.common.rng import stable_hashes
 from repro.common.simtime import BudgetExceeded
 
 
@@ -157,6 +159,38 @@ class TestRng:
         h = stable_hash(value, buckets)
         assert 0 <= h < buckets
         assert h == stable_hash(value, buckets)
+
+    _SCALARS = st.one_of(
+        st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-0.0, 0.0, float("nan"), float("inf"),
+                         float("-inf"), None, True, False, "", "日本語",
+                         "héllo", "\x00"]),
+        st.text(max_size=40))
+
+    @given(st.lists(st.one_of(_SCALARS, st.tuples(_SCALARS, _SCALARS),
+                              st.tuples(_SCALARS, st.tuples(_SCALARS))),
+                    max_size=60),
+           st.sampled_from([1, 2, 3, 17, 4096, 1 << 32, (1 << 63) - 1]),
+           st.sampled_from([1, 3, rng.VECTOR_MIN]))
+    @example([-7, 2 ** 70, -0.0, float("nan"), float("inf"), "日本語", None,
+              True, False, (1, "é", None, -0.0, (True,)), ()], 4096, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_stable_hashes_equals_the_scalar_hash(self, values, buckets,
+                                                  vector_min):
+        """Bit-equal to the scalar hash, whichever bytes the numpy steps
+        take and which the byte loop finishes (``VECTOR_MIN`` = 1: all
+        of them vectorized)."""
+        default, rng.VECTOR_MIN = rng.VECTOR_MIN, vector_min
+        try:
+            hashed = stable_hashes(values, buckets)
+        finally:
+            rng.VECTOR_MIN = default
+        assert hashed.dtype == np.int64 and hashed.shape == (len(values),)
+        assert hashed.tolist() == [stable_hash(v, buckets) for v in values]
+
+    def test_stable_hashes_of_nothing(self):
+        assert stable_hashes([], 7).shape == (0,)
 
 
 class TestErrors:

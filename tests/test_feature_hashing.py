@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.ai import armnet
@@ -217,13 +219,66 @@ def test_dictionary_slices_hash_only_what_they_use():
                                   DataType.TEXT)
     hasher = FeatureHasher(1)
     seen = []
-    real = hasher._hash_value
-    hasher._hash_value = lambda j, v: (seen.append(v), real(j, v))[1]
+    real = hasher._memo_id
+    hasher._memo_id = lambda j, v: (seen.append(v), real(j, v))[1]
     part = col[100:161]
     ids = hasher.transform_columns([part])
     assert len(seen) <= 62 and set(seen) == set(part.tolist())
-    hasher._hash_value = real
+    hasher._memo_id = real
     assert np.array_equal(ids, _reference(hasher, [part.tolist()], False))
+
+
+# -- the memo: equal values with different reprs never share an id ----------
+
+_TWINS = [True, 1, 1.0, False, 0, 0.0, -0.0, "1", "1.0", "True", "0", None,
+          math.nan, math.inf, -math.inf, 2, 2.0, 2.004]
+_TYPED_TWINS = {DataType.FLOAT: [0.0, -0.0, 1.0, 1.004, math.nan, math.inf,
+                                 None],
+                DataType.INT: [0, 1, 2, None],
+                DataType.BOOL: [True, False, None]}
+
+
+@st.composite
+def _twin_calls(draw):
+    """Two to four feature sets for one hasher: an untyped column of
+    values that ``==`` each other but differ in ``repr``, a typed column
+    whose kind changes from call to call, and a text column that keeps the
+    set in the FNV family; short and long lengths both."""
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.sampled_from([1, 7, SHORT_COLUMN - 1, SHORT_COLUMN, 40]))
+        mixed = draw(st.lists(st.sampled_from(_TWINS), min_size=n,
+                              max_size=n))
+        dtype = draw(st.sampled_from(list(_TYPED_TWINS)))
+        typed = draw(st.lists(st.sampled_from(_TYPED_TWINS[dtype]),
+                              min_size=n, max_size=n))
+        calls.append((mixed, TypedColumn.from_values(typed, dtype),
+                      [f"t{v!r}" for v in mixed]))
+    return calls
+
+
+@given(_twin_calls())
+@settings(max_examples=80, deadline=None)
+def test_a_warm_memo_never_confuses_equal_values(calls):
+    warm = FeatureHasher(3)
+    for columns in calls:
+        ids = warm.transform_columns(list(columns))
+        assert np.array_equal(
+            ids, FeatureHasher(3).transform_columns(list(columns)))
+        cells = zip(columns[0], columns[1].tolist(), columns[2])
+        assert ids.tolist() == [[warm._hash_value(j, v)
+                                 for j, v in enumerate(row)]
+                                for row in cells]
+
+
+def test_the_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(armnet, "MEMO_ENTRIES", 8)
+    hasher = FeatureHasher(2)
+    columns = [list(range(100)), [f"s{k % 30}" for k in range(100)]]
+    for _ in range(2):
+        assert np.array_equal(hasher.transform_columns(columns),
+                              _reference(hasher, columns, False))
+        assert len(hasher._memo) <= 8
 
 
 def test_shapes_and_errors():

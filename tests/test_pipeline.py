@@ -551,6 +551,18 @@ def test_streaming_scan_charges_pages_to_its_clock():
         db.planner.access_path("t", parse(sql).where))
     assert len(list(victims.rid_rows())) == 3900
     assert clock.breakdown()["buffer-hit"] == breakdowns["row"]["buffer-hit"]
+    # an index scan's heap reads charge the same clock, not the catalog's
+    db.execute("CREATE INDEX t_id ON t (id)")
+    sql = "SELECT v FROM t WHERE id < 300"
+    plan = db.planner.plan_select(parse(sql))
+    assert "IndexScan" in db.execute("EXPLAIN " + sql).rows[1][0]
+    hits = {}
+    for engine in ("row", "batch", "parallel"):
+        clock, before = SimClock(), db.clock.now
+        rows = Executor(db.catalog, clock, engine=engine).run(plan).rows
+        assert len(rows) == 300 and db.clock.now == before
+        hits[engine] = clock.breakdown()["buffer-hit"]
+    assert hits["row"] == hits["batch"] == hits["parallel"] > 0
 
 
 # -- deferred selections -----------------------------------------------------

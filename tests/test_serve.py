@@ -14,14 +14,19 @@ The acceptance contract (see ``docs/serving.md``):
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 import repro
 from repro.ai.loader import table_training_set
 from repro.common.errors import ExecutionError, NeurDBError, ParseError
+from repro.exec.executor import ResultSet
 from repro.exec.expr import RowLayout
 from repro.serve import ModelCache, PredictServer
+from repro.serve.server import RETAINED_REQUESTS, PredictRequest
+from repro.sql import ast
 from repro.sql.parser import parse
 
 REVIEW_SQL = ("PREDICT VALUE OF score FROM review "
@@ -447,6 +452,78 @@ class TestMaterialization:
             table_training_set(heap, ["f1", "f2"], "score",
                                block_predicate=bad, clock=db.clock)
         assert db.clock.now > before
+
+
+class TestRetention:
+    def test_history_is_capped_and_stats_cover_every_request(self):
+        """Three windows' worth of requests through one server: only the
+        newest ``RETAINED_REQUESTS`` stay alive, while ``stats()`` (and
+        the ``serve.*`` gauges) still equal what every drained request
+        says."""
+        kinds = (PredictRequest, ast.Predict, ResultSet)
+
+        def alive() -> list[int]:
+            gc.collect()
+            objects = gc.get_objects()
+            return [sum(type(o) is cls for o in objects) for cls in kinds]
+
+        before = alive()
+        db = _build_review_db()
+        server = PredictServer(db, lanes=2, refresh="manual")
+        rng = np.random.default_rng(3)
+        ok_latencies, ok_batches, failed = [], set(), 0
+        for window in range(3):
+            for k in range(RETAINED_REQUESTS):
+                if k % 97 == 0:
+                    sql = "PREDICT VALUE OF score FROM nowhere TRAIN ON *"
+                elif k % 8 == 7:
+                    low = int(rng.integers(0, 100))
+                    sql = (f"PREDICT VALUE OF score FROM review WHERE "
+                           f"rid >= {low} AND rid < {low + 8} "
+                           f"TRAIN ON f1, f2")
+                else:
+                    sql = (f"PREDICT VALUE OF score FROM review "
+                           f"TRAIN ON f1, f2 VALUES ({rng.random():.3f}, "
+                           f"{rng.random():.3f})")
+                server.submit(sql, at=(window * RETAINED_REQUESTS + k)
+                              // 16 * 1e-3)
+            for request in server.drain():
+                if request.error is None:
+                    ok_latencies.append(request.latency)
+                    ok_batches.add(request.batch_id)
+                else:
+                    failed += 1
+            del request
+        for cls, old, now in zip(kinds, before, alive()):
+            assert now - old <= RETAINED_REQUESTS, cls.__name__
+
+        stats = server.stats()
+        requests = 3 * RETAINED_REQUESTS
+        latencies = np.asarray(ok_latencies, dtype=np.float64)
+        ok = requests - failed
+        assert failed and len(ok_batches) < ok
+        assert stats["requests"] == requests
+        assert stats["failed"] == failed
+        assert stats["retained"] == len(server.completed) \
+            == RETAINED_REQUESTS
+        assert stats["batches"] == len(ok_batches)
+        assert stats["mean_batch_requests"] == ok / len(ok_batches)
+        assert stats["throughput_rps"] == ok / stats["serving_makespan"]
+        assert stats["latency"] == {
+            "mean": float(latencies.mean()),
+            "p50": float(np.percentile(latencies, 50)),
+            "p95": float(np.percentile(latencies, 95)),
+            "p99": float(np.percentile(latencies, 99)),
+            "max": float(latencies.max())}
+        gauges = db.metrics()["gauges"]
+        served = {key: value for key, value in gauges.items()
+                  if key.startswith("serve.")}
+        expected = {f"serve.{key}": float(value)
+                    for key, value in stats.items()
+                    if isinstance(value, (int, float))}
+        expected.update({f"serve.latency_{name}": value
+                         for name, value in stats["latency"].items()})
+        assert served == expected and served["serve.retained"] == 1024.0
 
 
 class TestServerValidation:
