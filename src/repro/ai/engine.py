@@ -230,8 +230,10 @@ class AIEngine:
                   rows: Sequence[Sequence[object]],
                   targets: Iterable[float]) -> TaskResult:
         """Incremental update: retrain only the suffix layers on new data
-        and persist only those layers as a new version (paper Fig. 3)."""
-        model = self.models.load_model(task.model_name)
+        and persist only those layers as a new version (paper Fig. 3).
+        The model trained is a writable copy of its own, never the
+        instance readers share."""
+        model = self.models.build_model(task.model_name)
         trainable = model.freeze_prefix(task.tune_last_layers)
         if not isinstance(rows, ColumnTrainingSet):
             rows = list(rows)

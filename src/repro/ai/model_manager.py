@@ -12,6 +12,8 @@ Metadata rows live in real heap tables of this engine (models are managed
 blob store keyed by (MID, LID, timestamp).  A per-model index of those rows
 (version timestamps, and each layer's timestamps, ascending) answers every
 read, so resolving a version costs the same at 1 and at 1,000 versions.
+Readers share one assembled, read-only model per recently loaded version;
+the one writer, the fine-tune operator, builds its own copy.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ from typing import Optional
 from repro.ai.armnet import ARMNet
 from repro.common import categories as cat
 from repro.common.errors import ModelNotFound
+from repro.common.lru import LRU
 from repro.common.simtime import CostModel, SimClock
 from repro.nn.serialize import pack_state, unpack_state
 from repro.storage.heap import HeapTable
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
+
+#: Assembled model versions one manager keeps for readers, oldest
+#: dropped first.
+ASSEMBLED_VERSIONS = 4
 
 
 class ModelManager:
@@ -56,6 +63,12 @@ class ModelManager:
         self._layer_stamps: dict[int, list[list[int]]] = {}
         self._next_mid = 1
         self._logical_time = 0
+        # (mid, resolved layers) -> read-only model; versions are
+        # append-only and a replaced model gets a new mid, so an entry
+        # never goes stale
+        self._assembled: "LRU[ARMNet]" = LRU(ASSEMBLED_VERSIONS)
+        self.loads = 0                 # load_model calls
+        self.builds = 0                # models assembled from layer blobs
 
     # -- clocks & ids -------------------------------------------------------
 
@@ -141,11 +154,42 @@ class ModelManager:
 
     def load_model(self, name: str,
                    timestamp: Optional[int] = None) -> ARMNet:
-        """Assemble a model version from its layer rows.  Every layer is
-        resolved (or ``resolve_layers`` raised) and loaded strictly, so the
-        skeleton is built without drawing initial weights."""
+        """The model version at ``timestamp`` (default: the newest), for
+        reading.  The instance is shared: the manager keeps the last
+        ``ASSEMBLED_VERSIONS`` it assembled, keyed by model id and
+        resolved layers, and every caller asking for one of them gets
+        that same object.  Its parameter arrays are read-only, so a write
+        raises instead of changing a version another reader holds; a
+        caller that trains asks :meth:`build_model` for its own copy.
+        Either way the load charges ``MODEL_LOAD_PER_LAYER`` per layer."""
         mid = self._mid_of(name)
         resolved = self.resolve_layers(name, timestamp)
+        key = (mid, tuple(resolved))
+        self.loads += 1
+        model = self._assembled.get(key)
+        if model is None:
+            model = self._build(mid, resolved)
+            for param in model.parameters():
+                param.data.flags.writeable = False
+            self._assembled.put(key, model)
+        else:
+            for _ in resolved:
+                self.clock.advance(CostModel.MODEL_LOAD_PER_LAYER,
+                                   cat.MODEL_LOAD)
+        return model
+
+    def build_model(self, name: str,
+                    timestamp: Optional[int] = None) -> ARMNet:
+        """A fresh, writable model version, charged as :meth:`load_model`
+        charges — the fine-tune operator's own copy to train."""
+        mid = self._mid_of(name)
+        return self._build(mid, self.resolve_layers(name, timestamp))
+
+    def _build(self, mid: int, resolved: list[tuple[int, int]]) -> ARMNet:
+        """Assemble a model from its layer rows.  Every layer is resolved
+        and loaded strictly, so the skeleton is built without drawing
+        initial weights."""
+        self.builds += 1
         model = ARMNet.from_spec(self._specs[mid], seed=None)
         names = self._layer_names[mid]
         for lid, layer_timestamp in resolved:

@@ -37,6 +37,7 @@ from repro.common import categories as cat
 from repro.common.errors import (BindError, ExecutionError, NeurDBError,
                                  RetryPolicy, check_at_least)
 from repro.common.faults import FaultPlan
+from repro.common.rng import stable_hash
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
 from repro.exec.expr import (NO_COLUMNS, RowLayout, compile_expr,
@@ -206,6 +207,8 @@ class NeurDB:
         self.query_retries = 0
         # fingerprint key -> _Statement, oldest first (see statements())
         self._statements: dict[str, _Statement] = {}
+        # PREDICT feature-column tuple -> model-name signature
+        self._model_signatures: dict[tuple[str, ...], int] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -437,6 +440,10 @@ class NeurDB:
         gauges["sql.statements"] = float(len(self._statements))
         gauges["sql.statement_hits_total"] = float(
             sum(entry.hits for entry in self._statements.values()))
+        # model loads (each charged) against the models actually
+        # assembled from layer rows (memo misses and fine-tune copies)
+        gauges["ai.model_loads"] = float(self.models.loads)
+        gauges["ai.model_builds"] = float(self.models.builds)
         return gauges
 
     def profile(self, sql: str, path: str | None = None,
@@ -760,7 +767,8 @@ class NeurDB:
         heap = self.catalog.table(table)
         feature_columns = list(binding.feature_columns)
         # the operator's recorded cost has this load beside the engine's
-        # own (tests/feature_hashing_golden.json pins both charges)
+        # own (tests/feature_hashing_golden.json pins both charges); it
+        # reuses the version readers share, the engine builds its own
         self.models.load_model(model_name)
         window = (window_rows if window_rows is not None
                   else self.refresh_window)
@@ -799,9 +807,15 @@ class NeurDB:
     def _model_name(self, statement: ast.Predict,
                     feature_columns: list[str]) -> str:
         # the feature set is part of the model identity: PREDICT with a
-        # different TRAIN ON list must not reuse an incompatible model
-        from repro.common.rng import stable_hash
-        signature = stable_hash(tuple(feature_columns), 1 << 32)
+        # different TRAIN ON list must not reuse an incompatible model;
+        # each column list is hashed once per connection
+        columns = tuple(feature_columns)
+        signature = self._model_signatures.get(columns)
+        if signature is None:
+            if len(self._model_signatures) >= _STATEMENT_TABLE_MAX:
+                self._model_signatures.clear()
+            signature = self._model_signatures[columns] = stable_hash(
+                columns, 1 << 32)
         return (f"predict_{statement.table}_{statement.target}"
                 f"_{signature:08x}").lower()
 

@@ -69,7 +69,7 @@ Serving survives injected and real failures (``docs/faults.md``):
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,6 +81,7 @@ from repro.ai.monitor import DriftEvent
 from repro.ai.tasks import InferenceTask
 from repro.common.errors import NeurDBError, RetryPolicy, check_at_least
 from repro.common.faults import FaultPlan
+from repro.common.lru import LRU
 from repro.common.simtime import LaneSchedule
 from repro.db import NeurDB, PredictContext
 from repro.exec.executor import ResultSet
@@ -168,18 +169,20 @@ class ModelCache:
     Keys are ``(name, version timestamp)`` — a *snapshot*, never "the
     newest": callers resolve the version they want first, so a cached
     entry can never change meaning when a refresh persists a newer
-    version.  A miss materializes through
+    version.  A miss goes to
     :meth:`~repro.ai.model_manager.ModelManager.load_model` and therefore
-    charges the usual per-layer load cost; hits charge nothing — the
-    serving path's steady-state saving.  A cached model also keeps its
+    charges the usual per-layer load cost (the manager builds the version
+    only if its own memo no longer holds it); hits charge nothing — the
+    serving path's steady-state saving.  Cached models are the manager's
+    read-only instances, so a refresh fine-tuning the same model cannot
+    change a pinned version.  A cached model also keeps its
     :class:`~repro.ai.armnet.FeatureHasher`, and with it the memo of the
     feature ids it has hashed, from one batch to the next.
     """
 
     def __init__(self, manager, capacity: int = 4):
         self._manager = manager
-        self._capacity = check_at_least("capacity", capacity)
-        self._entries: "OrderedDict[tuple[str, int], ARMNet]" = OrderedDict()
+        self._entries: "LRU[ARMNet]" = LRU(capacity)
         self.hits = 0
         self.misses = 0
 
@@ -190,14 +193,11 @@ class ModelCache:
         key = (name.lower(), version)
         model = self._entries.get(key)
         if model is not None:
-            self._entries.move_to_end(key)
             self.hits += 1
             return model
         self.misses += 1
         model = self._manager.load_model(name, version)
-        self._entries[key] = model
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
+        self._entries.put(key, model)
         return model
 
 

@@ -337,6 +337,77 @@ class TestModelManager:
         with pytest.raises(ModelNotFound):
             manager.resolve_layers("m", timestamp=0)
 
+    def _versions(self, count: int) -> tuple[ModelManager, list[int]]:
+        manager = ModelManager(SimClock())
+        model = self._model()
+        stamps = [manager.register_model("m", model)]
+        for step in range(count - 1):
+            model.head1.weight.data += 0.5 * (step + 1)
+            stamps.append(manager.incremental_update("m", model,
+                                                     ["head1"]))
+        return manager, stamps
+
+    def test_loads_of_one_version_share_one_instance(self):
+        manager, (t1, t2) = self._versions(2)
+        newest = manager.load_model("m")
+        assert manager.load_model("m", timestamp=t2) is newest
+        assert manager.load_model("M") is newest
+        assert manager.load_model("m", timestamp=t1) is not newest
+        assert (manager.loads, manager.builds) == (4, 2)
+        # a reused version charges what a fresh build of it charges
+        fresh, _ = self._versions(2)
+        for timestamp in (None, t2, None, t1):
+            fresh.build_model("m", timestamp)
+        assert manager.clock.breakdown() == fresh.clock.breakdown()
+        assert manager.clock.now == fresh.clock.now
+
+    def test_loaded_parameters_are_read_only(self):
+        manager, _ = self._versions(1)
+        loaded = manager.load_model("m")
+        for param in loaded.parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                param.data += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.embedding.weight.data[0, 0] = 1.0
+        built = manager.build_model("m")
+        built.head1.weight.data += 1.0       # the writer's own copy
+        rows = [[1.0, 2.0, 3.0]]
+        assert not np.array_equal(built.predict(rows), loaded.predict(rows))
+
+    def test_assembled_versions_are_bounded(self):
+        from repro.ai.model_manager import ASSEMBLED_VERSIONS
+        count = ASSEMBLED_VERSIONS + 2
+        manager, stamps = self._versions(count)
+        rows = [[1.0, 2.0, 3.0], ["a", None, 0.25]]
+        first = manager.load_model("m", stamps[0])
+        expected = first.predict(rows).tobytes()
+        for stamp in stamps[1:]:
+            manager.load_model("m", stamp)
+        assert len(manager._assembled) == ASSEMBLED_VERSIONS
+        again = manager.load_model("m", stamps[0])   # evicted: rebuilt
+        assert again is not first
+        assert manager.builds == count + 1
+        assert again.predict(rows).tobytes() == expected
+
+    def test_fine_tune_trains_its_own_copy(self):
+        rows, labels = make_dataset(200)
+        engine = AIEngine()
+        engine.train(TrainTask(model_name="m", field_count=5,
+                               batch_size=64), rows, labels)
+        before = engine.models.load_model("m")
+        snapshot = [p.data.copy() for p in before.parameters()]
+        predictions = before.predict(rows[:50]).tobytes()
+        engine.fine_tune(FineTuneTask(model_name="m", epochs=1,
+                                      batch_size=64,
+                                      learning_rate=5e-2),
+                         rows[:64], labels[:64])
+        for param, data in zip(before.parameters(), snapshot):
+            assert param.data.tobytes() == data.tobytes()
+        assert before.predict(rows[:50]).tobytes() == predictions
+        after = engine.models.load_model("m")
+        assert after is not before
+        assert after.predict(rows[:50]).tobytes() != predictions
+
 
 class TestMonitor:
     def test_detects_loss_increase(self):

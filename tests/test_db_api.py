@@ -237,6 +237,25 @@ class TestPredict:
         assert retrained.extra["trained_now"] is True
         assert len(db.models.versions(model_name)) == 2
 
+    def test_model_names_follow_the_feature_columns(self):
+        from repro.common.rng import stable_hash
+        from repro.sql.parser import parse
+        db = repro.connect()
+        _load_review_table(db, n=8)
+        lists = {"*": ("brand_name", "f1", "f2"), "f1, f2": ("f1", "f2"),
+                 "F2, f1": ("f2", "f1"), "f1": ("f1",),
+                 "brand_name": ("brand_name",)}
+        names = set()
+        for _ in range(2):          # the second pass reuses each signature
+            for train_on, columns in lists.items():
+                ctx = db.bind_predict(parse(
+                    f"PREDICT VALUE OF Score FROM Review TRAIN ON {train_on}"))
+                assert tuple(ctx.feature_columns) == columns
+                signature = stable_hash(columns, 1 << 32)
+                assert ctx.model_name == f"predict_review_score_{signature:08x}"
+                names.add(ctx.model_name)
+        assert len(names) == len(lists)
+
     def test_unknown_target_column(self):
         db = repro.connect()
         _load_review_table(db, n=50)

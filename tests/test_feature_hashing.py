@@ -477,15 +477,21 @@ class TestModelLoad:
         manager, trained = self._trained()
         for timestamp in (None, 1, 3):
             loaded = manager.load_model("m", timestamp)
+            built = manager.build_model("m", timestamp)   # fine-tune's copy
             classic = ARMNet.from_spec(trained.spec(), seed=0)
             names = trained.layer_names()
             for lid, stamp in manager.resolve_layers("m", timestamp):
                 classic.load_layer(names[lid], unpack_state(
                     manager._blobs[(1, lid, stamp)]))
-            for (name, a), (_, b) in zip(loaded.named_parameters(),
-                                         classic.named_parameters()):
-                assert np.array_equal(a.data, b.data), name
-                assert a.data.flags.writeable and a.requires_grad
+            for (name, a), (_, b), (_, c) in zip(loaded.named_parameters(),
+                                                 built.named_parameters(),
+                                                 classic.named_parameters()):
+                assert np.array_equal(a.data, c.data), name
+                assert np.array_equal(b.data, c.data), name
+                assert a.requires_grad and b.requires_grad
+                # readers share the loaded instance; only the build trains
+                assert not a.data.flags.writeable
+                assert b.data.flags.writeable
         newest = manager.load_model("m")
         assert np.array_equal(newest.head1.weight.data,
                               trained.head1.weight.data)

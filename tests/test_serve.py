@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.ai.loader import table_training_set
+from repro.ai.tasks import InferenceTask
 from repro.common.errors import ExecutionError, NeurDBError, ParseError
 from repro.exec.executor import ResultSet
 from repro.exec.expr import RowLayout
@@ -242,6 +243,57 @@ class TestModelCache:
         server.drain()
         assert db.clock.category_total("model-load") == before
         assert server.cache.hits >= 1
+
+
+class TestSharedModelVersions:
+    """Readers share the model manager's read-only instance of a version;
+    a fine-tune or a retrain builds its own, so no reader's version moves."""
+
+    def test_writers_leave_an_earlier_version_bit_identical(self):
+        db = _build_review_db()
+        server = PredictServer(db, refresh="manual")
+
+        def served() -> bytes:
+            request = server.submit(REVIEW_SQL)
+            server.drain()
+            assert request.error is None
+            return request.result.extra["probabilities"].tobytes()
+
+        def direct(version) -> bytes:
+            ctx = db.bind_predict(parse(REVIEW_SQL))
+            features, _, _ = db.prediction_inputs(ctx)
+            return db.ai_engine.infer(
+                InferenceTask(model_name=ctx.model_name, version=version),
+                features).predictions.tobytes()
+
+        first = served()                 # trains, then pins this version
+        name = db.catalog.bound_model("review", "score")
+        pinned = db.models.versions(name)[-1]
+        assert direct(pinned) == first
+        db.fine_tune_model("review", "score", epochs=2,
+                           learning_rate=5e-2)
+        tuned = direct(None)
+        db.execute(REVIEW_SQL, force_retrain=True)
+        assert len(db.models.versions(name)) == 3
+        assert tuned != first and direct(None) != tuned
+        assert served() == first         # the server's pinned snapshot
+        assert direct(pinned) == first   # the facade, asking for it
+
+    def test_facade_predict_builds_its_version_once(self):
+        db = _build_review_db()
+        db.execute(REVIEW_SQL)
+        before = db.metrics()["gauges"]
+        for _ in range(3):
+            db.execute(REVIEW_SQL)
+        after = db.metrics()["gauges"]
+        assert after["ai.model_loads"] - before["ai.model_loads"] == 3
+        assert after["ai.model_builds"] == before["ai.model_builds"] == 1
+        # a fine-tune loads the shared version to charge its load and
+        # builds only its own writable copy
+        db.fine_tune_model("review", "score", epochs=1)
+        after = db.metrics()["gauges"]
+        assert after["ai.model_loads"] - before["ai.model_loads"] == 4
+        assert after["ai.model_builds"] == 2
 
 
 class TestRefreshLoop:
