@@ -168,10 +168,14 @@ class AIEngine:
     def train(self, task: TrainTask, rows: Sequence[Sequence[object]],
               targets: Iterable[float],
               model: ARMNet | None = None) -> TaskResult:
-        """Execute a Train task end-to-end through the streaming protocol."""
+        """Execute a Train task end-to-end through the streaming protocol.
+        A model the engine built itself becomes, once persisted, the
+        shared instance of its version; a caller's ``model`` stays the
+        caller's."""
         if task.field_count <= 0:
             raise AIEngineError("TrainTask.field_count must be set")
-        if model is None:
+        owned = model is None
+        if owned:
             model = ARMNet(field_count=task.field_count,
                            task_type=task.task_type,
                            **task.hyperparams)
@@ -189,6 +193,9 @@ class AIEngine:
             except ValueError:
                 result.model_version = self.models.replace_model(
                     task.model_name, model)
+        if owned:
+            self.models.keep_assembled(task.model_name,
+                                       result.model_version, model)
         self.completed_tasks.append(result)
         return result
 
@@ -232,7 +239,8 @@ class AIEngine:
         """Incremental update: retrain only the suffix layers on new data
         and persist only those layers as a new version (paper Fig. 3).
         The model trained is a writable copy of its own, never the
-        instance readers share."""
+        instance readers share; once persisted, it becomes the shared
+        instance of the new version."""
         model = self.models.build_model(task.model_name)
         trainable = model.freeze_prefix(task.tune_last_layers)
         if not isinstance(rows, ColumnTrainingSet):
@@ -247,6 +255,8 @@ class AIEngine:
         tuned = list(model.layer_names()[-task.tune_last_layers:])
         result.model_version = self.models.incremental_update(
             task.model_name, model, tuned)
+        self.models.keep_assembled(task.model_name, result.model_version,
+                                   model)
         result.details["tuned_layers"] = tuned
         self.completed_tasks.append(result)
         return result

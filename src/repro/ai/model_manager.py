@@ -13,7 +13,8 @@ blob store keyed by (MID, LID, timestamp).  A per-model index of those rows
 (version timestamps, and each layer's timestamps, ascending) answers every
 read, so resolving a version costs the same at 1 and at 1,000 versions.
 Readers share one assembled, read-only model per recently loaded version;
-the one writer, the fine-tune operator, builds its own copy.
+the one writer, the fine-tune operator, builds its own copy, and hands it
+over as the shared instance of the version it persisted.
 """
 
 from __future__ import annotations
@@ -168,15 +169,24 @@ class ModelManager:
         self.loads += 1
         model = self._assembled.get(key)
         if model is None:
-            model = self._build(mid, resolved)
-            for param in model.parameters():
-                param.data.flags.writeable = False
+            model = _read_only(self._build(mid, resolved))
             self._assembled.put(key, model)
         else:
             for _ in resolved:
                 self.clock.advance(CostModel.MODEL_LOAD_PER_LAYER,
                                    cat.MODEL_LOAD)
         return model
+
+    def keep_assembled(self, name: str, timestamp: int,
+                       model: ARMNet) -> None:
+        """Make ``model`` the shared read-only instance of version
+        ``timestamp``, which was just persisted from it: the writer's
+        trained copy holds exactly that version's weights, so the next
+        reader gets it instead of assembling the same weights from the
+        blobs.  The caller hands the model over and writes it no more."""
+        key = (self._mid_of(name),
+               tuple(self.resolve_layers(name, timestamp)))
+        self._assembled.put(key, _read_only(model))
 
     def build_model(self, name: str,
                     timestamp: Optional[int] = None) -> ARMNet:
@@ -215,3 +225,12 @@ class ModelManager:
             return self._name_to_mid[name.lower()]
         except KeyError:
             raise ModelNotFound(f"no model named {name!r}") from None
+
+
+def _read_only(model: ARMNet) -> ARMNet:
+    """``model`` with read-only parameter arrays and no gradients: a
+    write raises instead of changing a version other readers hold."""
+    for param in model.parameters():
+        param.data.flags.writeable = False
+        param.grad = None
+    return model

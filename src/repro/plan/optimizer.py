@@ -45,9 +45,11 @@ class BoundQuery:
     ``classes`` says, per conjunct of the WHERE and then the ON clauses,
     where binding put it: the alias of the one table a filter reads, ``""``
     for an equi-join condition, None for a residual.  It depends on the
-    statement's template alone, unless a GROUP BY / ORDER BY key named a
-    select-list position (``positional``), so :meth:`Planner.rebind` can
-    put another statement of the template into the same places."""
+    statement's template alone, unless a GROUP BY / ORDER BY key was
+    bound through the select list — a position, or an ORDER BY
+    expression matched to an item (``positional``) — so
+    :meth:`Planner.rebind` can put another statement of the template
+    into the same places."""
 
     select: ast.Select
     bindings: dict[str, str]           # alias -> table name
@@ -157,7 +159,8 @@ class Planner:
                 classes.append(next(iter(aliases)))
             else:
                 classes.append(None)    # a constant, or 3+ tables
-        self._check_types(select, bindings, table_order, conjuncts)
+        output = self._check_types(select, bindings, table_order,
+                                   conjuncts)
         # an integer literal in GROUP BY / ORDER BY names a select-list
         # position: group on that item's expression, sort on its output
         outputs = (self._outputs(select, bindings, table_order)
@@ -167,10 +170,14 @@ class Planner:
         if any(ast.is_aggregate(expr) for expr in group_by):
             raise BindError("GROUP BY cannot name an aggregate")
         order_by = tuple(
-            ast.OrderItem(self._positional(key.expr, outputs, "ORDER BY", 1),
-                          key.descending) for key in select.order_by)
-        positional = any(_is_position(expr) for expr in itertools.chain(
-            select.group_by, (key.expr for key in select.order_by)))
+            ast.OrderItem(self._order_key(key.expr, outputs), key.descending)
+            for key in select.order_by)
+        # ORDER BY sorts the select list's output rows
+        for key in order_by:
+            expr_type(key.expr, output)
+        positional = (any(map(_is_position, select.group_by))
+                      or any(new.expr is not old.expr for new, old
+                             in zip(order_by, select.order_by)))
         return self._classified(select, bindings, table_order, conjuncts,
                                 tuple(classes), group_by, order_by,
                                 positional)
@@ -216,21 +223,20 @@ class Planner:
 
     def _check_types(self, select: ast.Select, bindings: dict[str, str],
                      table_order: list[str],
-                     conjuncts: list[ast.Expr]) -> None:
-        """Type every expression of the statement over the rows it will
-        be evaluated on (:func:`~repro.exec.expr.expr_type`): the WHERE
-        and ON conjuncts, GROUP BY and the select list over the FROM
-        tables, ORDER BY over the select list.  An ill-typed one is a
-        BindError here, before any operator is built or any row read."""
+                     conjuncts: list[ast.Expr]) -> RowLayout:
+        """Type the statement's expressions over the rows they will be
+        evaluated on (:func:`~repro.exec.expr.expr_type`): the WHERE and
+        ON conjuncts, GROUP BY and the select list over the FROM tables.
+        An ill-typed one is a BindError here, before any operator is
+        built or any row read.  Returns the select list's output layout,
+        which :meth:`bind` types the ORDER BY keys over."""
         scope = NO_COLUMNS
         for alias in table_order:
             scope = scope.concat(RowLayout.of_table(
                 alias, self._catalog.table(bindings[alias]).schema))
         for expr in itertools.chain(conjuncts, select.group_by):
             expr_type(expr, scope)
-        output = output_layout(select.items, scope)
-        for key in select.order_by:
-            expr_type(key.expr, output)
+        return output_layout(select.items, scope)
 
     def _aliases_of(self, expr: ast.Expr, bindings: dict[str, str],
                     table_order: list[str]) -> set[str]:
@@ -480,6 +486,21 @@ class Planner:
             raise BindError(f"{clause} position {expr.value} is not in the "
                             f"select list (1..{len(outputs)})")
         return outputs[expr.value - 1][pick]
+
+    @classmethod
+    def _order_key(cls, expr: ast.Expr, outputs: list) -> ast.Expr:
+        """An ORDER BY key bound to the output it sorts: a position, or
+        an expression written as a select item (``ORDER BY count(*)``),
+        is that item's output slot; anything else is left to name
+        output columns itself."""
+        if _is_position(expr):
+            return cls._positional(expr, outputs, "ORDER BY", 1)
+        if not isinstance(expr, ast.ColumnRef):
+            text = repr(expr)       # Literal(1) == Literal(1.0)
+            for computed, ref in outputs:
+                if repr(computed) == text:
+                    return ref
+        return expr
 
     def _coster(self, bound: BoundQuery) -> PlanCoster:
         return PlanCoster(self._estimator, bound.bindings)

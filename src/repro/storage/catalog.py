@@ -181,9 +181,11 @@ class Catalog:
         self._stats_version += 1
         for name in names:
             heap = self.table(name)
-            rows = (row for _, row in heap.scan())
+            # read before the scan: its replica operation may end an
+            # outage and change which copy answers
+            page_count = heap.page_count
             self._stats[name] = compute_table_stats(
-                heap.schema, rows, page_count=heap.page_count,
+                heap.schema, heap.live_rows(), page_count=page_count,
                 version=self._stats_version)
 
     def stats(self, table_name: str) -> TableStats | None:

@@ -58,9 +58,13 @@ class HeapTable:
 
     def insert(self, values: Sequence[Any]) -> int:
         """Coerce, constraint-check, and store one row; returns its RID."""
-        row = self.schema.coerce_row(values)
+        return self.insert_coerced(*self.schema.coerce_row(values))
+
+    def insert_coerced(self, row: tuple, row_bytes: int) -> int:
+        """:meth:`insert` of a row :meth:`TableSchema.coerce_row` already
+        coerced and sized — the entry a partitioned table hands its
+        shards, so a row is coerced once however many tables store it."""
         self._check_unique(row, exclude_rid=None)
-        row_bytes = self.schema.row_size_bytes(row)
         page = self._page_with_room(row_bytes)
         rid = page.page_no << SLOT_BITS | page.insert(row, row_bytes)
         for col_idx, uniq in self._unique_maps.items():
@@ -73,7 +77,7 @@ class HeapTable:
 
     def update(self, rid: int, values: Sequence[Any]) -> int:
         """Rewrite one row in place; returns ``rid``, where it still lives."""
-        row = self.schema.coerce_row(values)
+        row = self.schema.coerce_row(values)[0]
         old = self.read(rid)
         if old is None:
             raise KeyError(f"update of missing rid {rid}")
@@ -122,6 +126,16 @@ class HeapTable:
             base = page.page_no << SLOT_BITS
             for slot, row in page.scan():
                 yield base | slot, row
+
+    def live_rows(self) -> list[tuple]:
+        """Every live row in :meth:`scan` order, read a page at a time: the
+        same buffer-pool touches as a drained :meth:`scan`, in the same
+        order, and no typed page view built (what ANALYZE reads)."""
+        rows: list[tuple] = []
+        for page in self._pages:
+            self._touch_page(page.page_no)
+            rows += page.live_rows()
+        return rows
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,

@@ -69,6 +69,9 @@ BACKUP = "backup"
 BACKUP_SUFFIX = "@backup"
 """Buffer-pool identity suffix for the backup copy's pages."""
 
+_DELETE_SHIP_BYTES = 16
+"""Bytes a replicated delete ships: the record id and its framing."""
+
 
 class ReplicatedTable:
     """A :class:`HeapTable` drop-in holding primary + backup copies.
@@ -129,20 +132,28 @@ class ReplicatedTable:
         up copy in LSN order, queued for down copies.  Returns the RID —
         identical on both copies by the determinism argument above."""
         active = self._begin_op()
-        rid = active.insert(values)
-        self._replicate(active, "insert", (tuple(values),))
+        return self._insert(active, *self.schema.coerce_row(values))
+
+    def insert_coerced(self, row: tuple, row_bytes: int) -> int:
+        """:meth:`HeapTable.insert_coerced`, replicated as :meth:`insert`."""
+        return self._insert(self._begin_op(), row, row_bytes)
+
+    def _insert(self, active: HeapTable, row: tuple, row_bytes: int) -> int:
+        rid = active.insert_coerced(row, row_bytes)
+        self._replicate(active, "insert", (row, row_bytes), row_bytes)
         return rid
 
     def update(self, rid: int, values: Sequence[Any]) -> int:
         active = self._begin_op()
-        active.update(rid, values)
-        self._replicate(active, "update", (rid, tuple(values)))
+        row, row_bytes = self.schema.coerce_row(values)
+        active.update(rid, row)
+        self._replicate(active, "update", (rid, row), row_bytes)
         return rid
 
     def delete(self, rid: int) -> None:
         active = self._begin_op()
         active.delete(rid)
-        self._replicate(active, "delete", (rid,))
+        self._replicate(active, "delete", (rid,), _DELETE_SHIP_BYTES)
 
     # -- access -------------------------------------------------------------
 
@@ -155,6 +166,9 @@ class ReplicatedTable:
         # resolve the serving node NOW, not when the generator is first
         # advanced
         return self._begin_op().scan(clock)
+
+    def live_rows(self) -> list[tuple]:
+        return self._begin_op().live_rows()
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,
@@ -269,16 +283,17 @@ class ReplicatedTable:
         return self.primary if node == PRIMARY else self.backup
 
     def _replicate(self, applied_to: HeapTable, op: str,
-                   args: tuple) -> None:
+                   args: tuple, nbytes: int) -> None:
         """Stamp the write with the next LSN and bring the *other* copy in
         line: apply it if the copy is up, queue it on the copy's missed
-        list otherwise.  Shipping charges per-byte serialize + network
-        cost (category ``replicate``)."""
+        list otherwise.  Shipping ``nbytes`` charges per-byte serialize +
+        network cost (category ``replicate``)."""
         self._lsn += 1
         entry = (self._lsn, op, args)
         other_node = BACKUP if applied_to is self.primary else PRIMARY
         other = self.backup if applied_to is self.primary else self.primary
-        self._charge_ship(op, args)
+        self._charge((CostModel.SERIALIZE_PER_BYTE
+                      + CostModel.NET_PER_BYTE) * nbytes, cat.REPLICATE)
         if other_node in self._down:
             self._missed[other_node].append(entry)
         else:
@@ -287,7 +302,7 @@ class ReplicatedTable:
     @staticmethod
     def _apply(copy: HeapTable, op: str, args: tuple) -> None:
         if op == "insert":
-            copy.insert(args[0])
+            copy.insert_coerced(*args)
         elif op == "update":
             copy.update(args[0], args[1])
         elif op == "delete":
@@ -312,13 +327,6 @@ class ReplicatedTable:
         """Record (and charge) the moment traffic moves off ``node``."""
         self.failovers += 1
         self._charge(CostModel.NET_ROUND_TRIP, cat.FAILOVER)
-
-    def _charge_ship(self, op: str, args: tuple) -> None:
-        row = args[-1] if op in ("insert", "update") else ()
-        nbytes = (self.schema.row_size_bytes(self.schema.coerce_row(row))
-                  if row else 16)
-        self._charge((CostModel.SERIALIZE_PER_BYTE
-                      + CostModel.NET_PER_BYTE) * nbytes, cat.REPLICATE)
 
     def _charge(self, seconds: float, category: str) -> None:
         if self._clock is not None:

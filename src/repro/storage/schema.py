@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.common.errors import BindError, TypeMismatchError
-from repro.storage.types import DataType, coerce_value, value_size_bytes
+from repro.storage.types import (STORED_TYPES, DataType, coerce_value,
+                                 value_size_bytes)
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,14 @@ class TableSchema:
         self.table_name = table_name.lower()
         self.columns: tuple[Column, ...] = tuple(columns)
         self._index_of = {c.name: i for i, c in enumerate(columns)}
+        # the insert loop's plan: per column, the one Python type it
+        # stores without conversion
+        self._exact = tuple(STORED_TYPES[c.dtype] for c in self.columns)
+        self._text = tuple(i for i, c in enumerate(self.columns)
+                           if c.dtype is DataType.TEXT)
+        self._fixed_bytes = sum(value_size_bytes(0, c.dtype)
+                                for c in self.columns
+                                if c.dtype is not DataType.TEXT)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -77,24 +86,42 @@ class TableSchema:
     def column(self, name: str) -> Column:
         return self.columns[self.index_of(name)]
 
-    def coerce_row(self, values: Sequence[Any]) -> tuple:
-        """Validate and coerce one row of raw values into a storage tuple."""
+    def coerce_row(self, values: Sequence[Any]) -> tuple[tuple, int]:
+        """Validate and coerce one row of raw values into a storage tuple;
+        returns ``(row, row_bytes)``, its page-accounting size beside it.
+
+        One pass over the row.  A row whose every value is exactly its
+        column's stored Python type (``int`` for INT, ``float`` for
+        FLOAT, ``str`` for TEXT, ``bool`` for BOOL) — what a load
+        offers — is stored as it is and sized inline: 8 bytes a number,
+        1 a bool, a string's UTF-8 length plus 4.  Any other row goes
+        value by value: a value of another type — NULL, an ``int``
+        widened into FLOAT, a ``bool`` offered to a number, a float
+        subclass, an integral float into INT, anything ill-typed — goes
+        through :func:`coerce_value`, and every value of that row is
+        sized by :func:`value_size_bytes`, the one definition of both."""
+        if tuple(map(type, values)) == self._exact:
+            row = tuple(values)
+            size = self._fixed_bytes
+            for i in self._text:
+                size += len(row[i].encode("utf-8")) + 4
+            return row, size
         if len(values) != len(self.columns):
             raise TypeMismatchError(
                 f"table {self.table_name!r} expects {len(self.columns)} values, "
                 f"got {len(values)}")
         out = []
-        for col, raw in zip(self.columns, values):
-            value = coerce_value(raw, col.dtype)
-            if value is None and not col.nullable:
-                raise TypeMismatchError(
-                    f"column {col.name!r} of {self.table_name!r} is NOT NULL")
-            out.append(value)
-        return tuple(out)
-
-    def row_size_bytes(self, row: Sequence[Any]) -> int:
-        return sum(value_size_bytes(v, c.dtype)
-                   for v, c in zip(row, self.columns))
+        size = 0
+        for col, exact, raw in zip(self.columns, self._exact, values):
+            if type(raw) is not exact:
+                raw = coerce_value(raw, col.dtype)
+                if raw is None and not col.nullable:
+                    raise TypeMismatchError(
+                        f"column {col.name!r} of {self.table_name!r} "
+                        f"is NOT NULL")
+            out.append(raw)
+            size += value_size_bytes(raw, col.dtype)
+        return tuple(out), size
 
     def non_unique_column_names(self) -> list[str]:
         """Columns eligible for ``TRAIN ON *`` (the paper excludes columns

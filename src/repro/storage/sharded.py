@@ -186,15 +186,16 @@ class ShardedTable:
     # -- mutation -----------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> int:
-        row = self.schema.coerce_row(values)
+        row, row_bytes = self.schema.coerce_row(values)
         self._check_unique(row, exclude_rid=None)
         shard = self.shard_of(row)
-        rid = shard << SHARD_SHIFT | self.shard_tables[shard].insert(row)
+        rid = (shard << SHARD_SHIFT
+               | self.shard_tables[shard].insert_coerced(row, row_bytes))
         self._index_unique(row, rid)
         return rid
 
     def update(self, rid: int, values: Sequence[Any]) -> int:
-        row = self.schema.coerce_row(values)
+        row, row_bytes = self.schema.coerce_row(values)
         old_shard, inner = rid >> SHARD_SHIFT, rid & _INNER_MASK
         old = self.shard_tables[old_shard].read(inner)
         if old is None:
@@ -209,7 +210,8 @@ class ShardedTable:
             # the partition key moved: delete + re-insert on the owner
             self.shard_tables[old_shard].delete(inner)
             new_rid = (shard << SHARD_SHIFT
-                       | self.shard_tables[shard].insert(row))
+                       | self.shard_tables[shard].insert_coerced(row,
+                                                                 row_bytes))
         self._index_unique(row, new_rid)
         return new_rid
 
@@ -237,6 +239,13 @@ class ShardedTable:
             base = shard << SHARD_SHIFT
             for rid, row in table.scan(clock):
                 yield base | rid, row
+
+    def live_rows(self) -> list[tuple]:
+        """:meth:`HeapTable.live_rows` in canonical shard-major order."""
+        rows: list[tuple] = []
+        for table in self.shard_tables:
+            rows += table.live_rows()
+        return rows
 
     def scan_column_batches(self, batch_size: int = 1024,
                             start_page: int = 0,

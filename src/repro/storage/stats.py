@@ -9,14 +9,16 @@ exactly the signal the learned optimizer conditions on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.common.rng import stable_hash
 from repro.storage.schema import TableSchema
-from repro.storage.types import DataType, is_numeric
+from repro.storage.types import MAX_EXACT_FLOAT, DataType, is_numeric
 
 HISTOGRAM_BINS = 16
 
@@ -129,20 +131,32 @@ class TableStats:
 
 def compute_column_stats(name: str, dtype: DataType,
                          values: Iterable[Any]) -> ColumnStats:
-    """Build :class:`ColumnStats` from a pass over the column's values."""
-    values = list(values)
+    """Build :class:`ColumnStats` from a pass over the column's values.
+
+    Values are counted in C: a numeric column whose float64 view shows
+    no two equal values (:func:`_all_distinct`) needs no count at all,
+    any other column goes through :class:`collections.Counter`, which
+    keeps each value's first-seen key and order.  ``most_common`` lists
+    the eight most frequent values, ties in first-seen order."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
     stats = ColumnStats(name=name.lower(), dtype=dtype, row_count=len(values))
-    non_null = [v for v in values if v is not None]
+    non_null = ([v for v in values if v is not None] if None in values
+                else values)
     stats.null_count = len(values) - len(non_null)
-    stats.distinct_count = len(set(non_null))
+    if not non_null:
+        return stats
+    numeric = is_numeric(dtype)
+    arr = np.asarray(non_null, dtype=np.float64) if numeric else None
+    if numeric and _all_distinct(arr):
+        stats.distinct_count = len(non_null)
+        stats.most_common = [(v, 1) for v in non_null[:8]]
+    else:
+        counts = Counter(non_null)
+        stats.distinct_count = len(counts)
+        stats.most_common = counts.most_common(8)
 
-    counts: dict[Any, int] = {}
-    for v in non_null:
-        counts[v] = counts.get(v, 0) + 1
-    stats.most_common = sorted(counts.items(), key=lambda kv: -kv[1])[:8]
-
-    if non_null and is_numeric(dtype):
-        arr = np.asarray(non_null, dtype=np.float64)
+    if numeric:
         stats.min_value = float(arr.min())
         stats.max_value = float(arr.max())
         # inf / NaN cells count above; a histogram has no bin for them
@@ -151,7 +165,7 @@ def compute_column_stats(name: str, dtype: DataType,
             hist, edges = np.histogram(finite, bins=HISTOGRAM_BINS)
             stats.histogram = hist.astype(np.float64)
             stats.bin_edges = edges
-    elif non_null:
+    else:
         # order strings/bools by hash bucket for a coarse distribution
         # sketch (stable_hash: the builtin is salted per process)
         buckets = np.zeros(HISTOGRAM_BINS)
@@ -159,6 +173,19 @@ def compute_column_stats(name: str, dtype: DataType,
             buckets[stable_hash(v, HISTOGRAM_BINS)] += count
         stats.histogram = buckets
     return stats
+
+
+def _all_distinct(arr: np.ndarray) -> bool:
+    """Whether the numbers behind a float64 view are pairwise unequal,
+    read off the sorted view — only when it can tell: no NaN (a NaN
+    equals nothing, so a dict counts it by identity) and nothing at or
+    past 2^53 (where float64 merges integers that differ)."""
+    if arr.size < 2:
+        return True
+    ordered = np.sort(arr)
+    if not (-ordered[0] < MAX_EXACT_FLOAT and ordered[-1] < MAX_EXACT_FLOAT):
+        return False        # NaN sorts last and compares False
+    return not (ordered[1:] == ordered[:-1]).any()
 
 
 def compute_table_stats(schema: TableSchema,
@@ -173,5 +200,5 @@ def compute_table_stats(schema: TableSchema,
                        version=version)
     for idx, col in enumerate(schema.columns):
         stats.columns[col.name] = compute_column_stats(
-            col.name, col.dtype, (row[idx] for row in rows))
+            col.name, col.dtype, list(map(itemgetter(idx), rows)))
     return stats

@@ -55,7 +55,8 @@ class DataType(enum.Enum):
             raise TypeMismatchError(f"unknown type name {name!r}") from None
 
 
-_PYTHON_TYPES = {
+#: The Python type a column of each type stores its values as.
+STORED_TYPES = {
     DataType.INT: int,
     DataType.FLOAT: float,
     DataType.TEXT: str,

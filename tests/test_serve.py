@@ -279,7 +279,7 @@ class TestSharedModelVersions:
         assert served() == first         # the server's pinned snapshot
         assert direct(pinned) == first   # the facade, asking for it
 
-    def test_facade_predict_builds_its_version_once(self):
+    def test_facade_predict_never_builds_a_version_it_trained(self):
         db = _build_review_db()
         db.execute(REVIEW_SQL)
         before = db.metrics()["gauges"]
@@ -287,13 +287,35 @@ class TestSharedModelVersions:
             db.execute(REVIEW_SQL)
         after = db.metrics()["gauges"]
         assert after["ai.model_loads"] - before["ai.model_loads"] == 3
-        assert after["ai.model_builds"] == before["ai.model_builds"] == 1
+        # the trained model is the version's shared instance
+        assert after["ai.model_builds"] == before["ai.model_builds"] == 0
         # a fine-tune loads the shared version to charge its load and
         # builds only its own writable copy
         db.fine_tune_model("review", "score", epochs=1)
         after = db.metrics()["gauges"]
         assert after["ai.model_loads"] - before["ai.model_loads"] == 4
-        assert after["ai.model_builds"] == 2
+        assert after["ai.model_builds"] == 1
+
+    def test_a_write_hands_its_trained_copy_to_readers(self):
+        db = _build_review_db()
+        db.execute(REVIEW_SQL)
+        name = db.catalog.bound_model("review", "score")
+
+        def predict_reuses_the_written_version() -> None:
+            builds = db.metrics()["gauges"]["ai.model_builds"]
+            got = db.execute(REVIEW_SQL).extra["probabilities"].tobytes()
+            assert db.metrics()["gauges"]["ai.model_builds"] == builds
+            features, _, _ = db.prediction_inputs(
+                db.bind_predict(parse(REVIEW_SQL)))
+            fresh = db.models.build_model(name)
+            ids = fresh.hasher.transform_columns(features.columns)
+            assert fresh.predict_ids(ids).tobytes() == got
+
+        db.fine_tune_model("review", "score", epochs=1)
+        predict_reuses_the_written_version()
+        db.execute(REVIEW_SQL, force_retrain=True)
+        predict_reuses_the_written_version()
+        assert len(db.models.versions(name)) == 3
 
 
 class TestRefreshLoop:

@@ -10,8 +10,10 @@ A seeded generator writes well-typed SELECTs over three small tables:
   one kind (a second join condition, or a residual over two tables);
 * a plain select list (sometimes DISTINCT), a GROUP BY with
   ``count`` / ``sum`` / ``min`` / ``max``, or aggregates alone;
-* ORDER BY every output column by position, ASC or DESC, and an
-  optional LIMIT (sometimes with OFFSET).
+* ORDER BY every output column by position, ASC or DESC — a grouped
+  query sometimes spells a key as its select item instead
+  (``ORDER BY count(*)``, ``ORDER BY sum(b.y)``) — and an optional
+  LIMIT (sometimes with OFFSET).
 
 Each query runs through ``db.execute`` on the batch, parallel and
 distributed engines, and through ``sqlite3`` on the same rows; the rows
@@ -170,6 +172,9 @@ def generate(rng: random.Random) -> tuple[str, str]:
         limit = f" LIMIT {rng.randint(0, 12)}"
         if rng.random() < 0.4:
             limit += f" OFFSET {rng.randint(0, 6)}"
+    if shape >= 0.45:
+        keys = [(items[p - 1] if rng.random() < 0.5 else p, d)
+                for p, d in keys]
     ours = ", ".join(f"{p}{' DESC' if d else ''}" for p, d in keys)
     theirs = ", ".join(f"{p} DESC NULLS FIRST" if d else f"{p} NULLS LAST"
                        for p, d in keys)
