@@ -300,9 +300,9 @@ def table_training_set(table, feature_columns: list[str],
     for the scan and its charges).
 
     NULL-target rows are dropped *before* ``block_predicate`` (e.g. from
-    :func:`~repro.exec.expr.compile_predicate_batch`) runs — matching the
-    row engine's skip order, so a predicate that would error on a
-    NULL-target row never evaluates it.
+    :func:`~repro.exec.expr.compile_predicate_batch`) runs, so a
+    predicate that would error on a NULL-target row never evaluates
+    it.
     """
     schema = table.schema
     feature_idx = [schema.index_of(c) for c in feature_columns]

@@ -135,10 +135,9 @@ class SimClock:
         Exactly equivalent to the same sequence of :meth:`advance_batch`
         calls: same order, same float accumulation, same per-category
         totals, same budget enforcement points.  That equivalence is what
-        keeps fused pipeline execution charge-parity-identical with the
-        row engine — a fused pass makes the *same multiset of charges in
-        the same order* as the operators it fuses, it just makes them
-        from one place.
+        keeps a fused pass's charges those of the operators it fuses — the
+        *same multiset of charges in the same order*, made from one
+        place.
         """
         for per_item, count, category in charges:
             self.advance_batch(per_item, count, category)

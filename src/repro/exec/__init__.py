@@ -1,10 +1,11 @@
 """Query execution: expression compiler, operators, and the executor.
 
-Four engines share one operator tree: the vectorized batch engine
-(default), the morsel-driven parallel and sharded distributed engines —
-one scheduler placing the same compiled pipelines on workers and nodes,
-``parallel`` its one-node case — and the row-at-a-time reference engine;
-see docs/execution.md, docs/parallel.md and docs/distributed.md.
+Three engines run one operator tree's compiled pipelines: the
+vectorized batch engine (default) and the morsel-driven parallel and
+sharded distributed engines — one scheduler placing the same pipelines
+on workers and nodes, ``parallel`` its one-node case.  Their reference
+is outside the engine: stdlib ``sqlite3`` and recorded answers; see
+docs/execution.md, docs/parallel.md and docs/distributed.md.
 """
 
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock

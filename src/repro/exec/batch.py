@@ -6,14 +6,15 @@ A :class:`RowBlock` is the unit of data flow in the batch engine: a fixed
 typed at-rest columns (int64/float64/bool arrays with validity bitmaps,
 dictionary-encoded strings); a computed value rides in the kind its
 type names (``expr.compile_values_batch``), and aggregate results,
-row-engine adaptors and values the vector path declines ride in the
-``"obj"`` kind, an object array of the *original* Python values.  Every kind round-trips to row
-tuples bit-identically, and every kind keeps its own derived views
-(``float64`` plus a null mask), built lazily and carried through
-gathers and slices.  A selection is an array of ascending row indices
-(:func:`selection`), found once per block and gathered per column;
-gathers and slices run in C instead of looping per row in the
-interpreter.
+blocks built from row tuples (:meth:`RowBlock.from_rows`: index
+fetches, DISTINCT survivors) and values the vector path declines ride
+in the ``"obj"`` kind, an object array of the *original* Python values.
+Every kind round-trips to row tuples bit-identically, and every kind
+keeps its own derived views (``float64`` plus a null mask), built
+lazily and carried through gathers and slices.  A selection is an
+array of ascending row indices (:func:`selection`), found once per
+block and gathered per column; gathers and slices run in C instead of
+looping per row in the interpreter.
 
 The batch size is a throughput/latency trade-off: big enough to amortize
 per-batch dispatch (numpy call overhead, one clock charge per batch), small

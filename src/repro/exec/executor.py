@@ -81,20 +81,23 @@ class Executor:
     * ``"parallel"`` — the one-node spelling of ``"distributed"``: the
       same scheduler with ``nodes`` pinned to 1 (no exchange ever ships),
       the same stats dict under ``ResultSet.extra["parallel"]``.
-    * ``"row"`` — the Volcano row-at-a-time path.  Its role is the
-      **reference**: no benchmark workload or example selects it; it
-      stays in ``src/`` because the parity suites and
-      ``benchmarks/test_exec_throughput.py`` hold every other engine's
-      rows and charges to it (see ``docs/execution.md``).
+
+    The placed engines are held to ``"batch"`` on the same plan, and
+    the block engines' semantics to references outside them: the parity
+    suites hold rows to stdlib ``sqlite3`` and to the recorded answers of
+    ``tests/answers_golden.json`` (rows, per-operator ``rows_out`` and
+    per-category charges), and ``benchmarks/test_exec_throughput.py``
+    holds the batch engine's wall clock to ``sqlite3`` on the same rows
+    (see ``docs/execution.md``).
 
     ``workers``, ``morsel_rows``, ``faults`` and ``retry_limit`` (extra
     attempts per morsel task after a retryable failure) apply to both
     placed engines; ``nodes`` is pinned to 1 by ``engine="parallel"``.
-    The serial engines ignore all of them.  Every knob is validated
+    The batch engine ignores all of them.  Every knob is validated
     here, whichever engine is selected.
     """
 
-    ENGINES = ("batch", "row", "parallel", "distributed")
+    ENGINES = ("batch", "parallel", "distributed")
 
     def __init__(self, catalog: Catalog, clock: SimClock | None = None,
                  engine: str = "batch", workers: int | None = None,
@@ -115,7 +118,7 @@ class Executor:
             "morsel_rows",
             morsel_rows if morsel_rows is not None else DEFAULT_MORSEL_ROWS)
         # fault injection + recovery knobs for the placed engines (see
-        # repro.common.faults); the serial engines ignore them — their
+        # repro.common.faults); the batch engine ignores them — its
         # fault surface is the storage layer's replicated tables
         self.faults = faults
         self.retry_limit = check_at_least(
@@ -172,18 +175,15 @@ class Executor:
         start = self._clock.now
         operator = self.build(node)
         self.last_run = (node, operator)
-        if self.engine == "row":
-            rows, extra = list(operator), {}
+        program = compile_pipelines(operator)
+        if (self.engine != "batch" and not program.has_limit
+                and self._clock.limit is None):
+            blocks, stats = self._scheduler().run(program)
+            extra = {self.engine: stats}
         else:
-            program = compile_pipelines(operator)
-            if (self.engine in ("parallel", "distributed")
-                    and not program.has_limit and self._clock.limit is None):
-                blocks, stats = self._scheduler().run(program)
-                extra = {self.engine: stats}
-            else:
-                blocks = run_program(program, self._clock)
-                extra = {"pipeline": {"pipelines": program.describe()}}
-            rows = [row for block in blocks for row in block.iter_rows()]
+            blocks = run_program(program, self._clock)
+            extra = {"pipeline": {"pipelines": program.describe()}}
+        rows = [row for block in blocks for row in block.iter_rows()]
         elapsed = self._clock.now - start
         return ResultSet(columns=operator.layout.column_names(), rows=rows,
                          virtual_seconds=elapsed, extra=extra)

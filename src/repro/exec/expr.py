@@ -25,8 +25,8 @@ evaluator.  At *runtime* it declines per block, for reasons that depend on
 values, never on types: a number float64 cannot hold exactly (a column or
 an INT result at or past 2^53), a reachable zero divisor, a NaN in a FLOAT
 value.  Each raises :class:`VectorFallback` and that one block is
-evaluated by the row path, so precision and error / short-circuit
-semantics are decided in row order exactly as the row engine would.  LIKE
+evaluated by the row compiler, so precision and error / short-circuit
+semantics are decided in row order, one row at a time.  LIKE
 lowers for constant patterns (compiled matcher at plan-compile time;
 wildcard-free patterns shortcut to string equality) *and* non-constant
 patterns / computed text operands (per-plan matcher cache keyed by runtime
@@ -921,9 +921,9 @@ def _compile_func_vector(expr: ast.FuncCall,
 # predicates of the shapes below then run one C comparison / lookup over
 # the code array instead of touching Python string objects at all.  Each
 # probe decides at *runtime* per block: non-dict blocks (computed columns,
-# dictionary-overflow fallbacks, row-engine adaptors) return None and the
-# generic object-array evaluator takes over, so semantics never depend on
-# which layout a block happens to arrive in.
+# dictionary-overflow fallbacks, blocks built from row tuples) return
+# None and the generic object-array evaluator takes over, so semantics
+# never depend on which layout a block happens to arrive in.
 
 
 def _dict_cmp_probe(expr: ast.BinaryOp, layout: RowLayout):
@@ -992,8 +992,8 @@ def _dict_in_probe(expr: ast.InList, layout: RowLayout):
 def _compile_raw_vector(expr: ast.Expr,
                         layout: RowLayout) -> VectorEvaluator | None:
     """Compile an expression for LIKE operands: the *raw* Python values,
-    never a numeric float64 view — the row engine applies ``str()`` to the
-    original value, and ``str(5)`` ≠ ``str(5.0)``.
+    never a numeric float64 view — LIKE applies ``str()`` to the original
+    value, and ``str(5)`` ≠ ``str(5.0)``.
 
     Column references read the object column directly, whatever their
     type.  Any other TEXT (or NULL) expression compiles through the

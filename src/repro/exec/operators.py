@@ -1,35 +1,38 @@
-"""Physical operators: the row path and the block hooks.
+"""Physical operators: the block hooks the compiled pipelines run.
 
-Every operator carries two things over the same compiled state:
+An operator holds one plan node's compiled state; it runs nothing by
+itself.  The compiled pipelines of ``repro/exec/pipeline.py`` call its
+*block hooks* on :class:`~repro.exec.batch.RowBlock` column batches, with
+virtual time charged once per block (``clock.advance_batch(cost, n)``):
+``scan_block`` (scan + pushed predicate as a deferred selection),
+``filter_mask`` (mask without the select), ``project_block`` (projection
+straight off a deferred selection), ``probe_block``, ``cross_block``
+(each left block against the nested-loop join's collected right side),
+``partial_block``/``fold_partial``/``finish_state`` (aggregate sink),
+``merge_runs`` (sort sink), ``limit_block`` (early-exit stage),
+``distinct_block`` (order-sensitive stage).  A block hook reads columns
+only — ``compile_predicate_batch`` masks and ``compile_values_batch``
+columns; only ``distinct_block`` walks rows.  Each charges its per-row
+cost times the rows it handled, so a plan's charges do not depend on
+how its rows were cut into blocks, with one bounded exception: early
+termination (LIMIT) stops on block boundaries, so up to one block of
+upstream cost may be charged beyond the rows LIMIT needed.  How big that
+block is, the pipeline compiler decides (``repro/exec/pipeline.py``,
+``_break_limit``); building an operator tree decides nothing about it.
 
-* ``__iter__`` — the Volcano path: one tuple at a time, per-row
-  virtual-time charges.  The semantic reference every other engine is
-  tested against.  The two scans also hand it out with record ids kept
-  (``rid_rows()``): the victim stream of UPDATE / DELETE.
-* *block hooks* — what the compiled pipelines of
-  ``repro/exec/pipeline.py`` call, on :class:`~repro.exec.batch.RowBlock`
-  column batches with virtual time charged once per block
-  (``clock.advance_batch(cost, n)``): ``scan_block`` (scan + pushed
-  predicate as a deferred selection), ``filter_mask`` (mask without the
-  select), ``project_block`` (projection straight off a deferred
-  selection),
-  ``probe_block``, ``cross_block`` (each left block against the
-  nested-loop join's collected right side),
-  ``partial_block``/``fold_partial``/``finish_state``
-  (aggregate sink), ``merge_runs`` (sort sink), ``limit_block``
-  (early-exit stage), ``distinct_block`` (order-sensitive stage).
-  A block hook reads columns only — ``compile_predicate_batch`` masks and
-  ``compile_values_batch`` columns; only ``distinct_block`` walks rows.
-  Charged totals are identical to the row path, with one bounded
-  exception: early termination (LIMIT) stops on block boundaries, so up
-  to one block of upstream cost may be charged beyond where the row
-  engine stops.  How big that block is, the pipeline compiler decides
-  (``repro/exec/pipeline.py``, ``_break_limit``); building an operator
-  tree decides nothing about it.
+The contract the hooks keep, whatever the engine (``docs/execution.md``):
+rows in scan order through scans, filters and projections; a hash join's
+output probe-row-major, equal build keys in build insertion order; a
+cross join left-row-major; groups in first-seen order, each group's sums
+added left to right in row order, DISTINCT aggregates keeping each
+value's first occurrence; a stable sort under ``_sort_key``'s total
+order.
 
 The leaves that are not table scans — IndexScan, EmptyRow — hand the
 pipeline compiler a ``blocks(clock, batch_rows)`` generator instead: the
-*source* of their pipeline, charging the clock it is passed.
+*source* of their pipeline, charging the clock it is passed.  The two
+scans also hand out their rows one at a time with record ids kept
+(``rid_rows()``): the victim stream of UPDATE / DELETE.
 
 The placed engines (``repro/exec/distributed.py``) run
 the *worker hooks* as morsel tasks — inline, but re-executed when a
@@ -45,11 +48,10 @@ per-task shard), never to ``self._clock``; it never touches
 ``self.rows_out`` (the driver attributes output counts after
 reassembly, so a retried task does not count twice); and running it
 again, or in another order, changes nothing, because compiled state
-(``compile_expr_cached`` evaluators, predicate and value batch
-evaluators) is effectively read-only after construction — the one exception is
-``BuildTable.buckets()``, a cache built on first use whose contents do
-not depend on which task builds it — and every
-:class:`RowBlock` is owned by one task at a time.
+(predicate and value batch evaluators) is effectively read-only after
+construction — the one exception is ``BuildTable.buckets()``, a cache
+built on first use whose contents do not depend on which task builds
+it — and every :class:`RowBlock` is owned by one task at a time.
 """
 
 from __future__ import annotations
@@ -83,13 +85,10 @@ from repro.storage.catalog import Catalog
 from repro.storage.types import DataType, TypedColumn
 
 
-def _compiled(exprs, layout: RowLayout) -> tuple[list, list]:
-    """``exprs`` (None stays None) as the row engine's evaluators and the
-    block engines' column functions."""
-    return ([None if e is None else compile_expr_cached(e, layout)
-             for e in exprs],
-            [None if e is None else compile_values_batch(e, layout)
-             for e in exprs])
+def _compiled(exprs, layout: RowLayout) -> list:
+    """``exprs`` (None stays None) as column functions."""
+    return [None if e is None else compile_values_batch(e, layout)
+            for e in exprs]
 
 
 def _computed(exprs) -> bool:
@@ -122,10 +121,10 @@ def _segment_ids(lows: np.ndarray, lens: np.ndarray,
 
 
 def _traced_generator(method):
-    """Wrap an operator's ``__iter__``/``rid_rows`` so that, when a tracer
-    is attached to the operator's clock, every ``next()`` — and every
-    charge made while producing the item, including buffer-pool page
-    charges inside a scan pull — attributes to this operator's span.
+    """Wrap a scan's ``rid_rows`` so that, when a tracer is attached to
+    the operator's clock, every ``next()`` — and every charge made while
+    producing the item, including buffer-pool page charges — attributes
+    to this operator's span.
     With no tracer the original generator is returned untouched: the only
     overhead is one attribute check per *call*, never per row."""
     def wrapper(self):
@@ -142,8 +141,8 @@ def _traced_generator(method):
 
 
 class Operator:
-    """Base operator: a layout, the row iterator, and the block hooks the
-    subclass defines."""
+    """Base operator: a layout, and the block hooks the subclass
+    defines."""
 
     def __init__(self, layout: RowLayout, clock: SimClock):
         self.layout = layout
@@ -153,23 +152,6 @@ class Operator:
         # EXPLAIN ANALYZE, exchange records).  None for the synthetic
         # EmptyRow.
         self.plan_node: plan.PlanNode | None = None
-
-    def __init_subclass__(cls, **kwargs):
-        # Per-operator attribution for the interleaved row engine and
-        # the DML victim streams: subclass iterators are wrapped once, at
-        # class creation, so no operator needs tracing code of its own
-        # (the pipelines' sources trace their own pulls).
-        super().__init_subclass__(**kwargs)
-        for name in ("__iter__", "rid_rows"):
-            if name in cls.__dict__:
-                setattr(cls, name, _traced_generator(cls.__dict__[name]))
-
-    def __iter__(self) -> Iterator[tuple]:
-        raise NotImplementedError
-
-    def _emit(self, row: tuple) -> tuple:
-        self.rows_out += 1
-        return row
 
     def _emit_block(self, block: RowBlock) -> RowBlock:
         self.rows_out += len(block)
@@ -191,21 +173,12 @@ class SeqScanOp(Operator):
             self._predicate = None
             self._predicate_batch = None
 
-    def __iter__(self) -> Iterator[tuple]:
-        predicate = self._predicate
-        for _, row in self._table.scan(self._clock):
-            self._clock.advance(CostModel.TUPLE_CPU, cat.SCAN)
-            if predicate is not None:
-                self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
-                if not to_bool(predicate(row)):
-                    continue
-            yield self._emit(row)
-
+    @_traced_generator
     def rid_rows(self) -> Iterator[tuple]:
-        """``(rid, row)`` of every row ``__iter__`` yields: UPDATE /
-        DELETE's victim stream.  Same charges, made once per scan, not
-        once per row: DML has no charge-parity contract with another
-        engine, and two clock calls a row double an unindexed UPDATE."""
+        """``(rid, row)`` of every row the scan keeps: UPDATE / DELETE's
+        victim stream.  A SELECT's charges, made once per scan, not once
+        per row: two clock calls a row would double an unindexed
+        UPDATE."""
         predicate = self._predicate
         examined = 0
         try:
@@ -282,9 +255,10 @@ class IndexScanOp(Operator):
             if row is not None:
                 yield rid, row
 
+    @_traced_generator
     def rid_rows(self) -> Iterator[tuple]:
-        """The row path, record ids kept: SELECT's ``__iter__`` drops
-        them, UPDATE / DELETE address their victims by them."""
+        """``(rid, row)`` of every row the scan keeps, charged row by row:
+        UPDATE / DELETE address their victims by record id."""
         self._clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         for item in self._fetch(self._clock):
             self._clock.advance(CostModel.TUPLE_CPU, cat.INDEX)
@@ -295,12 +269,9 @@ class IndexScanOp(Operator):
             self.rows_out += 1
             yield item
 
-    def __iter__(self) -> Iterator[tuple]:
-        return map(operator.itemgetter(1), self.rid_rows())
-
     def blocks(self, clock: SimClock, batch_rows: int) -> Iterator[RowBlock]:
-        """The pipeline source: the row path in blocks of at most
-        ``batch_rows`` fetched rows, charging ``clock``."""
+        """The pipeline source: the fetched rows in blocks of at most
+        ``batch_rows``, charging ``clock``."""
         clock.advance(CostModel.INDEX_DESCENT, cat.INDEX)
         rows = map(operator.itemgetter(1), self._fetch(clock))
         while buffer := list(itertools.islice(rows, batch_rows)):
@@ -324,15 +295,8 @@ class FilterOp(Operator):
         super().__init__(child.layout, clock)
         self.plan_node = node
         self._child = child
-        self._predicate = compile_expr_cached(node.predicate, child.layout)
         self._predicate_batch = compile_predicate_batch(node.predicate,
                                                         child.layout)
-
-    def __iter__(self) -> Iterator[tuple]:
-        for row in self._child:
-            self._clock.advance(CostModel.EVAL_PREDICATE, cat.FILTER)
-            if to_bool(self._predicate(row)):
-                yield self._emit(row)
 
     def filter_mask(self, block: RowBlock,
                     clock: SimClock) -> np.ndarray | None:
@@ -347,31 +311,21 @@ class FilterOp(Operator):
 
 class ProjectOp(Operator):
     def __init__(self, node: plan.Project, child: Operator, clock: SimClock):
-        evaluators = []
         values = []
         for item in node.items:
             if isinstance(item.expr, ast.Star):
                 for slot_idx, (binding, _) in enumerate(child.layout.slots):
                     if item.expr.table and binding != item.expr.table.lower():
                         continue
-                    evaluators.append(
-                        lambda row, j=slot_idx: row[j])
                     values.append(
                         lambda block, j=slot_idx: block.columns[j])
                 continue
-            evaluators.append(compile_expr_cached(item.expr, child.layout))
             values.append(compile_values_batch(item.expr, child.layout))
         super().__init__(output_layout(node.items, child.layout), clock)
         self.plan_node = node
         self._child = child
-        self._evaluators = evaluators
         self._values = values
         self._computed = _computed(item.expr for item in node.items)
-
-    def __iter__(self) -> Iterator[tuple]:
-        for row in self._child:
-            self._clock.advance(CostModel.TUPLE_CPU, cat.PROJECT)
-            yield self._emit(tuple(e(row) for e in self._evaluators))
 
     def project_block(self, block: RowBlock, rows: np.ndarray | None,
                       count: int, clock: SimClock) -> RowBlock:
@@ -401,26 +355,9 @@ class NestedLoopJoinOp(Operator):
         self.plan_node = node
         self._left = left
         self._right = right
-        if node.condition is not None:
-            self._condition = compile_expr_cached(node.condition, layout)
-            self._condition_batch = compile_predicate_batch(node.condition,
-                                                            layout)
-        else:
-            self._condition = None
-            self._condition_batch = None
-
-    def __iter__(self) -> Iterator[tuple]:
-        right_rows = list(self._right)
-        condition = self._condition
-        for lrow in self._left:
-            for rrow in right_rows:
-                self._clock.advance(CostModel.TUPLE_CPU, cat.JOIN)
-                combined = lrow + rrow
-                if condition is not None:
-                    self._clock.advance(CostModel.EVAL_PREDICATE, cat.JOIN)
-                    if not to_bool(condition(combined)):
-                        continue
-                yield self._emit(combined)
+        self._condition_batch = (
+            None if node.condition is None
+            else compile_predicate_batch(node.condition, layout))
 
     def cross_block(self, block: RowBlock, right: RowBlock,
                     clock: SimClock) -> Iterator[RowBlock]:
@@ -467,44 +404,14 @@ class HashJoinOp(Operator):
                                               node.left_key.table)
         self._right_slot = right.layout.resolve(node.right_key.name,
                                                 node.right_key.table)
-        if node.residual is not None:
-            self._residual = compile_expr_cached(node.residual, layout)
-            self._residual_batch = compile_predicate_batch(node.residual,
-                                                           layout)
-        else:
-            self._residual = None
-            self._residual_batch = None
+        self._residual_batch = (
+            None if node.residual is None
+            else compile_predicate_batch(node.residual, layout))
 
-    def __iter__(self) -> Iterator[tuple]:
-        buckets: dict[Any, list[tuple]] = {}
-        build_rows = 0
-        for lrow in self._left:
-            self._clock.advance(CostModel.HASH_BUILD_ROW, cat.JOIN)
-            build_rows += 1
-            key = lrow[self._left_slot]
-            if key is not None:
-                buckets.setdefault(key, []).append(lrow)
-        probe_factor = self._spill(build_rows)
-        for rrow in self._right:
-            self._clock.advance(CostModel.HASH_PROBE_ROW * probe_factor,
-                                cat.JOIN)
-            key = rrow[self._right_slot]
-            if key is None:
-                continue
-            for lrow in buckets.get(key, ()):
-                self._clock.advance(CostModel.TUPLE_CPU, cat.JOIN)
-                combined = lrow + rrow
-                if self._residual is not None:
-                    self._clock.advance(CostModel.EVAL_PREDICATE, cat.JOIN)
-                    if not to_bool(self._residual(combined)):
-                        continue
-                yield self._emit(combined)
-
-    def _spill(self, build_rows: int,
-               clock: SimClock | None = None) -> float:
-        """Charge the hybrid-hash spill surcharge; returns the probe-side
-        cost factor."""
-        clock = clock if clock is not None else self._clock
+    @staticmethod
+    def _spill(build_rows: int, clock: SimClock) -> float:
+        """Charge the hybrid-hash spill surcharge to ``clock``; returns the
+        probe-side cost factor."""
         spilled = build_rows > CostModel.HASH_SPILL_ROWS
         if spilled:
             # hybrid hash join ran out of work_mem: repartition the build
@@ -534,8 +441,8 @@ class HashJoinOp(Operator):
 
     def merge_build(self, parts: list[tuple], clock: SimClock) -> BuildTable:
         """Concatenate per-block build parts — in block order, so equal
-        keys list their build rows in exactly the row engine's insertion
-        order — and charge any spill surcharge to ``clock``."""
+        keys list their build rows in insertion order — and charge any
+        spill surcharge to ``clock``."""
         build_rows = sum(part[0] for part in parts)
         parts = [part for part in parts if len(part[1])]
         block = keys = None
@@ -617,8 +524,8 @@ class BuildTable:
     def match(self, probe) -> tuple[np.ndarray, np.ndarray] | None:
         """``(build rows, probe rows)`` of every key match between the
         table and one probe key column, probe-row-major and
-        build-insertion-minor — the order the row engine's bucket walk
-        emits — or None when nothing matches."""
+        build-insertion-minor — the join's output order — or None when
+        nothing matches."""
         if self.block is None:
             return None
         spans = self._spans(probe)
@@ -670,47 +577,23 @@ class BuildTable:
 
 
 class _Accumulator:
-    """One aggregate function instance (per group): the row engine's
-    state, and a batch sink's for a call that does not fold in arrays
-    (see :class:`_CallFold`)."""
+    """One aggregate call's state for one group, in a batch sink, for a
+    call that does not fold in arrays (see :class:`_CallFold`)."""
 
-    def __init__(self, func: ast.FuncCall, arg):
-        # arg: the compiled argument evaluator, None for COUNT(*)
+    def __init__(self, func: ast.FuncCall):
         self.name = func.name
-        self.distinct = func.distinct
         self._seen: set | None = set() if func.distinct else None
-        self._arg = arg
         self.count = 0
         self.total: Any = None
         self.minimum: Any = None
         self.maximum: Any = None
 
-    def add(self, row: tuple) -> None:
-        if self._arg is None:  # COUNT(*)
-            self.count += 1
-            return
-        value = self._arg(row)
-        if value is None:
-            return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
-        self.count += 1
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
     def add_values(self, values: list, clean: bool = False) -> None:
-        """Batch-path accumulation of pre-extracted argument values.
-
-        Mirrors :meth:`add` exactly — same NULL skipping, same first-seen
-        DISTINCT order, same left-to-right addition order — so totals are
-        bit-identical to the row path.  ``clean`` promises the caller
-        already knows no NULLs are present (e.g. from the block's null
-        mask), skipping the filter pass."""
+        """Accumulate one group's argument values, in row order: NULLs
+        skipped, DISTINCT keeping each value's first occurrence, sums
+        added left to right.  ``clean`` promises the caller already knows
+        no NULLs are present (e.g. from the block's null mask), skipping
+        the filter pass."""
         live = values if clean else [v for v in values if v is not None]
         if self._seen is not None:
             seen = self._seen
@@ -725,18 +608,18 @@ class _Accumulator:
         self.count += len(live)
         name = self.name
         if name in ("sum", "avg"):
-            # a left fold seeded with the running total is the row path's
-            # addition order (builtin sum is not: from Python 3.12 it
+            # a left fold seeded with the running total adds left to
+            # right (builtin sum does not: from Python 3.12 it
             # compensates float rounding)
             if self.total is None:
                 self.total = functools.reduce(operator.add, live[1:], live[0])
             else:
                 self.total = functools.reduce(operator.add, live, self.total)
         elif name == "min":
-            # builtin min / max fold left to right with the row path's
-            # own comparison; seeded with the running extreme the fold
-            # does not restart at a block boundary (NaN compares false
-            # both ways, so a per-block min would depend on the blocks)
+            # builtin min / max fold left to right with Python's ``<`` /
+            # ``>``; seeded with the running extreme the fold does not
+            # restart at a block boundary (NaN compares false both ways,
+            # so a per-block min would depend on the blocks)
             self.minimum = min(live) if self.minimum is None \
                 else min(itertools.chain((self.minimum,), live))
         elif name == "max":
@@ -758,7 +641,7 @@ class _Accumulator:
 
 # The column kind a sum / avg folds in arrays, by argument type, and what
 # its totals start from: -0.0 + x is x bit for bit, -0.0 itself included,
-# so a seeded total is the row engine's first value, then the adds
+# so a seeded total is the group's first value, then the adds
 _TOTALS = {DataType.INT: ("i8", 0), DataType.FLOAT: ("f8", -0.0)}
 
 
@@ -768,8 +651,7 @@ class _CallFold:
 
     ``count`` and non-DISTINCT ``sum`` / ``avg`` of an INT or FLOAT column
     keep a count array and, for the last two, a total array: ``np.add.at``
-    adds in index order, so each group's total is the row engine's
-    left-to-right sum.  A ``sum`` / ``avg`` folds a batch in arrays only
+    adds in index order, so each group's total is its left-to-right sum.  A ``sum`` / ``avg`` folds a batch in arrays only
     while its column is of the totals' kind (not ``"obj"``)
     and, for int64, while a running bound proves no total overflows; the
     first batch that fails turns the totals into per-group
@@ -777,27 +659,28 @@ class _CallFold:
     the Python totals.  Everything else keeps accumulators from the
     start."""
 
-    __slots__ = ("name", "_call", "_arg", "_kind", "_seed", "counts",
-                 "totals", "_bound", "accs")
+    __slots__ = ("name", "_call", "_kind", "_seed", "counts", "totals",
+                 "_bound", "accs")
 
-    def __init__(self, call: ast.FuncCall, arg, dtype: DataType | None):
+    def __init__(self, call: ast.FuncCall, counts_rows: bool,
+                 dtype: DataType | None):
         self.name = call.name
-        self._call, self._arg = call, arg
+        self._call = call
         self._kind, self._seed = (_TOTALS.get(dtype, (None, None))
                                   if self.name in ("sum", "avg")
                                   else (None, None))
         self.counts = np.zeros(0, dtype=np.int64)
         self.totals = np.full(0, self._seed)
         self._bound = 0                 # >= every |int64 total|, so far
-        # COUNT(*) counts rows, DISTINCT or not, as the row engine does
-        arrays = arg is None or not call.distinct and (
+        # COUNT(*) counts rows, DISTINCT or not
+        arrays = counts_rows or not call.distinct and (
             self.name == "count" or self._kind)
         self.accs: list[_Accumulator] | None = None if arrays else []
 
     def grow(self, groups: int) -> None:
         """Open groups up to id ``groups - 1``."""
         if self.accs is not None:
-            self.accs += [_Accumulator(self._call, self._arg)
+            self.accs += [_Accumulator(self._call)
                           for _ in range(groups - len(self.accs))]
             return
         extra = groups - len(self.counts)
@@ -841,7 +724,7 @@ class _CallFold:
     def _to_accumulators(self) -> None:
         self.accs = []
         for count, total in zip(self.counts.tolist(), self.totals.tolist()):
-            acc = _Accumulator(self._call, self._arg)
+            acc = _Accumulator(self._call)
             acc.count, acc.total = count, total if count else None
             self.accs.append(acc)
 
@@ -924,33 +807,19 @@ class AggregateOp(Operator):
         # COUNT(*)'s argument is None
         args = [None if not call.args or isinstance(call.args[0], ast.Star)
                 else call.args[0] for call in self._agg_calls]
-        self._group_evals, self._key_values = _compiled(node.group_by, layout)
-        self._agg_args, self._arg_values = _compiled(args, layout)
+        self._key_values = _compiled(node.group_by, layout)
+        self._arg_values = _compiled(args, layout)
         self._arg_types = [None if arg is None else expr_type(arg, layout)
                            for arg in args]
-        self._item_evals, self._item_values = _compiled(items, self._results)
+        self._item_values = _compiled(items, self._results)
         self._computed = _computed((*node.group_by, *args))
-
-    def _new_accs(self) -> list[_Accumulator]:
-        return [_Accumulator(call, arg)
-                for call, arg in zip(self._agg_calls, self._agg_args)]
-
-    def __iter__(self) -> Iterator[tuple]:
-        groups: dict[tuple, tuple[list[_Accumulator], tuple]] = {}
-        for row in self._child:
-            self._clock.advance(CostModel.HASH_BUILD_ROW, cat.AGG)
-            key = tuple(e(row) for e in self._group_evals)
-            if key not in groups:
-                groups[key] = (self._new_accs(), row)
-            for acc in groups[key][0]:
-                acc.add(row)
-        yield from self._result_rows(groups)
 
     # -- sink hooks --------------------------------------------------------
 
     def _new_folds(self) -> list[_CallFold]:
-        return [_CallFold(call, arg, dtype) for call, arg, dtype in zip(
-            self._agg_calls, self._agg_args, self._arg_types)]
+        return [_CallFold(call, values is None, dtype)
+                for call, values, dtype in zip(
+                    self._agg_calls, self._arg_values, self._arg_types)]
 
     def new_state(self) -> AggState:
         """Fresh state, for :meth:`fold_partial` to fold partials into."""
@@ -1066,8 +935,7 @@ class AggregateOp(Operator):
         each group's values come in row order.  Calls that fold in arrays
         add in that order (:class:`_CallFold`); the rest get each group's
         values as one row-ordered slice through ``add_values`` — so float
-        sums stay left-to-right and DISTINCT keeps first-seen order, as in
-        the row engine."""
+        sums stay left-to-right and DISTINCT keeps first-seen order."""
         exact = []
         for fold, entry in zip(folds, columns):
             fold.grow(groups)
@@ -1162,54 +1030,22 @@ class AggregateOp(Operator):
         """The result block of the groups ``folds`` finished, one per row
         of ``reps`` (their representatives; None when no row was seen),
         built by column; rows_out attributed.  None when a grouped query
-        saw no rows."""
+        saw no rows; a global aggregate over no rows is one group whose
+        representative is all NULL (its literals still evaluate) and
+        whose folds saw nothing."""
         if reps is None:
             if self._node.group_by:
                 return None
-            row = self._result_row(self._new_accs(), self._null_row())
-            return self._emit_block(RowBlock.from_rows(self.layout, [row]))
+            reps = RowBlock.from_rows(
+                self._child.layout, [(None,) * len(self._child.layout)])
+            folds = self._new_folds()
+            for fold in folds:
+                fold.grow(1)
         results = [TypedColumn.from_objects(fold.results()) for fold in folds]
         block = RowBlock(self._results, reps.columns + results, len(reps))
         return self._emit_block(RowBlock(
             self.layout, [values(block) for values in self._item_values],
             len(reps)))
-
-    def _result_rows(self, groups: dict) -> Iterator[tuple]:
-        """The row engine's result rows, in ``groups``' (first-seen)
-        insertion order."""
-        if not groups and not self._node.group_by:
-            groups[()] = (self._new_accs(), self._null_row())
-        for accs, representative in groups.values():
-            yield self._emit(self._result_row(accs, representative))
-
-    def _null_row(self) -> tuple:
-        """The representative of a global aggregate over no rows: its
-        columns are NULL, its literals still evaluate."""
-        return (None,) * len(self._child.layout)
-
-    def _result_row(self, accs: list, representative: tuple) -> tuple:
-        row = representative + tuple(acc.result() for acc in accs)
-        return tuple(item(row) for item in self._item_evals)
-
-
-class _Descending:
-    """Inverts the comparison of a wrapped sort key.
-
-    Lets a multi-key composite mix ASC and DESC components in one tuple:
-    ``reverse=True`` cannot flip individual keys, and numeric negation
-    cannot flip strings.  Only ``__lt__``/``__eq__`` are needed — tuple
-    comparison and the k-way merge heap use nothing else."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: "_Descending") -> bool:
-        return other.key == self.key
 
 
 class SortOp(Operator):
@@ -1217,23 +1053,8 @@ class SortOp(Operator):
         super().__init__(child.layout, clock)
         self.plan_node = node
         self._child = child
-        self._keys = [(compile_expr_cached(k.expr, child.layout),
-                       k.descending) for k in node.keys]
         self._key_values = [(compile_values_batch(k.expr, child.layout),
                              k.descending) for k in node.keys]
-
-    def _composite_key(self, row: tuple) -> tuple:
-        """Total-order composite sort key for one row: the row engine's
-        sort.
-
-        A single stable sort on this tuple is equivalent to the classic
-        per-key reversed stable-sort cascade *because* ``_sort_key`` is a
-        total order (the NaN bucketing guarantees it); a DESC key flips
-        NULLs-first too, exactly as ``reverse=True`` did."""
-        return tuple(
-            _Descending(_sort_key(evaluator(row))) if descending
-            else _sort_key(evaluator(row))
-            for evaluator, descending in self._keys)
 
     @staticmethod
     def _sort_cost(n: int) -> float:
@@ -1244,25 +1065,16 @@ class SortOp(Operator):
         import math
         return n * math.log2(n) * CostModel.SORT_ROW_LOG
 
-    def __iter__(self) -> Iterator[tuple]:
-        rows = list(self._child)
-        cost = self._sort_cost(len(rows))
-        if cost:
-            self._clock.advance(cost, cat.SORT)
-        rows.sort(key=self._composite_key)
-        for row in rows:
-            yield self._emit(row)
-
     # -- block hooks -------------------------------------------------------
     #
     # One stable argsort over key arrays: each key that is a typed column
     # contributes ``TypedColumn.key_arrays(ordered=True)`` — a NULL flag
     # (if it has NULLs) ahead of the values or dictionary ranks, i.e.
     # ``_sort_key``'s buckets restricted to what one typed column holds —
-    # flipped as a whole under DESC, so NULLs lead as ``_Descending``
-    # makes them; stability gives the row engine's tie order.  A key
-    # column that is not typed contributes its values' dense ranks under
-    # ``_sort_key`` (``_ranks``), the order ``_composite_key`` compares.
+    # flipped as a whole under DESC, so NULLs lead a descending key;
+    # stability keeps ties in input order.  A key column that is not
+    # typed contributes its values' dense ranks under ``_sort_key``
+    # (``_ranks``), the same total order.
     #
     # The placed engines sort each block into a *run* on a worker
     # (sort_block) and the runs, concatenated in morsel order, on the
@@ -1297,7 +1109,7 @@ class SortOp(Operator):
         ``[(composite key, row), ...]`` list it stands for (an ASC key
         is a two-slot ``_sort_key``, a DESC key one wrapped slot)."""
         return len(run) * (len(run.columns) + sum(
-            1 if descending else 2 for _, descending in self._keys))
+            1 if descending else 2 for _, descending in self._key_values))
 
     def merge_runs(self, runs: list[RowBlock], clock: SimClock,
                    paid: bool = True,
@@ -1356,18 +1168,6 @@ class LimitOp(Operator):
         self._limit = node.limit
         self._offset = node.offset
 
-    def __iter__(self) -> Iterator[tuple]:
-        produced = 0
-        skipped = 0
-        for row in self._child:
-            if skipped < self._offset:
-                skipped += 1
-                continue
-            if self._limit is not None and produced >= self._limit:
-                return
-            produced += 1
-            yield self._emit(row)
-
     # -- fused-pipeline hooks ----------------------------------------------
 
     def limit_state(self) -> dict:
@@ -1379,7 +1179,7 @@ class LimitOp(Operator):
         """Fused stage hook: apply OFFSET/LIMIT to one block.  Returns
         ``(trimmed block or None, done)`` — ``done`` means the limit is
         satisfied and the caller must stop driving the source pipeline
-        (the early-exit contract).  Charges nothing, like the row path."""
+        (the early-exit contract).  Charges nothing."""
         if state["skipped"] < self._offset:
             drop = min(len(block), self._offset - state["skipped"])
             state["skipped"] += drop
@@ -1404,15 +1204,6 @@ class DistinctOp(Operator):
         self.plan_node = node
         self._child = child
 
-    def __iter__(self) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self._child:
-            self._clock.advance(CostModel.HASH_BUILD_ROW, cat.DISTINCT)
-            if row in seen:
-                continue
-            seen.add(row)
-            yield self._emit(row)
-
     def distinct_block(self, block: RowBlock, seen: set,
                        clock: SimClock) -> RowBlock | None:
         """Fused stage hook: the streaming DISTINCT step for one block —
@@ -1435,9 +1226,6 @@ class EmptyRowOp(Operator):
 
     def __init__(self, clock: SimClock):
         super().__init__(NO_COLUMNS, clock)
-
-    def __iter__(self) -> Iterator[tuple]:
-        yield self._emit(())
 
     def blocks(self, clock: SimClock, batch_rows: int) -> Iterator[RowBlock]:
         """The pipeline source: the one row as a block (no charges)."""

@@ -505,16 +505,15 @@ def _break_hash_join(op: ops.HashJoinOp,
 
 def _break_nested_loop(op: ops.NestedLoopJoinOp,
                        pipelines: list[Pipeline]) -> Pipeline:
-    """NestedLoopJoin, the hash join's sides swapped to match the row
-    engine, which lists the right side before it streams the left: the
-    right side is the breaker and the cross fuses into the left child's
-    pipeline as a streaming stage.  The left side runs whatever the
-    right side holds (an empty one charges the same left-side work as
-    the row engine), and a LIMIT above stops it mid-scan."""
+    """NestedLoopJoin, the hash join's sides swapped: the right side is
+    collected before the left one streams, so the right side is the
+    breaker and the cross fuses into the left child's pipeline as a
+    streaming stage.  The left side runs whatever the right side holds
+    (an empty one still charges the left side's scan), and a LIMIT above
+    stops it mid-scan."""
     inner = _close(_compile(op._right, pipelines), InnerSink(op), pipelines)
     outer = _compile(op._left, pipelines)
-    # the right side runs before any of the left side's own inputs, in
-    # the row engine's order
+    # the right side runs before any of the left side's own inputs
     outer.inputs.insert(0, inner)
     outer.stages.append(CrossStage(op, inner.sink))
     return outer
@@ -523,8 +522,8 @@ def _break_nested_loop(op: ops.NestedLoopJoinOp,
 def _break_limit(op: ops.LimitOp, pipelines: list[Pipeline]) -> Pipeline:
     """Limit rides as a serial stage and sizes the source blocks of its
     pipeline, the one it stops on a block boundary: ``offset + limit +
-    1`` rows (what the row engine pulls, the probe row that stops it
-    included — exact charges for an unfiltered chain) where only
+    1`` rows (what a row-at-a-time pull would read, the probe row that
+    stops it included — exact charges for an unfiltered chain) where only
     Filter / Project / Distinct stand between a scan and the LIMIT, the
     default batch elsewhere.  Directly above a sort it also tells the
     sort sink how many rows will ever be read (top-k)."""

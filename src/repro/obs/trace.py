@@ -23,9 +23,9 @@ Attribution and reconciliation use two parallel accounting schemes:
   SimClock reconciliation the property tests assert with plain ``==``.
 
 Span *attribution* is one stack: the innermost pushed span owns every
-charge, which is how one interleaved generator pull (row engine), one
-fused block pass, or one morsel task all attribute to the right
-operator.
+charge, which is how one pipeline source pull or DML victim-stream pull
+(an interleaved generator), one fused block pass, or one morsel task all
+attribute to the right operator.
 """
 
 from __future__ import annotations
@@ -233,9 +233,9 @@ class Tracer:
     def trace_iter(self, op, inner: Iterator) -> Iterator:
         """Wrap a generator so each ``next()`` — and every charge made
         during it, including buffer-pool page charges inside a scan pull —
-        attributes to ``op``'s span.  This is how the interleaved row
-        engine and the pipelines' generator sources keep per-operator
-        attribution exact."""
+        attributes to ``op``'s span.  This is how DML's victim streams
+        (a scan's ``rid_rows``) and the pipelines' generator sources keep
+        per-operator attribution exact."""
         span = self.operator_span(op)
         while True:
             self.push(span)

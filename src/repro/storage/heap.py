@@ -76,8 +76,11 @@ class HeapTable:
         return rid
 
     def update(self, rid: int, values: Sequence[Any]) -> int:
-        """Rewrite one row in place; returns ``rid``, where it still lives."""
-        row = self.schema.coerce_row(values)[0]
+        """Rewrite one row in place; returns ``rid``, where it still lives.
+        The page is charged the row's change in size: a page a grown row
+        takes past its capacity keeps the row (and its rid), and later
+        inserts go to another page."""
+        row, row_bytes = self.schema.coerce_row(values)
         old = self.read(rid)
         if old is None:
             raise KeyError(f"update of missing rid {rid}")
@@ -87,7 +90,8 @@ class HeapTable:
                 uniq.pop(old[col_idx], None)
             if row[col_idx] is not None:
                 uniq[row[col_idx]] = rid
-        self._pages[rid >> SLOT_BITS].update(rid & _SLOT_MASK, row)
+        self._pages[rid >> SLOT_BITS].update(
+            rid & _SLOT_MASK, row, row_bytes - self.schema.coerce_row(old)[1])
         self._version += 1
         self._charge(CostModel.TUPLE_CPU, cat.HEAP_UPDATE)
         return rid

@@ -60,10 +60,13 @@ class HeapPage:
                 return row
         return None
 
-    def update(self, slot_no: int, row: tuple) -> None:
+    def update(self, slot_no: int, row: tuple, size_delta: int) -> None:
+        """Replace the tuple at ``slot_no``; ``size_delta`` is the new row's
+        size less the old one's."""
         if not (0 <= slot_no < len(self._slots)) or self._slots[slot_no] is _TOMBSTONE:
             raise KeyError(f"no live tuple in slot {slot_no} of page {self.page_no}")
         self._slots[slot_no] = row
+        self._used_bytes += size_delta
         self.version += 1
 
     def delete(self, slot_no: int) -> None:

@@ -162,7 +162,7 @@ def compute_column_stats(name: str, dtype: DataType,
         # inf / NaN cells count above; a histogram has no bin for them
         finite = arr[np.isfinite(arr)]
         if finite.size:
-            hist, edges = np.histogram(finite, bins=HISTOGRAM_BINS)
+            hist, edges = _histogram(finite)
             stats.histogram = hist.astype(np.float64)
             stats.bin_edges = edges
     else:
@@ -173,6 +173,21 @@ def compute_column_stats(name: str, dtype: DataType,
             buckets[stable_hash(v, HISTOGRAM_BINS)] += count
         stats.histogram = buckets
     return stats
+
+
+def _histogram(finite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``HISTOGRAM_BINS`` equal-width bins over ``finite`` values.  Where
+    their range is too narrow for that many distinct edges at their
+    magnitude — every value one large number such as ``1e16``, whose
+    ``+- 0.5`` rounds away — numpy refuses; the bins then cut the
+    values' own ``[min, max]``, so edges repeat and a zero-width bin
+    holds the values equal to it, which ``selectivity_range`` counts
+    whole whenever the range asked about covers it."""
+    try:
+        return np.histogram(finite, bins=HISTOGRAM_BINS)
+    except ValueError:            # "Too many bins for data range"
+        edges = np.linspace(finite.min(), finite.max(), HISTOGRAM_BINS + 1)
+        return np.histogram(finite, bins=edges)
 
 
 def _all_distinct(arr: np.ndarray) -> bool:

@@ -165,7 +165,7 @@ class TypedColumn:
       objects first seen at build time.
     - Clean INT/FLOAT/BOOL values never land in ``"obj"``.  The only
       object fallbacks are: INT values outside int64 range, and FLOAT
-      columns containing NaN (the row engine groups NaN keys by object
+      columns containing NaN (GROUP BY groups NaN keys by object
       identity, which ``tolist()`` round-trips would break).
     - ``float64()`` either returns a (values, null-mask) pair that is
       bit-identical to the ``astype`` of the object view (NULLs as 0.0),
@@ -229,8 +229,8 @@ class TypedColumn:
             filled = [0.0 if v is None else v for v in values]
             data = np.array(filled, dtype=np.float64)
             if np.isnan(data).any():
-                # NaN keys group by object identity in the row engine;
-                # a float64 round-trip would mint fresh NaN objects.
+                # NaN keys group by object identity; a float64
+                # round-trip would mint fresh NaN objects.
                 return cls.from_objects(values)
             return cls("f8", data, valid)
         if dtype is DataType.BOOL:

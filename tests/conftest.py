@@ -8,6 +8,18 @@ import pytest
 import repro
 from repro.storage import Catalog, Column, DataType, TableSchema
 
+from answers import Answers
+
+
+@pytest.fixture(scope="session")
+def answers():
+    """The recorded answers (``tests/answers.py``); under
+    ``ANSWERS_RECORD=1`` the records the session visited are written at
+    its end."""
+    book = Answers()
+    yield book
+    book.write()
+
 
 @pytest.fixture
 def catalog() -> Catalog:

@@ -73,12 +73,12 @@ def split_partial(partial: dict, parts: int) -> list[dict]:
 
 def merge_partition(op: ops.AggregateOp, slices: list[dict]) -> dict:
     """One owner's slices (in morsel order) merged into ``key ->
-    (accumulators, representative, first_seen)``.  The accumulators are
+    (folds, representative, first_seen)``.  The folds are
     left unfed: each is one scalar leaf to the walk, whatever it holds."""
     groups: dict = {}
     for morsel, sub in enumerate(slices):
         for key, (position, (representative, _)) in sub.items():
             if key not in groups:
-                groups[key] = (op._new_accs(), representative,
+                groups[key] = (op._new_folds(), representative,
                                (morsel, position))
     return groups

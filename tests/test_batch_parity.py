@@ -1,14 +1,19 @@
-"""Row vs batch vs parallel (vs distributed) engine parity.
+"""Batch vs parallel vs distributed engine parity, held to references.
 
-Every query runs through the row reference and the block engines against
-the same catalog and must produce *bit-identical* rows (values and Python
-types) in the same order, the same column names, and the same
-simtime-visible cost within float-accumulation tolerance.  The query list covers every operator
-and every expression family the vectorizer handles, plus the fallback
-cases (non-constant LIKE, scalar functions) and the Table 1 workload
-predicates.  The parallel engine runs with deliberately tiny morsels
-(16 rows) and several workers so every query exercises real morsel
-splitting, per-morsel partials, and the morsel-order merge.
+Every fixture query runs on the block engines against the same catalog
+and is held to its recorded answer (``tests/answers.py``,
+``answers_golden.json``): *bit-identical* rows (values and Python types)
+in the same order, the same column names, every operator's ``rows_out``
+and each category's charged seconds.  The fixture corpus is also held to
+stdlib ``sqlite3`` on the same rows (``test_parity_rows_held_to_sqlite``,
+under the allowlist of ``test_sql_differential.py``).  The query list
+covers every operator and every expression family the vectorizer
+handles, plus the fallback cases (non-constant LIKE, scalar functions)
+and the Table 1 workload predicates.  The parallel engine runs with
+deliberately tiny morsels (16 rows) and several workers so every query
+exercises real morsel splitting, per-morsel partials, and the
+morsel-order merge; where a placement is the subject, the reference is
+the batch engine on the same plan.
 
 Every placed task of this file also runs **twice** (``rerun_every_task``):
 the scheduler re-executes a morsel after a transient failure and models a
@@ -38,6 +43,9 @@ from repro.obs.trace import Tracer
 from repro.plan import logical
 from repro.sql import parse
 from repro.storage import TypedColumn
+
+from answers import run_charged
+from sqlite_oracle import assert_held_to_sqlite, sqlite_mirror
 
 # computed values — a projection item, a group key, an aggregate
 # argument, an aggregate result item, a sort key — and one query per
@@ -114,7 +122,7 @@ PARITY_QUERIES = [
     "SELECT * FROM users ORDER BY score DESC, id",        # NULL-heavy key
     "SELECT name, nickname FROM users ORDER BY nickname, name DESC",
     # LIMIT over a streaming chain: the pushed-down row budget makes the
-    # batch engine scan (and charge) exactly the row engine's rows
+    # batch engine scan (and charge) exactly the rows LIMIT needs
     "SELECT * FROM users LIMIT 1",
     "SELECT name, age FROM users LIMIT 5 OFFSET 2",
     "SELECT DISTINCT city FROM users",
@@ -164,7 +172,7 @@ PARITY_QUERIES = [
 
 # the fused-pipeline sweep: shapes whose stage chains exercise deferred
 # masks, probe fusion, breakers, and early exit — run at several worker
-# counts below, asserting rows AND charged totals against the row engine
+# counts below, asserting rows AND charged totals against the record
 FUSED_PIPELINE_QUERIES = [
     "SELECT id, name FROM users WHERE age > 22 AND city <> 'ny' "
     "AND id % 2 = 0",
@@ -237,6 +245,32 @@ def _fingerprint(value):
              for name in slots if not name.startswith("_")])
 
 
+# -- the fixture corpus against sqlite3 -----------------------------------------
+#
+# ``tests/test_sql_differential.py``'s allowlist, applied to the fixture
+# corpus by ``sqlite_oracle.py``.  The queries whose values sqlite
+# cannot give, each with its rule:
+SQLITE_DIFFERS = {
+    COMPUTED_QUERIES[0]:
+        "INT / INT is true division here (age / 4), truncating in sqlite",
+    "SELECT id, 100 / (age - 20), 7 % (age - 20) FROM users "
+    "WHERE age > 20": "INT / INT is true division here, truncating in "
+                      "sqlite",
+}
+
+
+@pytest.fixture(scope="module")
+def parity_mirror(parity_db):
+    return sqlite_mirror(parity_db, ("users", "orders", "nobody", "avazu"))
+
+
+@pytest.mark.parametrize("sql", [
+    sql for sql in dict.fromkeys(PARITY_QUERIES + FUSED_PIPELINE_QUERIES)
+    if sql not in SQLITE_DIFFERS])
+def test_parity_rows_held_to_sqlite(parity_db, parity_mirror, sql):
+    assert_held_to_sqlite(parity_db, parity_mirror, sql)
+
+
 @pytest.fixture(autouse=True)
 def rerun_every_task(monkeypatch):
     """Run every dispatched task a second time on a fresh task clock and
@@ -275,46 +309,39 @@ def test_every_task_is_run_twice(parity_db, rerun_every_task):
 
 
 @pytest.mark.parametrize("sql", PARITY_QUERIES)
-def test_query_parity(parity_db, sql):
+def test_query_parity(parity_db, sql, answers):
     plan = parity_db.planner.plan_select(parse(sql))
-    row_engine = Executor(parity_db.catalog, parity_db.clock, engine="row")
-    batch_engine = Executor(parity_db.catalog, parity_db.clock,
-                            engine="batch")
-    expected = row_engine.run(plan)
-    for engine in (batch_engine, _parallel_engine(parity_db)):
-        got = engine.run(plan)
-        assert got.columns == expected.columns
-        assert len(got.rows) == len(expected.rows)
-        assert _typed(got.rows) == _typed(expected.rows)
-        # identical work => identical virtual time, modulo float accumulation
-        assert got.virtual_seconds == pytest.approx(
-            expected.virtual_seconds, rel=1e-6, abs=1e-9)
+    for engine, kwargs in (("batch", {}),
+                           ("parallel", {"workers": 4, "morsel_rows": 16})):
+        _check_parity(answers, sql,
+                      *run_charged(parity_db, engine, kwargs, plan))
+
+
+def _check_parity(answers, sql, got, rows_out, charged):
+    """Hold a fixture query's run to its record.  A LIMIT stops its
+    source on a block boundary, so a LIMIT plan's rows_out below the cut
+    are each engine's own (``test_limit_plans_identical_...`` holds them
+    across engines)."""
+    answers.check("parity:" + sql, got,
+                  None if " LIMIT " in sql else rows_out, charged)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_fused_pipeline_parity_across_workers(parity_db, workers):
+def test_fused_pipeline_parity_across_workers(parity_db, workers, answers):
     """The fused-pipeline sweep at workers 1/2/4: bit-identical rows
-    (values, types, order) AND charged virtual-time totals against the
-    row engine, for the serial fused driver and the morsel scheduler
-    alike."""
+    (values, types, order), rows_out AND charges against the record, for
+    the serial fused driver and the morsel scheduler alike."""
     for sql in FUSED_PIPELINE_QUERIES:
         plan = parity_db.planner.plan_select(parse(sql))
-        expected = Executor(parity_db.catalog, parity_db.clock,
-                            engine="row").run(plan)
-        for engine in (
-                Executor(parity_db.catalog, parity_db.clock,
-                         engine="batch"),
-                Executor(parity_db.catalog, parity_db.clock,
-                         engine="parallel", workers=workers,
-                         morsel_rows=16)):
-            got = engine.run(plan)
-            assert _typed(got.rows) == _typed(expected.rows), sql
-            assert got.virtual_seconds == pytest.approx(
-                expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+        for engine, kwargs in (("batch", {}),
+                               ("parallel", {"workers": workers,
+                                             "morsel_rows": 16})):
+            _check_parity(answers, sql,
+                          *run_charged(parity_db, engine, kwargs, plan))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_fused_pipeline_nan_and_null_columns(workers):
+def test_fused_pipeline_nan_and_null_columns(workers, answers):
     """Fused scan→filter→project chains over NaN-bearing and NULL-bearing
     float columns: NaN comparisons reject on every engine, the total-order
     sort buckets NaN deterministically, and grouped sums stay
@@ -338,27 +365,21 @@ def test_fused_pipeline_nan_and_null_columns(workers):
     ]
     for sql in queries:
         plan = db.planner.plan_select(parse(sql))
-        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
-        for engine in (
-                Executor(db.catalog, db.clock, engine="batch"),
-                Executor(db.catalog, db.clock, engine="parallel",
-                         workers=workers, morsel_rows=2)):
-            got = engine.run(plan)
-            assert len(got.rows) == len(expected.rows), sql
-            assert [tuple(repr(v) for v in row) for row in got.rows] == \
-                [tuple(repr(v) for v in row) for row in expected.rows], sql
-            assert got.virtual_seconds == pytest.approx(
-                expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+        for engine, kwargs in (("batch", {}),
+                               ("parallel", {"workers": workers,
+                                             "morsel_rows": 2})):
+            answers.check("nan-null:" + sql,
+                          *run_charged(db, engine, kwargs, plan))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_typed_storage_parity_across_workers(workers):
+def test_typed_storage_parity_across_workers(workers, answers):
     """Typed columnar storage v2 shapes at workers 1/2/4: predicates over
     dictionary-coded string columns (equality both directions, <>, IN,
     LIKE — the int32 code fast paths), an all-NULL column, and GROUP BY
-    keys mixing NaN and NULL.  Row engine is ground truth; the batch
-    engine and the morsel-parallel engine must return bit-identical rows
-    and charge identical virtual time."""
+    keys mixing NaN and NULL.  The batch engine and the morsel-parallel
+    engine must return the recorded rows bit for bit and charge the
+    recorded virtual time."""
     db = repro.connect()
     db.execute("CREATE TABLE d (i INT, tag TEXT, hole TEXT, v FLOAT, "
                "w FLOAT)")
@@ -393,20 +414,11 @@ def test_typed_storage_parity_across_workers(workers):
     ]
     for sql in queries:
         plan = db.planner.plan_select(parse(sql))
-        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
-        for engine in (
-                Executor(db.catalog, db.clock, engine="batch"),
-                Executor(db.catalog, db.clock, engine="parallel",
-                         workers=workers, morsel_rows=16)):
-            got = engine.run(plan)
-            assert got.columns == expected.columns, sql
-            # repr keeps NaN comparable and 1 vs 1.0 distinct
-            assert [tuple((type(v), repr(v)) for v in row)
-                    for row in got.rows] == \
-                [tuple((type(v), repr(v)) for v in row)
-                 for row in expected.rows], sql
-            assert got.virtual_seconds == pytest.approx(
-                expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+        for engine, kwargs in (("batch", {}),
+                               ("parallel", {"workers": workers,
+                                             "morsel_rows": 16})):
+            answers.check("typed-storage:" + sql,
+                          *run_charged(db, engine, kwargs, plan))
 
 
 # LIMIT plans: every block engine runs them through the same streaming
@@ -429,40 +441,16 @@ STREAMING_ENGINES = (
        for n in (1, 2, 4)])
 
 
-def _tree_rows_out(op):
-    out = [] if op.plan_node is None else [(op.plan_node.label, op.rows_out)]
-    for attr in ("_child", "_left", "_right"):
-        child = getattr(op, attr, None)
-        if child is not None:
-            out += _tree_rows_out(child)
-    return out
-
-
-def _run_charged(db, engine, kwargs, plan):
-    """(result, per-operator rows_out, charged seconds by category).  The
-    charges are a tracer's exact fixed-point sums, so two runs of one
-    charge sequence compare ``==`` wherever the shared clock stood."""
-    executor = Executor(db.catalog, db.clock, engine=engine, **kwargs)
-    tracer = Tracer()
-    tracer.attach(db.clock)
-    try:
-        result = executor.run(plan)
-    finally:
-        Tracer.detach(db.clock)
-    return (result, _tree_rows_out(executor.last_run[1]),
-            tracer.category_totals())
-
-
 @pytest.mark.parametrize("sql", LIMIT_QUERIES)
-def test_limit_plans_identical_on_every_streaming_engine(parity_db, sql):
+def test_limit_plans_identical_on_every_streaming_engine(parity_db, sql,
+                                                        answers):
     plan = parity_db.planner.plan_select(parse(sql))
-    row = Executor(parity_db.catalog, parity_db.clock, engine="row").run(plan)
-    expected, expected_rows_out, expected_charged = _run_charged(
+    expected, expected_rows_out, expected_charged = run_charged(
         parity_db, "batch", {}, plan)
-    assert _typed(expected.rows) == _typed(row.rows)
+    answers.check("parity:" + sql, expected)
     for engine, kwargs in STREAMING_ENGINES[1:]:
-        got, rows_out, charged = _run_charged(parity_db, engine, kwargs,
-                                              plan)
+        got, rows_out, charged = run_charged(parity_db, engine, kwargs,
+                                             plan)
         where = f"{sql} on {engine} {kwargs}"
         assert _typed(got.rows) == _typed(expected.rows), where
         assert rows_out == expected_rows_out, where
@@ -503,19 +491,21 @@ def test_candidate_plans_cost_as_recorded():
     assert dump == json.loads(PLANS_GOLDEN.read_text())
 
 
-def test_candidate_plans_parity(parity_db):
-    """Every candidate plan agrees across engines, not just the chosen one."""
+def test_candidate_plans_parity(parity_db, answers):
+    """Every candidate plan gives the recorded answer on every engine, not
+    just the chosen one."""
     sql = ("SELECT count(*) FROM users u JOIN orders o ON u.id = o.user_id "
            "WHERE u.age > 30 AND o.amount < 200")
     candidates = parity_db.planner.candidate_plans(parse(sql), 12)
     assert len(candidates) >= 2
-    row_engine = Executor(parity_db.catalog, parity_db.clock, engine="row")
     batch_engine = Executor(parity_db.catalog, parity_db.clock,
                             engine="batch")
     for candidate in candidates:
-        expected = row_engine.run(candidate).rows
-        assert batch_engine.run(candidate).rows == expected
-        assert _parallel_engine(parity_db).run(candidate).rows == expected
+        expected = batch_engine.run(candidate)
+        answers.check("parity-candidate:" + logical.plan_signature(candidate),
+                      expected)
+        assert _parallel_engine(parity_db).run(candidate).rows \
+            == expected.rows
 
 
 JOIN_QUERIES = [sql for sql in PARITY_QUERIES
@@ -571,40 +561,29 @@ def test_running_a_candidate_never_writes_it(parity_db, monkeypatch):
         == snapshot
 
 
-def test_rows_out_accounting_parity(parity_db):
-    plan = parity_db.planner.plan_select(
-        parse("SELECT * FROM users WHERE age >= 30"))
-    row_engine = Executor(parity_db.catalog, parity_db.clock, engine="row")
-    rows = row_engine.run(plan).rows
-    for engine in (Executor(parity_db.catalog, parity_db.clock,
-                            engine="batch"),
-                   _parallel_engine(parity_db)):
-        produced = engine.run(plan).rows
-        assert len(rows) == len(produced)
-        assert row_engine.last_run[1].rows_out == engine.last_run[1].rows_out
+def test_rows_out_accounting_parity(parity_db, answers):
+    sql = "SELECT * FROM users WHERE age >= 30"
+    plan = parity_db.planner.plan_select(parse(sql))
+    for engine, kwargs in (("batch", {}),
+                           ("parallel", {"workers": 4, "morsel_rows": 16})):
+        got, rows_out, _ = run_charged(parity_db, engine, kwargs, plan)
+        answers.check("parity:" + sql, got, rows_out)
 
 
 @pytest.mark.parametrize("sql", COMPUTED_QUERIES)
-def test_computed_values_on_every_engine(parity_db, sql):
+def test_computed_values_on_every_engine(parity_db, sql, answers):
     """Computed values and their fallbacks: rows, value types, every
-    operator's rows_out and the charges of the row engine, on batch,
-    parallel and distributed (network charges aside)."""
+    operator's rows_out and the recorded charges, on batch, parallel and
+    distributed (network charges aside)."""
     plan = parity_db.planner.plan_select(parse(sql))
-    expected, expected_rows_out, _ = _run_charged(parity_db, "row", {}, plan)
     for engine, kwargs in (
             ("batch", {}), ("parallel", {"workers": 4, "morsel_rows": 16}),
             ("distributed", {"nodes": 2, "workers": 2, "morsel_rows": 16})):
-        got, rows_out, _ = _run_charged(parity_db, engine, kwargs, plan)
-        where = f"{sql} on {engine}"
-        assert got.columns == expected.columns, where
-        assert _typed(got.rows) == _typed(expected.rows), where
-        assert rows_out == expected_rows_out, where
-        network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
-        assert got.virtual_seconds - network == pytest.approx(
-            expected.virtual_seconds, rel=1e-6, abs=1e-9), where
+        answers.check("parity:" + sql,
+                      *run_charged(parity_db, engine, kwargs, plan))
 
 
-EVERY_ENGINE = (("row", {}), ("batch", {}),
+EVERY_ENGINE = (("batch", {}),
                 ("parallel", {"workers": 2, "morsel_rows": 2}),
                 ("distributed", {"nodes": 2, "morsel_rows": 2}))
 
@@ -697,7 +676,7 @@ def test_division_by_zero_parity(parity_db):
     from repro.common.errors import ExecutionError
     sql = "SELECT * FROM users WHERE age / (age - age) > 1"
     plan = parity_db.planner.plan_select(parse(sql))
-    for engine in ("row", "batch", "parallel"):
+    for engine in ("batch", "parallel"):
         executor = Executor(parity_db.catalog, parity_db.clock, engine=engine)
         with pytest.raises(ExecutionError):
             executor.run(plan)
@@ -705,7 +684,7 @@ def test_division_by_zero_parity(parity_db):
 
 def test_guarded_division_short_circuit_parity():
     """A zero divisor behind an AND guard must not raise in either engine:
-    vector evaluation defers the error decision to row semantics."""
+    vector evaluation defers the error decision to the row compiler."""
     db = repro.connect()
     db.execute("CREATE TABLE d (id INT, x INT)")
     db.execute("INSERT INTO d VALUES (1, 0)")
@@ -713,7 +692,7 @@ def test_guarded_division_short_circuit_parity():
     db.execute("ANALYZE")
     plan = db.planner.plan_select(
         parse("SELECT id FROM d WHERE x <> 0 AND 10 / x > 1"))
-    for engine in ("row", "batch", "parallel"):
+    for engine in ("batch", "parallel"):
         result = Executor(db.catalog, db.clock, engine=engine).run(plan)
         assert result.rows == [(2,)]
 
@@ -730,15 +709,15 @@ def test_big_integer_precision_parity(base):
     for target, expect in ((base, [(2,)]), (base + 1, [(1,)])):
         plan = db.planner.plan_select(
             parse(f"SELECT id FROM big WHERE x = {target}"))
-        for engine in ("row", "batch", "parallel"):
+        for engine in ("batch", "parallel"):
             result = Executor(db.catalog, db.clock, engine=engine).run(plan)
             assert result.rows == expect
 
 
 def test_train_filter_skips_null_target_rows():
     """The WITH predicate must never evaluate rows whose target is NULL
-    (the row engine skipped them first; a predicate that errors on such a
-    row must not break training)."""
+    (they are skipped first; a predicate that errors on such a row must
+    not break training)."""
     db = repro.connect()
     db.execute("CREATE TABLE p (a FLOAT, b FLOAT, y FLOAT)")
     db.execute("INSERT INTO p VALUES (1.0, 0.0, NULL)")  # would divide by 0
@@ -749,11 +728,12 @@ def test_train_filter_skips_null_target_rows():
     assert len(result.rows) == 21
 
 
-def test_filtered_limit_cost_bounded():
-    """LIMIT over a filtered scan may overshoot the row engine's virtual
-    time only by the pushed-down batch (offset+limit+1 scanned rows), not
-    by a full default-sized block.  (It may also legitimately stop earlier:
-    the row engine scans ahead for the extra row that triggers its stop.)"""
+def test_filtered_limit_cost_bounded(answers):
+    """LIMIT over a filtered scan may overshoot the recorded row-at-a-time
+    virtual time only by the pushed-down batch (offset+limit+1 scanned
+    rows), not by a full default-sized block.  (It may also legitimately
+    stop earlier: a row-at-a-time pull scans ahead for the extra row that
+    triggers its stop.)"""
     from repro.common.simtime import CostModel
     db = repro.connect()
     db.execute("CREATE TABLE f (id INT, v INT)")
@@ -763,16 +743,16 @@ def test_filtered_limit_cost_bounded():
     db.execute("ANALYZE")
     plan = db.planner.plan_select(
         parse("SELECT id FROM f WHERE v = 3 LIMIT 2"))
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
+    key = "limit-pushdown:SELECT id FROM f WHERE v = 3 LIMIT 2"
     batch = Executor(db.catalog, db.clock, engine="batch").run(plan)
-    assert batch.rows == row.rows
+    answers.check(key, batch)
     bound = 3 * (CostModel.TUPLE_CPU + CostModel.EVAL_PREDICATE)
-    assert batch.virtual_seconds <= row.virtual_seconds + bound
+    assert batch.virtual_seconds <= answers.total(key) + bound
 
 
-def test_nan_group_key_parity():
+def test_nan_group_key_parity(answers):
     """NaN group keys (insertable via the heap API) must not corrupt
-    grouped results: both engines group NaN by object identity."""
+    grouped results: every engine groups NaN by object identity."""
     db = repro.connect()
     db.execute("CREATE TABLE g (k FLOAT, v INT)")
     heap = db.catalog.table("g")
@@ -783,14 +763,12 @@ def test_nan_group_key_parity():
     heap.insert((nan, 40))  # (no ANALYZE: histogram stats reject NaN)
     plan = db.planner.plan_select(
         parse("SELECT k, count(*), sum(v) FROM g GROUP BY k"))
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
-    for engine in (Executor(db.catalog, db.clock, engine="batch"),
-                   Executor(db.catalog, db.clock, engine="parallel",
-                            workers=2, morsel_rows=2)):
-        got = engine.run(plan)
-        assert len(got.rows) == len(row.rows)
-        assert [(repr(k), c, s) for k, c, s in got.rows] \
-            == [(repr(k), c, s) for k, c, s in row.rows]
+    for kwargs in ({}, {"workers": 2, "morsel_rows": 2}):
+        got = Executor(db.catalog, db.clock,
+                       engine="parallel" if kwargs else "batch",
+                       **kwargs).run(plan)
+        answers.check(
+            "nan-group:SELECT k, count(*), sum(v) FROM g GROUP BY k", got)
 
 
 def test_nan_min_max_ignore_block_boundaries():
@@ -808,8 +786,7 @@ def test_nan_min_max_ignore_block_boundaries():
     for lo, hi in [(2.0, 0.0), (nan, nan), (0.0, 2.0)]:
         heap.insert((lo, hi))  # (NaN is insertable via the heap API)
     plan = db.planner.plan_select(parse("SELECT min(lo), max(hi) FROM m"))
-    for kwargs in (dict(engine="row"), dict(engine="batch"),
-                   dict(engine="parallel", workers=2),
+    for kwargs in (dict(engine="batch"), dict(engine="parallel", workers=2),
                    dict(engine="distributed", nodes=2, workers=2)):
         got = Executor(db.catalog, db.clock, **kwargs).run(plan)
         assert got.rows == [(0.0, 2.0)], kwargs
@@ -817,7 +794,8 @@ def test_nan_min_max_ignore_block_boundaries():
 
 def test_high_cardinality_group_by_parity():
     """GROUP BY over a near-unique column crosses the mask-partition
-    cutoff mid-query; both partition strategies must agree."""
+    cutoff mid-query; both partition strategies must give the groups in
+    first-seen order with their counts and left-to-right sums."""
     db = repro.connect()
     db.execute("CREATE TABLE hc (k INT, v FLOAT)")
     heap = db.catalog.table("hc")
@@ -826,11 +804,17 @@ def test_high_cardinality_group_by_parity():
     db.execute("ANALYZE")
     plan = db.planner.plan_select(
         parse("SELECT k, count(*), sum(v) FROM hc GROUP BY k"))
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
+    groups: dict[int, list] = {}
+    for i in range(3000):
+        count_sum = groups.setdefault(i % 2000, [0, None])
+        count_sum[0] += 1
+        count_sum[1] = float(i) if count_sum[1] is None \
+            else count_sum[1] + float(i)
+    expected = _typed([(k, c, s) for k, (c, s) in groups.items()])
     batch = Executor(db.catalog, db.clock, engine="batch").run(plan)
     parallel = Executor(db.catalog, db.clock, engine="parallel").run(plan)
-    assert _typed(batch.rows) == _typed(row.rows)
-    assert _typed(parallel.rows) == _typed(row.rows)
+    assert _typed(batch.rows) == expected
+    assert _typed(parallel.rows) == expected
 
 
 # representative sweep shapes for the sharded-table parity matrix: every
@@ -933,26 +917,24 @@ def _nlj_plans(db):
 @pytest.mark.parametrize("engine, kwargs", NLJ_ENGINES,
                          ids=[f"{e}-{k}" for e, k in NLJ_ENGINES])
 def test_nested_loop_join_parity(parity_db, sharded_parity_db, engine,
-                                 kwargs):
+                                 kwargs, answers):
     """Nested-loop joins on every block engine, distributed over three
-    shards: rows bit-identical to the row engine's, and charges equal to
-    its at the file's tolerance (network overhead aside).  A LIMIT plan
-    runs the streaming driver everywhere and stops on a block boundary,
-    so there the charges are held to the batch engine's instead."""
+    shards: the recorded rows bit for bit, and the recorded rows_out and
+    charges (network overhead aside).  A LIMIT plan runs the streaming
+    driver everywhere and stops on a block boundary, so there rows_out
+    and charges are held to the batch engine's instead."""
     db = sharded_parity_db if engine == "distributed" else parity_db
     for label, plan in _nlj_plans(db):
-        where = f"{label} on {engine} {kwargs}"
-        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
-        got, rows_out, charged = _run_charged(db, engine, kwargs, plan)
-        assert got.columns == expected.columns, where
-        assert _typed(got.rows) == _typed(expected.rows), where
+        key = ("sharded:" if engine == "distributed" else "parity:") + label
+        got, rows_out, charged = run_charged(db, engine, kwargs, plan)
         if " LIMIT " not in label:
-            network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
-            assert got.virtual_seconds - network == pytest.approx(
-                expected.virtual_seconds, rel=1e-6, abs=1e-9), where
-        elif engine != "batch":
-            _, batch_rows_out, batch_charged = _run_charged(db, "batch", {},
-                                                            plan)
+            answers.check(key, got, rows_out, charged)
+            continue
+        answers.check(key, got)
+        if engine != "batch":
+            where = f"{label} on {engine} {kwargs}"
+            _, batch_rows_out, batch_charged = run_charged(db, "batch", {},
+                                                           plan)
             assert rows_out == batch_rows_out, where
             assert charged == batch_charged, where
 
@@ -977,7 +959,7 @@ def test_engines_never_change_the_operator_tree(parity_db, monkeypatch):
         return op
 
     monkeypatch.setattr(Executor, "build", recording)
-    for engine, kwargs in (("row", {}), ("batch", {}),
+    for engine, kwargs in (("batch", {}),
                            ("parallel", {"workers": 4, "morsel_rows": 16}),
                            ("distributed", {"nodes": 3, "morsel_rows": 16})):
         executor = Executor(parity_db.catalog, parity_db.clock,
@@ -1014,7 +996,7 @@ def test_every_block_column_is_a_typed_column(parity_db, monkeypatch):
 
     recording(RowBlock)
     recording(ColumnFeatures)
-    for engine, kwargs in (("row", {}), ("batch", {}),
+    for engine, kwargs in (("batch", {}),
                            ("parallel", {"workers": 4, "morsel_rows": 16}),
                            ("distributed", {"nodes": 3, "morsel_rows": 16})):
         executor = Executor(parity_db.catalog, parity_db.clock,

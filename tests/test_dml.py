@@ -600,9 +600,7 @@ def test_strict_bounds_through_the_index():
              ("name < 'n0002'", "(-inf, 'n0002')", [0, 1])]
     for where, interval, ids in cases:
         sql = f"SELECT id FROM t WHERE {where}"
-        for engine in ("batch", "row"):
-            db.executor = with_engine(db, engine)
-            assert sorted(db.execute(sql).column("id")) == ids, (where, engine)
+        assert sorted(db.execute(sql).column("id")) == ids, where
         label = _scan_label(db, sql)
         assert label.startswith("IndexScan") and label.endswith(
             f" in {interval})"), label
@@ -619,16 +617,14 @@ def test_a_range_reads_its_rows_and_nothing_else():
     db = _indexed_2000()
     for k in (0, 990, 1980):
         where = f"WHERE id >= {k} AND id < {k + 20}"
-        for engine in ("row", "batch"):
-            db.executor = with_engine(db, engine)
-            before = (db.clock.category_total(cat.INDEX),
-                      db.clock.category_total(cat.FILTER))
-            rows = db.execute(f"SELECT id FROM t {where}").column("id")
-            assert sorted(rows) == list(range(k, k + 20))
-            index = db.clock.category_total(cat.INDEX) - before[0]
-            assert index == pytest.approx(
-                CostModel.INDEX_DESCENT + 20 * CostModel.TUPLE_CPU, rel=1e-9)
-            assert db.clock.category_total(cat.FILTER) == before[1]
+        before = (db.clock.category_total(cat.INDEX),
+                  db.clock.category_total(cat.FILTER))
+        rows = db.execute(f"SELECT id FROM t {where}").column("id")
+        assert sorted(rows) == list(range(k, k + 20))
+        index = db.clock.category_total(cat.INDEX) - before[0]
+        assert index == pytest.approx(
+            CostModel.INDEX_DESCENT + 20 * CostModel.TUPLE_CPU, rel=1e-9)
+        assert db.clock.category_total(cat.FILTER) == before[1]
         analyzed = db.execute(f"EXPLAIN ANALYZE SELECT * FROM t {where}")
         scan = [line for (line,) in analyzed.rows if " pages=" in line]
         assert len(scan) == 1
@@ -676,10 +672,8 @@ def test_literal_of_the_wrong_kind_never_reaches_the_index(analyze):
         except BindError:
             _assert_rejected(db, table, where)
             continue
-        for engine in ("batch", "row"):
-            db.executor = with_engine(db, engine)
-            got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
-            assert _sorted(got) == expected, (where, engine)
+        got = db.execute(f"SELECT * FROM {table} WHERE {where}").rows
+        assert _sorted(got) == expected, where
     # kinds that match keep the index
     for sql in ("SELECT * FROM t WHERE id = 7.0",
                 "SELECT * FROM t WHERE name > 'n1997'",

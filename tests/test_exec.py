@@ -247,7 +247,7 @@ class TestCompiledExpressionCache:
             db.execute("DROP TABLE IF EXISTS r")
             db.execute(f"CREATE TABLE r (id INT, s {types}, a {types})")
             db.execute(f"INSERT INTO r VALUES {rows}")
-            for engine in ("row", "batch"):
+            for engine in ("batch", "parallel"):
                 db.executor = with_engine(db, engine)
                 assert db.execute(sql).rows == expected, (types, engine)
             schemas[types] = db.catalog.table("r").schema

@@ -1,13 +1,14 @@
-"""Array kernels vs the row oracle: a seeded differential sweep.
+"""Array kernels vs a plain-Python oracle: a seeded differential sweep.
 
 ORDER BY / top-k (stable argsort over typed key arrays), GROUP BY (the
 factorised partition) and the hash-join probe (``searchsorted`` over the
 sorted build keys) each keep the data in arrays wherever a key is a
 typed column and fall back to exact Python objects wherever it is not.
-Every query below runs on the row engine — the oracle — and on every
-block-engine configuration of the parity sweep (batch, parallel with
-1/2/4 workers, distributed on 1/2 nodes over 3 shards); rows must be
-identical, values, Python types and order included.
+Every query below is answered by ``tests/plan_oracle.py`` — the plan
+walked one tuple at a time in plain Python, the oracle — and run on
+every block-engine configuration of the parity sweep (batch, parallel
+with 1/2/4 workers, distributed on 1/2 nodes over 3 shards); rows must
+be identical, values, Python types and order included.
 
 The tables are drawn with the ``tests/test_storage_typed.py`` generator
 (``STORAGE_SEED`` shifts every value stream) plus a few small-domain key
@@ -47,6 +48,7 @@ from repro.exec.expr import RowLayout
 from repro.plan import logical as plan
 from repro.sql import parse
 from repro.storage import Column, DataType, TableSchema, TypedColumn
+from plan_oracle import reference
 from test_storage_typed import (
     _REGIME_DTYPE,
     BOOL,
@@ -241,7 +243,7 @@ def _run(db, node, engine: str, kwargs: dict):
 
 
 def _sweep(case: str, density: float, empty: bool = False) -> dict:
-    """Run every query on every engine against the row oracle; returns
+    """Run every query on every engine against the plan oracle; returns
     ``{sql: digest}`` — an exact fingerprint (floats by ``repr``) of the
     query's records on every plan and engine configuration."""
     plain, sharded = _databases(density, empty)
@@ -252,12 +254,11 @@ def _sweep(case: str, density: float, empty: bool = False) -> dict:
         records = {}
         for db, engines in ((plain, ENGINES), (sharded, SHARDED_ENGINES)):
             for number, node in enumerate(_plans(db, sql)):
-                oracle = Executor(db.catalog, SimClock(),
-                                  engine="row").run(node)
+                oracle = _typed(reference(db, node))
                 for engine, kwargs in engines:
                     where = f"plan {number} | {engine} {kwargs}"
                     rows, records[where] = _run(db, node, engine, kwargs)
-                    assert _typed(rows) == _typed(oracle.rows), \
+                    assert _typed(rows) == oracle, \
                         f"{sql} | {where}"
         text = json.dumps(records, sort_keys=True)
         digests[sql] = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -282,7 +283,7 @@ def _check_golden(case: str, digests: dict) -> None:
 
 
 @pytest.mark.parametrize("density", DENSITIES)
-def test_kernels_match_row_oracle_and_recorded_charges(density):
+def test_kernels_match_the_oracle_and_recorded_charges(density):
     case = f"density={density}"
     _check_golden(case, _sweep(case, density))
 
@@ -423,12 +424,12 @@ def test_global_aggregate_reads_the_first_survivor():
         table.insert(row)
     sql = "SELECT id, s, count(*), sum(v) FROM g WHERE v > 0"
     node = db.planner.plan_select(parse(sql))
-    oracle = Executor(db.catalog, SimClock(), engine="row").run(node)
-    assert oracle.rows[0][:2] == (21, "first")
+    oracle = reference(db, node)
+    assert oracle[0][:2] == (21, "first")
     for engine, kwargs in ENGINES:
         got = Executor(db.catalog, SimClock(), engine=engine,
                        **kwargs).run(node)
-        assert _typed(got.rows) == _typed(oracle.rows), engine
+        assert _typed(got.rows) == _typed(oracle), engine
     root = Executor(db.catalog, SimClock()).build(node)
     agg = root if isinstance(root, ops.AggregateOp) else root._child
     scan = agg._child

@@ -9,11 +9,9 @@ Acceptance contract (docs/observability.md):
   the same fixed-point sums — an empty ``other`` means every charged
   unit of the 3-table query was attributed to an operator).
 * The annotated tree has the identical shape (labels, depth, rows out)
-  on every engine; within the batch family (batch, parallel at any
-  worker count) the charged figures are bit-identical, because
-  those engines issue the identical ``advance_batch`` sequence.  The
-  row engine charges per row instead of per block, so its float sums
-  legitimately differ in the last ulp.
+  on every engine, and the charged figures are bit-identical (batch,
+  parallel at any worker count), because those engines issue the
+  identical ``advance_batch`` sequence.
 * Plain ``EXPLAIN`` renders the estimated plan without executing, and
   ``EXPLAIN`` cannot wrap another ``EXPLAIN``.
 """
@@ -27,16 +25,11 @@ from repro.common.errors import ParseError
 from repro.exec.executor import Executor
 
 ENGINE_CONFIGS = [
-    ("row", {}),
     ("batch", {}),
     ("parallel", {"workers": 1}),
     ("parallel", {"workers": 2}),
     ("parallel", {"workers": 4}),
 ]
-
-# engines that share the per-block charge sequence and therefore the
-# exact per-operator figures (the row engine charges per row)
-BATCH_FAMILY = [(e, k) for e, k in ENGINE_CONFIGS if e != "row"]
 
 THREE_TABLE_QUERY = (
     "SELECT u.city AS city, count(*) AS n, sum(o.amount) AS amt, "
@@ -178,9 +171,9 @@ class TestExplainAnalyze:
         assert "charged [" in text
 
     def test_tree_shape_identical_across_engines(self):
-        """Labels, depths, and rows-out match on all six configs; the
-        per-operator charged figures are bit-identical within the batch
-        family (same ``advance_batch`` sequence)."""
+        """Labels, depths, and rows-out match on every config, and so do
+        the per-operator charged figures, bit for bit (same
+        ``advance_batch`` sequence)."""
         shapes = {}
         batch_figures = {}
         for engine, kwargs in ENGINE_CONFIGS:
@@ -190,10 +183,8 @@ class TestExplainAnalyze:
             structured = result.extra["explain"]
             key = f"{engine}-{kwargs}"
             shapes[key] = _shape(structured)
-            if (engine, kwargs) in BATCH_FAMILY:
-                batch_figures[key] = [
-                    (n["charged"], n["time"], n["pages"])
-                    for n in structured["nodes"]]
+            batch_figures[key] = [(n["charged"], n["time"], n["pages"])
+                                  for n in structured["nodes"]]
             assert structured["other"] == {}
 
         reference = next(iter(shapes.values()))

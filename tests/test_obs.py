@@ -22,6 +22,7 @@ import json
 import pytest
 
 import repro
+from repro.common import categories as cat
 from repro.common.faults import FaultPlan
 from repro.exec.executor import Executor
 from repro.obs.export import chrome_trace, dump_chrome_trace
@@ -33,7 +34,6 @@ from repro.sql import parse
 # every engine the executor exposes, at the worker counts the issue
 # gates on (workers only matter for the parallel engine)
 ENGINE_CONFIGS = [
-    ("row", {}),
     ("batch", {}),
     ("parallel", {"workers": 1}),
     ("parallel", {"workers": 2}),
@@ -50,6 +50,16 @@ TRACE_QUERIES = [
     "JOIN orders o ON u.id = o.user_id "
     "JOIN items t ON o.item_id = t.iid "
     "WHERE o.amount > 20 GROUP BY u.city ORDER BY city",
+]
+
+# DML whose victims come from each scan's ``rid_rows`` (``orders.oid``
+# is indexed for them)
+VICTIM_STATEMENTS = [
+    ("SeqScan", "UPDATE users SET age = age + 1 WHERE city = 'c1'"),
+    ("SeqScan", "DELETE FROM users WHERE age > 40"),
+    ("IndexScan", "UPDATE orders SET amount = amount * 2 "
+                  "WHERE oid >= 10 AND oid < 14"),
+    ("IndexScan", "DELETE FROM orders WHERE oid = 7"),
 ]
 
 
@@ -141,6 +151,49 @@ class TestReconciliation:
             # the float mirror tracks the shared clock bitwise
             assert tracer.float_totals() == dict(db.clock.breakdown())
             assert tracer.float_now == db.clock.now
+
+    @pytest.mark.parametrize("access,sql", VICTIM_STATEMENTS,
+                             ids=[sql for _, sql in VICTIM_STATEMENTS])
+    def test_victim_scan_span_covers_its_reads(self, access, sql):
+        """UPDATE / DELETE read their victims through a scan's
+        ``rid_rows``: traced, that scan's span holds exactly what the
+        victim stream charges on its own — every scan, filter and index
+        charge of the statement, the pages it read, and none of the
+        heap writes' — and the clock ends exactly where an untraced run
+        of the same statement ends."""
+        plain, traced, alone = _build_db(), _build_db(), _build_db()
+        for db in (plain, traced, alone):
+            db.execute("CREATE INDEX orders_oid ON orders (oid)")
+        statement = parse(sql)
+        scan = alone.executor.build(alone.planner.victim_path(
+            statement.table, statement.where))
+        stream = Tracer()
+        stream.attach(alone.clock)
+        try:
+            victims = list(scan.rid_rows())
+        finally:
+            Tracer.detach(alone.clock)
+        assert victims
+        tracer = Tracer()
+        tracer.attach(traced.clock)
+        try:
+            result = traced.execute(sql)
+        finally:
+            Tracer.detach(traced.clock)
+        assert result.extra == plain.execute(sql).extra
+        assert result.extra["rowcount"] == len(victims)
+        assert traced.clock.now == plain.clock.now
+        assert dict(traced.clock.breakdown()) == dict(
+            plain.clock.breakdown())
+
+        [span] = tracer.spans_of_kind("operator")
+        assert span.name.startswith(access)
+        assert span.fix == stream.fix_totals()
+        totals = tracer.fix_totals()
+        assert (cat.SCAN if access == "SeqScan" else cat.INDEX) in span.fix
+        for category in (cat.SCAN, cat.FILTER, cat.INDEX):
+            assert span.fix.get(category) == totals.get(category), category
+        assert set(totals) - set(span.fix)  # the heap write's own
 
     def test_mirror_tracks_clock_through_session(self):
         """A session tracer (attached before any work) mirrors the clock

@@ -1,7 +1,7 @@
 """Placed scheduler edge cases and guarantees, at one node
 (``engine="parallel"``; tests/test_distributed.py has the many-node ones).
 
-The three-way result parity lives in test_batch_parity.py; this file
+The engines' result parity lives in test_batch_parity.py; this file
 exercises the scheduler itself: degenerate morsel shapes (empty tables,
 1-row morsels, more workers than morsels), merge of empty partial sets,
 determinism across worker counts, the virtual-time invariants
@@ -338,9 +338,13 @@ def test_connect_rejects_bad_nodes():
         repro.connect(engine="distributed", nodes=0)
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        Executor(repro.connect().catalog, engine="morsel")
+@pytest.mark.parametrize("engine", ["morsel", "row"])
+def test_unknown_engine_rejected(engine):
+    assert Executor.ENGINES == ("batch", "parallel", "distributed")
+    with pytest.raises(ValueError, match="unknown engine"):
+        Executor(repro.connect().catalog, engine=engine)
+    with pytest.raises(ValueError, match="unknown engine"):
+        repro.connect(engine=engine)
 
 
 # -- storage morsel splitting ------------------------------------------------

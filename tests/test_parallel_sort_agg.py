@@ -2,15 +2,18 @@
 holdouts.
 
 Covers the total-order sort key (NaN bucketed deterministically between
-numbers and strings), three-way engine parity for ORDER BY over
+numbers and strings), ORDER BY parity held to the plan oracle over
 NaN/NULL/mixed-type keys and multi-key DESC sorts, wide GROUP BY past the
 mask-partition cutoff with NaN group keys at several worker counts, the
 sort-cost charge fix for empty/single-row inputs, the mid-flight
 virtual-time budget enforcement at parallel phase boundaries, and the
 columnar aggregate partial: its format against the retired row-order
-partition, its one array merge against the row engine over a morsel x
-worker x node grid, and the closed-form modeled bytes against a walk of
-the nested form (``tests/partial_oracle.py``).
+partition, its one array merge over a morsel x worker x node grid, and
+the closed-form modeled bytes against a walk of the nested form
+(``tests/partial_oracle.py``).  Rows are held to the plain-Python plan
+oracle (``tests/plan_oracle.py``: groups in first-seen order, left-fold
+sums, a stable sort under the total order); a placement's charges to the
+batch engine's on the same plan.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from repro.exec import operators as ops
 from repro.exec.distributed import DistributedScheduler
 from repro.exec.executor import Executor
 from repro.exec.measure import measure_plan_latency
-from repro.exec.operators import _Descending, _sort_key
+from repro.exec.operators import _sort_key
 from repro.sql import parse
 from repro.storage import Column, DataType, TableSchema
 from partial_oracle import (expand_partial, merge_partition, payload_bytes,
                             payload_units, split_partial)
+from plan_oracle import reference
 
 WORKER_SWEEP = (1, 2, 4, 8)
 
@@ -51,23 +55,22 @@ def _run(db, sql, **kwargs):
     return Executor(db.catalog, db.clock, **kwargs).run(plan)
 
 
-def _three_way(db, sql, workers=4, morsel_rows=16):
-    """Run sql through row/batch/parallel; assert rows, types, order, and
-    charged virtual time agree; return the row-engine result."""
+def _held_to_oracle(db, sql, workers=4, morsel_rows=16):
+    """Run sql through batch and parallel: rows, types and order are the
+    plan oracle's, and the parallel engine charges what batch charges."""
     plan = db.planner.plan_select(parse(sql))
-    # warm the buffer pool so the reference run doesn't pay cold page
-    # misses the later engines get as hits (fixtures skip ANALYZE because
-    # histogram stats reject NaN)
+    # warm the buffer pool so the first run doesn't pay cold page misses
+    # the later one gets as hits (fixtures skip ANALYZE because histogram
+    # stats reject NaN)
     Executor(db.catalog, db.clock, engine="batch").run(plan)
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
-    for engine in (Executor(db.catalog, db.clock, engine="batch"),
-                   Executor(db.catalog, db.clock, engine="parallel",
-                            workers=workers, morsel_rows=morsel_rows)):
-        got = engine.run(plan)
-        assert _nan_safe(got.rows) == _nan_safe(row.rows)
-        assert got.virtual_seconds == pytest.approx(
-            row.virtual_seconds, rel=1e-6, abs=1e-9)
-    return row
+    expected = _nan_safe(reference(db, plan))
+    batch = Executor(db.catalog, db.clock, engine="batch").run(plan)
+    parallel = Executor(db.catalog, db.clock, engine="parallel",
+                        workers=workers, morsel_rows=morsel_rows).run(plan)
+    for got in (batch, parallel):
+        assert _nan_safe(got.rows) == expected
+    assert parallel.virtual_seconds == pytest.approx(
+        batch.virtual_seconds, rel=1e-6, abs=1e-9)
 
 
 # -- total-order sort key ----------------------------------------------------
@@ -96,12 +99,6 @@ def test_sort_key_permutation_invariant():
         assert [repr(v) for v in got] == [repr(v) for v in reference]
 
 
-def test_descending_wrapper_inverts():
-    a, b = _Descending((0, 1)), _Descending((0, 2))
-    assert b < a and not (a < b)
-    assert _Descending((1, "x")) == _Descending((1, "x"))
-
-
 # -- ORDER BY parity: NaN / NULL / mixed-type keys ---------------------------
 
 @pytest.fixture()
@@ -121,17 +118,17 @@ def messy_db():
 
 @pytest.mark.parametrize("workers", WORKER_SWEEP)
 def test_order_by_nan_null_parity(messy_db, workers):
-    _three_way(messy_db, "SELECT id, k FROM m ORDER BY k",
+    _held_to_oracle(messy_db, "SELECT id, k FROM m ORDER BY k",
                workers=workers)
-    _three_way(messy_db, "SELECT id, k FROM m ORDER BY k DESC",
+    _held_to_oracle(messy_db, "SELECT id, k FROM m ORDER BY k DESC",
                workers=workers)
 
 
 @pytest.mark.parametrize("workers", WORKER_SWEEP)
 def test_order_by_multi_key_desc_parity(messy_db, workers):
-    _three_way(messy_db, "SELECT id, k, s FROM m ORDER BY s DESC, k DESC",
+    _held_to_oracle(messy_db, "SELECT id, k, s FROM m ORDER BY s DESC, k DESC",
                workers=workers)
-    _three_way(messy_db,
+    _held_to_oracle(messy_db,
                "SELECT id, k, s FROM m ORDER BY k DESC, s, id DESC",
                workers=workers)
 
@@ -143,13 +140,13 @@ def test_order_by_mixed_type_key_parity(messy_db, workers):
     — the rank ladder numbers < NaN < NULL — and coalesce(s, 'zz') is
     text.  A key mixing TEXT and numbers has no order: it is rejected at
     plan time."""
-    _three_way(messy_db,
+    _held_to_oracle(messy_db,
                "SELECT id, coalesce(k, id) AS mk FROM m ORDER BY mk, id",
                workers=workers)
-    _three_way(messy_db,
+    _held_to_oracle(messy_db,
                "SELECT id, k * 2 AS mk FROM m ORDER BY mk DESC, id",
                workers=workers)
-    _three_way(messy_db, "SELECT id, coalesce(s, 'zz') AS mk FROM m "
+    _held_to_oracle(messy_db, "SELECT id, coalesce(s, 'zz') AS mk FROM m "
                "ORDER BY mk DESC, id", workers=workers)
     with pytest.raises(BindError):
         messy_db.planner.plan_select(parse(
@@ -204,7 +201,7 @@ def test_sort_charge_split_matches_serial_total(messy_db):
 
 
 @pytest.mark.parametrize("rows", [0, 1])
-@pytest.mark.parametrize("engine", ["row", "batch", "parallel"])
+@pytest.mark.parametrize("engine", ["batch", "parallel"])
 def test_trivial_sort_charges_zero(rows, engine):
     """len(rows) <= 1 sorts charge no virtual time on any path."""
     db = repro.connect()
@@ -236,20 +233,11 @@ def wide_db():
 @pytest.mark.parametrize("workers", WORKER_SWEEP)
 def test_wide_group_by_nan_keys_parity(wide_db, workers):
     """GROUP BY past the mask-partition cutoff with NaN keys: rows, group
-    order, float sums, and charged time identical three ways."""
+    order and float sums the oracle's, charged time the batch engine's."""
     sql = "SELECT k, count(*), sum(v), avg(v) FROM w GROUP BY k"
     plan = wide_db.planner.plan_select(parse(sql))
-    Executor(wide_db.catalog, wide_db.clock, engine="batch").run(plan)
-    row = Executor(wide_db.catalog, wide_db.clock, engine="row").run(plan)
-    assert len(row.rows) > ops.AggregateOp.PARTITION_MIN_KEYS
-    for engine in (Executor(wide_db.catalog, wide_db.clock, engine="batch"),
-                   Executor(wide_db.catalog, wide_db.clock,
-                            engine="parallel", workers=workers,
-                            morsel_rows=64)):
-        got = engine.run(plan)
-        assert _nan_safe(got.rows) == _nan_safe(row.rows)
-        assert got.virtual_seconds == pytest.approx(
-            row.virtual_seconds, rel=1e-6, abs=1e-9)
+    assert len(reference(wide_db, plan)) > ops.AggregateOp.PARTITION_MIN_KEYS
+    _held_to_oracle(wide_db, sql, workers=workers, morsel_rows=64)
 
 
 def _narrow_rows():
@@ -304,14 +292,9 @@ def test_wide_group_by_multi_column_keys_partition():
     db.execute("ANALYZE")
     sql = "SELECT a, b, sum(v) FROM mc GROUP BY a, b"
     plan = db.planner.plan_select(parse(sql))
-    # warm the buffer pool so the reference run doesn't pay cold page
-    # misses the later engines get as hits (fixtures skip ANALYZE because
-    # histogram stats reject NaN)
-    Executor(db.catalog, db.clock, engine="batch").run(plan)
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
     parallel = Executor(db.catalog, db.clock, engine="parallel", workers=4,
                         morsel_rows=64).run(plan)
-    assert _typed(parallel.rows) == _typed(row.rows)
+    assert _typed(parallel.rows) == _typed(reference(db, plan))
 
 
 # -- budget enforcement -------------------------------------------------------
@@ -548,19 +531,19 @@ def test_partial_block_matches_row_partition_reference(shape_idx, density):
             _check_units(agg, partials)
 
 
-# -- the one merge: grouped partials against the row engine ------------------
+# -- the one merge: grouped partials against the oracle ---------------------
 #
-# Every aggregate below runs on the row engine — the oracle — and on the
+# Every aggregate below is answered by the plan oracle and run on the
 # placed engines over a morsel x worker x node grid; rows (by type and
-# repr), charged seconds and the per-category breakdown must agree.  The
+# repr) must be the oracle's, and charged seconds per category the batch
+# engine's on the same plan (network charges aside).  The
 # distributed runs also hold the exchange log to what the retired nested
 # forms would have put on the wire (partial_oracle): narrow partials
 # gathered whole, wide ones sliced per owner by ``stable_hash`` of each
 # morsel's own key, merged per owner and gathered.
 
 MORSEL_SWEEP = (1, 24, 400)
-# what the row engine does not charge: the network (zero on one node); the
-# page touches every engine charges to the clock that drives it
+# what the batch engine never charges: the network (zero on one node)
 NOT_COMPUTE = {cat.SHUFFLE, cat.BROADCAST, cat.GATHER, cat.EXCHANGE_MSG}
 
 
@@ -605,15 +588,17 @@ def placed_partials(monkeypatch):
     return seen
 
 
-def _check_against_row_engine(plain, sharded, sql, seen):
+def _check_against_the_oracle(plain, sharded, sql, seen):
     for db, engine, knob in ((plain, "parallel", "workers"),
                              (sharded, "distributed", "nodes")):
         node = db.planner.plan_select(parse(sql))
         # warm the buffer pool: every later run sees page hits
         Executor(db.catalog, SimClock(), engine="batch").run(node)
         clock = SimClock()
-        oracle = Executor(db.catalog, clock, engine="row").run(node)
+        batch = Executor(db.catalog, clock, engine="batch").run(node)
         charged = clock.breakdown()
+        oracle = _nan_safe(reference(db, node))
+        assert _nan_safe(batch.rows) == oracle, sql
         for morsel_rows in MORSEL_SWEEP:
             for count in (1, 2, 4) if knob == "workers" else (1, 2, 3):
                 where = f"{sql} | {engine} {knob}={count} @ {morsel_rows}"
@@ -622,13 +607,11 @@ def _check_against_row_engine(plain, sharded, sql, seen):
                 got = Executor(db.catalog, clock, engine=engine,
                                morsel_rows=morsel_rows,
                                **{knob: count}).run(node)
-                assert _nan_safe(got.rows) == _nan_safe(oracle.rows), where
+                assert _nan_safe(got.rows) == oracle, where
                 breakdown = {category: seconds for category, seconds
                              in clock.breakdown().items()
                              if category not in NOT_COMPUTE}
                 assert breakdown == pytest.approx(charged, rel=1e-9), where
-                assert sum(breakdown.values()) == pytest.approx(
-                    oracle.virtual_seconds, rel=1e-9), where
                 if engine == "parallel":
                     continue
                 log = [[e["kind"], e["rows"], e["bytes"]]
@@ -640,7 +623,7 @@ def _check_against_row_engine(plain, sharded, sql, seen):
 
 
 @pytest.mark.parametrize("shape_idx", range(9))
-def test_grouped_partials_match_row_engine(shape_idx, placed_partials):
+def test_grouped_partials_match_the_oracle(shape_idx, placed_partials):
     from test_storage_typed import SHAPES, STORAGE_SEED, _REGIME_DTYPE, _draw
     shape = SHAPES[shape_idx]
     # one table per NULL density would triple the sweep: draw the density
@@ -657,7 +640,7 @@ def test_grouped_partials_match_row_engine(shape_idx, placed_partials):
         for row in data:
             heap.insert(row)
     for sql in _aggregate_queries(shape):
-        _check_against_row_engine(plain, sharded, sql, placed_partials)
+        _check_against_the_oracle(plain, sharded, sql, placed_partials)
 
 
 def _regime_databases():
@@ -717,11 +700,11 @@ REGIME_QUERIES = [
 
 @pytest.mark.parametrize("sql", REGIME_QUERIES)
 def test_grouped_partials_hand_made_regimes(sql, placed_partials):
-    _check_against_row_engine(*_regime_databases(), sql, placed_partials)
+    _check_against_the_oracle(*_regime_databases(), sql, placed_partials)
 
 
 def test_float_sums_bit_identical_at_every_cut():
-    """``1e16, 1.0, -1e16`` runs: every association but the row engine's
+    """``1e16, 1.0, -1e16`` runs: every association but the oracle's
     left-to-right one rounds differently, so a merge that added morsel
     subtotals would show at some cut.  ``repr`` must match for every
     morsel size — every boundary position — on both placed engines."""
@@ -737,12 +720,13 @@ def test_float_sums_bit_identical_at_every_cut():
                 "SELECT g, sum(v), avg(v) FROM a GROUP BY g"):
         for db, engine, knob in ((plain, "parallel", "workers"),
                                  (sharded, "distributed", "nodes")):
-            oracle = _run(db, sql, engine="row")
+            oracle = _nan_safe(reference(db, db.planner.plan_select(
+                parse(sql))))
             for morsel_rows in range(1, 2 * len(values) + 1):
                 for count in (1, 2):
                     got = _run(db, sql, engine=engine,
                                morsel_rows=morsel_rows, **{knob: count})
-                    assert _nan_safe(got.rows) == _nan_safe(oracle.rows), \
+                    assert _nan_safe(got.rows) == oracle, \
                         f"{sql} | {engine} {knob}={count} @ {morsel_rows}"
 
 
@@ -758,10 +742,10 @@ def test_wide_distributed_group_by_equal_keys_of_different_repr():
         heap.insert((i, [0.0, -0.0][i % 2] if i % 50 == 0
                      else float(i % 90), i))
     sql = "SELECT k, count(*), sum(v) FROM z GROUP BY k"
-    oracle = _run(db, sql, engine="row")
+    oracle = reference(db, db.planner.plan_select(parse(sql)))
     for nodes in (2, 3):
         got = _run(db, sql, engine="distributed", nodes=nodes,
                    morsel_rows=200)
         assert [e["kind"] for e in got.extra["distributed"]["exchanges"]] \
             == [cat.SHUFFLE, cat.GATHER]
-        assert _nan_safe(got.rows) == _nan_safe(oracle.rows)
+        assert _nan_safe(got.rows) == _nan_safe(oracle)

@@ -1,14 +1,15 @@
-"""Fused pipeline execution: compilation structure, charge parity with
-the row engine, LIMIT early exit through pipelines, and the vectorized
+"""Fused pipeline execution: compilation structure, charges against the
+recorded answers, LIMIT early exit through pipelines, and the vectorized
 non-constant LIKE.
 
 The engine parity sweep lives in test_batch_parity.py; this file
 exercises the pipeline layer itself: how plans compile into pipelines
 (split at the plan-level BREAKER annotations), that the streaming driver
-charges what the row engine charges (exactly, except where LIMIT stops
-on a block boundary — then within the documented bound), and that a
-satisfied LIMIT stops driving its source pipeline instead of scanning
-the full table.
+returns the recorded rows and charges the recorded row-at-a-time charges
+(``tests/answers.py``: to rounding, except where LIMIT stops on a block
+boundary — then within the documented bound), and that a satisfied
+LIMIT stops driving its source pipeline instead of scanning the full
+table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from repro.common.errors import ExecutionError
 from repro.common.simtime import CostModel, SimClock
 from repro.exec.batch import DEFAULT_BATCH_SIZE, RowBlock
 from repro.sql import ast, parse
+
+from answers import run_charged
+from sqlite_oracle import assert_held_to_sqlite, sqlite_mirror
 
 
 def _typed(rows):
@@ -151,7 +155,7 @@ class TestCompile:
         assert not plan.SeqScan.BREAKER and not plan.SeqScan.STREAMING
 
 
-# -- streaming driver vs row engine --------------------------------------------
+# -- streaming driver vs the recorded answers ----------------------------------
 
 EXACT_QUERIES = [
     "SELECT * FROM t",
@@ -166,15 +170,15 @@ EXACT_QUERIES = [
     "SELECT count(*) FROM t JOIN u ON t.id = u.uid",
     "SELECT grp, count(*) FROM t GROUP BY grp ORDER BY grp LIMIT 2",
     "SELECT 1 + 2",
-    # serial-fallback operators: lazy child pipelines keep the row
-    # engine's pull order (and its early exit)
+    # serial-fallback operators: lazy child pipelines keep a
+    # row-at-a-time pull order (and its early exit)
     "SELECT count(*) FROM t, u",
     "SELECT t.id, u.uid FROM t, u LIMIT 7",
 ]
 
 # Where LIMIT stops on a block boundary the block engines may charge up
-# to one block of upstream cost beyond the row engine (see the module
-# docstring of repro/exec/operators.py): a filtered streaming chain
+# to one block of upstream cost beyond a row-at-a-time pull (see the
+# module docstring of repro/exec/operators.py): a filtered streaming chain
 # scans at most the pushed-down offset+limit+1 rows more, each charged
 # scan + predicate + projection; no push-down reaches through a join, so
 # there the bound is one default scan block — here the whole 80-row table.
@@ -190,43 +194,38 @@ LIMIT_SLACK = {
 
 
 @pytest.mark.parametrize("sql", EXACT_QUERIES)
-def test_fused_matches_unfused_rows_and_charges(db, sql):
-    """The streaming driver against the row engine: rows, types and
-    order agree, and so does charged virtual time — up to float
-    accumulation (per-row vs per-block charges), or within the
-    documented LIMIT bound where one applies."""
+def test_fused_matches_unfused_rows_and_charges(db, sql, answers):
+    """The streaming driver against the record: rows, types and order
+    agree, and so does every operator's rows_out and each category's
+    charge — up to float accumulation (per-row vs per-block charges) —
+    or, where a LIMIT stops on a block boundary, charged virtual time is
+    within the documented LIMIT bound."""
+    key = "pipeline:" + sql
     plan = db.planner.plan_select(parse(sql))
-    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
-    got = Executor(db.catalog, db.clock, engine="batch").run(plan)
-    assert got.columns == expected.columns
-    assert _typed(got.rows) == _typed(expected.rows)
+    got, rows_out, charged = run_charged(db, "batch", {}, plan)
     slack = LIMIT_SLACK.get(sql)
     if slack is None:
-        assert got.virtual_seconds == pytest.approx(
-            expected.virtual_seconds, rel=1e-6, abs=1e-9)
+        answers.check(key, got, rows_out, charged)
     else:
+        answers.check(key, got)
         assert got.virtual_seconds <= \
-            expected.virtual_seconds + slack(db) + 1e-9
+            answers.total(key) + slack(db) + 1e-9
 
 
-def _rows_out(op):
-    out = [(type(op).__name__, op.rows_out)]
-    for attr in ("_child", "_left", "_right"):
-        child = getattr(op, attr, None)
-        if child is not None:
-            out += _rows_out(child)
-    return out
+@pytest.mark.parametrize("sql", EXACT_QUERIES)
+def test_exact_queries_held_to_sqlite(db, sql):
+    """The same texts against sqlite3 on the same rows
+    (``sqlite_oracle.py``'s rules)."""
+    assert_held_to_sqlite(db, sqlite_mirror(db, ("t", "u")), sql)
 
 
-def test_rows_out_matches_unfused(db):
-    """Per-operator ``rows_out`` of the streaming driver equals the row
-    engine's."""
+def test_rows_out_matches_unfused(db, answers):
+    """Per-operator ``rows_out`` of the streaming driver equals the
+    recorded row-at-a-time counts."""
     sql = "SELECT id, v FROM t WHERE v > 3"
-    plan = db.planner.plan_select(parse(sql))
-    row = Executor(db.catalog, db.clock, engine="row")
-    batch = Executor(db.catalog, db.clock, engine="batch")
-    assert len(row.run(plan).rows) == len(batch.run(plan).rows)
-    assert _rows_out(row.last_run[1]) == _rows_out(batch.last_run[1])
+    got, rows_out, _ = run_charged(
+        db, "batch", {}, db.planner.plan_select(parse(sql)))
+    answers.check("pipeline:" + sql, got, rows_out)
 
 
 def test_parallel_is_the_one_node_distributed(db):
@@ -255,7 +254,7 @@ def test_pipeline_description_in_result_extra(db):
 # -- LIMIT early exit ---------------------------------------------------------
 
 
-def test_limit_stops_driving_source_pipeline():
+def test_limit_stops_driving_source_pipeline(answers):
     """A satisfied LIMIT above a join probe must stop the probe-side scan
     mid-table: no push-down reaches through a join, so before pipelines
     the only protection was generator laziness — the fused driver must
@@ -283,21 +282,20 @@ def test_limit_stops_driving_source_pipeline():
     # of grinding through all 20k rows
     assert limited.virtual_seconds < 0.5 * full.virtual_seconds
 
-    row_limited = Executor(db.catalog, db.clock, engine="row").run(
-        db.planner.plan_select(parse(sql)))
-    assert limited.rows == row_limited.rows
+    answers.check("limit-probe:" + sql, limited)
     # LIMIT plans keep the operators' own scan-block boundaries, so where
-    # no push-down reaches the scan the overshoot beyond the row engine
-    # is at most one default block's share of the full run
-    assert limited.virtual_seconds <= row_limited.virtual_seconds \
+    # no push-down reaches the scan the overshoot beyond the recorded
+    # row-at-a-time charges is at most one default block's share of the
+    # full run
+    assert limited.virtual_seconds <= answers.total("limit-probe:" + sql) \
         + DEFAULT_BATCH_SIZE * full.virtual_seconds / 20_000
 
 
-def test_limit_over_nested_loop_join_stays_lazy():
+def test_limit_over_nested_loop_join_stays_lazy(answers):
     """LIMIT above a serial-fallback operator (NestedLoopJoin): the
     streaming driver hands the operator lazy child pipelines, so a
-    satisfied LIMIT abandons the lazily-pulled side mid-scan like the row
-    engine's generator laziness — at most one scan block later."""
+    satisfied LIMIT abandons the lazily-pulled side mid-scan, as a
+    row-at-a-time pull would — at most one scan block later."""
     db = repro.connect()
     db.execute("CREATE TABLE wide1 (x INT)")
     db.execute("CREATE TABLE tiny (y INT)")
@@ -311,15 +309,14 @@ def test_limit_over_nested_loop_join_stays_lazy():
     sql = "SELECT x, y FROM wide1, tiny LIMIT 3"
     plan = db.planner.plan_select(parse(sql))
     fused = Executor(db.catalog, db.clock, engine="batch")
-    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
     got = fused.run(plan)
-    assert got.rows == expected.rows
+    answers.check("limit-nlj:" + sql, got)
     # stopped early: nowhere near the full 20k-pair cross join, and no
-    # more than one default scan block's share of it past the row engine
+    # more than one default scan block's share of it past the record
     full = fused.run(db.planner.plan_select(
         parse("SELECT x, y FROM wide1, tiny")))
     assert got.virtual_seconds < 0.5 * full.virtual_seconds
-    assert got.virtual_seconds <= expected.virtual_seconds \
+    assert got.virtual_seconds <= answers.total("limit-nlj:" + sql) \
         + DEFAULT_BATCH_SIZE * full.virtual_seconds / 5000
 
 
@@ -376,11 +373,12 @@ def test_cross_blocks_never_exceed_the_pair_chunk(monkeypatch, engine,
 
 @pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
                          ids=[engine for engine, _ in CROSS_ENGINES])
-def test_cross_join_keeps_its_columns_typed(monkeypatch, engine, kwargs):
+def test_cross_join_keeps_its_columns_typed(monkeypatch, engine, kwargs,
+                                           answers):
     """An INT x TEXT cross gathers each side by index, so its pairs keep
     the scans' ``i8`` / ``dict`` columns, NULLs and all, and a GROUP BY
-    above it partitions on arrays; rows and charges stay the row
-    engine's."""
+    above it partitions on arrays; rows, rows_out and charges stay the
+    recorded ones."""
     db = repro.connect()
     db.execute("CREATE TABLE nums (x INT)")
     db.execute("CREATE TABLE words (w TEXT)")
@@ -408,38 +406,35 @@ def test_cross_join_keeps_its_columns_typed(monkeypatch, engine, kwargs):
                 "SELECT x, w FROM nums, words WHERE x < 40 AND w <> 'w2'",
                 "SELECT w, count(*), sum(x) FROM nums, words GROUP BY w"):
         plan = db.planner.plan_select(parse(sql))
-        expected = Executor(db.catalog, db.clock, engine="row").run(plan)
-        got = Executor(db.catalog, db.clock, engine=engine,
-                       **kwargs).run(plan)
-        assert _typed(got.rows) == _typed(expected.rows), sql
-        network = got.extra.get(engine, {}).get("exchange_seconds", 0.0)
-        assert got.virtual_seconds - network == pytest.approx(
-            expected.virtual_seconds, rel=1e-6, abs=1e-9), sql
+        answers.check("cross-typed:" + sql,
+                      *run_charged(db, engine, kwargs, plan))
     assert kinds == {("i8", "dict")}
     assert not exact
 
 
 @pytest.mark.parametrize("engine, kwargs", CROSS_ENGINES,
                          ids=[engine for engine, _ in CROSS_ENGINES])
-def test_limit_over_cross_join_stops_within_one_pair_chunk(engine, kwargs):
+def test_limit_over_cross_join_stops_within_one_pair_chunk(engine, kwargs,
+                                                          answers):
     """A satisfied LIMIT stops a cross join between pair chunks: the join
     charges at most one chunk's pairs, however many left rows the scan
     block that produced it holds."""
     db = _cross_db(5000, 40)
     plan = db.planner.plan_select(parse(
         "SELECT x, y FROM big, few LIMIT 3 OFFSET 2"))
-    expected = Executor(db.catalog, db.clock, engine="row").run(plan)
     before = db.clock.category_total("join")
     got = Executor(db.catalog, db.clock, engine=engine, **kwargs).run(plan)
-    assert got.rows == expected.rows
+    answers.check("cross-limit:SELECT x, y FROM big, few LIMIT 3 OFFSET 2",
+                  got)
     assert db.clock.category_total("join") - before <= (
         ops.NestedLoopJoinOp._PAIR_CHUNK * CostModel.TUPLE_CPU)
 
 
-def test_limit_pushdown_charges_match_row_engine():
+def test_limit_pushdown_charges_match_the_record(answers):
     """LIMIT over a streaming chain still rides the push-down: the
     compiler sizes the scan's blocks from the LIMIT, so charges stay
-    within the documented offset+limit+1 bound of the row engine."""
+    within the documented offset+limit+1 bound of the recorded
+    row-at-a-time charges."""
     db = repro.connect()
     db.execute("CREATE TABLE f (id INT, v INT)")
     heap = db.catalog.table("f")
@@ -448,11 +443,11 @@ def test_limit_pushdown_charges_match_row_engine():
     db.execute("ANALYZE")
     plan = db.planner.plan_select(
         parse("SELECT id FROM f WHERE v = 3 LIMIT 2"))
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
+    key = "limit-pushdown:SELECT id FROM f WHERE v = 3 LIMIT 2"
     fused = Executor(db.catalog, db.clock, engine="batch").run(plan)
-    assert fused.rows == row.rows
+    answers.check(key, fused)
     bound = 3 * (CostModel.TUPLE_CPU + CostModel.EVAL_PREDICATE)
-    assert fused.virtual_seconds <= row.virtual_seconds + bound
+    assert fused.virtual_seconds <= answers.total(key) + bound
 
 
 class TestBlockSizes:
@@ -508,8 +503,13 @@ class TestBlockSizes:
         monkeypatch.undo()
         assert len(sizes) == -(-n // pl.FUSED_SCAN_ROWS)
         assert sum(sizes) == n
-        assert got.rows == Executor(db.catalog, db.clock,
-                                    engine="row").run(plan).rows
+        rows = [(i, i % 7, float((i * 37) % 1009)) for i in range(n)]
+        if "ORDER BY" in sql:             # stable: ties keep scan order
+            expected = [(i, v) for i, _, v in sorted(
+                rows, key=lambda row: -row[2])][:10]
+        else:                             # groups in first-seen order
+            expected = [(k, -(-(n - k) // 7)) for k in range(3)]
+        assert _typed(got.rows) == _typed(expected)
 
 
 def test_sort_yields_one_block():
@@ -528,8 +528,7 @@ def test_sort_yields_one_block():
 def test_streaming_scan_charges_pages_to_its_clock():
     """On a clock of its own, every engine's scan charges its page
     touches to that clock — the streaming driver, the placed engines'
-    page clocks, and the row engine's ``table.scan`` (its SELECT rows and
-    the UPDATE / DELETE victim stream ``rid_rows`` alike)."""
+    page clocks, and the UPDATE / DELETE victim stream ``rid_rows``."""
     db = repro.connect()
     db.execute("CREATE TABLE t (id INT, v INT)")
     heap = db.catalog.table("t")
@@ -539,30 +538,30 @@ def test_streaming_scan_charges_pages_to_its_clock():
     db.execute(sql)                      # both runs read warm pages
     plan = db.planner.plan_select(parse(sql))
     breakdowns = {}
-    for engine in ("row", "batch", "parallel"):
+    for engine in ("batch", "parallel"):
         clock = SimClock()
         Executor(db.catalog, clock, engine=engine).run(plan)
         breakdowns[engine] = clock.breakdown()
-    assert set(breakdowns["row"]) == set(breakdowns["batch"]) \
-        == set(breakdowns["parallel"])
-    assert breakdowns["row"]["buffer-hit"] == breakdowns["batch"]["buffer-hit"]
+    assert set(breakdowns["batch"]) == set(breakdowns["parallel"])
+    assert breakdowns["batch"]["buffer-hit"] \
+        == breakdowns["parallel"]["buffer-hit"] > 0
     clock = SimClock()
-    victims = Executor(db.catalog, clock, engine="row").build(
+    victims = Executor(db.catalog, clock).build(
         db.planner.access_path("t", parse(sql).where))
     assert len(list(victims.rid_rows())) == 3900
-    assert clock.breakdown()["buffer-hit"] == breakdowns["row"]["buffer-hit"]
+    assert clock.breakdown()["buffer-hit"] == breakdowns["batch"]["buffer-hit"]
     # an index scan's heap reads charge the same clock, not the catalog's
     db.execute("CREATE INDEX t_id ON t (id)")
     sql = "SELECT v FROM t WHERE id < 300"
     plan = db.planner.plan_select(parse(sql))
     assert "IndexScan" in db.execute("EXPLAIN " + sql).rows[1][0]
     hits = {}
-    for engine in ("row", "batch", "parallel"):
+    for engine in ("batch", "parallel"):
         clock, before = SimClock(), db.clock.now
         rows = Executor(db.catalog, clock, engine=engine).run(plan).rows
         assert len(rows) == 300 and db.clock.now == before
         hits[engine] = clock.breakdown()["buffer-hit"]
-    assert hits["row"] == hits["batch"] == hits["parallel"] > 0
+    assert hits["batch"] == hits["parallel"] > 0
 
 
 # -- deferred selections -----------------------------------------------------
@@ -580,13 +579,12 @@ def test_block_carrier_defers_selection():
     assert carrier.materialize() is out    # idempotent
 
 
-def test_projection_applies_mask_only_to_projected_columns(db):
+def test_projection_applies_mask_only_to_projected_columns(db, answers):
     """Projection off a deferred mask copies only projected columns and
     produces the same rows as select-then-project."""
     plan = db.planner.plan_select(parse("SELECT id FROM t WHERE v > 10"))
     fused = Executor(db.catalog, db.clock, engine="batch").run(plan)
-    row = Executor(db.catalog, db.clock, engine="row").run(plan)
-    assert _typed(fused.rows) == _typed(row.rows)
+    answers.check("pipeline:SELECT id FROM t WHERE v > 10", fused)
 
 
 # -- vectorized non-constant LIKE --------------------------------------------
@@ -637,28 +635,23 @@ class TestDynamicLike:
         got, reference = _eval_both(expr, self.layout, rows)
         assert got == reference
 
-    def test_numeric_computed_operand_falls_back(self, db):
+    def test_numeric_computed_operand_falls_back(self, db, answers):
         """A numerically-computed LIKE operand must defer to the row
-        engine (str() of a float64 view could disagree): end-to-end
-        parity across engines is the contract."""
+        compiler (str() of a float64 view could disagree): the recorded
+        rows are the contract."""
         sql = "SELECT id FROM t WHERE (v + 1) LIKE '1%'"
         plan = db.planner.plan_select(parse(sql))
-        row = Executor(db.catalog, db.clock, engine="row").run(plan)
         batch = Executor(db.catalog, db.clock, engine="batch").run(plan)
-        assert _typed(batch.rows) == _typed(row.rows)
+        answers.check("pipeline:" + sql, batch)
 
-    def test_non_constant_like_parity_across_engines(self, db):
+    def test_non_constant_like_parity_across_engines(self, db, answers):
         for sql in ("SELECT id FROM t WHERE grp LIKE tag",
                     "SELECT id FROM t WHERE lower(grp) LIKE 'r%'",
                     "SELECT id FROM t WHERE coalesce(tag, grp) LIKE '%e%'"):
             plan = db.planner.plan_select(parse(sql))
-            expected = Executor(db.catalog, db.clock, engine="row").run(plan)
             for engine in ("batch", "parallel"):
-                got = Executor(db.catalog, db.clock, engine=engine,
-                               workers=3, morsel_rows=16).run(plan)
-                assert _typed(got.rows) == _typed(expected.rows)
-                assert got.virtual_seconds == pytest.approx(
-                    expected.virtual_seconds, rel=1e-6, abs=1e-9)
+                answers.check("pipeline:" + sql, *run_charged(
+                    db, engine, {"workers": 3, "morsel_rows": 16}, plan))
 
 
 def test_literal_vector_cache_reuses_arrays():

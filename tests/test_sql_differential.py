@@ -8,8 +8,10 @@ A seeded generator writes well-typed SELECTs over three small tables:
   comparisons with a literal of the column's kind, ``IS [NOT] NULL``,
   ``BETWEEN``, ``IN``, ``LIKE``, and comparisons between two columns of
   one kind (a second join condition, or a residual over two tables);
-* a plain select list (sometimes DISTINCT), a GROUP BY with
-  ``count`` / ``sum`` / ``min`` / ``max``, or aggregates alone;
+* a plain select list (sometimes DISTINCT, sometimes ending in an
+  arithmetic item: ``+ - * / %`` over INT / FLOAT columns and
+  literals), a GROUP BY with ``count`` / ``sum`` / ``min`` / ``max``, or
+  aggregates alone;
 * ORDER BY every output column by position, ASC or DESC — a grouped
   query sometimes spells a key as its select item instead
   (``ORDER BY count(*)``, ``ORDER BY sum(b.y)``) — and an optional
@@ -19,6 +21,11 @@ Each query runs through ``db.execute`` on the batch, parallel and
 distributed engines, and through ``sqlite3`` on the same rows; the rows
 must agree in order, value and Python type.  ``SQL_SEED`` re-rolls the
 data and the queries (CI runs a 3-seed matrix; tier-1 runs seed 0).
+
+A mutator makes ill-typed texts from the same tables — TEXT ordered
+against a number, ``sum`` / ``avg`` / arithmetic / ``abs`` over TEXT,
+``lower`` / ``upper`` over a number — and each must be a ``BindError``
+before any operator is built, with nothing charged.
 
 Known semantic differences, each bridged in the oracle's text or in the
 comparison — nothing else may differ:
@@ -32,24 +39,34 @@ comparison — nothing else may differ:
 * sqlite takes OFFSET only after a LIMIT: the generator writes OFFSET
   only with one.
 * FLOAT columns hold no NaN: sqlite stores NaN as NULL.
+* ``/`` of two INTs is true division here (a FLOAT, as in Python) and
+  truncating integer division in sqlite: the oracle's text divides
+  ``CAST(x AS REAL)``.
+* ``%`` is floored here (the result takes the divisor's sign, as in
+  Python) and truncated in sqlite (the dividend's sign), which also
+  casts FLOAT operands to INTEGER: ``%`` is generated over INTs only,
+  and the oracle's text spells ``((x % y) + y) % y``.
+* A zero divisor is an error here and NULL in sqlite: the generator
+  divides only by non-zero literals.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import random
-import sqlite3
 
 import pytest
 
 import repro
+from repro.common.errors import BindError
 from repro.exec.executor import Executor
 
+from sqlite_oracle import assert_same_rows, sqlite_mirror
 from test_storage_typed import FLOAT_CLEAN, INT_SMALL, TEXT_SMALL, _draw
 
 SQL_SEED = int(os.environ.get("SQL_SEED", "0"))
 QUERIES = 120
+MUTANTS = 40
 
 #: table -> (column, kind); ``id`` is unique, ``k`` a small join key
 TABLES = {
@@ -58,7 +75,6 @@ TABLES = {
     "c": [("k", "INT"), ("n", "INT"), ("t", "TEXT")],
 }
 SIZES = {"a": 40, "b": 30, "c": 20}
-SQLITE_TYPE = {"INT": "INTEGER", "FLOAT": "REAL", "TEXT": "TEXT"}
 _REGIME = {"INT": INT_SMALL, "FLOAT": FLOAT_CLEAN, "TEXT": TEXT_SMALL}
 
 #: FROM clauses: (aliases -> table, text, the join conditions it writes
@@ -130,9 +146,31 @@ def _predicate(columns, rng: random.Random) -> str:
     return f"{ref} {op} {_literal(kind, rng, column)}"
 
 
+def _arithmetic(columns, rng: random.Random) -> tuple[str, str]:
+    """One arithmetic select item over numeric columns: ``(ours,
+    sqlite's)``, the latter bridging the allowlist's division and
+    modulo rules."""
+    numeric = [(ref, kind) for ref, kind, _ in columns if kind != "TEXT"]
+    ref, kind = rng.choice(numeric)
+    op = rng.choice(["+", "-", "*", "/", "%"])
+    if op == "%":
+        ints = [r for r, k in numeric if k == "INT"]
+        ref = rng.choice(ints)
+        divisor = str(rng.choice([-7, -3, 2, 5, 11]))
+        return (f"{ref} % {divisor}",
+                f"(({ref} % {divisor}) + {divisor}) % {divisor}")
+    if op == "/":
+        divisor = rng.choice(["3", "-4", "2.5", "-0.5"])
+        return f"{ref} / {divisor}", f"CAST({ref} AS REAL) / {divisor}"
+    other = (rng.choice(numeric)[0] if rng.random() < 0.5
+             else rng.choice(["2", "-3", "1.5", "0.25"]))
+    return f"{ref} {op} {other}", f"{ref} {op} {other}"
+
+
 def generate(rng: random.Random) -> tuple[str, str]:
     """One query: ``(ours, sqlite's)`` — the same text but for the NULL
-    ordering the ORDER BY spells out for sqlite."""
+    ordering the ORDER BY spells out for sqlite and the arithmetic
+    bridges of the allowlist."""
     aliases, from_text, joins = rng.choice(FROMS)
     columns = [(f"{alias}.{column}", kind, column)
                for alias, table in aliases.items()
@@ -175,33 +213,34 @@ def generate(rng: random.Random) -> tuple[str, str]:
     if shape >= 0.45:
         keys = [(items[p - 1] if rng.random() < 0.5 else p, d)
                 for p, d in keys]
+    their_text = text
+    if shape < 0.45 and rng.random() < 0.5:
+        # drawn last, so the rest of the query is what it was without it
+        mine, its = _arithmetic(columns, rng)
+        select = f"SELECT {distinct}{', '.join(items)}"
+        text = text.replace(select, f"{select}, {mine}", 1)
+        their_text = their_text.replace(select, f"{select}, {its}", 1)
+        keys.append((len(items) + 1, rng.random() < 0.4))
     ours = ", ".join(f"{p}{' DESC' if d else ''}" for p, d in keys)
     theirs = ", ".join(f"{p} DESC NULLS FIRST" if d else f"{p} NULLS LAST"
                        for p, d in keys)
     return (f"{text} ORDER BY {ours}{limit}",
-            f"{text} ORDER BY {theirs}{limit}")
+            f"{their_text} ORDER BY {theirs}{limit}")
 
 
 @pytest.fixture(scope="module")
 def databases():
     rng = random.Random(SQL_SEED)
     db = repro.connect()
-    mirror = sqlite3.connect(":memory:")
     for table, columns in TABLES.items():
-        rows = _rows(table, rng)
-        for target, types in ((db, None), (mirror, SQLITE_TYPE)):
-            spec = ", ".join(f"{column} {types[kind] if types else kind}"
-                             for column, kind in columns)
-            target.execute(f"CREATE TABLE {table} ({spec})")
-        for row in rows:
+        spec = ", ".join(f"{column} {kind}" for column, kind in columns)
+        db.execute(f"CREATE TABLE {table} ({spec})")
+        for row in _rows(table, rng):
             db.catalog.table(table).insert(row)
-        mirror.executemany(
-            f"INSERT INTO {table} VALUES ({', '.join('?' * len(columns))})",
-            rows)
     db.execute("CREATE INDEX a_id ON a (id)")
     db.execute("CREATE INDEX b_k ON b (k) USING hash")
     db.execute("ANALYZE")
-    return db, mirror
+    return db, sqlite_mirror(db, TABLES)
 
 
 ENGINES = {
@@ -211,14 +250,6 @@ ENGINES = {
 }
 
 
-def _same(got, want) -> bool:
-    if type(got) is not type(want):
-        return False
-    if isinstance(got, float):
-        return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
-    return got == want
-
-
 @pytest.mark.parametrize("case", range(QUERIES))
 def test_select_held_to_sqlite(databases, case):
     db, mirror = databases
@@ -226,8 +257,44 @@ def test_select_held_to_sqlite(databases, case):
     expected = mirror.execute(theirs).fetchall()
     for engine, knobs in ENGINES.items():
         db.executor = Executor(db.catalog, db.clock, engine=engine, **knobs)
-        rows = db.execute(ours).rows
-        assert len(rows) == len(expected), (engine, ours)
-        for got, want in zip(rows, expected):
-            assert len(got) == len(want) and all(map(_same, got, want)), \
-                (engine, ours, got, want)
+        assert_same_rows(db.execute(ours).rows, expected, (engine, ours))
+
+
+def mutant(rng: random.Random) -> str:
+    """One ill-typed SELECT over the differential's tables: a well-typed
+    frame with one mutated predicate or select item."""
+    aliases, from_text, joins = rng.choice(FROMS)
+    columns = [(f"{alias}.{column}", kind)
+               for alias, table in aliases.items()
+               for column, kind in TABLES[table]]
+    text = rng.choice([ref for ref, kind in columns if kind == "TEXT"])
+    number = rng.choice([ref for ref, kind in columns if kind != "TEXT"])
+    literal = rng.choice(["5", "-2.5", "0"])
+    compare = rng.choice(["<", "<=", ">", ">="])
+    where = rng.random() < 0.5
+    bad = rng.choice([
+        f"{text} {compare} {literal}", f"{literal} {compare} {text}",
+        f"{text} {compare} {number}", f"{text} BETWEEN 1 AND {literal}",
+        f"abs({text}) > 1", f"{text} + 1 > 2", f"upper({number}) = 'X'",
+    ] if where else [
+        f"sum({text})", f"avg({text})", f"-{text}", f"lower({number})",
+        f"{text} {rng.choice(['+', '-', '*', '/', '%'])} {literal}",
+    ])
+    conjuncts = joins + ([bad] if where else [])
+    sql = f"SELECT {number if where else bad} FROM {from_text}"
+    return sql + (" WHERE " + " AND ".join(conjuncts) if conjuncts else "")
+
+
+@pytest.mark.parametrize("case", range(MUTANTS))
+def test_ill_typed_mutants_are_bind_errors(databases, case, monkeypatch):
+    db, _ = databases
+    sql = mutant(random.Random(SQL_SEED * 100_003 + QUERIES + case))
+    built = []
+    build = Executor.build
+    monkeypatch.setattr(Executor, "build",
+                        lambda self, node: built.append(node) or build(
+                            self, node))
+    before = db.clock.now
+    with pytest.raises(BindError):
+        db.execute(sql)
+    assert built == [] and db.clock.now == before, sql

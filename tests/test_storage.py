@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+
 from repro.common.errors import BindError, ConstraintViolation, TypeMismatchError
 from repro.common.simtime import SimClock
 from repro.storage import (
@@ -140,6 +142,13 @@ class TestHeapPage:
         page.insert((0,), PAGE_CAPACITY_BYTES)
         assert not page.has_room(1)
 
+    def test_update_charges_the_size_change(self):
+        page = HeapPage(0)
+        slot = page.insert((1, "a"), 20)
+        page.update(slot, (1, "abc"), 2)
+        page.update(slot, (1, ""), -3)
+        assert page._used_bytes == 19 and page.read(slot) == (1, "")
+
     def test_scan_skips_tombstones(self):
         page = HeapPage(0)
         slots = [page.insert((i,), 10) for i in range(5)]
@@ -151,6 +160,25 @@ class TestHeapPage:
 class TestHeapTable:
     def _table(self, schema):
         return HeapTable(schema)
+
+    def test_a_grown_row_is_charged_to_its_page(self):
+        """400 rows of ``(id, 'a')`` fill one page at 13 bytes a row; an
+        UPDATE to 200-character strings charges the page 203 more bytes a
+        row, so the rows stay where they are (rids included) and the next
+        insert opens a new page."""
+        db = repro.connect()
+        db.execute("CREATE TABLE t (id INT, s TEXT)")
+        table = db.catalog.table("t")
+        rids = [table.insert((i, "a")) for i in range(400)]
+        page = table._pages[0]
+        assert len(table._pages) == 1 and page._used_bytes == 400 * 13
+        db.execute(f"UPDATE t SET s = '{'x' * 200}'")
+        assert page._used_bytes == 400 * (8 + 204)
+        assert [rid for rid, _ in table.scan()] == rids
+        rid = table.insert((400, "a"))
+        assert rid >> SLOT_BITS == 1 and len(table._pages) == 2
+        db.execute("UPDATE t SET s = 'a' WHERE id < 400")
+        assert page._used_bytes == 400 * 13
 
     def test_insert_and_len(self, simple_schema):
         table = self._table(simple_schema)

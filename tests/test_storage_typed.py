@@ -345,8 +345,11 @@ class TestViewCacheInvalidation:
 # arrays and everything else through per-group accumulators; a sum / avg
 # that meets a batch it cannot fold exactly (an "obj" page, an int64 total
 # that could overflow) moves to the accumulators for good.  Every engine
-# must still answer exactly what the row engine answers: values, Python
-# types and the sign of zero.
+# must still answer exactly what the plain-Python plan oracle answers
+# (``tests/plan_oracle.py``: count, a left-fold sum, avg, min / max by
+# Python comparison, groups in first-seen order): values, Python types
+# and the sign of zero.  (``sqlite3`` cannot be this oracle: it stores
+# NaN as NULL, holds no int past 2^63, and sums floats its own way.)
 
 AGG_ENGINES = [
     ("batch", {}),
@@ -366,14 +369,15 @@ def _aggregate_db(columns, rows, **options):
     return db
 
 
-def _held_to_row_engine(db, sql):
-    """``sql``'s rows on the row engine, once every other engine's rows
-    have matched them by type and repr."""
+def _held_to_the_oracle(db, sql):
+    """``sql``'s rows from the plan oracle, once every engine's rows have
+    matched them by type and repr."""
+    from plan_oracle import reference
     from repro.common.simtime import SimClock
     from repro.exec.executor import Executor
     from repro.sql import parse
     node = db.planner.plan_select(parse(sql))
-    expected = Executor(db.catalog, SimClock(), engine="row").run(node).rows
+    expected = reference(db, node)
     for engine, options in AGG_ENGINES:
         rows = Executor(db.catalog, SimClock(), engine=engine,
                         **options).run(node).rows
@@ -394,13 +398,13 @@ def _aggregate_sql(shape):
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
-def test_aggregates_match_the_row_engine(case):
+def test_aggregates_match_the_oracle(case):
     shape_idx, density, rows = CASES[case]
     shape = SHAPES[shape_idx]
     table, data = _build(shape, density, rows, STORAGE_SEED * 100_000 + case)
     db = _aggregate_db(table.schema.columns, data)
     for sql in _aggregate_sql(shape):
-        _held_to_row_engine(db, sql)
+        _held_to_the_oracle(db, sql)
 
 
 def _int_float(dtype):
@@ -413,7 +417,7 @@ def test_signed_zero_and_all_null_groups():
         (4, None), (4, -0.0), (5, None), (5, None)])
     # min / max keep the first of two equal zeros; a NULL adds nothing,
     # not even +0.0
-    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+    assert _typed_rows(_held_to_the_oracle(db, GROUPED)) == _typed_rows([
         (1, 2, -0.0, -0.0, -0.0, -0.0),
         (2, 2, 0.0, 0.0, -0.0, -0.0),
         (3, 2, 0.0, 0.0, 0.0, 0.0),
@@ -422,7 +426,7 @@ def test_signed_zero_and_all_null_groups():
     for where, row in (("g = 1", (2, -0.0, -0.0)), ("g = 4", (1, -0.0, -0.0)),
                        ("g = 5", (0, None, None)), ("g > 9", (0, None, None))):
         sql = f"SELECT count(x), sum(x), avg(x) FROM t WHERE {where}"
-        assert _typed_rows(_held_to_row_engine(db, sql)) == \
+        assert _typed_rows(_held_to_the_oracle(db, sql)) == \
             _typed_rows([row])
 
 
@@ -430,7 +434,7 @@ def test_int_sums_past_int64_stay_exact():
     big = 2 ** 62
     db = _aggregate_db(_int_float(DataType.INT), [
         (1, big), (1, big), (1, big), (2, 5), (2, -7), (3, -2 ** 63), (3, 1)])
-    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+    assert _typed_rows(_held_to_the_oracle(db, GROUPED)) == _typed_rows([
         (1, 3, 13835058055282163712, 13835058055282163712 / 3, big, big),
         (2, 2, -2, -1.0, -7, 5),
         (3, 2, 1 - 2 ** 63, (1 - 2 ** 63) / 2, -2 ** 63, 1)])
@@ -439,7 +443,7 @@ def test_int_sums_past_int64_stay_exact():
     db = _aggregate_db(_int_float(DataType.INT), rows)
     sums = {g: sum(x for k, x in rows if k == g) for g in range(4)}
     assert max(sums.values()) > 2 ** 63
-    assert [row[:3] for row in _held_to_row_engine(db, GROUPED)] == [
+    assert [row[:3] for row in _held_to_the_oracle(db, GROUPED)] == [
         (g, 375, sums[g]) for g in range(4)]
 
 
@@ -448,7 +452,7 @@ def test_bool_sums_keep_python_types():
         (1, True), (2, True), (2, True), (3, False), (4, False), (4, True),
         (5, None)])
     # a sum of BOOLs is an INT, one value's as two values'
-    assert _typed_rows(_held_to_row_engine(db, GROUPED)) == _typed_rows([
+    assert _typed_rows(_held_to_the_oracle(db, GROUPED)) == _typed_rows([
         (1, 1, 1, 1.0, True, True),
         (2, 2, 2, 1.0, True, True),
         (3, 1, 0, 0.0, False, False),
@@ -461,7 +465,7 @@ def test_a_sum_leaves_the_arrays_mid_statement():
     float64 pages first, then a shard whose one NaN puts it in "obj"
     pages — the sum / avg slots of every group switch to accumulators at
     that block, carrying their array totals over, and the answer is still
-    the row engine's."""
+    the oracle's."""
     from repro.common.simtime import SimClock
     from repro.exec.executor import Executor
     from repro.sql import parse
@@ -472,7 +476,7 @@ def test_a_sum_leaves_the_arrays_mid_statement():
     for p in range(2500):
         # sevenths round, so a sum taken out of order would show
         table.insert((p, p % 9, float("nan") if p == nan_at else p / 7))
-    expected = _held_to_row_engine(db, GROUPED)
+    expected = _held_to_the_oracle(db, GROUPED)
     agg = Executor(db.catalog, SimClock()).build(
         db.planner.plan_select(parse(GROUPED)))
     state, paths = agg.new_state(), []
