@@ -40,8 +40,9 @@ from repro.common.faults import FaultPlan
 from repro.common.rng import stable_hash
 from repro.common.simtime import SimClock
 from repro.exec.executor import Executor, ResultSet
-from repro.exec.expr import (NO_COLUMNS, RowLayout, compile_expr,
-                             compile_predicate_batch, expr_type)
+from repro.exec.expr import (NO_COLUMNS, RowLayout, compile_cache_stats,
+                             compile_expr_cached, compile_predicate_batch,
+                             expr_type)
 from repro.obs.explain import (explain_analyze, explain_plan,
                                explain_statement_trace)
 from repro.obs.export import chrome_trace, dump_chrome_trace
@@ -49,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.plan.optimizer import Planner
 from repro.sql import ast
-from repro.sql.parser import parse_keyed, template_stats
+from repro.sql.parser import Template, lookup
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
@@ -72,29 +73,28 @@ class PredictContext:
     layout: RowLayout
     feature_idx: list[int]
     model_name: str
+    values: Any = ()               # what the statement's Params read
 
 
-# a connection's statement table keeps at most this many templates,
-# oldest dropped first (as the parser's process-wide template cache does)
-_STATEMENT_TABLE_MAX = 1024
+# at most this many model-name signatures are kept per connection
+_SIGNATURES_MAX = 1024
 _LITERAL_MARK = re.compile("\0[ifs]")
 
 
-@dataclass
-class _Statement:
-    """One template's entry in a connection's statement table: how its
-    statements bind — valid while the catalog's DDL version is
-    ``version`` — and what they have done so far."""
+class _Statement(Template):
+    """One template's entry in a connection's statement table: the
+    parsed template, how its statements bind — valid while the catalog's
+    DDL version is ``version`` — and what they have done so far."""
 
-    key: str
-    kind: str
-    binding: Any = None
-    version: int = -1
-    calls: int = 0
-    rows: int = 0
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
+    __slots__ = ("binding", "version", "calls", "rows", "bind_hits",
+                 "bind_misses", "errors")
+
+    def __init__(self, *args: Any):
+        super().__init__(*args)
+        self.binding: Any = None
+        self.version = -1
+        self.calls = self.rows = self.errors = 0
+        self.bind_hits = self.bind_misses = 0
 
 
 @dataclass
@@ -205,35 +205,43 @@ class NeurDB:
                                   monitor=self.monitor)
         self.refresh_window = refresh_window
         self.query_retries = 0
-        # fingerprint key -> _Statement, oldest first (see statements())
+        # fingerprint key -> _Statement, oldest first (see statements());
+        # texts that found their template, texts parsed, bindings reused
         self._statements: dict[str, _Statement] = {}
+        self._template_hits = self._parses = self._bind_hits = 0
         # PREDICT feature-column tuple -> model-name signature
         self._model_signatures: dict[tuple[str, ...], int] = {}
 
     # -- public API ----------------------------------------------------------
 
     def execute(self, sql: str, force_retrain: bool = False) -> ResultSet:
-        """Parse and run one SQL statement.  The statement is filed in the
-        connection's statement table under its fingerprint key
-        (:meth:`statements`): a SELECT, INSERT, UPDATE or DELETE whose
-        template was bound before, with no CREATE / DROP since, reuses
-        what binding decided and re-plans only what its literal values
-        decide."""
-        key, statement = parse_keyed(sql)
-        entry = self._statements.get(key)
-        if entry is None:
-            if len(self._statements) >= _STATEMENT_TABLE_MAX:
-                del self._statements[next(iter(self._statements))]
-            entry = self._statements[key] = _Statement(
-                key, type(statement).__name__)
+        """Parse and run one SQL statement.  The statement is its template
+        in the connection's statement table (:meth:`statements`) and the
+        values of its literals: a text whose template is filed there is
+        not parsed, and a SELECT, INSERT, UPDATE or DELETE whose template
+        was bound before, with no CREATE / DROP since, reuses what binding
+        decided and re-plans only what its values decide."""
+        entry, values = self.template(sql)
         entry.calls += 1
         try:
-            result = self._execute(statement, force_retrain, entry)
+            with ast.statement_values(values):
+                result = self._execute(entry.statement, force_retrain, entry)
         except Exception:
             entry.errors += 1
             raise
         entry.rows += result.extra.get("rowcount", len(result.rows))
         return result
+
+    def template(self, sql: str) -> tuple[_Statement, list]:
+        """``(entry, values)``: the statement-table entry of ``sql``'s
+        template — parsed and filed on a miss — and the statement's
+        literal values, which its Params read."""
+        entry, values = lookup(self._statements, sql, _Statement)
+        if entry.hits:
+            self._template_hits += 1
+        else:                                   # built by this lookup
+            self._parses += 1
+        return entry, values
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Run a ``;``-separated script; returns one result per statement."""
@@ -283,8 +291,7 @@ class NeurDB:
                             force_retrain: bool = False,
                             entry: _Statement | None = None) -> ResultSet:
         if isinstance(statement, ast.Select):
-            bound = self._bind(entry, statement, self.planner.bind,
-                               self.planner.rebind)
+            bound = self._bind(entry, statement, self.planner.bind)
             return self.executor.run(self.planner.plan_bound(bound))
         if isinstance(statement, ast.Insert):
             return self._run_insert(statement, self._bind(
@@ -314,27 +321,27 @@ class NeurDB:
         raise NeurDBError(f"unsupported statement {type(statement).__name__}")
 
     def _bind(self, entry: _Statement | None, statement: ast.Statement,
-              bind: Callable[[Any], Any],
-              rebind: Callable[[Any, Any], Any] = lambda binding, _: binding
-              ) -> Any:
-        """``statement`` bound through its statement-table entry: rebound
-        from the entry's binding when the catalog has had no CREATE / DROP
-        since it was made (``rebind`` may decline with None), else bound
-        afresh by ``bind`` and kept.  An INSERT's, UPDATE's or DELETE's
-        binding carries over as it is: what the literals decide is read
-        from the statement when it runs."""
+              bind: Callable[[Any], Any]) -> Any:
+        """``statement`` bound through its statement-table entry: the
+        entry's binding when the catalog has had no CREATE / DROP since it
+        was made, else bound afresh by ``bind`` and kept.  The binding is
+        of the template, so it serves every statement of it as it is: what
+        the values decide is read when the statement is planned and run.
+        A SELECT whose GROUP BY / ORDER BY binding read its values
+        (``BoundQuery.positional``) is bound afresh every time."""
         if entry is None:
             return bind(statement)
         version = self.catalog.ddl_version
         if entry.version == version:
-            bound = rebind(entry.binding, statement)
-            if bound is not None:
-                entry.hits += 1
-                return bound
-        entry.misses += 1
-        entry.binding = bind(statement)
-        entry.version = version
-        return entry.binding
+            entry.bind_hits += 1
+            self._bind_hits += 1
+            return entry.binding
+        entry.bind_misses += 1
+        binding = bind(statement)
+        if not getattr(binding, "positional", False):
+            entry.binding = binding
+            entry.version = version
+        return binding
 
     # -- EXPLAIN [ANALYZE] ----------------------------------------------------
 
@@ -411,17 +418,19 @@ class NeurDB:
 
     def statements(self) -> list[dict[str, Any]]:
         """This connection's statement table: one entry per template that
-        :meth:`execute` has parsed, oldest first (at most
-        ``_STATEMENT_TABLE_MAX``).  ``query`` is the text with each
-        literal shown as ``?``; ``rows`` counts rows returned, or written
+        :meth:`execute` has parsed, oldest first (at most 1,024, the oldest
+        dropped first).  ``query`` is the text with each literal shown as
+        ``?``; ``calls`` counts the statements :meth:`execute` ran;
+        ``rows`` counts rows returned, or written
         by INSERT / UPDATE / DELETE; ``bind_hits`` are statements that
         reused the template's binding, ``bind_misses`` those bound afresh
         (DDL, ANALYZE, EXPLAIN and PREDICT are never bound through the
         table); ``errors`` counts statements that raised."""
         return [{"query": _LITERAL_MARK.sub("?", entry.key),
-                 "kind": entry.kind, "calls": entry.calls,
-                 "rows": entry.rows, "bind_hits": entry.hits,
-                 "bind_misses": entry.misses, "errors": entry.errors}
+                 "kind": type(entry.statement).__name__,
+                 "calls": entry.calls,
+                 "rows": entry.rows, "bind_hits": entry.bind_hits,
+                 "bind_misses": entry.bind_misses, "errors": entry.errors}
                 for entry in self._statements.values()]
 
     def _collect_component_gauges(self) -> dict[str, float]:
@@ -430,16 +439,19 @@ class NeurDB:
         if self.faults is not None:
             for kind, count in self.faults.counts().items():
                 gauges[f"faults.injected{{kind={kind}}}"] = float(count)
-        # the parser's template cache is shared by every connection in
-        # the process, so these three count other connections' statements
-        templates = template_stats()
-        gauges["sql.templates"] = float(templates["templates"])
-        gauges["sql.template_hits_total"] = float(templates["hits"])
-        gauges["sql.template_misses_total"] = float(templates["misses"])
-        # this connection's own statement table (statements())
-        gauges["sql.statements"] = float(len(self._statements))
-        gauges["sql.statement_hits_total"] = float(
-            sum(entry.hits for entry in self._statements.values()))
+        # this connection's statement table (statements()): templates
+        # held, texts that found theirs, texts parsed, statements run and
+        # bindings reused
+        gauges["sql.templates"] = float(len(self._statements))
+        gauges["sql.template_hits_total"] = float(self._template_hits)
+        gauges["sql.template_misses_total"] = float(self._parses)
+        gauges["sql.statements"] = float(self._template_hits + self._parses)
+        gauges["sql.statement_hits_total"] = float(self._bind_hits)
+        # the compiled-expression cache is shared by every connection in
+        # the process, so these two count other connections' statements
+        compiled = compile_cache_stats()
+        gauges["exec.compile_hits_total"] = float(compiled["hits"])
+        gauges["exec.compile_misses_total"] = float(compiled["misses"])
         # model loads (each charged) against the models actually
         # assembled from layer rows (memo misses and fine-tune copies)
         gauges["ai.model_loads"] = float(self.models.loads)
@@ -526,12 +538,16 @@ class NeurDB:
                     binding: _InsertBinding) -> ResultSet:
         table = binding.table
         width = len(table.schema)
+        values = ast.running.values
         inserted = 0
         for value_row in statement.rows:
             full: list[Any] = [None] * width
             for position, expr in zip(binding.positions, value_row):
-                full[position] = (expr.value if type(expr) is ast.Literal
-                                  else compile_expr(expr, NO_COLUMNS)(()))
+                kind = type(expr)
+                full[position] = (
+                    values[expr.slot] if kind is ast.Param
+                    else expr.value if kind is ast.Literal
+                    else compile_expr_cached(expr, NO_COLUMNS)(()))
             rid = table.insert(full)
             stored = table.read(rid)
             for index, position in binding.indexes:
@@ -563,7 +579,7 @@ class NeurDB:
                     binding: _VictimBinding) -> ResultSet:
         table = binding.table
         scan = self._victim_scan(statement, binding)
-        assignments = [(position, compile_expr(expr, binding.layout))
+        assignments = [(position, compile_expr_cached(expr, binding.layout))
                        for position, (_, expr)
                        in zip(binding.positions, statement.assignments)]
         # every victim is read before the first write, so an update that
@@ -615,7 +631,7 @@ class NeurDB:
 
     def _run_predict(self, statement: ast.Predict,
                      force_retrain: bool) -> ResultSet:
-        ctx = self.bind_predict(statement)
+        ctx = self.bind_predict(statement, ast.running.values)
         trained_now = self.ensure_predict_model(ctx, force_retrain)
         features, _, _ = self.prediction_inputs(ctx)
         # no rows, no inference: the model is not even loaded
@@ -624,8 +640,10 @@ class NeurDB:
             if features else None)
         return self.predict_result(ctx, features, predictions, trained_now)
 
-    def bind_predict(self, statement: ast.Predict) -> PredictContext:
-        """Resolve a PREDICT statement against the catalog (no charges)."""
+    def bind_predict(self, statement: ast.Predict,
+                     values: Any = ()) -> PredictContext:
+        """Resolve a PREDICT statement against the catalog (no charges);
+        ``values`` are what its Params read when it runs."""
         table = self.catalog.table(statement.table)
         schema = table.schema
         target = statement.target.lower()
@@ -663,7 +681,7 @@ class NeurDB:
                               target=target,
                               feature_columns=feature_columns,
                               layout=layout, feature_idx=feature_idx,
-                              model_name=model_name)
+                              model_name=model_name, values=values)
 
     def ensure_predict_model(self, ctx: PredictContext,
                               force_retrain: bool = False) -> bool:
@@ -675,10 +693,11 @@ class NeurDB:
         predicate = (compile_predicate_batch(statement.train_filter,
                                              ctx.layout)
                      if statement.train_filter is not None else None)
-        data = table_training_set(ctx.table, ctx.feature_columns,
-                                  statement.target,
-                                  block_predicate=predicate,
-                                  clock=self.clock)
+        with ast.statement_values(ctx.values):
+            data = table_training_set(ctx.table, ctx.feature_columns,
+                                      statement.target,
+                                      block_predicate=predicate,
+                                      clock=self.clock)
         if not data:
             raise ExecutionError(
                 "PREDICT has no training rows (check WITH filter and "
@@ -812,7 +831,7 @@ class NeurDB:
         columns = tuple(feature_columns)
         signature = self._model_signatures.get(columns)
         if signature is None:
-            if len(self._model_signatures) >= _STATEMENT_TABLE_MAX:
+            if len(self._model_signatures) >= _SIGNATURES_MAX:
                 self._model_signatures.clear()
             signature = self._model_signatures[columns] = stable_hash(
                 columns, 1 << 32)
@@ -833,20 +852,22 @@ class NeurDB:
         """
         statement = ctx.statement
         if statement.inline_rows:
-            rows = [tuple(e.value if type(e) is ast.Literal
-                          else compile_expr(e, NO_COLUMNS)(())
-                          for e in value_row)
-                    for value_row in statement.inline_rows]
+            with ast.statement_values(ctx.values):
+                rows = [tuple(e.value if isinstance(e, ast.CONSTANTS)
+                              else compile_expr_cached(e, NO_COLUMNS)(())
+                              for e in value_row)
+                        for value_row in statement.inline_rows]
             columns = ctx.table.schema.columns
             return (ColumnFeatures.from_rows(
                 rows, [columns[i].dtype for i in ctx.feature_idx]),
                 None, None)
         predicate = (compile_predicate_batch(statement.where, ctx.layout)
                      if statement.where is not None else None)
-        return table_feature_columns(
-            ctx.table, ctx.feature_columns, block_predicate=predicate,
-            target_column=ctx.target if with_targets else None,
-            clock=self.clock)
+        with ast.statement_values(ctx.values):
+            return table_feature_columns(
+                ctx.table, ctx.feature_columns, block_predicate=predicate,
+                target_column=ctx.target if with_targets else None,
+                clock=self.clock)
 
     def _observe_losses(self, model_name: str,
                         losses: Iterable[float]) -> None:

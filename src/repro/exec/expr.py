@@ -22,11 +22,13 @@ and every other value (:func:`compile_values_batch`).  It declines once at
 computed as a number (``str()`` of its float64 view could disagree) — and
 the fallback then evaluates those blocks row by row with the reference
 evaluator.  At *runtime* it declines per block, for reasons that depend on
-values, never on types: a number float64 cannot hold exactly (a column or
-an INT result at or past 2^53), a reachable zero divisor, a NaN in a FLOAT
-value.  Each raises :class:`VectorFallback` and that one block is
-evaluated by the row compiler, so precision and error / short-circuit
-semantics are decided in row order, one row at a time.  LIKE
+values, never on types: a number float64 cannot hold exactly (a column,
+an INT result at or past 2^53, or a Param's value: what a literal decides
+at compile time a Param, whose value the running statement gives,
+decides per block), a reachable zero divisor, a NaN in a FLOAT value.
+Each raises :class:`VectorFallback` and that one block is evaluated by
+the row compiler, so precision and error / short-circuit semantics are
+decided in row order, one row at a time.  LIKE
 lowers for constant patterns (compiled matcher at plan-compile time;
 wildcard-free patterns shortcut to string equality) *and* non-constant
 patterns / computed text operands (per-plan matcher cache keyed by runtime
@@ -74,7 +76,7 @@ class RowLayout:
         """The rows a scan of a table with ``schema`` yields under the
         alias ``binding``; built once per schema object (a schema never
         changes — a re-created table gets a new one)."""
-        return _memo(("table", binding, id(schema)), schema, lambda: cls(
+        return memo(("table", binding, id(schema)), schema, lambda: cls(
             [(binding, c.name) for c in schema.columns], schema.dtypes()))
 
     def __len__(self) -> int:
@@ -121,6 +123,11 @@ NO_COLUMNS = RowLayout([], [])
 _TEXT, _FLOAT = DataType.TEXT, DataType.FLOAT
 _LITERAL_TYPES = {bool: DataType.BOOL, int: DataType.INT, float: _FLOAT,
                   str: _TEXT}
+# a Param's type, by its kind (see ast.Param)
+_PARAM_TYPES = {"i": DataType.INT, "-i": DataType.INT, "n": DataType.INT,
+                "f": _FLOAT, "-f": _FLOAT, "s": _TEXT}
+# what every compiled Param reads the running statement's values from
+_running = ast.running
 _ORDERED_CMP = frozenset(("<", "<=", ">", ">="))
 _ARITHMETIC = frozenset(("+", "-", "*", "/", "%"))
 _BOOLEAN = frozenset(("AND", "OR", "LIKE", "=", "<>"))
@@ -148,6 +155,8 @@ def expr_type(expr: ast.Expr, layout: RowLayout) -> DataType | None:
         return layout.types[layout.resolve(expr.name, expr.table)]
     if type(expr) is ast.Literal:
         return _LITERAL_TYPES.get(type(expr.value))
+    if type(expr) is ast.Param:
+        return _PARAM_TYPES[expr.kind]
     if type(expr) is ast.BinaryOp:
         left = expr_type(expr.left, layout)
         right = expr_type(expr.right, layout)
@@ -234,9 +243,9 @@ def output_layout(items: Sequence[ast.SelectItem],
     """The rows a select list computes from rows of ``layout``: ``*`` and
     ``t.*`` pass the slots they name through, any other item is one slot
     named by :func:`~repro.sql.ast.output_name` and typed by
-    :func:`expr_type`.  Memoized: the parser's template cache hands every
-    statement of one template the same items."""
-    return _memo(("output", id(items), layout), items,
+    :func:`expr_type`.  Memoized: every statement of a template runs the
+    template's own items."""
+    return memo(("output", id(items), layout), items,
                  lambda: _output_layout(items, layout))
 
 
@@ -275,7 +284,7 @@ def split_aggregates(items: Sequence[ast.SelectItem], layout: RowLayout
     ``layout`` followed by one slot per call — the rows the expressions
     read.  Memoized like :func:`output_layout`, so the rewritten trees,
     and what the compile caches build from them, persist."""
-    return _memo(("aggs", id(items), layout), items,
+    return memo(("aggs", id(items), layout), items,
                  lambda: _split_aggregates(items, layout))
 
 
@@ -317,6 +326,10 @@ def compile_expr(expr: ast.Expr, layout: RowLayout) -> Evaluator:
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda row: value
+
+    if type(expr) is ast.Param:
+        slot = expr.slot
+        return lambda row: _running.values[slot]
 
     if isinstance(expr, ast.ColumnRef):
         idx = layout.resolve(expr.name, expr.table)
@@ -382,19 +395,33 @@ def to_bool(value: Any) -> bool:
 # Operators are rebuilt from plan nodes on every execution, so streaming
 # re-train loops and benchmark iterations would recompile the same
 # predicates over and over.  The cache is keyed by AST-node identity plus
-# the layout, slot types included: the parser's template cache shares
-# literal-free subtrees across statements, and the same node must lower
-# anew over a table re-created with other types.  Values pin the object
-# whose id() is in the key, so the id cannot be recycled.
+# the layout, slot types included: every statement of a template runs the
+# template's own tree, whose Params read the statement's values when the
+# compiled function runs, so its second statement compiles nothing; and
+# the same node must lower anew over a table re-created with other types.
+# Values pin the object whose id() is in the key, so the id cannot be
+# recycled.
 
 _COMPILE_CACHE_MAX = 4096
 _compile_cache: dict[tuple, tuple[Any, Any]] = {}
+_compile_counts = {"hits": 0, "misses": 0}
 
 
-def _memo(key: tuple, pin: Any, build: Callable[[], Any]) -> Any:
+def compile_cache_stats() -> dict[str, int]:
+    """The compile cache's hit / miss counts since the process started
+    (every connection shares one cache)."""
+    return dict(_compile_counts)
+
+
+def memo(key: tuple, pin: Any, build: Callable[[], Any]) -> Any:
+    """``build()``, kept in the compile cache under ``key`` — the id() of
+    AST nodes and what else the result depends on — while ``pin`` (whose
+    id is in the key) is the object cached with it."""
     hit = _compile_cache.get(key)
     if hit is not None and hit[0] is pin:
+        _compile_counts["hits"] += 1
         return hit[1]
+    _compile_counts["misses"] += 1
     value = build()
     if len(_compile_cache) >= _COMPILE_CACHE_MAX:
         _compile_cache.clear()
@@ -404,7 +431,7 @@ def _memo(key: tuple, pin: Any, build: Callable[[], Any]) -> Any:
 
 def compile_expr_cached(expr: ast.Expr, layout: RowLayout) -> Evaluator:
     """Memoized :func:`compile_expr` for per-operator hot paths."""
-    return _memo(("row", id(expr), layout), expr,
+    return memo(("row", id(expr), layout), expr,
                  lambda: compile_expr(expr, layout))
 
 
@@ -655,6 +682,9 @@ def compile_expr_vector(expr: ast.Expr,
                 np.full(n, value, dtype=object), np.zeros(n, dtype=bool)))
         return eval_obj_lit
 
+    if type(expr) is ast.Param:
+        return _compile_param_vector(expr)
+
     if isinstance(expr, ast.ColumnRef):
         idx = layout.resolve(expr.name, expr.table)
         if layout.types[idx] is _TEXT:
@@ -754,6 +784,39 @@ def compile_expr_vector(expr: ast.Expr,
         return _compile_func_vector(expr, layout)
 
     return None  # Star and anything unknown: the row compiler raises
+
+
+def _compile_param_vector(param: ast.Param) -> VectorEvaluator:
+    """A Param as a broadcast column of the running statement's value,
+    built once per block length and value (blocks of one statement share
+    it, like a literal's).  A number float64 cannot hold exactly is
+    value-decided, so its blocks take the row path (VectorFallback)."""
+    slot, text = param.slot, param.kind == "s"
+    cache: dict[int, tuple[Any, tuple[np.ndarray, np.ndarray]]] = {}
+
+    def eval_param(block):
+        value = _running.values[slot]
+        n = len(block)
+        hit = cache.get(n)
+        # identity, not ==: 0.0 and -0.0 are equal
+        if hit is not None and hit[0] is value:
+            return hit[1]
+        if text:
+            values = np.full(n, value, dtype=object)
+        else:
+            try:
+                scalar = float(value)
+            except OverflowError:
+                raise VectorFallback from None
+            if scalar != value:
+                raise VectorFallback
+            values = np.full(n, scalar, dtype=np.float64)
+        if len(cache) >= _LITERAL_CACHE_MAX:
+            cache.clear()
+        arrays = (values, np.zeros(n, dtype=bool))
+        cache[n] = (value, arrays)
+        return arrays
+    return eval_param
 
 
 def _compile_binary_vector(expr: ast.BinaryOp,
@@ -926,18 +989,21 @@ def _compile_func_vector(expr: ast.FuncCall,
 # never depend on which layout a block happens to arrive in.
 
 
+def _text_constant(expr: ast.Expr) -> bool:
+    """Whether ``expr`` is a string literal or a string Param: a constant
+    whose ``.value`` a probe reads when it runs."""
+    return (type(expr) is ast.Param and expr.kind == "s"
+            or type(expr) is ast.Literal and isinstance(expr.value, str))
+
+
 def _dict_cmp_probe(expr: ast.BinaryOp, layout: RowLayout):
     """``col = 'lit'`` / ``col <> 'lit'`` (literal on either side) as a
     code comparison, or None when the shape doesn't apply."""
-    if (isinstance(expr.left, ast.ColumnRef)
-            and isinstance(expr.right, ast.Literal)):
-        colref, lit = expr.left, expr.right.value
-    elif (isinstance(expr.right, ast.ColumnRef)
-            and isinstance(expr.left, ast.Literal)):
-        colref, lit = expr.right, expr.left.value
+    if isinstance(expr.left, ast.ColumnRef) and _text_constant(expr.right):
+        colref, constant = expr.left, expr.right
+    elif isinstance(expr.right, ast.ColumnRef) and _text_constant(expr.left):
+        colref, constant = expr.right, expr.left
     else:
-        return None
-    if not isinstance(lit, str):
         return None
     idx = layout.resolve(colref.name, colref.table)
     negate = expr.op == "<>"
@@ -946,7 +1012,7 @@ def _dict_cmp_probe(expr: ast.BinaryOp, layout: RowLayout):
         tc = block.dict_column(idx)
         if tc is None:
             return None
-        code = tc.code_of(lit)
+        code = tc.code_of(constant.value)
         if code is None:
             out = np.zeros(len(tc.data), dtype=bool)
         else:
@@ -963,12 +1029,9 @@ def _dict_in_probe(expr: ast.InList, layout: RowLayout):
     literals."""
     if not isinstance(expr.operand, ast.ColumnRef):
         return None
-    values: list[str] = []
-    for item in expr.items:
-        if not (isinstance(item, ast.Literal)
-                and isinstance(item.value, str)):
-            return None
-        values.append(item.value)
+    items = expr.items
+    if not all(map(_text_constant, items)):
+        return None
     idx = layout.resolve(expr.operand.name, expr.operand.table)
     negated = expr.negated
 
@@ -979,8 +1042,8 @@ def _dict_in_probe(expr: ast.InList, layout: RowLayout):
         # one slot per dictionary entry plus a trailing False that NULL
         # rows (code -1) index via numpy's negative indexing
         lut = np.zeros(len(tc.dictionary) + 1, dtype=bool)
-        for v in values:
-            code = tc.code_of(v)
+        for item in items:
+            code = tc.code_of(item.value)
             if code is not None:
                 lut[code] = True
         found = lut[tc.data]
@@ -1035,12 +1098,31 @@ def _compile_like_vector(expr: ast.BinaryOp,
     left = _compile_raw_vector(expr.left, layout)
     if left is None:
         return None
-    if isinstance(expr.right, ast.Literal) and expr.right.value is not None:
-        match = _like_matcher(str(expr.right.value))
+    matchers: dict[str, Callable[[str], bool]] = {}
+
+    def matcher(pattern: str) -> Callable[[str], bool]:
+        match = matchers.get(pattern)
+        if match is None:
+            if len(matchers) >= _LIKE_CACHE_MAX:
+                matchers.clear()
+            match = matchers[pattern] = _like_matcher(pattern)
+        return match
+
+    pattern = expr.right
+    if type(pattern) is ast.Param or (type(pattern) is ast.Literal
+                                      and pattern.value is not None):
+        # a constant pattern: a literal's matcher is compiled here, a
+        # Param's once per value it takes (one lookup per block)
+        if type(pattern) is ast.Literal:
+            fixed = _like_matcher(str(pattern.value))
+            current = lambda: fixed
+        else:
+            current = lambda: matcher(str(pattern.value))
         dict_idx = (layout.resolve(expr.left.name, expr.left.table)
                     if isinstance(expr.left, ast.ColumnRef) else None)
 
         def eval_like(block):
+            match = current()
             if dict_idx is not None:
                 tc = block.dict_column(dict_idx)
                 if tc is not None:
@@ -1059,10 +1141,9 @@ def _compile_like_vector(expr: ast.BinaryOp,
             return out, null
         return eval_like
 
-    right = _compile_raw_vector(expr.right, layout)
+    right = _compile_raw_vector(pattern, layout)
     if right is None:
         return None
-    matchers: dict[str, Callable[[str], bool]] = {}
 
     def eval_like_dynamic(block):
         lv, ln = left(block)
@@ -1071,15 +1152,8 @@ def _compile_like_vector(expr: ast.BinaryOp,
         n = len(lv)
         out = np.zeros(n, dtype=bool)
         for i in range(n):
-            if null[i]:
-                continue
-            key = str(rv[i])
-            match = matchers.get(key)
-            if match is None:
-                if len(matchers) >= _LIKE_CACHE_MAX:
-                    matchers.clear()
-                match = matchers[key] = _like_matcher(key)
-            out[i] = match(str(lv[i]))
+            if not null[i]:
+                out[i] = matcher(str(rv[i]))(str(lv[i]))
         return out, null
     return eval_like_dynamic
 
@@ -1087,7 +1161,7 @@ def _compile_like_vector(expr: ast.BinaryOp,
 def compile_predicate_batch(expr: ast.Expr, layout: RowLayout):
     """A WHERE/ON predicate for the block engines: ``block -> bool mask``
     of the rows that pass (NULL = fail)."""
-    return _memo(("pred", id(expr), layout), expr,
+    return memo(("pred", id(expr), layout), expr,
                  lambda: _compile_batch(expr, layout, "pred"))
 
 
@@ -1099,7 +1173,7 @@ def compile_values_batch(expr: ast.Expr, layout: RowLayout):
     if type(expr) is ast.ColumnRef:
         idx = layout.resolve(expr.name, expr.table)
         return lambda block: block.columns[idx]
-    return _memo(("values", id(expr), layout), expr,
+    return memo(("values", id(expr), layout), expr,
                  lambda: _compile_batch(expr, layout, "values"))
 
 

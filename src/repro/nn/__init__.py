@@ -7,6 +7,7 @@ from repro.nn.attention import (
     TransformerBlock,
 )
 from repro.nn.blas import pin_single_thread
+from repro.nn.heap import keep_freed_heap
 from repro.nn.layers import (
     MLP,
     Embedding,
@@ -25,6 +26,7 @@ from repro.nn.serialize import pack_state, state_nbytes, unpack_state
 from repro.nn.tensor import Tensor, numerical_gradient
 
 pin_single_thread()
+keep_freed_heap()
 
 __all__ = [
     "Adam",

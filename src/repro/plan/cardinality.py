@@ -95,7 +95,7 @@ class CardinalityEstimator:
                     total += DEFAULT_EQ_SELECTIVITY
             total = min(1.0, total)
             return (1.0 - total) if expr.negated else total
-        if isinstance(expr, ast.Literal):
+        if isinstance(expr, ast.CONSTANTS):
             return 1.0 if expr.value else 0.0
         return 0.5
 
@@ -166,7 +166,7 @@ class CardinalityEstimator:
 
 
 def _literal_value(expr: ast.Expr) -> Any:
-    return expr.value if isinstance(expr, ast.Literal) else None
+    return expr.value if isinstance(expr, ast.CONSTANTS) else None
 
 
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -176,13 +176,14 @@ def column_literal(expr: ast.Expr):
     """Normalize ``col OP lit`` / ``lit OP col`` to (col, OP, lit) with an
     order comparison mirrored onto the column side (``10 <= id`` is
     ``id >= 10``; every other operator keeps its spelling); (None, None,
-    None) for anything that is not a column against a literal."""
+    None) for anything that is not a column against a literal.  A Param's
+    ``lit`` is the running statement's value."""
     if isinstance(expr, ast.BinaryOp):
         if isinstance(expr.left, ast.ColumnRef) and isinstance(
-                expr.right, ast.Literal):
+                expr.right, ast.CONSTANTS):
             return expr.left, expr.op, expr.right.value
         if isinstance(expr.right, ast.ColumnRef) and isinstance(
-                expr.left, ast.Literal):
+                expr.left, ast.CONSTANTS):
             return expr.right, _MIRROR.get(expr.op, expr.op), expr.left.value
     return None, None, None
 

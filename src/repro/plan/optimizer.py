@@ -5,9 +5,10 @@ Responsibilities:
 1. bind a parsed ``Select`` against the catalog (:meth:`Planner.bind`);
 2. normalize the WHERE clause to conjuncts and classify each as a
    single-table filter or an equi-join condition — steps 1 and 2 depend
-   on the statement's template alone, so another statement of a bound
-   template is put onto the same classification (:meth:`Planner.rebind`)
-   and only the steps below run again;
+   on the statement's template alone (its literals are Params), so every
+   statement of a bound template reuses the one :class:`BoundQuery` and
+   only the steps below run again, reading the statement's values where
+   they decide something: index keys, selectivity, LIMIT / OFFSET;
 3. choose access paths (index scan vs sequential scan with pushdown);
 4. enumerate join orders with dynamic programming over left-deep trees,
    choosing hash join for equi-joins and nested loops otherwise;
@@ -21,12 +22,13 @@ restrict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import BindError, PlanError
-from repro.exec.expr import (NO_COLUMNS, RowLayout, expr_type,
+from repro.exec.expr import (NO_COLUMNS, RowLayout, expr_type, memo,
                              output_layout, output_slot)
 from repro.plan import logical as plan
 from repro.plan.cardinality import (CardinalityEstimator, column_literal,
@@ -42,14 +44,11 @@ class BoundQuery:
     """A Select after binding: tables in scope, classified conjuncts, and
     the GROUP BY / ORDER BY keys with select-list positions resolved.
 
-    ``classes`` says, per conjunct of the WHERE and then the ON clauses,
-    where binding put it: the alias of the one table a filter reads, ``""``
-    for an equi-join condition, None for a residual.  It depends on the
-    statement's template alone, unless a GROUP BY / ORDER BY key was
-    bound through the select list — a position, or an ORDER BY
-    expression matched to an item (``positional``) — so
-    :meth:`Planner.rebind` can put another statement of the template
-    into the same places."""
+    It depends on the statement's template alone, unless a GROUP BY /
+    ORDER BY key was bound by the statement's values — a position, or an
+    ORDER BY expression holding a Param, which is matched to a select
+    item by its values (``positional``): every other statement of the
+    template may reuse it as it is."""
 
     select: ast.Select
     bindings: dict[str, str]           # alias -> table name
@@ -59,8 +58,12 @@ class BoundQuery:
     residuals: list[ast.Expr]          # conjuncts spanning 3+ tables etc.
     group_by: tuple[ast.Expr, ...]
     order_by: tuple[ast.OrderItem, ...]
-    classes: tuple[Optional[str], ...]
     positional: bool
+    # the projection's items: the select list, then a hidden column per
+    # ORDER BY key that names no output, which the projection ``shown``
+    # over the sort drops (empty when there is none)
+    items: tuple[ast.SelectItem, ...]
+    shown: tuple[ast.SelectItem, ...]
 
 
 def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
@@ -81,13 +84,14 @@ def _conjuncts(select: ast.Select) -> list[ast.Expr]:
 
 
 def conjoin(exprs: list[ast.Expr]) -> Optional[ast.Expr]:
-    """Rebuild an AND tree from conjuncts (None for an empty list)."""
-    if not exprs:
-        return None
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = ast.BinaryOp("AND", out, e)
-    return out
+    """Rebuild an AND tree from conjuncts (None for an empty list).  The
+    tree is built once per list of nodes and kept in the compile cache
+    (it holds every node whose id is in the key), so every statement of
+    a template plans the same tree, and its compiled predicate is reused."""
+    if len(exprs) < 2:
+        return exprs[0] if exprs else None
+    return memo(("and", *map(id, exprs)), exprs[0], lambda: functools.reduce(
+        lambda out, e: ast.BinaryOp("AND", out, e), exprs))
 
 
 class Planner:
@@ -150,17 +154,20 @@ class Planner:
             add_table(join.table)
 
         conjuncts = _conjuncts(select)
-        classes: list[Optional[str]] = []
+        filters: dict[str, list[ast.Expr]] = {a: [] for a in table_order}
+        join_conditions = []
+        residuals: list[ast.Expr] = []
         for conjunct in conjuncts:
             aliases = self._aliases_of(conjunct, bindings, table_order)
-            if len(aliases) == 2 and is_equi_join_condition(conjunct):
-                classes.append("")
+            keys = is_equi_join_condition(conjunct)
+            if len(aliases) == 2 and keys:
+                join_conditions.append((*keys, conjunct))
             elif len(aliases) == 1:
-                classes.append(next(iter(aliases)))
+                filters[next(iter(aliases))].append(conjunct)
             else:
-                classes.append(None)    # a constant, or 3+ tables
-        output = self._check_types(select, bindings, table_order,
-                                   conjuncts)
+                residuals.append(conjunct)  # a constant, or 3+ tables
+        scope, output = self._check_types(select, bindings, table_order,
+                                          conjuncts)
         # an integer literal in GROUP BY / ORDER BY names a select-list
         # position: group on that item's expression, sort on its output
         outputs = (self._outputs(select, bindings, table_order)
@@ -172,71 +179,58 @@ class Planner:
         order_by = tuple(
             ast.OrderItem(self._order_key(key.expr, outputs), key.descending)
             for key in select.order_by)
-        # ORDER BY sorts the select list's output rows
-        for key in order_by:
-            expr_type(key.expr, output)
+        # a binding that read the values holds for this statement only:
+        # a position, or an ORDER BY key holding a Param (matched to a
+        # select item by its values, the next values may match another)
+        values = ast.running.values
         positional = (any(map(_is_position, select.group_by))
-                      or any(new.expr is not old.expr for new, old
-                             in zip(order_by, select.order_by)))
-        return self._classified(select, bindings, table_order, conjuncts,
-                                tuple(classes), group_by, order_by,
-                                positional)
-
-    def rebind(self, bound: BoundQuery,
-               select: ast.Select) -> Optional[BoundQuery]:
-        """``select`` bound like ``bound``, a statement of the same template
-        bound under the same catalog: its conjuncts go where ``bound``'s
-        went, and nothing is looked up or checked again.  None when the
-        template's binding depends on its literals (a GROUP BY / ORDER BY
-        position) or the conjunct counts differ: bind afresh then."""
-        conjuncts = _conjuncts(select)
-        if bound.positional or len(conjuncts) != len(bound.classes):
-            return None
-        return self._classified(select, bound.bindings, bound.table_order,
-                                conjuncts, bound.classes, select.group_by,
-                                select.order_by, False)
-
-    @staticmethod
-    def _classified(select: ast.Select, bindings: dict[str, str],
-                    table_order: list[str], conjuncts: list[ast.Expr],
-                    classes: tuple[Optional[str], ...],
-                    group_by: tuple[ast.Expr, ...],
-                    order_by: tuple[ast.OrderItem, ...],
-                    positional: bool) -> BoundQuery:
-        filters: dict[str, list[ast.Expr]] = {a: [] for a in table_order}
-        join_conditions = []
-        residuals: list[ast.Expr] = []
-        for conjunct, where in zip(conjuncts, classes):
-            if where is None:
-                residuals.append(conjunct)
-            elif where:
-                filters[where].append(conjunct)
-            else:
-                left, right = is_equi_join_condition(conjunct)
-                join_conditions.append((left, right, conjunct))
+                      or any(new.expr is not old.expr
+                             or ast.substitute(old.expr, values)
+                             is not old.expr
+                             for new, old in zip(order_by, select.order_by)))
+        # ORDER BY sorts the select list's output rows; a key that names
+        # none of them sorts on a hidden column the projection computes
+        # from the FROM tables, dropped after the sort
+        items, shown, keys = select.items, (), []
+        for key in order_by:
+            try:
+                expr_type(key.expr, output)
+            except BindError:
+                if not _sorts_hidden(select, group_by, key.expr, scope):
+                    raise
+                hidden = ast.SelectItem(key.expr)
+                binding, name = output_slot(hidden, len(items))
+                items += (hidden,)
+                key = ast.OrderItem(ast.ColumnRef(name, binding),
+                                    key.descending)
+                shown = tuple(ast.SelectItem(ast.ColumnRef(column, alias))
+                              for alias, column in output.slots)
+            keys.append(key)
         return BoundQuery(select=select, bindings=bindings,
                           table_order=table_order, filters=filters,
                           join_conditions=join_conditions,
                           residuals=residuals, group_by=group_by,
-                          order_by=order_by, classes=classes,
-                          positional=positional)
+                          order_by=tuple(keys), positional=positional,
+                          items=items, shown=shown)
 
     def _check_types(self, select: ast.Select, bindings: dict[str, str],
                      table_order: list[str],
-                     conjuncts: list[ast.Expr]) -> RowLayout:
+                     conjuncts: list[ast.Expr]
+                     ) -> tuple[RowLayout, RowLayout]:
         """Type the statement's expressions over the rows they will be
         evaluated on (:func:`~repro.exec.expr.expr_type`): the WHERE and
         ON conjuncts, GROUP BY and the select list over the FROM tables.
         An ill-typed one is a BindError here, before any operator is
-        built or any row read.  Returns the select list's output layout,
-        which :meth:`bind` types the ORDER BY keys over."""
+        built or any row read.  Returns the FROM tables' layout and the
+        select list's output layout, which :meth:`bind` types the ORDER
+        BY keys over."""
         scope = NO_COLUMNS
         for alias in table_order:
             scope = scope.concat(RowLayout.of_table(
                 alias, self._catalog.table(bindings[alias]).schema))
         for expr in itertools.chain(conjuncts, select.group_by):
             expr_type(expr, scope)
-        return output_layout(select.items, scope)
+        return scope, output_layout(select.items, scope)
 
     def _aliases_of(self, expr: ast.Expr, bindings: dict[str, str],
                     table_order: list[str]) -> set[str]:
@@ -447,15 +441,17 @@ class Planner:
             tree = cost(plan.Aggregate(child=tree, group_by=bound.group_by,
                                        items=select.items))
         else:
-            tree = cost(plan.Project(child=tree, items=select.items))
+            tree = cost(plan.Project(child=tree, items=bound.items))
 
         if select.distinct:
             tree = cost(plan.Distinct(child=tree))
         if bound.order_by:
             tree = cost(plan.Sort(child=tree, keys=bound.order_by))
         if select.limit is not None or select.offset is not None:
-            tree = cost(plan.Limit(child=tree, limit=select.limit,
-                                   offset=select.offset or 0))
+            tree = cost(plan.Limit(child=tree, limit=_count(select.limit),
+                                   offset=_count(select.offset) or 0))
+        if bound.shown:
+            tree = cost(plan.Project(child=tree, items=bound.shown))
         return tree
 
     def _outputs(self, select: ast.Select, bindings: dict[str, str],
@@ -496,9 +492,13 @@ class Planner:
         if _is_position(expr):
             return cls._positional(expr, outputs, "ORDER BY", 1)
         if not isinstance(expr, ast.ColumnRef):
-            text = repr(expr)       # Literal(1) == Literal(1.0)
+            # spelled with the statement's values: Literal(1) differs
+            # from Literal(1.0), and the two Params of `a + 1 ... ORDER
+            # BY a + 1` from each other
+            values = ast.running.values
+            text = repr(ast.substitute(expr, values))
             for computed, ref in outputs:
-                if repr(computed) == text:
+                if repr(ast.substitute(computed, values)) == text:
                     return ref
         return expr
 
@@ -508,7 +508,28 @@ class Planner:
 
 def _is_position(expr: ast.Expr) -> bool:
     """Whether a GROUP BY / ORDER BY key names a select-list position."""
-    return isinstance(expr, ast.Literal) and type(expr.value) is int
+    return isinstance(expr, ast.CONSTANTS) and type(expr.value) is int
+
+
+def _sorts_hidden(select: ast.Select, group_by: tuple[ast.Expr, ...],
+                  key: ast.Expr, scope: RowLayout) -> bool:
+    """Whether an ORDER BY ``key`` that names no output column may sort
+    on a hidden one: it is well typed over the FROM tables, and the rows
+    are neither DISTINCT (as in PostgreSQL) nor aggregated."""
+    if (select.distinct or group_by
+            or any(ast.is_aggregate(item.expr) for item in select.items)):
+        return False
+    try:
+        expr_type(key, scope)
+    except BindError:
+        return False
+    return True
+
+
+def _count(count: "ast.Param | int | None") -> int | None:
+    """A LIMIT / OFFSET count: the int a parsed tree holds, or the value
+    of the template's Param."""
+    return count.value if type(count) is ast.Param else count
 
 
 def _comparable(literal, dtype: DataType) -> bool:

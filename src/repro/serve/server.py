@@ -71,7 +71,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -86,7 +86,6 @@ from repro.common.simtime import LaneSchedule
 from repro.db import NeurDB, PredictContext
 from repro.exec.executor import ResultSet
 from repro.sql import ast
-from repro.sql.parser import parse
 
 
 # Incremental-update hyperparameters of a background refresh, handed to
@@ -115,6 +114,7 @@ class PredictRequest:
     request_id: int
     statement: ast.Predict
     arrival: float
+    values: Any = ()               # what the statement's Params read
     deadline: Optional[float] = None   # absolute virtual-time deadline
     result: Optional[ResultSet] = None
     error: Optional[str] = None
@@ -321,8 +321,12 @@ class PredictServer:
         ``default_deadline``); a request that cannot complete in time
         fails with ``DeadlineExceeded`` instead of returning a late
         result."""
+        values: Any = ()
         if isinstance(statement, str):
-            statement = parse(statement)
+            # the connection's statement table: a text whose template is
+            # filed there is not parsed
+            entry, values = self.db.template(statement)
+            statement = entry.statement
         if not isinstance(statement, ast.Predict):
             raise NeurDBError("PredictServer serves PREDICT statements "
                               f"only, got {type(statement).__name__}")
@@ -336,7 +340,8 @@ class PredictServer:
             raise NeurDBError(f"deadline must be > 0, got {deadline}")
         self._last_arrival = float(at)
         request = PredictRequest(request_id=self._next_request_id,
-                                 statement=statement, arrival=float(at),
+                                 statement=statement, values=values,
+                                 arrival=float(at),
                                  deadline=(float(at) + deadline
                                            if deadline is not None
                                            else None))
@@ -500,7 +505,7 @@ class PredictServer:
         if ctx is not None:
             return ctx
         try:
-            ctx = self.db.bind_predict(request.statement)
+            ctx = self.db.bind_predict(request.statement, request.values)
         except NeurDBError as exc:
             request.error = str(exc)
             return None

@@ -29,6 +29,108 @@ class Literal(Expr):
 
 
 @dataclass(frozen=True)
+class Param(Expr):
+    """The ``slot``-th number or string literal of a statement template.
+
+    A template is parsed once per fingerprint and shared by every
+    statement of it, so a Param holds no value: it reads the one in
+    ``slot`` of the values of the statement that is running
+    (:class:`statement_values`).  ``kind`` is fixed per template by the
+    fingerprint's mark and the unary minus folded into the literal:
+    ``"i"`` / ``"-i"`` an INT, ``"f"`` / ``"-f"`` a FLOAT (the ``-``
+    kinds are stored negated), ``"s"`` TEXT, ``"n"`` the bare int of a
+    LIMIT / OFFSET."""
+
+    slot: int
+    kind: str
+
+    @property
+    def value(self) -> Any:
+        return running.values[self.slot]
+
+
+class _Running:
+    """The values of the statement that is running (see :class:`Param`)."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        self.values: Any = ()
+
+
+#: what every :class:`Param` reads its value from (its ``values``)
+running = _Running()
+
+
+class statement_values:
+    """``with statement_values(values):`` — the :class:`Param` nodes of
+    every tree that is planned or run inside read ``values``; the values
+    in force before are back on exit (EXPLAIN ANALYZE nests one
+    statement in another)."""
+
+    __slots__ = ("values", "_outer")
+
+    def __init__(self, values: Any):
+        self.values = values
+
+    def __enter__(self) -> None:
+        self._outer = running.values
+        running.values = self.values
+
+    def __exit__(self, *exc: Any) -> None:
+        running.values = self._outer
+
+
+#: the nodes a planner reads a value from: a literal, or a Param, whose
+#: value is the running statement's
+CONSTANTS = (Literal, Param)
+
+
+def params_within(node: Any) -> set[int]:
+    """The ``id`` of every node of ``node``'s tree that is or holds a
+    :class:`Param`: the only nodes :func:`substitute` rebuilds."""
+    found: set[int] = set()
+
+    def holds(node: Any) -> bool:
+        cls = type(node)
+        fields = getattr(cls, "__dataclass_fields__", ())
+        items = (node if cls is tuple else () if cls is Literal
+                 else [getattr(node, name) for name in fields])
+        if cls is Param or any([holds(item) for item in items]):
+            found.add(id(node))
+            return True
+        return False
+
+    holds(node)
+    return found
+
+
+def substitute(node: Any, values: Any, within: set[int] | None = None
+               ) -> Any:
+    """``node`` with each :class:`Param` replaced by its value in
+    ``values`` — a Literal, or the bare int of a LIMIT / OFFSET; nodes
+    holding no Param are shared, not copied.  ``within`` is
+    :func:`params_within` of ``node``, computed here when not given (a
+    store keeps it per template, so a hit walks only the nodes it
+    rebuilds)."""
+    if not values:
+        return node
+    if within is None:
+        within = params_within(node)
+    if id(node) not in within:
+        return node
+    cls = type(node)
+    if cls is Param:
+        value = values[node.slot]
+        return value if node.kind == "n" else Literal(value)
+    items = (node if cls is tuple else
+             [getattr(node, name) for name in cls.__dataclass_fields__])
+    items = [substitute(item, values, within) if id(item) in within
+             else item for item in items]
+    return tuple(items) if cls is tuple else cls(*items)
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
     table: Optional[str] = None  # optional qualifier

@@ -8,9 +8,9 @@ One compiled pattern, :data:`_TOKEN`, reads the text: each match is the
 whitespace and ``--`` comments before a token, then the token.
 :func:`tokenize` turns the matches into :class:`Token` objects.
 :func:`fingerprint` splits the text on the same patterns for words,
-comments and literals and keeps only the literals, so that statements
-differing only in their literal values share one key (what the parser's
-template cache and a connection's statement table look up).
+comments and literals and converts only the literals, so that statements
+differing only in their literal values share one key (what a store of
+statement templates looks up) and the values are read in the same pass.
 """
 
 from __future__ import annotations
@@ -135,35 +135,38 @@ _LITERAL = re.compile(r"""
   | ('[^']*(?:''[^']*)*'(?!'))""", re.VERBOSE)
 
 
-def fingerprint(sql: str) -> tuple[str, list[tuple[str, int]]]:
-    """``(key, literals)``: ``key`` is ``sql`` with every number and string
+def fingerprint(sql: str) -> tuple[str, list | None]:
+    """``(key, values)``: ``key`` is ``sql`` with every number and string
     literal replaced by a mark of its kind — ``\\0i`` for an integer
     (digits only), ``\\0f`` for any other number, ``\\0s`` for a string —
-    and ``literals`` lists each literal's token value (a string's quotes
-    removed and ``''`` unescaped) and position, in order.  Statements with
-    equal keys have the same tokens but for those literal values.  One
-    ``split`` pass that does not validate: on text :func:`tokenize`
-    rejects it still returns a key, which no template recorded from
-    readable text shares with the same number of literals."""
-    pieces = iter(_LITERAL.split(sql))
-    parts = [next(pieces)]
-    literals: list[tuple[str, int]] = []
-    position = len(parts[0])
-    for word, number, string, after in zip(pieces, pieces, pieces, pieces):
-        if word is not None:
-            parts.append(word)
-            position += len(word)
-        elif number is not None:
-            parts.append("\0i" if number.isdecimal() else "\0f")
-            literals.append((number, position))
-            position += len(number)
-        else:
-            parts.append("\0s")
-            literals.append((string[1:-1].replace("''", "'"), position))
-            position += len(string)
-        parts.append(after)
-        position += len(after)
-    return "".join(parts), literals
+    and ``values`` lists each literal's value in order: the int or float
+    :func:`number_value` reads, a string's text with its quotes removed
+    and ``''`` unescaped.  Statements with equal keys have the same
+    tokens but for those values.  One ``split`` pass that does not
+    validate: on text :func:`tokenize` rejects it still returns a key,
+    and ``values`` is None when a number is malformed (``1.2.3``), so the
+    caller parses the text to raise the error where a parse raises it."""
+    pieces = _LITERAL.split(sql)
+    values: list | None = []
+    append = values.append
+    # each match is four pieces: word or comment, number, string and the
+    # text after it
+    for k in range(2, len(pieces), 4):
+        number = pieces[k]
+        if number is not None:
+            decimal = number.isdecimal()
+            pieces[k] = "\0i" if decimal else "\0f"
+            try:
+                append(int(number) if decimal else float(number))
+            except ValueError:
+                values = None
+            continue
+        string = pieces[k + 1]
+        if string is not None:
+            pieces[k + 1] = "\0s"
+            text = string[1:-1]
+            append(text.replace("''", "'") if "''" in text else text)
+    return "".join(filter(None, pieces)), values
 
 
 def number_value(text: str, position: int) -> int | float:

@@ -1,24 +1,22 @@
 """Recursive-descent parser for the SQL dialect plus the PREDICT extension,
-behind a cache of statement templates.
+and the statement templates it builds.
 
-:func:`parse` looks the statement's :func:`~repro.sql.lexer.fingerprint`
-up first.  A statement whose text differs from an earlier one only in its
-number and string literals (a *template* seen before) is not parsed again:
-its literal values are bound into a copy of the earlier tree that rebuilds
-only the nodes holding a literal and shares every other subtree.  Only the
-parse is cached here — it depends on the text alone.  What binding
-decides depends on the catalog too, and lives in each connection's
-statement table under the same key (:func:`parse_keyed`); a plan depends
-on the literal values as well (selectivity picks the access path), so no
-plan is kept anywhere.  The cache is process-wide and holds at most
-:data:`_TEMPLATE_CACHE_MAX` templates, oldest dropped first.
+A statement is a *template* and its *values*.  The parser turns every
+number and string literal of an expression (and a LIMIT / OFFSET count)
+into an :class:`~repro.sql.ast.Param` slot, so the tree depends on the
+text's :func:`~repro.sql.lexer.fingerprint` key alone and is built once
+per key: :func:`lookup` finds it in a store by the key that the same pass
+over the text yields with the converted values, and a hit runs neither
+the tokenizer nor the parser.  A connection's statement table is such a
+store (it keeps each template's binding beside it); :func:`parse` keeps a
+process-wide one and returns the template with its values substituted,
+a tree of plain :class:`~repro.sql.ast.Literal` nodes.  A store holds at
+most :data:`_TEMPLATE_CACHE_MAX` templates, oldest dropped first.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.common.errors import ParseError
 from repro.sql import ast
@@ -27,47 +25,79 @@ from repro.sql.lexer import (Token, TokenType, fingerprint, number_value,
 from repro.storage.types import DataType
 
 _TEMPLATE_CACHE_MAX = 1024
-_templates: dict[str, "_Template"] = {}
-_counts = {"hits": 0, "misses": 0}
 
-# statements whose literals are recorded; DDL, ANALYZE and EXPLAIN are
-# parsed every time
-_CACHEABLE = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Predict)
+
+class Template:
+    """A statement template in a store: the tree, whose Params read the
+    values of the statement that runs, and the slots whose literal the
+    text negates (a fingerprint reads ``5`` in ``-5``).  ``hits`` counts
+    the texts that found it in its store; ``within`` is
+    :func:`~repro.sql.ast.params_within` of the tree, once :func:`parse`
+    has substituted it."""
+
+    __slots__ = ("key", "statement", "negated", "width", "hits", "within")
+
+    def __init__(self, key: str, statement: ast.Statement,
+                 negated: tuple[int, ...], width: int):
+        self.key = key
+        self.statement = statement
+        self.negated = negated
+        self.width = width
+        self.hits = 0
+        self.within: Optional[set[int]] = None
+
+
+# parse()'s store, shared by the whole process
+_templates: dict[str, Template] = {}
 
 
 def parse(sql: str) -> ast.Statement:
-    """Parse a single SQL statement (a trailing ``;`` is allowed)."""
-    return parse_keyed(sql)[1]
+    """Parse a single SQL statement (a trailing ``;`` is allowed) into a
+    tree whose literals are :class:`~repro.sql.ast.Literal` nodes."""
+    template, values = lookup(_templates, sql)
+    try:
+        if template.within is None:
+            template.within = ast.params_within(template.statement)
+        return ast.substitute(template.statement, values, template.within)
+    except RecursionError:                      # a 5,000-term 1 + 1 + ...
+        raise ParseError("statement nests too deeply", 0) from None
 
 
-def parse_keyed(sql: str) -> tuple[str, ast.Statement]:
-    """``(key, statement)``: :func:`parse`'s statement together with the
-    fingerprint key it looked the template up under — the key a
-    connection's statement table files the statement under, so the text
-    is fingerprinted once."""
-    key, literals = fingerprint(sql)
-    template = _templates.get(key)
-    # text tokenize rejects can share a recorded key only through a raw
-    # mark, so with another literal count: a miss, and tokenize raises
-    if template is not None and len(template.kinds) == len(literals):
-        _counts["hits"] += 1
-        return key, template.bind(literals)
-    _counts["misses"] += 1
-    tokens = tokenize(sql)
-    statement = _Parser(tokens).parse_statement()
-    if isinstance(statement, _CACHEABLE):
-        template = _record(statement, tokens)
-        if template is not None:
-            if len(_templates) >= _TEMPLATE_CACHE_MAX:
-                del _templates[next(iter(_templates))]
-            _templates[key] = template
-    return key, statement
+def lookup(store: dict, sql: str, make: type = Template
+           ) -> tuple[Template, list]:
+    """``(template, values)`` of ``sql``: the template filed in ``store``
+    under the text's fingerprint key — built by ``make(key, statement,
+    negated, width)`` and filed when missing — and the statement's values,
+    one per Param slot.  A text whose literals do not all become Params
+    (a CREATE TABLE ... WITH option, text the fingerprint reads otherwise
+    than the tokenizer) gets a template that is not filed.  Raises
+    :class:`ParseError` as :func:`parse` does."""
+    key, values = fingerprint(sql)
+    template = store.get(key)
+    if (template is not None and values is not None
+            and len(values) == template.width):
+        template.hits += 1
+        for slot in template.negated:
+            values[slot] = -values[slot]
+        return template, values
+    parser = _Parser(tokenize(sql))
+    statement = parser.parse_statement()
+    parsed = parser.values
+    template = make(key, statement, tuple(sorted(parser.negated)),
+                    len(parsed))
+    if values is not None and _same(values, parsed, parser.negated):
+        if len(store) >= _TEMPLATE_CACHE_MAX:
+            del store[next(iter(store))]
+        store[key] = template
+    return template, parsed
 
 
-def template_stats() -> dict[str, int]:
-    """The template cache's size and its hit / miss counts since the
-    process started (every connection shares one cache)."""
-    return {"templates": len(_templates), **_counts}
+def _same(scanned: list, parsed: list, negated: set[int]) -> bool:
+    """Whether the fingerprint's values are the parser's: every literal
+    token became a Param, read alike."""
+    return len(scanned) == len(parsed) and all(
+        type(a) is type(b) and repr(-a if slot in negated else a) == repr(b)
+        for slot, (a, b) in enumerate(zip(scanned, parsed)))
 
 
 def parse_script(sql: str) -> list[ast.Statement]:
@@ -82,15 +112,27 @@ def parse_script(sql: str) -> list[ast.Statement]:
             run.append(token)
         elif run:
             end = Token(TokenType.EOF, "", token.position)
-            statements.append(_Parser(run + [end]).parse_statement())
+            parser = _Parser(run + [end])
+            statements.append(ast.substitute(parser.parse_statement(),
+                                         parser.values))
             run = []
     return statements
 
 
 class _Parser:
+    """Parses one statement into a template: ``values`` holds each
+    literal's value by its Param's slot, negated where the text negates
+    it, and ``negated`` those slots."""
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.values: list = []
+        self.negated: set[int] = set()
+
+    def _param(self, value: Any, kind: str) -> ast.Param:
+        self.values.append(value)
+        return ast.Param(len(self.values) - 1, kind)
 
     # -- token helpers -------------------------------------------------------
 
@@ -253,9 +295,9 @@ class _Parser:
 
         limit = offset = None
         if self._match_keyword("LIMIT"):
-            limit = self._parse_int_literal()
+            limit = self._parse_count()
         if self._match_keyword("OFFSET"):
-            offset = self._parse_int_literal()
+            offset = self._parse_count()
 
         return ast.Select(items=tuple(items), from_table=from_table,
                           joins=tuple(joins), where=where,
@@ -292,12 +334,13 @@ class _Parser:
             alias = self._expect_ident()
         return ast.TableRef(name, alias)
 
-    def _parse_int_literal(self) -> int:
+    def _parse_count(self) -> ast.Param:
+        """The integer literal of a LIMIT / OFFSET."""
         token = self._advance()
         if token.type is not TokenType.NUMBER or not token.value.isdecimal():
             raise ParseError(f"expected integer, got {token.value!r}",
                              token.position)
-        return number_value(token.value, token.position)
+        return self._param(number_value(token.value, token.position), "n")
 
     # -- INSERT / UPDATE / DELETE ----------------------------------------------
 
@@ -626,10 +669,12 @@ class _Parser:
         if self._match_operator("-"):
             operand = self._parse_unary()
             # a negated number is a literal: index selection and
-            # selectivity estimation only read Literal operands
-            if (isinstance(operand, ast.Literal)
-                    and type(operand.value) in (int, float)):
-                return ast.Literal(-operand.value)
+            # selectivity estimation only read literal operands
+            if type(operand) is ast.Param and operand.kind in _NEGATE:
+                slot = operand.slot
+                self.values[slot] = -self.values[slot]
+                self.negated ^= {slot}
+                return ast.Param(slot, _NEGATE[operand.kind])
             return ast.UnaryOp("-", operand)
         return self._parse_primary()
 
@@ -637,10 +682,11 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            return ast.Literal(number_value(token.value, token.position))
+            value = number_value(token.value, token.position)
+            return self._param(value, "i" if type(value) is int else "f")
         if token.type is TokenType.STRING:
             self._advance()
-            return ast.Literal(token.value)
+            return self._param(token.value, "s")
         if token.is_keyword("TRUE"):
             self._advance()
             return ast.Literal(True)
@@ -686,159 +732,5 @@ class _Parser:
         return ast.ColumnRef(name)
 
 
-# -- templates ------------------------------------------------------------------
-
-# What a slot's literal becomes: Literal(text), Literal(number),
-# Literal(-number) (a literal the parser folded a unary minus into), or the
-# bare int of a LIMIT / OFFSET.
-_STRING, _NUMBER, _NEGATED, _BARE = range(4)
-
-# A getter of each AST node's fields, in declaration order — the order the
-# parser reads them in.  The one-field nodes are left out: a Literal is a
-# slot, Star and Analyze hold a name.  The recorder descends into tuples,
-# ints, literals and the nodes with a field that may hold a literal; names
-# and flags cannot.
-_FIELDS = {cls: attrgetter(*(field.name for field in fields(cls)))
-           for cls in vars(ast).values()
-           if isinstance(cls, type) and is_dataclass(cls)
-           and len(fields(cls)) > 1}
-_WALKED = frozenset(
-    [tuple, int, ast.Literal] + [cls for cls in _FIELDS if any(
-        field.type not in ("str", "Optional[str]", "bool")
-        for field in fields(cls))])
-
-
-class _Template:
-    """A parsed statement whose literals are numbered slots: ``kinds[i]``
-    says how the i-th literal of a statement with the same fingerprint
-    converts, ``build`` rebuilds the tree around the converted values."""
-
-    __slots__ = ("kinds", "build")
-
-    def __init__(self, kinds: list[int], build: Callable[[list], Any]):
-        self.kinds = kinds
-        self.build = build
-
-    def bind(self, literals: list[tuple[str, int]]) -> ast.Statement:
-        values: list[Any] = []
-        append = values.append
-        for (text, position), kind in zip(literals, self.kinds):
-            if kind == _STRING:
-                append(ast.Literal(text))
-                continue
-            number = number_value(text, position)
-            if kind == _NUMBER:
-                append(ast.Literal(number))
-            elif kind == _NEGATED:
-                append(ast.Literal(-number))
-            else:
-                append(number)
-        return self.build(values)
-
-
-class _Uncacheable(Exception):
-    """The recorder could not tell where a literal's value went."""
-
-
-def _record(statement: ast.Statement,
-            tokens: list[Token]) -> Optional[_Template]:
-    """The template of a freshly parsed ``statement``, or None when one of
-    its literals sits where the recorder cannot place it for sure."""
-    recorder = _Recorder(tokens)
-    try:
-        build = recorder.walk(statement)
-    except (_Uncacheable, RecursionError):      # a 5,000-term a + a + ...
-        return None
-    if len(recorder.kinds) != len(recorder.literals):
-        return None
-    if build is None:
-        return _Template([], lambda values: statement)
-    return _Template(recorder.kinds, build)
-
-
-class _Recorder:
-    """Walks a statement's tree in source order — the order the parser
-    consumed its tokens — pairing each literal it meets with the next
-    literal token, and returns the tree's rebuilder."""
-
-    def __init__(self, tokens: list[Token]):
-        self.literals: list[tuple[Token, bool]] = []
-        self.kinds: list[int] = []
-        for k, token in enumerate(tokens):
-            if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
-                # a unary minus folds into a number through parentheses:
-                # -5, - -5, -(5)
-                j = k - 1
-                while (j >= 0 and tokens[j].type is TokenType.PUNCT
-                       and tokens[j].value == "("):
-                    j -= 1
-                after_minus = (j >= 0 and tokens[j].type is TokenType.OPERATOR
-                               and tokens[j].value == "-")
-                self.literals.append((token, after_minus))
-
-    def walk(self, node: Any):
-        """None when ``node`` holds no literal (it is shared as it is), a
-        slot number when it is one, else a function from the bound values
-        to a copy of ``node``."""
-        cls = type(node)
-        if cls is ast.Literal:
-            kind = type(node.value)
-            if kind is int or kind is float or kind is str:
-                return self._claim(node.value, bare=False)
-            return None                         # TRUE, FALSE, NULL
-        if cls is int:                          # LIMIT / OFFSET
-            return self._claim(node, bare=True)
-        values = node if cls is tuple else _FIELDS[cls](node)
-        parts = [self.walk(value) if type(value) in _WALKED else None
-                 for value in values]
-        if parts.count(None) == len(parts):
-            return None
-        return _rebuilder(_pack if cls is tuple else cls, values, parts)
-
-    def _claim(self, value: Any, bare: bool) -> int:
-        slot = len(self.kinds)
-        if slot == len(self.literals):
-            raise _Uncacheable
-        token, after_minus = self.literals[slot]
-        if token.type is TokenType.STRING:
-            if type(value) is not str or value != token.value:
-                raise _Uncacheable
-            self.kinds.append(_STRING)
-            return slot
-        parsed = number_value(token.value, token.position)
-        if type(value) is not type(parsed):
-            raise _Uncacheable
-        if after_minus and value == -parsed:
-            if value == parsed or bare:         # x = -0: the sign is lost
-                raise _Uncacheable
-            self.kinds.append(_NEGATED)
-        elif value == parsed:
-            self.kinds.append(_BARE if bare else _NUMBER)
-        else:
-            raise _Uncacheable
-        return slot
-
-
-def _pack(*items: Any) -> tuple:
-    return items
-
-
-def _rebuilder(factory: Callable, values: tuple,
-               parts: list) -> Callable[[list], Any]:
-    """A function from the bound values to ``factory(*values)`` with each
-    part that is not None put in its place; a part is a slot number or a
-    rebuilder."""
-    low = parts[0]
-    if (factory is _pack and type(low) is int
-            and parts == list(range(low, low + len(parts)))):
-        high = low + len(parts)                 # a VALUES row
-        return lambda slots: tuple(slots[low:high])
-    subs = [(i, itemgetter(part) if type(part) is int else part)
-            for i, part in enumerate(parts) if part is not None]
-
-    def build(slots: list) -> Any:
-        out = list(values)
-        for i, part in subs:
-            out[i] = part(slots)
-        return factory(*out)
-    return build
+# what a unary minus folded into a number literal makes of its kind
+_NEGATE = {"i": "-i", "-i": "i", "f": "-f", "-f": "f"}

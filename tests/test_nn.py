@@ -2,6 +2,7 @@
 
 import gc
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -31,6 +32,7 @@ from repro.nn import (
     unpack_state,
 )
 from repro.nn.blas import pin_single_thread
+from repro.nn.heap import keep_freed_heap
 
 RNG = np.random.default_rng(0)
 
@@ -609,3 +611,8 @@ class TestBlasPin:
             if "openblas" not in maps.read():
                 pytest.skip("numpy is not linked against OpenBLAS")
         assert pin_single_thread()
+
+    def test_heap_thresholds_are_set_on_glibc(self):
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt's thresholds are glibc's")
+        assert keep_freed_heap()

@@ -279,7 +279,9 @@ REJECTED = [
     "SELECT * FROM users u JOIN orders o ON u.id = o.user_id "
     "AND u.name > o.amount",
     "SELECT name AS n FROM users ORDER BY n + 1",
-    "SELECT name FROM users ORDER BY age",         # not in the select list
+    # a key not in the select list, under DISTINCT or over aggregates
+    "SELECT DISTINCT name FROM users ORDER BY age",
+    "SELECT city, count(*) FROM users GROUP BY city ORDER BY age",
     # COALESCE mixing TEXT and numbers
     "SELECT coalesce(name, age) FROM users",
     "SELECT * FROM users WHERE coalesce(city, 0) = 'sg'",
@@ -306,6 +308,9 @@ REJECTED = [
 # take TEXT
 ANSWERED = [
     ("SELECT count(*) FROM users WHERE name = 5", [(0,)], [(0,)]),
+    # an ORDER BY key not in the select list sorts on a hidden column
+    ("SELECT name FROM users WHERE id < 45 ORDER BY age DESC, id LIMIT 3",
+     [("user39",), ("user38",), ("user37",)], []),
     ("SELECT count(*) FROM users WHERE age <> 'x'", [(60,)], [(0,)]),
     ("SELECT count(*) FROM users WHERE city IN (1, 'sg')", [(15,)], [(0,)]),
     ("SELECT count(*) FROM users WHERE age LIKE '2%'", [(20,)], [(0,)]),

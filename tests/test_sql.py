@@ -1,5 +1,5 @@
 """Tests for the SQL lexer and parser, including the PREDICT extension,
-and for the parser's template cache."""
+and for the statement templates it builds."""
 
 import re
 import time
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from repro.common.errors import NeurDBError, ParseError
 from repro.sql import ast, parse, parse_script, tokenize
 from repro.sql import parser as sql_parser
-from repro.sql.lexer import TokenType, fingerprint
-from repro.sql.parser import _Parser, template_stats
+from repro.sql.lexer import TokenType, fingerprint, number_value
+from repro.sql.parser import lookup
 from repro.storage.types import DataType
 
 
@@ -364,14 +364,18 @@ def test_string_literal_roundtrip(text):
     assert stmt.items[0].expr.value == text
 
 
-# -- the template cache ---------------------------------------------------------
-# parse() binds the literals of a statement whose fingerprint it has seen
-# into the earlier tree; every result must be the uncached parser's, to the
-# repr (Literal(1) == Literal(1.0), so == would miss a wrong type).
+# -- statement templates ------------------------------------------------------
+# A statement is a template, parsed once per fingerprint key, and the values
+# of its literals, which the template's Params read.  parse() substitutes
+# the values into the template its store holds; every result must be what
+# a fresh parse of the text gives, to the repr (Literal(1) == Literal(1.0),
+# so == would miss a wrong type).
 
 
 def _uncached(sql):
-    return _Parser(tokenize(sql)).parse_statement()
+    """The text parsed afresh: a miss in an empty store."""
+    template, values = lookup({}, sql)
+    return ast.substitute(template.statement, values)
 
 
 def _outcome(parse_fn, sql):
@@ -387,7 +391,9 @@ def fresh_templates(monkeypatch):
     monkeypatch.setattr(sql_parser, "_templates", {})
 
 
-_CACHED_KINDS = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Predict)
+def _hits():
+    return sum(template.hits for template in sql_parser._templates.values())
+
 
 # every statement the tests above parse
 CORPUS = [
@@ -473,16 +479,18 @@ def _quote(text):
 
 
 # literal texts by kind, with the edges a binder gets wrong: signs
-# (-0 and -0.0 are where a folded unary minus cannot be told apart),
-# leading zeros, huge and malformed numbers, and quotes, ; and -- in strings
+# (-0.0 keeps its sign only if the folded unary minus does), leading
+# zeros, ints past float64 exactness and past 2^63, huge and malformed
+# numbers, and quotes, ; and -- in strings
 _LITERAL_TEXTS = {
     "i": st.one_of(
         st.integers(min_value=-10**30, max_value=10**30).map(str),
-        st.sampled_from(["0", "-0", "00", "-00", "7", "9" * 40, "9" * 5000])),
+        st.sampled_from(["0", "-0", "00", "-00", "7", "9" * 40, "9" * 5000,
+                         str(2**53 + 1), str(-2**53 - 1), str(2**63 + 1)])),
     "f": st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.sampled_from(["0.0", "-0.0", ".5", "5.", "1e5", "1E-5", "-1e+300",
-                         "1e999", "1.2.3", "1e+"])),
+                         "1e308", "1e999", "1.2.3", "1e+"])),
     "s": st.one_of(
         st.text(max_size=12).map(_quote),
         st.sampled_from(["''", "''''", "'--'", "';'", "'a;--b'", "'it''s'"])),
@@ -494,12 +502,35 @@ _LITERAL_TEXTS = {
     for shape, template in E2E_TEMPLATES.items()])
 def test_a_hit_parses_as_a_miss_does(sql, fresh_templates):
     expected = repr(_uncached(sql))
-    first = parse(sql)                      # a miss: the cache is empty
-    hits = template_stats()["hits"]
+    first = parse(sql)                      # a miss: the store is empty
+    hits = _hits()
     second = parse(sql)
     assert repr(first) == repr(second) == expected
-    # every statement of a cached kind here was recorded
-    assert template_stats()["hits"] - hits == isinstance(first, _CACHED_KINDS)
+    # every statement is filed but a CREATE TABLE with a WITH option,
+    # whose literal is not a Param
+    assert _hits() - hits == ("WITH (" not in sql or "PREDICT" in sql)
+
+
+def test_a_template_holds_params_and_a_hit_builds_no_tree(fresh_templates):
+    sql = "SELECT a, 'x' FROM t WHERE b > -2.5 AND c = 7 LIMIT 3 OFFSET 1"
+    template, values = lookup(sql_parser._templates, sql)
+    select = template.statement
+    assert select.limit == ast.Param(3, "n")
+    assert select.offset == ast.Param(4, "n")
+    assert select.where.left.right == ast.Param(1, "-f")
+    assert values == ["x", -2.5, 7, 3, 1]
+    other, values = lookup(sql_parser._templates, sql.replace("-2.5", "-0.0")
+                           .replace("'x'", "'it''s'"))
+    assert other is template and template.hits == 1
+    assert values == ["it's", -0.0, 7, 3, 1]
+    assert repr(values[1]) == "-0.0"        # the sign is kept
+    # parse() rebuilds only the nodes on the way to a Param
+    tree = parse(sql.replace("7", "8"))
+    assert template.within == ast.params_within(select)
+    assert tree.where.left.left is select.where.left.left
+    assert tree.from_table is select.from_table
+    assert tree.where.right.right == ast.Literal(8)
+    assert (tree.limit, tree.offset) == (3, 1)
 
 
 # where a binder can mistake a binary minus for a folded unary one
@@ -516,7 +547,7 @@ def test_rebound_literals_parse_as_uncached(data):
     template = data.draw(st.sampled_from(
         sorted(E2E_TEMPLATES.values()) + _SIGN_TEMPLATES))
     sql_parser._templates.clear()
-    for _ in range(2):      # the first records the template, the second binds
+    for _ in range(2):      # the first files the template, the second hits
         texts = [data.draw(_LITERAL_TEXTS[kind])
                  for kind in _MARK.findall(template)]
         sql = _fill(template, texts)
@@ -527,8 +558,9 @@ def test_rebound_literals_parse_as_uncached(data):
 @settings(max_examples=200, deadline=timedelta(seconds=1))
 def test_fingerprint_literals_are_the_tokenizers(data):
     """The one-pass fingerprint finds exactly the NUMBER and STRING tokens
-    tokenize finds, by value and position, and marks each by its kind —
-    a digit inside a word or a comment stays text."""
+    tokenize finds and reads each as the parser does (None for the
+    values when a number is malformed), and marks each by its kind — a
+    digit inside a word or a comment stays text."""
     sql = data.draw(st.one_of(
         st.sampled_from(CORPUS + ["SELECT c1, t2.x3 FROM t2 -- 4 '5'\n"
                                   "WHERE a9 = 7 -- 8"]),
@@ -536,10 +568,16 @@ def test_fingerprint_literals_are_the_tokenizers(data):
             lambda template: st.tuples(*(
                 _LITERAL_TEXTS[kind] for kind in _MARK.findall(template)
             )).map(lambda texts: _fill(template, texts)))))
-    key, literals = fingerprint(sql)
+    key, values = fingerprint(sql)
     tokens = [token for token in tokenize(sql)
               if token.type in (TokenType.NUMBER, TokenType.STRING)]
-    assert literals == [(token.value, token.position) for token in tokens]
+    try:
+        expected = [token.value if token.type is TokenType.STRING
+                    else number_value(token.value, token.position)
+                    for token in tokens]
+    except ParseError:
+        expected = None
+    assert repr(values) == repr(expected)
     marks = ["\0s" if token.type is TokenType.STRING
              else "\0i" if token.value.isdecimal() else "\0f"
              for token in tokens]
@@ -554,45 +592,50 @@ def test_a_hit_fails_exactly_as_a_miss(fresh_templates):
             ("SELECT a FROM t LIMIT 5", "SELECT a FROM t LIMIT " + "9" * 5000)):
         parse(good)
         assert fingerprint(bad)[0] == fingerprint(good)[0]
-        hits = template_stats()["hits"]
+        hits = _hits()
+        # a malformed number is no hit: the text is parsed, and raises
+        # where a fresh parse raises
         assert _outcome(parse, bad) == _outcome(_uncached, bad)
         assert _outcome(parse, bad)[0] == "ParseError"
-        assert template_stats()["hits"] == hits + 2
+        assert _hits() == hits
 
 
-def test_a_negated_zero_binds_but_is_never_recorded(fresh_templates):
-    for zero, other in (("-0", "-5"), ("-0.0", "-2.5"), ("-(0)", "-(5)")):
+def test_a_negated_zero_keeps_its_sign_on_a_hit(fresh_templates):
+    for zero, other in (("-0", "-5"), ("-0.0", "-2.5"), ("-(0)", "-(5)"),
+                        ("- -0.0", "- -2.5")):
         sql = f"SELECT a FROM t WHERE x = {zero}"
-        parse(sql)
-        assert template_stats()["templates"] == 0   # the sign is lost in 0
         parse(f"SELECT a FROM t WHERE x = {other}")
-        assert template_stats()["templates"] == 1
-        assert repr(parse(sql)) == repr(_uncached(sql))  # now a hit
+        assert len(sql_parser._templates) == 1
+        assert repr(parse(sql)) == repr(_uncached(sql))  # a hit
+        assert _hits() == 1
         sql_parser._templates.clear()
 
 
-def test_ddl_explain_and_failed_parses_are_never_cached(fresh_templates):
+def test_failed_parses_and_create_options_are_never_filed(fresh_templates):
     for sql in ("CREATE TABLE t (id INT, v FLOAT) WITH (shards = 2)",
-                "CREATE INDEX i ON t (c)", "DROP TABLE t", "ANALYZE t",
-                "EXPLAIN SELECT a FROM t WHERE id = 1",
-                "EXPLAIN ANALYZE UPDATE t SET a = 1 WHERE id = 2",
                 "SELECT 1 FROM", "SELECT 1.2.3", "SELECT 'a", "SELECT @"):
         for _ in range(2):
             try:
                 parse(sql)
             except ParseError:
                 pass
-    assert template_stats()["templates"] == 0
+    assert len(sql_parser._templates) == 0
+    for sql in ("CREATE INDEX i ON t (c)", "DROP TABLE t", "ANALYZE t",
+                "EXPLAIN SELECT a FROM t WHERE id = 1",
+                "EXPLAIN ANALYZE UPDATE t SET a = 1 WHERE id = 2"):
+        parse(sql)
+        assert repr(parse(sql)) == repr(_uncached(sql))
+    assert len(sql_parser._templates) == 5 and _hits() == 5
 
 
 def test_cache_size_is_bounded(fresh_templates):
     limit = sql_parser._TEMPLATE_CACHE_MAX
     for i in range(10 * limit):
         parse(f"SELECT c{i} FROM t")
-    assert template_stats()["templates"] == limit
-    hits = template_stats()["hits"]
+    assert len(sql_parser._templates) == limit
+    hits = _hits()
     parse(f"SELECT c{10 * limit - 1} FROM t")   # the newest stays
-    assert template_stats()["hits"] == hits + 1
+    assert _hits() == hits + 1
 
 
 # -- fuzz: bad input fails with the package's own errors, and fails fast --------

@@ -17,6 +17,11 @@ A seeded generator writes well-typed SELECTs over three small tables:
   (``ORDER BY count(*)``, ``ORDER BY sum(b.y)``) — and an optional
   LIMIT (sometimes with OFFSET).
 
+A second generator orders a plain select list by columns of the FROM
+tables it does not select (``SELECT a.s FROM a ORDER BY a.x``), or an
+expression over them, ahead of every output column.  Under DISTINCT, or
+over an aggregate, such a key stays a ``BindError``, as in PostgreSQL.
+
 Each query runs through ``db.execute`` on the batch, parallel and
 distributed engines, and through ``sqlite3`` on the same rows; the rows
 must agree in order, value and Python type.  ``SQL_SEED`` re-rolls the
@@ -258,6 +263,65 @@ def test_select_held_to_sqlite(databases, case):
     for engine, knobs in ENGINES.items():
         db.executor = Executor(db.catalog, db.clock, engine=engine, **knobs)
         assert_same_rows(db.execute(ours).rows, expected, (engine, ours))
+
+
+HIDDEN_KEYS = 40
+
+
+def generate_hidden_keys(rng: random.Random) -> tuple[str, str]:
+    """One plain SELECT ordered first by one or two keys that name no
+    output column, then by every output column, so rows that tie on all
+    keys are equal: ``(ours, sqlite's)``."""
+    aliases, from_text, joins = rng.choice(FROMS)
+    columns = [(f"{alias}.{column}", kind, column)
+               for alias, table in aliases.items()
+               for column, kind in TABLES[table]]
+    conjuncts = joins + [_predicate(columns, rng)
+                         for _ in range(rng.randint(0, 1))]
+    chosen = rng.sample(columns, rng.randint(1, 2))
+    items = [ref for ref, _, _ in chosen]
+    rest = [c for c in columns if c not in chosen]
+    hidden = []
+    for ref, kind, _ in rng.sample(rest, rng.randint(1, min(2, len(rest)))):
+        if kind != "TEXT" and rng.random() < 0.3:
+            ref = f"{ref} + {rng.choice(['1', '2.5'])}"
+        hidden.append((ref, rng.random() < 0.4))
+    text = f"SELECT {', '.join(items)} FROM {from_text}"
+    if conjuncts:
+        text += " WHERE " + " AND ".join(conjuncts)
+    keys = hidden + [(p, rng.random() < 0.4)
+                     for p in range(1, len(items) + 1)]
+    limit = ""
+    if rng.random() < 0.4:
+        limit = f" LIMIT {rng.randint(0, 12)} OFFSET {rng.randint(0, 6)}"
+    ours = ", ".join(f"{k}{' DESC' if d else ''}" for k, d in keys)
+    theirs = ", ".join(f"{k} DESC NULLS FIRST" if d else f"{k} NULLS LAST"
+                       for k, d in keys)
+    return (f"{text} ORDER BY {ours}{limit}",
+            f"{text} ORDER BY {theirs}{limit}")
+
+
+@pytest.mark.parametrize("case", range(HIDDEN_KEYS))
+def test_order_by_columns_not_selected_held_to_sqlite(databases, case):
+    db, mirror = databases
+    ours, theirs = generate_hidden_keys(
+        random.Random(SQL_SEED * 100_003 + QUERIES + MUTANTS + case))
+    expected = mirror.execute(theirs).fetchall()
+    for engine, knobs in ENGINES.items():
+        db.executor = Executor(db.catalog, db.clock, engine=engine, **knobs)
+        assert_same_rows(db.execute(ours).rows, expected, (engine, ours))
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT DISTINCT a.s FROM a ORDER BY a.x",
+    "SELECT a.k, count(*) FROM a GROUP BY a.k ORDER BY a.x",
+    "SELECT count(*) FROM a ORDER BY a.x",
+    "SELECT a.s FROM a ORDER BY a.nosuch",
+])
+def test_order_by_a_key_out_of_reach_is_a_bind_error(databases, sql):
+    db, _ = databases
+    with pytest.raises(BindError):
+        db.execute(sql)
 
 
 def mutant(rng: random.Random) -> str:
